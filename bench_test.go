@@ -366,26 +366,6 @@ func BenchmarkNeighborhood2Hop(b *testing.B) {
 	}
 }
 
-func BenchmarkWorkloadEstimation(b *testing.B) {
-	w := exp.Prepare(benchConfig("yago2"))
-	pivots := make([]*workload.Pivot, 0, w.Set.Len())
-	for _, f := range w.Set.Rules() {
-		pivots = append(pivots, workload.ComputePivot(f.Q))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache := workload.NewSizeCache()
-		for _, pv := range pivots {
-			k := pv.Arity()
-			cands := make([][]gfd.NodeID, k)
-			for j := 0; j < k; j++ {
-				cands[j] = pv.Candidates(w.G, j)
-			}
-			workload.BuildUnitsFrom(w.G, pv, cands, cache, workload.BuildOptions{DedupSymmetric: true})
-		}
-	}
-}
-
 func BenchmarkLPTBalance(b *testing.B) {
 	weights := make([]int, 10000)
 	for i := range weights {

@@ -213,7 +213,7 @@ func (d *Detector) fullValidate() {
 	clear(d.byUnit)
 	for ri := range d.rules {
 		cands := d.candidates(ri)
-		workload.EachVector(cands, func(vec []graph.NodeID) bool {
+		workload.EachVector(cands, false, func(vec []graph.NodeID) bool {
 			d.revalidateUnit(ri, vec)
 			return true
 		})

@@ -1,11 +1,11 @@
 // Package stats provides the statistics substrate the workload estimator
 // relies on: equi-depth histograms over candidate sets (used by bPar to
-// derive m-balanced range partitions, Section 6.1) and degree/skew
-// statistics over graphs (used by the skew experiments of the Appendix).
+// derive m-balanced range partitions, Section 6.1).
 package stats
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"gfd/internal/graph"
 )
@@ -45,75 +45,49 @@ func EquiDepth(n, m int) []Range {
 
 // EquiDepthByValue partitions candidates into at most m ranges balanced by
 // cardinality after sorting by the given attribute value (candidates
-// missing the attribute sort first by ID). This mirrors the paper's
-// equi-depth histogram over a selected attribute of C(µ(z)); the returned
-// order is the sorted candidate list the ranges index into.
-func EquiDepthByValue(g *graph.Graph, candidates []graph.NodeID, attr string, m int) ([]graph.NodeID, []Range) {
-	sorted := append([]graph.NodeID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool {
-		vi, oki := g.Attr(sorted[i], attr)
-		vj, okj := g.Attr(sorted[j], attr)
-		switch {
-		case oki != okj:
-			return !oki // missing first
-		case vi != vj:
-			return vi < vj
-		default:
-			return sorted[i] < sorted[j]
+// missing the attribute first, then value string order, then ID). This
+// mirrors the paper's equi-depth histogram over a selected attribute of
+// C(µ(z)); the returned order is the sorted candidate list the ranges index
+// into.
+//
+// Values are read once per candidate as interned codes off the topology —
+// the view candidates, block sizes and detection read too — and only the
+// distinct ones are ranked by name, so the sort itself runs over flat
+// (rank, ID) integer keys: no lock, hash or string inside a comparator.
+func EquiDepthByValue(topo graph.Topology, candidates []graph.NodeID, attr string, m int) ([]graph.NodeID, []Range) {
+	syms := topo.Syms()
+	name := syms.Lookup(attr)
+	vals := make([]graph.Sym, len(candidates))
+	for i, v := range candidates {
+		vals[i], _ = topo.AttrSym(v, name) // NoSym when v lacks the attribute
+	}
+	distinct := slices.Clone(vals)
+	slices.Sort(distinct)
+	distinct = slices.DeleteFunc(slices.Compact(distinct), func(c graph.Sym) bool { return c == graph.NoSym })
+	type named struct {
+		name string
+		at   int // index into distinct
+	}
+	byName := make([]named, len(distinct))
+	for i, c := range distinct {
+		byName[i] = named{syms.Name(c), i}
+	}
+	slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	rank := make([]uint64, len(distinct)) // 1-based; 0 is the missing attribute
+	for r, e := range byName {
+		rank[e.at] = uint64(r) + 1
+	}
+	keys := make([]uint64, len(candidates))
+	for i, v := range candidates {
+		keys[i] = uint64(uint32(v))
+		if at, found := slices.BinarySearch(distinct, vals[i]); found {
+			keys[i] |= rank[at] << 32
 		}
-	})
+	}
+	slices.Sort(keys)
+	sorted := make([]graph.NodeID, len(keys))
+	for i, k := range keys {
+		sorted[i] = graph.NodeID(uint32(k))
+	}
 	return sorted, EquiDepth(len(sorted), m)
-}
-
-// DegreeStats summarizes the degree distribution of a graph.
-type DegreeStats struct {
-	Max    int
-	Mean   float64
-	P50    int
-	P90    int
-	P99    int
-	Gini   float64 // inequality of the degree distribution, 0 = uniform
-	SkewDM float64 // |G_dm| / |G_dm'|: mean size of bottom-10% vs top-10% d-hop neighborhoods
-}
-
-// Degrees computes degree statistics for g. The SkewDM measure follows the
-// Appendix: the ratio of the average size of the 10% smallest d-hop
-// neighborhoods to the 10% largest (d fixed at 1 here for tractability;
-// the generators control the true d=3 skew knob).
-func Degrees(g *graph.Graph) DegreeStats {
-	n := g.NumNodes()
-	if n == 0 {
-		return DegreeStats{}
-	}
-	deg := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		deg[i] = g.Degree(graph.NodeID(i))
-		total += deg[i]
-	}
-	sort.Ints(deg)
-	pick := func(q float64) int { return deg[min(n-1, int(q*float64(n)))] }
-	ds := DegreeStats{
-		Max:  deg[n-1],
-		Mean: float64(total) / float64(n),
-		P50:  pick(0.50),
-		P90:  pick(0.90),
-		P99:  pick(0.99),
-	}
-	// Gini coefficient over degrees.
-	if total > 0 {
-		var cum float64
-		for i, d := range deg {
-			cum += float64(d) * float64(2*(i+1)-n-1)
-		}
-		ds.Gini = cum / (float64(n) * float64(total))
-	}
-	tenth := max(1, n/10)
-	var small, large int
-	for i := 0; i < tenth; i++ {
-		small += deg[i] + 1
-		large += deg[n-1-i] + 1
-	}
-	ds.SkewDM = float64(small) / float64(large)
-	return ds
 }

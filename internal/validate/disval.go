@@ -165,7 +165,7 @@ const commCostWeight = 1.0 / 32
 // block-part size, border nodes) to the coordinator as one batched message
 // per fragment, sized per candidate descriptor. Charges go through ship so
 // the estimation cache can record and replay them.
-func chargeCandidateMessages(g *graph.Graph, ship func(from, to int, bytes int64), frag *fragment.Fragmentation, groups []*ruleGroup) {
+func chargeCandidateMessages(topo graph.Topology, ship func(from, to int, bytes int64), frag *fragment.Fragmentation, groups []*ruleGroup) {
 	type key struct {
 		node  graph.NodeID
 		owner int
@@ -174,7 +174,7 @@ func chargeCandidateMessages(g *graph.Graph, ship func(from, to int, bytes int64
 	perOwner := make([]int64, frag.N)
 	for _, grp := range groups {
 		for i := 0; i < grp.pivot.Arity(); i++ {
-			for _, c := range grp.pivot.Candidates(g, i) {
+			for _, c := range grp.pivot.CandidatesIn(topo, i) {
 				k := key{c, frag.OwnerOf(c)}
 				if _, dup := seen[k]; dup {
 					continue
@@ -206,7 +206,6 @@ func attachShipCosts(g *graph.Graph, topo graph.Topology, frag *fragment.Fragmen
 	for w := 0; w < frag.N; w++ {
 		u.shipBytes[w] = total - perOwner[w]
 	}
-	u.totalBytes = total
 }
 
 // partialMatchBytes estimates the cost of the partial-match shipping

@@ -203,11 +203,10 @@ func (r *Result) ModeledTime() time.Duration {
 // workUnit is a work unit bound to its rule group and optional stripe.
 type workUnit struct {
 	workload.Unit
-	group      int
-	stripeMod  int // 0 = unstriped
-	stripeRem  int
-	shipBytes  []int64 // disVal: bytes to ship if assigned to worker i
-	totalBytes int64   // disVal: full block bytes
+	group     int
+	stripeMod int // 0 = unstriped
+	stripeRem int
+	shipBytes []int64 // disVal: bytes to ship if assigned to worker i
 }
 
 // unitDetector is one worker's detection state: a topology-backed Matcher
@@ -351,43 +350,51 @@ func splitThreshold(opt Options, units []workUnit) int {
 		return opt.SplitThreshold
 	}
 	var total int64
-	for _, u := range units {
-		total += int64(u.BlockSize)
+	for i := range units {
+		total += int64(units[i].BlockSize)
 	}
 	return int(4 * total / int64(len(units)))
+}
+
+// stripes returns how many stripes applySplit cuts u into; 1 keeps it whole.
+func stripes(u *workUnit, groups []*ruleGroup, theta int) int {
+	if u.BlockSize <= theta || !splittable(groups[u.group]) {
+		return 1
+	}
+	return (u.BlockSize + theta - 1) / theta
 }
 
 // applySplit replaces oversized units with stripes (replicate-and-split,
 // Appendix): each stripe keeps the pivots and data block but enumerates
 // only matches whose stripe-node image falls in its residue class, so the
-// stripes' match sets partition the original unit's.
+// stripes' match sets partition the original unit's. units is read-only;
+// the result is a fresh, exactly sized slice unless nothing splits.
 func applySplit(units []workUnit, groups []*ruleGroup, theta int) (out []workUnit, split int) {
 	if theta <= 0 {
 		return units, 0
 	}
-	out = make([]workUnit, 0, len(units))
-	for _, u := range units {
-		grp := groups[u.group]
-		if u.BlockSize <= theta || !splittable(grp) {
-			out = append(out, u)
+	total := 0
+	for i := range units {
+		total += stripes(&units[i], groups, theta)
+	}
+	if total == len(units) {
+		return units, 0
+	}
+	out = make([]workUnit, 0, total)
+	for i := range units {
+		u := &units[i]
+		s := stripes(u, groups, theta)
+		if s == 1 {
+			out = append(out, *u)
 			continue
 		}
-		s := (u.BlockSize + theta - 1) / theta
-		if s < 2 {
-			out = append(out, u)
-			continue
-		}
-		for rem := 0; rem < s; rem++ {
-			su := u
-			su.stripeMod = s
-			su.stripeRem = rem
-			su.BlockSize = u.BlockSize / s
-			if su.BlockSize == 0 {
-				su.BlockSize = 1
-			}
+		su := *u
+		su.stripeMod = s
+		su.BlockSize = max(1, u.BlockSize/s)
+		for su.stripeRem = 0; su.stripeRem < s; su.stripeRem++ {
 			out = append(out, su)
-			split++
 		}
+		split += s
 	}
 	return out, split
 }

@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"math"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"gfd/internal/cluster"
@@ -10,40 +13,50 @@ import (
 	"gfd/internal/workload"
 )
 
-// This file is the cached workload-estimation layer. The estimation phase
-// (bPar / disPar) is the per-Detect serial prefix PR 4 left on the warm
-// path: candidate listing, equi-depth partitioning, one c-hop traversal
-// per pivot candidate (measureSizes — the expensive part), and unit
-// assembly re-ran on every call even when nothing changed. The Bundle now
-// memoizes the assembled unit set per (grouping variant, n, histogram m)
-// and the block-size measurements across all variants, so:
+// This file is the cached workload-estimation layer: the bPar / disPar
+// prefix of a parallel round — candidate classes value-sorted into
+// equi-depth ranges, one c-hop traversal per pivot candidate, unit
+// assembly, split, balanced assignment. A cold pass runs on flat arrays
+// (one sort per class, block sizes in dense per-radius tables, units in one
+// pre-counted slice over one candidate arena); the Bundle memoizes its
+// results per option variant and the block sizes across variants, so:
 //
 //   - warm rounds (same bundle, same options) perform zero estimation
-//     passes: the unit set, the modeled estimation span, and the phase's
-//     comm charges are replayed from the cache (EstimationStats is the
-//     probe, mirroring Graph.SnapshotBuilds);
+//     passes: the plan, the modeled estimation span, and the phase's comm
+//     charges are replayed from the cache (EstimationStats is the probe);
 //   - rounds after Session.Apply re-measure only the touched blocks: the
-//     superseding bundle inherits the size cache pruned by the overlay's
-//     touch log (a (v, r) measurement is stale only when a touched node
-//     lies within r hops of v), making warm estimation update-
-//     proportional like the detection phase already was.
+//     superseding bundle inherits the size tables minus what the overlay's
+//     touch log made stale (a (v, r) entry only when a touched node lies
+//     within r hops of v) — warm estimation is update-proportional.
 //
-// Result faithfulness: EstimateSpan is reconstructed from per-traversal
-// costs recorded at measurement time (the same round-robin schedule the
-// live phase uses), so the modeled n-worker spans the figures plot are
-// unchanged by caching — only EstimateWall collapses on warm rounds.
+// EstimateSpan charges every sort, traversal and assembly to the worker
+// that ran it; traversal costs are recorded with the sizes, so the modeled
+// n-worker spans the figures plot are unchanged by caching — only
+// EstimateWall collapses on warm rounds.
 
-// sizeReq identifies one block-size measurement |G_z̄[v]|.
-type sizeReq struct {
-	node   graph.NodeID
-	radius int
+// sizeTable holds the measured block sizes |G_z̄[v]| of one radius, dense
+// by NodeID; a radius no rule asks for has no table. Entry v packs the size
+// (low half; 0 = not measured — a block holds at least its pivot) with the
+// traversal's cost in ns (high half, saturating), which replays faithful
+// modeled spans without re-traversing. Entries are atomic, so cold rounds
+// racing on one bundle and a successor copying the table need no lock.
+type sizeTable []atomic.Uint64
+
+func packSize(size int, cost time.Duration) uint64 {
+	return uint64(min(cost, math.MaxUint32))<<32 | uint64(uint32(size))
 }
 
-// sizeVal is one cached measurement plus its traversal cost; the cost
-// replays faithful modeled spans without re-traversing.
-type sizeVal struct {
-	size int
-	cost time.Duration
+func (t sizeTable) size(v graph.NodeID) int { return int(uint32(t[v].Load())) }
+
+func (t sizeTable) cost(v graph.NodeID) time.Duration { return time.Duration(t[v].Load() >> 32) }
+
+// grown returns a copy of t covering at least n nodes.
+func (t sizeTable) grown(n int) sizeTable {
+	out := make(sizeTable, max(n, len(t)))
+	for v := range t {
+		out[v].Store(t[v].Load())
+	}
+	return out
 }
 
 // shipRec is one recorded estimation-phase shipment, replayed into the
@@ -113,11 +126,12 @@ type planEntry struct {
 	assign      workload.Assignment
 }
 
-// estState is the Bundle's estimation cache, guarded by Bundle.mu except
-// for the traversals themselves (workers measure without the lock and
-// merge results under it).
+// estState is the Bundle's estimation cache, guarded by Bundle.mu. sizes is
+// indexed by radius; the slice is replaced, never written in place, so a
+// round reads the header it took under the lock while workers fill table
+// entries without it.
 type estState struct {
-	sizes       map[sizeReq]sizeVal
+	sizes       []sizeTable
 	entries     map[estKey]*estEntry
 	fragEntries map[fragEstKey]*fragEstEntry
 	plans       map[planKey]*planEntry
@@ -151,22 +165,30 @@ func replayShips(cl *cluster.Cluster, ships []shipRec) {
 	}
 }
 
-// estimateFor returns the pre-split unit set and modeled estimation span
-// for the given grouping variant, serving warm rounds entirely from the
-// cache (comm charges replayed, zero traversals). The returned slice is
-// shared and read-only; applySplit copies before mutating.
+// publish stores v under key in one of the bundle's bounded variant caches
+// and returns the entry later rounds share: v, or the one a concurrent cold
+// round published first. Past the cap v stays uncached. Call under Bundle.mu.
+func publish[K comparable, V any](cache *map[K]*V, key K, limit int, v *V) *V {
+	if prev, dup := (*cache)[key]; dup {
+		return prev
+	}
+	if len(*cache) < limit {
+		if *cache == nil {
+			*cache = make(map[K]*V, 2)
+		}
+		(*cache)[key] = v
+	}
+	return v
+}
+
+// baseEstimate returns the pre-split unit set (shared and read-only), the
+// modeled estimation span and the phase's comm charges for the given
+// grouping variant, serving warm rounds entirely from the cache (charges
+// replayed, zero traversals).
 //
 // Estimation is not unit-granular, so a panic here (recovered by the
 // cluster into a *WorkerError) is not retried: the error propagates and
 // the failed pass is not cached.
-func (b *Bundle) estimateFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options) ([]workUnit, time.Duration, error) {
-	e, err := b.baseEstimate(cl, groups, gk, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.units, e.span, nil
-}
-
 func (b *Bundle) baseEstimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options) (*estEntry, error) {
 	key := estKey{gk: gk, n: opt.N, histogramM: opt.HistogramM}
 	b.mu.Lock()
@@ -189,21 +211,10 @@ func (b *Bundle) baseEstimate(cl *cluster.Cluster, groups []*ruleGroup, gk group
 		return nil, err
 	}
 	cl.EndRound()
-	e := &estEntry{units: units, span: span, ships: ships}
-
 	b.mu.Lock()
-	if prev, dup := b.est.entries[key]; dup {
-		// A concurrent cold round won the race; share its entry.
-		e = prev
-	} else if len(b.est.entries) < maxEstEntries {
-		if b.est.entries == nil {
-			b.est.entries = make(map[estKey]*estEntry, 2)
-		}
-		b.est.entries[key] = e
-	}
+	defer b.mu.Unlock()
 	b.est.builds++
-	b.mu.Unlock()
-	return e, nil
+	return publish(&b.est.entries, key, maxEstEntries, &estEntry{units: units, span: span, ships: ships}), nil
 }
 
 // maxEstEntries / maxFragEstEntries bound the per-bundle variant caches:
@@ -227,16 +238,7 @@ const (
 // callers, unit-descriptor shipments) still flow through cl on every
 // round, so the modeled figures are unchanged by caching.
 func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) (*planEntry, time.Duration, error) {
-	var (
-		units []workUnit
-		span  time.Duration
-		err   error
-	)
-	if frag != nil {
-		units, span, err = b.estimateFrag(cl, groups, gk, opt, frag)
-	} else {
-		units, span, err = b.estimateFor(cl, groups, gk, opt)
-	}
+	units, span, err := b.estimate(cl, groups, gk, opt, frag)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -261,9 +263,9 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 	p := &planEntry{}
 	p.units, p.split = applySplit(units, groups, theta)
 	weights := make([]int, len(p.units))
-	for i, u := range p.units {
-		weights[i] = u.Weight()
-		p.totalWeight += int64(u.Weight())
+	for i := range p.units {
+		weights[i] = p.units[i].Weight()
+		p.totalWeight += int64(weights[i])
 	}
 	switch {
 	case opt.RandomAssign:
@@ -277,23 +279,22 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 	p.makespan = p.assign.Makespan(weights)
 
 	b.mu.Lock()
-	if prev, dup := b.est.plans[key]; dup {
-		// A concurrent cold round won the race; share its entry.
-		p = prev
-	} else if len(b.est.plans) < maxPlanEntries {
-		if b.est.plans == nil {
-			b.est.plans = make(map[planKey]*planEntry, 2)
-		}
-		b.est.plans[key] = p
-	}
-	b.mu.Unlock()
-	return p, span, nil
+	defer b.mu.Unlock()
+	return publish(&b.est.plans, key, maxPlanEntries, p), span, nil
 }
 
-// estimateFrag is the fragmented-engine estimation: disPar's candidate
-// reports, the shared base estimation, and per-worker ship costs attached
-// to a private copy of the units — all memoized per (variant, partition).
-func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) ([]workUnit, time.Duration, error) {
+// estimate is the base estimation for the replicated engine (frag ==
+// nil) and, over it, the fragmented engine's: disPar's candidate reports
+// and per-worker ship costs attached to a private copy of the units — all
+// memoized per (variant, partition).
+func (b *Bundle) estimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) ([]workUnit, time.Duration, error) {
+	if frag == nil {
+		e, err := b.baseEstimate(cl, groups, gk, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		return e.units, e.span, nil
+	}
 	key := fragEstKey{ek: estKey{gk: gk, n: opt.N, histogramM: opt.HistogramM}, frag: frag}
 	b.mu.Lock()
 	if e, ok := b.est.fragEntries[key]; ok {
@@ -308,7 +309,7 @@ func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk group
 	b.mu.Unlock()
 
 	var candShips []shipRec
-	chargeCandidateMessages(b.g, func(from, to int, bytes int64) {
+	chargeCandidateMessages(b.topo, func(from, to int, bytes int64) {
 		candShips = append(candShips, shipRec{from, to, bytes})
 		cl.Ship(from, to, bytes)
 	}, frag, groups)
@@ -321,211 +322,280 @@ func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk group
 	for i := range units {
 		attachShipCosts(b.g, b.topo, frag, &units[i])
 	}
-	e := &fragEstEntry{units: units, span: base.span, candShips: candShips, estShips: base.ships}
-
 	b.mu.Lock()
-	if prev, dup := b.est.fragEntries[key]; dup {
-		e = prev
-	} else if len(b.est.fragEntries) < maxFragEstEntries {
-		if b.est.fragEntries == nil {
-			b.est.fragEntries = make(map[fragEstKey]*fragEstEntry, 2)
-		}
-		b.est.fragEntries[key] = e
-	}
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	e := publish(&b.est.fragEntries, key, maxFragEstEntries,
+		&fragEstEntry{units: units, span: base.span, candShips: candShips, estShips: base.ships})
 	return e.units, e.span, nil
 }
 
+// candClass is one pivot candidate class: the nodes carrying a pivot label
+// (all nodes for the wildcard), keyed and value-sorted once per estimation
+// pass for every group component that pivots on the label.
+type candClass struct {
+	label  graph.Sym
+	sorted []graph.NodeID // class members; value order once the sort phase ran
+	ranges []stats.Range
+}
+
+// estTask is one unit-assembly task: a combination of equi-depth ranges,
+// one per pivot component of the group. Groups of more than two components
+// are rare and get a single task over their full candidate lists.
+type estTask struct {
+	group int
+	r     [2]stats.Range
+	// dedup keeps only the ordered pairs of a symmetric pattern's diagonal
+	// range pair; off-diagonal pairs are disjoint and need no pruning.
+	dedup bool
+}
+
+// lists resolves the task's per-component candidate lists into dst.
+func (t estTask) lists(dst [][]graph.NodeID, classOf []int, classes []candClass) [][]graph.NodeID {
+	dst = dst[:0]
+	for i, ci := range classOf {
+		list := classes[ci].sorted
+		if len(classOf) <= 2 {
+			list = list[t.r[i].Lo:t.r[i].Hi]
+		}
+		dst = append(dst, list)
+	}
+	return dst
+}
+
 // assembleUnits runs the parallel workload-estimation phase shared by
-// repVal and disVal: pivot candidate lists are split into equi-depth
-// ranges, range combinations are distributed round-robin to workers, each
-// worker assembles unit descriptors from the (cached) block-size
-// measurements and reports them to the coordinator via ship. The caller
-// owns the communication round.
+// repVal and disVal, every step a superstep on the cluster's workers: the
+// candidate classes are sorted into equi-depth ranges, the missing c-hop
+// block sizes are traversed, and the range combinations — distributed
+// round-robin — are assembled into unit descriptors, which each worker
+// reports to the coordinator via ship. Units land, in worker-major task
+// order, in one exactly sized slice over one arena of candidate vectors.
+// The caller owns the communication round.
 func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Options, ship func(from, to int, bytes int64)) ([]workUnit, time.Duration, error) {
-	topo := b.topo
-	type task struct {
-		group  int
-		ranges []stats.Range // one per component
-	}
-	var tasks []task
-	cands := make([][][]graph.NodeID, len(groups)) // group -> component -> sorted candidates
+	topo, n := b.topo, opt.N
+	var classes []candClass
+	classOf := make([][]int, len(groups)) // group -> component -> class
 	for gi, grp := range groups {
-		k := grp.pivot.Arity()
-		cands[gi] = make([][]graph.NodeID, k)
-		ranges := make([][]stats.Range, k)
-		for i := 0; i < k; i++ {
-			sorted, rs := stats.EquiDepthByValue(b.g, grp.pivot.CandidatesIn(topo, i), "val", opt.HistogramM)
-			cands[gi][i] = sorted
-			ranges[i] = rs
-		}
-		// Cross-product of per-component ranges; for symmetric deduped
-		// patterns only ordered range pairs are kept (Example 10).
-		symmetric := !opt.NoOptimize && grp.pivot.Symmetric() && k == 2
-		switch k {
-		case 1:
-			for _, r := range ranges[0] {
-				tasks = append(tasks, task{group: gi, ranges: []stats.Range{r}})
+		classOf[gi] = make([]int, grp.pivot.Arity())
+		for i := range classOf[gi] {
+			label := grp.pivot.ClassIn(topo, i)
+			ci := slices.IndexFunc(classes, func(c candClass) bool { return c.label == label })
+			if ci < 0 {
+				ci = len(classes)
+				classes = append(classes, candClass{label: label, sorted: grp.pivot.CandidatesIn(topo, i)})
 			}
-		case 2:
-			for i, r1 := range ranges[0] {
-				for j, r2 := range ranges[1] {
-					if symmetric && j < i {
-						continue
-					}
-					tasks = append(tasks, task{group: gi, ranges: []stats.Range{r1, r2}})
-				}
-			}
-		default:
-			// k > 2 is rare; a single task covers the full cross product.
-			full := make([]stats.Range, k)
-			for i := range full {
-				full[i] = stats.Range{Lo: 0, Hi: len(cands[gi][i])}
-			}
-			tasks = append(tasks, task{group: gi, ranges: full})
+			classOf[gi][i] = ci
 		}
 	}
-
-	// Phase A: resolve every needed c-hop block size, traversing only the
-	// pairs the bundle-level cache is missing.
-	sizeOf, sizeSpan, err := b.measureSizes(cl, groups, cands, opt.N)
-	if err != nil {
-		return nil, 0, err
+	classSizes := make([]int, len(classes))
+	for ci, c := range classes {
+		classSizes[ci] = len(c.sorted)
 	}
-
-	// Phase B: workers assemble the unit descriptors for their range
-	// combinations from the resolved sizes.
-	perWorker := make([][]workUnit, opt.N)
+	sortPlan := workload.BalanceLPT(classSizes, n)
 	busy, err := cl.RunMeasured(func(w int) {
-		var mine []workUnit
-		for ti := w; ti < len(tasks); ti += opt.N {
-			t := tasks[ti]
-			grp := groups[t.group]
-			slice := make([][]graph.NodeID, len(t.ranges))
-			for i, r := range t.ranges {
-				slice[i] = cands[t.group][i][r.Lo:r.Hi]
-			}
-			symmetric := !opt.NoOptimize && grp.pivot.Symmetric()
-			// Within the diagonal range pair the ordered-pair rule applies;
-			// BuildUnitsSized handles it via DedupSymmetric. Off-diagonal
-			// pairs are disjoint, so the flag only prunes the diagonal.
-			dedup := symmetric && len(t.ranges) == 2 && t.ranges[0] == t.ranges[1]
-			us := workload.BuildUnitsSized(grp.pivot, slice, sizeOf, workload.BuildOptions{DedupSymmetric: dedup})
-			for _, u := range us {
-				mine = append(mine, workUnit{Unit: u, group: t.group})
-			}
+		for _, ci := range sortPlan[w] {
+			c := &classes[ci]
+			c.sorted, c.ranges = stats.EquiDepthByValue(topo, c.sorted, "val", opt.HistogramM)
 		}
-		perWorker[w] = mine
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	var units []workUnit
-	for w, mine := range perWorker {
-		units = append(units, mine...)
+	span := cluster.MaxSpan(busy)
+
+	var tasks []estTask
+	for gi, grp := range groups {
+		switch k := grp.pivot.Arity(); k {
+		case 1:
+			for _, r := range classes[classOf[gi][0]].ranges {
+				tasks = append(tasks, estTask{group: gi, r: [2]stats.Range{r}})
+			}
+		case 2:
+			// Cross-product of per-component ranges; for symmetric deduped
+			// patterns only ordered range pairs are kept (Example 10).
+			symmetric := !opt.NoOptimize && grp.pivot.Symmetric()
+			for i, r1 := range classes[classOf[gi][0]].ranges {
+				for j, r2 := range classes[classOf[gi][1]].ranges {
+					if symmetric && j < i {
+						continue
+					}
+					tasks = append(tasks, estTask{group: gi, r: [2]stats.Range{r1, r2}, dedup: symmetric && r1 == r2})
+				}
+			}
+		default:
+			tasks = append(tasks, estTask{group: gi})
+		}
+	}
+	tables, sizeSpan, err := b.measureSizes(cl, groups, classes, classOf, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	span += sizeSpan
+
+	// Count each task's units, lay the tasks out in the order the workers
+	// report them, then fill units and candidate vectors in place.
+	counts := make([]int, len(tasks))
+	busy, err = cl.RunMeasured(func(w int) {
+		var lists [][]graph.NodeID
+		for ti := w; ti < len(tasks); ti += n {
+			t := tasks[ti]
+			lists = t.lists(lists, classOf[t.group], classes)
+			counts[ti] = workload.CountVectors(lists, t.dedup)
+		}
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	span += cluster.MaxSpan(busy)
+	unitOff, arenaOff, reported := make([]int, len(tasks)), make([]int, len(tasks)), make([]int, n)
+	var numUnits, numIDs int
+	for w := 0; w < n; w++ {
+		for ti := w; ti < len(tasks); ti += n {
+			unitOff[ti], arenaOff[ti] = numUnits, numIDs
+			numUnits += counts[ti]
+			numIDs += counts[ti] * len(classOf[tasks[ti].group])
+			reported[w] += counts[ti]
+		}
+	}
+	units := make([]workUnit, numUnits)
+	arena := make([]graph.NodeID, numIDs)
+	busy, err = cl.RunMeasured(func(w int) {
+		var lists [][]graph.NodeID
+		for ti := w; ti < len(tasks); ti += n {
+			t := tasks[ti]
+			pv := groups[t.group].pivot
+			k := pv.Arity()
+			lists = t.lists(lists, classOf[t.group], classes)
+			dst := units[unitOff[ti] : unitOff[ti]+counts[ti]]
+			ids := arena[arenaOff[ti] : arenaOff[ti]+counts[ti]*k]
+			j := 0
+			workload.EachVector(lists, t.dedup, func(vec []graph.NodeID) bool {
+				total := 0
+				for i, v := range vec {
+					total += tables[pv.Radii[i]].size(v)
+				}
+				cands := ids[j*k : (j+1)*k : (j+1)*k]
+				copy(cands, vec)
+				dst[j] = workUnit{Unit: workload.Unit{Pivot: pv, Candidates: cands, BlockSize: total}, group: t.group}
+				j++
+				return true
+			})
+		}
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for w, mine := range reported {
 		// Report ⟨v̄_z, |G_z̄|⟩ descriptors to the coordinator (one batched
 		// message per worker).
-		ship(w, cluster.Coordinator, int64(len(mine))*unitDescriptorBytes)
+		ship(w, cluster.Coordinator, int64(mine)*unitDescriptorBytes)
 	}
-	return units, sizeSpan + cluster.MaxSpan(busy), nil
+	return units, span + cluster.MaxSpan(busy), nil
 }
 
 // measureSizes resolves |G_z̄[z]| for every (candidate, radius) pair any
-// group needs: cached pairs are read back, missing ones are traversed in
-// parallel (each assigned to exactly one worker) and added to the
-// bundle-level cache with their traversal cost. The modeled span is
-// reconstructed from the per-pair costs over the round-robin schedule, so
-// it is faithful to a from-scratch n-worker phase whether the pairs were
-// cached or traversed this round.
-func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, cands [][][]graph.NodeID, n int) (func(graph.NodeID, int) int, time.Duration, error) {
-	seen := make(map[sizeReq]struct{})
-	var reqs []sizeReq
+// group needs and returns the per-radius tables holding them: missing
+// entries are traversed in parallel (each request belongs to exactly one
+// worker) and stored with their traversal cost. The modeled span is
+// reconstructed from the per-entry costs over the same round-robin
+// schedule, so it is faithful to a from-scratch n-worker phase whether the
+// entries were cached or traversed this round.
+func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, classes []candClass, classOf [][]int, n int) ([]sizeTable, time.Duration, error) {
+	// need[r] lists the classes whose members' r-hop blocks are requested.
+	// Label classes are disjoint and the wildcard class covers them all, so
+	// once it is requested it stands alone and no node is listed twice.
+	var need [][]int
 	for gi, grp := range groups {
-		for i := 0; i < grp.pivot.Arity(); i++ {
-			r := grp.pivot.Radii[i]
-			for _, v := range cands[gi][i] {
-				k := sizeReq{v, r}
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					reqs = append(reqs, k)
-				}
+		for i, r := range grp.pivot.Radii {
+			for len(need) <= r {
+				need = append(need, nil)
+			}
+			if ci := classOf[gi][i]; classes[ci].label == graph.WildcardSym {
+				need[r] = []int{ci}
+			} else if !slices.ContainsFunc(need[r], func(c int) bool { return c == ci || classes[c].label == graph.WildcardSym }) {
+				need[r] = append(need[r], ci)
 			}
 		}
 	}
-	// The size cache is copy-on-write: readers take the current map as an
-	// immutable snapshot (lock-free reads during parallel unit assembly),
-	// writers publish a merged replacement under the lock. A superseded
-	// map stays valid for any still-running round holding it.
-	b.mu.Lock()
-	resolved := b.est.sizes
-	b.mu.Unlock()
-	var missing []sizeReq
-	for _, k := range reqs {
-		if _, ok := resolved[k]; !ok {
-			missing = append(missing, k)
+	tables := b.sizeTables(need)
+	// eachRequest visits the requests numbered first, first+step, … in the
+	// fixed order every pass over the same classes numbers them.
+	eachRequest := func(first, step int, fn func(t sizeTable, r int, v graph.NodeID)) {
+		next := first
+		for r, cis := range need {
+			for _, ci := range cis {
+				list := classes[ci].sorted
+				for ; next < len(list); next += step {
+					fn(tables[r], r, list[next])
+				}
+				next -= len(list)
+			}
 		}
 	}
-	if len(missing) > 0 {
-		topo := b.topo
-		partial := make([]map[sizeReq]sizeVal, n)
-		_, err := cl.RunMeasured(func(w int) {
-			mine := make(map[sizeReq]sizeVal)
-			start := time.Now()
-			var weight int64
-			for i := w; i < len(missing); i += n {
-				sz := topo.NeighborhoodSize(missing[i].node, missing[i].radius)
-				mine[missing[i]] = sizeVal{size: sz}
+	_, err := cl.RunMeasured(func(w int) {
+		var mine []*atomic.Uint64 // the entries this worker measured
+		var weight int64
+		start := time.Now()
+		eachRequest(w, n, func(t sizeTable, r int, v graph.NodeID) {
+			if t.size(v) == 0 {
+				sz := b.topo.NeighborhoodSize(v, r)
+				t[v].Store(packSize(sz, 0))
 				weight += int64(sz) + 1
+				mine = append(mine, &t[v])
 			}
-			// Attribute the worker's busy time to its traversals in
-			// proportion to block size (traversal cost is linear in it):
-			// per-traversal clock reads would tax the cold path the cache
-			// exists to keep cheap.
-			if total := time.Since(start); weight > 0 {
-				for k, v := range mine {
-					v.cost = time.Duration(int64(total) * (int64(v.size) + 1) / weight)
-					mine[k] = v
-				}
-			}
-			partial[w] = mine
 		})
-		if err != nil {
-			// A measurement worker died; the completed traversals from the
-			// surviving workers are still valid, but this estimation pass
-			// cannot finish. Do not pollute the cache with a partial merge.
-			return nil, 0, err
+		// Attribute the worker's busy time to its traversals in proportion
+		// to block size (traversal cost is linear in it): per-traversal
+		// clock reads would tax the cold path.
+		total := int64(time.Since(start))
+		for _, e := range mine {
+			sz := int64(uint32(e.Load()))
+			e.Store(packSize(int(sz), time.Duration(total*(sz+1)/weight)))
 		}
 		b.mu.Lock()
-		merged := make(map[sizeReq]sizeVal, len(b.est.sizes)+len(missing))
-		for k, v := range b.est.sizes {
-			merged[k] = v
-		}
-		for _, m := range partial {
-			for k, v := range m {
-				merged[k] = v
-			}
-		}
-		b.est.sizes = merged
-		b.est.measured += len(missing)
+		b.est.measured += len(mine)
 		b.mu.Unlock()
-		resolved = merged
+	})
+	if err != nil {
+		// A measurement worker died, so this estimation pass cannot finish.
+		// What the survivors stored is correct, counted, and stays.
+		return nil, 0, err
 	}
 	busy := make([]time.Duration, n)
-	for i, k := range reqs {
-		busy[i%n] += resolved[k].cost
+	for w := range busy {
+		eachRequest(w, n, func(t sizeTable, _ int, v graph.NodeID) { busy[w] += t.cost(v) })
 	}
-	sizeOf := func(v graph.NodeID, c int) int { return resolved[sizeReq{v, c}].size }
-	return sizeOf, cluster.MaxSpan(busy), nil
+	return tables, cluster.MaxSpan(busy), nil
+}
+
+// sizeTables returns the bundle's tables with one present, and covering
+// every node of the topology, for each radius need requests.
+func (b *Bundle) sizeTables(need [][]int) []sizeTable {
+	numNodes := b.topo.NumNodes()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	tables, shared := b.est.sizes, true
+	for r, cis := range need {
+		if len(cis) == 0 || r < len(tables) && len(tables[r]) >= numNodes {
+			continue
+		}
+		if shared {
+			tables = make([]sizeTable, max(len(need), len(tables)))
+			copy(tables, b.est.sizes)
+			shared = false
+		}
+		tables[r] = tables[r].grown(numNodes)
+	}
+	b.est.sizes = tables
+	return tables
 }
 
 // inheritEstimationLocked carries the estimation cache across a bundle
 // rebuild (the caller holds prev.mu; b is not yet shared). Counters always
-// carry — they are cumulative probes. The size cache carries only when the
-// topology deltas separating the two bundles are known from an overlay
-// touch log, pruned to drop every measurement a touched node could have
-// changed (within radius); assembled unit sets are always re-derived, so
-// new candidates and shifted equi-depth ranges are picked up, from cached
-// sizes wherever the blocks were not touched.
+// carry — they are cumulative probes. The size tables carry only when the
+// topology delta between the two bundles is known from an overlay touch
+// log, with every entry a touched node could have changed (within radius)
+// cleared; unit sets are always re-derived, so new candidates and shifted
+// equi-depth ranges are picked up, from cached sizes where nothing touched.
 func (b *Bundle) inheritEstimationLocked(prev *Bundle) {
 	b.est.builds = prev.est.builds
 	b.est.reuses = prev.est.reuses
@@ -554,24 +624,24 @@ func (b *Bundle) inheritEstimationLocked(prev *Bundle) {
 		return
 	}
 	if len(touched) == 0 {
-		// Attribute-only deltas: every measurement survives. The map is
-		// copy-on-write, so sharing it is safe.
+		// Attribute-only deltas: every measurement survives, and whatever
+		// either bundle measures from here on holds for both.
 		b.est.sizes = prev.est.sizes
 		return
 	}
-	maxR := 0
-	for k := range prev.est.sizes {
-		if k.radius > maxR {
-			maxR = k.radius
+	maxR := len(prev.est.sizes) - 1
+	sizes := make([]sizeTable, len(prev.est.sizes))
+	for r, old := range prev.est.sizes {
+		if old != nil {
+			sizes[r] = old.grown(b.topo.NumNodes())
 		}
 	}
-	stale := distWithin(b.topo, touched, maxR)
-	sizes := make(map[sizeReq]sizeVal, len(prev.est.sizes))
-	for k, v := range prev.est.sizes {
-		if d, ok := stale[k.node]; ok && d <= k.radius {
-			continue
+	for v, d := range distWithin(b.topo, touched, maxR) {
+		for r := d; r <= maxR; r++ {
+			if sizes[r] != nil {
+				sizes[r][v].Store(0)
+			}
 		}
-		sizes[k] = v
 	}
 	b.est.sizes = sizes
 }

@@ -3,6 +3,8 @@ package validate
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,5 +161,49 @@ func TestPropertyFragmentationInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyReportSortIsKeyStringOrder pins Report.Sort — which renders
+// each key once into a shared buffer — to the order it replaced: ascending
+// order of the "<rule>,<id>,<id>…" strings, compared as strings. The rule
+// names include proper prefixes of one another continued by bytes below,
+// at and above ',', so a comparison that stops at the end of the shorter
+// name, or compares IDs as numbers, orders them differently; the IDs run
+// from one to ten digits for the same reason ("10" < "9", "1,5" < "10").
+func TestPropertyReportSortIsKeyStringOrder(t *testing.T) {
+	fmtKey := func(v Violation) string {
+		var b strings.Builder
+		b.WriteString(v.Rule)
+		for _, id := range v.Match {
+			fmt.Fprintf(&b, ",%d", id)
+		}
+		return b.String()
+	}
+	rules := []string{"r", "r ", "r!", "r+x", "r,", "r,1", "r-", "r0", "r1", "rule", "rule#2", "rule_2", "", "é"}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		report := make(Report, 1+rng.Intn(400))
+		for i := range report {
+			m := make(core.Match, rng.Intn(4))
+			for j := range m {
+				m[j] = graph.NodeID(rng.Int63n(1 << uint(1+rng.Intn(31))))
+			}
+			report[i] = Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
+		}
+		want := make([]string, len(report))
+		for i, v := range report {
+			want[i] = fmtKey(v)
+			if got := v.Key(); got != want[i] {
+				t.Fatalf("Key() = %q, want %q", got, want[i])
+			}
+		}
+		sort.Strings(want)
+		report.Sort()
+		for i, v := range report {
+			if got := fmtKey(v); got != want[i] {
+				t.Fatalf("round %d: position %d holds %q, string order puts %q there", round, i, got, want[i])
+			}
+		}
 	}
 }

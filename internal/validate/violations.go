@@ -8,9 +8,10 @@
 package validate
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
@@ -25,13 +26,17 @@ type Violation struct {
 }
 
 // Key returns a canonical string identity for set comparisons.
-func (v Violation) Key() string {
-	var b strings.Builder
-	b.WriteString(v.Rule)
+func (v Violation) Key() string { return string(v.appendKey(nil)) }
+
+// appendKey appends the canonical key — the rule name, then ",<id>" per
+// match node — to buf.
+func (v Violation) appendKey(buf []byte) []byte {
+	buf = append(buf, v.Rule...)
 	for _, id := range v.Match {
-		fmt.Fprintf(&b, ",%d", id)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(id), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // Nodes returns the distinct graph nodes involved in the violation — the
@@ -51,9 +56,25 @@ func (v Violation) Nodes() []graph.NodeID {
 // Report is a set of violations.
 type Report []Violation
 
-// Sort orders the report canonically (by rule, then match vector).
+// Sort orders the report canonically: ascending Key() string order. Every
+// key is rendered once, into one shared buffer, and the comparisons run
+// over those bytes.
 func (r Report) Sort() {
-	sort.Slice(r, func(i, j int) bool { return r[i].Key() < r[j].Key() })
+	type keyed struct {
+		lo, hi int // the violation's key is keys[lo:hi]
+		v      Violation
+	}
+	keys := make([]byte, 0, 24*len(r)) // a short rule name and two or three IDs
+	byKey := make([]keyed, len(r))
+	for i, v := range r {
+		lo := len(keys)
+		keys = v.appendKey(keys)
+		byKey[i] = keyed{lo, len(keys), v}
+	}
+	slices.SortFunc(byKey, func(a, b keyed) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
+	for i := range byKey {
+		r[i] = byKey[i].v
+	}
 }
 
 // Keys returns the sorted canonical keys.

@@ -2,7 +2,7 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Assignment maps each worker index to the indices of the units assigned
@@ -29,19 +29,45 @@ func (a Assignment) Makespan(weights []int) int64 {
 // longest-processing-time greedy rule: sort units by descending weight and
 // repeatedly give the heaviest remaining unit to the least-loaded worker.
 // This is the 2-approximation of Proposition 12 (4/3-approximate in fact,
-// via Graham's bound); it runs in O(|W| log |W| + |W| log n).
+// via Graham's bound); it runs in O(|W| · n) after a linear-time sort.
 func BalanceLPT(weights []int, n int) Assignment {
+	return assignGreedy(heaviestFirst(weights), weights, n, nil, 0)
+}
+
+// heaviestFirst returns the unit indices by descending weight, ties by
+// ascending index: a stable LSD radix sort of the indices, taken in
+// ascending order, on the key max − weight. Block sizes span few bits, so
+// one or two counting passes replace the |W| log |W| comparisons.
+func heaviestFirst(weights []int) []int {
 	order := make([]int, len(weights))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if weights[order[a]] != weights[order[b]] {
-			return weights[order[a]] > weights[order[b]]
+	if len(weights) == 0 {
+		return order
+	}
+	const digitBits = 11
+	top := uint64(slices.Max(weights))
+	span := top - uint64(slices.Min(weights))
+	next := make([]int, len(order))
+	var start [1<<digitBits + 1]int
+	for shift := 0; span>>shift > 0; shift += digitBits {
+		digit := func(u int) uint64 { return (top - uint64(weights[u])) >> shift & (1<<digitBits - 1) }
+		clear(start[:])
+		for _, u := range order {
+			start[digit(u)+1]++
 		}
-		return order[a] < order[b]
-	})
-	return assignGreedy(order, weights, n, nil, 0)
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, u := range order {
+			d := digit(u)
+			next[start[d]] = u
+			start[d]++
+		}
+		order, next = next, order
+	}
+	return order
 }
 
 // BalanceRandom assigns units to workers uniformly at random; the repran /
@@ -68,23 +94,18 @@ type CommCoster func(unit, worker int) int64
 // as adapted by the paper, the greedy rule places the heaviest unit on the
 // worker minimizing load + commWeight·CC(w, i).
 func BalanceBiCriteria(weights []int, n int, cc CommCoster, commWeight float64) Assignment {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if weights[order[a]] != weights[order[b]] {
-			return weights[order[a]] > weights[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return assignGreedy(order, weights, n, cc, commWeight)
+	return assignGreedy(heaviestFirst(weights), weights, n, cc, commWeight)
 }
 
+// assignGreedy places the units in the given order, each on the worker of
+// least resulting load. Placements are recorded first and the per-worker
+// lists carved out of one exactly sized backing array afterwards, so the
+// assignment of |W| units costs a constant number of allocations.
 func assignGreedy(order, weights []int, n int, cc CommCoster, commWeight float64) Assignment {
-	out := make(Assignment, n)
 	loads := make([]float64, n)
-	for _, u := range order {
+	owner := make([]int32, len(order)) // owner[k]: worker of order[k]
+	count := make([]int, n)
+	for k, u := range order {
 		best, bestCost := 0, 0.0
 		for w := 0; w < n; w++ {
 			cost := loads[w] + float64(weights[u])
@@ -95,11 +116,22 @@ func assignGreedy(order, weights []int, n int, cc CommCoster, commWeight float64
 				best, bestCost = w, cost
 			}
 		}
-		out[best] = append(out[best], u)
+		owner[k] = int32(best)
+		count[best]++
 		loads[best] += float64(weights[u])
 		if cc != nil {
 			loads[best] += commWeight * float64(cc(u, best))
 		}
+	}
+	out := make(Assignment, n)
+	backing := make([]int, len(order))
+	lo := 0
+	for w, c := range count {
+		out[w] = backing[lo : lo : lo+c]
+		lo += c
+	}
+	for k, u := range order {
+		out[owner[k]] = append(out[owner[k]], u)
 	}
 	return out
 }

@@ -101,27 +101,23 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 	return sub
 }
 
-// Candidates returns, for pivot component i, the candidate graph nodes of
-// the pivot variable: nodes sharing the pivot node's label (all nodes for
-// a wildcard pivot).
-func (p *Pivot) Candidates(g *graph.Graph, i int) []graph.NodeID {
+// ClassIn returns the candidate class pivot component i draws from on a
+// compiled topology: the pivot label's interned code, WildcardSym for a
+// wildcard pivot (all nodes). Components sharing a class share candidates.
+func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
 	label := p.Q.Nodes[p.Vars[i]].Label
-	if label != pattern.Wildcard {
-		return g.NodesWithLabel(label)
+	if label == pattern.Wildcard {
+		return graph.WildcardSym
 	}
-	all := make([]graph.NodeID, g.NumNodes())
-	for j := range all {
-		all[j] = graph.NodeID(j)
-	}
-	return all
+	return t.Syms().Lookup(label)
 }
 
-// CandidatesIn is Candidates over a compiled topology (frozen snapshot or
-// overlay): the label-class range replaces the mutable graph's map lookup.
+// CandidatesIn returns, for pivot component i, the candidate nodes of the
+// pivot variable on a compiled topology (frozen snapshot or overlay): the
+// pivot label's class, all nodes for a wildcard pivot.
 func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
-	label := p.Q.Nodes[p.Vars[i]].Label
-	if label != pattern.Wildcard {
-		return t.NodesWith(t.Syms().Lookup(label))
+	if class := p.ClassIn(t, i); class != graph.WildcardSym {
+		return t.NodesWith(class)
 	}
 	all := make([]graph.NodeID, t.NumNodes())
 	for j := range all {

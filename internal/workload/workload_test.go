@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -101,65 +104,79 @@ func TestArbitraryPivot(t *testing.T) {
 
 func TestCandidates(t *testing.T) {
 	g := flightGraph(3)
+	snap := g.Freeze()
 	pv := ComputePivot(starPattern(1))
-	cands := pv.Candidates(g, 0)
+	cands := pv.CandidatesIn(snap, 0)
 	if len(cands) != 3 {
 		t.Errorf("flight candidates = %d", len(cands))
 	}
 	// Wildcard pivot: all nodes.
 	wq := pattern.New()
 	wq.AddNode("x", pattern.Wildcard)
-	if got := ComputePivot(wq).Candidates(g, 0); len(got) != g.NumNodes() {
+	if got := ComputePivot(wq).CandidatesIn(snap, 0); len(got) != g.NumNodes() {
 		t.Errorf("wildcard candidates = %d, want %d", len(got), g.NumNodes())
 	}
 }
 
-func TestBuildUnitsSingleComponent(t *testing.T) {
+// vectorsOf collects what EachVector enumerates over the pivot's candidate
+// classes on g's snapshot, checking CountVectors against it.
+func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]graph.NodeID {
+	t.Helper()
+	snap := g.Freeze()
+	cands := make([][]graph.NodeID, pv.Arity())
+	for i := range cands {
+		cands[i] = pv.CandidatesIn(snap, i)
+	}
+	var out [][]graph.NodeID
+	EachVector(cands, symmetric, func(vec []graph.NodeID) bool {
+		out = append(out, slices.Clone(vec))
+		return true
+	})
+	if n := CountVectors(cands, symmetric); n != len(out) {
+		t.Fatalf("CountVectors = %d, EachVector enumerated %d", n, len(out))
+	}
+	return out
+}
+
+func TestVectorsSingleComponent(t *testing.T) {
 	g := flightGraph(4)
 	q := pattern.New()
 	x := q.AddNode("x", "flight")
 	x1 := q.AddNode("x1", "id")
 	q.AddEdge(x, x1, "number")
-	units := BuildUnits(g, ComputePivot(q), BuildOptions{})
-	if len(units) != 4 {
-		t.Fatalf("units = %d, want 4 (one per flight)", len(units))
-	}
-	// Each block is flight + id + edge = 3.
-	for _, u := range units {
-		if u.BlockSize != 3 {
-			t.Errorf("block size = %d, want 3", u.BlockSize)
-		}
-		if u.Weight() != u.BlockSize {
-			t.Errorf("weight = %d", u.Weight())
-		}
+	if vecs := vectorsOf(t, g, ComputePivot(q), false); len(vecs) != 4 {
+		t.Fatalf("vectors = %d, want 4 (one per flight)", len(vecs))
 	}
 }
 
-func TestBuildUnitsTwoComponentsDedup(t *testing.T) {
+func TestVectorsTwoComponentsDedup(t *testing.T) {
 	g := flightGraph(4)
-	q := twoFlightStars()
-	pv := ComputePivot(q)
-	all := BuildUnits(g, pv, BuildOptions{})
-	if len(all) != 12 { // 4*3 ordered distinct pairs
-		t.Fatalf("undeduped units = %d, want 12", len(all))
+	pv := ComputePivot(twoFlightStars())
+	if all := vectorsOf(t, g, pv, false); len(all) != 12 { // 4*3 ordered distinct pairs
+		t.Fatalf("undeduped vectors = %d, want 12", len(all))
 	}
-	dedup := BuildUnits(g, pv, BuildOptions{DedupSymmetric: true})
+	dedup := vectorsOf(t, g, pv, pv.Symmetric())
 	if len(dedup) != 6 { // unordered pairs
-		t.Fatalf("deduped units = %d, want 6", len(dedup))
+		t.Fatalf("deduped vectors = %d, want 6", len(dedup))
 	}
-	for _, u := range dedup {
-		if u.Candidates[0] >= u.Candidates[1] {
-			t.Errorf("dedup order violated: %v", u.Candidates)
+	for _, vec := range dedup {
+		if vec[0] >= vec[1] {
+			t.Errorf("dedup order violated: %v", vec)
 		}
 	}
 }
 
-func TestBuildUnitsMaxCap(t *testing.T) {
+func TestEachVectorStopsEarly(t *testing.T) {
 	g := flightGraph(10)
-	q := twoFlightStars()
-	units := BuildUnits(g, ComputePivot(q), BuildOptions{MaxUnitsPerRule: 7})
-	if len(units) != 7 {
-		t.Errorf("capped units = %d, want 7", len(units))
+	seen := 0
+	snap := g.Freeze()
+	pv := ComputePivot(twoFlightStars())
+	EachVector([][]graph.NodeID{pv.CandidatesIn(snap, 0), pv.CandidatesIn(snap, 1)}, false, func([]graph.NodeID) bool {
+		seen++
+		return seen < 7
+	})
+	if seen != 7 {
+		t.Errorf("enumeration ran to %d vectors after fn returned false at 7", seen)
 	}
 }
 
@@ -169,30 +186,14 @@ func TestUnitBlock(t *testing.T) {
 	x := q.AddNode("x", "flight")
 	x1 := q.AddNode("x1", "id")
 	q.AddEdge(x, x1, "number")
-	units := BuildUnits(g, ComputePivot(q), BuildOptions{})
-	block := units[0].Block(g)
-	if block.Len() != 2 {
+	pv := ComputePivot(q)
+	snap := g.Freeze()
+	u := Unit{Pivot: pv, Candidates: pv.CandidatesIn(snap, 0)[:1], BlockSize: 3}
+	if block := u.BlockIn(snap); block.Len() != 2 {
 		t.Errorf("block nodes = %d, want flight + id", block.Len())
 	}
-}
-
-func TestSizeCache(t *testing.T) {
-	g := flightGraph(2)
-	sc := NewSizeCache()
-	a := sc.Get(g, 0, 1)
-	b := sc.Get(g, 0, 1)
-	if a != b || a != g.NeighborhoodSize(0, 1) {
-		t.Errorf("cache results differ: %d %d", a, b)
-	}
-	if sc.Get(g, 0, 0) != 1 {
-		t.Error("radius is part of the cache key")
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	units := []Unit{{BlockSize: 3}, {BlockSize: 7}}
-	if TotalWeight(units) != 10 {
-		t.Errorf("TotalWeight = %d", TotalWeight(units))
+	if u.Weight() != u.BlockSize {
+		t.Errorf("weight = %d", u.Weight())
 	}
 }
 
@@ -301,5 +302,88 @@ func TestBalanceBiCriteriaZeroCommEqualsLPT(t *testing.T) {
 	if a.Makespan(weights) != b.Makespan(weights) {
 		t.Errorf("zero-cost bi-criteria should match LPT makespan: %d vs %d",
 			a.Makespan(weights), b.Makespan(weights))
+	}
+}
+
+// balanceRef is the comparison-sort, append-grown greedy the flat one
+// replaced: descending weight, ties by ascending index, each unit to the
+// worker of least resulting load.
+func balanceRef(weights []int, n int, cc CommCoster, commWeight float64) Assignment {
+	order := make([]int, len(weights))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if weights[order[a]] != weights[order[b]] {
+			return weights[order[a]] > weights[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	out := make(Assignment, n)
+	loads := make([]float64, n)
+	for _, u := range order {
+		best, bestCost := 0, 0.0
+		for w := 0; w < n; w++ {
+			cost := loads[w] + float64(weights[u])
+			if cc != nil {
+				cost += commWeight * float64(cc(u, w))
+			}
+			if w == 0 || cost < bestCost {
+				best, bestCost = w, cost
+			}
+		}
+		out[best] = append(out[best], u)
+		loads[best] += float64(weights[u])
+		if cc != nil {
+			loads[best] += commWeight * float64(cc(u, best))
+		}
+	}
+	return out
+}
+
+// TestBalanceMatchesReference pins the radix-ordered, pre-sized greedy to
+// the reference assignment, worker by worker and position by position:
+// heavy ties, weights wider than one radix digit and than 32 bits, zero
+// and negative weights, more workers than units, and no units at all.
+func TestBalanceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	draw := map[string]func() int{
+		"ties":     func() int { return 1 + rng.Intn(4) },
+		"blocks":   func() int { return 1 + rng.Intn(100000) },
+		"wide":     func() int { return rng.Intn(1 << 40) },
+		"signed":   func() int { return rng.Intn(2001) - 1000 },
+		"constant": func() int { return 7 },
+	}
+	cc := func(unit, worker int) int64 { return int64((unit*31 + worker*17) % 97) }
+	for name, next := range draw {
+		for _, size := range []int{0, 1, 2, 5, 300, 5000} {
+			weights := make([]int, size)
+			for i := range weights {
+				weights[i] = next()
+			}
+			for _, n := range []int{1, 2, 5, 9} {
+				if got, want := BalanceLPT(weights, n), balanceRef(weights, n, nil, 0); !sameAssignment(got, want) {
+					t.Fatalf("%s: LPT of %d units over %d workers diverges from the reference", name, size, n)
+				}
+				if got, want := BalanceBiCriteria(weights, n, cc, 0.5), balanceRef(weights, n, cc, 0.5); !sameAssignment(got, want) {
+					t.Fatalf("%s: bi-criteria of %d units over %d workers diverges from the reference", name, size, n)
+				}
+			}
+		}
+	}
+}
+
+func sameAssignment(a, b Assignment) bool {
+	return slices.EqualFunc(a, b, func(x, y []int) bool { return slices.Equal(x, y) })
+}
+
+// TestAssignmentListsDoNotAlias guards the shared backing array: growing
+// one worker's list must not write into its neighbour's.
+func TestAssignmentListsDoNotAlias(t *testing.T) {
+	a := BalanceLPT([]int{5, 4, 3, 2}, 2)
+	want := slices.Clone(a[1])
+	a[0] = append(a[0], 99)
+	if !slices.Equal(a[1], want) {
+		t.Fatalf("appending to worker 0's list clobbered worker 1's: %v, want %v", a[1], want)
 	}
 }
