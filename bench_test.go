@@ -17,9 +17,11 @@ import (
 
 	"gfd"
 	"gfd/internal/baseline"
+	"gfd/internal/core"
 	"gfd/internal/exp"
 	"gfd/internal/fragment"
 	"gfd/internal/gen"
+	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/validate"
 	"gfd/internal/workload"
@@ -27,7 +29,8 @@ import (
 
 // benchConfig is the shared workload scale for the figure benchmarks:
 // large enough that parallelism wins, small enough that the whole harness
-// finishes in minutes (see DESIGN.md §4 on scale substitution).
+// finishes in minutes (the README's opening paragraph: scaled-down
+// stand-ins of the paper's datasets).
 func benchConfig(dataset string) exp.Config {
 	return exp.Config{Dataset: dataset, Scale: 250, Rules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 42}
 }
@@ -202,20 +205,20 @@ func BenchmarkSequentialVsParallel(b *testing.B) {
 	b.Run("detVio", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			_, _ = validate.DetVioCtx(ctx, w.G, w.Set)
+			_ = validate.DetVioB(ctx, validate.NewBundle(w.G, w.Set), validate.NewCollectSink(1))
 			cancel()
 		}
 	})
 	b.Run("repVal-n16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			validate.RepVal(w.G, w.Set, validate.Options{N: 16})
+			coldRound(b, w.G, w.Set, nil, validate.Options{N: 16})
 		}
 	})
 }
 
 // BenchmarkSessionReuse is the prepared-session payoff benchmark: warm
 // Detect rounds on one Prepared (freeze, reduction, grouping and rule
-// lowering all amortized) against the cold free-function path on a fresh
+// lowering all amortized) against the cold per-request path on a fresh
 // graph copy per call (cloning excluded from the timing). The gfdbench
 // `sessionreuse` experiment emits the same comparison as JSON for the
 // benchdiff gate.
@@ -227,7 +230,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 			b.StopTimer()
 			gc := w.G.Clone()
 			b.StartTimer()
-			gfd.ValidateParallel(gc, w.Set, opt)
+			coldRound(b, gc, w.Set, nil, opt)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -245,7 +248,25 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
-// --- Ablation benchmarks for the design choices DESIGN.md calls out ------
+// coldRound is one per-request round: a throwaway bundle over g (freeze,
+// reduction, grouping and lowering re-paid), then repVal — or disVal when
+// frag is given.
+func coldRound(b *testing.B, g *graph.Graph, set *core.Set, frag *fragment.Fragmentation, opt validate.Options) *validate.Result {
+	bundle := validate.NewBundle(g, set)
+	var res *validate.Result
+	var err error
+	if frag != nil {
+		res, err = validate.DisValB(context.Background(), bundle, frag, opt, nil)
+	} else {
+		res, err = validate.RepValB(context.Background(), bundle, opt, nil)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// --- Ablation benchmarks, one per validate.Options ablation switch -------
 
 // BenchmarkAblationShipping compares disVal's adaptive prefetch/partial
 // strategy selection against forcing prefetch for every unit.
@@ -255,7 +276,7 @@ func BenchmarkAblationShipping(b *testing.B) {
 	b.Run("adaptive", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.DisVal(w.G, frag, w.Set, validate.Options{N: 8})
+			res = coldRound(b, w.G, w.Set, frag, validate.Options{N: 8})
 		}
 		b.ReportMetric(float64(res.BytesShipped), "bytes-shipped/op")
 		b.ReportMetric(float64(res.PartialUnits), "partial-units/op")
@@ -263,7 +284,7 @@ func BenchmarkAblationShipping(b *testing.B) {
 	b.Run("prefetch-only", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.DisVal(w.G, frag, w.Set, validate.Options{N: 8, NoOptimize: true})
+			res = coldRound(b, w.G, w.Set, frag, validate.Options{N: 8, NoOptimize: true})
 		}
 		b.ReportMetric(float64(res.BytesShipped), "bytes-shipped/op")
 	})
@@ -276,14 +297,14 @@ func BenchmarkAblationPivot(b *testing.B) {
 	b.Run("min-radius", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.RepVal(w.G, w.Set, validate.Options{N: 8})
+			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8})
 		}
 		b.ReportMetric(float64(res.TotalWeight), "workload/op")
 	})
 	b.Run("arbitrary", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.RepVal(w.G, w.Set, validate.Options{N: 8, ArbitraryPivot: true})
+			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8, ArbitraryPivot: true})
 		}
 		b.ReportMetric(float64(res.TotalWeight), "workload/op")
 	})
@@ -305,7 +326,7 @@ func BenchmarkAblationSplitThreshold(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var res *validate.Result
 			for i := 0; i < b.N; i++ {
-				res = validate.RepVal(w.G, w.Set, validate.Options{N: 16, SplitThreshold: theta})
+				res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 16, SplitThreshold: theta})
 			}
 			b.ReportMetric(float64(res.SplitUnits), "split-units/op")
 			b.ReportMetric(float64(res.Makespan), "makespan/op")
@@ -319,14 +340,14 @@ func BenchmarkAblationGrouping(b *testing.B) {
 	b.Run("grouped", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.RepVal(w.G, w.Set, validate.Options{N: 8, NoReduce: true})
+			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8, NoReduce: true})
 		}
 		b.ReportMetric(float64(res.Groups), "groups/op")
 	})
 	b.Run("ungrouped", func(b *testing.B) {
 		var res *validate.Result
 		for i := 0; i < b.N; i++ {
-			res = validate.RepVal(w.G, w.Set, validate.Options{N: 8, NoOptimize: true})
+			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8, NoOptimize: true})
 		}
 		b.ReportMetric(float64(res.Groups), "groups/op")
 	})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gfd"
@@ -37,7 +38,19 @@ func main() {
 
 	set := gfd.MustSet(cfd1, cfd2)
 	fmt.Println("violations over the tuple graph:")
-	for _, v := range gfd.Validate(g, set) {
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		panic(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		panic(err)
+	}
+	res, err := prep.Detect(context.Background(), gfd.Options{Engine: gfd.EngineSequential})
+	if err != nil {
+		panic(err)
+	}
+	for _, v := range res.Violations {
 		fmt.Printf("  %s on tuple(s) %v\n", v.Rule, v.Nodes())
 	}
 

@@ -105,10 +105,28 @@ func fig7Graph(t *testing.T) *gfd.Graph {
 	return g
 }
 
+// detect runs one engine (4 workers) over a one-shot session.
+func detect(t testing.TB, g *gfd.Graph, set *gfd.Set, engine gfd.Engine) *gfd.Result {
+	t.Helper()
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Detect(context.Background(), gfd.Options{Engine: engine, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFig7RealLifeGFDs(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	vio := gfd.Validate(g, set)
+	vio := detect(t, g, set, gfd.EngineSequential).Violations
 
 	byRule := make(map[string]int)
 	for _, v := range vio {
@@ -130,27 +148,26 @@ func TestFig7RealLifeGFDs(t *testing.T) {
 func TestFig7ParallelEnginesAgree(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	want := gfd.Validate(g, set)
+	want := detect(t, g, set, gfd.EngineSequential).Violations
 
-	rep := gfd.ValidateParallel(g, set, gfd.Options{N: 4})
+	rep := detect(t, g, set, gfd.EngineReplicated)
 	if !rep.Violations.Equal(want) {
-		t.Errorf("ValidateParallel diverges: %d vs %d", len(rep.Violations), len(want))
+		t.Errorf("EngineReplicated diverges: %d vs %d", len(rep.Violations), len(want))
 	}
-	frag := gfd.Partition(g, 4)
-	dis := gfd.ValidateFragmented(g, frag, set, gfd.Options{N: 4})
+	dis := detect(t, g, set, gfd.EngineFragmented)
 	if !dis.Violations.Equal(want) {
-		t.Errorf("ValidateFragmented diverges: %d vs %d", len(dis.Violations), len(want))
+		t.Errorf("EngineFragmented diverges: %d vs %d", len(dis.Violations), len(want))
 	}
 }
 
 // TestSessionPublicAPI drives the session lifecycle through the facade:
-// every engine constant agrees with the deprecated free functions on the
+// every engine constant agrees with a one-shot sequential run on the
 // Fig. 7 workload, and one graph version means one freeze across all of
 // them.
 func TestSessionPublicAPI(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	want := gfd.Validate(g, set)
+	want := detect(t, g, set, gfd.EngineSequential).Violations
 
 	sess, err := gfd.NewSession(g)
 	if err != nil {
@@ -167,7 +184,7 @@ func TestSessionPublicAPI(t *testing.T) {
 			t.Fatalf("engine %v: %v", engine, err)
 		}
 		if !res.Violations.Equal(want) {
-			t.Errorf("engine %v diverges from Validate: %d vs %d", engine, len(res.Violations), len(want))
+			t.Errorf("engine %v diverges from the sequential run: %d vs %d", engine, len(res.Violations), len(want))
 		}
 	}
 	// BigDansing evaluates the same rules relationally — same answers.
@@ -179,14 +196,15 @@ func TestSessionPublicAPI(t *testing.T) {
 		t.Errorf("EngineBigDansing diverges: %d vs %d", len(res.Violations), len(want))
 	}
 	var streamed gfd.Report
-	if err := prep.Stream(ctx, gfd.Options{}, func(v gfd.Violation) bool {
+	for v, err := range prep.Violations(ctx, gfd.Options{}) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		streamed = append(streamed, v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
+	streamed.Sort()
 	if !streamed.Equal(want) {
-		t.Errorf("Stream diverges: %d vs %d", len(streamed), len(want))
+		t.Errorf("Violations diverges: %d vs %d", len(streamed), len(want))
 	}
 	if builds := g.SnapshotBuilds(); builds != 1 {
 		t.Errorf("snapshot builds = %d across all engines, want 1", builds)
@@ -265,8 +283,8 @@ func TestPublicIO(t *testing.T) {
 		t.Error("rules roundtrip lost rules")
 	}
 	// The reparsed rules detect the same violations.
-	want := gfd.Validate(g, set)
-	got := gfd.Validate(g, set2)
+	want := detect(t, g, set, gfd.EngineSequential).Violations
+	got := detect(t, g, set2, gfd.EngineSequential).Violations
 	if !got.Equal(want) {
 		t.Error("reparsed rules disagree")
 	}
@@ -292,7 +310,7 @@ gfd capital {
 	c2 := g.AddNode("city", gfd.Attrs{"val": "Melbourne"})
 	g.MustAddEdge(au, c1, "capital")
 	g.MustAddEdge(au, c2, "capital")
-	if len(gfd.Validate(g, set)) != 2 {
+	if len(detect(t, g, set, gfd.EngineSequential).Violations) != 2 {
 		t.Error("parsed capital rule must flag the two-capitals country")
 	}
 }
@@ -323,7 +341,7 @@ func TestDetectRepairLoop(t *testing.T) {
 		[]gfd.CFDCondition{{Attr: "city", Value: "Edi"}})
 	set := gfd.MustSet(rule)
 
-	vio := gfd.Validate(g, set)
+	vio := detect(t, g, set, gfd.EngineSequential).Violations
 	if len(vio) != 1 {
 		t.Fatalf("violations = %d", len(vio))
 	}
@@ -334,7 +352,7 @@ func TestDetectRepairLoop(t *testing.T) {
 	if n := gfd.ApplyRepairs(g, sugg, 0.9); n != 1 {
 		t.Fatalf("applied = %d", n)
 	}
-	if !gfd.Satisfies(g, set) {
-		t.Error("graph must satisfy Σ after repair")
+	if left := detect(t, g, set, gfd.EngineSequential).Violations; len(left) != 0 {
+		t.Errorf("graph must satisfy Σ after repair, %d violations left", len(left))
 	}
 }

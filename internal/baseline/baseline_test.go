@@ -115,7 +115,7 @@ func TestGCFDDetectMatchesGFDOnPaths(t *testing.T) {
 		}
 	}
 	set := core.MustNewSet(rule)
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	gcfds, _ := ConvertSet(set)
 	got := Detect(g, gcfds)
 	if !got.Equal(want) {
@@ -133,7 +133,7 @@ func TestGCFDMissesCyclicViolations(t *testing.T) {
 	g.MustAddEdge(b, a, "has_child")
 
 	set := core.MustNewSet(cyclicRule("cyc"))
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) == 0 {
 		t.Fatal("the GFD engine must flag the parent/child cycle")
 	}
@@ -150,7 +150,7 @@ func TestBigDansingMatchesGFDEngine(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules mined")
 	}
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	rel := Encode(g)
 	got := DetectJoins(g, rel, set, 4)
 	if !got.Equal(want) {
@@ -166,7 +166,7 @@ func TestBigDansingIsolatedNodesAndInjectivity(t *testing.T) {
 	g.AddNode("R", graph.Attrs{"A": "1", "B": "y"})
 	f := core.FromFD("fd", "R", []string{"A"}, []string{"B"})
 	set := core.MustNewSet(f)
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) != 2 {
 		t.Fatalf("expected both orders to violate, got %d", len(want))
 	}
@@ -189,7 +189,7 @@ func TestBigDansingWildcardLabels(t *testing.T) {
 	f := core.MustNew("isa", q, nil, []core.Literal{core.VarEq("x", "can_fly", "y", "can_fly")})
 	set := core.MustNewSet(f)
 
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) != 1 {
 		t.Fatalf("penguin inconsistency not found by reference: %d", len(want))
 	}
@@ -210,7 +210,7 @@ func TestBigDansingSlowerThanPivotEngine(t *testing.T) {
 		t.Skip("no rules")
 	}
 	rel := Encode(g)
-	if got, want := DetectJoins(g, rel, set, 2), validate.DetVio(g, set); !got.Equal(want) {
+	if got, want := DetectJoins(g, rel, set, 2), detVio(g, set); !got.Equal(want) {
 		t.Error("join engine result mismatch")
 	}
 }
@@ -283,4 +283,15 @@ func TestGCFDDetectBSinkStopAndCancel(t *testing.T) {
 	if err := DetectB(ctx, b, rules, 2, validate.NewCollectSink(2)); err == nil {
 		t.Skip("enumeration finished before the first cancellation probe")
 	}
+}
+
+// detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
+func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	sink := validate.NewCollectSink(1)
+	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+		panic(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
 }

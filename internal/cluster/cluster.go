@@ -1,7 +1,8 @@
 // Package cluster is the distributed-runtime substrate for the parallel
 // validation algorithms of Section 6. The paper evaluated on 20 Amazon EC2
 // instances; this package substitutes an in-process simulated cluster
-// (see DESIGN.md §4): a coordinator plus n workers running as goroutines,
+// (README "Layout"; internal/dist and docs/DISTRIBUTED.md are the real
+// multi-process runtime): a coordinator plus n workers running as goroutines,
 // with every cross-worker data movement routed through a byte-counting
 // message layer and charged against a configurable network cost model.
 //
@@ -53,16 +54,26 @@ type Cluster struct {
 	rounds     int64 // communication rounds (BSP supersteps with exchange)
 }
 
-// WorkerError is the typed failure a recovered worker panic converts to:
-// the worker that died, the work unit it was executing (-1 when the panic
-// was not unit-scoped — e.g. during estimation), the panic value, and the
-// goroutine stack at recovery. One process-tearing panic becomes one
-// inspectable error; the coordinator decides what to retry.
+// WorkerError is the typed failure a worker death converts to — a
+// recovered panic in a goroutine worker, or a lost worker process: the
+// worker that died, the work unit it was executing (-1 when the death was
+// not unit-scoped — e.g. during estimation), the panic value (for a
+// process, how it ended), and the goroutine stack at recovery. One
+// process-tearing panic becomes one inspectable error; the coordinator
+// decides what to retry.
 type WorkerError struct {
 	Worker int
 	Unit   int
 	Panic  any
 	Stack  []byte
+}
+
+// Unwrap exposes the cause when the death carries one as an error: a
+// worker process killed for missing its unit deadline unwraps to
+// context.DeadlineExceeded, a panic(err) to err.
+func (e *WorkerError) Unwrap() error {
+	err, _ := e.Panic.(error)
+	return err
 }
 
 // Error summarizes the death without the stack; use Stack when debugging.
@@ -154,7 +165,8 @@ func (c *Cluster) Run(task func(worker int)) error {
 // physical core count so busy times measure actual compute rather than
 // scheduler contention; the caller derives the modeled parallel span as
 // the maximum busy time. This is what lets the simulation report faithful
-// n-worker scaling on a host with fewer cores than n (see DESIGN.md §4).
+// n-worker scaling on a host with fewer cores than n (the metric is
+// validate.Result.ModeledTime; ROADMAP item 1 tracks wall-clock gating).
 //
 // Panic isolation matches Run: a dying worker is recovered into a
 // *WorkerError while the others drain, and the joined errors are returned

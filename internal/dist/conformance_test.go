@@ -1,0 +1,350 @@
+package dist
+
+// Scheduler conformance: one table of fault shapes, run against both
+// executors of the one unit scheduler — goroutine slots (validate.RepValB)
+// and process slots (DetectB) — over the same bundle, asserting the same
+// invariants on both. A shape names its fault per executor (a goroutine
+// slot dies by panic, a process slot by exit) and, where the executors
+// legitimately differ (only the process fleet has a fallback to degrade
+// to), the outcome per executor.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gfd/internal/cluster"
+	"gfd/internal/fault"
+	"gfd/internal/validate"
+)
+
+type executorKind int
+
+const (
+	goroutineSlots executorKind = iota
+	processSlots
+)
+
+func (k executorKind) String() string { return [...]string{"goroutines", "processes"}[k] }
+
+// outcome is what a shape must end in.
+type outcome int
+
+const (
+	complete  outcome = iota // nil error, violation set ≡ fault-free, every unit succeeded
+	partial                  // ErrPartial, violations ⊆ fault-free, honest census
+	stopped                  // sink refused: nil error, exactly one emission
+	cancelled                // ctx cancelled mid-run: context.Canceled
+)
+
+type shape struct {
+	name string
+	// plan builds the fault plan for an executor kind.
+	plan func(k executorKind) *fault.Plan
+	// tune adjusts the options (retry budget, deadline, respawn).
+	tune func(k executorKind, opt *validate.Options)
+	want func(k executorKind) outcome
+	// cause, for partial outcomes, is what the error must unwrap to besides
+	// ErrPartial: a *cluster.WorkerError (as) and/or a sentinel (is).
+	workerErr func(k executorKind) bool
+	sentinel  error
+	// deaths reports whether at least one slot must have died.
+	deaths func(k executorKind) bool
+}
+
+func always(o outcome) func(executorKind) outcome { return func(executorKind) outcome { return o } }
+func yes(executorKind) bool                       { return true }
+
+func kill(k executorKind, p *fault.Plan, w, nth int) *fault.Plan {
+	if k == processSlots {
+		return p.KillProcess(w, nth)
+	}
+	return p.KillWorker(w, nth)
+}
+
+var shapes = []shape{
+	{
+		name:   "slot dies on its first unit",
+		plan:   func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(1), 1, 0) },
+		want:   always(complete),
+		deaths: yes,
+	},
+	{
+		name:   "slot dies mid-queue",
+		plan:   func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(2), 2, 3) },
+		want:   always(complete),
+		deaths: yes,
+	},
+	{
+		// A goroutine slot abandons the attempt cooperatively and survives;
+		// a process slot is killed at the deadline. Every armed process
+		// stalls the unit once (each child arms its own copy of the plan),
+		// so the budget must outlast the fleet for the retry to land on a
+		// process that already stalled — or on an unarmed replacement.
+		name: "straggler past UnitDeadline",
+		plan: func(executorKind) *fault.Plan { return fault.NewPlan(3).DelayUnit(0, 800*time.Millisecond) },
+		tune: func(_ executorKind, opt *validate.Options) {
+			opt.UnitDeadline = 400 * time.Millisecond
+			opt.Retry.Max = fxWorkers + 1
+		},
+		want:   always(complete),
+		deaths: func(k executorKind) bool { return k == processSlots },
+	},
+	{
+		// Only the process fleet has somewhere to degrade to.
+		name: "every slot dead before progress",
+		plan: func(k executorKind) *fault.Plan {
+			p := fault.NewPlan(4)
+			for w := 0; w < fxWorkers; w++ {
+				kill(k, p, w, 0)
+			}
+			return p
+		},
+		tune: func(_ executorKind, opt *validate.Options) { opt.Dist.MaxRespawns = -1 },
+		want: func(k executorKind) outcome {
+			if k == processSlots {
+				return complete
+			}
+			return partial
+		},
+		workerErr: yes,
+		deaths:    func(k executorKind) bool { return k == goroutineSlots }, // the degraded rerun's census is clean
+	},
+	{
+		name: "retries disabled, one death",
+		plan: func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(5), 1, 0) },
+		tune: func(_ executorKind, opt *validate.Options) {
+			opt.Retry = validate.Retry{Max: -1}
+			opt.Dist.MaxRespawns = -1
+		},
+		want:      always(partial),
+		workerErr: yes,
+		deaths:    yes,
+	},
+	{
+		name: "retries disabled, one straggler",
+		plan: func(executorKind) *fault.Plan { return fault.NewPlan(6).DelayUnit(0, 800*time.Millisecond) },
+		tune: func(_ executorKind, opt *validate.Options) {
+			opt.Retry = validate.Retry{Max: -1}
+			opt.UnitDeadline = 400 * time.Millisecond
+		},
+		want:      always(partial),
+		workerErr: func(k executorKind) bool { return k == processSlots },
+		sentinel:  context.DeadlineExceeded,
+		deaths:    func(k executorKind) bool { return k == processSlots },
+	},
+	{name: "sink refuses the first violation", want: always(stopped)},
+	{name: "context cancelled mid-run", want: always(cancelled)},
+}
+
+func TestSchedulerConformance(t *testing.T) {
+	f := setup(t)
+	for _, sh := range shapes {
+		for _, k := range []executorKind{goroutineSlots, processSlots} {
+			t.Run(fmt.Sprintf("%s/%v", sh.name, k), func(t *testing.T) {
+				goroutinesBefore := runtime.NumGoroutine()
+				opt := distOpt(f, nil)
+				opt.N = fxWorkers
+				if sh.plan != nil {
+					opt.Inject = sh.plan(k)
+				}
+				if sh.tune != nil {
+					sh.tune(k, &opt)
+				}
+				want := sh.want(k)
+
+				// A recording sink, so exactly-once is checked on what was
+				// delivered, not on a set that would hide a duplicate.
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var mu sync.Mutex
+				var got validate.Report
+				sink := validate.Callback(func(v validate.Violation) bool {
+					mu.Lock()
+					defer mu.Unlock()
+					got = append(got, v)
+					if want == cancelled {
+						cancel()
+					}
+					return want != stopped
+				})
+
+				var res *validate.Result
+				var err error
+				if k == processSlots {
+					res, err = DetectB(ctx, f.b, opt, sink)
+				} else {
+					res, err = validate.RepValB(ctx, f.b, opt, sink)
+				}
+
+				seen := make(map[string]bool, len(got))
+				for _, v := range got {
+					if seen[v.Key()] {
+						t.Fatalf("%v: violation %s delivered twice", opt.Inject, v.Key())
+					}
+					seen[v.Key()] = true
+				}
+				inBase := make(map[string]bool, len(f.base))
+				for _, v := range f.base {
+					inBase[v.Key()] = true
+				}
+				for key := range seen {
+					if !inBase[key] {
+						t.Fatalf("%v: reported %s, absent from the fault-free set", opt.Inject, key)
+					}
+				}
+
+				c := res.Completeness
+				if c.Units != res.Units || c.Attempted > c.Units || c.Succeeded+c.Failed > c.Units || c.Succeeded > c.Attempted {
+					t.Fatalf("%v: census does not add up: %+v", opt.Inject, c)
+				}
+				switch want {
+				case complete:
+					if err != nil {
+						t.Fatalf("%v: %v", opt.Inject, err)
+					}
+					if len(got) != len(f.base) {
+						t.Fatalf("%v: delivered %d violations, fault-free run has %d", opt.Inject, len(got), len(f.base))
+					}
+					if !c.Complete() || c.Failed != 0 || c.Attempted != c.Units {
+						t.Fatalf("%v: census not complete: %+v", opt.Inject, c)
+					}
+				case partial:
+					if !errors.Is(err, validate.ErrPartial) {
+						t.Fatalf("%v: err = %v, want ErrPartial", opt.Inject, err)
+					}
+					var pe *validate.PartialError
+					if !errors.As(err, &pe) || len(pe.Failures) != c.Failed || c.Failed == 0 {
+						t.Fatalf("%v: %d failures listed, census %+v", opt.Inject, len(pe.Failures), c)
+					}
+					if c.Succeeded+c.Failed != c.Units {
+						t.Fatalf("%v: a finished partial run leaves units unresolved: %+v", opt.Inject, c)
+					}
+					retries := 0
+					for _, uf := range pe.Failures {
+						if uf.Attempts > 1+max(opt.Retry.Max, 0) {
+							t.Fatalf("%v: unit %d consumed %d attempts, budget %d", opt.Inject, uf.Unit, uf.Attempts, 1+max(opt.Retry.Max, 0))
+						}
+						retries += max(uf.Attempts-1, 0)
+					}
+					if c.Retries < retries {
+						t.Fatalf("%v: census counts %d retries, failed units alone consumed %d", opt.Inject, c.Retries, retries)
+					}
+					var we *cluster.WorkerError
+					if sh.workerErr != nil && sh.workerErr(k) && !errors.As(err, &we) {
+						t.Fatalf("%v: %v does not unwrap to a *cluster.WorkerError", opt.Inject, err)
+					}
+					if sh.sentinel != nil && !errors.Is(err, sh.sentinel) {
+						t.Fatalf("%v: %v does not unwrap to %v", opt.Inject, err, sh.sentinel)
+					}
+				case stopped:
+					if err != nil || len(got) != 1 {
+						t.Fatalf("stopped run: err %v after %d emissions, want nil after 1", err, len(got))
+					}
+				case cancelled:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("cancelled run returned %v", err)
+					}
+					if c.Complete() && len(got) < len(f.base) {
+						t.Fatalf("cancelled run claims completeness with %d of %d violations: %+v", len(got), len(f.base), c)
+					}
+				}
+				if sh.deaths != nil {
+					if sh.deaths(k) && c.WorkerDeaths == 0 {
+						t.Fatalf("%v: the fault never killed a slot: %+v", opt.Inject, c)
+					}
+					if !sh.deaths(k) && c.WorkerDeaths != 0 {
+						t.Fatalf("%v: a slot died where none should: %+v", opt.Inject, c)
+					}
+				}
+				if c.WorkerDeaths > 0 && want == complete && c.RecoveryRounds == 0 {
+					t.Fatalf("%v: a slot died yet no recovery round ran: %+v", opt.Inject, c)
+				}
+
+				requireSettled(t, goroutinesBefore)
+			})
+		}
+	}
+}
+
+// requireSettled fails unless the goroutine count returns to its pre-run
+// level and this process has no child left — running or zombie.
+func requireSettled(t *testing.T, goroutinesBefore int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		kids := childProcesses(t)
+		if runtime.NumGoroutine() <= goroutinesBefore && len(kids) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("leak: %d goroutines (was %d), child processes %v\n%s",
+				runtime.NumGoroutine(), goroutinesBefore, kids, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// childProcesses lists the PIDs whose parent is this process (Linux procfs;
+// elsewhere the check is skipped by returning nothing).
+func childProcesses(t *testing.T) []int {
+	t.Helper()
+	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
+	me := strconv.Itoa(os.Getpid())
+	var kids []int
+	for _, path := range stats {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			continue // exited between the glob and the read
+		}
+		// pid (comm) state ppid ...; comm may contain spaces, so split after ')'.
+		rest := string(b[strings.LastIndexByte(string(b), ')')+1:])
+		fields := strings.Fields(rest)
+		if len(fields) >= 2 && fields[1] == me {
+			pid, _ := strconv.Atoi(filepath.Base(filepath.Dir(path)))
+			kids = append(kids, pid)
+		}
+	}
+	return kids
+}
+
+// TestProcessSlotsAllRunAtOnce: the simulation caps goroutine slots at
+// NumCPU so busy times measure compute; process slots wait on pipes and
+// must not inherit that cap — every slot's task has to be running before
+// any of them may finish — and the fleet reports as busy time what the
+// workers themselves reported, not the waiting goroutine's wall.
+func TestProcessSlotsAllRunAtOnce(t *testing.T) {
+	n := 2*runtime.NumCPU() + 2
+	f := &fleet{cl: cluster.New(n, cluster.DefaultCostModel()), procs: make([]proc, n)}
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	all := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(all)
+	}()
+	var stuck sync.Once
+	busy := f.Superstep(func(w int) {
+		arrived.Done()
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			stuck.Do(func() { t.Errorf("fewer than %d slot tasks were admitted at once", n) })
+		}
+		f.procs[w].busy += time.Duration(w+1) * time.Millisecond // what DONE frames would add
+	})
+	for w, b := range busy {
+		if b != time.Duration(w+1)*time.Millisecond {
+			t.Fatalf("slot %d busy = %v, want the %v its worker reported", w, b, time.Duration(w+1)*time.Millisecond)
+		}
+	}
+}

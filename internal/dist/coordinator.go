@@ -14,17 +14,15 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
-	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/validate"
-	"gfd/internal/workload"
 )
 
 // Supervision defaults.
 const (
 	// DefaultHeartbeat is the worker heartbeat period when
 	// DistOptions.HeartbeatInterval is unset; a worker silent for three
-	// periods is declared lost and killed.
+	// periods while a unit is in flight is declared lost and killed.
 	DefaultHeartbeat = 200 * time.Millisecond
 	// DefaultHandshakeTimeout bounds spawn-to-READY (shard open + rule
 	// parse + group rebuild).
@@ -32,722 +30,175 @@ const (
 	// DefaultMaxRespawns is how many replacement processes a worker slot
 	// gets when DistOptions.MaxRespawns is 0.
 	DefaultMaxRespawns = 1
-	// heartbeatMisses is how many silent heartbeat periods the liveness
-	// monitor tolerates before killing a worker.
+	// heartbeatMisses is how many silent heartbeat periods a read on a
+	// worker's pipe tolerates before the worker is killed.
 	heartbeatMisses = 3
 	// shutdownGrace bounds the drain phase: SHUTDOWN → CENSUS → exit per
 	// worker; slower workers are killed, never leaked.
 	shutdownGrace = 3 * time.Second
 )
 
-// errDegraded is the internal signal that no worker process could be had
-// at all and the run should fall back to the in-process fragmented engine.
-var errDegraded = errors.New("dist: no worker processes available")
-
-// Detect runs distributed detection over the shards named by
-// opt.Dist.ManifestPath, collecting into Result.Violations.
-func Detect(ctx context.Context, b *validate.Bundle, opt validate.Options) (*validate.Result, error) {
-	return DetectB(ctx, b, opt, nil)
-}
-
-// DetectB is the distributed engine: it loads the shard manifest, spawns
-// one worker process per shard (each mmapping its own .gfds and running
-// the compiled engines), drives unit assignment with halo shipping over
-// the wire protocol, and supervises the fleet — heartbeat and
-// per-unit-deadline liveness, dead-process unit reassignment to survivors
-// under Options.Retry budgets with capped backoff, capped respawn, and
-// exactly-once retry semantics via deterministic skip counts. Exhausted
-// budgets surface as *validate.PartialError with Result.Completeness
-// carrying the census; when no worker process can be obtained at all and
-// nothing was delivered yet, the run degrades to the in-process
-// fragmented engine over the same partition.
+// DetectB is the distributed engine: the one engine body of
+// internal/validate (plan, fault-tolerant unit scheduler, union) with its
+// slots backed by worker processes. It loads the shard manifest and hands
+// the scheduler a fleet — one process per shard, each mmapping its own
+// .gfds and running the compiled per-unit body — that turns "run unit u on
+// slot w" into an ASSIGN frame with the unit's halo and the VIO*/DONE
+// frames coming back, and reports a lost process (exit, torn frame,
+// handshake or heartbeat silence, blown unit deadline) the way a goroutine
+// slot reports a panic. Retry budgets, reassignment, backoff, the
+// exactly-once skip counts and the census are the scheduler's, shared with
+// repVal and disVal; dead slots are respawned at superstep barriers under
+// DistOptions.MaxRespawns. Exhausted budgets surface as
+// *validate.PartialError with Result.Completeness carrying the census;
+// when every process is lost (or none could be started) before anything
+// was delivered, the same plan runs on in-process goroutine slots instead.
 //
 // The bundle's topology must be the frozen, unmutated snapshot the shards
 // were written from (NodeIDs, symbol codes, and block shapes must agree);
 // a session with pending overlay mutations must re-shard first.
-func DetectB(ctx context.Context, b *validate.Bundle, opt validate.Options, sink validate.Sink) (res *validate.Result, err error) {
-	res = &validate.Result{}
+func DetectB(ctx context.Context, b *validate.Bundle, opt validate.Options, sink validate.Sink) (*validate.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return &validate.Result{}, err
 	}
-	opt = opt.Normalized()
-	if opt.Dist == nil || opt.Dist.ManifestPath == "" {
-		return res, errors.New("dist: EngineDistributed requires Options.Dist.ManifestPath")
-	}
-	m, err := LoadManifest(opt.Dist.ManifestPath)
+	m, err := manifestFor(opt)
 	if err != nil {
-		return res, err
+		return &validate.Result{}, err
 	}
 	snap, ok := b.Topo().(*graph.Snapshot)
 	if !ok {
-		return res, errors.New("dist: bundle topology is not a frozen snapshot; re-shard after mutations")
+		return &validate.Result{}, errors.New("dist: bundle topology is not a frozen snapshot; re-shard after mutations")
 	}
 	if snap.NumNodes() != m.NumNodes {
-		return res, fmt.Errorf("dist: snapshot holds %d nodes, manifest %s says %d",
+		return &validate.Result{}, fmt.Errorf("dist: snapshot holds %d nodes, manifest %s says %d",
 			snap.NumNodes(), opt.Dist.ManifestPath, m.NumNodes)
 	}
 	opt.N = m.Workers // the shard layout fixes the worker count
+	return validate.DetectOver(ctx, b, opt, sink, func(plan *validate.DistPlan, cl *cluster.Cluster) (validate.Executor, error) {
+		return newFleet(ctx, snap, m, plan, opt, cl)
+	})
+}
 
-	start := time.Now()
-	cl := cluster.New(opt.N, opt.Cost)
-
-	estStart := time.Now()
-	plan, err := b.DistPlan(cl, opt)
+// Slots is the number of worker slots a distributed run of opt schedules
+// onto — the manifest's shard count, whatever Options.N says. Streaming
+// callers size their per-worker lanes off it.
+func Slots(opt validate.Options) (int, error) {
+	m, err := manifestFor(opt)
 	if err != nil {
-		return res, err
+		return 0, err
 	}
-	res.Rules = plan.Set.Len()
-	res.Groups = plan.Groups
-	res.Units = len(plan.Units)
-	res.SplitUnits = plan.Split
-	res.TotalWeight = plan.TotalWeight
-	res.Makespan = plan.Makespan
-	res.EstimateSpan = plan.EstimateSpan
-	res.EstimateWall = time.Since(estStart)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-
-	var rules strings.Builder
-	if err := core.WriteRules(&rules, plan.Set); err != nil {
-		return res, err
-	}
-
-	origSink := sink
-	var collect *validate.CollectSink
-	if sink == nil {
-		collect = validate.NewCollectSink(opt.N)
-		sink = collect
-	}
-
-	r := &coordRun{
-		ctx:      ctx,
-		b:        b,
-		snap:     snap,
-		manifest: m,
-		plan:     plan,
-		opt:      opt,
-		cl:       cl,
-		sink:     sink,
-		rules:    rules.String(),
-		events:   make(chan event, 1024),
-	}
-	detStart := time.Now()
-	span, comp, runErr := r.run()
-	res.DetectWall = time.Since(detStart)
-	res.DetectSpan = span
-	res.Completeness = comp
-
-	if errors.Is(runErr, errDegraded) {
-		// Worker processes are unobtainable and nothing was delivered:
-		// fall back to the in-process fragmented engine over the same
-		// partition. The fallback may thaw the graph; correctness over
-		// cold-start purity once the distributed path is gone. It gets the
-		// caller's original sink (possibly nil) so it assembles its own
-		// Result, including the collected violations.
-		strat, _ := fragment.ParseStrategy(m.Strategy)
-		frag := fragment.Partition(b.Graph(), m.Workers, strat)
-		return validate.DisValB(ctx, b, frag, opt, origSink)
-	}
-
-	st := cl.Stats()
-	res.BytesShipped = st.TotalBytes
-	res.Messages = st.TotalMsgs
-	res.Comm = cl.CommTime()
-	if collect != nil {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
-	}
-	res.Wall = time.Since(start)
-	if cerr := ctx.Err(); cerr != nil {
-		return res, cerr
-	}
-	return res, runErr
+	return m.Workers, nil
 }
 
-// event is what per-worker reader goroutines deliver to the coordinator
-// loop: a decoded-frame envelope or a death notice. Frames buffered
-// before a death are always delivered first (the reader emits the death
-// only after the read loop ends), so violation accounting at reassignment
-// time is exact.
-type event struct {
-	w       int
-	gen     int
-	typ     byte
-	payload []byte
-	death   *deathNotice
+func manifestFor(opt validate.Options) (*Manifest, error) {
+	if opt.Dist == nil || opt.Dist.ManifestPath == "" {
+		return nil, errors.New("dist: EngineDistributed requires Options.Dist.ManifestPath")
+	}
+	return LoadManifest(opt.Dist.ManifestPath)
 }
 
-type deathNotice struct {
-	waitErr error  // cmd.Wait result: exit status or wait failure
-	readErr error  // what ended the read loop (EOF, torn frame, ...)
-	tail    string // last stderr output — panic stacks land here
-}
-
-// unitState mirrors the in-process scheduler's per-unit bookkeeping.
-type unitState struct {
-	attempts int
-	emitted  int64 // violations accepted by the sink across attempts; retries skip these
-	done     bool
-	failed   bool
-	lastErr  error
-}
-
-// procState is one worker slot across incarnations.
-type procState struct {
-	id    int
-	shard string
-
-	cmd      *exec.Cmd
-	stdin    io.WriteCloser
-	fw       *frameWriter
-	tail     *tailBuffer
-	gen      int // incarnation counter; stale-gen events are dropped
-	alive    bool
-	ready    bool
-	spawned  time.Time
-	lastSeen time.Time
-	killed   error // why the liveness monitor killed it; nil for self-deaths
-
-	queue      []int // pending unit IDs
-	inflight   int   // unit ID in flight; -1 when idle
-	inflightAt time.Time
-	shipped    []bool // halo nodes already shipped to this incarnation
-	respawns   int
-	busy       time.Duration // sum of reported unit walls — the modeled span basis
-}
-
-type coordRun struct {
+// fleet is the process-backed validate.Executor: slot w is a worker process
+// over shard w. It holds only what is about processes — spawn and
+// handshake, halo selection, frame I/O, liveness by read deadline,
+// bounded-grace shutdown and reaping; everything about units belongs to
+// the scheduler driving it.
+type fleet struct {
 	ctx      context.Context
-	b        *validate.Bundle
 	snap     *graph.Snapshot
 	manifest *Manifest
 	plan     *validate.DistPlan
-	opt      validate.Options
 	cl       *cluster.Cluster
-	sink     validate.Sink
 	rules    string
-	events   chan event
+	faultEnv string
 
-	procs    []*procState
-	states   []unitState
-	resolved int // units done or failed
-	deaths   int
-	rounds   int
-	stopped  bool // sink refused a violation; drain and stop cleanly
-	anyEmit  bool
+	heartbeat    time.Duration
+	handshake    time.Duration
+	unitDeadline time.Duration
+	maxRespawns  int
+	command      []string
 
-	wg sync.WaitGroup // reader goroutines
+	procs  []proc
+	closed bool
 }
 
-// Completeness alias keeps signatures readable.
-type Completeness = validate.Completeness
+// proc is one worker slot across incarnations. During a superstep it is
+// touched only by its slot's goroutine; between supersteps only by the
+// scheduler.
+type proc struct {
+	id int
 
-// run executes the distributed detection phase. It returns the modeled
-// detection span, the completeness census, and the run error: nil,
-// ctx.Err(), a *validate.PartialError, or errDegraded.
-func (r *coordRun) run() (time.Duration, Completeness, error) {
-	n := r.opt.N
-	r.states = make([]unitState, len(r.plan.Units))
-	r.procs = make([]*procState, n)
-	faultEnv := r.opt.Inject.Encode()
-	for w := 0; w < n; w++ {
-		r.procs[w] = &procState{id: w, shard: r.manifest.Shards[w], inflight: -1}
-		r.procs[w].queue = append(r.procs[w].queue, r.plan.Assign[w]...)
-	}
-	// Always reap every child, whatever path exits this function. The
-	// drain keeps reader goroutines from blocking on a full events
-	// channel while we wait for them to finish.
-	defer func() {
-		for _, p := range r.procs {
-			if p.cmd != nil && p.cmd.Process != nil {
-				p.cmd.Process.Kill()
-			}
-		}
-		done := make(chan struct{})
-		go func() {
-			r.wg.Wait()
-			close(done)
-		}()
-		for {
-			select {
-			case <-r.events:
-			case <-done:
-				return
-			}
-		}
-	}()
+	cmd    *exec.Cmd // nil while no incarnation is running
+	stdin  io.WriteCloser
+	stdout *os.File
+	fw     *frameWriter
+	fr     *frameReader
+	tail   *tailBuffer
 
-	spawned := 0
-	for w := 0; w < n; w++ {
-		if err := r.spawn(w, faultEnv); err != nil {
-			r.procs[w].alive = false
-			r.procs[w].killed = fmt.Errorf("spawn failed: %w", err)
-			continue
-		}
-		spawned++
-	}
-	if spawned == 0 {
-		return 0, r.census(nil), errDegraded
-	}
-	// Queues of workers that never spawned move to the survivors.
-	var orphaned []int
-	for _, p := range r.procs {
-		if !p.alive {
-			orphaned = append(orphaned, p.queue...)
-			p.queue = nil
-		}
-	}
-	if len(orphaned) > 0 {
-		r.reassign(orphaned)
-	}
-
-	hb := r.opt.Dist.HeartbeatInterval
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
-	handshake := r.opt.Dist.HandshakeTimeout
-	if handshake <= 0 {
-		handshake = DefaultHandshakeTimeout
-	}
-	tick := hb / 2
-	if d := r.opt.UnitDeadline; d > 0 && d/2 < tick {
-		tick = d / 2
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-
-	var failures []validate.UnitFailure
-	var ctxErr error
-loop:
-	for r.resolved < len(r.states) && !r.stopped {
-		select {
-		case <-r.ctx.Done():
-			ctxErr = r.ctx.Err()
-			break loop
-		case ev := <-r.events:
-			r.handle(ev, &failures)
-		case <-ticker.C:
-			r.checkLiveness(hb, handshake)
-		}
-		if r.liveCount() == 0 {
-			if !r.progress() {
-				return 0, r.census(failures), errDegraded
-			}
-			// Some units are unreachable: everything unresolved fails.
-			for ui := range r.states {
-				st := &r.states[ui]
-				if !st.done && !st.failed {
-					st.failed = true
-					r.resolved++
-					failures = append(failures, r.failure(ui))
-				}
-			}
-			break loop
-		}
-	}
-
-	r.shutdown()
-
-	var span time.Duration
-	for _, p := range r.procs {
-		if p.busy > span {
-			span = p.busy
-		}
-	}
-	comp := r.census(failures)
-	if ctxErr != nil {
-		return span, comp, ctxErr
-	}
-	if len(failures) > 0 {
-		return span, comp, &validate.PartialError{Failures: failures}
-	}
-	return span, comp, nil
+	spawns  int // incarnations started; the first carries the fault plan
+	spawned time.Time
+	ready   bool          // READY consumed: the handshake completed
+	midUnit bool          // an ASSIGN is unanswered: not drainable, only killable
+	shipped []bool        // halo nodes already shipped to this incarnation
+	busy    time.Duration // sum of reported unit walls — the modeled span basis
 }
 
-// handle processes one event from a worker reader.
-func (r *coordRun) handle(ev event, failures *[]validate.UnitFailure) {
-	p := r.procs[ev.w]
-	if ev.gen != p.gen {
-		return // an earlier incarnation's leftovers
+func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *validate.DistPlan, opt validate.Options, cl *cluster.Cluster) (*fleet, error) {
+	var rules strings.Builder
+	if err := core.WriteRules(&rules, plan.Set); err != nil {
+		return nil, err
 	}
-	if ev.death != nil {
-		r.handleDeath(ev.w, ev.death, failures)
-		return
+	f := &fleet{
+		ctx: ctx, snap: snap, manifest: m, plan: plan, cl: cl,
+		rules:        rules.String(),
+		faultEnv:     opt.Inject.Encode(),
+		heartbeat:    opt.Dist.HeartbeatInterval,
+		handshake:    opt.Dist.HandshakeTimeout,
+		unitDeadline: opt.UnitDeadline,
+		maxRespawns:  opt.Dist.MaxRespawns,
+		command:      opt.Dist.Command,
+		procs:        make([]proc, m.Workers),
 	}
-	p.lastSeen = time.Now()
-	switch ev.typ {
-	case fReady:
-		m, err := decodeReady(ev.payload)
-		if err != nil || m.numNodes != r.manifest.NumNodes || m.groups != r.plan.Groups {
-			p.killed = fmt.Errorf("dist: worker %d handshake mismatch (%v)", ev.w, err)
-			r.kill(p)
-			return
-		}
-		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		p.ready = true
-		r.dispatch(p)
-	case fVio:
-		m, err := decodeVio(ev.payload)
+	if f.heartbeat <= 0 {
+		f.heartbeat = DefaultHeartbeat
+	}
+	if f.handshake <= 0 {
+		f.handshake = DefaultHandshakeTimeout
+	}
+	if f.maxRespawns == 0 {
+		f.maxRespawns = DefaultMaxRespawns
+	}
+	if len(f.command) == 0 {
+		exe, err := os.Executable()
 		if err != nil {
-			p.killed = fmt.Errorf("dist: worker %d sent undecodable violations: %w", ev.w, err)
-			r.kill(p)
-			return
+			return nil, err
 		}
-		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		if m.unit < 0 || m.unit >= len(r.states) {
-			return
-		}
-		st := &r.states[m.unit]
-		for _, v := range m.vios {
-			if !r.sink.Emit(ev.w, v) {
-				r.stopped = true
-				return
-			}
-			st.emitted++
-			r.anyEmit = true
-		}
-	case fDone:
-		m, err := decodeDone(ev.payload)
-		if err != nil || m.unit != p.inflight {
-			p.killed = fmt.Errorf("dist: worker %d done frame out of protocol (unit %d, inflight %d)", ev.w, m.unit, p.inflight)
-			r.kill(p)
-			return
-		}
-		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		st := &r.states[m.unit]
-		if !st.done && !st.failed {
-			st.done = true
-			st.lastErr = nil
-			r.resolved++
-		}
-		p.busy += m.wall
-		p.inflight = -1
-		r.dispatch(p)
-	case fHeartbeat:
-		// lastSeen already refreshed above.
-	case fCensus:
-		// Arrives during shutdown; the drain loop consumes it there. One
-		// out of band is harmless.
+		f.command = []string{exe}
 	}
+	for w := range f.procs {
+		f.procs[w].id = w
+	}
+	return f, nil
 }
 
-// handleDeath marks a worker dead, converts its exit into the unit's
-// failure cause, requeues its pending work, respawns if the budget
-// allows, and reassigns with backoff.
-func (r *coordRun) handleDeath(w int, d *deathNotice, failures *[]validate.UnitFailure) {
-	p := r.procs[w]
-	if !p.alive {
-		return
-	}
-	p.alive = false
-	p.ready = false
-	r.deaths++
-
-	cause := p.killed
-	if cause == nil {
-		cause = &cluster.WorkerError{Worker: w, Unit: p.inflight, Panic: describeExit(d)}
-	}
-	var pending []int
-	if ui := p.inflight; ui >= 0 {
-		p.inflight = -1
-		st := &r.states[ui]
-		if !st.done && !st.failed {
-			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, cause)
-			if st.attempts >= r.maxAttempts() {
-				st.failed = true
-				r.resolved++
-				*failures = append(*failures, r.failure(ui))
-			} else {
-				pending = append(pending, ui)
-			}
+// Start spawns slot w's process — the first incarnation, or a replacement
+// under the MaxRespawns budget: pipes wired, stderr tailed, HELLO written.
+// It does not wait for READY (the slot's first Run does), so the fleet's
+// shard opens overlap.
+func (f *fleet) Start(w int) error {
+	p := &f.procs[w]
+	faultEnv := f.faultEnv
+	if p.spawns > 0 {
+		if p.spawns > f.maxRespawns {
+			return fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted", w, max(f.maxRespawns, 0))
 		}
-	}
-	pending = append(pending, p.queue...)
-	p.queue = nil
-
-	maxRespawns := r.opt.Dist.MaxRespawns
-	if maxRespawns == 0 {
-		maxRespawns = DefaultMaxRespawns
-	}
-	if maxRespawns > 0 && p.respawns < maxRespawns && r.ctx.Err() == nil {
-		p.respawns++
 		// Replacement processes never re-arm the fault plan: a real
 		// machine does not re-crash on the injected schedule either, and
 		// a deterministic re-kill would make every recoverable plan
 		// unrecoverable.
-		if err := r.spawn(w, ""); err != nil {
-			p.killed = fmt.Errorf("respawn failed: %w", err)
-		}
+		faultEnv = ""
 	}
-
-	if len(pending) > 0 && r.liveCount() > 0 {
-		r.rounds++
-		r.backoff(r.rounds)
-		r.reassign(pending)
-	} else if len(pending) > 0 {
-		// keep them queued on the dead worker so the all-dead sweep in
-		// runImpl fails them with accurate attempt counts.
-		p.queue = pending
-	}
-}
-
-// checkLiveness kills workers that went silent, failed to handshake, or
-// blew the per-unit deadline. The kill only initiates death: the reader's
-// death notice (which follows the last buffered frames) drives recovery,
-// so violations already on the wire are never lost.
-func (r *coordRun) checkLiveness(hb, handshake time.Duration) {
-	now := time.Now()
-	for _, p := range r.procs {
-		if !p.alive || p.killed != nil {
-			continue
-		}
-		if !p.ready {
-			if now.Sub(p.spawned) > handshake {
-				p.killed = fmt.Errorf("dist: worker %d handshake timed out after %v", p.id, handshake)
-				r.kill(p)
-			}
-			continue
-		}
-		if d := r.opt.UnitDeadline; d > 0 && p.inflight >= 0 && now.Sub(p.inflightAt) > d {
-			p.killed = fmt.Errorf("unit %d (worker %d): %w", p.inflight, p.id, context.DeadlineExceeded)
-			r.kill(p)
-			continue
-		}
-		if now.Sub(p.lastSeen) > time.Duration(heartbeatMisses)*hb {
-			p.killed = fmt.Errorf("dist: worker %d lost (no frames for %v)", p.id, now.Sub(p.lastSeen))
-			r.kill(p)
-		}
-	}
-}
-
-func (r *coordRun) kill(p *procState) {
-	if p.cmd != nil && p.cmd.Process != nil {
-		p.cmd.Process.Kill()
-	}
-}
-
-// dispatch sends the next queued unit to an idle, ready worker: one unit
-// in flight per worker, which keeps deadline tracking and reassignment
-// trivial and lets the LPT queues drain in weight order.
-func (r *coordRun) dispatch(p *procState) {
-	if !p.alive || !p.ready || p.inflight >= 0 || r.stopped {
-		return
-	}
-	for len(p.queue) > 0 {
-		ui := p.queue[0]
-		p.queue = p.queue[1:]
-		st := &r.states[ui]
-		if st.done || st.failed {
-			continue
-		}
-		st.attempts++
-		p.inflight = ui
-		p.inflightAt = time.Now()
-		msg := assignMsg{unit: r.plan.Units[ui], skip: st.emitted, halo: r.haloFor(p, ui)}
-		payload := encodeAssign(msg)
-		r.cl.Ship(cluster.Coordinator, p.id, frameOverhead+int64(len(payload)))
-		if err := p.fw.write(fAssign, payload); err != nil {
-			// The pipe is gone; the reader's death notice will requeue
-			// the unit. Leave it in flight so accounting stays single-path.
-			return
-		}
-		return
-	}
-}
-
-// haloFor collects the unit's block nodes this worker does not own and
-// has not been shipped yet this incarnation: attribute tuples plus full
-// adjacency, from the coordinator's snapshot. Because every shard keeps
-// the full node/class/symbol tables, the halo is the only data a worker
-// is missing, and after patching, its local block reproduces the
-// coordinator's exactly.
-func (r *coordRun) haloFor(p *procState, ui int) []haloNode {
-	block := r.plan.BlockNodes(ui)
-	syms := r.snap.Syms()
-	var halo []haloNode
-	for _, v := range block {
-		if r.manifest.Owner(v) == p.id || p.shipped[v] {
-			continue
-		}
-		p.shipped[v] = true
-		h := haloNode{id: v}
-		for _, pr := range r.snap.AttrPairs(v) {
-			h.attrs = append(h.attrs, [2]string{syms.Name(pr.Name), syms.Name(pr.Val)})
-		}
-		for _, e := range r.snap.Out(v) {
-			h.out = append(h.out, haloEdge{to: e.To, label: syms.Name(e.Label)})
-		}
-		for _, e := range r.snap.In(v) {
-			h.in = append(h.in, haloEdge{to: e.To, label: syms.Name(e.Label)})
-		}
-		halo = append(halo, h)
-	}
-	return halo
-}
-
-// reassign balances pending units across live workers (LPT on unit
-// weights, like the initial assignment) and kicks idle ones.
-func (r *coordRun) reassign(pending []int) {
-	var live []*procState
-	for _, p := range r.procs {
-		if p.alive {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	weights := make([]int, len(pending))
-	for i, ui := range pending {
-		weights[i] = int(r.plan.Units[ui].Weight())
-	}
-	sub := workload.BalanceLPT(weights, len(live))
-	for li, us := range sub {
-		for _, pi := range us {
-			live[li].queue = append(live[li].queue, pending[pi])
-		}
-	}
-	for _, p := range live {
-		r.dispatch(p)
-	}
-}
-
-// backoff sleeps the capped exponential recovery delay (PR 6 semantics),
-// bailing early if the context dies.
-func (r *coordRun) backoff(round int) {
-	d := r.opt.Retry.Backoff
-	if d <= 0 {
-		return
-	}
-	factor := 1 << (round - 1)
-	if factor > 8 {
-		factor = 8
-	}
-	t := time.NewTimer(d * time.Duration(factor))
-	defer t.Stop()
-	select {
-	case <-r.ctx.Done():
-	case <-t.C:
-	}
-}
-
-func (r *coordRun) maxAttempts() int { return 1 + r.opt.Retry.Max }
-
-func (r *coordRun) liveCount() int {
-	n := 0
-	for _, p := range r.procs {
-		if p.alive {
-			n++
-		}
-	}
-	return n
-}
-
-// progress reports whether the run achieved anything a fallback would
-// duplicate: a completed unit or a delivered violation.
-func (r *coordRun) progress() bool {
-	if r.anyEmit {
-		return true
-	}
-	for i := range r.states {
-		if r.states[i].done {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *coordRun) failure(ui int) validate.UnitFailure {
-	st := &r.states[ui]
-	err := st.lastErr
-	if err == nil {
-		err = fmt.Errorf("unit %d: never started: all workers dead", ui)
-	}
-	return validate.UnitFailure{Unit: ui, Group: r.plan.Units[ui].Group, Attempts: st.attempts, Err: err}
-}
-
-func (r *coordRun) census(failures []validate.UnitFailure) Completeness {
-	comp := Completeness{Units: len(r.states), WorkerDeaths: r.deaths, RecoveryRounds: r.rounds}
-	for i := range r.states {
-		st := &r.states[i]
-		if st.attempts > 0 {
-			comp.Attempted++
-		}
-		if st.attempts > 1 {
-			comp.Retries += st.attempts - 1
-		}
-		if st.done {
-			comp.Succeeded++
-		}
-	}
-	comp.Failed = len(failures)
-	return comp
-}
-
-// shutdown drains the fleet: SHUTDOWN to every live worker, wait for each
-// census (bounded), then close pipes and reap. Workers that ignore the
-// grace period are killed — the coordinator never leaks processes.
-func (r *coordRun) shutdown() {
-	waiting := 0
-	for _, p := range r.procs {
-		if !p.alive || !p.ready {
-			continue
-		}
-		if err := p.fw.write(fShutdown, nil); err == nil {
-			r.cl.Ship(cluster.Coordinator, p.id, frameOverhead)
-			waiting++
-		}
-	}
-	deadline := time.NewTimer(shutdownGrace)
-	defer deadline.Stop()
-	for waiting > 0 {
-		select {
-		case ev := <-r.events:
-			p := r.procs[ev.w]
-			if ev.gen != p.gen {
-				continue
-			}
-			if ev.death != nil {
-				if p.alive {
-					p.alive = false
-					waiting--
-				}
-				continue
-			}
-			if ev.typ == fCensus {
-				r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-				if p.alive {
-					p.alive = false
-					waiting--
-				}
-				p.stdin.Close()
-			}
-		case <-deadline.C:
-			waiting = 0
-		}
-	}
-	// The deferred reaper in runImpl kills and waits whatever is left.
-}
-
-// spawn starts (or restarts) worker w's process: pipes wired, stderr
-// tailed, HELLO written. The reader goroutine owns cmd.Wait — it emits
-// the death notice after the last buffered frame, which is what makes
-// violation accounting at death exact.
-func (r *coordRun) spawn(w int, faultEnv string) error {
-	p := r.procs[w]
-	argv := r.opt.Dist.Command
-	if len(argv) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		argv = []string{exe}
-	}
-	cmd := exec.CommandContext(r.ctx, argv[0], argv[1:]...)
+	p.spawns++
+	cmd := exec.CommandContext(f.ctx, f.command[0], f.command[1:]...)
 	cmd.Env = append(os.Environ(), EnvWorker+"=1")
 	if faultEnv != "" {
 		cmd.Env = append(cmd.Env, EnvFault+"="+faultEnv)
@@ -763,76 +214,251 @@ func (r *coordRun) spawn(w int, faultEnv string) error {
 	tail := &tailBuffer{}
 	cmd.Stderr = tail
 	if err := cmd.Start(); err != nil {
-		return err
+		return fmt.Errorf("dist: spawning worker %d: %w", w, err)
 	}
-	p.gen++
-	p.cmd = cmd
-	p.stdin = stdin
-	p.tail = tail
+	p.cmd, p.stdin, p.tail = cmd, stdin, tail
+	p.stdout = stdout.(*os.File) // os/exec hands out the pipe's read end; deadlines need the file
 	p.fw = &frameWriter{w: bufio.NewWriterSize(stdin, 1<<16)}
-	p.alive = true
-	p.ready = false
-	p.killed = nil
-	p.inflight = -1
+	p.fr = &frameReader{r: bufio.NewReaderSize(stdout, 1<<16)}
 	p.spawned = time.Now()
-	p.lastSeen = p.spawned
-	p.shipped = make([]bool, r.manifest.NumNodes)
-
-	hb := r.opt.Dist.HeartbeatInterval
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
+	p.shipped = make([]bool, f.manifest.NumNodes)
 	hello := encodeHello(helloMsg{
 		proto:     protoVersion,
 		worker:    w,
-		workers:   r.opt.N,
-		numNodes:  r.manifest.NumNodes,
-		heartbeat: hb,
-		combine:   r.plan.Combine,
-		arbPivot:  r.plan.ArbitraryPivot,
-		shardPath: p.shard,
-		rules:     r.rules,
-		groups:    r.plan.Groups,
+		workers:   len(f.procs),
+		numNodes:  f.manifest.NumNodes,
+		heartbeat: f.heartbeat,
+		combine:   f.plan.Combine,
+		arbPivot:  f.plan.ArbitraryPivot,
+		shardPath: f.manifest.Shards[w],
+		rules:     f.rules,
+		groups:    f.plan.Groups,
 	})
-	r.cl.Ship(cluster.Coordinator, w, frameOverhead+int64(len(hello)))
-
-	gen := p.gen
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		fr := &frameReader{r: bufio.NewReaderSize(stdout, 1<<16)}
-		for {
-			typ, payload, err := fr.read()
-			if err != nil {
-				waitErr := cmd.Wait()
-				r.events <- event{w: w, gen: gen, death: &deathNotice{waitErr: waitErr, readErr: err, tail: tail.String()}}
-				return
-			}
-			r.events <- event{w: w, gen: gen, typ: typ, payload: payload}
-		}
-	}()
-	// A failed HELLO write means the child died instantly; the reader's
-	// death notice handles it.
-	p.fw.write(fHello, hello)
+	f.cl.Ship(cluster.Coordinator, w, frameOverhead+int64(len(hello)))
+	// A failed HELLO write means the child died instantly; the slot's
+	// first read reports how.
+	_ = p.fw.write(fHello, hello)
 	return nil
 }
 
-// describeExit renders a death notice into the WorkerError panic slot.
-func describeExit(d *deathNotice) string {
-	s := "process died"
-	if d.waitErr != nil {
-		s = d.waitErr.Error()
-	}
-	if d.readErr != nil && !errors.Is(d.readErr, io.EOF) {
-		s += " (" + d.readErr.Error() + ")"
-	}
-	if tail := strings.TrimSpace(d.tail); tail != "" {
-		if len(tail) > 512 {
-			tail = tail[len(tail)-512:]
+// Run sends unit ui to slot w's process and relays the violations it
+// streams back until DONE. One unit is in flight per process, which keeps
+// the deadline a plain read deadline and lets the LPT queues drain in
+// weight order. Every way of losing the process ends in lost().
+func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) error {
+	p := &f.procs[w]
+	if !p.ready {
+		typ, payload, err := f.read(p, p.spawned.Add(f.handshake))
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("handshake timed out after %v", f.handshake)
 		}
-		s += ": " + tail
+		if err == nil {
+			if m, derr := decodeReady(payload); derr != nil || typ != fReady || m.numNodes != f.manifest.NumNodes || m.groups != f.plan.Groups {
+				err = fmt.Errorf("handshake mismatch (frame type %d, %d nodes, %d groups): %v", typ, m.numNodes, m.groups, derr)
+			}
+		}
+		if err != nil {
+			return f.lost(p, ui, err)
+		}
+		f.cl.Ship(w, cluster.Coordinator, frameOverhead+int64(len(payload)))
+		p.ready = true
 	}
-	return s
+
+	payload := encodeAssign(assignMsg{unit: f.plan.Unit(ui), skip: skip, halo: f.haloFor(p, ui)})
+	f.cl.Ship(cluster.Coordinator, w, frameOverhead+int64(len(payload)))
+	p.midUnit = true
+	// A failed write means the pipe is gone; the read below reports how the
+	// process died — after the frames it wrote first.
+	_ = p.fw.write(fAssign, payload)
+
+	var limit time.Time
+	if f.unitDeadline > 0 {
+		limit = time.Now().Add(f.unitDeadline)
+	}
+	// killed is why this side killed the process (deadline or silence). The
+	// loop keeps reading after a kill: frames the process wrote before dying
+	// are consumed — and their violations counted into the unit's skip
+	// count by emit — before the death is acted on.
+	var killed error
+	for {
+		typ, payload, err := f.read(p, limit)
+		switch {
+		case err != nil && killed != nil:
+			return f.lost(p, ui, killed)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			if !limit.IsZero() && !time.Now().Before(limit) {
+				killed = fmt.Errorf("no result within the %v unit deadline: %w", f.unitDeadline, context.DeadlineExceeded)
+			} else {
+				killed = fmt.Errorf("no frames for %v", heartbeatMisses*f.heartbeat)
+			}
+			p.cmd.Process.Kill()
+			limit = time.Time{}
+			continue
+		case err != nil:
+			return f.lost(p, ui, err)
+		}
+		if typ != fHeartbeat { // liveness, not shipment: heartbeats stay off the cost model
+			f.cl.Ship(w, cluster.Coordinator, frameOverhead+int64(len(payload)))
+		}
+		switch typ {
+		case fVio:
+			m, err := decodeVio(payload)
+			if err != nil || m.unit != ui {
+				return f.lost(p, ui, fmt.Errorf("violations out of protocol (unit %d, in flight %d): %v", m.unit, ui, err))
+			}
+			for _, v := range m.vios {
+				if !emit(v) {
+					return nil // the run is stopping; Close kills the mid-unit process
+				}
+			}
+		case fDone:
+			m, err := decodeDone(payload)
+			if err != nil || m.unit != ui {
+				return f.lost(p, ui, fmt.Errorf("done frame out of protocol (unit %d, in flight %d): %v", m.unit, ui, err))
+			}
+			if killed != nil {
+				continue // finished as it was killed: still a death
+			}
+			p.busy += m.wall
+			p.midUnit = false
+			return nil
+		case fHeartbeat:
+		default:
+			return f.lost(p, ui, fmt.Errorf("unexpected frame type %d", typ))
+		}
+	}
+}
+
+// read returns p's next frame, giving up with os.ErrDeadlineExceeded at
+// limit (zero: none) or — once the worker is heartbeating — after
+// heartbeatMisses silent heartbeat periods: liveness is a read deadline on
+// the slot's own pipe, not a monitor beside it.
+func (f *fleet) read(p *proc, limit time.Time) (byte, []byte, error) {
+	if p.ready {
+		if silence := time.Now().Add(heartbeatMisses * f.heartbeat); limit.IsZero() || silence.Before(limit) {
+			limit = silence
+		}
+	}
+	p.stdout.SetReadDeadline(limit)
+	return p.fr.read()
+}
+
+// lost reaps p's process and converts its end into the slot-death error the
+// scheduler understands: a *cluster.WorkerError carrying the exit status,
+// what ended the frame stream (unwrappable — context.DeadlineExceeded for a
+// blown unit deadline) and the stderr tail, where panic stacks land.
+func (f *fleet) lost(p *proc, ui int, cause error) error {
+	exit := "process died"
+	if err := p.reap(); err != nil { // also flushes stderr into the tail
+		exit = err.Error()
+	}
+	tail := strings.TrimSpace(p.tail.String())
+	if len(tail) > 512 {
+		tail = tail[len(tail)-512:]
+	}
+	if tail != "" {
+		tail = ": " + tail
+	}
+	return &cluster.WorkerError{Worker: p.id, Unit: ui, Panic: fmt.Errorf("%s (%w)%s", exit, cause, tail)}
+}
+
+// reap kills whatever is left of p's process and waits for it; the slot is
+// down afterwards.
+func (p *proc) reap() error {
+	if p.cmd == nil {
+		return nil
+	}
+	p.cmd.Process.Kill()
+	p.stdin.Close()
+	err := p.cmd.Wait()
+	p.cmd, p.ready, p.midUnit = nil, false, false
+	return err
+}
+
+// haloFor collects the unit's block nodes this worker does not own and
+// has not been shipped yet this incarnation: attribute tuples plus full
+// adjacency, from the coordinator's snapshot. Because every shard keeps
+// the full node/class/symbol tables, the halo is the only data a worker
+// is missing, and after patching, its local block reproduces the
+// coordinator's exactly.
+func (f *fleet) haloFor(p *proc, ui int) []haloNode {
+	syms := f.snap.Syms()
+	var halo []haloNode
+	for _, v := range f.plan.BlockNodes(ui) {
+		if f.manifest.Owner(v) == p.id || p.shipped[v] {
+			continue
+		}
+		p.shipped[v] = true
+		h := haloNode{id: v}
+		for _, pr := range f.snap.AttrPairs(v) {
+			h.attrs = append(h.attrs, [2]string{syms.Name(pr.Name), syms.Name(pr.Val)})
+		}
+		for _, e := range f.snap.Out(v) {
+			h.out = append(h.out, haloEdge{to: e.To, label: syms.Name(e.Label)})
+		}
+		for _, e := range f.snap.In(v) {
+			h.in = append(h.in, haloEdge{to: e.To, label: syms.Name(e.Label)})
+		}
+		halo = append(halo, h)
+	}
+	return halo
+}
+
+// Superstep runs every slot's task at once, whatever the core count: a
+// process slot waits on its pipe while the child computes, so capping the
+// tasks at NumCPU (as the goroutine executor must, to measure compute)
+// would idle child processes instead. Busy time is what the workers
+// themselves reported in their DONE frames this round.
+func (f *fleet) Superstep(task func(w int)) []time.Duration {
+	busy := make([]time.Duration, len(f.procs))
+	for w := range f.procs {
+		busy[w] = f.procs[w].busy
+	}
+	// Slot tasks recover their own panics in the scheduler.
+	_ = f.cl.Run(task)
+	for w := range f.procs {
+		busy[w] = f.procs[w].busy - busy[w]
+	}
+	return busy
+}
+
+// Close drains the fleet: SHUTDOWN to every idle worker, wait for each
+// census (bounded), then kill and reap everything — a worker still
+// mid-unit (the run was stopped or cancelled) or ignoring the grace period
+// included. The fleet never leaks processes. Idempotent.
+func (f *fleet) Close() {
+	if f.closed {
+		return
+	}
+	f.closed = true
+	deadline := time.Now().Add(shutdownGrace)
+	var draining []*proc
+	for w := range f.procs {
+		p := &f.procs[w]
+		if p.cmd == nil || !p.ready || p.midUnit {
+			continue
+		}
+		if p.fw.write(fShutdown, nil) == nil {
+			f.cl.Ship(cluster.Coordinator, w, frameOverhead)
+			draining = append(draining, p)
+		}
+	}
+	for _, p := range draining {
+		p.stdout.SetReadDeadline(deadline)
+		for {
+			typ, payload, err := p.fr.read()
+			if err != nil {
+				break
+			}
+			if typ == fCensus {
+				f.cl.Ship(p.id, cluster.Coordinator, frameOverhead+int64(len(payload)))
+				break
+			}
+		}
+	}
+	for w := range f.procs {
+		f.procs[w].reap()
+	}
 }
 
 // tailBuffer keeps the last few KB written to it — enough stderr to carry

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -63,9 +64,13 @@ type rbuf struct {
 	err error
 }
 
+// errMalformed is what every decode* returns (wrapped, with the field and
+// offset) for a payload that does not parse.
+var errMalformed = errors.New("dist: malformed frame payload")
+
 func (r *rbuf) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated %s at offset %d", what, r.off)
+		r.err = fmt.Errorf("%w: truncated %s at offset %d", errMalformed, what, r.off)
 	}
 }
 

@@ -6,7 +6,8 @@
 // (total detection time, communication time, accuracy).
 //
 // Scales are reduced relative to the paper (in-process simulated cluster
-// instead of 20 EC2 machines; see DESIGN.md §4): the *shapes* — who wins,
+// instead of 20 EC2 machines; see the README's opening paragraph and
+// package cluster): the *shapes* — who wins,
 // by what factor, where the curves bend — are the reproduction target, not
 // absolute seconds. EXPERIMENTS.md records paper-vs-measured per figure.
 package exp
@@ -286,7 +287,7 @@ func RunAlgorithm(alg string, w Workload, n int, seed int64) *validate.Result {
 // Wall-clock time would be bounded below by total-work / physical-cores on
 // this host regardless of n, so it cannot show n-scaling; the modeled span
 // can, and it is what the simulated-cluster substitution reports (see
-// DESIGN.md §4).
+// validate.Result.ModeledTime and package cluster).
 func seconds(r *validate.Result) float64 { return r.ModeledTime().Seconds() }
 
 // Fig5VaryN reproduces Fig. 5(a–c): detection time of all six algorithms

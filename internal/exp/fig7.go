@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"gfd/internal/core"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
@@ -72,7 +74,10 @@ func Fig7RealLife(scale int, perKind int, seed int64) []Fig7Finding {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: scale, Seed: seed})
 	errs := gen.InjectStructural(g, perKind, seed+1)
 	set := Fig7Rules()
-	res := validate.RepVal(g, set, validate.Options{N: 8})
+	res, err := validate.RepValB(context.Background(), validate.NewBundle(g, set), validate.Options{N: 8}, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	caughtBy := func(rule string, injected []graph.NodeID) (count, caught int) {
 		flagged := make(graph.NodeSet)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -113,7 +114,9 @@ func Incremental(c Config, batches, batchSize int) Table {
 					gFull.SetAttr(u.Node, u.Attr, u.Value)
 				}
 			}
-			validate.DetVio(gFull, w.Set)
+			if err := validate.DetVioB(context.Background(), validate.NewBundle(gFull, w.Set), validate.NewCollectSink(1)); err != nil {
+				panic(err)
+			}
 		}
 		ms := time.Since(start).Seconds() * 1000 / float64(batches)
 		if r == 0 || ms < fullMS {

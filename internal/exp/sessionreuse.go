@@ -61,15 +61,17 @@ func SessionReuse(c Config, rounds int) Table {
 	prepareMS := time.Since(prepStart).Seconds() * 1000
 
 	// Cold path: each round validates a fresh clone of the same graph
-	// through the legacy free function, as a per-request server would,
-	// re-paying freeze, reduction, grouping and lowering every time.
+	// through a throwaway bundle, as a per-request server would, re-paying
+	// freeze, reduction, grouping and lowering every time.
 	clones := make([]*graph.Graph, rounds)
 	for i := range clones {
 		clones[i] = w.G.Clone()
 	}
 	coldStart := time.Now()
 	for _, gc := range clones {
-		validate.RepVal(gc, w.Set, opt)
+		if _, err := validate.RepValB(ctx, validate.NewBundle(gc, w.Set), opt, nil); err != nil {
+			panic(err)
+		}
 	}
 	coldMS := time.Since(coldStart).Seconds() * 1000 / float64(rounds)
 

@@ -1,8 +1,10 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
+	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/validate"
@@ -170,7 +172,7 @@ func TestMineGFDsCleanGraphMostlyConsistent(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules")
 	}
-	vio := validate.DetVio(g, set)
+	vio := detVio(g, set)
 	flagged := vio.ViolatingNodes().Len()
 	if flagged > g.NumNodes()/10 {
 		t.Errorf("clean graph heavily flagged: %d of %d nodes", flagged, g.NumNodes())
@@ -261,10 +263,21 @@ func TestNoiseMakesRulesFire(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules")
 	}
-	base := validate.DetVio(g, set)
+	base := detVio(g, set)
 	Inject(g, NoiseConfig{Rate: 0.08, Seed: 44, Kinds: []NoiseKind{AttributeNoise}})
-	noisy := validate.DetVio(g, set)
+	noisy := detVio(g, set)
 	if len(noisy) <= len(base) {
 		t.Errorf("noise should create violations: %d before, %d after", len(base), len(noisy))
 	}
+}
+
+// detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
+func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	sink := validate.NewCollectSink(1)
+	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+		panic(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
 }

@@ -1,7 +1,7 @@
 // Package gen provides the data substrate of the evaluation (Section 7):
 // a synthetic power-law graph generator, parameter-matched stand-ins for
-// the paper's real-life datasets (DBpedia, YAGO2, Pokec; see DESIGN.md §4
-// for the substitution rationale), a GFD generator that mines frequent
+// the paper's real-life datasets (DBpedia, YAGO2, Pokec; the README's
+// opening paragraph states the substitution), a GFD generator that mines frequent
 // features and assembles rules, and noise injection with ground truth for
 // the accuracy experiment (Exp-5).
 package gen

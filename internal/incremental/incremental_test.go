@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func capitalRule() *core.GFD {
 // validation.
 func agree(t *testing.T, d *Detector, g *graph.Graph, set *core.Set) {
 	t.Helper()
-	want := validate.DetVio(g, set)
+	want := detVio(g, set)
 	got := d.Report()
 	if len(got) != len(want) {
 		t.Fatalf("incremental has %d violations, full validation %d", len(got), len(want))
@@ -221,4 +222,15 @@ func TestNewOnOverlaySharesMaintainedView(t *testing.T) {
 	if d2.Synced() {
 		t.Error("direct mutation must desynchronize the detector")
 	}
+}
+
+// detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
+func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	sink := validate.NewCollectSink(1)
+	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+		panic(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
 }

@@ -152,7 +152,7 @@ func TestDetectorCompaction(t *testing.T) {
 	// Post-compaction the detector still answers and maintains.
 	ids := d.Apply(incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": "Melbourne"}})
 	d.Apply(incremental.AddEdge{From: au, To: ids[0], Label: "capital"})
-	want := validate.DetVio(g.Clone(), set)
+	want := detVio(g.Clone(), set)
 	got := d.Report()
 	if len(got) != len(want) {
 		t.Fatalf("post-compaction report has %d violations, full validation %d", len(got), len(want))
@@ -162,4 +162,21 @@ func TestDetectorCompaction(t *testing.T) {
 			t.Fatalf("post-compaction violation %d differs: %s vs %s", i, got[i].Key(), want[i].Key())
 		}
 	}
+}
+
+// detVio is a full batch detection through a one-shot session.
+func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	sess, err := session.New(g)
+	if err != nil {
+		panic(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		panic(err)
+	}
+	res, err := prep.Detect(context.Background(), validate.Options{Engine: validate.EngineSequential})
+	if err != nil {
+		panic(err)
+	}
+	return res.Violations
 }

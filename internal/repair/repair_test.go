@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestSuggestConstantLiteral(t *testing.T) {
 	bad := g.AddNode("R", graph.Attrs{"area_code": "131", "city": "Gla"})
 	g.AddNode("R", graph.Attrs{"area_code": "131", "city": "Edi"})
 	set := constantRule()
-	vio := validate.DetVio(g, set)
+	vio := detVio(g, set)
 	if len(vio) != 1 {
 		t.Fatalf("violations = %d", len(vio))
 	}
@@ -63,7 +64,7 @@ func TestSuggestVariableLiteralMajority(t *testing.T) {
 		pn := g.AddNode("person", graph.Attrs{"country": "FR"})
 		g.MustAddEdge(pn, hub, "born_in")
 	}
-	vio := validate.DetVio(g, set)
+	vio := detVio(g, set)
 	if len(vio) != 3 {
 		t.Fatalf("violations = %d", len(vio))
 	}
@@ -98,7 +99,7 @@ func TestSuggestTieLowConfidence(t *testing.T) {
 	y := g.AddNode("n", graph.Attrs{"v": "2"})
 	g.MustAddEdge(x, y, "e")
 
-	sugg := Suggest(g, set, validate.DetVio(g, set))
+	sugg := Suggest(g, set, detVio(g, set))
 	if len(sugg) != 2 {
 		t.Fatalf("want both sides suggested, got %d", len(sugg))
 	}
@@ -113,17 +114,17 @@ func TestApplyRepairsGraph(t *testing.T) {
 	g := graph.New(0, 0)
 	g.AddNode("R", graph.Attrs{"area_code": "131", "city": "Gla"})
 	set := constantRule()
-	vio := validate.DetVio(g, set)
+	vio := detVio(g, set)
 	sugg := Suggest(g, set, vio)
 	if n := Apply(g, sugg, 0.9); n != 1 {
 		t.Fatalf("applied %d repairs, want 1", n)
 	}
 	// After repair the graph satisfies Σ.
-	if !validate.Satisfies(g, set) {
+	if len(detVio(g, set)) != 0 {
 		t.Error("applied repair did not clear the violation")
 	}
 	// Re-applying changes nothing.
-	if n := Apply(g, Suggest(g, set, validate.DetVio(g, set)), 0.9); n != 0 {
+	if n := Apply(g, Suggest(g, set, detVio(g, set)), 0.9); n != 0 {
 		t.Errorf("idempotent re-apply changed %d cells", n)
 	}
 }
@@ -139,7 +140,7 @@ func TestApplyThresholdFilters(t *testing.T) {
 	q.AddEdge(a, b, "e")
 	set := core.MustNewSet(core.MustNew("eq", q, nil,
 		[]core.Literal{core.VarEq("a", "v", "b", "v")}))
-	sugg := Suggest(g, set, validate.DetVio(g, set))
+	sugg := Suggest(g, set, detVio(g, set))
 	if n := Apply(g, sugg, 0.9); n != 0 {
 		t.Errorf("low-confidence ties must not auto-apply, applied %d", n)
 	}
@@ -150,8 +151,19 @@ func TestSuggestMissingAttribute(t *testing.T) {
 	g := graph.New(0, 0)
 	bad := g.AddNode("R", graph.Attrs{"area_code": "131"})
 	set := constantRule()
-	sugg := Suggest(g, set, validate.DetVio(g, set))
+	sugg := Suggest(g, set, detVio(g, set))
 	if len(sugg) != 1 || sugg[0].Node != bad || sugg[0].Current != "" || sugg[0].Proposed != "Edi" {
 		t.Errorf("suggestions = %+v", sugg)
 	}
+}
+
+// detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
+func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	sink := validate.NewCollectSink(1)
+	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+		panic(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
 }

@@ -55,7 +55,7 @@ func TestStreamUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := fault.FromSeed(seed, 4, base.Units)
 		var got validate.Report
-		err := prep.Stream(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan},
+		err := stream(ctx, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan},
 			func(v validate.Violation) bool {
 				got = append(got, v)
 				return true
@@ -71,7 +71,7 @@ func TestStreamUnderFaults(t *testing.T) {
 
 		stopPlan := fault.NewPlan(seed).KillWorker(int(seed)%4, 0)
 		calls := 0
-		err = prep.Stream(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan},
+		err = stream(ctx, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan},
 			func(validate.Violation) bool {
 				calls++
 				return false

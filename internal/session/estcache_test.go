@@ -196,7 +196,7 @@ func TestApplyInvalidatesOnlyTouchedBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := validate.RepVal(g, set, validate.Options{N: 3})
+			fresh := coldRepVal(t, g, set, validate.Options{N: 3})
 			if !warm.Violations.Equal(fresh.Violations) {
 				t.Fatalf("overlay-backed warm Detect diverged from cold repVal after Apply")
 			}

@@ -1,0 +1,102 @@
+package session
+
+import (
+	"context"
+	"os"
+	"sync"
+	"testing"
+
+	"gfd/internal/dist"
+	"gfd/internal/fragment"
+	"gfd/internal/gen"
+	"gfd/internal/validate"
+)
+
+// The test binary doubles as the distributed engine's worker executable.
+func TestMain(m *testing.M) {
+	dist.MaybeWorker()
+	os.Exit(m.Run())
+}
+
+// laneRecorder notes which lanes a run emits on.
+type laneRecorder struct {
+	mu    sync.Mutex
+	lanes map[int]int
+}
+
+func (r *laneRecorder) Emit(worker int, _ validate.Violation) bool {
+	r.mu.Lock()
+	r.lanes[worker]++
+	r.mu.Unlock()
+	return true
+}
+
+// TestLanesFollowTheManifest: the shard manifest fixes the distributed
+// engine's worker count, whatever Options.N says, and the pull pipeline
+// must size its lanes off that count: with 8 shards and the default N = 4,
+// slots 4–7 used to collapse into lane 0 through PipeSink's out-of-range
+// guard, and per-worker backpressure with them.
+func TestLanesFollowTheManifest(t *testing.T) {
+	const shards = 8
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 400, Seed: 9})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
+	if set.Len() == 0 {
+		t.Fatal("no rules mined")
+	}
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.4, Seed: 11})
+	manifest, err := dist.WriteShards(g.Freeze(), shards, fragment.Hash, t.TempDir(), "lanes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := validate.Options{Engine: validate.EngineDistributed, Dist: &validate.DistOptions{ManifestPath: manifest}}
+	if n := opt.Normalized().N; n >= shards {
+		t.Fatalf("default N = %d does not undercut %d shards; the test is vacuous", n, shards)
+	}
+
+	lanes, err := prep.slots(opt)
+	if err != nil || lanes != shards {
+		t.Fatalf("slots = %d, %v; want the manifest's %d", lanes, err, shards)
+	}
+	rec := &laneRecorder{lanes: make(map[int]int)}
+	res, err := prep.run(context.Background(), opt, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high := 0
+	for lane, n := range rec.lanes {
+		if lane < 0 || lane >= lanes {
+			t.Fatalf("%d violations emitted on lane %d, outside the %d lanes the iterator opens", n, lane, lanes)
+		}
+		if lane >= opt.Normalized().N {
+			high++
+		}
+	}
+	if high == 0 {
+		t.Fatalf("no slot beyond Options.N emitted (lanes used: %v); nothing distinguishes the sizing", rec.lanes)
+	}
+
+	// And the iterator itself, end to end, over those lanes.
+	want, err := prep.Detect(context.Background(), validate.Options{Engine: validate.EngineSequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got validate.Report
+	for v, err := range prep.Violations(context.Background(), opt) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	got.Sort()
+	if !got.Equal(want.Violations) || res.Completeness.Units == 0 {
+		t.Fatalf("distributed stream over %d lanes diverged: %d vs %d violations", lanes, len(got), len(want.Violations))
+	}
+}

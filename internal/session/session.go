@@ -10,7 +10,7 @@
 //	sess, _ := session.New(g)
 //	prep, _ := sess.Prepare(set) // freeze + lower, once
 //	res, _ := prep.Detect(ctx, validate.Options{Engine: validate.EngineReplicated, N: 16})
-//	... // more Detect / Stream calls: no freeze, no re-lowering
+//	... // more Detect / Violations calls: no freeze, no re-lowering
 //
 // Freeze, implication-based workload reduction, multi-query grouping,
 // pattern compilation and literal-program lowering are all paid once per
@@ -28,7 +28,7 @@
 // exceeds a fraction of the base size, the session compacts: one fresh
 // freeze absorbs the patches, amortizing O(|V|+|E|) over Ω(|G|) updates.
 //
-// Detect and Stream are safe for concurrent use while the graph is
+// Detect and Violations are safe for concurrent use while the graph is
 // unmutated, like the engines themselves. Mutation concurrent with
 // detection is not safe — the same contract as Graph.Freeze.
 package session
@@ -38,7 +38,6 @@ import (
 	"errors"
 	"iter"
 	"sync"
-	"time"
 
 	"gfd/internal/baseline"
 	"gfd/internal/core"
@@ -91,7 +90,7 @@ func (s *Session) Snapshot() *graph.Snapshot { return s.g.Freeze() }
 // option variant (eagerly deriving them here would tax sequential-only
 // callers with reasoning work that engine never reads — use WarmEngine to
 // front-load a specific variant). The returned Prepared serves any number
-// of Detect / Stream calls and re-prepares itself (once per new graph
+// of Detect / Violations calls and re-prepares itself (once per new graph
 // version) when the graph mutates.
 func (s *Session) Prepare(set *core.Set) (*Prepared, error) {
 	if set == nil {
@@ -272,7 +271,7 @@ func (p *Prepared) Detect(ctx context.Context, opt validate.Options) (*validate.
 // final element: the caller's context expiring, or a partial run
 // (errors.Is validate.ErrPartial) whose failed units may have withheld
 // violations. An early break discards any error the teardown itself
-// produced, exactly as a callback returning false always has.
+// produced.
 //
 // Violations observed before a break are exactly a prefix-closed subset
 // of the full run's set for the same options: retried units never
@@ -292,18 +291,12 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 	return func(yield func(validate.Violation, error) bool) {
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		nopt := opt.Normalized()
-		lanes := nopt.N
-		if nopt.Engine.Resolve() == validate.EngineFragmented {
-			// The fragmented engine clamps its worker count to the
-			// fragmentation's; size the lanes off the same number.
-			frag := nopt.Frag
-			if frag == nil {
-				frag = p.sess.Fragmentation(nopt.N)
-			}
-			lanes = frag.N
+		lanes, err := p.slots(opt)
+		if err != nil {
+			yield(validate.Violation{}, err)
+			return
 		}
-		pipe := validate.NewPipeSink(runCtx, lanes, nopt.StreamBuffer)
+		pipe := validate.NewPipeSink(runCtx, lanes, opt.StreamBuffer)
 		type outcome struct {
 			res *validate.Result
 			err error
@@ -337,83 +330,56 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 	}
 }
 
-// Stream is the callback form of Violations: yield receives each
-// violation as it is found and detection stops early when it returns
-// false. It is a thin wrapper over the same pull-based pipeline. The
-// result instrumentation is discarded; use Detect or ViolationsResult
-// when it is needed.
-//
-// Deprecated: range over Violations instead — same pipeline, same
-// early-stop semantics, without inverting control.
-func (p *Prepared) Stream(ctx context.Context, opt validate.Options, yield func(validate.Violation) bool) error {
-	if yield == nil {
-		return errors.New("session: nil stream yield")
+// frag resolves the fragmentation EngineFragmented runs over: the caller's,
+// or the session's cached hash partition into Options.N fragments.
+func (p *Prepared) frag(opt validate.Options) *fragment.Fragmentation {
+	if opt.Frag != nil {
+		return opt.Frag
 	}
-	for v, err := range p.Violations(ctx, opt) {
-		if err != nil {
-			return err
-		}
-		if !yield(v) {
-			return nil
-		}
+	return p.sess.Fragmentation(opt.Normalized().N)
+}
+
+// slots is how many worker slots a run of opt emits on — the lane count of
+// the pull pipeline. It asks the functions the engines themselves resolve
+// their worker count with: a fragmentation or a shard manifest fixes it,
+// whatever Options.N says.
+func (p *Prepared) slots(opt validate.Options) (int, error) {
+	switch opt.Engine.Resolve() {
+	case validate.EngineFragmented:
+		return validate.Slots(opt, p.frag(opt)), nil
+	case validate.EngineDistributed:
+		return dist.Slots(opt)
 	}
-	return nil
+	return validate.Slots(opt, nil), nil
 }
 
 func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.Sink) (*validate.Result, error) {
 	b := p.refresh()
 	switch opt.Engine.Resolve() {
 	case validate.EngineSequential:
-		return single(p.set.Len(), 1, sink, func(s validate.Sink) error {
+		return validate.Single(p.set.Len(), 1, sink, func(s validate.Sink) error {
 			return validate.DetVioB(ctx, b, s)
 		})
 	case validate.EngineReplicated:
 		return validate.RepValB(ctx, b, opt, sink)
 	case validate.EngineFragmented:
-		frag := opt.Frag
-		if frag == nil {
-			frag = p.sess.Fragmentation(opt.Normalized().N)
-		}
-		return validate.DisValB(ctx, b, frag, opt, sink)
+		return validate.DisValB(ctx, b, p.frag(opt), opt, sink)
 	case validate.EngineGCFD:
 		rules, _ := p.GCFDRules()
 		n := opt.Normalized().N
-		return single(len(rules), n, sink, func(s validate.Sink) error {
+		return validate.Single(len(rules), n, sink, func(s validate.Sink) error {
 			return baseline.DetectB(ctx, b, rules, n, s)
 		})
 	case validate.EngineBigDansing:
 		rel := p.relational(b)
 		n := opt.Normalized().N
-		return single(p.set.Len(), n, sink, func(s validate.Sink) error {
+		return validate.Single(p.set.Len(), n, sink, func(s validate.Sink) error {
 			return baseline.DetectJoinsB(ctx, b, rel, n, s)
 		})
 	case validate.EngineDistributed:
 		return dist.DetectB(ctx, b, opt, sink)
 	}
 	return nil, errors.New("session: unknown engine")
-}
-
-// single wraps the engines that do not build their own Result (sequential
-// and the baselines) in the shape the parallel engines return: wall time,
-// rule count, and — when no external sink was supplied — the collected,
-// sorted violation set, gathered through a CollectSink with one lane per
-// engine worker. With an external sink the engines emit straight into it
-// over the very same code path; the three modes differ only in the sink.
-func single(rules, lanes int, sink validate.Sink, run func(validate.Sink) error) (*validate.Result, error) {
-	res := &validate.Result{Rules: rules}
-	var collect *validate.CollectSink
-	if sink == nil {
-		collect = validate.NewCollectSink(lanes)
-		sink = collect
-	}
-	start := time.Now()
-	err := run(sink)
-	res.Wall = time.Since(start)
-	if collect != nil {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
-	}
-	return res, err
 }
 
 // WarmEngine pre-derives every artifact a Detect with these options
@@ -428,9 +394,7 @@ func (p *Prepared) WarmEngine(opt validate.Options) {
 		b.Warm(opt)
 	case validate.EngineFragmented:
 		b.Warm(opt)
-		if opt.Frag == nil {
-			p.sess.Fragmentation(opt.Normalized().N)
-		}
+		p.frag(opt)
 	case validate.EngineGCFD:
 		p.GCFDRules()
 	case validate.EngineBigDansing:

@@ -82,7 +82,7 @@ func TestDetectMatchesFreeFunctions(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		wantSeq := validate.DetVio(g, set)
+		wantSeq := coldDetVio(t, g, set)
 		res, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDetectMatchesFreeFunctions(t *testing.T) {
 		for name, opt := range variants {
 			repOpt := opt
 			repOpt.Engine = validate.EngineReplicated
-			want := validate.RepVal(g, set, opt)
+			want := coldRepVal(t, g, set, opt)
 			for round := 0; round < 2; round++ {
 				got, err := prep.Detect(ctx, repOpt)
 				if err != nil {
@@ -119,7 +119,7 @@ func TestDetectMatchesFreeFunctions(t *testing.T) {
 			disOpt.Engine = validate.EngineFragmented
 			frag := fragment.Partition(g, max(opt.N, 1), fragment.Hash)
 			disOpt.Frag = frag
-			wantDis := validate.DisVal(g, frag, set, opt)
+			wantDis := coldDisVal(t, g, frag, set, opt)
 			got, err := prep.Detect(ctx, disOpt)
 			if err != nil {
 				t.Fatal(err)
@@ -212,8 +212,8 @@ func TestMutationBetweenDetectsRefreezes(t *testing.T) {
 			t.Fatalf("post-repair round %d: violations = %d, want 0", round, len(res.Violations))
 		}
 	}
-	if !validate.Satisfies(g, set) {
-		t.Error("oracle disagrees: graph should satisfy the set")
+	if left := coldDetVio(t, g, set); len(left) != 0 {
+		t.Errorf("oracle disagrees: graph should satisfy the set, %d violations", len(left))
 	}
 	// One re-freeze for the new version, not one per round.
 	if builds := g.SnapshotBuilds(); builds != 2 {
@@ -233,7 +233,7 @@ func TestMutationBetweenDetectsRefreezes(t *testing.T) {
 	if len(res.Violations) != 2 {
 		t.Errorf("post-insert violations = %d, want 2", len(res.Violations))
 	}
-	if !res.Violations.Equal(validate.DetVio(g, set)) {
+	if !res.Violations.Equal(coldDetVio(t, g, set)) {
 		t.Error("post-insert session result diverged from fresh DetVio")
 	}
 }
@@ -260,7 +260,7 @@ func TestStreamMatchesDetect(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got validate.Report
-		if err := prep.Stream(ctx, opt, func(v validate.Violation) bool {
+		if err := stream(ctx, prep, opt, func(v validate.Violation) bool {
 			got = append(got, v)
 			return true
 		}); err != nil {
@@ -283,7 +283,7 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 	for _, engine := range []validate.Engine{validate.EngineSequential, validate.EngineReplicated} {
 		seen := 0
-		if err := prep.Stream(ctx, validate.Options{Engine: engine, N: 3}, func(validate.Violation) bool {
+		if err := stream(ctx, prep, validate.Options{Engine: engine, N: 3}, func(validate.Violation) bool {
 			seen++
 			return false
 		}); err != nil {
@@ -376,4 +376,51 @@ func TestIncrementalIntegration(t *testing.T) {
 	if len(res.Violations) != 2 {
 		t.Errorf("session post-unrepair violations = %d, want 2", len(res.Violations))
 	}
+}
+
+// stream drives the pull iterator with a callback: yield receives each
+// violation and returning false breaks out of the range.
+func stream(ctx context.Context, p *session.Prepared, opt validate.Options, yield func(validate.Violation) bool) error {
+	for v, err := range p.Violations(ctx, opt) {
+		if err != nil {
+			return err
+		}
+		if !yield(v) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// The cold oracles: each call compiles a throwaway bundle, the way a
+// caller without a session would, so a reused Prepared is compared against
+// state it cannot have shared.
+
+func coldDetVio(t testing.TB, g *graph.Graph, set *core.Set) validate.Report {
+	t.Helper()
+	sink := validate.NewCollectSink(1)
+	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+		t.Fatal(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
+}
+
+func coldRepVal(t testing.TB, g *graph.Graph, set *core.Set, opt validate.Options) *validate.Result {
+	t.Helper()
+	res, err := validate.RepValB(context.Background(), validate.NewBundle(g, set), opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func coldDisVal(t testing.TB, g *graph.Graph, frag *fragment.Fragmentation, set *core.Set, opt validate.Options) *validate.Result {
+	t.Helper()
+	res, err := validate.DisValB(context.Background(), validate.NewBundle(g, set), frag, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

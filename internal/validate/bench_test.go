@@ -52,7 +52,7 @@ func BenchmarkDetVio(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got = DetVio(g, set)
+			got = detVio(g, set)
 		}
 	})
 	if want != nil && got != nil && !want.Equal(got) {

@@ -12,12 +12,12 @@ import (
 	"gfd/internal/workload"
 )
 
-// This file is the seam between the in-process engines and the
-// shared-nothing runtime in internal/dist: a serializable view of the
-// memoized workload plan (DistPlan) for the coordinator, and a per-unit
-// execution facade (UnitRunner) for the worker process. Both sides run
-// the same unitDetector the in-process engines use; what crosses the
-// process boundary is only unit descriptors, halo data, and violations.
+// This file is the seam between the engine body and the shared-nothing
+// runtime in internal/dist: the body's entry point for a caller-supplied
+// Executor (DetectOver), the view of the plan that executor ships from
+// (DistPlan), and the per-unit execution body (UnitRunner) that goroutine
+// slots and worker processes both run. What crosses the process boundary
+// is only unit descriptors, halo data, and violations.
 
 // DistOptions configures EngineDistributed. It is carried on
 // Options.Dist and ignored by every other engine.
@@ -60,72 +60,32 @@ type DistUnit struct {
 	BlockSize  int
 }
 
-// Weight is the unit's scheduling weight (its estimated block size).
-func (u DistUnit) Weight() int64 { return int64(u.BlockSize) }
-
-// DistPlan is the coordinator's serializable image of one memoized
-// workload plan: the effective rule set (post-reduction — workers must
-// not reduce again), the grouping flags workers need to rebuild identical
-// group indices, the unit descriptors, and the balanced initial
-// assignment with its modeled accounting.
+// DistPlan is what the engine body hands an out-of-process Executor about
+// the plan it is about to schedule: the effective rule set (post-reduction
+// — workers must not reduce again), the grouping flags workers need to
+// rebuild identical group indices, and the unit descriptors. Assignment,
+// attempts and accounting stay with the scheduler.
 type DistPlan struct {
 	Set            *core.Set // effective rule set; ship via core.WriteRules
 	Combine        bool      // multi-query grouping was applied
 	ArbitraryPivot bool
 	Groups         int
-	Units          []DistUnit
-	Assign         [][]int // worker -> unit IDs, LPT-balanced
-	Split          int     // units produced by replicate-and-split
-	TotalWeight    int64
-	Makespan       int64
-	EstimateSpan   time.Duration
 
 	b     *Bundle
 	units []workUnit
 }
 
-// DistPlan derives the distributed execution plan from the bundle's
-// memoized estimation caches, charging estimation shipment against cl
-// exactly as repVal does (the modeled-span oracle the measured run is
-// compared to). The plan is estimated against the coordinator's replicated
-// topology with frag == nil: ownership lives in the shard manifest, not in
-// an in-memory Fragmentation, so deriving the plan performs no partition
-// and no snapshot build.
-func (b *Bundle) DistPlan(cl *cluster.Cluster, opt Options) (*DistPlan, error) {
-	opt = opt.Normalized()
-	set, groups, gk := b.ruleGroupsKeyed(opt)
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, nil)
-	if err != nil {
-		return nil, err
+// Unit returns unit i's wire descriptor.
+func (p *DistPlan) Unit(i int) DistUnit {
+	u := &p.units[i]
+	return DistUnit{
+		ID:         i,
+		Group:      u.group,
+		Candidates: u.Candidates,
+		StripeMod:  u.stripeMod,
+		StripeRem:  u.stripeRem,
+		BlockSize:  u.BlockSize,
 	}
-	p := &DistPlan{
-		Set:            set,
-		Combine:        gk.combine,
-		ArbitraryPivot: gk.arbitraryPivot,
-		Groups:         len(groups),
-		Split:          plan.split,
-		TotalWeight:    plan.totalWeight,
-		Makespan:       plan.makespan,
-		EstimateSpan:   estSpan,
-		b:              b,
-		units:          plan.units,
-	}
-	p.Units = make([]DistUnit, len(plan.units))
-	for i, u := range plan.units {
-		p.Units[i] = DistUnit{
-			ID:         i,
-			Group:      u.group,
-			Candidates: u.Candidates,
-			StripeMod:  u.stripeMod,
-			StripeRem:  u.stripeRem,
-			BlockSize:  u.BlockSize,
-		}
-	}
-	p.Assign = make([][]int, len(plan.assign))
-	for w, idxs := range plan.assign {
-		p.Assign[w] = append([]int(nil), idxs...)
-	}
-	return p, nil
 }
 
 // BlockNodes returns unit i's data block — the union of the pivot
@@ -137,48 +97,77 @@ func (p *DistPlan) BlockNodes(i int) []graph.NodeID {
 	return p.units[i].BlockIn(p.b.topo).Sorted()
 }
 
-// UnitRunner executes DistUnits inside a worker process: the same
-// unitDetector, data-block assembly, stripe filtering, and symmetric
-// dedup enumeration the in-process engines run, over the worker's
-// shard-backed topology. It is single-threaded, like the worker's
-// assignment loop (the coordinator keeps one unit in flight per worker).
-type UnitRunner struct {
-	groups []*ruleGroup
-	det    *unitDetector
-	cancel *cancelCheck
-	noOpt  bool
+// DetectOver is the engine body with the caller's slots: start receives the
+// plan and the run's cost-model cluster and returns the Executor the
+// scheduler drives (internal/dist returns its process fleet). The plan is
+// estimated against the bundle's replicated topology with opt.N slots —
+// ownership lives with the executor (a shard manifest), not in an
+// in-memory Fragmentation, so planning performs no partition and no
+// snapshot build. When every slot is lost before anything was delivered,
+// the same plan runs on goroutine slots instead: degrading is an executor
+// swap, not a second engine.
+func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start func(*DistPlan, *cluster.Cluster) (Executor, error)) (*Result, error) {
+	return runEngine(ctx, b, opt, sink, engine{start: start})
 }
 
-// NewUnitRunner prepares a runner over the worker's bundle. opt must
-// carry the grouping flags the coordinator shipped (NoOptimize=!Combine,
-// ArbitraryPivot) with NoReduce=true, so the worker's group indices match
-// the coordinator's plan. inj is the worker's armed fault injector (nil
-// in production); worker is this process's worker id.
+// UnitRunner executes units on one slot: the unitDetector's data-block
+// assembly, stripe filtering and symmetric dedup enumeration, the
+// exactly-once skip count, the cooperative per-attempt deadline and the
+// unit-start fault crossing. Goroutine slots and worker processes both run
+// it — over the bundle's shared topology, or a worker's shard-backed one —
+// so those exist once. It is single-threaded, like a slot's unit loop (the
+// scheduler keeps one unit in flight per slot).
+type UnitRunner struct {
+	groups   []*ruleGroup
+	det      *unitDetector
+	cancel   *cancelCheck
+	noOpt    bool
+	deadline time.Duration
+
+	// Per-attempt emission state, read by deliver (bound once as out so
+	// the per-unit path allocates no closure).
+	skip, found int64
+	emit        func(Violation) bool
+	out         func(Violation) bool
+}
+
+// NewUnitRunner prepares a runner over a bundle for slot worker. In a
+// worker process opt must carry the grouping flags the coordinator shipped
+// (NoOptimize=!Combine, ArbitraryPivot) with NoReduce=true, so the worker's
+// group indices match the coordinator's plan. opt.UnitDeadline arms the
+// cooperative per-attempt deadline (a worker process leaves it zero: its
+// coordinator enforces the deadline by killing it). inj is the slot's armed
+// fault injector (nil in production).
 func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injector, worker int) *UnitRunner {
 	opt = opt.Normalized()
 	_, groups, _ := b.ruleGroupsKeyed(opt)
 	cancel := &cancelCheck{ctx: ctx}
-	return &UnitRunner{
-		groups: groups,
-		det:    newUnitDetector(b.topo, cancel, inj, worker),
-		cancel: cancel,
-		noOpt:  opt.NoOptimize,
+	r := &UnitRunner{
+		groups:   groups,
+		det:      newUnitDetector(b.topo, cancel, inj, worker),
+		cancel:   cancel,
+		noOpt:    opt.NoOptimize,
+		deadline: opt.UnitDeadline,
 	}
+	r.out = r.deliver
+	return r
 }
 
 // Groups returns how many rule groups the runner rebuilt — the worker
 // sanity-checks it against the coordinator's count during the handshake.
 func (r *UnitRunner) Groups() int { return len(r.groups) }
 
-// Run executes one unit. found counts every violation the unit
-// enumerates; the first skip of them are suppressed without emission —
-// the exactly-once retry dedupe: enumeration order is deterministic for a
-// given shard + halo, so a retried unit resumes past what a previous
-// incarnation already delivered. emit returning false stops enumeration
-// early (the caller knows why). A non-nil error reports cancellation;
-// panics (injected or genuine) are deliberately NOT recovered — in a
-// worker process a panic must crash the process so the coordinator sees a
-// death, not a silently shortened unit.
+// Run executes one unit from its wire descriptor. found counts every
+// violation the unit enumerates; the first skip of them are suppressed
+// without emission — the exactly-once retry dedupe: enumeration order is
+// deterministic for a given shard + halo, so a retried unit resumes past
+// what a previous incarnation already delivered. emit returning false
+// stops enumeration early (the caller knows why). A non-nil error reports
+// a malformed descriptor, cancellation, or a missed deadline; panics
+// (injected or genuine) are deliberately NOT recovered — in a worker
+// process a panic must crash the process so the coordinator sees a death,
+// not a silently shortened unit, and a goroutine slot's scheduler recovers
+// it with unit context.
 func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (found int64, err error) {
 	if u.Group < 0 || u.Group >= len(r.groups) {
 		return 0, fmt.Errorf("validate: unit %d names group %d of %d", u.ID, u.Group, len(r.groups))
@@ -188,28 +177,52 @@ func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (fou
 		return 0, fmt.Errorf("validate: unit %d carries %d candidates, group %d pivots %d",
 			u.ID, len(u.Candidates), u.Group, len(grp.pivot.Vars))
 	}
-	r.det.unit = u.ID
-	// Cross the in-process unit-start site too: DelayUnit straggler rules
-	// fire here, and an in-process KillWorker rule panics — which in a
-	// worker process is just another way to die.
-	r.det.inj.Cross(fault.UnitStart, r.det.worker, u.ID)
 	wu := workUnit{
 		Unit:      workload.Unit{Pivot: grp.pivot, Candidates: u.Candidates, BlockSize: u.BlockSize},
 		group:     u.Group,
 		stripeMod: u.StripeMod,
 		stripeRem: u.StripeRem,
 	}
-	out := func(v Violation) bool {
-		found++
-		if found <= skip {
-			return true
-		}
-		return emit(v)
+	return r.run(grp, u.ID, wu, skip, emit)
+}
+
+func (r *UnitRunner) run(grp *ruleGroup, id int, u workUnit, skip int64, emit func(Violation) bool) (int64, error) {
+	if r.cancel.canceled() {
+		return 0, r.cancel.ctx.Err()
 	}
-	if !r.det.detect(grp, wu, !r.noOpt, out) {
-		if cerr := r.cancel.ctx.Err(); cerr != nil {
-			return found, cerr
-		}
+	r.det.unit = id
+	r.skip, r.found, r.emit = skip, 0, emit
+	// The deadline covers the whole attempt, including the UnitStart
+	// crossing: an injected straggler delay burns attempt time exactly
+	// like a real stall would, so DelayUnit(d) + UnitDeadline < d
+	// deterministically expires the first attempt.
+	if r.deadline > 0 {
+		r.cancel.arm(time.Now().Add(r.deadline))
 	}
-	return found, nil
+	// DelayUnit straggler rules fire here, and a KillWorker rule panics —
+	// which in a worker process is just another way to die.
+	if r.det.inj != nil {
+		r.det.inj.Cross(fault.UnitStart, r.det.worker, id)
+	}
+	if !r.cancel.expiredNow() {
+		r.det.detect(grp, u, !r.noOpt, r.out)
+	}
+	expired := r.cancel.deadlineHit
+	r.cancel.disarm()
+	switch {
+	case expired:
+		return r.found, context.DeadlineExceeded
+	case r.cancel.hit:
+		return r.found, r.cancel.ctx.Err()
+	}
+	return r.found, nil
+}
+
+// deliver is the skip-count wrapper above the caller's emit.
+func (r *UnitRunner) deliver(v Violation) bool {
+	r.found++
+	if r.found <= r.skip {
+		return true
+	}
+	return r.emit(v)
 }

@@ -2,113 +2,53 @@ package validate
 
 import (
 	"context"
-	"time"
 
 	"gfd/internal/cluster"
-	"gfd/internal/core"
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
 
-// DisVal is the parallel error-detection algorithm for fragmented graphs
-// (Section 6.2 / Theorem 11). Each fragment F_i resides at worker i; the
-// coordinator assembles work units from per-fragment partial units and
-// computes a bi-criteria assignment that balances load while minimizing
-// the data shipped to assemble each unit's block. Local detection then
-// chooses per unit between prefetching the missing block parts and
-// shipping partial matches, whichever is estimated cheaper.
+// DisValB is the parallel error-detection algorithm for fragmented graphs
+// (Section 6.2 / Theorem 11) over a prepared bundle. Each fragment F_i
+// resides at worker i; the coordinator assembles work units from
+// per-fragment partial units and computes a bi-criteria assignment that
+// balances load while minimizing the data shipped to assemble each unit's
+// block. Local detection then chooses per unit between prefetching the
+// missing block parts and shipping partial matches, whichever is estimated
+// cheaper.
 //
 // Variants: Options.RandomAssign yields disran, Options.NoOptimize yields
 // disnop (no grouping/dedup/splitting, always prefetch).
 //
-// It builds a one-shot bundle per call; callers validating the same graph
-// repeatedly should hold a session (gfd.NewSession) and Detect with
-// EngineFragmented instead.
-func DisVal(g *graph.Graph, frag *fragment.Fragmentation, set *core.Set, opt Options) *Result {
-	res, _ := DisValB(context.Background(), NewBundle(g, set), frag, opt, nil)
-	return res
+// Cancellation, streaming and the fault-tolerant detection scheduler follow
+// RepValB's contract — both are the one engine body (runEngine); a retried
+// or reassigned unit re-runs its prefetch / partial-match exchange on the
+// new worker, so recovery pays its shipping like the paper's model demands.
+func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (*Result, error) {
+	return runEngine(ctx, b, opt, sink, engine{frag: frag})
 }
 
-// DisValB is disVal over a prepared bundle with cooperative cancellation
-// and optional streaming, with the same contract as RepValB — including
-// the fault-tolerant detection scheduler (runtime.go): a retried or
-// reassigned unit re-runs its prefetch / partial-match exchange on the new
-// worker, so recovery pays its shipping like the paper's model demands.
-func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (res *Result, err error) {
-	if err := ctx.Err(); err != nil {
-		// A dead context must not pay for the estimation phase.
-		return &Result{}, err
-	}
-	res = &Result{}
-	defer engineRecover(&err)
-	opt = opt.Normalized()
-	if frag.N != opt.N {
-		// The fragmentation fixes worker count; workers beyond frag.N
-		// would own no data.
-		opt.N = frag.N
-	}
-	g := b.g
-	start := time.Now()
-	cl := cluster.New(opt.N, opt.Cost)
-	inj := opt.Inject.Arm(opt.N)
-	cl.Arm(inj)
-
-	set, groups, gk := b.ruleGroupsKeyed(opt)
-	res.Rules = set.Len()
-	res.Groups = len(groups)
-	topo := b.topo
-
-	// ---- disPar: estimation with border/ownership accounting, plus the
-	// split and bi-criteria assignment — all memoized per (variant,
-	// fragmentation); warm rounds replay the plan and its comm charges
-	// and skip the work (estimate.go).
-	estStart := time.Now()
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, frag)
-	if err != nil {
-		return res, err
-	}
-	res.EstimateSpan = estSpan
-	res.SplitUnits = plan.split
-	res.Units = len(plan.units)
-	res.TotalWeight = plan.totalWeight
-	res.Makespan = plan.makespan
-	res.EstimateWall = time.Since(estStart)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	units := plan.units
-	for w, idxs := range plan.assign {
-		cl.Ship(cluster.Coordinator, w, int64(len(idxs))*unitDescriptorBytes)
-	}
-	cl.EndRound()
-
-	// ---- dlocalVio: detection with prefetch / partial-match choice,
-	// under the fault-tolerant scheduler. The block exchange runs in the
-	// per-attempt prep hook, so a unit reassigned after a worker death (or
-	// retried after a deadline miss) re-ships its block to the worker that
-	// actually runs it — recovery is charged, not free.
-	detStart := time.Now()
-	var collect *CollectSink
-	if sink == nil {
-		collect = NewCollectSink(opt.N)
-		sink = collect
-	}
-	prefetched := make([]int, opt.N)
-	partials := make([]int, opt.N)
-	prep := func(w, ui int) {
+// blockExchange is dlocalVio's prefetch / partial-match choice, run in the
+// scheduler's per-attempt prep hook: a unit reassigned after a worker death
+// (or retried after a deadline miss) re-ships its block to the worker that
+// actually runs it — recovery is charged, not free. totals reports how many
+// attempts took each strategy.
+func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, groups []*ruleGroup, units []workUnit, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
+	// Per-worker tallies; worker w is the only writer of its entries.
+	nPrefetch := make([]int, opt.N)
+	nPartial := make([]int, opt.N)
+	prep = func(w, ui int) {
 		u := units[ui]
-		grp := groups[u.group]
 		shipped := u.shipBytes[w]
-		strategy := "prefetch"
-		// Weighing partial-match shipping against prefetching costs a
-		// scan of the block; it is only worth considering when the
-		// prefetch is substantial.
+		partial := false
+		// Weighing partial-match shipping against prefetching costs a scan
+		// of the block; it is only worth considering when the prefetch is
+		// substantial.
 		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(g, topo, frag, grp, u, w, shipped); pb < shipped {
-				shipped = pb
-				strategy = "partial"
+			if pb := partialMatchBytes(b.g, b.topo, frag, groups[u.group], u, w, shipped); pb < shipped {
+				shipped, partial = pb, true
 			}
 		}
 		if shipped > 0 {
@@ -116,42 +56,20 @@ func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt O
 			// charge it as one bulk transfer into w.
 			cl.Ship(owningPeer(frag, u, w), w, shipped)
 		}
-		if strategy == "partial" {
-			partials[w]++
+		if partial {
+			nPartial[w]++
 		} else {
-			prefetched[w]++
+			nPrefetch[w]++
 		}
 	}
-	run := &detectRun{ctx: ctx, cl: cl, topo: topo, groups: groups, units: units, opt: opt, sink: sink, inj: inj, prep: prep}
-	span, comp, perr := run.run(plan.assign)
-	res.DetectWall = time.Since(detStart)
-	res.DetectSpan = span
-	res.Completeness = comp
-	cl.EndRound() // block/partial-match exchanges during detection
-
-	for w, cnt := range run.counts {
-		cl.Ship(w, cluster.Coordinator, cnt*violationBytes)
-		res.PrefetchUnits += prefetched[w]
-		res.PartialUnits += partials[w]
+	totals = func() (prefetched, partials int) {
+		for w := range nPrefetch {
+			prefetched += nPrefetch[w]
+			partials += nPartial[w]
+		}
+		return prefetched, partials
 	}
-	cl.EndRound()
-	if collect != nil {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
-	}
-
-	st := cl.Stats()
-	res.BytesShipped = st.TotalBytes
-	res.Messages = st.TotalMsgs
-	res.Comm = cl.CommTime()
-	res.Wall = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	if perr != nil {
-		return res, perr
-	}
-	return res, nil
+	return prep, totals
 }
 
 // commCostWeight converts shipped bytes into load-comparable units for the
@@ -256,11 +174,11 @@ const partialDescriptorBytes = 24
 // partial-match alternative is not even evaluated.
 const minPartialConsideration = 4096
 
-// owningPeer picks the peer fragment contributing the largest missing
-// block part, as the representative source of the bulk transfer.
+// owningPeer picks the representative source of the bulk transfer into w.
+// The exact source split does not change totals; attribute to the fragment
+// owning the first candidate not local to w, else to worker 0 (worker 1
+// when w is worker 0 itself — a transfer to oneself is free).
 func owningPeer(frag *fragment.Fragmentation, u workUnit, w int) int {
-	// The exact source split does not change totals; attribute to the
-	// fragment owning the first candidate not local to w, else worker 0.
 	for _, c := range u.Candidates {
 		if o := frag.OwnerOf(c); o != w {
 			return o
@@ -268,9 +186,6 @@ func owningPeer(frag *fragment.Fragmentation, u workUnit, w int) int {
 	}
 	if w == 0 && frag.N > 1 {
 		return 1
-	}
-	if w != 0 {
-		return 0
 	}
 	return 0
 }

@@ -24,14 +24,14 @@ func singleNodeRule() *core.Set {
 func TestEnginesOnEmptyGraph(t *testing.T) {
 	g := graph.New(0, 0)
 	set := singleNodeRule()
-	if len(DetVio(g, set)) != 0 {
+	if len(detVio(g, set)) != 0 {
 		t.Fatal("empty graph has no violations")
 	}
-	if res := RepVal(g, set, Options{N: 4}); len(res.Violations) != 0 || res.Units != 0 {
+	if res := repVal(g, set, Options{N: 4}); len(res.Violations) != 0 || res.Units != 0 {
 		t.Error("repVal on empty graph must be empty")
 	}
 	frag := fragment.Partition(g, 4, fragment.Hash)
-	if res := DisVal(g, frag, set, Options{N: 4}); len(res.Violations) != 0 {
+	if res := disVal(g, frag, set, Options{N: 4}); len(res.Violations) != 0 {
 		t.Error("disVal on empty graph must be empty")
 	}
 }
@@ -40,15 +40,15 @@ func TestEnginesOnSingleNodeGraph(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddNode("acct", graph.Attrs{"is_fake": "true"}) // flagged missing -> violation
 	set := singleNodeRule()
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) != 1 {
 		t.Fatalf("want 1 violation, got %d", len(want))
 	}
-	if !RepVal(g, set, Options{N: 8}).Violations.Equal(want) {
+	if !repVal(g, set, Options{N: 8}).Violations.Equal(want) {
 		t.Error("repVal single-node mismatch")
 	}
 	frag := fragment.Partition(g, 3, fragment.Hash)
-	if !DisVal(g, frag, set, Options{N: 3}).Violations.Equal(want) {
+	if !disVal(g, frag, set, Options{N: 3}).Violations.Equal(want) {
 		t.Error("disVal single-node mismatch")
 	}
 }
@@ -60,7 +60,7 @@ func TestDisValWorkerCountClampsToFragments(t *testing.T) {
 	set := singleNodeRule()
 	frag := fragment.Partition(g, 2, fragment.Hash)
 	// Requesting more workers than fragments must not panic or lose work.
-	res := DisVal(g, frag, set, Options{N: 16})
+	res := disVal(g, frag, set, Options{N: 16})
 	if len(res.Violations) != 1 {
 		t.Errorf("violations = %d, want 1", len(res.Violations))
 	}
@@ -75,10 +75,10 @@ func TestPatternLargerThanGraph(t *testing.T) {
 	q.AddNode("z", "a")
 	set := core.MustNewSet(core.MustNew("big", q, nil,
 		[]core.Literal{core.Const("x", "p", "1")}))
-	if len(DetVio(g, set)) != 0 {
+	if len(detVio(g, set)) != 0 {
 		t.Error("pattern larger than graph cannot match")
 	}
-	if len(RepVal(g, set, Options{N: 2}).Violations) != 0 {
+	if len(repVal(g, set, Options{N: 2}).Violations) != 0 {
 		t.Error("repVal must agree")
 	}
 }
@@ -94,15 +94,15 @@ func TestWildcardEverythingRule(t *testing.T) {
 	g.AddNode("a", graph.Attrs{"must": "have"})
 	g.AddNode("b", nil)
 	g.AddNode("c", graph.Attrs{"must": "not"})
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) != 2 {
 		t.Fatalf("want 2 violations, got %d", len(want))
 	}
-	if !RepVal(g, set, Options{N: 2}).Violations.Equal(want) {
+	if !repVal(g, set, Options{N: 2}).Violations.Equal(want) {
 		t.Error("repVal wildcard mismatch")
 	}
 	frag := fragment.Partition(g, 2, fragment.Hash)
-	if !DisVal(g, frag, set, Options{N: 2}).Violations.Equal(want) {
+	if !disVal(g, frag, set, Options{N: 2}).Violations.Equal(want) {
 		t.Error("disVal wildcard mismatch")
 	}
 }
@@ -117,8 +117,8 @@ func TestHistogramMOne(t *testing.T) {
 		g.AddNode("acct", attrs)
 	}
 	set := singleNodeRule()
-	want := DetVio(g, set)
-	res := RepVal(g, set, Options{N: 4, HistogramM: 1})
+	want := detVio(g, set)
+	res := repVal(g, set, Options{N: 4, HistogramM: 1})
 	if !res.Violations.Equal(want) {
 		t.Errorf("m=1: %d violations, want %d", len(res.Violations), len(want))
 	}
@@ -139,15 +139,15 @@ func TestThreeComponentPattern(t *testing.T) {
 	g.AddNode("b", graph.Attrs{"v": "1"})
 	g.AddNode("c", graph.Attrs{"v": "2"}) // violates via transitive triple
 	g.AddNode("c", graph.Attrs{"v": "1"}) // consistent triple
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	if len(want) != 1 {
 		t.Fatalf("want 1 violation, got %d", len(want))
 	}
-	if !RepVal(g, set, Options{N: 3, NoReduce: true}).Violations.Equal(want) {
+	if !repVal(g, set, Options{N: 3, NoReduce: true}).Violations.Equal(want) {
 		t.Error("repVal k=3 mismatch")
 	}
 	frag := fragment.Partition(g, 2, fragment.Hash)
-	if !DisVal(g, frag, set, Options{N: 2, NoReduce: true}).Violations.Equal(want) {
+	if !disVal(g, frag, set, Options{N: 2, NoReduce: true}).Violations.Equal(want) {
 		t.Error("disVal k=3 mismatch")
 	}
 }
@@ -157,7 +157,7 @@ func TestResultModeledTimeComposition(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.AddNode("acct", graph.Attrs{"is_fake": "true"})
 	}
-	res := RepVal(g, singleNodeRule(), Options{N: 4})
+	res := repVal(g, singleNodeRule(), Options{N: 4})
 	if res.ModeledTime() != res.EstimateSpan+res.DetectSpan+res.Comm {
 		t.Error("ModeledTime must compose from spans and comm")
 	}

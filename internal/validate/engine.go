@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
@@ -17,7 +18,7 @@ import (
 // assignment, all optimizations on.
 type Options struct {
 	// Engine selects the algorithm a unified entry point (Prepared.Detect
-	// / Prepared.Stream) runs; the direct engine functions ignore it.
+	// / Prepared.Violations) runs; the direct engine functions ignore it.
 	// EngineAuto resolves to EngineReplicated.
 	Engine Engine
 	// Frag supplies the fragmentation for EngineFragmented. When nil the
@@ -166,8 +167,10 @@ type Result struct {
 	// Completeness reports how much of the scheduled workload actually
 	// completed: an honest answer instead of a silently clean report when
 	// workers died or units exhausted their retry budgets. Filled by the
-	// parallel engines (repVal / disVal); Complete() is trivially true for
-	// the single-sink engines, which either finish or return an error.
+	// parallel engines (repVal / disVal / distributed — one scheduler, so
+	// every field means the same thing for each); Complete() is trivially
+	// true for the single-sink engines, which either finish or return an
+	// error.
 	Completeness Completeness
 }
 
@@ -179,7 +182,7 @@ type Completeness struct {
 	Succeeded      int // units that completed
 	Failed         int // units abandoned: retry budget exhausted or no live workers left
 	Retries        int // re-attempts beyond each unit's first
-	WorkerDeaths   int // workers lost to recovered panics
+	WorkerDeaths   int // worker slots lost: recovered panics, dead worker processes
 	RecoveryRounds int // extra supersteps spent reassigning failed units
 }
 
@@ -323,12 +326,8 @@ func stripeNode(grp *ruleGroup, u workUnit) int {
 	if u.stripeMod == 0 {
 		return -1
 	}
-	pinned := make(map[int]bool, len(grp.pivot.Vars))
-	for _, v := range grp.pivot.Vars {
-		pinned[v] = true
-	}
 	for i := 0; i < grp.q.NumNodes(); i++ {
-		if !pinned[i] {
+		if !slices.Contains(grp.pivot.Vars, i) {
 			return i
 		}
 	}

@@ -61,7 +61,8 @@ func buildGroups(rules []*core.GFD, combine, arbitraryPivot bool) []*ruleGroup {
 // isoMap returns an isomorphism from pattern a onto pattern b, if one
 // exists. Since exact embeddings never map a concrete label onto a
 // wildcard, a full-size embedding with equal node and edge counts is a
-// label-preserving isomorphism (see the grouping discussion in DESIGN.md).
+// label-preserving isomorphism (README "Matching: worst-case-optimal
+// intersection and factorized groups" describes what grouping buys).
 func isoMap(a, b *pattern.Pattern) ([]int, bool) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return nil, false

@@ -274,14 +274,8 @@ func (b *Bundle) ruleSet(opt Options) *core.Set {
 	return b.reduced
 }
 
-// ruleGroups resolves the effective rule set and its multi-query groups
-// under opt, cached per variant.
-func (b *Bundle) ruleGroups(opt Options) (*core.Set, []*ruleGroup) {
-	set, gs, _ := b.ruleGroupsKeyed(opt)
-	return set, gs
-}
-
-// ruleGroupsKeyed is ruleGroups returning the variant key as well — the
+// ruleGroupsKeyed resolves the effective rule set and its multi-query
+// groups under opt, cached per variant, plus the variant key — the
 // estimation cache keys off it.
 func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey) {
 	set := b.ruleSet(opt)
@@ -311,7 +305,7 @@ func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey
 // Warm precomputes the reduction and grouping variant opt selects, so a
 // later timed Detect with the same options pays nothing beyond
 // estimation and enumeration. Variants not warmed cache on first use.
-func (b *Bundle) Warm(opt Options) { b.ruleGroups(opt) }
+func (b *Bundle) Warm(opt Options) { b.ruleGroupsKeyed(opt) }
 
 // cancelStride is how many per-match checkpoints pass between actual
 // ctx.Err() consultations: Err takes the context's mutex, which the

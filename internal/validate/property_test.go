@@ -86,7 +86,7 @@ func TestPropertyEnginesEquivalent(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		seed := int64(seedRaw)
 		g, set := randomWorkload(seed)
-		want := DetVio(g, set)
+		want := detVio(g, set)
 		for _, opt := range []Options{
 			{N: 1, NoReduce: true},
 			{N: 3, NoReduce: true},
@@ -94,12 +94,12 @@ func TestPropertyEnginesEquivalent(t *testing.T) {
 			{N: 3, NoOptimize: true},
 			{N: 3, SplitThreshold: 4, NoReduce: true},
 		} {
-			if !RepVal(g, set, opt).Violations.Equal(want) {
+			if !repVal(g, set, opt).Violations.Equal(want) {
 				t.Logf("seed %d: repVal(%+v) diverged", seed, opt)
 				return false
 			}
 			frag := fragment.Partition(g, opt.N, fragment.Hash)
-			if !DisVal(g, frag, set, opt).Violations.Equal(want) {
+			if !disVal(g, frag, set, opt).Violations.Equal(want) {
 				t.Logf("seed %d: disVal(%+v) diverged", seed, opt)
 				return false
 			}
@@ -119,8 +119,8 @@ func TestPropertyNormalizePreservesSemantics(t *testing.T) {
 		ruleOrig := set.Rules()[0]
 		norm := ruleOrig.Normalize()
 		normSet := core.MustNewSet(norm...)
-		want := DetVio(g, set)
-		got := DetVio(g, normSet)
+		want := detVio(g, set)
+		got := detVio(g, normSet)
 		// Entities flagged must coincide (multiple normalized rules may
 		// flag the same match, so counts differ but entity sets must not).
 		wantNodes, gotNodes := want.ViolatingNodes(), got.ViolatingNodes()
@@ -139,11 +139,11 @@ func TestPropertyNormalizePreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestPropertySatisfiesIffNoViolations: Satisfies(g, Σ) == (Vio = ∅).
+// TestPropertySatisfiesIffNoViolations: satisfies(g, Σ) == (Vio = ∅).
 func TestPropertySatisfiesIffNoViolations(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		g, set := randomWorkload(int64(seedRaw))
-		return Satisfies(g, set) == (len(DetVio(g, set)) == 0)
+		return satisfies(g, set) == (len(detVio(g, set)) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -155,8 +155,8 @@ func TestPropertySatisfiesIffNoViolations(t *testing.T) {
 func TestPropertyFragmentationInvariant(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		g, set := randomWorkload(int64(seedRaw))
-		a := DisVal(g, fragment.Partition(g, 2, fragment.Hash), set, Options{N: 2, NoReduce: true})
-		b := DisVal(g, fragment.Partition(g, 5, fragment.Range), set, Options{N: 5, NoReduce: true})
+		a := disVal(g, fragment.Partition(g, 2, fragment.Hash), set, Options{N: 2, NoReduce: true})
+		b := disVal(g, fragment.Partition(g, 5, fragment.Range), set, Options{N: 5, NoReduce: true})
 		return a.Violations.Equal(b.Violations)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -5,63 +5,91 @@ import (
 	"time"
 
 	"gfd/internal/cluster"
-	"gfd/internal/core"
-	"gfd/internal/graph"
+	"gfd/internal/fault"
+	"gfd/internal/fragment"
 )
 
-// RepVal is the parallel scalable error-detection algorithm for replicated
-// graphs (Fig. 4 / Theorem 10). The graph is available at every worker, so
-// no block data is ever shipped; the engine balances the estimated
-// workload W(Σ, G) across workers with the LPT greedy 2-approximation and
-// runs local detection in parallel.
+// RepValB is the parallel scalable error-detection algorithm for
+// replicated graphs (Fig. 4 / Theorem 10) over a prepared bundle. The graph
+// is available at every worker, so no block data is ever shipped; the
+// engine balances the estimated workload W(Σ, G) across workers with the
+// LPT greedy 2-approximation and runs local detection in parallel.
 //
 // Variants: Options.RandomAssign yields repran, Options.NoOptimize yields
 // repnop.
 //
-// It builds a one-shot bundle per call; callers validating the same graph
-// repeatedly should hold a session (gfd.NewSession) and Detect with
-// EngineReplicated instead.
-func RepVal(g *graph.Graph, set *core.Set, opt Options) *Result {
-	res, _ := RepValB(context.Background(), NewBundle(g, set), opt, nil)
-	return res
-}
-
-// RepValB is repVal over a prepared bundle with cooperative cancellation:
-// workers check the context between work units and (strided) inside match
-// enumeration, so a cancelled run aborts promptly and returns the
-// context's error with partial instrumentation. When sink is non-nil,
-// violations are delivered to it as they are found (each worker emitting
-// on its own lane, stopping the engine when the sink refuses) and
-// Result.Violations stays empty; a nil sink collects per worker, unions
-// and sorts into Result.Violations.
+// Cancellation is cooperative: workers check the context between work units
+// and (strided) inside match enumeration, so a cancelled run aborts
+// promptly and returns the context's error with partial instrumentation.
+// When sink is non-nil, violations are delivered to it as they are found
+// (each worker emitting on its own lane, stopping the engine when the sink
+// refuses) and Result.Violations stays empty; a nil sink collects per
+// worker, unions and sorts into Result.Violations.
 //
 // Detection runs under the fault-tolerant scheduler (runtime.go): worker
 // panics are isolated, failed units are retried under Options.Retry, and
 // when budgets exhaust the error is a *PartialError (errors.Is ErrPartial)
 // with Result.Completeness carrying the census.
-func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Result, err error) {
+func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (*Result, error) {
+	return runEngine(ctx, b, opt, sink, engine{})
+}
+
+// engine is what distinguishes the parallel engines from one another:
+// Section 6's algorithms are one body — estimate and partition W(Σ, G),
+// then run local detection per work unit — differing in the assignment
+// objective and in what a unit ships before it runs.
+type engine struct {
+	// frag, when set, is disVal's fragmentation: it fixes the worker count,
+	// adds ownership accounting to estimation, switches the assignment to
+	// the bi-criteria objective, and arms the per-attempt block exchange.
+	frag *fragment.Fragmentation
+	// start, when set, supplies the slots (internal/dist's process fleet);
+	// nil runs goroutine slots over the bundle's topology.
+	start func(*DistPlan, *cluster.Cluster) (Executor, error)
+}
+
+// Slots is the number of worker slots a run over frag (nil unless the
+// engine is fragmented) schedules onto: the fragmentation fixes it —
+// workers beyond frag.N would own no data. Streaming callers size their
+// per-worker lanes off the same number.
+func Slots(opt Options, frag *fragment.Fragmentation) int {
+	if frag != nil {
+		return frag.N
+	}
+	return opt.Normalized().N
+}
+
+// runEngine is the one engine body: plan → ship descriptors → schedule →
+// union → Result.
+func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine) (res *Result, err error) {
+	res = &Result{}
 	if err := ctx.Err(); err != nil {
 		// A dead context must not pay for the estimation phase.
-		return &Result{}, err
+		return res, err
 	}
-	res = &Result{}
 	defer engineRecover(&err)
 	opt = opt.Normalized()
+	opt.N = Slots(opt, e.frag)
 	start := time.Now()
 	cl := cluster.New(opt.N, opt.Cost)
-	inj := opt.Inject.Arm(opt.N)
-	cl.Arm(inj)
+	var inj *fault.Injector
+	if e.start == nil {
+		// Out-of-process slots arm the plan themselves, inside each worker;
+		// the coordinator's own path stays fault-free.
+		inj = opt.Inject.Arm(opt.N)
+		cl.Arm(inj)
+	}
 
 	set, groups, gk := b.ruleGroupsKeyed(opt)
 	res.Rules = set.Len()
 	res.Groups = len(groups)
-	topo := b.topo
 
-	// ---- bPar: estimation + split + balanced n-partition, all memoized
+	// ---- bPar / disPar: estimation (with border/ownership accounting
+	// under a fragmentation) + split + balanced n-partition, all memoized
 	// per variant (estimate.go); warm rounds replay the plan and its comm
-	// charges without re-touching the unit set ------------------------
+	// charges without re-touching the unit set ---------------------------
 	estStart := time.Now()
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, nil)
+	plan, estSpan, err := b.planFor(cl, groups, gk, opt, e.frag)
 	if err != nil {
 		return res, err
 	}
@@ -74,38 +102,51 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Resul
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	// Shipping W_i(Σ, G) to each worker: one compact descriptor per unit.
-	for w, idxs := range plan.assign {
-		cl.Ship(cluster.Coordinator, w, int64(len(idxs))*unitDescriptorBytes)
-	}
-	cl.EndRound()
 
-	// ---- localVio: parallel local detection under the fault-tolerant
-	// scheduler (runtime.go) -------------------------------------------
-	detStart := time.Now()
-	var collect *CollectSink
-	if sink == nil {
-		collect = NewCollectSink(opt.N)
-		sink = collect
+	// ---- localVio / dlocalVio: parallel local detection under the
+	// fault-tolerant scheduler (runtime.go), which also ships each round's
+	// unit descriptors ---------------------------------------------------
+	sink, union := orCollect(sink, opt.N, res)
+	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
+	local := func() { run.exec, run.modeled = newGoroutines(ctx, cl, b, opt, inj, plan.units), true }
+	if e.start == nil {
+		local()
+	} else {
+		view := &DistPlan{Set: set, Combine: gk.combine, ArbitraryPivot: gk.arbitraryPivot, Groups: len(groups), b: b, units: plan.units}
+		if run.exec, err = e.start(view, cl); err != nil {
+			return res, err
+		}
 	}
-	run := &detectRun{ctx: ctx, cl: cl, topo: topo, groups: groups, units: plan.units, opt: opt, sink: sink, inj: inj}
+	// Whatever path leaves this function — a coordinator-side panic
+	// included — releases the slots; Close is idempotent.
+	defer func() { run.exec.Close() }()
+	var exchanged func() (prefetched, partials int)
+	if e.frag != nil {
+		run.prep, exchanged = blockExchange(b, cl, e.frag, groups, plan.units, opt)
+	}
+	detStart := time.Now()
 	span, comp, perr := run.run(plan.assign)
+	if e.start != nil && perr != nil && len(run.liveWorkers()) == 0 && comp.Succeeded == 0 && run.delivered() == 0 && ctx.Err() == nil {
+		// Every supplied slot is gone with nothing achieved that a fresh
+		// start would duplicate — no unit completed, no violation delivered:
+		// run the same plan on goroutine slots rather than report total
+		// failure. Like a replacement process, the fallback does not
+		// re-arm the fault plan.
+		run.exec.Close()
+		local()
+		span, comp, perr = run.run(plan.assign)
+	}
+	run.exec.Close()
 	res.DetectWall = time.Since(detStart)
 	res.DetectSpan = span
 	res.Completeness = comp
+	if exchanged != nil {
+		cl.EndRound() // block/partial-match exchanges during detection
+		res.PrefetchUnits, res.PartialUnits = exchanged()
+	}
 
 	// ---- union at the coordinator -------------------------------------
-	// Violations return to the coordinator whichever sink consumed them;
-	// the shipment is charged off the per-worker delivery counts.
-	for w, cnt := range run.counts {
-		cl.Ship(w, cluster.Coordinator, cnt*violationBytes)
-	}
-	cl.EndRound()
-	if collect != nil {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
-	}
-
+	union()
 	st := cl.Stats()
 	res.BytesShipped = st.TotalBytes
 	res.Messages = st.TotalMsgs
@@ -128,5 +169,5 @@ const (
 
 // The workload-estimation phase (candidate listing, equi-depth ranges,
 // block-size measurement, unit assembly) lives in estimate.go: it is
-// shared by repVal and disVal and memoized on the Bundle so warm rounds
-// skip it entirely.
+// shared by every parallel engine and memoized on the Bundle so warm
+// rounds skip it entirely.

@@ -5,45 +5,50 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gfd/internal/cluster"
 	"gfd/internal/fault"
-	"gfd/internal/graph"
 	"gfd/internal/workload"
 )
 
-// This file is the fault-tolerant execution runtime shared by repVal and
-// disVal. The paper's engines ran on a 20-node EC2 cluster where worker
-// loss and stragglers are the steady state; the detection superstep here
-// gives the simulated cluster the same failure semantics:
+// This file is the fault-tolerant unit scheduler every parallel engine
+// runs under — repVal, disVal and the multi-process runtime in
+// internal/dist differ only in the Executor their slots run units on. The
+// paper's engines ran on a 20-node EC2 cluster where worker loss and
+// stragglers are the steady state; the detection superstep here gives
+// goroutine slots and process slots the same failure semantics:
 //
-//   - a panic inside a worker kills only that worker: the panic is
+//   - a slot death kills only that slot: a panic inside a goroutine slot is
 //     recovered into a typed *cluster.WorkerError (worker id, unit id,
-//     stack), the surviving workers drain their assignments, and the
-//     coordinator reassigns the dead worker's remaining units to live
-//     workers in recovery rounds;
-//   - a unit attempt exceeding Options.UnitDeadline is abandoned
-//     cooperatively (the worker survives) and retried under the per-unit
-//     budget Options.Retry.Max, with capped exponential backoff between
-//     recovery rounds;
-//   - every reassignment re-ships the unit descriptor (and, for disVal,
-//     the unit's block via the per-attempt prep hook) through the BSP cost
-//     model, so DetectSpan and the comm figures stay honest under faults;
+//     stack) and a lost worker process is reported as one by its executor;
+//     the surviving slots drain their assignments, and at the superstep
+//     barrier the dead slot's remaining units are reassigned to live slots
+//     (after the executor had its chance to bring the slot back);
+//   - a unit attempt exceeding Options.UnitDeadline is abandoned — a
+//     goroutine slot cooperatively (it survives), a process slot by being
+//     killed — and retried under the per-unit budget Options.Retry.Max,
+//     with capped exponential backoff between recovery rounds;
+//   - every reassignment re-ships the unit (the descriptor through the BSP
+//     cost model and, for disVal, the block via the per-attempt prep hook;
+//     an ASSIGN frame with its halo for a process slot), so DetectSpan and
+//     the comm figures stay honest under faults;
 //   - retried units never double-report: per-unit enumeration is
 //     deterministic, so a retry skips exactly the violations its earlier
 //     attempts already delivered (unitState.emitted) before emitting the
 //     rest — the violation set of a recovered run is byte-identical to the
-//     fault-free run's (the chaos differential suite pins this);
-//   - when budgets exhaust (or every worker is dead) the run returns a
+//     fault-free run's (the chaos differential suites pin this);
+//   - when budgets exhaust (or every slot is dead) the run returns a
 //     *PartialError (errors.Is ErrPartial) listing the failed units, and
 //     Result.Completeness carries the census — partial results announce
 //     themselves instead of masquerading as clean reports.
 //
-// The fault-free fast path is the old static superstep: round 0 runs the
-// LPT / bi-criteria assignment unchanged, the per-worker recover and the
-// per-unit state writes are the only additions, and no recovery round, no
-// backoff, and no extra shipment happens unless a failure did.
+// The fault-free fast path is one static superstep: round 0 runs the LPT /
+// bi-criteria assignment unchanged, bookkeeping per unit is a direct call
+// and a few state writes on shared memory (an 80 000-unit cold run spends
+// ≈0.4µs of wall per unit — no channel hop fits in that), and no recovery
+// round, no backoff, and no extra shipment happens unless a failure did.
 
 // ErrPartial marks a detection result whose violation set may be
 // incomplete: some work units were abandoned after exhausting their retry
@@ -89,12 +94,98 @@ func (e *PartialError) Unwrap() []error {
 	return out
 }
 
+// Executor is the scheduler's one seam: where a slot's units actually run.
+// The scheduler owns everything else — attempts, skip counts, reassignment,
+// backoff, the census — so a new kind of slot brings no second state
+// machine with it. Two implementations exist: goroutine slots over the
+// bundle's topology (goroutines, below) and worker processes over persisted
+// shards (internal/dist).
+type Executor interface {
+	// Start brings slot w up. The scheduler calls it once per slot before
+	// the first superstep and again, at a superstep barrier, for a slot
+	// that died while work is still pending; an error leaves the slot dead.
+	Start(w int) error
+	// Run executes one attempt of unit ui on slot w: the first skip
+	// violations of the unit's (deterministic) enumeration are suppressed,
+	// the rest go to emit, and emit returning false stops the attempt. A
+	// nil error means the enumeration ran to its end or emit stopped it
+	// (the scheduler knows which). A *cluster.WorkerError anywhere in the
+	// chain means the slot died — exactly what a panic escaping Run is
+	// recovered into; any other error (a cooperative deadline miss,
+	// cancellation) leaves the slot able to take its next unit. Every
+	// violation the slot produced before dying must have reached emit by
+	// the time Run returns, so the unit's skip count is exact.
+	Run(w, ui int, skip int64, emit func(Violation) bool) error
+	// Superstep runs task(w) for every slot concurrently, waits for all of
+	// them and returns each slot's busy time; the round's modeled span is
+	// the maximum. How many tasks may occupy the host at once, and whose
+	// clock measures busy, is the executor's knowledge: goroutine slots
+	// compute on this host's cores, process slots wait on pipes.
+	Superstep(task func(w int)) []time.Duration
+	// Close releases the slots after the last superstep. Idempotent.
+	Close()
+}
+
+// goroutines is the in-process Executor: slot w is a goroutine running a
+// UnitRunner — the same per-unit body a worker process runs — over the
+// bundle's shared topology.
+type goroutines struct {
+	ctx     context.Context
+	cl      *cluster.Cluster
+	b       *Bundle
+	opt     Options
+	inj     *fault.Injector
+	units   []workUnit
+	started []bool
+	runners []*UnitRunner
+}
+
+func newGoroutines(ctx context.Context, cl *cluster.Cluster, b *Bundle, opt Options, inj *fault.Injector, units []workUnit) *goroutines {
+	return &goroutines{ctx: ctx, cl: cl, b: b, opt: opt, inj: inj, units: units,
+		started: make([]bool, opt.N), runners: make([]*UnitRunner, opt.N)}
+}
+
+// Start admits a slot once. A goroutine slot that panicked is never
+// revived: its matcher died mid-enumeration, and an injected kill that
+// fires once would make every total-loss plan recoverable.
+func (e *goroutines) Start(w int) error {
+	if e.started[w] {
+		return fmt.Errorf("validate: worker %d is gone", w)
+	}
+	e.started[w] = true
+	return nil
+}
+
+func (e *goroutines) Run(w, ui int, skip int64, emit func(Violation) bool) error {
+	r := e.runners[w]
+	if r == nil {
+		// Built on the slot's own goroutine, and only for slots that were
+		// handed work: the detector's block set is O(|V|).
+		r = NewUnitRunner(e.ctx, e.b, e.opt, e.inj, w)
+		e.runners[w] = r
+	}
+	u := &e.units[ui]
+	_, err := r.run(r.groups[u.group], ui, *u, skip, emit)
+	return err
+}
+
+// Superstep caps OS-level concurrency at the core count and times each
+// slot's goroutine, so busy times measure compute (cluster.RunMeasured).
+// Slots recover their own panics in the scheduler, with unit context, so
+// the cluster-level net stays unused here.
+func (e *goroutines) Superstep(task func(w int)) []time.Duration {
+	busy, _ := e.cl.RunMeasured(task)
+	return busy
+}
+
+func (e *goroutines) Close() {}
+
 // unitState tracks one unit across attempts and recovery rounds. It is
-// written by the worker currently owning the unit (ownership moves only
+// written by the slot currently owning the unit (ownership moves only
 // between rounds) and read by the coordinator after each superstep.
 type unitState struct {
 	attempts int
-	emitted  int // violations already delivered by earlier attempts; retries skip these
+	emitted  int64 // violations already delivered by earlier attempts; retries skip these
 	done     bool
 	failed   bool // already recorded in the failure list; later rounds skip it
 	lastErr  error
@@ -103,29 +194,30 @@ type unitState struct {
 // detectRun is one fault-tolerant detection phase: the shared inputs plus
 // the cross-round scheduler state.
 type detectRun struct {
-	ctx    context.Context
-	cl     *cluster.Cluster
-	topo   graph.Topology
-	groups []*ruleGroup
-	units  []workUnit
-	opt    Options // normalized
-	sink   Sink    // always non-nil: collect, callback, or pipe
-	inj    *fault.Injector
-	// prep runs at the start of every attempt on the executing worker —
+	ctx   context.Context
+	cl    *cluster.Cluster
+	exec  Executor
+	units []workUnit
+	opt   Options // normalized
+	sink  Sink    // always non-nil: collect, callback, or pipe
+	// modeled is set when the slots are simulated workers: the scheduler
+	// then charges the cost model what a wire would carry (unit descriptors
+	// out, violations back). Process slots charge their real frames.
+	modeled bool
+	// prep runs at the start of every attempt on the executing slot —
 	// disVal charges the unit's block shipment (prefetch or partial-match)
 	// here, so a reassigned or retried unit re-ships to its new worker.
 	prep func(w, ui int)
 
-	mu     sync.Mutex // guards live/deaths/stopped and dead-worker state writes
+	mu     sync.Mutex // guards live/deaths and dead-slot state writes
 	states []unitState
 	live   []bool
-	// counts[w] is the number of violations worker w delivered through the
-	// sink — the engines charge the violation-return shipment off it.
-	// Worker w is the only writer of counts[w] (ownership moves only
+	// counts[w] is the number of violations slot w delivered through the
+	// sink. Slot w is the only writer of counts[w] (ownership moves only
 	// between rounds), so no lock is needed.
 	counts  []int64
 	deaths  int
-	stopped bool // the sink refused a violation; the whole run stops
+	stopped atomic.Bool // the sink refused a violation; the whole run stops
 }
 
 // run executes the detection phase from the given initial assignment and
@@ -136,10 +228,9 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 	n := r.opt.N
 	r.states = make([]unitState, len(r.units))
 	r.live = make([]bool, n)
-	for i := range r.live {
-		r.live[i] = true
-	}
 	r.counts = make([]int64, n)
+	r.deaths = 0
+	r.revive()
 
 	maxAttempts := 1 + r.opt.Retry.Max
 	todo := make([][]int, n)
@@ -149,11 +240,19 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 	var failures []UnitFailure
 	round := 0
 	for {
-		// The superstep. Workers recover their own panics (keeping unit
-		// context), so the cluster-level net stays unused here.
-		busy, _ := r.cl.RunMeasured(func(w int) { r.worker(w, todo[w]) })
+		if r.modeled {
+			// Shipping W_i(Σ, G) to each worker: one compact descriptor
+			// per unit, re-shipped for every unit a recovery round moves.
+			for w, us := range todo {
+				if len(us) > 0 {
+					r.cl.Ship(cluster.Coordinator, w, int64(len(us))*unitDescriptorBytes)
+				}
+			}
+			r.cl.EndRound()
+		}
+		busy := r.exec.Superstep(func(w int) { r.worker(w, todo[w]) })
 		span += cluster.MaxSpan(busy)
-		if r.ctx.Err() != nil || r.stopped {
+		if r.ctx.Err() != nil || r.stopped.Load() {
 			// Cancelled or stream-stopped: unreached units are neither
 			// succeeded nor failed; the caller reports ctx.Err() / nil.
 			break
@@ -162,6 +261,9 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 		if len(pending) == 0 {
 			break
 		}
+		// Recovery is round-synchronous: dead slots get their chance to
+		// come back here, at the barrier, and only while work is pending.
+		r.revive()
 		liveIdx := r.liveWorkers()
 		if len(liveIdx) == 0 {
 			// Nothing left to run on. Everything pending is abandoned.
@@ -175,7 +277,14 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 			break // context died during backoff
 		}
 		todo = r.reassign(pending, liveIdx, n)
-		r.cl.EndRound() // reassignment descriptor exchange
+	}
+	if r.modeled {
+		// Violations return to the coordinator whichever sink consumed
+		// them; the shipment is charged off the per-slot delivery counts.
+		for w, cnt := range r.counts {
+			r.cl.Ship(w, cluster.Coordinator, cnt*violationBytes)
+		}
+		r.cl.EndRound()
 	}
 
 	comp := Completeness{Units: len(r.units), WorkerDeaths: r.deaths, RecoveryRounds: round}
@@ -198,47 +307,50 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 	return span, comp, &PartialError{Failures: failures}
 }
 
-// worker drains one worker's unit list for the current round. All panics —
-// injected or genuine — are recovered at this level into a WorkerError
-// that marks the worker dead and the in-flight unit failed.
-func (r *detectRun) worker(w int, mine []int) {
-	if len(mine) == 0 {
-		return
+// revive offers every dead slot to the executor.
+func (r *detectRun) revive() {
+	for w, ok := range r.live {
+		if !ok {
+			r.live[w] = r.exec.Start(w) == nil
+		}
 	}
-	det := newUnitDetector(r.topo, &cancelCheck{ctx: r.ctx}, r.inj, w)
-	cur := -1      // unit in flight, for the recover path
-	delivered := 0 // violations delivered by the in-flight attempt
+}
+
+// delivered is how many violations the sink has accepted so far.
+func (r *detectRun) delivered() (n int64) {
+	for _, c := range r.counts {
+		n += c
+	}
+	return n
+}
+
+// worker drains one slot's unit list for the current round. A slot dies
+// one way: a *cluster.WorkerError, either returned by the executor (a lost
+// process) or recovered here from a panic — injected or genuine — with the
+// in-flight unit as context.
+func (r *detectRun) worker(w int, mine []int) {
+	if len(mine) == 0 || !r.live[w] {
+		return // units queued on a slot that never came up stay pending
+	}
+	cur := -1           // unit in flight, for the recover path
+	var delivered int64 // violations delivered by the in-flight attempt
 	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
+		if rec := recover(); rec != nil {
+			if cur >= 0 {
+				r.states[cur].emitted += delivered
+			}
+			r.die(w, cur, cluster.Recovered(w, cur, rec))
 		}
-		werr := cluster.Recovered(w, cur, rec)
-		r.mu.Lock()
-		r.live[w] = false
-		r.deaths++
-		if cur >= 0 {
-			st := &r.states[cur]
-			st.emitted += delivered
-			st.lastErr = werr
-		}
-		r.mu.Unlock()
 	}()
 
-	var skip, found int
+	refused := false
 	out := func(v Violation) bool {
-		// Exactly-once across retries: per-unit enumeration is
-		// deterministic, so the first `skip` violations of a retried unit
-		// were already delivered by an earlier attempt. The skip-count
-		// wrapper sits above the sink, so it holds for asynchronous
-		// emission too — a violation counts as delivered the moment the
-		// sink accepts it, whether that was an append, a callback, or a
-		// buffered lane the consumer has not drained yet.
-		found++
-		if found <= skip {
-			return true
-		}
+		// A violation counts as delivered the moment the sink accepts it,
+		// whether that was an append, a callback, or a buffered lane the
+		// consumer has not drained yet — so the skip count a retry resumes
+		// from holds for asynchronous emission too.
 		if !r.sink.Emit(w, v) {
+			refused = true
 			return false
 		}
 		delivered++
@@ -247,56 +359,57 @@ func (r *detectRun) worker(w int, mine []int) {
 	}
 
 	for _, ui := range mine {
-		if det.cancel.canceled() {
+		if r.stopped.Load() {
 			return
 		}
-		u := r.units[ui]
 		st := &r.states[ui]
 		cur, delivered = ui, 0
-		skip, found = st.emitted, 0
 		st.attempts++
-		det.unit = ui
 		if r.prep != nil {
 			r.prep(w, ui)
 		}
-		// The deadline covers the whole attempt, including the UnitStart
-		// crossing: an injected straggler delay burns attempt time exactly
-		// like a real stall would, so DelayUnit(d) + UnitDeadline < d
-		// deterministically expires the first attempt.
-		if d := r.opt.UnitDeadline; d > 0 {
-			det.cancel.arm(time.Now().Add(d))
-		}
-		if r.inj != nil {
-			r.inj.Cross(fault.UnitStart, w, ui)
-		}
-		ok := true
-		if !det.cancel.expiredNow() {
-			ok = det.detect(r.groups[u.group], u, !r.opt.NoOptimize, out)
-		}
+		err := r.exec.Run(w, ui, st.emitted, out)
 		st.emitted += delivered
-		expired := det.cancel.deadlineHit
-		det.cancel.disarm()
 		cur = -1
-		if expired {
-			// The attempt missed its deadline; the worker survives and the
-			// unit goes back to the coordinator for a retry.
-			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, context.DeadlineExceeded)
-			continue
-		}
-		if det.cancel.hit {
-			return // context cancelled: the run is over
-		}
-		if !ok {
-			// A streaming yield returned false; every worker's next emit
-			// fails through the shared sink.
-			r.mu.Lock()
-			r.stopped = true
-			r.mu.Unlock()
+		switch {
+		case refused:
+			// A streaming yield returned false; every slot stops at its
+			// next unit (or sooner, through the shared sink).
+			r.stopped.Store(true)
 			return
+		case err == nil:
+			st.done = true
+			st.lastErr = nil
+		case r.ctx.Err() != nil:
+			return // context cancelled: the run is over
+		case slotDied(err):
+			r.die(w, ui, err)
+			return
+		default:
+			// The attempt was abandoned (it missed its deadline); the slot
+			// survives and the unit goes back for a retry.
+			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, err)
 		}
-		st.done = true
-		st.lastErr = nil
 	}
+}
+
+// slotDied reports whether an executor error is a slot death. It is its
+// own function so the errors.As target escapes only on the failure path,
+// not once per unit.
+func slotDied(err error) bool {
+	var death *cluster.WorkerError
+	return errors.As(err, &death)
+}
+
+// die marks slot w dead with err as the in-flight unit's failure cause.
+func (r *detectRun) die(w, ui int, err error) {
+	r.mu.Lock()
+	r.live[w] = false
+	r.deaths++
+	if ui >= 0 {
+		r.states[ui].lastErr = err
+	}
+	r.mu.Unlock()
 }
 
 // collect partitions the incomplete units after a superstep: units still
@@ -366,8 +479,7 @@ func (r *detectRun) backoff(round int) bool {
 }
 
 // reassign balances the pending units across the live workers (LPT on the
-// unit weights, like the initial assignment) and charges the descriptor
-// reshipment to each receiving worker.
+// unit weights, like the initial assignment).
 func (r *detectRun) reassign(pending, liveIdx []int, n int) [][]int {
 	weights := make([]int, len(pending))
 	for i, ui := range pending {
@@ -379,9 +491,6 @@ func (r *detectRun) reassign(pending, liveIdx []int, n int) [][]int {
 		w := liveIdx[li]
 		for _, pi := range us {
 			todo[w] = append(todo[w], pending[pi])
-		}
-		if len(us) > 0 {
-			r.cl.Ship(cluster.Coordinator, w, int64(len(us))*unitDescriptorBytes)
 		}
 	}
 	return todo

@@ -2,17 +2,10 @@ package validate
 
 import (
 	"context"
-	"errors"
 
 	"gfd/internal/core"
-	"gfd/internal/graph"
 	"gfd/internal/match"
 )
-
-// ErrTimeout is returned by DetVioCtx when the context expires before the
-// enumeration finishes — the fate of the sequential algorithm on the
-// paper's large graphs (Exp-1: detVio does not terminate within 6000s).
-var ErrTimeout = errors.New("validate: sequential detection timed out")
 
 // DetVioB is the sequential error-detection algorithm of Section 5.1 over
 // a prepared bundle: it pulls matches of each rule's pattern from the
@@ -29,9 +22,10 @@ var ErrTimeout = errors.New("validate: sequential detection timed out")
 // context's error is returned); both propagate into candidate enumeration
 // through the matcher's halt probe, so a stop lands mid-class even on
 // matchless stretches. A nil sink collects nothing (useful only for its
-// side-effect timing) — callers wanting a report use DetVioCtx or a
-// CollectSink. It is the correctness reference for the parallel engines,
-// and exponential in the worst case.
+// side-effect timing) — callers wanting a report pass a CollectSink. It is
+// the correctness reference for the parallel engines, and exponential in
+// the worst case (Exp-1: detVio does not terminate within 6000s on the
+// paper's large graphs — bound it with the context).
 //
 // A panic during enumeration or literal evaluation is recovered into the
 // returned error (a *cluster.WorkerError) — there is only one execution
@@ -74,39 +68,4 @@ func DetVioPerRuleB(ctx context.Context, b *Bundle, sink Sink) (err error) {
 		}
 	}
 	return nil
-}
-
-// DetVio runs the sequential detector and returns Vio(Σ, G).
-//
-// Deprecated-style convenience: it builds a one-shot bundle per call.
-// Callers validating the same graph repeatedly should hold a session
-// (gfd.NewSession) and Detect with EngineSequential instead.
-func DetVio(g *graph.Graph, set *core.Set) Report {
-	r, _ := DetVioCtx(context.Background(), g, set)
-	return r
-}
-
-// DetVioCtx is DetVio with cooperative cancellation, checked between
-// matches. On expiry it returns the violations found so far plus
-// ErrTimeout.
-func DetVioCtx(ctx context.Context, g *graph.Graph, set *core.Set) (Report, error) {
-	sink := NewCollectSink(1)
-	err := DetVioB(ctx, NewBundle(g, set), sink)
-	out := sink.Report()
-	if err != nil {
-		return out, ErrTimeout
-	}
-	out.Sort()
-	return out, nil
-}
-
-// Satisfies reports G |= Σ, i.e. whether the violation set is empty — the
-// validation problem of Proposition 9. It stops at the first violation.
-func Satisfies(g *graph.Graph, set *core.Set) bool {
-	violated := false
-	_ = DetVioB(context.Background(), NewBundle(g, set), Callback(func(Violation) bool {
-		violated = true
-		return false
-	}))
-	return !violated
 }

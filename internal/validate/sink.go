@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Sink is the single violation-consumption abstraction every engine emits
@@ -14,8 +15,8 @@ import (
 //
 //   - CollectSink — Detect: per-worker shards appended lock-free, merged
 //     and sorted into the Report after the run;
-//   - CallbackSink — the legacy Stream callback: emissions serialized
-//     onto one user function under a mutex;
+//   - CallbackSink — emissions serialized onto one user function under a
+//     mutex;
 //   - PipeSink — the pull-based iterator (Prepared.Violations): each
 //     worker owns a bounded lane, a fan-in merger feeds the consumer, and
 //     a full lane applies backpressure to that worker alone.
@@ -69,6 +70,36 @@ func (s *CollectSink) Report() Report {
 		out = append(out, sh...)
 	}
 	return out
+}
+
+// orCollect resolves the sink an engine emits into: the caller's, or — for
+// a nil sink, the collect mode — a CollectSink with one lane per worker,
+// with finish merging and canonically sorting it into res.Violations after
+// the run. The modes of every engine differ only in the sink.
+func orCollect(sink Sink, lanes int, res *Result) (_ Sink, finish func()) {
+	if sink != nil {
+		return sink, func() {}
+	}
+	collect := NewCollectSink(lanes)
+	return collect, func() {
+		res.Violations = collect.Report()
+		res.Violations.Sort()
+	}
+}
+
+// Single wraps the engines that do not plan work units (sequential and the
+// baselines, which run above this package) in the shape the parallel
+// engines return: wall time, rule count, and — when no external sink was
+// supplied — the collected, sorted violation set. With an external sink
+// they emit straight into it over the very same code path.
+func Single(rules, lanes int, sink Sink, run func(Sink) error) (*Result, error) {
+	res := &Result{Rules: rules}
+	sink, finish := orCollect(sink, lanes, res)
+	start := time.Now()
+	err := run(sink)
+	res.Wall = time.Since(start)
+	finish()
+	return res, err
 }
 
 // CallbackSink serializes violation emissions from concurrent workers

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"gfd/internal/core"
@@ -77,6 +78,45 @@ func allVariants() map[string]Options {
 	}
 }
 
+// One-shot helpers: each call pays a fresh bundle, like the free functions
+// the session API replaced.
+
+func detVio(g *graph.Graph, set *core.Set) Report {
+	sink := NewCollectSink(1)
+	if err := DetVioB(context.Background(), NewBundle(g, set), sink); err != nil {
+		panic(err)
+	}
+	out := sink.Report()
+	out.Sort()
+	return out
+}
+
+func repVal(g *graph.Graph, set *core.Set, opt Options) *Result {
+	res, err := RepValB(context.Background(), NewBundle(g, set), opt, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+func disVal(g *graph.Graph, frag *fragment.Fragmentation, set *core.Set, opt Options) *Result {
+	res, err := DisValB(context.Background(), NewBundle(g, set), frag, opt, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// satisfies reports G |= Σ, stopping at the first violation.
+func satisfies(g *graph.Graph, set *core.Set) bool {
+	violated := false
+	_ = DetVioB(context.Background(), NewBundle(g, set), Callback(func(Violation) bool {
+		violated = true
+		return false
+	}))
+	return !violated
+}
+
 func TestReducePreservesEntities(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 160, Seed: 11})
 	gen.Inject(g, gen.NoiseConfig{Rate: 0.05, Seed: 12})
@@ -84,8 +124,8 @@ func TestReducePreservesEntities(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules mined")
 	}
-	want := DetVio(g, set).ViolatingNodes()
-	res := RepVal(g, set, Options{N: 4}) // reduction on
+	want := detVio(g, set).ViolatingNodes()
+	res := repVal(g, set, Options{N: 4}) // reduction on
 	got := res.Violations.ViolatingNodes()
 	if got.Len() != want.Len() {
 		t.Fatalf("reduction changed flagged entities: %d vs %d", got.Len(), want.Len())
@@ -102,7 +142,7 @@ func TestReducePreservesEntities(t *testing.T) {
 func TestDetVioFlightExample(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	vio := DetVio(g, set)
+	vio := detVio(g, set)
 	// The DL1 pair violates in both orders; the BA7 pair is consistent.
 	if len(vio) != 2 {
 		t.Fatalf("violations = %d, want 2 (both orders of the DL1 pair)", len(vio))
@@ -129,17 +169,13 @@ func TestDetVioCapitalExample(t *testing.T) {
 	g.MustAddEdge(fr, paris, "capital")
 
 	set := core.MustNewSet(phi2())
-	vio := DetVio(g, set)
+	vio := detVio(g, set)
 	// Canberra/Melbourne in both orders; France has one capital: G3 |= ϕ2
 	// vacuously for it (Example 6(b)).
 	if len(vio) != 2 {
 		t.Fatalf("violations = %d, want 2", len(vio))
 	}
-	if !Satisfies(g, set) == false {
-		// Satisfies must agree with DetVio emptiness.
-		t.Log("ok")
-	}
-	if Satisfies(g, set) {
+	if satisfies(g, set) {
 		t.Error("graph with violations cannot satisfy Σ")
 	}
 }
@@ -149,12 +185,14 @@ func TestSatisfiesConsistentGraph(t *testing.T) {
 	fr := g.AddNode("country", graph.Attrs{"val": "France"})
 	paris := g.AddNode("city", graph.Attrs{"val": "Paris"})
 	g.MustAddEdge(fr, paris, "capital")
-	if !Satisfies(g, core.MustNewSet(phi2())) {
+	if !satisfies(g, core.MustNewSet(phi2())) {
 		t.Error("single capital graph satisfies ϕ2 (no match of Q2)")
 	}
 }
 
-func TestDetVioCtxCancellation(t *testing.T) {
+// TestDetVioCancelledBeforeStart: a dead context surfaces as the context's
+// own error — never rewritten into something else.
+func TestDetVioCancelledBeforeStart(t *testing.T) {
 	g := gen.Synthetic(gen.SyntheticConfig{Nodes: 500, Edges: 1500, Seed: 3})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 5, Seed: 3})
 	if set.Len() == 0 {
@@ -162,8 +200,8 @@ func TestDetVioCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DetVioCtx(ctx, g, set); err == nil {
-		t.Skip("enumeration finished before the first cancellation check; nothing to assert")
+	if err := DetVioB(ctx, NewBundle(g, set), NewCollectSink(1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled detVio returned %v, want context.Canceled", err)
 	}
 }
 
@@ -172,9 +210,9 @@ func TestDetVioCtxCancellation(t *testing.T) {
 func TestRepValMatchesDetVioOnPaperExample(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	for name, opt := range allVariants() {
-		got := RepVal(g, set, opt)
+		got := repVal(g, set, opt)
 		if !got.Violations.Equal(want) {
 			t.Errorf("repVal[%s]: %d violations, want %d", name, len(got.Violations), len(want))
 		}
@@ -184,10 +222,10 @@ func TestRepValMatchesDetVioOnPaperExample(t *testing.T) {
 func TestDisValMatchesDetVioOnPaperExample(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	for name, opt := range allVariants() {
 		frag := fragment.Partition(g, max(opt.N, 1), fragment.Hash)
-		got := DisVal(g, frag, set, opt)
+		got := disVal(g, frag, set, opt)
 		if !got.Violations.Equal(want) {
 			t.Errorf("disVal[%s]: %d violations, want %d", name, len(got.Violations), len(want))
 		}
@@ -201,15 +239,15 @@ func TestEnginesAgreeOnMinedWorkload(t *testing.T) {
 	if set.Len() == 0 {
 		t.Fatal("mining produced no rules")
 	}
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	for name, opt := range allVariants() {
-		rep := RepVal(g, set, opt)
+		rep := repVal(g, set, opt)
 		if !rep.Violations.Equal(want) {
 			t.Errorf("repVal[%s] diverges from detVio: %d vs %d violations",
 				name, len(rep.Violations), len(want))
 		}
 		frag := fragment.Partition(g, max(opt.N, 1), fragment.Hash)
-		dis := DisVal(g, frag, set, opt)
+		dis := disVal(g, frag, set, opt)
 		if !dis.Violations.Equal(want) {
 			t.Errorf("disVal[%s] diverges from detVio: %d vs %d violations",
 				name, len(dis.Violations), len(want))
@@ -224,13 +262,13 @@ func TestEnginesAgreeOnSocialGraph(t *testing.T) {
 	if set.Len() == 0 {
 		t.Fatal("mining produced no rules")
 	}
-	want := DetVio(g, set)
-	rep := RepVal(g, set, Options{N: 4})
+	want := detVio(g, set)
+	rep := repVal(g, set, Options{N: 4})
 	if !rep.Violations.Equal(want) {
 		t.Errorf("repVal diverges: %d vs %d", len(rep.Violations), len(want))
 	}
 	frag := fragment.Partition(g, 4, fragment.Hash)
-	dis := DisVal(g, frag, set, Options{N: 4})
+	dis := disVal(g, frag, set, Options{N: 4})
 	if !dis.Violations.Equal(want) {
 		t.Errorf("disVal diverges: %d vs %d", len(dis.Violations), len(want))
 	}
@@ -241,7 +279,7 @@ func TestEnginesAgreeOnSocialGraph(t *testing.T) {
 func TestRepValInstrumentation(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	res := RepVal(g, set, Options{N: 4})
+	res := repVal(g, set, Options{N: 4})
 	if res.Rules != 1 || res.Groups != 1 {
 		t.Errorf("rules=%d groups=%d", res.Rules, res.Groups)
 	}
@@ -263,8 +301,8 @@ func TestRepValInstrumentation(t *testing.T) {
 func TestRepValNoOptimizeDoublesSymmetricUnits(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	opt := RepVal(g, set, Options{N: 4})
-	nop := RepVal(g, set, Options{N: 4, NoOptimize: true})
+	opt := repVal(g, set, Options{N: 4})
+	nop := repVal(g, set, Options{N: 4, NoOptimize: true})
 	if nop.Units != 2*opt.Units {
 		t.Errorf("nop units = %d, want double of %d", nop.Units, opt.Units)
 	}
@@ -277,7 +315,7 @@ func TestDisValShipsData(t *testing.T) {
 		t.Skip("no rules mined")
 	}
 	frag := fragment.Partition(g, 4, fragment.Hash)
-	res := DisVal(g, frag, set, Options{N: 4})
+	res := disVal(g, frag, set, Options{N: 4})
 	if res.BytesShipped <= 0 {
 		t.Error("fragmented detection must ship data")
 	}
@@ -304,8 +342,8 @@ func TestDisValShipsLessThanDisnop(t *testing.T) {
 		t.Skip("no rules mined")
 	}
 	frag := fragment.Partition(g, 4, fragment.Hash)
-	smart := DisVal(g, frag, set, Options{N: 4})
-	nop := DisVal(g, frag, set, Options{N: 4, NoOptimize: true})
+	smart := disVal(g, frag, set, Options{N: 4})
+	nop := disVal(g, frag, set, Options{N: 4, NoOptimize: true})
 	if smart.BytesShipped >= nop.BytesShipped {
 		t.Errorf("disVal shipped %d, disnop %d — optimization ineffective",
 			smart.BytesShipped, nop.BytesShipped)
@@ -321,8 +359,8 @@ func TestSplitThresholdProducesStripes(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules mined")
 	}
-	want := DetVio(g, set)
-	res := RepVal(g, set, Options{N: 4, SplitThreshold: 8})
+	want := detVio(g, set)
+	res := repVal(g, set, Options{N: 4, SplitThreshold: 8})
 	if res.SplitUnits == 0 {
 		t.Skip("no unit exceeded the threshold; nothing to verify")
 	}
@@ -339,11 +377,11 @@ func TestWorkloadReductionPreservesViolationsModuloRuleNames(t *testing.T) {
 	f2 := phi1()
 	f2.Name = "phi1_dup"
 	set := core.MustNewSet(f1, f2)
-	res := RepVal(g, set, Options{N: 2})
+	res := repVal(g, set, Options{N: 2})
 	if res.Rules != 1 {
 		t.Errorf("reduction kept %d rules, want 1", res.Rules)
 	}
-	full := DetVio(g, core.MustNewSet(f1))
+	full := detVio(g, core.MustNewSet(f1))
 	if len(res.Violations) != len(full) {
 		t.Errorf("reduced set found %d violations, one copy finds %d",
 			len(res.Violations), len(full))
@@ -354,7 +392,7 @@ func TestWorkloadReductionPreservesViolationsModuloRuleNames(t *testing.T) {
 		t.Error("reduced set must flag the same entities as one copy")
 	}
 	// NoReduce keeps both.
-	res2 := RepVal(g, set, Options{N: 2, NoReduce: true})
+	res2 := repVal(g, set, Options{N: 2, NoReduce: true})
 	if res2.Rules != 2 {
 		t.Errorf("NoReduce kept %d rules", res2.Rules)
 	}
@@ -390,10 +428,10 @@ func TestViolationReportHelpers(t *testing.T) {
 func TestEmptyRuleSet(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet()
-	if len(DetVio(g, set)) != 0 {
+	if len(detVio(g, set)) != 0 {
 		t.Error("empty Σ yields no violations")
 	}
-	res := RepVal(g, set, Options{N: 2})
+	res := repVal(g, set, Options{N: 2})
 	if len(res.Violations) != 0 || res.Units != 0 {
 		t.Error("empty Σ: empty parallel result")
 	}
@@ -421,11 +459,11 @@ func TestMultiQueryGroupingSharesPatterns(t *testing.T) {
 	g.MustAddEdge(c, ct, "capital")
 
 	set := core.MustNewSet(f1, f2)
-	res := RepVal(g, set, Options{N: 2, NoReduce: true})
+	res := repVal(g, set, Options{N: 2, NoReduce: true})
 	if res.Groups != 1 {
 		t.Errorf("groups = %d, want 1 (isomorphic patterns)", res.Groups)
 	}
-	want := DetVio(g, set)
+	want := detVio(g, set)
 	if !res.Violations.Equal(want) {
 		t.Errorf("grouped result diverges: %v vs %v", res.Violations, want)
 	}
