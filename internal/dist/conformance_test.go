@@ -141,6 +141,62 @@ var shapes = []shape{
 		sentinel:  context.DeadlineExceeded,
 		deaths:    func(k executorKind) bool { return k == processSlots },
 	},
+	{
+		// Windowed dispatch: by its sixth unit a process has answered five
+		// whose DONEs still sit in its write buffer (more input was already
+		// there). They die with it; the coordinator sees the stream end on
+		// the first of them and everything unanswered runs again, once.
+		name:   "slot dies with answered units unflushed",
+		plan:   func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(7), 2, 5) },
+		want:   always(complete),
+		deaths: yes,
+	},
+	{
+		// The torn frame is the answer to a unit deep in the first window:
+		// every whole frame before it must be consumed first.
+		name: "torn frame deep in a window",
+		plan: func(k executorKind) *fault.Plan {
+			if k == processSlots {
+				return fault.NewPlan(8).TruncateMessage(2, 9)
+			}
+			return fault.NewPlan(8).KillWorker(2, 8)
+		},
+		want:   always(complete),
+		deaths: yes,
+	},
+	{
+		// Six consecutive units of one queue each take 0.6 × UnitDeadline.
+		// All six ASSIGNs go out in one window; a deadline clock started at
+		// the write would expire on the second. It starts when a unit becomes
+		// the head of the window, so nothing is killed.
+		name: "six slow units queued back to back",
+		plan: func(executorKind) *fault.Plan {
+			p := fault.NewPlan(9)
+			for _, ui := range slotQueue(1)[8:14] {
+				p.DelayUnit(ui, 120*time.Millisecond)
+			}
+			return p
+		},
+		tune:   func(_ executorKind, opt *validate.Options) { opt.UnitDeadline = 200 * time.Millisecond },
+		want:   always(complete),
+		deaths: func(executorKind) bool { return false },
+	},
+	{
+		// The straggler is third in its window. The process is killed at the
+		// deadline — charged to the straggler alone, two units having been
+		// answered before it — and the units behind it, shipped but never
+		// started as far as the scheduler knows, run elsewhere exactly once.
+		name: "straggler third in the window",
+		plan: func(executorKind) *fault.Plan {
+			return fault.NewPlan(10).DelayUnit(slotQueue(1)[2], 800*time.Millisecond)
+		},
+		tune: func(_ executorKind, opt *validate.Options) {
+			opt.UnitDeadline = 400 * time.Millisecond
+			opt.Retry.Max = fxWorkers + 1
+		},
+		want:   always(complete),
+		deaths: func(k executorKind) bool { return k == processSlots },
+	},
 	{name: "sink refuses the first violation", want: always(stopped)},
 	{name: "context cancelled mid-run", want: always(cancelled)},
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -36,6 +37,22 @@ const (
 	// shutdownGrace bounds the drain phase: SHUTDOWN → CENSUS → exit per
 	// worker; slower workers are killed, never leaked.
 	shutdownGrace = 3 * time.Second
+)
+
+// The dispatch window: how much unanswered work one worker's pipe may carry.
+// Constants, because neither is a trade-off a caller could tune.
+const (
+	// windowUnits caps the ASSIGNs in flight per slot. A unit costs a
+	// microsecond of enumeration against tens for a pipe round trip; a few
+	// dozen per flush amortize the trip and the syscall to noise, and more
+	// only grows what a death has to ship again.
+	windowUnits = 64
+	// windowBytes caps their frames' total size below the 64 KiB a pipe
+	// holds: flushing the window completes whatever the worker is doing —
+	// even blocked writing answers nobody reads yet — so the two sides can
+	// never both be stuck in write. A larger frame (a big halo) travels
+	// alone, when the worker has nothing left to answer.
+	windowBytes = 48 << 10
 )
 
 // DetectB is the distributed engine: the one engine body of
@@ -137,9 +154,20 @@ type proc struct {
 	spawns  int // incarnations started; the first carries the fault plan
 	spawned time.Time
 	ready   bool          // READY consumed: the handshake completed
-	midUnit bool          // an ASSIGN is unanswered: not drainable, only killable
 	shipped []bool        // halo nodes already shipped to this incarnation
 	busy    time.Duration // sum of reported unit walls — the modeled span basis
+
+	// window holds the frame sizes of the slot's unanswered ASSIGNs, in the
+	// order written — the order the worker answers in. While it is non-empty
+	// the process is mid-unit: not drainable, only killable.
+	window     []int
+	unanswered int       // Σ window, held under windowBytes
+	headSince  time.Time // when window[0] got the worker to itself: its deadline clock
+	held       bool      // enc holds the next unit's ASSIGN, waiting for room in the window
+
+	block *graph.EpochSet // halo selection scratch: one unit's data block
+	halo  []haloNode      // ASSIGN scratch
+	enc   []byte          // ASSIGN payload scratch
 }
 
 func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *validate.DistPlan, opt validate.Options, cl *cluster.Cluster) (*fleet, error) {
@@ -175,7 +203,7 @@ func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *vali
 		f.command = []string{exe}
 	}
 	for w := range f.procs {
-		f.procs[w].id = w
+		f.procs[w].id, f.procs[w].block = w, graph.NewEpochSet(m.NumNodes)
 	}
 	return f, nil
 }
@@ -241,12 +269,19 @@ func (f *fleet) Start(w int) error {
 	return nil
 }
 
-// Run sends unit ui to slot w's process and relays the violations it
-// streams back until DONE. One unit is in flight per process, which keeps
-// the deadline a plain read deadline and lets the LPT queues drain in
-// weight order. Every way of losing the process ends in lost().
-func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) error {
+// Run answers for unit queue[0] on slot w's process: it relays the
+// violations the worker streams back until the unit's DONE. The ASSIGN goes
+// out in a window with its successors on the queue (fill), so the pipe round
+// trip and the write are paid per window, not per unit. Workers answer in
+// the order they were assigned: every frame belongs to the head of the
+// window, and the unit deadline stays a plain read deadline on the slot's
+// own pipe. A death costs the head its attempt and nothing else — the rest
+// of the window was never started as far as the scheduler knows, stays
+// pending, and is shipped again wherever it runs next. Every way of losing
+// the process ends in lost().
+func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(validate.Violation) bool) error {
 	p := &f.procs[w]
+	ui := queue[0]
 	if !p.ready {
 		typ, payload, err := f.read(p, p.spawned.Add(f.handshake))
 		if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -263,17 +298,11 @@ func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) e
 		f.cl.Ship(w, cluster.Coordinator, frameOverhead+int64(len(payload)))
 		p.ready = true
 	}
-
-	payload := encodeAssign(assignMsg{unit: f.plan.Unit(ui), skip: skip, halo: f.haloFor(p, ui)})
-	f.cl.Ship(cluster.Coordinator, w, frameOverhead+int64(len(payload)))
-	p.midUnit = true
-	// A failed write means the pipe is gone; the read below reports how the
-	// process died — after the frames it wrote first.
-	_ = p.fw.write(fAssign, payload)
+	f.fill(p, queue, skip)
 
 	var limit time.Time
 	if f.unitDeadline > 0 {
-		limit = time.Now().Add(f.unitDeadline)
+		limit = p.headSince.Add(f.unitDeadline)
 	}
 	// killed is why this side killed the process (deadline or silence). The
 	// loop keeps reading after a kill: frames the process wrote before dying
@@ -304,7 +333,7 @@ func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) e
 		case fVio:
 			m, err := decodeVio(payload)
 			if err != nil || m.unit != ui {
-				return f.lost(p, ui, fmt.Errorf("violations out of protocol (unit %d, in flight %d): %v", m.unit, ui, err))
+				return f.lost(p, ui, fmt.Errorf("violations out of protocol (unit %d, head of window %d): %v", m.unit, ui, err))
 			}
 			for _, v := range m.vios {
 				if !emit(v) {
@@ -314,13 +343,19 @@ func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) e
 		case fDone:
 			m, err := decodeDone(payload)
 			if err != nil || m.unit != ui {
-				return f.lost(p, ui, fmt.Errorf("done frame out of protocol (unit %d, in flight %d): %v", m.unit, ui, err))
+				return f.lost(p, ui, fmt.Errorf("done frame out of protocol (unit %d, head of window %d): %v", m.unit, ui, err))
 			}
 			if killed != nil {
-				continue // finished as it was killed: still a death
+				// Finished as it was killed: still a death. What follows on
+				// the pipe belongs to units the scheduler never started.
+				return f.lost(p, ui, killed)
 			}
 			p.busy += m.wall
-			p.midUnit = false
+			p.unanswered -= p.window[0]
+			p.window = slices.Delete(p.window, 0, 1)
+			if f.unitDeadline > 0 {
+				p.headSince = time.Now()
+			}
 			return nil
 		case fHeartbeat:
 		default:
@@ -329,11 +364,49 @@ func (f *fleet) Run(w, ui int, skip int64, emit func(validate.Violation) bool) e
 	}
 }
 
+// fill tops p's window up with the ASSIGNs of the units that follow on its
+// queue — queue[0] is the head, in the window already unless that is empty —
+// and flushes them together. It waits until half the window is answered, so
+// a flush carries half a window rather than one frame. An ASSIGN joins only
+// if it fits windowBytes or the window is empty; one that does not stays
+// encoded (held) until it does, its halo being marked shipped already.
+func (f *fleet) fill(p *proc, queue []int, skip func(ui int) int64) {
+	if len(p.window) > windowUnits/2 {
+		return
+	}
+	wasEmpty := len(p.window) == 0
+	for len(p.window) < min(windowUnits, len(queue)) {
+		if !p.held {
+			ui := queue[len(p.window)]
+			p.halo = f.haloFor(p, ui)
+			p.enc = encodeAssign(p.enc, assignMsg{unit: f.plan.Unit(ui), skip: skip(ui), halo: p.halo})
+		}
+		size := frameOverhead + len(p.enc)
+		p.held = len(p.window) > 0 && p.unanswered+size > windowBytes
+		if p.held {
+			break
+		}
+		f.cl.Ship(cluster.Coordinator, p.id, int64(size))
+		// A failed write means the pipe is gone; the read that follows
+		// reports how the process died — after the frames it wrote first.
+		_ = p.fw.queue(fAssign, p.enc)
+		p.window = append(p.window, size)
+		p.unanswered += size
+	}
+	_ = p.fw.flush()
+	if wasEmpty {
+		p.headSince = time.Now()
+	}
+}
+
 // read returns p's next frame, giving up with os.ErrDeadlineExceeded at
 // limit (zero: none) or — once the worker is heartbeating — after
 // heartbeatMisses silent heartbeat periods: liveness is a read deadline on
 // the slot's own pipe, not a monitor beside it.
 func (f *fleet) read(p *proc, limit time.Time) (byte, []byte, error) {
+	if p.fr.ready() {
+		return p.fr.read() // no wait, so no deadline to arm
+	}
 	if p.ready {
 		if silence := time.Now().Add(heartbeatMisses * f.heartbeat); limit.IsZero() || silence.Before(limit) {
 			limit = silence
@@ -371,7 +444,8 @@ func (p *proc) reap() error {
 	p.cmd.Process.Kill()
 	p.stdin.Close()
 	err := p.cmd.Wait()
-	p.cmd, p.ready, p.midUnit = nil, false, false
+	p.cmd, p.ready = nil, false
+	p.window, p.unanswered, p.held = p.window[:0], 0, false
 	return err
 }
 
@@ -383,8 +457,9 @@ func (p *proc) reap() error {
 // coordinator's exactly.
 func (f *fleet) haloFor(p *proc, ui int) []haloNode {
 	syms := f.snap.Syms()
-	var halo []haloNode
-	for _, v := range f.plan.BlockNodes(ui) {
+	halo := p.halo[:0]
+	f.plan.FillBlock(p.block, ui)
+	for _, v := range p.block.Members() {
 		if f.manifest.Owner(v) == p.id || p.shipped[v] {
 			continue
 		}
@@ -435,7 +510,7 @@ func (f *fleet) Close() {
 	var draining []*proc
 	for w := range f.procs {
 		p := &f.procs[w]
-		if p.cmd == nil || !p.ready || p.midUnit {
+		if p.cmd == nil || !p.ready || len(p.window) > 0 {
 			continue
 		}
 		if p.fw.write(fShutdown, nil) == nil {

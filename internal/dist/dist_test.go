@@ -61,41 +61,43 @@ var (
 func setup(t *testing.T) *fixture {
 	t.Helper()
 	fxOnce.Do(func() {
-		g := gen.YAGO2Like(gen.DatasetConfig{Scale: 400, Seed: 9})
-		set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
-		if set.Len() == 0 {
-			fx.err = errors.New("no rules mined")
-			return
-		}
-		gen.Inject(g, gen.NoiseConfig{Rate: 0.4, Seed: 11})
 		dir, err := os.MkdirTemp("", "gfd-dist-test-")
 		if err != nil {
 			fx.err = err
 			return
 		}
 		fxDir = dir
-		mp, err := WriteShards(g.Freeze(), fxWorkers, fragment.Hash, dir, "fx")
-		if err != nil {
-			fx.err = err
-			return
-		}
-		b := validate.NewBundle(g, set)
-		ref, err := validate.DisValB(context.Background(), b,
-			fragment.Partition(g, fxWorkers, fragment.Hash), validate.Options{N: fxWorkers}, nil)
-		if err != nil {
-			fx.err = err
-			return
-		}
-		if len(ref.Violations) == 0 {
-			fx.err = errors.New("workload produced no violations; differentials would be vacuous")
-			return
-		}
-		fx = fixture{g: g, set: set, b: b, manifest: mp, base: ref.Violations}
+		fx = buildFixture(400, dir)
 	})
 	if fx.err != nil {
 		t.Fatal(fx.err)
 	}
 	return &fx
+}
+
+// buildFixture is the fixture recipe at a given dataset scale, its shards
+// written under dir.
+func buildFixture(scale int, dir string) fixture {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: scale, Seed: 9})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
+	if set.Len() == 0 {
+		return fixture{err: errors.New("no rules mined")}
+	}
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.4, Seed: 11})
+	mp, err := WriteShards(g.Freeze(), fxWorkers, fragment.Hash, dir, "fx")
+	if err != nil {
+		return fixture{err: err}
+	}
+	b := validate.NewBundle(g, set)
+	ref, err := validate.DisValB(context.Background(), b,
+		fragment.Partition(g, fxWorkers, fragment.Hash), validate.Options{N: fxWorkers}, nil)
+	if err != nil {
+		return fixture{err: err}
+	}
+	if len(ref.Violations) == 0 {
+		return fixture{err: errors.New("workload produced no violations; differentials would be vacuous")}
+	}
+	return fixture{g: g, set: set, b: b, manifest: mp, base: ref.Violations}
 }
 
 func distOpt(f *fixture, plan *fault.Plan) validate.Options {
@@ -385,7 +387,7 @@ func TestWireRoundTrip(t *testing.T) {
 			{id: 43},
 		},
 	}
-	a2, err := decodeAssign(encodeAssign(a))
+	a2, err := decodeAssign(encodeAssign(nil, a))
 	if err != nil {
 		t.Fatalf("assign round-trip: %v", err)
 	}
@@ -398,14 +400,14 @@ func TestWireRoundTrip(t *testing.T) {
 		{Rule: "r1", Match: core.Match{3, 1, 4}},
 		{Rule: "", Match: nil},
 	}}
-	v2, err := decodeVio(encodeVio(v))
+	v2, err := decodeVio(encodeVio(nil, v))
 	if err != nil || v2.unit != 4 || len(v2.vios) != 2 ||
 		v2.vios[0].Rule != "r1" || len(v2.vios[0].Match) != 3 || v2.vios[0].Match[2] != 4 {
 		t.Fatalf("vio round-trip mangled: %+v (%v)", v2, err)
 	}
 
 	d := doneMsg{unit: 8, found: 100, delivered: 60, wall: 42 * time.Millisecond}
-	if d2, err := decodeDone(encodeDone(d)); err != nil || d2 != d {
+	if d2, err := decodeDone(encodeDone(nil, d)); err != nil || d2 != d {
 		t.Fatalf("done round-trip: %+v (%v)", d2, err)
 	}
 	c := censusMsg{unitsRun: 17, delivered: 230}
@@ -414,7 +416,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt truncations must error, never panic or over-allocate.
-	for _, enc := range [][]byte{encodeHello(h), encodeAssign(a), encodeVio(v), encodeDone(d)} {
+	for _, enc := range [][]byte{encodeHello(h), encodeAssign(nil, a), encodeVio(nil, v), encodeDone(nil, d)} {
 		for cut := 0; cut < len(enc); cut += 3 {
 			decodeHello(enc[:cut])
 			decodeAssign(enc[:cut])

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -19,13 +22,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeHello(helloMsg{proto: protoVersion, worker: 1, workers: 4, numNodes: 99,
 		heartbeat: time.Second, combine: true, shardPath: "s.0.gfds", rules: "gfd r {\n}", groups: 2}))
 	f.Add(encodeReady(readyMsg{numNodes: 99, groups: 2}))
-	f.Add(encodeAssign(assignMsg{
+	f.Add(encodeAssign(nil, assignMsg{
 		unit: validate.DistUnit{ID: 3, Group: 1, Candidates: []graph.NodeID{4, 5}, StripeMod: 2, StripeRem: 1, BlockSize: 9},
 		skip: 7,
 		halo: []haloNode{{id: 8, attrs: [][2]string{{"val", "x"}}, out: []haloEdge{{to: 9, label: "e"}}, in: []haloEdge{{to: 1, label: "f"}}}},
 	}))
-	f.Add(encodeVio(vioMsg{unit: 3, vios: []validate.Violation{{Rule: "r", Match: core.Match{1, 2, 3}}}}))
-	f.Add(encodeDone(doneMsg{unit: 3, found: 5, delivered: 4, wall: time.Millisecond}))
+	f.Add(encodeVio(nil, vioMsg{unit: 3, vios: []validate.Violation{{Rule: "r", Match: core.Match{1, 2, 3}}}}))
+	f.Add(encodeDone(nil, doneMsg{unit: 3, found: 5, delivered: 4, wall: time.Millisecond}))
 	f.Add(encodeCensus(censusMsg{unitsRun: 10, delivered: 4}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 
@@ -58,5 +61,49 @@ func FuzzWireDecode(f *testing.F) {
 		check("done", 0, err)
 		_, err = decodeCensus(data)
 		check("census", 0, err)
+	})
+}
+
+// FuzzFrameReader feeds arbitrary byte streams to the frame reader — what
+// sits on a pipe after a worker died mid-write, or worse. Every read must
+// return a well-formed frame (the payload is exactly the claimed bytes of
+// the stream) or a typed error, and the reader may never hold more than one
+// growth step beyond the bytes it was actually given: a header claiming
+// maxFrame over an empty body costs readStep, not 64 MiB.
+func FuzzFrameReader(f *testing.F) {
+	f.Add([]byte{0x00, 0x00, 0x00, 0x04, fVio}) // maxFrame claimed, nothing behind it
+	f.Add([]byte{0x01, 0x00, 0x00, 0x04, fVio}) // one past maxFrame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x00, 0x00, 0x00})
+	done := encodeDone(nil, doneMsg{unit: 3, found: 5, delivered: 4, wall: time.Millisecond})
+	f.Add(append(append([]byte{byte(len(done)), 0, 0, 0, fDone}, done...), 0, 0, 0, 0, fHeartbeat))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := &frameReader{r: bufio.NewReaderSize(bytes.NewReader(data), 16)}
+		off := 0
+		for {
+			wasReady := fr.ready()
+			typ, payload, err := fr.read()
+			if cap(fr.buf) > len(data)+readStep {
+				t.Fatalf("reader holds %d bytes after a %d-byte stream", cap(fr.buf), len(data))
+			}
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errMalformed) {
+					t.Fatalf("untyped error %v", err)
+				}
+				if wasReady {
+					t.Fatalf("a frame reported ready failed to read: %v", err)
+				}
+				if err == io.EOF && off != len(data) {
+					t.Fatalf("clean EOF with %d of %d bytes consumed", off, len(data))
+				}
+				return
+			}
+			end := off + frameOverhead + len(payload)
+			if end > len(data) || data[off+4] != typ || !bytes.Equal(payload, data[off+frameOverhead:end]) {
+				t.Fatalf("frame at offset %d is not the stream's bytes", off)
+			}
+			off = end
+		}
 	})
 }

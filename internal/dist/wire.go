@@ -47,6 +47,9 @@ const (
 
 // ---- encoding -------------------------------------------------------------
 
+// wbuf appends one payload. The per-unit encoders (ASSIGN, VIO, DONE) take
+// the caller's scratch slice to append into, so a unit loop encodes without
+// allocating; the payload they return aliases it.
 type wbuf struct{ b []byte }
 
 func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
@@ -149,9 +152,20 @@ type frameWriter struct {
 	inj        *fault.Injector
 	worker     int
 	onTruncate func()
+	flushes    int // flushes that had bytes to move; read by tests only
 }
 
+// write sends one frame now.
 func (fw *frameWriter) write(typ byte, payload []byte) error {
+	if err := fw.queue(typ, payload); err != nil {
+		return err
+	}
+	return fw.flush()
+}
+
+// queue buffers one frame behind those already queued; it reaches the pipe
+// with the next flush (or when the 64 KiB buffer fills).
+func (fw *frameWriter) queue(typ byte, payload []byte) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	var hdr [frameOverhead]byte
@@ -172,20 +186,46 @@ func (fw *frameWriter) write(typ byte, payload []byte) error {
 	if _, err := fw.w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := fw.w.Write(payload); err != nil {
-		return err
+	_, err := fw.w.Write(payload)
+	return err
+}
+
+func (fw *frameWriter) flush() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.w.Buffered() > 0 {
+		fw.flushes++
 	}
 	return fw.w.Flush()
 }
 
-// frameReader deserializes frames off one pipe.
+// readStep is how far a frameReader's payload buffer grows ahead of the
+// bytes that have actually arrived.
+const readStep = 1 << 20
+
+// frameReader deserializes frames off one pipe into one payload buffer it
+// reuses across frames: the slice read returns is valid until the next
+// read, and every decode* copies what it keeps.
 type frameReader struct {
-	r *bufio.Reader
+	r   *bufio.Reader
+	buf []byte
+}
+
+// ready reports whether the next frame is already buffered whole, so that
+// read returns it without touching the pipe.
+func (fr *frameReader) ready() bool {
+	if fr.r.Buffered() < frameOverhead {
+		return false
+	}
+	hdr, _ := fr.r.Peek(4)
+	return uint64(fr.r.Buffered()) >= frameOverhead+uint64(binary.LittleEndian.Uint32(hdr))
 }
 
 // read returns the next frame. io.EOF (clean close between frames) and
 // io.ErrUnexpectedEOF (torn frame) both surface as errors; the caller
-// treats any error as end-of-peer.
+// treats any error as end-of-peer. The buffer grows by what arrives, not by
+// what the header claims — at most readStep beyond the bytes received — so a
+// torn or hostile header costs one step, not maxFrame.
 func (fr *frameReader) read() (byte, []byte, error) {
 	var hdr [frameOverhead]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
@@ -194,15 +234,26 @@ func (fr *frameReader) read() (byte, []byte, error) {
 		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > maxFrame {
-		return 0, nil, fmt.Errorf("dist: frame of %d bytes exceeds limit %d", n, maxFrame)
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", errMalformed, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("dist: torn frame payload: %w", err)
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, len(buf)+min(n-len(buf), readStep)), buf...)
+		}
+		got, err := io.ReadFull(fr.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		fr.buf = buf // grown capacity is kept, torn frame or not
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame, however few bytes in
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("dist: torn frame payload: %w", err)
+		}
 	}
-	return hdr[4], payload, nil
+	return hdr[4], buf, nil
 }
 
 // ---- messages -------------------------------------------------------------
@@ -297,8 +348,8 @@ type assignMsg struct {
 	halo []haloNode
 }
 
-func encodeAssign(m assignMsg) []byte {
-	var w wbuf
+func encodeAssign(dst []byte, m assignMsg) []byte {
+	w := wbuf{b: dst[:0]}
 	w.u32(uint32(m.unit.ID))
 	w.u32(uint32(m.unit.Group))
 	w.u32(uint32(m.unit.StripeMod))
@@ -376,8 +427,8 @@ type vioMsg struct {
 	vios []validate.Violation
 }
 
-func encodeVio(m vioMsg) []byte {
-	var w wbuf
+func encodeVio(dst []byte, m vioMsg) []byte {
+	w := wbuf{b: dst[:0]}
 	w.u32(uint32(m.unit))
 	w.u32(uint32(len(m.vios)))
 	for _, v := range m.vios {
@@ -416,8 +467,8 @@ type doneMsg struct {
 	wall      time.Duration
 }
 
-func encodeDone(m doneMsg) []byte {
-	var w wbuf
+func encodeDone(dst []byte, m doneMsg) []byte {
+	w := wbuf{b: dst[:0]}
 	w.u32(uint32(m.unit))
 	w.i64(m.found)
 	w.i64(m.delivered)

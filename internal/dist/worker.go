@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"gfd/internal/core"
@@ -40,6 +41,14 @@ const (
 
 // vioBatch is how many violations a worker coalesces per fVio frame.
 const vioBatch = 64
+
+// answerDelay bounds how long a written answer (VIO, DONE) may wait in the
+// worker's buffer for the answers of the units queued behind it: what a
+// SIGKILL can lose of answered work (it is simply re-run — what the
+// coordinator never received is in no skip count) and what a unit's deadline
+// clock can start late by. A millisecond is noise against any deadline worth
+// setting, and still a thousand units per flush.
+const answerDelay = time.Millisecond
 
 // MaybeWorker turns the current process into a dist worker when the
 // environment says so, never returning in that case (the process exits
@@ -148,7 +157,47 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	var census censusMsg
+	// Answers are held back while more input is already buffered, and leave
+	// together: when the input runs dry, when a violation batch fills, or
+	// after answerDelay on this timer — so a long unit never sits on the
+	// finished answers of the short ones before it. (It starts out armed; the
+	// first firing finds nothing to flush.)
+	var lateArmed atomic.Bool
+	lateArmed.Store(true)
+	late := time.AfterFunc(answerDelay, func() {
+		lateArmed.Store(false)
+		_ = fw.flush() // a dead pipe fails the loop's next write as well
+	})
+	defer late.Stop()
+
+	// Per-unit state lives outside the loop — batch, encode scratch and the
+	// two closures are reused — so a unit allocates nothing here.
+	var (
+		census    censusMsg
+		unit      int
+		delivered int64
+		enc       []byte
+		batch     = make([]validate.Violation, 0, vioBatch)
+	)
+	sendBatch := func() bool {
+		if len(batch) == 0 {
+			return true
+		}
+		enc = encodeVio(enc, vioMsg{unit: unit, vios: batch})
+		if fw.queue(fVio, enc) != nil {
+			return false
+		}
+		delivered += int64(len(batch))
+		batch = batch[:0]
+		return true
+	}
+	emit := func(v validate.Violation) bool {
+		batch = append(batch, v)
+		if len(batch) < vioBatch {
+			return true
+		}
+		return sendBatch() && fw.flush() == nil
+	}
 	for {
 		typ, payload, err := fr.read()
 		if err != nil {
@@ -172,39 +221,27 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 				return fail("patching halo for unit %d: %v", m.unit.ID, err)
 			}
 			start := time.Now()
-			var delivered int64
-			batch := make([]validate.Violation, 0, vioBatch)
-			flush := func() bool {
-				if len(batch) == 0 {
-					return true
-				}
-				if fw.write(fVio, encodeVio(vioMsg{unit: m.unit.ID, vios: batch})) != nil {
-					return false
-				}
-				delivered += int64(len(batch))
-				batch = batch[:0]
-				return true
-			}
-			emit := func(v validate.Violation) bool {
-				batch = append(batch, v)
-				if len(batch) >= vioBatch {
-					return flush()
-				}
-				return true
-			}
+			unit, delivered = m.unit.ID, 0
 			found, err := runner.Run(m.unit, m.skip, emit)
 			if err != nil {
-				return fail("running unit %d: %v", m.unit.ID, err)
+				return fail("running unit %d: %v", unit, err)
 			}
-			if !flush() {
-				return fail("writing violations for unit %d", m.unit.ID)
+			if !sendBatch() {
+				return fail("writing violations for unit %d", unit)
 			}
-			done := doneMsg{unit: m.unit.ID, found: found, delivered: delivered, wall: time.Since(start)}
-			if err := fw.write(fDone, encodeDone(done)); err != nil {
-				return fail("writing done for unit %d: %v", m.unit.ID, err)
+			enc = encodeDone(enc, doneMsg{unit: unit, found: found, delivered: delivered, wall: time.Since(start)})
+			if err := fw.queue(fDone, enc); err != nil {
+				return fail("writing done for unit %d: %v", unit, err)
 			}
 			census.unitsRun++
 			census.delivered += delivered
+			if !fr.ready() {
+				if err := fw.flush(); err != nil {
+					return fail("writing done for unit %d: %v", unit, err)
+				}
+			} else if lateArmed.CompareAndSwap(false, true) {
+				late.Reset(answerDelay)
+			}
 		case fShutdown:
 			if err := fw.write(fCensus, encodeCensus(census)); err != nil {
 				return fail("writing census: %v", err)

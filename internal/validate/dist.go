@@ -88,13 +88,13 @@ func (p *DistPlan) Unit(i int) DistUnit {
 	}
 }
 
-// BlockNodes returns unit i's data block — the union of the pivot
-// candidates' radius neighborhoods — computed on the coordinator's
-// topology, sorted ascending. The coordinator uses it to decide which
-// non-owned nodes a worker needs shipped (the halo) before it can
-// reproduce the block locally.
-func (p *DistPlan) BlockNodes(i int) []graph.NodeID {
-	return p.units[i].BlockIn(p.b.topo).Sorted()
+// FillBlock resets set to unit i's data block — the union of the pivot
+// candidates' radius neighborhoods — on the coordinator's topology: the
+// same flat fill a slot assembles the block with. The coordinator selects
+// from it the non-owned nodes a worker needs shipped (the halo) before it
+// can reproduce the block locally.
+func (p *DistPlan) FillBlock(set *graph.EpochSet, i int) {
+	fillBlock(set, p.b.topo, &p.units[i])
 }
 
 // DetectOver is the engine body with the caller's slots: start receives the
@@ -115,8 +115,8 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 // exactly-once skip count, the cooperative per-attempt deadline and the
 // unit-start fault crossing. Goroutine slots and worker processes both run
 // it — over the bundle's shared topology, or a worker's shard-backed one —
-// so those exist once. It is single-threaded, like a slot's unit loop (the
-// scheduler keeps one unit in flight per slot).
+// so those exist once. It is single-threaded, like a slot's unit loop (a
+// slot runs its units one at a time, in queue order).
 type UnitRunner struct {
 	groups   []*ruleGroup
 	det      *unitDetector

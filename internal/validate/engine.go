@@ -225,6 +225,13 @@ type unitDetector struct {
 	cancel  *cancelCheck    // per-worker; consulted between matches
 	halt    func() bool     // cancel.canceled bound once; threaded into enumeration
 
+	// The unit being enumerated, read by onMatch — bound once as visit, so a
+	// unit hands the matcher its callback without allocating a closure.
+	grp   *ruleGroup
+	emit  func(Violation) bool
+	ok    bool
+	visit func(core.Match) bool
+
 	// Fault-injection context: nil inj in production (crossings are
 	// nil-check no-ops); worker/unit identify the current execution for
 	// the injected-panic payloads.
@@ -234,7 +241,7 @@ type unitDetector struct {
 }
 
 func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Injector, worker int) *unitDetector {
-	return &unitDetector{
+	d := &unitDetector{
 		m:      match.NewMatcher(topo),
 		pin:    make(map[int]graph.NodeID, 2),
 		block:  graph.NewEpochSet(topo.NumNodes()),
@@ -246,19 +253,20 @@ func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Inject
 		worker: worker,
 		unit:   -1,
 	}
+	d.visit = d.onMatch
+	return d
 }
 
-// fillBlock assembles the unit's data block G_z̄ into the detector's
-// reusable EpochSet: the union of the c_i-hop neighborhoods of the pivot
-// candidates, with zero steady-state allocation (the hash-set-per-unit it
-// replaces dominated the detection phase's allocations).
-func (d *unitDetector) fillBlock(u workUnit) *graph.EpochSet {
-	d.block.Reset()
-	topo := d.m.Topo()
+// fillBlock resets set to the unit's data block G_z̄ on topo: the union of
+// the c_i-hop neighborhoods of the pivot candidates, with zero steady-state
+// allocation (the hash-set-per-unit it replaces dominated the detection
+// phase's allocations). Slots, the halo selection of internal/dist and
+// disVal's shipment estimate all assemble blocks through it.
+func fillBlock(set *graph.EpochSet, topo graph.Topology, u *workUnit) {
+	set.Reset()
 	for i, v := range u.Candidates {
-		topo.BlockInto(d.block, v, u.Unit.Pivot.Radii[i])
+		topo.BlockInto(set, v, u.Pivot.Radii[i])
 	}
-	return d.block
 }
 
 // detect enumerates the matches of the unit's group pattern inside the
@@ -269,10 +277,11 @@ func (d *unitDetector) fillBlock(u workUnit) *graph.EpochSet {
 // preserved. It returns false when the worker must stop: the context was
 // cancelled or emit refused a violation.
 func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit func(Violation) bool) bool {
-	block := d.fillBlock(u)
-	ok := true
+	block := d.block
+	fillBlock(block, d.m.Topo(), &u)
+	d.grp, d.emit, d.ok = grp, emit, true
 	runPins := func(c0, c1 graph.NodeID, both bool) {
-		if !ok {
+		if !d.ok {
 			return
 		}
 		clear(d.pin)
@@ -296,27 +305,30 @@ func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit fun
 			// a huge class is never.
 			Halt: d.halt,
 		}
-		d.m.Enumerate(grp.q, opts, func(m core.Match) bool {
-			if d.inj != nil {
-				// Two crossings per delivered match: the match itself and
-				// the literal evaluation about to run on it.
-				d.inj.Cross(fault.Match, d.worker, d.unit)
-				d.inj.Cross(fault.Literal, d.worker, d.unit)
-			}
-			if d.cancel.canceled() || !grp.checkMatch(d.m.Topo(), m, &d.scratch, emit) {
-				ok = false
-				return false
-			}
-			return true
-		})
+		d.m.Enumerate(grp.q, opts, d.visit)
 	}
 	if deduped && grp.pivot.Symmetric() && len(u.Candidates) == 2 {
 		runPins(u.Candidates[0], u.Candidates[1], true)
 		runPins(u.Candidates[1], u.Candidates[0], true)
-		return ok
+		return d.ok
 	}
 	runPins(0, 0, false)
-	return ok
+	return d.ok
+}
+
+// onMatch checks the current unit's group dependencies on one match.
+func (d *unitDetector) onMatch(m core.Match) bool {
+	if d.inj != nil {
+		// Two crossings per delivered match: the match itself and
+		// the literal evaluation about to run on it.
+		d.inj.Cross(fault.Match, d.worker, d.unit)
+		d.inj.Cross(fault.Literal, d.worker, d.unit)
+	}
+	if d.cancel.canceled() || !d.grp.checkMatch(d.m.Topo(), m, &d.scratch, d.emit) {
+		d.ok = false
+		return false
+	}
+	return true
 }
 
 // stripeNode picks the pattern node the stripe constraint applies to: the

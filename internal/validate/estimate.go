@@ -319,8 +319,9 @@ func (b *Bundle) estimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey,
 		return nil, 0, err
 	}
 	units := append([]workUnit(nil), base.units...)
+	block := graph.NewEpochSet(b.topo.NumNodes())
 	for i := range units {
-		attachShipCosts(b.g, b.topo, frag, &units[i])
+		attachShipCosts(b.g, b.topo, frag, block, &units[i])
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

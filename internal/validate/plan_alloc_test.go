@@ -6,6 +6,7 @@
 package validate_test
 
 import (
+	"context"
 	"testing"
 
 	"gfd/internal/validate"
@@ -33,5 +34,32 @@ func TestColdPlanAllocationsIndependentOfUnits(t *testing.T) {
 	}
 	if units < 20*int(bound) {
 		t.Fatalf("only %d units planned: the bound %.0f does not separate per-unit allocation", units, bound)
+	}
+}
+
+// TestWarmRoundAllocationsIndependentOfUnits is the same bound for the
+// scheduler's per-slot loop: a warm repVal round — plan memoized, every unit
+// handed to Executor.Run with its queue tail and the shared skip-count reader
+// — allocates per worker and per rule group, never per unit.
+func TestWarmRoundAllocationsIndependentOfUnits(t *testing.T) {
+	g, set := coldPlanWorkload()
+	opt := validate.Options{N: 2}
+	b := validate.NewBundle(g, set)
+	groups, _, units := b.PlanShape(opt)
+	sink := validate.Callback(func(validate.Violation) bool { return true })
+	round := func() {
+		if _, err := validate.RepValB(context.Background(), b, opt, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // plans, compiles, warms the matcher's plan cache
+	allocs := testing.AllocsPerRun(3, round)
+	bound := float64(64*(groups+opt.N) + 128)
+	t.Logf("%d groups, %d workers, %d units: %.0f allocations (bound %.0f)", groups, opt.N, units, allocs, bound)
+	if allocs > bound {
+		t.Fatalf("warm round of %d units allocates %.0f times, bound %.0f", units, allocs, bound)
+	}
+	if units < 10000 || units < 20*int(bound) {
+		t.Fatalf("only %d units scheduled: the bound %.0f does not separate per-unit allocation", units, bound)
 	}
 }

@@ -105,17 +105,23 @@ type Executor interface {
 	// the first superstep and again, at a superstep barrier, for a slot
 	// that died while work is still pending; an error leaves the slot dead.
 	Start(w int) error
-	// Run executes one attempt of unit ui on slot w: the first skip
-	// violations of the unit's (deterministic) enumeration are suppressed,
-	// the rest go to emit, and emit returning false stops the attempt. A
-	// nil error means the enumeration ran to its end or emit stopped it
-	// (the scheduler knows which). A *cluster.WorkerError anywhere in the
-	// chain means the slot died — exactly what a panic escaping Run is
-	// recovered into; any other error (a cooperative deadline miss,
-	// cancellation) leaves the slot able to take its next unit. Every
-	// violation the slot produced before dying must have reached emit by
-	// the time Run returns, so the unit's skip count is exact.
-	Run(w, ui int, skip int64, emit func(Violation) bool) error
+	// Run executes one attempt of unit queue[0] on slot w: the first
+	// skip(queue[0]) violations of the unit's (deterministic) enumeration
+	// are suppressed, the rest go to emit, and emit returning false stops
+	// the attempt. queue[1:] is what follows on this slot if nothing fails —
+	// the scheduler will call Run with queue[1:] next — so an executor whose
+	// slots sit behind a transport may start shipping those units early;
+	// skip is exact for them too (a unit's count only moves while it runs).
+	// Only queue[0] is this call's to answer for: attempts, skip counts and
+	// failure causes stay per unit in the scheduler. A nil error means the
+	// enumeration ran to its end or emit stopped it (the scheduler knows
+	// which). A *cluster.WorkerError anywhere in the chain means the slot
+	// died — exactly what a panic escaping Run is recovered into; any other
+	// error (a cooperative deadline miss, cancellation) leaves the slot able
+	// to take its next unit. Every violation the slot produced for queue[0]
+	// before dying must have reached emit by the time Run returns, so the
+	// unit's skip count is exact.
+	Run(w int, queue []int, skip func(ui int) int64, emit func(Violation) bool) error
 	// Superstep runs task(w) for every slot concurrently, waits for all of
 	// them and returns each slot's busy time; the round's modeled span is
 	// the maximum. How many tasks may occupy the host at once, and whose
@@ -156,7 +162,9 @@ func (e *goroutines) Start(w int) error {
 	return nil
 }
 
-func (e *goroutines) Run(w, ui int, skip int64, emit func(Violation) bool) error {
+// Run ignores the look-ahead: a goroutine slot has no transport to prime.
+func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(Violation) bool) error {
+	ui := queue[0]
 	r := e.runners[w]
 	if r == nil {
 		// Built on the slot's own goroutine, and only for slots that were
@@ -165,7 +173,7 @@ func (e *goroutines) Run(w, ui int, skip int64, emit func(Violation) bool) error
 		e.runners[w] = r
 	}
 	u := &e.units[ui]
-	_, err := r.run(r.groups[u.group], ui, *u, skip, emit)
+	_, err := r.run(r.groups[u.group], ui, *u, skip(ui), emit)
 	return err
 }
 
@@ -357,8 +365,11 @@ func (r *detectRun) worker(w int, mine []int) {
 		r.counts[w]++
 		return true
 	}
+	// Bound here, once per slot and round, like out: the per-unit path
+	// allocates no closure.
+	skip := func(ui int) int64 { return r.states[ui].emitted }
 
-	for _, ui := range mine {
+	for i, ui := range mine {
 		if r.stopped.Load() {
 			return
 		}
@@ -368,7 +379,7 @@ func (r *detectRun) worker(w int, mine []int) {
 		if r.prep != nil {
 			r.prep(w, ui)
 		}
-		err := r.exec.Run(w, ui, st.emitted, out)
+		err := r.exec.Run(w, mine[i:], skip, out)
 		st.emitted += delivered
 		cur = -1
 		switch {
