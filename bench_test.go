@@ -219,9 +219,9 @@ func BenchmarkSequentialVsParallel(b *testing.B) {
 // BenchmarkSessionReuse is the prepared-session payoff benchmark: warm
 // Detect rounds on one Prepared (freeze, reduction, grouping and rule
 // lowering all amortized) against the cold per-request path on a fresh
-// graph copy per call (cloning excluded from the timing). The gfdbench
-// `sessionreuse` experiment emits the same comparison as JSON for the
-// benchdiff gate.
+// graph copy per call (cloning excluded from the timing). The repository
+// benchmark's session.prepare_s and session.warm_detect_s time the same
+// two layers end to end.
 func BenchmarkSessionReuse(b *testing.B) {
 	w := exp.Prepare(benchConfig("yago2"))
 	opt := gfd.Options{Engine: gfd.EngineReplicated, N: 8}

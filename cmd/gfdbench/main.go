@@ -7,35 +7,40 @@
 //	gfdbench -exp fig5a          # time vs n on the DBpedia stand-in
 //	gfdbench -exp fig9 -scale 400
 //	gfdbench -exp all -scale 200 # quick full sweep
-//	gfdbench -exp fig6 -json     # also write BENCH_fig6.json
 //
-// With -json, every experiment additionally writes a machine-readable
-// BENCH_<exp>.json file (config + result rows) so perf trajectories can be
-// tracked across commits.
-//
-// See EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// Fig. 5/6/8 cells are the modeled n-worker span, with the measured wall
+// beside each. These are reproduction scripts, not a performance gate:
+// the repository's benchmark is benchmark/ (see benchmark/README.md). The
+// README's "Reproducing the evaluation" section records paper-vs-measured
+// per figure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
-	"time"
 
-	"gfd/internal/dist"
 	"gfd/internal/exp"
 )
 
+// order is every experiment in `-exp all` order.
+var order = []string{"fig5a", "fig5b", "fig5c", "fig5sigma", "fig5q", "fig5comm",
+	"fig6", "fig7", "fig8", "fig9", "speedup"}
+
+// ownWorkload marks the experiments that build their own graph and rules
+// and would silently ignore file inputs: fig7 injects structural errors
+// for its fixed rules, fig8 sweeps generated skew, fig9 scores detection
+// against the noise it injects. fig6 sweeps |G|, so it takes a rule file
+// but a graph file would make every row the same graph.
+var ownWorkload = map[string]bool{"fig7": true, "fig8": true, "fig9": true}
+
 func main() {
-	// The dist experiment spawns this binary as its worker processes;
-	// when the worker environment is set, become one and never return.
-	dist.MaybeWorker()
 	var (
-		which      = flag.String("exp", "all", "fig5a|fig5b|fig5c|fig5sigma|fig5q|fig5comm|fig6|fig7|fig8|fig9|speedup|sessionreuse|incremental|freeze|stream|coldstart|cyclic|dist|all")
+		which      = flag.String("exp", "all", strings.Join(order, "|")+"|all")
 		scale      = flag.Int("scale", 250, "dataset scale")
 		rules      = flag.Int("rules", 8, "rule count ‖Σ‖")
 		qsize      = flag.Int("q", 4, "pattern size |Q| (nodes)")
@@ -43,11 +48,30 @@ func main() {
 		twoFrac    = flag.Float64("two-comp", 0.3, "fraction of two-component rules")
 		graphPath  = flag.String("graph", "", "run experiments over this graph file (text or .gfds snapshot) instead of generating one")
 		rulePath   = flag.String("rulefile", "", "parse Σ from this rule file instead of mining")
-		jsonOut    = flag.Bool("json", false, "write BENCH_<exp>.json result files")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file after the run (go tool pprof)")
 	)
 	flag.Parse()
+
+	// Resolve and check every requested experiment before running any.
+	names := []string{strings.ToLower(*which)}
+	if names[0] == "all" {
+		names = order
+	}
+	for _, name := range names {
+		if !slices.Contains(order, name) {
+			fmt.Fprintf(os.Stderr, "gfdbench: unknown experiment %q (want %s or all)\n", name, strings.Join(order, ", "))
+			os.Exit(2)
+		}
+		if *graphPath != "" && (ownWorkload[name] || name == "fig6") {
+			fmt.Fprintf(os.Stderr, "gfdbench: -graph does not apply to %s, which generates its own graphs\n", name)
+			os.Exit(2)
+		}
+		if *rulePath != "" && ownWorkload[name] {
+			fmt.Fprintf(os.Stderr, "gfdbench: -rulefile does not apply to %s, which builds its own rules\n", name)
+			os.Exit(2)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -98,137 +122,55 @@ func main() {
 		}
 	}
 
-	// Each experiment prints its paper-style rendering and returns the raw
-	// result for the optional JSON emission.
-	run := map[string]func() any{
-		"fig5a": func() any { t := exp.Fig5VaryN(base("dbpedia"), nil); fmt.Println(t); return t },
-		"fig5b": func() any { t := exp.Fig5VaryN(base("yago2"), nil); fmt.Println(t); return t },
-		"fig5c": func() any { t := exp.Fig5VaryN(base("pokec"), nil); fmt.Println(t); return t },
-		"fig5sigma": func() any {
-			var ts []exp.Table
+	run := map[string]func(){
+		"fig5a": func() { fmt.Println(exp.Fig5VaryN(base("dbpedia"), nil)) },
+		"fig5b": func() { fmt.Println(exp.Fig5VaryN(base("yago2"), nil)) },
+		"fig5c": func() { fmt.Println(exp.Fig5VaryN(base("pokec"), nil)) },
+		"fig5sigma": func() {
 			for _, ds := range []string{"dbpedia", "yago2", "pokec"} {
-				t := exp.Fig5VarySigma(base(ds), nil)
-				fmt.Println(t)
-				ts = append(ts, t)
+				fmt.Println(exp.Fig5VarySigma(base(ds), nil))
 			}
-			return ts
 		},
-		"fig5q": func() any {
-			var ts []exp.Table
+		"fig5q": func() {
 			for _, ds := range []string{"dbpedia", "yago2", "pokec"} {
-				t := exp.Fig5VaryQ(base(ds), nil)
-				fmt.Println(t)
-				ts = append(ts, t)
+				fmt.Println(exp.Fig5VaryQ(base(ds), nil))
 			}
-			return ts
 		},
-		"fig5comm": func() any {
-			var ts []exp.Table
+		"fig5comm": func() {
 			for _, ds := range []string{"dbpedia", "yago2", "pokec"} {
-				t := exp.Fig5Comm(base(ds), nil)
-				fmt.Println(t)
-				ts = append(ts, t)
+				fmt.Println(exp.Fig5Comm(base(ds), nil))
 			}
-			return ts
 		},
-		"fig6": func() any {
+		"fig6": func() {
 			c := base("synthetic")
 			c.Scale = *scale / 2
-			t := exp.Fig6ScaleG(c, nil)
-			fmt.Println(t)
-			return t
+			fmt.Println(exp.Fig6ScaleG(c, nil))
 		},
-		"fig7": func() any {
+		"fig7": func() {
 			fmt.Println("Fig 7 — real-life GFDs on the YAGO2 stand-in")
 			fmt.Printf("%-28s%10s%12s%8s\n", "rule", "injected", "violations", "caught")
-			findings := exp.Fig7RealLife(*scale, 5, *seed)
-			for _, f := range findings {
+			for _, f := range exp.Fig7RealLife(*scale, 5, *seed) {
 				fmt.Printf("%-28s%10d%12d%8d\n", f.Rule, f.Injected, f.Violations, f.Caught)
 			}
 			fmt.Println()
-			return findings
 		},
-		"fig8": func() any { t := exp.Fig8Skew(base("synthetic"), nil); fmt.Println(t); return t },
-		"fig9": func() any {
+		"fig8": func() { fmt.Println(exp.Fig8Skew(base("synthetic"), nil)) },
+		"fig9": func() {
 			c := base("yago2")
 			c.TwoCompFrac = 0.5
 			c.Rules = max(*rules, 12)
 			c.NoiseRate = 0.05
 			fmt.Println("Fig 9 — accuracy and time vs baselines (YAGO2 stand-in)")
 			fmt.Printf("%-12s%8s%8s%8s%12s\n", "model", "recall", "prec.", "rules", "time")
-			rows := exp.Fig9Accuracy(c)
-			for _, r := range rows {
+			for _, r := range exp.Fig9Accuracy(c) {
 				fmt.Printf("%-12s%8.2f%8.2f%8d%12v\n", r.Model, r.Recall, r.Precision, r.Rules, r.Time.Round(0))
 			}
 			fmt.Println()
-			return rows
 		},
-		"sessionreuse": func() any {
-			t := exp.SessionReuse(base("yago2"), 5)
-			fmt.Println(t)
-			return t
-		},
-		"stream": func() any {
-			t := exp.Stream(base("yago2"), 5)
-			fmt.Println(t)
-			return t
-		},
-		"dist": func() any {
-			t := exp.Dist(base("yago2"), 3)
-			fmt.Println(t)
-			if d, ok := t.Get("dist_procs", "ms"); ok {
-				if s, ok := t.Get("disval_sim", "ms"); ok && d > 0 {
-					fmt.Printf("process-per-shard wall is %.2fx the in-process simulation (real pipes + spawn vs modeled comm)\n\n", d/s)
-				}
-			}
-			return t
-		},
-		"coldstart": func() any {
-			t := exp.Coldstart(base("yago2"), 5)
-			fmt.Println(t)
-			if r, ok := exp.ColdstartRatio(t); ok {
-				fmt.Printf("snapshot open reaches the first violation at %.2fx of the build+freeze wall\n\n", r)
-			}
-			return t
-		},
-		"incremental": func() any {
-			t := exp.Incremental(base("yago2"), 20, 6)
-			fmt.Println(t)
-			return t
-		},
-		"freeze": func() any {
-			t := exp.Freeze(base("yago2"), []int{2, 4})
-			fmt.Println(t)
-			if s, ok := exp.FreezeSpeedup(t, 4); ok {
-				fmt.Printf("parallel speedup at 4 workers: %.2fx (GOMAXPROCS-bound; see GFD_FREEZE_WORKERS)\n\n", s)
-			}
-			return t
-		},
-		"cyclic": func() any {
-			wco := exp.Cyclic(base("synthetic"), 3)
-			fmt.Println(wco)
-			for _, r := range wco.Rows {
-				if s := exp.CyclicSpeedups(wco)[r.X]; s > 0 {
-					fmt.Printf("%s: intersection %.2fx over probe backtracking\n", r.X, s)
-				}
-			}
-			fmt.Println()
-			fac := exp.CyclicFactor(base("synthetic"), 3)
-			fmt.Println(fac)
-			if per, ok := fac.Get("group4", "perrule_ms"); ok {
-				if f, ok := fac.Get("group4", "factored_ms"); ok && f > 0 {
-					fmt.Printf("factorized group detection %.2fx over per-rule enumeration\n\n", per/f)
-				}
-			}
-			return []exp.Table{wco, fac}
-		},
-		"speedup": func() any {
-			fmt.Println("Exp-1 — parallel speedup n=4 -> n=20")
-			out := map[string]map[string]float64{}
+		"speedup": func() {
+			fmt.Println("Exp-1 — parallel speedup n=4 -> n=20 (of the modeled span)")
 			for _, ds := range []string{"dbpedia", "yago2", "pokec"} {
-				t := exp.Fig5VaryN(base(ds), []int{4, 20})
-				s := exp.SpeedupSummary(t)
-				out[ds] = s
+				s := exp.SpeedupSummary(exp.Fig5VaryN(base(ds), []int{4, 20}))
 				fmt.Printf("%-10s", ds)
 				for _, alg := range exp.SixAlgorithms {
 					fmt.Printf("  %s=%.2fx", alg, s[alg])
@@ -236,60 +178,10 @@ func main() {
 				fmt.Println()
 			}
 			fmt.Println()
-			return out
 		},
 	}
 
-	names := []string{*which}
-	if *which == "all" {
-		names = []string{"fig5a", "fig5b", "fig5c", "fig5sigma", "fig5q", "fig5comm",
-			"fig6", "fig7", "fig8", "fig9", "speedup", "sessionreuse", "incremental", "freeze", "stream", "coldstart", "cyclic", "dist"}
-	}
 	for _, name := range names {
-		f, ok := run[strings.ToLower(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gfdbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-		result := f()
-		if *jsonOut {
-			if err := writeJSON(name, *scale, *rules, *qsize, *seed, result); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
+		run[name]()
 	}
-}
-
-// benchFile is the schema of a BENCH_<exp>.json emission.
-type benchFile struct {
-	Experiment string `json:"experiment"`
-	Timestamp  string `json:"timestamp"`
-	Scale      int    `json:"scale"`
-	Rules      int    `json:"rules"`
-	PatternQ   int    `json:"pattern_q"`
-	Seed       int64  `json:"seed"`
-	Result     any    `json:"result"`
-}
-
-func writeJSON(name string, scale, rules, qsize int, seed int64, result any) error {
-	path := fmt.Sprintf("BENCH_%s.json", name)
-	data, err := json.MarshalIndent(benchFile{
-		Experiment: name,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Scale:      scale,
-		Rules:      rules,
-		PatternQ:   qsize,
-		Seed:       seed,
-		Result:     result,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshal %s: %w", path, err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

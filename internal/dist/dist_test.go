@@ -141,6 +141,29 @@ func TestDistFaultFree(t *testing.T) {
 	if res.DetectSpan <= 0 {
 		t.Fatalf("modeled detection span not measured: %v", res.DetectSpan)
 	}
+
+	// Cold, as gfdcheck -mode dist runs it: the coordinator's graph is
+	// adopted from a mapped .gfds, so any build at all breaks the contract.
+	path := t.TempDir() + "/full.gfds"
+	if err := store.Save(context.Background(), f.g.Freeze(), path); err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Open(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cold := l.Snapshot().Graph()
+	res, err = DetectB(context.Background(), validate.NewBundle(cold, f.set), distOpt(f, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Violations.Equal(f.base) {
+		t.Fatalf("cold-coordinator run diverged (%d vs %d violations)", len(res.Violations), len(f.base))
+	}
+	if got := cold.SnapshotBuilds(); got != 0 {
+		t.Fatalf("mmap-adopted coordinator built %d snapshots, want 0", got)
+	}
 }
 
 // TestDistChaosDifferential sweeps seed-derived recoverable process fault

@@ -9,16 +9,15 @@
 // instead of 20 EC2 machines; see the README's opening paragraph and
 // package cluster): the *shapes* — who wins,
 // by what factor, where the curves bend — are the reproduction target, not
-// absolute seconds. EXPERIMENTS.md records paper-vs-measured per figure.
+// absolute seconds. The README's "Reproducing the evaluation" section
+// records paper-vs-measured per figure.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
 	"gfd/internal/core"
 	"gfd/internal/gen"
@@ -158,12 +157,14 @@ func (w Workload) Prepared() *session.Prepared {
 func Prepare(c Config) Workload {
 	c = c.Defaults()
 	if c.GraphPath != "" || c.RulesPath != "" {
-		g := c.cleanGraph()
+		var g *graph.Graph
 		if c.GraphPath != "" {
 			var err error
 			if g, err = LoadGraph(c.GraphPath); err != nil {
 				panic(err)
 			}
+		} else {
+			g = c.cleanGraph()
 		}
 		var set *core.Set
 		if c.RulesPath != "" {
@@ -218,29 +219,35 @@ type Table struct {
 	Rows   []Row
 }
 
-// Row is one x-axis point.
+// Row is one x-axis point: the plotted cell per series and, for the
+// sweeps that plot a modeled time, the measured wall beside it.
 type Row struct {
 	X     string
 	Cells map[string]float64
+	Wall  map[string]float64
 }
 
-// String renders the table in a paper-style fixed-width layout.
+// String renders the table in a paper-style fixed-width layout; a cell
+// with a measured wall prints it in parentheses after the plotted value.
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	fmt.Fprintf(&b, "%-12s", t.XLabel)
 	for _, s := range t.Series {
-		fmt.Fprintf(&b, "%14s", s)
+		fmt.Fprintf(&b, "%18s", s)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-12s", r.X)
 		for _, s := range t.Series {
+			cell := "-"
 			if v, ok := r.Cells[s]; ok {
-				fmt.Fprintf(&b, "%14.3f", v)
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
+				cell = fmt.Sprintf("%.4f", v)
+				if w, ok := r.Wall[s]; ok {
+					cell += fmt.Sprintf(" (%.4f)", w)
+				}
 			}
+			fmt.Fprintf(&b, "%18s", cell)
 		}
 		b.WriteByte('\n')
 	}
@@ -278,7 +285,10 @@ func RunAlgorithm(alg string, w Workload, n int, seed int64) *validate.Result {
 	} else {
 		opt.Engine = validate.EngineFragmented
 	}
-	res, _ := w.Prepared().Detect(context.Background(), opt)
+	res, err := w.Prepared().Detect(context.Background(), opt)
+	if err != nil {
+		panic(fmt.Errorf("%s n=%d: %w", alg, n, err)) // a partial run must not be plotted as complete
+	}
 	return res
 }
 
@@ -290,6 +300,23 @@ func RunAlgorithm(alg string, w Workload, n int, seed int64) *validate.Result {
 // validate.Result.ModeledTime and package cluster).
 func seconds(r *validate.Result) float64 { return r.ModeledTime().Seconds() }
 
+// spanNote captions every table whose cells are seconds(): the modeled
+// span is the plotted value, the measured wall keeps the substitution
+// visible (on a host with fewer cores than n the two diverge).
+const spanNote = "cells: modeled n-worker span s (measured wall s)"
+
+// sweepRow runs each series algorithm on w with n workers and returns
+// the row: metric(res) as the plotted cell, Result.Wall beside it.
+func sweepRow(x string, w Workload, n int, seed int64, series []string, metric func(*validate.Result) float64) Row {
+	row := Row{X: x, Cells: map[string]float64{}, Wall: map[string]float64{}}
+	for _, alg := range series {
+		res := RunAlgorithm(alg, w, n, seed)
+		row.Cells[alg] = metric(res)
+		row.Wall[alg] = res.Wall.Seconds()
+	}
+	return row
+}
+
 // Fig5VaryN reproduces Fig. 5(a–c): detection time of all six algorithms
 // as the worker count grows 4 → 20, for the configured dataset.
 func Fig5VaryN(c Config, ns []int) Table {
@@ -299,16 +326,12 @@ func Fig5VaryN(c Config, ns []int) Table {
 	}
 	w := Prepare(c)
 	t := Table{
-		Title:  fmt.Sprintf("Fig 5 — time vs n (%s, ‖Σ‖=%d, |Q|=%d)", c.Dataset, w.Set.Len(), c.PatternSize),
+		Title:  fmt.Sprintf("Fig 5 — time vs n (%s, ‖Σ‖=%d, |Q|=%d); %s", c.Dataset, w.Set.Len(), c.PatternSize, spanNote),
 		XLabel: "n",
 		Series: SixAlgorithms,
 	}
 	for _, n := range ns {
-		row := Row{X: fmt.Sprintf("%d", n), Cells: map[string]float64{}}
-		for _, alg := range SixAlgorithms {
-			row.Cells[alg] = seconds(RunAlgorithm(alg, w, n, c.Seed))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%d", n), w, n, c.Seed, SixAlgorithms, seconds))
 	}
 	return t
 }
@@ -322,7 +345,7 @@ func Fig5VarySigma(c Config, ruleCounts []int) Table {
 		ruleCounts = []int{5, 10, 15, 20, 25}
 	}
 	t := Table{
-		Title:  fmt.Sprintf("Fig 5 — time vs ‖Σ‖ (%s, n=16, |Q|=%d)", c.Dataset, c.PatternSize),
+		Title:  fmt.Sprintf("Fig 5 — time vs ‖Σ‖ (%s, n=16, |Q|=%d); %s", c.Dataset, c.PatternSize, spanNote),
 		XLabel: "‖Σ‖",
 		Series: SixAlgorithms,
 	}
@@ -330,11 +353,7 @@ func Fig5VarySigma(c Config, ruleCounts []int) Table {
 		cc := c
 		cc.Rules = rc
 		w := Prepare(cc)
-		row := Row{X: fmt.Sprintf("%d", w.Set.Len()), Cells: map[string]float64{}}
-		for _, alg := range SixAlgorithms {
-			row.Cells[alg] = seconds(RunAlgorithm(alg, w, 16, c.Seed))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%d", w.Set.Len()), w, 16, c.Seed, SixAlgorithms, seconds))
 	}
 	return t
 }
@@ -347,7 +366,7 @@ func Fig5VaryQ(c Config, sizes []int) Table {
 		sizes = []int{2, 3, 4, 5, 6}
 	}
 	t := Table{
-		Title:  fmt.Sprintf("Fig 5 — time vs |Q| (%s, n=16, ‖Σ‖=%d)", c.Dataset, c.Rules),
+		Title:  fmt.Sprintf("Fig 5 — time vs |Q| (%s, n=16, ‖Σ‖=%d); %s", c.Dataset, c.Rules, spanNote),
 		XLabel: "|Q|",
 		Series: SixAlgorithms,
 	}
@@ -355,11 +374,7 @@ func Fig5VaryQ(c Config, sizes []int) Table {
 		cc := c
 		cc.PatternSize = q
 		w := Prepare(cc)
-		row := Row{X: fmt.Sprintf("%d", q), Cells: map[string]float64{}}
-		for _, alg := range SixAlgorithms {
-			row.Cells[alg] = seconds(RunAlgorithm(alg, w, 16, c.Seed))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%d", q), w, 16, c.Seed, SixAlgorithms, seconds))
 	}
 	return t
 }
@@ -374,16 +389,13 @@ func Fig5Comm(c Config, ns []int) Table {
 	w := Prepare(c)
 	series := []string{"disVal", "disran", "disnop"}
 	t := Table{
-		Title:  fmt.Sprintf("Fig 5 — communication time vs n (%s)", c.Dataset),
+		Title:  fmt.Sprintf("Fig 5 — communication time vs n (%s); cells: modeled communication s (measured wall s)", c.Dataset),
 		XLabel: "n",
 		Series: series,
 	}
+	comm := func(r *validate.Result) float64 { return r.Comm.Seconds() }
 	for _, n := range ns {
-		row := Row{X: fmt.Sprintf("%d", n), Cells: map[string]float64{}}
-		for _, alg := range series {
-			row.Cells[alg] = RunAlgorithm(alg, w, n, c.Seed).Comm.Seconds()
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%d", n), w, n, c.Seed, series, comm))
 	}
 	return t
 }
@@ -399,7 +411,7 @@ func Fig6ScaleG(c Config, multipliers []int) Table {
 	}
 	series := []string{"disVal", "disran", "disnop"}
 	t := Table{
-		Title:  "Fig 6 — time vs |G| (synthetic, n=16)",
+		Title:  "Fig 6 — time vs |G| (synthetic, n=16); " + spanNote,
 		XLabel: "|G| (x base)",
 		Series: series,
 	}
@@ -407,14 +419,8 @@ func Fig6ScaleG(c Config, multipliers []int) Table {
 		cc := c
 		cc.Scale = c.Scale * m
 		w := Prepare(cc)
-		row := Row{
-			X:     fmt.Sprintf("%dx(%dV,%dE)", m, w.G.NumNodes(), w.G.NumEdges()),
-			Cells: map[string]float64{},
-		}
-		for _, alg := range series {
-			row.Cells[alg] = seconds(RunAlgorithm(alg, w, 16, c.Seed))
-		}
-		t.Rows = append(t.Rows, row)
+		x := fmt.Sprintf("%dx(%dV,%dE)", m, w.G.NumNodes(), w.G.NumEdges())
+		t.Rows = append(t.Rows, sweepRow(x, w, 16, c.Seed, series, seconds))
 	}
 	return t
 }
@@ -429,7 +435,7 @@ func Fig8Skew(c Config, skews []float64) Table {
 	}
 	series := []string{"disVal", "disran", "disnop"}
 	t := Table{
-		Title:  "Fig 8 — time vs skew (synthetic, n=16)",
+		Title:  "Fig 8 — time vs skew (synthetic, n=16); " + spanNote,
 		XLabel: "skew",
 		Series: series,
 	}
@@ -440,11 +446,7 @@ func Fig8Skew(c Config, skews []float64) Table {
 		set := c.Mine(clean)
 		gen.Inject(clean, gen.NoiseConfig{Rate: c.NoiseRate, Seed: c.Seed + 1})
 		w := NewWorkload(clean, set)
-		row := Row{X: fmt.Sprintf("%.1f", sk), Cells: map[string]float64{}}
-		for _, alg := range series {
-			row.Cells[alg] = seconds(RunAlgorithm(alg, w, 16, c.Seed))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%.1f", sk), w, 16, c.Seed, series, seconds))
 	}
 	return t
 }
@@ -465,21 +467,4 @@ func SpeedupSummary(t Table) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// SortedKeys is a helper for deterministic map printing.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// Timed runs f and returns its duration alongside the value.
-func Timed[T any](f func() T) (T, time.Duration) {
-	start := time.Now()
-	v := f()
-	return v, time.Since(start)
 }

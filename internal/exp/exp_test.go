@@ -47,21 +47,6 @@ func TestWorkloadSweepFreezesOnce(t *testing.T) {
 	}
 }
 
-// TestSessionReuseShape sanity-checks the benchmark table gfdbench emits
-// for the benchdiff gate.
-func TestSessionReuseShape(t *testing.T) {
-	tab := SessionReuse(small(), 2)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		v, ok := r.Cells["ms_per_round"]
-		if !ok || v <= 0 {
-			t.Errorf("row %s: bad ms_per_round %v", r.X, v)
-		}
-	}
-}
-
 // Small-scale smoke reproductions: the bench harness runs these sweeps at
 // full scale; here the *shapes* are asserted on reduced workloads.
 
@@ -86,6 +71,20 @@ func TestFig5VaryNShape(t *testing.T) {
 	}
 	if s := tab.String(); !strings.Contains(s, "repVal") || !strings.Contains(s, "n") {
 		t.Error("table rendering broken")
+	}
+}
+
+// TestSweepPrintsWallBesideSpan: every plotted cell of a span table
+// carries the measured wall, and the rendering says which is which.
+func TestSweepPrintsWallBesideSpan(t *testing.T) {
+	tab := Fig5VaryN(small(), []int{2})
+	for _, alg := range tab.Series {
+		if w := tab.Rows[0].Wall[alg]; w <= 0 {
+			t.Errorf("%s: measured wall %v, want > 0", alg, w)
+		}
+	}
+	if s := tab.String(); !strings.Contains(s, spanNote) || !strings.Contains(s, ") ") {
+		t.Errorf("rendering lacks the span caption or the wall column:\n%s", s)
 	}
 }
 

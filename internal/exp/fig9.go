@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"gfd/internal/core"
@@ -54,8 +55,11 @@ func Fig9Accuracy(c Config) []AccuracyRow {
 		// encoding) first.
 		prep.WarmEngine(opt)
 		start := time.Now()
-		res, _ := prep.Detect(ctx, opt)
+		res, err := prep.Detect(ctx, opt)
 		elapsed := time.Since(start)
+		if err != nil {
+			panic(fmt.Errorf("fig9 %s: %w", model, err))
+		}
 		p, r := gen.PrecisionRecall(truth, failedLiteralNodes(g, set, res.Violations))
 		out = append(out, AccuracyRow{Model: model, Recall: r, Precision: p, Rules: res.Rules, Time: elapsed})
 	}

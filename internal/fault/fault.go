@@ -20,7 +20,8 @@
 // crossing counters; the runtime threads the injector through its
 // goroutine fan-outs and calls Injector.Cross at each instrumented site.
 // A nil injector makes every crossing a nil-check no-op — production runs
-// arm nothing and pay nothing (the benchdiff gate pins this).
+// arm nothing and pay nothing (every benchmark/ workload runs unarmed,
+// so BENCHMARK.json's bounds pin this).
 //
 // # Deterministic replay
 //

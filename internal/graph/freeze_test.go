@@ -160,8 +160,8 @@ func TestSetFreezeWorkersOverride(t *testing.T) {
 }
 
 // BenchmarkBuildSnapshot prices the freeze pipeline serial vs parallel on
-// one mid-sized graph (the gfdbench -exp freeze sweep covers sizes and
-// worker counts; this is the in-tree smoke).
+// one mid-sized graph (TestFreezeSpeedupMultiCore gates the 4-worker
+// speedup; the benchmark's graph.freeze_s times the freeze end to end).
 func BenchmarkBuildSnapshot(b *testing.B) {
 	g := randomFreezeGraph(1, 20000)
 	for _, w := range []int{1, 2, 4} {

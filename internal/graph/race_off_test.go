@@ -1,5 +1,5 @@
 //go:build !race
 
-package exp
+package graph_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package exp
+package graph_test
 
 // raceEnabled skips timing-sensitive gate tests under the race detector,
 // whose instrumentation flattens the parallel/serial ratio they assert.

@@ -281,3 +281,89 @@ func TestMatcherZeroAllocIntersection(t *testing.T) {
 		}
 	}
 }
+
+// windowClusteredGraph is the one input on which the intersection route
+// beats probing (the random layered graphs above and the benchmark's
+// Chung–Lu graph favour probing slightly): four classes of n nodes and
+// seven directed edge kinds, each node's out-adjacency per kind a
+// contiguous window of deg targets starting at a per-kind stride multiple
+// of the source index (mod n). Distinct strides decorrelate the windows,
+// so the two ranges feeding a closing-node intersection overlap in
+// ~deg²/n candidates while each is deg long: galloping skips whole runs
+// that probing tests one candidate at a time.
+func windowClusteredGraph(n int, seed int64) *graph.Graph {
+	const deg = 32
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(0, 0)
+	ids := make(map[string][]graph.NodeID, 4)
+	for _, cl := range []string{"A", "B", "C", "D"} {
+		for i := 0; i < n; i++ {
+			ids[cl] = append(ids[cl], g.AddNode(cl, graph.Attrs{"val": fmt.Sprintf("v%d", rng.Intn(7))}))
+		}
+	}
+	for _, k := range []struct {
+		from, to, label string
+		stride          int
+	}{
+		{"A", "B", "ab", 7}, {"A", "C", "ac", 13}, {"B", "C", "bc", 19},
+		{"B", "D", "bd", 23}, {"C", "D", "cd", 29}, {"A", "D", "ad", 31}, {"D", "C", "dc", 37},
+	} {
+		for i, u := range ids[k.from] {
+			start := (i * k.stride) % n
+			for j := 0; j < deg; j++ {
+				g.MustAddEdge(u, ids[k.to][(start+j)%n], k.label)
+			}
+		}
+	}
+	return g
+}
+
+// TestWCOEquivalenceWindowClustered runs the benchmark's count
+// differential at toy scale: both routes find the same number of matches
+// of each shape on the window-clustered graph.
+func TestWCOEquivalenceWindowClustered(t *testing.T) {
+	snap := windowClusteredGraph(200, 7).Freeze()
+	for name, q := range cyclicShapes() {
+		wco := match.CountSnapshot(snap, q, match.Options{})
+		probe := match.CountSnapshot(snap, q, match.Options{NoIntersect: true})
+		if wco == 0 || wco != probe {
+			t.Fatalf("%s: WCO found %d matches, probe %d", name, wco, probe)
+		}
+	}
+}
+
+// BenchmarkEnumerateWindowClustered times full enumerations of the three
+// cyclic shapes by intersection (wco) and by probe backtracking
+// (Options.NoIntersect): together with match.ns_per_match vs
+// match.nointersect_ns_per_match on the benchmark's Chung–Lu graph it
+// gives the WCO/probe choice a workload on each side.
+func BenchmarkEnumerateWindowClustered(b *testing.B) {
+	snap := windowClusteredGraph(1000, 42).Freeze()
+	want := map[string]int{} // probe count per shape, computed untimed on first use
+	for _, route := range []struct {
+		name        string
+		noIntersect bool
+	}{{"wco", false}, {"probe", true}} {
+		for _, shape := range []string{"triangle", "diamond", "cycle4"} {
+			q := cyclicShapes()[shape]
+			b.Run(route.name+"/"+shape, func(b *testing.B) {
+				if _, ok := want[shape]; !ok {
+					want[shape] = match.CountSnapshot(snap, q, match.Options{NoIntersect: true})
+				}
+				m := match.NewMatcher(snap)
+				opts := match.Options{NoIntersect: route.noIntersect}
+				n := 0
+				yield := func(core.Match) bool { n++; return true }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n = 0
+					m.Enumerate(q, opts, yield)
+					if n != want[shape] {
+						b.Fatalf("%s found %d matches, probe reference %d", route.name, n, want[shape])
+					}
+				}
+			})
+		}
+	}
+}
