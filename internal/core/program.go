@@ -1,7 +1,10 @@
 package core
 
 import (
+	"strconv"
+
 	"gfd/internal/graph"
+	"gfd/internal/pattern"
 )
 
 // AttrSource is the interned attribute view a LiteralProgram evaluates
@@ -31,6 +34,7 @@ type litInst struct {
 // AttrIndex). GFD.ProgramFor handles the per-snapshot caching.
 type LiteralProgram struct {
 	x, y []litInst
+	src  []boundLiteral // X as bound, parallel to x: names for rendering
 
 	// neverX / neverY record that some literal of the side references a
 	// name or constant the table has never seen. Such a literal cannot
@@ -40,6 +44,10 @@ type LiteralProgram struct {
 	// tables that intern every rule constant up front or never grow
 	// (Snapshot tables are frozen; AttrIndex callers use InternLiterals).
 	neverX, neverY bool
+
+	// guard is X lowered for evaluation inside the search (see Guard),
+	// built with the program; nil when X is empty.
+	guard *Guard
 }
 
 // CompileLiterals lowers ϕ's literals onto syms. It only reads the table
@@ -50,6 +58,8 @@ func (f *GFD) CompileLiterals(syms *graph.Symbols) *LiteralProgram {
 	p := &LiteralProgram{}
 	p.x, p.neverX = lowerLiterals(f.xb, syms)
 	p.y, p.neverY = lowerLiterals(f.yb, syms)
+	p.src = f.xb
+	p.guard = GroupGuard([]*LiteralProgram{p}, nil)
 	return p
 }
 
@@ -158,4 +168,119 @@ func (p *LiteralProgram) Holds(src AttrSource, h Match) bool {
 // IsViolation reports whether h(x̄) violates ϕ: h |= X but h ̸|= Y.
 func (p *LiteralProgram) IsViolation(src AttrSource, h Match) bool {
 	return p.SatisfiesX(src, h) && !p.SatisfiesY(src, h)
+}
+
+// Guard is the X side of one rule — or of every member rule of a group
+// that enumerates one shared pattern — lowered for evaluation inside the
+// search (literal pushdown): each instruction names the pattern nodes it
+// reads, in the enumerated pattern's node indices, and the member whose X
+// it belongs to. The matcher runs an instruction at the first depth where
+// its operands are bound and drops the member from the prefix's live set
+// when it fails; a prefix is pruned only once every member is dead, so a
+// group guard never hides a match that satisfies some member's X. Y never
+// enters a guard — a match can only be ruled out by X before it is
+// complete — and IsViolation stays the final check on every match the
+// search yields. A Guard is immutable and, like its programs, tied to one
+// symbol table.
+type Guard struct {
+	insts []GuardInst
+	// live is the initial live-member mask: bit k is set unless member k
+	// can never satisfy X on this table (neverX). Zero means no member can
+	// fire, and the enumeration is skipped outright.
+	live uint64
+}
+
+// GuardInst is one guard instruction: a lowered X literal over the
+// enumerated pattern's node indices plus the member bit it clears when it
+// fails.
+type GuardInst struct {
+	lit litInst
+	bit uint64
+	src *boundLiteral // names for Format
+}
+
+// maxGuardMembers is the number of members a guard tracks individually;
+// members past it share the last bit, carry no instructions and so never
+// die — the group still prunes nothing they might match.
+const maxGuardMembers = 64
+
+// Guard returns X as a single-member guard over the rule's own node
+// indices: nil when X is empty (nothing to push down), a dead guard when
+// X can never hold on this table.
+func (p *LiteralProgram) Guard() *Guard { return p.guard }
+
+// GroupGuard lowers the X sides of rules enumerated through one shared
+// pattern into one guard. Member k is progs[k]; perms[k][i] is the shared
+// pattern's node for the member's rule node i, or -1 when the node is not
+// enumerated there (a factorized core covering part of the rule), in which
+// case literals reading it are left out — they are checked on the full
+// match. A nil perms, or a nil perms[k], is the identity. The result is nil
+// when no instruction could ever prune (every X empty), so unguarded
+// patterns keep the matcher's plain search.
+func GroupGuard(progs []*LiteralProgram, perms [][]int) *Guard {
+	g := &Guard{}
+	for k, p := range progs {
+		bit := uint64(1) << min(k, maxGuardMembers-1)
+		if p.neverX {
+			continue
+		}
+		g.live |= bit
+		if k >= maxGuardMembers-1 {
+			continue
+		}
+		node := func(i int32) int32 {
+			if perms == nil || perms[k] == nil {
+				return i
+			}
+			return int32(perms[k][i])
+		}
+		for i, l := range p.x {
+			l.xi = node(l.xi)
+			if l.kind == Variable {
+				l.yi = node(l.yi)
+			} else {
+				l.yi = l.xi
+			}
+			if l.xi < 0 || l.yi < 0 {
+				continue
+			}
+			g.insts = append(g.insts, GuardInst{lit: l, bit: bit, src: &p.src[i]})
+		}
+	}
+	if len(g.insts) == 0 && g.live != 0 {
+		return nil
+	}
+	return g
+}
+
+// Insts returns the guard's instructions. Shared; read-only.
+func (g *Guard) Insts() []GuardInst { return g.insts }
+
+// Live returns the initial live-member mask.
+func (g *Guard) Live() uint64 { return g.live }
+
+// Dead reports that no member of the guard can ever satisfy X on its
+// table: every match would be rejected, so callers skip the enumeration.
+// A nil guard is never dead.
+func (g *Guard) Dead() bool { return g != nil && g.live == 0 }
+
+// Operands returns the pattern nodes the instruction reads; y == x for a
+// constant literal.
+func (gi *GuardInst) Operands() (x, y int) { return int(gi.lit.xi), int(gi.lit.yi) }
+
+// Bit returns the member bit the instruction clears when it fails.
+func (gi *GuardInst) Bit() uint64 { return gi.bit }
+
+// Holds evaluates the instruction on a partial match whose operands are
+// bound.
+func (gi *GuardInst) Holds(src AttrSource, h Match) bool { return gi.lit.holds(src, h) }
+
+// Format renders the instruction as a literal over q's variables (q is the
+// enumerated pattern, whose node indices the instruction reads).
+func (gi *GuardInst) Format(q *pattern.Pattern) string {
+	s := string(q.Nodes[gi.lit.xi].Var) + "." + gi.src.a + " = "
+	if gi.lit.kind == Constant {
+		return s + strconv.Quote(gi.src.c)
+	}
+	return s + string(q.Nodes[gi.lit.yi].Var) + "." + gi.src.b
 }

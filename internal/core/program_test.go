@@ -113,6 +113,74 @@ func TestLiteralProgramMatchesOracle(t *testing.T) {
 	}
 }
 
+// guardLive evaluates every instruction of a guard on a full match and
+// returns the members left alive — what the matcher has left after the
+// last depth.
+func guardLive(g *core.Guard, src core.AttrSource, h core.Match) uint64 {
+	live := g.Live()
+	for _, gi := range g.Insts() {
+		if !gi.Holds(src, h) {
+			live &^= gi.Bit()
+		}
+	}
+	return live
+}
+
+// TestGuardMatchesSatisfiesX pins the guard lowering to the oracle: on a
+// full match a rule's guard leaves its one member alive exactly when the
+// map-based X holds, and a group guard over node-permuted members leaves
+// member k alive exactly when rule k's X holds on the match read through
+// its perm.
+func TestGuardMatchesSatisfiesX(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		n := 5 + rng.Intn(20)
+		g := randomAttrGraph(rng, n)
+		snap := g.Freeze()
+		k := 1 + rng.Intn(3)
+		rules := make([]*core.GFD, 3)
+		progs := make([]*core.LiteralProgram, len(rules))
+		perms := make([][]int, len(rules))
+		for i := range rules {
+			rules[i] = randomRule(rng, fmt.Sprintf("t%d-r%d", trial, i), k)
+			progs[i] = rules[i].ProgramFor(snap.Syms())
+			perms[i] = rng.Perm(k)
+		}
+		group := core.GroupGuard(progs, perms)
+		for mi := 0; mi < 25; mi++ {
+			h := randomMatch(rng, k, n)
+			var want uint64
+			for i, f := range rules {
+				if p := progs[i].Guard(); p != nil {
+					if got := guardLive(p, snap, h) != 0; got != f.SatisfiesX(g, h) {
+						t.Fatalf("%s: guard on %v keeps the rule %v, SatisfiesX %v", f, h, got, !got)
+					}
+				} else if len(f.X) != 0 {
+					t.Fatalf("%s: non-empty X compiled to no guard", f)
+				}
+				rh := make(core.Match, k)
+				for ri, gi := range perms[i] {
+					rh[ri] = h[gi]
+				}
+				if f.SatisfiesX(g, rh) {
+					want |= 1 << uint(i)
+				}
+			}
+			if group == nil {
+				// No instruction at all: every member that can fire has an
+				// empty X, so some member holds on every match.
+				if want == 0 {
+					t.Fatalf("trial %d: nil group guard, yet no member's X holds on %v", trial, h)
+				}
+				continue
+			}
+			if got := guardLive(group, snap, h); got != want {
+				t.Fatalf("trial %d: group guard on %v leaves members %b, oracle %b", trial, h, got, want)
+			}
+		}
+	}
+}
+
 // TestLiteralProgramAttrIndex pins the mutable-index path (what the
 // incremental detector evaluates against) to the oracle, across attribute
 // mutations that introduce previously-unseen values — including a rule

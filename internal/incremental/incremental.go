@@ -450,9 +450,10 @@ func distinct(vec []graph.NodeID) bool {
 
 // revalidateUnit recomputes the violations of one unit (rule + pivot
 // candidate vector) with the compiled matcher — the unit's data block
-// assembled into the reusable epoch set, pivots pinned, X → Y checked by
-// the rule's literal program over the overlay's interned attributes — and
-// replaces the unit's entry in the index.
+// assembled into the reusable epoch set, pivots pinned, X pushed into the
+// search as the rule's guard and X → Y checked by its literal program over
+// the overlay's interned attributes — and replaces the unit's entry in the
+// index.
 func (d *Detector) revalidateUnit(ri int, cands []graph.NodeID) {
 	f := d.rules[ri]
 	pv := d.pivots[ri]
@@ -466,7 +467,8 @@ func (d *Detector) revalidateUnit(ri int, cands []graph.NodeID) {
 	}
 	var found []Violation
 	prog := d.progs[ri]
-	d.m.Enumerate(f.Q, match.Options{Block: d.block, Pin: d.pin}, func(m core.Match) bool {
+	opts := match.Options{Block: d.block, Pin: d.pin, Guard: prog.Guard()}
+	d.m.Enumerate(f.Q, opts, func(m core.Match) bool {
 		if prog.IsViolation(d.ov, m) {
 			found = append(found, Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
 		}

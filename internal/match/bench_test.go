@@ -7,10 +7,14 @@
 package match_test
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"gfd/internal/core"
 	"gfd/internal/gen"
+	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
@@ -84,5 +88,55 @@ func BenchmarkFreeze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.SetAttr(0, "val", "poke") // invalidate the cache: measure a real rebuild
 		_ = g.Freeze()
+	}
+}
+
+// BenchmarkEnumerateGuarded prices literal pushdown on a cyc4-style diamond
+// with the benchmark's two-literal X: "unguarded" enumerates every match
+// and runs the literal program on each (the paper's detVio), "guarded"
+// pushes X into the search. Both must find the same violations.
+func BenchmarkEnumerateGuarded(b *testing.B) {
+	g, f := diamondWorkload(3002, 45000, 8, 1)
+	snap := g.Freeze()
+	prog := f.CompileLiterals(snap.Syms())
+	violations := func(m *match.Matcher, opts match.Options) (keys []string) {
+		m.Enumerate(f.Q, opts, func(h core.Match) bool {
+			if prog.IsViolation(snap, h) {
+				keys = append(keys, fmt.Sprint([]graph.NodeID(h)))
+			}
+			return true
+		})
+		return keys
+	}
+	variants := []struct {
+		name string
+		opts match.Options
+	}{
+		{"guarded", match.Options{Guard: prog.Guard()}},
+		{"unguarded", match.Options{}},
+	}
+	want := violations(match.NewMatcher(snap), match.Options{})
+	if len(want) == 0 {
+		b.Fatal("no violations: the equivalence check is vacuous")
+	}
+	sort.Strings(want)
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			m := match.NewMatcher(snap)
+			got := violations(m, v.opts) // warm-up, and the check
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				b.Fatalf("%s: %d violations, unguarded reference %d", v.name, len(got), len(want))
+			}
+			yield := func(h core.Match) bool {
+				prog.IsViolation(snap, h)
+				return true
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Enumerate(f.Q, v.opts, yield)
+			}
+		})
 	}
 }

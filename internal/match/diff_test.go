@@ -263,7 +263,9 @@ func TestDifferentialMinedRules(t *testing.T) {
 }
 
 // TestMatcherZeroAllocSteadyState proves the acceptance criterion: after
-// warm-up, a snapshot-backed enumeration performs zero allocations.
+// warm-up, a snapshot-backed enumeration performs zero allocations — and
+// so does a guarded one, on the snapshot and on an overlay, once the
+// guarded plan is cached.
 func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 80, Seed: 1})
 	q := pattern.New()
@@ -273,17 +275,34 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	q.AddEdge(f, id, "number")
 	q.AddEdge(f, from, "from")
 
-	m := match.NewMatcher(g.Freeze())
+	snap := g.Freeze()
 	count := 0
 	yield := func(core.Match) bool { count++; return true }
-	m.Enumerate(q, match.Options{}, yield) // warm-up: compile + size buffers
-	if count == 0 {
-		t.Fatal("workload has no matches; allocation test is vacuous")
+	steady := func(name string, m *match.Matcher, opts match.Options) {
+		t.Helper()
+		count = 0
+		m.Enumerate(q, opts, yield) // warm-up: compile, plan cache, buffers
+		if count == 0 {
+			t.Fatalf("%s: workload has no matches; allocation test is vacuous", name)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			m.Enumerate(q, opts, yield)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state Enumerate allocated %.1f times per run, want 0", name, allocs)
+		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		m.Enumerate(q, match.Options{}, yield)
+	steady("snapshot", match.NewMatcher(snap), match.Options{})
+
+	// A guard that admits some flights: the value of the first city any
+	// flight leaves from.
+	var city string
+	match.NewMatcher(snap).Enumerate(q, match.Options{}, func(h core.Match) bool {
+		city, _ = g.Attr(h[from], "val")
+		return city == ""
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Enumerate allocated %.1f times per run, want 0", allocs)
-	}
+	rule := core.MustNew("r", q, []core.Literal{core.Const("c", "val", city), core.VarEq("f", "val", "f", "val")}, nil)
+	steady("guarded snapshot", match.NewMatcher(snap), match.Options{Guard: rule.CompileLiterals(snap.Syms()).Guard()})
+	ov := graph.NewOverlay(g)
+	steady("guarded overlay", match.NewMatcher(ov), match.Options{Guard: rule.CompileLiterals(ov.Syms()).Guard()})
 }

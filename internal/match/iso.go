@@ -67,6 +67,17 @@ type Options struct {
 	// deadline — propagates into the backtracking itself. nil disables
 	// the probe at zero cost.
 	Halt func() bool
+	// Guard pushes compiled X literals into the Matcher's search (literal
+	// pushdown): each instruction runs right after the depth that binds
+	// its last operand, and a prefix on which every guard member has a
+	// failed X literal is abandoned there. The plan orders variables so
+	// guards close early. Under a guard the Matcher yields only matches
+	// some member's X holds on — Count, Has and Limit count exactly those
+	// — and a dead guard (no member's X can ever hold) yields nothing
+	// without searching. Y never prunes: callers still run IsViolation on
+	// every yielded match. nil searches unguarded. The legacy Enumerate
+	// path ignores it (it evaluates no compiled literals).
+	Guard *core.Guard
 }
 
 // Enumerate calls yield for every match of q in g under opts, in a

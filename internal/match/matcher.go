@@ -2,6 +2,8 @@ package match
 
 import (
 	"iter"
+	"math"
+	"strings"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
@@ -29,9 +31,16 @@ import (
 // With a single matched neighbor it iterates the smallest label-filtered
 // range (remaining constraints checked by binary search), falling back to
 // the pattern node's label class — or, for a striped node, the class's
-// precomputed residue sub-range. Matching orders are cached per (compiled
-// pattern, pin set, topology version); Options.NoIntersect forces the
+// precomputed residue sub-range. Plans (Plan: the matching order plus the
+// guard instructions due at each depth) are cached per (compiled pattern,
+// pin set, topology version, guard); Options.NoIntersect forces the
 // backtracking path for differential testing.
+//
+// Literal pushdown: under Options.Guard a rule's X literals run inside the
+// search, each at the earliest depth where its operands are bound, so a
+// prefix X already rejects is never extended; the planner discounts the
+// nodes whose placement closes a guard, so guards close early. Count, Has
+// and Limit then count only matches that pass the guard. Y never prunes.
 type Matcher struct {
 	topo graph.Topology
 	// snap is the devirtualized fast path: non-nil exactly when topo is a
@@ -40,12 +49,19 @@ type Matcher struct {
 	// only the overlay pays interface dispatch.
 	snap *graph.Snapshot
 
+	// attrs is topo as the literal evaluator's attribute source, converted
+	// once so guard checks pay no per-call interface conversion.
+	attrs core.AttrSource
+
 	// Reusable search state.
 	used   []bool     // graph-node used-set, sized |V|
 	assign core.Match // pattern node -> graph node
-	order  []int      // matching order
+	order  []int      // the plan's matching order (plan.Order), read per depth
 	placed []bool     // planOrder scratch
 	est    []int      // planOrder scratch: candidate estimate per pattern node
+	// live[d] is the guard's live-member mask on entry to depth d: the
+	// members whose X no instruction due at depths < d has failed.
+	live []uint64
 
 	// Worst-case-optimal intersection state. ranges is the per-depth
 	// gather scratch for concrete-label adjacency ranges: it is consumed
@@ -56,16 +72,17 @@ type Matcher struct {
 	ranges [graph.MaxIntersectArity][]graph.CSREdge
 	cands  [][]graph.NodeID
 
-	// plans caches computed matching orders per (compiled pattern, pin
-	// set, topology version), so repeated Enumerate calls — one per work
-	// unit on the engine paths — stop re-deriving the same order from the
-	// same class sizes. Snapshots are immutable (version 0 forever); an
-	// Overlay keys by its graph version so mutations invalidate naturally.
-	plans map[planKey][]int
+	// plans caches computed plans per (compiled pattern, pin set, topology
+	// version, guard), so repeated Enumerate calls — one per work unit on
+	// the engine paths — stop re-deriving the same order from the same
+	// class sizes. Snapshots are immutable (version 0 forever); an Overlay
+	// keys by its graph version so mutations invalidate naturally.
+	plans map[planKey]*Plan
 
 	// Per-call state.
 	q     *pattern.Pattern
 	cq    *pattern.Compiled
+	plan  *Plan
 	opts  Options
 	yield func(core.Match) bool
 	n     int
@@ -85,14 +102,17 @@ type Matcher struct {
 // while keeping the per-try cost to a counter increment.
 const haltStride = 64
 
-// planKey identifies one cached matching order: the lowered pattern (a
-// stable pointer per (pattern, symbol table)), the set of pinned pattern
-// nodes as a bitmask (pin *values* never affect the order), and the
-// topology version the class-size estimates were read at.
+// planKey identifies one cached plan: the lowered pattern (a stable
+// pointer per (pattern, symbol table)), the set of pinned pattern nodes as
+// a bitmask (pin *values* never affect the order), the topology version
+// the class-size estimates were read at, and the guard scheduled into it
+// (the key holds the pointer, so a cached guard's address is never reused
+// by another).
 type planKey struct {
-	cq   *pattern.Compiled
-	pins uint64
-	ver  uint64
+	cq    *pattern.Compiled
+	pins  uint64
+	ver   uint64
+	guard *core.Guard
 }
 
 // maxPlanCache bounds the plan cache; beyond it the cache resets. Engines
@@ -107,6 +127,7 @@ func NewMatcher(t graph.Topology) *Matcher {
 		used: make([]bool, t.NumNodes()),
 	}
 	m.snap, _ = t.(*graph.Snapshot)
+	m.attrs = t
 	return m
 }
 
@@ -131,21 +152,40 @@ func (m *Matcher) numNodes() int {
 // it once.) The Match slice passed to yield is reused across calls;
 // callers that retain it must copy it.
 func (m *Matcher) Enumerate(q *pattern.Pattern, opts Options, yield func(core.Match) bool) {
-	n := q.NumNodes()
-	if n == 0 {
+	if q.NumNodes() == 0 || opts.Guard.Dead() {
 		return
 	}
-	m.q, m.cq = q, m.compiledFor(q)
-	m.opts, m.yield = opts, yield
-	m.n, m.found, m.halt = n, 0, false
-	m.ensure(n)
-	m.planOrder()
+	m.prepare(q, &opts)
+	m.yield = yield
 	if m.snap != nil {
 		m.extendSnap(0)
 	} else {
 		m.extend(0)
 	}
 	m.yield = nil
+}
+
+// Plan returns the plan Enumerate(q, opts) runs: the matching order and
+// the guard instructions due at each depth. It is the cached value, shared
+// read-only with the matcher.
+func (m *Matcher) Plan(q *pattern.Pattern, opts Options) Plan {
+	m.prepare(q, &opts)
+	return *m.plan
+}
+
+// prepare binds the per-call state for a non-empty pattern and resolves
+// its plan.
+func (m *Matcher) prepare(q *pattern.Pattern, opts *Options) {
+	n := q.NumNodes()
+	m.q, m.cq = q, m.compiledFor(q)
+	m.opts = *opts
+	m.n, m.found, m.halt = n, 0, false
+	m.ensure(n)
+	m.plan = m.planFor()
+	m.order = m.plan.Order
+	if opts.Guard != nil {
+		m.live[0] = opts.Guard.Live()
+	}
 }
 
 // Matches returns the matches of q under opts as a lazy pull-based
@@ -207,12 +247,11 @@ func (m *Matcher) ensure(n int) {
 	}
 	if cap(m.assign) < n {
 		m.assign = make(core.Match, n)
-		m.order = make([]int, n)
 		m.placed = make([]bool, n)
 		m.est = make([]int, n)
+		m.live = make([]uint64, n+1)
 	}
 	m.assign = m.assign[:n]
-	m.order = m.order[:n]
 	m.placed = m.placed[:n]
 	m.est = m.est[:n]
 	for i := 0; i < n; i++ {
@@ -237,30 +276,122 @@ func (m *Matcher) topoVersion() uint64 {
 	return 0
 }
 
+// Plan is one compiled search plan: the matching order — the pattern node
+// bound at each depth — and, under a guard, the guard instructions due at
+// each depth, the first at which all their operands are bound. It is what
+// Enumerate interprets; String prints it.
+type Plan struct {
+	Order []int
+	pins  uint64           // pinned pattern nodes, for String
+	insts []core.GuardInst // guard instructions in due-depth order
+	at    []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
+	q     *pattern.Pattern
+}
+
+// String renders the plan as its variables in matching order, pinned ones
+// starred, each followed by the guard literals checked once it binds:
+// "a b[a.a0 = b.a0] c[b.a1 = c.a1] d".
+func (p Plan) String() string {
+	var b strings.Builder
+	for d, u := range p.Order {
+		if d > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(string(p.q.Nodes[u].Var))
+		if u < 64 && p.pins&(1<<uint(u)) != 0 {
+			b.WriteByte('*')
+		}
+		if p.at == nil || p.at[d] == p.at[d+1] {
+			continue
+		}
+		b.WriteByte('[')
+		for i := p.at[d]; i < p.at[d+1]; i++ {
+			if i > p.at[d] {
+				b.WriteString(", ")
+			}
+			b.WriteString(p.insts[i].Format(p.q))
+		}
+		b.WriteByte(']')
+	}
+	return b.String()
+}
+
+// schedule files every instruction of g under the depth at which its
+// last operand binds.
+func (p *Plan) schedule(g *core.Guard) {
+	n := len(p.Order)
+	pos := make([]int, n)
+	for d, u := range p.Order {
+		pos[u] = d
+	}
+	insts := g.Insts()
+	due := make([]int, len(insts))
+	p.at = make([]int32, n+1)
+	for i := range insts {
+		x, y := insts[i].Operands()
+		due[i] = max(pos[x], pos[y])
+		p.at[due[i]+1]++
+	}
+	for d := 0; d < n; d++ {
+		p.at[d+1] += p.at[d]
+	}
+	p.insts = make([]core.GuardInst, len(insts))
+	next := append([]int32(nil), p.at[:n]...)
+	for i := range insts {
+		p.insts[next[due[i]]] = insts[i]
+		next[due[i]]++
+	}
+}
+
+// planFor returns the plan for the bound call: cached per (pattern, pin
+// set, topology version, guard) — patterns small enough for a pin bitmask
+// (all of them, in practice) resolve repeated enumerations, one per work
+// unit on the engine paths, to a map hit, skipping the class-size reads
+// and the O(|Q|²) selection.
+func (m *Matcher) planFor() *Plan {
+	n := m.n
+	var pins uint64
+	for i := 0; i < n && i < 64; i++ {
+		if _, ok := m.opts.Pin[i]; ok {
+			pins |= 1 << uint(i)
+		}
+	}
+	cacheable := n <= 64
+	key := planKey{cq: m.cq, pins: pins, ver: m.topoVersion(), guard: m.opts.Guard}
+	if cacheable {
+		if p, ok := m.plans[key]; ok {
+			return p
+		}
+	}
+	p := &Plan{Order: make([]int, n), pins: pins, q: m.q}
+	m.planOrder(p.Order)
+	if m.opts.Guard != nil {
+		p.schedule(m.opts.Guard)
+	}
+	if cacheable {
+		if m.plans == nil {
+			m.plans = make(map[planKey]*Plan)
+		} else if len(m.plans) >= maxPlanCache {
+			clear(m.plans)
+		}
+		m.plans[key] = p
+	}
+	return p
+}
+
+// guardDiscount is the fixed selectivity planOrder credits a guard
+// instruction: closing one divides the placement's class-size estimate by
+// it. A constant, not a statistic — the planner stays greedy and reads
+// nothing the snapshot does not already know.
+const guardDiscount = 8
+
 // planOrder mirrors the legacy searcher's matching order — pinned nodes
 // first, then BFS growth from placed nodes preferring small candidate
 // estimates, new components seeded by the most selective node — using
-// topology class sizes as estimates and no allocations.
-func (m *Matcher) planOrder() {
+// topology class sizes as estimates, each discounted for the guard
+// instructions its placement would close (see score).
+func (m *Matcher) planOrder(order []int) {
 	n := m.n
-	// Cached order: patterns small enough for a pin bitmask (all of them,
-	// in practice) resolve repeated enumerations — one per work unit on
-	// the engine paths — to a map hit and a copy, skipping the class-size
-	// reads and the O(|Q|²) selection below.
-	cacheable := n <= 64
-	var key planKey
-	if cacheable {
-		key = planKey{cq: m.cq, ver: m.topoVersion()}
-		for i := 0; i < n; i++ {
-			if _, ok := m.opts.Pin[i]; ok {
-				key.pins |= 1 << uint(i)
-			}
-		}
-		if ord, ok := m.plans[key]; ok {
-			copy(m.order, ord)
-			return
-		}
-	}
 	// Candidate estimates are constant during planning; resolving them
 	// once per pattern node keeps the O(|Q|²) selection loops on plain
 	// array reads (and off the Topology interface on the overlay path).
@@ -279,44 +410,104 @@ func (m *Matcher) planOrder() {
 	for i := 0; i < n; i++ {
 		if _, ok := m.opts.Pin[i]; ok {
 			m.placed[i] = true
-			m.order[k] = i
+			order[k] = i
 			k++
 		}
 	}
 	for k < n {
-		next, bestEst := -1, int(^uint(0)>>1)
+		next, best := -1, math.Inf(1)
 		for oi := 0; oi < k; oi++ {
-			p := m.order[oi]
+			p := order[oi]
 			for _, ei := range m.q.OutEdges(p) {
-				if w := int(m.cq.Edges[ei].To); !m.placed[w] && m.est[w] < bestEst {
-					next, bestEst = w, m.est[w]
+				if w := int(m.cq.Edges[ei].To); !m.placed[w] {
+					if s := m.score(w, false); s < best {
+						next, best = w, s
+					}
 				}
 			}
 			for _, ei := range m.q.InEdges(p) {
-				if w := int(m.cq.Edges[ei].From); !m.placed[w] && m.est[w] < bestEst {
-					next, bestEst = w, m.est[w]
+				if w := int(m.cq.Edges[ei].From); !m.placed[w] {
+					if s := m.score(w, false); s < best {
+						next, best = w, s
+					}
 				}
 			}
 		}
 		if next < 0 {
 			for v := 0; v < n; v++ {
-				if !m.placed[v] && m.est[v] < bestEst {
-					next, bestEst = v, m.est[v]
+				if !m.placed[v] {
+					if s := m.score(v, true); s < best {
+						next, best = v, s
+					}
 				}
 			}
 		}
 		m.placed[next] = true
-		m.order[k] = next
+		order[k] = next
 		k++
 	}
-	if cacheable {
-		if m.plans == nil {
-			m.plans = make(map[planKey][]int)
-		} else if len(m.plans) >= maxPlanCache {
-			clear(m.plans)
-		}
-		m.plans[key] = append([]int(nil), m.order[:n]...)
+}
+
+// score is planOrder's greedy key for binding w next: its class-size
+// estimate, divided by guardDiscount once per guard instruction the
+// placement closes (w is an operand and the other one is w or already
+// placed). A node seeding a component also counts each variable literal
+// whose partner is its pattern neighbour: that literal closes one step
+// later, so the seed and its neighbour form a guarded pair. Without a
+// guard it is the bare estimate, and the order is the unguarded one.
+func (m *Matcher) score(w int, seed bool) float64 {
+	s := float64(m.est[w])
+	if m.opts.Guard == nil {
+		return s
 	}
+	insts := m.opts.Guard.Insts()
+	for i := range insts {
+		x, y := insts[i].Operands()
+		if x != w {
+			x, y = y, x
+		}
+		if x != w {
+			continue
+		}
+		if y == w || m.placed[y] || seed && m.adjacent(w, y) {
+			s /= guardDiscount
+		}
+	}
+	return s
+}
+
+// adjacent reports a pattern edge between a and b in either direction.
+func (m *Matcher) adjacent(a, b int) bool {
+	for _, ei := range m.q.OutEdges(a) {
+		if int(m.cq.Edges[ei].To) == b {
+			return true
+		}
+	}
+	for _, ei := range m.q.InEdges(a) {
+		if int(m.cq.Edges[ei].From) == b {
+			return true
+		}
+	}
+	return false
+}
+
+// admits runs the guard instructions due at depth — its node was just
+// bound — and reports whether some member's X survives the prefix,
+// recording the surviving members for the next depth. Instructions of an
+// already dead member are skipped unevaluated.
+func (m *Matcher) admits(depth int) bool {
+	p := m.plan
+	live := m.live[depth]
+	for i := p.at[depth]; i < p.at[depth+1]; i++ {
+		gi := &p.insts[i]
+		if live&gi.Bit() != 0 && !gi.Holds(m.attrs, m.assign) {
+			if live &^= gi.Bit(); live == 0 {
+				return false
+			}
+		}
+	}
+	m.live[depth+1] = live
+	return true
 }
 
 func (m *Matcher) extend(depth int) {
@@ -453,7 +644,9 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 	}
 	m.assign[u] = v
 	m.used[v] = true
-	m.extend(depth + 1)
+	if m.opts.Guard == nil || m.admits(depth) {
+		m.extend(depth + 1)
+	}
 	m.used[v] = false
 	m.assign[u] = graph.Invalid
 }
@@ -630,7 +823,9 @@ func (m *Matcher) trySnap(depth, u int, v graph.NodeID) {
 	}
 	m.assign[u] = v
 	m.used[v] = true
-	m.extendSnap(depth + 1)
+	if m.opts.Guard == nil || m.admits(depth) {
+		m.extendSnap(depth + 1)
+	}
 	m.used[v] = false
 	m.assign[u] = graph.Invalid
 }

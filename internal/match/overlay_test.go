@@ -134,4 +134,37 @@ func TestMatcherZeroAllocStriped(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state striped Enumerate allocated %.1f times per run, want 0", allocs)
 	}
+
+	// The unit path proper: pivot pinned, stripe on the other node, data
+	// block, guard armed — one enumeration per unit, none allocating.
+	snap := m.Topo()
+	flights := g.NodesWithLabel("flight")
+	first, _ := g.Attr(flights[0], "val")
+	rule := core.MustNew("r", q, []core.Literal{core.VarEq("f", "val", "f", "val"), core.Const("f", "val", first)}, nil)
+	block := graph.NewEpochSet(snap.NumNodes())
+	unit := match.Options{
+		Pin:        map[int]graph.NodeID{f: 0},
+		Block:      block,
+		StripeNode: id, StripeMod: 2,
+		Guard: rule.CompileLiterals(snap.Syms()).Guard(),
+	}
+	run := func() {
+		for _, v := range flights {
+			block.Reset()
+			snap.BlockInto(block, v, 1)
+			unit.Pin[f] = v
+			m.Enumerate(q, unit, yield)
+		}
+	}
+	count = 0
+	for rem := 0; rem < 2; rem++ { // warm-up: the guarded, pinned, striped plan
+		unit.StripeRem = rem
+		run()
+	}
+	if count == 0 {
+		t.Fatal("no guarded unit match; allocation test is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("steady-state guarded unit enumeration allocated %.1f times per run, want 0", allocs)
+	}
 }

@@ -277,6 +277,9 @@ func fillBlock(set *graph.EpochSet, topo graph.Topology, u *workUnit) {
 // preserved. It returns false when the worker must stop: the context was
 // cancelled or emit refused a violation.
 func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit func(Violation) bool) bool {
+	if grp.guard.Dead() {
+		return true // no member's X can hold: nothing to enumerate
+	}
 	block := d.block
 	fillBlock(block, d.m.Topo(), &u)
 	d.grp, d.emit, d.ok = grp, emit, true
@@ -299,6 +302,8 @@ func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit fun
 			StripeMod:  u.stripeMod,
 			StripeRem:  u.stripeRem,
 			StripeNode: stripeNode(grp, u),
+			// Prunes a prefix once every member has a failed X literal.
+			Guard: grp.guard,
 			// Early termination must reach candidate enumeration itself:
 			// without the halt probe a cancelled (or consumer-stopped) run
 			// only notices between matches, which on a matchless stretch of

@@ -41,11 +41,17 @@ type factorBranch struct {
 type factorGroup struct {
 	core     *pattern.Pattern
 	branches []factorBranch
+	// guard pushes every branch's X literals over core nodes into the core
+	// enumeration, one member per branch: a core match is abandoned only
+	// once each branch has a failed literal on it. Literals reading a node
+	// outside the core wait for the branch's own (guarded) enumeration.
+	guard *core.Guard
 }
 
 // factorGroups returns the rule set's factor groups, computed once per
 // bundle (patterns and class sizes are fixed for a bundle's lifetime) with
-// each branch bound to its bundle-held program.
+// each branch bound to its bundle-held program and the core guard compiled
+// from them.
 func (b *Bundle) factorGroups() []*factorGroup {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -55,9 +61,33 @@ func (b *Bundle) factorGroups() []*factorGroup {
 			for i := range g.branches {
 				g.branches[i].prog = b.progs[g.branches[i].rule]
 			}
+			if g.core != nil {
+				g.guard = g.coreGuard()
+			}
 		}
 	}
 	return b.factors
+}
+
+// coreGuard compiles the branches' X literals over core nodes into the
+// core enumeration's guard, one member per branch.
+func (g *factorGroup) coreGuard() *core.Guard {
+	progs := make([]*core.LiteralProgram, len(g.branches))
+	perms := make([][]int, len(g.branches))
+	for i, br := range g.branches {
+		progs[i] = br.prog
+		// Invert the core -> rule embedding: rule nodes outside the core
+		// stay -1, which leaves their literals out of the guard.
+		perm := make([]int, br.rule.Q.NumNodes())
+		for ri := range perm {
+			perm[ri] = -1
+		}
+		for ci, ri := range br.pin {
+			perm[ri] = ci
+		}
+		perms[i] = perm
+	}
+	return core.GroupGuard(progs, perms)
 }
 
 // buildFactorGroups greedily groups rules by shared core: each rule joins
@@ -186,6 +216,8 @@ func minInt(xs []int) int {
 // into each member rule — a full-coverage branch remaps the core match
 // through its pin permutation and checks the literal program directly; a
 // proper-prefix branch enumerates its pattern with the core image pinned.
+// Every enumeration is guarded: per-rule ones and inner branches by the
+// rule's own X, the core by the group guard over all branches.
 // Violations stream to the sink exactly as DetVioPerRuleB's, in a
 // different (group-interleaved) order; the sets coincide because every
 // member match restricts to exactly one core match.
@@ -204,6 +236,7 @@ func detVioFactored(ctx context.Context, b *Bundle, sink Sink) error {
 		if g.core == nil {
 			for bi := range g.branches {
 				br := &g.branches[bi]
+				copts.Guard = br.prog.Guard()
 				for h := range outer.Matches(br.rule.Q, copts) {
 					if cancel.canceled() {
 						break
@@ -220,6 +253,7 @@ func detVioFactored(ctx context.Context, b *Bundle, sink Sink) error {
 		} else {
 			pin := make(map[int]graph.NodeID, g.core.NumNodes())
 			iopts := match.Options{Pin: pin, Halt: cancel.canceled}
+			copts.Guard = g.guard
 			outer.Enumerate(g.core, copts, func(pm core.Match) bool {
 				for bi := range g.branches {
 					br := &g.branches[bi]
@@ -241,6 +275,9 @@ func detVioFactored(ctx context.Context, b *Bundle, sink Sink) error {
 					for ci, ri := range br.pin {
 						pin[ri] = pm[ci]
 					}
+					// The branch's own guard: literals over the pinned
+					// core image fail at the pins, before any search.
+					iopts.Guard = br.prog.Guard()
 					inner.Enumerate(br.rule.Q, iopts, func(h core.Match) bool {
 						if br.prog.IsViolation(topo, h) && !emit(br.rule.Name, h) {
 							stopped = true

@@ -25,6 +25,23 @@ type ruleGroup struct {
 	q     *pattern.Pattern
 	pivot *workload.Pivot
 	deps  []depSpec
+	// guard is every member's X pushed into the group's enumeration (one
+	// member per dep, operands remapped through the perms); set with the
+	// programs by bind.
+	guard *core.Guard
+}
+
+// bind attaches each dependency's bundle-held program and compiles the
+// group guard from them, so the per-match hot path (checkMatch) neither
+// locks nor touches the evictable GFD-level cache.
+func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram) {
+	ps := make([]*core.LiteralProgram, len(grp.deps))
+	perms := make([][]int, len(grp.deps))
+	for i := range grp.deps {
+		grp.deps[i].prog = progs[grp.deps[i].rule]
+		ps[i], perms[i] = grp.deps[i].prog, grp.deps[i].perm
+	}
+	grp.guard = core.GroupGuard(ps, perms)
 }
 
 // buildGroups partitions rules into groups. With combine=false (the *nop

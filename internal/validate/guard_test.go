@@ -1,0 +1,200 @@
+package validate
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"gfd/internal/core"
+	"gfd/internal/fragment"
+	"gfd/internal/graph"
+	"gfd/internal/match"
+)
+
+// yagoCapitalPair is the pair of yago12 rules (benchmark/rules/yago12.gfd)
+// that share one pattern with different X: the multi-query grouping puts
+// them in one group, whose guard has one member per rule.
+const yagoCapitalPair = `
+gfd y_capital_country {
+  node x0 person
+  node x1 city
+  node x2 country
+  node x3 city
+  edge x0 born_in x1
+  edge x1 located_in x2
+  edge x2 capital x3
+  when x3.val = "city_0"
+  then x2.val = "country_0"
+}
+
+gfd y_country_capital {
+  node x0 person
+  node x1 city
+  node x2 country
+  node x3 city
+  edge x0 born_in x1
+  edge x1 located_in x2
+  edge x2 capital x3
+  when x2.val = "country_1"
+  then x3.val = "city_1"
+}
+`
+
+// capitalChain adds person → city → country → capital city with the
+// country's and the capital's values, returning the four nodes.
+func capitalChain(g *graph.Graph, country, capital string) core.Match {
+	p := g.AddNode("person", graph.Attrs{"val": "person_0"})
+	c := g.AddNode("city", graph.Attrs{"val": "city_5"})
+	k := g.AddNode("country", graph.Attrs{"val": country})
+	x := g.AddNode("city", graph.Attrs{"val": capital})
+	g.MustAddEdge(p, c, "born_in")
+	g.MustAddEdge(c, k, "located_in")
+	g.MustAddEdge(k, x, "capital")
+	return core.Match{p, c, k, x}
+}
+
+// TestGroupGuardKeepsSingleMemberMatches: a group prunes a prefix only
+// once every member's X has failed on it. Each violating chain below
+// satisfies exactly one member's X, so a guard that pruned on the first
+// failed literal of any member would lose both.
+func TestGroupGuardKeepsSingleMemberMatches(t *testing.T) {
+	set, err := core.ParseRules(strings.NewReader(yagoCapitalPair))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(0, 0)
+	onlyFirst := capitalChain(g, "country_9", "city_0")  // X of y_capital_country only; Y fails
+	onlySecond := capitalChain(g, "country_1", "city_7") // X of y_country_capital only; Y fails
+	capitalChain(g, "country_9", "city_7")               // neither X: never reported
+	want := Report{
+		{Rule: "y_capital_country", Match: onlyFirst},
+		{Rule: "y_country_capital", Match: onlySecond},
+	}
+	want.Sort()
+	if got := oracleVio(g, set); !got.Equal(want) {
+		t.Fatalf("oracle disagrees with the planted violations: %v", got)
+	}
+
+	b := NewBundle(g, set)
+	opt := Options{N: 2, NoReduce: true}.Normalized()
+	_, groups, _ := b.ruleGroupsKeyed(opt)
+	if len(groups) != 1 || groups[0].guard.Live() != 0b11 {
+		t.Fatalf("want the pair in one group with a two-member guard, got %d groups", len(groups))
+	}
+	// The group's enumeration itself keeps both single-member matches and
+	// drops the chain no member's X holds on.
+	grp := groups[0]
+	if n := match.NewMatcher(b.Topo()).Count(grp.q, match.Options{Guard: grp.guard}); n != 2 {
+		t.Fatalf("group guard admits %d matches, want 2", n)
+	}
+
+	if got := detVio(g, set); !got.Equal(want) {
+		t.Fatalf("detVio: %v", got)
+	}
+	for _, o := range []Options{{N: 2, NoReduce: true}, {N: 1, NoReduce: true, SplitThreshold: 1}} {
+		if got := repVal(g, set, o).Violations; !got.Equal(want) {
+			t.Fatalf("repVal(%+v): %v", o, got)
+		}
+		if got := disVal(g, fragment.Partition(g, o.N, fragment.Hash), set, o).Violations; !got.Equal(want) {
+			t.Fatalf("disVal(%+v): %v", o, got)
+		}
+	}
+}
+
+// TestNeverSatisfiableRuleSkipped: a rule whose X names a constant the
+// frozen table never interned can never fire, so its guard is dead and no
+// engine enumerates it. Once an overlay interns the constant, the next
+// bundle recompiles the program (it was not Resolved) and the rule is live
+// again.
+func TestNeverSatisfiableRuleSkipped(t *testing.T) {
+	set, err := core.ParseRules(strings.NewReader(`
+gfd r {
+  node x person
+  node y city
+  edge x born_in y
+  when x.val = "zzz"
+  then y.val = "city_0"
+}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := set.Rules()[0]
+	g := graph.New(0, 0)
+	chain := capitalChain(g, "country_0", "city_0")
+	b := NewBundle(g, set)
+	p := b.Program(f)
+	if !p.Guard().Dead() || p.Resolved() {
+		t.Fatal(`X names the uninterned "zzz": the guard must be dead and the program unresolved`)
+	}
+	m := match.NewMatcher(b.Topo())
+	if m.Count(f.Q, match.Options{}) == 0 || m.Count(f.Q, match.Options{Guard: p.Guard()}) != 0 {
+		t.Fatal("the dead guard must skip a pattern that has matches")
+	}
+	if got := detVio(g, set); len(got) != 0 {
+		t.Fatalf("detVio reported %v", got)
+	}
+	if got := repVal(g, set, Options{N: 2}).Violations; len(got) != 0 {
+		t.Fatalf("repVal reported %v", got)
+	}
+
+	ov := graph.NewOverlay(g)
+	ov.SetAttr(chain[0], "val", "zzz")
+	b2 := NewBundleOver(g, ov, set, b)
+	p2 := b2.Program(f)
+	if p2 == p || p2.Guard().Dead() || !p2.Resolved() {
+		t.Fatal("the overlay interned the constant: the program must be recompiled and live")
+	}
+	want := Report{{Rule: "r", Match: core.Match{chain[0], chain[1]}}}
+	for name, run := range map[string]func(context.Context, *Bundle, Sink) error{
+		"DetVioB": DetVioB, "DetVioPerRuleB": DetVioPerRuleB,
+	} {
+		sink := NewCollectSink(1)
+		if err := run(context.Background(), b2, sink); err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.Report(); !got.Equal(want) {
+			t.Fatalf("%s over the overlay: %v, want %v", name, got, want)
+		}
+	}
+	res, err := RepValB(context.Background(), b2, Options{N: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Violations.Equal(want) {
+		t.Fatalf("repVal over the overlay: %v, want %v", res.Violations, want)
+	}
+}
+
+// TestFactorCoreGuardMatchesOracle: the factorized driver guards the
+// shared core with every branch's X literals over core nodes, one member
+// per branch, and each inner branch with its own X. Members mix literals
+// inside the core, across it and on a tail node the core does not cover.
+func TestFactorCoreGuardMatchesOracle(t *testing.T) {
+	withX := func(f *core.GFD, x ...core.Literal) *core.GFD { return core.MustNew(f.Name, f.Q, x, f.Y) }
+	set := core.MustNewSet(
+		withX(tailRule("r1", "D", "cd", core.VarEq("a", "val", "t", "val")), core.Const("a", "val", "v0")),
+		withX(tailRule("r2", "E", "ce", core.VarEq("b", "val", "t", "val")), core.VarEq("t", "val", "c", "val")),
+		withX(tailRule("r3", "F", "cf", core.VarEq("a", "val", "b", "val")), core.Const("b", "val", "v1")),
+		withX(tailRule("r4", "", "", core.VarEq("a", "val", "b", "val")), core.VarEq("a", "val", "c", "val")),
+	)
+	g := sharedCoreGraph()
+	b := NewBundle(g, set)
+	fg := b.factorGroups()
+	if len(fg) != 1 || fg[0].core == nil || fg[0].guard.Live() != 0b1111 {
+		t.Fatal("want one factorized group with a four-member core guard")
+	}
+	// r2's only literal reads its tail: it cannot prune the core.
+	for _, gi := range fg[0].guard.Insts() {
+		if gi.Bit() == 0b10 {
+			t.Fatalf("r2's tail literal %s leaked into the core guard", gi.Format(fg[0].core))
+		}
+	}
+	want := oracleVio(g, set)
+	if len(want) == 0 {
+		t.Fatal("fixture produced no violations; test is vacuous")
+	}
+	if got := collectWith(t, DetVioB, g, set); !got.Equal(want) {
+		t.Fatalf("factorized report: %d violations, oracle %d", len(got), len(want))
+	}
+}

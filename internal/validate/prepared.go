@@ -208,7 +208,7 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 // block-size measurements when the topology delta is known from an
 // overlay touch log — pruned to the untouched region), and — when the
 // symbol table carried over — every grouping variant, with each
-// dependency rebound to this bundle's program references (groups are
+// dependency and guard rebound to this bundle's programs (groups are
 // never shared between bundles, so a still-running Detect on prev is
 // unaffected).
 func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
@@ -223,9 +223,7 @@ func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 		ngs := make([]*ruleGroup, len(gs))
 		for i, grp := range gs {
 			ng := &ruleGroup{q: grp.q, pivot: grp.pivot, deps: append([]depSpec(nil), grp.deps...)}
-			for j := range ng.deps {
-				ng.deps[j].prog = b.progs[ng.deps[j].rule]
-			}
+			ng.bind(b.progs)
 			ngs[i] = ng
 		}
 		b.groups[key] = ngs
@@ -290,13 +288,9 @@ func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey
 		return set, gs, key
 	}
 	gs := buildGroups(set.Rules(), key.combine, key.arbitraryPivot)
-	// Bind each dependency to its bundle-held program so the per-match
-	// hot path (checkMatch) neither locks nor touches the evictable
-	// GFD-level cache. Every grouped rule was lowered at NewBundle.
+	// Every grouped rule was lowered at NewBundle.
 	for _, grp := range gs {
-		for i := range grp.deps {
-			grp.deps[i].prog = b.progs[grp.deps[i].rule]
-		}
+		grp.bind(b.progs)
 	}
 	b.groups[key] = gs
 	return set, gs, key

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,12 +12,19 @@ import (
 	"gfd/internal/core"
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
+	"gfd/internal/incremental"
+	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
 
-// randomWorkload builds a small random graph plus a random rule, both
+// randomWorkload builds a small random graph plus a random rule set, both
 // derived deterministically from a seed — the generator for the
-// end-to-end equivalence properties.
+// end-to-end equivalence properties. X carries up to three literals of
+// every kind the guards compile: constants, cross-node and same-node
+// (x.A = x.B) equalities, an attribute name no node carries and a
+// constant no node holds (never interned on a frozen table). A third of
+// the sets add rules over a node-permuted copy of the pattern with their
+// own X and Y, so multi-query groups mix members whose X differ.
 func randomWorkload(seed int64) (*graph.Graph, *core.Set) {
 	rng := rand.New(rand.NewSource(seed))
 	labels := []string{"a", "b", "c"}
@@ -38,8 +46,10 @@ func randomWorkload(seed int64) (*graph.Graph, *core.Set) {
 	for e := 0; e < nEdges; e++ {
 		from := graph.NodeID(rng.Intn(n))
 		to := graph.NodeID(rng.Intn(n))
-		if from != to {
-			g.MustAddEdge(from, to, edgeLabels[rng.Intn(len(edgeLabels))])
+		// No parallel duplicates (the graph's documented invariant): on
+		// them the legacy oracle yields a match once per duplicate edge.
+		if l := edgeLabels[rng.Intn(len(edgeLabels))]; from != to && !g.HasEdge(from, to, l) {
+			g.MustAddEdge(from, to, l)
 		}
 	}
 
@@ -60,33 +70,106 @@ func randomWorkload(seed int64) (*graph.Graph, *core.Set) {
 		q.AddNode(pattern.Var("iso"), labels[rng.Intn(len(labels))])
 	}
 
-	randLit := func() core.Literal {
+	randLit := func(q *pattern.Pattern, xSide bool) core.Literal {
 		vars := q.Vars()
 		x := vars[rng.Intn(len(vars))]
-		if rng.Intn(2) == 0 {
-			return core.Const(x, attrs[rng.Intn(len(attrs))], fmt.Sprintf("v%d", rng.Intn(3)))
+		attr := attrs[rng.Intn(len(attrs))]
+		if xSide && rng.Intn(10) == 0 {
+			attr = "ghost" // no node carries it
+		}
+		switch k := rng.Intn(5); {
+		case k < 2:
+			c := fmt.Sprintf("v%d", rng.Intn(3))
+			if xSide && rng.Intn(10) == 0 {
+				c = "never" // no node holds it
+			}
+			return core.Const(x, attr, c)
+		case k == 2 && xSide:
+			return core.VarEq(x, "p", x, "q")
 		}
 		y := vars[rng.Intn(len(vars))]
-		return core.VarEq(x, attrs[rng.Intn(len(attrs))], y, attrs[rng.Intn(len(attrs))])
+		return core.VarEq(x, attr, y, attrs[rng.Intn(len(attrs))])
 	}
-	var x, y []core.Literal
-	for i := 0; i < rng.Intn(2); i++ {
-		x = append(x, randLit())
+	rule := func(name string, q *pattern.Pattern) *core.GFD {
+		var x, y []core.Literal
+		for i := rng.Intn(4); i > 0; i-- {
+			x = append(x, randLit(q, true))
+		}
+		for i := 1 + rng.Intn(2); i > 0; i-- {
+			y = append(y, randLit(q, false))
+		}
+		return core.MustNew(name, q, x, y)
 	}
-	for i := 0; i < 1+rng.Intn(2); i++ {
-		y = append(y, randLit())
+	rules := []*core.GFD{rule("r", q)}
+	if rng.Intn(3) == 0 {
+		perm := rng.Perm(q.NumNodes())
+		pq := pattern.New()
+		inv := make([]int, len(perm))
+		for i, pi := range perm {
+			inv[pi] = i
+		}
+		for _, oi := range inv {
+			nd := q.Nodes[oi]
+			pq.AddNode("p"+nd.Var, nd.Label)
+		}
+		for _, e := range q.Edges {
+			pq.AddEdge(perm[e.From], perm[e.To], e.Label)
+		}
+		for i := 1 + rng.Intn(2); i > 0; i-- {
+			rules = append(rules, rule(fmt.Sprintf("r%d", i), pq))
+		}
 	}
-	return g, core.MustNewSet(core.MustNew("r", q, x, y))
+	return g, core.MustNewSet(rules...)
+}
+
+// oracleVio is the differential reference, independent of every engine
+// and of the guards: the legacy matcher over the mutable graph plus the
+// map-based GFD.IsViolation on each full match.
+func oracleVio(g *graph.Graph, set *core.Set) Report {
+	var out Report
+	for _, f := range set.Rules() {
+		match.Enumerate(g, f.Q, match.Options{}, func(h core.Match) bool {
+			if f.IsViolation(g, h) {
+				out = append(out, Violation{Rule: f.Name, Match: append(core.Match(nil), h...)})
+			}
+			return true
+		})
+	}
+	out.Sort()
+	return out
+}
+
+func incrementalReport(d *incremental.Detector) Report {
+	var out Report
+	for _, v := range d.Report() {
+		out = append(out, Violation{Rule: v.Rule, Match: v.Match})
+	}
+	out.Sort()
+	return out
 }
 
 // TestPropertyEnginesEquivalent is the central end-to-end property: on
-// arbitrary graphs and rules, repVal and disVal (all variants) compute
-// exactly detVio's violation set.
+// arbitrary graphs and rule sets, detVio (factorized and per-rule), repVal
+// and disVal (all variants) and the incremental detector over an overlay
+// compute exactly the oracle's violation set. Every engine pushes X into
+// its search, so none of them can serve as the reference.
 func TestPropertyEnginesEquivalent(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		seed := int64(seedRaw)
 		g, set := randomWorkload(seed)
-		want := detVio(g, set)
+		want := oracleVio(g, set)
+		if got := detVio(g, set); !got.Equal(want) {
+			t.Logf("seed %d: detVio found %d violations, oracle %d", seed, len(got), len(want))
+			return false
+		}
+		perRule := NewCollectSink(1)
+		if err := DetVioPerRuleB(context.Background(), NewBundle(g, set), perRule); err != nil {
+			t.Fatal(err)
+		}
+		if got := perRule.Report(); !got.Equal(want) {
+			t.Logf("seed %d: DetVioPerRuleB found %d violations, oracle %d", seed, len(got), len(want))
+			return false
+		}
 		for _, opt := range []Options{
 			{N: 1, NoReduce: true},
 			{N: 3, NoReduce: true},
@@ -104,6 +187,31 @@ func TestPropertyEnginesEquivalent(t *testing.T) {
 				return false
 			}
 		}
+		// The incremental detector, before and after updates that set the
+		// literals' values (including the never-interned constant) and
+		// add edges, against the oracle on the mutated graph.
+		d := incremental.New(g, set)
+		if got := incrementalReport(d); !got.Equal(want) {
+			t.Logf("seed %d: incremental detector found %d violations, oracle %d", seed, len(got), len(want))
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var ups []incremental.Update
+		for i := 0; i < 6; i++ {
+			v := graph.NodeID(rng.Intn(g.NumNodes()))
+			if i%3 == 2 {
+				if w := graph.NodeID(rng.Intn(g.NumNodes())); w != v && !g.HasEdge(v, w, "e") {
+					ups = append(ups, incremental.AddEdge{From: v, To: w, Label: "e"})
+				}
+				continue
+			}
+			ups = append(ups, incremental.SetAttr{Node: v, Attr: []string{"p", "q"}[i%2], Value: []string{"v0", "never"}[rng.Intn(2)]})
+		}
+		d.Apply(ups...)
+		if got, want := incrementalReport(d), oracleVio(g, set); !got.Equal(want) {
+			t.Logf("seed %d: after updates the incremental detector found %d violations, oracle %d", seed, len(got), len(want))
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -116,11 +224,15 @@ func TestPropertyEnginesEquivalent(t *testing.T) {
 func TestPropertyNormalizePreservesSemantics(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		g, set := randomWorkload(int64(seedRaw))
-		ruleOrig := set.Rules()[0]
-		norm := ruleOrig.Normalize()
-		normSet := core.MustNewSet(norm...)
+		var norm []*core.GFD
+		for _, r := range set.Rules() {
+			norm = append(norm, r.Normalize()...)
+		}
 		want := detVio(g, set)
-		got := detVio(g, normSet)
+		if len(norm) == 0 {
+			return len(want) == 0
+		}
+		got := detVio(g, core.MustNewSet(norm...))
 		// Entities flagged must coincide (multiple normalized rules may
 		// flag the same match, so counts differ but entity sets must not).
 		wantNodes, gotNodes := want.ViolatingNodes(), got.ViolatingNodes()

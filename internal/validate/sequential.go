@@ -48,6 +48,7 @@ func DetVioPerRuleB(ctx context.Context, b *Bundle, sink Sink) (err error) {
 	opts := match.Options{Halt: cancel.canceled}
 	for _, f := range b.set.Rules() {
 		p := b.Program(f)
+		opts.Guard = p.Guard()
 		stopped := false
 		for h := range m.Matches(f.Q, opts) {
 			if cancel.canceled() {
