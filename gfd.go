@@ -97,14 +97,14 @@ type (
 	// candidate ranges. Matching and validation hot paths run against it;
 	// mutate the Graph, then Freeze again for a fresh view.
 	Snapshot = graph.Snapshot
-	// Topology is the compiled execution view the engines run against,
-	// implemented by both *Snapshot (the immutable batch fast path) and
-	// *Overlay (a snapshot plus update patches).
+	// Topology is the compiled execution view the engines run against.
+	// Every read goes through one *Snapshot: a frozen one, or an
+	// *Overlay's patched view.
 	Topology = graph.Topology
-	// Overlay is a base Snapshot plus localized patches tracking
-	// AddNode/AddEdge/SetAttr updates — the delta view Session.Apply and
-	// the incremental detector maintain so small mutations stop costing a
-	// full re-freeze.
+	// Overlay applies AddNode/AddEdge/SetAttr updates to a base Snapshot
+	// and serves reads through its embedded patched view — the delta view
+	// Session.Apply and the incremental detector maintain so small
+	// mutations stop costing a full re-freeze.
 	Overlay = graph.Overlay
 
 	// Pattern is a graph pattern Q[x̄].

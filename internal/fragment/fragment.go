@@ -241,7 +241,10 @@ func SaveShards(ctx context.Context, snap *graph.Snapshot, owner []int, n int, d
 	if n < 1 {
 		n = 1
 	}
-	full := snap.Flat()
+	full, err := snap.Flat()
+	if err != nil {
+		return nil, fmt.Errorf("fragment: save shards: %w", err)
+	}
 	numNodes := len(full.Labels)
 	if len(owner) != numNodes {
 		return nil, fmt.Errorf("fragment: owner table covers %d nodes, snapshot has %d", len(owner), numNodes)

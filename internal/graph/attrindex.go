@@ -4,11 +4,11 @@ import "sort"
 
 // AttrIndex is the mutable counterpart of the Snapshot's interned
 // attribute arena: per-node (Name, Val) pairs sorted by Name, maintained
-// incrementally as the graph mutates. An Overlay embeds one (borrowing
-// the base snapshot's arena copy-on-write, see newAttrIndexOver) so
-// literal evaluation (core.LiteralProgram) runs on integer compares on
-// the incremental path too, without re-freezing the whole graph per
-// update batch.
+// incrementally as the graph mutates. An Overlay's patch holds one
+// (borrowing the base snapshot's arena copy-on-write, see
+// newAttrIndexOver) so literal evaluation (core.LiteralProgram) runs on
+// integer compares on the incremental path too, without re-freezing the
+// whole graph per update batch.
 //
 // Unlike a Snapshot's table, an AttrIndex's Symbols table keeps growing:
 // updates intern new values on the fly. Interned codes are stable, so

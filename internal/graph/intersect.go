@@ -1,8 +1,8 @@
 package graph
 
 // Sorted-range intersection primitives for the worst-case-optimal join step
-// of the matcher (Leapfrog Triejoin style). Both Snapshot and Overlay keep
-// every node's adjacency sorted by (Label, To), so a concrete-label subrange
+// of the matcher (Leapfrog Triejoin style). Frozen and patched snapshots
+// alike keep every node's adjacency sorted by (Label, To), so a concrete-label subrange
 // (OutWith/InWith with l != WildcardSym) is sorted ascending by To — exactly
 // the shape a multiway sorted intersection wants. Wildcard subranges span
 // label groups and are NOT To-sorted; callers must never hand one to
@@ -49,8 +49,8 @@ func SeekGE(es []CSREdge, from int, to NodeID) int {
 // given adjacency ranges and returns the extended slice, ascending and
 // deduplicated (parallel duplicate (from, to, label) triples, which sit
 // adjacent in a sorted range, collapse to one emission). Each range must be
-// sorted ascending by To — a single concrete-label run of a Snapshot or
-// Overlay adjacency; never a WildcardSym range.
+// sorted ascending by To — a single concrete-label run of a Snapshot's
+// adjacency; never a WildcardSym range.
 //
 // The merge is a round-robin leapfrog: the current candidate is the largest
 // head seen so far, and each range in turn gallops (SeekGE) to it, either

@@ -1,24 +1,22 @@
 package graph
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
-// Overlay is the mutable counterpart of a Snapshot: a base CSR view plus
-// localized patches that track a stream of AddNode / AddEdge / SetAttr
-// updates, so the compiled match path keeps working over a changing graph
-// without an O(|V|+|E|) re-freeze per update batch. It implements the same
-// Topology contract the engines run against.
+// Overlay is the write side of a changing graph: it applies a stream of
+// AddNode / AddEdge / SetAttr updates to a frozen base Snapshot without an
+// O(|V|+|E|) re-freeze per update batch, and serves every read through its
+// embedded view — a *Snapshot that shares the base's arrays and carries the
+// overlay's patch. The view is what implements Topology, so the engines
+// and the matcher run on an overlay exactly as on a fresh freeze.
 //
 // Representation: adjacency of a touched node is copied out of the base
 // CSR on first touch and maintained (label, neighbor)-sorted in place, so
 // OutWith/InWith subranges and HasEdge binary searches work exactly as on
-// a Snapshot; untouched nodes read straight from the base arrays. Nodes
-// inserted after the freeze get label and class-range fixups (per-label
-// candidate classes grown incrementally, kept ascending because new IDs
-// are always larger than frozen ones). Attributes ride on an AttrIndex
-// that borrows the base snapshot's interned arena copy-on-write.
+// a frozen snapshot; untouched nodes read straight from the base arrays.
+// Nodes inserted after the freeze get label and class-range fixups
+// (per-label candidate classes grown incrementally, kept ascending because
+// new IDs are always larger than frozen ones). Attributes ride on an
+// AttrIndex that borrows the base snapshot's interned arena copy-on-write.
 //
 // The overlay interns new labels and attribute values into the base
 // snapshot's own symbol table. Codes only ever grow, so artifacts compiled
@@ -33,18 +31,9 @@ import (
 // with the touched region, and holders compact (re-freeze and start a
 // fresh overlay) once DeltaFraction crosses their threshold.
 type Overlay struct {
-	g    *Graph
-	base *Snapshot
-	syms *Symbols
+	*Snapshot // the patched read view
 
-	version uint64 // graph version the patches reflect
-
-	outPatch  map[NodeID][]CSREdge // copy-on-write adjacency, (Label, To)-sorted
-	inPatch   map[NodeID][]CSREdge
-	newLabels []Sym            // labels of nodes inserted after the freeze
-	classes   map[Sym][]NodeID // merged candidate classes for labels that gained nodes
-	attrs     *AttrIndex       // attribute tuples, borrowing the base arena
-
+	base  *Snapshot
 	delta int // patch size: nodes + edges + attribute writes since the freeze
 
 	// touchLog records every node whose *topology* changed since the base
@@ -55,8 +44,6 @@ type Overlay struct {
 	// alternative to discarding every measurement per update batch.
 	// Attribute writes are deliberately absent: they change no neighborhood.
 	touchLog []NodeID
-
-	scratch sync.Pool // *bfsScratch
 }
 
 // NewOverlay freezes g (cached per version, so stacking an overlay on an
@@ -66,34 +53,30 @@ type Overlay struct {
 // a direct graph mutation desynchronizes it (see Synced).
 func NewOverlay(g *Graph) *Overlay {
 	base := g.Freeze()
-	return &Overlay{
-		g:        g,
-		base:     base,
-		syms:     base.Syms(),
-		version:  g.Version(),
-		outPatch: make(map[NodeID][]CSREdge),
-		inPatch:  make(map[NodeID][]CSREdge),
-		classes:  make(map[Sym][]NodeID),
-		attrs:    newAttrIndexOver(base),
+	view := &Snapshot{
+		g: g, syms: base.syms, labels: base.labels,
+		attrOff: base.attrOff, attrPairs: base.attrPairs,
+		outOff: base.outOff, out: base.out, inOff: base.inOff, in: base.in,
+		classOff: base.classOff, classes: base.classes,
+		patch: &patch{
+			out:     make(map[NodeID][]CSREdge),
+			in:      make(map[NodeID][]CSREdge),
+			classes: make(map[Sym][]NodeID),
+			attrs:   newAttrIndexOver(base),
+			version: g.Version(),
+		},
 	}
+	return &Overlay{Snapshot: view, base: base}
 }
-
-// Graph returns the underlying mutable graph.
-func (o *Overlay) Graph() *Graph { return o.g }
 
 // Base returns the frozen snapshot the overlay patches.
 func (o *Overlay) Base() *Snapshot { return o.base }
-
-// Version returns the graph version the overlay's patches reflect. It
-// advances with every mutation applied through the overlay, so holders of
-// topology-derived caches (the matcher's plan cache) can key on it.
-func (o *Overlay) Version() uint64 { return o.version }
 
 // Synced reports whether the overlay reflects the graph's current version
 // — true as long as every mutation since NewOverlay went through the
 // overlay. Holders of a desynchronized overlay must discard it and
 // re-freeze.
-func (o *Overlay) Synced() bool { return o.version == o.g.Version() }
+func (o *Overlay) Synced() bool { return o.patch.version == o.g.Version() }
 
 // Delta returns the patch size: nodes inserted + edges inserted +
 // attribute writes since the base freeze.
@@ -143,20 +126,21 @@ func (o *Overlay) TouchedSince(mark int) []NodeID {
 // indexed. Returns the new node's ID.
 func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	id := o.g.AddNode(label, attrs)
-	o.attrs.AddNode(attrs)
+	p := o.patch
+	p.attrs.AddNode(attrs)
 	l := o.syms.Intern(label)
-	o.newLabels = append(o.newLabels, l)
+	p.labels = append(p.labels, l)
 	// Extend the merged candidate class; seeded from the base range on the
 	// label's first insertion. New IDs exceed every frozen ID, so the class
 	// stays ascending by construction.
-	m, ok := o.classes[l]
+	m, ok := p.classes[l]
 	if !ok {
 		m = append([]NodeID(nil), o.base.NodesWith(l)...)
 	}
-	o.classes[l] = append(m, id)
+	p.classes[l] = append(m, id)
 	o.touchLog = append(o.touchLog, id)
 	o.delta += 1 + len(attrs)
-	o.version = o.g.Version()
+	p.version = o.g.Version()
 	return id
 }
 
@@ -167,14 +151,15 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 		return err
 	}
 	l := o.syms.Intern(label)
-	o.outPatch[from] = insertSortedEdge(o.adjacency(from, o.outPatch, o.base.outOff, o.base.out), CSREdge{To: to, Label: l})
-	o.inPatch[to] = insertSortedEdge(o.adjacency(to, o.inPatch, o.base.inOff, o.base.in), CSREdge{To: from, Label: l})
+	p := o.patch
+	p.out[from] = insertSortedEdge(o.adjacency(p.out, from, o.outOff, o.out), CSREdge{To: to, Label: l})
+	p.in[to] = insertSortedEdge(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
 	// One unit per edge, matching the |V|+|E| denominator of
 	// DeltaFraction — counting both half-edge patches would silently
 	// halve the documented compaction threshold for edge-heavy streams.
 	o.touchLog = append(o.touchLog, from, to)
 	o.delta++
-	o.version = o.g.Version()
+	p.version = o.g.Version()
 	return nil
 }
 
@@ -189,15 +174,15 @@ func (o *Overlay) MustAddEdge(from, to NodeID, label string) {
 // attribute index.
 func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	o.g.SetAttr(v, a, val)
-	o.attrs.SetAttr(v, a, val)
+	o.patch.attrs.SetAttr(v, a, val)
 	o.delta++
-	o.version = o.g.Version()
+	o.patch.version = o.g.Version()
 }
 
 // adjacency returns the mutable adjacency slice of v for one direction:
 // the existing patch, or a fresh copy of the base range on first touch.
-func (o *Overlay) adjacency(v NodeID, patch map[NodeID][]CSREdge, off []int32, arena []CSREdge) []CSREdge {
-	if es, ok := patch[v]; ok {
+func (o *Overlay) adjacency(p map[NodeID][]CSREdge, v NodeID, off []int32, arena []CSREdge) []CSREdge {
+	if es, ok := p[v]; ok {
 		return es
 	}
 	if int(v) < o.base.NumNodes() {
@@ -211,7 +196,7 @@ func (o *Overlay) adjacency(v NodeID, patch map[NodeID][]CSREdge, off []int32, a
 
 // insertSortedEdge inserts e into its (Label, To) position. Duplicate
 // triples are kept adjacent, mirroring the graph's multi-edge behavior;
-// the matcher collapses them like it does on a Snapshot.
+// the matcher collapses them like it does on a frozen snapshot.
 func insertSortedEdge(es []CSREdge, e CSREdge) []CSREdge {
 	pos := sort.Search(len(es), func(i int) bool {
 		if es[i].Label != e.Label {
@@ -223,229 +208,4 @@ func insertSortedEdge(es []CSREdge, e CSREdge) []CSREdge {
 	copy(es[pos+1:], es[pos:])
 	es[pos] = e
 	return es
-}
-
-// ---- Topology ------------------------------------------------------------
-
-// Syms returns the overlay's symbol table — the base snapshot's table,
-// grown in place by updates.
-func (o *Overlay) Syms() *Symbols { return o.syms }
-
-// NumNodes returns |V| including nodes inserted after the freeze.
-func (o *Overlay) NumNodes() int { return o.base.NumNodes() + len(o.newLabels) }
-
-// NumEdges returns |E| as seen by the overlay.
-func (o *Overlay) NumEdges() int { return o.g.NumEdges() }
-
-// Label returns the interned label code of node v.
-func (o *Overlay) Label(v NodeID) Sym {
-	if n := o.base.NumNodes(); int(v) >= n {
-		return o.newLabels[int(v)-n]
-	}
-	return o.base.Label(v)
-}
-
-// AttrSym returns the interned value of attribute name on node v.
-func (o *Overlay) AttrSym(v NodeID, name Sym) (Sym, bool) {
-	return o.attrs.AttrSym(v, name)
-}
-
-// Out returns v's out-adjacency: the patched slice for touched nodes, the
-// base CSR range otherwise.
-func (o *Overlay) Out(v NodeID) []CSREdge {
-	if len(o.outPatch) > 0 {
-		if es, ok := o.outPatch[v]; ok {
-			return es
-		}
-	}
-	if int(v) < o.base.NumNodes() {
-		return o.base.Out(v)
-	}
-	return nil
-}
-
-// In returns v's in-adjacency; see Out.
-func (o *Overlay) In(v NodeID) []CSREdge {
-	if len(o.inPatch) > 0 {
-		if es, ok := o.inPatch[v]; ok {
-			return es
-		}
-	}
-	if int(v) < o.base.NumNodes() {
-		return o.base.In(v)
-	}
-	return nil
-}
-
-// OutDegree returns the number of out-edges of v.
-func (o *Overlay) OutDegree(v NodeID) int { return len(o.Out(v)) }
-
-// InDegree returns the number of in-edges of v.
-func (o *Overlay) InDegree(v NodeID) int { return len(o.In(v)) }
-
-// OutWith returns the contiguous subrange of v's out-adjacency with edge
-// label l (the whole range for WildcardSym).
-func (o *Overlay) OutWith(v NodeID, l Sym) []CSREdge { return labelRange(o.Out(v), l) }
-
-// InWith is OutWith over the in-adjacency.
-func (o *Overlay) InWith(v NodeID, l Sym) []CSREdge { return labelRange(o.In(v), l) }
-
-// HasEdge reports whether a from -[l]-> to edge exists; l == WildcardSym
-// matches any label.
-func (o *Overlay) HasEdge(from, to NodeID, l Sym) bool {
-	return hasEdgeRanges(o.Out(from), o.In(to), from, to, l)
-}
-
-// NodesWith returns the candidate class of label code l: the merged class
-// for labels that gained nodes, the base range otherwise. Shared;
-// read-only.
-func (o *Overlay) NodesWith(l Sym) []NodeID {
-	if len(o.classes) > 0 {
-		if m, ok := o.classes[l]; ok {
-			return m
-		}
-	}
-	return o.base.NodesWith(l)
-}
-
-// NodesWithStripe returns the stripe candidates of label l. The overlay
-// has no precomputed residue sub-ranges, so it over-approximates with the
-// whole class; callers keep the residue filter (the Topology contract).
-func (o *Overlay) NodesWithStripe(l Sym, mod, rem int) []NodeID { return o.NodesWith(l) }
-
-// ClassSize returns the number of nodes carrying label code l.
-func (o *Overlay) ClassSize(l Sym) int {
-	if len(o.classes) > 0 {
-		if m, ok := o.classes[l]; ok {
-			return len(m)
-		}
-	}
-	return o.base.ClassSize(l)
-}
-
-func (o *Overlay) getScratch() *bfsScratch {
-	sc, _ := o.scratch.Get().(*bfsScratch)
-	if sc == nil {
-		sc = &bfsScratch{}
-	}
-	if n := o.NumNodes(); len(sc.stamp) < n {
-		grown := make([]uint32, n)
-		copy(grown, sc.stamp)
-		sc.stamp = grown
-	}
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
-	return sc
-}
-
-// bfs collects the nodes within c undirected hops of start into the
-// returned scratch (discovery order, start first); the caller must Put it
-// back. It deliberately repeats Snapshot.bfs with the patched accessors
-// instead of sharing a Topology-generic traversal: workload estimation
-// runs one traversal per pivot candidate on the snapshot path, and
-// routing its adjacency reads through interface (or gcshape-dictionary)
-// dispatch taxes the measured estimation spans the benchmark gate
-// watches — the same rationale as the matcher's specialized inner loop.
-// Behavioral changes must land in both copies; FuzzOverlayPatch pins this
-// copy against a fresh freeze (Neighborhood, NeighborhoodSize, BlockInto).
-func (o *Overlay) bfs(start NodeID, c int) *bfsScratch {
-	if int(start) < 0 || int(start) >= o.NumNodes() {
-		return nil
-	}
-	sc := o.getScratch()
-	sc.visit(start)
-	frontier := append(sc.frontier[:0], start)
-	next := sc.next[:0]
-	nodes := append(sc.nodes[:0], start)
-	for hop := 0; hop < c && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			for _, e := range o.Out(v) {
-				if !sc.visited(e.To) {
-					sc.visit(e.To)
-					next = append(next, e.To)
-					nodes = append(nodes, e.To)
-				}
-			}
-			for _, e := range o.In(v) {
-				if !sc.visited(e.To) {
-					sc.visit(e.To)
-					next = append(next, e.To)
-					nodes = append(nodes, e.To)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	sc.frontier, sc.next, sc.nodes = frontier, next, nodes
-	return sc
-}
-
-// Neighborhood returns the nodes within c undirected hops of start,
-// including start, sorted ascending.
-func (o *Overlay) Neighborhood(start NodeID, c int) []NodeID {
-	sc := o.bfs(start, c)
-	if sc == nil {
-		return nil
-	}
-	out := append([]NodeID(nil), sc.nodes...)
-	o.scratch.Put(sc)
-	sortNodeIDs(out)
-	return out
-}
-
-// NeighborhoodSize returns |V'| + |E'| of the subgraph induced by the
-// c-hop neighborhood of start.
-func (o *Overlay) NeighborhoodSize(start NodeID, c int) int {
-	sc := o.bfs(start, c)
-	if sc == nil {
-		return 0
-	}
-	size := len(sc.nodes)
-	for _, v := range sc.nodes {
-		for _, e := range o.Out(v) {
-			if sc.visited(e.To) {
-				size++
-			}
-		}
-	}
-	o.scratch.Put(sc)
-	return size
-}
-
-// BlockInto adds to set every node within c undirected hops of start —
-// the EpochSet fill the engines and the incremental detector use.
-func (o *Overlay) BlockInto(set *EpochSet, start NodeID, c int) {
-	if int(start) < 0 || int(start) >= o.NumNodes() {
-		return
-	}
-	set.beginFill(o.NumNodes())
-	set.visit[start] = set.visitEpoch
-	set.Add(start)
-	frontier := append(set.frontier[:0], start)
-	next := set.next[:0]
-	for hop := 0; hop < c && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			for _, e := range o.Out(v) {
-				if set.visit[e.To] != set.visitEpoch {
-					set.visit[e.To] = set.visitEpoch
-					set.Add(e.To)
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range o.In(v) {
-				if set.visit[e.To] != set.visitEpoch {
-					set.visit[e.To] = set.visitEpoch
-					set.Add(e.To)
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	set.frontier, set.next = frontier, next
 }

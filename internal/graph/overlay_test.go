@@ -30,9 +30,10 @@ func edgeKey(syms *Symbols, e CSREdge) string {
 	return fmt.Sprintf("%s->%d", syms.Name(e.Label), e.To)
 }
 
-// assertOverlayMatchesFreeze checks every Topology observable of ov
-// against a fresh freeze of the mutated graph — the compaction oracle:
-// the patched view and the from-scratch CSR must be indistinguishable.
+// assertOverlayMatchesFreeze checks every observable the overlay's view
+// serves against a fresh freeze of the mutated graph — the compaction
+// oracle: the patched view and the from-scratch CSR must be
+// indistinguishable.
 func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 	t.Helper()
 	g := ov.Graph()
@@ -40,68 +41,121 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 	if ov.NumNodes() != snap.NumNodes() {
 		t.Fatalf("NumNodes: overlay %d, freeze %d", ov.NumNodes(), snap.NumNodes())
 	}
+	if ov.NumEdges() != snap.NumEdges() {
+		t.Fatalf("NumEdges: overlay %d, freeze %d", ov.NumEdges(), snap.NumEdges())
+	}
 	osyms, ssyms := ov.Syms(), snap.Syms()
+	var edgeLabels []string
+	seen := map[string]bool{}
+	g.Edges(func(e Edge) bool {
+		if !seen[e.Label] {
+			seen[e.Label] = true
+			edgeLabels = append(edgeLabels, e.Label)
+		}
+		return true
+	})
+	keys := func(syms *Symbols, es []CSREdge) []string {
+		out := make([]string, len(es))
+		for i := range es {
+			out[i] = edgeKey(syms, es[i])
+		}
+		sort.Strings(out)
+		return out
+	}
 	for v := 0; v < snap.NumNodes(); v++ {
 		id := NodeID(v)
 		if got, want := osyms.Name(ov.Label(id)), ssyms.Name(snap.Label(id)); got != want {
 			t.Fatalf("Label(%d): overlay %q, freeze %q", v, got, want)
 		}
+		if ov.OutDegree(id) != snap.OutDegree(id) || ov.InDegree(id) != snap.InDegree(id) {
+			t.Fatalf("degrees of %d: overlay (%d, %d), freeze (%d, %d)", v,
+				ov.OutDegree(id), ov.InDegree(id), snap.OutDegree(id), snap.InDegree(id))
+		}
 		// Adjacency must agree as an edge multiset; the within-node order
 		// may differ between the views because each is sorted by its own
 		// table's label codes (the overlay interns late-arriving labels at
 		// higher codes than a fresh freeze would). Per-view sortedness —
-		// what the binary searches rely on — is asserted separately.
+		// what the binary searches rely on — is asserted separately. Each
+		// label's subrange is To-sorted in both views, so it compares as is.
 		for dir, pair := range map[string][2][]CSREdge{
 			"out": {ov.Out(id), snap.Out(id)},
 			"in":  {ov.In(id), snap.In(id)},
 		} {
-			oes, ses := pair[0], pair[1]
-			if len(oes) != len(ses) {
-				t.Fatalf("%s degree of %d: overlay %d, freeze %d", dir, v, len(oes), len(ses))
-			}
+			oes := pair[0]
 			for i := 1; i < len(oes); i++ {
 				prev, cur := oes[i-1], oes[i]
 				if cur.Label < prev.Label || (cur.Label == prev.Label && cur.To < prev.To) {
 					t.Fatalf("%s adjacency of %d not (label, neighbor)-sorted at %d", dir, v, i)
 				}
 			}
-			okeys := make([]string, len(oes))
-			skeys := make([]string, len(ses))
-			for i := range oes {
-				okeys[i] = edgeKey(osyms, oes[i])
-				skeys[i] = edgeKey(ssyms, ses[i])
-			}
-			sort.Strings(okeys)
-			sort.Strings(skeys)
-			for i := range okeys {
-				if okeys[i] != skeys[i] {
-					t.Fatalf("%s adjacency of %d differs: overlay %s, freeze %s", dir, v, okeys[i], skeys[i])
-				}
+			if got, want := fmt.Sprint(keys(osyms, oes)), fmt.Sprint(keys(ssyms, pair[1])); got != want {
+				t.Fatalf("%s adjacency of %d: overlay %s, freeze %s", dir, v, got, want)
 			}
 		}
-		// Attribute tuples through the interned index.
-		for name, want := range g.NodeAttrs(id) {
-			sym, ok := ov.AttrSym(id, osyms.Lookup(name))
-			if !ok {
-				t.Fatalf("AttrSym(%d, %s): overlay misses attribute", v, name)
+		for _, name := range edgeLabels {
+			ol, sl := osyms.Lookup(name), ssyms.Lookup(name)
+			if got, want := fmt.Sprint(keys(osyms, ov.OutWith(id, ol))), fmt.Sprint(keys(ssyms, snap.OutWith(id, sl))); got != want {
+				t.Fatalf("OutWith(%d, %s): overlay %s, freeze %s", v, name, got, want)
 			}
-			if got := osyms.Name(sym); got != want {
-				t.Fatalf("AttrSym(%d, %s): overlay %q, graph %q", v, name, got, want)
+			if got, want := fmt.Sprint(keys(osyms, ov.InWith(id, ol))), fmt.Sprint(keys(ssyms, snap.InWith(id, sl))); got != want {
+				t.Fatalf("InWith(%d, %s): overlay %s, freeze %s", v, name, got, want)
+			}
+		}
+		// Attribute tuples: the graph's map, the interned pairs, and the
+		// string-keyed read must all agree.
+		attrs := g.NodeAttrs(id)
+		ps := ov.AttrPairs(id)
+		if len(ps) != len(attrs) {
+			t.Fatalf("AttrPairs(%d): overlay holds %d pairs, graph %d", v, len(ps), len(attrs))
+		}
+		for i, p := range ps {
+			if i > 0 && ps[i-1].Name >= p.Name {
+				t.Fatalf("AttrPairs(%d) not strictly sorted by name at %d", v, i)
+			}
+			if want, ok := attrs[osyms.Name(p.Name)]; !ok || osyms.Name(p.Val) != want {
+				t.Fatalf("AttrPairs(%d): pair %s=%s, graph %q", v, osyms.Name(p.Name), osyms.Name(p.Val), want)
+			}
+		}
+		for name, want := range attrs {
+			sym, ok := ov.AttrSym(id, osyms.Lookup(name))
+			if !ok || osyms.Name(sym) != want {
+				t.Fatalf("AttrSym(%d, %s): overlay %q (%v), graph %q", v, name, osyms.Name(sym), ok, want)
+			}
+			if got, _ := ov.Attr(id, name); got != want {
+				t.Fatalf("Attr(%d, %s): overlay %q, graph %q", v, name, got, want)
 			}
 		}
 	}
-	// Candidate classes: same node sets, ascending, sizes consistent.
+	// Candidate classes: same node sets, ascending, sizes consistent; a
+	// stripe is a superset of its exact residue class and equal to it once
+	// the residue filter the callers keep has run.
 	for _, label := range g.Labels() {
-		oc := ov.NodesWith(osyms.Lookup(label))
-		sc := snap.NodesWith(ssyms.Lookup(label))
+		ol, sl := osyms.Lookup(label), ssyms.Lookup(label)
+		oc := ov.NodesWith(ol)
+		sc := snap.NodesWith(sl)
 		if fmt.Sprint(oc) != fmt.Sprint(sc) {
 			t.Fatalf("NodesWith(%s): overlay %v, freeze %v", label, oc, sc)
 		}
 		if !sort.SliceIsSorted(oc, func(i, j int) bool { return oc[i] < oc[j] }) {
 			t.Fatalf("NodesWith(%s) not ascending: %v", label, oc)
 		}
-		if ov.ClassSize(osyms.Lookup(label)) != len(oc) {
-			t.Fatalf("ClassSize(%s) = %d, class has %d", label, ov.ClassSize(osyms.Lookup(label)), len(oc))
+		if ov.ClassSize(ol) != len(oc) {
+			t.Fatalf("ClassSize(%s) = %d, class has %d", label, ov.ClassSize(ol), len(oc))
+		}
+		for _, mod := range []int{2, 3} {
+			for rem := 0; rem < mod; rem++ {
+				stripe := ov.NodesWithStripe(ol, mod, rem)
+				var filtered []NodeID
+				for _, v := range stripe {
+					if int(v)%mod == rem {
+						filtered = append(filtered, v)
+					}
+				}
+				exact := snap.NodesWithStripe(sl, mod, rem)
+				if fmt.Sprint(filtered) != fmt.Sprint(exact) {
+					t.Fatalf("NodesWithStripe(%s, %d, %d) filtered: overlay %v, freeze %v", label, mod, rem, filtered, exact)
+				}
+			}
 		}
 	}
 	// Edge existence and neighborhoods, spot-checked over every node pair
@@ -113,8 +167,14 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 	}
 	for a := 0; a < cap; a++ {
 		for b := 0; b < cap; b++ {
-			if got, want := ov.HasEdge(NodeID(a), NodeID(b), WildcardSym), snap.HasEdge(NodeID(a), NodeID(b), WildcardSym); got != want {
+			from, to := NodeID(a), NodeID(b)
+			if got, want := ov.HasEdge(from, to, WildcardSym), snap.HasEdge(from, to, WildcardSym); got != want {
 				t.Fatalf("HasEdge(%d, %d, _): overlay %v, freeze %v", a, b, got, want)
+			}
+			for _, name := range edgeLabels {
+				if got, want := ov.HasEdge(from, to, osyms.Lookup(name)), snap.HasEdge(from, to, ssyms.Lookup(name)); got != want {
+					t.Fatalf("HasEdge(%d, %d, %s): overlay %v, freeze %v", a, b, name, got, want)
+				}
 			}
 		}
 		for c := 0; c <= 2; c++ {
@@ -124,8 +184,6 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 			if got, want := ov.NeighborhoodSize(NodeID(a), c), snap.NeighborhoodSize(NodeID(a), c); got != want {
 				t.Fatalf("NeighborhoodSize(%d, %d): overlay %d, freeze %d", a, c, got, want)
 			}
-			// BlockInto is a hand-specialized copy of the snapshot's fill
-			// (see Overlay.bfs); pin the two against each other.
 			oset, sset := NewEpochSet(ov.NumNodes()), NewEpochSet(snap.NumNodes())
 			ov.BlockInto(oset, NodeID(a), c)
 			snap.BlockInto(sset, NodeID(a), c)
@@ -161,6 +219,9 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 	// and on the fresh node.
 	ov.SetAttr(2, "val", "rewritten")
 	ov.SetAttr(id, "val", "Australia")
+	// A late node of a label the first check already read (stripes
+	// included): the view must not serve a class cached before it.
+	ov.AddNode("city", Attrs{"val": "late"})
 	if !ov.Synced() {
 		t.Fatal("overlay must stay synced through its own mutators")
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -25,10 +26,19 @@ type Flat struct {
 	Classes   []NodeID // nodes grouped by label code, ascending within a class
 }
 
+// ErrPatchedView reports an attempt to persist an Overlay's patched view:
+// its arrays are the base's, so writing them would silently drop every
+// update since the freeze. Compact (re-freeze) first.
+var ErrPatchedView = errors.New("graph: cannot persist a patched overlay view")
+
 // Flat returns the snapshot's flat-array image for serialization. The
 // arrays are the snapshot's own backing storage (no copies) — the Names
-// slice is the only allocation.
-func (s *Snapshot) Flat() Flat {
+// slice is the only allocation. A patched view has no such image and
+// returns ErrPatchedView.
+func (s *Snapshot) Flat() (Flat, error) {
+	if s.patch != nil {
+		return Flat{}, ErrPatchedView
+	}
 	return Flat{
 		Names:     s.syms.Names(),
 		Labels:    s.labels,
@@ -40,7 +50,7 @@ func (s *Snapshot) Flat() Flat {
 		In:        s.in,
 		ClassOff:  s.classOff,
 		Classes:   s.classes,
-	}
+	}, nil
 }
 
 // AdoptFlat reconstructs a Snapshot around a Flat image without copying the

@@ -23,8 +23,8 @@ type AttrPair struct {
 	Val  Sym
 }
 
-// Snapshot is a compiled, immutable CSR (compressed sparse row) view of a
-// Graph: flat adjacency arrays with per-node offsets, interned labels, and
+// Snapshot is a compiled CSR (compressed sparse row) view of a Graph:
+// flat adjacency arrays with per-node offsets, interned labels, and
 // contiguous per-label candidate ranges. It is the execution representation
 // the match engine and the validation engines run against.
 //
@@ -35,9 +35,18 @@ type AttrPair struct {
 // view (Freeze is cached and only rebuilds after a mutation). Attribute
 // tuples are copied into an interned arena at freeze time, so later
 // mutations of the source graph's maps never leak into a frozen view.
+//
+// A frozen Snapshot is immutable. The one exception is an Overlay's read
+// view: a Snapshot sharing a frozen base's arrays as-is (heap or mapped)
+// plus the overlay's delta (a patch), which changes only through that
+// Overlay, between update batches. Every accessor consults the patch only
+// when it is non-nil, so frozen reads stay direct, inlinable array loads.
+// A view is never persisted as if it were frozen: Flat reports
+// ErrPatchedView.
 type Snapshot struct {
-	g    *Graph
-	syms *Symbols
+	g     *Graph
+	syms  *Symbols
+	patch *patch // an Overlay's delta; nil on every frozen snapshot
 
 	labels []Sym // node label codes, indexed by NodeID
 
@@ -56,6 +65,15 @@ type Snapshot struct {
 	stripes  map[stripeKey]*stripeIndex // residue regroupings, per (label, mod)
 
 	scratch sync.Pool // *bfsScratch, reused across Neighborhood traversals
+}
+
+// patch is an Overlay's delta over the base arrays its view shares.
+type patch struct {
+	out, in map[NodeID][]CSREdge // copy-on-write adjacency, (Label, To)-sorted
+	labels  []Sym                // labels of nodes inserted after the freeze
+	classes map[Sym][]NodeID     // merged candidate classes for labels that gained nodes
+	attrs   *AttrIndex           // attribute tuples, borrowing the base arena
+	version uint64               // graph version the patch reflects
 }
 
 // Freeze returns the CSR snapshot of g, building it on first use and
@@ -242,21 +260,52 @@ func (s *Snapshot) Syms() *Symbols { return s.syms }
 // Graph returns the source graph.
 func (s *Snapshot) Graph() *Graph { return s.g }
 
-// NumNodes returns |V| at freeze time.
-func (s *Snapshot) NumNodes() int { return len(s.labels) }
+// View returns s: a Snapshot is its own read view. An Overlay inherits
+// View from its embedded patched view, so every Topology reads through
+// one concrete type (the matcher's inner loop calls it directly).
+func (s *Snapshot) View() *Snapshot { return s }
 
-// NumEdges returns |E| at freeze time.
-func (s *Snapshot) NumEdges() int { return len(s.out) }
+// Version returns the graph version a view's patch reflects; it advances
+// with every update applied through the Overlay, so holders of
+// topology-derived caches (the matcher's plan cache) key on it. A frozen
+// snapshot never changes and reports 0.
+func (s *Snapshot) Version() uint64 {
+	if s.patch != nil {
+		return s.patch.version
+	}
+	return 0
+}
+
+// NumNodes returns |V|: at freeze time, plus a view's inserted nodes.
+func (s *Snapshot) NumNodes() int {
+	if s.patch != nil {
+		return len(s.labels) + len(s.patch.labels)
+	}
+	return len(s.labels)
+}
+
+// NumEdges returns |E|: at freeze time, or the graph's for a view.
+func (s *Snapshot) NumEdges() int {
+	if s.patch != nil {
+		return s.g.NumEdges()
+	}
+	return len(s.out)
+}
 
 // Label returns the interned label code of node v.
-func (s *Snapshot) Label(v NodeID) Sym { return s.labels[v] }
+func (s *Snapshot) Label(v NodeID) Sym {
+	if s.patch != nil && int(v) >= len(s.labels) {
+		return s.patch.labels[int(v)-len(s.labels)]
+	}
+	return s.labels[v]
+}
 
 // LabelName returns the string label of node v.
-func (s *Snapshot) LabelName(v NodeID) string { return s.syms.Name(s.labels[v]) }
+func (s *Snapshot) LabelName(v NodeID) string { return s.syms.Name(s.Label(v)) }
 
-// Attr returns the value of attribute a on node v at freeze time, read
-// from the interned arena (string-keyed convenience; hot paths use
-// AttrSym).
+// Attr returns the value of attribute a on node v, read from the interned
+// arena or a view's patched tuples (string-keyed convenience; hot paths
+// use AttrSym).
 func (s *Snapshot) Attr(v NodeID, a string) (string, bool) {
 	val, ok := s.AttrSym(v, s.syms.Lookup(a))
 	if !ok {
@@ -271,7 +320,7 @@ func (s *Snapshot) Attr(v NodeID, a string) (string, bool) {
 // name == NoSym (an attribute the frozen graph never mentions) matches
 // nothing.
 func (s *Snapshot) AttrSym(v NodeID, name Sym) (Sym, bool) {
-	return lookupAttr(s.attrPairs[s.attrOff[v]:s.attrOff[v+1]], name)
+	return lookupAttr(s.AttrPairs(v), name)
 }
 
 // lookupAttr is the lower-bound binary search over a name-sorted tuple
@@ -295,35 +344,75 @@ func lookupAttr(ps []AttrPair, name Sym) (Sym, bool) {
 // AttrPairs returns v's attribute tuple as interned pairs sorted by Name.
 // Shared; read-only.
 func (s *Snapshot) AttrPairs(v NodeID) []AttrPair {
+	if s.patch != nil {
+		return s.patch.attrs.pairs[v]
+	}
 	return s.attrPairs[s.attrOff[v]:s.attrOff[v+1]]
 }
 
 // Out returns v's out-adjacency range, sorted by (Label, To). Shared;
 // read-only.
-func (s *Snapshot) Out(v NodeID) []CSREdge { return s.out[s.outOff[v]:s.outOff[v+1]] }
+func (s *Snapshot) Out(v NodeID) []CSREdge {
+	if s.patch != nil {
+		return s.patched(s.patch.out, v, s.outOff, s.out)
+	}
+	return s.out[s.outOff[v]:s.outOff[v+1]]
+}
 
 // In returns v's in-adjacency range (CSREdge.To is the edge source),
 // sorted by (Label, To). Shared; read-only.
-func (s *Snapshot) In(v NodeID) []CSREdge { return s.in[s.inOff[v]:s.inOff[v+1]] }
+func (s *Snapshot) In(v NodeID) []CSREdge {
+	if s.patch != nil {
+		return s.patched(s.patch.in, v, s.inOff, s.in)
+	}
+	return s.in[s.inOff[v]:s.inOff[v+1]]
+}
+
+// patched is a view's adjacency read for one direction: v's patch when an
+// update touched it, its base range otherwise, nothing for an inserted
+// node no edge reached yet.
+func (s *Snapshot) patched(p map[NodeID][]CSREdge, v NodeID, off []int32, arena []CSREdge) []CSREdge {
+	if es, ok := p[v]; ok {
+		return es
+	}
+	if int(v) < len(s.labels) {
+		return arena[off[v]:off[v+1]]
+	}
+	return nil
+}
 
 // OutDegree returns the number of out-edges of v.
-func (s *Snapshot) OutDegree(v NodeID) int { return int(s.outOff[v+1] - s.outOff[v]) }
+func (s *Snapshot) OutDegree(v NodeID) int {
+	if s.patch != nil {
+		return len(s.patched(s.patch.out, v, s.outOff, s.out))
+	}
+	return int(s.outOff[v+1] - s.outOff[v])
+}
 
 // InDegree returns the number of in-edges of v.
-func (s *Snapshot) InDegree(v NodeID) int { return int(s.inOff[v+1] - s.inOff[v]) }
+func (s *Snapshot) InDegree(v NodeID) int {
+	if s.patch != nil {
+		return len(s.patched(s.patch.in, v, s.inOff, s.in))
+	}
+	return int(s.inOff[v+1] - s.inOff[v])
+}
 
 // OutWith returns the contiguous subrange of v's out-adjacency carrying
 // edge label l; the whole range for WildcardSym. O(log d).
-func (s *Snapshot) OutWith(v NodeID, l Sym) []CSREdge {
-	return labelRange(s.Out(v), l)
-}
+func (s *Snapshot) OutWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, false) }
 
 // InWith is OutWith over the in-adjacency.
-func (s *Snapshot) InWith(v NodeID, l Sym) []CSREdge {
-	return labelRange(s.In(v), l)
-}
+func (s *Snapshot) InWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, true) }
 
-func labelRange(es []CSREdge, l Sym) []CSREdge {
+// labelRange resolves v's adjacency and searches its label group in one
+// body, so OutWith/InWith inline to a single call in the matcher.
+func (s *Snapshot) labelRange(v NodeID, l Sym, in bool) []CSREdge {
+	var es []CSREdge
+	if in {
+		es = s.In(v)
+	} else {
+		es = s.Out(v)
+	}
 	if l == WildcardSym {
 		return es
 	}
@@ -338,9 +427,7 @@ func labelRange(es []CSREdge, l Sym) []CSREdge {
 // HasEdge reports whether a from -[l]-> to edge exists; l == WildcardSym
 // matches any label. Binary search for a concrete label; a linear scan of
 // the smaller endpoint range for the wildcard (label groups make the
-// neighbor column non-monotonic across the whole range). The body repeats
-// hasEdgeRanges rather than calling it: this sits in the matcher's
-// per-candidate loop, and the extra call level was a measured regression.
+// neighbor column non-monotonic across the whole range).
 func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
 	if l == WildcardSym {
 		out := s.Out(from)
@@ -369,39 +456,16 @@ func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
 	return i < len(es) && es[i].Label == l && es[i].To == to
 }
 
-// hasEdgeRanges is the edge-existence test over a node pair's sorted
-// adjacency ranges; the Overlay's HasEdge runs on it (its adjacency
-// slices come from patches or the base arena).
-func hasEdgeRanges(out, in []CSREdge, from, to NodeID, l Sym) bool {
-	if l == WildcardSym {
-		if len(in) < len(out) {
-			for i := range in {
-				if in[i].To == from {
-					return true
-				}
-			}
-			return false
-		}
-		for i := range out {
-			if out[i].To == to {
-				return true
-			}
-		}
-		return false
-	}
-	i := sort.Search(len(out), func(i int) bool {
-		if out[i].Label != l {
-			return out[i].Label > l
-		}
-		return out[i].To >= to
-	})
-	return i < len(out) && out[i].Label == l && out[i].To == to
-}
-
 // NodesWith returns the candidate class of label code l: all nodes carrying
 // it, ascending. The contiguous range replaces the mutable graph's
-// map[string][]NodeID lookup. Shared; read-only.
+// map[string][]NodeID lookup; a view serves its merged class for a label
+// that gained nodes. Shared; read-only.
 func (s *Snapshot) NodesWith(l Sym) []NodeID {
+	if s.patch != nil {
+		if m, ok := s.patch.classes[l]; ok {
+			return m
+		}
+	}
 	if l < 0 || int(l) >= len(s.classOff)-1 {
 		return nil
 	}
@@ -414,12 +478,7 @@ func (s *Snapshot) NodesWithLabel(label string) []NodeID {
 }
 
 // ClassSize returns the number of nodes carrying label code l.
-func (s *Snapshot) ClassSize(l Sym) int {
-	if l < 0 || int(l) >= len(s.classOff)-1 {
-		return 0
-	}
-	return int(s.classOff[l+1] - s.classOff[l])
-}
+func (s *Snapshot) ClassSize(l Sym) int { return len(s.NodesWith(l)) }
 
 // stripeKey identifies one cached residue regrouping of a label class.
 type stripeKey struct {
@@ -440,9 +499,11 @@ type stripeIndex struct {
 // replicate-and-split stripes enumerate, replacing the per-candidate
 // `v mod m == r` filter. The regrouping is computed once per (label, mod)
 // pair and cached; steady-state calls are a lock-shared map hit returning
-// a subslice. Safe for concurrent use.
+// a subslice. Safe for concurrent use. A view's classes grow between
+// batches, so it caches no regrouping and over-approximates with the whole
+// class; callers keep the residue filter (the Topology contract).
 func (s *Snapshot) NodesWithStripe(l Sym, mod, rem int) []NodeID {
-	if mod <= 1 {
+	if mod <= 1 || s.patch != nil {
 		return s.NodesWith(l)
 	}
 	if rem < 0 || rem >= mod {
@@ -508,7 +569,12 @@ func (sc *bfsScratch) visit(v NodeID)        { sc.stamp[v] = sc.epoch }
 func (s *Snapshot) getScratch() *bfsScratch {
 	sc, _ := s.scratch.Get().(*bfsScratch)
 	if sc == nil {
-		sc = &bfsScratch{stamp: make([]uint32, s.NumNodes())}
+		sc = &bfsScratch{}
+	}
+	if n := s.NumNodes(); len(sc.stamp) < n { // first use, or a view gained nodes
+		grown := make([]uint32, n)
+		copy(grown, sc.stamp)
+		sc.stamp = grown
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could collide, clear them

@@ -5,20 +5,22 @@ package graph
 // adjacency, contiguous per-label candidate classes, interned attribute
 // lookup, and the BFS primitives the workload model is built on.
 //
-// Two implementations exist:
-//
-//   - *Snapshot — the immutable CSR view built by Graph.Freeze. This is the
-//     fast path: flat arrays, zero steady-state allocation, safe for any
-//     number of concurrent readers.
-//   - *Overlay — a base Snapshot plus localized patches maintained under
-//     AddNode/AddEdge/SetAttr updates. It serves the incremental detector
-//     and the session's post-update bundles without re-freezing the whole
-//     graph per update batch.
+// There is one read path, *Snapshot: either frozen (built by Graph.Freeze
+// or adopted from a .gfds image) or an Overlay's patched view, which
+// shares a frozen base's arrays and consults the overlay's delta for what
+// updates changed. *Overlay satisfies Topology through its embedded view,
+// so the incremental detector and the session's post-update bundles run on
+// the same code as the batch engines, without re-freezing per update
+// batch.
 //
 // Every Topology is safe for concurrent readers while it is not being
 // mutated; mutating an Overlay (or the underlying Graph) concurrently with
 // matching is not safe — the same contract Graph.Freeze always had.
 type Topology interface {
+	// View returns the *Snapshot that serves every read: the topology
+	// itself, or an Overlay's patched view. Hot loops call it once and
+	// read through the concrete type.
+	View() *Snapshot
 	// Syms returns the symbol table labels, attribute names and values are
 	// interned in. Patterns are compiled against it (pattern.CompileFor)
 	// and X → Y literals lower onto it (core.LiteralProgram).
@@ -54,9 +56,9 @@ type Topology interface {
 	NodesWith(l Sym) []NodeID
 	// NodesWithStripe returns the candidates of label l whose node ID is
 	// congruent to rem modulo mod — the replicate-and-split residue class.
-	// Implementations may over-approximate (return a superset, up to the
-	// whole class); callers must keep the residue filter. The Snapshot
-	// returns the exact precomputed sub-range.
+	// It may over-approximate (return a superset, up to the whole class);
+	// callers must keep the residue filter. A frozen snapshot returns the
+	// exact precomputed sub-range, a patched view the whole class.
 	NodesWithStripe(l Sym, mod, rem int) []NodeID
 	// ClassSize returns the number of nodes carrying label code l.
 	ClassSize(l Sym) int
@@ -71,8 +73,8 @@ type Topology interface {
 	BlockInto(set *EpochSet, start NodeID, c int)
 }
 
-// Compile-time interface checks: both execution views implement the full
-// Topology contract.
+// Compile-time interface checks: a Snapshot, and an Overlay through its
+// embedded view, implement the full Topology contract.
 var (
 	_ Topology = (*Snapshot)(nil)
 	_ Topology = (*Overlay)(nil)

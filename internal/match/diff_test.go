@@ -264,8 +264,8 @@ func TestDifferentialMinedRules(t *testing.T) {
 
 // TestMatcherZeroAllocSteadyState proves the acceptance criterion: after
 // warm-up, a snapshot-backed enumeration performs zero allocations — and
-// so does a guarded one, on the snapshot and on an overlay, once the
-// guarded plan is cached.
+// so does a guarded one, on the snapshot, on an empty overlay and on one
+// patched by updates, once the guarded plan is cached.
 func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 80, Seed: 1})
 	q := pattern.New()
@@ -305,4 +305,19 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	steady("guarded snapshot", match.NewMatcher(snap), match.Options{Guard: rule.CompileLiterals(snap.Syms()).Guard()})
 	ov := graph.NewOverlay(g)
 	steady("guarded overlay", match.NewMatcher(ov), match.Options{Guard: rule.CompileLiterals(ov.Syms()).Guard()})
+
+	// A patched view: a new flight wired to an id and a city, and a city
+	// rewritten to the guarded value, so the search reads inserted labels,
+	// copy-on-write adjacency, a merged class and a written tuple.
+	pov := graph.NewOverlay(g.Clone())
+	nf := pov.AddNode("flight", graph.Attrs{"val": "patched"})
+	pov.MustAddEdge(nf, g.NodesWithLabel("id")[0], "number")
+	c := g.NodesWithLabel("city")[0]
+	pov.MustAddEdge(nf, c, "from")
+	pov.SetAttr(c, "val", city)
+	pg := rule.CompileLiterals(pov.Syms()).Guard()
+	if n := match.NewMatcher(pov).Count(q, match.Options{Pin: map[int]graph.NodeID{f: nf}, Guard: pg}); n != 1 {
+		t.Fatalf("patched overlay: inserted flight has %d guarded matches, want 1", n)
+	}
+	steady("guarded patched overlay", match.NewMatcher(pov), match.Options{Guard: pg})
 }

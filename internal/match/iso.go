@@ -16,12 +16,12 @@
 //   - Enumerate/Count/Has/All walk the mutable *graph.Graph directly. This
 //     is the portable reference path, kept as the differential-test oracle
 //     and for ad-hoc callers (targeted noise injection).
-//   - Matcher (matcher.go) runs against a graph.Topology — the frozen
-//     *graph.Snapshot (interned labels, CSR adjacency, zero steady-state
-//     allocations; what the batch engines use) or a *graph.Overlay (the
-//     snapshot plus update patches; what the incremental detector and
-//     post-update sessions use). Build graphs, g.Freeze() (or maintain an
-//     overlay), then match.
+//   - Matcher (matcher.go) runs against a graph.Topology through its one
+//     read view, a *graph.Snapshot (interned labels, CSR adjacency, zero
+//     steady-state allocations): frozen for the batch engines, an
+//     overlay's patched view for the incremental detector and post-update
+//     sessions — the same search body either way. Build graphs, g.Freeze()
+//     (or maintain an overlay), then match.
 package match
 
 import (
@@ -53,10 +53,11 @@ type Options struct {
 	StripeRem  int
 	// NoIntersect disables the Matcher's multiway sorted-intersection
 	// candidate step, forcing the classical iterate-smallest-and-probe
-	// backtracking everywhere. The match set is identical either way; the
-	// flag exists for differential tests and for benchmarking the
-	// worst-case-optimal step against the backtracking path. The legacy
-	// Enumerate path ignores it (it has no intersection step).
+	// backtracking everywhere, on frozen and patched views alike. The match
+	// set is identical either way; the flag exists for differential tests
+	// and for benchmarking the worst-case-optimal step against
+	// iterate-and-probe. Enumerate over a *graph.Graph ignores it (it has
+	// no intersection step).
 	NoIntersect bool
 	// Halt is consulted at strided checkpoints inside candidate
 	// enumeration; returning true abandons the search immediately, even
@@ -75,8 +76,10 @@ type Options struct {
 	// some member's X holds on — Count, Has and Limit count exactly those
 	// — and a dead guard (no member's X can ever hold) yields nothing
 	// without searching. Y never prunes: callers still run IsViolation on
-	// every yielded match. nil searches unguarded. The legacy Enumerate
-	// path ignores it (it evaluates no compiled literals).
+	// every yielded match. nil searches unguarded. The Matcher evaluates
+	// guards against its read view, so an overlay's attribute writes are
+	// seen; Enumerate over a *graph.Graph ignores it (it evaluates no
+	// compiled literals).
 	Guard *core.Guard
 }
 

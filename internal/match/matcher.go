@@ -11,14 +11,15 @@ import (
 )
 
 // Matcher is the compiled-representation enumerator: it runs the same
-// backtracking search as Enumerate, but against a graph.Topology — the
-// frozen *graph.Snapshot on the batch path, or a *graph.Overlay (base
-// snapshot plus update patches) on the incremental path. Interned integer
-// labels, CSR adjacency sorted by (label, neighbor), a flat []bool
-// used-set, and contiguous per-label candidate ranges. After warm-up
-// (first call per pattern shape) an enumeration over a Snapshot performs
-// zero steady-state allocations: candidates are iterated directly off
-// topology ranges, never materialized.
+// backtracking search as Enumerate, but against a graph.Topology's read
+// view (Topology.View) — a frozen *graph.Snapshot on the batch path, an
+// Overlay's patched view on the incremental path, one search body calling
+// the concrete *graph.Snapshot accessors on both. Interned integer labels,
+// CSR adjacency sorted by (label, neighbor), a flat []bool used-set, and
+// contiguous per-label candidate ranges. After warm-up (first call per
+// pattern shape) an enumeration performs zero steady-state allocations:
+// candidates are iterated directly off topology ranges, never
+// materialized.
 //
 // A Matcher is NOT safe for concurrent use — it owns reusable search
 // buffers. Engines create one Matcher per worker; all of them share one
@@ -42,16 +43,10 @@ import (
 // nodes whose placement closes a guard, so guards close early. Count, Has
 // and Limit then count only matches that pass the guard. Y never prunes.
 type Matcher struct {
-	topo graph.Topology
-	// snap is the devirtualized fast path: non-nil exactly when topo is a
-	// *graph.Snapshot, so the per-candidate accessors (label, degrees,
-	// adjacency ranges) stay direct, inlinable calls on the batch path and
-	// only the overlay pays interface dispatch.
+	// snap is the topology's read view. The search calls its accessors
+	// directly — never through graph.Topology — so the per-candidate reads
+	// (label, degrees, adjacency ranges) stay inlinable calls on every path.
 	snap *graph.Snapshot
-
-	// attrs is topo as the literal evaluator's attribute source, converted
-	// once so guard checks pay no per-call interface conversion.
-	attrs core.AttrSource
 
 	// Reusable search state.
 	used   []bool     // graph-node used-set, sized |V|
@@ -75,8 +70,9 @@ type Matcher struct {
 	// plans caches computed plans per (compiled pattern, pin set, topology
 	// version, guard), so repeated Enumerate calls — one per work unit on
 	// the engine paths — stop re-deriving the same order from the same
-	// class sizes. Snapshots are immutable (version 0 forever); an Overlay
-	// keys by its graph version so mutations invalidate naturally.
+	// class sizes. Frozen snapshots are immutable (version 0 forever); a
+	// patched view keys by its graph version so mutations invalidate
+	// naturally.
 	plans map[planKey]*Plan
 
 	// Per-call state.
@@ -120,28 +116,14 @@ type planKey struct {
 // fires for a long-lived matcher over a heavily mutating overlay.
 const maxPlanCache = 64
 
-// NewMatcher returns a matcher over t.
+// NewMatcher returns a matcher over t's read view.
 func NewMatcher(t graph.Topology) *Matcher {
-	m := &Matcher{
-		topo: t,
-		used: make([]bool, t.NumNodes()),
-	}
-	m.snap, _ = t.(*graph.Snapshot)
-	m.attrs = t
-	return m
+	s := t.View()
+	return &Matcher{snap: s, used: make([]bool, s.NumNodes())}
 }
 
-// Topo returns the topology this matcher runs against.
-func (m *Matcher) Topo() graph.Topology { return m.topo }
-
-// numNodes is shared by buffer sizing on both paths; the nil-check keeps
-// the snapshot read direct.
-func (m *Matcher) numNodes() int {
-	if m.snap != nil {
-		return m.snap.NumNodes()
-	}
-	return m.topo.NumNodes()
-}
+// Topo returns the read view this matcher runs against.
+func (m *Matcher) Topo() graph.Topology { return m.snap }
 
 // Enumerate calls yield for every match of q in the topology under opts,
 // in a deterministic order (ascending within each candidate range). The
@@ -157,11 +139,7 @@ func (m *Matcher) Enumerate(q *pattern.Pattern, opts Options, yield func(core.Ma
 	}
 	m.prepare(q, &opts)
 	m.yield = yield
-	if m.snap != nil {
-		m.extendSnap(0)
-	} else {
-		m.extend(0)
-	}
+	m.extend(0)
 	m.yield = nil
 }
 
@@ -235,14 +213,14 @@ func (m *Matcher) All(q *pattern.Pattern, opts Options) []core.Match {
 // pattern itself (pattern.CompileFor), so matchers are cheap to construct
 // and workers sharing rule patterns share the lowering.
 func (m *Matcher) compiledFor(q *pattern.Pattern) *pattern.Compiled {
-	return pattern.CompileFor(q, m.topo.Syms())
+	return pattern.CompileFor(q, m.snap.Syms())
 }
 
 // ensure sizes the reusable buffers for an n-node pattern, growing the
-// used-set when the topology gained nodes since the last call (an Overlay
+// used-set when the view gained nodes since the last call (an Overlay
 // between update batches).
 func (m *Matcher) ensure(n int) {
-	if v := m.numNodes(); len(m.used) < v {
+	if v := m.snap.NumNodes(); len(m.used) < v {
 		m.used = make([]bool, v)
 	}
 	if cap(m.assign) < n {
@@ -261,19 +239,6 @@ func (m *Matcher) ensure(n int) {
 	for len(m.cands) < n {
 		m.cands = append(m.cands, nil)
 	}
-}
-
-// topoVersion is the plan-cache version component: snapshots are immutable
-// so every enumeration sees version 0; an overlay reports its graph
-// version, which advances per mutation.
-func (m *Matcher) topoVersion() uint64 {
-	if m.snap != nil {
-		return 0
-	}
-	if o, ok := m.topo.(*graph.Overlay); ok {
-		return o.Version()
-	}
-	return 0
 }
 
 // Plan is one compiled search plan: the matching order — the pattern node
@@ -357,7 +322,7 @@ func (m *Matcher) planFor() *Plan {
 		}
 	}
 	cacheable := n <= 64
-	key := planKey{cq: m.cq, pins: pins, ver: m.topoVersion(), guard: m.opts.Guard}
+	key := planKey{cq: m.cq, pins: pins, ver: m.snap.Version(), guard: m.opts.Guard}
 	if cacheable {
 		if p, ok := m.plans[key]; ok {
 			return p
@@ -394,16 +359,12 @@ func (m *Matcher) planOrder(order []int) {
 	n := m.n
 	// Candidate estimates are constant during planning; resolving them
 	// once per pattern node keeps the O(|Q|²) selection loops on plain
-	// array reads (and off the Topology interface on the overlay path).
+	// array reads.
 	for v := 0; v < n; v++ {
-		sym := m.cq.NodeSyms[v]
-		switch {
-		case sym == graph.WildcardSym:
-			m.est[v] = m.numNodes()
-		case m.snap != nil:
+		if sym := m.cq.NodeSyms[v]; sym == graph.WildcardSym {
+			m.est[v] = m.snap.NumNodes()
+		} else {
 			m.est[v] = m.snap.ClassSize(sym)
-		default:
-			m.est[v] = m.topo.ClassSize(sym)
 		}
 	}
 	k := 0
@@ -500,7 +461,7 @@ func (m *Matcher) admits(depth int) bool {
 	live := m.live[depth]
 	for i := p.at[depth]; i < p.at[depth+1]; i++ {
 		gi := &p.insts[i]
-		if live&gi.Bit() != 0 && !gi.Holds(m.attrs, m.assign) {
+		if live&gi.Bit() != 0 && !gi.Holds(m.snap, m.assign) {
 			if live &^= gi.Bit(); live == 0 {
 				return false
 			}
@@ -546,7 +507,7 @@ func (m *Matcher) extend(depth int) {
 	for _, ei := range m.q.InEdges(u) {
 		e := m.cq.Edges[ei]
 		if from := m.assign[e.From]; from != graph.Invalid {
-			r := m.topo.OutWith(from, e.Label)
+			r := m.snap.OutWith(from, e.Label)
 			if bestLen < 0 || len(r) < bestLen {
 				best, bestLen = r, len(r)
 			}
@@ -559,7 +520,7 @@ func (m *Matcher) extend(depth int) {
 	for _, ei := range m.q.OutEdges(u) {
 		e := m.cq.Edges[ei]
 		if to := m.assign[e.To]; to != graph.Invalid {
-			r := m.topo.InWith(to, e.Label)
+			r := m.snap.InWith(to, e.Label)
 			if bestLen < 0 || len(r) < bestLen {
 				best, bestLen = r, len(r)
 			}
@@ -607,9 +568,9 @@ func (m *Matcher) extend(depth int) {
 	if sym != graph.WildcardSym {
 		var cands []graph.NodeID
 		if m.opts.StripeMod > 0 && u == m.opts.StripeNode {
-			cands = m.topo.NodesWithStripe(sym, m.opts.StripeMod, m.opts.StripeRem)
+			cands = m.snap.NodesWithStripe(sym, m.opts.StripeMod, m.opts.StripeRem)
 		} else {
-			cands = m.topo.NodesWith(sym)
+			cands = m.snap.NodesWith(sym)
 		}
 		for _, v := range cands {
 			m.try(depth, u, v)
@@ -619,7 +580,7 @@ func (m *Matcher) extend(depth int) {
 		}
 		return
 	}
-	for v := 0; v < m.topo.NumNodes(); v++ {
+	for v := 0; v < m.snap.NumNodes(); v++ {
 		m.try(depth, u, graph.NodeID(v))
 		if m.halt {
 			return
@@ -655,182 +616,9 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 // and every pattern edge between u and an already-assigned node (binary
 // searches over sorted CSR ranges). The stripe check stays here even
 // though striped class enumeration pre-filters (NodesWithStripe):
-// adjacency-driven candidates are not pre-filtered, and an Overlay's
-// stripe ranges are allowed to over-approximate.
+// adjacency-driven candidates are not pre-filtered, and a patched view's
+// stripe ranges over-approximate.
 func (m *Matcher) feasible(u int, v graph.NodeID) bool {
-	if m.opts.Block != nil && !m.opts.Block.Contains(v) {
-		return false
-	}
-	if m.opts.StripeMod > 0 && u == m.opts.StripeNode && int(v)%m.opts.StripeMod != m.opts.StripeRem {
-		return false
-	}
-	if !pattern.LabelMatchesSym(m.cq.NodeSyms[u], m.topo.Label(v)) {
-		return false
-	}
-	if len(m.q.OutEdges(u)) > m.topo.OutDegree(v) || len(m.q.InEdges(u)) > m.topo.InDegree(v) {
-		return false
-	}
-	for _, ei := range m.q.OutEdges(u) {
-		e := m.cq.Edges[ei]
-		to := m.assign[e.To]
-		if int(e.To) == u {
-			to = v // self-loop
-		}
-		if to == graph.Invalid {
-			continue
-		}
-		if !m.topo.HasEdge(v, to, e.Label) {
-			return false
-		}
-	}
-	for _, ei := range m.q.InEdges(u) {
-		e := m.cq.Edges[ei]
-		if int(e.From) == u {
-			continue // self-loop handled above
-		}
-		from := m.assign[e.From]
-		if from == graph.Invalid {
-			continue
-		}
-		if !m.topo.HasEdge(from, v, e.Label) {
-			return false
-		}
-	}
-	return true
-}
-
-// The snapshot-specialized search: extendSnap/trySnap/feasibleSnap are
-// the exact generic extend/try/feasible with every topology access made a
-// direct (inlinable) call on *graph.Snapshot. The duplication exists
-// because the batch engines' per-candidate inner loop is the system's
-// hottest code: routing it through interface dispatch (or even through
-// nil-checked wrapper methods, which Go's inliner rejects at this size)
-// measurably slows every engine, and the tentpole contract is zero
-// regression on the pure-snapshot path. Behavioral changes MUST be made
-// to both copies; the differential tests run each against the other's
-// reference path.
-
-func (m *Matcher) extendSnap(depth int) {
-	if m.halt {
-		return
-	}
-	if depth == m.n {
-		m.found++
-		if !m.yield(m.assign) {
-			m.halt = true
-		}
-		if m.opts.Limit > 0 && m.found >= m.opts.Limit {
-			m.halt = true
-		}
-		return
-	}
-	u := m.order[depth]
-	if v, ok := m.opts.Pin[u]; ok {
-		m.trySnap(depth, u, v)
-		return
-	}
-	var best []graph.CSREdge
-	bestLen := -1
-	wco := !m.opts.NoIntersect
-	nr := 0
-	for _, ei := range m.q.InEdges(u) {
-		e := m.cq.Edges[ei]
-		if from := m.assign[e.From]; from != graph.Invalid {
-			r := m.snap.OutWith(from, e.Label)
-			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen = r, len(r)
-			}
-			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
-				m.ranges[nr] = r
-				nr++
-			}
-		}
-	}
-	for _, ei := range m.q.OutEdges(u) {
-		e := m.cq.Edges[ei]
-		if to := m.assign[e.To]; to != graph.Invalid {
-			r := m.snap.InWith(to, e.Label)
-			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen = r, len(r)
-			}
-			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
-				m.ranges[nr] = r
-				nr++
-			}
-		}
-	}
-	if nr >= 2 {
-		// Worst-case-optimal step; see extend.
-		cands := graph.IntersectAdjacency(m.cands[depth][:0], m.ranges[:nr])
-		m.cands[depth] = cands
-		for _, v := range cands {
-			m.trySnap(depth, u, v)
-			if m.halt {
-				return
-			}
-		}
-		return
-	}
-	if bestLen >= 0 {
-		for i := range best {
-			if i > 0 && best[i] == best[i-1] {
-				continue // adjacent duplicate triple; see extend
-			}
-			m.trySnap(depth, u, best[i].To)
-			if m.halt {
-				return
-			}
-		}
-		return
-	}
-	sym := m.cq.NodeSyms[u]
-	if sym != graph.WildcardSym {
-		var cands []graph.NodeID
-		if m.opts.StripeMod > 0 && u == m.opts.StripeNode {
-			cands = m.snap.NodesWithStripe(sym, m.opts.StripeMod, m.opts.StripeRem)
-		} else {
-			cands = m.snap.NodesWith(sym)
-		}
-		for _, v := range cands {
-			m.trySnap(depth, u, v)
-			if m.halt {
-				return
-			}
-		}
-		return
-	}
-	for v := 0; v < m.snap.NumNodes(); v++ {
-		m.trySnap(depth, u, graph.NodeID(v))
-		if m.halt {
-			return
-		}
-	}
-}
-
-func (m *Matcher) trySnap(depth, u int, v graph.NodeID) {
-	if m.opts.Halt != nil {
-		m.tick++
-		if m.tick%haltStride == 0 && m.opts.Halt() {
-			m.halt = true
-			return
-		}
-	}
-	if m.used[v] {
-		return
-	}
-	if !m.feasibleSnap(u, v) {
-		return
-	}
-	m.assign[u] = v
-	m.used[v] = true
-	if m.opts.Guard == nil || m.admits(depth) {
-		m.extendSnap(depth + 1)
-	}
-	m.used[v] = false
-	m.assign[u] = graph.Invalid
-}
-
-func (m *Matcher) feasibleSnap(u int, v graph.NodeID) bool {
 	if m.opts.Block != nil && !m.opts.Block.Contains(v) {
 		return false
 	}

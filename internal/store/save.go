@@ -20,7 +20,8 @@ import (
 // staging copy); output is deterministic for a given snapshot, so a
 // serial and a parallel freeze of the same graph save byte-identical
 // files. Cancellation is checked between sections; a canceled save
-// removes its temp file and returns ctx.Err().
+// removes its temp file and returns ctx.Err(). An Overlay's patched view
+// is refused with graph.ErrPatchedView before anything is written.
 func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 	if s == nil {
 		return fmt.Errorf("store: cannot save nil snapshot")
@@ -28,7 +29,10 @@ func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	f := s.Flat()
+	f, err := s.Flat()
+	if err != nil {
+		return fmt.Errorf("store: save %s: %w", path, err)
+	}
 
 	// Symbol table sections are the only assembled payloads; everything
 	// else dumps an existing array.

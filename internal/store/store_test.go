@@ -44,11 +44,19 @@ func saveTo(t *testing.T, s *graph.Snapshot) string {
 	return path
 }
 
-// flatEqual compares every array of two snapshot images for exact
+// flatEqual compares every array of two snapshots' images for exact
 // equality — the round-trip contract is byte-identical arrays and
 // identical symbol codes, not just isomorphic graphs.
-func flatEqual(t *testing.T, got, want graph.Flat) {
+func flatEqual(t *testing.T, gotSnap, wantSnap *graph.Snapshot) {
 	t.Helper()
+	got, err := gotSnap.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wantSnap.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {
 		name := gv.Type().Field(i).Name
@@ -99,7 +107,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			defer l.Close()
-			flatEqual(t, l.Snapshot().Flat(), serial.Flat())
+			flatEqual(t, l.Snapshot(), serial)
 
 			// The loaded snapshot's graph handle answers reads without a
 			// single snapshot build.
@@ -180,7 +188,7 @@ func TestLoadedGraphMutation(t *testing.T) {
 		t.Fatalf("re-Open after mutation: %v", err)
 	}
 	defer l2.Close()
-	flatEqual(t, l2.Snapshot().Flat(), g.Freeze().Flat())
+	flatEqual(t, l2.Snapshot(), g.Freeze())
 }
 
 // corrupt returns a copy of b with mutate applied.
@@ -267,7 +275,7 @@ func TestDecodeCorruption(t *testing.T) {
 		// Flip one bit in each body byte position (sampled): either the
 		// section checksum catches it, or the flip landed in inter-section
 		// padding and the decode result must equal the pristine one.
-		want := g.Freeze().Flat()
+		want := g.Freeze()
 		start := 16 + 12*32 + 4
 		for pos := start; pos < len(good); pos += 7 {
 			c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
@@ -278,7 +286,7 @@ func TestDecodeCorruption(t *testing.T) {
 				}
 				continue
 			}
-			flatEqual(t, s.Flat(), want)
+			flatEqual(t, s, want)
 		}
 	})
 	t.Run("skip checksums still validates structure", func(t *testing.T) {
@@ -331,6 +339,39 @@ func TestSaveNilSnapshot(t *testing.T) {
 	}
 }
 
+// TestPatchedViewNotPersisted: an overlay's patched view shares its base's
+// arrays, so persisting it as if it were frozen would silently drop every
+// update. Each entry point must refuse it with graph.ErrPatchedView and
+// write nothing.
+func TestPatchedViewNotPersisted(t *testing.T) {
+	ov := graph.NewOverlay(randomGraph(31, 20, 40))
+	id := ov.AddNode("person", graph.Attrs{"name": "new"})
+	ov.MustAddEdge(id, 0, "knows")
+	view := ov.View()
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Snapshot.Flat", func() error { _, err := view.Flat(); return err }},
+		{"store.Save", func() error { return store.Save(context.Background(), view, filepath.Join(dir, "v.gfds")) }},
+		{"fragment.SaveShards", func() error {
+			_, err := fragment.SaveShards(context.Background(), view, make([]int, view.NumNodes()), 2, dir, "v")
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); !errors.Is(err, graph.ErrPatchedView) {
+				t.Fatalf("%s on a patched view: %v, want graph.ErrPatchedView", tc.name, err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Fatalf("refused %s left %d files", tc.name, len(ents))
+			}
+		})
+	}
+	saveTo(t, ov.Base()) // the frozen base stays persistable
+}
+
 func TestOpenMissingFile(t *testing.T) {
 	if _, err := store.Open(context.Background(), filepath.Join(t.TempDir(), "absent.gfds")); err == nil {
 		t.Fatal("Open accepted a missing file")
@@ -366,7 +407,7 @@ func TestRoundTripEmptyFragmentShard(t *testing.T) {
 		t.Fatalf("Open(full shard): %v", err)
 	}
 	defer l0.Close()
-	flatEqual(t, l0.Snapshot().Flat(), full.Flat())
+	flatEqual(t, l0.Snapshot(), full)
 
 	for _, p := range paths[1:] {
 		l, err := store.Open(context.Background(), p)
