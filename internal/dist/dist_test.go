@@ -166,6 +166,53 @@ func TestDistFaultFree(t *testing.T) {
 	}
 }
 
+// TestDistStripesAcrossProcesses: at θ = 4 units split into stripes, and LPT
+// deals the stripes of one unit to different worker processes. Their match
+// sets partition the unit's only if every process filters the same node — a
+// function of the group pattern alone — so the violation set must equal the
+// sequential engine's byte for byte.
+func TestDistStripesAcrossProcesses(t *testing.T) {
+	f := setup(t)
+	ctx := context.Background()
+	seq := validate.NewCollectSink(1)
+	if err := validate.DetVioB(ctx, f.b, seq); err != nil {
+		t.Fatal(err)
+	}
+	want := seq.Report()
+	opt := distOpt(f, nil)
+	opt.SplitThreshold = 4
+	res, s, err := detectSpied(ctx, f.b, opt, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Violations.Equal(want) {
+		t.Fatalf("striped dist run found %d violations, the sequential engine %d", len(res.Violations), len(want))
+	}
+	// Some unit must have had its stripes run in two different processes.
+	slots := map[string]map[int]bool{} // unstriped unit -> slots running its stripes
+	for w, q := range s.queues {
+		for _, ui := range q {
+			if u := s.fleet.plan.Unit(ui); u.StripeMod > 0 {
+				key := fmt.Sprint(u.Group, u.Candidates)
+				if slots[key] == nil {
+					slots[key] = map[int]bool{}
+				}
+				slots[key][w] = true
+			}
+		}
+	}
+	spread := 0
+	for _, ws := range slots {
+		if len(ws) > 1 {
+			spread++
+		}
+	}
+	t.Logf("%d units, %d stripes, %d units striped across processes", res.Units, res.SplitUnits, spread)
+	if res.SplitUnits == 0 || spread == 0 {
+		t.Fatalf("%d stripes, %d units with stripes in more than one process: the test is vacuous", res.SplitUnits, spread)
+	}
+}
+
 // TestDistChaosDifferential sweeps seed-derived recoverable process fault
 // plans — SIGKILLed workers, stalled pipes starving heartbeats, frames
 // torn mid-write — and requires every run to recover to exactly the

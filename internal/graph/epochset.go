@@ -2,11 +2,12 @@ package graph
 
 // EpochSet is a reusable node set over a dense ID space: membership is an
 // epoch-stamped array probe, clearing is an epoch bump, and the member
-// list is tracked for iteration. It exists for the engines' per-unit data
-// blocks — a worker materializes thousands of blocks per run, and a fresh
-// hash set per block dominated the detection phase's allocations. One
-// EpochSet per worker amortizes everything: after warm-up, Reset + BFS
-// fill + membership probes during enumeration are allocation-free.
+// list is tracked for iteration. It exists for per-unit data blocks — the
+// dist coordinator's halo selection, disVal's ship costs and the
+// incremental detector's affected pivots materialize thousands per run,
+// and a fresh hash set per block would dominate their allocations. One
+// EpochSet per owner amortizes everything: after warm-up, Reset + BFS
+// fill + membership probes are allocation-free.
 //
 // Not safe for concurrent use; workers own private sets. The zero value
 // is unusable — construct with NewEpochSet.

@@ -61,16 +61,8 @@ func (g *Graph) NeighborhoodSize(start NodeID, c int) int {
 	return size
 }
 
-// Membership is the read side of a node set: what the matchers consult to
-// restrict candidates to a data block. Implemented by NodeSet (hash set,
-// convenient for ad-hoc blocks) and *EpochSet (stamp array, the engines'
-// reusable zero-alloc block).
-type Membership interface {
-	Contains(id NodeID) bool
-}
-
-// NodeSet is a set of node IDs with O(1) membership, used to restrict
-// matching to a data block.
+// NodeSet is a set of node IDs with O(1) membership: a data block for
+// simulation, a set of violating entities.
 type NodeSet map[NodeID]struct{}
 
 // NewNodeSet builds a NodeSet from ids.

@@ -137,10 +137,9 @@ type Detector struct {
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
-	// Reusable matching state: the compiled matcher, the unit data block,
-	// the affected-pivot scratch set, and the pin map.
+	// Reusable matching state: the compiled matcher, the affected-pivot
+	// scratch set, and the pin map.
 	m        *match.Matcher
-	block    *graph.EpochSet
 	affected *graph.EpochSet
 	pin      map[int]graph.NodeID
 
@@ -224,7 +223,7 @@ func (d *Detector) fullValidate() {
 // current overlay: rule labels and literal constants are interned first
 // (the growing-table contract — an absent name must mean "can never
 // occur"), then patterns and X → Y programs are lowered and the matcher
-// and block sets are rebound.
+// and the affected-pivot set are rebound.
 func (d *Detector) compile() {
 	syms := d.ov.Syms()
 	for _, f := range d.rules {
@@ -238,7 +237,6 @@ func (d *Detector) compile() {
 		d.progs = append(d.progs, f.CompileLiterals(syms))
 	}
 	d.m = match.NewMatcher(d.ov)
-	d.block = graph.NewEpochSet(d.ov.NumNodes())
 	d.affected = graph.NewEpochSet(d.ov.NumNodes())
 }
 
@@ -449,25 +447,23 @@ func distinct(vec []graph.NodeID) bool {
 }
 
 // revalidateUnit recomputes the violations of one unit (rule + pivot
-// candidate vector) with the compiled matcher — the unit's data block
-// assembled into the reusable epoch set, pivots pinned, X pushed into the
-// search as the rule's guard and X → Y checked by its literal program over
-// the overlay's interned attributes — and replaces the unit's entry in the
-// index.
+// candidate vector) with the compiled matcher — pivots pinned, which by
+// locality keeps every match inside the unit's data block, X pushed into
+// the search as the rule's guard and X → Y checked by its literal program
+// over the overlay's interned attributes — and replaces the unit's entry
+// in the index.
 func (d *Detector) revalidateUnit(ri int, cands []graph.NodeID) {
 	f := d.rules[ri]
 	pv := d.pivots[ri]
 	d.UnitsRevalidated++
 
-	d.block.Reset()
 	clear(d.pin)
 	for i, z := range cands {
-		d.ov.BlockInto(d.block, z, pv.Radii[i])
 		d.pin[pv.Vars[i]] = z
 	}
 	var found []Violation
 	prog := d.progs[ri]
-	opts := match.Options{Block: d.block, Pin: d.pin, Guard: prog.Guard()}
+	opts := match.Options{Pin: d.pin, Guard: prog.Guard()}
 	d.m.Enumerate(f.Q, opts, func(m core.Match) bool {
 		if prog.IsViolation(d.ov, m) {
 			found = append(found, Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})

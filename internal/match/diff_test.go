@@ -1,7 +1,7 @@
 // Differential property tests: enumeration over a frozen Snapshot must
 // yield exactly the same match set as the slice-backed reference path, on
 // randomly generated graphs, across every Options dimension (pinning,
-// blocks, striping, wildcards, limits).
+// striping, wildcards, limits).
 package match_test
 
 import (
@@ -197,19 +197,6 @@ func TestDifferentialPinned(t *testing.T) {
 				assertSameMatches(t, g, q, match.Options{Pin: pin},
 					fmt.Sprintf("%s trial %d pin=%v", name, trial, pin))
 			}
-		}
-	}
-}
-
-func TestDifferentialBlocked(t *testing.T) {
-	for name, g := range diffGraphs() {
-		rng := rand.New(rand.NewSource(17))
-		for trial := 0; trial < 20; trial++ {
-			q := randomPattern(g, rng, 2+rng.Intn(2), trial%3 == 0)
-			start := graph.NodeID(rng.Intn(g.NumNodes()))
-			block := graph.NewNodeSet(g.Neighborhood(start, 2))
-			assertSameMatches(t, g, q, match.Options{Block: block},
-				fmt.Sprintf("%s trial %d block around %d", name, trial, start))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Literal pushdown: guarded enumeration must yield exactly the unguarded
 // match set filtered by the map-based X oracle, on snapshots and overlays
-// and under every Options dimension; the plan must schedule each guard at
+// and under pins and stripes; the plan must schedule each guard at
 // its earliest bound depth and order variables so guards close early.
 package match_test
 
@@ -121,8 +121,13 @@ func TestGuardedEnumerationDifferential(t *testing.T) {
 				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
 					opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
 				}
-			case 2:
-				opts.Block = graph.NewNodeSet(ov.Neighborhood(graph.NodeID(rng.Intn(ov.NumNodes())), 2))
+			case 2: // the unit path: node 0 pinned, its neighbour 1 striped
+				v := graph.NodeID(rng.Intn(ov.NumNodes()))
+				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
+					v = cands[rng.Intn(len(cands))]
+				}
+				opts.Pin = map[int]graph.NodeID{0: v}
+				opts.StripeNode, opts.StripeMod, opts.StripeRem = 1, 2, rng.Intn(2)
 			}
 			want := xFiltered(g, f, opts)
 			checked += len(want)
@@ -183,12 +188,6 @@ func TestGuardPlansDistinctPerGuard(t *testing.T) {
 	}
 }
 
-// countingBlock is a Membership that admits every node and counts the
-// candidates the matcher asked about: every try consults it once.
-type countingBlock struct{ n int }
-
-func (c *countingBlock) Contains(graph.NodeID) bool { c.n++; return true }
-
 // TestGuardPrunesPinnedPivotAtDepthZero: a constant guard on the pinned
 // pivot is due at depth 0, so a pivot failing it costs exactly one
 // candidate check — the pin itself — and the unit yields nothing.
@@ -219,14 +218,16 @@ func TestGuardPrunesPinnedPivotAtDepthZero(t *testing.T) {
 	if p := m.Plan(q, match.Options{Pin: pin, Guard: guard}).String(); p != `x*[x.p = "v0"] y` {
 		t.Fatalf("plan %q: the constant guard is not due at the pinned depth", p)
 	}
-	block := &countingBlock{}
-	if n := m.Count(q, match.Options{Pin: pin, Block: block, Guard: guard}); n != 0 || block.n != 1 {
-		t.Fatalf("failing pivot: %d matches after %d candidate checks, want 0 after 1", n, block.n)
+	// Tries counts only while a Halt probe is armed.
+	opts := match.Options{Pin: pin, Guard: guard, Halt: func() bool { return false }}
+	before := m.Tries()
+	if n, tries := m.Count(q, opts), m.Tries()-before; n != 0 || tries != 1 {
+		t.Fatalf("failing pivot: %d matches after %d candidate checks, want 0 after 1", n, tries)
 	}
-	block.n = 0
 	pin[x] = pass
-	if n := m.Count(q, match.Options{Pin: pin, Block: block, Guard: guard}); n == 0 || block.n < 2 {
-		t.Fatalf("passing pivot: %d matches after %d candidate checks; the guard over-pruned", n, block.n)
+	before = m.Tries()
+	if n, tries := m.Count(q, opts), m.Tries()-before; n == 0 || tries < 2 {
+		t.Fatalf("passing pivot: %d matches after %d candidate checks; the guard over-pruned", n, tries)
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // The enumerator is a backtracking search with label/degree candidate
 // filtering and connectivity-driven variable ordering. It supports pinning
-// pattern nodes to designated graph nodes (pivot candidates of work units)
-// and restricting matches to a data block (locality of subgraph
-// isomorphism, Section 5.2).
+// pattern nodes to designated graph nodes (pivot candidates of work units),
+// which by the locality of subgraph isomorphism (Section 5.2) keeps a
+// unit's matches inside its data block without testing membership.
 //
 // Two execution paths produce the same match set:
 //
@@ -32,12 +32,9 @@ import (
 
 // Options configures an enumeration.
 type Options struct {
-	// Block restricts every matched graph node to this set. nil means the
-	// whole graph. Engines pass a per-worker *graph.EpochSet (reusable,
-	// allocation-free); ad-hoc callers pass a graph.NodeSet.
-	Block graph.Membership
 	// Pin forces pattern node index k to match exactly Pin[k]. Used to
-	// enumerate only matches that include a pivot candidate.
+	// enumerate only matches that include a pivot candidate; by locality
+	// those lie in the candidate's data block, so no block option exists.
 	Pin map[int]graph.NodeID
 	// Limit stops the enumeration after this many matches; 0 means
 	// unlimited.
@@ -47,7 +44,8 @@ type Options struct {
 	// StripeNode may only match graph nodes v with v mod StripeMod ==
 	// StripeRem. StripeMod == 0 disables striping. Enumerating all
 	// residues yields exactly the unstriped match set, since every match
-	// assigns StripeNode exactly one graph node.
+	// assigns StripeNode exactly one graph node. The Matcher binds
+	// StripeNode right after the pinned nodes.
 	StripeNode int
 	StripeMod  int
 	StripeRem  int
@@ -283,12 +281,9 @@ func (s *searcher) candidates(u int) []graph.NodeID {
 }
 
 // feasible verifies that assigning v to pattern node u is consistent:
-// block membership, node label, degree bounds, and every pattern edge
-// between u and an already-assigned node.
+// striping, node label, degree bounds, and every pattern edge between u
+// and an already-assigned node.
 func (s *searcher) feasible(u int, v graph.NodeID) bool {
-	if s.opts.Block != nil && !s.opts.Block.Contains(v) {
-		return false
-	}
 	if s.opts.StripeMod > 0 && u == s.opts.StripeNode && int(v)%s.opts.StripeMod != s.opts.StripeRem {
 		return false
 	}

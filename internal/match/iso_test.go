@@ -139,19 +139,6 @@ func TestPinRestrictsMatches(t *testing.T) {
 	}
 }
 
-func TestBlockRestrictsMatches(t *testing.T) {
-	g := buildG1()
-	q := pattern.New()
-	flightComponent(q, "x")
-	flights := g.NodesWithLabel("flight")
-	// Block = 1-hop around flight0 only.
-	block := graph.NewNodeSet(g.Neighborhood(flights[0], 1))
-	ms := All(g, q, Options{Block: block})
-	if len(ms) != 1 {
-		t.Fatalf("block-restricted matches = %d, want 1", len(ms))
-	}
-}
-
 func TestLimitStopsEnumeration(t *testing.T) {
 	g := buildG1()
 	q := pattern.New()

@@ -34,8 +34,8 @@ import (
 // the pattern node's label class — or, for a striped node, the class's
 // precomputed residue sub-range. Plans (Plan: the matching order plus the
 // guard instructions due at each depth) are cached per (compiled pattern,
-// pin set, topology version, guard); Options.NoIntersect forces the
-// backtracking path for differential testing.
+// pin set, stripe node, topology version, guard); Options.NoIntersect
+// forces the backtracking path for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
@@ -100,15 +100,16 @@ const haltStride = 64
 
 // planKey identifies one cached plan: the lowered pattern (a stable
 // pointer per (pattern, symbol table)), the set of pinned pattern nodes as
-// a bitmask (pin *values* never affect the order), the topology version
-// the class-size estimates were read at, and the guard scheduled into it
-// (the key holds the pointer, so a cached guard's address is never reused
-// by another).
+// a bitmask (pin *values* never affect the order), the striped node (-1
+// unstriped), the topology version the class-size estimates were read at,
+// and the guard scheduled into it (the key holds the pointer, so a cached
+// guard's address is never reused by another).
 type planKey struct {
-	cq    *pattern.Compiled
-	pins  uint64
-	ver   uint64
-	guard *core.Guard
+	cq     *pattern.Compiled
+	pins   uint64
+	stripe int
+	ver    uint64
+	guard  *core.Guard
 }
 
 // maxPlanCache bounds the plan cache; beyond it the cache resets. Engines
@@ -309,10 +310,10 @@ func (p *Plan) schedule(g *core.Guard) {
 }
 
 // planFor returns the plan for the bound call: cached per (pattern, pin
-// set, topology version, guard) — patterns small enough for a pin bitmask
-// (all of them, in practice) resolve repeated enumerations, one per work
-// unit on the engine paths, to a map hit, skipping the class-size reads
-// and the O(|Q|²) selection.
+// set, stripe node, topology version, guard) — patterns small enough for a
+// pin bitmask (all of them, in practice) resolve repeated enumerations, one
+// per work unit on the engine paths, to a map hit, skipping the class-size
+// reads and the O(|Q|²) selection.
 func (m *Matcher) planFor() *Plan {
 	n := m.n
 	var pins uint64
@@ -321,15 +322,19 @@ func (m *Matcher) planFor() *Plan {
 			pins |= 1 << uint(i)
 		}
 	}
+	stripe := -1
+	if m.opts.StripeMod > 0 {
+		stripe = m.opts.StripeNode
+	}
 	cacheable := n <= 64
-	key := planKey{cq: m.cq, pins: pins, ver: m.snap.Version(), guard: m.opts.Guard}
+	key := planKey{cq: m.cq, pins: pins, stripe: stripe, ver: m.snap.Version(), guard: m.opts.Guard}
 	if cacheable {
 		if p, ok := m.plans[key]; ok {
 			return p
 		}
 	}
 	p := &Plan{Order: make([]int, n), pins: pins, q: m.q}
-	m.planOrder(p.Order)
+	m.planOrder(p.Order, stripe)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)
 	}
@@ -354,8 +359,9 @@ const guardDiscount = 8
 // first, then BFS growth from placed nodes preferring small candidate
 // estimates, new components seeded by the most selective node — using
 // topology class sizes as estimates, each discounted for the guard
-// instructions its placement would close (see score).
-func (m *Matcher) planOrder(order []int) {
+// instructions its placement would close (see score). The striped node
+// comes right after the pins, so a stripe sheds other residues early.
+func (m *Matcher) planOrder(order []int, stripe int) {
 	n := m.n
 	// Candidate estimates are constant during planning; resolving them
 	// once per pattern node keeps the O(|Q|²) selection loops on plain
@@ -374,6 +380,11 @@ func (m *Matcher) planOrder(order []int) {
 			order[k] = i
 			k++
 		}
+	}
+	if stripe >= 0 && stripe < n && !m.placed[stripe] {
+		m.placed[stripe] = true
+		order[k] = stripe
+		k++
 	}
 	for k < n {
 		next, best := -1, math.Inf(1)
@@ -612,16 +623,12 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 	m.assign[u] = graph.Invalid
 }
 
-// feasible verifies block membership, striping, node label, degree bounds,
-// and every pattern edge between u and an already-assigned node (binary
-// searches over sorted CSR ranges). The stripe check stays here even
-// though striped class enumeration pre-filters (NodesWithStripe):
-// adjacency-driven candidates are not pre-filtered, and a patched view's
-// stripe ranges over-approximate.
+// feasible verifies striping, node label, degree bounds, and every pattern
+// edge between u and an already-assigned node (binary searches over sorted
+// CSR ranges). The stripe check stays here even though striped class
+// enumeration pre-filters (NodesWithStripe): adjacency-driven candidates
+// are not pre-filtered, and a patched view's stripe ranges over-approximate.
 func (m *Matcher) feasible(u int, v graph.NodeID) bool {
-	if m.opts.Block != nil && !m.opts.Block.Contains(v) {
-		return false
-	}
 	if m.opts.StripeMod > 0 && u == m.opts.StripeNode && int(v)%m.opts.StripeMod != m.opts.StripeRem {
 		return false
 	}

@@ -52,9 +52,11 @@ func TestDifferentialOverlayMatcher(t *testing.T) {
 					if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
 						opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
 					}
-				case 2: // block around a random node, overlay BFS
-					start := graph.NodeID(rng.Intn(ov.NumNodes()))
-					opts.Block = graph.NewNodeSet(ov.Neighborhood(start, 2))
+				case 2: // the unit path: node 0 pinned, its neighbour 1 striped
+					if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
+						opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
+					}
+					opts.StripeNode, opts.StripeMod, opts.StripeRem = 1, 2, rng.Intn(2)
 				case 3: // stripe a random node
 					opts.StripeNode = rng.Intn(q.NumNodes())
 					opts.StripeMod = 2 + rng.Intn(3)
@@ -135,23 +137,19 @@ func TestMatcherZeroAllocStriped(t *testing.T) {
 		t.Fatalf("steady-state striped Enumerate allocated %.1f times per run, want 0", allocs)
 	}
 
-	// The unit path proper: pivot pinned, stripe on the other node, data
-	// block, guard armed — one enumeration per unit, none allocating.
+	// The unit path proper: pivot pinned, stripe on the other node, guard
+	// armed — one enumeration per unit, none allocating.
 	snap := m.Topo()
 	flights := g.NodesWithLabel("flight")
 	first, _ := g.Attr(flights[0], "val")
 	rule := core.MustNew("r", q, []core.Literal{core.VarEq("f", "val", "f", "val"), core.Const("f", "val", first)}, nil)
-	block := graph.NewEpochSet(snap.NumNodes())
 	unit := match.Options{
 		Pin:        map[int]graph.NodeID{f: 0},
-		Block:      block,
 		StripeNode: id, StripeMod: 2,
 		Guard: rule.CompileLiterals(snap.Syms()).Guard(),
 	}
 	run := func() {
 		for _, v := range flights {
-			block.Reset()
-			snap.BlockInto(block, v, 1)
 			unit.Pin[f] = v
 			m.Enumerate(q, unit, yield)
 		}

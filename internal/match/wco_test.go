@@ -2,7 +2,7 @@
 // step: on cyclic patterns (where a closing node has ≥2 matched
 // neighbors) the intersection route must produce exactly the match set of
 // the classical probe backtracking (Options.NoIntersect), order aside, on
-// snapshots and overlays, across blocks, stripes, pins, limits and Halt —
+// snapshots and overlays, across stripes, pins, limits and Halt —
 // and stay allocation-free in steady state.
 package match_test
 
@@ -173,29 +173,37 @@ func TestWCOEquivalenceCyclicOverlay(t *testing.T) {
 	}
 }
 
-// TestWCOEquivalenceOptionDimensions sweeps blocks, stripes and pins —
-// the filters feasibility applies on top of the intersected candidates.
+// TestWCOEquivalenceOptionDimensions sweeps stripes and pins — the
+// filters feasibility applies on top of the intersected candidates.
 func TestWCOEquivalenceOptionDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := layeredCyclicGraph(rng, 60, 4)
 	snap := g.Freeze()
 	for name, q := range cyclicShapes() {
-		// Block: a 2-hop neighborhood around a random A node.
-		start := g.NodesWithLabel("A")[rng.Intn(60)]
-		blockOpts := match.Options{Block: graph.NewNodeSet(snap.Neighborhood(start, 2))}
-		assertWCOEqualsProbe(t, snap, g, q, blockOpts, name+" block")
-		// Stripe: residues must agree pairwise AND partition the whole set.
-		all := match.CountSnapshot(snap, q, match.Options{})
-		for _, mod := range []int{2, 3} {
-			total := 0
-			for rem := 0; rem < mod; rem++ {
-				opts := match.Options{StripeNode: rng.Intn(q.NumNodes()), StripeMod: mod, StripeRem: rem}
-				opts.StripeNode = 2 // the closing node C is reached by intersection in most orders
-				assertWCOEqualsProbe(t, snap, g, q, opts, fmt.Sprintf("%s stripe %d/%d", name, rem, mod))
-				total += match.CountSnapshot(snap, q, opts)
+		// Stripe node C: unpinned it seeds the search from its striped class
+		// range; with a and b pinned to an ab edge it is bound right after
+		// them — on the triangle by intersecting both pins' ranges. Residues
+		// must agree pairwise AND partition the whole set.
+		a := g.NodesWithLabel("A")[rng.Intn(60)]
+		pins := []map[int]graph.NodeID{nil}
+		for _, he := range g.Out(a) {
+			if he.Label == "ab" {
+				pins = append(pins, map[int]graph.NodeID{0: a, 1: he.To})
+				break
 			}
-			if total != all {
-				t.Fatalf("%s mod %d: stripes sum to %d, unstriped %d", name, mod, total, all)
+		}
+		for _, pin := range pins {
+			all := match.CountSnapshot(snap, q, match.Options{Pin: pin})
+			for _, mod := range []int{2, 3} {
+				total := 0
+				for rem := 0; rem < mod; rem++ {
+					opts := match.Options{Pin: pin, StripeNode: 2, StripeMod: mod, StripeRem: rem}
+					assertWCOEqualsProbe(t, snap, g, q, opts, fmt.Sprintf("%s pins %v stripe %d/%d", name, pin, rem, mod))
+					total += match.CountSnapshot(snap, q, opts)
+				}
+				if total != all {
+					t.Fatalf("%s pins %v mod %d: stripes sum to %d, unstriped %d", name, pin, mod, total, all)
+				}
 			}
 		}
 		// Pin: force node 0 onto each of a few candidates.
@@ -204,6 +212,67 @@ func TestWCOEquivalenceOptionDimensions(t *testing.T) {
 			assertWCOEqualsProbe(t, snap, g, q, match.Options{Pin: pin}, name+" pin")
 		}
 	}
+}
+
+// TestStripeNodeBoundRightAfterPins: on triangle, diamond and path shapes,
+// for every pin set and every unpinned node adjacent to a pin, the striped
+// plan binds the stripe node right after the pins, and the unstriped plan
+// of the same call — cached beside the striped ones — stays what a fresh
+// matcher plans.
+func TestStripeNodeBoundRightAfterPins(t *testing.T) {
+	snap := layeredCyclicGraph(rand.New(rand.NewSource(3)), 30, 3).Freeze()
+	path := pattern.New()
+	a, b, c := path.AddNode("a", "A"), path.AddNode("b", "B"), path.AddNode("c", "C")
+	path.AddEdge(a, b, "ab")
+	path.AddEdge(b, c, "bc")
+	shapes := map[string]*pattern.Pattern{"triangle": triPattern(), "diamond": diamondPattern(), "path": path}
+	m := match.NewMatcher(snap)
+	checked := 0
+	for name, q := range shapes {
+		n := q.NumNodes()
+		for set := 1; set < 1<<n-1; set++ {
+			pin := map[int]graph.NodeID{}
+			for i := 0; i < n; i++ {
+				if set&(1<<i) != 0 {
+					pin[i] = graph.NodeID(i)
+				}
+			}
+			plain := match.Options{Pin: pin}
+			want := fmt.Sprint(match.NewMatcher(snap).Plan(q, plain).Order)
+			for s := 0; s < n; s++ {
+				if _, pinned := pin[s]; pinned || !adjacentToPin(q, s, pin) {
+					continue
+				}
+				opts := match.Options{Pin: pin, StripeNode: s, StripeMod: 3}
+				if order := m.Plan(q, opts).Order; order[len(pin)] != s {
+					t.Fatalf("%s pins %v: striped plan %v binds %d after the pins, want stripe node %d", name, pin, order, order[len(pin)], s)
+				}
+				if got := fmt.Sprint(m.Plan(q, plain).Order); got != want {
+					t.Fatalf("%s pins %v: unstriped plan %s after striping %d, fresh %s", name, pin, got, s, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pin set had an unpinned neighbour; the test is vacuous")
+	}
+}
+
+// adjacentToPin reports a pattern edge, either direction, between s and a
+// pinned node.
+func adjacentToPin(q *pattern.Pattern, s int, pin map[int]graph.NodeID) bool {
+	for _, ei := range q.OutEdges(s) {
+		if _, ok := pin[q.Edges[ei].To]; ok {
+			return true
+		}
+	}
+	for _, ei := range q.InEdges(s) {
+		if _, ok := pin[q.Edges[ei].From]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // TestWCOLimitAndHalt: with Limit the two paths may surface different

@@ -73,12 +73,15 @@ func (p *Pattern) Eccentricity(v int) int {
 }
 
 // Center returns, for the component whose members are given, the member with
-// minimum eccentricity (ties broken by smallest index) and that minimum
-// eccentricity. This is the pivot selection rule of Section 5.2.
+// minimum eccentricity and that minimum eccentricity: the pivot selection
+// rule of Section 5.2. Among members of equal eccentricity a labelled node
+// beats a wildcard — a wildcard's candidates are every node of the graph —
+// and then the smallest index wins.
 func (p *Pattern) Center(members []int) (node, radius int) {
 	node, radius = -1, int(^uint(0)>>1)
 	for _, v := range members {
-		if ecc := p.Eccentricity(v); ecc < radius {
+		ecc := p.Eccentricity(v)
+		if ecc < radius || ecc == radius && p.Nodes[node].Label == Wildcard && p.Nodes[v].Label != Wildcard {
 			node, radius = v, ecc
 		}
 	}

@@ -3,15 +3,22 @@
 // replaced. Run with
 //
 //	go test ./internal/validate -bench=BenchmarkDetVio -benchmem
+//
+// and the parallel engine's work relative to it with
+// BenchmarkParallelOverSequential.
 package validate
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"gfd/internal/core"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
 	"gfd/internal/match"
+	"gfd/internal/pattern"
 )
 
 func detVioWorkload() (*graph.Graph, *core.Set) {
@@ -57,5 +64,100 @@ func BenchmarkDetVio(b *testing.B) {
 	})
 	if want != nil && got != nil && !want.Equal(got) {
 		b.Fatalf("paths disagree: legacy %d violations, snapshot %d", len(want), len(got))
+	}
+}
+
+// ParallelWorkload is one rule set of the parallel-over-sequential
+// measurement.
+type ParallelWorkload struct {
+	Name string
+	G    *graph.Graph
+	Set  *core.Set
+}
+
+// ParallelWorkloads builds both rule sets with gen. "kb" is a DBpedia-like
+// graph under mined rules, each with a constant X, plus Fig. 7's GFD 2,
+// whose wildcard entity ties with a class for the pivot; 2 % attribute
+// noise, targeted corruption and structural errors make every rule fire.
+// "cyclic" is a skewed three-label graph under three label-rotated
+// triangles with X = ∅ and Y = a.val = c.val over a domain of 16, so
+// nearly every match violates and the hubs' units split into stripes.
+func ParallelWorkloads() []ParallelWorkload {
+	kb := gen.DBpediaLike(gen.DatasetConfig{Scale: 3000, Seed: 1})
+	rules := gen.MineGFDs(kb, gen.MineConfig{NumRules: 9, PatternSize: 4, Seed: 1}).Rules()
+	q := pattern.New()
+	e, c, cp := q.AddNode("e", pattern.Wildcard), q.AddNode("c", "class"), q.AddNode("cp", "class")
+	q.AddEdge(e, c, "type")
+	q.AddEdge(e, cp, "type")
+	q.AddEdge(c, cp, "disjoint_with")
+	kbSet := core.MustNewSet(append(rules, core.MustNew("disjoint_types", q, nil, []core.Literal{core.VarEq("c", "val", "cp", "val")}))...)
+	gen.Inject(kb, gen.NoiseConfig{Rate: 0.02, Seed: 2})
+	gen.InjectTargeted(kb, kbSet, 0.05, 3)
+	gen.InjectStructural(kb, 5, 4)
+
+	cyc := gen.Synthetic(gen.SyntheticConfig{Nodes: 10000, Edges: 150000, Labels: 3, Attrs: 1, Domain: 16, Skew: 0.8, Seed: 1})
+	var tris []*core.GFD
+	for r := 0; r < 3; r++ {
+		q := pattern.New()
+		a, b, c := q.AddNode("a", fmt.Sprintf("L%d", r)), q.AddNode("b", fmt.Sprintf("L%d", (r+1)%3)), q.AddNode("c", fmt.Sprintf("L%d", (r+2)%3))
+		q.AddEdge(a, b, fmt.Sprintf("e%d", r))
+		q.AddEdge(b, c, fmt.Sprintf("e%d", (r+1)%3))
+		q.AddEdge(a, c, fmt.Sprintf("e%d", (r+2)%3))
+		tris = append(tris, core.MustNew(fmt.Sprintf("tri%d", r), q, nil, []core.Literal{core.VarEq("a", "val", "c", "val")}))
+	}
+	return []ParallelWorkload{
+		{"kb", kb, kbSet},
+		{"cyclic", cyc, core.MustNewSet(tris...)},
+	}
+}
+
+// ParallelOverSequential returns warm repVal with one worker over warm
+// sequential detection on one bundle of w, as the ratio of their summed
+// walls over rounds alternating runs. Both collect a sorted report; one
+// untimed run of each warms the plans and the estimation memo first. Above
+// 1, a unit does work the sequential engine does not.
+func ParallelOverSequential(tb testing.TB, w ParallelWorkload, rounds int) float64 {
+	ctx := context.Background()
+	b := NewBundle(w.G, w.Set)
+	seq := func() Report {
+		s := NewCollectSink(1)
+		if err := DetVioB(ctx, b, s); err != nil {
+			tb.Fatal(err)
+		}
+		return s.Report()
+	}
+	par := func() Report {
+		res, err := RepValB(ctx, b, Options{N: 1}, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res.Violations
+	}
+	want := seq()
+	if got := par(); len(want) == 0 || !got.Equal(want) {
+		tb.Fatalf("%s: repVal found %d violations, the sequential engine %d", w.Name, len(got), len(want))
+	}
+	var ts, tp time.Duration
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
+		seq()
+		ts += time.Since(start)
+		start = time.Now()
+		par()
+		tp += time.Since(start)
+	}
+	return float64(tp) / float64(ts)
+}
+
+// BenchmarkParallelOverSequential reports warm repVal n = 1 over warm
+// sequential detection as par/seq per rule set — the work a unit does
+// beyond the sequential engine's:
+//
+//	go test ./internal/validate -run xxx -bench BenchmarkParallelOverSequential
+func BenchmarkParallelOverSequential(b *testing.B) {
+	for _, w := range ParallelWorkloads() {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportMetric(ParallelOverSequential(b, w, b.N), "par/seq")
+		})
 	}
 }

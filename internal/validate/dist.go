@@ -89,10 +89,10 @@ func (p *DistPlan) Unit(i int) DistUnit {
 }
 
 // FillBlock resets set to unit i's data block — the union of the pivot
-// candidates' radius neighborhoods — on the coordinator's topology: the
-// same flat fill a slot assembles the block with. The coordinator selects
-// from it the non-owned nodes a worker needs shipped (the halo) before it
-// can reproduce the block locally.
+// candidates' radius neighborhoods — on the coordinator's topology. The
+// coordinator selects from it the non-owned nodes a worker needs shipped
+// (the halo), so that every block node carries its full adjacency on the
+// worker and the unit's pinned enumeration finds every match there.
 func (p *DistPlan) FillBlock(set *graph.EpochSet, i int) {
 	fillBlock(set, p.b.topo, &p.units[i])
 }
@@ -110,8 +110,8 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 	return runEngine(ctx, b, opt, sink, engine{start: start})
 }
 
-// UnitRunner executes units on one slot: the unitDetector's data-block
-// assembly, stripe filtering and symmetric dedup enumeration, the
+// UnitRunner executes units on one slot: the unitDetector's pinned, striped
+// and symmetric dedup enumeration, the
 // exactly-once skip count, the cooperative per-attempt deadline and the
 // unit-start fault crossing. Goroutine slots and worker processes both run
 // it — over the bundle's shared topology, or a worker's shard-backed one —

@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"slices"
 	"time"
 
 	"gfd/internal/cluster"
@@ -221,9 +220,8 @@ type unitDetector struct {
 	m       *match.Matcher
 	pin     map[int]graph.NodeID
 	scratch core.Match
-	block   *graph.EpochSet // reusable data block, refilled per unit
-	cancel  *cancelCheck    // per-worker; consulted between matches
-	halt    func() bool     // cancel.canceled bound once; threaded into enumeration
+	cancel  *cancelCheck // per-worker; consulted between matches
+	halt    func() bool  // cancel.canceled bound once; threaded into enumeration
 
 	// The unit being enumerated, read by onMatch — bound once as visit, so a
 	// unit hands the matcher its callback without allocating a closure.
@@ -244,7 +242,6 @@ func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Inject
 	d := &unitDetector{
 		m:      match.NewMatcher(topo),
 		pin:    make(map[int]graph.NodeID, 2),
-		block:  graph.NewEpochSet(topo.NumNodes()),
 		cancel: cancel,
 		// Bind the method value once so the per-unit loop hands the matcher
 		// a halt probe without allocating a closure per unit.
@@ -259,9 +256,8 @@ func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Inject
 
 // fillBlock resets set to the unit's data block G_z̄ on topo: the union of
 // the c_i-hop neighborhoods of the pivot candidates, with zero steady-state
-// allocation (the hash-set-per-unit it replaces dominated the detection
-// phase's allocations). Slots, the halo selection of internal/dist and
-// disVal's shipment estimate all assemble blocks through it.
+// allocation, for the halo selection of internal/dist and disVal's
+// shipment estimate; unit enumeration needs no block (see detect).
 func fillBlock(set *graph.EpochSet, topo graph.Topology, u *workUnit) {
 	set.Reset()
 	for i, v := range u.Candidates {
@@ -269,10 +265,12 @@ func fillBlock(set *graph.EpochSet, topo graph.Topology, u *workUnit) {
 	}
 }
 
-// detect enumerates the matches of the unit's group pattern inside the
-// unit's data block, with the pivots pinned to the unit's candidates, and
-// checks every group dependency on each match, delivering violations to
-// emit. For symmetric two-component patterns whose mirrored units were
+// detect enumerates the matches of the unit's group pattern with the
+// pivots pinned to the unit's candidates, and checks every group
+// dependency on each match, delivering violations to emit. The data block
+// is implicit: a match lies within its components' radii of the pins, and
+// on a dist shard the block's nodes carry full adjacency (owned or halo).
+// For symmetric two-component patterns whose mirrored units were
 // deduplicated, both pin orders are enumerated so the full match set is
 // preserved. It returns false when the worker must stop: the context was
 // cancelled or emit refused a violation.
@@ -280,8 +278,6 @@ func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit fun
 	if grp.guard.Dead() {
 		return true // no member's X can hold: nothing to enumerate
 	}
-	block := d.block
-	fillBlock(block, d.m.Topo(), &u)
 	d.grp, d.emit, d.ok = grp, emit, true
 	runPins := func(c0, c1 graph.NodeID, both bool) {
 		if !d.ok {
@@ -297,11 +293,10 @@ func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit fun
 			}
 		}
 		opts := match.Options{
-			Block:      block,
 			Pin:        d.pin,
 			StripeMod:  u.stripeMod,
 			StripeRem:  u.stripeRem,
-			StripeNode: stripeNode(grp, u),
+			StripeNode: grp.stripe,
 			// Prunes a prefix once every member has a failed X literal.
 			Guard: grp.guard,
 			// Early termination must reach candidate enumeration itself:
@@ -336,27 +331,6 @@ func (d *unitDetector) onMatch(m core.Match) bool {
 	return true
 }
 
-// stripeNode picks the pattern node the stripe constraint applies to: the
-// first node that is not a pivot. Returns -1 (striping disabled upstream)
-// when every node is pinned.
-func stripeNode(grp *ruleGroup, u workUnit) int {
-	if u.stripeMod == 0 {
-		return -1
-	}
-	for i := 0; i < grp.q.NumNodes(); i++ {
-		if !slices.Contains(grp.pivot.Vars, i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// splittable reports whether the group pattern has an unpinned node to
-// stripe on.
-func splittable(grp *ruleGroup) bool {
-	return grp.q.NumNodes() > len(grp.pivot.Vars)
-}
-
 // splitThreshold resolves the effective θ given the generated units.
 func splitThreshold(opt Options, units []workUnit) int {
 	if opt.NoOptimize || opt.SplitThreshold < 0 || len(units) == 0 {
@@ -374,17 +348,18 @@ func splitThreshold(opt Options, units []workUnit) int {
 
 // stripes returns how many stripes applySplit cuts u into; 1 keeps it whole.
 func stripes(u *workUnit, groups []*ruleGroup, theta int) int {
-	if u.BlockSize <= theta || !splittable(groups[u.group]) {
+	if u.BlockSize <= theta || groups[u.group].stripe < 0 {
 		return 1
 	}
 	return (u.BlockSize + theta - 1) / theta
 }
 
 // applySplit replaces oversized units with stripes (replicate-and-split,
-// Appendix): each stripe keeps the pivots and data block but enumerates
-// only matches whose stripe-node image falls in its residue class, so the
-// stripes' match sets partition the original unit's. units is read-only;
-// the result is a fresh, exactly sized slice unless nothing splits.
+// Appendix): each stripe keeps the pivots but enumerates only matches
+// whose image of the group's stripe node (a pivot neighbour, stripeNode)
+// falls in its residue class, so the stripes' match sets partition the
+// original unit's. units is read-only; the result is a fresh, exactly
+// sized slice unless nothing splits.
 func applySplit(units []workUnit, groups []*ruleGroup, theta int) (out []workUnit, split int) {
 	if theta <= 0 {
 		return units, 0

@@ -5,6 +5,7 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/graph"
+	"gfd/internal/pattern"
 	"gfd/internal/stats"
 	"gfd/internal/workload"
 )
@@ -83,6 +84,23 @@ func (b *Bundle) PlanShape(opt Options) (groups, classes, units int) {
 	return len(gs), len(seen), units
 }
 
+// GroupShape is one rule group's pattern, pivot variables and stripe node.
+type GroupShape struct {
+	Q      *pattern.Pattern
+	Pivots []int
+	Stripe int
+}
+
+// GroupShapes returns the shape of every rule group of opt's variant.
+func (b *Bundle) GroupShapes(opt Options) []GroupShape {
+	_, gs, _ := b.ruleGroupsKeyed(opt.Normalized())
+	out := make([]GroupShape, len(gs))
+	for i, grp := range gs {
+		out[i] = GroupShape{grp.q, grp.pivot.Vars, grp.stripe}
+	}
+	return out
+}
+
 // oracleReq identifies one block-size measurement |G_z̄[v]|.
 type oracleReq struct {
 	node   graph.NodeID
@@ -133,7 +151,7 @@ func (o *OracleEstimator) Plan(opt Options) PlanImage {
 	)
 	for _, u := range units {
 		s := 0
-		if theta > 0 && u.BlockSize > theta && splittable(groups[u.group]) {
+		if theta > 0 && u.BlockSize > theta && groups[u.group].q.NumNodes() > groups[u.group].pivot.Arity() {
 			s = (u.BlockSize + theta - 1) / theta
 		}
 		if s < 2 {

@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"slices"
+
 	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
@@ -22,13 +24,34 @@ type depSpec struct {
 // pivot vector, work-unit set and match enumeration; each match is checked
 // against every member dependency.
 type ruleGroup struct {
-	q     *pattern.Pattern
-	pivot *workload.Pivot
-	deps  []depSpec
+	q      *pattern.Pattern
+	pivot  *workload.Pivot
+	deps   []depSpec
+	stripe int // stripeNode; -1 when the group cannot split
 	// guard is every member's X pushed into the group's enumeration (one
 	// member per dep, operands remapped through the perms); set with the
 	// programs by bind.
 	guard *core.Guard
+}
+
+// stripeNode picks the pattern node a group's stripes filter on: the
+// lowest-index non-pivot node adjacent to a pivot, which the Matcher binds
+// right after the pins; -1 when every node is a pivot. It depends on the
+// pattern alone, because the stripes of one unit run on different slots
+// and worker processes and partition the unit's matches only if all of
+// them filter the same node.
+func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
+	for w := range q.Nodes {
+		if slices.Contains(pv.Vars, w) {
+			continue
+		}
+		for _, e := range q.Edges {
+			if e.From == w && slices.Contains(pv.Vars, e.To) || e.To == w && slices.Contains(pv.Vars, e.From) {
+				return w
+			}
+		}
+	}
+	return -1
 }
 
 // bind attaches each dependency's bundle-held program and compiles the
@@ -65,10 +88,12 @@ func buildGroups(rules []*core.GFD, combine, arbitraryPivot bool) []*ruleGroup {
 			}
 		}
 		if !placed {
+			pv := computePivot(f.Q)
 			groups = append(groups, &ruleGroup{
-				q:     f.Q,
-				pivot: computePivot(f.Q),
-				deps:  []depSpec{{rule: f, perm: identityPerm(f.Q.NumNodes())}},
+				q:      f.Q,
+				pivot:  pv,
+				deps:   []depSpec{{rule: f, perm: identityPerm(f.Q.NumNodes())}},
+				stripe: stripeNode(f.Q, pv),
 			})
 		}
 	}

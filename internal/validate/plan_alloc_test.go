@@ -1,8 +1,9 @@
 //go:build !race
 
 // The race detector makes sync.Pool drop what is put into it, so every
-// block traversal allocates its scratch anew and the count below measures
-// the detector, not the planner.
+// block traversal allocates its scratch anew and the counts below measure
+// the detector, not the planner; its instrumentation also distorts the
+// wall-clock ratio at the end.
 package validate_test
 
 import (
@@ -61,5 +62,23 @@ func TestWarmRoundAllocationsIndependentOfUnits(t *testing.T) {
 	}
 	if units < 10000 || units < 20*int(bound) {
 		t.Fatalf("only %d units scheduled: the bound %.0f does not separate per-unit allocation", units, bound)
+	}
+}
+
+// TestParallelOverSequentialRatio is a loose bound on the parallel
+// engine's excess work: on the cyclic set warm repVal with one worker may
+// cost at most 3× warm sequential detection. The KB ratio is logged only:
+// its excess is the units of pivot candidates whose constant X fails,
+// which the workload still creates.
+func TestParallelOverSequentialRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock ratio")
+	}
+	for _, w := range validate.ParallelWorkloads() {
+		ratio := validate.ParallelOverSequential(t, w, 5)
+		t.Logf("%s: repVal n = 1 over sequential %.2f", w.Name, ratio)
+		if w.Name == "cyclic" && ratio > 3 {
+			t.Errorf("%s: repVal n = 1 costs %.2f× the sequential engine, bound 3", w.Name, ratio)
+		}
 	}
 }

@@ -195,6 +195,45 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 	}
 }
 
+// TestStripeNodeIsPivotNeighbour: for every group shape of planRules — the
+// mined rules, Fig. 7's, a wildcard hub, single-node components — the node
+// stripes filter on is the lowest-index non-pivot node adjacent to a
+// pivot, and -1 exactly when every node is a pivot.
+func TestStripeNodeIsPivotNeighbour(t *testing.T) {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: 1})
+	b := validate.NewBundle(g, planRules(g, 11))
+	checked := 0
+	for _, noOpt := range []bool{false, true} {
+		for _, gs := range b.GroupShapes(validate.Options{NoOptimize: noOpt}) {
+			want := -1
+			for _, z := range gs.Pivots {
+				for _, ei := range gs.Q.OutEdges(z) {
+					if w := gs.Q.Edges[ei].To; !slices.Contains(gs.Pivots, w) && (want < 0 || w < want) {
+						want = w
+					}
+				}
+				for _, ei := range gs.Q.InEdges(z) {
+					if w := gs.Q.Edges[ei].From; !slices.Contains(gs.Pivots, w) && (want < 0 || w < want) {
+						want = w
+					}
+				}
+			}
+			if gs.Stripe != want {
+				t.Fatalf("pattern %s pivots %v: stripe node %d, want %d", gs.Q, gs.Pivots, gs.Stripe, want)
+			}
+			if (want < 0) != (gs.Q.NumNodes() == len(gs.Pivots)) {
+				t.Fatalf("pattern %s pivots %v: stripe node %d, yet %d nodes", gs.Q, gs.Pivots, want, gs.Q.NumNodes())
+			}
+			if want >= 0 {
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no group could split; the test is vacuous")
+	}
+}
+
 func bundleOf(t testing.TB, g *graph.Graph, set *core.Set) *session.Prepared {
 	t.Helper()
 	sess, err := session.New(g)

@@ -222,9 +222,10 @@ func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 	for key, gs := range prev.groups {
 		ngs := make([]*ruleGroup, len(gs))
 		for i, grp := range gs {
-			ng := &ruleGroup{q: grp.q, pivot: grp.pivot, deps: append([]depSpec(nil), grp.deps...)}
+			ng := *grp
+			ng.deps = append([]depSpec(nil), grp.deps...)
 			ng.bind(b.progs)
-			ngs[i] = ng
+			ngs[i] = &ng
 		}
 		b.groups[key] = ngs
 	}

@@ -23,7 +23,10 @@ type Pivot struct {
 	symmetric  bool    // the two components are isomorphic (k == 2 only)
 }
 
-// ComputePivot derives PV(ϕ) for a pattern. It runs in O(|Q|²) time.
+// ComputePivot derives PV(ϕ) for a pattern: per component the member of
+// minimum radius, preferring a labelled node over a wildcard of the same
+// radius (pattern.Center), so a wildcard never turns every graph node into
+// a pivot candidate when a label class would do. It runs in O(|Q|²) time.
 func ComputePivot(q *pattern.Pattern) *Pivot {
 	comps := q.Components()
 	p := &Pivot{

@@ -102,6 +102,26 @@ func TestArbitraryPivot(t *testing.T) {
 	}
 }
 
+// TestComputePivotPrefersLabelledOverWildcard: in Fig. 7's GFD 2 the
+// wildcard entity e and the class c both have radius 1. The pivot is c —
+// a label class, not every node of the graph — while ArbitraryPivot still
+// takes e, the first variable.
+func TestComputePivotPrefersLabelledOverWildcard(t *testing.T) {
+	p := pattern.New()
+	e := p.AddNode("e", pattern.Wildcard)
+	c := p.AddNode("c", "class")
+	cp := p.AddNode("cp", "class")
+	p.AddEdge(e, c, "type")
+	p.AddEdge(e, cp, "type")
+	p.AddEdge(c, cp, "disjoint_with")
+	if pv := ComputePivot(p); pv.Vars[0] != c || pv.Radii[0] != 1 {
+		t.Errorf("min-radius pivot = %d r=%d, want the labelled %d r=1", pv.Vars[0], pv.Radii[0], c)
+	}
+	if pv := ArbitraryPivot(p); pv.Vars[0] != e || pv.Radii[0] != 1 {
+		t.Errorf("arbitrary pivot = %d r=%d, want the wildcard %d r=1", pv.Vars[0], pv.Radii[0], e)
+	}
+}
+
 func TestCandidates(t *testing.T) {
 	g := flightGraph(3)
 	snap := g.Freeze()
