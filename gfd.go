@@ -384,8 +384,8 @@ type MineConfig = gen.MineConfig
 func MineGFDs(g *Graph, cfg MineConfig) *Set { return gen.MineGFDs(g, cfg) }
 
 // Incremental validation: maintain Vio(Σ, G) under updates (node/edge
-// insertions and attribute assignments) by re-checking only the work
-// units whose pivots lie near the touched nodes.
+// insertions and attribute assignments) by enumerating only the matches
+// through the touched nodes and inserted edges.
 type (
 	// IncrementalDetector maintains the violation set across updates.
 	IncrementalDetector = incremental.Detector
@@ -399,8 +399,8 @@ type (
 
 // NewIncremental builds an incremental detector with an initial full
 // validation of g against Σ. The detector maintains a delta Overlay over
-// the graph's frozen snapshot and re-validates touched units on the
-// compiled match path; no full snapshot is rebuilt per update batch.
+// the graph's frozen snapshot and enumerates through each batch's delta
+// on the compiled match path; no full snapshot is rebuilt per batch.
 // Session.Incremental is the session-aware equivalent: it shares one
 // maintained overlay across detectors and Session.Apply, so the
 // session's prepared rule sets follow updates without re-freezing.

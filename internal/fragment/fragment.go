@@ -93,24 +93,28 @@ type Fragment struct {
 	byLabel  map[string][]graph.NodeID
 }
 
-// Partition splits g into n fragments using the given strategy.
+// Partition splits g into n fragments using the given strategy. It reads
+// g through its snapshot (Freeze), so a store-adopted graph stays hollow:
+// the string/map form is never built.
 func Partition(g *graph.Graph, n int, s Strategy) *Fragmentation {
 	if n < 1 {
 		n = 1
 	}
-	f := &Fragmentation{G: g, N: n, Owner: make([]int, g.NumNodes())}
+	snap := g.Freeze()
+	f := &Fragmentation{G: g, N: n, Owner: make([]int, snap.NumNodes())}
 	for i := 0; i < n; i++ {
 		f.frags = append(f.frags, &Fragment{ID: i, byLabel: make(map[string][]graph.NodeID)})
 	}
-	for v := 0; v < g.NumNodes(); v++ {
-		owner := Owner(s, graph.NodeID(v), g.NumNodes(), n)
+	for v := 0; v < snap.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		owner := Owner(s, id, snap.NumNodes(), n)
 		f.Owner[v] = owner
 		fr := f.frags[owner]
-		id := graph.NodeID(v)
 		fr.Nodes = append(fr.Nodes, id)
-		fr.byLabel[g.Label(id)] = append(fr.byLabel[g.Label(id)], id)
+		l := snap.LabelName(id)
+		fr.byLabel[l] = append(fr.byLabel[l], id)
 	}
-	f.computeBorders()
+	f.computeBorders(snap)
 	return f
 }
 
@@ -125,24 +129,21 @@ func hashNode(v graph.NodeID) int {
 	return int(h.Sum32() & 0x7fffffff)
 }
 
-func (f *Fragmentation) computeBorders() {
+func (f *Fragmentation) computeBorders(snap *graph.Snapshot) {
 	inSeen := make([]map[graph.NodeID]struct{}, f.N)
 	outSeen := make([]map[graph.NodeID]struct{}, f.N)
 	for i := range inSeen {
 		inSeen[i] = make(map[graph.NodeID]struct{})
 		outSeen[i] = make(map[graph.NodeID]struct{})
 	}
-	f.G.Edges(func(e graph.Edge) bool {
-		fo, to := f.Owner[e.From], f.Owner[e.To]
-		if fo != to {
-			// e.To is an in-node of its fragment; e.To is an out-node of
-			// e.From's fragment, and symmetrically for e.From.
-			inSeen[to][e.To] = struct{}{}
-			outSeen[fo][e.To] = struct{}{}
-			inSeen[fo][e.From] = struct{}{} // reachable via reverse traversal
-			outSeen[to][e.From] = struct{}{}
-		}
-		return true
+	f.eachCut(snap, func(from, to graph.NodeID) {
+		fo, ft := f.Owner[from], f.Owner[to]
+		// to is an in-node of its fragment and an out-node of from's
+		// fragment, and symmetrically for from.
+		inSeen[ft][to] = struct{}{}
+		outSeen[fo][to] = struct{}{}
+		inSeen[fo][from] = struct{}{} // reachable via reverse traversal
+		outSeen[ft][from] = struct{}{}
 	})
 	for i, fr := range f.frags {
 		fr.InNodes = setToSorted(inSeen[i])
@@ -175,27 +176,37 @@ func (f *Fragmentation) LocalNodesWithLabel(i int, label string) []graph.NodeID 
 	return f.frags[i].byLabel[label]
 }
 
+// eachCut calls fn for every edge of snap whose endpoints lie in
+// different fragments.
+func (f *Fragmentation) eachCut(snap *graph.Snapshot, fn func(from, to graph.NodeID)) {
+	for v := 0; v < snap.NumNodes(); v++ {
+		from := graph.NodeID(v)
+		for _, e := range snap.Out(from) {
+			if f.Owner[from] != f.Owner[e.To] {
+				fn(from, e.To)
+			}
+		}
+	}
+}
+
 // CutEdges counts edges crossing fragments, a partition-quality metric.
 func (f *Fragmentation) CutEdges() int {
 	cut := 0
-	f.G.Edges(func(e graph.Edge) bool {
-		if f.Owner[e.From] != f.Owner[e.To] {
-			cut++
-		}
-		return true
-	})
+	f.eachCut(f.G.Freeze(), func(graph.NodeID, graph.NodeID) { cut++ })
 	return cut
 }
 
-// NodeBytes estimates the serialized size of a node: its label, attribute
-// tuple and adjacency. This is the unit in which data shipment is charged
-// (the paper's CC(w) = c_s · |M| with c_s folded into the network model).
-func NodeBytes(g *graph.Graph, v graph.NodeID) int64 {
-	size := int64(len(g.Label(v))) + 8
-	for k, val := range g.NodeAttrs(v) {
-		size += int64(len(k) + len(val) + 2)
+// NodeBytes estimates the serialized size of a node of s: its label,
+// attribute tuple and adjacency. This is the unit in which data shipment
+// is charged (the paper's CC(w) = c_s · |M| with c_s folded into the
+// network model).
+func NodeBytes(s *graph.Snapshot, v graph.NodeID) int64 {
+	size := int64(len(s.LabelName(v))) + 8
+	syms := s.Syms()
+	for _, p := range s.AttrPairs(v) {
+		size += int64(len(syms.Name(p.Name)) + len(syms.Name(p.Val)) + 2)
 	}
-	size += int64(g.Degree(v)) * 12 // edge endpoints + label tag
+	size += int64(s.OutDegree(v)+s.InDegree(v)) * 12 // edge endpoints + label tag
 	return size
 }
 
@@ -203,10 +214,11 @@ func NodeBytes(g *graph.Graph, v graph.NodeID) int64 {
 // assemble the data block nodes: the total serialized size of block nodes
 // not owned by dst.
 func (f *Fragmentation) BlockShipBytes(block []graph.NodeID, dst int) int64 {
+	snap := f.G.Freeze()
 	var total int64
 	for _, v := range block {
 		if f.Owner[v] != dst {
-			total += NodeBytes(f.G, v)
+			total += NodeBytes(snap, v)
 		}
 	}
 	return total

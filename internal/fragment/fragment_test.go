@@ -1,6 +1,9 @@
 package fragment
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gfd/internal/gen"
@@ -109,7 +112,7 @@ func TestNodeBytesGrowsWithContent(t *testing.T) {
 	small := g.AddNode("x", nil)
 	big := g.AddNode("some_long_label", graph.Attrs{"k1": "value1", "k2": "value2"})
 	g.MustAddEdge(big, small, "e")
-	if NodeBytes(g, big) <= NodeBytes(g, small) {
+	if s := g.Freeze(); NodeBytes(s, big) <= NodeBytes(s, small) {
 		t.Error("bigger nodes must serialize bigger")
 	}
 }
@@ -137,5 +140,55 @@ func TestHashPartitionRoughBalance(t *testing.T) {
 		if n < 300 || n > 700 {
 			t.Errorf("fragment %d owns %d nodes; hash balance off", i, n)
 		}
+	}
+}
+
+// TestPartitionKeepsAdoptedGraphHollow: partitioning a store-adopted graph
+// reads its flat snapshot and never thaws it onto the heap (thawing
+// allocates per node, so the allocation count across one Partition stays
+// below |V|), and every value it computes equals the heap graph's.
+func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
+	const n = 10000
+	heap := graph.New(n, n)
+	for i := 0; i < n; i++ {
+		heap.AddNode([]string{"a", "b", "c"}[i%3], graph.Attrs{"val": fmt.Sprint(i % 97), "k": "v"})
+	}
+	for i := 0; i < n; i++ {
+		heap.MustAddEdge(graph.NodeID(i), graph.NodeID((i*7+1)%n), "e")
+	}
+	flat, err := heap.Freeze().Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := graph.AdoptFlat(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted := snap.Graph()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := Partition(adopted, 4, Hash)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs >= n {
+		t.Errorf("Partition of an adopted %d-node graph allocated %d times: it thawed the graph", n, allocs)
+	}
+
+	want := Partition(heap, 4, Hash)
+	if !slices.Equal(got.Owner, want.Owner) {
+		t.Error("owners differ between the adopted and the heap graph")
+	}
+	for i := 0; i < 4; i++ {
+		g, w := got.Frag(i), want.Frag(i)
+		if !slices.Equal(g.InNodes, w.InNodes) || !slices.Equal(g.OutNodes, w.OutNodes) {
+			t.Errorf("fragment %d: borders differ", i)
+		}
+	}
+	if got.CutEdges() != want.CutEdges() {
+		t.Errorf("cut edges %d, heap graph %d", got.CutEdges(), want.CutEdges())
+	}
+	block := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if got.BlockShipBytes(block, 0) != want.BlockShipBytes(block, 0) {
+		t.Error("ship bytes differ between the adopted and the heap graph")
 	}
 }

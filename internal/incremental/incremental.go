@@ -1,44 +1,34 @@
-// Package incremental maintains the violation set Vio(Σ, G) under graph
-// updates without re-validating the whole graph — the incremental error
-// detection direction the paper cites as follow-on work (Fan et al.,
-// "Incremental detection of inconsistencies in distributed data", TKDE
-// 2014) transplanted to GFDs, maintained in the spirit of answering
-// queries under updates via auxiliary structures (Berkholz, Keppeler &
-// Schweikardt) rather than recomputation.
+// Package incremental maintains the violation set Vio(Σ, G) under node
+// insertion, edge insertion and attribute assignment — the incremental
+// detection the paper cites as follow-on work (Fan et al., TKDE 2014),
+// transplanted to GFDs by the classical delta rule ΔQ = Σᵢ Q[Rᵢ := ΔRᵢ].
 //
-// The key observation is the same locality that powers the parallel
-// engines: every match of a pattern lies within the c-hop neighborhoods
-// of its pivots. An update touching node v can therefore only create or
-// destroy violations of units whose pivot lies within c hops of v; the
-// detector re-validates exactly those units and splices the results into
-// the maintained report.
+// An insertion never destroys a match, and an assignment changes the X → Y
+// status only of matches through its node. So a match whose status a batch
+// changed contains an inserted or attribute-touched node or an inserted
+// edge. Apply re-decides the maintained violations through an
+// attribute-touched node, then adds the violations of guarded enumerations
+// pinned through the delta: each touched node at every label-compatible
+// pattern node, each inserted edge at every pattern edge that admits it.
+// Per-update work is bounded by the matches through the touched element,
+// not by its c-hop ball (Berkholz, Keppeler & Schweikardt).
 //
-// Supported updates are node insertion, edge insertion, and attribute
-// assignment (the insert-only + attribute-update model; deletions would
-// require adjacency removal the graph type deliberately does not expose).
-//
-// The detector runs entirely on the compiled path. It maintains a
-// graph.Overlay — the base CSR snapshot frozen at construction plus
-// localized adjacency/class/attribute patches kept in lockstep with every
-// Apply — and re-validates touched units with the same zero-alloc
-// match.Matcher and core.LiteralProgram machinery the batch engines use:
-// interned labels, sorted CSR ranges, integer literal compares. No full
-// snapshot is ever rebuilt per update batch; once the accumulated delta
-// exceeds a fraction of the base size the detector compacts — one fresh
-// freeze absorbing the patches — and continues on a clean overlay, so
-// re-freeze cost is amortized over Ω(|G|) updates.
+// The detector enumerates with the batch engines' match.Matcher and
+// core.LiteralProgram over a graph.Overlay: the snapshot frozen at
+// construction plus patches kept in lockstep with every Apply. Once the
+// delta exceeds a fraction of the base, it compacts into a fresh freeze;
+// node IDs survive, so the maintained set carries over.
 package incremental
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
-	"gfd/internal/workload"
+	"gfd/internal/validate"
 )
 
 // Update is one graph mutation.
@@ -86,49 +76,13 @@ func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 	return inserted
 }
 
-// maxUnitPivots bounds the pivot arity the allocation-free unit key
-// carries inline. The paper notes k ≤ 2 in practice (one pivot per
-// connected pattern component); the headroom covers hand-built
-// multi-component rules, and anything larger falls back to a string
-// overflow key — degenerate patterns stay correct, they just pay the
-// allocation the common case avoids.
-const maxUnitPivots = 6
-
-// unitID is the comparable identity of a work unit: rule index plus the
-// pivot candidate vector, in a fixed-size struct so the per-unit hot
-// maintenance loop keys maps without building strings (unused slots hold
-// graph.Invalid). Replaces the strings.Builder keys that allocated once
-// per re-validated unit.
-type unitID struct {
-	rule     int32
-	vec      [maxUnitPivots]graph.NodeID
-	overflow string // pivots beyond maxUnitPivots, encoded; "" in the common case
-}
-
-func makeUnitID(ri int, cands []graph.NodeID) unitID {
-	id := unitID{rule: int32(ri)}
-	for i := range id.vec {
-		id.vec[i] = graph.Invalid
-	}
-	copy(id.vec[:], cands[:min(len(cands), maxUnitPivots)])
-	if len(cands) > maxUnitPivots {
-		var b strings.Builder
-		for _, c := range cands[maxUnitPivots:] {
-			fmt.Fprintf(&b, ":%d", c)
-		}
-		id.overflow = b.String()
-	}
-	return id
-}
-
 // Detector maintains Vio(Σ, G) across updates. All mutations must go
 // through Apply, which keeps the overlay's patches in lockstep with the
 // graph.
 type Detector struct {
-	g      *graph.Graph
-	ov     *graph.Overlay
-	rules  []*core.GFD
-	pivots []*workload.Pivot
+	g     *graph.Graph
+	ov    *graph.Overlay
+	rules []*core.GFD
 
 	version uint64 // graph version the detector's report reflects
 
@@ -137,40 +91,21 @@ type Detector struct {
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
-	// Reusable matching state: the compiled matcher, the affected-pivot
-	// scratch set, and the pin map.
-	m        *match.Matcher
-	affected *graph.EpochSet
-	pin      map[int]graph.NodeID
+	// Reusable matching state: the compiled matcher, the pin map and the
+	// match key scratch.
+	m   *match.Matcher
+	pin map[int]graph.NodeID
+	key []byte
 
 	// compacted, when set, is invoked with the fresh overlay after each
 	// compaction so co-holders of the old view (the owning Session) can
 	// adopt it instead of silently decoupling into re-freeze-per-batch.
 	compacted func(*graph.Overlay)
 
-	// violations keyed by unit identity (rule index + pivot node vector),
-	// so an affected unit's stale entries can be replaced atomically.
-	byUnit map[unitID][]Violation
-	// UnitsRevalidated counts units re-checked since construction — the
-	// quantity the incremental-vs-full benchmarks compare.
-	UnitsRevalidated int
-}
-
-// Violation mirrors validate.Violation (duplicated to keep the package
-// free of a dependency cycle with the batch engines).
-type Violation struct {
-	Rule  string
-	Match core.Match
-}
-
-// Key returns the canonical identity of a violation.
-func (v Violation) Key() string {
-	var b strings.Builder
-	b.WriteString(v.Rule)
-	for _, id := range v.Match {
-		fmt.Fprintf(&b, ",%d", id)
-	}
-	return b.String()
+	// vio[ri] holds rule ri's violating matches keyed by their node IDs,
+	// four bytes each, so rules never share a key whatever their names.
+	vio        []map[string]core.Match
+	enumerated int // matches the guarded enumerations yielded, for tests
 }
 
 // New builds a detector with an initial full validation of g. The graph
@@ -193,29 +128,21 @@ func NewOnOverlay(ov *graph.Overlay, set *core.Set) *Detector {
 		rules:   set.Rules(),
 		version: g.Version(),
 		pin:     make(map[int]graph.NodeID, 2),
-		byUnit:  make(map[unitID][]Violation),
-	}
-	for _, f := range d.rules {
-		d.pivots = append(d.pivots, workload.ComputePivot(f.Q))
 	}
 	d.compile()
 	d.fullValidate()
 	return d
 }
 
-// fullValidate rebuilds the violation index with a complete sweep, unit
-// by unit. No block sizes are needed (the detector balances nothing), so
-// the sweep skips the workload model's neighborhood measuring entirely.
-// Used at construction and as the recovery path when mutations reached
-// the graph outside this detector's Apply.
+// fullValidate rebuilds the violation set with one guarded, unpinned
+// enumeration per rule. Used at construction and as the recovery path when
+// mutations reached the graph outside this detector's Apply.
 func (d *Detector) fullValidate() {
-	clear(d.byUnit)
+	clear(d.pin)
+	d.vio = make([]map[string]core.Match, len(d.rules))
 	for ri := range d.rules {
-		cands := d.candidates(ri)
-		workload.EachVector(cands, false, func(vec []graph.NodeID) bool {
-			d.revalidateUnit(ri, vec)
-			return true
-		})
+		d.vio[ri] = make(map[string]core.Match)
+		d.enumerate(ri)
 	}
 }
 
@@ -223,7 +150,7 @@ func (d *Detector) fullValidate() {
 // current overlay: rule labels and literal constants are interned first
 // (the growing-table contract — an absent name must mean "can never
 // occur"), then patterns and X → Y programs are lowered and the matcher
-// and the affected-pivot set are rebound.
+// is rebound.
 func (d *Detector) compile() {
 	syms := d.ov.Syms()
 	for _, f := range d.rules {
@@ -237,18 +164,6 @@ func (d *Detector) compile() {
 		d.progs = append(d.progs, f.CompileLiterals(syms))
 	}
 	d.m = match.NewMatcher(d.ov)
-	d.affected = graph.NewEpochSet(d.ov.NumNodes())
-}
-
-// candidates returns the per-component pivot candidate lists of rule ri
-// over the overlay's candidate classes.
-func (d *Detector) candidates(ri int) [][]graph.NodeID {
-	pv := d.pivots[ri]
-	cands := make([][]graph.NodeID, pv.Arity())
-	for i := range cands {
-		cands[i] = pv.CandidatesIn(d.ov, i)
-	}
-	return cands
 }
 
 // Overlay exposes the maintained delta view so a session can hand it to
@@ -269,38 +184,41 @@ func (d *Detector) OnCompact(fn func(*graph.Overlay)) { d.compacted = fn }
 // holders must then rebuild.
 func (d *Detector) Synced() bool { return d.version == d.g.Version() }
 
-// Report returns the current violation set, canonically sorted.
-func (d *Detector) Report() []Violation {
-	var out []Violation
-	for _, vs := range d.byUnit {
-		out = append(out, vs...)
+// Report returns the maintained violation set in the canonical order of
+// validate.Report.Sort. The matches are shared with the detector; callers
+// must not modify them.
+func (d *Detector) Report() validate.Report {
+	out := make(validate.Report, 0, d.Len())
+	for ri, vs := range d.vio {
+		for _, h := range vs {
+			out = append(out, validate.Violation{Rule: d.rules[ri].Name, Match: h})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	out.Sort()
 	return out
 }
 
 // Len returns |Vio(Σ, G)| as currently maintained.
 func (d *Detector) Len() int {
 	n := 0
-	for _, vs := range d.byUnit {
+	for _, vs := range d.vio {
 		n += len(vs)
 	}
 	return n
 }
 
 // Apply performs the updates through the overlay (which mutates the
-// underlying graph in lockstep) and incrementally refreshes the violation
-// set, returning the IDs of any inserted nodes in update order. When the
-// accumulated delta crosses compactFraction of the base size, the overlay
-// is compacted into a fresh snapshot and the compiled artifacts rebound —
-// the only time a freeze happens after construction.
+// underlying graph in lockstep) and refreshes the violation set by the
+// delta rule (see the package doc), returning the IDs of any inserted
+// nodes in update order. When the accumulated delta crosses
+// compactFraction of the base size, the overlay is compacted into a fresh
+// snapshot and the compiled artifacts rebound — the only time a freeze
+// happens after construction.
 func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	// Mutations may have reached the graph since the last Apply without
-	// this detector seeing them — through another holder of the shared
-	// overlay (Session.Apply, a sibling detector) or a direct graph
-	// mutation. The touched-set refresh below only covers this batch, so
-	// a stale detector must recover with a full sweep; silently stamping
-	// the new version would report Synced while missing violations.
+	// this detector seeing them (Session.Apply, a sibling detector, a
+	// direct graph mutation). The delta refresh only covers this batch, so
+	// a stale detector recovers with a full sweep.
 	stale := d.version != d.g.Version()
 	if stale && !d.ov.Synced() {
 		// The overlay missed the mutations too (they bypassed it
@@ -319,20 +237,7 @@ func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	if stale {
 		d.fullValidate()
 	} else {
-		touched := make(graph.NodeSet)
-		for _, up := range ups {
-			switch u := up.(type) {
-			case AddEdge:
-				touched.Add(u.From)
-				touched.Add(u.To)
-			case SetAttr:
-				touched.Add(u.Node)
-			}
-		}
-		for _, id := range inserted {
-			touched.Add(id)
-		}
-		d.refresh(touched)
+		d.refresh(ups, inserted)
 	}
 	// Apply keeps the overlay in lockstep with the graph, so the detector
 	// is synced at the new version (a Session polls Synced to decide
@@ -348,132 +253,83 @@ func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	return inserted
 }
 
-// refresh re-validates every unit whose pivot lies within its component
-// radius of a touched node (computed on the post-update overlay, so edge
-// insertions that extend neighborhoods are covered).
-func (d *Detector) refresh(touched graph.NodeSet) {
-	for ri := range d.rules {
-		pv := d.pivots[ri]
-		// Affected pivot candidates per component: label-compatible nodes
-		// within the component radius of any touched node.
-		affected := make([]map[graph.NodeID]struct{}, pv.Arity())
-		for i := range affected {
-			affected[i] = make(map[graph.NodeID]struct{})
+// refresh applies the delta rule to one batch already played onto the
+// overlay. First every maintained violation through an attribute-touched
+// node is re-decided on the post-batch attributes. Then each touched node
+// is pinned at every label-compatible pattern node, and each inserted edge
+// whose endpoints were not touched at every pattern edge that admits it: a
+// match through such an edge contains both endpoints, so a touched
+// endpoint's enumeration already covers it.
+func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
+	touched := make(graph.NodeSet, len(ups))
+	for _, up := range ups {
+		if u, ok := up.(SetAttr); ok {
+			touched.Add(u.Node)
 		}
-		for v := range touched {
-			for i := 0; i < pv.Arity(); i++ {
-				labelSym := d.cqs[ri].NodeSyms[pv.Vars[i]]
-				d.affected.Reset()
-				d.ov.BlockInto(d.affected, v, pv.Radii[i])
-				for _, z := range d.affected.Members() {
-					if pattern.LabelMatchesSym(labelSym, d.ov.Label(z)) {
-						affected[i][z] = struct{}{}
-					}
+	}
+	if len(touched) > 0 {
+		for ri, vs := range d.vio {
+			for k, h := range vs {
+				if slices.ContainsFunc(h, touched.Contains) && !d.progs[ri].IsViolation(d.ov, h) {
+					delete(vs, k)
 				}
 			}
 		}
-		// Re-validate every unit that includes an affected candidate in
-		// some component; other components range over all candidates.
-		d.forAffectedUnits(ri, affected, func(cands []graph.NodeID) {
-			d.revalidateUnit(ri, cands)
-		})
 	}
-}
-
-// forAffectedUnits enumerates candidate vectors where at least one
-// position takes an affected candidate. To avoid re-enumerating the full
-// cross product, it fixes each position to its affected set in turn and
-// lets earlier positions range over all candidates only when a later
-// position is pinned to an affected one (inclusion–exclusion-free
-// covering with duplicates suppressed by a seen-set).
-func (d *Detector) forAffectedUnits(ri int, affected []map[graph.NodeID]struct{}, fn func([]graph.NodeID)) {
-	pv := d.pivots[ri]
-	k := pv.Arity()
-	all := d.candidates(ri)
-	seen := make(map[unitID]struct{})
-	vec := make([]graph.NodeID, k)
-	var rec func(pos, pinned int)
-	rec = func(pos, pinned int) {
-		if pos == k {
-			if pinned == 0 {
-				return
-			}
-			key := makeUnitID(ri, vec)
-			if _, dup := seen[key]; dup {
-				return
-			}
-			seen[key] = struct{}{}
-			if distinct(vec) {
-				fn(vec)
-			}
-			return
-		}
-		// Option A: this position takes an affected candidate.
-		for z := range affected[pos] {
-			vec[pos] = z
-			rec(pos+1, pinned+1)
-		}
-		// Option B: this position ranges over all candidates. Valid when
-		// the vector is already pinned to an affected candidate, or some
-		// later position still can be.
-		later := pinned > 0
-		for j := pos + 1; j < k && !later; j++ {
-			if len(affected[j]) > 0 {
-				later = true
-			}
-		}
-		if later {
-			for _, z := range all[pos] {
-				if _, isAffected := affected[pos][z]; isAffected {
-					continue // already covered by option A
+	for _, v := range inserted {
+		touched.Add(v)
+	}
+	for v := range touched {
+		for ri := range d.rules {
+			for a, sym := range d.cqs[ri].NodeSyms {
+				if pattern.LabelMatchesSym(sym, d.ov.Label(v)) {
+					clear(d.pin)
+					d.pin[a] = v
+					d.enumerate(ri)
 				}
-				vec[pos] = z
-				rec(pos+1, pinned)
 			}
 		}
 	}
-	rec(0, 0)
-}
-
-func distinct(vec []graph.NodeID) bool {
-	for i := 0; i < len(vec); i++ {
-		for j := i + 1; j < len(vec); j++ {
-			if vec[i] == vec[j] {
-				return false
+	for _, up := range ups {
+		u, ok := up.(AddEdge)
+		if !ok || touched.Contains(u.From) || touched.Contains(u.To) {
+			continue
+		}
+		for ri, f := range d.rules {
+			syms := d.cqs[ri].NodeSyms
+			for _, e := range f.Q.Edges {
+				// A graph self-loop can only be the image of a pattern
+				// self-loop, and vice versa: matches are injective.
+				if (e.From == e.To) != (u.From == u.To) || !pattern.LabelMatches(e.Label, u.Label) ||
+					!pattern.LabelMatchesSym(syms[e.From], d.ov.Label(u.From)) ||
+					!pattern.LabelMatchesSym(syms[e.To], d.ov.Label(u.To)) {
+					continue
+				}
+				clear(d.pin)
+				d.pin[e.From], d.pin[e.To] = u.From, u.To
+				d.enumerate(ri)
 			}
 		}
 	}
-	return true
 }
 
-// revalidateUnit recomputes the violations of one unit (rule + pivot
-// candidate vector) with the compiled matcher — pivots pinned, which by
-// locality keeps every match inside the unit's data block, X pushed into
-// the search as the rule's guard and X → Y checked by its literal program
-// over the overlay's interned attributes — and replaces the unit's entry
-// in the index.
-func (d *Detector) revalidateUnit(ri int, cands []graph.NodeID) {
-	f := d.rules[ri]
-	pv := d.pivots[ri]
-	d.UnitsRevalidated++
-
-	clear(d.pin)
-	for i, z := range cands {
-		d.pin[pv.Vars[i]] = z
-	}
-	var found []Violation
-	prog := d.progs[ri]
-	opts := match.Options{Pin: d.pin, Guard: prog.Guard()}
-	d.m.Enumerate(f.Q, opts, func(m core.Match) bool {
-		if prog.IsViolation(d.ov, m) {
-			found = append(found, Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
+// enumerate adds to the maintained set every violation of rule ri among
+// the matches through the current pins, with X pushed into the search as
+// the rule's guard and X → Y decided by its literal program over the
+// overlay's interned attributes.
+func (d *Detector) enumerate(ri int) {
+	prog, vs := d.progs[ri], d.vio[ri]
+	d.m.Enumerate(d.rules[ri].Q, match.Options{Pin: d.pin, Guard: prog.Guard()}, func(h core.Match) bool {
+		d.enumerated++
+		if prog.IsViolation(d.ov, h) {
+			d.key = d.key[:0]
+			for _, id := range h {
+				d.key = binary.LittleEndian.AppendUint32(d.key, uint32(id))
+			}
+			if _, ok := vs[string(d.key)]; !ok {
+				vs[string(d.key)] = slices.Clone(h)
+			}
 		}
 		return true
 	})
-	key := makeUnitID(ri, cands)
-	if len(found) == 0 {
-		delete(d.byUnit, key)
-	} else {
-		d.byUnit[key] = found
-	}
 }

@@ -1,7 +1,6 @@
 package incremental
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"gfd/internal/gen"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
-	"gfd/internal/validate"
 )
 
 // capitalRule is ϕ2: one capital per country.
@@ -29,8 +27,8 @@ func agree(t *testing.T, d *Detector, g *graph.Graph, set *core.Set) {
 	t.Helper()
 	want := detVio(g, set)
 	got := d.Report()
-	if len(got) != len(want) {
-		t.Fatalf("incremental has %d violations, full validation %d", len(got), len(want))
+	if len(got) != len(want) || d.Len() != len(want) {
+		t.Fatalf("incremental has %d violations (Len %d), full validation %d", len(got), d.Len(), len(want))
 	}
 	for i := range got {
 		if got[i].Key() != want[i].Key() {
@@ -146,35 +144,44 @@ func TestIncrementalRandomizedAgainstFull(t *testing.T) {
 		}
 		agree(t, d, clean, set)
 	}
+	for _, c := range DeltaCases {
+		t.Run(c.Name, func(t *testing.T) {
+			g, set, batches := c.Build()
+			d := New(g, set)
+			agree(t, d, g, set)
+			for _, b := range batches {
+				d.Apply(b...)
+				agree(t, d, g, set)
+			}
+		})
+	}
 }
 
 func corruptValue(rng *rand.Rand) string {
 	return string(rune('a' + rng.Intn(26)))
 }
 
-func TestIncrementalRevalidatesFewUnits(t *testing.T) {
-	// The point of incrementality: a single attribute touch must not
-	// re-validate the whole workload.
+func TestIncrementalEnumeratesFewMatches(t *testing.T) {
+	// The point of incrementality: a single attribute touch must enumerate
+	// only the matches through the touched node, not the whole workload.
+	// The mined rules' constant X literals leave the guarded sweep a
+	// handful of matches, so X is dropped: the sweep then enumerates every
+	// match of every pattern, the work a non-incremental detector repeats.
 	clean := gen.YAGO2Like(gen.DatasetConfig{Scale: 150, Seed: 12})
-	set := gen.MineGFDs(clean, gen.MineConfig{NumRules: 4, PatternSize: 3, Seed: 13})
-	if set.Len() == 0 {
+	mined := gen.MineGFDs(clean, gen.MineConfig{NumRules: 4, PatternSize: 3, Seed: 13})
+	if mined.Len() == 0 {
 		t.Skip("no rules mined")
 	}
-	d := New(clean, set)
-	initial := d.UnitsRevalidated
+	var rules []*core.GFD
+	for _, r := range mined.Rules() {
+		rules = append(rules, core.MustNew(r.Name, r.Q, nil, r.Y))
+	}
+	d := New(clean, core.MustNewSet(rules...))
+	initial := d.Enumerated()
 	d.Apply(SetAttr{Node: 0, Attr: "val", Value: "zap"})
-	delta := d.UnitsRevalidated - initial
+	delta := d.Enumerated() - initial
 	if delta > initial/4 {
-		t.Errorf("one update re-validated %d of %d units — not incremental", delta, initial)
-	}
-}
-
-func TestUnitIDDistinct(t *testing.T) {
-	if makeUnitID(1, []graph.NodeID{2, 3}) == makeUnitID(12, []graph.NodeID{3}) {
-		t.Error("unit keys must not collide across rule/candidate splits")
-	}
-	if makeUnitID(1, []graph.NodeID{2}) == makeUnitID(1, []graph.NodeID{2, 3}) {
-		t.Error("unit keys must encode the full candidate vector")
+		t.Errorf("one update enumerated %d matches, the initial sweep %d — not incremental", delta, initial)
 	}
 }
 
@@ -222,15 +229,4 @@ func TestNewOnOverlaySharesMaintainedView(t *testing.T) {
 	if d2.Synced() {
 		t.Error("direct mutation must desynchronize the detector")
 	}
-}
-
-// detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
-func detVio(g *graph.Graph, set *core.Set) validate.Report {
-	sink := validate.NewCollectSink(1)
-	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
-		panic(err)
-	}
-	out := sink.Report()
-	out.Sort()
-	return out
 }

@@ -63,22 +63,46 @@ func randomBatch(rng *rand.Rand, n int, labels []string, size int) []incremental
 	return ups
 }
 
-// reportKeys canonicalizes the detector's report for comparison with an
-// engine's violation set.
-func reportKeys(vs []incremental.Violation) []string {
-	keys := make([]string, len(vs))
-	for i, v := range vs {
-		keys[i] = v.Key()
+// sameAsEngines checks the maintained report against a full re-freeze +
+// batch Detect, on every engine, of a clone of the updated graph (cloned so
+// the caller's probe can prove the incremental path itself froze nothing).
+func sameAsEngines(t *testing.T, d *incremental.Detector, g *graph.Graph, set *core.Set, batch int) {
+	t.Helper()
+	got := d.Report()
+	if d.Len() != len(got) {
+		t.Fatalf("batch %d: Len %d, Report has %d violations", batch, d.Len(), len(got))
 	}
-	return keys
-}
-
-func TestOverlayIncrementalDifferentialSweep(t *testing.T) {
-	engines := []validate.Engine{
+	sess, err := session.New(g.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []validate.Engine{
 		validate.EngineSequential,
 		validate.EngineReplicated,
 		validate.EngineFragmented,
+	} {
+		res, err := prep.Detect(context.Background(), validate.Options{Engine: engine, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != len(got) {
+			t.Fatalf("batch %d %v: incremental has %d violations, full detection %d",
+				batch, engine, len(got), len(res.Violations))
+		}
+		for i, v := range res.Violations {
+			if v.Key() != got[i].Key() {
+				t.Fatalf("batch %d %v: violation %d differs: %s vs %s",
+					batch, engine, i, got[i].Key(), v.Key())
+			}
+		}
 	}
+}
+
+func TestOverlayIncrementalDifferentialSweep(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := gen.YAGO2Like(gen.DatasetConfig{Scale: 50, Seed: seed})
@@ -92,39 +116,24 @@ func TestOverlayIncrementalDifferentialSweep(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for batch := 0; batch < 6; batch++ {
 				d.Apply(randomBatch(rng, g.NumNodes(), labels, 1+rng.Intn(4))...)
-				got := reportKeys(d.Report())
-				// Reference: a full re-freeze + batch Detect on a clone of
-				// the updated graph (cloned so the probe below can prove
-				// the incremental path itself froze nothing).
-				ref := g.Clone()
-				refSess, err := session.New(ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prep, err := refSess.Prepare(set)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, engine := range engines {
-					res, err := prep.Detect(context.Background(), validate.Options{Engine: engine, N: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Violations) != len(got) {
-						t.Fatalf("batch %d %v: incremental has %d violations, full detection %d",
-							batch, engine, len(got), len(res.Violations))
-					}
-					for i, v := range res.Violations {
-						if v.Key() != got[i] {
-							t.Fatalf("batch %d %v: violation %d differs: %s vs %s",
-								batch, engine, i, got[i], v.Key())
-						}
-					}
-				}
+				sameAsEngines(t, d, g, set, batch)
 			}
 			if g.SnapshotBuilds() != builds {
 				t.Fatalf("update sweep rebuilt snapshots: %d -> %d (the overlay must absorb batches)",
 					builds, g.SnapshotBuilds())
+			}
+		})
+	}
+	// The hand-built shapes sit on graphs small enough that most batches
+	// also cross the compaction threshold.
+	for _, c := range incremental.DeltaCases {
+		t.Run("case="+c.Name, func(t *testing.T) {
+			g, set, batches := c.Build()
+			d := incremental.New(g, set)
+			sameAsEngines(t, d, g, set, -1)
+			for batch, ups := range batches {
+				d.Apply(ups...)
+				sameAsEngines(t, d, g, set, batch)
 			}
 		})
 	}

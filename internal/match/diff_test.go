@@ -149,6 +149,45 @@ func TestDuplicateEdgeSetSemantics(t *testing.T) {
 	}
 }
 
+// TestWildcardEdgeParallelLabels: a wildcard pattern edge admits every
+// edge between two nodes, but a match is a node tuple, so two nodes linked
+// under several labels still form one match — on both paths, over a frozen
+// snapshot and over an overlay that patched the extra labels in, from
+// either endpoint.
+func TestWildcardEdgeParallelLabels(t *testing.T) {
+	g := graph.New(0, 0)
+	a := g.AddNode("a", nil)
+	b := g.AddNode("b", nil)
+	c := g.AddNode("b", nil)
+	g.MustAddEdge(a, b, "e")
+	g.MustAddEdge(a, c, "f")
+	ov := graph.NewOverlay(g)
+	ov.MustAddEdge(a, b, "f")
+	ov.MustAddEdge(a, b, "g")
+	ov.MustAddEdge(a, c, "e")
+	q := pattern.New()
+	x := q.AddNode("x", "a")
+	y := q.AddNode("y", pattern.Wildcard)
+	q.AddEdge(x, y, pattern.Wildcard)
+	for _, pin := range []map[int]graph.NodeID{nil, {x: a}, {y: b}} {
+		opts := match.Options{Pin: pin}
+		want := 2
+		if pin[y] == b {
+			want = 1
+		}
+		assertSameMatches(t, g, q, opts, fmt.Sprint("pin ", pin))
+		for name, n := range map[string]int{
+			"legacy":  len(match.All(g, q, opts)),
+			"frozen":  match.CountSnapshot(g.Freeze(), q, opts),
+			"overlay": match.CountSnapshot(ov, q, opts),
+		} {
+			if n != want {
+				t.Errorf("pin %v: %s yielded %d matches, want %d", pin, name, n, want)
+			}
+		}
+	}
+}
+
 // TestConcurrentFreeze covers the read-only concurrency contract: parallel
 // Freeze/Enumerate on a shared, unmutated graph (as concurrent
 // gfd.Validate calls would do) must be race-free and agree.

@@ -25,6 +25,8 @@
 package match
 
 import (
+	"slices"
+
 	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
@@ -247,25 +249,13 @@ func (s *searcher) candidates(u int) []graph.NodeID {
 	for _, ei := range s.q.InEdges(u) {
 		e := s.q.Edges[ei]
 		if from := s.assign[e.From]; from != graph.Invalid {
-			out := make([]graph.NodeID, 0, len(s.g.Out(from)))
-			for _, he := range s.g.Out(from) {
-				if pattern.LabelMatches(e.Label, he.Label) {
-					out = append(out, he.To)
-				}
-			}
-			return out
+			return neighbors(s.g.Out(from), e.Label)
 		}
 	}
 	for _, ei := range s.q.OutEdges(u) {
 		e := s.q.Edges[ei]
 		if to := s.assign[e.To]; to != graph.Invalid {
-			out := make([]graph.NodeID, 0, len(s.g.In(to)))
-			for _, he := range s.g.In(to) {
-				if pattern.LabelMatches(e.Label, he.Label) {
-					out = append(out, he.To)
-				}
-			}
-			return out
+			return neighbors(s.g.In(to), e.Label)
 		}
 	}
 	// Fresh component: label index or all nodes for wildcard.
@@ -278,6 +268,23 @@ func (s *searcher) candidates(u int) []graph.NodeID {
 		all[i] = graph.NodeID(i)
 	}
 	return all
+}
+
+// neighbors returns the endpoints of the half-edges whose label label
+// admits. A wildcard admits a neighbour linked under several labels once
+// per label; it is listed once.
+func neighbors(hes []graph.HalfEdge, label string) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(hes))
+	for _, he := range hes {
+		if pattern.LabelMatches(label, he.Label) {
+			out = append(out, he.To)
+		}
+	}
+	if label == pattern.Wildcard {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out
 }
 
 // feasible verifies that assigning v to pattern node u is consistent:

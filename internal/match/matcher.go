@@ -3,6 +3,7 @@ package match
 import (
 	"iter"
 	"math"
+	"sort"
 	"strings"
 
 	"gfd/internal/core"
@@ -512,7 +513,7 @@ func (m *Matcher) extend(depth int) {
 	// are not To-sorted, so they never join the intersection; feasible()
 	// still checks those edges per candidate.
 	var best []graph.CSREdge
-	bestLen := -1
+	bestLen, bestWild := -1, false
 	wco := !m.opts.NoIntersect
 	nr := 0
 	for _, ei := range m.q.InEdges(u) {
@@ -520,7 +521,7 @@ func (m *Matcher) extend(depth int) {
 		if from := m.assign[e.From]; from != graph.Invalid {
 			r := m.snap.OutWith(from, e.Label)
 			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen = r, len(r)
+				best, bestLen, bestWild = r, len(r), e.Label == graph.WildcardSym
 			}
 			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
 				m.ranges[nr] = r
@@ -533,7 +534,7 @@ func (m *Matcher) extend(depth int) {
 		if to := m.assign[e.To]; to != graph.Invalid {
 			r := m.snap.InWith(to, e.Label)
 			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen = r, len(r)
+				best, bestLen, bestWild = r, len(r), e.Label == graph.WildcardSym
 			}
 			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
 				m.ranges[nr] = r
@@ -551,6 +552,19 @@ func (m *Matcher) extend(depth int) {
 			m.try(depth, u, v)
 			if m.halt {
 				return
+			}
+		}
+		return
+	}
+	if bestWild {
+		// A wildcard range spans label groups, so a neighbour linked under
+		// several labels recurs there; only its first occurrence is tried.
+		for i := range best {
+			if !seenEarlier(best, i) {
+				m.try(depth, u, best[i].To)
+				if m.halt {
+					return
+				}
 			}
 		}
 		return
@@ -597,6 +611,22 @@ func (m *Matcher) extend(depth int) {
 			return
 		}
 	}
+}
+
+// seenEarlier reports whether es[i].To is the neighbour of an edge before
+// es[i]. es is sorted by (label, neighbour), so each label group before
+// es[i] is found and searched by bisection.
+func seenEarlier(es []graph.CSREdge, i int) bool {
+	v := es[i].To
+	for lo := 0; lo < i; {
+		l := es[lo].Label
+		hi := lo + sort.Search(i-lo, func(k int) bool { return es[lo+k].Label != l })
+		if j := lo + sort.Search(hi-lo, func(k int) bool { return es[lo+k].To >= v }); j < hi && es[j].To == v {
+			return true
+		}
+		lo = hi
+	}
+	return false
 }
 
 // try extends the partial assignment with u -> v if injective and feasible.

@@ -112,13 +112,14 @@ func chargeCandidateMessages(topo graph.Topology, ship func(from, to int, bytes 
 // attachShipCosts computes, for every worker, the bytes that must be
 // shipped to it to assemble the unit's data block (its non-local part).
 // block is the caller's scratch set, refilled per unit.
-func attachShipCosts(g *graph.Graph, topo graph.Topology, frag *fragment.Fragmentation, block *graph.EpochSet, u *workUnit) {
+func attachShipCosts(topo graph.Topology, frag *fragment.Fragmentation, block *graph.EpochSet, u *workUnit) {
 	fillBlock(block, topo, u)
+	view := topo.View()
 	u.shipBytes = make([]int64, frag.N)
 	var total int64
 	perOwner := make([]int64, frag.N)
 	for _, v := range block.Members() {
-		b := fragment.NodeBytes(g, v)
+		b := fragment.NodeBytes(view, v)
 		perOwner[frag.OwnerOf(v)] += b
 		total += b
 	}

@@ -321,7 +321,7 @@ func (b *Bundle) estimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey,
 	units := append([]workUnit(nil), base.units...)
 	block := graph.NewEpochSet(b.topo.NumNodes())
 	for i := range units {
-		attachShipCosts(b.g, b.topo, frag, block, &units[i])
+		attachShipCosts(b.topo, frag, block, &units[i])
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -16,6 +16,13 @@ import (
 // values, and it keeps the map-based estimator the flat one replaced as the
 // oracle those values are compared against.
 
+// RandomWorkload and OracleVio serve the incremental detector's property
+// test, which lives outside the package because the detector imports it.
+var (
+	RandomWorkload = randomWorkload
+	OracleVio      = oracleVio
+)
+
 // PlanUnit is one planned work unit as plain values.
 type PlanUnit struct {
 	Group      int
