@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -170,46 +171,75 @@ func TestDistFaultFree(t *testing.T) {
 // deals the stripes of one unit to different worker processes. Their match
 // sets partition the unit's only if every process filters the same node — a
 // function of the group pattern alone — so the violation set must equal the
-// sequential engine's byte for byte.
+// sequential engine's byte for byte. It runs on the fixture's rules and on
+// their constant-X subset, whose every group pivots on a seeded node: the
+// workers rebuild those seeded groups from the shipped rules, and every
+// process must pass the handshake's group-count check and run its share.
 func TestDistStripesAcrossProcesses(t *testing.T) {
 	f := setup(t)
-	ctx := context.Background()
-	seq := validate.NewCollectSink(1)
-	if err := validate.DetVioB(ctx, f.b, seq); err != nil {
-		t.Fatal(err)
+	var seeded []*core.GFD
+	for _, r := range f.set.Rules() {
+		if len(r.Q.Components()) == 1 && slices.ContainsFunc(r.X, func(l core.Literal) bool { return l.Kind == core.Constant }) {
+			seeded = append(seeded, r)
+		}
 	}
-	want := seq.Report()
-	opt := distOpt(f, nil)
-	opt.SplitThreshold = 4
-	res, s, err := detectSpied(ctx, f.b, opt, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(seeded) == 0 {
+		t.Fatal("the fixture has no constant-X rule")
 	}
-	if !res.Violations.Equal(want) {
-		t.Fatalf("striped dist run found %d violations, the sequential engine %d", len(res.Violations), len(want))
-	}
-	// Some unit must have had its stripes run in two different processes.
-	slots := map[string]map[int]bool{} // unstriped unit -> slots running its stripes
-	for w, q := range s.queues {
-		for _, ui := range q {
-			if u := s.fleet.plan.Unit(ui); u.StripeMod > 0 {
-				key := fmt.Sprint(u.Group, u.Candidates)
-				if slots[key] == nil {
-					slots[key] = map[int]bool{}
-				}
-				slots[key][w] = true
+	for name, b := range map[string]*validate.Bundle{
+		"fixture":   f.b,
+		"constantX": validate.NewBundle(f.g, core.MustNewSet(seeded...)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			seq := validate.NewCollectSink(1)
+			if err := validate.DetVioB(ctx, b, seq); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	spread := 0
-	for _, ws := range slots {
-		if len(ws) > 1 {
-			spread++
-		}
-	}
-	t.Logf("%d units, %d stripes, %d units striped across processes", res.Units, res.SplitUnits, spread)
-	if res.SplitUnits == 0 || spread == 0 {
-		t.Fatalf("%d stripes, %d units with stripes in more than one process: the test is vacuous", res.SplitUnits, spread)
+			want := seq.Report()
+			opt := distOpt(f, nil)
+			opt.SplitThreshold = 4
+			ready := 0
+			res, s, err := detectSpied(ctx, b, opt, nil, func(fl *fleet) {
+				for w := range fl.procs {
+					if fl.procs[w].ready {
+						ready++
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Violations.Equal(want) {
+				t.Fatalf("striped dist run found %d violations, the sequential engine %d", len(res.Violations), len(want))
+			}
+			if ready != fxWorkers || res.Completeness.WorkerDeaths != 0 {
+				t.Fatalf("%d of %d processes completed the handshake, %d died", ready, fxWorkers, res.Completeness.WorkerDeaths)
+			}
+			// Some unit must have had its stripes run in two different processes.
+			slots := map[string]map[int]bool{} // unstriped unit -> slots running its stripes
+			for w, q := range s.queues {
+				for _, ui := range q {
+					if u := s.fleet.plan.Unit(ui); u.StripeMod > 0 {
+						key := fmt.Sprint(u.Group, u.Candidates)
+						if slots[key] == nil {
+							slots[key] = map[int]bool{}
+						}
+						slots[key][w] = true
+					}
+				}
+			}
+			spread := 0
+			for _, ws := range slots {
+				if len(ws) > 1 {
+					spread++
+				}
+			}
+			t.Logf("%d units, %d stripes, %d units striped across processes, %d violations", res.Units, res.SplitUnits, spread, len(want))
+			if res.SplitUnits == 0 || spread == 0 {
+				t.Fatalf("%d stripes, %d units with stripes in more than one process: the test is vacuous", res.SplitUnits, spread)
+			}
+		})
 	}
 }
 
@@ -235,6 +265,9 @@ func TestDistChaosDifferential(t *testing.T) {
 			c := res.Completeness
 			if !c.Complete() || c.Failed != 0 {
 				t.Fatalf("%v: census not complete: %+v", plan, c)
+			}
+			if plan.Fatal() > 0 && c.Retries+c.WorkerDeaths == 0 {
+				t.Fatalf("%v: no process fault fired: %+v", plan, c)
 			}
 			activity += c.Retries + c.WorkerDeaths
 		})
@@ -336,9 +369,19 @@ func TestDistDegradeAllDeadNoProgress(t *testing.T) {
 	}
 	opt := distOpt(f, plan)
 	opt.Dist.MaxRespawns = -1
-	res, err := DetectB(context.Background(), f.b, opt, nil)
+	dead := 0
+	res, _, err := detectSpied(context.Background(), f.b, opt, nil, func(fl *fleet) {
+		for w := range fl.procs {
+			if fl.procs[w].cmd == nil {
+				dead++
+			}
+		}
+	})
 	if err != nil {
 		t.Fatalf("%v: total-loss run did not degrade: %v", plan, err)
+	}
+	if dead != fxWorkers {
+		t.Fatalf("%v: %d of %d processes died before the fallback", plan, dead, fxWorkers)
 	}
 	if !res.Violations.Equal(f.base) {
 		t.Fatalf("%v: degraded run diverged (%d vs %d)", plan, len(res.Violations), len(f.base))

@@ -213,6 +213,24 @@ func (p *Plan) Len() int {
 	return len(p.rules)
 }
 
+// Fatal returns how many of the plan's faults end the attempt they fire in:
+// worker and process kills, site panics, pipe stalls and torn frames. A
+// delay only slows its unit. A recovery test whose plan has a fatal fault
+// requires its run to show a retry or a death, so a workload too small for
+// the plan's unit or crossing ordinals cannot pass it vacuously.
+func (p *Plan) Fatal() int {
+	if p == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range p.rules {
+		if r.act != actDelay {
+			n++
+		}
+	}
+	return n
+}
+
 // String summarizes the plan for logs and failing-test output.
 func (p *Plan) String() string {
 	if p == nil || len(p.rules) == 0 {

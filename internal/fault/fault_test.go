@@ -90,6 +90,20 @@ func TestNilAndEmptyPlansAreNoOps(t *testing.T) {
 	}
 }
 
+// TestFatalCountsAttemptEndingFaults: every fault but a delay ends the
+// attempt it fires in.
+func TestFatalCountsAttemptEndingFaults(t *testing.T) {
+	var nilPlan *Plan
+	if nilPlan.Fatal() != 0 || NewPlan(1).DelayUnit(0, time.Millisecond).Fatal() != 0 {
+		t.Fatal("a nil plan and a delay-only plan end no attempt")
+	}
+	p := NewPlan(2).KillWorker(0, 0).DelayUnit(1, time.Millisecond).PanicAt(Match, 3).
+		KillProcess(1, 0).StallPipe(1, 2, time.Second).TruncateMessage(2, 0)
+	if got := p.Fatal(); got != 5 {
+		t.Fatalf("%v: Fatal = %d, want 5", p, got)
+	}
+}
+
 func TestFromSeedIsDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		a, b := FromSeed(seed, 4, 100), FromSeed(seed, 4, 100)

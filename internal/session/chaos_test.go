@@ -42,6 +42,28 @@ func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 	return prep, base
 }
 
+// streamFaulted ranges the violation stream of a run under opt.Inject to
+// completion and returns the sorted report. A plan with a fatal fault must
+// show a retry or a death in the run's census: otherwise the workload was
+// too small for the plan's unit or crossing ordinals, and the comparison
+// proved nothing.
+func streamFaulted(t *testing.T, prep *session.Prepared, opt validate.Options) validate.Report {
+	t.Helper()
+	var res validate.Result
+	var got validate.Report
+	for v, err := range prep.ViolationsResult(context.Background(), opt, &res) {
+		if err != nil {
+			t.Fatalf("%v %v: iterator error: %v", opt.Engine, opt.Inject, err)
+		}
+		got = append(got, v)
+	}
+	if c := res.Completeness; opt.Inject.Fatal() > 0 && c.Retries+c.WorkerDeaths == 0 {
+		t.Fatalf("%v %v: no fault fired: %+v", opt.Engine, opt.Inject, c)
+	}
+	got.Sort()
+	return got
+}
+
 // TestStreamUnderFaults: streamed violation sets under seed-derived
 // recoverable fault plans equal the fault-free Detect report (exactly-once
 // across retries), and an early stop (yield returning false) under a
@@ -54,16 +76,7 @@ func TestStreamUnderFaults(t *testing.T) {
 
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := fault.FromSeed(seed, 4, base.Units)
-		var got validate.Report
-		err := stream(ctx, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan},
-			func(v validate.Violation) bool {
-				got = append(got, v)
-				return true
-			})
-		if err != nil {
-			t.Fatalf("%v: %v", plan, err)
-		}
-		got.Sort()
+		got := streamFaulted(t, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan})
 		if !got.Equal(base.Violations) {
 			t.Fatalf("%v: streamed set diverged from fault-free Detect (%d vs %d)",
 				plan, len(got), len(base.Violations))
@@ -71,7 +84,7 @@ func TestStreamUnderFaults(t *testing.T) {
 
 		stopPlan := fault.NewPlan(seed).KillWorker(int(seed)%4, 0)
 		calls := 0
-		err = stream(ctx, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan},
+		err := stream(ctx, prep, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan},
 			func(validate.Violation) bool {
 				calls++
 				return false

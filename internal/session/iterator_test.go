@@ -97,15 +97,7 @@ func TestViolationsUnderFaults(t *testing.T) {
 			{validate.EngineReplicated, base.Violations, fault.FromSeed(seed, 4, base.Units)},
 			{validate.EngineFragmented, disBase.Violations, fault.FromSeed(seed+1000, 4, disBase.Units)},
 		} {
-			var got validate.Report
-			opt := validate.Options{Engine: c.engine, N: 4, Inject: c.plan}
-			for v, err := range prep.Violations(ctx, opt) {
-				if err != nil {
-					t.Fatalf("%v %v: iterator error: %v", c.engine, c.plan, err)
-				}
-				got = append(got, v)
-			}
-			got.Sort()
+			got := streamFaulted(t, prep, validate.Options{Engine: c.engine, N: 4, Inject: c.plan})
 			if !got.Equal(c.want) {
 				t.Fatalf("%v %v: streamed set diverged from fault-free Detect (%d vs %d)",
 					c.engine, c.plan, len(got), len(c.want))

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sync"
@@ -285,5 +286,96 @@ func TestInterleavedSessionAndDetectorApplies(t *testing.T) {
 	det.Apply(incremental.SetAttr{Node: ids[0], Attr: "val", Value: "Canberra"})
 	if det.Len() != 0 {
 		t.Fatalf("detector missed the repair: %d violations, want 0", det.Len())
+	}
+}
+
+// TestSeededPivotsReadTheOverlay: a rule with constant X seeds its units
+// from the nodes that carry the constant, so the filter must read the
+// overlay's patched view, not the frozen base. One SetAttr moves a country
+// into the seeded constant, another moves one out of it, a third sets a
+// constant the base never interned; after each Apply repVal and disVal over
+// the overlay must report exactly what the sequential engine reports.
+func TestSeededPivotsReadTheOverlay(t *testing.T) {
+	ctx := context.Background()
+	set, err := core.ParseRules(strings.NewReader(`
+gfd seeded {
+  node x0 person
+  node x1 city
+  node x2 country
+  node x3 city
+  edge x0 born_in x1
+  edge x1 located_in x2
+  edge x2 capital x3
+  when x2.val = "country_1"
+  then x3.val = "city_1"
+}
+
+gfd seeded_new {
+  node x0 person
+  node x1 city
+  node x2 country
+  node x3 city
+  edge x0 born_in x1
+  edge x1 located_in x2
+  edge x2 capital x3
+  when x2.val = "country_new"
+  then x3.val = "city_1"
+}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough clean chains that three SetAttrs stay far below the
+	// compaction fraction and every round runs on the overlay.
+	g := graph.New(0, 0)
+	var countries []graph.NodeID
+	for i := 0; i < 30; i++ {
+		country := "country_5"
+		if i == 0 {
+			country = "country_1" // the only seeded node of the base
+		}
+		p := g.AddNode("person", graph.Attrs{"val": "person_0"})
+		c := g.AddNode("city", graph.Attrs{"val": "city_5"})
+		k := g.AddNode("country", graph.Attrs{"val": country})
+		x := g.AddNode("city", graph.Attrs{"val": "city_7"})
+		g.MustAddEdge(p, c, "born_in")
+		g.MustAddEdge(c, k, "located_in")
+		g.MustAddEdge(k, x, "capital")
+		countries = append(countries, k)
+	}
+	sess := mustOpen(t, g)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detect := func(engine validate.Engine) validate.Report {
+		t.Helper()
+		res, err := prep.Detect(ctx, validate.Options{Engine: engine, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Violations
+	}
+	for step, tc := range []struct {
+		up   incremental.SetAttr
+		vios int
+	}{
+		{incremental.SetAttr{Node: countries[1], Attr: "val", Value: "country_1"}, 2},   // into the constant
+		{incremental.SetAttr{Node: countries[0], Attr: "val", Value: "country_5"}, 1},   // out of it
+		{incremental.SetAttr{Node: countries[2], Attr: "val", Value: "country_new"}, 2}, // never interned by the base
+	} {
+		sess.Apply(tc.up)
+		if _, ok := prep.Bundle().Topo().(*graph.Overlay); !ok {
+			t.Fatalf("step %d: the bundle runs on %T, want the session overlay", step, prep.Bundle().Topo())
+		}
+		want := detect(validate.EngineSequential)
+		if len(want) != tc.vios {
+			t.Fatalf("step %d: sequential engine reports %d violations", step, len(want))
+		}
+		for _, engine := range []validate.Engine{validate.EngineReplicated, validate.EngineFragmented} {
+			if got := detect(engine); !got.Equal(want) {
+				t.Fatalf("step %d: %v reports %v, sequential %v", step, engine, got, want)
+			}
+		}
 	}
 }

@@ -11,6 +11,8 @@ package validate
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -112,10 +114,13 @@ func ParallelWorkloads() []ParallelWorkload {
 }
 
 // ParallelOverSequential returns warm repVal with one worker over warm
-// sequential detection on one bundle of w, as the ratio of their summed
-// walls over rounds alternating runs. Both collect a sorted report; one
-// untimed run of each warms the plans and the estimation memo first. Above
-// 1, a unit does work the sequential engine does not.
+// sequential detection on one bundle of w: the median, over rounds of
+// back-to-back pairs, of the pair's wall ratio, so that a descheduling
+// landing in one run does not decide it. It collects first: a cycle over
+// garbage an earlier caller left would otherwise fall inside the timed
+// runs. Both collect a sorted report; one untimed run of each warms the
+// plans and the estimation memo first. Above 1, a unit does work the
+// sequential engine does not.
 func ParallelOverSequential(tb testing.TB, w ParallelWorkload, rounds int) float64 {
 	ctx := context.Background()
 	b := NewBundle(w.G, w.Set)
@@ -133,20 +138,22 @@ func ParallelOverSequential(tb testing.TB, w ParallelWorkload, rounds int) float
 		}
 		return res.Violations
 	}
+	runtime.GC()
 	want := seq()
 	if got := par(); len(want) == 0 || !got.Equal(want) {
 		tb.Fatalf("%s: repVal found %d violations, the sequential engine %d", w.Name, len(got), len(want))
 	}
-	var ts, tp time.Duration
-	for i := 0; i < rounds; i++ {
+	ratios := make([]float64, rounds)
+	for i := range ratios {
 		start := time.Now()
 		seq()
-		ts += time.Since(start)
+		ts := time.Since(start)
 		start = time.Now()
 		par()
-		tp += time.Since(start)
+		ratios[i] = float64(time.Since(start)) / float64(ts)
 	}
-	return float64(tp) / float64(ts)
+	slices.Sort(ratios)
+	return ratios[rounds/2]
 }
 
 // BenchmarkParallelOverSequential reports warm repVal n = 1 over warm

@@ -36,6 +36,17 @@ func requireNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
+// requireFired fails a recovery run whose plan holds a fatal fault (one
+// that ends an attempt) yet shows no retry and no death: the workload was
+// too small for the plan's unit or crossing ordinals, and the differential
+// proved nothing.
+func requireFired(t *testing.T, plan *fault.Plan, c Completeness) {
+	t.Helper()
+	if plan.Fatal() > 0 && c.Retries+c.WorkerDeaths == 0 {
+		t.Fatalf("%v: no fault fired: %+v", plan, c)
+	}
+}
+
 // TestChaosDifferential sweeps seed-derived recoverable fault plans over
 // both parallel engines: worker kills, straggler delays, and panics
 // inside match enumeration and literal evaluation must all recover to
@@ -74,6 +85,7 @@ func TestChaosDifferential(t *testing.T) {
 			if !c.Complete() || c.Failed != 0 {
 				t.Fatalf("%v: census not complete: %+v", repPlan, c)
 			}
+			requireFired(t, repPlan, c)
 			activity += c.Retries + c.WorkerDeaths
 		})
 
@@ -91,6 +103,7 @@ func TestChaosDifferential(t *testing.T) {
 			if !c.Complete() || c.Failed != 0 {
 				t.Fatalf("%v: census not complete: %+v", disPlan, c)
 			}
+			requireFired(t, disPlan, c)
 			activity += c.Retries + c.WorkerDeaths
 		})
 	}
@@ -114,12 +127,15 @@ func TestChaosStreamDedupe(t *testing.T) {
 	// match crossing late enough to land mid-enumeration of another.
 	plan := fault.NewPlan(17).KillWorker(1, 1).PanicAt(fault.Match, 200)
 	var got Report
-	_, err = RepValB(ctx, b, Options{N: 4, Inject: plan}, Callback(func(v Violation) bool {
+	res, err := RepValB(ctx, b, Options{N: 4, Inject: plan}, Callback(func(v Violation) bool {
 		got = append(got, v)
 		return true
 	}))
 	if err != nil {
 		t.Fatalf("%v: %v", plan, err)
+	}
+	if c := res.Completeness; c.Retries == 0 || c.WorkerDeaths == 0 {
+		t.Fatalf("%v: no unit was retried after a death: %+v", plan, c)
 	}
 	got.Sort()
 	if !got.Equal(base.Violations) {
@@ -243,12 +259,14 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := fault.FromSeed(seed, 4, 64)
-		if _, err := RepValB(ctx, b, Options{N: 4, Inject: plan}, nil); err != nil {
+		res, err := RepValB(ctx, b, Options{N: 4, Inject: plan}, nil)
+		if err != nil {
 			t.Fatalf("%v: %v", plan, err)
 		}
+		requireFired(t, plan, res.Completeness)
 		stopPlan := fault.NewPlan(seed).KillWorker(0, 0)
 		n := 0
-		_, err := RepValB(ctx, b, Options{N: 4, Inject: stopPlan}, Callback(func(Violation) bool {
+		_, err = RepValB(ctx, b, Options{N: 4, Inject: stopPlan}, Callback(func(Violation) bool {
 			n++
 			return false // stop at the first violation
 		}))

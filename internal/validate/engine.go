@@ -49,7 +49,8 @@ type Options struct {
 	// disables splitting.
 	SplitThreshold int
 	// ArbitraryPivot replaces min-radius pivot selection with the first
-	// variable of each component (ablation).
+	// variable of each component, and seeds no pivot from constant X
+	// (ablation).
 	ArbitraryPivot bool
 	// Seed drives the random assignment variant.
 	Seed int64

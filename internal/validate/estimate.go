@@ -331,10 +331,12 @@ func (b *Bundle) estimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey,
 }
 
 // candClass is one pivot candidate class: the nodes carrying a pivot label
-// (all nodes for the wildcard), keyed and value-sorted once per estimation
-// pass for every group component that pivots on the label.
+// (all nodes for the wildcard), kept to those passing a seeded pivot's
+// filter, keyed and value-sorted once per estimation pass for every group
+// component that pivots on the label with that filter.
 type candClass struct {
 	label  graph.Sym
+	filter workload.Filter
 	sorted []graph.NodeID // class members; value order once the sort phase ran
 	ranges []stats.Range
 }
@@ -363,6 +365,26 @@ func (t estTask) lists(dst [][]graph.NodeID, classOf []int, classes []candClass)
 	return dst
 }
 
+// candClasses lists the distinct candidate classes the groups' pivot
+// components draw from, each with its members in ID order, and maps every
+// group component to its class.
+func candClasses(topo graph.Topology, groups []*ruleGroup) (classes []candClass, classOf [][]int) {
+	classOf = make([][]int, len(groups)) // group -> component -> class
+	for gi, grp := range groups {
+		classOf[gi] = make([]int, grp.pivot.Arity())
+		for i := range classOf[gi] {
+			label, filter := grp.pivot.ClassIn(topo, i), grp.pivot.Filters[i]
+			ci := slices.IndexFunc(classes, func(c candClass) bool { return c.label == label && c.filter.Equal(filter) })
+			if ci < 0 {
+				ci = len(classes)
+				classes = append(classes, candClass{label: label, filter: filter, sorted: grp.pivot.CandidatesIn(topo, i)})
+			}
+			classOf[gi][i] = ci
+		}
+	}
+	return classes, classOf
+}
+
 // assembleUnits runs the parallel workload-estimation phase shared by
 // repVal and disVal, every step a superstep on the cluster's workers: the
 // candidate classes are sorted into equi-depth ranges, the missing c-hop
@@ -373,20 +395,7 @@ func (t estTask) lists(dst [][]graph.NodeID, classOf []int, classes []candClass)
 // The caller owns the communication round.
 func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Options, ship func(from, to int, bytes int64)) ([]workUnit, time.Duration, error) {
 	topo, n := b.topo, opt.N
-	var classes []candClass
-	classOf := make([][]int, len(groups)) // group -> component -> class
-	for gi, grp := range groups {
-		classOf[gi] = make([]int, grp.pivot.Arity())
-		for i := range classOf[gi] {
-			label := grp.pivot.ClassIn(topo, i)
-			ci := slices.IndexFunc(classes, func(c candClass) bool { return c.label == label })
-			if ci < 0 {
-				ci = len(classes)
-				classes = append(classes, candClass{label: label, sorted: grp.pivot.CandidatesIn(topo, i)})
-			}
-			classOf[gi][i] = ci
-		}
-	}
+	classes, classOf := candClasses(topo, groups)
 	classSizes := make([]int, len(classes))
 	for ci, c := range classes {
 		classSizes[ci] = len(c.sorted)
@@ -501,30 +510,14 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 // schedule, so it is faithful to a from-scratch n-worker phase whether the
 // entries were cached or traversed this round.
 func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, classes []candClass, classOf [][]int, n int) ([]sizeTable, time.Duration, error) {
-	// need[r] lists the classes whose members' r-hop blocks are requested.
-	// Label classes are disjoint and the wildcard class covers them all, so
-	// once it is requested it stands alone and no node is listed twice.
-	var need [][]int
-	for gi, grp := range groups {
-		for i, r := range grp.pivot.Radii {
-			for len(need) <= r {
-				need = append(need, nil)
-			}
-			if ci := classOf[gi][i]; classes[ci].label == graph.WildcardSym {
-				need[r] = []int{ci}
-			} else if !slices.ContainsFunc(need[r], func(c int) bool { return c == ci || classes[c].label == graph.WildcardSym }) {
-				need[r] = append(need[r], ci)
-			}
-		}
-	}
+	need := sizeRequests(b.topo, groups, classes, classOf)
 	tables := b.sizeTables(need)
 	// eachRequest visits the requests numbered first, first+step, … in the
 	// fixed order every pass over the same classes numbers them.
 	eachRequest := func(first, step int, fn func(t sizeTable, r int, v graph.NodeID)) {
 		next := first
-		for r, cis := range need {
-			for _, ci := range cis {
-				list := classes[ci].sorted
+		for r, req := range need {
+			for _, list := range req {
 				for ; next < len(list); next += step {
 					fn(tables[r], r, list[next])
 				}
@@ -568,15 +561,68 @@ func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, classes 
 	return tables, cluster.MaxSpan(busy), nil
 }
 
+// sizeRequests lists, per radius, the node lists whose blocks of that
+// radius some group needs, so that no node is listed twice: whole classes
+// first, then the sorted, deduplicated rest of the filtered ones. Label
+// classes are disjoint and the unfiltered wildcard class covers them all;
+// a filtered class may overlap any class sharing its label, and a filtered
+// wildcard class any class at all.
+func sizeRequests(topo graph.Topology, groups []*ruleGroup, classes []candClass, classOf [][]int) [][][]graph.NodeID {
+	var asked [][]int // radius -> classes, in first-request order
+	for gi, grp := range groups {
+		for i, r := range grp.pivot.Radii {
+			for len(asked) <= r {
+				asked = append(asked, nil)
+			}
+			if ci := classOf[gi][i]; !slices.Contains(asked[r], ci) {
+				asked[r] = append(asked[r], ci)
+			}
+		}
+	}
+	need := make([][][]graph.NodeID, len(asked))
+	for r, cis := range asked {
+		if i := slices.IndexFunc(cis, func(ci int) bool {
+			return classes[ci].label == graph.WildcardSym && !classes[ci].filter.Active()
+		}); i >= 0 {
+			need[r] = [][]graph.NodeID{classes[cis[i]].sorted}
+			continue
+		}
+		var whole []graph.Sym
+		for _, ci := range cis {
+			if !classes[ci].filter.Active() {
+				whole = append(whole, classes[ci].label)
+				need[r] = append(need[r], classes[ci].sorted)
+			}
+		}
+		var rest []graph.NodeID
+		for _, ci := range cis {
+			c := &classes[ci]
+			if !c.filter.Active() || slices.Contains(whole, c.label) {
+				continue
+			}
+			for _, v := range c.sorted {
+				if c.label != graph.WildcardSym || !slices.Contains(whole, topo.Label(v)) {
+					rest = append(rest, v)
+				}
+			}
+		}
+		if len(rest) > 0 {
+			slices.Sort(rest)
+			need[r] = append(need[r], slices.Compact(rest))
+		}
+	}
+	return need
+}
+
 // sizeTables returns the bundle's tables with one present, and covering
 // every node of the topology, for each radius need requests.
-func (b *Bundle) sizeTables(need [][]int) []sizeTable {
+func (b *Bundle) sizeTables(need [][][]graph.NodeID) []sizeTable {
 	numNodes := b.topo.NumNodes()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	tables, shared := b.est.sizes, true
-	for r, cis := range need {
-		if len(cis) == 0 || r < len(tables) && len(tables[r]) >= numNodes {
+	for r, lists := range need {
+		if len(lists) == 0 || r < len(tables) && len(tables[r]) >= numNodes {
 			continue
 		}
 		if shared {

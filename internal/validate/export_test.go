@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"gfd/internal/cluster"
@@ -81,21 +83,23 @@ func (b *Bundle) Plan(opt Options) (PlanImage, error) {
 func (b *Bundle) PlanShape(opt Options) (groups, classes, units int) {
 	opt = opt.Normalized()
 	_, gs, _ := b.ruleGroupsKeyed(opt)
-	seen := make(map[graph.Sym]bool)
+	seen := make(map[string]bool)
 	for _, grp := range gs {
 		for i := 0; i < grp.pivot.Arity(); i++ {
-			seen[grp.pivot.ClassIn(b.topo, i)] = true
+			seen[fmt.Sprint(grp.pivot.ClassIn(b.topo, i), grp.pivot.Filters[i])] = true
 		}
 	}
 	units, _ = b.ColdPlan(opt)
 	return len(gs), len(seen), units
 }
 
-// GroupShape is one rule group's pattern, pivot variables and stripe node.
+// GroupShape is one rule group's pattern, pivot variables, their candidate
+// filters and stripe node.
 type GroupShape struct {
-	Q      *pattern.Pattern
-	Pivots []int
-	Stripe int
+	Q       *pattern.Pattern
+	Pivots  []int
+	Filters []workload.Filter
+	Stripe  int
 }
 
 // GroupShapes returns the shape of every rule group of opt's variant.
@@ -103,7 +107,7 @@ func (b *Bundle) GroupShapes(opt Options) []GroupShape {
 	_, gs, _ := b.ruleGroupsKeyed(opt.Normalized())
 	out := make([]GroupShape, len(gs))
 	for i, grp := range gs {
-		out[i] = GroupShape{grp.q, grp.pivot.Vars, grp.stripe}
+		out[i] = GroupShape{grp.q, grp.pivot.Vars, grp.pivot.Filters, grp.stripe}
 	}
 	return out
 }
@@ -196,7 +200,7 @@ func (o *OracleEstimator) assemble(groups []*ruleGroup, opt Options) []workUnit 
 		cands[gi] = make([][]graph.NodeID, k)
 		ranges := make([][]stats.Range, k)
 		for i := 0; i < k; i++ {
-			cands[gi][i] = oracleValueOrder(b.g, grp.pivot.CandidatesIn(b.topo, i), "val")
+			cands[gi][i] = oracleValueOrder(b.g, oracleCandidates(b.g, grp.pivot, i), "val")
 			ranges[i] = stats.EquiDepth(len(cands[gi][i]), opt.HistogramM)
 		}
 		symmetric := !opt.NoOptimize && grp.pivot.Symmetric() && k == 2
@@ -263,6 +267,26 @@ func (o *OracleEstimator) assemble(groups []*ruleGroup, opt Options) []workUnit 
 		}
 	}
 	return units
+}
+
+// oracleCandidates is the seeded candidate set read through the mutable
+// graph's strings: every node whose label the pivot's admits and, for a
+// seeded component, whose filter attribute holds one of its constants.
+func oracleCandidates(g *graph.Graph, pv *workload.Pivot, i int) []graph.NodeID {
+	label, f := pv.Q.Nodes[pv.Vars[i]].Label, pv.Filters[i]
+	var out []graph.NodeID
+	for v := range graph.NodeID(g.NumNodes()) {
+		if !pattern.LabelMatches(label, g.Label(v)) {
+			continue
+		}
+		if f.Active() {
+			if val, ok := g.Attr(v, f.Attr); !ok || !slices.Contains(f.Values, val) {
+				continue
+			}
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // oracleValueOrder sorts candidates by attribute value read through the

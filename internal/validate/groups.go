@@ -70,63 +70,123 @@ func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram) {
 // buildGroups partitions rules into groups. With combine=false (the *nop
 // variants), every rule forms its own group and no enumeration sharing
 // happens. arbitraryPivot selects the ablation pivot rule.
+//
+// Pivots are seeded from constant X: a rule's seed is its X literal x.A = c
+// on the node of least eccentricity, the first in X order on a tie
+// (seedOf). Isomorphic rules share a group only if their seeds land on the
+// same group node and attribute, or neither has one; a seeded group pivots
+// its seed node's component there, filtered to the union of its members'
+// constants (workload.Pivot.Seed). Symmetric two-component patterns and
+// the ablation are never seeded. The choice reads the rules alone, so a
+// worker process rebuilding groups from the shipped rule set gets the
+// coordinator's.
 func buildGroups(rules []*core.GFD, combine, arbitraryPivot bool) []*ruleGroup {
 	var groups []*ruleGroup
+	var seeds []seed // per group, in group node indices
 	computePivot := workload.ComputePivot
 	if arbitraryPivot {
 		computePivot = workload.ArbitraryPivot
 	}
 	for _, f := range rules {
+		pv := computePivot(f.Q)
+		sd := seed{node: -1}
+		if !arbitraryPivot && !pv.Symmetric() {
+			sd = seedOf(f)
+		}
 		placed := false
 		if combine {
-			for _, grp := range groups {
-				if perm, ok := isoMap(f.Q, grp.q); ok {
+			for gi, grp := range groups {
+				gs := &seeds[gi]
+				perm, ok := isoMap(f.Q, grp.q, func(perm []int) bool {
+					if sd.node < 0 || gs.node < 0 {
+						return sd.node == gs.node
+					}
+					return perm[sd.node] == gs.node && sd.filter.Attr == gs.filter.Attr
+				})
+				if ok {
 					grp.deps = append(grp.deps, depSpec{rule: f, perm: perm})
+					if sd.node >= 0 && !slices.Contains(gs.filter.Values, sd.filter.Values[0]) {
+						gs.filter.Values = append(gs.filter.Values, sd.filter.Values[0])
+						slices.Sort(gs.filter.Values)
+					}
 					placed = true
 					break
 				}
 			}
 		}
 		if !placed {
-			pv := computePivot(f.Q)
 			groups = append(groups, &ruleGroup{
-				q:      f.Q,
-				pivot:  pv,
-				deps:   []depSpec{{rule: f, perm: identityPerm(f.Q.NumNodes())}},
-				stripe: stripeNode(f.Q, pv),
+				q:     f.Q,
+				pivot: pv,
+				deps:  []depSpec{{rule: f, perm: identityPerm(f.Q.NumNodes())}},
 			})
+			seeds = append(seeds, sd)
 		}
+	}
+	for gi, grp := range groups {
+		if sd := seeds[gi]; sd.node >= 0 {
+			grp.pivot.Seed(sd.node, sd.filter)
+		}
+		grp.stripe = stripeNode(grp.q, grp.pivot)
 	}
 	return groups
 }
 
-// isoMap returns an isomorphism from pattern a onto pattern b, if one
-// exists. Since exact embeddings never map a concrete label onto a
-// wildcard, a full-size embedding with equal node and edge counts is a
-// label-preserving isomorphism (README "Matching: worst-case-optimal
-// intersection and factorized groups" describes what grouping buys).
-func isoMap(a, b *pattern.Pattern) ([]int, bool) {
+// seed is where a rule (or group) pins its pivot: a pattern node, -1 for
+// none, and the constants its X requires there.
+type seed struct {
+	node   int
+	filter workload.Filter
+}
+
+// seedOf returns f's seed: the node of its constant X literal of least
+// eccentricity (first in X order on a tie) with that literal's attribute
+// and constant, or node -1 when X has no constant literal.
+func seedOf(f *core.GFD) seed {
+	sd, best := seed{node: -1}, 0
+	for _, l := range f.X {
+		if l.Kind != core.Constant {
+			continue
+		}
+		z, _ := f.Q.VarIndex(l.X)
+		if ecc := f.Q.Eccentricity(z); sd.node < 0 || ecc < best {
+			sd = seed{node: z, filter: workload.Filter{Attr: l.A, Values: []string{l.C}}}
+			best = ecc
+		}
+	}
+	return sd
+}
+
+// isoMap returns an isomorphism from pattern a onto pattern b that accept
+// admits, if one exists. Since exact embeddings never map a concrete label
+// onto a wildcard, a full-size embedding with equal node and edge counts
+// whose labels agree is a label-preserving isomorphism (README "Matching:
+// worst-case-optimal intersection and factorized groups" describes what
+// grouping buys).
+func isoMap(a, b *pattern.Pattern, accept func(perm []int) bool) ([]int, bool) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return nil, false
 	}
-	embs := pattern.Embeddings(a, b)
-	if len(embs) == 0 {
-		return nil, false
-	}
-	// Verify the reverse direction to rule out wildcard refinements: the
-	// found mapping must preserve labels exactly in both directions.
-	m := embs[0].Map
-	for i, hi := range m {
-		if a.Nodes[i].Label != b.Nodes[hi].Label {
-			return nil, false
+next:
+	for _, emb := range pattern.Embeddings(a, b) {
+		// Verify the reverse direction to rule out wildcard refinements: the
+		// mapping must preserve labels exactly in both directions.
+		m := emb.Map
+		for i, hi := range m {
+			if a.Nodes[i].Label != b.Nodes[hi].Label {
+				continue next
+			}
+		}
+		for _, e := range a.Edges {
+			if !edgeLabelEqual(b, m[e.From], m[e.To], e.Label) {
+				continue next
+			}
+		}
+		if accept(m) {
+			return m, true
 		}
 	}
-	for _, e := range a.Edges {
-		if !edgeLabelEqual(b, m[e.From], m[e.To], e.Label) {
-			return nil, false
-		}
-	}
-	return m, true
+	return nil, false
 }
 
 func edgeLabelEqual(p *pattern.Pattern, from, to int, label string) bool {

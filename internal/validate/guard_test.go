@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // yagoCapitalPair is the pair of yago12 rules (benchmark/rules/yago12.gfd)
-// that share one pattern with different X: the multi-query grouping puts
-// them in one group, whose guard has one member per rule.
+// that share one pattern with different X. Their constants sit on
+// different nodes (x3 and x2), so each seeds its own pivot and the pair
+// splits into two groups.
 const yagoCapitalPair = `
 gfd y_capital_country {
   node x0 person
@@ -40,6 +42,35 @@ gfd y_country_capital {
 }
 `
 
+// sameSeedPair is two rules of that pattern whose constants both sit on
+// x2.val: the multi-query grouping keeps them in one group, whose guard has
+// one member per rule and whose pivot filter holds both constants.
+const sameSeedPair = `
+gfd y_country_capital {
+  node x0 person
+  node x1 city
+  node x2 country
+  node x3 city
+  edge x0 born_in x1
+  edge x1 located_in x2
+  edge x2 capital x3
+  when x2.val = "country_1"
+  then x3.val = "city_1"
+}
+
+gfd y_country_capital9 {
+  node a person
+  node b city
+  node c country
+  node d city
+  edge a born_in b
+  edge b located_in c
+  edge c capital d
+  when c.val = "country_9"
+  then d.val = "city_9"
+}
+`
+
 // capitalChain adds person → city → country → capital city with the
 // country's and the capital's values, returning the four nodes.
 func capitalChain(g *graph.Graph, country, capital string) core.Match {
@@ -54,50 +85,77 @@ func capitalChain(g *graph.Graph, country, capital string) core.Match {
 }
 
 // TestGroupGuardKeepsSingleMemberMatches: a group prunes a prefix only
-// once every member's X has failed on it. Each violating chain below
-// satisfies exactly one member's X, so a guard that pruned on the first
-// failed literal of any member would lose both.
+// once every member's X has failed on it. In each fixture every violating
+// chain satisfies exactly one rule's X, so a guard that pruned on the
+// first failed literal of any member would lose one. The pair seeded on
+// different nodes splits into two single-member groups; the pair seeded on
+// one node shares a group with a two-member guard and a two-value filter.
 func TestGroupGuardKeepsSingleMemberMatches(t *testing.T) {
-	set, err := core.ParseRules(strings.NewReader(yagoCapitalPair))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.New(0, 0)
-	onlyFirst := capitalChain(g, "country_9", "city_0")  // X of y_capital_country only; Y fails
-	onlySecond := capitalChain(g, "country_1", "city_7") // X of y_country_capital only; Y fails
-	capitalChain(g, "country_9", "city_7")               // neither X: never reported
-	want := Report{
-		{Rule: "y_capital_country", Match: onlyFirst},
-		{Rule: "y_country_capital", Match: onlySecond},
-	}
-	want.Sort()
-	if got := oracleVio(g, set); !got.Equal(want) {
-		t.Fatalf("oracle disagrees with the planted violations: %v", got)
-	}
+	for _, tc := range []struct {
+		name        string
+		rules       string
+		first, next [2]string // the chain each rule alone flags: country, capital
+		groups      int
+	}{
+		{"split", yagoCapitalPair, [2]string{"country_9", "city_0"}, [2]string{"country_1", "city_7"}, 2},
+		{"shared", sameSeedPair, [2]string{"country_1", "city_7"}, [2]string{"country_9", "city_7"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set, err := core.ParseRules(strings.NewReader(tc.rules))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules := set.Rules()
+			g := graph.New(0, 0)
+			onlyFirst := capitalChain(g, tc.first[0], tc.first[1])
+			onlySecond := capitalChain(g, tc.next[0], tc.next[1])
+			capitalChain(g, "country_5", "city_7") // neither X: never reported
+			want := Report{
+				{Rule: rules[0].Name, Match: onlyFirst},
+				{Rule: rules[1].Name, Match: onlySecond},
+			}
+			want.Sort()
+			if got := oracleVio(g, set); !got.Equal(want) {
+				t.Fatalf("oracle disagrees with the planted violations: %v", got)
+			}
 
-	b := NewBundle(g, set)
-	opt := Options{N: 2, NoReduce: true}.Normalized()
-	_, groups, _ := b.ruleGroupsKeyed(opt)
-	if len(groups) != 1 || groups[0].guard.Live() != 0b11 {
-		t.Fatalf("want the pair in one group with a two-member guard, got %d groups", len(groups))
-	}
-	// The group's enumeration itself keeps both single-member matches and
-	// drops the chain no member's X holds on.
-	grp := groups[0]
-	if n := match.NewMatcher(b.Topo()).Count(grp.q, match.Options{Guard: grp.guard}); n != 2 {
-		t.Fatalf("group guard admits %d matches, want 2", n)
-	}
+			b := NewBundle(g, set)
+			opt := Options{N: 2, NoReduce: true}.Normalized()
+			_, groups, _ := b.ruleGroupsKeyed(opt)
+			if len(groups) != tc.groups {
+				t.Fatalf("%d groups, want %d", len(groups), tc.groups)
+			}
+			if tc.groups == 1 {
+				grp := groups[0]
+				if grp.guard.Live() != 0b11 {
+					t.Fatalf("shared group guard has members %b, want 0b11", grp.guard.Live())
+				}
+				if f := grp.pivot.Filters[0]; f.Attr != "val" || !slices.Equal(f.Values, []string{"country_1", "country_9"}) {
+					t.Fatalf("shared group filter %+v, want val ∈ {country_1, country_9}", f)
+				}
+				// The group's enumeration itself keeps both single-member
+				// matches and drops the chain no member's X holds on.
+				if n := match.NewMatcher(b.Topo()).Count(grp.q, match.Options{Guard: grp.guard}); n != 2 {
+					t.Fatalf("group guard admits %d matches, want 2", n)
+				}
+			}
 
-	if got := detVio(g, set); !got.Equal(want) {
-		t.Fatalf("detVio: %v", got)
-	}
-	for _, o := range []Options{{N: 2, NoReduce: true}, {N: 1, NoReduce: true, SplitThreshold: 1}} {
-		if got := repVal(g, set, o).Violations; !got.Equal(want) {
-			t.Fatalf("repVal(%+v): %v", o, got)
-		}
-		if got := disVal(g, fragment.Partition(g, o.N, fragment.Hash), set, o).Violations; !got.Equal(want) {
-			t.Fatalf("disVal(%+v): %v", o, got)
-		}
+			if got := detVio(g, set); !got.Equal(want) {
+				t.Fatalf("detVio: %v", got)
+			}
+			for _, o := range []Options{{N: 2, NoReduce: true}, {N: 1, NoReduce: true, SplitThreshold: 1}} {
+				res := repVal(g, set, o)
+				if got := res.Violations; !got.Equal(want) {
+					t.Fatalf("repVal(%+v): %v", o, got)
+				}
+				if res.Groups != tc.groups || o.SplitThreshold == 0 && res.Units != 2 {
+					t.Fatalf("repVal(%+v): %d groups, %d units; want %d groups and one unit per seeded country", o, res.Groups, res.Units, tc.groups)
+				}
+				if got := disVal(g, fragment.Partition(g, o.N, fragment.Hash), set, o).Violations; !got.Equal(want) {
+					t.Fatalf("disVal(%+v): %v", o, got)
+				}
+			}
+		})
 	}
 }
 

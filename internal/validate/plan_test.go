@@ -22,14 +22,16 @@ import (
 	"gfd/internal/session"
 	"gfd/internal/store"
 	"gfd/internal/validate"
+	"gfd/internal/workload"
 )
 
-// planRules adds, to rules mined on g, one rule per assembly branch the
-// mined ones may miss: a wildcard pivot (the all-nodes class, which also
-// subsumes the label classes in the size tables), two isomorphic
-// single-node components (symmetric dedup on the diagonal range pairs),
-// two components of different classes, and three components (the
-// single-task cross product).
+// planRules adds, to rules mined on g (each with a constant X, so their
+// pivots are seeded), one rule per assembly branch the mined ones may miss:
+// a wildcard pivot (the all-nodes class, which also subsumes the label
+// classes in the size tables), a seeded class overlapping a whole one at
+// the same radius, two isomorphic single-node components (symmetric dedup
+// on the diagonal range pairs), two components of different classes, and
+// three components (the single-task cross product).
 func planRules(g *graph.Graph, seed int64) *core.Set {
 	rules := gen.MineGFDs(g, gen.MineConfig{NumRules: 5, PatternSize: 3, TwoCompFrac: 0.4, Seed: seed}).Rules()
 	rules = append(rules, exp.Fig7Rules().Rules()...)
@@ -45,6 +47,11 @@ func planRules(g *graph.Graph, seed int64) *core.Set {
 	c := town.AddNode("c", "city")
 	town.AddEdge(c, town.AddNode("z", "country"), "located_in")
 	rules = append(rules, core.MustNew("plan_town", town, nil, []core.Literal{core.Const("c", "val", "elsewhere")}))
+	// The same pattern seeded on c: its filtered class lies inside
+	// plan_town's at the same radius, so each block is measured once.
+	city, _ := g.Attr(g.NodesWithLabel("city")[0], "val")
+	rules = append(rules, core.MustNew("plan_seeded_town", town, []core.Literal{core.Const("c", "val", city)},
+		[]core.Literal{core.Const("z", "val", "nowhere")}))
 
 	twins := pattern.New()
 	twins.AddNode("a", "country")
@@ -129,13 +136,20 @@ func comparePlans(t *testing.T, kind string, b *validate.Bundle, oracle *validat
 // the plan of the map-based one it replaced — same units in the same order
 // with the same block sizes, same split, same assignment — and move the
 // probe counters alike, including across Session.Apply, where both must
-// re-measure exactly the blocks the update touched.
+// re-measure exactly the blocks the update touched. The oracle derives the
+// seeded candidate sets itself, through the mutable graph's strings, and
+// measures each (node, radius) once however many classes request it.
 func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2} {
 		g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: seed})
 		set := planRules(g, seed+10)
 		gen.Inject(g, gen.NoiseConfig{Rate: 0.1, Seed: seed + 20})
+		if !slices.ContainsFunc(validate.NewBundle(g, set).GroupShapes(validate.Options{}), func(gs validate.GroupShape) bool {
+			return slices.ContainsFunc(gs.Filters, workload.Filter.Active)
+		}) {
+			t.Fatal("no group of planRules is seeded; the seeded plans go uncompared")
+		}
 
 		// Store-adopted mapping first, off the still unmutated graph.
 		path := filepath.Join(t.TempDir(), "g.gfds")

@@ -1,0 +1,232 @@
+package validate
+
+import (
+	"context"
+	"testing"
+
+	"gfd/internal/core"
+	"gfd/internal/fragment"
+	"gfd/internal/gen"
+	"gfd/internal/graph"
+	"gfd/internal/pattern"
+)
+
+// seededKB is a gen-built KB workload whose mined rules each carry a
+// constant X literal, with noise so that some of them fire.
+func seededKB(t *testing.T) (*graph.Graph, []*core.GFD) {
+	t.Helper()
+	g := gen.DBpediaLike(gen.DatasetConfig{Scale: 400, Seed: 5})
+	rules := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, Seed: 6}).Rules()
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.05, Seed: 7})
+	gen.InjectTargeted(g, core.MustNewSet(rules...), 0.1, 8)
+	for _, f := range rules {
+		if seedOf(f).node < 0 {
+			t.Fatalf("mined rule %s has no constant X; the workload seeds nothing", f.Name)
+		}
+	}
+	return g, rules
+}
+
+// planUnits is the unsplit unit count of opt's variant on b.
+func planUnits(t *testing.T, b *Bundle, opt Options) int {
+	t.Helper()
+	opt.SplitThreshold = -1
+	units, err := b.ColdPlan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return units
+}
+
+// TestSeededPivotUnits: a group whose every member has a constant X
+// literal on one node pivots there, and its units are the class members
+// that carry one of the constants — on a KB set, Σ of the filtered class
+// sizes, far below the class-sized set. A constant no node holds seeds no
+// unit and loses no violation; symmetric two-component patterns and the
+// ArbitraryPivot ablation keep class-sized unit sets; and every engine still
+// reports the oracle's violation set.
+func TestSeededPivotUnits(t *testing.T) {
+	g, rules := seededKB(t)
+
+	never := pattern.New()
+	never.AddEdge(never.AddNode("p", "person"), never.AddNode("c", "city"), "born_in")
+	twins := pattern.New()
+	twins.AddNode("a", "country")
+	twins.AddNode("b", "country")
+	rules = append(rules,
+		core.MustNew("seed_never", never, []core.Literal{core.Const("c", "val", "never_interned")},
+			[]core.Literal{core.Const("p", "val", "x")}),
+		core.MustNew("seed_twins", twins, []core.Literal{core.Const("a", "val", "country_0")},
+			[]core.Literal{core.VarEq("a", "val", "b", "val")}))
+	set := core.MustNewSet(rules...)
+	b := NewBundle(g, set)
+	opt := Options{N: 2, NoReduce: true}.Normalized()
+	_, groups, _ := b.ruleGroupsKeyed(opt)
+
+	// Units = Σ filtered class sizes, read through the mutable graph's
+	// strings; the symmetric pair is the class's unordered pairs.
+	want, classSized := 0, 0
+	for _, grp := range groups {
+		pv := grp.pivot
+		if pv.Symmetric() {
+			if pv.Filters[0].Active() || pv.Filters[1].Active() {
+				t.Fatalf("symmetric group %s was seeded", grp.q)
+			}
+			n := len(oracleCandidates(g, pv, 0))
+			want += n * (n - 1) / 2
+			classSized += n * (n - 1) / 2
+			continue
+		}
+		if pv.Arity() != 1 || !pv.Filters[0].Active() {
+			t.Fatalf("group %s: arity %d, filter %+v; want one seeded component", grp.q, pv.Arity(), pv.Filters[0])
+		}
+		n := len(oracleCandidates(g, pv, 0))
+		if grp.deps[0].rule.Name == "seed_never" && n != 0 {
+			t.Fatalf("never-interned constant admits %d candidates", n)
+		}
+		want += n
+		classSized += len(b.topo.NodesWith(pv.ClassIn(b.topo, 0)))
+	}
+	got := planUnits(t, b, opt)
+	t.Logf("%d groups: %d seeded units, %d class-sized", len(groups), got, classSized)
+	if got != want {
+		t.Fatalf("%d units, want Σ filtered class sizes %d", got, want)
+	}
+	if 4*got > classSized {
+		t.Fatalf("seeding kept %d of %d class-sized units", got, classSized)
+	}
+
+	// The ablation pivots every component on its first node, unfiltered.
+	arb := Options{N: 2, NoReduce: true, ArbitraryPivot: true}.Normalized()
+	_, arbGroups, _ := b.ruleGroupsKeyed(arb)
+	wantArb := 0
+	for _, grp := range arbGroups {
+		pv := grp.pivot
+		for i := range pv.Filters {
+			if pv.Filters[i].Active() {
+				t.Fatalf("ArbitraryPivot group %s was seeded", grp.q)
+			}
+		}
+		n := len(oracleCandidates(g, pv, 0))
+		if pv.Symmetric() {
+			wantArb += n * (n - 1) / 2
+		} else {
+			wantArb += n
+		}
+	}
+	if got := planUnits(t, b, arb); got != wantArb {
+		t.Fatalf("ArbitraryPivot: %d units, want the class-sized %d", got, wantArb)
+	}
+
+	wantVio := oracleVio(g, set)
+	if len(wantVio) == 0 {
+		t.Fatal("the workload has no violations; the differential is vacuous")
+	}
+	if got := detVio(g, set); !got.Equal(wantVio) {
+		t.Fatalf("detVio: %d violations, oracle %d", len(got), len(wantVio))
+	}
+	for name, o := range allVariants() {
+		if got := repVal(g, set, o).Violations; !got.Equal(wantVio) {
+			t.Fatalf("repVal %s: %d violations, oracle %d", name, len(got), len(wantVio))
+		}
+		frag := fragment.Partition(g, o.Normalized().N, fragment.Hash)
+		if got := disVal(g, frag, set, o).Violations; !got.Equal(wantVio) {
+			t.Fatalf("disVal %s: %d violations, oracle %d", name, len(got), len(wantVio))
+		}
+	}
+	perRule := NewCollectSink(1)
+	if err := DetVioPerRuleB(context.Background(), NewBundle(g, set), perRule); err != nil {
+		t.Fatal(err)
+	}
+	if got := perRule.Report(); !got.Equal(wantVio) {
+		t.Fatalf("DetVioPerRuleB: %d violations, oracle %d", len(got), len(wantVio))
+	}
+}
+
+// TestSizeRequestsListEachNodeOnce: seeded classes overlap the classes that
+// share their label, and a seeded wildcard class overlaps every class, so
+// the block-size requests of one radius must list each requested node
+// exactly once — or two workers may measure one block and the probe counter
+// and the modeled span would count it twice.
+func TestSizeRequestsListEachNodeOnce(t *testing.T) {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 60, Seed: 4})
+	cities := g.NodesWithLabel("city")
+	c0, _ := g.Attr(cities[0], "val")
+	c1, _ := g.Attr(cities[1], "val")
+
+	// Radius 1: a whole city class, a seeded city class it covers, and a
+	// seeded wildcard class that reaches beyond it.
+	town := func(label string) *pattern.Pattern {
+		q := pattern.New()
+		q.AddEdge(q.AddNode("c", label), q.AddNode("z", "country"), "located_in")
+		return q
+	}
+	// Radius 2: two seeded city classes with overlapping constant sets.
+	chain := func(withPerson bool) *pattern.Pattern {
+		q := pattern.New()
+		c := q.AddNode("c", "city")
+		z := q.AddNode("z", "country")
+		q.AddEdge(c, z, "located_in")
+		q.AddEdge(z, q.AddNode("k", "city"), "capital")
+		if withPerson {
+			q.AddEdge(q.AddNode("p", "person"), c, "born_in")
+		}
+		return q
+	}
+	y := []core.Literal{core.Const("z", "val", "nowhere")}
+	at := func(v string) []core.Literal { return []core.Literal{core.Const("c", "val", v)} }
+	set := core.MustNewSet(
+		core.MustNew("whole", town("city"), nil, y),
+		core.MustNew("seeded", town("city"), at(c0), y),
+		core.MustNew("seeded_wild", town(pattern.Wildcard), at(c0), y),
+		core.MustNew("chain0", chain(false), at(c0), y),
+		core.MustNew("person0", chain(true), at(c0), y),
+		core.MustNew("person1", chain(true), at(c1), y),
+	)
+	b := NewBundle(g, set)
+	_, groups, _ := b.ruleGroupsKeyed(Options{NoReduce: true}.Normalized())
+	classes, classOf := candClasses(b.topo, groups)
+	need := sizeRequests(b.topo, groups, classes, classOf)
+
+	askedAt := map[int]map[int]bool{} // radius -> requested classes
+	for gi, grp := range groups {
+		for i, r := range grp.pivot.Radii {
+			if askedAt[r] == nil {
+				askedAt[r] = map[int]bool{}
+			}
+			askedAt[r][classOf[gi][i]] = true
+		}
+	}
+	overlapped := false
+	for r, lists := range need {
+		want := map[graph.NodeID]bool{}
+		asked := 0
+		for ci := range askedAt[r] {
+			for _, v := range classes[ci].sorted {
+				want[v] = true
+			}
+			asked += len(classes[ci].sorted)
+		}
+		listed := map[graph.NodeID]bool{}
+		for _, list := range lists {
+			for _, v := range list {
+				if listed[v] {
+					t.Fatalf("radius %d: node %d requested twice", r, v)
+				}
+				listed[v] = true
+			}
+		}
+		if len(listed) != len(want) {
+			t.Fatalf("radius %d: %d nodes requested, the classes hold %d", r, len(listed), len(want))
+		}
+		for v := range want {
+			if !listed[v] {
+				t.Fatalf("radius %d: node %d of a requested class is missing", r, v)
+			}
+		}
+		overlapped = overlapped || asked > len(want)
+	}
+	if !overlapped {
+		t.Fatal("no two requested classes overlap; the test is vacuous")
+	}
+}

@@ -3,6 +3,7 @@ package validate
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -437,34 +438,50 @@ func TestEmptyRuleSet(t *testing.T) {
 	}
 }
 
+// TestMultiQueryGroupingSharesPatterns: rules on isomorphic patterns share
+// a group, and so one enumeration, when their pivots agree. Two rules whose
+// constant X sits on the same node and attribute stay together with the
+// union of their constants as the pivot filter; a third whose constant sits
+// on the other node seeds a different pivot and splits off. Each reports
+// separately either way.
 func TestMultiQueryGroupingSharesPatterns(t *testing.T) {
-	// Two rules on the same (isomorphic) pattern with different deps must
-	// land in one group but report separately.
-	q1 := pattern.New()
-	x := q1.AddNode("x", "country")
-	y := q1.AddNode("y", "city")
-	q1.AddEdge(x, y, "capital")
-	f1 := core.MustNew("r1", q1, nil, []core.Literal{core.VarEq("x", "val", "y", "val")})
-
-	q2 := pattern.New()
-	a := q2.AddNode("a", "country")
-	b := q2.AddNode("b", "city")
-	q2.AddEdge(a, b, "capital")
-	f2 := core.MustNew("r2", q2, []core.Literal{core.Const("a", "val", "zzz")},
+	capital := func(country, city pattern.Var) *pattern.Pattern {
+		q := pattern.New()
+		q.AddEdge(q.AddNode(country, "country"), q.AddNode(city, "city"), "capital")
+		return q
+	}
+	f1 := core.MustNew("r1", capital("x", "y"), []core.Literal{core.Const("x", "val", "Oz")},
+		[]core.Literal{core.VarEq("x", "val", "y", "val")})
+	f2 := core.MustNew("r2", capital("a", "b"), []core.Literal{core.Const("a", "val", "Atlantis")},
 		[]core.Literal{core.Const("b", "val", "yyy")})
+	f3 := core.MustNew("r3", capital("c", "d"), []core.Literal{core.Const("d", "val", "Emerald")},
+		[]core.Literal{core.Const("c", "val", "Kansas")})
 
 	g := graph.New(0, 0)
-	c := g.AddNode("country", graph.Attrs{"val": "Oz"})
-	ct := g.AddNode("city", graph.Attrs{"val": "Emerald"})
-	g.MustAddEdge(c, ct, "capital")
-
-	set := core.MustNewSet(f1, f2)
-	res := repVal(g, set, Options{N: 2, NoReduce: true})
-	if res.Groups != 1 {
-		t.Errorf("groups = %d, want 1 (isomorphic patterns)", res.Groups)
+	for _, pair := range [][2]string{{"Oz", "Emerald"}, {"Atlantis", "Poseidonia"}, {"Kansas", "Topeka"}} {
+		g.MustAddEdge(g.AddNode("country", graph.Attrs{"val": pair[0]}), g.AddNode("city", graph.Attrs{"val": pair[1]}), "capital")
 	}
-	want := detVio(g, set)
-	if !res.Violations.Equal(want) {
-		t.Errorf("grouped result diverges: %v vs %v", res.Violations, want)
+
+	for _, tc := range []struct {
+		set            *core.Set
+		groups, units  int
+		filterOfFirst  []string
+		violationsWant int
+	}{
+		{core.MustNewSet(f1, f2), 1, 2, []string{"Atlantis", "Oz"}, 2},
+		{core.MustNewSet(f1, f2, f3), 2, 3, []string{"Atlantis", "Oz"}, 3},
+	} {
+		res := repVal(g, tc.set, Options{N: 2, NoReduce: true})
+		if res.Groups != tc.groups || res.Units != tc.units {
+			t.Errorf("%d rules: %d groups, %d units; want %d and %d", tc.set.Len(), res.Groups, res.Units, tc.groups, tc.units)
+		}
+		_, groups, _ := NewBundle(g, tc.set).ruleGroupsKeyed(Options{N: 2, NoReduce: true}.Normalized())
+		if f := groups[0].pivot.Filters[0]; !slices.Equal(f.Values, tc.filterOfFirst) {
+			t.Errorf("%d rules: shared group filter %+v, want %v", tc.set.Len(), f, tc.filterOfFirst)
+		}
+		want := detVio(g, tc.set)
+		if len(want) != tc.violationsWant || !res.Violations.Equal(want) {
+			t.Errorf("%d rules: grouped result %v, sequential %v", tc.set.Len(), res.Violations, want)
+		}
 	}
 }

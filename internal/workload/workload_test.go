@@ -138,6 +138,42 @@ func TestCandidates(t *testing.T) {
 	}
 }
 
+// TestSeedFiltersCandidates: seeding moves the component's pivot to the
+// seeded node at that node's eccentricity and keeps only the class members
+// whose attribute holds a filter constant; constants the symbol table never
+// interned admit nothing, and a seeded wildcard filters every node.
+func TestSeedFiltersCandidates(t *testing.T) {
+	snap := flightGraph(4).Freeze() // flights "a".."d", each with id "FL"
+	q := twoFlightStars()
+	pv := ComputePivot(q)
+	pv.Seed(1, Filter{Attr: "val", Values: []string{"FL"}}) // x1, the first star's id
+	if pv.Vars[0] != 1 || pv.Radii[0] != 1 || pv.Vars[1] != 2 || pv.Filters[1].Active() {
+		t.Fatalf("seeded x1: pivots %v radii %v filters %+v", pv.Vars, pv.Radii, pv.Filters)
+	}
+	if got := pv.CandidatesIn(snap, 0); len(got) != 4 {
+		t.Fatalf("ids with val FL: %v", got)
+	}
+	star := ComputePivot(starPattern(1))
+	star.Seed(0, Filter{Attr: "val", Values: []string{"b", "d", "never"}})
+	got := star.CandidatesIn(snap, 0)
+	if len(got) != 2 || snap.Label(got[0]) != snap.Syms().Lookup("flight") {
+		t.Fatalf("flights with val b or d: %v", got)
+	}
+	for _, f := range []Filter{{Attr: "val", Values: []string{"never"}}, {Attr: "ghost", Values: []string{"b"}}} {
+		star.Filters[0] = f
+		if got := star.CandidatesIn(snap, 0); len(got) != 0 {
+			t.Fatalf("filter %+v admits %v", f, got)
+		}
+	}
+	wq := pattern.New()
+	wq.AddNode("x", pattern.Wildcard)
+	wild := ComputePivot(wq)
+	wild.Seed(0, Filter{Attr: "val", Values: []string{"FL", "a"}})
+	if got := wild.CandidatesIn(snap, 0); len(got) != 5 {
+		t.Fatalf("any node with val FL or a: %v", got)
+	}
+}
+
 // vectorsOf collects what EachVector enumerates over the pivot's candidate
 // classes on g's snapshot, checking CountVectors against it.
 func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]graph.NodeID {
