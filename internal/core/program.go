@@ -211,12 +211,10 @@ func (p *LiteralProgram) Guard() *Guard { return p.guard }
 
 // GroupGuard lowers the X sides of rules enumerated through one shared
 // pattern into one guard. Member k is progs[k]; perms[k][i] is the shared
-// pattern's node for the member's rule node i, or -1 when the node is not
-// enumerated there (a factorized core covering part of the rule), in which
-// case literals reading it are left out — they are checked on the full
-// match. A nil perms, or a nil perms[k], is the identity. The result is nil
-// when no instruction could ever prune (every X empty), so unguarded
-// patterns keep the matcher's plain search.
+// pattern's node for the member's rule node i (the members' patterns are
+// isomorphic, so every rule node has one). A nil perms, or a nil perms[k],
+// is the identity. The result is nil when no instruction could ever prune
+// (every X empty), so unguarded patterns keep the matcher's plain search.
 func GroupGuard(progs []*LiteralProgram, perms [][]int) *Guard {
 	g := &Guard{}
 	for k, p := range progs {
@@ -240,9 +238,6 @@ func GroupGuard(progs []*LiteralProgram, perms [][]int) *Guard {
 				l.yi = node(l.yi)
 			} else {
 				l.yi = l.xi
-			}
-			if l.xi < 0 || l.yi < 0 {
-				continue
 			}
 			g.insts = append(g.insts, GuardInst{lit: l, bit: bit, src: &p.src[i]})
 		}

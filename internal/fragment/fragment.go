@@ -4,7 +4,7 @@
 // in-nodes (local nodes with an incoming edge from another fragment) and
 // out-nodes (remote nodes reachable by an edge from a local node).
 //
-// Fragments are views over a shared in-memory graph; the cluster runtime
+// Fragments are views over a shared in-memory snapshot; the cluster runtime
 // charges communication cost whenever a worker touches data outside its
 // own fragment, which is how the simulation reproduces the paper's data
 // shipment measurements without a physical network.
@@ -77,7 +77,7 @@ func Owner(s Strategy, v graph.NodeID, numNodes, n int) int {
 
 // Fragmentation is an n-way partition of a graph's nodes.
 type Fragmentation struct {
-	G     *graph.Graph
+	snap  *graph.Snapshot // the view the partition was cut from
 	N     int
 	Owner []int // node ID -> fragment index
 	frags []*Fragment
@@ -97,11 +97,18 @@ type Fragment struct {
 // g through its snapshot (Freeze), so a store-adopted graph stays hollow:
 // the string/map form is never built.
 func Partition(g *graph.Graph, n int, s Strategy) *Fragmentation {
+	return PartitionSnapshot(g.Freeze(), n, s)
+}
+
+// PartitionSnapshot is the snapshot-level form of Partition: it cuts snap,
+// frozen or an overlay's patched view, and keeps it for the fragmentation's
+// later reads (CutEdges, BlockShipBytes, SaveShards), so partitioning a
+// patched view never freezes the graph behind it.
+func PartitionSnapshot(snap *graph.Snapshot, n int, s Strategy) *Fragmentation {
 	if n < 1 {
 		n = 1
 	}
-	snap := g.Freeze()
-	f := &Fragmentation{G: g, N: n, Owner: make([]int, snap.NumNodes())}
+	f := &Fragmentation{snap: snap, N: n, Owner: make([]int, snap.NumNodes())}
 	for i := 0; i < n; i++ {
 		f.frags = append(f.frags, &Fragment{ID: i, byLabel: make(map[string][]graph.NodeID)})
 	}
@@ -192,7 +199,7 @@ func (f *Fragmentation) eachCut(snap *graph.Snapshot, fn func(from, to graph.Nod
 // CutEdges counts edges crossing fragments, a partition-quality metric.
 func (f *Fragmentation) CutEdges() int {
 	cut := 0
-	f.eachCut(f.G.Freeze(), func(graph.NodeID, graph.NodeID) { cut++ })
+	f.eachCut(f.snap, func(graph.NodeID, graph.NodeID) { cut++ })
 	return cut
 }
 
@@ -214,11 +221,10 @@ func NodeBytes(s *graph.Snapshot, v graph.NodeID) int64 {
 // assemble the data block nodes: the total serialized size of block nodes
 // not owned by dst.
 func (f *Fragmentation) BlockShipBytes(block []graph.NodeID, dst int) int64 {
-	snap := f.G.Freeze()
 	var total int64
 	for _, v := range block {
 		if f.Owner[v] != dst {
-			total += NodeBytes(snap, v)
+			total += NodeBytes(f.snap, v)
 		}
 	}
 	return total
@@ -242,9 +248,10 @@ func (f *Fragmentation) String() string {
 //
 // Shards are built by filtering the frozen snapshot's flat image and
 // re-adopting it — no per-shard graph rebuild, no snapshot builds beyond
-// the source freeze.
+// the source freeze. A fragmentation cut from a patched view returns
+// graph.ErrPatchedView.
 func (f *Fragmentation) SaveShards(ctx context.Context, dir, prefix string) ([]string, error) {
-	return SaveShards(ctx, f.G.Freeze(), f.Owner, f.N, dir, prefix)
+	return SaveShards(ctx, f.snap, f.Owner, f.N, dir, prefix)
 }
 
 // SaveShards is the snapshot-level form of Fragmentation.SaveShards: owner

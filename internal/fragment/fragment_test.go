@@ -1,6 +1,8 @@
 package fragment
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -190,5 +192,33 @@ func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
 	block := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if got.BlockShipBytes(block, 0) != want.BlockShipBytes(block, 0) {
 		t.Error("ship bytes differ between the adopted and the heap graph")
+	}
+}
+
+// TestPartitionSnapshotOverlayView: cutting an overlay's patched view sees
+// the nodes and edges its updates inserted, builds no snapshot, and agrees
+// with partitioning a fresh freeze of the mutated graph. Persisting shards
+// of a patched view is refused.
+func TestPartitionSnapshotOverlayView(t *testing.T) {
+	g := chainGraph(10)
+	g.Freeze()
+	ov := graph.NewOverlay(g)
+	v := ov.AddNode("n", graph.Attrs{"val": "v"})
+	ov.MustAddEdge(0, v, "e")
+	builds := g.SnapshotBuilds()
+
+	got := PartitionSnapshot(ov.View(), 2, Range)
+	if g.SnapshotBuilds() != builds {
+		t.Fatal("partitioning the patched view froze the graph")
+	}
+	want := PartitionSnapshot(g.Clone().Freeze(), 2, Range)
+	if !slices.Equal(got.Owner, want.Owner) || got.CutEdges() != want.CutEdges() {
+		t.Errorf("view partition: owners %v cut %d, fresh freeze %v cut %d", got.Owner, got.CutEdges(), want.Owner, want.CutEdges())
+	}
+	if b, w := got.BlockShipBytes([]graph.NodeID{0, v}, 1), want.BlockShipBytes([]graph.NodeID{0, v}, 1); b != w {
+		t.Errorf("ship bytes: view %d, fresh freeze %d", b, w)
+	}
+	if _, err := got.SaveShards(context.Background(), t.TempDir(), "p"); !errors.Is(err, graph.ErrPatchedView) {
+		t.Errorf("SaveShards of a patched view: err = %v, want ErrPatchedView", err)
 	}
 }

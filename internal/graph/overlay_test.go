@@ -126,9 +126,7 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 			}
 		}
 	}
-	// Candidate classes: same node sets, ascending, sizes consistent; a
-	// stripe is a superset of its exact residue class and equal to it once
-	// the residue filter the callers keep has run.
+	// Candidate classes: same node sets, ascending, sizes consistent.
 	for _, label := range g.Labels() {
 		ol, sl := osyms.Lookup(label), ssyms.Lookup(label)
 		oc := ov.NodesWith(ol)
@@ -141,21 +139,6 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 		}
 		if ov.ClassSize(ol) != len(oc) {
 			t.Fatalf("ClassSize(%s) = %d, class has %d", label, ov.ClassSize(ol), len(oc))
-		}
-		for _, mod := range []int{2, 3} {
-			for rem := 0; rem < mod; rem++ {
-				stripe := ov.NodesWithStripe(ol, mod, rem)
-				var filtered []NodeID
-				for _, v := range stripe {
-					if int(v)%mod == rem {
-						filtered = append(filtered, v)
-					}
-				}
-				exact := snap.NodesWithStripe(sl, mod, rem)
-				if fmt.Sprint(filtered) != fmt.Sprint(exact) {
-					t.Fatalf("NodesWithStripe(%s, %d, %d) filtered: overlay %v, freeze %v", label, mod, rem, filtered, exact)
-				}
-			}
 		}
 	}
 	// Edge existence and neighborhoods, spot-checked over every node pair
@@ -219,8 +202,8 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 	// and on the fresh node.
 	ov.SetAttr(2, "val", "rewritten")
 	ov.SetAttr(id, "val", "Australia")
-	// A late node of a label the first check already read (stripes
-	// included): the view must not serve a class cached before it.
+	// A late node of a label the first check already read: the view must
+	// not serve a class cached before it.
 	ov.AddNode("city", Attrs{"val": "late"})
 	if !ov.Synced() {
 		t.Fatal("overlay must stay synced through its own mutators")
@@ -265,43 +248,6 @@ func TestOverlayLeavesBaseImmutable(t *testing.T) {
 	}
 	if got, _ := ov.Graph().Attr(2, "val"); got != "rewritten" {
 		t.Fatalf("graph missed the overlay write: %q", got)
-	}
-}
-
-// TestNodesWithStripePartitions checks the stripe index: for any modulus,
-// the residue sub-ranges partition the label class exactly and preserve
-// ascending order.
-func TestNodesWithStripePartitions(t *testing.T) {
-	g := overlayBaseGraph()
-	for i := 0; i < 40; i++ {
-		g.AddNode([]string{"person", "city"}[i%2], nil)
-	}
-	snap := g.Freeze()
-	for _, label := range []string{"person", "city"} {
-		l := snap.Syms().Lookup(label)
-		class := snap.NodesWith(l)
-		for _, mod := range []int{1, 2, 3, 5, 7} {
-			var union []NodeID
-			for rem := 0; rem < mod; rem++ {
-				part := snap.NodesWithStripe(l, mod, rem)
-				for i, v := range part {
-					if mod > 1 && int(v)%mod != rem {
-						t.Fatalf("%s stripe %d/%d holds %d", label, rem, mod, v)
-					}
-					if i > 0 && part[i-1] >= v {
-						t.Fatalf("%s stripe %d/%d not ascending", label, rem, mod)
-					}
-				}
-				union = append(union, part...)
-			}
-			sortNodeIDs(union)
-			if fmt.Sprint(union) != fmt.Sprint(class) {
-				t.Fatalf("%s stripes mod %d do not partition the class", label, mod)
-			}
-		}
-	}
-	if got := snap.NodesWithStripe(snap.Syms().Lookup("person"), 3, 5); got != nil {
-		t.Fatalf("out-of-range residue must be empty, got %v", got)
 	}
 }
 

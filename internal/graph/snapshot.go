@@ -61,9 +61,6 @@ type Snapshot struct {
 	classOff []int32  // per Sym: offsets into classNodes (node-label classes)
 	classes  []NodeID // nodes grouped by label code, ascending IDs within a class
 
-	stripeMu sync.RWMutex               // guards stripes
-	stripes  map[stripeKey]*stripeIndex // residue regroupings, per (label, mod)
-
 	scratch sync.Pool // *bfsScratch, reused across Neighborhood traversals
 }
 
@@ -479,76 +476,6 @@ func (s *Snapshot) NodesWithLabel(label string) []NodeID {
 
 // ClassSize returns the number of nodes carrying label code l.
 func (s *Snapshot) ClassSize(l Sym) int { return len(s.NodesWith(l)) }
-
-// stripeKey identifies one cached residue regrouping of a label class.
-type stripeKey struct {
-	l   Sym
-	mod int
-}
-
-// stripeIndex is a label class regrouped by node-ID residue: nodes holds
-// the class permuted so each residue's members are contiguous (ascending
-// within a residue), off[r]..off[r+1] delimiting residue r.
-type stripeIndex struct {
-	off   []int32
-	nodes []NodeID
-}
-
-// NodesWithStripe returns the candidates of label class l whose ID is
-// congruent to rem modulo mod — the exact residue sub-range the
-// replicate-and-split stripes enumerate, replacing the per-candidate
-// `v mod m == r` filter. The regrouping is computed once per (label, mod)
-// pair and cached; steady-state calls are a lock-shared map hit returning
-// a subslice. Safe for concurrent use. A view's classes grow between
-// batches, so it caches no regrouping and over-approximates with the whole
-// class; callers keep the residue filter (the Topology contract).
-func (s *Snapshot) NodesWithStripe(l Sym, mod, rem int) []NodeID {
-	if mod <= 1 || s.patch != nil {
-		return s.NodesWith(l)
-	}
-	if rem < 0 || rem >= mod {
-		return nil
-	}
-	key := stripeKey{l, mod}
-	s.stripeMu.RLock()
-	ix, ok := s.stripes[key]
-	s.stripeMu.RUnlock()
-	if !ok {
-		ix = buildStripeIndex(s.NodesWith(l), mod)
-		s.stripeMu.Lock()
-		if prev, dup := s.stripes[key]; dup {
-			ix = prev // a racing builder won; share its index
-		} else {
-			if s.stripes == nil {
-				s.stripes = make(map[stripeKey]*stripeIndex)
-			}
-			s.stripes[key] = ix
-		}
-		s.stripeMu.Unlock()
-	}
-	return ix.nodes[ix.off[rem]:ix.off[rem+1]]
-}
-
-// buildStripeIndex counting-sorts a class by ID residue.
-func buildStripeIndex(class []NodeID, mod int) *stripeIndex {
-	ix := &stripeIndex{
-		off:   make([]int32, mod+1),
-		nodes: make([]NodeID, len(class)),
-	}
-	for _, v := range class {
-		ix.off[int(v)%mod+1]++
-	}
-	for r := 1; r <= mod; r++ {
-		ix.off[r] += ix.off[r-1]
-	}
-	fill := append([]int32(nil), ix.off[:mod]...)
-	for _, v := range class {
-		r := int(v) % mod
-		ix.nodes[fill[r]] = v
-		fill[r]++
-	}
-	return ix
-}
 
 // bfsScratch is reusable traversal state: an epoch-stamped visited array
 // (one clear per 2³²−1 traversals instead of an O(|V|) allocation per

@@ -54,12 +54,6 @@ type Topology interface {
 	// NodesWith returns the candidate class of label code l: all nodes
 	// carrying it, ascending. Shared; read-only.
 	NodesWith(l Sym) []NodeID
-	// NodesWithStripe returns the candidates of label l whose node ID is
-	// congruent to rem modulo mod — the replicate-and-split residue class.
-	// It may over-approximate (return a superset, up to the whole class);
-	// callers must keep the residue filter. A frozen snapshot returns the
-	// exact precomputed sub-range, a patched view the whole class.
-	NodesWithStripe(l Sym, mod, rem int) []NodeID
 	// ClassSize returns the number of nodes carrying label code l.
 	ClassSize(l Sym) int
 	// Neighborhood returns the nodes within c undirected hops of start,

@@ -32,8 +32,8 @@ import (
 // (graph.IntersectAdjacency), so only common neighbors are ever tried.
 // With a single matched neighbor it iterates the smallest label-filtered
 // range (remaining constraints checked by binary search), falling back to
-// the pattern node's label class — or, for a striped node, the class's
-// precomputed residue sub-range. Plans (Plan: the matching order plus the
+// the pattern node's label class; a striped node's residue is a feasibility
+// check on every candidate. Plans (Plan: the matching order plus the
 // guard instructions due at each depth) are cached per (compiled pattern,
 // pin set, stripe node, topology version, guard); Options.NoIntersect
 // forces the backtracking path for differential testing.
@@ -586,18 +586,10 @@ func (m *Matcher) extend(depth int) {
 		}
 		return
 	}
-	// Fresh component: label class range — narrowed to the precomputed
-	// residue sub-range when this node carries the stripe constraint — or
-	// all nodes for a wildcard.
+	// Fresh component: label class range, or all nodes for a wildcard.
 	sym := m.cq.NodeSyms[u]
 	if sym != graph.WildcardSym {
-		var cands []graph.NodeID
-		if m.opts.StripeMod > 0 && u == m.opts.StripeNode {
-			cands = m.snap.NodesWithStripe(sym, m.opts.StripeMod, m.opts.StripeRem)
-		} else {
-			cands = m.snap.NodesWith(sym)
-		}
-		for _, v := range cands {
+		for _, v := range m.snap.NodesWith(sym) {
 			m.try(depth, u, v)
 			if m.halt {
 				return
@@ -655,9 +647,9 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 
 // feasible verifies striping, node label, degree bounds, and every pattern
 // edge between u and an already-assigned node (binary searches over sorted
-// CSR ranges). The stripe check stays here even though striped class
-// enumeration pre-filters (NodesWithStripe): adjacency-driven candidates
-// are not pre-filtered, and a patched view's stripe ranges over-approximate.
+// CSR ranges). The stripe residue is checked here, on every candidate: the
+// planner binds a striped node right after the pins, so its candidates come
+// from a pivot's adjacency and are never pre-filtered by residue.
 func (m *Matcher) feasible(u int, v graph.NodeID) bool {
 	if m.opts.StripeMod > 0 && u == m.opts.StripeNode && int(v)%m.opts.StripeMod != m.opts.StripeRem {
 		return false

@@ -1,7 +1,7 @@
 // Differential tests for the matcher over a graph.Overlay: enumeration
 // against the patched view must equal the slice-backed reference path on
-// the same mutated graph, and the stripe-aware candidate ranges must not
-// change any match set while keeping the class fast path allocation-free.
+// the same mutated graph, and striping must not change any match set while
+// keeping striped enumeration allocation-free.
 package match_test
 
 import (
@@ -84,10 +84,10 @@ func TestDifferentialOverlayMatcher(t *testing.T) {
 	}
 }
 
-// TestStripedClassFastPath pins the stripe-aware candidate ranges: a
-// pattern whose striped node seeds the enumeration (no pin, no matched
-// neighbor) takes the NodesWithStripe sub-range, and the residue stripes
-// must still partition the unstriped match set exactly.
+// TestStripedClassFastPath: a pattern whose striped node seeds the
+// enumeration (no pin, no matched neighbor) scans the whole label class,
+// and feasible's residue filter alone must make the stripes partition the
+// unstriped match set exactly.
 func TestStripedClassFastPath(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 60, Seed: 13})
 	q := pattern.New()
@@ -109,8 +109,8 @@ func TestStripedClassFastPath(t *testing.T) {
 }
 
 // TestMatcherZeroAllocStriped extends the steady-state allocation
-// guarantee to striped enumeration: after the per-(label, mod) stripe
-// index is built once, striped class enumeration allocates nothing.
+// guarantee to striped enumeration: the residue is a per-candidate check,
+// so after warm-up striped enumeration allocates nothing.
 func TestMatcherZeroAllocStriped(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 80, Seed: 1})
 	q := pattern.New()
@@ -125,7 +125,7 @@ func TestMatcherZeroAllocStriped(t *testing.T) {
 	var opts match.Options
 	for rem := 0; rem < 4 && count == 0; rem++ {
 		opts = match.Options{StripeNode: 0, StripeMod: 4, StripeRem: rem}
-		m.Enumerate(q, opts, yield) // warm-up: compile, buffers, stripe index
+		m.Enumerate(q, opts, yield) // warm-up: compile, buffers, plan
 	}
 	if count == 0 {
 		t.Fatal("workload has no matches; allocation test is vacuous")

@@ -6,25 +6,27 @@ import (
 )
 
 // Simulate computes the (dual) graph simulation relation from pattern q to
-// graph g restricted to the node set block (nil = whole graph): for each
-// pattern node u it returns the set of graph nodes v that simulate u, i.e.
-// v's label matches u's and every pattern edge incident to u can be
-// followed from v into the simulation sets of u's neighbors.
+// the snapshot s (frozen or an overlay's patched view) restricted to the
+// node set block (nil = whole graph): for each pattern node u it returns
+// the set of graph nodes v that simulate u, i.e. v's label matches u's and
+// every pattern edge incident to u can be followed from v into the
+// simulation sets of u's neighbors. Labels are compared as interned codes,
+// so a store-adopted graph is read without being thawed.
 //
 // Simulation over-approximates subgraph isomorphism (every node that
 // participates in an isomorphic match simulates its pattern node) and is
 // computable in polynomial time; disVal uses it to estimate the number of
 // partial matches before deciding whether to ship partial matches or
 // prefetch data blocks (Section 6.2).
-func Simulate(g *graph.Graph, q *pattern.Pattern, block graph.NodeSet) []graph.NodeSet {
+func Simulate(s *graph.Snapshot, q *pattern.Pattern, block graph.NodeSet) []graph.NodeSet {
+	cq := pattern.CompileFor(q, s.Syms())
 	n := q.NumNodes()
 	sim := make([]graph.NodeSet, n)
 	for u := 0; u < n; u++ {
 		sim[u] = make(graph.NodeSet)
-		l := q.Nodes[u].Label
-		if l == pattern.Wildcard {
+		if l := cq.NodeSyms[u]; l == graph.WildcardSym {
 			if block == nil {
-				for v := 0; v < g.NumNodes(); v++ {
+				for v := 0; v < s.NumNodes(); v++ {
 					sim[u].Add(graph.NodeID(v))
 				}
 			} else {
@@ -33,7 +35,7 @@ func Simulate(g *graph.Graph, q *pattern.Pattern, block graph.NodeSet) []graph.N
 				}
 			}
 		} else {
-			for _, v := range g.NodesWithLabel(l) {
+			for _, v := range s.NodesWith(l) {
 				if block.Contains(v) {
 					sim[u].Add(v)
 				}
@@ -47,7 +49,7 @@ func Simulate(g *graph.Graph, q *pattern.Pattern, block graph.NodeSet) []graph.N
 		changed = false
 		for u := 0; u < n; u++ {
 			for v := range sim[u] {
-				if !simFeasible(g, q, sim, u, v, block) {
+				if !simFeasible(s, cq, sim, u, v, block) {
 					delete(sim[u], v)
 					changed = true
 				}
@@ -57,31 +59,25 @@ func Simulate(g *graph.Graph, q *pattern.Pattern, block graph.NodeSet) []graph.N
 	return sim
 }
 
-func simFeasible(g *graph.Graph, q *pattern.Pattern, sim []graph.NodeSet, u int, v graph.NodeID, block graph.NodeSet) bool {
-	for _, ei := range q.OutEdges(u) {
-		e := q.Edges[ei]
-		if !hasSimSuccessor(g.Out(v), e.Label, sim[e.To], block) {
+func simFeasible(s *graph.Snapshot, cq *pattern.Compiled, sim []graph.NodeSet, u int, v graph.NodeID, block graph.NodeSet) bool {
+	for _, ei := range cq.Q.OutEdges(u) {
+		e := cq.Edges[ei]
+		if !hasSimSuccessor(s.OutWith(v, e.Label), sim[e.To], block) {
 			return false
 		}
 	}
-	for _, ei := range q.InEdges(u) {
-		e := q.Edges[ei]
-		if !hasSimSuccessor(g.In(v), e.Label, sim[e.From], block) {
+	for _, ei := range cq.Q.InEdges(u) {
+		e := cq.Edges[ei]
+		if !hasSimSuccessor(s.InWith(v, e.Label), sim[e.From], block) {
 			return false
 		}
 	}
 	return true
 }
 
-func hasSimSuccessor(adj []graph.HalfEdge, label string, target graph.NodeSet, block graph.NodeSet) bool {
-	for _, he := range adj {
-		if !pattern.LabelMatches(label, he.Label) {
-			continue
-		}
-		if !block.Contains(he.To) {
-			continue
-		}
-		if _, ok := target[he.To]; ok {
+func hasSimSuccessor(adj []graph.CSREdge, target graph.NodeSet, block graph.NodeSet) bool {
+	for _, e := range adj {
+		if block.Contains(e.To) && target.Contains(e.To) {
 			return true
 		}
 	}

@@ -1,28 +1,39 @@
 package match
 
 import (
+	"fmt"
 	"testing"
 
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
 )
 
+// simViews returns g's frozen snapshot and the patched view of an empty
+// overlay over a clone: Simulate must read both alike.
+func simViews(g *graph.Graph) map[string]*graph.Snapshot {
+	return map[string]*graph.Snapshot{
+		"freeze":  g.Freeze(),
+		"overlay": graph.NewOverlay(g.Clone()).View(),
+	}
+}
+
 func TestSimulateBasic(t *testing.T) {
-	g := buildG1()
 	q := pattern.New()
 	f := q.AddNode("f", "flight")
 	c := q.AddNode("c", "city")
 	q.AddEdge(f, c, "from")
 
-	sim := Simulate(g, q, nil)
-	// Both flights have a from-city: sim(f) = 2 flights.
-	if sim[0].Len() != 2 {
-		t.Errorf("sim(f) = %d, want 2", sim[0].Len())
-	}
-	// Only the two from-cities simulate c (to-cities lack an incoming
-	// 'from' edge).
-	if sim[1].Len() != 2 {
-		t.Errorf("sim(c) = %d, want 2", sim[1].Len())
+	for name, s := range simViews(buildG1()) {
+		sim := Simulate(s, q, nil)
+		// Both flights have a from-city: sim(f) = 2 flights.
+		if sim[0].Len() != 2 {
+			t.Errorf("%s: sim(f) = %d, want 2", name, sim[0].Len())
+		}
+		// Only the two from-cities simulate c (to-cities lack an incoming
+		// 'from' edge).
+		if sim[1].Len() != 2 {
+			t.Errorf("%s: sim(c) = %d, want 2", name, sim[1].Len())
+		}
 	}
 }
 
@@ -30,11 +41,13 @@ func TestSimulateOverApproximatesIso(t *testing.T) {
 	g := buildG1()
 	q := pattern.New()
 	flightComponent(q, "x")
-	sim := Simulate(g, q, nil)
-	for _, m := range All(g, q, Options{}) {
-		for u, v := range m {
-			if _, ok := sim[u][v]; !ok {
-				t.Fatalf("match node %d for pattern %d missing from simulation", v, u)
+	for name, s := range simViews(g) {
+		sim := Simulate(s, q, nil)
+		for _, m := range All(g, q, Options{}) {
+			for u, v := range m {
+				if _, ok := sim[u][v]; !ok {
+					t.Fatalf("%s: match node %d for pattern %d missing from simulation", name, v, u)
+				}
 			}
 		}
 	}
@@ -52,12 +65,44 @@ func TestSimulatePrunesDanglingCandidates(t *testing.T) {
 	y := q.AddNode("y", "b")
 	q.AddEdge(x, y, "e")
 
-	sim := Simulate(g, q, nil)
-	if sim[0].Len() != 1 {
-		t.Errorf("sim(x) = %v, want only the connected 'a'", sim[0].Sorted())
+	for name, s := range simViews(g) {
+		sim := Simulate(s, q, nil)
+		if sim[0].Len() != 1 {
+			t.Errorf("%s: sim(x) = %v, want only the connected 'a'", name, sim[0].Sorted())
+		}
+		if !sim[0].Contains(a) {
+			t.Errorf("%s: connected 'a' pruned incorrectly", name)
+		}
 	}
-	if !sim[0].Contains(a) {
-		t.Error("connected 'a' pruned incorrectly")
+}
+
+// TestSimulateOverlayPatch: on a patched view, simulation follows the
+// overlay's inserted nodes and edges, and equals simulation on a fresh
+// freeze of the mutated graph.
+func TestSimulateOverlayPatch(t *testing.T) {
+	g := graph.New(0, 0)
+	a := g.AddNode("a", nil)
+	b := g.AddNode("b", nil)
+	lone := g.AddNode("a", nil)
+	g.MustAddEdge(a, b, "e")
+	q := pattern.New()
+	x := q.AddNode("x", "a")
+	y := q.AddNode("y", "b")
+	q.AddEdge(x, y, "e")
+
+	ov := graph.NewOverlay(g)
+	ov.MustAddEdge(lone, b, "e")
+	fresh := ov.AddNode("a", nil)
+	ov.MustAddEdge(fresh, ov.AddNode("b", nil), "e")
+	got := Simulate(ov.View(), q, nil)
+	want := Simulate(g.Clone().Freeze(), q, nil)
+	for u := range want {
+		if fmt.Sprint(got[u].Sorted()) != fmt.Sprint(want[u].Sorted()) {
+			t.Errorf("sim(%d): overlay %v, freeze %v", u, got[u].Sorted(), want[u].Sorted())
+		}
+	}
+	if got[0].Len() != 3 || !got[0].Contains(lone) || !got[0].Contains(fresh) {
+		t.Errorf("sim(x) = %v, want every 'a' with an e-edge to a 'b'", got[0].Sorted())
 	}
 }
 
@@ -67,9 +112,11 @@ func TestSimulateRespectsBlock(t *testing.T) {
 	flightComponent(q, "x")
 	flights := g.NodesWithLabel("flight")
 	block := graph.NewNodeSet(g.Neighborhood(flights[0], 1))
-	sim := Simulate(g, q, block)
-	if sim[0].Len() != 1 || !sim[0].Contains(flights[0]) {
-		t.Errorf("block-restricted sim(x) = %v", sim[0].Sorted())
+	for name, s := range simViews(g) {
+		sim := Simulate(s, q, block)
+		if sim[0].Len() != 1 || !sim[0].Contains(flights[0]) {
+			t.Errorf("%s: block-restricted sim(x) = %v", name, sim[0].Sorted())
+		}
 	}
 }
 
@@ -86,18 +133,20 @@ func TestSimulateCyclicPattern(t *testing.T) {
 	q.AddEdge(x, y, "e")
 	q.AddEdge(y, x, "e")
 
-	sim := Simulate(g, q, nil)
-	if sim[0].Len() != 0 || sim[1].Len() != 0 {
-		t.Errorf("chain cannot simulate a cycle: %v %v", sim[0].Sorted(), sim[1].Sorted())
+	for name, s := range simViews(g) {
+		sim := Simulate(s, q, nil)
+		if sim[0].Len() != 0 || sim[1].Len() != 0 {
+			t.Errorf("%s: chain cannot simulate a cycle: %v %v", name, sim[0].Sorted(), sim[1].Sorted())
+		}
 	}
 }
 
 func TestSimulationSize(t *testing.T) {
-	g := buildG1()
 	q := pattern.New()
 	q.AddNode("x", "flight")
-	sim := Simulate(g, q, nil)
-	if SimulationSize(sim) != 2 {
-		t.Errorf("SimulationSize = %d, want 2", SimulationSize(sim))
+	for name, s := range simViews(buildG1()) {
+		if n := SimulationSize(Simulate(s, q, nil)); n != 2 {
+			t.Errorf("%s: SimulationSize = %d, want 2", name, n)
+		}
 	}
 }

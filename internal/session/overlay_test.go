@@ -59,7 +59,7 @@ func TestApplySweepNeverRefreezes(t *testing.T) {
 			ups = append(ups, incremental.AddEdge{From: from, To: to, Label: "related_to"})
 		}
 		sess.Apply(ups...)
-		for _, engine := range []validate.Engine{validate.EngineSequential, validate.EngineReplicated} {
+		for _, engine := range []validate.Engine{validate.EngineSequential, validate.EngineReplicated, validate.EngineFragmented} {
 			res, err := prep.Detect(ctx, validate.Options{Engine: engine, N: 3})
 			if err != nil {
 				t.Fatal(err)

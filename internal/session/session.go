@@ -103,7 +103,8 @@ func (s *Session) Prepare(set *core.Set) (*Prepared, error) {
 
 // Fragmentation returns the n-way hash fragmentation of the session's
 // graph, cached per (graph version, n) so repeated fragmented-engine
-// rounds stop re-partitioning.
+// rounds stop re-partitioning. It cuts the view prepared bundles run
+// against — the live overlay after Apply — so it never re-freezes.
 func (s *Session) Fragmentation(n int) *fragment.Fragmentation {
 	if n < 1 {
 		n = 1
@@ -117,7 +118,7 @@ func (s *Session) Fragmentation(n int) *fragment.Fragmentation {
 	if f := s.frags[n]; f != nil {
 		return f
 	}
-	f := fragment.Partition(s.g, n, fragment.Hash)
+	f := fragment.PartitionSnapshot(s.topologyLocked().View(), n, fragment.Hash)
 	s.frags[n] = f
 	return f
 }
@@ -187,6 +188,11 @@ func (s *Session) liveOverlayLocked() *graph.Overlay {
 func (s *Session) topology() graph.Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.topologyLocked()
+}
+
+// topologyLocked is topology for callers holding s.mu.
+func (s *Session) topologyLocked() graph.Topology {
 	if s.overlay != nil {
 		if s.overlay.Synced() {
 			return s.overlay

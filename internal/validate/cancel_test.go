@@ -134,7 +134,8 @@ func TestRepValDeadlineAborts(t *testing.T) {
 	}
 }
 
-// TestSequentialStreamCancel covers DetVioB's cancellation the same way.
+// TestSequentialStreamCancel covers DetVioB's cancellation the same way,
+// and its stop on a sink that refuses: no error, nothing past the refusal.
 func TestSequentialStreamCancel(t *testing.T) {
 	_, b := cancelWorkload(t)
 	var all Report
@@ -146,6 +147,13 @@ func TestSequentialStreamCancel(t *testing.T) {
 	}
 	if len(all) < 50 {
 		t.Fatalf("workload too small: %d violations", len(all))
+	}
+	seen := 0
+	if err := DetVioB(context.Background(), b, Callback(func(Violation) bool {
+		seen++
+		return false
+	})); err != nil || seen != 1 {
+		t.Fatalf("refusing sink: err %v after %d violations, want nil after 1", err, seen)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

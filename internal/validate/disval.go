@@ -47,7 +47,7 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 		// of the block; it is only worth considering when the prefetch is
 		// substantial.
 		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(b.g, b.topo, frag, groups[u.group], u, w, shipped); pb < shipped {
+			if pb := partialMatchBytes(b.topo, frag, groups[u.group], u, w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}
@@ -139,16 +139,18 @@ func attachShipCosts(topo graph.Topology, frag *fragment.Fragmentation, block *g
 // per block node) prefilters units whose partial matches could not beat
 // prefetching, keeping the strategy selector itself cheap — the paper's
 // dlocalVio likewise estimates before exchanging.
-func partialMatchBytes(g *graph.Graph, topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u workUnit, w int, prefetchBytes int64) int64 {
+func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u workUnit, w int, prefetchBytes int64) int64 {
+	view := topo.View()
 	block := u.BlockIn(topo)
+	syms := pattern.CompileFor(grp.q, view.Syms()).NodeSyms
 	var upper int64
 	for v := range block {
 		if frag.OwnerOf(v) == w {
 			continue
 		}
-		l := g.Label(v)
-		for _, n := range grp.q.Nodes {
-			if pattern.LabelMatches(n.Label, l) {
+		l := view.Label(v)
+		for _, sym := range syms {
+			if pattern.LabelMatchesSym(sym, l) {
 				upper += partialDescriptorBytes
 			}
 		}
@@ -156,7 +158,7 @@ func partialMatchBytes(g *graph.Graph, topo graph.Topology, frag *fragment.Fragm
 	if upper >= prefetchBytes {
 		return upper // cannot win; skip the fixpoint
 	}
-	sim := match.Simulate(g, grp.q, block)
+	sim := match.Simulate(view, grp.q, block)
 	var pairs int64
 	for _, s := range sim {
 		for v := range s {

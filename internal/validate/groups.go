@@ -160,9 +160,7 @@ func seedOf(f *core.GFD) seed {
 // isoMap returns an isomorphism from pattern a onto pattern b that accept
 // admits, if one exists. Since exact embeddings never map a concrete label
 // onto a wildcard, a full-size embedding with equal node and edge counts
-// whose labels agree is a label-preserving isomorphism (README "Matching:
-// worst-case-optimal intersection and factorized groups" describes what
-// grouping buys).
+// whose labels agree is a label-preserving isomorphism.
 func isoMap(a, b *pattern.Pattern, accept func(perm []int) bool) ([]int, bool) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return nil, false

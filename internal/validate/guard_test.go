@@ -204,16 +204,12 @@ gfd r {
 		t.Fatal("the overlay interned the constant: the program must be recompiled and live")
 	}
 	want := Report{{Rule: "r", Match: core.Match{chain[0], chain[1]}}}
-	for name, run := range map[string]func(context.Context, *Bundle, Sink) error{
-		"DetVioB": DetVioB, "DetVioPerRuleB": DetVioPerRuleB,
-	} {
-		sink := NewCollectSink(1)
-		if err := run(context.Background(), b2, sink); err != nil {
-			t.Fatal(err)
-		}
-		if got := sink.Report(); !got.Equal(want) {
-			t.Fatalf("%s over the overlay: %v, want %v", name, got, want)
-		}
+	sink := NewCollectSink(1)
+	if err := DetVioB(context.Background(), b2, sink); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Report(); !got.Equal(want) {
+		t.Fatalf("DetVioB over the overlay: %v, want %v", got, want)
 	}
 	res, err := RepValB(context.Background(), b2, Options{N: 2}, nil)
 	if err != nil {
@@ -221,38 +217,5 @@ gfd r {
 	}
 	if !res.Violations.Equal(want) {
 		t.Fatalf("repVal over the overlay: %v, want %v", res.Violations, want)
-	}
-}
-
-// TestFactorCoreGuardMatchesOracle: the factorized driver guards the
-// shared core with every branch's X literals over core nodes, one member
-// per branch, and each inner branch with its own X. Members mix literals
-// inside the core, across it and on a tail node the core does not cover.
-func TestFactorCoreGuardMatchesOracle(t *testing.T) {
-	withX := func(f *core.GFD, x ...core.Literal) *core.GFD { return core.MustNew(f.Name, f.Q, x, f.Y) }
-	set := core.MustNewSet(
-		withX(tailRule("r1", "D", "cd", core.VarEq("a", "val", "t", "val")), core.Const("a", "val", "v0")),
-		withX(tailRule("r2", "E", "ce", core.VarEq("b", "val", "t", "val")), core.VarEq("t", "val", "c", "val")),
-		withX(tailRule("r3", "F", "cf", core.VarEq("a", "val", "b", "val")), core.Const("b", "val", "v1")),
-		withX(tailRule("r4", "", "", core.VarEq("a", "val", "b", "val")), core.VarEq("a", "val", "c", "val")),
-	)
-	g := sharedCoreGraph()
-	b := NewBundle(g, set)
-	fg := b.factorGroups()
-	if len(fg) != 1 || fg[0].core == nil || fg[0].guard.Live() != 0b1111 {
-		t.Fatal("want one factorized group with a four-member core guard")
-	}
-	// r2's only literal reads its tail: it cannot prune the core.
-	for _, gi := range fg[0].guard.Insts() {
-		if gi.Bit() == 0b10 {
-			t.Fatalf("r2's tail literal %s leaked into the core guard", gi.Format(fg[0].core))
-		}
-	}
-	want := oracleVio(g, set)
-	if len(want) == 0 {
-		t.Fatal("fixture produced no violations; test is vacuous")
-	}
-	if got := collectWith(t, DetVioB, g, set); !got.Equal(want) {
-		t.Fatalf("factorized report: %d violations, oracle %d", len(got), len(want))
 	}
 }

@@ -98,10 +98,6 @@ type Bundle struct {
 	mu      sync.Mutex
 	reduced *core.Set
 	groups  map[groupKey][]*ruleGroup
-	// factors caches the sequential engine's shared-core factor groups
-	// (factor.go); they depend on the rule set and the topology's class
-	// sizes, both fixed for a bundle's lifetime, so they build once.
-	factors []*factorGroup
 	// progs holds the bundle's own reference to each rule's compiled
 	// literal program. The GFD-level ProgramFor cache is single-entry per
 	// rule; two live bundles over different graphs sharing one rule set

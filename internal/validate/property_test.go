@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -139,7 +138,7 @@ func oracleVio(g *graph.Graph, set *core.Set) Report {
 }
 
 // TestPropertyEnginesEquivalent is the central end-to-end property: on
-// arbitrary graphs and rule sets, detVio (factorized and per-rule), repVal
+// arbitrary graphs and rule sets, detVio, repVal
 // and disVal (all variants) compute exactly the oracle's violation set.
 // Every engine pushes X into its search, so none of them can serve as the
 // reference. TestPropertyIncrementalEquivalent holds the incremental
@@ -151,14 +150,6 @@ func TestPropertyEnginesEquivalent(t *testing.T) {
 		want := oracleVio(g, set)
 		if got := detVio(g, set); !got.Equal(want) {
 			t.Logf("seed %d: detVio found %d violations, oracle %d", seed, len(got), len(want))
-			return false
-		}
-		perRule := NewCollectSink(1)
-		if err := DetVioPerRuleB(context.Background(), NewBundle(g, set), perRule); err != nil {
-			t.Fatal(err)
-		}
-		if got := perRule.Report(); !got.Equal(want) {
-			t.Logf("seed %d: DetVioPerRuleB found %d violations, oracle %d", seed, len(got), len(want))
 			return false
 		}
 		for _, opt := range []Options{

@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"context"
 	"testing"
 
 	"gfd/internal/core"
@@ -133,13 +132,6 @@ func TestSeededPivotUnits(t *testing.T) {
 		if got := disVal(g, frag, set, o).Violations; !got.Equal(wantVio) {
 			t.Fatalf("disVal %s: %d violations, oracle %d", name, len(got), len(wantVio))
 		}
-	}
-	perRule := NewCollectSink(1)
-	if err := DetVioPerRuleB(context.Background(), NewBundle(g, set), perRule); err != nil {
-		t.Fatal(err)
-	}
-	if got := perRule.Report(); !got.Equal(wantVio) {
-		t.Fatalf("DetVioPerRuleB: %d violations, oracle %d", len(got), len(wantVio))
 	}
 }
 

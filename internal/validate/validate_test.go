@@ -3,7 +3,10 @@ package validate
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"gfd/internal/core"
@@ -351,6 +354,75 @@ func TestDisValShipsLessThanDisnop(t *testing.T) {
 	}
 	if !smart.Violations.Equal(nop.Violations) {
 		t.Error("shipping strategy must not change the violation set")
+	}
+}
+
+// heavyHubGraph is 30 hubs, each linked to 50 "leaf" and 50 "junk" nodes
+// carrying a long attribute: blocks are large enough in bytes for disVal to
+// weigh partial-match shipping, and the junk half never simulates the
+// rule's pattern, so partial shipping wins on some units.
+func heavyHubGraph() (*graph.Graph, *core.Set) {
+	g := graph.New(0, 0)
+	heavy := strings.Repeat("x", 200)
+	for h := 0; h < 30; h++ {
+		hub := g.AddNode("hub", graph.Attrs{"val": fmt.Sprint(h)})
+		for i := 0; i < 50; i++ {
+			k := "ok"
+			if (h+i)%7 == 0 {
+				k = "bad"
+			}
+			g.MustAddEdge(hub, g.AddNode("leaf", graph.Attrs{"k": k, "pad": heavy}), "e")
+			g.MustAddEdge(hub, g.AddNode("junk", graph.Attrs{"pad": heavy}), "e")
+		}
+	}
+	q := pattern.New()
+	x := q.AddNode("x", "hub")
+	y := q.AddNode("y", "leaf")
+	q.AddEdge(x, y, "e")
+	return g, core.MustNewSet(core.MustNew("leaf_ok", q, nil, []core.Literal{core.Const("y", "k", "ok")}))
+}
+
+// TestDisValKeepsAdoptedGraphHollow: disVal's partial-match estimate runs
+// graph simulation on the bundle's snapshot, so a store-adopted graph is
+// never thawed onto the heap, and its shipping decisions and modeled
+// communication equal the heap graph's.
+func TestDisValKeepsAdoptedGraphHollow(t *testing.T) {
+	heap, set := heavyHubGraph()
+	flat, err := heap.Freeze().Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := graph.AdoptFlat(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted := snap.Graph()
+	opt := Options{N: 4, NoReduce: true}
+
+	got := disVal(adopted, fragment.Partition(adopted, 4, fragment.Hash), set, opt)
+	want := disVal(heap, fragment.Partition(heap, 4, fragment.Hash), set, opt)
+	if want.PartialUnits == 0 {
+		t.Fatal("no unit shipped partial matches; the simulation path is not exercised")
+	}
+	if got.PrefetchUnits != want.PrefetchUnits || got.PartialUnits != want.PartialUnits {
+		t.Errorf("prefetch/partial units: adopted %d/%d, heap %d/%d",
+			got.PrefetchUnits, got.PartialUnits, want.PrefetchUnits, want.PartialUnits)
+	}
+	if got.Comm != want.Comm {
+		t.Errorf("modeled communication: adopted %v, heap %v", got.Comm, want.Comm)
+	}
+	if !got.Violations.Equal(want.Violations) || len(want.Violations) == 0 {
+		t.Errorf("violations: adopted %d, heap %d", len(got.Violations), len(want.Violations))
+	}
+
+	// A hollow graph thaws on its first string-form read, allocating per
+	// node; an already-thawed one answers from its maps.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	adopted.Labels()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs < uint64(adopted.NumNodes()) {
+		t.Errorf("first string-form read allocated %d times for %d nodes: disVal already thawed the graph", allocs, adopted.NumNodes())
 	}
 }
 
