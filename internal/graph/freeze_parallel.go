@@ -22,9 +22,10 @@ import (
 //	symbols    — per-shard distinct-name scans with first-occurrence ranks,
 //	             merged and interned in rank order (codes match the serial
 //	             builder's interning order exactly)
+//	labels     — node label codes, which the adjacency order reads
 //	fill+sort  — disjoint node-range fills of the out/in halves and the
-//	             attribute arena, each row (label, neighbor)- or name-sorted
-//	             in the same worker pass
+//	             attribute arena, each row (label, neighbor label,
+//	             neighbor)- or name-sorted in the same worker pass
 //	classes    — per-worker label counts merged into class offsets, then
 //	             disjoint-range fills with per-worker cursors
 //
@@ -357,6 +358,13 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 	// read it lock-free.
 	codes := s.syms.view()
 
+	// ---- node labels: the adjacency sort below orders by them ------------
+	runShards(nodeShards, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s.labels[v] = codes[g.labels[v]]
+		}
+	})
+
 	// ---- fill + sort: disjoint ranges, degree-balanced shards ------------
 	s.out = make([]CSREdge, s.outOff[n])
 	s.in = make([]CSREdge, s.inOff[n])
@@ -367,7 +375,7 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 			for i := range g.out[v] {
 				row[i] = CSREdge{To: g.out[v][i].To, Label: codes[g.out[v][i].Label]}
 			}
-			sortCSR(row)
+			sortCSR(row, s.labels)
 		}
 	})
 	runShards(shardByOffsets(s.inOff, workers), func(_, lo, hi int) {
@@ -376,7 +384,7 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 			for i := range g.in[v] {
 				row[i] = CSREdge{To: g.in[v][i].To, Label: codes[g.in[v][i].Label]}
 			}
-			sortCSR(row)
+			sortCSR(row, s.labels)
 		}
 	})
 	runShards(shardByOffsets(s.attrOff, workers), func(_, lo, hi int) {
@@ -399,11 +407,6 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 	// prefix of the table; per-worker count/cursor arrays size to that
 	// prefix, not the full (value-heavy) namespace.
 	maxLabel := Sym(0)
-	runShards(nodeShards, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s.labels[v] = codes[g.labels[v]]
-		}
-	})
 	for _, l := range s.labels {
 		if l > maxLabel {
 			maxLabel = l

@@ -76,13 +76,16 @@ func requireSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 
 // TestParallelFreezeEquivalence pins the parallel builder's differential
 // guarantee: for random graphs and any worker count, buildSnapshotParallel
-// emits a snapshot byte-identical to the serial builder's. Run with
+// emits a snapshot byte-identical to the serial builder's, whose adjacency
+// is in (label, neighbour label, neighbour) order — so the parallel
+// builder's shards sort by node labels it has already filled. Run with
 // -cpu 1,4 in CI so the GOMAXPROCS==1 environment exercises it too.
 func TestParallelFreezeEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, n := range []int{1, 7, 100, 500} {
 			g := randomFreezeGraph(seed, n)
 			want := g.BuildSnapshot(1)
+			requireCSROrder(t, want)
 			for _, w := range []int{2, 3, 4, 7, 16} {
 				got := g.BuildSnapshot(w)
 				requireSnapshotsEqual(t, want, got)

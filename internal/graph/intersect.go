@@ -2,11 +2,12 @@ package graph
 
 // Sorted-range intersection primitives for the worst-case-optimal join step
 // of the matcher (Leapfrog Triejoin style). Frozen and patched snapshots
-// alike keep every node's adjacency sorted by (Label, To), so a concrete-label subrange
-// (OutWith/InWith with l != WildcardSym) is sorted ascending by To — exactly
-// the shape a multiway sorted intersection wants. Wildcard subranges span
-// label groups and are NOT To-sorted; callers must never hand one to
-// IntersectAdjacency.
+// alike keep every node's adjacency sorted by (Label, Label(To), To), so a
+// run with a concrete edge label and a concrete neighbour label
+// (OutWithNbr/InWithNbr with l, nl != WildcardSym) is sorted ascending by
+// To — exactly the shape a multiway sorted intersection wants. A run with
+// either label a wildcard spans neighbour-label or edge-label groups and is
+// NOT To-sorted; callers must never hand one to IntersectAdjacency.
 
 // MaxIntersectArity is the largest number of adjacency ranges the matcher
 // intersects at once. Pattern nodes with more matched neighbors than this
@@ -49,8 +50,9 @@ func SeekGE(es []CSREdge, from int, to NodeID) int {
 // given adjacency ranges and returns the extended slice, ascending and
 // deduplicated (parallel duplicate (from, to, label) triples, which sit
 // adjacent in a sorted range, collapse to one emission). Each range must be
-// sorted ascending by To — a single concrete-label run of a Snapshot's
-// adjacency; never a WildcardSym range.
+// sorted ascending by To — a single (edge label, neighbour label) run of a
+// Snapshot's adjacency with both labels concrete; never a range with a
+// WildcardSym in either place.
 //
 // The merge is a round-robin leapfrog: the current candidate is the largest
 // head seen so far, and each range in turn gallops (SeekGE) to it, either

@@ -10,9 +10,10 @@ import "sort"
 // and the matcher run on an overlay exactly as on a fresh freeze.
 //
 // Representation: adjacency of a touched node is copied out of the base
-// CSR on first touch and maintained (label, neighbor)-sorted in place, so
-// OutWith/InWith subranges and HasEdge binary searches work exactly as on
-// a frozen snapshot; untouched nodes read straight from the base arrays.
+// CSR on first touch and maintained (label, neighbor label, neighbor)-sorted
+// in place, so OutWithNbr/InWithNbr runs and HasEdge binary searches work
+// exactly as on a frozen snapshot; untouched nodes read straight from the
+// base arrays.
 // Nodes inserted after the freeze get label and class-range fixups
 // (per-label candidate classes grown incrementally, kept ascending because
 // new IDs are always larger than frozen ones). Attributes ride on an
@@ -152,8 +153,8 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 	}
 	l := o.syms.Intern(label)
 	p := o.patch
-	p.out[from] = insertSortedEdge(o.adjacency(p.out, from, o.outOff, o.out), CSREdge{To: to, Label: l})
-	p.in[to] = insertSortedEdge(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
+	p.out[from] = o.insertSorted(o.adjacency(p.out, from, o.outOff, o.out), CSREdge{To: to, Label: l})
+	p.in[to] = o.insertSorted(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
 	// One unit per edge, matching the |V|+|E| denominator of
 	// DeltaFraction — counting both half-edge patches would silently
 	// halve the documented compaction threshold for edge-heavy streams.
@@ -194,15 +195,15 @@ func (o *Overlay) adjacency(p map[NodeID][]CSREdge, v NodeID, off []int32, arena
 	return nil
 }
 
-// insertSortedEdge inserts e into its (Label, To) position. Duplicate
-// triples are kept adjacent, mirroring the graph's multi-edge behavior;
-// the matcher collapses them like it does on a frozen snapshot.
-func insertSortedEdge(es []CSREdge, e CSREdge) []CSREdge {
+// insertSorted inserts e into its (Label, Label(To), To) position, reading
+// neighbour labels through the view, which also knows the nodes inserted
+// after the freeze. Duplicate triples are kept adjacent, mirroring the
+// graph's multi-edge behavior; the matcher collapses them like it does on a
+// frozen snapshot.
+func (o *Overlay) insertSorted(es []CSREdge, e CSREdge) []CSREdge {
+	nl := o.Label(e.To)
 	pos := sort.Search(len(es), func(i int) bool {
-		if es[i].Label != e.Label {
-			return es[i].Label > e.Label
-		}
-		return es[i].To >= e.To
+		return compareCSR(es[i], o.Label(es[i].To), e, nl) >= 0
 	})
 	es = append(es, CSREdge{})
 	copy(es[pos+1:], es[pos:])

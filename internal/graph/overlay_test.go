@@ -30,6 +30,15 @@ func edgeKey(syms *Symbols, e CSREdge) string {
 	return fmt.Sprintf("%s->%d", syms.Name(e.Label), e.To)
 }
 
+// neighbours renders the To column of an adjacency range, in order.
+func neighbours(es []CSREdge) string {
+	ids := make([]NodeID, len(es))
+	for i, e := range es {
+		ids[i] = e.To
+	}
+	return fmt.Sprint(ids)
+}
+
 // assertOverlayMatchesFreeze checks every observable the overlay's view
 // serves against a fresh freeze of the mutated graph — the compaction
 // oracle: the patched view and the from-scratch CSR must be
@@ -82,11 +91,8 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 			"in":  {ov.In(id), snap.In(id)},
 		} {
 			oes := pair[0]
-			for i := 1; i < len(oes); i++ {
-				prev, cur := oes[i-1], oes[i]
-				if cur.Label < prev.Label || (cur.Label == prev.Label && cur.To < prev.To) {
-					t.Fatalf("%s adjacency of %d not (label, neighbor)-sorted at %d", dir, v, i)
-				}
+			if i := csrOrderBreak(ov.Snapshot, oes); i >= 0 {
+				t.Fatalf("%s adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", dir, v, i)
 			}
 			if got, want := fmt.Sprint(keys(osyms, oes)), fmt.Sprint(keys(ssyms, pair[1])); got != want {
 				t.Fatalf("%s adjacency of %d: overlay %s, freeze %s", dir, v, got, want)
@@ -99,6 +105,17 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 			}
 			if got, want := fmt.Sprint(keys(osyms, ov.InWith(id, ol))), fmt.Sprint(keys(ssyms, snap.InWith(id, sl))); got != want {
 				t.Fatalf("InWith(%d, %s): overlay %s, freeze %s", v, name, got, want)
+			}
+			// A run with both labels concrete is To-sorted in both views,
+			// so its neighbours compare in order, not as a set.
+			for _, label := range g.Labels() {
+				onl, snl := osyms.Lookup(label), ssyms.Lookup(label)
+				if got, want := neighbours(ov.OutWithNbr(id, ol, onl)), neighbours(snap.OutWithNbr(id, sl, snl)); got != want {
+					t.Fatalf("OutWithNbr(%d, %s, %s): overlay %s, freeze %s", v, name, label, got, want)
+				}
+				if got, want := neighbours(ov.InWithNbr(id, ol, onl)), neighbours(snap.InWithNbr(id, sl, snl)); got != want {
+					t.Fatalf("InWithNbr(%d, %s, %s): overlay %s, freeze %s", v, name, label, got, want)
+				}
 			}
 		}
 		// Attribute tuples: the graph's map, the interned pairs, and the
@@ -221,6 +238,49 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 	g.SetAttr(0, "val", "behind-the-back")
 	if ov.Synced() {
 		t.Error("direct graph mutation must desynchronize the overlay")
+	}
+}
+
+// TestOverlayRunsOnInsertedNodes covers edges at nodes created after the
+// freeze: their labels live only in the view's patch, yet an insertion
+// must file each edge under its neighbour's label, so the labelled runs
+// of frozen and inserted nodes equal a fresh freeze's, in order.
+func TestOverlayRunsOnInsertedNodes(t *testing.T) {
+	g := overlayBaseGraph()
+	ov := NewOverlay(g)
+	late := ov.AddNode("city", nil)     // a frozen label
+	land := ov.AddNode("country", nil)  // a label the base never saw
+	hub := ov.AddNode("person", nil)    // an inserted source
+	ov.MustAddEdge(0, late, "lives_in") // frozen source, run with frozen city 1
+	ov.MustAddEdge(0, land, "lives_in") // same edge label, new neighbour label
+	ov.MustAddEdge(late, land, "in")
+	ov.MustAddEdge(hub, land, "lives_in")
+	ov.MustAddEdge(hub, late, "lives_in")
+	ov.MustAddEdge(hub, 4, "lives_in")
+	ov.MustAddEdge(hub, 1, "lives_in")
+	ov.MustAddEdge(5, hub, "knows")
+	requireCSROrder(t, ov.Snapshot)
+	assertOverlayMatchesFreeze(t, ov)
+	fresh := buildSnapshot(g)
+	osyms, fsyms := ov.Syms(), fresh.Syms()
+	for _, c := range []struct {
+		v          NodeID
+		edge, node string
+		want       string
+	}{
+		{0, "lives_in", "city", "[1 6]"},
+		{0, "lives_in", "country", "[7]"},
+		{hub, "lives_in", "city", "[1 4 6]"},
+		{hub, "lives_in", "country", "[7]"},
+	} {
+		got := neighbours(ov.OutWithNbr(c.v, osyms.Lookup(c.edge), osyms.Lookup(c.node)))
+		want := neighbours(fresh.OutWithNbr(c.v, fsyms.Lookup(c.edge), fsyms.Lookup(c.node)))
+		if got != want || got != c.want {
+			t.Fatalf("OutWithNbr(%d, %s, %s): overlay %s, fresh freeze %s, want %s", c.v, c.edge, c.node, got, want, c.want)
+		}
+	}
+	if got := neighbours(ov.InWithNbr(land, osyms.Lookup("lives_in"), osyms.Lookup("person"))); got != "[0 8]" {
+		t.Fatalf("InWithNbr(country, lives_in, person) = %s, want [0 8]", got)
 	}
 }
 

@@ -133,12 +133,12 @@ func (f Flat) validate() error {
 		}
 	}
 	// Adjacency: endpoints and labels in range, each node's range
-	// (Label, To)-sorted — the binary searches (OutWith, HasEdge) and the
-	// matcher's sorted-range intersection assume it.
-	if err := checkAdjacency("out", f.OutOff, f.Out, n, nsyms); err != nil {
+	// (Label, Label(To), To)-sorted — the binary searches (OutWithNbr,
+	// HasEdge) and the matcher's sorted-range intersection assume it.
+	if err := checkAdjacency("out", f.OutOff, f.Out, f.Labels, nsyms); err != nil {
 		return err
 	}
-	if err := checkAdjacency("in", f.InOff, f.In, n, nsyms); err != nil {
+	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, nsyms); err != nil {
 		return err
 	}
 	// Attribute tuples: codes in range, names strictly increasing per node
@@ -195,9 +195,11 @@ func checkOffsets(name string, off []int32, count, arena int) error {
 }
 
 // checkAdjacency validates one direction's arena: codes in range and each
-// node's range (Label, To)-sorted (non-strict: duplicate triples mirror the
+// node's range in compareCSR order, reading neighbour labels from the
+// already validated labels (non-strict: duplicate triples mirror the
 // mutable graph's multi-edge behavior).
-func checkAdjacency(name string, off []int32, es []CSREdge, n, nsyms int) error {
+func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms int) error {
+	n := len(labels)
 	for v := 0; v < n; v++ {
 		r := es[off[v]:off[v+1]]
 		for i, e := range r {
@@ -207,8 +209,8 @@ func checkAdjacency(name string, off []int32, es []CSREdge, n, nsyms int) error 
 			if e.Label < 0 || int(e.Label) >= nsyms {
 				return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
 			}
-			if i > 0 && (r[i-1].Label > e.Label || (r[i-1].Label == e.Label && r[i-1].To > e.To)) {
-				return fmt.Errorf("graph: %s adjacency of node %d not (label,to)-sorted at %d", name, v, i)
+			if i > 0 && compareCSR(r[i-1], labels[r[i-1].To], e, labels[e.To]) > 0 {
+				return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i)
 			}
 		}
 	}
@@ -253,8 +255,9 @@ func (g *Graph) ensureThawed() {
 // adopted snapshot. It does not bump the version: thawing is a pure
 // materialization, so prepared sessions over the snapshot stay valid and
 // no re-freeze is triggered until an actual mutation follows. Adjacency
-// comes back in CSR (label, neighbor) order rather than original insertion
-// order — equivalent under the engines, which sort at freeze time anyway.
+// comes back in CSR (label, neighbor label, neighbor) order rather than
+// original insertion order — equivalent under the engines, which sort at
+// freeze time anyway.
 func (g *Graph) thawFromSnapshot(s *Snapshot) {
 	syms := s.Syms()
 	n := s.NumNodes()

@@ -1,14 +1,18 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // CSREdge is one adjacency entry of a Snapshot: the other endpoint and the
 // interned edge label. Within a node's range entries are sorted by
-// (Label, To), so label-filtered neighbor sets are contiguous subranges and
-// edge-existence tests are binary searches.
+// (Label, Label(To), To): edge label, then the neighbour's node label, then
+// the neighbour. So the neighbours under one edge label that carry one node
+// label form a contiguous, To-sorted run (OutWithNbr/InWithNbr), and
+// edge-existence tests are one binary search.
 type CSREdge struct {
 	To    NodeID
 	Label Sym
@@ -66,7 +70,7 @@ type Snapshot struct {
 
 // patch is an Overlay's delta over the base arrays its view shares.
 type patch struct {
-	out, in map[NodeID][]CSREdge // copy-on-write adjacency, (Label, To)-sorted
+	out, in map[NodeID][]CSREdge // copy-on-write adjacency, (Label, Label(To), To)-sorted
 	labels  []Sym                // labels of nodes inserted after the freeze
 	classes map[Sym][]NodeID     // merged candidate classes for labels that gained nodes
 	attrs   *AttrIndex           // attribute tuples, borrowing the base arena
@@ -205,11 +209,12 @@ func buildSnapshot(g *Graph) *Snapshot {
 		sortAttrPairs(s.attrPairs[s.attrOff[v]:])
 	}
 	s.attrOff[n] = int32(len(s.attrPairs))
-	// Sort each node's adjacency by (Label, To): label-filtered neighbor
-	// iteration becomes a contiguous subrange, HasEdge a binary search.
+	// Sort each node's adjacency by (Label, Label(To), To): an (edge label,
+	// neighbour label) run becomes a contiguous subrange, HasEdge a binary
+	// search. Node labels are interned above, before the sort reads them.
 	for v := 0; v < n; v++ {
-		sortCSR(s.out[s.outOff[v]:s.outOff[v+1]])
-		sortCSR(s.in[s.inOff[v]:s.inOff[v+1]])
+		sortCSR(s.out[s.outOff[v]:s.outOff[v+1]], s.labels)
+		sortCSR(s.in[s.inOff[v]:s.inOff[v+1]], s.labels)
 	}
 	// Label classes: counting sort of nodes by label code. Iterating nodes
 	// in ID order keeps every class ascending, preserving the deterministic
@@ -231,13 +236,24 @@ func buildSnapshot(g *Graph) *Snapshot {
 	return s
 }
 
-func sortCSR(es []CSREdge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Label != es[j].Label {
-			return es[i].Label < es[j].Label
-		}
-		return es[i].To < es[j].To
+// sortCSR orders one node's adjacency by (Label, Label(To), To), reading
+// neighbour labels from labels.
+func sortCSR(es []CSREdge, labels []Sym) {
+	slices.SortFunc(es, func(a, b CSREdge) int {
+		return compareCSR(a, labels[a.To], b, labels[b.To])
 	})
+}
+
+// compareCSR is the adjacency order: edge label, then the neighbour's node
+// label (na, nb), then the neighbour.
+func compareCSR(a CSREdge, na Sym, b CSREdge, nb Sym) int {
+	if a.Label != b.Label {
+		return cmp.Compare(a.Label, b.Label)
+	}
+	if na != nb {
+		return cmp.Compare(na, nb)
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // sortAttrPairs orders a node's tuple by Name code. Tuples are tiny, so an
@@ -347,8 +363,8 @@ func (s *Snapshot) AttrPairs(v NodeID) []AttrPair {
 	return s.attrPairs[s.attrOff[v]:s.attrOff[v+1]]
 }
 
-// Out returns v's out-adjacency range, sorted by (Label, To). Shared;
-// read-only.
+// Out returns v's out-adjacency range, sorted by (Label, Label(To), To).
+// Shared; read-only.
 func (s *Snapshot) Out(v NodeID) []CSREdge {
 	if s.patch != nil {
 		return s.patched(s.patch.out, v, s.outOff, s.out)
@@ -357,7 +373,7 @@ func (s *Snapshot) Out(v NodeID) []CSREdge {
 }
 
 // In returns v's in-adjacency range (CSREdge.To is the edge source),
-// sorted by (Label, To). Shared; read-only.
+// sorted by (Label, Label(To), To). Shared; read-only.
 func (s *Snapshot) In(v NodeID) []CSREdge {
 	if s.patch != nil {
 		return s.patched(s.patch.in, v, s.inOff, s.in)
@@ -395,15 +411,31 @@ func (s *Snapshot) InDegree(v NodeID) int {
 }
 
 // OutWith returns the contiguous subrange of v's out-adjacency carrying
-// edge label l; the whole range for WildcardSym. O(log d).
-func (s *Snapshot) OutWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, false) }
+// edge label l, the whole range for WildcardSym: OutWithNbr with no
+// neighbour label. The subrange is To-sorted only within each neighbour
+// label's run.
+func (s *Snapshot) OutWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, WildcardSym, false) }
 
 // InWith is OutWith over the in-adjacency.
-func (s *Snapshot) InWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, true) }
+func (s *Snapshot) InWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, WildcardSym, true) }
 
-// labelRange resolves v's adjacency and searches its label group in one
-// body, so OutWith/InWith inline to a single call in the matcher.
-func (s *Snapshot) labelRange(v NodeID, l Sym, in bool) []CSREdge {
+// OutWithNbr returns the run of v's out-adjacency with edge label l whose
+// neighbours carry node label nl. For a concrete l and nl the run is
+// contiguous and To-sorted, the shape IntersectAdjacency wants. nl ==
+// WildcardSym drops the neighbour filter (OutWith); l == WildcardSym
+// returns the whole range, whatever nl is, because the runs of one node
+// label under different edge labels are not adjacent. O(log d).
+func (s *Snapshot) OutWithNbr(v NodeID, l, nl Sym) []CSREdge { return s.labelRange(v, l, nl, false) }
+
+// InWithNbr is OutWithNbr over the in-adjacency: the sources of v's
+// l-labelled in-edges that carry node label nl.
+func (s *Snapshot) InWithNbr(v NodeID, l, nl Sym) []CSREdge { return s.labelRange(v, l, nl, true) }
+
+// labelRange resolves v's adjacency and bisects both ends of its (l, nl)
+// run in one body, so the four accessors inline to a single call in the
+// matcher. It narrows in two steps: the edge-label group by bisecting the
+// label column alone, then the neighbour-label run inside the group.
+func (s *Snapshot) labelRange(v NodeID, l, nl Sym, in bool) []CSREdge {
 	var es []CSREdge
 	if in {
 		es = s.In(v)
@@ -413,19 +445,59 @@ func (s *Snapshot) labelRange(v NodeID, l Sym, in bool) []CSREdge {
 	if l == WildcardSym {
 		return es
 	}
-	lo := sort.Search(len(es), func(i int) bool { return es[i].Label >= l })
-	hi := lo
-	for hi < len(es) && es[hi].Label == l {
-		hi++
+	lo := labelStart(es, l)
+	es = es[lo : lo+labelStart(es[lo:], l+1)]
+	if nl == WildcardSym {
+		return es
 	}
-	return es[lo:hi]
+	lo = s.seekNbr(es, nl, 0)
+	return es[lo : lo+s.seekNbr(es[lo:], nl+1, 0)]
+}
+
+// labelStart bisects es for its first entry with edge label at least l.
+func labelStart(es []CSREdge, l Sym) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].Label < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// SeekNbr returns the index in es, one edge-label group of a node's
+// adjacency, of v if v is a neighbour there, otherwise of the first entry
+// ordered after (Label(v), v). O(log d).
+func (s *Snapshot) SeekNbr(es []CSREdge, v NodeID) int { return s.seekNbr(es, s.Label(v), v) }
+
+// seekNbr bisects one edge-label group for its first entry at or after
+// (nl, v) in (neighbour label, neighbour) order; v = 0 finds the start of
+// nl's run.
+func (s *Snapshot) seekNbr(es []CSREdge, nl Sym, v NodeID) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if w := s.Label(es[mid].To); w < nl || w == nl && es[mid].To < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // HasEdge reports whether a from -[l]-> to edge exists; l == WildcardSym
-// matches any label. Binary search for a concrete label; a linear scan of
-// the smaller endpoint range for the wildcard (label groups make the
-// neighbor column non-monotonic across the whole range).
+// matches any label. For a concrete label it bisects from's l group for
+// (Label(to), to); for the wildcard it scans the smaller endpoint range
+// (label groups make the neighbor column non-monotonic across the whole
+// range). A to outside the view has no edges.
 func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
+	if uint(to) >= uint(s.NumNodes()) {
+		return false
+	}
 	if l == WildcardSym {
 		out := s.Out(from)
 		if in := s.In(to); len(in) < len(out) {
@@ -443,14 +515,9 @@ func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
 		}
 		return false
 	}
-	es := s.Out(from)
-	i := sort.Search(len(es), func(i int) bool {
-		if es[i].Label != l {
-			return es[i].Label > l
-		}
-		return es[i].To >= to
-	})
-	return i < len(es) && es[i].Label == l && es[i].To == to
+	es := s.OutWith(from, l)
+	i := s.seekNbr(es, s.Label(to), to)
+	return i < len(es) && es[i].To == to
 }
 
 // NodesWith returns the candidate class of label code l: all nodes carrying

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -45,7 +46,7 @@ func TestSnapshotMirrorsGraph(t *testing.T) {
 		}
 	}
 	// Every graph edge must be findable in the snapshot, concrete and
-	// wildcard, and the CSR ranges must be (Label, To)-sorted.
+	// wildcard, and the CSR ranges must be (Label, Label(To), To)-sorted.
 	g.Edges(func(e Edge) bool {
 		l := s.Syms().Lookup(e.Label)
 		if !s.HasEdge(e.From, e.To, l) {
@@ -56,21 +57,25 @@ func TestSnapshotMirrorsGraph(t *testing.T) {
 		}
 		return true
 	})
-	for v := 0; v < g.NumNodes(); v++ {
-		es := s.Out(NodeID(v))
-		for i := 1; i < len(es); i++ {
-			if es[i].Label < es[i-1].Label ||
-				(es[i].Label == es[i-1].Label && es[i].To < es[i-1].To) {
-				t.Fatalf("node %d: out-adjacency not sorted at %d", v, i)
+	requireCSROrder(t, s)
+	requireLabelledRuns(t, s)
+	// Absent edges must stay absent: every node pair, every edge label.
+	for a := 0; a < g.NumNodes(); a++ {
+		for b := 0; b < g.NumNodes(); b++ {
+			for _, l := range []string{"e", "f", "g"} {
+				if got, want := s.HasEdge(NodeID(a), NodeID(b), s.Syms().Lookup(l)), g.HasEdge(NodeID(a), NodeID(b), l); got != want {
+					t.Fatalf("HasEdge(%d, %d, %s) = %v, graph says %v", a, b, l, got, want)
+				}
 			}
 		}
 	}
-	// Absent edges must stay absent.
-	if s.HasEdge(0, 1, s.Syms().Lookup("e")) != g.HasEdge(0, 1, "e") {
-		t.Fatal("HasEdge(0,1,e) disagrees with graph")
-	}
 	if s.HasEdge(0, 1, NoSym) {
 		t.Fatal("NoSym label must match no edge")
+	}
+	for _, l := range []Sym{WildcardSym, s.Syms().Lookup("e")} {
+		if s.HasEdge(0, NodeID(g.NumNodes()), l) {
+			t.Fatalf("HasEdge to a node outside the graph, label %d", l)
+		}
 	}
 	// Label classes must equal the graph's label index.
 	for _, l := range g.Labels() {
@@ -90,6 +95,116 @@ func TestSnapshotMirrorsGraph(t *testing.T) {
 	}
 	if s.NodesWithLabel("nope") != nil {
 		t.Fatal("unknown label must have an empty class")
+	}
+}
+
+// csrOrderBreak returns the first index of es that breaks the adjacency
+// order (edge label, neighbour's node label in s, neighbour), or -1.
+func csrOrderBreak(s *Snapshot, es []CSREdge) int {
+	for i := 1; i < len(es); i++ {
+		p, c := es[i-1], es[i]
+		pk := []int{int(p.Label), int(s.Label(p.To)), int(p.To)}
+		ck := []int{int(c.Label), int(s.Label(c.To)), int(c.To)}
+		if slices.Compare(pk, ck) > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// requireCSROrder asserts the adjacency order on every node of s, both
+// directions.
+func requireCSROrder(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for v := 0; v < s.NumNodes(); v++ {
+		if i := csrOrderBreak(s, s.Out(NodeID(v))); i >= 0 {
+			t.Fatalf("out adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", v, i)
+		}
+		if i := csrOrderBreak(s, s.In(NodeID(v))); i >= 0 {
+			t.Fatalf("in adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", v, i)
+		}
+	}
+}
+
+// requireLabelledRuns checks OutWithNbr/InWithNbr (and the two-argument
+// OutWith/InWith, their wildcard case) against a filter of the whole
+// range, for every edge label and node label of s including the wildcard:
+// the run holds exactly the matching entries, in range order, and a run
+// with both labels concrete is To-sorted.
+func requireLabelledRuns(t *testing.T, s *Snapshot) {
+	t.Helper()
+	codes := []Sym{WildcardSym, NoSym}
+	for c := 1; c < s.Syms().Len(); c++ {
+		codes = append(codes, Sym(c))
+	}
+	filter := func(es []CSREdge, l, nl Sym) []CSREdge {
+		var out []CSREdge
+		for _, e := range es {
+			if (l == WildcardSym || e.Label == l) && (l == WildcardSym || nl == WildcardSym || s.Label(e.To) == nl) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for v := 0; v < s.NumNodes(); v++ {
+		id := NodeID(v)
+		for _, l := range codes {
+			if got, want := s.OutWith(id, l), filter(s.Out(id), l, WildcardSym); !slices.Equal(got, want) {
+				t.Fatalf("OutWith(%d, %d) = %v, want %v", v, l, got, want)
+			}
+			if got, want := s.InWith(id, l), filter(s.In(id), l, WildcardSym); !slices.Equal(got, want) {
+				t.Fatalf("InWith(%d, %d) = %v, want %v", v, l, got, want)
+			}
+			for _, nl := range codes {
+				out, in := s.OutWithNbr(id, l, nl), s.InWithNbr(id, l, nl)
+				if want := filter(s.Out(id), l, nl); !slices.Equal(out, want) {
+					t.Fatalf("OutWithNbr(%d, %d, %d) = %v, want %v", v, l, nl, out, want)
+				}
+				if want := filter(s.In(id), l, nl); !slices.Equal(in, want) {
+					t.Fatalf("InWithNbr(%d, %d, %d) = %v, want %v", v, l, nl, in, want)
+				}
+				if l == WildcardSym || nl == WildcardSym {
+					continue
+				}
+				for _, r := range [][]CSREdge{out, in} {
+					for i := 1; i < len(r); i++ {
+						if r[i].To < r[i-1].To {
+							t.Fatalf("run (%d, %d) of node %d not To-sorted: %v", l, nl, v, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdoptFlatRejectsLabelToOrder: an image whose adjacency is sorted by
+// (label, neighbour) alone — store format 1's order — is not adoptable,
+// because the matcher would intersect runs that are not To-sorted.
+func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
+	s := randomGraph(t, 7, 60, 220).Freeze()
+	f, err := s.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AdoptFlat(f); err != nil {
+		t.Fatalf("fresh image rejected: %v", err)
+	}
+	out := slices.Clone(f.Out)
+	for v := 0; v+1 < len(f.OutOff); v++ {
+		slices.SortFunc(out[f.OutOff[v]:f.OutOff[v+1]], func(a, b CSREdge) int {
+			if a.Label != b.Label {
+				return int(a.Label - b.Label)
+			}
+			return int(a.To - b.To)
+		})
+	}
+	if slices.Equal(out, f.Out) {
+		t.Fatal("no node has a run the two orders disagree on; the test is vacuous")
+	}
+	f.Out = out
+	if _, err := AdoptFlat(f); err == nil {
+		t.Fatal("AdoptFlat accepted (label, neighbour)-ordered adjacency")
 	}
 }
 

@@ -1,9 +1,10 @@
 package graph
 
 // Topology is the compiled execution view of a graph that the match and
-// validation engines run against: interned labels, (label, neighbor)-sorted
-// adjacency, contiguous per-label candidate classes, interned attribute
-// lookup, and the BFS primitives the workload model is built on.
+// validation engines run against: interned labels, adjacency sorted by
+// (edge label, neighbor label, neighbor), contiguous per-label candidate
+// classes, interned attribute lookup, and the BFS primitives the workload
+// model is built on.
 //
 // There is one read path, *Snapshot: either frozen (built by Graph.Freeze
 // or adopted from a .gfds image) or an Overlay's patched view, which
@@ -34,17 +35,19 @@ type Topology interface {
 	// core.AttrSource contract, so literal programs evaluate directly
 	// against any Topology.
 	AttrSym(v NodeID, name Sym) (Sym, bool)
-	// Out returns v's out-adjacency sorted by (Label, To). Shared; read-only.
+	// Out returns v's out-adjacency sorted by (Label, Label(To), To).
+	// Shared; read-only.
 	Out(v NodeID) []CSREdge
 	// In returns v's in-adjacency (CSREdge.To is the edge source), sorted
-	// by (Label, To). Shared; read-only.
+	// by (Label, Label(To), To). Shared; read-only.
 	In(v NodeID) []CSREdge
 	// OutDegree returns the number of out-edges of v.
 	OutDegree(v NodeID) int
 	// InDegree returns the number of in-edges of v.
 	InDegree(v NodeID) int
 	// OutWith returns the contiguous subrange of v's out-adjacency carrying
-	// edge label l; the whole range for WildcardSym.
+	// edge label l; the whole range for WildcardSym. It is To-sorted only
+	// within each neighbour label's run.
 	OutWith(v NodeID, l Sym) []CSREdge
 	// InWith is OutWith over the in-adjacency.
 	InWith(v NodeID, l Sym) []CSREdge

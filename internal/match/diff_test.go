@@ -188,6 +188,52 @@ func TestWildcardEdgeParallelLabels(t *testing.T) {
 	}
 }
 
+// TestWildcardEdgeRecurringNeighbours: a wildcard pattern edge iterates
+// the bound node's whole range, where a neighbour linked under several
+// edge labels recurs once per label, each time inside the run of its own
+// node label. Each neighbour must still be tried once — for a wildcard and
+// for a concrete target node label, from either side, frozen and patched.
+func TestWildcardEdgeRecurringNeighbours(t *testing.T) {
+	g := graph.New(0, 0)
+	hub := g.AddNode("a", nil)
+	var nbrs []graph.NodeID
+	for i, l := range []string{"q", "p", "q", "p", "r", "p"} {
+		nbrs = append(nbrs, g.AddNode(l, nil))
+		for _, el := range []string{"e", "f", "g"}[:1+i%3] {
+			g.MustAddEdge(hub, nbrs[i], el)
+			g.MustAddEdge(nbrs[i], hub, el)
+		}
+	}
+	ov := graph.NewOverlay(g.Clone())
+	late := ov.AddNode("p", nil)
+	ov.MustAddEdge(hub, late, "g")
+	ov.MustAddEdge(hub, late, "e")
+	ov.MustAddEdge(late, hub, "f")
+	for _, target := range []string{pattern.Wildcard, "p"} {
+		for _, out := range []bool{true, false} {
+			q := pattern.New()
+			x, y := q.AddNode("x", "a"), q.AddNode("y", target)
+			if out {
+				q.AddEdge(x, y, pattern.Wildcard)
+			} else {
+				q.AddEdge(y, x, pattern.Wildcard)
+			}
+			want := 6
+			if target == "p" {
+				want = 3
+			}
+			ctx := fmt.Sprintf("target %s out %v", target, out)
+			assertSameMatches(t, g, q, match.Options{}, ctx)
+			if n := match.CountSnapshot(g.Freeze(), q, match.Options{}); n != want {
+				t.Errorf("%s: frozen yielded %d matches, want %d", ctx, n, want)
+			}
+			if n := match.CountSnapshot(ov, q, match.Options{}); n != want+1 {
+				t.Errorf("%s: overlay yielded %d matches, want %d", ctx, n, want+1)
+			}
+		}
+	}
+}
+
 // TestConcurrentFreeze covers the read-only concurrency contract: parallel
 // Freeze/Enumerate on a shared, unmutated graph (as concurrent
 // gfd.Validate calls would do) must be race-free and agree.

@@ -16,27 +16,30 @@ import (
 // view (Topology.View) — a frozen *graph.Snapshot on the batch path, an
 // Overlay's patched view on the incremental path, one search body calling
 // the concrete *graph.Snapshot accessors on both. Interned integer labels,
-// CSR adjacency sorted by (label, neighbor), a flat []bool used-set, and
-// contiguous per-label candidate ranges. After warm-up (first call per
-// pattern shape) an enumeration performs zero steady-state allocations:
-// candidates are iterated directly off topology ranges, never
-// materialized.
+// CSR adjacency sorted by (edge label, neighbor label, neighbor), a flat
+// []bool used-set, and contiguous per-label candidate ranges. After
+// warm-up (first call per pattern shape) an enumeration performs zero
+// steady-state allocations: candidates are iterated directly off topology
+// ranges, never materialized.
 //
 // A Matcher is NOT safe for concurrent use — it owns reusable search
 // buffers. Engines create one Matcher per worker; all of them share one
 // Topology, which is read-only during matching.
 //
-// Candidate generation: a pattern node with two or more already-matched
+// Candidate generation reads the adjacency runs keyed by (edge label,
+// the pattern node's own label), so neighbours of the wrong label are
+// never tried. A labelled pattern node with two or more already-matched
 // neighbors over concrete edge labels takes the worst-case-optimal route —
-// a Leapfrog-style multiway intersection of their sorted CSR ranges
+// a Leapfrog-style multiway intersection of their To-sorted runs
 // (graph.IntersectAdjacency), so only common neighbors are ever tried.
-// With a single matched neighbor it iterates the smallest label-filtered
-// range (remaining constraints checked by binary search), falling back to
-// the pattern node's label class; a striped node's residue is a feasibility
-// check on every candidate. Plans (Plan: the matching order plus the
-// guard instructions due at each depth) are cached per (compiled pattern,
-// pin set, stripe node, topology version, guard); Options.NoIntersect
-// forces the backtracking path for differential testing.
+// Otherwise it iterates the smallest run (remaining constraints checked by
+// binary search), falling back to the pattern node's label class; a
+// striped node's residue is a feasibility check on every candidate. The
+// edges a candidate's source proves are not searched again. Plans (Plan:
+// the matching order plus the guard instructions due at each depth) are
+// cached per (compiled pattern, pin set, stripe node, topology version,
+// guard); Options.NoIntersect forces the backtracking path for
+// differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
@@ -60,7 +63,7 @@ type Matcher struct {
 	live []uint64
 
 	// Worst-case-optimal intersection state. ranges is the per-depth
-	// gather scratch for concrete-label adjacency ranges: it is consumed
+	// gather scratch for To-sorted adjacency runs: it is consumed
 	// (intersected into cands) before the search recurses, so one copy
 	// serves every depth. cands holds one reusable intersection output
 	// buffer per depth — the buffer IS iterated across the recursion, so
@@ -499,46 +502,54 @@ func (m *Matcher) extend(depth int) {
 	}
 	u := m.order[depth]
 	if v, ok := m.opts.Pin[u]; ok {
-		m.try(depth, u, v)
+		m.try(depth, u, v, 0)
 		return
 	}
-	// Candidate generation. With one matched neighbor (or under
-	// NoIntersect): iterate the smallest label-filtered adjacency range,
+	// Candidate generation reads the adjacency runs keyed by u's own node
+	// label, so wrong-label neighbours never become candidates. With one
+	// matched neighbor (or under NoIntersect): iterate the smallest run,
 	// feasible() verifies the rest by binary search. With two or more
-	// matched neighbors over concrete edge labels: intersect their sorted
-	// ranges directly (worst-case-optimal join step) — only survivors of
-	// the multiway merge reach try(), skipping the per-candidate probes
-	// that make cyclic patterns (triangles, diamonds) pay the classical
-	// intermediate blow-up. Wildcard-labeled ranges span label groups and
-	// are not To-sorted, so they never join the intersection; feasible()
-	// still checks those edges per candidate.
+	// matched neighbors over concrete edge labels and a concrete node
+	// label: intersect their runs directly (worst-case-optimal join step) —
+	// only survivors of the multiway merge reach try(), skipping the
+	// per-candidate probes that make cyclic patterns (triangles, diamonds)
+	// pay the classical intermediate blow-up. A run with a wildcard edge or
+	// node label spans label groups and is not To-sorted, so it never joins
+	// the intersection; feasible() still checks its edge per candidate.
+	// Each candidate source proves its own edges — every intersected one,
+	// or the iterated one — so try() passes them to feasible() as a mask of
+	// pattern-edge bits, which skips re-searching them.
+	nl := m.cq.NodeSyms[u]
 	var best []graph.CSREdge
+	var bestBit, inter uint64
 	bestLen, bestWild := -1, false
-	wco := !m.opts.NoIntersect
+	wco := !m.opts.NoIntersect && nl != graph.WildcardSym
 	nr := 0
 	for _, ei := range m.q.InEdges(u) {
 		e := m.cq.Edges[ei]
 		if from := m.assign[e.From]; from != graph.Invalid {
-			r := m.snap.OutWith(from, e.Label)
+			r := m.snap.OutWithNbr(from, e.Label, nl)
 			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen, bestWild = r, len(r), e.Label == graph.WildcardSym
+				best, bestLen, bestWild, bestBit = r, len(r), e.Label == graph.WildcardSym, edgeBit(ei)
 			}
 			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
 				m.ranges[nr] = r
 				nr++
+				inter |= edgeBit(ei)
 			}
 		}
 	}
 	for _, ei := range m.q.OutEdges(u) {
 		e := m.cq.Edges[ei]
 		if to := m.assign[e.To]; to != graph.Invalid {
-			r := m.snap.InWith(to, e.Label)
+			r := m.snap.InWithNbr(to, e.Label, nl)
 			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen, bestWild = r, len(r), e.Label == graph.WildcardSym
+				best, bestLen, bestWild, bestBit = r, len(r), e.Label == graph.WildcardSym, edgeBit(ei)
 			}
 			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
 				m.ranges[nr] = r
 				nr++
+				inter |= edgeBit(ei)
 			}
 		}
 	}
@@ -549,7 +560,7 @@ func (m *Matcher) extend(depth int) {
 		cands := graph.IntersectAdjacency(m.cands[depth][:0], m.ranges[:nr])
 		m.cands[depth] = cands
 		for _, v := range cands {
-			m.try(depth, u, v)
+			m.try(depth, u, v, inter)
 			if m.halt {
 				return
 			}
@@ -560,8 +571,8 @@ func (m *Matcher) extend(depth int) {
 		// A wildcard range spans label groups, so a neighbour linked under
 		// several labels recurs there; only its first occurrence is tried.
 		for i := range best {
-			if !seenEarlier(best, i) {
-				m.try(depth, u, best[i].To)
+			if !seenEarlier(m.snap, best, i) {
+				m.try(depth, u, best[i].To, bestBit)
 				if m.halt {
 					return
 				}
@@ -571,15 +582,15 @@ func (m *Matcher) extend(depth int) {
 	}
 	if bestLen >= 0 {
 		for i := range best {
-			// Adjacency is (Label, To)-sorted, so duplicate (from, to,
-			// label) edges — which the graph type documents as never
-			// produced, but does not reject — sit adjacent; skipping them
-			// keeps the match set a set where the legacy path would
-			// re-yield the same h once per parallel edge.
+			// Within one edge label the run is (Label(To), To)-sorted, so
+			// duplicate (from, to, label) edges — which the graph type
+			// documents as never produced, but does not reject — sit
+			// adjacent; skipping them keeps the match set a set where the
+			// legacy path would re-yield the same h once per parallel edge.
 			if i > 0 && best[i] == best[i-1] {
 				continue
 			}
-			m.try(depth, u, best[i].To)
+			m.try(depth, u, best[i].To, bestBit)
 			if m.halt {
 				return
 			}
@@ -587,10 +598,9 @@ func (m *Matcher) extend(depth int) {
 		return
 	}
 	// Fresh component: label class range, or all nodes for a wildcard.
-	sym := m.cq.NodeSyms[u]
-	if sym != graph.WildcardSym {
-		for _, v := range m.snap.NodesWith(sym) {
-			m.try(depth, u, v)
+	if nl != graph.WildcardSym {
+		for _, v := range m.snap.NodesWith(nl) {
+			m.try(depth, u, v, 0)
 			if m.halt {
 				return
 			}
@@ -598,22 +608,26 @@ func (m *Matcher) extend(depth int) {
 		return
 	}
 	for v := 0; v < m.snap.NumNodes(); v++ {
-		m.try(depth, u, graph.NodeID(v))
+		m.try(depth, u, graph.NodeID(v), 0)
 		if m.halt {
 			return
 		}
 	}
 }
 
+// edgeBit is pattern edge ei's bit in a proved-edge mask; edges past the
+// 64th get none, so feasible() always checks them.
+func edgeBit(ei int) uint64 { return uint64(1) << uint(ei) }
+
 // seenEarlier reports whether es[i].To is the neighbour of an edge before
-// es[i]. es is sorted by (label, neighbour), so each label group before
-// es[i] is found and searched by bisection.
-func seenEarlier(es []graph.CSREdge, i int) bool {
+// es[i]. es is a whole adjacency range, so each edge-label group before
+// es[i] is searched for the neighbour in one bisection (SeekNbr).
+func seenEarlier(s *graph.Snapshot, es []graph.CSREdge, i int) bool {
 	v := es[i].To
 	for lo := 0; lo < i; {
 		l := es[lo].Label
 		hi := lo + sort.Search(i-lo, func(k int) bool { return es[lo+k].Label != l })
-		if j := lo + sort.Search(hi-lo, func(k int) bool { return es[lo+k].To >= v }); j < hi && es[j].To == v {
+		if j := lo + s.SeekNbr(es[lo:hi], v); j < hi && es[j].To == v {
 			return true
 		}
 		lo = hi
@@ -622,7 +636,9 @@ func seenEarlier(es []graph.CSREdge, i int) bool {
 }
 
 // try extends the partial assignment with u -> v if injective and feasible.
-func (m *Matcher) try(depth, u int, v graph.NodeID) {
+// proved holds the bits (edgeBit) of the pattern edges v's candidate source
+// already established.
+func (m *Matcher) try(depth, u int, v graph.NodeID, proved uint64) {
 	if m.opts.Halt != nil {
 		m.tick++
 		if m.tick%haltStride == 0 && m.opts.Halt() {
@@ -633,7 +649,7 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 	if m.used[v] {
 		return
 	}
-	if !m.feasible(u, v) {
+	if !m.feasible(u, v, proved) {
 		return
 	}
 	m.assign[u] = v
@@ -647,10 +663,11 @@ func (m *Matcher) try(depth, u int, v graph.NodeID) {
 
 // feasible verifies striping, node label, degree bounds, and every pattern
 // edge between u and an already-assigned node (binary searches over sorted
-// CSR ranges). The stripe residue is checked here, on every candidate: the
-// planner binds a striped node right after the pins, so its candidates come
-// from a pivot's adjacency and are never pre-filtered by residue.
-func (m *Matcher) feasible(u int, v graph.NodeID) bool {
+// CSR ranges) that proved does not already vouch for. The stripe residue is
+// checked here, on every candidate: the planner binds a striped node right
+// after the pins, so its candidates come from a pivot's adjacency and are
+// never pre-filtered by residue.
+func (m *Matcher) feasible(u int, v graph.NodeID, proved uint64) bool {
 	if m.opts.StripeMod > 0 && u == m.opts.StripeNode && int(v)%m.opts.StripeMod != m.opts.StripeRem {
 		return false
 	}
@@ -661,6 +678,9 @@ func (m *Matcher) feasible(u int, v graph.NodeID) bool {
 		return false
 	}
 	for _, ei := range m.q.OutEdges(u) {
+		if proved&edgeBit(ei) != 0 {
+			continue
+		}
 		e := m.cq.Edges[ei]
 		to := m.assign[e.To]
 		if int(e.To) == u {
@@ -674,6 +694,9 @@ func (m *Matcher) feasible(u int, v graph.NodeID) bool {
 		}
 	}
 	for _, ei := range m.q.InEdges(u) {
+		if proved&edgeBit(ei) != 0 {
+			continue
+		}
 		e := m.cq.Edges[ei]
 		if int(e.From) == u {
 			continue // self-loop handled above

@@ -59,16 +59,19 @@ func Simulate(s *graph.Snapshot, q *pattern.Pattern, block graph.NodeSet) []grap
 	return sim
 }
 
+// simFeasible reads, per pattern edge at u, only the adjacency run whose
+// neighbours carry the other end's label: no node outside it can be in
+// that end's simulation set.
 func simFeasible(s *graph.Snapshot, cq *pattern.Compiled, sim []graph.NodeSet, u int, v graph.NodeID, block graph.NodeSet) bool {
 	for _, ei := range cq.Q.OutEdges(u) {
 		e := cq.Edges[ei]
-		if !hasSimSuccessor(s.OutWith(v, e.Label), sim[e.To], block) {
+		if !hasSimSuccessor(s.OutWithNbr(v, e.Label, cq.NodeSyms[e.To]), sim[e.To], block) {
 			return false
 		}
 	}
 	for _, ei := range cq.Q.InEdges(u) {
 		e := cq.Edges[ei]
-		if !hasSimSuccessor(s.InWith(v, e.Label), sim[e.From], block) {
+		if !hasSimSuccessor(s.InWithNbr(v, e.Label, cq.NodeSyms[e.From]), sim[e.From], block) {
 			return false
 		}
 	}

@@ -436,3 +436,61 @@ func BenchmarkEnumerateWindowClustered(b *testing.B) {
 		}
 	}
 }
+
+// mixedLabelGraph draws n nodes whose labels cycle through A, B and three
+// neighbour classes X, Y, Z in a seeded shuffle, wired by edges labelled e,
+// f and g. Neighbour IDs interleave across classes, so an edge-label range
+// sorted by (neighbour label, neighbour) is not sorted by neighbour.
+func mixedLabelGraph(seed int64, n, m int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n, m)
+	labels := []string{"A", "B", "X", "Y", "Z"}
+	for i := 0; i < n; i++ {
+		g.AddNode(labels[rng.Intn(len(labels))], nil)
+	}
+	elabels := []string{"e", "f", "g"}
+	for i := 0; i < m; i++ {
+		from, to, l := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), elabels[rng.Intn(len(elabels))]
+		if from != to && !g.HasEdge(from, to, l) {
+			g.MustAddEdge(from, to, l)
+		}
+	}
+	return g
+}
+
+// TestWildcardNodeClosedByTwoRuns is the wildcard trap: a wildcard pattern
+// node w closed by two concrete-label edges from already bound nodes. Its
+// candidate ranges are whole edge-label groups, which mix neighbour labels
+// and are sorted by (neighbour label, neighbour), not by neighbour, so
+// they must be iterated and probed, never intersected. The Matcher's
+// matches must equal the legacy searcher's and NoIntersect's, with w's
+// edges pointing out of the bound nodes and into them. Letting a
+// wildcard-node range into graph.IntersectAdjacency fails this test.
+func TestWildcardNodeClosedByTwoRuns(t *testing.T) {
+	for _, dir := range []string{"out", "in"} {
+		q := pattern.New()
+		a, b := q.AddNode("a", "A"), q.AddNode("b", "B")
+		w := q.AddNode("w", pattern.Wildcard)
+		q.AddEdge(a, b, "g")
+		if dir == "out" {
+			q.AddEdge(a, w, "e")
+			q.AddEdge(b, w, "f")
+		} else {
+			q.AddEdge(w, a, "e")
+			q.AddEdge(w, b, "f")
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			g := mixedLabelGraph(seed, 60, 1500)
+			ctx := fmt.Sprintf("%s seed %d", dir, seed)
+			snap := g.Freeze()
+			if order := match.NewMatcher(snap).Plan(q, match.Options{}).Order; order[2] != w {
+				t.Fatalf("%s: plan %v does not close on the wildcard node", ctx, order)
+			}
+			if match.CountSnapshot(snap, q, match.Options{}) == 0 {
+				t.Fatalf("%s: no matches; the test is vacuous", ctx)
+			}
+			assertWCOEqualsProbe(t, snap, g, q, match.Options{}, ctx)
+			assertSameMatches(t, g, q, match.Options{}, ctx)
+		}
+	}
+}

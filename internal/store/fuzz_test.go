@@ -67,7 +67,8 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(zn)
 	for _, mut := range []func([]byte){
-		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 2) },         // future version
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 1) },         // past version
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 3) },         // future version
 		func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], 64) },      // count high
 		func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<60) },     // huge offset
 		func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<60) },     // huge length

@@ -5,7 +5,7 @@
 // arena — so saving is a section-per-array dump and opening is page-table
 // setup plus an O(|V|+|E|) integer validation scan, never a rebuild.
 //
-// File layout (format version 1, all header/table scalars little-endian):
+// File layout (format version 2, all header/table scalars little-endian):
 //
 //	[0:4)   magic "GFDS"
 //	[4:8)   format version (u32)
@@ -23,7 +23,10 @@
 // verified on open, body CRCs can be skipped (SkipChecksums) for fast
 // opens of very large trusted files. Unknown section ids are ignored so
 // later minor revisions can add sections without a version bump; removing
-// or reshaping a section is a version bump.
+// or reshaping a section is a version bump. Version 2 reordered each
+// node's adjacency in the out/in sections from (edge label, neighbour) to
+// (edge label, neighbour's node label, neighbour); a version-1 file fails
+// as ErrVersion, and re-saving its graph rewrites it.
 //
 // The mapping is PROT_READ: nothing may ever write through a loaded
 // snapshot's arrays. The graph packages uphold this by construction —
@@ -58,7 +61,7 @@ var (
 
 const (
 	magic         = "GFDS"
-	formatVersion = 1
+	formatVersion = 2
 	byteOrderMark = 0x01020304
 
 	headerSize   = 16
@@ -69,7 +72,7 @@ const (
 	maxSections = 64
 )
 
-// Section ids of format version 1. All are required.
+// Section ids of format version 2. All are required.
 const (
 	secMeta      = 1  // 4 × u64: numNodes, numEdges, numSyms, numAttrPairs
 	secSymBlob   = 2  // concatenated symbol name bytes
@@ -78,9 +81,9 @@ const (
 	secAttrOff   = 5  // []i32, numNodes+1
 	secAttrPairs = 6  // []graph.AttrPair, numAttrPairs
 	secOutOff    = 7  // []i32, numNodes+1
-	secOut       = 8  // []graph.CSREdge, numEdges
+	secOut       = 8  // []graph.CSREdge, numEdges; per node (Label, Label(To), To)-sorted
 	secInOff     = 9  // []i32, numNodes+1
-	secIn        = 10 // []graph.CSREdge, numEdges
+	secIn        = 10 // []graph.CSREdge, numEdges; ordered as secOut
 	secClassOff  = 11 // []i32, numSyms+1
 	secClasses   = 12 // []graph.NodeID (i32), numNodes
 	numSections  = 12
