@@ -36,7 +36,18 @@ func EmbeddingsUnify(sub, host *Pattern) []Embedding {
 
 // EmbeddableExact reports whether at least one exact embedding exists.
 func EmbeddableExact(sub, host *Pattern) bool {
-	return len(findEmbeddingsLimited(sub, host, false, 1)) > 0
+	_, ok := FirstEmbedding(sub, host)
+	return ok
+}
+
+// FirstEmbedding returns the first exact embedding of sub into host that
+// the search finds, if any.
+func FirstEmbedding(sub, host *Pattern) (Embedding, bool) {
+	found := findEmbeddingsLimited(sub, host, false, 1)
+	if len(found) == 0 {
+		return Embedding{}, false
+	}
+	return found[0], true
 }
 
 func findEmbeddings(sub, host *Pattern, unify bool) []Embedding {

@@ -379,3 +379,69 @@ gfd seeded_new {
 		}
 	}
 }
+
+// TestPivotStarsReadTheOverlay: a pivot candidate must have its whole
+// pattern star, so the star test must read the overlay's patched view, not
+// the frozen base. No person of the base is both a mayor and affiliated to
+// a party, so the rule has no candidate; one Apply adds the edge that
+// completes a mayor's star, under an edge label the base never interned,
+// and repVal and disVal over the overlay must report the new violation
+// without a re-freeze.
+func TestPivotStarsReadTheOverlay(t *testing.T) {
+	ctx := context.Background()
+	set, err := core.ParseRules(strings.NewReader(`
+gfd mayor_party {
+  node p person
+  node c city
+  node a party
+  edge p mayor_of c
+  edge p affiliated_to a
+  then c.val = "nowhere"
+}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(0, 0)
+	var mayors, parties []graph.NodeID
+	for i := 0; i < 30; i++ {
+		p := g.AddNode("person", graph.Attrs{"val": fmt.Sprintf("person_%d", i)})
+		c := g.AddNode("city", graph.Attrs{"val": fmt.Sprintf("city_%d", i)})
+		g.MustAddEdge(p, c, "mayor_of")
+		mayors = append(mayors, p)
+		parties = append(parties, g.AddNode("party", graph.Attrs{"val": fmt.Sprintf("party_%d", i)}))
+	}
+	sess := mustOpen(t, g)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := g.SnapshotBuilds()
+	detect := func(engine validate.Engine) validate.Report {
+		t.Helper()
+		res, err := prep.Detect(ctx, validate.Options{Engine: engine, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Violations
+	}
+	if got := detect(validate.EngineReplicated); len(got) != 0 {
+		t.Fatalf("no mayor is affiliated, yet repVal reports %v", got)
+	}
+	sess.Apply(incremental.AddEdge{From: mayors[7], To: parties[3], Label: "affiliated_to"})
+	if _, ok := prep.Bundle().Topo().(*graph.Overlay); !ok {
+		t.Fatalf("the bundle runs on %T, want the session overlay", prep.Bundle().Topo())
+	}
+	want := detect(validate.EngineSequential)
+	if len(want) != 1 {
+		t.Fatalf("sequential engine reports %v, want the one completed star", want)
+	}
+	for _, engine := range []validate.Engine{validate.EngineReplicated, validate.EngineFragmented} {
+		if got := detect(engine); !got.Equal(want) {
+			t.Fatalf("%v reports %v, sequential %v", engine, got, want)
+		}
+	}
+	if n := g.SnapshotBuilds() - builds; n != 0 {
+		t.Fatalf("detection after the Apply re-froze %d times", n)
+	}
+}

@@ -14,12 +14,13 @@ import (
 )
 
 // This file is the cached workload-estimation layer: the bPar / disPar
-// prefix of a parallel round — candidate classes value-sorted into
-// equi-depth ranges, one c-hop traversal per pivot candidate, unit
-// assembly, split, balanced assignment. A cold pass runs on flat arrays
-// (one sort per class, block sizes in dense per-radius tables, units in one
-// pre-counted slice over one candidate arena); the Bundle memoizes its
-// results per option variant and the block sizes across variants, so:
+// prefix of a parallel round — candidate lists filtered from their label
+// classes and value-sorted into equi-depth ranges, one c-hop traversal per
+// pivot candidate, unit assembly, split, balanced assignment. A cold pass
+// runs on flat arrays (one filter pass and sort per list, block sizes in
+// dense per-radius tables, units in one pre-counted slice over one
+// candidate arena); the Bundle memoizes its results per option variant and
+// the block sizes across variants, so:
 //
 //   - warm rounds (same bundle, same options) perform zero estimation
 //     passes: the plan, the modeled estimation span, and the phase's comm
@@ -29,10 +30,10 @@ import (
 //     touch log made stale (a (v, r) entry only when a touched node lies
 //     within r hops of v) — warm estimation is update-proportional.
 //
-// EstimateSpan charges every sort, traversal and assembly to the worker
-// that ran it; traversal costs are recorded with the sizes, so the modeled
-// n-worker spans the figures plot are unchanged by caching — only
-// EstimateWall collapses on warm rounds.
+// EstimateSpan charges every filter pass, sort, traversal and assembly to
+// the worker that ran it; traversal costs are recorded with the sizes, so
+// the modeled n-worker spans the figures plot are unchanged by caching —
+// only EstimateWall collapses on warm rounds.
 
 // sizeTable holds the measured block sizes |G_z̄[v]| of one radius, dense
 // by NodeID; a radius no rule asks for has no table. Entry v packs the size
@@ -330,15 +331,16 @@ func (b *Bundle) estimate(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey,
 	return e.units, e.span, nil
 }
 
-// candClass is one pivot candidate class: the nodes carrying a pivot label
-// (all nodes for the wildcard), kept to those passing a seeded pivot's
-// filter, keyed and value-sorted once per estimation pass for every group
-// component that pivots on the label with that filter.
-type candClass struct {
-	label  graph.Sym
-	filter workload.Filter
-	sorted []graph.NodeID // class members; value order once the sort phase ran
-	ranges []stats.Range
+// candList is one pivot candidate list: the members of a group component's
+// pivot class that workload.Pivot.CandidatesIn keeps, value-sorted once per
+// estimation pass. A list depends on its pivot's star, so there is one per
+// group component; the two components of a symmetric group, whose pivots
+// correspond, share one.
+type candList struct {
+	group, comp int
+	class       int // the size of the class the list is filtered from
+	sorted      []graph.NodeID
+	ranges      []stats.Range
 }
 
 // estTask is one unit-assembly task: a combination of equi-depth ranges,
@@ -353,11 +355,11 @@ type estTask struct {
 }
 
 // lists resolves the task's per-component candidate lists into dst.
-func (t estTask) lists(dst [][]graph.NodeID, classOf []int, classes []candClass) [][]graph.NodeID {
+func (t estTask) lists(dst [][]graph.NodeID, listOf []int, lists []candList) [][]graph.NodeID {
 	dst = dst[:0]
-	for i, ci := range classOf {
-		list := classes[ci].sorted
-		if len(classOf) <= 2 {
+	for i, li := range listOf {
+		list := lists[li].sorted
+		if len(listOf) <= 2 {
 			list = list[t.r[i].Lo:t.r[i].Hi]
 		}
 		dst = append(dst, list)
@@ -365,46 +367,49 @@ func (t estTask) lists(dst [][]graph.NodeID, classOf []int, classes []candClass)
 	return dst
 }
 
-// candClasses lists the distinct candidate classes the groups' pivot
-// components draw from, each with its members in ID order, and maps every
-// group component to its class.
-func candClasses(topo graph.Topology, groups []*ruleGroup) (classes []candClass, classOf [][]int) {
-	classOf = make([][]int, len(groups)) // group -> component -> class
+// candLists lays out the candidate lists of the groups' pivot components,
+// still unfilled, and maps every group component to its list.
+func candLists(topo graph.Topology, groups []*ruleGroup) (lists []candList, listOf [][]int) {
+	listOf = make([][]int, len(groups)) // group -> component -> list
 	for gi, grp := range groups {
-		classOf[gi] = make([]int, grp.pivot.Arity())
-		for i := range classOf[gi] {
-			label, filter := grp.pivot.ClassIn(topo, i), grp.pivot.Filters[i]
-			ci := slices.IndexFunc(classes, func(c candClass) bool { return c.label == label && c.filter.Equal(filter) })
-			if ci < 0 {
-				ci = len(classes)
-				classes = append(classes, candClass{label: label, filter: filter, sorted: grp.pivot.CandidatesIn(topo, i)})
+		listOf[gi] = make([]int, grp.pivot.Arity())
+		for i := range listOf[gi] {
+			if i == 1 && grp.pivot.Symmetric() {
+				listOf[gi][1] = listOf[gi][0]
+				continue
 			}
-			classOf[gi][i] = ci
+			class := topo.NumNodes()
+			if l := grp.pivot.ClassIn(topo, i); l != graph.WildcardSym {
+				class = topo.ClassSize(l)
+			}
+			listOf[gi][i] = len(lists)
+			lists = append(lists, candList{group: gi, comp: i, class: class})
 		}
 	}
-	return classes, classOf
+	return lists, listOf
 }
 
 // assembleUnits runs the parallel workload-estimation phase shared by
 // repVal and disVal, every step a superstep on the cluster's workers: the
-// candidate classes are sorted into equi-depth ranges, the missing c-hop
-// block sizes are traversed, and the range combinations — distributed
-// round-robin — are assembled into unit descriptors, which each worker
-// reports to the coordinator via ship. Units land, in worker-major task
-// order, in one exactly sized slice over one arena of candidate vectors.
-// The caller owns the communication round.
+// candidate lists are filtered from their classes and sorted into
+// equi-depth ranges, the missing c-hop block sizes are traversed, and the
+// range combinations — distributed round-robin — are assembled into unit
+// descriptors, which each worker reports to the coordinator via ship.
+// Units land, in worker-major task order, in one exactly sized slice over
+// one arena of candidate vectors. The caller owns the communication round.
 func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Options, ship func(from, to int, bytes int64)) ([]workUnit, time.Duration, error) {
 	topo, n := b.topo, opt.N
-	classes, classOf := candClasses(topo, groups)
-	classSizes := make([]int, len(classes))
-	for ci, c := range classes {
-		classSizes[ci] = len(c.sorted)
+	lists, listOf := candLists(topo, groups)
+	classSizes := make([]int, len(lists))
+	for li, c := range lists {
+		classSizes[li] = c.class
 	}
 	sortPlan := workload.BalanceLPT(classSizes, n)
 	busy, err := cl.RunMeasured(func(w int) {
-		for _, ci := range sortPlan[w] {
-			c := &classes[ci]
-			c.sorted, c.ranges = stats.EquiDepthByValue(topo, c.sorted, "val", opt.HistogramM)
+		for _, li := range sortPlan[w] {
+			c := &lists[li]
+			cands := groups[c.group].pivot.CandidatesIn(topo, c.comp)
+			c.sorted, c.ranges = stats.EquiDepthByValue(topo, cands, "val", opt.HistogramM)
 		}
 	})
 	if err != nil {
@@ -416,15 +421,15 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 	for gi, grp := range groups {
 		switch k := grp.pivot.Arity(); k {
 		case 1:
-			for _, r := range classes[classOf[gi][0]].ranges {
+			for _, r := range lists[listOf[gi][0]].ranges {
 				tasks = append(tasks, estTask{group: gi, r: [2]stats.Range{r}})
 			}
 		case 2:
 			// Cross-product of per-component ranges; for symmetric deduped
 			// patterns only ordered range pairs are kept (Example 10).
 			symmetric := !opt.NoOptimize && grp.pivot.Symmetric()
-			for i, r1 := range classes[classOf[gi][0]].ranges {
-				for j, r2 := range classes[classOf[gi][1]].ranges {
+			for i, r1 := range lists[listOf[gi][0]].ranges {
+				for j, r2 := range lists[listOf[gi][1]].ranges {
 					if symmetric && j < i {
 						continue
 					}
@@ -435,7 +440,7 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 			tasks = append(tasks, estTask{group: gi})
 		}
 	}
-	tables, sizeSpan, err := b.measureSizes(cl, groups, classes, classOf, n)
+	tables, sizeSpan, err := b.measureSizes(cl, sizeRequests(groups, lists, listOf), n)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -445,11 +450,11 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 	// report them, then fill units and candidate vectors in place.
 	counts := make([]int, len(tasks))
 	busy, err = cl.RunMeasured(func(w int) {
-		var lists [][]graph.NodeID
+		var vecs [][]graph.NodeID
 		for ti := w; ti < len(tasks); ti += n {
 			t := tasks[ti]
-			lists = t.lists(lists, classOf[t.group], classes)
-			counts[ti] = workload.CountVectors(lists, t.dedup)
+			vecs = t.lists(vecs, listOf[t.group], lists)
+			counts[ti] = workload.CountVectors(vecs, t.dedup)
 		}
 	})
 	if err != nil {
@@ -462,23 +467,23 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 		for ti := w; ti < len(tasks); ti += n {
 			unitOff[ti], arenaOff[ti] = numUnits, numIDs
 			numUnits += counts[ti]
-			numIDs += counts[ti] * len(classOf[tasks[ti].group])
+			numIDs += counts[ti] * len(listOf[tasks[ti].group])
 			reported[w] += counts[ti]
 		}
 	}
 	units := make([]workUnit, numUnits)
 	arena := make([]graph.NodeID, numIDs)
 	busy, err = cl.RunMeasured(func(w int) {
-		var lists [][]graph.NodeID
+		var vecs [][]graph.NodeID
 		for ti := w; ti < len(tasks); ti += n {
 			t := tasks[ti]
 			pv := groups[t.group].pivot
 			k := pv.Arity()
-			lists = t.lists(lists, classOf[t.group], classes)
+			vecs = t.lists(vecs, listOf[t.group], lists)
 			dst := units[unitOff[ti] : unitOff[ti]+counts[ti]]
 			ids := arena[arenaOff[ti] : arenaOff[ti]+counts[ti]*k]
 			j := 0
-			workload.EachVector(lists, t.dedup, func(vec []graph.NodeID) bool {
+			workload.EachVector(vecs, t.dedup, func(vec []graph.NodeID) bool {
 				total := 0
 				for i, v := range vec {
 					total += tables[pv.Radii[i]].size(v)
@@ -502,27 +507,24 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 	return units, span + cluster.MaxSpan(busy), nil
 }
 
-// measureSizes resolves |G_z̄[z]| for every (candidate, radius) pair any
-// group needs and returns the per-radius tables holding them: missing
-// entries are traversed in parallel (each request belongs to exactly one
-// worker) and stored with their traversal cost. The modeled span is
-// reconstructed from the per-entry costs over the same round-robin
-// schedule, so it is faithful to a from-scratch n-worker phase whether the
-// entries were cached or traversed this round.
-func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, classes []candClass, classOf [][]int, n int) ([]sizeTable, time.Duration, error) {
-	need := sizeRequests(b.topo, groups, classes, classOf)
+// measureSizes resolves |G_z̄[z]| for every (candidate, radius) pair in
+// need and returns the per-radius tables holding them: missing entries are
+// traversed in parallel (each request belongs to exactly one worker) and
+// stored with their traversal cost. The modeled span is reconstructed from
+// the per-entry costs over the same round-robin schedule, so it is faithful
+// to a from-scratch n-worker phase whether the entries were cached or
+// traversed this round.
+func (b *Bundle) measureSizes(cl *cluster.Cluster, need [][]graph.NodeID, n int) ([]sizeTable, time.Duration, error) {
 	tables := b.sizeTables(need)
 	// eachRequest visits the requests numbered first, first+step, … in the
-	// fixed order every pass over the same classes numbers them.
+	// fixed order every pass over the same lists numbers them.
 	eachRequest := func(first, step int, fn func(t sizeTable, r int, v graph.NodeID)) {
 		next := first
-		for r, req := range need {
-			for _, list := range req {
-				for ; next < len(list); next += step {
-					fn(tables[r], r, list[next])
-				}
-				next -= len(list)
+		for r, list := range need {
+			for ; next < len(list); next += step {
+				fn(tables[r], r, list[next])
 			}
+			next -= len(list)
 		}
 	}
 	_, err := cl.RunMeasured(func(w int) {
@@ -561,68 +563,35 @@ func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, classes 
 	return tables, cluster.MaxSpan(busy), nil
 }
 
-// sizeRequests lists, per radius, the node lists whose blocks of that
-// radius some group needs, so that no node is listed twice: whole classes
-// first, then the sorted, deduplicated rest of the filtered ones. Label
-// classes are disjoint and the unfiltered wildcard class covers them all;
-// a filtered class may overlap any class sharing its label, and a filtered
-// wildcard class any class at all.
-func sizeRequests(topo graph.Topology, groups []*ruleGroup, classes []candClass, classOf [][]int) [][][]graph.NodeID {
-	var asked [][]int // radius -> classes, in first-request order
+// sizeRequests lists, per radius, the nodes whose blocks of that radius
+// some group needs: the sorted, deduplicated union of the candidate lists
+// of the components at that radius, so that no block is measured twice.
+func sizeRequests(groups []*ruleGroup, lists []candList, listOf [][]int) [][]graph.NodeID {
+	var need [][]graph.NodeID
 	for gi, grp := range groups {
 		for i, r := range grp.pivot.Radii {
-			for len(asked) <= r {
-				asked = append(asked, nil)
+			for len(need) <= r {
+				need = append(need, nil)
 			}
-			if ci := classOf[gi][i]; !slices.Contains(asked[r], ci) {
-				asked[r] = append(asked[r], ci)
-			}
+			need[r] = append(need[r], lists[listOf[gi][i]].sorted...)
 		}
 	}
-	need := make([][][]graph.NodeID, len(asked))
-	for r, cis := range asked {
-		if i := slices.IndexFunc(cis, func(ci int) bool {
-			return classes[ci].label == graph.WildcardSym && !classes[ci].filter.Active()
-		}); i >= 0 {
-			need[r] = [][]graph.NodeID{classes[cis[i]].sorted}
-			continue
-		}
-		var whole []graph.Sym
-		for _, ci := range cis {
-			if !classes[ci].filter.Active() {
-				whole = append(whole, classes[ci].label)
-				need[r] = append(need[r], classes[ci].sorted)
-			}
-		}
-		var rest []graph.NodeID
-		for _, ci := range cis {
-			c := &classes[ci]
-			if !c.filter.Active() || slices.Contains(whole, c.label) {
-				continue
-			}
-			for _, v := range c.sorted {
-				if c.label != graph.WildcardSym || !slices.Contains(whole, topo.Label(v)) {
-					rest = append(rest, v)
-				}
-			}
-		}
-		if len(rest) > 0 {
-			slices.Sort(rest)
-			need[r] = append(need[r], slices.Compact(rest))
-		}
+	for r := range need {
+		slices.Sort(need[r])
+		need[r] = slices.Compact(need[r])
 	}
 	return need
 }
 
 // sizeTables returns the bundle's tables with one present, and covering
 // every node of the topology, for each radius need requests.
-func (b *Bundle) sizeTables(need [][][]graph.NodeID) []sizeTable {
+func (b *Bundle) sizeTables(need [][]graph.NodeID) []sizeTable {
 	numNodes := b.topo.NumNodes()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	tables, shared := b.est.sizes, true
-	for r, lists := range need {
-		if len(lists) == 0 || r < len(tables) && len(tables[r]) >= numNodes {
+	for r, nodes := range need {
+		if len(nodes) == 0 || r < len(tables) && len(tables[r]) >= numNodes {
 			continue
 		}
 		if shared {

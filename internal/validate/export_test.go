@@ -1,7 +1,7 @@
 package validate
 
 import (
-	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -79,18 +79,13 @@ func (b *Bundle) Plan(opt Options) (PlanImage, error) {
 }
 
 // PlanShape reports what bounds the cold path's allocations: rule groups,
-// distinct pivot candidate classes, and the units they expand to.
-func (b *Bundle) PlanShape(opt Options) (groups, classes, units int) {
+// pivot candidate lists, and the units they expand to.
+func (b *Bundle) PlanShape(opt Options) (groups, lists, units int) {
 	opt = opt.Normalized()
 	_, gs, _ := b.ruleGroupsKeyed(opt)
-	seen := make(map[string]bool)
-	for _, grp := range gs {
-		for i := 0; i < grp.pivot.Arity(); i++ {
-			seen[fmt.Sprint(grp.pivot.ClassIn(b.topo, i), grp.pivot.Filters[i])] = true
-		}
-	}
+	ls, _ := candLists(b.topo, gs)
 	units, _ = b.ColdPlan(opt)
-	return len(gs), len(seen), units
+	return len(gs), len(ls), units
 }
 
 // GroupShape is one rule group's pattern, pivot variables, their candidate
@@ -269,9 +264,10 @@ func (o *OracleEstimator) assemble(groups []*ruleGroup, opt Options) []workUnit 
 	return units
 }
 
-// oracleCandidates is the seeded candidate set read through the mutable
-// graph's strings: every node whose label the pivot's admits and, for a
-// seeded component, whose filter attribute holds one of its constants.
+// oracleCandidates is the candidate set read through the mutable graph's
+// strings: every node whose label the pivot's admits, whose filter
+// attribute, for a seeded component, holds one of its constants, and whose
+// star holds (oracleStar).
 func oracleCandidates(g *graph.Graph, pv *workload.Pivot, i int) []graph.NodeID {
 	label, f := pv.Q.Nodes[pv.Vars[i]].Label, pv.Filters[i]
 	var out []graph.NodeID
@@ -284,9 +280,51 @@ func oracleCandidates(g *graph.Graph, pv *workload.Pivot, i int) []graph.NodeID 
 				continue
 			}
 		}
-		out = append(out, v)
+		if oracleStar(g, pv.Q, pv.Vars[i], v) {
+			out = append(out, v)
+		}
 	}
 	return out
+}
+
+// oracleStar reports whether every pattern neighbour q of z can bind at v:
+// each pattern edge joining z and q has a graph edge at v in its direction
+// — with its label reaching a node of q's label, or any edge at all for a
+// wildcard edge label — and the edges whose labels and q's are concrete
+// reach one common node.
+func oracleStar(g *graph.Graph, q *pattern.Pattern, z int, v graph.NodeID) bool {
+	common := map[int]map[graph.NodeID]bool{} // neighbour -> nodes every concrete edge reaches
+	reach := func(nbr int, label string, es []graph.HalfEdge) bool {
+		if label == pattern.Wildcard {
+			return len(es) > 0
+		}
+		nl := q.Nodes[nbr].Label
+		hit := map[graph.NodeID]bool{}
+		for _, e := range es {
+			if e.Label == label && pattern.LabelMatches(nl, g.Label(e.To)) {
+				hit[e.To] = true
+			}
+		}
+		if len(hit) == 0 || nl == pattern.Wildcard {
+			return len(hit) > 0
+		}
+		if prev, ok := common[nbr]; ok {
+			maps.DeleteFunc(hit, func(w graph.NodeID, _ bool) bool { return !prev[w] })
+		}
+		common[nbr] = hit
+		return len(hit) > 0
+	}
+	for _, ei := range q.OutEdges(z) {
+		if e := q.Edges[ei]; !reach(e.To, e.Label, g.Out(v)) {
+			return false
+		}
+	}
+	for _, ei := range q.InEdges(z) {
+		if e := q.Edges[ei]; !reach(e.From, e.Label, g.In(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // oracleValueOrder sorts candidates by attribute value read through the

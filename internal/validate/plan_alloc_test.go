@@ -15,21 +15,22 @@ import (
 
 // TestColdPlanAllocationsIndependentOfUnits bounds the cold path's
 // allocations by what it legitimately allocates per — rule group,
-// candidate class, worker — and not by the number of units planned.
+// candidate list, worker — and not by the number of units planned.
 func TestColdPlanAllocationsIndependentOfUnits(t *testing.T) {
 	g, set := coldPlanWorkload()
 	opt := validate.Options{N: 2}
-	groups, classes, units := validate.NewBundle(g, set).PlanShape(opt)
+	groups, lists, units := validate.NewBundle(g, set).PlanShape(opt)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := validate.NewBundle(g, set).ColdPlan(opt); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Per group: its compiled artifacts, class indices, up to 16² range
-	// tasks' worth of slice growth; per class: the sort's seven arrays and
-	// its ranges; per worker: four supersteps' goroutines and scratch.
-	bound := float64(64*(groups+classes+opt.N) + 128)
-	t.Logf("%d groups, %d classes, %d workers, %d units: %.0f allocations (bound %.0f)", groups, classes, opt.N, units, allocs, bound)
+	// Per group: its compiled artifacts, list indices, up to 16² range
+	// tasks' worth of slice growth; per list: the filter pass's output, the
+	// sort's seven arrays and its ranges; per worker: four supersteps'
+	// goroutines and scratch.
+	bound := float64(64*(groups+lists+opt.N) + 128)
+	t.Logf("%d groups, %d lists, %d workers, %d units: %.0f allocations (bound %.0f)", groups, lists, opt.N, units, allocs, bound)
 	if allocs > bound {
 		t.Fatalf("cold plan of %d units allocates %.0f times, bound %.0f", units, allocs, bound)
 	}

@@ -27,9 +27,9 @@ import (
 
 // planRules adds, to rules mined on g (each with a constant X, so their
 // pivots are seeded), one rule per assembly branch the mined ones may miss:
-// a wildcard pivot (the all-nodes class, which also subsumes the label
-// classes in the size tables), a seeded class overlapping a whole one at
-// the same radius, two isomorphic single-node components (symmetric dedup
+// a wildcard pivot (a list drawn from all nodes, which overlaps the
+// labelled lists in the size tables), a seeded list overlapping an
+// unseeded one at the same radius, two isomorphic single-node components (symmetric dedup
 // on the diagonal range pairs), two components of different classes, and
 // three components (the single-task cross product).
 func planRules(g *graph.Graph, seed int64) *core.Set {
@@ -41,14 +41,14 @@ func planRules(g *graph.Graph, seed int64) *core.Set {
 	hub.AddEdge(x, hub.AddNode("y", "country"), "located_in")
 	rules = append(rules, core.MustNew("plan_wild_hub", hub, nil, []core.Literal{core.Const("x", "val", "nowhere")}))
 
-	// After the wildcard rule (and not implied by it), so a label class
-	// asks for a radius the all-nodes class already covers.
+	// After the wildcard rule (and not implied by it), so a labelled list
+	// asks for a radius the wildcard list already covers.
 	town := pattern.New()
 	c := town.AddNode("c", "city")
 	town.AddEdge(c, town.AddNode("z", "country"), "located_in")
 	rules = append(rules, core.MustNew("plan_town", town, nil, []core.Literal{core.Const("c", "val", "elsewhere")}))
-	// The same pattern seeded on c: its filtered class lies inside
-	// plan_town's at the same radius, so each block is measured once.
+	// The same pattern seeded on c: its list lies inside plan_town's at
+	// the same radius, so each block is measured once.
 	city, _ := g.Attr(g.NodesWithLabel("city")[0], "val")
 	rules = append(rules, core.MustNew("plan_seeded_town", town, []core.Literal{core.Const("c", "val", city)},
 		[]core.Literal{core.Const("z", "val", "nowhere")}))
@@ -137,8 +137,9 @@ func comparePlans(t *testing.T, kind string, b *validate.Bundle, oracle *validat
 // with the same block sizes, same split, same assignment — and move the
 // probe counters alike, including across Session.Apply, where both must
 // re-measure exactly the blocks the update touched. The oracle derives the
-// seeded candidate sets itself, through the mutable graph's strings, and
-// measures each (node, radius) once however many classes request it.
+// candidate sets itself — seed filters and pivot stars — through the
+// mutable graph's strings, and measures each (node, radius) once however
+// many lists request it.
 func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2} {
@@ -261,19 +262,39 @@ func bundleOf(t testing.TB, g *graph.Graph, set *core.Set) *session.Prepared {
 	return prep
 }
 
-// coldPlanWorkload is the cold default-engine workload at benchmark scale:
-// the DBpedia-like graph of kb_cold_rep with the three Fig. 7 rules.
+// coldPlanWorkload is a cold default-engine workload at benchmark scale:
+// the DBpedia-like graph of kb_cold_rep with three X = ∅ rules whose pivot
+// stars almost every person has (a birthplace, a parent, or both), so the
+// candidate lists stay class-sized and the plan holds tens of thousands of
+// units. Y holds on every match, so detection emits nothing.
 func coldPlanWorkload() (*graph.Graph, *core.Set) {
 	g := gen.DBpediaLike(gen.DatasetConfig{Scale: 6000, Seed: 1})
 	g.Freeze()
-	return g, exp.Fig7Rules()
+	person := func(born, parent bool) *pattern.Pattern {
+		q := pattern.New()
+		x := q.AddNode("x", "person")
+		if born {
+			q.AddEdge(x, q.AddNode("c", "city"), "born_in")
+		}
+		if parent {
+			q.AddEdge(x, q.AddNode("y", "person"), "has_parent")
+		}
+		return q
+	}
+	// A distinct Y per rule, so that none implies another.
+	same := func(v pattern.Var) []core.Literal { return []core.Literal{core.VarEq(v, "val", v, "val")} }
+	return g, core.MustNewSet(
+		core.MustNew("born", person(true, false), nil, same("c")),
+		core.MustNew("parent", person(false, true), nil, same("y")),
+		core.MustNew("born_parent", person(true, true), nil, same("x")),
+	)
 }
 
 // BenchmarkColdPlan times what a cold repVal round pays before its first
-// unit runs: a fresh Bundle, then planFor — value-sorting the candidate
-// classes, measuring every block, assembling, splitting and balancing the
+// unit runs: a fresh Bundle, then planFor — filtering and value-sorting
+// the candidate lists, measuring every block, assembling, splitting and balancing the
 // units. Run with -benchmem: allocs/op must stay in the hundreds while
-// the plan holds tens of thousands of units.
+// the plan holds some 18 000 units.
 func BenchmarkColdPlan(b *testing.B) {
 	g, set := coldPlanWorkload()
 	opt := validate.Options{N: 2}

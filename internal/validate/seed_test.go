@@ -39,11 +39,11 @@ func planUnits(t *testing.T, b *Bundle, opt Options) int {
 
 // TestSeededPivotUnits: a group whose every member has a constant X
 // literal on one node pivots there, and its units are the class members
-// that carry one of the constants — on a KB set, Σ of the filtered class
-// sizes, far below the class-sized set. A constant no node holds seeds no
-// unit and loses no violation; symmetric two-component patterns and the
-// ArbitraryPivot ablation keep class-sized unit sets; and every engine still
-// reports the oracle's violation set.
+// that carry one of the constants and have the pivot's star — on a KB set,
+// Σ of the filtered candidate lists, far below the class-sized set. A
+// constant no node holds seeds no unit and loses no violation; symmetric
+// two-component patterns and the ArbitraryPivot ablation keep unseeded
+// candidates; and every engine still reports the oracle's violation set.
 func TestSeededPivotUnits(t *testing.T) {
 	g, rules := seededKB(t)
 
@@ -62,8 +62,8 @@ func TestSeededPivotUnits(t *testing.T) {
 	opt := Options{N: 2, NoReduce: true}.Normalized()
 	_, groups, _ := b.ruleGroupsKeyed(opt)
 
-	// Units = Σ filtered class sizes, read through the mutable graph's
-	// strings; the symmetric pair is the class's unordered pairs.
+	// Units = Σ candidate list sizes, read through the mutable graph's
+	// strings; the symmetric pair is the list's unordered pairs.
 	want, classSized := 0, 0
 	for _, grp := range groups {
 		pv := grp.pivot
@@ -89,13 +89,13 @@ func TestSeededPivotUnits(t *testing.T) {
 	got := planUnits(t, b, opt)
 	t.Logf("%d groups: %d seeded units, %d class-sized", len(groups), got, classSized)
 	if got != want {
-		t.Fatalf("%d units, want Σ filtered class sizes %d", got, want)
+		t.Fatalf("%d units, want Σ candidate list sizes %d", got, want)
 	}
 	if 4*got > classSized {
 		t.Fatalf("seeding kept %d of %d class-sized units", got, classSized)
 	}
 
-	// The ablation pivots every component on its first node, unfiltered.
+	// The ablation pivots every component on its first node, unseeded.
 	arb := Options{N: 2, NoReduce: true, ArbitraryPivot: true}.Normalized()
 	_, arbGroups, _ := b.ruleGroupsKeyed(arb)
 	wantArb := 0
@@ -114,7 +114,7 @@ func TestSeededPivotUnits(t *testing.T) {
 		}
 	}
 	if got := planUnits(t, b, arb); got != wantArb {
-		t.Fatalf("ArbitraryPivot: %d units, want the class-sized %d", got, wantArb)
+		t.Fatalf("ArbitraryPivot: %d units, want the unseeded %d", got, wantArb)
 	}
 
 	wantVio := oracleVio(g, set)
@@ -135,25 +135,26 @@ func TestSeededPivotUnits(t *testing.T) {
 	}
 }
 
-// TestSizeRequestsListEachNodeOnce: seeded classes overlap the classes that
-// share their label, and a seeded wildcard class overlaps every class, so
-// the block-size requests of one radius must list each requested node
-// exactly once — or two workers may measure one block and the probe counter
-// and the modeled span would count it twice.
+// TestSizeRequestsListEachNodeOnce: candidate lists overlap — a seeded
+// list lies inside the unseeded one of its label and star, a seeded
+// wildcard list reaches into every class — so the block-size requests of
+// one radius must list each requested node exactly once, or two workers
+// may measure one block and the probe counter and the modeled span would
+// count it twice.
 func TestSizeRequestsListEachNodeOnce(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 60, Seed: 4})
 	cities := g.NodesWithLabel("city")
 	c0, _ := g.Attr(cities[0], "val")
 	c1, _ := g.Attr(cities[1], "val")
 
-	// Radius 1: a whole city class, a seeded city class it covers, and a
-	// seeded wildcard class that reaches beyond it.
+	// Radius 1: a whole city list, a seeded city list it covers, and a
+	// seeded wildcard list that reaches beyond it.
 	town := func(label string) *pattern.Pattern {
 		q := pattern.New()
 		q.AddEdge(q.AddNode("c", label), q.AddNode("z", "country"), "located_in")
 		return q
 	}
-	// Radius 2: two seeded city classes with overlapping constant sets.
+	// Radius 2: two seeded city lists with overlapping constant sets.
 	chain := func(withPerson bool) *pattern.Pattern {
 		q := pattern.New()
 		c := q.AddNode("c", "city")
@@ -177,48 +178,44 @@ func TestSizeRequestsListEachNodeOnce(t *testing.T) {
 	)
 	b := NewBundle(g, set)
 	_, groups, _ := b.ruleGroupsKeyed(Options{NoReduce: true}.Normalized())
-	classes, classOf := candClasses(b.topo, groups)
-	need := sizeRequests(b.topo, groups, classes, classOf)
-
-	askedAt := map[int]map[int]bool{} // radius -> requested classes
-	for gi, grp := range groups {
-		for i, r := range grp.pivot.Radii {
-			if askedAt[r] == nil {
-				askedAt[r] = map[int]bool{}
-			}
-			askedAt[r][classOf[gi][i]] = true
-		}
+	lists, listOf := candLists(b.topo, groups)
+	for li := range lists {
+		lists[li].sorted = groups[lists[li].group].pivot.CandidatesIn(b.topo, lists[li].comp)
 	}
+	need := sizeRequests(groups, lists, listOf)
+
 	overlapped := false
-	for r, lists := range need {
+	for r, nodes := range need {
 		want := map[graph.NodeID]bool{}
 		asked := 0
-		for ci := range askedAt[r] {
-			for _, v := range classes[ci].sorted {
-				want[v] = true
+		for gi, grp := range groups {
+			for i, ri := range grp.pivot.Radii {
+				if ri == r {
+					for _, v := range lists[listOf[gi][i]].sorted {
+						want[v] = true
+					}
+					asked += len(lists[listOf[gi][i]].sorted)
+				}
 			}
-			asked += len(classes[ci].sorted)
 		}
 		listed := map[graph.NodeID]bool{}
-		for _, list := range lists {
-			for _, v := range list {
-				if listed[v] {
-					t.Fatalf("radius %d: node %d requested twice", r, v)
-				}
-				listed[v] = true
+		for _, v := range nodes {
+			if listed[v] {
+				t.Fatalf("radius %d: node %d requested twice", r, v)
 			}
+			listed[v] = true
 		}
 		if len(listed) != len(want) {
-			t.Fatalf("radius %d: %d nodes requested, the classes hold %d", r, len(listed), len(want))
+			t.Fatalf("radius %d: %d nodes requested, the lists hold %d", r, len(listed), len(want))
 		}
 		for v := range want {
 			if !listed[v] {
-				t.Fatalf("radius %d: node %d of a requested class is missing", r, v)
+				t.Fatalf("radius %d: node %d of a requested list is missing", r, v)
 			}
 		}
 		overlapped = overlapped || asked > len(want)
 	}
 	if !overlapped {
-		t.Fatal("no two requested classes overlap; the test is vacuous")
+		t.Fatal("no two requested lists overlap; the test is vacuous")
 	}
 }

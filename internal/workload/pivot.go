@@ -1,8 +1,10 @@
 // Package workload implements the workload model of Section 5.2: pivot
-// vectors PV(ϕ), work units w = ⟨v̄_z, G_z̄⟩, workload estimation W(Σ, G),
-// the greedy 2-approximation for balanced n-partitions (Proposition 12),
-// and the bi-criteria assignment that additionally minimizes communication
-// cost for fragmented graphs (Proposition 13).
+// vectors PV(ϕ) and their candidates (the pivot label's class, semi-joined
+// with the pivot's pattern neighbours), work units w = ⟨v̄_z, G_z̄⟩,
+// workload estimation W(Σ, G), the greedy 2-approximation for balanced
+// n-partitions (Proposition 12), and the bi-criteria assignment that
+// additionally minimizes communication cost for fragmented graphs
+// (Proposition 13).
 package workload
 
 import (
@@ -18,21 +20,23 @@ import (
 // locality of subgraph isomorphism, every match of the pattern lies within
 // the c_i-hop neighborhoods of the pivots' images — for any choice of pivot
 // node, at that node's eccentricity. A component is either centred (the
-// minimum-radius node, all of its label class are candidates) or seeded
-// (Seed: a node carrying a constant X literal, only the class members whose
-// attribute holds one of the constants are candidates).
+// minimum-radius node) or seeded (Seed: a node carrying a constant X
+// literal, whose filter keeps the class members holding one of the
+// constants). Either way its candidates are the class members where every
+// pattern neighbour of the pivot can bind (CandidatesIn), so a work unit
+// exists only where the pivot's star is present.
 type Pivot struct {
 	Q          *pattern.Pattern
 	Components [][]int  // node indices per connected component
 	Vars       []int    // pivot node index z_i per component
 	Radii      []int    // component radius c^i_Q at the pivot
-	Filters    []Filter // candidate restriction per component; zero = the whole class
+	Filters    []Filter // seed filter per component; zero = none
 	symmetric  bool     // the two components are isomorphic (k == 2 only)
 }
 
 // Filter restricts a seeded pivot's candidates to the class members whose
 // attribute Attr holds one of Values (sorted, distinct). The zero Filter
-// admits the whole class.
+// restricts nothing.
 type Filter struct {
 	Attr   string
 	Values []string
@@ -41,36 +45,26 @@ type Filter struct {
 // Active reports whether f restricts anything.
 func (f Filter) Active() bool { return f.Attr != "" }
 
-// Equal reports whether f and o admit the same nodes on every graph.
-func (f Filter) Equal(o Filter) bool { return f.Attr == o.Attr && slices.Equal(f.Values, o.Values) }
-
 // ComputePivot derives PV(ϕ) for a pattern: per component the member of
 // minimum radius, preferring a labelled node over a wildcard of the same
 // radius (pattern.Center), so a wildcard never turns every graph node into
 // a pivot candidate when a label class would do. No component is seeded.
 // It runs in O(|Q|²) time.
-func ComputePivot(q *pattern.Pattern) *Pivot {
-	comps := q.Components()
-	p := &Pivot{
-		Q:          q,
-		Components: comps,
-		Vars:       make([]int, len(comps)),
-		Radii:      make([]int, len(comps)),
-		Filters:    make([]Filter, len(comps)),
-	}
-	for i, members := range comps {
-		p.Vars[i], p.Radii[i] = q.Center(members)
-	}
-	if len(comps) == 2 {
-		p.symmetric = componentsIsomorphic(q, comps[0], comps[1])
-	}
-	return p
-}
+func ComputePivot(q *pattern.Pattern) *Pivot { return newPivot(q, q.Center) }
 
 // ArbitraryPivot derives a pivot vector that ignores the min-radius rule
-// and picks the first variable of each component instead; the pivot-choice
-// ablation benchmark compares it against ComputePivot.
+// and picks the first variable of each component instead (the second of
+// two isomorphic components takes the image of the first's); the
+// pivot-choice ablation benchmark compares it against ComputePivot.
 func ArbitraryPivot(q *pattern.Pattern) *Pivot {
+	return newPivot(q, func(members []int) (int, int) { return members[0], q.Eccentricity(members[0]) })
+}
+
+// newPivot pivots each component on the member pick chooses. The second of
+// two isomorphic components pivots on the image of the first's pivot, so
+// both pivots have one star and one candidate list, which the symmetric
+// unit deduplication needs.
+func newPivot(q *pattern.Pattern, pick func(members []int) (node, radius int)) *Pivot {
 	comps := q.Components()
 	p := &Pivot{
 		Q:          q,
@@ -80,11 +74,12 @@ func ArbitraryPivot(q *pattern.Pattern) *Pivot {
 		Filters:    make([]Filter, len(comps)),
 	}
 	for i, members := range comps {
-		p.Vars[i] = members[0]
-		p.Radii[i] = q.Eccentricity(members[0])
+		p.Vars[i], p.Radii[i] = pick(members)
 	}
 	if len(comps) == 2 {
-		p.symmetric = componentsIsomorphic(q, comps[0], comps[1])
+		if z := mirror(q, comps[0], comps[1], p.Vars[0]); z >= 0 {
+			p.Vars[1], p.Radii[1], p.symmetric = z, p.Radii[0], true
+		}
 	}
 	return p
 }
@@ -93,7 +88,7 @@ func ArbitraryPivot(q *pattern.Pattern) *Pivot {
 // eccentricity(z), and restricts the component's candidates by f: when every
 // rule checked on the pattern has X literal z.A = c for one of f's
 // constants, a match can violate only where its image of z carries one, so
-// the units are exactly the nodes where some X can hold.
+// units exist only at nodes where some X can hold.
 func (p *Pivot) Seed(z int, f Filter) {
 	for i, members := range p.Components {
 		if slices.Contains(members, z) {
@@ -112,17 +107,22 @@ func (p *Pivot) Arity() int { return len(p.Vars) }
 // (the multi-query duplicate-removal optimization of Example 10).
 func (p *Pivot) Symmetric() bool { return p.symmetric }
 
-// componentsIsomorphic checks whether the sub-patterns induced by two
-// component node sets are isomorphic (labels included).
-func componentsIsomorphic(q *pattern.Pattern, a, b []int) bool {
+// mirror returns the node of component b that an isomorphism between the
+// sub-patterns the two components induce (labels included) maps a's node z
+// onto, or -1 when they are not isomorphic.
+func mirror(q *pattern.Pattern, a, b []int, z int) int {
 	if len(a) != len(b) {
-		return false
+		return -1
 	}
 	pa, pb := subPattern(q, a), subPattern(q, b)
-	if pa.NumEdges() != pb.NumEdges() {
-		return false
+	if pa.NumEdges() != pb.NumEdges() || !pattern.EmbeddableExact(pb, pa) {
+		return -1
 	}
-	return pattern.EmbeddableExact(pa, pb) && pattern.EmbeddableExact(pb, pa)
+	emb, ok := pattern.FirstEmbedding(pa, pb)
+	if !ok {
+		return -1
+	}
+	return b[emb.Map[slices.Index(a, z)]]
 }
 
 // subPattern extracts the sub-pattern induced by the node indices in keep.
@@ -144,7 +144,7 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 
 // ClassIn returns the candidate class pivot component i draws from on a
 // compiled topology: the pivot label's interned code, WildcardSym for a
-// wildcard pivot (all nodes). Components sharing a class share candidates.
+// wildcard pivot (all nodes). CandidatesIn keeps a subset of it.
 func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
 	label := p.Q.Nodes[p.Vars[i]].Label
 	if label == pattern.Wildcard {
@@ -155,10 +155,15 @@ func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
 
 // CandidatesIn returns, for pivot component i, the candidate nodes of the
 // pivot variable on a compiled topology (frozen snapshot or overlay): the
-// pivot label's class, all nodes for a wildcard pivot, kept to the members
-// that pass the component's filter when it is seeded. The filter reads the
-// topology's own attributes, so an overlay's updates count; a constant its
-// symbol table never interned holds on no node.
+// members of the pivot label's class, all nodes for a wildcard pivot, that
+// pass the component's filter when it is seeded and at which every pattern
+// neighbour q of the pivot can bind. For each q, every run of the member's
+// adjacency along a pivot–q pattern edge, keyed by q's label, is non-empty,
+// and the runs with a concrete edge and q label — the To-sorted ones —
+// share a neighbour. Injectivity is ignored, so the test is weaker than a
+// match and never drops one. One pass over the class runs both tests on the
+// topology's own view, so an overlay's updates count; a label or constant
+// its symbol table never interned holds on no node.
 func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
 	var class []graph.NodeID
 	if c := p.ClassIn(t, i); c != graph.WildcardSym {
@@ -169,31 +174,97 @@ func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
 			class[j] = graph.NodeID(j)
 		}
 	}
-	if f := p.Filters[i]; f.Active() {
-		return f.keep(t, class)
+	attr, vals, ok := p.Filters[i].lower(t.Syms())
+	if !ok {
+		return nil
 	}
-	return class
+	s := p.starIn(t, i)
+	if attr == graph.NoSym && len(s) == 0 {
+		return class
+	}
+	view := t.View()
+	var out, common []graph.NodeID
+	var runs [graph.MaxIntersectArity][]graph.CSREdge
+next:
+	for _, v := range class {
+		if attr != graph.NoSym {
+			if a, ok := view.AttrSym(v, attr); !ok || !slices.Contains(vals, a) {
+				continue
+			}
+		}
+		for _, nbr := range s {
+			k := 0
+			for _, r := range nbr {
+				var es []graph.CSREdge
+				if r.in {
+					es = view.InWithNbr(v, r.label, r.nbr)
+				} else {
+					es = view.OutWithNbr(v, r.label, r.nbr)
+				}
+				if len(es) == 0 {
+					continue next
+				}
+				if r.label != graph.WildcardSym && r.nbr != graph.WildcardSym && k < len(runs) {
+					runs[k] = es
+					k++
+				}
+			}
+			if k >= 2 {
+				if common = graph.IntersectAdjacency(common[:0], runs[:k]); len(common) == 0 {
+					continue next
+				}
+			}
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
-// keep returns the members of class that pass f on t, in class order.
-func (f Filter) keep(t graph.Topology, class []graph.NodeID) []graph.NodeID {
-	syms := t.Syms()
-	attr := syms.Lookup(f.Attr)
-	var vals []graph.Sym
+// lower resolves f on syms: the attribute's code (NoSym for the zero
+// Filter) and the constants' codes. ok is false when f is active yet no
+// node can pass it.
+func (f Filter) lower(syms *graph.Symbols) (attr graph.Sym, vals []graph.Sym, ok bool) {
+	if !f.Active() {
+		return graph.NoSym, nil, true
+	}
+	attr = syms.Lookup(f.Attr)
 	for _, c := range f.Values {
 		if s := syms.Lookup(c); s != graph.NoSym {
 			vals = append(vals, s)
 		}
 	}
-	var out []graph.NodeID
-	if attr == graph.NoSym || len(vals) == 0 {
-		return out
-	}
-	view := t.View()
-	for _, v := range class {
-		if s, ok := view.AttrSym(v, attr); ok && slices.Contains(vals, s) {
-			out = append(out, v)
+	return attr, vals, attr != graph.NoSym && len(vals) > 0
+}
+
+// starRun is one pattern edge at a pivot lowered onto a symbol table: its
+// label, the label of the neighbour at its other end, and its direction.
+type starRun struct {
+	label, nbr graph.Sym
+	in         bool
+}
+
+// starIn lowers pivot component i's star onto t: per pattern neighbour of
+// the pivot (itself, for a self-loop), the runs along the edges joining
+// them.
+func (p *Pivot) starIn(t graph.Topology, i int) [][]starRun {
+	c := pattern.CompileFor(p.Q, t.Syms())
+	z := p.Vars[i]
+	var nbrs []int
+	var star [][]starRun
+	add := func(q int, label graph.Sym, in bool) {
+		j := slices.Index(nbrs, q)
+		if j < 0 {
+			j = len(nbrs)
+			nbrs = append(nbrs, q)
+			star = append(star, nil)
 		}
+		star[j] = append(star[j], starRun{label, c.NodeSyms[q], in})
 	}
-	return out
+	for _, ei := range p.Q.OutEdges(z) {
+		add(p.Q.Edges[ei].To, c.Edges[ei].Label, false)
+	}
+	for _, ei := range p.Q.InEdges(z) {
+		add(p.Q.Edges[ei].From, c.Edges[ei].Label, true)
+	}
+	return star
 }

@@ -122,15 +122,27 @@ func TestComputePivotPrefersLabelledOverWildcard(t *testing.T) {
 	}
 }
 
+// numberedFlight is a flight with its id: the star every flight of
+// flightGraph has.
+func numberedFlight() *pattern.Pattern {
+	q := pattern.New()
+	q.AddEdge(q.AddNode("x", "flight"), q.AddNode("x1", "id"), "number")
+	return q
+}
+
+// TestCandidates: a pivot's candidates are the members of its class at
+// which its star is present — every flight for a flight with its id, none
+// for a flight with an edge no flight has — and a lone wildcard pivot
+// admits every node.
 func TestCandidates(t *testing.T) {
 	g := flightGraph(3)
 	snap := g.Freeze()
-	pv := ComputePivot(starPattern(1))
-	cands := pv.CandidatesIn(snap, 0)
-	if len(cands) != 3 {
-		t.Errorf("flight candidates = %d", len(cands))
+	if got := ComputePivot(numberedFlight()).CandidatesIn(snap, 0); len(got) != 3 {
+		t.Errorf("flight candidates = %v, want all 3", got)
 	}
-	// Wildcard pivot: all nodes.
+	if got := ComputePivot(starPattern(1)).CandidatesIn(snap, 0); len(got) != 0 {
+		t.Errorf("flights with an e edge to a sat: %v, want none", got)
+	}
 	wq := pattern.New()
 	wq.AddNode("x", pattern.Wildcard)
 	if got := ComputePivot(wq).CandidatesIn(snap, 0); len(got) != g.NumNodes() {
@@ -153,7 +165,7 @@ func TestSeedFiltersCandidates(t *testing.T) {
 	if got := pv.CandidatesIn(snap, 0); len(got) != 4 {
 		t.Fatalf("ids with val FL: %v", got)
 	}
-	star := ComputePivot(starPattern(1))
+	star := ComputePivot(numberedFlight())
 	star.Seed(0, Filter{Attr: "val", Values: []string{"b", "d", "never"}})
 	got := star.CandidatesIn(snap, 0)
 	if len(got) != 2 || snap.Label(got[0]) != snap.Syms().Lookup("flight") {
@@ -171,6 +183,22 @@ func TestSeedFiltersCandidates(t *testing.T) {
 	wild.Seed(0, Filter{Attr: "val", Values: []string{"FL", "a"}})
 	if got := wild.CandidatesIn(snap, 0); len(got) != 5 {
 		t.Fatalf("any node with val FL or a: %v", got)
+	}
+}
+
+// TestSymmetricPivotsCorrespond: the second of two isomorphic components
+// pivots on the image of the first's pivot, whatever order the pattern
+// lists their nodes in, so both pivots have one star.
+func TestSymmetricPivotsCorrespond(t *testing.T) {
+	q := pattern.New()
+	x := q.AddNode("x", "flight")
+	q.AddEdge(x, q.AddNode("x1", "id"), "number")
+	y1 := q.AddNode("y1", "id")
+	q.AddEdge(q.AddNode("y", "flight"), y1, "number")
+	for _, pv := range []*Pivot{ComputePivot(q), ArbitraryPivot(q)} {
+		if !pv.Symmetric() || pv.Vars[0] != x || pv.Vars[1] != 3 || pv.Radii[0] != pv.Radii[1] {
+			t.Fatalf("pivots %v radii %v symmetric %v; want the two flights", pv.Vars, pv.Radii, pv.Symmetric())
+		}
 	}
 }
 
@@ -196,11 +224,7 @@ func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]grap
 
 func TestVectorsSingleComponent(t *testing.T) {
 	g := flightGraph(4)
-	q := pattern.New()
-	x := q.AddNode("x", "flight")
-	x1 := q.AddNode("x1", "id")
-	q.AddEdge(x, x1, "number")
-	if vecs := vectorsOf(t, g, ComputePivot(q), false); len(vecs) != 4 {
+	if vecs := vectorsOf(t, g, ComputePivot(numberedFlight()), false); len(vecs) != 4 {
 		t.Fatalf("vectors = %d, want 4 (one per flight)", len(vecs))
 	}
 }
@@ -238,11 +262,7 @@ func TestEachVectorStopsEarly(t *testing.T) {
 
 func TestUnitBlock(t *testing.T) {
 	g := flightGraph(2)
-	q := pattern.New()
-	x := q.AddNode("x", "flight")
-	x1 := q.AddNode("x1", "id")
-	q.AddEdge(x, x1, "number")
-	pv := ComputePivot(q)
+	pv := ComputePivot(numberedFlight())
 	snap := g.Freeze()
 	u := Unit{Pivot: pv, Candidates: pv.CandidatesIn(snap, 0)[:1], BlockSize: 3}
 	if block := u.BlockIn(snap); block.Len() != 2 {
