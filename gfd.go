@@ -32,8 +32,9 @@
 // the graph directly re-prepares automatically, exactly once per new
 // version. Small mutations routed through Session.Apply (or an
 // incremental detector) skip even that: they fold into a maintained
-// delta Overlay the next Detect runs against, with a full re-freeze
-// only when the accumulated delta outgrows the base (compaction).
+// delta Overlay the next Detect runs against, and the overlay's view is
+// flattened into a fresh snapshot only when the accumulated delta
+// outgrows the base (compaction).
 // Violations runs the same engines as one fused, pull-based pipeline —
 // match enumeration → compiled literal check → emission, with per-worker
 // bounded lanes (Options.StreamBuffer) applying backpressure instead of
@@ -104,7 +105,8 @@ type (
 	// Overlay applies AddNode/AddEdge/SetAttr updates to a base Snapshot
 	// and serves reads through its embedded patched view — the delta view
 	// Session.Apply and the incremental detector maintain so small
-	// mutations stop costing a full re-freeze.
+	// mutations stop costing a full re-freeze. It owns the delta: the
+	// graph reads through the view and is never written or thawed.
 	Overlay = graph.Overlay
 
 	// Pattern is a graph pattern Q[x̄].

@@ -1,0 +1,77 @@
+package dist
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"gfd/internal/graph"
+	"gfd/internal/store"
+)
+
+// TestApplyHaloKeepsShardHollow: a worker patches each unit's halo into
+// the overlay over its mapped shard, and the cost must be the halo's.
+// Thawing the shard onto the heap allocates per node, so applyHalo over
+// an n-node adopted shard must stay far below n allocations, and the
+// graph must read the patched halo back (the overlay is its read source).
+// Re-shipping the same halo is idempotent.
+func TestApplyHaloKeepsShardHollow(t *testing.T) {
+	const n = 10000
+	g := graph.New(n, n)
+	for i := 0; i < n; i++ {
+		g.AddNode([]string{"a", "b"}[i%2], graph.Attrs{"val": fmt.Sprint(i % 97)})
+	}
+	for i := 0; i < n; i++ {
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID((i*7+1)%n), "e")
+	}
+	path := filepath.Join(t.TempDir(), "shard.gfds")
+	if err := store.Save(context.Background(), g.Freeze(), path); err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Open(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	shard := l.Snapshot().Graph()
+	ov := graph.NewOverlay(shard)
+
+	var halo []haloNode
+	for i := 0; i < 16; i++ {
+		id := graph.NodeID(i * 613)
+		halo = append(halo, haloNode{
+			id:    id,
+			attrs: [][2]string{{"val", "halo"}, {"extra", fmt.Sprint(i)}},
+			out:   []haloEdge{{to: graph.NodeID((int(id)*7 + 1) % n), label: "e"}, {to: id + 1, label: "f"}},
+			in:    []haloEdge{{to: id + 2, label: "f"}},
+		})
+	}
+	edges := shard.NumEdges()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = applyHalo(ov, halo)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(32*len(halo)) {
+		t.Errorf("applyHalo of %d halo nodes over a %d-node shard allocated %d times: it thawed the shard", len(halo), n, allocs)
+	}
+	// One existing edge per halo node was skipped; the other two landed.
+	if got, want := shard.NumEdges(), edges+2*len(halo); got != want {
+		t.Fatalf("shard reads %d edges after the halo, want %d", got, want)
+	}
+	if err := applyHalo(ov, halo); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := shard.NumEdges(), edges+2*len(halo); got != want {
+		t.Fatalf("re-shipped halo changed the edge count to %d, want %d", got, want)
+	}
+	for _, h := range halo {
+		if v, _ := shard.Attr(h.id, "val"); v != "halo" {
+			t.Fatalf("shard reads val=%q on halo node %d, want halo", v, h.id)
+		}
+	}
+}

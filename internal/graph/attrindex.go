@@ -35,6 +35,7 @@ type AttrIndex struct {
 // interned from one sorted pass over the distinct set (deterministic codes,
 // mirroring buildSnapshot); values in (node, sorted name) order.
 func NewAttrIndex(g *Graph) *AttrIndex {
+	g.ensureThawed()
 	ix := &AttrIndex{syms: NewSymbols(), pairs: make([][]AttrPair, g.NumNodes())}
 	distinct := make(map[string]struct{}, 8)
 	for _, a := range g.attrs {

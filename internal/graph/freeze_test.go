@@ -176,3 +176,41 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompact prices compaction beside BenchmarkBuildSnapshot on the
+// same mutated graph: the graph from BenchmarkBuildSnapshot takes an
+// eighth of its size in mixed updates through an overlay, then "flatten"
+// copies the patched view into flat arrays (what Freeze does to a graph an
+// overlay wrote) and "freeze" builds the snapshot from the same graph's
+// thawed maps with the builder Freeze runs on an unpatched graph,
+// buildSnapshotAuto (what compaction cost when overlays wrote through).
+func BenchmarkCompact(b *testing.B) {
+	g := randomFreezeGraph(1, 20000)
+	ov := NewOverlay(g)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < g.Size()/8; i++ {
+		n := ov.NumNodes()
+		switch i % 3 {
+		case 0:
+			ov.AddNode("person", Attrs{"val": fmt.Sprintf("u%d", i)})
+		case 1:
+			ov.MustAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), "knows")
+		default:
+			ov.SetAttr(NodeID(rng.Intn(n)), "val", fmt.Sprintf("s%d", i))
+		}
+	}
+	b.Run("flatten", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			flatten(ov.Snapshot)
+		}
+	})
+	b.Run("freeze", func(b *testing.B) {
+		g.ensureThawed()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildSnapshotAuto(g)
+		}
+	})
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a Graph. IDs are dense: a graph with n
@@ -69,13 +70,15 @@ type Graph struct {
 	snapBuilds   uint64     // snapshots actually built (cache misses), for reuse probes
 	snapBuilding *snapBuild // in-flight build, so construction runs outside snapMu
 
-	// hollow is set on graphs adopted from a persisted snapshot
-	// (AdoptFlat): the mutable representation above is empty and is
-	// materialized lazily from this snapshot on first need (see
-	// ensureThawed in persist.go). Reads the snapshot can answer directly
-	// never trigger the thaw.
-	hollow      *Snapshot
-	hollowState hollowState
+	// hollow, when set, is the graph's read source and the maps above
+	// are absent: the snapshot a graph was adopted from (AdoptFlat), an
+	// Overlay's patched view once the overlay has written, or the flat
+	// snapshot Freeze compacted that view into. Reads the snapshot can
+	// answer stay on it; a direct mutation, or a read that needs the maps,
+	// materializes them from it (ensureThawed in persist.go), and the next
+	// overlay write makes the graph hollow again.
+	hollow atomic.Pointer[Snapshot]
+	thawMu sync.Mutex // serializes concurrent thawing reads
 }
 
 // snapBuild tracks one in-flight snapshot construction: concurrent Freeze
@@ -87,14 +90,16 @@ type snapBuild struct {
 }
 
 // Version returns the graph's mutation counter. Every mutating call
-// (AddNode, AddEdge, SetAttr, Relabel) bumps it; sessions and other
-// snapshot holders compare versions to detect staleness.
+// (AddNode, AddEdge, SetAttr, Relabel, and the same writes through an
+// Overlay) bumps it; sessions and other snapshot holders compare versions
+// to detect staleness.
 func (g *Graph) Version() uint64 { return g.version }
 
 // SnapshotBuilds returns how many times Freeze actually built a snapshot
-// (as opposed to returning the cached one). It is the freeze-count probe
-// the session-reuse tests assert on: one build per graph version, no
-// matter how many engines and sweep rounds share the graph.
+// (as opposed to returning the cached one), compactions of an overlay's
+// view included. It is the freeze-count probe the session-reuse tests
+// assert on: one build per graph version, no matter how many engines and
+// sweep rounds share the graph.
 func (g *Graph) SnapshotBuilds() int {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
@@ -184,11 +189,16 @@ func (g *Graph) NumNodes() int {
 }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int {
+	if s := g.pending(); s != nil {
+		return s.NumEdges()
+	}
+	return g.edges
+}
 
 // Size returns |V| + |E|, the size measure used for data blocks in the
 // paper's workload model.
-func (g *Graph) Size() int { return g.NumNodes() + g.edges }
+func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 
 // Label returns L(v).
 func (g *Graph) Label(id NodeID) string {

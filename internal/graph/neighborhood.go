@@ -10,6 +10,9 @@ import "slices"
 //
 // c == 0 returns just {start}.
 func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
+	if s := g.pending(); s != nil {
+		return s.Neighborhood(start, c)
+	}
 	if !g.Has(start) {
 		return nil
 	}
@@ -45,6 +48,9 @@ func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
 // neighborhood of start, without materializing it. This is the |G_z̄| block
 // size the workload model weighs work units by.
 func (g *Graph) NeighborhoodSize(start NodeID, c int) int {
+	if s := g.pending(); s != nil {
+		return s.NeighborhoodSize(start, c)
+	}
 	nodes := g.Neighborhood(start, c)
 	in := make(map[NodeID]struct{}, len(nodes))
 	for _, v := range nodes {

@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
 
 // Overlay is the write side of a changing graph: it applies a stream of
 // AddNode / AddEdge / SetAttr updates to a frozen base Snapshot without an
@@ -8,6 +12,13 @@ import "sort"
 // embedded view — a *Snapshot that shares the base's arrays and carries the
 // overlay's patch. The view is what implements Topology, so the engines
 // and the matcher run on an overlay exactly as on a fresh freeze.
+//
+// The overlay owns its delta: a write patches the view and bumps the
+// graph's version, and calls no *Graph mutator. The view becomes the
+// graph's read source (the graph is hollow over it, see AdoptFlat), so an
+// adopted graph never thaws and a heap-built graph drops its maps on the
+// first write. Update cost is bounded by the delta, never by the graph.
+// Compaction is Graph.Freeze, which flattens the view into fresh arrays.
 //
 // Representation: adjacency of a touched node is copied out of the base
 // CSR on first touch and maintained (label, neighbor label, neighbor)-sorted
@@ -29,8 +40,8 @@ import "sort"
 // batches the overlay is safe for concurrent readers, like a Snapshot.
 //
 // An Overlay is meant to stay small relative to its base: patch cost grows
-// with the touched region, and holders compact (re-freeze and start a
-// fresh overlay) once DeltaFraction crosses their threshold.
+// with the touched region, and holders compact (Freeze the graph and start
+// a fresh overlay) once DeltaFraction crosses their threshold.
 type Overlay struct {
 	*Snapshot // the patched read view
 
@@ -48,10 +59,12 @@ type Overlay struct {
 }
 
 // NewOverlay freezes g (cached per version, so stacking an overlay on an
-// already-frozen graph builds nothing) and returns an empty overlay over
-// the snapshot. All further mutations must flow through the overlay's
-// AddNode/AddEdge/SetAttr so the patches stay in lockstep with the graph;
-// a direct graph mutation desynchronizes it (see Synced).
+// already-frozen graph builds nothing; a graph hollow over another
+// overlay's view is compacted) and returns an empty overlay over the
+// snapshot. There is exactly one writer: all further mutations must flow
+// through one synced overlay's AddNode/AddEdge/SetAttr. A direct graph
+// mutation, or a write through another overlay, desynchronizes it (see
+// Synced), and its writes fail from then on.
 func NewOverlay(g *Graph) *Overlay {
 	base := g.Freeze()
 	view := &Snapshot{
@@ -74,10 +87,16 @@ func NewOverlay(g *Graph) *Overlay {
 func (o *Overlay) Base() *Snapshot { return o.base }
 
 // Synced reports whether the overlay reflects the graph's current version
-// — true as long as every mutation since NewOverlay went through the
-// overlay. Holders of a desynchronized overlay must discard it and
-// re-freeze.
+// — true as long as every mutation since NewOverlay went through this
+// overlay (or through none). Holders of a desynchronized overlay must
+// discard it and start a fresh one; writing through it fails with
+// ErrStaleOverlay.
 func (o *Overlay) Synced() bool { return o.patch.version == o.g.Version() }
+
+// ErrStaleOverlay reports a write through an overlay that no longer
+// reflects its graph: the graph moved on through a direct mutation or
+// another overlay, so a patch on this view would be lost.
+var ErrStaleOverlay = errors.New("graph: write through a desynchronized overlay")
 
 // Delta returns the patch size: nodes inserted + edges inserted +
 // attribute writes since the base freeze.
@@ -122,11 +141,14 @@ func (o *Overlay) TouchedSince(mark int) []NodeID {
 	return o.touchLog[mark:]
 }
 
-// AddNode inserts a node into the underlying graph and patches the
-// overlay: label interned, candidate class extended, attribute tuple
-// indexed. Returns the new node's ID.
+// AddNode inserts a node: label interned, candidate class extended,
+// attribute tuple indexed. Returns the new node's ID. It panics with
+// ErrStaleOverlay on a desynchronized overlay.
 func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
-	id := o.g.AddNode(label, attrs)
+	if !o.Synced() {
+		panic(ErrStaleOverlay)
+	}
+	id := NodeID(o.NumNodes())
 	p := o.patch
 	p.attrs.AddNode(attrs)
 	l := o.syms.Intern(label)
@@ -141,26 +163,31 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	p.classes[l] = append(m, id)
 	o.touchLog = append(o.touchLog, id)
 	o.delta += 1 + len(attrs)
-	p.version = o.g.Version()
+	p.version = o.g.readThrough(o.Snapshot)
 	return id
 }
 
-// AddEdge inserts a directed labeled edge into the underlying graph and
-// patches both endpoints' adjacency (copy-on-write on first touch).
+// AddEdge inserts a directed labeled edge, patching both endpoints'
+// adjacency (copy-on-write on first touch). It fails on an endpoint
+// outside the view and with ErrStaleOverlay on a desynchronized overlay.
 func (o *Overlay) AddEdge(from, to NodeID, label string) error {
-	if err := o.g.AddEdge(from, to, label); err != nil {
-		return err
+	if !o.Synced() {
+		return ErrStaleOverlay
+	}
+	if n := o.NumNodes(); from < 0 || int(from) >= n || to < 0 || int(to) >= n {
+		return fmt.Errorf("graph: edge (%d)-[%s]->(%d) references missing node", from, label, to)
 	}
 	l := o.syms.Intern(label)
 	p := o.patch
 	p.out[from] = o.insertSorted(o.adjacency(p.out, from, o.outOff, o.out), CSREdge{To: to, Label: l})
 	p.in[to] = o.insertSorted(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
+	p.edges++
 	// One unit per edge, matching the |V|+|E| denominator of
 	// DeltaFraction — counting both half-edge patches would silently
 	// halve the documented compaction threshold for edge-heavy streams.
 	o.touchLog = append(o.touchLog, from, to)
 	o.delta++
-	p.version = o.g.Version()
+	p.version = o.g.readThrough(o.Snapshot)
 	return nil
 }
 
@@ -171,13 +198,19 @@ func (o *Overlay) MustAddEdge(from, to NodeID, label string) {
 	}
 }
 
-// SetAttr upserts attribute a = val on node v in the graph and the
-// attribute index.
+// SetAttr upserts attribute a = val on node v in the attribute index. It
+// panics on a node outside the view and with ErrStaleOverlay on a
+// desynchronized overlay.
 func (o *Overlay) SetAttr(v NodeID, a, val string) {
-	o.g.SetAttr(v, a, val)
+	if !o.Synced() {
+		panic(ErrStaleOverlay)
+	}
+	if v < 0 || int(v) >= o.NumNodes() {
+		panic(fmt.Sprintf("graph: SetAttr on missing node %d", v))
+	}
 	o.patch.attrs.SetAttr(v, a, val)
 	o.delta++
-	o.patch.version = o.g.Version()
+	o.patch.version = o.g.readThrough(o.Snapshot)
 }
 
 // adjacency returns the mutable adjacency slice of v for one direction:

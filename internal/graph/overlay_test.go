@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -39,24 +42,69 @@ func neighbours(es []CSREdge) string {
 	return fmt.Sprint(ids)
 }
 
-// assertOverlayMatchesFreeze checks every observable the overlay's view
-// serves against a fresh freeze of the mutated graph — the compaction
-// oracle: the patched view and the from-scratch CSR must be
-// indistinguishable.
-func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
+// twinStream applies one update stream twice: through an overlay, and
+// directly to a twin graph built from the same base. The overlay's graph
+// never receives the writes (the overlay owns its delta), so the twin's
+// fresh freeze is the oracle for the view and for its compaction.
+type twinStream struct {
+	ov   *Overlay
+	twin *Graph
+}
+
+// newTwinStream stacks an overlay on overlayBaseGraph, heap-built or, when
+// adopted is set, adopted from its flat image as a store-opened graph is.
+func newTwinStream(t testing.TB, adopted bool) twinStream {
 	t.Helper()
-	g := ov.Graph()
-	snap := buildSnapshot(g) // bypass the cache: the oracle must be fresh
-	if ov.NumNodes() != snap.NumNodes() {
-		t.Fatalf("NumNodes: overlay %d, freeze %d", ov.NumNodes(), snap.NumNodes())
+	g := overlayBaseGraph()
+	if adopted {
+		f, err := g.Freeze().Flat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := AdoptFlat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = s.Graph()
 	}
-	if ov.NumEdges() != snap.NumEdges() {
-		t.Fatalf("NumEdges: overlay %d, freeze %d", ov.NumEdges(), snap.NumEdges())
+	return twinStream{ov: NewOverlay(g), twin: overlayBaseGraph()}
+}
+
+func (w twinStream) addNode(label string, attrs Attrs) NodeID {
+	id := w.ov.AddNode(label, attrs.Clone())
+	if tid := w.twin.AddNode(label, attrs.Clone()); tid != id {
+		panic(fmt.Sprintf("overlay assigned node %d, twin %d", id, tid))
 	}
-	osyms, ssyms := ov.Syms(), snap.Syms()
+	return id
+}
+
+func (w twinStream) addEdge(from, to NodeID, label string) {
+	w.ov.MustAddEdge(from, to, label)
+	w.twin.MustAddEdge(from, to, label)
+}
+
+func (w twinStream) setAttr(v NodeID, a, val string) {
+	w.ov.SetAttr(v, a, val)
+	w.twin.SetAttr(v, a, val)
+}
+
+// assertViewMatchesFreeze checks every observable a view serves (an
+// overlay's patched view, or the flat snapshot a compaction produced)
+// against a fresh freeze of the twin graph: the two must be
+// indistinguishable by names.
+func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
+	t.Helper()
+	snap := twin.BuildSnapshot(1) // bypass the cache: the oracle must be fresh
+	if v.NumNodes() != snap.NumNodes() {
+		t.Fatalf("NumNodes: view %d, freeze %d", v.NumNodes(), snap.NumNodes())
+	}
+	if v.NumEdges() != snap.NumEdges() {
+		t.Fatalf("NumEdges: view %d, freeze %d", v.NumEdges(), snap.NumEdges())
+	}
+	osyms, ssyms := v.Syms(), snap.Syms()
 	var edgeLabels []string
 	seen := map[string]bool{}
-	g.Edges(func(e Edge) bool {
+	twin.Edges(func(e Edge) bool {
 		if !seen[e.Label] {
 			seen[e.Label] = true
 			edgeLabels = append(edgeLabels, e.Label)
@@ -71,14 +119,14 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 		sort.Strings(out)
 		return out
 	}
-	for v := 0; v < snap.NumNodes(); v++ {
-		id := NodeID(v)
-		if got, want := osyms.Name(ov.Label(id)), ssyms.Name(snap.Label(id)); got != want {
-			t.Fatalf("Label(%d): overlay %q, freeze %q", v, got, want)
+	for u := 0; u < snap.NumNodes(); u++ {
+		id := NodeID(u)
+		if got, want := osyms.Name(v.Label(id)), ssyms.Name(snap.Label(id)); got != want {
+			t.Fatalf("Label(%d): view %q, freeze %q", u, got, want)
 		}
-		if ov.OutDegree(id) != snap.OutDegree(id) || ov.InDegree(id) != snap.InDegree(id) {
-			t.Fatalf("degrees of %d: overlay (%d, %d), freeze (%d, %d)", v,
-				ov.OutDegree(id), ov.InDegree(id), snap.OutDegree(id), snap.InDegree(id))
+		if v.OutDegree(id) != snap.OutDegree(id) || v.InDegree(id) != snap.InDegree(id) {
+			t.Fatalf("degrees of %d: view (%d, %d), freeze (%d, %d)", u,
+				v.OutDegree(id), v.InDegree(id), snap.OutDegree(id), snap.InDegree(id))
 		}
 		// Adjacency must agree as an edge multiset; the within-node order
 		// may differ between the views because each is sorted by its own
@@ -87,75 +135,75 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 		// what the binary searches rely on — is asserted separately. Each
 		// label's subrange is To-sorted in both views, so it compares as is.
 		for dir, pair := range map[string][2][]CSREdge{
-			"out": {ov.Out(id), snap.Out(id)},
-			"in":  {ov.In(id), snap.In(id)},
+			"out": {v.Out(id), snap.Out(id)},
+			"in":  {v.In(id), snap.In(id)},
 		} {
 			oes := pair[0]
-			if i := csrOrderBreak(ov.Snapshot, oes); i >= 0 {
-				t.Fatalf("%s adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", dir, v, i)
+			if i := csrOrderBreak(v, oes); i >= 0 {
+				t.Fatalf("%s adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", dir, u, i)
 			}
 			if got, want := fmt.Sprint(keys(osyms, oes)), fmt.Sprint(keys(ssyms, pair[1])); got != want {
-				t.Fatalf("%s adjacency of %d: overlay %s, freeze %s", dir, v, got, want)
+				t.Fatalf("%s adjacency of %d: view %s, freeze %s", dir, u, got, want)
 			}
 		}
 		for _, name := range edgeLabels {
 			ol, sl := osyms.Lookup(name), ssyms.Lookup(name)
-			if got, want := fmt.Sprint(keys(osyms, ov.OutWith(id, ol))), fmt.Sprint(keys(ssyms, snap.OutWith(id, sl))); got != want {
-				t.Fatalf("OutWith(%d, %s): overlay %s, freeze %s", v, name, got, want)
+			if got, want := fmt.Sprint(keys(osyms, v.OutWith(id, ol))), fmt.Sprint(keys(ssyms, snap.OutWith(id, sl))); got != want {
+				t.Fatalf("OutWith(%d, %s): view %s, freeze %s", u, name, got, want)
 			}
-			if got, want := fmt.Sprint(keys(osyms, ov.InWith(id, ol))), fmt.Sprint(keys(ssyms, snap.InWith(id, sl))); got != want {
-				t.Fatalf("InWith(%d, %s): overlay %s, freeze %s", v, name, got, want)
+			if got, want := fmt.Sprint(keys(osyms, v.InWith(id, ol))), fmt.Sprint(keys(ssyms, snap.InWith(id, sl))); got != want {
+				t.Fatalf("InWith(%d, %s): view %s, freeze %s", u, name, got, want)
 			}
 			// A run with both labels concrete is To-sorted in both views,
 			// so its neighbours compare in order, not as a set.
-			for _, label := range g.Labels() {
+			for _, label := range twin.Labels() {
 				onl, snl := osyms.Lookup(label), ssyms.Lookup(label)
-				if got, want := neighbours(ov.OutWithNbr(id, ol, onl)), neighbours(snap.OutWithNbr(id, sl, snl)); got != want {
-					t.Fatalf("OutWithNbr(%d, %s, %s): overlay %s, freeze %s", v, name, label, got, want)
+				if got, want := neighbours(v.OutWithNbr(id, ol, onl)), neighbours(snap.OutWithNbr(id, sl, snl)); got != want {
+					t.Fatalf("OutWithNbr(%d, %s, %s): view %s, freeze %s", u, name, label, got, want)
 				}
-				if got, want := neighbours(ov.InWithNbr(id, ol, onl)), neighbours(snap.InWithNbr(id, sl, snl)); got != want {
-					t.Fatalf("InWithNbr(%d, %s, %s): overlay %s, freeze %s", v, name, label, got, want)
+				if got, want := neighbours(v.InWithNbr(id, ol, onl)), neighbours(snap.InWithNbr(id, sl, snl)); got != want {
+					t.Fatalf("InWithNbr(%d, %s, %s): view %s, freeze %s", u, name, label, got, want)
 				}
 			}
 		}
-		// Attribute tuples: the graph's map, the interned pairs, and the
+		// Attribute tuples: the twin's map, the interned pairs, and the
 		// string-keyed read must all agree.
-		attrs := g.NodeAttrs(id)
-		ps := ov.AttrPairs(id)
+		attrs := twin.NodeAttrs(id)
+		ps := v.AttrPairs(id)
 		if len(ps) != len(attrs) {
-			t.Fatalf("AttrPairs(%d): overlay holds %d pairs, graph %d", v, len(ps), len(attrs))
+			t.Fatalf("AttrPairs(%d): view holds %d pairs, twin %d", u, len(ps), len(attrs))
 		}
 		for i, p := range ps {
 			if i > 0 && ps[i-1].Name >= p.Name {
-				t.Fatalf("AttrPairs(%d) not strictly sorted by name at %d", v, i)
+				t.Fatalf("AttrPairs(%d) not strictly sorted by name at %d", u, i)
 			}
 			if want, ok := attrs[osyms.Name(p.Name)]; !ok || osyms.Name(p.Val) != want {
-				t.Fatalf("AttrPairs(%d): pair %s=%s, graph %q", v, osyms.Name(p.Name), osyms.Name(p.Val), want)
+				t.Fatalf("AttrPairs(%d): pair %s=%s, twin %q", u, osyms.Name(p.Name), osyms.Name(p.Val), want)
 			}
 		}
 		for name, want := range attrs {
-			sym, ok := ov.AttrSym(id, osyms.Lookup(name))
+			sym, ok := v.AttrSym(id, osyms.Lookup(name))
 			if !ok || osyms.Name(sym) != want {
-				t.Fatalf("AttrSym(%d, %s): overlay %q (%v), graph %q", v, name, osyms.Name(sym), ok, want)
+				t.Fatalf("AttrSym(%d, %s): view %q (%v), twin %q", u, name, osyms.Name(sym), ok, want)
 			}
-			if got, _ := ov.Attr(id, name); got != want {
-				t.Fatalf("Attr(%d, %s): overlay %q, graph %q", v, name, got, want)
+			if got, _ := v.Attr(id, name); got != want {
+				t.Fatalf("Attr(%d, %s): view %q, twin %q", u, name, got, want)
 			}
 		}
 	}
 	// Candidate classes: same node sets, ascending, sizes consistent.
-	for _, label := range g.Labels() {
+	for _, label := range twin.Labels() {
 		ol, sl := osyms.Lookup(label), ssyms.Lookup(label)
-		oc := ov.NodesWith(ol)
+		oc := v.NodesWith(ol)
 		sc := snap.NodesWith(sl)
 		if fmt.Sprint(oc) != fmt.Sprint(sc) {
-			t.Fatalf("NodesWith(%s): overlay %v, freeze %v", label, oc, sc)
+			t.Fatalf("NodesWith(%s): view %v, freeze %v", label, oc, sc)
 		}
 		if !sort.SliceIsSorted(oc, func(i, j int) bool { return oc[i] < oc[j] }) {
 			t.Fatalf("NodesWith(%s) not ascending: %v", label, oc)
 		}
-		if ov.ClassSize(ol) != len(oc) {
-			t.Fatalf("ClassSize(%s) = %d, class has %d", label, ov.ClassSize(ol), len(oc))
+		if v.ClassSize(ol) != len(oc) {
+			t.Fatalf("ClassSize(%s) = %d, class has %d", label, v.ClassSize(ol), len(oc))
 		}
 	}
 	// Edge existence and neighborhoods, spot-checked over every node pair
@@ -168,77 +216,235 @@ func assertOverlayMatchesFreeze(t *testing.T, ov *Overlay) {
 	for a := 0; a < cap; a++ {
 		for b := 0; b < cap; b++ {
 			from, to := NodeID(a), NodeID(b)
-			if got, want := ov.HasEdge(from, to, WildcardSym), snap.HasEdge(from, to, WildcardSym); got != want {
-				t.Fatalf("HasEdge(%d, %d, _): overlay %v, freeze %v", a, b, got, want)
+			if got, want := v.HasEdge(from, to, WildcardSym), snap.HasEdge(from, to, WildcardSym); got != want {
+				t.Fatalf("HasEdge(%d, %d, _): view %v, freeze %v", a, b, got, want)
 			}
 			for _, name := range edgeLabels {
-				if got, want := ov.HasEdge(from, to, osyms.Lookup(name)), snap.HasEdge(from, to, ssyms.Lookup(name)); got != want {
-					t.Fatalf("HasEdge(%d, %d, %s): overlay %v, freeze %v", a, b, name, got, want)
+				if got, want := v.HasEdge(from, to, osyms.Lookup(name)), snap.HasEdge(from, to, ssyms.Lookup(name)); got != want {
+					t.Fatalf("HasEdge(%d, %d, %s): view %v, freeze %v", a, b, name, got, want)
 				}
 			}
 		}
 		for c := 0; c <= 2; c++ {
-			if got, want := fmt.Sprint(ov.Neighborhood(NodeID(a), c)), fmt.Sprint(snap.Neighborhood(NodeID(a), c)); got != want {
-				t.Fatalf("Neighborhood(%d, %d): overlay %s, freeze %s", a, c, got, want)
+			if got, want := fmt.Sprint(v.Neighborhood(NodeID(a), c)), fmt.Sprint(snap.Neighborhood(NodeID(a), c)); got != want {
+				t.Fatalf("Neighborhood(%d, %d): view %s, freeze %s", a, c, got, want)
 			}
-			if got, want := ov.NeighborhoodSize(NodeID(a), c), snap.NeighborhoodSize(NodeID(a), c); got != want {
-				t.Fatalf("NeighborhoodSize(%d, %d): overlay %d, freeze %d", a, c, got, want)
+			if got, want := v.NeighborhoodSize(NodeID(a), c), snap.NeighborhoodSize(NodeID(a), c); got != want {
+				t.Fatalf("NeighborhoodSize(%d, %d): view %d, freeze %d", a, c, got, want)
 			}
-			oset, sset := NewEpochSet(ov.NumNodes()), NewEpochSet(snap.NumNodes())
-			ov.BlockInto(oset, NodeID(a), c)
+			oset, sset := NewEpochSet(v.NumNodes()), NewEpochSet(snap.NumNodes())
+			v.BlockInto(oset, NodeID(a), c)
 			snap.BlockInto(sset, NodeID(a), c)
 			om := append([]NodeID(nil), oset.Members()...)
 			sm := append([]NodeID(nil), sset.Members()...)
 			sortNodeIDs(om)
 			sortNodeIDs(sm)
 			if fmt.Sprint(om) != fmt.Sprint(sm) {
-				t.Fatalf("BlockInto(%d, %d): overlay %v, freeze %v", a, c, om, sm)
+				t.Fatalf("BlockInto(%d, %d): view %v, freeze %v", a, c, om, sm)
 			}
 		}
 	}
 }
 
+// assertCompaction checks the compaction oracle on a stream's graph:
+// Freeze flattens the overlay's view into a frozen snapshot (one counted
+// build) that keeps the live symbol table, equals the twin's fresh freeze
+// by names, and has a valid flat image; a fresh overlay over it serves
+// the same graph.
+func assertCompaction(t *testing.T, w twinStream) {
+	t.Helper()
+	g := w.ov.Graph()
+	builds := g.SnapshotBuilds()
+	flat := g.Freeze()
+	if w.ov.Delta() > 0 {
+		builds++
+	}
+	if got := g.SnapshotBuilds(); got != builds {
+		t.Fatalf("compaction counted %d snapshot builds, want %d", got, builds)
+	}
+	if flat.patch != nil {
+		t.Fatal("compaction returned a patched view")
+	}
+	if flat.Syms() != w.ov.Syms() {
+		t.Fatal("compaction must keep the live symbol table")
+	}
+	requireCSROrder(t, flat)
+	assertViewMatchesFreeze(t, flat, w.twin)
+	f, err := flat.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.validate(); err != nil {
+		t.Fatalf("compacted image invalid: %v", err)
+	}
+	assertViewMatchesFreeze(t, NewOverlay(g).Snapshot, w.twin)
+}
+
 func TestOverlayMirrorsUpdates(t *testing.T) {
-	g := overlayBaseGraph()
-	ov := NewOverlay(g)
-	if !ov.Synced() {
-		t.Fatal("fresh overlay must be synced")
-	}
-	assertOverlayMatchesFreeze(t, ov)
+	for _, adopted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
+			w := newTwinStream(t, adopted)
+			ov, g := w.ov, w.ov.Graph()
+			if !ov.Synced() {
+				t.Fatal("fresh overlay must be synced")
+			}
+			assertViewMatchesFreeze(t, ov.Snapshot, w.twin)
 
-	// New node with a new label and attribute values.
-	id := ov.AddNode("country", Attrs{"val": "AU", "pop": "26m"})
-	if id != 6 {
-		t.Fatalf("AddNode id = %d, want 6", id)
-	}
-	// Edges touching frozen and fresh nodes, including a new edge label.
-	ov.MustAddEdge(1, id, "in_country")
-	ov.MustAddEdge(id, 4, "contains")
-	ov.MustAddEdge(0, 1, "visits") // second labeled edge on a frozen pair
-	// Attribute upsert on a frozen node (copy-on-write over the arena)
-	// and on the fresh node.
-	ov.SetAttr(2, "val", "rewritten")
-	ov.SetAttr(id, "val", "Australia")
-	// A late node of a label the first check already read: the view must
-	// not serve a class cached before it.
-	ov.AddNode("city", Attrs{"val": "late"})
-	if !ov.Synced() {
-		t.Fatal("overlay must stay synced through its own mutators")
-	}
-	assertOverlayMatchesFreeze(t, ov)
+			// New node with a new label and attribute values.
+			id := w.addNode("country", Attrs{"val": "AU", "pop": "26m"})
+			if id != 6 {
+				t.Fatalf("AddNode id = %d, want 6", id)
+			}
+			// Edges touching frozen and fresh nodes, including a new edge label.
+			w.addEdge(1, id, "in_country")
+			w.addEdge(id, 4, "contains")
+			w.addEdge(0, 1, "visits") // second labeled edge on a frozen pair
+			// Attribute upsert on a frozen node (copy-on-write over the arena)
+			// and on the fresh node.
+			w.setAttr(2, "val", "rewritten")
+			w.setAttr(id, "val", "Australia")
+			// A late node of a label the first check already read: the view must
+			// not serve a class cached before it.
+			w.addNode("city", Attrs{"val": "late"})
+			if !ov.Synced() {
+				t.Fatal("overlay must stay synced through its own mutators")
+			}
+			assertViewMatchesFreeze(t, ov.Snapshot, w.twin)
+			// The graph reads through the view without thawing.
+			if g.pending() != ov.Snapshot {
+				t.Fatal("an overlay write must make the graph hollow over its view")
+			}
+			if g.NumNodes() != w.twin.NumNodes() || g.NumEdges() != w.twin.NumEdges() {
+				t.Fatalf("graph reads |V|=%d |E|=%d, twin %d %d", g.NumNodes(), g.NumEdges(), w.twin.NumNodes(), w.twin.NumEdges())
+			}
 
-	if ov.Delta() == 0 {
-		t.Error("delta must grow with patches")
-	}
-	if frac := ov.DeltaFraction(); frac <= 0 {
-		t.Errorf("delta fraction = %v, want > 0", frac)
-	}
+			if ov.Delta() == 0 {
+				t.Error("delta must grow with patches")
+			}
+			if frac := ov.DeltaFraction(); frac <= 0 {
+				t.Errorf("delta fraction = %v, want > 0", frac)
+			}
 
-	// A mutation bypassing the overlay desynchronizes it.
-	g.SetAttr(0, "val", "behind-the-back")
-	if ov.Synced() {
-		t.Error("direct graph mutation must desynchronize the overlay")
+			// A mutation bypassing the overlay thaws the graph from the view
+			// and desynchronizes the overlay, whose writes then fail.
+			g.SetAttr(0, "val", "behind-the-back")
+			w.twin.SetAttr(0, "val", "behind-the-back")
+			if ov.Synced() {
+				t.Error("direct graph mutation must desynchronize the overlay")
+			}
+			if g.pending() != nil {
+				t.Error("a direct mutation must thaw the graph")
+			}
+			assertViewMatchesFreeze(t, g.Freeze(), w.twin)
+			if err := ov.AddEdge(0, 1, "visits"); !errors.Is(err, ErrStaleOverlay) {
+				t.Errorf("AddEdge through a stale overlay: %v, want ErrStaleOverlay", err)
+			}
+			for name, write := range map[string]func(){
+				"AddNode": func() { ov.AddNode("city", nil) },
+				"SetAttr": func() { ov.SetAttr(0, "val", "lost") },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != ErrStaleOverlay {
+							t.Errorf("%s through a stale overlay recovered %v, want ErrStaleOverlay", name, r)
+						}
+					}()
+					write()
+				}()
+			}
+			assertViewMatchesFreeze(t, g.Freeze(), w.twin)
+		})
 	}
+}
+
+// TestHollowGraphReadsMatchTwin: the graph reads that have no snapshot
+// fast path of their own (Neighborhood, NeighborhoodSize, NewAttrIndex)
+// answer like the twin on a graph hollow over an overlay's view, heap-built
+// or adopted.
+func TestHollowGraphReadsMatchTwin(t *testing.T) {
+	for _, adopted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
+			w := newTwinStream(t, adopted)
+			g := w.ov.Graph()
+			id := w.addNode("country", Attrs{"val": "AU"})
+			w.addEdge(1, id, "in_country")
+			w.addEdge(id, 4, "contains")
+			w.setAttr(2, "val", "rewritten")
+			if g.pending() != w.ov.Snapshot {
+				t.Fatal("an overlay write must make the graph hollow over its view")
+			}
+			for v := 0; v < w.twin.NumNodes(); v++ {
+				for c := 0; c <= 2; c++ {
+					id := NodeID(v)
+					if got, want := g.Neighborhood(id, c), w.twin.Neighborhood(id, c); !slices.Equal(got, want) {
+						t.Fatalf("Neighborhood(%d, %d) = %v, twin %v", v, c, got, want)
+					}
+					if got, want := g.NeighborhoodSize(id, c), w.twin.NeighborhoodSize(id, c); got != want {
+						t.Fatalf("NeighborhoodSize(%d, %d) = %d, twin %d", v, c, got, want)
+					}
+				}
+			}
+			if g.pending() != w.ov.Snapshot {
+				t.Fatal("neighbourhood reads must not thaw the graph")
+			}
+			ix := NewAttrIndex(g)
+			for v := 0; v < w.twin.NumNodes(); v++ {
+				for name, want := range w.twin.NodeAttrs(NodeID(v)) {
+					got, ok := ix.AttrSym(NodeID(v), ix.Syms().Lookup(name))
+					if !ok {
+						t.Fatalf("NewAttrIndex: node %d has no %s, twin %q", v, name, want)
+					}
+					if ix.Syms().Name(got) != want {
+						t.Fatalf("NewAttrIndex: node %d %s = %q, twin %q", v, name, ix.Syms().Name(got), want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOverlayRejectsMissingNodes: the overlay checks node IDs against its
+// view, since no graph mutator does it any more.
+func TestOverlayRejectsMissingNodes(t *testing.T) {
+	ov := NewOverlay(overlayBaseGraph())
+	id := ov.AddNode("city", nil)
+	if err := ov.AddEdge(0, id+1, "lives_in"); err == nil {
+		t.Error("AddEdge to a node past the view succeeded")
+	}
+	if err := ov.AddEdge(-1, 0, "lives_in"); err == nil {
+		t.Error("AddEdge from a negative node succeeded")
+	}
+	ov.MustAddEdge(0, id, "lives_in") // an inserted node is in range
+	defer func() {
+		if recover() == nil {
+			t.Error("SetAttr on a node past the view did not panic")
+		}
+	}()
+	ov.SetAttr(id+1, "val", "x")
+}
+
+// TestThawedReadKeepsOverlaySynced: a read that needs the graph's maps
+// thaws them from the view but changes nothing, so the overlay stays the
+// writer and its next write makes the graph hollow again.
+func TestThawedReadKeepsOverlaySynced(t *testing.T) {
+	w := newTwinStream(t, true)
+	g := w.ov.Graph()
+	id := w.addNode("city", Attrs{"val": "late"})
+	w.addEdge(0, id, "lives_in")
+	if got := g.NodeAttrs(id)["val"]; got != "late" {
+		t.Fatalf("thawed NodeAttrs(%d) = %q, want late", id, got)
+	}
+	if g.pending() != nil || !w.ov.Synced() {
+		t.Fatal("a thawing read must materialize the maps and leave the overlay synced")
+	}
+	w.setAttr(id, "val", "later")
+	if g.pending() != w.ov.Snapshot {
+		t.Fatal("the next overlay write must make the graph hollow again")
+	}
+	if got, _ := g.Attr(id, "val"); got != "later" {
+		t.Fatalf("graph reads %q after the write, want later", got)
+	}
+	assertCompaction(t, w)
 }
 
 // TestOverlayRunsOnInsertedNodes covers edges at nodes created after the
@@ -246,22 +452,22 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 // must file each edge under its neighbour's label, so the labelled runs
 // of frozen and inserted nodes equal a fresh freeze's, in order.
 func TestOverlayRunsOnInsertedNodes(t *testing.T) {
-	g := overlayBaseGraph()
-	ov := NewOverlay(g)
-	late := ov.AddNode("city", nil)     // a frozen label
-	land := ov.AddNode("country", nil)  // a label the base never saw
-	hub := ov.AddNode("person", nil)    // an inserted source
-	ov.MustAddEdge(0, late, "lives_in") // frozen source, run with frozen city 1
-	ov.MustAddEdge(0, land, "lives_in") // same edge label, new neighbour label
-	ov.MustAddEdge(late, land, "in")
-	ov.MustAddEdge(hub, land, "lives_in")
-	ov.MustAddEdge(hub, late, "lives_in")
-	ov.MustAddEdge(hub, 4, "lives_in")
-	ov.MustAddEdge(hub, 1, "lives_in")
-	ov.MustAddEdge(5, hub, "knows")
+	w := newTwinStream(t, false)
+	ov := w.ov
+	late := w.addNode("city", nil)    // a frozen label
+	land := w.addNode("country", nil) // a label the base never saw
+	hub := w.addNode("person", nil)   // an inserted source
+	w.addEdge(0, late, "lives_in")    // frozen source, run with frozen city 1
+	w.addEdge(0, land, "lives_in")    // same edge label, new neighbour label
+	w.addEdge(late, land, "in")
+	w.addEdge(hub, land, "lives_in")
+	w.addEdge(hub, late, "lives_in")
+	w.addEdge(hub, 4, "lives_in")
+	w.addEdge(hub, 1, "lives_in")
+	w.addEdge(5, hub, "knows")
 	requireCSROrder(t, ov.Snapshot)
-	assertOverlayMatchesFreeze(t, ov)
-	fresh := buildSnapshot(g)
+	assertViewMatchesFreeze(t, ov.Snapshot, w.twin)
+	fresh := w.twin.BuildSnapshot(1)
 	osyms, fsyms := ov.Syms(), fresh.Syms()
 	for _, c := range []struct {
 		v          NodeID
@@ -282,10 +488,12 @@ func TestOverlayRunsOnInsertedNodes(t *testing.T) {
 	if got := neighbours(ov.InWithNbr(land, osyms.Lookup("lives_in"), osyms.Lookup("person"))); got != "[0 8]" {
 		t.Fatalf("InWithNbr(country, lives_in, person) = %s, want [0 8]", got)
 	}
+	assertCompaction(t, w)
 }
 
 // TestOverlayLeavesBaseImmutable pins the copy-on-write contract: patches
-// must never leak into the frozen base snapshot another reader may hold.
+// must never leak into the frozen base snapshot another reader may hold,
+// nor into the arrays a compaction flattens them into.
 func TestOverlayLeavesBaseImmutable(t *testing.T) {
 	g := overlayBaseGraph()
 	base := g.Freeze()
@@ -307,15 +515,22 @@ func TestOverlayLeavesBaseImmutable(t *testing.T) {
 		t.Fatalf("base attribute mutated: %q -> %q", wantAttr, got)
 	}
 	if got, _ := ov.Graph().Attr(2, "val"); got != "rewritten" {
-		t.Fatalf("graph missed the overlay write: %q", got)
+		t.Fatalf("graph does not read the overlay write: %q", got)
+	}
+	flat := g.Freeze()
+	wantFlat := fmt.Sprint(flat.Out(0))
+	ov.MustAddEdge(0, 5, "visits")
+	if got := fmt.Sprint(flat.Out(0)); got != wantFlat {
+		t.Fatalf("compacted adjacency mutated by a later write: %s -> %s", wantFlat, got)
 	}
 }
 
-// FuzzOverlayPatch drives random update streams through an Overlay and
-// checks the patch invariants — adjacency sortedness, class ranges,
-// degree counts, attribute tuples — against a from-scratch freeze of the
-// same mutated graph (which is also the compaction oracle: compacting is
-// exactly replacing the overlay with that fresh snapshot).
+// FuzzOverlayPatch drives random update streams through an Overlay, on a
+// heap-built and on an adopted base, and checks the patch invariants —
+// adjacency sortedness, class ranges, degree counts, attribute tuples —
+// against a fresh freeze of a twin graph that received the same stream
+// directly. The compaction (Freeze flattening the view) must equal that
+// freeze by names and have a valid flat image.
 func FuzzOverlayPatch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{2, 2, 2, 9, 9, 1, 0, 4, 7, 7})
@@ -324,36 +539,84 @@ func FuzzOverlayPatch(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		g := overlayBaseGraph()
-		ov := NewOverlay(g)
 		labels := []string{"person", "city", "company", "country"}
 		edgeLabels := []string{"lives_in", "works_at", "knows", "based_in"}
 		attrs := []string{"val", "pop", "rank"}
-		rng := rand.New(rand.NewSource(int64(len(ops))))
-		for _, b := range ops {
-			switch b % 3 {
-			case 0:
-				var at Attrs
-				if b%2 == 0 {
-					at = Attrs{attrs[int(b/3)%len(attrs)]: fmt.Sprintf("a%d", b)}
+		for _, adopted := range []bool{false, true} {
+			w := newTwinStream(t, adopted)
+			rng := rand.New(rand.NewSource(int64(len(ops))))
+			for _, b := range ops {
+				switch b % 3 {
+				case 0:
+					var at Attrs
+					if b%2 == 0 {
+						at = Attrs{attrs[int(b/3)%len(attrs)]: fmt.Sprintf("a%d", b)}
+					}
+					w.addNode(labels[int(b/3)%len(labels)], at)
+				case 1:
+					n := w.ov.NumNodes()
+					w.addEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), edgeLabels[int(b/3)%len(edgeLabels)])
+				default:
+					n := w.ov.NumNodes()
+					w.setAttr(NodeID(rng.Intn(n)), attrs[int(b/3)%len(attrs)], fmt.Sprintf("s%d", b))
 				}
-				ov.AddNode(labels[int(b/3)%len(labels)], at)
-			case 1:
-				n := ov.NumNodes()
-				from := NodeID(rng.Intn(n))
-				to := NodeID(rng.Intn(n))
-				ov.MustAddEdge(from, to, edgeLabels[int(b/3)%len(edgeLabels)])
-			default:
-				n := ov.NumNodes()
-				ov.SetAttr(NodeID(rng.Intn(n)), attrs[int(b/3)%len(attrs)], fmt.Sprintf("s%d", b))
+				if !w.ov.Synced() {
+					t.Fatal("overlay fell out of sync under its own mutators")
+				}
 			}
-			if !ov.Synced() {
-				t.Fatal("overlay fell out of sync under its own mutators")
-			}
+			assertViewMatchesFreeze(t, w.ov.Snapshot, w.twin)
+			assertCompaction(t, w)
 		}
-		assertOverlayMatchesFreeze(t, ov)
-		// The compacted view (fresh overlay over the re-frozen graph) must
-		// be observationally identical too.
-		assertOverlayMatchesFreeze(t, NewOverlay(g))
 	})
+}
+
+// TestConcurrentThawAndCompaction is the -race target for the hollow
+// state: on a graph an overlay wrote, readers that thaw the maps, readers
+// served by the view, and Freeze callers compacting the view run at once.
+// Every reader must see the twin's values, and every Freeze the one
+// compaction.
+func TestConcurrentThawAndCompaction(t *testing.T) {
+	w := newTwinStream(t, true)
+	id := w.addNode("city", Attrs{"val": "late"})
+	w.addEdge(0, id, "lives_in")
+	w.setAttr(2, "val", "rewritten")
+	g := w.ov.Graph()
+	builds := g.SnapshotBuilds()
+	var wg sync.WaitGroup
+	snaps := make([]*Snapshot, 4)
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				if got := g.NodeAttrs(2)["val"]; got != "rewritten" {
+					t.Errorf("thawed NodeAttrs(2) = %q, want rewritten", got)
+				}
+				if len(g.Out(0)) != w.twin.OutDegree(0) {
+					t.Errorf("thawed Out(0) has %d edges, twin %d", len(g.Out(0)), w.twin.OutDegree(0))
+				}
+			case 1:
+				if got, _ := g.Attr(id, "val"); got != "late" || g.NumEdges() != w.twin.NumEdges() {
+					t.Errorf("graph reads val=%q |E|=%d, want late and %d", got, g.NumEdges(), w.twin.NumEdges())
+				}
+			default:
+				snaps[i/3] = g.Freeze()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range snaps[1:] {
+		if s != snaps[0] {
+			t.Fatal("concurrent Freeze callers got different compactions")
+		}
+	}
+	if got := g.SnapshotBuilds(); got != builds+1 {
+		t.Fatalf("concurrent compaction counted %d builds, want 1", got-builds)
+	}
+	assertViewMatchesFreeze(t, snaps[0], w.twin)
+	w.setAttr(id, "val", "after")
+	if got, _ := g.Attr(id, "val"); got != "after" {
+		t.Fatalf("graph reads %q after the next write, want after", got)
+	}
 }

@@ -3,8 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
 // Flat is the serializable image of a Snapshot: every backing array exposed
@@ -28,19 +27,30 @@ type Flat struct {
 
 // ErrPatchedView reports an attempt to persist an Overlay's patched view:
 // its arrays are the base's, so writing them would silently drop every
-// update since the freeze. Compact (re-freeze) first.
+// update since the freeze. Compact first: Freeze of the graph flattens
+// the view into a frozen snapshot.
 var ErrPatchedView = errors.New("graph: cannot persist a patched overlay view")
 
 // Flat returns the snapshot's flat-array image for serialization. The
 // arrays are the snapshot's own backing storage (no copies) — the Names
-// slice is the only allocation. A patched view has no such image and
-// returns ErrPatchedView.
+// slice is the only allocation, plus a padded copy of the class offsets
+// when the table has grown since the freeze (an overlay or a compaction
+// shares the live table, and names interned later own empty classes). A
+// patched view has no such image and returns ErrPatchedView.
 func (s *Snapshot) Flat() (Flat, error) {
 	if s.patch != nil {
 		return Flat{}, ErrPatchedView
 	}
+	names := s.syms.Names()
+	classOff := s.classOff
+	if n := len(names) + 1; len(classOff) < n {
+		classOff = slices.Clone(classOff)
+		for len(classOff) < n {
+			classOff = append(classOff, classOff[len(classOff)-1])
+		}
+	}
 	return Flat{
-		Names:     s.syms.Names(),
+		Names:     names,
 		Labels:    s.labels,
 		AttrOff:   s.attrOff,
 		AttrPairs: s.attrPairs,
@@ -48,7 +58,7 @@ func (s *Snapshot) Flat() (Flat, error) {
 		Out:       s.out,
 		InOff:     s.inOff,
 		In:        s.in,
-		ClassOff:  s.classOff,
+		ClassOff:  classOff,
 		Classes:   s.classes,
 	}, nil
 }
@@ -64,15 +74,15 @@ func (s *Snapshot) Flat() (Flat, error) {
 // below a freeze.
 //
 // The snapshot's source graph (Snapshot.Graph) is a hollow *Graph that
-// materializes its mutable representation lazily from the snapshot on
-// first use: reads that the snapshot can answer (NumNodes, Label, Attr,
-// degrees) stay on the flat arrays, and the first mutation — or a read
-// needing the slice-of-maps representation — thaws the whole graph onto
-// the heap. The graph's snapshot cache is pre-seeded, so Freeze returns
-// this snapshot without building anything (SnapshotBuilds stays 0) until a
-// mutation bumps the version, after which the next freeze is built from
-// the thawed heap representation — nothing ever writes through the adopted
-// arrays.
+// reads through the snapshot: reads that the snapshot can answer
+// (NumNodes, NumEdges, Label, Attr, degrees) stay on the flat arrays. The
+// graph's snapshot cache is pre-seeded, so Freeze returns this snapshot
+// without building anything (SnapshotBuilds stays 0). Updates through an
+// Overlay over it patch the overlay's view and never thaw the graph: the
+// view becomes the graph's read source, and the next Freeze flattens it
+// into fresh arrays. Only a direct mutation, or a read needing the
+// slice-of-maps representation (Clone, NodeAttrs, Out), thaws the graph
+// onto the heap. Nothing ever writes through the adopted arrays.
 func AdoptFlat(f Flat) (*Snapshot, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -95,7 +105,7 @@ func AdoptFlat(f Flat) (*Snapshot, error) {
 	}
 	g := &Graph{edges: len(f.Out)}
 	g.snap, g.snapVersion = s, 0
-	g.hollow = s
+	g.hollow.Store(s)
 	s.g = g
 	return s, nil
 }
@@ -219,40 +229,46 @@ func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms 
 
 // ---- hollow graphs --------------------------------------------------------
 
-// hollowState carries the lazy-thaw machinery of a graph adopted from a
-// snapshot (AdoptFlat): the snapshot to materialize from, a build-once
-// guard, and an atomic flag for the read fast paths.
-type hollowState struct {
-	once   sync.Once
-	thawed atomic.Bool
-}
+// pending returns the graph's read source while it is hollow, nil once
+// its maps are materialized — the guard of every read fast path that can
+// answer from a snapshot without paying the thaw.
+func (g *Graph) pending() *Snapshot { return g.hollow.Load() }
 
-// pending returns the adopted snapshot while the graph has not yet been
-// materialized, nil otherwise — the guard of every read fast path that can
-// answer from the flat arrays without paying the thaw.
-func (g *Graph) pending() *Snapshot {
-	if g.hollow != nil && !g.hollowState.thawed.Load() {
-		return g.hollow
-	}
-	return nil
-}
-
-// ensureThawed materializes the mutable representation of a graph adopted
-// from a snapshot, exactly once. Ordinary graphs return immediately. Safe
-// for concurrent readers (two concurrent thaw-needing reads share one
-// build); mutation concurrent with anything is as unsafe as it always was.
+// ensureThawed materializes the maps of a hollow graph from its current
+// read source. Ordinary graphs return immediately. Safe for concurrent
+// readers (two concurrent thaw-needing reads share one build); mutation
+// concurrent with anything is as unsafe as it always was. A thaw changes
+// no content and no version: an overlay over the graph stays synced, and
+// its next write drops the maps again.
 func (g *Graph) ensureThawed() {
-	if g.hollow == nil || g.hollowState.thawed.Load() {
+	if g.hollow.Load() == nil {
 		return
 	}
-	g.hollowState.once.Do(func() {
-		g.thawFromSnapshot(g.hollow)
-		g.hollowState.thawed.Store(true)
-	})
+	g.thawMu.Lock()
+	defer g.thawMu.Unlock()
+	if s := g.hollow.Load(); s != nil {
+		g.thawFromSnapshot(s)
+		g.hollow.Store(nil)
+	}
+}
+
+// readThrough makes view the graph's read source and bumps the version:
+// the Overlay's write hook, in place of mutating the graph. The first
+// write of an overlay drops the graph's maps (a heap graph's builder form;
+// an adopted graph has none), so nothing keeps a second copy of the data
+// in step with the view.
+func (g *Graph) readThrough(view *Snapshot) uint64 {
+	if g.hollow.Load() != view {
+		g.labels, g.attrs, g.out, g.in, g.byLabel = nil, nil, nil, nil, nil
+		g.hollow.Store(view)
+	}
+	g.version++
+	return g.version
 }
 
 // thawFromSnapshot rebuilds the slice-of-maps representation from the
-// adopted snapshot. It does not bump the version: thawing is a pure
+// graph's read source (an adopted or flattened snapshot, or an overlay's
+// patched view). It does not bump the version: thawing is a pure
 // materialization, so prepared sessions over the snapshot stay valid and
 // no re-freeze is triggered until an actual mutation follows. Adjacency
 // comes back in CSR (label, neighbor label, neighbor) order rather than

@@ -46,7 +46,8 @@ type AttrPair struct {
 // Overlay, between update batches. Every accessor consults the patch only
 // when it is non-nil, so frozen reads stay direct, inlinable array loads.
 // A view is never persisted as if it were frozen: Flat reports
-// ErrPatchedView.
+// ErrPatchedView; Freeze of the graph flattens the view into a frozen
+// snapshot first.
 type Snapshot struct {
 	g     *Graph
 	syms  *Symbols
@@ -74,6 +75,7 @@ type patch struct {
 	labels  []Sym                // labels of nodes inserted after the freeze
 	classes map[Sym][]NodeID     // merged candidate classes for labels that gained nodes
 	attrs   *AttrIndex           // attribute tuples, borrowing the base arena
+	edges   int                  // edges inserted after the freeze
 	version uint64               // graph version the patch reflects
 }
 
@@ -81,13 +83,17 @@ type patch struct {
 // whenever the graph has been mutated since the last call; otherwise the
 // cached snapshot is returned. O(|V| + |E| log d) to build (sharded across
 // FreezeWorkers goroutines for large graphs, serial under GOMAXPROCS==1 or
-// below the size floor), O(1) when cached. Concurrent Freeze calls on an
-// unmutated graph are safe and share one snapshot: the first caller builds
-// while later callers wait on the build, not on the cache mutex, so a long
-// freeze never blocks unrelated lock holders (SnapshotBuilds, a racing
-// version check). Freeze concurrent with mutation is not safe, just as
-// matching during mutation never was. The returned Snapshot itself is safe
-// to share across goroutines.
+// below the size floor), O(1) when cached. A graph that an Overlay has
+// written is hollow over the overlay's patched view, and Freeze compacts
+// it instead: the view is flattened into fresh arrays in O(|V| + |E|),
+// with no sort and no re-interning (flatten), and becomes the graph's
+// read source. Concurrent Freeze calls on an unmutated graph are safe and
+// share one snapshot: the first caller builds while later callers wait on
+// the build, not on the cache mutex, so a long freeze never blocks
+// unrelated lock holders (SnapshotBuilds, a racing version check). Freeze
+// concurrent with mutation is not safe, just as matching during mutation
+// never was. The returned Snapshot itself is safe to share across
+// goroutines.
 func (g *Graph) Freeze() *Snapshot {
 	g.snapMu.Lock()
 	for {
@@ -129,7 +135,12 @@ func (g *Graph) Freeze() *Snapshot {
 		g.snapMu.Unlock()
 		close(b.done)
 	}()
-	s = buildSnapshotAuto(g)
+	if v := g.hollow.Load(); v != nil {
+		s = flatten(v)
+		g.hollow.CompareAndSwap(v, s)
+	} else {
+		s = buildSnapshotAuto(g)
+	}
 	return s
 }
 
@@ -216,23 +227,64 @@ func buildSnapshot(g *Graph) *Snapshot {
 		sortCSR(s.out[s.outOff[v]:s.outOff[v+1]], s.labels)
 		sortCSR(s.in[s.inOff[v]:s.inOff[v+1]], s.labels)
 	}
-	// Label classes: counting sort of nodes by label code. Iterating nodes
-	// in ID order keeps every class ascending, preserving the deterministic
-	// candidate order of the mutable graph's label index.
-	s.classOff = make([]int32, s.syms.Len()+1)
-	for _, l := range s.labels {
-		s.classOff[l+1]++
+	s.classOff, s.classes = labelClasses(s.labels, s.syms.Len())
+	return s
+}
+
+// labelClasses groups the nodes by label code, nsyms codes in all: a
+// counting sort that iterates nodes in ID order, so every class is
+// ascending, preserving the deterministic candidate order of the mutable
+// graph's label index.
+func labelClasses(labels []Sym, nsyms int) ([]int32, []NodeID) {
+	off := make([]int32, nsyms+1)
+	for _, l := range labels {
+		off[l+1]++
 	}
-	for i := 1; i < len(s.classOff); i++ {
-		s.classOff[i] += s.classOff[i-1]
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
-	s.classes = make([]NodeID, n)
-	fill := append([]int32(nil), s.classOff[:len(s.classOff)-1]...)
-	for v := 0; v < n; v++ {
-		l := s.labels[v]
-		s.classes[fill[l]] = NodeID(v)
+	classes := make([]NodeID, len(labels))
+	fill := append([]int32(nil), off[:nsyms]...)
+	for v, l := range labels {
+		classes[fill[l]] = NodeID(v)
 		fill[l]++
 	}
+	return off, classes
+}
+
+// flatten copies a view (an Overlay's patched view, or any snapshot) into
+// a fresh frozen snapshot through the view's own accessors. Each adjacency
+// range is already (label, neighbour label, neighbour)-sorted and each
+// tuple name-sorted under the view's symbol table, which the flat snapshot
+// shares, so compaction is a sequential copy: no sort, no re-intern. The
+// result equals a fresh freeze of the same graph by names, not by codes.
+func flatten(v *Snapshot) *Snapshot {
+	n, m := v.NumNodes(), v.NumEdges()
+	s := &Snapshot{
+		g:         v.g,
+		syms:      v.syms,
+		labels:    make([]Sym, n),
+		attrOff:   make([]int32, n+1),
+		attrPairs: make([]AttrPair, 0, len(v.attrPairs)),
+		outOff:    make([]int32, n+1),
+		out:       make([]CSREdge, 0, m),
+		inOff:     make([]int32, n+1),
+		in:        make([]CSREdge, 0, m),
+	}
+	for u := 0; u < n; u++ {
+		id := NodeID(u)
+		s.labels[u] = v.Label(id)
+		s.attrOff[u] = int32(len(s.attrPairs))
+		s.attrPairs = append(s.attrPairs, v.AttrPairs(id)...)
+		s.outOff[u] = int32(len(s.out))
+		s.out = append(s.out, v.Out(id)...)
+		s.inOff[u] = int32(len(s.in))
+		s.in = append(s.in, v.In(id)...)
+	}
+	s.attrOff[n] = int32(len(s.attrPairs))
+	s.outOff[n] = int32(len(s.out))
+	s.inOff[n] = int32(len(s.in))
+	s.classOff, s.classes = labelClasses(s.labels, v.syms.Len())
 	return s
 }
 
@@ -297,10 +349,10 @@ func (s *Snapshot) NumNodes() int {
 	return len(s.labels)
 }
 
-// NumEdges returns |E|: at freeze time, or the graph's for a view.
+// NumEdges returns |E|: at freeze time, plus a view's inserted edges.
 func (s *Snapshot) NumEdges() int {
 	if s.patch != nil {
-		return s.g.NumEdges()
+		return len(s.out) + s.patch.edges
 	}
 	return len(s.out)
 }

@@ -15,9 +15,11 @@
 //
 // The detector enumerates with the batch engines' match.Matcher and
 // core.LiteralProgram over a graph.Overlay: the snapshot frozen at
-// construction plus patches kept in lockstep with every Apply. Once the
-// delta exceeds a fraction of the base, it compacts into a fresh freeze;
-// node IDs survive, so the maintained set carries over.
+// construction plus the patches of every Apply, which the overlay owns
+// (the graph reads through them and is never written). Once the delta
+// exceeds a fraction of the base, it compacts: Freeze flattens the view
+// into a fresh snapshot over the same symbol table; node IDs survive, so
+// the maintained set carries over.
 package incremental
 
 import (
@@ -58,9 +60,9 @@ func (AddNode) isUpdate() {}
 func (AddEdge) isUpdate() {}
 func (SetAttr) isUpdate() {}
 
-// ApplyTo plays updates onto an overlay (which forwards each mutation to
-// its underlying graph), returning the IDs of inserted nodes in update
-// order. Shared by Detector.Apply and the session layer's Session.Apply.
+// ApplyTo plays updates onto an overlay (which patches its view and
+// advances its graph's version), returning the IDs of inserted nodes in
+// update order. Shared by Detector.Apply and the session layer's Session.Apply.
 func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 	var inserted []graph.NodeID
 	for _, up := range ups {
@@ -77,8 +79,7 @@ func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 }
 
 // Detector maintains Vio(Σ, G) across updates. All mutations must go
-// through Apply, which keeps the overlay's patches in lockstep with the
-// graph.
+// through Apply, whose overlay is the graph's one writer.
 type Detector struct {
 	g     *graph.Graph
 	ov    *graph.Overlay
@@ -87,7 +88,9 @@ type Detector struct {
 	version uint64 // graph version the detector's report reflects
 
 	// Per-rule artifacts compiled against the overlay's symbol table,
-	// rebuilt on compaction (a fresh freeze owns a fresh table).
+	// rebuilt with every new overlay. A compaction keeps the table (the
+	// flattened view shares it), but the recovery path after a direct
+	// mutation freezes the thawed graph, and that freeze owns a fresh one.
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
@@ -207,13 +210,13 @@ func (d *Detector) Len() int {
 	return n
 }
 
-// Apply performs the updates through the overlay (which mutates the
-// underlying graph in lockstep) and refreshes the violation set by the
-// delta rule (see the package doc), returning the IDs of any inserted
+// Apply performs the updates through the overlay (which patches its view
+// and advances the graph's version) and refreshes the violation set by
+// the delta rule (see the package doc), returning the IDs of any inserted
 // nodes in update order. When the accumulated delta crosses
-// compactFraction of the base size, the overlay is compacted into a fresh
-// snapshot and the compiled artifacts rebound — the only time a freeze
-// happens after construction.
+// graph.CompactFraction of the base size, the view is flattened into a
+// fresh snapshot and the compiled artifacts rebound — the only time a
+// snapshot is built after construction.
 func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	// Mutations may have reached the graph since the last Apply without
 	// this detector seeing them (Session.Apply, a sibling detector, a
@@ -222,9 +225,10 @@ func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	stale := d.version != d.g.Version()
 	if stale && !d.ov.Synced() {
 		// The overlay missed the mutations too (they bypassed it
-		// entirely, or a co-holder compacted onto a different view):
-		// rebuild from a fresh freeze — cached when the graph was already
-		// frozen at this version — and publish the rebuilt view like a
+		// entirely, or a co-holder wrote through a different view), and it
+		// refuses writes: rebuild over the graph's current version — a
+		// flatten of the other view, a freeze of a thawed graph, or the
+		// cached snapshot — and publish the rebuilt view like a
 		// compaction, so the owning session re-couples instead of the two
 		// sides desyncing each other once per batch forever.
 		d.ov = graph.NewOverlay(d.g)
@@ -239,7 +243,7 @@ func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	} else {
 		d.refresh(ups, inserted)
 	}
-	// Apply keeps the overlay in lockstep with the graph, so the detector
+	// The overlay's writes advance the graph's version, so the detector
 	// is synced at the new version (a Session polls Synced to decide
 	// whether the overlay can be shared with the next detector).
 	d.version = d.g.Version()

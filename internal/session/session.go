@@ -24,9 +24,13 @@
 // Session.Apply (or an incremental detector from Session.Incremental) are
 // folded into a maintained graph.Overlay — the base snapshot plus
 // localized CSR patches — and the next Detect runs against the patched
-// view, paying only for the touched region. Once the accumulated delta
-// exceeds a fraction of the base size, the session compacts: one fresh
-// freeze absorbs the patches, amortizing O(|V|+|E|) over Ω(|G|) updates.
+// view, paying only for the touched region. The overlay owns the delta:
+// the graph itself is not written, only made to read through the view, so
+// an Apply over a store-adopted graph costs O(|batch|) and never thaws it.
+// Once the accumulated delta exceeds a fraction of the base size, the
+// session compacts: Graph.Freeze flattens the patched view into fresh flat
+// arrays (no sort, same symbol table), amortizing O(|V|+|E|) over Ω(|G|)
+// updates.
 //
 // Detect and Violations are safe for concurrent use while the graph is
 // unmutated, like the engines themselves. Mutation concurrent with
@@ -126,8 +130,8 @@ func (s *Session) Fragmentation(n int) *fragment.Fragmentation {
 // Incremental builds an incremental detector maintaining Vio(Σ, G) over
 // the session's graph. The session shares one graph.Overlay across
 // detectors and its own Apply as long as every mutation flows through one
-// of them (each keeps the overlay in lockstep with the graph); a direct
-// graph mutation since then forces a fresh view. Updates applied through
+// of them (the overlay is the graph's one writer); a direct graph
+// mutation since then forces a fresh view. Updates applied through
 // the detector advance the shared overlay, so the session's prepared rule
 // sets follow along on their next Detect without re-freezing — one shared
 // mutation lifecycle across the batch and incremental paths.
@@ -151,18 +155,19 @@ func (s *Session) Incremental(set *core.Set) *incremental.Detector {
 // direct graph mutation — which invalidates every prepared bundle into a
 // full re-freeze — updates applied here keep the compiled path warm: the
 // next Detect runs against the patched overlay, paying only for the
-// touched region. Once the accumulated delta exceeds the compaction
-// fraction (graph.CompactFraction), Apply compacts eagerly: the patches
-// are absorbed into a fresh snapshot before returning — one amortized
-// freeze per Ω(|G|) updates, paid by the batch that crosses the
-// threshold — and a clean overlay starts.
+// touched region. The updates patch the overlay only: the graph reads
+// through the patched view and is never thawed. Once the accumulated
+// delta exceeds the compaction fraction (graph.CompactFraction), Apply
+// compacts eagerly: Freeze flattens the view into a fresh snapshot before
+// returning — one amortized O(|V|+|E|) copy per Ω(|G|) updates, paid by
+// the batch that crosses the threshold — and a clean overlay starts.
 func (s *Session) Apply(ups ...incremental.Update) []graph.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ov := s.liveOverlayLocked()
 	ids := incremental.ApplyTo(ov, ups...)
 	if ov.NeedsCompaction() {
-		// Compact eagerly into a fresh overlay (one freeze, the same
+		// Compact eagerly into a fresh overlay (one flatten, the same
 		// amortized cost as deferring it to the next Detect) so the
 		// session always holds a live view: detectors sharing the old
 		// overlay recover and re-publish through OnCompact, instead of
@@ -173,8 +178,9 @@ func (s *Session) Apply(ups ...incremental.Update) []graph.NodeID {
 }
 
 // liveOverlayLocked returns the session's overlay, starting a fresh one
-// over the current graph version when none is live or a mutation bypassed
-// it. Callers hold s.mu.
+// over the current graph version when none is live or the graph moved on
+// without it (a direct mutation, or a detector writing through another
+// overlay) — a stale overlay refuses writes. Callers hold s.mu.
 func (s *Session) liveOverlayLocked() *graph.Overlay {
 	if s.overlay == nil || !s.overlay.Synced() {
 		s.overlay = graph.NewOverlay(s.g)

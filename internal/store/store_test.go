@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gfd/internal/fragment"
@@ -469,5 +471,106 @@ func TestRoundTripEmptyFragmentShard(t *testing.T) {
 			t.Fatalf("zero-node shard loaded with %d nodes", n)
 		}
 		l.Close()
+	}
+}
+
+// sameByNames compares two snapshots through their own symbol tables:
+// labels, attribute tuples, adjacency (as multisets, since each is sorted
+// by its own codes) and label classes, node by node.
+func sameByNames(t *testing.T, got, want *graph.Snapshot) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("|V|=%d |E|=%d, want %d %d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	gs, ws := got.Syms(), want.Syms()
+	render := func(syms *graph.Symbols, es []graph.CSREdge) []string {
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = fmt.Sprintf("%s>%d", syms.Name(e.Label), e.To)
+		}
+		slices.Sort(out)
+		return out
+	}
+	pairs := func(syms *graph.Symbols, ps []graph.AttrPair) map[string]string {
+		m := make(map[string]string, len(ps))
+		for _, p := range ps {
+			m[syms.Name(p.Name)] = syms.Name(p.Val)
+		}
+		return m
+	}
+	for v := 0; v < want.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if got.LabelName(id) != want.LabelName(id) {
+			t.Fatalf("label of %d: %q, want %q", v, got.LabelName(id), want.LabelName(id))
+		}
+		if !reflect.DeepEqual(pairs(gs, got.AttrPairs(id)), pairs(ws, want.AttrPairs(id))) {
+			t.Fatalf("attributes of %d differ", v)
+		}
+		if !slices.Equal(render(gs, got.Out(id)), render(ws, want.Out(id))) || !slices.Equal(render(gs, got.In(id)), render(ws, want.In(id))) {
+			t.Fatalf("adjacency of %d differs", v)
+		}
+		l := want.LabelName(id)
+		if !slices.Equal(got.NodesWithLabel(l), want.NodesWithLabel(l)) {
+			t.Fatalf("class %q differs", l)
+		}
+	}
+}
+
+// TestCompactedOverlayRoundTrip: compaction flattens an overlay's patched
+// view into a snapshot that shares the live (grown) symbol table. On a
+// heap-built and on a store-adopted base it must equal, by names, a fresh
+// freeze of a twin graph that took the same updates directly, and
+// round-trip through Save and Decode, which validates every invariant.
+func TestCompactedOverlayRoundTrip(t *testing.T) {
+	for _, adopted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
+			g, twin := randomGraph(41, 60, 150), randomGraph(41, 60, 150)
+			if adopted {
+				l, err := store.Open(context.Background(), saveTo(t, g.Freeze()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				g = l.Snapshot().Graph()
+			}
+			ov := graph.NewOverlay(g)
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < 90; i++ {
+				n := ov.NumNodes()
+				switch i % 3 {
+				case 0:
+					a := graph.Attrs{"fresh": fmt.Sprint(i)} // names the base never interned
+					if id, tid := ov.AddNode("country", a.Clone()), twin.AddNode("country", a); id != tid {
+						t.Fatalf("overlay node %d, twin %d", id, tid)
+					}
+				case 1:
+					from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+					ov.MustAddEdge(from, to, "borders")
+					twin.MustAddEdge(from, to, "borders")
+				default:
+					v, val := graph.NodeID(rng.Intn(n)), fmt.Sprintf("w%d", i)
+					ov.SetAttr(v, "zip", val)
+					twin.SetAttr(v, "zip", val)
+				}
+			}
+			flat := g.Freeze()
+			if flat.Syms() != ov.Syms() {
+				t.Fatal("compaction must share the live symbol table")
+			}
+			// Interning after the flatten grows the table past the frozen
+			// class offsets; the image must stay valid.
+			flat.Syms().Intern("interned-later")
+			want := twin.Freeze()
+			sameByNames(t, flat, want)
+			data, err := os.ReadFile(saveTo(t, flat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := store.Decode(data)
+			if err != nil {
+				t.Fatalf("Decode of a compacted overlay: %v", err)
+			}
+			sameByNames(t, back, want)
+		})
 	}
 }
