@@ -126,29 +126,36 @@ func (g *Graph) BuildSnapshot(workers int) *Snapshot {
 // shard is one worker's contiguous node range [lo, hi).
 type shard struct{ lo, hi int }
 
-// runShards executes fn over every shard, one goroutine per shard (the
-// single-shard case stays on the calling goroutine). A panicking shard no
-// longer kills the process from an unrecoverable goroutine: every shard
-// recovers its own panic, the surviving shards finish, and the first
-// panic value is re-raised on the calling goroutine — where Freeze's
-// fallback (or an explicit BuildSnapshot caller) can handle it.
+// runShards executes fn over every shard through fanOut, crossing the
+// freeze fault injector once per shard task.
 func runShards(shards []shard, fn func(si, lo, hi int)) {
 	inj := freezeInjector.Load()
-	if len(shards) == 1 {
-		inj.Cross(fault.FreezeShard, 0, -1)
-		fn(0, shards[0].lo, shards[0].hi)
+	fanOut(len(shards), func(si int) {
+		inj.Cross(fault.FreezeShard, si, -1)
+		fn(si, shards[si].lo, shards[si].hi)
+	})
+}
+
+// fanOut runs fn(0) … fn(n-1), one goroutine per task (a single task stays
+// on the calling goroutine). A panicking task does not kill the process
+// from an unrecoverable goroutine: every task recovers its own panic, the
+// surviving tasks finish, and the first panic value is re-raised on the
+// calling goroutine — where Freeze's fallback (or an explicit
+// BuildSnapshot caller) can handle it.
+func fanOut(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
 		return
 	}
-	panics := make([]any, len(shards))
+	panics := make([]any, n)
 	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for si, sh := range shards {
-		go func(si, lo, hi int) {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
 			defer wg.Done()
-			defer func() { panics[si] = recover() }()
-			inj.Cross(fault.FreezeShard, si, -1)
-			fn(si, lo, hi)
-		}(si, sh.lo, sh.hi)
+			defer func() { panics[i] = recover() }()
+			fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, p := range panics {
@@ -183,32 +190,32 @@ func shardRanges(n, workers int) []shard {
 	return out
 }
 
-// shardByOffsets splits [0, len(off)-1) into contiguous ranges balanced by
-// the offset deltas (per-node fill/sort work), counting one extra unit per
-// node so degree-zero stretches still spread across workers.
-func shardByOffsets(off []int32, workers int) []shard {
-	n := len(off) - 1
-	if workers > n {
-		workers = n
+// shardByOffsets splits [0, n) into at most `workers` contiguous ranges
+// balanced by per-node work: the deltas of the given offset arrays (each of
+// length n+1, validated monotone) plus one unit per node, so degree-zero
+// stretches still spread across workers. The weight up to a node is a sum
+// of offsets, so each cut is a binary search, not a scan.
+func shardByOffsets(workers int, offs ...[]int32) []shard {
+	n := len(offs[0]) - 1
+	if n <= 0 {
+		return nil
 	}
-	if workers <= 1 {
-		if n == 0 {
-			return nil
+	workers = max(1, min(workers, n))
+	weight := func(v int) int64 {
+		w := int64(v)
+		for _, off := range offs {
+			w += int64(off[v])
 		}
-		return []shard{{0, n}}
+		return w
 	}
-	total := int64(off[n]) + int64(n)
-	target := total / int64(workers)
-	if target < 1 {
-		target = 1
-	}
+	total := weight(n)
 	out := make([]shard, 0, workers)
-	lo, acc := 0, int64(0)
-	for v := 0; v < n; v++ {
-		acc += int64(off[v+1]-off[v]) + 1
-		if acc >= target && len(out) < workers-1 {
-			out = append(out, shard{lo, v + 1})
-			lo, acc = v+1, 0
+	lo := 0
+	for k := 1; k < workers; k++ {
+		target := total * int64(k) / int64(workers)
+		if hi := sort.Search(n, func(v int) bool { return weight(v) >= target }); hi > lo {
+			out = append(out, shard{lo, hi})
+			lo = hi
 		}
 	}
 	if lo < n {
@@ -361,7 +368,7 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 	// ---- node labels: the adjacency sort below orders by them ------------
 	runShards(nodeShards, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			s.labels[v] = codes[g.labels[v]]
+			s.labels[v] = codes.code(g.labels[v])
 		}
 	})
 
@@ -369,25 +376,25 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 	s.out = make([]CSREdge, s.outOff[n])
 	s.in = make([]CSREdge, s.inOff[n])
 	s.attrPairs = make([]AttrPair, totalAttrs)
-	runShards(shardByOffsets(s.outOff, workers), func(_, lo, hi int) {
+	runShards(shardByOffsets(workers, s.outOff), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := s.out[s.outOff[v]:s.outOff[v+1]]
 			for i := range g.out[v] {
-				row[i] = CSREdge{To: g.out[v][i].To, Label: codes[g.out[v][i].Label]}
+				row[i] = CSREdge{To: g.out[v][i].To, Label: codes.code(g.out[v][i].Label)}
 			}
 			sortCSR(row, s.labels)
 		}
 	})
-	runShards(shardByOffsets(s.inOff, workers), func(_, lo, hi int) {
+	runShards(shardByOffsets(workers, s.inOff), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := s.in[s.inOff[v]:s.inOff[v+1]]
 			for i := range g.in[v] {
-				row[i] = CSREdge{To: g.in[v][i].To, Label: codes[g.in[v][i].Label]}
+				row[i] = CSREdge{To: g.in[v][i].To, Label: codes.code(g.in[v][i].Label)}
 			}
 			sortCSR(row, s.labels)
 		}
 	})
-	runShards(shardByOffsets(s.attrOff, workers), func(_, lo, hi int) {
+	runShards(shardByOffsets(workers, s.attrOff), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			a := g.attrs[v]
 			if len(a) == 0 {
@@ -396,7 +403,7 @@ func buildSnapshotParallel(g *Graph, workers int) *Snapshot {
 			ks := keyArena[s.attrOff[v]:s.attrOff[v+1]]
 			row := s.attrPairs[s.attrOff[v]:s.attrOff[v+1]]
 			for i, k := range ks {
-				row[i] = AttrPair{Name: codes[k], Val: codes[a[k]]}
+				row[i] = AttrPair{Name: codes.code(k), Val: codes.code(a[k])}
 			}
 			sortAttrPairs(row)
 		}

@@ -67,11 +67,13 @@ func (s *Snapshot) Flat() (Flat, error) {
 // arrays: the returned snapshot's backing storage IS the given slices, so a
 // caller mapping them from a read-only file gets a zero-copy view. The
 // image is validated first — offsets monotone and bounded, codes in range,
-// per-node sort invariants, classes consistent with labels — because every
+// per-node sort invariants, classes consistent with labels, a symbol table
+// that starts with the wildcard and holds no duplicate — because every
 // violated invariant is a latent panic (or silent mismatch) in the match
 // engine's unchecked indexing. Images from untrusted bytes must never be
-// adopted unvalidated; the checks here are O(|V|+|E|) integer scans, far
-// below a freeze.
+// adopted unvalidated. The checks are O(|V|+|E|) integer scans, far below
+// a freeze, and one parallel pass (see Flat.validate); the symbol table
+// retains f.Names.
 //
 // The snapshot's source graph (Snapshot.Graph) is a hollow *Graph that
 // reads through the snapshot: reads that the snapshot can answer
@@ -84,10 +86,7 @@ func (s *Snapshot) Flat() (Flat, error) {
 // slice-of-maps representation (Clone, NodeAttrs, Out), thaws the graph
 // onto the heap. Nothing ever writes through the adopted arrays.
 func AdoptFlat(f Flat) (*Snapshot, error) {
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	syms, err := adoptSymbols(f.Names)
+	syms, err := f.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +109,69 @@ func AdoptFlat(f Flat) (*Snapshot, error) {
 	return s, nil
 }
 
+// validateShardMin is the least |V|+|E| per validation shard: below it a
+// goroutine costs more than the scan it would take over.
+const validateShardMin = 1 << 12
+
 // validate checks every invariant the engines' unchecked indexing relies
-// on. Error messages name the failing section; package store wraps them
-// into its typed corruption error.
-func (f Flat) validate() error {
+// on and builds the symbol table. Error messages name the failing section;
+// package store wraps them into its typed corruption error.
+//
+// The table-shape checks (counts, offsets, arena sizes) run first and
+// serially. The rest is one fan-out on FreezeWorkers() goroutines, sized
+// down for small images: each shard checks a degree-balanced node range
+// (labels, then out and in adjacency, then attribute tuples) and a range
+// of label classes, while one more task indexes the symbol table. The
+// error reported is the one the serial order would find first — the
+// earliest check kind failing anywhere, in its lowest node or class
+// range, then the symbol table's — so it never depends on the worker
+// count or on scheduling. The fan-out does not cross the freeze fault
+// injector.
+func (f Flat) validate() (*Symbols, error) {
+	if err := f.checkShape(); err != nil {
+		return nil, err
+	}
+	workers := max(1, min(FreezeWorkers(), (len(f.Labels)+len(f.Out))/validateShardMin))
+	nodes := shardByOffsets(workers, f.OutOff, f.InOff, f.AttrOff)
+	classes := shardByOffsets(workers, f.ClassOff)
+	tasks := max(len(nodes), len(classes))
+	errs := make([]checkErr, tasks)
+	var syms *Symbols
+	var symErr error
+	task := func(i int) {
+		if i == tasks {
+			syms, symErr = adoptSymbols(f.Names)
+			return
+		}
+		if i < len(nodes) {
+			errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi)
+		}
+		if i < len(classes) && errs[i].err == nil {
+			errs[i] = checkErr{kindClasses, f.checkClasses(classes[i].lo, classes[i].hi)}
+		}
+	}
+	if workers == 1 {
+		for i := 0; i <= tasks; i++ {
+			task(i)
+		}
+	} else {
+		fanOut(tasks+1, task)
+	}
+	var first checkErr
+	for _, e := range errs {
+		if e.err != nil && (first.err == nil || e.kind < first.kind) {
+			first = e
+		}
+	}
+	if first.err != nil {
+		return nil, first.err
+	}
+	return syms, symErr
+}
+
+// checkShape validates the sizes and offset arrays every per-node check
+// indexes through.
+func (f Flat) checkShape() error {
 	n := len(f.Labels)
 	nsyms := len(f.Names)
 	if nsyms == 0 {
@@ -137,37 +195,65 @@ func (f Flat) validate() error {
 	if len(f.Classes) != n {
 		return fmt.Errorf("graph: class arena holds %d nodes, want |V|=%d", len(f.Classes), n)
 	}
-	for v, l := range f.Labels {
-		if l < 0 || int(l) >= nsyms {
-			return fmt.Errorf("graph: node %d label code %d out of range [0,%d)", v, l, nsyms)
+	return nil
+}
+
+// checkErr is a shard's first failure and the kind of check that found
+// it. Kinds are numbered in the serial scan's order.
+type checkErr struct {
+	kind int
+	err  error
+}
+
+const (
+	kindLabels = iota
+	kindOut
+	kindIn
+	kindAttrs
+	kindClasses
+)
+
+// checkNodes runs the per-node checks over nodes [lo, hi), stopping at the
+// first failure: a later kind of check in this shard can never be the one
+// reported (so validate skips the shard's classes too).
+func (f Flat) checkNodes(lo, hi int) checkErr {
+	nsyms := len(f.Names)
+	for v := lo; v < hi; v++ {
+		if l := f.Labels[v]; l < 0 || int(l) >= nsyms {
+			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d out of range [0,%d)", v, l, nsyms)}
 		}
 	}
 	// Adjacency: endpoints and labels in range, each node's range
 	// (Label, Label(To), To)-sorted — the binary searches (OutWithNbr,
 	// HasEdge) and the matcher's sorted-range intersection assume it.
-	if err := checkAdjacency("out", f.OutOff, f.Out, f.Labels, nsyms); err != nil {
-		return err
+	if err := checkAdjacency("out", f.OutOff, f.Out, f.Labels, nsyms, lo, hi); err != nil {
+		return checkErr{kindOut, err}
 	}
-	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, nsyms); err != nil {
-		return err
+	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, nsyms, lo, hi); err != nil {
+		return checkErr{kindIn, err}
 	}
 	// Attribute tuples: codes in range, names strictly increasing per node
 	// (a tuple is a map image — duplicates would make AttrSym ambiguous).
-	for v := 0; v < n; v++ {
+	for v := lo; v < hi; v++ {
 		ps := f.AttrPairs[f.AttrOff[v]:f.AttrOff[v+1]]
 		for i, p := range ps {
 			if p.Name < 0 || int(p.Name) >= nsyms || p.Val < 0 || int(p.Val) >= nsyms {
-				return fmt.Errorf("graph: node %d attr pair %d codes (%d,%d) out of range [0,%d)", v, i, p.Name, p.Val, nsyms)
+				return checkErr{kindAttrs, fmt.Errorf("graph: node %d attr pair %d codes (%d,%d) out of range [0,%d)", v, i, p.Name, p.Val, nsyms)}
 			}
 			if i > 0 && ps[i-1].Name >= p.Name {
-				return fmt.Errorf("graph: node %d attr tuple not strictly sorted by name at %d", v, i)
+				return checkErr{kindAttrs, fmt.Errorf("graph: node %d attr tuple not strictly sorted by name at %d", v, i)}
 			}
 		}
 	}
-	// Label classes: each class ascending and containing exactly the nodes
-	// carrying its label. Together with the offset total == |V| this forces
-	// every node into exactly its own class.
-	for l := 0; l < nsyms; l++ {
+	return checkErr{}
+}
+
+// checkClasses validates label classes [lo, hi): each class ascending and
+// containing exactly the nodes carrying its label. Together with the
+// offset total == |V| this forces every node into exactly its own class.
+func (f Flat) checkClasses(lo, hi int) error {
+	n := len(f.Labels)
+	for l := lo; l < hi; l++ {
 		class := f.Classes[f.ClassOff[l]:f.ClassOff[l+1]]
 		for i, v := range class {
 			if v < 0 || int(v) >= n {
@@ -204,24 +290,28 @@ func checkOffsets(name string, off []int32, count, arena int) error {
 	return nil
 }
 
-// checkAdjacency validates one direction's arena: codes in range and each
-// node's range in compareCSR order, reading neighbour labels from the
-// already validated labels (non-strict: duplicate triples mirror the
-// mutable graph's multi-edge behavior).
-func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms int) error {
+// checkAdjacency validates one direction's arena over nodes [lo, hi):
+// codes in range and each node's range in compareCSR order (non-strict:
+// duplicate triples mirror the mutable graph's multi-edge behavior). The
+// order compares neighbour label codes as values, so it needs no range
+// check of labels outside [lo, hi).
+func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms, lo, hi int) error {
 	n := len(labels)
-	for v := 0; v < n; v++ {
-		r := es[off[v]:off[v+1]]
-		for i, e := range r {
+	for v := lo; v < hi; v++ {
+		var prev CSREdge
+		var prevNbr Sym
+		for i, e := range es[off[v]:off[v+1]] {
 			if e.To < 0 || int(e.To) >= n {
 				return fmt.Errorf("graph: %s edge of node %d targets %d, out of range [0,%d)", name, v, e.To, n)
 			}
 			if e.Label < 0 || int(e.Label) >= nsyms {
 				return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
 			}
-			if i > 0 && compareCSR(r[i-1], labels[r[i-1].To], e, labels[e.To]) > 0 {
+			nbr := labels[e.To]
+			if i > 0 && compareCSR(prev, prevNbr, e, nbr) > 0 {
 				return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i)
 			}
+			prev, prevNbr = e, nbr
 		}
 	}
 	return nil

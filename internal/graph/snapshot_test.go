@@ -180,31 +180,45 @@ func requireLabelledRuns(t *testing.T, s *Snapshot) {
 
 // TestAdoptFlatRejectsLabelToOrder: an image whose adjacency is sorted by
 // (label, neighbour) alone — store format 1's order — is not adoptable,
-// because the matcher would intersect runs that are not To-sorted.
+// because the matcher would intersect runs that are not To-sorted. The
+// large image validates on several shards, and the error must read the
+// same with one freeze worker and with four.
 func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
-	s := randomGraph(t, 7, 60, 220).Freeze()
-	f, err := s.Flat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AdoptFlat(f); err != nil {
-		t.Fatalf("fresh image rejected: %v", err)
-	}
-	out := slices.Clone(f.Out)
-	for v := 0; v+1 < len(f.OutOff); v++ {
-		slices.SortFunc(out[f.OutOff[v]:f.OutOff[v+1]], func(a, b CSREdge) int {
-			if a.Label != b.Label {
-				return int(a.Label - b.Label)
+	defer SetFreezeWorkers(0)
+	for _, size := range [][2]int{{60, 220}, {4000, 14000}} {
+		s := randomGraph(t, 7, size[0], size[1]).Freeze()
+		f, err := s.Flat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AdoptFlat(f); err != nil {
+			t.Fatalf("fresh image rejected: %v", err)
+		}
+		out := slices.Clone(f.Out)
+		for v := 0; v+1 < len(f.OutOff); v++ {
+			slices.SortFunc(out[f.OutOff[v]:f.OutOff[v+1]], func(a, b CSREdge) int {
+				if a.Label != b.Label {
+					return int(a.Label - b.Label)
+				}
+				return int(a.To - b.To)
+			})
+		}
+		if slices.Equal(out, f.Out) {
+			t.Fatal("no node has a run the two orders disagree on; the test is vacuous")
+		}
+		f.Out = out
+		var errs []string
+		for _, w := range []int{1, 4} {
+			SetFreezeWorkers(w)
+			_, err := AdoptFlat(f)
+			if err == nil {
+				t.Fatalf("AdoptFlat accepted (label, neighbour)-ordered adjacency (|V| = %d, %d workers)", size[0], w)
 			}
-			return int(a.To - b.To)
-		})
-	}
-	if slices.Equal(out, f.Out) {
-		t.Fatal("no node has a run the two orders disagree on; the test is vacuous")
-	}
-	f.Out = out
-	if _, err := AdoptFlat(f); err == nil {
-		t.Fatal("AdoptFlat accepted (label, neighbour)-ordered adjacency")
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] {
+			t.Fatalf("|V| = %d: error depends on the worker count:\n 1 worker:  %s\n 4 workers: %s", size[0], errs[0], errs[1])
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 )
 
@@ -39,19 +41,80 @@ const (
 // lifecycle, where a live table can be grown (rule lowering against an
 // Overlay interns labels and constants) while other prepared rule sets
 // compile against it; the per-match hot paths never touch the table — they
-// run on resolved codes. Freeze-time bulk interning goes through the same
-// lock; the cost is noise against the O(|V|+|E| log d) build.
+// run on resolved codes.
+//
+// The name → code index is a pointer-free slot array over names: open
+// addressing with linear probing, hashed with hash/maphash under one
+// per-process seed, rehashed when it passes load ½. The garbage collector
+// never scans the slots, and adopting a persisted table (the per-open cost
+// of a .gfds file) sizes the slots once and probes each name once — a
+// step that runs beside the parallel structural validation in AdoptFlat.
+// Freeze-time bulk interning takes the same lock and probes the same way.
 type Symbols struct {
 	mu    sync.RWMutex
-	codes map[string]Sym
 	names []string
+	// slots holds code+1 of the name hashed there, 0 for an empty slot;
+	// its length is a power of two at least 2·len(names).
+	slots []Sym
 }
+
+// symSeed hashes every table in the process: one seed keeps a name's slot
+// a pure function of the name and the slot count.
+var symSeed = maphash.MakeSeed()
 
 // NewSymbols returns a table with the wildcard pre-interned as WildcardSym.
 func NewSymbols() *Symbols {
-	s := &Symbols{codes: make(map[string]Sym, 16)}
+	s := &Symbols{slots: slotsFor(1)}
 	s.Intern("_")
 	return s
+}
+
+// slotsFor returns an empty slot array for n names at load at most ½.
+func slotsFor(n int) []Sym {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	return make([]Sym, size)
+}
+
+// symView is a table's index read without the lock: the parallel freeze
+// fills use it once the table is complete (see Symbols.view).
+type symView struct {
+	names []string
+	slots []Sym
+}
+
+// probe returns the slot holding name, or the empty slot that ends its
+// probe sequence.
+func (v symView) probe(name string) int {
+	mask := uint64(len(v.slots) - 1)
+	i := maphash.String(symSeed, name) & mask
+	for {
+		c := v.slots[i]
+		if c == 0 || v.names[c-1] == name {
+			return int(i)
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// code returns the code of name, NoSym if absent.
+func (v symView) code(name string) Sym { return v.slots[v.probe(name)] - 1 }
+
+// indexNames builds the slot array over names, rejecting a name whose
+// probe lands on an equal one: two codes for one name would break
+// interning's bijection.
+func indexNames(names []string) ([]Sym, error) {
+	v := symView{names, slotsFor(len(names))}
+	for c, name := range names {
+		i := v.probe(name)
+		if v.slots[i] != 0 {
+			return nil, fmt.Errorf("graph: duplicate symbol %q", name)
+		}
+		v.slots[i] = Sym(c + 1)
+	}
+	return v.slots, nil
 }
 
 // Intern returns the code of name, assigning the next dense code if the
@@ -59,12 +122,17 @@ func NewSymbols() *Symbols {
 func (s *Symbols) Intern(name string) Sym {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.codes[name]; ok {
-		return c
+	i := s.view().probe(name)
+	if c := s.slots[i]; c != 0 {
+		return c - 1
 	}
 	c := Sym(len(s.names))
-	s.codes[name] = c
 	s.names = append(s.names, name)
+	if 2*len(s.names) > len(s.slots) {
+		s.slots, _ = indexNames(s.names) // names are distinct by construction
+	} else {
+		s.slots[i] = c + 1
+	}
 	return c
 }
 
@@ -72,10 +140,7 @@ func (s *Symbols) Intern(name string) Sym {
 func (s *Symbols) Lookup(name string) Sym {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if c, ok := s.codes[name]; ok {
-		return c
-	}
-	return NoSym
+	return s.view().code(name)
 }
 
 // Name returns the string a code was interned from.
@@ -100,25 +165,24 @@ func (s *Symbols) Names() []string {
 	return append([]string(nil), s.names...)
 }
 
-// adoptSymbols rebuilds a table from a serialized name list. The list must
-// be a valid table image: non-empty, wildcard first (codes are dense and
-// the wildcard is always interned at construction), no duplicates (two
-// codes for one name would break interning's bijection).
+// adoptSymbols builds a table over a serialized name list, which it
+// retains (clipped, so a later Intern appends into a fresh array and never
+// into spare capacity the caller's slice may share with another table's).
+// The list must be a valid table image: non-empty and wildcard first
+// (codes are dense and the wildcard is always interned at construction),
+// checked before anything is indexed, and free of duplicates.
 func adoptSymbols(names []string) (*Symbols, error) {
 	if len(names) == 0 || names[0] != "_" {
 		return nil, fmt.Errorf("graph: symbol table must start with the wildcard %q", "_")
 	}
-	s := &Symbols{codes: make(map[string]Sym, len(names)), names: append([]string(nil), names...)}
-	for i, n := range s.names {
-		if _, dup := s.codes[n]; dup {
-			return nil, fmt.Errorf("graph: duplicate symbol %q", n)
-		}
-		s.codes[n] = Sym(i)
+	slots, err := indexNames(names)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Symbols{names: slices.Clip(names), slots: slots}, nil
 }
 
-// view returns the table's name -> code index for lock-free reads. Only
-// for phases with no concurrent Intern — the parallel freeze fills read it
-// after the table is fully built and before the snapshot is published.
-func (s *Symbols) view() map[string]Sym { return s.codes }
+// view returns the table's index for lock-free reads. Only for phases with
+// no concurrent Intern — the parallel freeze fills read it after the table
+// is fully built and before the snapshot is published.
+func (s *Symbols) view() symView { return symView{s.names, s.slots} }

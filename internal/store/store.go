@@ -3,7 +3,10 @@
 // memory mapping. A Snapshot's backing storage is already flat and
 // offset-based — CSR adjacency, interned symbol table, attribute tuple
 // arena — so saving is a section-per-array dump and opening is page-table
-// setup plus an O(|V|+|E|) integer validation scan, never a rebuild.
+// setup plus one parallel O(|V|+|E|) pass, never a rebuild: the integer
+// validation scan runs on degree-balanced node ranges while the symbol
+// table's slot index is built and the body checksums are verified (see
+// Decode).
 //
 // File layout (format version 2, all header/table scalars little-endian):
 //
@@ -41,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"unsafe"
 
 	"gfd/internal/graph"
@@ -160,6 +164,12 @@ func sectionEntryAt(table []byte, i int) (id uint32, off, ln uint64, crc uint32)
 // any slice is formed, and the full graph-invariant validation runs before
 // the snapshot is returned, so corrupt input yields ErrCorrupt (or
 // ErrVersion), never a panic or an oversized allocation.
+//
+// The header, table and length checks run serially; then the body
+// checksums run beside graph.AdoptFlat's sharded validation and symbol
+// index, on graph.FreezeWorkers() goroutines. The error returned does not
+// depend on that: a checksum mismatch outranks a structural error, which
+// outranks a symbol-table error.
 func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	var o options
 	for _, f := range opts {
@@ -202,6 +212,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	// out-of-file ranges, and misaligned starts. Unknown ids are skipped.
 	table := data[headerSize:tableEnd]
 	var secs [numSections + 1][]byte
+	var bodies []body // table order: the first mismatch reported is the table's first
 	seen := [numSections + 1]bool{}
 	for i := 0; i < count; i++ {
 		id, off, ln, crc := sectionEntryAt(table, i)
@@ -214,18 +225,29 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		if off%8 != 0 || off < uint64(tableEnd+4) || off > uint64(len(data)) || ln > uint64(len(data))-off {
 			return nil, corruptf("section %d claims [%d, +%d) outside file of %d bytes", id, off, ln, len(data))
 		}
-		sec := data[off : off+ln]
-		if !o.skipBodyCRC {
-			if got := crc32.Checksum(sec, castagnoli); got != crc {
-				return nil, corruptf("section %d checksum mismatch (%#x != %#x)", id, got, crc)
-			}
-		}
 		seen[id] = true
-		secs[id] = sec
+		secs[id] = data[off : off+ln]
+		bodies = append(bodies, body{int(id), secs[id], crc})
+	}
+
+	// Body checksums run beside everything below, graph validation
+	// included, on their own goroutine when freezes get more than one
+	// worker. Every return from here on waits for them, and a checksum
+	// mismatch outranks any structural error: the error a corrupt file
+	// yields is fixed, whatever the scheduling.
+	crcErr := func() error { return nil }
+	if !o.skipBodyCRC {
+		crcErr = checkBodies(bodies, graph.FreezeWorkers() > 1)
+	}
+	fail := func(err error) (*graph.Snapshot, error) {
+		if cerr := crcErr(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
 	}
 	for id := 1; id <= numSections; id++ {
 		if !seen[id] {
-			return nil, corruptf("missing section %d", id)
+			return fail(corruptf("missing section %d", id))
 		}
 	}
 
@@ -234,18 +256,18 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	// in-memory representation is int32-indexed) before any conversion.
 	meta := secs[secMeta]
 	if len(meta) != 32 {
-		return nil, corruptf("meta section is %d bytes, want 32", len(meta))
+		return fail(corruptf("meta section is %d bytes, want 32", len(meta)))
 	}
 	var counts [4]uint64
 	for i := range counts {
 		counts[i] = binary.LittleEndian.Uint64(meta[i*8:])
 		if counts[i] > 1<<31-1 {
-			return nil, corruptf("meta count %d = %d exceeds int32", i, counts[i])
+			return fail(corruptf("meta count %d = %d exceeds int32", i, counts[i]))
 		}
 	}
 	numNodes, numEdges, numSyms, numPairs := int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3])
 	if numSyms == 0 {
-		return nil, corruptf("empty symbol table")
+		return fail(corruptf("empty symbol table"))
 	}
 	checkLen := func(id int, elems, elemSize int) ([]byte, error) {
 		if want := uint64(elems) * uint64(elemSize); uint64(len(secs[id])) != want {
@@ -256,7 +278,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 
 	symOffB, err := checkLen(secSymOff, numSyms+1, 4)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// Symbol names are the one deep copy: one string allocation for the
 	// whole blob, sliced per name. Thawed graphs and compacted overlays
@@ -266,15 +288,15 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	symOff := viewOf[uint32](symOffB, numSyms+1)
 	blob := secs[secSymBlob]
 	if symOff[0] != 0 {
-		return nil, corruptf("symbol offsets start at %d", symOff[0])
+		return fail(corruptf("symbol offsets start at %d", symOff[0]))
 	}
 	for i := 1; i <= numSyms; i++ {
 		if symOff[i] < symOff[i-1] {
-			return nil, corruptf("symbol offsets decrease at %d", i)
+			return fail(corruptf("symbol offsets decrease at %d", i))
 		}
 	}
 	if int(symOff[numSyms]) != len(blob) {
-		return nil, corruptf("symbol offsets end at %d, blob holds %d bytes", symOff[numSyms], len(blob))
+		return fail(corruptf("symbol offsets end at %d, blob holds %d bytes", symOff[numSyms], len(blob)))
 	}
 	blobStr := string(blob)
 	names := make([]string, numSyms)
@@ -297,7 +319,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	for _, s := range sections {
 		if _, err := checkLen(s.id, s.elems, s.elemSize); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 
@@ -315,7 +337,39 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	snap, err := graph.AdoptFlat(f)
 	if err != nil {
-		return nil, corruptf("invalid snapshot image: %v", err)
+		return fail(corruptf("invalid snapshot image: %v", err))
+	}
+	if err := crcErr(); err != nil {
+		return nil, err
 	}
 	return snap, nil
+}
+
+// body is one section's bytes and its recorded checksum.
+type body struct {
+	id  int
+	b   []byte
+	crc uint32
+}
+
+// checkBodies verifies the sections' checksums in order and returns a
+// function yielding the first mismatch. With async set the scan runs on
+// its own goroutine and the function waits for it; the caller must call it
+// before the bytes can go away (Open unmaps them on error).
+func checkBodies(bodies []body, async bool) func() error {
+	scan := func() error {
+		for _, s := range bodies {
+			if got := crc32.Checksum(s.b, castagnoli); got != s.crc {
+				return corruptf("section %d checksum mismatch (%#x != %#x)", s.id, got, s.crc)
+			}
+		}
+		return nil
+	}
+	if !async {
+		err := scan()
+		return func() error { return err }
+	}
+	done := make(chan error, 1)
+	go func() { done <- scan() }()
+	return sync.OnceValue(func() error { return <-done })
 }

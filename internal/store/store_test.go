@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"gfd/internal/fragment"
@@ -200,113 +201,278 @@ func corrupt(b []byte, mutate func([]byte)) []byte {
 	return c
 }
 
-func mustDecodeErr(t *testing.T, data []byte, want error) {
+func mustDecodeErr(t *testing.T, data []byte, want error, opts ...store.Option) error {
 	t.Helper()
-	_, err := store.Decode(data)
+	_, err := decodeEach(t, data, opts...)
 	if err == nil {
 		t.Fatal("Decode accepted corrupt input")
 	}
 	if !errors.Is(err, want) {
 		t.Fatalf("Decode error = %v, want errors.Is(%v)", err, want)
 	}
+	return err
 }
+
+// decodeEach decodes data with one and with four freeze workers and fails
+// unless both return the same error text: which error a corrupt file
+// yields must not depend on how the validation is sharded.
+func decodeEach(t *testing.T, data []byte, opts ...store.Option) (*graph.Snapshot, error) {
+	t.Helper()
+	defer graph.SetFreezeWorkers(0)
+	graph.SetFreezeWorkers(1)
+	want, wantErr := store.Decode(data, opts...)
+	graph.SetFreezeWorkers(4)
+	_, err := store.Decode(data, opts...)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("error depends on the worker count:\n 1 worker:  %v\n 4 workers: %v", wantErr, err)
+	}
+	return want, wantErr
+}
+
+// section returns the file offset and length the section table records
+// for section id.
+func section(t *testing.T, b []byte, id uint32) (off, ln int) {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(b[12:16]))
+	for i := 0; i < count; i++ {
+		e := b[16+i*32:]
+		if binary.LittleEndian.Uint32(e[0:4]) == id {
+			return int(binary.LittleEndian.Uint64(e[8:16])), int(binary.LittleEndian.Uint64(e[16:24]))
+		}
+	}
+	t.Fatalf("no section %d", id)
+	return 0, 0
+}
+
+// Section ids of the format, as the tests need them.
+const (
+	secSymBlob = 2
+	secSymOff  = 3
+	secLabels  = 4
+	secOutOff  = 7
+	secOut     = 8
+)
 
 // TestDecodeCorruption walks the corruption taxonomy: every class must
 // come back as the right typed error, never a panic or a bogus snapshot.
+// Each case runs on a small image and on one large enough for the
+// validation to take four shards, and decodeEach checks that the error
+// text is the same with one freeze worker and with four.
 func TestDecodeCorruption(t *testing.T) {
-	g := randomGraph(5, 40, 120)
-	path := saveTo(t, g.Freeze())
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	type image struct {
+		g    *graph.Graph
+		good []byte
 	}
-	if _, err := store.Decode(good); err != nil {
-		t.Fatalf("pristine file rejected: %v", err)
+	var images []image
+	for _, size := range [][2]int{{40, 120}, {4000, 14000}} {
+		g := randomGraph(5, size[0], size[1])
+		good, err := os.ReadFile(saveTo(t, g.Freeze()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Decode(good); err != nil {
+			t.Fatalf("pristine file rejected: %v", err)
+		}
+		images = append(images, image{g, good})
+	}
+	// each runs a case on every image; the body bit flips sample a large
+	// image's positions with a wider stride.
+	each := func(t *testing.T, fn func(t *testing.T, g *graph.Graph, good []byte)) {
+		for _, img := range images {
+			fn(t, img.g, img.good)
+		}
 	}
 
 	t.Run("bad magic", func(t *testing.T) {
-		mustDecodeErr(t, corrupt(good, func(b []byte) { b[0] = 'X' }), store.ErrCorrupt)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			mustDecodeErr(t, corrupt(good, func(b []byte) { b[0] = 'X' }), store.ErrCorrupt)
+		})
 	})
 	t.Run("version skew", func(t *testing.T) {
 		// Format 1 sorted adjacency by (label, neighbour) alone: its files
 		// are a version this build does not read, not corrupt ones.
-		for _, v := range []uint32{1, 99} {
-			c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], v) })
-			mustDecodeErr(t, c, store.ErrVersion)
-		}
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for _, v := range []uint32{1, 99} {
+				c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], v) })
+				mustDecodeErr(t, c, store.ErrVersion)
+			}
+		})
 	})
 	t.Run("endianness mismatch", func(t *testing.T) {
-		c := corrupt(good, func(b []byte) { b[8], b[9], b[10], b[11] = b[11], b[10], b[9], b[8] })
-		mustDecodeErr(t, c, store.ErrVersion)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) { b[8], b[9], b[10], b[11] = b[11], b[10], b[9], b[8] })
+			mustDecodeErr(t, c, store.ErrVersion)
+		})
 	})
 	t.Run("section count lies", func(t *testing.T) {
-		for _, n := range []uint32{0, 3, 65, 1 << 30} {
-			c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], n) })
-			mustDecodeErr(t, c, store.ErrCorrupt)
-		}
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for _, n := range []uint32{0, 3, 65, 1 << 30} {
+				c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], n) })
+				mustDecodeErr(t, c, store.ErrCorrupt)
+			}
+		})
 	})
 	t.Run("truncation", func(t *testing.T) {
 		// Every strict prefix must be rejected; step oddly so boundary and
 		// mid-section cuts are both hit, and cover the smallest prefixes
 		// exhaustively.
-		for cut := 0; cut < len(good); cut += 1 + cut/16 {
-			if _, err := store.Decode(good[:cut]); err == nil {
-				t.Fatalf("accepted %d-byte prefix of a %d-byte file", cut, len(good))
-			} else if !errors.Is(err, store.ErrCorrupt) && !errors.Is(err, store.ErrVersion) {
-				t.Fatalf("prefix %d: untyped error %v", cut, err)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for cut := 0; cut < len(good); cut += 1 + cut/16 {
+				if _, err := decodeEach(t, good[:cut]); err == nil {
+					t.Fatalf("accepted %d-byte prefix of a %d-byte file", cut, len(good))
+				} else if !errors.Is(err, store.ErrCorrupt) && !errors.Is(err, store.ErrVersion) {
+					t.Fatalf("prefix %d: untyped error %v", cut, err)
+				}
 			}
-		}
+		})
 	})
 	t.Run("table offset beyond file", func(t *testing.T) {
-		c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint64(b[16+8:], 1<<40) })
-		mustDecodeErr(t, c, store.ErrCorrupt)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint64(b[16+8:], 1<<40) })
+			mustDecodeErr(t, c, store.ErrCorrupt)
+		})
 	})
 	t.Run("table length lies", func(t *testing.T) {
-		c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint64(b[16+16:], 1<<40) })
-		mustDecodeErr(t, c, store.ErrCorrupt)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint64(b[16+16:], 1<<40) })
+			mustDecodeErr(t, c, store.ErrCorrupt)
+		})
 	})
 	t.Run("duplicate section id", func(t *testing.T) {
-		c := corrupt(good, func(b []byte) {
-			copy(b[16+32:16+64], b[16:16+32]) // second entry = first entry
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				copy(b[16+32:16+64], b[16:16+32]) // second entry = first entry
+			})
+			mustDecodeErr(t, c, store.ErrCorrupt)
 		})
-		mustDecodeErr(t, c, store.ErrCorrupt)
 	})
 	t.Run("header edits fail the header crc", func(t *testing.T) {
 		// The three table lies above hit the range the header checksum
 		// covers, so flipping any single header/table byte must fail too.
-		c := corrupt(good, func(b []byte) { b[20] ^= 0x40 })
-		mustDecodeErr(t, c, store.ErrCorrupt)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) { b[20] ^= 0x40 })
+			mustDecodeErr(t, c, store.ErrCorrupt)
+		})
 	})
 	t.Run("body bit flips", func(t *testing.T) {
 		// Flip one bit in each body byte position (sampled): either the
 		// section checksum catches it, or the flip landed in inter-section
 		// padding and the decode result must equal the pristine one.
-		want := g.Freeze()
-		start := 16 + 12*32 + 4
-		for pos := start; pos < len(good); pos += 7 {
-			c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
-			s, err := store.Decode(c)
-			if err != nil {
-				if !errors.Is(err, store.ErrCorrupt) {
-					t.Fatalf("flip at %d: untyped error %v", pos, err)
+		each(t, func(t *testing.T, g *graph.Graph, good []byte) {
+			want := g.Freeze()
+			start := 16 + 12*32 + 4
+			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
+				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
+				s, err := decodeEach(t, c)
+				if err != nil {
+					if !errors.Is(err, store.ErrCorrupt) {
+						t.Fatalf("flip at %d: untyped error %v", pos, err)
+					}
+					continue
 				}
-				continue
+				flatEqual(t, s, want)
 			}
-			flatEqual(t, s, want)
-		}
+		})
 	})
 	t.Run("skip checksums still validates structure", func(t *testing.T) {
 		// Without body CRCs, a flipped adjacency byte must still be caught
 		// by the structural validation whenever it breaks an invariant —
 		// and must never panic. Flip a byte inside the out-offsets section
 		// so monotonicity breaks.
-		c := corrupt(good, func(b []byte) {
-			off := binary.LittleEndian.Uint64(b[16+6*32+8:]) // secOutOff entry
-			binary.LittleEndian.PutUint32(b[off+4:], 1<<30)
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				off, _ := section(t, b, secOutOff)
+				binary.LittleEndian.PutUint32(b[off+4:], 1<<30)
+			})
+			if _, err := decodeEach(t, c, store.SkipChecksums()); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("structural validation missed a lying offset: %v", err)
+			}
+			// Sampled flips across the body: the structural check alone
+			// decides, so its error (or acceptance) is what decodeEach
+			// compares across worker counts.
+			start := 16 + 12*32 + 4
+			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
+				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
+				if _, err := decodeEach(t, c, store.SkipChecksums()); err != nil && !errors.Is(err, store.ErrCorrupt) {
+					t.Fatalf("flip at %d: untyped error %v", pos, err)
+				}
+			}
 		})
-		if _, err := store.Decode(c, store.SkipChecksums()); !errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("structural validation missed a lying offset: %v", err)
+	})
+	t.Run("structure errors in several shards", func(t *testing.T) {
+		// An unsorted adjacency in the first node range and an out-of-range
+		// label in the last: the serial order checks every label before
+		// any adjacency, so the label error is the one reported, however
+		// many shards the checks ran on.
+		each(t, func(t *testing.T, g *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				off, _ := section(t, b, secLabels)
+				binary.LittleEndian.PutUint32(b[off+4*(g.NumNodes()-1):], 1<<20)
+				oo, _ := section(t, b, secOutOff)
+				out, _ := section(t, b, secOut)
+				for v := 0; v < g.NumNodes(); v++ {
+					lo := int(binary.LittleEndian.Uint32(b[oo+4*v:]))
+					hi := int(binary.LittleEndian.Uint32(b[oo+4*v+4:]))
+					if hi-lo >= 2 && !bytes.Equal(b[out+8*lo:out+8*lo+8], b[out+8*lo+8:out+8*lo+16]) {
+						e := out + 8*lo
+						var tmp [8]byte
+						copy(tmp[:], b[e:e+8])
+						copy(b[e:e+8], b[e+8:e+16])
+						copy(b[e+8:e+16], tmp[:])
+						return
+					}
+				}
+				t.Fatal("no node with two distinct out-edges")
+			})
+			err := mustDecodeErr(t, c, store.ErrCorrupt, store.SkipChecksums())
+			if want := fmt.Sprintf("node %d label code", g.NumNodes()-1); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not report the label (%q)", err, want)
+			}
+		})
+	})
+	// The symbol table must stay a bijection from names to dense codes
+	// with the wildcard at code 0. With SkipChecksums the structural check
+	// alone must catch a table that breaks either; with checksums on, the
+	// section checksum is reported first.
+	symbolCase := func(t *testing.T, good []byte, mutate func(names [][]byte), want string) {
+		c := corrupt(good, func(b []byte) {
+			blob, _ := section(t, b, secSymBlob)
+			offs, ln := section(t, b, secSymOff)
+			names := make([][]byte, ln/4-1)
+			for i := range names {
+				lo := binary.LittleEndian.Uint32(b[offs+4*i:])
+				hi := binary.LittleEndian.Uint32(b[offs+4*i+4:])
+				names[i] = b[blob+int(lo) : blob+int(hi)]
+			}
+			mutate(names)
+		})
+		err := mustDecodeErr(t, c, store.ErrCorrupt, store.SkipChecksums())
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q, want the symbol check's %q", err, want)
 		}
+		if err := mustDecodeErr(t, c, store.ErrCorrupt); !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("error %q, want the section checksum's", err)
+		}
+	}
+	t.Run("duplicate symbol", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			symbolCase(t, good, func(names [][]byte) {
+				// Overwrite the last name with an earlier one of its length.
+				last := names[len(names)-1]
+				for _, n := range names[1 : len(names)-1] {
+					if len(n) == len(last) && !bytes.Equal(n, last) {
+						copy(last, n)
+						return
+					}
+				}
+				t.Fatal("no two names of equal length")
+			}, "duplicate symbol")
+		})
+	})
+	t.Run("wildcard not first", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			symbolCase(t, good, func(names [][]byte) { names[0][0] = '*' }, "wildcard")
+		})
 	})
 }
 
