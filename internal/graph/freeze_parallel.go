@@ -126,37 +126,74 @@ func (g *Graph) BuildSnapshot(workers int) *Snapshot {
 // shard is one worker's contiguous node range [lo, hi).
 type shard struct{ lo, hi int }
 
-// runShards executes fn over every shard through fanOut, crossing the
-// freeze fault injector once per shard task.
+// runShards executes fn over every shard, one goroutine per shard (the
+// single-shard case stays on the calling goroutine). A panicking shard no
+// longer kills the process from an unrecoverable goroutine: every shard
+// recovers its own panic, the surviving shards finish, and the first
+// panic value is re-raised on the calling goroutine — where Freeze's
+// fallback (or an explicit BuildSnapshot caller) can handle it.
 func runShards(shards []shard, fn func(si, lo, hi int)) {
 	inj := freezeInjector.Load()
-	fanOut(len(shards), func(si int) {
-		inj.Cross(fault.FreezeShard, si, -1)
-		fn(si, shards[si].lo, shards[si].hi)
-	})
-}
-
-// fanOut runs fn(0) … fn(n-1), one goroutine per task (a single task stays
-// on the calling goroutine). A panicking task does not kill the process
-// from an unrecoverable goroutine: every task recovers its own panic, the
-// surviving tasks finish, and the first panic value is re-raised on the
-// calling goroutine — where Freeze's fallback (or an explicit
-// BuildSnapshot caller) can handle it.
-func fanOut(n int, fn func(i int)) {
-	if n == 1 {
-		fn(0)
+	if len(shards) == 1 {
+		inj.Cross(fault.FreezeShard, 0, -1)
+		fn(0, shards[0].lo, shards[0].hi)
 		return
 	}
-	panics := make([]any, n)
+	panics := make([]any, len(shards))
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
+	wg.Add(len(shards))
+	for si, sh := range shards {
+		go func(si, lo, hi int) {
 			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			fn(i)
-		}(i)
+			defer func() { panics[si] = recover() }()
+			inj.Cross(fault.FreezeShard, si, -1)
+			fn(si, lo, hi)
+		}(si, sh.lo, sh.hi)
 	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// drain runs fn(0) … fn(n-1) on the calling goroutine and up to workers-1
+// helper goroutines. Task 0 is the caller's own, started before any
+// helper could take it, so the one long task of a pass belongs there; the
+// rest are taken one at a time from a shared counter, so the caller never
+// waits on a helper that has not started, and a helper slow to be
+// scheduled (or descheduled mid-pass) holds up at most the one short task
+// it took while the caller does the others. Panics are handled as in
+// runShards: every goroutine recovers its own, and the first is re-raised
+// on the caller once all have stopped.
+func drain(workers, n int, fn func(i int)) {
+	if n == 0 {
+		return
+	}
+	var next atomic.Int64
+	next.Store(1)
+	run := func(first bool) (p any) {
+		defer func() { p = recover() }()
+		if first {
+			fn(0)
+		}
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+		return nil
+	}
+	helpers := max(min(workers, n)-1, 0)
+	panics := make([]any, helpers+1)
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for h := 1; h <= helpers; h++ {
+		go func() {
+			defer wg.Done()
+			panics[h] = run(false)
+		}()
+	}
+	panics[0] = run(true)
 	wg.Wait()
 	for _, p := range panics {
 		if p != nil {

@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -213,4 +215,57 @@ func BenchmarkCompact(b *testing.B) {
 			buildSnapshotAuto(g)
 		}
 	})
+}
+
+// goroutineID parses the current goroutine's id from its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestDrain: every task runs exactly once, task 0 always on the calling
+// goroutine (the validation pass puts its one long task there), and a
+// panicking task is re-raised on the caller only after the other tasks
+// have run.
+func TestDrain(t *testing.T) {
+	caller := goroutineID()
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, n := range []int{1, 2, 5, 64} {
+			counts := make([]int32, n)
+			var mu sync.Mutex
+			drain(workers, n, func(i int) {
+				if i == 0 && goroutineID() != caller {
+					t.Errorf("workers=%d n=%d: task 0 ran off the calling goroutine", workers, n)
+				}
+				mu.Lock()
+				counts[i]++
+				mu.Unlock()
+			})
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: task %d ran %d times", workers, n, i, c)
+				}
+			}
+		}
+	}
+	var ran sync.Map
+	func() {
+		defer func() {
+			if p := recover(); p != "task 3" {
+				t.Fatalf("recovered %v, want the panic of task 3", p)
+			}
+		}()
+		drain(4, 32, func(i int) {
+			ran.Store(i, true)
+			if i == 3 {
+				panic("task 3")
+			}
+		})
+		t.Fatal("drain returned normally over a panicking task")
+	}()
+	for i := 0; i < 32; i++ {
+		if _, ok := ran.Load(i); !ok {
+			t.Fatalf("task %d never ran after task 3 panicked", i)
+		}
+	}
 }

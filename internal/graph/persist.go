@@ -85,8 +85,14 @@ func (s *Snapshot) Flat() (Flat, error) {
 // into fresh arrays. Only a direct mutation, or a read needing the
 // slice-of-maps representation (Clone, NodeAttrs, Out), thaws the graph
 // onto the heap. Nothing ever writes through the adopted arrays.
-func AdoptFlat(f Flat) (*Snapshot, error) {
-	syms, err := f.validate()
+func AdoptFlat(f Flat) (*Snapshot, error) { return AdoptFlatBeside(f, nil) }
+
+// AdoptFlatBeside is AdoptFlat with more checks run in the same parallel
+// pass as the validation (package store passes its section checksums). A
+// failing beside task outranks any validation error: the first in slice
+// order is returned as it is.
+func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
+	syms, err := f.validate(beside)
 	if err != nil {
 		return nil, err
 	}
@@ -109,62 +115,79 @@ func AdoptFlat(f Flat) (*Snapshot, error) {
 	return s, nil
 }
 
-// validateShardMin is the least |V|+|E| per validation shard: below it a
+// validateShardMin is the least |V|+|E| per validation worker: below it a
 // goroutine costs more than the scan it would take over.
 const validateShardMin = 1 << 12
 
-// validate checks every invariant the engines' unchecked indexing relies
-// on and builds the symbol table. Error messages name the failing section;
-// package store wraps them into its typed corruption error.
+// validateTasksPerWorker is how many node ranges and label-class ranges
+// each validation worker gets on average: enough that a worker
+// descheduled mid-pass holds up one short task, not a share of the image.
+const validateTasksPerWorker = 4
+
+// validate runs the beside tasks, checks every invariant the engines'
+// unchecked indexing relies on, and builds the symbol table. Error
+// messages name the failing section; package store wraps them into its
+// typed corruption error.
 //
 // The table-shape checks (counts, offsets, arena sizes) run first and
-// serially. The rest is one fan-out on FreezeWorkers() goroutines, sized
-// down for small images: each shard checks a degree-balanced node range
-// (labels, then out and in adjacency, then attribute tuples) and a range
-// of label classes, while one more task indexes the symbol table. The
-// error reported is the one the serial order would find first — the
-// earliest check kind failing anywhere, in its lowest node or class
+// serially. The rest is one pass (see drain) on the caller and
+// FreezeWorkers()-1 helpers, fewer for small images: the caller indexes
+// the symbol table, one task whose slot writes no other worker shares,
+// while the helpers take short tasks from a shared counter —
+// degree-balanced node ranges (labels, then out and in adjacency, then
+// attribute tuples), ranges of label classes, and the beside tasks — and
+// the caller joins them when its index is built. The error reported is
+// the first beside task's, else the one the serial order would find first
+// — the earliest check kind failing anywhere, in its lowest node or class
 // range, then the symbol table's — so it never depends on the worker
-// count or on scheduling. The fan-out does not cross the freeze fault
+// count or on scheduling. The pass does not cross the freeze fault
 // injector.
-func (f Flat) validate() (*Symbols, error) {
+func (f Flat) validate(beside []func() error) (*Symbols, error) {
+	besideErrs := make([]error, len(beside))
+	runBeside := func(i int) { besideErrs[i] = beside[i]() }
+	first := func(err error) error {
+		for _, e := range besideErrs {
+			if e != nil {
+				return e
+			}
+		}
+		return err
+	}
 	if err := f.checkShape(); err != nil {
-		return nil, err
+		for i := range beside {
+			runBeside(i)
+		}
+		return nil, first(err)
 	}
 	workers := max(1, min(FreezeWorkers(), (len(f.Labels)+len(f.Out))/validateShardMin))
-	nodes := shardByOffsets(workers, f.OutOff, f.InOff, f.AttrOff)
-	classes := shardByOffsets(workers, f.ClassOff)
-	tasks := max(len(nodes), len(classes))
-	errs := make([]checkErr, tasks)
+	split := workers * validateTasksPerWorker
+	nodes := shardByOffsets(split, f.OutOff, f.InOff, f.AttrOff)
+	classes := shardByOffsets(split, f.ClassOff)
+	// errs holds each node range's first failure, then each class range's.
+	errs := make([]checkErr, len(nodes)+len(classes))
 	var syms *Symbols
 	var symErr error
-	task := func(i int) {
-		if i == tasks {
+	drain(workers, 1+len(errs)+len(beside), func(task int) {
+		switch i := task - 1; {
+		case task == 0:
 			syms, symErr = adoptSymbols(f.Names)
-			return
-		}
-		if i < len(nodes) {
+		case i < len(nodes):
 			errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi)
+		case i < len(errs):
+			lo, hi := classes[i-len(nodes)].lo, classes[i-len(nodes)].hi
+			errs[i] = checkErr{kindClasses, f.checkClasses(lo, hi)}
+		default:
+			runBeside(i - len(errs))
 		}
-		if i < len(classes) && errs[i].err == nil {
-			errs[i] = checkErr{kindClasses, f.checkClasses(classes[i].lo, classes[i].hi)}
-		}
-	}
-	if workers == 1 {
-		for i := 0; i <= tasks; i++ {
-			task(i)
-		}
-	} else {
-		fanOut(tasks+1, task)
-	}
-	var first checkErr
+	})
+	var firstErr checkErr
 	for _, e := range errs {
-		if e.err != nil && (first.err == nil || e.kind < first.kind) {
-			first = e
+		if e.err != nil && (firstErr.err == nil || e.kind < firstErr.kind) {
+			firstErr = e
 		}
 	}
-	if first.err != nil {
-		return nil, first.err
+	if err := first(firstErr.err); err != nil {
+		return nil, err
 	}
 	return syms, symErr
 }
@@ -214,8 +237,8 @@ const (
 )
 
 // checkNodes runs the per-node checks over nodes [lo, hi), stopping at the
-// first failure: a later kind of check in this shard can never be the one
-// reported (so validate skips the shard's classes too).
+// first failure: a later kind of check in this range can never be the one
+// reported.
 func (f Flat) checkNodes(lo, hi int) checkErr {
 	nsyms := len(f.Names)
 	for v := lo; v < hi; v++ {

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"unsafe"
 
 	"gfd/internal/graph"
@@ -166,10 +165,11 @@ func sectionEntryAt(table []byte, i int) (id uint32, off, ln uint64, crc uint32)
 // ErrVersion), never a panic or an oversized allocation.
 //
 // The header, table and length checks run serially; then the body
-// checksums run beside graph.AdoptFlat's sharded validation and symbol
-// index, on graph.FreezeWorkers() goroutines. The error returned does not
-// depend on that: a checksum mismatch outranks a structural error, which
-// outranks a symbol-table error.
+// checksums are tasks of graph.AdoptFlatBeside's parallel pass, beside its
+// validation ranges and symbol index ranges, on graph.FreezeWorkers()
+// goroutines. The error returned does not depend on that: a checksum
+// mismatch outranks a structural error, which outranks a symbol-table
+// error.
 func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	var o options
 	for _, f := range opts {
@@ -230,18 +230,21 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		bodies = append(bodies, body{int(id), secs[id], crc})
 	}
 
-	// Body checksums run beside everything below, graph validation
-	// included, on their own goroutine when freezes get more than one
-	// worker. Every return from here on waits for them, and a checksum
-	// mismatch outranks any structural error: the error a corrupt file
-	// yields is fixed, whatever the scheduling.
-	crcErr := func() error { return nil }
+	// Body checksums run as tasks of graph.AdoptFlatBeside's parallel
+	// validation pass, and a mismatch outranks any structural error: an
+	// error return before that pass checks them first, serially, so the
+	// error a corrupt file yields is fixed, whatever the scheduling.
+	var crcs []func() error
 	if !o.skipBodyCRC {
-		crcErr = checkBodies(bodies, graph.FreezeWorkers() > 1)
+		for _, b := range bodies {
+			crcs = append(crcs, b.check)
+		}
 	}
 	fail := func(err error) (*graph.Snapshot, error) {
-		if cerr := crcErr(); cerr != nil {
-			return nil, cerr
+		for _, check := range crcs {
+			if cerr := check(); cerr != nil {
+				return nil, cerr
+			}
 		}
 		return nil, err
 	}
@@ -335,12 +338,12 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		ClassOff:  viewOf[int32](secs[secClassOff], numSyms+1),
 		Classes:   viewOf[graph.NodeID](secs[secClasses], numNodes),
 	}
-	snap, err := graph.AdoptFlat(f)
-	if err != nil {
-		return fail(corruptf("invalid snapshot image: %v", err))
+	snap, err := graph.AdoptFlatBeside(f, crcs)
+	if errors.Is(err, ErrCorrupt) {
+		return nil, err // a checksum mismatch
 	}
-	if err := crcErr(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, corruptf("invalid snapshot image: %v", err)
 	}
 	return snap, nil
 }
@@ -352,24 +355,10 @@ type body struct {
 	crc uint32
 }
 
-// checkBodies verifies the sections' checksums in order and returns a
-// function yielding the first mismatch. With async set the scan runs on
-// its own goroutine and the function waits for it; the caller must call it
-// before the bytes can go away (Open unmaps them on error).
-func checkBodies(bodies []body, async bool) func() error {
-	scan := func() error {
-		for _, s := range bodies {
-			if got := crc32.Checksum(s.b, castagnoli); got != s.crc {
-				return corruptf("section %d checksum mismatch (%#x != %#x)", s.id, got, s.crc)
-			}
-		}
-		return nil
+// check verifies the section's checksum.
+func (s body) check() error {
+	if got := crc32.Checksum(s.b, castagnoli); got != s.crc {
+		return corruptf("section %d checksum mismatch (%#x != %#x)", s.id, got, s.crc)
 	}
-	if !async {
-		err := scan()
-		return func() error { return err }
-	}
-	done := make(chan error, 1)
-	go func() { done <- scan() }()
-	return sync.OnceValue(func() error { return <-done })
+	return nil
 }
