@@ -90,7 +90,9 @@ var shapes = []shape{
 		// so the budget must outlast the fleet for the retry to land on a
 		// process that already stalled — or on an unarmed replacement.
 		name: "straggler past UnitDeadline",
-		plan: func(executorKind) *fault.Plan { return fault.NewPlan(3).DelayUnit(0, 800*time.Millisecond) },
+		plan: func(executorKind) *fault.Plan {
+			return fault.NewPlan(3).DelayUnit(busyQueue(0)[0], 800*time.Millisecond)
+		},
 		tune: func(_ executorKind, opt *validate.Options) {
 			opt.UnitDeadline = 400 * time.Millisecond
 			opt.Retry.Max = fxWorkers + 1
@@ -131,7 +133,9 @@ var shapes = []shape{
 	},
 	{
 		name: "retries disabled, one straggler",
-		plan: func(executorKind) *fault.Plan { return fault.NewPlan(6).DelayUnit(0, 800*time.Millisecond) },
+		plan: func(executorKind) *fault.Plan {
+			return fault.NewPlan(6).DelayUnit(busyQueue(0)[0], 800*time.Millisecond)
+		},
 		tune: func(_ executorKind, opt *validate.Options) {
 			opt.Retry = validate.Retry{Max: -1}
 			opt.UnitDeadline = 400 * time.Millisecond
@@ -172,7 +176,7 @@ var shapes = []shape{
 		name: "six slow units queued back to back",
 		plan: func(executorKind) *fault.Plan {
 			p := fault.NewPlan(9)
-			for _, ui := range slotQueue(1)[8:14] {
+			for _, ui := range busyQueue(1)[8:14] {
 				p.DelayUnit(ui, 120*time.Millisecond)
 			}
 			return p
@@ -188,7 +192,7 @@ var shapes = []shape{
 		// started as far as the scheduler knows, run elsewhere exactly once.
 		name: "straggler third in the window",
 		plan: func(executorKind) *fault.Plan {
-			return fault.NewPlan(10).DelayUnit(slotQueue(1)[2], 800*time.Millisecond)
+			return fault.NewPlan(10).DelayUnit(busyQueue(1)[2], 800*time.Millisecond)
 		},
 		tune: func(_ executorKind, opt *validate.Options) {
 			opt.UnitDeadline = 400 * time.Millisecond

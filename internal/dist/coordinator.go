@@ -136,6 +136,9 @@ type fleet struct {
 
 	procs  []proc
 	closed bool
+	// describe is what an ASSIGN carries for a unit: the plan's descriptor
+	// (a test may substitute a malformed one).
+	describe func(ui int) validate.DistUnit
 }
 
 // proc is one worker slot across incarnations. During a superstep it is
@@ -157,17 +160,22 @@ type proc struct {
 	shipped []bool        // halo nodes already shipped to this incarnation
 	busy    time.Duration // sum of reported unit walls — the modeled span basis
 
-	// window holds the frame sizes of the slot's unanswered ASSIGNs, in the
-	// order written — the order the worker answers in. While it is non-empty
-	// the process is mid-unit: not drainable, only killable.
-	window     []int
-	unanswered int       // Σ window, held under windowBytes
+	// window holds the slot's unanswered ASSIGNs, in the order written —
+	// the order the worker answers in. While it is non-empty the process is
+	// mid-unit: not drainable, only killable.
+	window     []inFlight
+	unanswered int       // Σ window sizes, held under windowBytes
 	headSince  time.Time // when window[0] got the worker to itself: its deadline clock
 	held       bool      // enc holds the next unit's ASSIGN, waiting for room in the window
 
 	block *graph.EpochSet // halo selection scratch: one unit's data block
 	halo  []haloNode      // ASSIGN scratch
 	enc   []byte          // ASSIGN payload scratch
+}
+
+// inFlight is one unanswered ASSIGN: its unit and frame size.
+type inFlight struct {
+	unit, size int
 }
 
 func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *validate.DistPlan, opt validate.Options, cl *cluster.Cluster) (*fleet, error) {
@@ -185,6 +193,7 @@ func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *vali
 		maxRespawns:  opt.Dist.MaxRespawns,
 		command:      opt.Dist.Command,
 		procs:        make([]proc, m.Workers),
+		describe:     plan.Unit,
 	}
 	if f.heartbeat <= 0 {
 		f.heartbeat = DefaultHeartbeat
@@ -282,6 +291,11 @@ func (f *fleet) Start(w int) error {
 func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(validate.Violation) bool) error {
 	p := &f.procs[w]
 	ui := queue[0]
+	if f.plan.Idle(ui) {
+		// No pivot candidate on the coordinator's snapshot, so none on the
+		// worker's shard: the unit is answered here, without a frame.
+		return nil
+	}
 	if !p.ready {
 		typ, payload, err := f.read(p, p.spawned.Add(f.handshake))
 		if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -351,7 +365,7 @@ func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(valid
 				return f.lost(p, ui, killed)
 			}
 			p.busy += m.wall
-			p.unanswered -= p.window[0]
+			p.unanswered -= p.window[0].size
 			p.window = slices.Delete(p.window, 0, 1)
 			if f.unitDeadline > 0 {
 				p.headSince = time.Now()
@@ -365,21 +379,30 @@ func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(valid
 }
 
 // fill tops p's window up with the ASSIGNs of the units that follow on its
-// queue — queue[0] is the head, in the window already unless that is empty —
-// and flushes them together. It waits until half the window is answered, so
-// a flush carries half a window rather than one frame. An ASSIGN joins only
-// if it fits windowBytes or the window is empty; one that does not stays
-// encoded (held) until it does, its halo being marked shipped already.
+// queue — queue[0] is the head, in the window already unless that is empty
+// — and flushes them together. Idle units (DistPlan.Idle) never enter the
+// window: Run answers them without a frame. fill waits until half the
+// window is answered, so a flush carries half a window rather than one
+// frame. An ASSIGN joins only if it fits windowBytes or the window is
+// empty; one that does not stays encoded (held) until it does, its halo
+// being marked shipped already.
 func (f *fleet) fill(p *proc, queue []int, skip func(ui int) int64) {
 	if len(p.window) > windowUnits/2 {
 		return
 	}
 	wasEmpty := len(p.window) == 0
-	for len(p.window) < min(windowUnits, len(queue)) {
+	next := 0 // the first queue position not yet in the window
+	if !wasEmpty {
+		next = slices.Index(queue, p.window[len(p.window)-1].unit) + 1
+	}
+	for ; next < len(queue) && len(p.window) < windowUnits; next++ {
+		ui := queue[next]
+		if f.plan.Idle(ui) {
+			continue
+		}
 		if !p.held {
-			ui := queue[len(p.window)]
 			p.halo = f.haloFor(p, ui)
-			p.enc = encodeAssign(p.enc, assignMsg{unit: f.plan.Unit(ui), skip: skip(ui), halo: p.halo})
+			p.enc = encodeAssign(p.enc, assignMsg{unit: f.describe(ui), skip: skip(ui), halo: p.halo})
 		}
 		size := frameOverhead + len(p.enc)
 		p.held = len(p.window) > 0 && p.unanswered+size > windowBytes
@@ -390,7 +413,7 @@ func (f *fleet) fill(p *proc, queue []int, skip func(ui int) int64) {
 		// A failed write means the pipe is gone; the read that follows
 		// reports how the process died — after the frames it wrote first.
 		_ = p.fw.queue(fAssign, p.enc)
-		p.window = append(p.window, size)
+		p.window = append(p.window, inFlight{ui, size})
 		p.unanswered += size
 	}
 	_ = p.fw.flush()
@@ -451,10 +474,13 @@ func (p *proc) reap() error {
 
 // haloFor collects the unit's block nodes this worker does not own and
 // has not been shipped yet this incarnation: attribute tuples plus full
-// adjacency, from the coordinator's snapshot. Because every shard keeps
-// the full node/class/symbol tables, the halo is the only data a worker
-// is missing, and after patching, its local block reproduces the
-// coordinator's exactly.
+// adjacency, from the coordinator's snapshot. The block is that of the
+// unit's pivot candidates on the coordinator, so every candidate the
+// worker's star test must keep arrives whole, and a member it must drop
+// reads at most its edges to owned nodes there, which never pass a test
+// the full graph fails. Because every shard keeps the full node/class/
+// symbol tables, the halo is the only data a worker is missing, and after
+// patching, its local block reproduces the coordinator's exactly.
 func (f *fleet) haloFor(p *proc, ui int) []haloNode {
 	syms := f.snap.Syms()
 	halo := p.halo[:0]

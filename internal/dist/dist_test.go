@@ -33,7 +33,12 @@ var fxDir string
 
 func TestMain(m *testing.M) {
 	MaybeWorker()
+	// The suite's fixtures are small graphs: chunks of one class member
+	// give their plans the long slot queues that the fault plans' unit
+	// ordinals and the dispatch window's bounds are written against.
+	restore := validate.SetChunkGranularity(1024, 1)
 	code := m.Run()
+	restore()
 	if fxDir != "" {
 		os.RemoveAll(fxDir)
 	}
@@ -221,7 +226,7 @@ func TestDistStripesAcrossProcesses(t *testing.T) {
 			for w, q := range s.queues {
 				for _, ui := range q {
 					if u := s.fleet.plan.Unit(ui); u.StripeMod > 0 {
-						key := fmt.Sprint(u.Group, u.Candidates)
+						key := fmt.Sprint(u.Group, u.Ranges)
 						if slots[key] == nil {
 							slots[key] = map[int]bool{}
 						}
@@ -490,8 +495,8 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	a := assignMsg{
-		unit: validate.DistUnit{ID: 9, Group: 2, Candidates: []graph.NodeID{1, 99, 4096},
-			StripeMod: 3, StripeRem: 1, BlockSize: 77},
+		unit: validate.DistUnit{ID: 9, Group: 2, Ranges: []validate.Range{{Lo: 1, Hi: 99}, {Lo: 0, Hi: 4096}},
+			StripeMod: 3, StripeRem: 1},
 		skip: 12345,
 		halo: []haloNode{
 			{id: 42, attrs: [][2]string{{"name", "héllo"}, {"", ""}},
@@ -504,7 +509,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assign round-trip: %v", err)
 	}
-	if a2.unit.ID != a.unit.ID || a2.skip != a.skip || len(a2.halo) != 2 ||
+	if a2.unit.ID != a.unit.ID || a2.skip != a.skip || !slices.Equal(a2.unit.Ranges, a.unit.Ranges) || len(a2.halo) != 2 ||
 		a2.halo[0].attrs[0][1] != "héllo" || len(a2.halo[0].out) != 1 || len(a2.halo[1].attrs) != 0 {
 		t.Fatalf("assign round-trip mangled: %+v", a2)
 	}

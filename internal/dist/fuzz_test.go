@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gfd/internal/core"
-	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
 
@@ -23,7 +22,7 @@ func FuzzWireDecode(f *testing.F) {
 		heartbeat: time.Second, combine: true, shardPath: "s.0.gfds", rules: "gfd r {\n}", groups: 2}))
 	f.Add(encodeReady(readyMsg{numNodes: 99, groups: 2}))
 	f.Add(encodeAssign(nil, assignMsg{
-		unit: validate.DistUnit{ID: 3, Group: 1, Candidates: []graph.NodeID{4, 5}, StripeMod: 2, StripeRem: 1, BlockSize: 9},
+		unit: validate.DistUnit{ID: 3, Group: 1, Ranges: []validate.Range{{Lo: 4, Hi: 5}, {Lo: 0, Hi: 300}}, StripeMod: 2, StripeRem: 1},
 		skip: 7,
 		halo: []haloNode{{id: 8, attrs: [][2]string{{"val", "x"}}, out: []haloEdge{{to: 9, label: "e"}}, in: []haloEdge{{to: 1, label: "f"}}}},
 	}))
@@ -31,6 +30,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeDone(nil, doneMsg{unit: 3, found: 5, delivered: 4, wall: time.Millisecond}))
 	f.Add(encodeCensus(censusMsg{unitsRun: 10, delivered: 4}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// v2 ASSIGNs at the edges of the range section: no range at all, and a
+	// bound past what an int32 class position can hold.
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 1}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 2, Ranges: []validate.Range{{Lo: 0, Hi: 1 << 40}}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, elems int, err error) {
@@ -46,7 +49,7 @@ func FuzzWireDecode(f *testing.F) {
 		_, err = decodeReady(data)
 		check("ready", 0, err)
 		a, err := decodeAssign(data)
-		elems := len(a.unit.Candidates) + len(a.halo)
+		elems := len(a.unit.Ranges) + len(a.halo)
 		for _, hn := range a.halo {
 			elems += len(hn.attrs) + len(hn.out) + len(hn.in)
 		}
@@ -77,6 +80,8 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00})
 	done := encodeDone(nil, doneMsg{unit: 3, found: 5, delivered: 4, wall: time.Millisecond})
 	f.Add(append(append([]byte{byte(len(done)), 0, 0, 0, fDone}, done...), 0, 0, 0, 0, fHeartbeat))
+	assign := encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 5, Group: 1, Ranges: []validate.Range{{Lo: 0, Hi: 256}}}, skip: 2})
+	f.Add(append([]byte{byte(len(assign)), 0, 0, 0, fAssign}, assign...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &frameReader{r: bufio.NewReaderSize(bytes.NewReader(data), 16)}

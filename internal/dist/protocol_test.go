@@ -1,0 +1,145 @@
+package dist
+
+// Tests of the v2 protocol's edges: a worker refuses a HELLO of another
+// version, and a malformed ASSIGN — a range outside the worker's class, or
+// a range count other than the group's pivot count — ends the worker with
+// a protocol error that the run survives.
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gfd/internal/cluster"
+	"gfd/internal/core"
+	"gfd/internal/graph"
+	"gfd/internal/validate"
+)
+
+// frames concatenates encoded frames into one worker stdin.
+func frames(t *testing.T, fs ...func(fw *frameWriter) error) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := &frameWriter{w: bufio.NewWriter(&buf)}
+	for _, f := range fs {
+		if err := f(fw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &buf
+}
+
+// fixturePlan is the fixture's DistPlan, as a fault-free spied run hands
+// it to the fleet.
+func fixturePlan(t *testing.T, f *fixture) *validate.DistPlan {
+	t.Helper()
+	_, s, err := detectSpied(context.Background(), f.b, distOpt(f, nil), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.fleet.plan
+}
+
+// helloFor is the HELLO the fleet sends worker 0 of the fixture.
+func helloFor(t *testing.T, f *fixture, plan *validate.DistPlan, proto uint32) helloMsg {
+	t.Helper()
+	m, err := LoadManifest(f.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules strings.Builder
+	if err := core.WriteRules(&rules, plan.Set); err != nil {
+		t.Fatal(err)
+	}
+	return helloMsg{proto: proto, worker: 0, workers: m.Workers, numNodes: m.NumNodes,
+		heartbeat: time.Second, combine: plan.Combine, arbPivot: plan.ArbitraryPivot,
+		shardPath: m.Shards[0], rules: rules.String(), groups: plan.Groups}
+}
+
+// TestWorkerRefusesV1Hello: a HELLO of protocol version 1 — whose ASSIGN
+// carried pivot candidates, not class ranges — ends the worker with
+// exitProtocol before it opens its shard.
+func TestWorkerRefusesV1Hello(t *testing.T) {
+	f := setup(t)
+	h := helloFor(t, f, fixturePlan(t, f), 1)
+	stdin := frames(t, func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) })
+	var stdout, stderr bytes.Buffer
+	if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
+		t.Fatalf("v1 HELLO: worker exited %d, want %d (%s)", code, exitProtocol, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "protocol version 1, want 2") || stdout.Len() != 0 {
+		t.Fatalf("v1 HELLO: stderr %q, %d bytes of stdout; want a version refusal and no READY", stderr.String(), stdout.Len())
+	}
+}
+
+// TestWorkerRejectsBadChunk: an ASSIGN whose range runs past the worker's
+// own class, or whose range count is not the group's pivot count, ends the
+// worker with exitProtocol after its READY — and a run whose first ASSIGN
+// to a slot is such a chunk recovers, through respawn, to the fault-free
+// violation set.
+func TestWorkerRejectsBadChunk(t *testing.T) {
+	f := setup(t)
+	plan := fixturePlan(t, f)
+	good := plan.Unit(busyQueue(0)[0])
+	past := good
+	past.Ranges = append([]validate.Range(nil), good.Ranges...)
+	past.Ranges[0].Hi = 1 << 30
+	extra := good
+	extra.Ranges = append(append([]validate.Range(nil), good.Ranges...), validate.Range{})
+	h := helloFor(t, f, plan, protoVersion)
+	for name, bad := range map[string]validate.DistUnit{"range past the class": past, "extra range": extra} {
+		stdin := frames(t,
+			func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) },
+			func(fw *frameWriter) error { return fw.write(fAssign, encodeAssign(nil, assignMsg{unit: bad})) })
+		var stdout, stderr bytes.Buffer
+		if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
+			t.Fatalf("%s: worker exited %d, want %d (%s)", name, code, exitProtocol, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), validate.ErrBadUnit.Error()) {
+			t.Fatalf("%s: stderr %q does not name the malformed unit", name, stderr.String())
+		}
+		fr := &frameReader{r: bufio.NewReader(&stdout)}
+		if typ, _, err := fr.read(); err != nil || typ != fReady {
+			t.Fatalf("%s: worker wrote frame %d (%v) first, want READY", name, typ, err)
+		}
+	}
+
+	// The same malformed chunk from a coordinator: slot 0's first ASSIGN
+	// ends its process, and the unit, described correctly the second time,
+	// runs again elsewhere.
+	m, err := LoadManifest(f.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := distOpt(f, nil)
+	opt.N = m.Workers
+	var once sync.Once
+	res, err := validate.DetectOver(context.Background(), f.b, opt, nil, func(p *validate.DistPlan, cl *cluster.Cluster) (validate.Executor, error) {
+		fl, err := newFleet(context.Background(), f.b.Topo().(*graph.Snapshot), m, p, opt, cl)
+		if err != nil {
+			return nil, err
+		}
+		fl.describe = func(ui int) validate.DistUnit {
+			u := p.Unit(ui)
+			once.Do(func() {
+				u.Ranges = append([]validate.Range(nil), u.Ranges...)
+				u.Ranges[0].Hi = 1 << 30
+			})
+			return u
+		}
+		return fl, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Violations.Equal(f.base) {
+		t.Fatalf("run with a malformed chunk diverged: %d violations, fault-free %d", len(res.Violations), len(f.base))
+	}
+	if c := res.Completeness; c.WorkerDeaths != 1 || !c.Complete() {
+		t.Fatalf("malformed chunk: census %+v, want one death and a complete run", c)
+	}
+}

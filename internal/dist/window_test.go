@@ -78,27 +78,40 @@ func coordinatorFlushes(f *fleet) (n int) {
 }
 
 var (
-	fxQueues    [][]int
+	fxBusy      [][]int
 	fxQueuesErr error
 	fxQueueOnce sync.Once
 )
 
-// slotQueue is slot w's round-0 queue under the shared fixture's plan,
-// learned from one fault-free spied run. The plan is memoized on the bundle
-// per worker count, so goroutine slots drain the same queues.
-func slotQueue(w int) []int {
+// busyQueue is slot w's round-0 queue under the shared fixture's plan
+// without its idle units — the units with pivot candidates, the ones a
+// process slot is actually sent (DistPlan.Idle) — learned from one
+// fault-free spied run. The plan is memoized on the bundle per worker
+// count, so goroutine slots drain the same queues.
+func busyQueue(w int) []int {
+	learnQueues()
+	return fxBusy[w]
+}
+
+func learnQueues() {
 	fxQueueOnce.Do(func() {
 		_, s, err := detectSpied(context.Background(), fx.b, distOpt(&fx, nil), nil, nil)
 		if err != nil {
 			fxQueuesErr = err
 			return
 		}
-		fxQueues = s.queues
+		fxBusy = make([][]int, len(s.queues))
+		for w, q := range s.queues {
+			for _, ui := range q {
+				if !s.fleet.plan.Idle(ui) {
+					fxBusy[w] = append(fxBusy[w], ui)
+				}
+			}
+		}
 	})
 	if fxQueuesErr != nil {
 		panic(fxQueuesErr)
 	}
-	return fxQueues[w]
 }
 
 // TestWindowAmortizesFlushes is the mechanism's own regression guard: a

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -24,7 +25,7 @@ import (
 // event), never a giant allocation or a misread.
 
 const (
-	protoVersion = 1
+	protoVersion = 2 // 2: ASSIGN carries class ranges, not pivot candidates
 	// maxFrame bounds one frame's payload. Halo sections dominate frame
 	// size; a frame above this is protocol corruption, not data.
 	maxFrame = 64 << 20
@@ -37,7 +38,7 @@ const (
 const (
 	fHello     byte = iota + 1 // coordinator -> worker: identity, rules, shard path
 	fReady                     // worker -> coordinator: shard opened, groups rebuilt
-	fAssign                    // coordinator -> worker: one unit + halo
+	fAssign                    // coordinator -> worker: one unit's class ranges + halo
 	fVio                       // worker -> coordinator: violation batch
 	fDone                      // worker -> coordinator: unit finished
 	fHeartbeat                 // worker -> coordinator: liveness
@@ -273,7 +274,7 @@ type helloMsg struct {
 
 func encodeHello(h helloMsg) []byte {
 	var w wbuf
-	w.u32(protoVersion)
+	w.u32(h.proto)
 	w.u32(uint32(h.worker))
 	w.u32(uint32(h.workers))
 	w.u64(uint64(h.numNodes))
@@ -354,11 +355,11 @@ func encodeAssign(dst []byte, m assignMsg) []byte {
 	w.u32(uint32(m.unit.Group))
 	w.u32(uint32(m.unit.StripeMod))
 	w.u32(uint32(m.unit.StripeRem))
-	w.u64(uint64(m.unit.BlockSize))
 	w.u64(uint64(m.skip))
-	w.u32(uint32(len(m.unit.Candidates)))
-	for _, c := range m.unit.Candidates {
-		w.u64(uint64(c))
+	w.u32(uint32(len(m.unit.Ranges)))
+	for _, r := range m.unit.Ranges {
+		w.u64(uint64(r.Lo))
+		w.u64(uint64(r.Hi))
 	}
 	w.u32(uint32(len(m.halo)))
 	for _, h := range m.halo {
@@ -382,6 +383,9 @@ func encodeAssign(dst []byte, m assignMsg) []byte {
 	return w.b
 }
 
+// decodeAssign parses an ASSIGN. Range bounds arrive as u64 and are kept
+// only when they fit an int; whether they fit the class is the worker's
+// check (validate.UnitRunner.Run), against its own shard.
 func decodeAssign(b []byte) (assignMsg, error) {
 	r := rbuf{b: b}
 	var m assignMsg
@@ -389,12 +393,15 @@ func decodeAssign(b []byte) (assignMsg, error) {
 	m.unit.Group = int(r.u32())
 	m.unit.StripeMod = int(r.u32())
 	m.unit.StripeRem = int(r.u32())
-	m.unit.BlockSize = int(r.u64())
 	m.skip = r.i64()
-	nc := r.count(8)
-	m.unit.Candidates = make([]graph.NodeID, nc)
-	for i := range m.unit.Candidates {
-		m.unit.Candidates[i] = graph.NodeID(r.u64())
+	nr := r.count(16)
+	m.unit.Ranges = make([]validate.Range, nr)
+	for i := range m.unit.Ranges {
+		lo, hi := r.u64(), r.u64()
+		if lo > math.MaxInt32 || hi > math.MaxInt32 {
+			r.fail("range")
+		}
+		m.unit.Ranges[i] = validate.Range{Lo: int(lo), Hi: int(hi)}
 	}
 	nh := r.count(8)
 	m.halo = make([]haloNode, 0, nh)

@@ -60,8 +60,8 @@ func Synthetic(cfg SyntheticConfig) *graph.Graph {
 		for a := 0; a < cfg.Attrs; a++ {
 			attrs[fmt.Sprintf("a%d", a)] = fmt.Sprintf("v%d", rng.Intn(cfg.Domain))
 		}
-		// "val" is the selected attribute the equi-depth histograms range
-		// over; every node carries it.
+		// "val" is the attribute the mined rules' constants select on;
+		// every node carries it.
 		attrs["val"] = fmt.Sprintf("v%d", rng.Intn(cfg.Domain))
 		g.AddNode(fmt.Sprintf("L%d", rng.Intn(cfg.Labels)), attrs)
 	}

@@ -48,14 +48,6 @@ type Overlay struct {
 	base  *Snapshot
 	delta int // patch size: nodes + edges + attribute writes since the freeze
 
-	// touchLog records every node whose *topology* changed since the base
-	// freeze (inserted nodes, endpoints of inserted edges) in update order.
-	// Holders of derived per-node measurements (the engines' cached c-hop
-	// block sizes) remember a log position and invalidate only what lies
-	// within radius of the nodes appended since — the delta-proportional
-	// alternative to discarding every measurement per update batch.
-	// Attribute writes are deliberately absent: they change no neighborhood.
-	touchLog []NodeID
 }
 
 // NewOverlay freezes g (cached per version, so stacking an overlay on an
@@ -72,6 +64,7 @@ func NewOverlay(g *Graph) *Overlay {
 		attrOff: base.attrOff, attrPairs: base.attrPairs,
 		outOff: base.outOff, out: base.out, inOff: base.inOff, in: base.in,
 		classOff: base.classOff, classes: base.classes,
+		heavy: base.heavy,
 		patch: &patch{
 			out:     make(map[NodeID][]CSREdge),
 			in:      make(map[NodeID][]CSREdge),
@@ -124,23 +117,6 @@ const CompactFraction = 0.25
 // base by CompactFraction.
 func (o *Overlay) NeedsCompaction() bool { return o.DeltaFraction() > CompactFraction }
 
-// TouchLen returns the current length of the topology touch log; callers
-// caching per-node measurements record it as their mark.
-func (o *Overlay) TouchLen() int { return len(o.touchLog) }
-
-// TouchedSince returns the nodes whose adjacency changed since the given
-// log mark (inserted nodes and endpoints of inserted edges, in update
-// order, possibly with repeats). Shared slice; read-only.
-func (o *Overlay) TouchedSince(mark int) []NodeID {
-	if mark < 0 {
-		mark = 0
-	}
-	if mark >= len(o.touchLog) {
-		return nil
-	}
-	return o.touchLog[mark:]
-}
-
 // AddNode inserts a node: label interned, candidate class extended,
 // attribute tuple indexed. Returns the new node's ID. It panics with
 // ErrStaleOverlay on a desynchronized overlay.
@@ -161,7 +137,6 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 		m = append([]NodeID(nil), o.base.NodesWith(l)...)
 	}
 	p.classes[l] = append(m, id)
-	o.touchLog = append(o.touchLog, id)
 	o.delta += 1 + len(attrs)
 	p.version = o.g.readThrough(o.Snapshot)
 	return id
@@ -185,7 +160,6 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 	// One unit per edge, matching the |V|+|E| denominator of
 	// DeltaFraction — counting both half-edge patches would silently
 	// halve the documented compaction threshold for edge-heavy streams.
-	o.touchLog = append(o.touchLog, from, to)
 	o.delta++
 	p.version = o.g.readThrough(o.Snapshot)
 	return nil

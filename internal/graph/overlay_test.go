@@ -274,7 +274,7 @@ func assertCompaction(t *testing.T, w twinStream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.validate(nil); err != nil {
+	if _, _, err := f.validate(nil); err != nil {
 		t.Fatalf("compacted image invalid: %v", err)
 	}
 	assertViewMatchesFreeze(t, NewOverlay(g).Snapshot, w.twin)

@@ -92,11 +92,12 @@ func AdoptFlat(f Flat) (*Snapshot, error) { return AdoptFlatBeside(f, nil) }
 // failing beside task outranks any validation error: the first in slice
 // order is returned as it is.
 func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
-	syms, err := f.validate(beside)
+	syms, heavy, err := f.validate(beside)
 	if err != nil {
 		return nil, err
 	}
 	s := &Snapshot{
+		heavy:     heavy,
 		syms:      syms,
 		labels:    f.Labels,
 		attrOff:   f.AttrOff,
@@ -140,9 +141,10 @@ const validateTasksPerWorker = 4
 // the first beside task's, else the one the serial order would find first
 // — the earliest check kind failing anywhere, in its lowest node or class
 // range, then the symbol table's — so it never depends on the worker
-// count or on scheduling. The pass does not cross the freeze fault
-// injector.
-func (f Flat) validate(beside []func() error) (*Symbols, error) {
+// count or on scheduling. A node range that passes also collects its
+// heavy nodes (see Snapshot.Heavy) off the offsets it just read. The pass
+// does not cross the freeze fault injector.
+func (f Flat) validate(beside []func() error) (*Symbols, []NodeID, error) {
 	besideErrs := make([]error, len(beside))
 	runBeside := func(i int) { besideErrs[i] = beside[i]() }
 	first := func(err error) error {
@@ -157,7 +159,7 @@ func (f Flat) validate(beside []func() error) (*Symbols, error) {
 		for i := range beside {
 			runBeside(i)
 		}
-		return nil, first(err)
+		return nil, nil, first(err)
 	}
 	workers := max(1, min(FreezeWorkers(), (len(f.Labels)+len(f.Out))/validateShardMin))
 	split := workers * validateTasksPerWorker
@@ -165,6 +167,7 @@ func (f Flat) validate(beside []func() error) (*Symbols, error) {
 	classes := shardByOffsets(split, f.ClassOff)
 	// errs holds each node range's first failure, then each class range's.
 	errs := make([]checkErr, len(nodes)+len(classes))
+	heavy := make([]heavyTop, len(nodes))
 	var syms *Symbols
 	var symErr error
 	drain(workers, 1+len(errs)+len(beside), func(task int) {
@@ -172,7 +175,9 @@ func (f Flat) validate(beside []func() error) (*Symbols, error) {
 		case task == 0:
 			syms, symErr = adoptSymbols(f.Names)
 		case i < len(nodes):
-			errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi)
+			if errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi); errs[i].err == nil {
+				heavy[i].scan(f.OutOff, f.InOff, nodes[i].lo, nodes[i].hi)
+			}
 		case i < len(errs):
 			lo, hi := classes[i-len(nodes)].lo, classes[i-len(nodes)].hi
 			errs[i] = checkErr{kindClasses, f.checkClasses(lo, hi)}
@@ -187,9 +192,15 @@ func (f Flat) validate(beside []func() error) (*Symbols, error) {
 		}
 	}
 	if err := first(firstErr.err); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return syms, symErr
+	var top heavyTop
+	for _, part := range heavy {
+		for _, h := range part {
+			top.offer(h.v, h.deg)
+		}
+	}
+	return syms, top.nodes(), symErr
 }
 
 // checkShape validates the sizes and offset arrays every per-node check

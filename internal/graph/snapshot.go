@@ -66,6 +66,8 @@ type Snapshot struct {
 	classOff []int32  // per Sym: offsets into classNodes (node-label classes)
 	classes  []NodeID // nodes grouped by label code, ascending IDs within a class
 
+	heavy []NodeID // the heavy-node list, ascending (see Heavy)
+
 	scratch sync.Pool // *bfsScratch, reused across Neighborhood traversals
 }
 
@@ -137,9 +139,11 @@ func (g *Graph) Freeze() *Snapshot {
 	}()
 	if v := g.hollow.Load(); v != nil {
 		s = flatten(v)
+		s.recordHeavy()
 		g.hollow.CompareAndSwap(v, s)
 	} else {
 		s = buildSnapshotAuto(g)
+		s.recordHeavy()
 	}
 	return s
 }
@@ -598,7 +602,7 @@ func (s *Snapshot) ClassSize(l Sym) int { return len(s.NodesWith(l)) }
 
 // bfsScratch is reusable traversal state: an epoch-stamped visited array
 // (one clear per 2³²−1 traversals instead of an O(|V|) allocation per
-// call — workload estimation runs one traversal per pivot candidate) plus
+// call — disVal's ship costs run one traversal per pivot candidate) plus
 // the frontier and discovery buffers. Pooled on the Snapshot so concurrent
 // workers each grab their own.
 type bfsScratch struct {

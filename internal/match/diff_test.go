@@ -7,6 +7,7 @@ package match_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -392,4 +393,59 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("patched overlay: inserted flight has %d guarded matches, want 1", n)
 	}
 	steady("guarded patched overlay", match.NewMatcher(pov), match.Options{Guard: pg})
+}
+
+// TestCandidatesListBindsLikePins: binding a pattern node to a list
+// (Options.Candidates) yields, in list order, exactly the matches of
+// pinning it to each listed node in turn — with another node pinned, under
+// a stripe, and for the empty list, which yields nothing.
+func TestCandidatesListBindsLikePins(t *testing.T) {
+	total := 0
+	for name, g := range diffGraphs() {
+		m := match.NewMatcher(g.Freeze())
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 20; trial++ {
+			q := randomPattern(g, rng, 2+rng.Intn(2), true)
+			z := rng.Intn(q.NumNodes())
+			// A run of node IDs, some of the wrong label, in ascending
+			// order as a chunk binds its pivot.
+			lo := rng.Intn(g.NumNodes())
+			list := make([]graph.NodeID, 0, 128)
+			for v := lo; v < min(g.NumNodes(), lo+128); v++ {
+				list = append(list, graph.NodeID(v))
+			}
+			base := match.Options{}
+			if trial%3 == 1 {
+				base = match.Options{StripeNode: (z + 1) % q.NumNodes(), StripeMod: 2, StripeRem: trial % 2}
+			}
+			if other := (z + 1) % q.NumNodes(); trial%3 == 2 && other != z {
+				if oc := g.NodesWithLabel(q.Nodes[other].Label); len(oc) > 0 {
+					base.Pin = map[int]graph.NodeID{other: oc[rng.Intn(len(oc))]}
+				}
+			}
+			var want []core.Match
+			for _, v := range list {
+				pin := map[int]graph.NodeID{z: v}
+				for k, w := range base.Pin {
+					pin[k] = w
+				}
+				opts := base
+				opts.Pin = pin
+				want = append(want, m.All(q, opts)...)
+			}
+			opts := base
+			opts.Candidates, opts.CandidateNode = list, z
+			if got := m.All(q, opts); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s trial %d: list binding of node %d to %v yields %d matches, pins %d", name, trial, z, list, len(got), len(want))
+			}
+			total += len(want)
+			opts.Candidates = []graph.NodeID{}
+			if n := m.Count(q, opts); n != 0 {
+				t.Fatalf("%s trial %d: an empty list yields %d matches", name, trial, n)
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no trial had a match; the comparison is vacuous")
+	}
 }

@@ -38,6 +38,15 @@ type Options struct {
 	// enumerate only matches that include a pivot candidate; by locality
 	// those lie in the candidate's data block, so no block option exists.
 	Pin map[int]graph.NodeID
+	// Candidates, when non-nil, binds pattern node CandidateNode to each of
+	// its nodes in turn, in list order: a pin over a list. The Matcher
+	// places the node with the pins, ahead of every other node, and checks
+	// each listed node as it would any candidate (label, degrees, edges to
+	// the pins), so a list that holds a node twice yields its matches twice.
+	// An empty non-nil list yields nothing. Enumerate over a *graph.Graph
+	// ignores it.
+	Candidates    []graph.NodeID
+	CandidateNode int
 	// Limit stops the enumeration after this many matches; 0 means
 	// unlimited.
 	Limit int

@@ -322,7 +322,7 @@ func (m *Matcher) planFor() *Plan {
 	n := m.n
 	var pins uint64
 	for i := 0; i < n && i < 64; i++ {
-		if _, ok := m.opts.Pin[i]; ok {
+		if m.bound(i) {
 			pins |= 1 << uint(i)
 		}
 	}
@@ -360,7 +360,7 @@ func (m *Matcher) planFor() *Plan {
 const guardDiscount = 8
 
 // planOrder mirrors the legacy searcher's matching order — pinned nodes
-// first, then BFS growth from placed nodes preferring small candidate
+// (and the Candidates node) first, then BFS growth from placed nodes preferring small candidate
 // estimates, new components seeded by the most selective node — using
 // topology class sizes as estimates, each discounted for the guard
 // instructions its placement would close (see score). The striped node
@@ -379,7 +379,7 @@ func (m *Matcher) planOrder(order []int, stripe int) {
 	}
 	k := 0
 	for i := 0; i < n; i++ {
-		if _, ok := m.opts.Pin[i]; ok {
+		if m.bound(i) {
 			m.placed[i] = true
 			order[k] = i
 			k++
@@ -422,6 +422,16 @@ func (m *Matcher) planOrder(order []int, stripe int) {
 		order[k] = next
 		k++
 	}
+}
+
+// bound reports whether pattern node i is pinned, to one node or to the
+// Candidates list: either way the plan places it first, and a cached plan
+// serves both.
+func (m *Matcher) bound(i int) bool {
+	if _, ok := m.opts.Pin[i]; ok {
+		return true
+	}
+	return m.opts.Candidates != nil && i == m.opts.CandidateNode
 }
 
 // score is planOrder's greedy key for binding w next: its class-size
@@ -503,6 +513,15 @@ func (m *Matcher) extend(depth int) {
 	u := m.order[depth]
 	if v, ok := m.opts.Pin[u]; ok {
 		m.try(depth, u, v, 0)
+		return
+	}
+	if m.opts.Candidates != nil && u == m.opts.CandidateNode {
+		for _, v := range m.opts.Candidates {
+			m.try(depth, u, v, 0)
+			if m.halt {
+				return
+			}
+		}
 		return
 	}
 	// Candidate generation reads the adjacency runs keyed by u's own node

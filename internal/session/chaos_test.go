@@ -22,6 +22,9 @@ import (
 // land mid-detection, plus its fault-free reference report.
 func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 	t.Helper()
+	// Fine chunks, so that every worker's queue is long enough for the
+	// fault plans' unit ordinals.
+	t.Cleanup(validate.SetChunkGranularity(64, 16))
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 300, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
 	if set.Len() == 0 {

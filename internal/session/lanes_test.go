@@ -38,6 +38,8 @@ func (r *laneRecorder) Emit(worker int, _ validate.Violation) bool {
 // guard, and per-worker backpressure with them.
 func TestLanesFollowTheManifest(t *testing.T) {
 	const shards = 8
+	// Fine chunks, so that the small graph's plan reaches every slot.
+	t.Cleanup(validate.SetChunkGranularity(64, 16))
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 400, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
 	if set.Len() == 0 {

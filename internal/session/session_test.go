@@ -98,7 +98,7 @@ func TestDetectMatchesFreeFunctions(t *testing.T) {
 			"noreduce":  {N: 3, NoReduce: true},
 			"arbitrary": {N: 3, ArbitraryPivot: true},
 			"split":     {N: 3, SplitThreshold: 8, NoReduce: true},
-			"hist1":     {N: 2, HistogramM: 1},
+			"nosplit":   {N: 2, SplitThreshold: -1},
 		}
 		for name, opt := range variants {
 			repOpt := opt

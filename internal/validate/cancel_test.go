@@ -15,6 +15,9 @@ import (
 // heavy noise, so detection emits many violations across many units.
 func cancelWorkload(t *testing.T) (*graph.Graph, *Bundle) {
 	t.Helper()
+	// Fine chunks, so that every worker's queue is long enough for the
+	// chaos plans' unit ordinals.
+	SetGranularity(t, 64, 16)
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 600, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
 	if set.Len() == 0 {

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 // Executor (DetectOver), the view of the plan that executor ships from
 // (DistPlan), and the per-unit execution body (UnitRunner) that goroutine
 // slots and worker processes both run. What crosses the process boundary
-// is only unit descriptors, halo data, and violations.
+// is only unit descriptors (class ranges), halo data, and violations.
 
 // DistOptions configures EngineDistributed. It is carried on
 // Options.Dist and ignored by every other engine.
@@ -47,17 +48,20 @@ type DistOptions struct {
 	MaxRespawns int
 }
 
+// Range is a unit's range of a pivot class, as DistUnit carries it.
+type Range = workload.Range
+
 // DistUnit is the wire-facing descriptor of one work unit: everything a
 // worker process needs to reconstruct the exact workUnit the in-process
 // engines would run, given that it rebuilds the identical rule groups
-// from the shipped effective rule set.
+// from the shipped effective rule set. The unit's pivot candidates do not
+// travel: the worker runs the star test over each range of its own class.
 type DistUnit struct {
-	ID         int // index into DistPlan.Units — the unit's global identity
-	Group      int // rule-group index (group order is deterministic in rule order)
-	Candidates []graph.NodeID
-	StripeMod  int // 0 = unstriped
-	StripeRem  int
-	BlockSize  int
+	ID        int     // index into the plan's units — the unit's global identity
+	Group     int     // rule-group index (group order is deterministic in rule order)
+	Ranges    []Range // per pivot component, a range of its class
+	StripeMod int     // 0 = unstriped
+	StripeRem int
 }
 
 // DistPlan is what the engine body hands an out-of-process Executor about
@@ -71,36 +75,43 @@ type DistPlan struct {
 	ArbitraryPivot bool
 	Groups         int
 
-	b     *Bundle
-	units []workUnit
+	b    *Bundle
+	plan *planEntry
 }
 
 // Unit returns unit i's wire descriptor.
 func (p *DistPlan) Unit(i int) DistUnit {
-	u := &p.units[i]
+	u := &p.plan.units[i]
 	return DistUnit{
-		ID:         i,
-		Group:      u.group,
-		Candidates: u.Candidates,
-		StripeMod:  u.stripeMod,
-		StripeRem:  u.stripeRem,
-		BlockSize:  u.BlockSize,
+		ID:        i,
+		Group:     u.group,
+		Ranges:    u.Ranges,
+		StripeMod: u.stripeMod,
+		StripeRem: u.stripeRem,
 	}
 }
 
-// FillBlock resets set to unit i's data block — the union of the pivot
+// Idle reports whether unit i has no pivot candidate on the coordinator's
+// topology — then it has no match on any worker either, and needs no
+// frame. The star test runs once per plan (the survivor memo).
+func (p *DistPlan) Idle(i int) bool {
+	return len(p.b.candidatesOf(p.plan.chunks, i)[len(p.plan.units[i].Ranges)-1]) == 0
+}
+
+// FillBlock resets set to unit i's data block — the union of its pivot
 // candidates' radius neighborhoods — on the coordinator's topology. The
 // coordinator selects from it the non-owned nodes a worker needs shipped
-// (the halo), so that every block node carries its full adjacency on the
-// worker and the unit's pinned enumeration finds every match there.
+// (the halo), so that every candidate the worker's star test must keep,
+// and every node of its block, carries its full adjacency on the worker
+// and the unit's enumeration finds every match there.
 func (p *DistPlan) FillBlock(set *graph.EpochSet, i int) {
-	fillBlock(set, p.b.topo, &p.units[i])
+	fillBlock(set, p.b.topo, p.plan.units[i].Pivot, p.b.candidatesOf(p.plan.chunks, i))
 }
 
 // DetectOver is the engine body with the caller's slots: start receives the
 // plan and the run's cost-model cluster and returns the Executor the
 // scheduler drives (internal/dist returns its process fleet). The plan is
-// estimated against the bundle's replicated topology with opt.N slots —
+// cut on the bundle's replicated topology with opt.N slots —
 // ownership lives with the executor (a shard manifest), not in an
 // in-memory Fragmentation, so planning performs no partition and no
 // snapshot build. When every slot is lost before anything was delivered,
@@ -110,19 +121,22 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 	return runEngine(ctx, b, opt, sink, engine{start: start})
 }
 
-// UnitRunner executes units on one slot: the unitDetector's pinned, striped
-// and symmetric dedup enumeration, the
-// exactly-once skip count, the cooperative per-attempt deadline and the
-// unit-start fault crossing. Goroutine slots and worker processes both run
-// it — over the bundle's shared topology, or a worker's shard-backed one —
-// so those exist once. It is single-threaded, like a slot's unit loop (a
-// slot runs its units one at a time, in queue order).
+// UnitRunner executes units on one slot: the star test at the head of
+// each unit, the unitDetector's striped and symmetric dedup enumeration of
+// its survivors, the exactly-once skip count, the cooperative per-attempt
+// deadline and the unit-start fault crossing. Goroutine slots and worker
+// processes both run it — over the bundle's shared topology, or a worker's
+// shard-backed one — so those exist once. It is single-threaded, like a
+// slot's unit loop (a slot runs its units one at a time, in queue order).
 type UnitRunner struct {
 	groups   []*ruleGroup
 	det      *unitDetector
 	cancel   *cancelCheck
 	noOpt    bool
 	deadline time.Duration
+	// candsOf, when set, serves a unit's candidates from its plan's survivor
+	// memo (goroutine slots); nil runs the star test on the runner's view.
+	candsOf func(ui int) [][]graph.NodeID
 
 	// Per-attempt emission state, read by deliver (bound once as out so
 	// the per-unit path allocates no closure).
@@ -157,45 +171,62 @@ func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injec
 // sanity-checks it against the coordinator's count during the handshake.
 func (r *UnitRunner) Groups() int { return len(r.groups) }
 
-// Run executes one unit from its wire descriptor. found counts every
-// violation the unit enumerates; the first skip of them are suppressed
-// without emission — the exactly-once retry dedupe: enumeration order is
-// deterministic for a given shard + halo, so a retried unit resumes past
-// what a previous incarnation already delivered. emit returning false
-// stops enumeration early (the caller knows why). A non-nil error reports
-// a malformed descriptor, cancellation, or a missed deadline; panics
+// ErrBadUnit marks a unit descriptor that does not fit the runner's
+// groups or topology: an unknown group, a range count other than the
+// group's pivot count, a range outside its class, or a stripe out of
+// range. A worker process treats it as a protocol error.
+var ErrBadUnit = errors.New("validate: malformed unit descriptor")
+
+// Run executes one unit from its wire descriptor, after checking it
+// against the runner's groups and each range against its class on the
+// runner's own view. found counts every violation the unit enumerates;
+// the first skip of them are suppressed without emission — the
+// exactly-once retry dedupe: enumeration order is deterministic for a
+// given shard + halo, so a retried unit resumes past what a previous
+// incarnation already delivered. emit returning false stops enumeration
+// early (the caller knows why). A non-nil error reports a malformed
+// descriptor (ErrBadUnit), cancellation, or a missed deadline; panics
 // (injected or genuine) are deliberately NOT recovered — in a worker
 // process a panic must crash the process so the coordinator sees a death,
 // not a silently shortened unit, and a goroutine slot's scheduler recovers
 // it with unit context.
 func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (found int64, err error) {
 	if u.Group < 0 || u.Group >= len(r.groups) {
-		return 0, fmt.Errorf("validate: unit %d names group %d of %d", u.ID, u.Group, len(r.groups))
+		return 0, fmt.Errorf("%w: unit %d names group %d of %d", ErrBadUnit, u.ID, u.Group, len(r.groups))
 	}
 	grp := r.groups[u.Group]
-	if len(u.Candidates) != len(grp.pivot.Vars) {
-		return 0, fmt.Errorf("validate: unit %d carries %d candidates, group %d pivots %d",
-			u.ID, len(u.Candidates), u.Group, len(grp.pivot.Vars))
+	if len(u.Ranges) != grp.pivot.Arity() {
+		return 0, fmt.Errorf("%w: unit %d carries %d ranges, group %d pivots %d",
+			ErrBadUnit, u.ID, len(u.Ranges), u.Group, grp.pivot.Arity())
+	}
+	topo := r.det.m.Topo()
+	for i, rg := range u.Ranges {
+		if n := grp.pivot.ClassLen(topo, i); rg.Lo < 0 || rg.Lo > rg.Hi || rg.Hi > n {
+			return 0, fmt.Errorf("%w: unit %d range %d is [%d, %d) of a class of %d", ErrBadUnit, u.ID, i, rg.Lo, rg.Hi, n)
+		}
+	}
+	if u.StripeMod < 0 || u.StripeMod > 0 && (u.StripeRem < 0 || u.StripeRem >= u.StripeMod) {
+		return 0, fmt.Errorf("%w: unit %d stripe %d mod %d", ErrBadUnit, u.ID, u.StripeRem, u.StripeMod)
 	}
 	wu := workUnit{
-		Unit:      workload.Unit{Pivot: grp.pivot, Candidates: u.Candidates, BlockSize: u.BlockSize},
+		Unit:      workload.Unit{Pivot: grp.pivot, Ranges: u.Ranges},
 		group:     u.Group,
 		stripeMod: u.StripeMod,
 		stripeRem: u.StripeRem,
 	}
-	return r.run(grp, u.ID, wu, skip, emit)
+	return r.run(grp, u.ID, &wu, skip, emit)
 }
 
-func (r *UnitRunner) run(grp *ruleGroup, id int, u workUnit, skip int64, emit func(Violation) bool) (int64, error) {
+func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation) bool) (int64, error) {
 	if r.cancel.canceled() {
 		return 0, r.cancel.ctx.Err()
 	}
 	r.det.unit = id
 	r.skip, r.found, r.emit = skip, 0, emit
 	// The deadline covers the whole attempt, including the UnitStart
-	// crossing: an injected straggler delay burns attempt time exactly
-	// like a real stall would, so DelayUnit(d) + UnitDeadline < d
-	// deterministically expires the first attempt.
+	// crossing and the star test: an injected straggler delay burns
+	// attempt time exactly like a real stall would, so DelayUnit(d) +
+	// UnitDeadline < d deterministically expires the first attempt.
 	if r.deadline > 0 {
 		r.cancel.arm(time.Now().Add(r.deadline))
 	}
@@ -205,7 +236,13 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u workUnit, skip int64, emit fu
 		r.det.inj.Cross(fault.UnitStart, r.det.worker, id)
 	}
 	if !r.cancel.expiredNow() {
-		r.det.detect(grp, u, !r.noOpt, r.out)
+		var cands [][]graph.NodeID
+		if r.candsOf != nil {
+			cands = r.candsOf(id)
+		} else {
+			cands = unitCandidates(r.det.m.Topo(), u)
+		}
+		r.det.detect(grp, u, cands, !r.noOpt, r.out)
 	}
 	expired := r.cancel.deadlineHit
 	r.cancel.disarm()

@@ -2,12 +2,14 @@ package validate
 
 import (
 	"context"
+	"slices"
 
 	"gfd/internal/cluster"
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
+	"gfd/internal/workload"
 )
 
 // DisValB is the parallel error-detection algorithm for fragmented graphs
@@ -35,26 +37,27 @@ func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt O
 // (or retried after a deadline miss) re-ships its block to the worker that
 // actually runs it — recovery is charged, not free. totals reports how many
 // attempts took each strategy.
-func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, groups []*ruleGroup, units []workUnit, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
+func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, groups []*ruleGroup, plan *planEntry, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
 	// Per-worker tallies; worker w is the only writer of its entries.
 	nPrefetch := make([]int, opt.N)
 	nPartial := make([]int, opt.N)
 	prep = func(w, ui int) {
-		u := units[ui]
+		u := &plan.units[ui]
+		cands := b.candidatesOf(plan.chunks, ui)
 		shipped := u.shipBytes[w]
 		partial := false
 		// Weighing partial-match shipping against prefetching costs a scan
 		// of the block; it is only worth considering when the prefetch is
 		// substantial.
 		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(b.topo, frag, groups[u.group], u, w, shipped); pb < shipped {
+			if pb := partialMatchBytes(b.topo, frag, groups[u.group], u, cands, w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}
 		if shipped > 0 {
 			// Data arrives from each fragment owning a missing part;
 			// charge it as one bulk transfer into w.
-			cl.Ship(owningPeer(frag, u, w), w, shipped)
+			cl.Ship(owningPeer(frag, cands, w), w, shipped)
 		}
 		if partial {
 			nPartial[w]++
@@ -78,21 +81,75 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 // roughly a few tens of bytes on the wire.
 const commCostWeight = 1.0 / 32
 
-// chargeCandidateMessages accounts the M_i estimation messages of disPar:
-// every fragment reports its local pivot candidates (candidate id,
-// block-part size, border nodes) to the coordinator as one batched message
-// per fragment, sized per candidate descriptor. Charges go through ship so
-// the estimation cache can record and replay them.
-func chargeCandidateMessages(topo graph.Topology, ship func(from, to int, bytes int64), frag *fragment.Fragmentation, groups []*ruleGroup) {
+// attachShipCosts is disPar's exchange, one superstep: every worker runs
+// the star tests of its share of the plan's units (into the survivor memo
+// detection reads) and computes, per unit, the bytes each worker would
+// need shipped to assemble the unit's block — the blocks of its
+// candidates, the only blocks planning traverses. The fragments' candidate
+// reports (M_i) are charged and recorded for replay. p.units becomes a
+// copy carrying the ship costs; the superstep's span joins p.span.
+func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragment.Fragmentation) error {
+	p.units = slices.Clone(p.units)
+	n, view := cl.N(), b.topo.View()
+	busy, err := cl.RunMeasured(func(w int) {
+		var block *graph.EpochSet
+		for ui := w; ui < len(p.units); ui += n {
+			if block == nil {
+				block = graph.NewEpochSet(b.topo.NumNodes())
+			}
+			u := &p.units[ui]
+			fillBlock(block, b.topo, u.Pivot, b.candidatesOf(p.chunks, ui))
+			u.shipBytes = make([]int64, frag.N)
+			var total int64
+			perOwner := make([]int64, frag.N)
+			for _, v := range block.Members() {
+				bytes := fragment.NodeBytes(view, v)
+				perOwner[frag.OwnerOf(v)] += bytes
+				total += bytes
+			}
+			for o := range u.shipBytes {
+				u.shipBytes[o] = total - perOwner[o]
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	p.span += cluster.MaxSpan(busy)
+	chargeCandidateMessages(func(from, to int, bytes int64) {
+		p.ships = append(p.ships, shipRec{from, to, bytes})
+		cl.Ship(from, to, bytes)
+	}, frag, b, p.chunks)
+	return nil
+}
+
+// fillBlock resets set to a unit's data block G_z̄ on topo: the union of
+// the c_i-hop neighborhoods of its pivot candidates cands, with zero
+// steady-state allocation, for the halo selection of internal/dist and
+// disVal's ship costs; unit enumeration needs no block (see detect).
+func fillBlock(set *graph.EpochSet, topo graph.Topology, pv *workload.Pivot, cands [][]graph.NodeID) {
+	set.Reset()
+	for i, vs := range cands {
+		for _, v := range vs {
+			topo.BlockInto(set, v, pv.Radii[i])
+		}
+	}
+}
+
+// chargeCandidateMessages accounts the M_i messages of disPar: every
+// fragment reports its local pivot candidates (candidate id, block-part
+// size, border nodes) to the coordinator as one batched message per
+// fragment, sized per candidate descriptor.
+func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragment.Fragmentation, b *Bundle, cs *chunkSet) {
 	type key struct {
 		node  graph.NodeID
 		owner int
 	}
 	seen := make(map[key]struct{})
 	perOwner := make([]int64, frag.N)
-	for _, grp := range groups {
-		for i := 0; i < grp.pivot.Arity(); i++ {
-			for _, c := range grp.pivot.CandidatesIn(topo, i) {
+	for ui := range cs.units {
+		for _, cands := range b.candidatesOf(cs, ui) {
+			for _, c := range cands {
 				k := key{c, frag.OwnerOf(c)}
 				if _, dup := seen[k]; dup {
 					continue
@@ -109,25 +166,6 @@ func chargeCandidateMessages(topo graph.Topology, ship func(from, to int, bytes 
 	}
 }
 
-// attachShipCosts computes, for every worker, the bytes that must be
-// shipped to it to assemble the unit's data block (its non-local part).
-// block is the caller's scratch set, refilled per unit.
-func attachShipCosts(topo graph.Topology, frag *fragment.Fragmentation, block *graph.EpochSet, u *workUnit) {
-	fillBlock(block, topo, u)
-	view := topo.View()
-	u.shipBytes = make([]int64, frag.N)
-	var total int64
-	perOwner := make([]int64, frag.N)
-	for _, v := range block.Members() {
-		b := fragment.NodeBytes(view, v)
-		perOwner[frag.OwnerOf(v)] += b
-		total += b
-	}
-	for w := 0; w < frag.N; w++ {
-		u.shipBytes[w] = total - perOwner[w]
-	}
-}
-
 // partialMatchBytes estimates the cost of the partial-match shipping
 // strategy: the graph-simulation relation of the group pattern restricted
 // to the unit's block over-approximates the partial matches that would be
@@ -139,9 +177,14 @@ func attachShipCosts(topo graph.Topology, frag *fragment.Fragmentation, block *g
 // per block node) prefilters units whose partial matches could not beat
 // prefetching, keeping the strategy selector itself cheap — the paper's
 // dlocalVio likewise estimates before exchanging.
-func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u workUnit, w int, prefetchBytes int64) int64 {
+func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
 	view := topo.View()
-	block := u.BlockIn(topo)
+	block := make(graph.NodeSet)
+	for i, vs := range cands {
+		for _, v := range vs {
+			block.AddAll(topo.Neighborhood(v, u.Pivot.Radii[i]))
+		}
+	}
 	syms := pattern.CompileFor(grp.q, view.Syms()).NodeSyms
 	var upper int64
 	for v := range block {
@@ -182,10 +225,12 @@ const minPartialConsideration = 4096
 // The exact source split does not change totals; attribute to the fragment
 // owning the first candidate not local to w, else to worker 0 (worker 1
 // when w is worker 0 itself — a transfer to oneself is free).
-func owningPeer(frag *fragment.Fragmentation, u workUnit, w int) int {
-	for _, c := range u.Candidates {
-		if o := frag.OwnerOf(c); o != w {
-			return o
+func owningPeer(frag *fragment.Fragmentation, cands [][]graph.NodeID, w int) int {
+	for _, vs := range cands {
+		for _, c := range vs {
+			if o := frag.OwnerOf(c); o != w {
+				return o
+			}
 		}
 	}
 	if w == 0 && frag.N > 1 {

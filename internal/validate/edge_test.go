@@ -107,7 +107,9 @@ func TestWildcardEverythingRule(t *testing.T) {
 	}
 }
 
-func TestHistogramMOne(t *testing.T) {
+// TestOneChunkPerGroup: at the coarsest granularity every group is one
+// chunk over its whole class, and the violations do not move.
+func TestOneChunkPerGroup(t *testing.T) {
 	g := graph.New(0, 0)
 	for i := 0; i < 6; i++ {
 		attrs := graph.Attrs{"is_fake": "false", "flagged": "x"}
@@ -118,9 +120,13 @@ func TestHistogramMOne(t *testing.T) {
 	}
 	set := singleNodeRule()
 	want := detVio(g, set)
-	res := repVal(g, set, Options{N: 4, HistogramM: 1})
+	SetGranularity(t, 1, 1<<30)
+	res := repVal(g, set, Options{N: 4})
 	if !res.Violations.Equal(want) {
-		t.Errorf("m=1: %d violations, want %d", len(res.Violations), len(want))
+		t.Errorf("one chunk: %d violations, want %d", len(res.Violations), len(want))
+	}
+	if res.Units != res.Groups {
+		t.Errorf("%d units for %d groups, want one each", res.Units, res.Groups)
 	}
 }
 

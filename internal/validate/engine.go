@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
@@ -38,15 +39,11 @@ type Options struct {
 	// reduction costs an implication test per rule, which the ablation
 	// benchmarks isolate.
 	NoReduce bool
-	// HistogramM is the predefined number m of equi-depth ranges per pivot
-	// candidate list used to spread estimation work (Section 6.1).
-	// Defaults to 16; it is deliberately independent of N so the number of
-	// estimation messages stays constant as workers are added.
-	HistogramM int
-	// SplitThreshold is θ of the replicate-and-split strategy: work units
-	// whose data block exceeds θ are split into stripes. 0 derives a
-	// default from the workload (4× the mean block size); negative
-	// disables splitting.
+	// SplitThreshold is θ of the replicate-and-split strategy: a pivot on
+	// the topology's heavy-node list (graph.Snapshot.Heavy) whose degree
+	// exceeds θ gets work units of its own, ⌈degree/θ⌉ stripes. 0 derives θ
+	// from the graph (8× the mean degree, at least 32); negative disables
+	// splitting.
 	SplitThreshold int
 	// ArbitraryPivot replaces min-radius pivot selection with the first
 	// variable of each component, and seeds no pivot from constant X
@@ -110,15 +107,11 @@ const (
 const DefaultStreamBuffer = 64
 
 // Normalized fills unset fields with their defaults: the replicated
-// engine, 4 workers, histogram m = 16, the default cost model, the default
-// retry policy.
+// engine, 4 workers, the default cost model, the default retry policy.
 func (o Options) Normalized() Options {
 	o.Engine = o.Engine.Resolve()
 	if o.N < 1 {
 		o.N = 4
-	}
-	if o.HistogramM <= 0 {
-		o.HistogramM = 16
 	}
 	if o.Cost == (cluster.CostModel{}) {
 		o.Cost = cluster.DefaultCostModel()
@@ -146,12 +139,12 @@ type Result struct {
 
 	Rules  int // rules validated (after any reduction)
 	Groups int // rule groups after multi-query combining
-	Units  int // work units generated (after dedup/splitting)
+	Units  int // work units planned: class-range chunks, stripes included
 
 	Wall         time.Duration // end-to-end wall-clock time on this host
-	EstimateWall time.Duration // workload estimation phase (wall)
-	DetectWall   time.Duration // local detection phase (wall)
-	EstimateSpan time.Duration // modeled estimation span: max worker busy time
+	EstimateWall time.Duration // planning phase (wall)
+	DetectWall   time.Duration // local detection phase, star tests included (wall)
+	EstimateSpan time.Duration // modeled planning span: the cut and the balance (disVal: plus its ship-cost superstep)
 	DetectSpan   time.Duration // modeled detection span: max worker busy time
 	Comm         time.Duration // modeled communication time
 	BytesShipped int64         // total simulated data shipment
@@ -255,66 +248,70 @@ func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Inject
 	return d
 }
 
-// fillBlock resets set to the unit's data block G_z̄ on topo: the union of
-// the c_i-hop neighborhoods of the pivot candidates, with zero steady-state
-// allocation, for the halo selection of internal/dist and disVal's
-// shipment estimate; unit enumeration needs no block (see detect).
-func fillBlock(set *graph.EpochSet, topo graph.Topology, u *workUnit) {
-	set.Reset()
-	for i, v := range u.Candidates {
-		topo.BlockInto(set, v, u.Pivot.Radii[i])
-	}
-}
-
 // detect enumerates the matches of the unit's group pattern with the
-// pivots pinned to the unit's candidates, and checks every group
-// dependency on each match, delivering violations to emit. The data block
-// is implicit: a match lies within its components' radii of the pins, and
-// on a dist shard the block's nodes carry full adjacency (owned or halo).
-// For symmetric two-component patterns whose mirrored units were
-// deduplicated, both pin orders are enumerated so the full match set is
-// preserved. It returns false when the worker must stop: the context was
+// pivots bound to the unit's candidates cands — in class order, the last
+// component as the matcher's Candidates list and the others pinned — and
+// checks every group dependency on each match, delivering violations to
+// emit. The data block is implicit: a match lies within its components'
+// radii of the pivots, and on a dist shard the block's nodes carry full
+// adjacency (owned or halo). A symmetric two-component group whose units
+// hold only the range pairs i ≤ j (deduped) enumerates both pivot orders
+// of an off-diagonal unit; a diagonal unit's ordered pairs are both orders
+// already. It returns false when the worker must stop: the context was
 // cancelled or emit refused a violation.
-func (d *unitDetector) detect(grp *ruleGroup, u workUnit, deduped bool, emit func(Violation) bool) bool {
-	if grp.guard.Dead() {
-		return true // no member's X can hold: nothing to enumerate
+func (d *unitDetector) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, deduped bool, emit func(Violation) bool) bool {
+	vars := grp.pivot.Vars
+	last := len(vars) - 1
+	if grp.guard.Dead() || slices.ContainsFunc(cands, func(c []graph.NodeID) bool { return len(c) == 0 }) {
+		return true // no member's X can hold, or some pivot has no candidate
 	}
 	d.grp, d.emit, d.ok = grp, emit, true
-	runPins := func(c0, c1 graph.NodeID, both bool) {
+	clear(d.pin)
+	opts := match.Options{
+		Pin:           d.pin,
+		Candidates:    cands[last],
+		CandidateNode: vars[last],
+		StripeMod:     u.stripeMod,
+		StripeRem:     u.stripeRem,
+		StripeNode:    grp.stripe,
+		// Prunes a prefix once every member has a failed X literal.
+		Guard: grp.guard,
+		// Early termination must reach candidate enumeration itself:
+		// without the halt probe a cancelled (or consumer-stopped) run
+		// only notices between matches, which on a matchless stretch of
+		// a huge class is never.
+		Halt: d.halt,
+	}
+	switch last {
+	case 0:
+		d.m.Enumerate(grp.q, opts, d.visit)
+	case 1:
+		d.pinEach(grp, &opts, cands[0])
+		if deduped && grp.pivot.Symmetric() && u.Ranges[0] != u.Ranges[1] {
+			opts.Candidates = cands[0]
+			d.pinEach(grp, &opts, cands[1])
+		}
+	default:
+		workload.EachVector(cands[:last], false, func(vec []graph.NodeID) bool {
+			for i, v := range vec {
+				d.pin[vars[i]] = v
+			}
+			d.m.Enumerate(grp.q, opts, d.visit)
+			return d.ok
+		})
+	}
+	return d.ok
+}
+
+// pinEach enumerates with the first pivot pinned to each of heads in turn.
+func (d *unitDetector) pinEach(grp *ruleGroup, opts *match.Options, heads []graph.NodeID) {
+	for _, v := range heads {
 		if !d.ok {
 			return
 		}
-		clear(d.pin)
-		if both {
-			d.pin[grp.pivot.Vars[0]] = c0
-			d.pin[grp.pivot.Vars[1]] = c1
-		} else {
-			for i, v := range grp.pivot.Vars {
-				d.pin[v] = u.Candidates[i]
-			}
-		}
-		opts := match.Options{
-			Pin:        d.pin,
-			StripeMod:  u.stripeMod,
-			StripeRem:  u.stripeRem,
-			StripeNode: grp.stripe,
-			// Prunes a prefix once every member has a failed X literal.
-			Guard: grp.guard,
-			// Early termination must reach candidate enumeration itself:
-			// without the halt probe a cancelled (or consumer-stopped) run
-			// only notices between matches, which on a matchless stretch of
-			// a huge class is never.
-			Halt: d.halt,
-		}
-		d.m.Enumerate(grp.q, opts, d.visit)
+		d.pin[grp.pivot.Vars[0]] = v
+		d.m.Enumerate(grp.q, *opts, d.visit)
 	}
-	if deduped && grp.pivot.Symmetric() && len(u.Candidates) == 2 {
-		runPins(u.Candidates[0], u.Candidates[1], true)
-		runPins(u.Candidates[1], u.Candidates[0], true)
-		return d.ok
-	}
-	runPins(0, 0, false)
-	return d.ok
 }
 
 // onMatch checks the current unit's group dependencies on one match.
@@ -330,63 +327,4 @@ func (d *unitDetector) onMatch(m core.Match) bool {
 		return false
 	}
 	return true
-}
-
-// splitThreshold resolves the effective θ given the generated units.
-func splitThreshold(opt Options, units []workUnit) int {
-	if opt.NoOptimize || opt.SplitThreshold < 0 || len(units) == 0 {
-		return 0 // disabled
-	}
-	if opt.SplitThreshold > 0 {
-		return opt.SplitThreshold
-	}
-	var total int64
-	for i := range units {
-		total += int64(units[i].BlockSize)
-	}
-	return int(4 * total / int64(len(units)))
-}
-
-// stripes returns how many stripes applySplit cuts u into; 1 keeps it whole.
-func stripes(u *workUnit, groups []*ruleGroup, theta int) int {
-	if u.BlockSize <= theta || groups[u.group].stripe < 0 {
-		return 1
-	}
-	return (u.BlockSize + theta - 1) / theta
-}
-
-// applySplit replaces oversized units with stripes (replicate-and-split,
-// Appendix): each stripe keeps the pivots but enumerates only matches
-// whose image of the group's stripe node (a pivot neighbour, stripeNode)
-// falls in its residue class, so the stripes' match sets partition the
-// original unit's. units is read-only; the result is a fresh, exactly
-// sized slice unless nothing splits.
-func applySplit(units []workUnit, groups []*ruleGroup, theta int) (out []workUnit, split int) {
-	if theta <= 0 {
-		return units, 0
-	}
-	total := 0
-	for i := range units {
-		total += stripes(&units[i], groups, theta)
-	}
-	if total == len(units) {
-		return units, 0
-	}
-	out = make([]workUnit, 0, total)
-	for i := range units {
-		u := &units[i]
-		s := stripes(u, groups, theta)
-		if s == 1 {
-			out = append(out, *u)
-			continue
-		}
-		su := *u
-		su.stripeMod = s
-		su.BlockSize = max(1, u.BlockSize/s)
-		for su.stripeRem = 0; su.stripeRem < s; su.stripeRem++ {
-			out = append(out, su)
-		}
-		split += s
-	}
-	return out, split
 }

@@ -148,8 +148,8 @@ func TestGroupGuardKeepsSingleMemberMatches(t *testing.T) {
 				if got := res.Violations; !got.Equal(want) {
 					t.Fatalf("repVal(%+v): %v", o, got)
 				}
-				if res.Groups != tc.groups || o.SplitThreshold == 0 && res.Units != 2 {
-					t.Fatalf("repVal(%+v): %d groups, %d units; want %d groups and one unit per seeded country", o, res.Groups, res.Units, tc.groups)
+				if units := pivotVectors(t, g, set, o); res.Groups != tc.groups || units != 2 {
+					t.Fatalf("repVal(%+v): %d groups, %d pivot vectors; want %d groups and one pivot per seeded country", o, res.Groups, units, tc.groups)
 				}
 				if got := disVal(g, fragment.Partition(g, o.N, fragment.Hash), set, o).Violations; !got.Equal(want) {
 					t.Fatalf("disVal(%+v): %v", o, got)

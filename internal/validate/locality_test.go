@@ -61,7 +61,11 @@ func checkLocality(t *testing.T, name string, g *graph.Graph, topo graph.Topolog
 			cands[i] = pv.CandidatesIn(topo, i)
 		}
 		workload.EachVector(cands, false, func(vec []graph.NodeID) bool {
-			fillBlock(block, topo, &workUnit{Unit: workload.Unit{Pivot: pv, Candidates: vec}})
+			one := make([][]graph.NodeID, len(vec))
+			for i, v := range vec {
+				one[i] = []graph.NodeID{v}
+			}
+			fillBlock(block, topo, pv, one)
 			pin := make(map[int]graph.NodeID, len(vec))
 			for i, z := range pv.Vars {
 				pin[z] = vec[i]

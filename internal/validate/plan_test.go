@@ -1,7 +1,7 @@
-// Tests of the cold estimation and planning path from outside the package,
-// where the topology kinds the path must treat alike — heap snapshot,
-// session overlay, store-adopted mapping — can all be built. The oracle and
-// the plan accessors live in export_test.go.
+// Tests of the chunk planning path from outside the package, where the
+// topology kinds the path must treat alike — heap snapshot, session
+// overlay, store-adopted mapping — can all be built. The oracle and the
+// plan accessors live in export_test.go.
 package validate_test
 
 import (
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -74,78 +75,138 @@ func planRules(g *graph.Graph, seed int64) *core.Set {
 	return core.MustNewSet(rules...)
 }
 
-// planVariants is HistogramM × N × NoOptimize, after one variant whose low
-// threshold makes replicate-and-split cut units on any graph.
+// planVariants is N × NoOptimize, after one variant whose low threshold
+// makes replicate-and-split cut heavy pivots on any graph.
 func planVariants() []validate.Options {
 	out := []validate.Options{{N: 2, SplitThreshold: 3}}
-	for _, m := range []int{0, 1, 7} {
-		for _, n := range []int{1, 2, 5} {
-			for _, noOpt := range []bool{false, true} {
-				out = append(out, validate.Options{HistogramM: m, N: n, NoOptimize: noOpt})
-			}
+	for _, n := range []int{1, 2, 5} {
+		for _, noOpt := range []bool{false, true} {
+			out = append(out, validate.Options{N: n, NoOptimize: noOpt})
 		}
 	}
 	return out
 }
 
-// comparePlans runs every variant (the first one twice, for the reuse
-// counter) on the bundle and on its oracle and requires identical plans
-// and identical probe counters after every call.
-func comparePlans(t *testing.T, kind string, b *validate.Bundle, oracle *validate.OracleEstimator) {
+// checkPlan plans every variant on the bundle and holds the plan to the
+// chunk rules and its survivors to the string-and-map oracle on g: per
+// group component, the distinct ranges of the units cover the class once,
+// in order; two-component groups hold every range pair (the pairs i ≤ j
+// when deduplicated); stripes are one-member ranges, all residues present;
+// and the survivors, concatenated in range order, are exactly the oracle's
+// candidates. It returns how many stripes the variants cut.
+func checkPlan(t *testing.T, kind string, g *graph.Graph, b *validate.Bundle) (split int) {
 	t.Helper()
-	variants := planVariants()
-	split := 0
-	for _, opt := range append(variants, variants[0]) {
-		name := fmt.Sprintf("%s m=%d n=%d noopt=%v θ=%d", kind, opt.HistogramM, opt.N, opt.NoOptimize, opt.SplitThreshold)
-		got, err := b.Plan(opt)
+	for _, opt := range planVariants() {
+		name := fmt.Sprintf("%s n=%d noopt=%v θ=%d", kind, opt.N, opt.NoOptimize, opt.SplitThreshold)
+		img, err := b.Plan(opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := oracle.Plan(opt)
-		if len(want.Units) == 0 {
-			t.Fatalf("%s: the oracle planned no units — the comparison is vacuous", name)
+		cands, err := b.PlanCandidates(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got.Units) != len(want.Units) {
-			t.Fatalf("%s: %d units, oracle %d", name, len(got.Units), len(want.Units))
+		if len(img.Units) == 0 {
+			t.Fatalf("%s: no units planned", name)
 		}
-		for i, u := range got.Units {
-			w := want.Units[i]
-			if u.Group != w.Group || u.BlockSize != w.BlockSize || u.StripeMod != w.StripeMod || u.StripeRem != w.StripeRem || !slices.Equal(u.Candidates, w.Candidates) {
-				t.Fatalf("%s: unit %d is %+v, oracle %+v", name, i, u, w)
+		shapes := b.GroupShapes(opt)
+		type key struct {
+			comp int
+			r    workload.Range
+		}
+		for gi, gs := range shapes {
+			got := map[key][]graph.NodeID{}
+			pairs := map[[2]workload.Range]bool{}
+			stripes := map[workload.Range][]int{}
+			for ui, u := range img.Units {
+				if u.Group != gi {
+					continue
+				}
+				if len(u.Ranges) != len(gs.Pivots) {
+					t.Fatalf("%s: group %d unit %d has %d ranges for %d pivots", name, gi, ui, len(u.Ranges), len(gs.Pivots))
+				}
+				for i, r := range u.Ranges {
+					got[key{i, r}] = cands[ui][i]
+				}
+				if len(u.Ranges) == 2 {
+					pairs[[2]workload.Range{u.Ranges[0], u.Ranges[1]}] = true
+				}
+				if u.StripeMod > 0 {
+					if u.Ranges[0].Len() != 1 {
+						t.Fatalf("%s: stripe over %v, want one member", name, u.Ranges[0])
+					}
+					stripes[u.Ranges[0]] = append(stripes[u.Ranges[0]], u.StripeRem)
+				}
+			}
+			for r, rems := range stripes {
+				slices.Sort(rems)
+				for i, rem := range rems {
+					if rem != i {
+						t.Fatalf("%s: group %d stripes of %v have residues %v", name, gi, r, rems)
+					}
+				}
+				split += len(rems)
+			}
+			for i := range gs.Pivots {
+				var ranges []workload.Range
+				for k := range got {
+					if k.comp == i {
+						ranges = append(ranges, k.r)
+					}
+				}
+				slices.SortFunc(ranges, func(a, b workload.Range) int { return a.Lo - b.Lo })
+				var survivors []graph.NodeID
+				at := 0
+				for _, r := range ranges {
+					if r.Lo != at || r.Hi <= r.Lo {
+						t.Fatalf("%s: group %d component %d ranges %v do not tile the class", name, gi, i, ranges)
+					}
+					at = r.Hi
+					survivors = append(survivors, got[key{i, r}]...)
+				}
+				if n := gs.Pivot.ClassLen(b.Topo(), i); at != n {
+					t.Fatalf("%s: group %d component %d ranges cover [0, %d) of a class of %d", name, gi, i, at, n)
+				}
+				if want := validate.OracleCandidates(g, gs.Pivot, i); !slices.Equal(survivors, want) {
+					t.Fatalf("%s: group %d component %d survivors %v, oracle %v", name, gi, i, survivors, want)
+				}
+				if len(gs.Pivots) == 2 && i == 1 {
+					var r0 []workload.Range
+					for k := range got {
+						if k.comp == 0 {
+							r0 = append(r0, k.r)
+						}
+					}
+					for _, a := range r0 {
+						for _, c := range ranges {
+							want := !(gs.Pivot.Symmetric() && !opt.NoOptimize) || a.Lo <= c.Lo
+							if pairs[[2]workload.Range{a, c}] != want {
+								t.Fatalf("%s: group %d range pair %v %v planned %v, want %v", name, gi, a, c, !want, want)
+							}
+						}
+					}
+				}
 			}
 		}
-		if got.Split != want.Split || got.TotalWeight != want.TotalWeight || got.Makespan != want.Makespan {
-			t.Fatalf("%s: split/totalWeight/makespan %d/%d/%d, oracle %d/%d/%d", name,
-				got.Split, got.TotalWeight, got.Makespan, want.Split, want.TotalWeight, want.Makespan)
-		}
-		if !slices.EqualFunc(got.Assign, want.Assign, func(x, y []int) bool { return slices.Equal(x, y) }) {
-			t.Fatalf("%s: assignment diverges from the oracle's", name)
-		}
-		if gs, ws := b.EstimationStats(), oracle.Stats(); gs != ws {
-			t.Fatalf("%s: estimation counters %+v, oracle %+v", name, gs, ws)
-		}
-		split += want.Split
 	}
-	if split == 0 {
-		t.Fatalf("%s: no variant split a unit — replicate-and-split went uncompared", kind)
-	}
+	return split
 }
 
-// TestPlanIdenticalToMapBasedOracle is the plan-identity differential: on
-// every topology kind and option variant the flat estimator must produce
-// the plan of the map-based one it replaced — same units in the same order
-// with the same block sizes, same split, same assignment — and move the
-// probe counters alike, including across Session.Apply, where both must
-// re-measure exactly the blocks the update touched. The oracle derives the
-// candidate sets itself — seed filters and pivot stars — through the
-// mutable graph's strings, and measures each (node, radius) once however
-// many lists request it.
+// TestPlanIdenticalToMapBasedOracle: on every topology kind — store-adopted
+// mapping, heap snapshot, and the session overlay after two update batches
+// — and every option variant, the chunk plan follows the chunk rules and
+// the star tests its units run keep exactly the candidates an oracle reads
+// through the mutable graph's strings and maps: seed filters and pivot
+// stars, over every class range once. The mapping and the heap snapshot of
+// one graph plan identical chunks, and Apply drops the plan: the overlay's
+// bundle runs every star test again.
 func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2} {
 		g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: seed})
 		set := planRules(g, seed+10)
 		gen.Inject(g, gen.NoiseConfig{Rate: 0.1, Seed: seed + 20})
+		addHubs(g, seed)
 		if !slices.ContainsFunc(validate.NewBundle(g, set).GroupShapes(validate.Options{}), func(gs validate.GroupShape) bool {
 			return slices.ContainsFunc(gs.Filters, workload.Filter.Active)
 		}) {
@@ -162,16 +223,12 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		adopted := loaded.Snapshot().Graph()
-		comparePlans(t, "mmap", bundleOf(t, adopted, set).Bundle(), validate.NewOracle(bundleOf(t, adopted, set).Bundle()))
+		mmap := bundleOf(t, adopted, set).Bundle()
+		split := checkPlan(t, "mmap", g, mmap)
 		if builds := adopted.SnapshotBuilds(); builds != 0 {
 			t.Fatalf("planning over the adopted snapshot built %d snapshots", builds)
 		}
-		if err := loaded.Close(); err != nil {
-			t.Fatal(err)
-		}
 
-		// Heap snapshot, then the same session's overlay after two update
-		// batches: snapshot → overlay and overlay → overlay inheritance.
 		sess, err := session.New(g)
 		if err != nil {
 			t.Fatal(err)
@@ -181,8 +238,17 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := prep.Bundle()
-		oracle := validate.NewOracle(b)
-		comparePlans(t, "heap", b, oracle)
+		split += checkPlan(t, "heap", g, b)
+		for _, opt := range planVariants() {
+			x, _ := mmap.Plan(opt)
+			y, _ := b.Plan(opt)
+			if !reflect.DeepEqual(x.Units, y.Units) || !reflect.DeepEqual(x.Assign, y.Assign) {
+				t.Fatalf("n=%d noopt=%v: the mapping and the heap snapshot plan different chunks", opt.N, opt.NoOptimize)
+			}
+		}
+		if err := loaded.Close(); err != nil {
+			t.Fatal(err)
+		}
 
 		rng := rand.New(rand.NewSource(seed + 30))
 		countries := g.NodesWithLabel("country")
@@ -201,10 +267,32 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 			if _, ok := b.Topo().(*graph.Overlay); !ok {
 				t.Fatalf("round %d: bundle runs on %T, want the session overlay", round, b.Topo())
 			}
-			oracle = oracle.InheritedBy(b)
-			comparePlans(t, fmt.Sprintf("overlay%d", round), b, oracle)
-			if delta := b.EstimationStats().Measured - measured; delta == 0 || delta >= measured {
-				t.Fatalf("round %d re-measured %d blocks of %d: want some, not all", round, delta, measured)
+			split += checkPlan(t, fmt.Sprintf("overlay%d", round), g, b)
+			units := 0
+			for _, opt := range planVariants() {
+				n, _ := b.ColdPlan(opt)
+				units += n
+			}
+			if delta := b.EstimationStats().Measured - measured; delta != units {
+				t.Fatalf("round %d ran %d star tests for %d planned units: want one each, the plan and its survivors dropped by Apply", round, delta, units)
+			}
+		}
+		if split == 0 {
+			t.Fatal("no variant cut a stripe — replicate-and-split went unchecked")
+		}
+	}
+}
+
+// addHubs gives the first member of every label class an edge from each
+// of 48 other nodes, so that every class holds a node on the heavy-node
+// list and replicate-and-split has pivots to cut.
+func addHubs(g *graph.Graph, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, label := range g.Labels() {
+		hub := g.NodesWithLabel(label)[0]
+		for range 48 {
+			if v := graph.NodeID(rng.Intn(g.NumNodes())); v != hub {
+				g.MustAddEdge(v, hub, "near")
 			}
 		}
 	}
@@ -265,8 +353,9 @@ func bundleOf(t testing.TB, g *graph.Graph, set *core.Set) *session.Prepared {
 // coldPlanWorkload is a cold default-engine workload at benchmark scale:
 // the DBpedia-like graph of kb_cold_rep with three X = ∅ rules whose pivot
 // stars almost every person has (a birthplace, a parent, or both), so the
-// candidate lists stay class-sized and the plan holds tens of thousands of
-// units. Y holds on every match, so detection emits nothing.
+// star tests keep nearly the whole class and the plan's units enumerate
+// tens of thousands of pivots. Y holds on every match, so detection emits
+// nothing.
 func coldPlanWorkload() (*graph.Graph, *core.Set) {
 	g := gen.DBpediaLike(gen.DatasetConfig{Scale: 6000, Seed: 1})
 	g.Freeze()
@@ -291,10 +380,9 @@ func coldPlanWorkload() (*graph.Graph, *core.Set) {
 }
 
 // BenchmarkColdPlan times what a cold repVal round pays before its first
-// unit runs: a fresh Bundle, then planFor — filtering and value-sorting
-// the candidate lists, measuring every block, assembling, splitting and balancing the
-// units. Run with -benchmem: allocs/op must stay in the hundreds while
-// the plan holds some 18 000 units.
+// unit runs: a fresh Bundle, then planFor — cutting the classes into
+// chunks and balancing them. Run with -benchmem: allocs/op must stay in
+// the hundreds whatever the class sizes.
 func BenchmarkColdPlan(b *testing.B) {
 	g, set := coldPlanWorkload()
 	opt := validate.Options{N: 2}
@@ -306,39 +394,48 @@ func BenchmarkColdPlan(b *testing.B) {
 	}
 }
 
-// TestConcurrentColdPlansShareSizeTables plans every variant at once on one
-// fresh bundle: the rounds race to create, grow and fill the same per-radius
-// tables, and each must still come out with the oracle's plan. Run under
-// -race, this is the check that the tables need no lock.
-func TestConcurrentColdPlansShareSizeTables(t *testing.T) {
+// TestConcurrentColdPlansEqualSerialPlan plans every variant at once on one
+// fresh bundle, each round running its units' star tests into the shared
+// survivor memo, and requires the plans and survivors a serial pass over
+// another fresh bundle produces. Run under -race, this is the check that
+// the plan cache and the memo need no more locking than they have.
+func TestConcurrentColdPlansEqualSerialPlan(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: 3})
 	set := planRules(g, 13)
 	b := validate.NewBundle(g, set)
 	variants := planVariants()
 	plans := make([]validate.PlanImage, len(variants))
+	cands := make([][][][]graph.NodeID, len(variants))
 	errs := make([]error, len(variants))
 	var wg sync.WaitGroup
 	for i, opt := range variants {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			plans[i], errs[i] = b.Plan(opt)
 		}()
+		go func() {
+			defer wg.Done()
+			c, err := b.PlanCandidates(opt)
+			if err != nil {
+				panic(err)
+			}
+			cands[i] = c
+		}()
 	}
 	wg.Wait()
-	oracle := validate.NewOracle(validate.NewBundle(g, set))
+	serial := validate.NewBundle(g, set)
 	for i, opt := range variants {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want := oracle.Plan(opt)
-		same := len(plans[i].Units) == len(want.Units) && plans[i].Split == want.Split && plans[i].Makespan == want.Makespan
-		for j := 0; same && j < len(want.Units); j++ {
-			u, w := plans[i].Units[j], want.Units[j]
-			same = u.Group == w.Group && u.BlockSize == w.BlockSize && slices.Equal(u.Candidates, w.Candidates)
+		want, err := serial.Plan(opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !same {
-			t.Fatalf("variant %d (%+v) planned concurrently diverges from the oracle", i, opt)
+		wantCands, _ := serial.PlanCandidates(opt)
+		if !reflect.DeepEqual(plans[i], want) || !reflect.DeepEqual(cands[i], wantCands) {
+			t.Fatalf("variant %d (%+v) planned concurrently diverges from the serial plan", i, opt)
 		}
 	}
 }

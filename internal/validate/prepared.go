@@ -107,13 +107,9 @@ type Bundle struct {
 	// other sessions.
 	progs map[*core.GFD]*core.LiteralProgram
 
-	// est is the cached workload-estimation state (see estimate.go): unit
-	// sets per option variant, block-size measurements shared across
-	// variants, probe counters. touchMark is the overlay touch-log
-	// position this bundle's view begins at, so a successor bundle can
-	// invalidate exactly the measurements its Apply deltas touched.
-	est       estState
-	touchMark int
+	// est is the planning cache (see plan.go): chunk layouts with their
+	// survivor memos and plans per option variant, probe counters.
+	est estState
 }
 
 // groupKey identifies one cached grouping variant.
@@ -152,9 +148,6 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 		set:    set,
 		groups: make(map[groupKey][]*ruleGroup, 2),
 		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
-	}
-	if ov, ok := topo.(*graph.Overlay); ok {
-		b.touchMark = ov.TouchLen()
 	}
 	syms := topo.Syms()
 	sameTable := prev != nil && prev.set == set && prev.topo.Syms() == syms
@@ -199,19 +192,18 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 	return b
 }
 
-// inherit copies the caches the superseded bundle can donate: the
-// implication-reduced set, the estimation cache (counters always; the
-// block-size measurements when the topology delta is known from an
-// overlay touch log — pruned to the untouched region), and — when the
-// symbol table carried over — every grouping variant, with each
-// dependency and guard rebound to this bundle's programs (groups are
-// never shared between bundles, so a still-running Detect on prev is
-// unaffected).
+// inherit copies what the superseded bundle can donate: the
+// implication-reduced set, the planning-cache counters (never its plans or
+// their survivors, which belong to prev's view), and — when the symbol
+// table carried over — every grouping variant, with each dependency and
+// guard rebound to this bundle's programs (groups are never shared between
+// bundles, so a still-running Detect on prev is unaffected).
 func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
 	b.reduced = prev.reduced
-	b.inheritEstimationLocked(prev)
+	b.est.builds, b.est.reuses = prev.est.builds, prev.est.reuses
+	b.est.measured.Store(prev.est.measured.Load())
 	if prev.topo.Syms() != syms {
 		return
 	}
@@ -271,7 +263,7 @@ func (b *Bundle) ruleSet(opt Options) *core.Set {
 
 // ruleGroupsKeyed resolves the effective rule set and its multi-query
 // groups under opt, cached per variant, plus the variant key — the
-// estimation cache keys off it.
+// planning cache keys off it.
 func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey) {
 	set := b.ruleSet(opt)
 	key := groupKey{
@@ -295,7 +287,7 @@ func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey
 
 // Warm precomputes the reduction and grouping variant opt selects, so a
 // later timed Detect with the same options pays nothing beyond
-// estimation and enumeration. Variants not warmed cache on first use.
+// planning and enumeration. Variants not warmed cache on first use.
 func (b *Bundle) Warm(opt Options) { b.ruleGroupsKeyed(opt) }
 
 // cancelStride is how many per-match checkpoints pass between actual

@@ -35,12 +35,12 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (*Result, e
 }
 
 // engine is what distinguishes the parallel engines from one another:
-// Section 6's algorithms are one body — estimate and partition W(Σ, G),
-// then run local detection per work unit — differing in the assignment
+// Section 6's algorithms are one body — plan and partition W(Σ, G), then
+// run local detection per work unit — differing in the assignment
 // objective and in what a unit ships before it runs.
 type engine struct {
 	// frag, when set, is disVal's fragmentation: it fixes the worker count,
-	// adds ownership accounting to estimation, switches the assignment to
+	// adds ownership accounting to planning, switches the assignment to
 	// the bi-criteria objective, and arms the per-attempt block exchange.
 	frag *fragment.Fragmentation
 	// start, when set, supplies the slots (internal/dist's process fleet);
@@ -64,7 +64,7 @@ func Slots(opt Options, frag *fragment.Fragmentation) int {
 func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine) (res *Result, err error) {
 	res = &Result{}
 	if err := ctx.Err(); err != nil {
-		// A dead context must not pay for the estimation phase.
+		// A dead context must not pay for planning.
 		return res, err
 	}
 	defer engineRecover(&err)
@@ -84,16 +84,15 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	res.Rules = set.Len()
 	res.Groups = len(groups)
 
-	// ---- bPar / disPar: estimation (with border/ownership accounting
-	// under a fragmentation) + split + balanced n-partition, all memoized
-	// per variant (estimate.go); warm rounds replay the plan and its comm
-	// charges without re-touching the unit set ---------------------------
+	// ---- bPar / disPar: the chunk plan (with ship costs under a
+	// fragmentation) and its balanced n-partition, memoized per variant
+	// (plan.go); warm rounds replay the plan and its comm charges --------
 	estStart := time.Now()
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, e.frag)
+	plan, err := b.planFor(cl, groups, gk, opt, e.frag)
 	if err != nil {
 		return res, err
 	}
-	res.EstimateSpan = estSpan
+	res.EstimateSpan = plan.span
 	res.SplitUnits = plan.split
 	res.Units = len(plan.units)
 	res.TotalWeight = plan.totalWeight
@@ -105,14 +104,14 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 
 	// ---- localVio / dlocalVio: parallel local detection under the
 	// fault-tolerant scheduler (runtime.go), which also ships each round's
-	// unit descriptors ---------------------------------------------------
+	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
 	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
-	local := func() { run.exec, run.modeled = newGoroutines(ctx, cl, b, opt, inj, plan.units), true }
+	local := func() { run.exec, run.modeled = newGoroutines(ctx, cl, b, opt, inj, plan), true }
 	if e.start == nil {
 		local()
 	} else {
-		view := &DistPlan{Set: set, Combine: gk.combine, ArbitraryPivot: gk.arbitraryPivot, Groups: len(groups), b: b, units: plan.units}
+		view := &DistPlan{Set: set, Combine: gk.combine, ArbitraryPivot: gk.arbitraryPivot, Groups: len(groups), b: b, plan: plan}
 		if run.exec, err = e.start(view, cl); err != nil {
 			return res, err
 		}
@@ -122,16 +121,17 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	defer func() { run.exec.Close() }()
 	var exchanged func() (prefetched, partials int)
 	if e.frag != nil {
-		run.prep, exchanged = blockExchange(b, cl, e.frag, groups, plan.units, opt)
+		run.prep, exchanged = blockExchange(b, cl, e.frag, groups, plan, opt)
 	}
 	detStart := time.Now()
 	span, comp, perr := run.run(plan.assign)
-	if e.start != nil && perr != nil && len(run.liveWorkers()) == 0 && comp.Succeeded == 0 && run.delivered() == 0 && ctx.Err() == nil {
+	if e.start != nil && perr != nil && len(run.liveWorkers()) == 0 && run.delivered() == 0 && ctx.Err() == nil {
 		// Every supplied slot is gone with nothing achieved that a fresh
-		// start would duplicate — no unit completed, no violation delivered:
-		// run the same plan on goroutine slots rather than report total
-		// failure. Like a replacement process, the fallback does not
-		// re-arm the fault plan.
+		// start would duplicate — no violation delivered (units that
+		// completed without one, idle units answered by the coordinator
+		// among them, just run again): run the same plan on goroutine slots
+		// rather than report total failure. Like a replacement process, the
+		// fallback does not re-arm the fault plan.
 		run.exec.Close()
 		local()
 		span, comp, perr = run.run(plan.assign)
@@ -162,12 +162,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 }
 
 const (
-	unitDescriptorBytes = 16 // ⟨v̄_z, |G_z̄|⟩ on the wire
+	unitDescriptorBytes = 16 // a unit's group, ranges and stripe on the wire
 	candidateInfoBytes  = 16 // candidate + block-part size
 	violationBytes      = 48 // rule name tag + match vector
 )
-
-// The workload-estimation phase (candidate listing, equi-depth ranges,
-// block-size measurement, unit assembly) lives in estimate.go: it is
-// shared by every parallel engine and memoized on the Bundle so warm
-// rounds skip it entirely.

@@ -10,6 +10,7 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/fault"
+	"gfd/internal/graph"
 	"gfd/internal/workload"
 )
 
@@ -35,7 +36,9 @@ import (
 //     an ASSIGN frame with its halo for a process slot), so DetectSpan and
 //     the comm figures stay honest under faults;
 //   - retried units never double-report: per-unit enumeration is
-//     deterministic, so a retry skips exactly the violations its earlier
+//     deterministic — a unit enumerates its star-test survivors in class
+//     order, each in the matcher's order — so a retry skips exactly the
+//     violations its earlier
 //     attempts already delivered (unitState.emitted) before emitting the
 //     rest — the violation set of a recovered run is byte-identical to the
 //     fault-free run's (the chaos differential suites pin this);
@@ -141,13 +144,13 @@ type goroutines struct {
 	b       *Bundle
 	opt     Options
 	inj     *fault.Injector
-	units   []workUnit
+	plan    *planEntry
 	started []bool
 	runners []*UnitRunner
 }
 
-func newGoroutines(ctx context.Context, cl *cluster.Cluster, b *Bundle, opt Options, inj *fault.Injector, units []workUnit) *goroutines {
-	return &goroutines{ctx: ctx, cl: cl, b: b, opt: opt, inj: inj, units: units,
+func newGoroutines(ctx context.Context, cl *cluster.Cluster, b *Bundle, opt Options, inj *fault.Injector, plan *planEntry) *goroutines {
+	return &goroutines{ctx: ctx, cl: cl, b: b, opt: opt, inj: inj, plan: plan,
 		started: make([]bool, opt.N), runners: make([]*UnitRunner, opt.N)}
 }
 
@@ -168,12 +171,13 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 	r := e.runners[w]
 	if r == nil {
 		// Built on the slot's own goroutine, and only for slots that were
-		// handed work: the detector's block set is O(|V|).
+		// handed work: the matcher's used-set is O(|V|).
 		r = NewUnitRunner(e.ctx, e.b, e.opt, e.inj, w)
+		r.candsOf = func(ui int) [][]graph.NodeID { return e.b.candidatesOf(e.plan.chunks, ui) }
 		e.runners[w] = r
 	}
-	u := &e.units[ui]
-	_, err := r.run(r.groups[u.group], ui, *u, skip(ui), emit)
+	u := &e.plan.units[ui]
+	_, err := r.run(r.groups[u.group], ui, u, skip(ui), emit)
 	return err
 }
 
@@ -508,7 +512,7 @@ func (r *detectRun) reassign(pending, liveIdx []int, n int) [][]int {
 }
 
 // engineRecover is the last-resort safety net wrapped around every engine
-// body: a panic on the coordinator path (estimation, assignment, shipping)
+// body: a panic on the coordinator path (planning, assignment, shipping)
 // becomes an error return instead of tearing down the process. Worker
 // panics never reach it — the scheduler recovers those with unit context.
 func engineRecover(err *error) {

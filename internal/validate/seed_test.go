@@ -26,11 +26,13 @@ func seededKB(t *testing.T) (*graph.Graph, []*core.GFD) {
 	return g, rules
 }
 
-// planUnits is the unsplit unit count of opt's variant on b.
+// planUnits is the number of pivot vectors opt's variant enumerates on b:
+// the per-candidate units of the paper's model, which a chunk plan's units
+// hold in ranges.
 func planUnits(t *testing.T, b *Bundle, opt Options) int {
 	t.Helper()
 	opt.SplitThreshold = -1
-	units, err := b.ColdPlan(opt)
+	units, err := b.PlanVectors(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,90 +134,5 @@ func TestSeededPivotUnits(t *testing.T) {
 		if got := disVal(g, frag, set, o).Violations; !got.Equal(wantVio) {
 			t.Fatalf("disVal %s: %d violations, oracle %d", name, len(got), len(wantVio))
 		}
-	}
-}
-
-// TestSizeRequestsListEachNodeOnce: candidate lists overlap — a seeded
-// list lies inside the unseeded one of its label and star, a seeded
-// wildcard list reaches into every class — so the block-size requests of
-// one radius must list each requested node exactly once, or two workers
-// may measure one block and the probe counter and the modeled span would
-// count it twice.
-func TestSizeRequestsListEachNodeOnce(t *testing.T) {
-	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 60, Seed: 4})
-	cities := g.NodesWithLabel("city")
-	c0, _ := g.Attr(cities[0], "val")
-	c1, _ := g.Attr(cities[1], "val")
-
-	// Radius 1: a whole city list, a seeded city list it covers, and a
-	// seeded wildcard list that reaches beyond it.
-	town := func(label string) *pattern.Pattern {
-		q := pattern.New()
-		q.AddEdge(q.AddNode("c", label), q.AddNode("z", "country"), "located_in")
-		return q
-	}
-	// Radius 2: two seeded city lists with overlapping constant sets.
-	chain := func(withPerson bool) *pattern.Pattern {
-		q := pattern.New()
-		c := q.AddNode("c", "city")
-		z := q.AddNode("z", "country")
-		q.AddEdge(c, z, "located_in")
-		q.AddEdge(z, q.AddNode("k", "city"), "capital")
-		if withPerson {
-			q.AddEdge(q.AddNode("p", "person"), c, "born_in")
-		}
-		return q
-	}
-	y := []core.Literal{core.Const("z", "val", "nowhere")}
-	at := func(v string) []core.Literal { return []core.Literal{core.Const("c", "val", v)} }
-	set := core.MustNewSet(
-		core.MustNew("whole", town("city"), nil, y),
-		core.MustNew("seeded", town("city"), at(c0), y),
-		core.MustNew("seeded_wild", town(pattern.Wildcard), at(c0), y),
-		core.MustNew("chain0", chain(false), at(c0), y),
-		core.MustNew("person0", chain(true), at(c0), y),
-		core.MustNew("person1", chain(true), at(c1), y),
-	)
-	b := NewBundle(g, set)
-	_, groups, _ := b.ruleGroupsKeyed(Options{NoReduce: true}.Normalized())
-	lists, listOf := candLists(b.topo, groups)
-	for li := range lists {
-		lists[li].sorted = groups[lists[li].group].pivot.CandidatesIn(b.topo, lists[li].comp)
-	}
-	need := sizeRequests(groups, lists, listOf)
-
-	overlapped := false
-	for r, nodes := range need {
-		want := map[graph.NodeID]bool{}
-		asked := 0
-		for gi, grp := range groups {
-			for i, ri := range grp.pivot.Radii {
-				if ri == r {
-					for _, v := range lists[listOf[gi][i]].sorted {
-						want[v] = true
-					}
-					asked += len(lists[listOf[gi][i]].sorted)
-				}
-			}
-		}
-		listed := map[graph.NodeID]bool{}
-		for _, v := range nodes {
-			if listed[v] {
-				t.Fatalf("radius %d: node %d requested twice", r, v)
-			}
-			listed[v] = true
-		}
-		if len(listed) != len(want) {
-			t.Fatalf("radius %d: %d nodes requested, the lists hold %d", r, len(listed), len(want))
-		}
-		for v := range want {
-			if !listed[v] {
-				t.Fatalf("radius %d: node %d of a requested list is missing", r, v)
-			}
-		}
-		overlapped = overlapped || asked > len(want)
-	}
-	if !overlapped {
-		t.Fatal("no two requested lists overlap; the test is vacuous")
 	}
 }

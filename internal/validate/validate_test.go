@@ -280,6 +280,18 @@ func TestEnginesAgreeOnSocialGraph(t *testing.T) {
 
 // --- Engine instrumentation -------------------------------------------------
 
+// pivotVectors is the number of pivot vectors repVal's plan for opt
+// enumerates on (g, set): the per-candidate units of the paper's model,
+// which the plan's units hold as class ranges.
+func pivotVectors(t *testing.T, g *graph.Graph, set *core.Set, opt Options) int {
+	t.Helper()
+	n, err := NewBundle(g, set).PlanVectors(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestRepValInstrumentation(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
@@ -287,9 +299,9 @@ func TestRepValInstrumentation(t *testing.T) {
 	if res.Rules != 1 || res.Groups != 1 {
 		t.Errorf("rules=%d groups=%d", res.Rules, res.Groups)
 	}
-	// 8 flights... 4 flights -> C(4,2) = 6 deduped units.
-	if res.Units != 6 {
-		t.Errorf("units = %d, want 6 unordered flight pairs", res.Units)
+	// 4 flights -> C(4,2) = 6 deduped pivot pairs.
+	if n := pivotVectors(t, g, set, Options{N: 4}); n != 6 {
+		t.Errorf("pivot vectors = %d, want 6 unordered flight pairs", n)
 	}
 	if res.TotalWeight <= 0 || res.Makespan <= 0 || res.Makespan > res.TotalWeight {
 		t.Errorf("weights: total=%d makespan=%d", res.TotalWeight, res.Makespan)
@@ -305,10 +317,10 @@ func TestRepValInstrumentation(t *testing.T) {
 func TestRepValNoOptimizeDoublesSymmetricUnits(t *testing.T) {
 	g := paperG1()
 	set := core.MustNewSet(phi1())
-	opt := repVal(g, set, Options{N: 4})
-	nop := repVal(g, set, Options{N: 4, NoOptimize: true})
-	if nop.Units != 2*opt.Units {
-		t.Errorf("nop units = %d, want double of %d", nop.Units, opt.Units)
+	opt := pivotVectors(t, g, set, Options{N: 4})
+	nop := pivotVectors(t, g, set, Options{N: 4, NoOptimize: true})
+	if nop != 2*opt {
+		t.Errorf("nop pivot vectors = %d, want double of %d", nop, opt)
 	}
 }
 
@@ -544,8 +556,8 @@ func TestMultiQueryGroupingSharesPatterns(t *testing.T) {
 		{core.MustNewSet(f1, f2, f3), 2, 3, []string{"Atlantis", "Oz"}, 3},
 	} {
 		res := repVal(g, tc.set, Options{N: 2, NoReduce: true})
-		if res.Groups != tc.groups || res.Units != tc.units {
-			t.Errorf("%d rules: %d groups, %d units; want %d and %d", tc.set.Len(), res.Groups, res.Units, tc.groups, tc.units)
+		if units := pivotVectors(t, g, tc.set, Options{N: 2, NoReduce: true}); res.Groups != tc.groups || units != tc.units {
+			t.Errorf("%d rules: %d groups, %d pivot vectors; want %d and %d", tc.set.Len(), res.Groups, units, tc.groups, tc.units)
 		}
 		_, groups, _ := NewBundle(g, tc.set).ruleGroupsKeyed(Options{N: 2, NoReduce: true}.Normalized())
 		if f := groups[0].pivot.Filters[0]; !slices.Equal(f.Values, tc.filterOfFirst) {

@@ -36,7 +36,7 @@ func BalanceLPT(weights []int, n int) Assignment {
 
 // heaviestFirst returns the unit indices by descending weight, ties by
 // ascending index: a stable LSD radix sort of the indices, taken in
-// ascending order, on the key max − weight. Block sizes span few bits, so
+// ascending order, on the key max − weight. Unit weights span few bits, so
 // one or two counting passes replace the |W| log |W| comparisons.
 func heaviestFirst(weights []int) []int {
 	order := make([]int, len(weights))

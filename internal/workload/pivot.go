@@ -1,10 +1,10 @@
 // Package workload implements the workload model of Section 5.2: pivot
 // vectors PV(ϕ) and their candidates (the pivot label's class, semi-joined
-// with the pivot's pattern neighbours), work units w = ⟨v̄_z, G_z̄⟩,
-// workload estimation W(Σ, G), the greedy 2-approximation for balanced
-// n-partitions (Proposition 12), and the bi-criteria assignment that
-// additionally minimizes communication cost for fragmented graphs
-// (Proposition 13).
+// with the pivot's pattern neighbours), work units as ranges of the pivot
+// classes (chunks, whose candidates are found where they run), the greedy
+// 2-approximation for balanced n-partitions (Proposition 12), and the
+// bi-criteria assignment that additionally minimizes communication cost
+// for fragmented graphs (Proposition 13).
 package workload
 
 import (
@@ -23,8 +23,8 @@ import (
 // minimum-radius node) or seeded (Seed: a node carrying a constant X
 // literal, whose filter keeps the class members holding one of the
 // constants). Either way its candidates are the class members where every
-// pattern neighbour of the pivot can bind (CandidatesIn), so a work unit
-// exists only where the pivot's star is present.
+// pattern neighbour of the pivot can bind (Candidates), so a unit
+// enumerates only where the pivot's star is present.
 type Pivot struct {
 	Q          *pattern.Pattern
 	Components [][]int  // node indices per connected component
@@ -153,26 +153,45 @@ func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
 	return t.Syms().Lookup(label)
 }
 
-// CandidatesIn returns, for pivot component i, the candidate nodes of the
-// pivot variable on a compiled topology (frozen snapshot or overlay): the
-// members of the pivot label's class, all nodes for a wildcard pivot, that
-// pass the component's filter when it is seeded and at which every pattern
-// neighbour q of the pivot can bind. For each q, every run of the member's
-// adjacency along a pivot–q pattern edge, keyed by q's label, is non-empty,
-// and the runs with a concrete edge and q label — the To-sorted ones —
-// share a neighbour. Injectivity is ignored, so the test is weaker than a
-// match and never drops one. One pass over the class runs both tests on the
-// topology's own view, so an overlay's updates count; a label or constant
-// its symbol table never interned holds on no node.
-func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
-	var class []graph.NodeID
+// Class returns component i's class on t in ascending node order, and nil
+// for a wildcard pivot, whose class is every node: position k is node k.
+func (p *Pivot) Class(t graph.Topology, i int) []graph.NodeID {
 	if c := p.ClassIn(t, i); c != graph.WildcardSym {
-		class = t.NodesWith(c)
-	} else {
-		class = make([]graph.NodeID, t.NumNodes())
-		for j := range class {
-			class[j] = graph.NodeID(j)
-		}
+		return t.NodesWith(c)
+	}
+	return nil
+}
+
+// ClassLen returns the size of component i's class on t.
+func (p *Pivot) ClassLen(t graph.Topology, i int) int {
+	if c := p.ClassIn(t, i); c != graph.WildcardSym {
+		return t.ClassSize(c)
+	}
+	return t.NumNodes()
+}
+
+// CandidatesIn returns the candidates of pivot component i over its whole
+// class: Candidates over [0, ClassLen).
+func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
+	return p.Candidates(t, i, Range{0, p.ClassLen(t, i)})
+}
+
+// Candidates returns, for pivot component i, the candidate nodes of the
+// pivot variable among the class members at positions r on a compiled
+// topology (frozen snapshot or overlay), in class order: the members that
+// pass the component's filter when it is seeded and at which every pattern
+// neighbour q of the pivot can bind — the star test. For each q, every run
+// of the member's adjacency along a pivot–q pattern edge, keyed by q's
+// label, is non-empty, and the runs with a concrete edge and q label — the
+// To-sorted ones — share a neighbour. Injectivity is ignored, so the test
+// is weaker than a match and never drops one. One pass over the range runs
+// both tests on the topology's own view, so an overlay's updates count; a
+// label or constant its symbol table never interned holds on no node. With
+// nothing to test, the result may alias the topology's class.
+func (p *Pivot) Candidates(t graph.Topology, i int, r Range) []graph.NodeID {
+	class := p.Class(t, i)
+	if class != nil {
+		class = class[r.Lo:r.Hi]
 	}
 	attr, vals, ok := p.Filters[i].lower(t.Syms())
 	if !ok {
@@ -180,13 +199,23 @@ func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
 	}
 	s := p.starIn(t, i)
 	if attr == graph.NoSym && len(s) == 0 {
+		if class == nil {
+			class = make([]graph.NodeID, r.Len())
+			for k := range class {
+				class[k] = graph.NodeID(r.Lo + k)
+			}
+		}
 		return class
 	}
 	view := t.View()
 	var out, common []graph.NodeID
 	var runs [graph.MaxIntersectArity][]graph.CSREdge
 next:
-	for _, v := range class {
+	for j := range r.Len() {
+		v := graph.NodeID(r.Lo + j)
+		if class != nil {
+			v = class[j]
+		}
 		if attr != graph.NoSym {
 			if a, ok := view.AttrSym(v, attr); !ok || !slices.Contains(vals, a) {
 				continue
@@ -194,17 +223,17 @@ next:
 		}
 		for _, nbr := range s {
 			k := 0
-			for _, r := range nbr {
+			for _, run := range nbr {
 				var es []graph.CSREdge
-				if r.in {
-					es = view.InWithNbr(v, r.label, r.nbr)
+				if run.in {
+					es = view.InWithNbr(v, run.label, run.nbr)
 				} else {
-					es = view.OutWithNbr(v, r.label, r.nbr)
+					es = view.OutWithNbr(v, run.label, run.nbr)
 				}
 				if len(es) == 0 {
 					continue next
 				}
-				if r.label != graph.WildcardSym && r.nbr != graph.WildcardSym && k < len(runs) {
+				if run.label != graph.WildcardSym && run.nbr != graph.WildcardSym && k < len(runs) {
 					runs[k] = es
 					k++
 				}

@@ -2,23 +2,54 @@ package workload
 
 import "gfd/internal/graph"
 
-// Unit is a work unit w = ⟨v̄_z, |G_z̄|⟩: a pivot candidate vector (one
-// graph node per pattern component) plus the size of its data block — the
-// union of the c_i-hop neighborhoods of the candidates. Validating a GFD
-// reduces to enumerating matches inside each unit's data block with the
-// pivots pinned.
-type Unit struct {
-	Pivot      *Pivot
-	Candidates []graph.NodeID // v̄_z, aligned with Pivot.Vars
-	BlockSize  int            // |G_z̄| = Σ_i |G_z̄[z_i]|, the unit's weight
+// Range is a half-open range [Lo, Hi) of positions in a pivot component's
+// class (Pivot.ClassIn, ascending node IDs; all nodes for a wildcard).
+type Range struct {
+	Lo, Hi int
 }
 
-// Weight returns the unit's load estimate used by the balancers. The paper
-// weighs a unit by |G_z̄|^|Σ|; raising to the rule-set size overflows for
-// any realistic block, so the implementation uses |G_z̄| directly — the
-// ordering (and hence the greedy partition) is identical because the map
-// x ↦ x^k is monotone.
-func (u Unit) Weight() int { return u.BlockSize }
+// Len returns the number of class members the range covers.
+func (r Range) Len() int { return r.Hi - r.Lo }
+
+// Unit is a work unit of a chunk plan: one range of each pivot component's
+// class. Its pivot candidates are the range members that pass the star
+// test (Pivot.Candidates), found by the slot that runs the unit, over its
+// own view; its work is every match with the pivots bound to a vector of
+// them. Unit vectors partition the candidate vectors w = ⟨v̄_z, G_z̄⟩ of the
+// paper's workload model, so validating a GFD reduces to running each unit.
+type Unit struct {
+	Pivot  *Pivot
+	Ranges []Range // one per component, aligned with Pivot.Vars
+	Load   int     // the balancers' estimate of the unit's work
+}
+
+// Weight returns the unit's load estimate used by the balancers. A chunk
+// plan weighs a unit by its member count times the mean degree, and a
+// heavy pivot's stripe by its share of the pivot's degree: counts the
+// planner has without reading a member.
+func (u Unit) Weight() int { return u.Load }
+
+// CandidatesIn returns, per component, the unit's pivot candidates on t:
+// the members of the component's range that pass the star test.
+func (u Unit) CandidatesIn(t graph.Topology) [][]graph.NodeID {
+	out := make([][]graph.NodeID, len(u.Ranges))
+	for i, r := range u.Ranges {
+		out[i] = u.Pivot.Candidates(t, i, r)
+	}
+	return out
+}
+
+// BlockIn materializes the unit's data block G_z̄ as a node set: the union
+// of the c_i-hop neighborhoods of its pivot candidates.
+func (u Unit) BlockIn(t graph.Topology) graph.NodeSet {
+	set := make(graph.NodeSet)
+	for i, cands := range u.CandidatesIn(t) {
+		for _, v := range cands {
+			set.AddAll(t.Neighborhood(v, u.Pivot.Radii[i]))
+		}
+	}
+	return set
+}
 
 // crossProduct enumerates candidate vectors with pairwise-distinct entries
 // (pivots are images of distinct pattern nodes under an injective match).
@@ -50,16 +81,6 @@ func crossProduct(cands [][]graph.NodeID, vec []graph.NodeID, depth int, symmetr
 	return true
 }
 
-// BlockIn materializes the unit's data block G_z̄ as a node set: the union
-// of the c_i-hop neighborhoods of the pivot candidates.
-func (u Unit) BlockIn(t graph.Topology) graph.NodeSet {
-	set := make(graph.NodeSet)
-	for i, v := range u.Candidates {
-		set.AddAll(t.Neighborhood(v, u.Pivot.Radii[i]))
-	}
-	return set
-}
-
 // EachVector enumerates candidate vectors with pairwise-distinct entries
 // over the supplied per-component candidate lists, in cross-product order;
 // symmetric keeps only the ordered pairs v[0] < v[1] of a two-component
@@ -73,9 +94,8 @@ func EachVector(cands [][]graph.NodeID, symmetric bool, fn func([]graph.NodeID) 
 	crossProduct(cands, vec, 0, symmetric, fn)
 }
 
-// CountVectors returns how many vectors EachVector enumerates, so callers
-// can size unit storage exactly before filling it. Candidate lists hold
-// distinct nodes, so a single component needs no enumeration.
+// CountVectors returns how many vectors EachVector enumerates. Candidate
+// lists hold distinct nodes, so a single component needs no enumeration.
 func CountVectors(cands [][]graph.NodeID, symmetric bool) int {
 	if len(cands) == 1 {
 		return len(cands[0])

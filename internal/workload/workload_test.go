@@ -264,11 +264,13 @@ func TestUnitBlock(t *testing.T) {
 	g := flightGraph(2)
 	pv := ComputePivot(numberedFlight())
 	snap := g.Freeze()
-	u := Unit{Pivot: pv, Candidates: pv.CandidatesIn(snap, 0)[:1], BlockSize: 3}
+	// A one-member range at the first candidate's class position.
+	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
+	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
 	if block := u.BlockIn(snap); block.Len() != 2 {
 		t.Errorf("block nodes = %d, want flight + id", block.Len())
 	}
-	if u.Weight() != u.BlockSize {
+	if u.Weight() != u.Load {
 		t.Errorf("weight = %d", u.Weight())
 	}
 }
