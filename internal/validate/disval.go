@@ -179,12 +179,7 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // dlocalVio likewise estimates before exchanging.
 func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
 	view := topo.View()
-	block := make(graph.NodeSet)
-	for i, vs := range cands {
-		for _, v := range vs {
-			block.AddAll(topo.Neighborhood(v, u.Pivot.Radii[i]))
-		}
-	}
+	block := u.BlockIn(topo, cands)
 	syms := pattern.CompileFor(grp.q, view.Syms()).NodeSyms
 	var upper int64
 	for v := range block {

@@ -29,22 +29,13 @@ type Unit struct {
 // planner has without reading a member.
 func (u Unit) Weight() int { return u.Load }
 
-// CandidatesIn returns, per component, the unit's pivot candidates on t:
-// the members of the component's range that pass the star test.
-func (u Unit) CandidatesIn(t graph.Topology) [][]graph.NodeID {
-	out := make([][]graph.NodeID, len(u.Ranges))
-	for i, r := range u.Ranges {
-		out[i] = u.Pivot.Candidates(t, i, r)
-	}
-	return out
-}
-
 // BlockIn materializes the unit's data block G_z̄ as a node set: the union
-// of the c_i-hop neighborhoods of its pivot candidates.
-func (u Unit) BlockIn(t graph.Topology) graph.NodeSet {
+// of the c_i-hop neighborhoods of its pivot candidates cands, one list per
+// component (the survivors of its star test).
+func (u Unit) BlockIn(t graph.Topology, cands [][]graph.NodeID) graph.NodeSet {
 	set := make(graph.NodeSet)
-	for i, cands := range u.CandidatesIn(t) {
-		for _, v := range cands {
+	for i, vs := range cands {
+		for _, v := range vs {
 			set.AddAll(t.Neighborhood(v, u.Pivot.Radii[i]))
 		}
 	}

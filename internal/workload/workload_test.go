@@ -267,7 +267,8 @@ func TestUnitBlock(t *testing.T) {
 	// A one-member range at the first candidate's class position.
 	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
 	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
-	if block := u.BlockIn(snap); block.Len() != 2 {
+	cands := [][]graph.NodeID{pv.Candidates(snap, 0, u.Ranges[0])}
+	if block := u.BlockIn(snap, cands); block.Len() != 2 {
 		t.Errorf("block nodes = %d, want flight + id", block.Len())
 	}
 	if u.Weight() != u.Load {
