@@ -18,7 +18,7 @@ func cancelWorkload(t *testing.T) (*graph.Graph, *Bundle) {
 	// Fine chunks, so that every worker's queue is long enough for the
 	// chaos plans' unit ordinals.
 	SetGranularity(t, 64, 16)
-	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 600, Seed: 9})
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 1200, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
 	if set.Len() == 0 {
 		t.Fatal("no rules mined")
