@@ -416,7 +416,7 @@ func BenchmarkImplicationReduce(b *testing.B) {
 
 func BenchmarkBigDansingJoins(b *testing.B) {
 	w := exp.Prepare(exp.Config{Dataset: "yago2", Scale: 150, Rules: 5, PatternSize: 4, Seed: 42})
-	rel := baseline.Encode(w.G)
+	rel := baseline.Encode(w.G.Freeze())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		baseline.DetectJoins(w.G, rel, w.Set, 8)

@@ -31,10 +31,10 @@
 // paid once per (graph version, rule set) across every round; mutating
 // the graph directly re-prepares automatically, exactly once per new
 // version. Small mutations routed through Session.Apply (or an
-// incremental detector) skip even that: they fold into a maintained
-// delta Overlay the next Detect runs against, and the overlay's view is
-// flattened into a fresh snapshot only when the accumulated delta
-// outgrows the base (compaction).
+// incremental detector) skip even that: they fold into the graph's one
+// live delta Overlay, which the next Detect runs against, and the batch
+// whose accumulated delta outgrows the base flattens the overlay's view
+// into a fresh snapshot (compaction) and starts the next live overlay.
 // Violations runs the same engines as one fused, pull-based pipeline —
 // match enumeration → compiled literal check → emission, with per-worker
 // bounded lanes (Options.StreamBuffer) applying backpressure instead of
@@ -103,10 +103,11 @@ type (
 	// *Overlay's patched view.
 	Topology = graph.Topology
 	// Overlay applies AddNode/AddEdge/SetAttr updates to a base Snapshot
-	// and serves reads through its embedded patched view — the delta view
-	// Session.Apply and the incremental detector maintain so small
-	// mutations stop costing a full re-freeze. It owns the delta: the
-	// graph reads through the view and is never written or thawed.
+	// and serves reads through its embedded patched view, so small
+	// mutations stop costing a full re-freeze. A graph has one live
+	// overlay, which Session.Apply and every incremental detector of the
+	// graph write through. It owns the delta: the graph reads through the
+	// view and is never written or thawed.
 	Overlay = graph.Overlay
 
 	// Pattern is a graph pattern Q[x̄].
@@ -400,12 +401,12 @@ type (
 )
 
 // NewIncremental builds an incremental detector with an initial full
-// validation of g against Σ. The detector maintains a delta Overlay over
-// the graph's frozen snapshot and enumerates through each batch's delta
-// on the compiled match path; no full snapshot is rebuilt per batch.
-// Session.Incremental is the session-aware equivalent: it shares one
-// maintained overlay across detectors and Session.Apply, so the
-// session's prepared rule sets follow updates without re-freezing.
+// validation of g against Σ. The detector writes through the graph's live
+// Overlay and enumerates through each batch's delta on the compiled match
+// path; no full snapshot is rebuilt per batch. Session.Incremental builds
+// the same detector: every detector and Session.Apply of one graph share
+// its live overlay, so a session's prepared rule sets follow the updates
+// without re-freezing.
 func NewIncremental(g *Graph, s *Set) *IncrementalDetector { return incremental.New(g, s) }
 
 // RepairSuggestion is one proposed attribute fix derived from a violation

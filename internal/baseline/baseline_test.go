@@ -151,7 +151,7 @@ func TestBigDansingMatchesGFDEngine(t *testing.T) {
 		t.Skip("no rules mined")
 	}
 	want := detVio(g, set)
-	rel := Encode(g)
+	rel := Encode(g.Freeze())
 	got := DetectJoins(g, rel, set, 4)
 	if !got.Equal(want) {
 		t.Fatalf("join engine found %d violations, GFD engine %d", len(got), len(want))
@@ -170,7 +170,7 @@ func TestBigDansingIsolatedNodesAndInjectivity(t *testing.T) {
 	if len(want) != 2 {
 		t.Fatalf("expected both orders to violate, got %d", len(want))
 	}
-	got := DetectJoins(g, Encode(g), set, 2)
+	got := DetectJoins(g, Encode(g.Freeze()), set, 2)
 	if !got.Equal(want) {
 		t.Errorf("join engine: %v, want %v", got, want)
 	}
@@ -193,7 +193,7 @@ func TestBigDansingWildcardLabels(t *testing.T) {
 	if len(want) != 1 {
 		t.Fatalf("penguin inconsistency not found by reference: %d", len(want))
 	}
-	got := DetectJoins(g, Encode(g), set, 1)
+	got := DetectJoins(g, Encode(g.Freeze()), set, 1)
 	if !got.Equal(want) {
 		t.Error("join engine misses the wildcard is_a violation")
 	}
@@ -209,7 +209,7 @@ func TestBigDansingSlowerThanPivotEngine(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules")
 	}
-	rel := Encode(g)
+	rel := Encode(g.Freeze())
 	if got, want := DetectJoins(g, rel, set, 2), detVio(g, set); !got.Equal(want) {
 		t.Error("join engine result mismatch")
 	}

@@ -17,30 +17,35 @@ import (
 // indexes a generic relational engine would build (edges by label, nodes
 // by label).
 type Relational struct {
-	g            *graph.Graph // retained only for attribute lookups in dependency checks
 	nodesByLabel map[string][]graph.NodeID
 	edgesByLabel map[string][]graph.Edge
 	allEdges     []graph.Edge
 	allNodes     []graph.NodeID
 }
 
-// Encode builds the relational encoding of g.
-func Encode(g *graph.Graph) *Relational {
+// Encode builds the relational encoding of a topology — a frozen or
+// store-adopted snapshot, or an overlay's view — reading its compiled
+// arrays, so encoding a hollow graph never materializes its string maps.
+// Edges come in (source, adjacency) order.
+func Encode(t graph.Topology) *Relational {
 	r := &Relational{
-		g:            g,
 		nodesByLabel: make(map[string][]graph.NodeID),
 		edgesByLabel: make(map[string][]graph.Edge),
 	}
-	for v := 0; v < g.NumNodes(); v++ {
+	syms := t.Syms()
+	for v := 0; v < t.NumNodes(); v++ {
 		id := graph.NodeID(v)
+		l := syms.Name(t.Label(id))
 		r.allNodes = append(r.allNodes, id)
-		r.nodesByLabel[g.Label(id)] = append(r.nodesByLabel[g.Label(id)], id)
+		r.nodesByLabel[l] = append(r.nodesByLabel[l], id)
 	}
-	g.Edges(func(e graph.Edge) bool {
-		r.allEdges = append(r.allEdges, e)
-		r.edgesByLabel[e.Label] = append(r.edgesByLabel[e.Label], e)
-		return true
-	})
+	for v := 0; v < t.NumNodes(); v++ {
+		for _, he := range t.Out(graph.NodeID(v)) {
+			e := graph.Edge{From: graph.NodeID(v), To: he.To, Label: syms.Name(he.Label)}
+			r.allEdges = append(r.allEdges, e)
+			r.edgesByLabel[e.Label] = append(r.edgesByLabel[e.Label], e)
+		}
+	}
 	return r
 }
 

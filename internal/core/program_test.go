@@ -181,9 +181,9 @@ func TestGuardMatchesSatisfiesX(t *testing.T) {
 	}
 }
 
-// TestLiteralProgramAttrIndex pins the mutable-index path (what the
-// incremental detector evaluates against) to the oracle, across attribute
-// mutations that introduce previously-unseen values — including a rule
+// TestLiteralProgramAttrIndex pins the mutable-index path (an overlay's
+// attribute index, what the incremental detector evaluates against) to the
+// oracle on a directly mutated twin, across attribute mutations that introduce previously-unseen values — including a rule
 // constant that only starts occurring after compilation, the case
 // InternLiterals exists for.
 func TestLiteralProgramAttrIndex(t *testing.T) {
@@ -191,7 +191,8 @@ func TestLiteralProgramAttrIndex(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + rng.Intn(15)
 		g := randomAttrGraph(rng, n)
-		ix := graph.NewAttrIndex(g)
+		twin := g.Clone()
+		ix := graph.NewOverlay(g)
 		k := 1 + rng.Intn(3)
 		rules := make([]*core.GFD, 6)
 		progs := make([]*core.LiteralProgram, len(rules))
@@ -206,7 +207,7 @@ func TestLiteralProgramAttrIndex(t *testing.T) {
 			for i, f := range rules {
 				for mi := 0; mi < 20; mi++ {
 					h := randomMatch(rng, k, n)
-					if got, want := progs[i].IsViolation(ix, h), f.IsViolation(g, h); got != want {
+					if got, want := progs[i].IsViolation(ix, h), f.IsViolation(twin, h); got != want {
 						t.Fatalf("%s %s: IsViolation(%v) index=%v oracle=%v", stage, f, h, got, want)
 					}
 				}
@@ -222,7 +223,7 @@ func TestLiteralProgramAttrIndex(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				val = "unknown-constant"
 			}
-			g.SetAttr(v, a, val)
+			twin.SetAttr(v, a, val)
 			ix.SetAttr(v, a, val)
 		}
 		check("after-mutation")

@@ -90,7 +90,6 @@ type Fragment struct {
 	Nodes    []graph.NodeID // owned nodes, ascending
 	InNodes  []graph.NodeID // F_i.I: owned nodes with an edge from outside
 	OutNodes []graph.NodeID // F_i.O: remote nodes with an edge from inside
-	byLabel  map[string][]graph.NodeID
 }
 
 // Partition splits g into n fragments using the given strategy. It reads
@@ -110,16 +109,13 @@ func PartitionSnapshot(snap *graph.Snapshot, n int, s Strategy) *Fragmentation {
 	}
 	f := &Fragmentation{snap: snap, N: n, Owner: make([]int, snap.NumNodes())}
 	for i := 0; i < n; i++ {
-		f.frags = append(f.frags, &Fragment{ID: i, byLabel: make(map[string][]graph.NodeID)})
+		f.frags = append(f.frags, &Fragment{ID: i})
 	}
 	for v := 0; v < snap.NumNodes(); v++ {
 		id := graph.NodeID(v)
 		owner := Owner(s, id, snap.NumNodes(), n)
 		f.Owner[v] = owner
-		fr := f.frags[owner]
-		fr.Nodes = append(fr.Nodes, id)
-		l := snap.LabelName(id)
-		fr.byLabel[l] = append(fr.byLabel[l], id)
+		f.frags[owner].Nodes = append(f.frags[owner].Nodes, id)
 	}
 	f.computeBorders(snap)
 	return f
@@ -176,12 +172,6 @@ func (f *Fragmentation) Frag(i int) *Fragment { return f.frags[i] }
 
 // OwnerOf returns the fragment index owning node v.
 func (f *Fragmentation) OwnerOf(v graph.NodeID) int { return f.Owner[v] }
-
-// LocalNodesWithLabel returns fragment i's locally-owned candidates for a
-// label.
-func (f *Fragmentation) LocalNodesWithLabel(i int, label string) []graph.NodeID {
-	return f.frags[i].byLabel[label]
-}
 
 // eachCut calls fn for every edge of snap whose endpoints lie in
 // different fragments.

@@ -90,25 +90,6 @@ func TestRangePartitionChainBorders(t *testing.T) {
 	}
 }
 
-func TestLocalNodesWithLabel(t *testing.T) {
-	g := graph.New(0, 0)
-	for i := 0; i < 20; i++ {
-		label := "a"
-		if i%2 == 1 {
-			label = "b"
-		}
-		g.AddNode(label, nil)
-	}
-	f := Partition(g, 3, Hash)
-	count := 0
-	for i := 0; i < 3; i++ {
-		count += len(f.LocalNodesWithLabel(i, "a"))
-	}
-	if count != 10 {
-		t.Errorf("local 'a' candidates sum to %d, want 10", count)
-	}
-}
-
 func TestNodeBytesGrowsWithContent(t *testing.T) {
 	g := graph.New(0, 0)
 	small := g.AddNode("x", nil)

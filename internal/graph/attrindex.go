@@ -24,37 +24,10 @@ type AttrIndex struct {
 	syms  *Symbols
 	pairs [][]AttrPair // indexed by NodeID, each sorted by Name
 
-	// borrowed marks tuples that alias a frozen snapshot's arena
-	// (newAttrIndexOver): those are copied before the first write so the
-	// shared snapshot stays immutable. nil for indexes that own all
-	// tuples (NewAttrIndex).
+	// borrowed marks tuples that alias the frozen snapshot's arena: those
+	// are copied before the first write so the shared snapshot stays
+	// immutable.
 	borrowed []bool
-}
-
-// NewAttrIndex builds the index of g's current attribute tuples. Names are
-// interned from one sorted pass over the distinct set (deterministic codes,
-// mirroring buildSnapshot); values in (node, sorted name) order.
-func NewAttrIndex(g *Graph) *AttrIndex {
-	g.ensureThawed()
-	ix := &AttrIndex{syms: NewSymbols(), pairs: make([][]AttrPair, g.NumNodes())}
-	distinct := make(map[string]struct{}, 8)
-	for _, a := range g.attrs {
-		for k := range a {
-			distinct[k] = struct{}{}
-		}
-	}
-	names := make([]string, 0, len(distinct))
-	for k := range distinct {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		ix.syms.Intern(k)
-	}
-	for v := range g.attrs {
-		ix.pairs[v] = ix.internTuple(g.attrs[v])
-	}
-	return ix
 }
 
 // newAttrIndexOver builds an index over a frozen snapshot's interned
@@ -118,7 +91,7 @@ func (ix *AttrIndex) AddNode(attrs Attrs) {
 // snapshot arena).
 func (ix *AttrIndex) SetAttr(v NodeID, name, val string) {
 	n, vl := ix.syms.Intern(name), ix.syms.Intern(val)
-	if ix.borrowed != nil && int(v) < len(ix.borrowed) && ix.borrowed[v] {
+	if int(v) < len(ix.borrowed) && ix.borrowed[v] {
 		ix.pairs[v] = append([]AttrPair(nil), ix.pairs[v]...)
 		ix.borrowed[v] = false
 	}

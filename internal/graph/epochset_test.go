@@ -90,15 +90,15 @@ func TestEpochSetBasics(t *testing.T) {
 }
 
 // TestAttrIndexMatchesGraph pins AttrIndex lookups (and their evolution
-// under SetAttr/AddNode) to Graph.Attr, via string round-trips since the
-// index owns its own symbol table.
+// under SetAttr/AddNode, copy-on-write over the borrowed arena) to
+// Graph.Attr, via string round-trips through the snapshot's table.
 func TestAttrIndexMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	names := []string{"val", "x", "y", "zz"}
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + rng.Intn(12)
 		g := randomTestGraph(rng, n, n)
-		ix := NewAttrIndex(g)
+		ix := newAttrIndexOver(g.Freeze())
 		check := func(stage string) {
 			for v := 0; v < g.NumNodes(); v++ {
 				for _, a := range names {

@@ -79,6 +79,11 @@ type Graph struct {
 	// overlay write makes the graph hollow again.
 	hollow atomic.Pointer[Snapshot]
 	thawMu sync.Mutex // serializes concurrent thawing reads
+
+	// live is the graph's one writer-side overlay (see NewOverlay); liveMu
+	// serializes starting and compacting it.
+	live   atomic.Pointer[Overlay]
+	liveMu sync.Mutex
 }
 
 // snapBuild tracks one in-flight snapshot construction: concurrent Freeze

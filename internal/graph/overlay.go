@@ -18,7 +18,6 @@ import (
 // graph's read source (the graph is hollow over it, see AdoptFlat), so an
 // adopted graph never thaws and a heap-built graph drops its maps on the
 // first write. Update cost is bounded by the delta, never by the graph.
-// Compaction is Graph.Freeze, which flattens the view into fresh arrays.
 //
 // Representation: adjacency of a touched node is copied out of the base
 // CSR on first touch and maintained (label, neighbor label, neighbor)-sorted
@@ -39,25 +38,48 @@ import (
 // matching against views sharing the table is not safe; between update
 // batches the overlay is safe for concurrent readers, like a Snapshot.
 //
-// An Overlay is meant to stay small relative to its base: patch cost grows
-// with the touched region, and holders compact (Freeze the graph and start
-// a fresh overlay) once DeltaFraction crosses their threshold.
+// A graph has at most one live overlay, and the graph owns it: NewOverlay
+// returns it (starting one when none is live), every holder of the graph
+// writes through it, and Settle, after a batch, compacts it once its delta
+// has outgrown the base — Freeze flattens the view, the overlay retires and
+// a fresh one over the flat snapshot becomes the live one. A retired
+// overlay still reads as before but is no longer Synced, so no holder can
+// write through it.
 type Overlay struct {
 	*Snapshot // the patched read view
 
 	base  *Snapshot
 	delta int // patch size: nodes + edges + attribute writes since the freeze
-
 }
 
-// NewOverlay freezes g (cached per version, so stacking an overlay on an
-// already-frozen graph builds nothing; a graph hollow over another
-// overlay's view is compacted) and returns an empty overlay over the
-// snapshot. There is exactly one writer: all further mutations must flow
-// through one synced overlay's AddNode/AddEdge/SetAttr. A direct graph
-// mutation, or a write through another overlay, desynchronizes it (see
-// Synced), and its writes fail from then on.
+// NewOverlay returns g's live overlay, the graph's one writer. It starts
+// one — an empty overlay over g's snapshot, Freeze cached per version, so
+// this builds nothing on an already-frozen graph — only when none is live
+// or the graph moved on without it (a direct mutation). Every holder of g
+// (sessions, incremental detectors, dist workers) gets the same overlay, so
+// each one's writes are the others' reads.
 func NewOverlay(g *Graph) *Overlay {
+	g.liveMu.Lock()
+	defer g.liveMu.Unlock()
+	if o := g.LiveOverlay(); o != nil {
+		return o
+	}
+	return g.startOverlay()
+}
+
+// LiveOverlay returns g's live overlay while it is synced, nil otherwise.
+// Unlike NewOverlay it starts none, so concurrent readers may call it.
+func (g *Graph) LiveOverlay() *Overlay {
+	if o := g.live.Load(); o != nil && o.Synced() {
+		return o
+	}
+	return nil
+}
+
+// startOverlay makes an empty overlay over g's current snapshot the live
+// one, retiring the previous. A graph hollow over the previous overlay's
+// view is flattened by the Freeze. Callers hold g.liveMu.
+func (g *Graph) startOverlay() *Overlay {
 	base := g.Freeze()
 	view := &Snapshot{
 		g: g, syms: base.syms, labels: base.labels,
@@ -73,32 +95,54 @@ func NewOverlay(g *Graph) *Overlay {
 			version: g.Version(),
 		},
 	}
-	return &Overlay{Snapshot: view, base: base}
+	o := &Overlay{Snapshot: view, base: base}
+	g.live.Store(o)
+	return o
+}
+
+// Settle ends a batch of writes through o. Once the delta has outgrown the
+// base by CompactFraction it compacts: Freeze flattens the view into fresh
+// flat arrays (no sort, same symbol table), o retires, and a fresh overlay
+// over the flat snapshot becomes the graph's live one. The batch that
+// crosses the fraction pays the O(|V|+|E|) flatten, once per Ω(|G|)
+// updates. Node IDs survive, so holders adopt the new overlay through
+// NewOverlay and keep their state.
+func (o *Overlay) Settle() {
+	if o.deltaFraction() <= CompactFraction {
+		return
+	}
+	g := o.g
+	g.liveMu.Lock()
+	defer g.liveMu.Unlock()
+	if o.Synced() {
+		g.startOverlay()
+	}
 }
 
 // Base returns the frozen snapshot the overlay patches.
 func (o *Overlay) Base() *Snapshot { return o.base }
 
-// Synced reports whether the overlay reflects the graph's current version
-// — true as long as every mutation since NewOverlay went through this
-// overlay (or through none). Holders of a desynchronized overlay must
-// discard it and start a fresh one; writing through it fails with
-// ErrStaleOverlay.
-func (o *Overlay) Synced() bool { return o.patch.version == o.g.Version() }
+// Synced reports whether o is the graph's live overlay at the graph's
+// current version — true until a direct graph mutation or a compaction
+// (Settle) retires it. Writing through an overlay that is not synced fails
+// with ErrStaleOverlay; its holders adopt the live one through NewOverlay.
+func (o *Overlay) Synced() bool {
+	return o.g.live.Load() == o && o.patch.version == o.g.Version()
+}
 
-// ErrStaleOverlay reports a write through an overlay that no longer
-// reflects its graph: the graph moved on through a direct mutation or
-// another overlay, so a patch on this view would be lost.
+// ErrStaleOverlay reports a write through an overlay that is no longer its
+// graph's live writer: the graph moved on through a direct mutation, or a
+// compaction retired the overlay, so a patch on this view would be lost.
 var ErrStaleOverlay = errors.New("graph: write through a desynchronized overlay")
 
 // Delta returns the patch size: nodes inserted + edges inserted +
 // attribute writes since the base freeze.
 func (o *Overlay) Delta() int { return o.delta }
 
-// DeltaFraction returns Delta relative to the base size |V|+|E| — the
-// compaction trigger: past a threshold fraction, re-freezing once is
-// cheaper than dragging a large patch set through every lookup.
-func (o *Overlay) DeltaFraction() float64 {
+// deltaFraction returns Delta relative to the base size |V|+|E| — the
+// compaction trigger: past CompactFraction, re-freezing once is cheaper
+// than dragging a large patch set through every lookup.
+func (o *Overlay) deltaFraction() float64 {
 	base := o.base.NumNodes() + o.base.NumEdges()
 	if base < 1 {
 		base = 1
@@ -106,16 +150,9 @@ func (o *Overlay) DeltaFraction() float64 {
 	return float64(o.delta) / float64(base)
 }
 
-// CompactFraction is the DeltaFraction past which holders should compact
-// (drop the overlay and re-freeze once). One shared constant: the session
-// and the incremental detector maintain the same overlay, so diverging
-// thresholds would make the lifecycle depend on which Apply a batch took.
-// Past a quarter of the base, one amortized freeze beats the patches.
+// CompactFraction is the delta fraction past which Settle compacts. Past a
+// quarter of the base, one amortized freeze beats the patches.
 const CompactFraction = 0.25
-
-// NeedsCompaction reports whether the accumulated delta has outgrown the
-// base by CompactFraction.
-func (o *Overlay) NeedsCompaction() bool { return o.DeltaFraction() > CompactFraction }
 
 // AddNode inserts a node: label interned, candidate class extended,
 // attribute tuple indexed. Returns the new node's ID. It panics with
@@ -158,7 +195,7 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 	p.in[to] = o.insertSorted(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
 	p.edges++
 	// One unit per edge, matching the |V|+|E| denominator of
-	// DeltaFraction — counting both half-edge patches would silently
+	// deltaFraction — counting both half-edge patches would silently
 	// halve the documented compaction threshold for edge-heavy streams.
 	o.delta++
 	p.version = o.g.readThrough(o.Snapshot)

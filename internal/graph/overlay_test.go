@@ -249,8 +249,8 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 // assertCompaction checks the compaction oracle on a stream's graph:
 // Freeze flattens the overlay's view into a frozen snapshot (one counted
 // build) that keeps the live symbol table, equals the twin's fresh freeze
-// by names, and has a valid flat image; a fresh overlay over it serves
-// the same graph.
+// by names, and has a valid flat image; the graph's live overlay still
+// serves the same graph.
 func assertCompaction(t *testing.T, w twinStream) {
 	t.Helper()
 	g := w.ov.Graph()
@@ -321,7 +321,7 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 			if ov.Delta() == 0 {
 				t.Error("delta must grow with patches")
 			}
-			if frac := ov.DeltaFraction(); frac <= 0 {
+			if frac := ov.deltaFraction(); frac <= 0 {
 				t.Errorf("delta fraction = %v, want > 0", frac)
 			}
 
@@ -358,9 +358,8 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 }
 
 // TestHollowGraphReadsMatchTwin: the graph reads that have no snapshot
-// fast path of their own (Neighborhood, NeighborhoodSize, NewAttrIndex)
-// answer like the twin on a graph hollow over an overlay's view, heap-built
-// or adopted.
+// fast path of their own (Neighborhood, NeighborhoodSize) answer like the
+// twin on a graph hollow over an overlay's view, heap-built or adopted.
 func TestHollowGraphReadsMatchTwin(t *testing.T) {
 	for _, adopted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
@@ -387,19 +386,93 @@ func TestHollowGraphReadsMatchTwin(t *testing.T) {
 			if g.pending() != w.ov.Snapshot {
 				t.Fatal("neighbourhood reads must not thaw the graph")
 			}
-			ix := NewAttrIndex(g)
-			for v := 0; v < w.twin.NumNodes(); v++ {
-				for name, want := range w.twin.NodeAttrs(NodeID(v)) {
-					got, ok := ix.AttrSym(NodeID(v), ix.Syms().Lookup(name))
-					if !ok {
-						t.Fatalf("NewAttrIndex: node %d has no %s, twin %q", v, name, want)
-					}
-					if ix.Syms().Name(got) != want {
-						t.Fatalf("NewAttrIndex: node %d %s = %q, twin %q", v, name, ix.Syms().Name(got), want)
-					}
-				}
+		})
+	}
+}
+
+// TestSettleRetiresOverlay pins the graph-owned lifecycle: NewOverlay
+// hands every caller the one live overlay; Settle keeps it below
+// CompactFraction; past the fraction Settle flattens the view once, retires
+// the overlay (its writes fail with ErrStaleOverlay although no version
+// moved) and makes a fresh overlay over the flat snapshot the live one. A
+// direct mutation retires the live overlay too.
+func TestSettleRetiresOverlay(t *testing.T) {
+	for _, adopted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
+			w := newTwinStream(t, adopted)
+			g := w.ov.Graph()
+			if NewOverlay(g) != w.ov || g.LiveOverlay() != w.ov {
+				t.Fatal("NewOverlay must return the graph's live overlay")
+			}
+			id := w.addNode("city", Attrs{"val": "late"}) // delta 2 of a base of 12
+			w.ov.Settle()
+			if !w.ov.Synced() || NewOverlay(g) != w.ov {
+				t.Fatal("Settle below the fraction must keep the overlay live")
+			}
+			w.addEdge(0, id, "lives_in")
+			w.setAttr(2, "val", "rewritten") // delta 4 of 12
+			builds, version := g.SnapshotBuilds(), g.Version()
+			w.ov.Settle()
+			if got := g.SnapshotBuilds() - builds; got != 1 {
+				t.Fatalf("compaction built %d snapshots, want 1", got)
+			}
+			if g.Version() != version {
+				t.Fatal("compaction must not move the graph's version")
+			}
+			if w.ov.Synced() || g.LiveOverlay() == w.ov {
+				t.Fatal("a compacted overlay must retire")
+			}
+			if err := w.ov.AddEdge(0, 1, "visits"); !errors.Is(err, ErrStaleOverlay) {
+				t.Fatalf("AddEdge through a retired overlay: %v, want ErrStaleOverlay", err)
+			}
+			live := NewOverlay(g)
+			if live == w.ov || g.LiveOverlay() != live || live.Delta() != 0 {
+				t.Fatal("compaction must start a fresh live overlay")
+			}
+			if live.Base() != g.Freeze() || g.pending() != live.Base() || g.SnapshotBuilds() != builds+1 {
+				t.Fatal("the fresh overlay must patch the flattened snapshot, built once")
+			}
+			next := twinStream{ov: live, twin: w.twin}
+			next.addEdge(id, 4, "lives_in")
+			assertViewMatchesFreeze(t, live.Snapshot, w.twin)
+
+			g.SetAttr(0, "val", "direct")
+			w.twin.SetAttr(0, "val", "direct")
+			if live.Synced() || g.LiveOverlay() != nil {
+				t.Fatal("a direct mutation must retire the live overlay")
+			}
+			if fresh := NewOverlay(g); fresh == live || !fresh.Synced() {
+				t.Fatal("NewOverlay after a direct mutation must start a synced overlay")
 			}
 		})
+	}
+}
+
+// TestConcurrentNewOverlayStartsOne is the -race target for the live
+// overlay: callers asking for a graph's overlay at once, through
+// NewOverlay or LiveOverlay, all see the one overlay, started once.
+func TestConcurrentNewOverlayStartsOne(t *testing.T) {
+	g := overlayBaseGraph()
+	got := make([]*Overlay, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 1 {
+				g.LiveOverlay() // nil or the live one; never starts one
+			}
+			got[i] = NewOverlay(g)
+		}(i)
+	}
+	wg.Wait()
+	for _, o := range got[1:] {
+		if o != got[0] {
+			t.Fatal("concurrent NewOverlay calls started more than one overlay")
+		}
+	}
+	if g.LiveOverlay() != got[0] || g.SnapshotBuilds() != 1 {
+		t.Fatalf("live overlay %p (want %p), %d builds (want 1)", g.LiveOverlay(), got[0], g.SnapshotBuilds())
 	}
 }
 

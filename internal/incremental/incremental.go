@@ -14,12 +14,14 @@
 // not by its c-hop ball (Berkholz, Keppeler & Schweikardt).
 //
 // The detector enumerates with the batch engines' match.Matcher and
-// core.LiteralProgram over a graph.Overlay: the snapshot frozen at
-// construction plus the patches of every Apply, which the overlay owns
-// (the graph reads through them and is never written). Once the delta
-// exceeds a fraction of the base, it compacts: Freeze flattens the view
-// into a fresh snapshot over the same symbol table; node IDs survive, so
-// the maintained set carries over.
+// core.LiteralProgram over the graph's live graph.Overlay: a frozen
+// snapshot plus the patches of every Apply, which the overlay owns (the
+// graph reads through them and is never written). The graph owns that
+// overlay, so detectors, sessions and direct callers of the same graph all
+// write through one view. After a batch the overlay settles: past a
+// fraction of the base it compacts into a fresh snapshot over the same
+// symbol table, and the detector adopts the new live overlay; node IDs
+// survive, so the maintained set carries over.
 package incremental
 
 import (
@@ -62,7 +64,8 @@ func (SetAttr) isUpdate() {}
 
 // ApplyTo plays updates onto an overlay (which patches its view and
 // advances its graph's version), returning the IDs of inserted nodes in
-// update order. Shared by Detector.Apply and the session layer's Session.Apply.
+// update order. Shared by Detector.Apply and the session layer's
+// Session.Apply, which then settle the overlay (graph.Overlay.Settle).
 func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 	var inserted []graph.NodeID
 	for _, up := range ups {
@@ -78,8 +81,10 @@ func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 	return inserted
 }
 
-// Detector maintains Vio(Σ, G) across updates. All mutations must go
-// through Apply, whose overlay is the graph's one writer.
+// Detector maintains Vio(Σ, G) across updates. Mutations through its
+// Apply are folded in by the delta rule; mutations that reached the graph
+// another way (Session.Apply, another detector, a direct mutation) are
+// folded in by a full sweep on the next Apply.
 type Detector struct {
 	g     *graph.Graph
 	ov    *graph.Overlay
@@ -88,9 +93,10 @@ type Detector struct {
 	version uint64 // graph version the detector's report reflects
 
 	// Per-rule artifacts compiled against the overlay's symbol table,
-	// rebuilt with every new overlay. A compaction keeps the table (the
-	// flattened view shares it), but the recovery path after a direct
-	// mutation freezes the thawed graph, and that freeze owns a fresh one.
+	// rebuilt whenever the detector adopts a new overlay. A compaction
+	// keeps the table (the flattened view shares it), but the overlay
+	// started after a direct mutation freezes the thawed graph, and that
+	// freeze owns a fresh one.
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
@@ -100,41 +106,37 @@ type Detector struct {
 	pin map[int]graph.NodeID
 	key []byte
 
-	// compacted, when set, is invoked with the fresh overlay after each
-	// compaction so co-holders of the old view (the owning Session) can
-	// adopt it instead of silently decoupling into re-freeze-per-batch.
-	compacted func(*graph.Overlay)
-
 	// vio[ri] holds rule ri's violating matches keyed by their node IDs,
 	// four bytes each, so rules never share a key whatever their names.
 	vio        []map[string]core.Match
 	enumerated int // matches the guarded enumerations yielded, for tests
 }
 
-// New builds a detector with an initial full validation of g. The graph
-// is frozen once (cached per version — a session that already froze pays
-// nothing) and never re-frozen per update batch afterwards.
+// New builds a detector with an initial full validation of g over the
+// graph's live overlay (graph.NewOverlay), which every detector and session
+// of g shares: building one freezes nothing the graph has not frozen, and
+// the overlay's symbol table only ever grows, so artifacts compiled by
+// earlier holders stay valid.
 func New(g *graph.Graph, set *core.Set) *Detector {
-	return NewOnOverlay(graph.NewOverlay(g), set)
-}
-
-// NewOnOverlay is New over a caller-supplied overlay, which must be
-// synced with its graph. A session (gfd.Session) uses it to share one
-// maintained overlay across detectors and prepared rule sets instead of
-// stacking a view per detector: the overlay's symbol table only ever
-// grows, so artifacts compiled by earlier holders stay valid.
-func NewOnOverlay(ov *graph.Overlay, set *core.Set) *Detector {
-	g := ov.Graph()
 	d := &Detector{
 		g:       g,
-		ov:      ov,
 		rules:   set.Rules(),
 		version: g.Version(),
 		pin:     make(map[int]graph.NodeID, 2),
 	}
-	d.compile()
+	d.adopt()
 	d.fullValidate()
 	return d
+}
+
+// adopt moves the detector onto the graph's live overlay — the one it last
+// wrote through, or the fresh one a compaction or a direct mutation
+// started — and recompiles when that is a different overlay.
+func (d *Detector) adopt() {
+	if ov := graph.NewOverlay(d.g); ov != d.ov {
+		d.ov = ov
+		d.compile()
+	}
 }
 
 // fullValidate rebuilds the violation set with one guarded, unpinned
@@ -169,22 +171,14 @@ func (d *Detector) compile() {
 	d.m = match.NewMatcher(d.ov)
 }
 
-// Overlay exposes the maintained delta view so a session can hand it to
-// the next detector (see NewOnOverlay) and to its prepared bundles.
+// Overlay returns the overlay the detector last enumerated over: the
+// graph's live overlay as of its last Apply.
 func (d *Detector) Overlay() *graph.Overlay { return d.ov }
-
-// OnCompact registers fn to be called with the fresh overlay whenever
-// Apply compacts. The owning session uses it to follow the detector onto
-// the new view — without it, the session's copy of the old overlay would
-// desync at the detector's next Apply and every prepared Detect would
-// quietly fall back to a full re-freeze per batch.
-func (d *Detector) OnCompact(fn func(*graph.Overlay)) { d.compacted = fn }
 
 // Synced reports whether the detector's maintained state reflects the
 // graph's current version — true as long as every mutation since the
-// detector was built went through its Apply. A direct graph mutation (or
-// an Apply on another holder of the shared overlay) desynchronizes it;
-// holders must then rebuild.
+// detector was built went through its Apply. A mutation any other way
+// desynchronizes it until its next Apply, which sweeps in full.
 func (d *Detector) Synced() bool { return d.version == d.g.Version() }
 
 // Report returns the maintained violation set in the canonical order of
@@ -210,50 +204,26 @@ func (d *Detector) Len() int {
 	return n
 }
 
-// Apply performs the updates through the overlay (which patches its view
-// and advances the graph's version) and refreshes the violation set by
-// the delta rule (see the package doc), returning the IDs of any inserted
-// nodes in update order. When the accumulated delta crosses
-// graph.CompactFraction of the base size, the view is flattened into a
-// fresh snapshot and the compiled artifacts rebound — the only time a
-// snapshot is built after construction.
+// Apply performs the updates through the graph's live overlay (which
+// patches its view and advances the graph's version) and refreshes the
+// violation set by the delta rule (see the package doc), returning the IDs
+// of any inserted nodes in update order. A detector that missed mutations
+// since its last Apply recovers with a full sweep instead. The batch then
+// settles the overlay: when the accumulated delta crosses
+// graph.CompactFraction of the base, the view is flattened into a fresh
+// snapshot and the detector recompiles against the new live overlay.
 func (d *Detector) Apply(ups ...Update) []graph.NodeID {
-	// Mutations may have reached the graph since the last Apply without
-	// this detector seeing them (Session.Apply, a sibling detector, a
-	// direct graph mutation). The delta refresh only covers this batch, so
-	// a stale detector recovers with a full sweep.
+	d.adopt()
 	stale := d.version != d.g.Version()
-	if stale && !d.ov.Synced() {
-		// The overlay missed the mutations too (they bypassed it
-		// entirely, or a co-holder wrote through a different view), and it
-		// refuses writes: rebuild over the graph's current version — a
-		// flatten of the other view, a freeze of a thawed graph, or the
-		// cached snapshot — and publish the rebuilt view like a
-		// compaction, so the owning session re-couples instead of the two
-		// sides desyncing each other once per batch forever.
-		d.ov = graph.NewOverlay(d.g)
-		d.compile()
-		if d.compacted != nil {
-			d.compacted(d.ov)
-		}
-	}
 	inserted := ApplyTo(d.ov, ups...)
 	if stale {
 		d.fullValidate()
 	} else {
 		d.refresh(ups, inserted)
 	}
-	// The overlay's writes advance the graph's version, so the detector
-	// is synced at the new version (a Session polls Synced to decide
-	// whether the overlay can be shared with the next detector).
 	d.version = d.g.Version()
-	if d.ov.NeedsCompaction() {
-		d.ov = graph.NewOverlay(d.g)
-		d.compile()
-		if d.compacted != nil {
-			d.compacted(d.ov)
-		}
-	}
+	d.ov.Settle()
+	d.adopt()
 	return inserted
 }
 

@@ -185,7 +185,10 @@ func TestIncrementalEnumeratesFewMatches(t *testing.T) {
 	}
 }
 
-func TestNewOnOverlaySharesMaintainedView(t *testing.T) {
+// TestNewDetectorsShareLiveOverlay: two detectors built by New over one
+// graph share the graph's live overlay, and each one's Apply is the
+// other's missed mutation, folded in by its next Apply.
+func TestNewDetectorsShareLiveOverlay(t *testing.T) {
 	g := graph.New(0, 0)
 	au := g.AddNode("country", graph.Attrs{"val": "AU"})
 	c1 := g.AddNode("city", graph.Attrs{"val": "Canberra"})
@@ -202,18 +205,18 @@ func TestNewOnOverlaySharesMaintainedView(t *testing.T) {
 
 	// Mutate through the detector: the graph version advances and the
 	// overlay follows, so the detector stays synced and a second detector
-	// can be built over the same maintained view without a freeze.
+	// is built over the same live overlay without a freeze.
 	d1.Apply(SetAttr{Node: c2, Attr: "val", Value: "Canberra"})
 	if !d1.Synced() {
 		t.Fatal("detector must remain synced after Apply")
 	}
 	builds := g.SnapshotBuilds()
-	d2 := NewOnOverlay(d1.Overlay(), set)
-	if d2.Overlay() != d1.Overlay() {
-		t.Fatal("NewOnOverlay must adopt the supplied overlay")
+	d2 := New(g, set)
+	if d2.Overlay() != d1.Overlay() || d2.Overlay() != g.LiveOverlay() {
+		t.Fatal("New must adopt the graph's live overlay")
 	}
 	if g.SnapshotBuilds() != builds {
-		t.Fatalf("adopting a maintained overlay must not freeze (builds %d -> %d)", builds, g.SnapshotBuilds())
+		t.Fatalf("adopting the live overlay must not freeze (builds %d -> %d)", builds, g.SnapshotBuilds())
 	}
 	agree(t, d2, g, set)
 	// Updates through the new detector keep the shared overlay usable by
@@ -223,6 +226,11 @@ func TestNewOnOverlaySharesMaintainedView(t *testing.T) {
 	if d1.Synced() {
 		t.Error("d1 did not observe d2's mutation; Synced must be false")
 	}
+	d1.Apply()
+	if !d1.Synced() || d1.Overlay() != d2.Overlay() {
+		t.Fatal("an Apply must resync the detector on the shared overlay")
+	}
+	agree(t, d1, g, set)
 
 	// A direct graph mutation desynchronizes every detector.
 	g.SetAttr(c1, "val", "Perth")

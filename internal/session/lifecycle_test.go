@@ -287,3 +287,32 @@ func TestApplyKeepsAdoptedGraphHollow(t *testing.T) {
 		t.Errorf("Apply below the compaction fraction built %d snapshots", g.SnapshotBuilds())
 	}
 }
+
+// TestBigDansingKeepsAdoptedGraphHollow: EngineBigDansing encodes its
+// relational tables from the bundle's topology, so a Detect over a
+// store-adopted graph never thaws it onto the heap — the first map-needing
+// read afterwards still pays the thaw — and reports what the sequential
+// engine reports.
+func TestBigDansingKeepsAdoptedGraphHollow(t *testing.T) {
+	ctx := context.Background()
+	_, set, _ := capitalWorkload()
+	g := adopt(t, capitalBase(300))
+	prep, err := mustOpen(t, g).Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineBigDansing, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Violations) == 0 || !got.Violations.Equal(want.Violations) {
+		t.Fatalf("EngineBigDansing reports %d violations, sequential %d", len(got.Violations), len(want.Violations))
+	}
+	if n := g.NumNodes(); mallocs(func() { g.NodeAttrs(0) }) < uint64(n) {
+		t.Errorf("the first map-needing read after a BigDansing Detect did not thaw (>= |V| = %d allocations): Detect thawed the graph", n)
+	}
+}

@@ -217,11 +217,10 @@ func TestConcurrentDetectAcrossPreparedSetsOverOverlay(t *testing.T) {
 	}
 }
 
-// TestSessionFollowsDetectorCompaction pins the re-coupling after a
-// detector-side compaction: the session must adopt the detector's fresh
-// overlay, so post-compaction Detect rounds stay on the no-freeze path.
-// Without the OnCompact hookup, every Detect after the first compaction
-// silently paid a full re-freeze per update batch.
+// TestSessionFollowsDetectorCompaction: after a detector-side compaction
+// the session's prepared bundles run on the graph's new live overlay (or
+// its flat base), so post-compaction Detect rounds stay on the no-freeze
+// path instead of paying a full re-freeze per update batch.
 func TestSessionFollowsDetectorCompaction(t *testing.T) {
 	ctx := context.Background()
 	_, set, _ := capitalWorkload() // rule set only
@@ -254,38 +253,78 @@ func TestSessionFollowsDetectorCompaction(t *testing.T) {
 	}
 }
 
-// TestInterleavedSessionAndDetectorApplies pins the symmetric coupling:
-// when Session.Apply and a shared detector's Apply interleave across
-// session-side compactions, each side must recover onto (and publish) a
-// shared view rather than desyncing the other once per batch — freezes
-// grow only with compactions, and the detector's report stays correct.
+// TestInterleavedSessionAndDetectorApplies pins the one live overlay per
+// graph: Session.Apply and the Apply of every detector over the graph —
+// from the session or built by incremental.New beside it — write through
+// the same overlay. One update stream dealt round-robin to the writers
+// builds at most one snapshot more than with a single detector, however
+// many writers share it, and each detector's report equals the oracle's
+// after each of its Applies.
 func TestInterleavedSessionAndDetectorApplies(t *testing.T) {
 	_, set, _ := capitalWorkload() // rule set only
-	g := graph.New(64, 64)
-	au := g.AddNode("country", graph.Attrs{"val": "AU"})
-	g.MustAddEdge(au, g.AddNode("city", graph.Attrs{"val": "Canberra"}), "capital")
-	for i := 0; i < 20; i++ {
-		g.MustAddEdge(au, g.AddNode("city", graph.Attrs{"val": fmt.Sprintf("c%d", i)}), "twin")
+	// run deals 80 single-node applies over the 42-node capital fixture,
+	// every eighth one making a city a second capital and a later one
+	// repairing it, and returns the snapshot builds after the first freeze.
+	run := func(t *testing.T, detectors func(*session.Session) []*incremental.Detector) int {
+		t.Helper()
+		g := graph.New(64, 64)
+		au := g.AddNode("country", graph.Attrs{"val": "AU"})
+		g.MustAddEdge(au, g.AddNode("city", graph.Attrs{"val": "Canberra"}), "capital")
+		for i := 0; i < 40; i++ {
+			g.MustAddEdge(au, g.AddNode("city", graph.Attrs{"val": fmt.Sprintf("c%d", i)}), "twin")
+		}
+		twin := g.Clone()
+		sess := mustOpen(t, g)
+		dets := detectors(sess)
+		writers := []func(...incremental.Update) []graph.NodeID{sess.Apply}
+		for _, d := range dets {
+			writers = append(writers, d.Apply)
+		}
+		builds := g.SnapshotBuilds()
+		var last, capital graph.NodeID
+		for i := 0; i < 80; i++ {
+			ups := []incremental.Update{incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": fmt.Sprint(i % 3)}}}
+			switch i % 8 {
+			case 5:
+				capital = last
+				ups = append(ups, incremental.AddEdge{From: au, To: capital, Label: "capital"})
+			case 7:
+				ups = append(ups, incremental.SetAttr{Node: capital, Attr: "val", Value: "Canberra"})
+			}
+			w := i % len(writers)
+			ids := writers[w](ups...)
+			mirror(t, twin, ups, ids)
+			last = ids[0]
+			if w == 0 {
+				continue
+			}
+			if got, want := dets[w-1].Report(), oracleReport(twin, set); !got.Equal(want) {
+				t.Fatalf("update %d: detector %d reports %d violations, oracle %d", i, w-1, len(got), len(want))
+			}
+		}
+		return g.SnapshotBuilds() - builds
 	}
-	sess := mustOpen(t, g)
-	det := sess.Incremental(set)
-	const rounds = 20
-	for i := 0; i < rounds; i++ {
-		sess.Apply(incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": "S"}})
-		det.Apply(incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": "D"}})
+	one := func(s *session.Session) []*incremental.Detector {
+		return []*incremental.Detector{s.Incremental(set)}
 	}
-	if builds := g.SnapshotBuilds(); builds-1 > rounds/2 {
-		t.Fatalf("%d snapshot builds over %d interleaved rounds — the two Apply paths are desyncing each other", builds, rounds)
-	}
-	// Break and repair through alternating sides; the detector must track.
-	ids := sess.Apply(incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": "Melbourne"}})
-	det.Apply(incremental.AddEdge{From: au, To: ids[0], Label: "capital"})
-	if det.Len() != 2 {
-		t.Fatalf("detector missed the interleaved break: %d violations, want 2", det.Len())
-	}
-	det.Apply(incremental.SetAttr{Node: ids[0], Attr: "val", Value: "Canberra"})
-	if det.Len() != 0 {
-		t.Fatalf("detector missed the repair: %d violations, want 0", det.Len())
+	for _, tc := range []struct {
+		name      string
+		detectors func(*session.Session) []*incremental.Detector
+	}{
+		{"one detector", one},
+		{"two detectors", func(s *session.Session) []*incremental.Detector {
+			return []*incremental.Detector{s.Incremental(set), s.Incremental(set)}
+		}},
+		{"detector beside the session", func(s *session.Session) []*incremental.Detector {
+			return []*incremental.Detector{incremental.New(s.Graph(), set)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bound := run(t, one) + 1
+			if builds := run(t, tc.detectors); builds > bound {
+				t.Fatalf("%d snapshot builds, one detector needs %d: the writers are desyncing each other", builds, bound-1)
+			}
+		})
 	}
 }
 

@@ -22,15 +22,17 @@
 //
 // Small mutations need not re-freeze at all: updates routed through
 // Session.Apply (or an incremental detector from Session.Incremental) are
-// folded into a maintained graph.Overlay — the base snapshot plus
+// written through the graph's live graph.Overlay — the base snapshot plus
 // localized CSR patches — and the next Detect runs against the patched
-// view, paying only for the touched region. The overlay owns the delta:
-// the graph itself is not written, only made to read through the view, so
-// an Apply over a store-adopted graph costs O(|batch|) and never thaws it.
-// Once the accumulated delta exceeds a fraction of the base size, the
-// session compacts: Graph.Freeze flattens the patched view into fresh flat
-// arrays (no sort, same symbol table), amortizing O(|V|+|E|) over Ω(|G|)
-// updates.
+// view, paying only for the touched region. The graph owns that overlay
+// (graph.NewOverlay), so the session, its detectors and any other holder
+// of the graph share one view and one compaction. The overlay owns the
+// delta: the graph itself is not written, only made to read through the
+// view, so an Apply over a store-adopted graph costs O(|batch|) and never
+// thaws it. Once the accumulated delta exceeds a fraction of the base
+// size, the batch that crossed it compacts (graph.Overlay.Settle): the
+// patched view is flattened into fresh flat arrays (no sort, same symbol
+// table), amortizing O(|V|+|E|) over Ω(|G|) updates.
 //
 // Detect and Violations are safe for concurrent use while the graph is
 // unmutated, like the engines themselves. Mutation concurrent with
@@ -52,17 +54,15 @@ import (
 	"gfd/internal/validate"
 )
 
-// Session owns a graph and the caches keyed by its mutation version:
-// fragmentations for the fragmented engine, and the delta overlay shared
-// by incremental detectors and handed to prepared bundles after small
-// mutations. Prepared rule sets hang off it via Prepare.
+// Session wraps a graph with the caches keyed by its mutation version:
+// fragmentations for the fragmented engine. Prepared rule sets hang off it
+// via Prepare and run on the graph's live overlay after small mutations.
 type Session struct {
 	g *graph.Graph
 
 	mu           sync.Mutex
 	frags        map[int]*fragment.Fragmentation // keyed by fragment count
 	fragsVersion uint64
-	overlay      *graph.Overlay // live delta view; nil when no update flowed through the session
 }
 
 // ErrNilGraph is returned by New when opened on a nil graph — a typed
@@ -122,88 +122,44 @@ func (s *Session) Fragmentation(n int) *fragment.Fragmentation {
 	if f := s.frags[n]; f != nil {
 		return f
 	}
-	f := fragment.PartitionSnapshot(s.topologyLocked().View(), n, fragment.Hash)
+	f := fragment.PartitionSnapshot(s.topology().View(), n, fragment.Hash)
 	s.frags[n] = f
 	return f
 }
 
 // Incremental builds an incremental detector maintaining Vio(Σ, G) over
-// the session's graph. The session shares one graph.Overlay across
-// detectors and its own Apply as long as every mutation flows through one
-// of them (the overlay is the graph's one writer); a direct graph
-// mutation since then forces a fresh view. Updates applied through
-// the detector advance the shared overlay, so the session's prepared rule
-// sets follow along on their next Detect without re-freezing — one shared
-// mutation lifecycle across the batch and incremental paths.
+// the session's graph. It is incremental.New: the detector writes through
+// the graph's live overlay, which the session's Apply and every other
+// detector of the graph share, so the session's prepared rule sets follow
+// its updates on their next Detect without re-freezing.
 func (s *Session) Incremental(set *core.Set) *incremental.Detector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := incremental.NewOnOverlay(s.liveOverlayLocked(), set)
-	// Follow the detector through compactions: adopting its fresh overlay
-	// keeps prepared bundles on the no-freeze path; abandoning it would
-	// silently re-freeze every post-compaction Detect.
-	d.OnCompact(func(ov *graph.Overlay) {
-		s.mu.Lock()
-		s.overlay = ov
-		s.mu.Unlock()
-	})
-	return d
+	return incremental.New(s.g, set)
 }
 
-// Apply performs updates on the session's graph through the maintained
-// overlay and returns the IDs of inserted nodes in update order. Unlike a
-// direct graph mutation — which invalidates every prepared bundle into a
-// full re-freeze — updates applied here keep the compiled path warm: the
-// next Detect runs against the patched overlay, paying only for the
-// touched region. The updates patch the overlay only: the graph reads
-// through the patched view and is never thawed. Once the accumulated
-// delta exceeds the compaction fraction (graph.CompactFraction), Apply
-// compacts eagerly: Freeze flattens the view into a fresh snapshot before
-// returning — one amortized O(|V|+|E|) copy per Ω(|G|) updates, paid by
-// the batch that crosses the threshold — and a clean overlay starts.
+// Apply performs updates on the session's graph through its live overlay
+// and returns the IDs of inserted nodes in update order. Unlike a direct
+// graph mutation — which invalidates every prepared bundle into a full
+// re-freeze — updates applied here keep the compiled path warm: the next
+// Detect runs against the patched overlay, paying only for the touched
+// region. The updates patch the overlay only: the graph reads through the
+// patched view and is never thawed. The batch that carries the
+// accumulated delta past graph.CompactFraction compacts before returning
+// (graph.Overlay.Settle) — one amortized O(|V|+|E|) flatten per Ω(|G|)
+// updates. Like any mutation, Apply must not run concurrently with another
+// mutation or with detection.
 func (s *Session) Apply(ups ...incremental.Update) []graph.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ov := s.liveOverlayLocked()
+	ov := graph.NewOverlay(s.g)
 	ids := incremental.ApplyTo(ov, ups...)
-	if ov.NeedsCompaction() {
-		// Compact eagerly into a fresh overlay (one flatten, the same
-		// amortized cost as deferring it to the next Detect) so the
-		// session always holds a live view: detectors sharing the old
-		// overlay recover and re-publish through OnCompact, instead of
-		// the two sides desyncing each other once per batch.
-		s.overlay = graph.NewOverlay(s.g)
-	}
+	ov.Settle()
 	return ids
 }
 
-// liveOverlayLocked returns the session's overlay, starting a fresh one
-// over the current graph version when none is live or the graph moved on
-// without it (a direct mutation, or a detector writing through another
-// overlay) — a stale overlay refuses writes. Callers hold s.mu.
-func (s *Session) liveOverlayLocked() *graph.Overlay {
-	if s.overlay == nil || !s.overlay.Synced() {
-		s.overlay = graph.NewOverlay(s.g)
-	}
-	return s.overlay
-}
-
 // topology resolves the compiled view prepared bundles should run
-// against: the live overlay while it is synced with the graph, else a
-// frozen snapshot (cached per version).
+// against: the graph's live overlay while it is synced, else the frozen
+// snapshot (cached per version).
 func (s *Session) topology() graph.Topology {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.topologyLocked()
-}
-
-// topologyLocked is topology for callers holding s.mu.
-func (s *Session) topologyLocked() graph.Topology {
-	if s.overlay != nil {
-		if s.overlay.Synced() {
-			return s.overlay
-		}
-		s.overlay = nil
+	if ov := s.g.LiveOverlay(); ov != nil {
+		return ov
 	}
 	return s.g.Freeze()
 }
@@ -242,10 +198,10 @@ func (p *Prepared) refresh() *validate.Bundle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if v := p.sess.g.Version(); p.bundle == nil || p.version != v {
-		// The session hands back the live overlay after small mutations
-		// (Session.Apply / detector Apply), so re-preparing costs only the
-		// rule-side rebinding — no freeze; a full snapshot is built only
-		// when mutations bypassed the overlay or the delta was compacted.
+		// The graph's live overlay carries small mutations (Session.Apply /
+		// detector Apply), so re-preparing costs only the rule-side
+		// rebinding — no freeze; a full snapshot is built only when
+		// mutations bypassed the overlay or the delta was compacted.
 		// The superseded bundle donates its graph-independent caches
 		// (reduction, grouping variants).
 		p.bundle = validate.NewBundleOver(p.sess.g, p.sess.topology(), p.set, p.bundle)
@@ -433,7 +389,7 @@ func (p *Prepared) relational(b *validate.Bundle) *baseline.Relational {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rel == nil {
-		p.rel = baseline.Encode(b.Graph())
+		p.rel = baseline.Encode(b.Topo())
 	}
 	return p.rel
 }

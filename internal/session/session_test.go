@@ -170,7 +170,7 @@ func TestBaselineEnginesMatchBaselinePackage(t *testing.T) {
 		t.Errorf("EngineGCFD rules = %d, want %d expressible", gotG.Rules, set.Len()-dropped)
 	}
 
-	wantB := baseline.DetectJoins(g, baseline.Encode(g), set, 4)
+	wantB := baseline.DetectJoins(g, baseline.Encode(g.Freeze()), set, 4)
 	gotB, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineBigDansing, N: 4})
 	if err != nil {
 		t.Fatal(err)
