@@ -68,11 +68,18 @@ func NewOverlay(g *Graph) *Overlay {
 }
 
 // LiveOverlay returns g's live overlay while it is synced, nil otherwise.
-// Unlike NewOverlay it starts none, so concurrent readers may call it.
+// Unlike NewOverlay it starts none, so concurrent readers may call it. An
+// overlay a direct mutation retired is dropped here, so the graph stops
+// holding its base snapshot and patch.
 func (g *Graph) LiveOverlay() *Overlay {
-	if o := g.live.Load(); o != nil && o.Synced() {
+	o := g.live.Load()
+	if o == nil {
+		return nil
+	}
+	if o.Synced() {
 		return o
 	}
+	g.live.CompareAndSwap(o, nil)
 	return nil
 }
 

@@ -395,7 +395,7 @@ func TestHollowGraphReadsMatchTwin(t *testing.T) {
 // CompactFraction; past the fraction Settle flattens the view once, retires
 // the overlay (its writes fail with ErrStaleOverlay although no version
 // moved) and makes a fresh overlay over the flat snapshot the live one. A
-// direct mutation retires the live overlay too.
+// direct mutation retires the live overlay too, and the graph drops it.
 func TestSettleRetiresOverlay(t *testing.T) {
 	for _, adopted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
@@ -440,6 +440,9 @@ func TestSettleRetiresOverlay(t *testing.T) {
 			w.twin.SetAttr(0, "val", "direct")
 			if live.Synced() || g.LiveOverlay() != nil {
 				t.Fatal("a direct mutation must retire the live overlay")
+			}
+			if g.live.Load() != nil {
+				t.Fatal("the graph must drop the overlay a direct mutation retired")
 			}
 			if fresh := NewOverlay(g); fresh == live || !fresh.Synced() {
 				t.Fatal("NewOverlay after a direct mutation must start a synced overlay")

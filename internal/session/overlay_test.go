@@ -259,7 +259,12 @@ func TestSessionFollowsDetectorCompaction(t *testing.T) {
 // the same overlay. One update stream dealt round-robin to the writers
 // builds at most one snapshot more than with a single detector, however
 // many writers share it, and each detector's report equals the oracle's
-// after each of its Applies.
+// after each of its Applies. The single detector's count is capped on its
+// own: a batch adds at most three to the delta (a node, its attribute, an
+// edge or attribute write) and the base never drops below 83, so a
+// compaction takes at least 7 batches and 80 batches build at most 80/7
+// snapshots plus a first freeze. A regression that re-freezes every
+// batch for every writer cannot pass by inflating all cases together.
 func TestInterleavedSessionAndDetectorApplies(t *testing.T) {
 	_, set, _ := capitalWorkload() // rule set only
 	// run deals 80 single-node applies over the 42-node capital fixture,
@@ -320,9 +325,12 @@ func TestInterleavedSessionAndDetectorApplies(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bound := run(t, one) + 1
-			if builds := run(t, tc.detectors); builds > bound {
-				t.Fatalf("%d snapshot builds, one detector needs %d: the writers are desyncing each other", builds, bound-1)
+			base := run(t, one)
+			if base > 80/7+1 {
+				t.Fatalf("%d snapshot builds with one detector over 80 batches, want at most %d", base, 80/7+1)
+			}
+			if builds := run(t, tc.detectors); builds > base+1 {
+				t.Fatalf("%d snapshot builds, one detector needs %d: the writers are desyncing each other", builds, base)
 			}
 		})
 	}
