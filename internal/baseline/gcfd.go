@@ -38,7 +38,7 @@ type GCFD struct {
 
 // compiled returns the GCFD's GFD encoding, built lazily so that
 // hand-constructed GCFDs work and repeated Detect calls stop re-encoding
-// the rule (its pattern and literal lowerings are memoized on the GFD).
+// the rule (the bundle keeps the GFD's literal program).
 func (c *GCFD) compiled() *core.GFD {
 	c.once.Do(func() {
 		if c.rule == nil {
@@ -80,8 +80,8 @@ func FromGFD(f *core.GFD) (*GCFD, bool) {
 		return nil, false
 	}
 	// The converted GCFD shares the source GFD as its compiled encoding
-	// (the scope and dependency are unchanged), so pattern and literal
-	// lowerings memoized on the rule are shared with the GFD engine.
+	// (the scope and dependency are unchanged), so a bundle holding the
+	// rule's program shares it with the GFD engine.
 	return &GCFD{Name: f.Name, Path: f.Q, X: f.X, Y: f.Y, rule: f}, true
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
@@ -66,7 +65,10 @@ func (l Literal) String() string {
 	return fmt.Sprintf("%s.%s = %s.%s", l.X, l.A, l.Y, l.B)
 }
 
-// GFD is a graph functional dependency ϕ = (Q[x̄], X → Y).
+// GFD is a graph functional dependency ϕ = (Q[x̄], X → Y). It holds no
+// lowering onto any graph: the engines compile its pattern and literals
+// (pattern.Compile, CompileLiterals) onto the symbol table they run on and
+// keep the result themselves.
 type GFD struct {
 	Name string
 	Q    *pattern.Pattern
@@ -79,31 +81,6 @@ type GFD struct {
 	// mutate Q, X, or Y after a GFD has been evaluated.
 	bindOnce sync.Once
 	xb, yb   []boundLiteral
-
-	// Compiled literal program, cached per symbol table: engines share one
-	// snapshot across all workers, so the steady state is a pointer
-	// compare. Stored atomically because workers race on first use.
-	lits atomic.Pointer[compiledLits]
-}
-
-// compiledLits pins a LiteralProgram to the symbol table it was lowered on.
-type compiledLits struct {
-	syms *graph.Symbols
-	prog *LiteralProgram
-}
-
-// ProgramFor returns ϕ's literal program lowered onto syms, compiling on
-// first use per table and cached after that. The single-entry cache fits
-// the engine lifecycle (one snapshot per run, shared by every worker);
-// alternating between two live tables recompiles per call, which only the
-// differential tests do.
-func (f *GFD) ProgramFor(syms *graph.Symbols) *LiteralProgram {
-	if e := f.lits.Load(); e != nil && e.syms == syms {
-		return e.prog
-	}
-	e := &compiledLits{syms: syms, prog: f.CompileLiterals(syms)}
-	f.lits.Store(e)
-	return e.prog
 }
 
 // New constructs a GFD and validates that every literal variable occurs in
@@ -235,7 +212,7 @@ func writeLits(b *strings.Builder, ls []Literal) {
 // ---- Semantics ----------------------------------------------------------
 //
 // Two evaluation paths implement the semantics below. The compiled path —
-// CompileLiterals / ProgramFor in program.go — lowers literals onto a
+// CompileLiterals in program.go — lowers literals onto a
 // snapshot's symbol table and is what every engine runs per match. The
 // map-based methods on GFD (SatisfiesX/SatisfiesY/Holds/IsViolation) read
 // the mutable graph's Attrs maps directly; they are retained as the

@@ -31,7 +31,8 @@ type litInst struct {
 // the attribute-side analogue of pattern.Compiled. A program is tied to
 // the table it was lowered on: evaluate it only against an AttrSource
 // backed by that table (the Snapshot it was compiled for, or the detector's
-// AttrIndex). GFD.ProgramFor handles the per-snapshot caching.
+// AttrIndex). The GFD keeps no program: its holder (a validate.Bundle, an
+// incremental.Detector) compiles one per table it runs on and keeps it.
 type LiteralProgram struct {
 	x, y []litInst
 	src  []boundLiteral // X as bound, parallel to x: names for rendering
@@ -90,13 +91,6 @@ func lowerLiterals(ls []boundLiteral, syms *graph.Symbols) ([]litInst, bool) {
 	}
 	return out, never
 }
-
-// Resolved reports that every literal name and constant lowered to a real
-// code: such a program can never go stale as its table grows (codes are
-// append-only), so holders may reuse it across re-compilations. A program
-// with a never-matching side must be recompiled once the table may have
-// interned the missing name.
-func (p *LiteralProgram) Resolved() bool { return !p.neverX && !p.neverY }
 
 // InternLiterals interns every attribute name and constant of ϕ's literals
 // into syms, so a later CompileLiterals against the same table resolves

@@ -93,7 +93,7 @@ func TestLiteralProgramMatchesOracle(t *testing.T) {
 		for ri := 0; ri < 8; ri++ {
 			k := 1 + rng.Intn(3)
 			f := randomRule(rng, fmt.Sprintf("t%d-r%d", trial, ri), k)
-			p := f.ProgramFor(snap.Syms())
+			p := f.CompileLiterals(snap.Syms())
 			for mi := 0; mi < 25; mi++ {
 				h := randomMatch(rng, k, n)
 				if got, want := p.SatisfiesX(snap, h), f.SatisfiesX(g, h); got != want {
@@ -143,7 +143,7 @@ func TestGuardMatchesSatisfiesX(t *testing.T) {
 		perms := make([][]int, len(rules))
 		for i := range rules {
 			rules[i] = randomRule(rng, fmt.Sprintf("t%d-r%d", trial, i), k)
-			progs[i] = rules[i].ProgramFor(snap.Syms())
+			progs[i] = rules[i].CompileLiterals(snap.Syms())
 			perms[i] = rng.Perm(k)
 		}
 		group := core.GroupGuard(progs, perms)
@@ -247,7 +247,7 @@ func TestLiteralProgramZeroAlloc(t *testing.T) {
 		[]core.Literal{core.VarEq("x", "b", "y", "a"), core.Const("y", "a", "v2")},
 	)
 	snap := g.Freeze()
-	p := f.ProgramFor(snap.Syms())
+	p := f.CompileLiterals(snap.Syms())
 	matches := []core.Match{{0, 2}, {1, 2}, {0, 3}, {1, 3}}
 	sink := false
 	allocs := testing.AllocsPerRun(200, func() {
@@ -263,10 +263,10 @@ func TestLiteralProgramZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProgramForCaching verifies the per-(rule, snapshot) memoization and
-// that recompiling against a different table yields table-specific
-// programs (the unknown-constant short-circuit differs per graph).
-func TestProgramForCaching(t *testing.T) {
+// TestCompileLiteralsPerTable verifies that compiling against different
+// tables yields table-specific programs (the unknown-constant
+// short-circuit differs per graph).
+func TestCompileLiteralsPerTable(t *testing.T) {
 	q := pattern.New()
 	q.AddNode("x", pattern.Wildcard)
 	f := core.MustNew("cache", q, nil, []core.Literal{core.Const("x", "a", "rare")})
@@ -278,15 +278,12 @@ func TestProgramForCaching(t *testing.T) {
 	g2.AddNode("n", graph.Attrs{"a": "common"})
 	s2 := g2.Freeze()
 
-	p1 := f.ProgramFor(s1.Syms())
-	if again := f.ProgramFor(s1.Syms()); again != p1 {
-		t.Fatal("ProgramFor must return the cached program for the same table")
-	}
+	p1 := f.CompileLiterals(s1.Syms())
 	h := core.Match{0}
 	if p1.IsViolation(s1, h) {
 		t.Fatal("x.a = rare holds on g1; no violation expected")
 	}
-	p2 := f.ProgramFor(s2.Syms())
+	p2 := f.CompileLiterals(s2.Syms())
 	if !p2.IsViolation(s2, h) {
 		t.Fatal("x.a = rare fails on g2 (value absent): violation expected")
 	}

@@ -18,10 +18,10 @@ func TestWorkloadSweepFreezesOnce(t *testing.T) {
 	if base < 1 {
 		t.Fatalf("workload preparation performed %d snapshot builds, want >= 1", base)
 	}
-	syms := w.G.Freeze().Syms()
+	b := w.prep.Bundle()
 	progs := make(map[string]any, w.Set.Len())
 	for _, f := range w.Set.Rules() {
-		progs[f.Name] = f.ProgramFor(syms)
+		progs[f.Name] = b.Program(f)
 	}
 
 	for round := 0; round < 2; round++ {
@@ -37,11 +37,12 @@ func TestWorkloadSweepFreezesOnce(t *testing.T) {
 	if builds := w.G.SnapshotBuilds() - base; builds != 0 {
 		t.Errorf("sweep performed %d extra snapshot builds, want 0 (one freeze per graph version)", builds)
 	}
-	// One lowering per rule: the per-rule program cache still holds the
-	// artifact compiled at prepare time — nothing inside the sweep evicted
-	// it by lowering against a different symbol table.
+	// One lowering per rule: the prepared bundle still holds the program
+	// compiled at prepare time — nothing inside the sweep rebuilt the
+	// bundle or re-lowered a rule.
+	b = w.prep.Bundle()
 	for _, f := range w.Set.Rules() {
-		if got := f.ProgramFor(syms); got != progs[f.Name] {
+		if got := b.Program(f); got != progs[f.Name] {
 			t.Errorf("rule %s was re-lowered during the sweep", f.Name)
 		}
 	}

@@ -384,7 +384,7 @@ func holdsOnSample(g *graph.Graph, f *core.GFD) bool {
 	ok := true
 	seen, support := 0, 0
 	snap := g.Freeze()
-	p := f.ProgramFor(snap.Syms())
+	p := f.CompileLiterals(snap.Syms())
 	match.EnumerateSnapshot(snap, f.Q, match.Options{}, func(m core.Match) bool {
 		seen++
 		if p.SatisfiesX(snap, m) {

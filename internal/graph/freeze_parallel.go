@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -31,15 +29,10 @@ import (
 //
 // The serial builder remains the GOMAXPROCS==1 / small-graph path.
 
-var (
-	freezeWorkersOverride atomic.Int32
-	freezeWorkersEnv      int
-	freezeWorkersEnvOnce  sync.Once
-)
+var freezeWorkersOverride atomic.Int32
 
 // SetFreezeWorkers overrides the number of workers Freeze builds snapshots
-// with; n <= 0 restores the default resolution (GFD_FREEZE_WORKERS, then
-// GOMAXPROCS). It applies process-wide to subsequent builds.
+// with; n <= 0 restores the default, GOMAXPROCS. It applies process-wide to subsequent builds.
 func SetFreezeWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -48,19 +41,10 @@ func SetFreezeWorkers(n int) {
 }
 
 // FreezeWorkers resolves the effective freeze worker count:
-// SetFreezeWorkers override, else the GFD_FREEZE_WORKERS environment
-// variable, else GOMAXPROCS.
+// SetFreezeWorkers override, else GOMAXPROCS.
 func FreezeWorkers() int {
 	if n := freezeWorkersOverride.Load(); n > 0 {
 		return int(n)
-	}
-	freezeWorkersEnvOnce.Do(func() {
-		if v, err := strconv.Atoi(os.Getenv("GFD_FREEZE_WORKERS")); err == nil && v > 0 {
-			freezeWorkersEnv = v
-		}
-	})
-	if freezeWorkersEnv > 0 {
-		return freezeWorkersEnv
 	}
 	return runtime.GOMAXPROCS(0)
 }

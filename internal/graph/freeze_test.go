@@ -150,8 +150,8 @@ func TestConcurrentFreezeSharesOneBuild(t *testing.T) {
 }
 
 // TestSetFreezeWorkersOverride pins the knob precedence: an explicit
-// override wins over the environment/GOMAXPROCS default, and resetting it
-// restores the default resolution.
+// override wins over the GOMAXPROCS default, and resetting it restores the
+// default.
 func TestSetFreezeWorkersOverride(t *testing.T) {
 	defer SetFreezeWorkers(0)
 	SetFreezeWorkers(3)
@@ -159,8 +159,8 @@ func TestSetFreezeWorkersOverride(t *testing.T) {
 		t.Fatalf("FreezeWorkers after SetFreezeWorkers(3) = %d", got)
 	}
 	SetFreezeWorkers(0)
-	if got := FreezeWorkers(); got < 1 {
-		t.Fatalf("default FreezeWorkers = %d, want >= 1", got)
+	if got, want := FreezeWorkers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default FreezeWorkers = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
 

@@ -23,7 +23,7 @@ type Topology interface {
 	// read through the concrete type.
 	View() *Snapshot
 	// Syms returns the symbol table labels, attribute names and values are
-	// interned in. Patterns are compiled against it (pattern.CompileFor)
+	// interned in. Patterns are compiled against it (pattern.Compile)
 	// and X → Y literals lower onto it (core.LiteralProgram).
 	Syms() *Symbols
 	// NumNodes returns |V| as seen by this view.

@@ -165,7 +165,7 @@ func (d *Detector) compile() {
 	d.progs = d.progs[:0]
 	d.cqs = d.cqs[:0]
 	for _, f := range d.rules {
-		d.cqs = append(d.cqs, pattern.CompileFor(f.Q, syms))
+		d.cqs = append(d.cqs, pattern.Compile(f.Q, syms))
 		d.progs = append(d.progs, f.CompileLiterals(syms))
 	}
 	d.m = match.NewMatcher(d.ov)

@@ -36,10 +36,11 @@ import (
 // binary search), falling back to the pattern node's label class; a
 // striped node's residue is a feasibility check on every candidate. The
 // edges a candidate's source proves are not searched again. Plans (Plan:
-// the matching order plus the guard instructions due at each depth) are
-// cached per (compiled pattern, pin set, stripe node, topology version,
-// guard); Options.NoIntersect forces the backtracking path for
-// differential testing.
+// the pattern lowered onto the view's symbol table, the matching order and
+// the guard instructions due at each depth) are cached per (pattern, pin
+// set, stripe node, topology version, guard), so a pattern is lowered only
+// on a plan-cache miss; Options.NoIntersect forces the backtracking path
+// for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
@@ -71,12 +72,14 @@ type Matcher struct {
 	ranges [graph.MaxIntersectArity][]graph.CSREdge
 	cands  [][]graph.NodeID
 
-	// plans caches computed plans per (compiled pattern, pin set, topology
-	// version, guard), so repeated Enumerate calls — one per work unit on
-	// the engine paths — stop re-deriving the same order from the same
-	// class sizes. Frozen snapshots are immutable (version 0 forever); a
-	// patched view keys by its graph version so mutations invalidate
-	// naturally.
+	// plans caches computed plans, each with its lowered pattern, per
+	// (pattern, pin set, stripe node, topology version, guard), so
+	// repeated Enumerate calls — one per work unit on the engine paths —
+	// neither re-lower the pattern nor re-derive the same order from the
+	// same class sizes. Frozen snapshots are immutable (version 0
+	// forever); a patched view keys by its graph version, so every update
+	// — a label interned by an inserted node included — re-lowers and
+	// re-plans.
 	plans map[planKey]*Plan
 
 	// Per-call state.
@@ -102,14 +105,14 @@ type Matcher struct {
 // while keeping the per-try cost to a counter increment.
 const haltStride = 64
 
-// planKey identifies one cached plan: the lowered pattern (a stable
-// pointer per (pattern, symbol table)), the set of pinned pattern nodes as
-// a bitmask (pin *values* never affect the order), the striped node (-1
-// unstriped), the topology version the class-size estimates were read at,
-// and the guard scheduled into it (the key holds the pointer, so a cached
-// guard's address is never reused by another).
+// planKey identifies one cached plan: the pattern, the set of pinned
+// pattern nodes as a bitmask (pin *values* never affect the order), the
+// striped node (-1 unstriped), the topology version the lowering and the
+// class-size estimates were read at, and the guard scheduled into it (the
+// key holds the pointers, so a cached pattern's or guard's address is
+// never reused by another).
 type planKey struct {
-	cq     *pattern.Compiled
+	q      *pattern.Pattern
 	pins   uint64
 	stripe int
 	ver    uint64
@@ -160,12 +163,12 @@ func (m *Matcher) Plan(q *pattern.Pattern, opts Options) Plan {
 // its plan.
 func (m *Matcher) prepare(q *pattern.Pattern, opts *Options) {
 	n := q.NumNodes()
-	m.q, m.cq = q, m.compiledFor(q)
+	m.q = q
 	m.opts = *opts
 	m.n, m.found, m.halt = n, 0, false
 	m.ensure(n)
 	m.plan = m.planFor()
-	m.order = m.plan.Order
+	m.cq, m.order = m.plan.cq, m.plan.Order
 	if opts.Guard != nil {
 		m.live[0] = opts.Guard.Live()
 	}
@@ -214,13 +217,6 @@ func (m *Matcher) All(q *pattern.Pattern, opts Options) []core.Match {
 	return out
 }
 
-// compiledFor lowers q onto the topology's symbol table, memoized on the
-// pattern itself (pattern.CompileFor), so matchers are cheap to construct
-// and workers sharing rule patterns share the lowering.
-func (m *Matcher) compiledFor(q *pattern.Pattern) *pattern.Compiled {
-	return pattern.CompileFor(q, m.snap.Syms())
-}
-
 // ensure sizes the reusable buffers for an n-node pattern, growing the
 // used-set when the view gained nodes since the last call (an Overlay
 // between update batches).
@@ -246,16 +242,17 @@ func (m *Matcher) ensure(n int) {
 	}
 }
 
-// Plan is one compiled search plan: the matching order — the pattern node
-// bound at each depth — and, under a guard, the guard instructions due at
-// each depth, the first at which all their operands are bound. It is what
-// Enumerate interprets; String prints it.
+// Plan is one compiled search plan: the pattern lowered onto the view's
+// symbol table, the matching order — the pattern node bound at each depth
+// — and, under a guard, the guard instructions due at each depth, the
+// first at which all their operands are bound. It is what Enumerate
+// interprets; String prints it.
 type Plan struct {
 	Order []int
 	pins  uint64           // pinned pattern nodes, for String
 	insts []core.GuardInst // guard instructions in due-depth order
 	at    []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
-	q     *pattern.Pattern
+	cq    *pattern.Compiled
 }
 
 // String renders the plan as its variables in matching order, pinned ones
@@ -267,7 +264,7 @@ func (p Plan) String() string {
 		if d > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(string(p.q.Nodes[u].Var))
+		b.WriteString(string(p.cq.Q.Nodes[u].Var))
 		if u < 64 && p.pins&(1<<uint(u)) != 0 {
 			b.WriteByte('*')
 		}
@@ -279,7 +276,7 @@ func (p Plan) String() string {
 			if i > p.at[d] {
 				b.WriteString(", ")
 			}
-			b.WriteString(p.insts[i].Format(p.q))
+			b.WriteString(p.insts[i].Format(p.cq.Q))
 		}
 		b.WriteByte(']')
 	}
@@ -316,8 +313,9 @@ func (p *Plan) schedule(g *core.Guard) {
 // planFor returns the plan for the bound call: cached per (pattern, pin
 // set, stripe node, topology version, guard) — patterns small enough for a
 // pin bitmask (all of them, in practice) resolve repeated enumerations, one
-// per work unit on the engine paths, to a map hit, skipping the class-size
-// reads and the O(|Q|²) selection.
+// per work unit on the engine paths, to a map hit, skipping the lowering,
+// the class-size reads and the O(|Q|²) selection. A miss lowers the
+// pattern onto the view's table first, since planOrder reads the codes.
 func (m *Matcher) planFor() *Plan {
 	n := m.n
 	var pins uint64
@@ -331,13 +329,14 @@ func (m *Matcher) planFor() *Plan {
 		stripe = m.opts.StripeNode
 	}
 	cacheable := n <= 64
-	key := planKey{cq: m.cq, pins: pins, stripe: stripe, ver: m.snap.Version(), guard: m.opts.Guard}
+	key := planKey{q: m.q, pins: pins, stripe: stripe, ver: m.snap.Version(), guard: m.opts.Guard}
 	if cacheable {
 		if p, ok := m.plans[key]; ok {
 			return p
 		}
 	}
-	p := &Plan{Order: make([]int, n), pins: pins, q: m.q}
+	m.cq = pattern.Compile(m.q, m.snap.Syms())
+	p := &Plan{Order: make([]int, n), pins: pins, cq: m.cq}
 	m.planOrder(p.Order, stripe)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)

@@ -84,6 +84,46 @@ func TestDifferentialOverlayMatcher(t *testing.T) {
 	}
 }
 
+// TestOverlayMatcherSeesNewLabel: one Matcher kept over the live overlay
+// enumerates a pattern whose labels the symbol table has never interned —
+// they lower to NoSym and match nothing — and, after updates insert a node
+// and an edge carrying those labels, finds them. The plan cache is keyed
+// by the view's version, so the update re-lowers the pattern.
+func TestOverlayMatcherSeesNewLabel(t *testing.T) {
+	g := graph.New(0, 0)
+	owner := g.AddNode("person", nil)
+	g.AddNode("person", nil)
+	ov := graph.NewOverlay(g)
+	m := match.NewMatcher(ov)
+
+	lone := pattern.New()
+	lone.AddNode("y", "gadget")
+	owns := pattern.New()
+	x := owns.AddNode("x", "person")
+	y := owns.AddNode("y", "gadget")
+	owns.AddEdge(x, y, "owns")
+
+	if ov.Syms().Lookup("gadget") != graph.NoSym || ov.Syms().Lookup("owns") != graph.NoSym {
+		t.Fatal("fixture: the pattern's labels must be absent from the table")
+	}
+	for _, q := range []*pattern.Pattern{lone, owns} {
+		if n := m.Count(q, match.Options{}); n != 0 {
+			t.Fatalf("%v: %d matches before any gadget exists", q, n)
+		}
+	}
+	gadget := ov.AddNode("gadget", nil)
+	if got := m.All(lone, match.Options{}); len(got) != 1 || got[0][0] != gadget {
+		t.Fatalf("after AddNode: lone gadget matches %v, want [[%d]]", got, gadget)
+	}
+	if n := m.Count(owns, match.Options{}); n != 0 {
+		t.Fatalf("%d owns matches before the edge exists", n)
+	}
+	ov.MustAddEdge(owner, gadget, "owns")
+	if got := m.All(owns, match.Options{}); len(got) != 1 || got[0][x] != owner || got[0][y] != gadget {
+		t.Fatalf("after AddEdge: owns matches %v, want [[%d %d]]", got, owner, gadget)
+	}
+}
+
 // TestStripedClassFastPath: a pattern whose striped node seeds the
 // enumeration (no pin, no matched neighbor) scans the whole label class,
 // and feasible's residue filter alone must make the stripes partition the

@@ -5,9 +5,10 @@ import (
 	"gfd/internal/pattern"
 )
 
-// Simulate computes the (dual) graph simulation relation from pattern q to
-// the snapshot s (frozen or an overlay's patched view) restricted to the
-// node set block (nil = whole graph): for each pattern node u it returns
+// Simulate computes the (dual) graph simulation relation from pattern q,
+// lowered as cq, to the snapshot s (frozen or an overlay's patched view)
+// restricted to the node set block (nil = whole graph): for each pattern
+// node u it returns
 // the set of graph nodes v that simulate u, i.e. v's label matches u's and
 // every pattern edge incident to u can be followed from v into the
 // simulation sets of u's neighbors. Labels are compared as interned codes,
@@ -17,10 +18,10 @@ import (
 // participates in an isomorphic match simulates its pattern node) and is
 // computable in polynomial time; disVal uses it to estimate the number of
 // partial matches before deciding whether to ship partial matches or
-// prefetch data blocks (Section 6.2).
-func Simulate(s *graph.Snapshot, q *pattern.Pattern, block graph.NodeSet) []graph.NodeSet {
-	cq := pattern.CompileFor(q, s.Syms())
-	n := q.NumNodes()
+// prefetch data blocks (Section 6.2). cq is the pattern lowered onto s's
+// symbol table; the caller lowers it once and reuses it across blocks.
+func Simulate(s *graph.Snapshot, cq *pattern.Compiled, block graph.NodeSet) []graph.NodeSet {
+	n := cq.Q.NumNodes()
 	sim := make([]graph.NodeSet, n)
 	for u := 0; u < n; u++ {
 		sim[u] = make(graph.NodeSet)

@@ -24,7 +24,7 @@ func TestSimulateBasic(t *testing.T) {
 	q.AddEdge(f, c, "from")
 
 	for name, s := range simViews(buildG1()) {
-		sim := Simulate(s, q, nil)
+		sim := Simulate(s, pattern.Compile(q, s.Syms()), nil)
 		// Both flights have a from-city: sim(f) = 2 flights.
 		if sim[0].Len() != 2 {
 			t.Errorf("%s: sim(f) = %d, want 2", name, sim[0].Len())
@@ -42,7 +42,7 @@ func TestSimulateOverApproximatesIso(t *testing.T) {
 	q := pattern.New()
 	flightComponent(q, "x")
 	for name, s := range simViews(g) {
-		sim := Simulate(s, q, nil)
+		sim := Simulate(s, pattern.Compile(q, s.Syms()), nil)
 		for _, m := range All(g, q, Options{}) {
 			for u, v := range m {
 				if _, ok := sim[u][v]; !ok {
@@ -66,7 +66,7 @@ func TestSimulatePrunesDanglingCandidates(t *testing.T) {
 	q.AddEdge(x, y, "e")
 
 	for name, s := range simViews(g) {
-		sim := Simulate(s, q, nil)
+		sim := Simulate(s, pattern.Compile(q, s.Syms()), nil)
 		if sim[0].Len() != 1 {
 			t.Errorf("%s: sim(x) = %v, want only the connected 'a'", name, sim[0].Sorted())
 		}
@@ -94,8 +94,9 @@ func TestSimulateOverlayPatch(t *testing.T) {
 	ov.MustAddEdge(lone, b, "e")
 	fresh := ov.AddNode("a", nil)
 	ov.MustAddEdge(fresh, ov.AddNode("b", nil), "e")
-	got := Simulate(ov.View(), q, nil)
-	want := Simulate(g.Clone().Freeze(), q, nil)
+	view, frozen := ov.View(), g.Clone().Freeze()
+	got := Simulate(view, pattern.Compile(q, view.Syms()), nil)
+	want := Simulate(frozen, pattern.Compile(q, frozen.Syms()), nil)
 	for u := range want {
 		if fmt.Sprint(got[u].Sorted()) != fmt.Sprint(want[u].Sorted()) {
 			t.Errorf("sim(%d): overlay %v, freeze %v", u, got[u].Sorted(), want[u].Sorted())
@@ -113,7 +114,7 @@ func TestSimulateRespectsBlock(t *testing.T) {
 	flights := g.NodesWithLabel("flight")
 	block := graph.NewNodeSet(g.Neighborhood(flights[0], 1))
 	for name, s := range simViews(g) {
-		sim := Simulate(s, q, block)
+		sim := Simulate(s, pattern.Compile(q, s.Syms()), block)
 		if sim[0].Len() != 1 || !sim[0].Contains(flights[0]) {
 			t.Errorf("%s: block-restricted sim(x) = %v", name, sim[0].Sorted())
 		}
@@ -134,7 +135,7 @@ func TestSimulateCyclicPattern(t *testing.T) {
 	q.AddEdge(y, x, "e")
 
 	for name, s := range simViews(g) {
-		sim := Simulate(s, q, nil)
+		sim := Simulate(s, pattern.Compile(q, s.Syms()), nil)
 		if sim[0].Len() != 0 || sim[1].Len() != 0 {
 			t.Errorf("%s: chain cannot simulate a cycle: %v %v", name, sim[0].Sorted(), sim[1].Sorted())
 		}
@@ -145,7 +146,7 @@ func TestSimulationSize(t *testing.T) {
 	q := pattern.New()
 	q.AddNode("x", "flight")
 	for name, s := range simViews(buildG1()) {
-		if n := SimulationSize(Simulate(s, q, nil)); n != 2 {
+		if n := SimulationSize(Simulate(s, pattern.Compile(q, s.Syms()), nil)); n != 2 {
 			t.Errorf("%s: SimulationSize = %d, want 2", name, n)
 		}
 	}

@@ -16,104 +16,15 @@ type CompiledEdge struct {
 // which matches nothing (the pattern then has no matches, exactly as with
 // string comparison).
 //
-// A Compiled is tied to the Symbols table it was compiled against; after
-// re-freezing a mutated graph, recompile (match.Matcher handles this by
-// caching per snapshot).
+// A Compiled is tied to the Symbols table it was compiled against and to
+// the names that table held at the time: a label interned later still
+// lowers to NoSym here. Its holders own its lifetime — a validate.Bundle
+// for one graph version, an incremental.Detector per overlay it adopts,
+// and match.Matcher per cached plan, which is keyed by the view's version.
 type Compiled struct {
 	Q        *Pattern
 	NodeSyms []graph.Sym
 	Edges    []CompiledEdge
-}
-
-// compiledEntry pins a Compiled to the symbol table it was lowered on.
-// symsLen and noSym handle growing tables (graph.Overlay interns new
-// names into its base snapshot's table): an entry that lowered some label
-// to NoSym is only trusted while the table has not grown, because the
-// missing label may have been interned since; an entry with every label
-// resolved can never go stale (codes are append-only).
-type compiledEntry struct {
-	syms    *graph.Symbols
-	symsLen int
-	noSym   bool
-	c       *Compiled
-}
-
-// current reports whether the entry is still valid for its table.
-func (e *compiledEntry) current(syms *graph.Symbols) bool {
-	return e.syms == syms && (!e.noSym || e.symsLen == syms.Len())
-}
-
-// CompileFor is Compile memoized on the pattern per symbol table: engines
-// share one snapshot per run, so the steady state is an atomic load and a
-// few pointer compares — repeated matcher construction (one per worker,
-// one per DetVio call) stops re-lowering every rule pattern.
-//
-// The memo holds one entry per live symbol table (copy-on-write list), so
-// two prepared sessions over different graphs sharing one rule set do not
-// evict each other — each keeps its "lowered once per (graph version,
-// rule set)" guarantee. Dead tables' entries are dropped once the list
-// outgrows a small bound, keeping the memo from pinning old snapshots of
-// a long-lived mutating graph. Stale entries over a table that has grown
-// past an unresolved label (see compiledEntry) are recompiled and
-// replaced in place.
-func CompileFor(q *Pattern, syms *graph.Symbols) *Compiled {
-	entries := q.compiled.Load()
-	if entries != nil {
-		for i := range *entries {
-			if (*entries)[i].current(syms) {
-				return (*entries)[i].c
-			}
-		}
-	}
-	// The table length is captured BEFORE compiling: a concurrent Intern
-	// between Compile's lookups and the length read would otherwise stamp
-	// a NoSym lowering with the post-intern length, making the stale entry
-	// look current forever (the pattern would silently match nothing).
-	// Captured-early, such an interleaving only makes the entry look stale
-	// and recompile once — the safe direction.
-	lenBefore := syms.Len()
-	c := Compile(q, syms)
-	fresh := compiledEntry{syms: syms, symsLen: lenBefore, noSym: hasNoSym(c), c: c}
-	for {
-		old := q.compiled.Load()
-		var next []compiledEntry
-		if old != nil {
-			// Re-check under the CAS loop (a racing compile may have won),
-			// dropping any stale entry for this table along the way.
-			for i := range *old {
-				if (*old)[i].current(syms) {
-					return (*old)[i].c
-				}
-				if (*old)[i].syms != syms {
-					next = append(next, (*old)[i])
-				}
-			}
-			if len(next) >= maxCompiledEntries {
-				// Keep the newest entries; the evicted tables recompile on
-				// their next use (correctness is unaffected).
-				next = next[len(next)-maxCompiledEntries+1:]
-			}
-		}
-		next = append(next, fresh)
-		if q.compiled.CompareAndSwap(old, &next) {
-			return c
-		}
-	}
-}
-
-// hasNoSym reports whether any node or edge label lowered to NoSym.
-func hasNoSym(c *Compiled) bool {
-	for _, s := range c.NodeSyms {
-		if s == graph.NoSym {
-			return true
-		}
-	}
-	for _, e := range c.Edges {
-		if e.Label == graph.NoSym {
-			return true
-		}
-	}
-	return false
 }
 
 // InternInto interns every non-wildcard node and edge label of q into
@@ -134,11 +45,6 @@ func InternInto(q *Pattern, syms *graph.Symbols) {
 	}
 }
 
-// maxCompiledEntries bounds the per-pattern memo: enough for several
-// concurrent sessions, small enough that a mutating graph's discarded
-// symbol tables don't accumulate.
-const maxCompiledEntries = 8
-
 // Compile lowers q onto syms. It only reads the table (Lookup, never
 // Intern), so compiling against a shared snapshot is safe from concurrent
 // workers.
@@ -148,19 +54,22 @@ func Compile(q *Pattern, syms *graph.Symbols) *Compiled {
 		NodeSyms: make([]graph.Sym, len(q.Nodes)),
 		Edges:    make([]CompiledEdge, len(q.Edges)),
 	}
-	lower := func(label string) graph.Sym {
-		if label == Wildcard {
-			return graph.WildcardSym
-		}
-		return syms.Lookup(label)
-	}
 	for i, n := range q.Nodes {
-		c.NodeSyms[i] = lower(n.Label)
+		c.NodeSyms[i] = LowerLabel(n.Label, syms)
 	}
 	for i, e := range q.Edges {
-		c.Edges[i] = CompiledEdge{From: int32(e.From), To: int32(e.To), Label: lower(e.Label)}
+		c.Edges[i] = CompiledEdge{From: int32(e.From), To: int32(e.To), Label: LowerLabel(e.Label, syms)}
 	}
 	return c
+}
+
+// LowerLabel lowers one pattern label onto syms: WildcardSym for the
+// wildcard, NoSym for a name the table never interned.
+func LowerLabel(label string, syms *graph.Symbols) graph.Sym {
+	if label == Wildcard {
+		return graph.WildcardSym
+	}
+	return syms.Lookup(label)
 }
 
 // LabelMatchesSym is LabelMatches over interned codes: WildcardSym matches

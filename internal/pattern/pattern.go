@@ -8,7 +8,6 @@ package pattern
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Wildcard is the special label '_' that matches any node or edge label.
@@ -32,7 +31,10 @@ type Edge struct {
 
 // Pattern is a graph pattern Q[x̄]. Nodes are indexed 0..len(Nodes)-1; the
 // variable list x̄ is exactly the Var fields in index order (µ is the
-// identity on indices).
+// identity on indices). A pattern holds labels as strings only; whoever
+// runs it on a graph lowers it onto that graph's symbol table (Compile)
+// and keeps the lowering. Do not mutate a pattern while a lowering of it
+// is in use.
 type Pattern struct {
 	Nodes []Node
 	Edges []Edge
@@ -40,11 +42,6 @@ type Pattern struct {
 	varIdx map[Var]int
 	out    [][]int // edge indices leaving node i
 	in     [][]int // edge indices entering node i
-
-	// Lowered forms cached per symbol table, one entry per live table
-	// (see CompileFor). Do not mutate a pattern after it has been
-	// compiled against a snapshot.
-	compiled atomic.Pointer[[]compiledEntry]
 }
 
 // New returns an empty pattern.

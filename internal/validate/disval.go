@@ -50,7 +50,7 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 		// of the block; it is only worth considering when the prefetch is
 		// substantial.
 		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(b.topo, frag, groups[u.group], u, cands, w, shipped); pb < shipped {
+			if pb := partialMatchBytes(b, frag, groups[u.group], u, cands, w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}
@@ -170,24 +170,25 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // strategy: the graph-simulation relation of the group pattern restricted
 // to the unit's block over-approximates the partial matches that would be
 // exchanged; each pair costs a fixed descriptor. Only pairs on nodes not
-// owned by worker w need shipping.
+// owned by worker w need shipping. Both estimates read the group
+// pattern's lowering that b compiled, so no unit lowers it again.
 //
 // The simulation fixpoint is only worth computing when it could win: a
 // label-compatibility count (an upper bound on the simulation size, O(1)
 // per block node) prefilters units whose partial matches could not beat
 // prefetching, keeping the strategy selector itself cheap — the paper's
 // dlocalVio likewise estimates before exchanging.
-func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
-	view := topo.View()
-	block := u.BlockIn(topo, cands)
-	syms := pattern.CompileFor(grp.q, view.Syms()).NodeSyms
+func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
+	view := b.topo.View()
+	block := u.BlockIn(b.topo, cands)
+	cq := b.pats[grp.q]
 	var upper int64
 	for v := range block {
 		if frag.OwnerOf(v) == w {
 			continue
 		}
 		l := view.Label(v)
-		for _, sym := range syms {
+		for _, sym := range cq.NodeSyms {
 			if pattern.LabelMatchesSym(sym, l) {
 				upper += partialDescriptorBytes
 			}
@@ -196,7 +197,7 @@ func partialMatchBytes(topo graph.Topology, frag *fragment.Fragmentation, grp *r
 	if upper >= prefetchBytes {
 		return upper // cannot win; skip the fixpoint
 	}
-	sim := match.Simulate(view, grp.q, block)
+	sim := match.Simulate(view, cq, block)
 	var pairs int64
 	for _, s := range sim {
 		for v := range s {

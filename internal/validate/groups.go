@@ -16,7 +16,7 @@ import (
 type depSpec struct {
 	rule *core.GFD
 	perm []int                // rule node index -> group node index
-	prog *core.LiteralProgram // bundle-held; nil falls back to ProgramFor
+	prog *core.LiteralProgram // the bundle's, set by bind
 }
 
 // ruleGroup is the multi-query processing unit (Appendix, "Multi-query
@@ -55,8 +55,8 @@ func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
 }
 
 // bind attaches each dependency's bundle-held program and compiles the
-// group guard from them, so the per-match hot path (checkMatch) neither
-// locks nor touches the evictable GFD-level cache.
+// group guard from them, so the per-match hot path (checkMatch) reads a
+// program pointer and never locks.
 func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram) {
 	ps := make([]*core.LiteralProgram, len(grp.deps))
 	perms := make([][]int, len(grp.deps))
@@ -210,9 +210,8 @@ func identityPerm(n int) []int {
 // rule's own node order). The remapped match is staged in *scratch so the
 // per-match hot path allocates only when a violation is actually recorded.
 // Literal checking runs each rule's compiled program against the shared
-// topology's interned attributes (the bundle-held program pointer in the
-// steady state). Returns false when emit refused a violation and the
-// enumeration must stop.
+// topology's interned attributes. Returns false when emit refused a
+// violation and the enumeration must stop.
 func (grp *ruleGroup) checkMatch(topo graph.Topology, m core.Match, scratch *core.Match, emit func(Violation) bool) bool {
 	for _, d := range grp.deps {
 		rm := *scratch
@@ -224,11 +223,7 @@ func (grp *ruleGroup) checkMatch(topo graph.Topology, m core.Match, scratch *cor
 		for i, gi := range d.perm {
 			rm[i] = m[gi]
 		}
-		p := d.prog
-		if p == nil {
-			p = d.rule.ProgramFor(topo.Syms())
-		}
-		if p.IsViolation(topo, rm) {
+		if d.prog.IsViolation(topo, rm) {
 			if !emit(Violation{Rule: d.rule.Name, Match: append(core.Match(nil), rm...)}) {
 				return false
 			}

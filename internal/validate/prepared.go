@@ -76,11 +76,15 @@ func (e Engine) Resolve() Engine {
 // artifacts. Building one pays, exactly once per (graph version, rule
 // set):
 //
-//   - the topology — Graph.Freeze on the cold path, or a graph.Overlay
-//     handed down by the session after an update batch (no re-freeze);
-//   - pattern.CompileFor per rule — pattern labels lowered onto the
-//     topology's symbol table;
+//   - the topology — Graph.Freeze on the cold path, or the graph's live
+//     graph.Overlay after an update batch (no re-freeze);
+//   - pattern.Compile per rule — pattern labels lowered onto the
+//     topology's symbol table, for the estimates that read them;
 //   - GFD literal lowering — X → Y literals as integer instructions.
+//
+// The bundle is the one owner of those lowerings; the rules keep none.
+// Each worker's match.Matcher lowers a pattern again on its own plan-cache
+// miss.
 //
 // Workload reduction (reason.Reduce) and multi-query grouping are lazy —
 // they depend on Options variants — but each variant is computed once and
@@ -98,14 +102,12 @@ type Bundle struct {
 	mu      sync.Mutex
 	reduced *core.Set
 	groups  map[groupKey][]*ruleGroup
-	// progs holds the bundle's own reference to each rule's compiled
-	// literal program. The GFD-level ProgramFor cache is single-entry per
-	// rule; two live bundles over different graphs sharing one rule set
-	// would evict each other through it, silently recompiling per call
-	// (or per match, from checkMatch). Bundle-held references make the
-	// "lowered once per (graph version, rule set)" guarantee immune to
-	// other sessions.
+	// progs holds each rule's literal program and pats each rule
+	// pattern's lowering, both compiled onto topo's table by NewBundleOver.
+	// pats is read-only after construction; progs also takes the programs
+	// Program compiles for rules outside the set, under mu.
 	progs map[*core.GFD]*core.LiteralProgram
+	pats  map[*pattern.Pattern]*pattern.Compiled
 
 	// est is the planning cache (see plan.go): chunk layouts with their
 	// survivor memos and plans per option variant, probe counters.
@@ -126,21 +128,16 @@ func NewBundle(g *graph.Graph, set *core.Set) *Bundle {
 }
 
 // NewBundleOver builds a bundle over an externally supplied topology —
-// the session layer passes the overlay maintained across update batches
-// instead of re-freezing. When prev (the bundle this one supersedes) is
-// given and shares the rule set, the rule-side caches that do not depend
-// on the graph are inherited: the reduced set always, the grouping
-// variants when the symbol table is unchanged (the overlay case — their
-// compiled-program bindings stay valid because programs are keyed by
-// table).
-//
-// Lowering differs by topology kind. A frozen snapshot's table is
-// immutable, so rules lower by lookup and cache at the GFD level. An
-// overlay's table grows with updates, so every rule's labels and literal
-// constants are interned first (pattern.InternInto / GFD.InternLiterals)
-// and the programs are compiled fresh for this bundle — a cached program
-// lowered before the constants existed would wrongly short-circuit to
-// "never matches".
+// the session layer passes the graph's live overlay after update batches
+// instead of re-freezing — and compiles every rule's pattern and literal
+// program onto its symbol table. An overlay's table grows with updates, so
+// there every rule's labels and literal constants are interned first
+// (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym must
+// mean "never occurs". When prev (the bundle this one supersedes) is given
+// and shares the rule set, the rule-side caches that do not depend on the
+// graph are inherited: the reduced set always, the grouping variants when
+// the symbol table is unchanged (the overlay case), rebound to this
+// bundle's programs.
 func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bundle) *Bundle {
 	b := &Bundle{
 		g:      g,
@@ -148,43 +145,17 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 		set:    set,
 		groups: make(map[groupKey][]*ruleGroup, 2),
 		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
+		pats:   make(map[*pattern.Pattern]*pattern.Compiled, set.Len()),
 	}
 	syms := topo.Syms()
-	sameTable := prev != nil && prev.set == set && prev.topo.Syms() == syms
-	if _, growing := topo.(*graph.Overlay); growing {
-		for _, f := range set.Rules() {
+	_, growing := topo.(*graph.Overlay)
+	for _, f := range set.Rules() {
+		if growing {
 			pattern.InternInto(f.Q, syms)
 			f.InternLiterals(syms)
 		}
-		// Warm rounds reuse the predecessor's programs when they can't be
-		// stale: a fully resolved lowering survives any table growth
-		// (codes are append-only). A program with an unresolved side
-		// recompiles — the missing name may just have been interned. The
-		// entries are copied under prev's lock: a still-running Detect on
-		// the superseded bundle may insert out-of-set programs (baseline
-		// conversions) into prev.progs through Bundle.Program.
-		var prevProgs map[*core.GFD]*core.LiteralProgram
-		if sameTable {
-			prev.mu.Lock()
-			prevProgs = make(map[*core.GFD]*core.LiteralProgram, len(prev.progs))
-			for f, p := range prev.progs {
-				prevProgs[f] = p
-			}
-			prev.mu.Unlock()
-		}
-		for _, f := range set.Rules() {
-			pattern.CompileFor(f.Q, syms)
-			if p, ok := prevProgs[f]; ok && p.Resolved() {
-				b.progs[f] = p
-				continue
-			}
-			b.progs[f] = f.CompileLiterals(syms)
-		}
-	} else {
-		for _, f := range set.Rules() {
-			pattern.CompileFor(f.Q, syms)
-			b.progs[f] = f.ProgramFor(syms)
-		}
+		b.pats[f.Q] = pattern.Compile(f.Q, syms)
+		b.progs[f] = f.CompileLiterals(syms)
 	}
 	if prev != nil && prev.set == set {
 		b.inherit(prev, syms)
@@ -220,8 +191,8 @@ func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 }
 
 // Program returns f's literal program lowered onto the bundle's symbol
-// table: the bundle-held reference for prepared rules, a compile-and-
-// cache for rules outside the set (e.g. the GCFD baseline's encodings).
+// table: the one NewBundleOver compiled for prepared rules, a compile-and-
+// keep for rules outside the set (e.g. the GCFD baseline's encodings).
 func (b *Bundle) Program(f *core.GFD) *core.LiteralProgram {
 	b.mu.Lock()
 	defer b.mu.Unlock()

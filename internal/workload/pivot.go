@@ -146,11 +146,7 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 // compiled topology: the pivot label's interned code, WildcardSym for a
 // wildcard pivot (all nodes). CandidatesIn keeps a subset of it.
 func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
-	label := p.Q.Nodes[p.Vars[i]].Label
-	if label == pattern.Wildcard {
-		return graph.WildcardSym
-	}
-	return t.Syms().Lookup(label)
+	return pattern.LowerLabel(p.Q.Nodes[p.Vars[i]].Label, t.Syms())
 }
 
 // Class returns component i's class on t in ascending node order, and nil
@@ -274,26 +270,31 @@ type starRun struct {
 
 // starIn lowers pivot component i's star onto t: per pattern neighbour of
 // the pivot (itself, for a self-loop), the runs along the edges joining
-// them.
+// them. It looks up the star's labels alone, not the whole pattern, once
+// per call — a range of class members, never a member.
 func (p *Pivot) starIn(t graph.Topology, i int) [][]starRun {
-	c := pattern.CompileFor(p.Q, t.Syms())
+	syms := t.Syms()
 	z := p.Vars[i]
 	var nbrs []int
 	var star [][]starRun
-	add := func(q int, label graph.Sym, in bool) {
+	add := func(q int, label string, in bool) {
 		j := slices.Index(nbrs, q)
 		if j < 0 {
 			j = len(nbrs)
 			nbrs = append(nbrs, q)
 			star = append(star, nil)
 		}
-		star[j] = append(star[j], starRun{label, c.NodeSyms[q], in})
+		star[j] = append(star[j], starRun{
+			label: pattern.LowerLabel(label, syms),
+			nbr:   pattern.LowerLabel(p.Q.Nodes[q].Label, syms),
+			in:    in,
+		})
 	}
 	for _, ei := range p.Q.OutEdges(z) {
-		add(p.Q.Edges[ei].To, c.Edges[ei].Label, false)
+		add(p.Q.Edges[ei].To, p.Q.Edges[ei].Label, false)
 	}
 	for _, ei := range p.Q.InEdges(z) {
-		add(p.Q.Edges[ei].From, c.Edges[ei].Label, true)
+		add(p.Q.Edges[ei].From, p.Q.Edges[ei].Label, true)
 	}
 	return star
 }
