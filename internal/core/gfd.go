@@ -102,9 +102,14 @@ func MustNew(name string, q *pattern.Pattern, x, y []Literal) *GFD {
 	return f
 }
 
-// Check verifies well-formedness: each literal references only variables of
-// Q and non-empty attribute names.
+// Check verifies well-formedness: the name holds no ',' (a violation's
+// key is the name and then ",<id>" per match node, so a comma would let
+// two violations share a key), and each literal references only variables
+// of Q and non-empty attribute names.
 func (f *GFD) Check() error {
+	if strings.Contains(f.Name, ",") {
+		return fmt.Errorf("gfd %q: ',' in the rule name", f.Name)
+	}
 	if f.Q == nil {
 		return fmt.Errorf("gfd %s: nil pattern", f.Name)
 	}

@@ -76,6 +76,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsCommaInName: a violation's key is the rule name, then
+// ",<id>" per match node, so rule "a,1" over [2] and rule "a" over [1 2]
+// would both read "a,1,2" and two different sets would compare equal.
+func TestNewRejectsCommaInName(t *testing.T) {
+	for _, name := range []string{"a,1", ",", "a,"} {
+		_, err := New(name, capitalPattern(), nil, []Literal{VarEq("y", "val", "z", "val")})
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("New(%q): error %v, want one naming the rule", name, err)
+		}
+	}
+}
+
 func TestClassification(t *testing.T) {
 	q := capitalPattern()
 	varGFD := MustNew("v", q, nil, []Literal{VarEq("y", "val", "z", "val")})

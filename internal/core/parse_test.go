@@ -118,6 +118,13 @@ func TestParseRulesErrors(t *testing.T) {
 	}
 }
 
+func TestParseRulesRejectsCommaInName(t *testing.T) {
+	_, err := ParseRules(strings.NewReader("gfd ok {\n  node x l\n}\ngfd a,1 {\n  node x l\n}\n"))
+	if err == nil || !strings.Contains(err.Error(), `"a,1"`) || !strings.Contains(err.Error(), "line 6") {
+		t.Fatalf("ParseRules: error %v, want one naming rule \"a,1\" at line 6", err)
+	}
+}
+
 func TestRulesRoundTrip(t *testing.T) {
 	set, err := ParseRules(strings.NewReader(sampleRules))
 	if err != nil {

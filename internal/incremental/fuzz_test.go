@@ -24,7 +24,7 @@ func fuzzRules() *core.Set {
 			nil, []core.Literal{core.Const("v0", "p", "0")}),
 		rule("lone", []string{"a", "b", "b"}, []pattern.Edge{{From: 0, To: 1, Label: "e"}},
 			[]core.Literal{p("v1", "v2")}, []core.Literal{p("v0", "v2")}),
-		rule("r,1", []string{"b"}, nil, nil, []core.Literal{core.Const("v0", "p", "0")}),
+		named("r,1", rule("r1", []string{"b"}, nil, nil, []core.Literal{core.Const("v0", "p", "0")})),
 		rule("r", []string{"a", "b"}, []pattern.Edge{{From: 0, To: 1, Label: "f"}},
 			nil, []core.Literal{p("v0", "v1")}),
 	)

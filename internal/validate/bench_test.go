@@ -11,6 +11,7 @@ package validate
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -166,5 +167,50 @@ func BenchmarkParallelOverSequential(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			b.ReportMetric(ParallelOverSequential(b, w, b.N), "par/seq")
 		})
+	}
+}
+
+// collectWorkload is n violations in the shape of the benchmark's
+// cyc_dirty_collect report (n = 13 063 there): three arity-3 rules, IDs
+// below 20 000, in random order.
+func collectWorkload(n int) Report {
+	rng := rand.New(rand.NewSource(1))
+	rules := []string{"tri0", "tri1", "tri2"}
+	out := make(Report, n)
+	for i := range out {
+		m := make(core.Match, 3)
+		for j := range m {
+			m[j] = graph.NodeID(rng.Intn(20000))
+		}
+		out[i] = Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
+	}
+	return out
+}
+
+// BenchmarkCollectSorted prices the collect mode's sink: the violations
+// emitted over two lanes, then the sorted Report built from them, in
+// ns/violation (fails if the order is not Key() order):
+//
+//	go test ./internal/validate -run xxx -bench BenchmarkCollectSorted -benchmem
+func BenchmarkCollectSorted(b *testing.B) {
+	vs := collectWorkload(13063)
+	var got Report
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var res Result
+		sink, finish := orCollect(nil, 2, &res)
+		for j, v := range vs {
+			sink.Emit(j&1, v)
+		}
+		finish()
+		got = res.Violations
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/violation")
+	for i, k := range vs.Keys() {
+		if got[i].Key() != k {
+			b.Fatalf("position %d holds %q, Key() order puts %q there", i, got[i].Key(), k)
+		}
 	}
 }

@@ -1,0 +1,140 @@
+package validate
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"gfd/internal/core"
+	"gfd/internal/graph"
+)
+
+// collectInput decodes 1–4 lanes of violations from data: up to eight rule
+// names of arbitrary bytes (commas, shared prefixes and the empty name
+// included), then violations, each on a lane with a name and 0–4 IDs in
+// [0, 2³¹) of 1 to 10 digits. Missing bytes read as zero.
+func collectInput(data []byte) (lanes int, emitted [][]Violation) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	lanes = 1 + int(next())%4
+	names := make([]string, 1+int(next())%8)
+	for i := range names {
+		name := make([]byte, int(next())%6)
+		for j := range name {
+			name[j] = next()
+		}
+		names[i] = string(name)
+	}
+	emitted = make([][]Violation, lanes)
+	for n := 0; len(data) > 0 && n < 512; n++ {
+		lane, rule, arity := int(next())%lanes, names[int(next())%len(names)], int(next())%5
+		var m core.Match // nil for arity 0, as the engines emit it
+		for range arity {
+			var id [4]byte
+			for j := range id {
+				id[j] = next()
+			}
+			shift := next() % 31
+			m = append(m, graph.NodeID(binary.LittleEndian.Uint32(id[:])&(1<<31-1)>>shift))
+		}
+		emitted[lane] = append(emitted[lane], Violation{Rule: rule, Match: m})
+	}
+	return lanes, emitted
+}
+
+// collectSeed encodes a fuzz input over names with n violations drawn
+// from rng.
+func collectSeed(rng *rand.Rand, lanes int, names []string, n int) []byte {
+	data := []byte{byte(lanes - 1), byte(len(names) - 1)}
+	for _, name := range names {
+		data = append(data, byte(len(name)))
+		data = append(data, name...)
+	}
+	for range n {
+		data = append(data, byte(rng.Intn(lanes)), byte(rng.Intn(len(names))), byte(rng.Intn(5)))
+		for range 5 {
+			data = append(data, byte(rng.Intn(256)))
+		}
+	}
+	return data
+}
+
+// inOrder is the keys of r in r's own order.
+func inOrder(r Report) []string {
+	ks := make([]string, len(r))
+	for i, v := range r {
+		ks[i] = v.Key()
+	}
+	return ks
+}
+
+// FuzzCollectSorted: the collect mode's sorted report of violations
+// emitted over several lanes reads, key by key, as sort.Strings over their
+// Key()s and as the sink's unsorted union after Report.Sort; and appending
+// to one returned match never changes another.
+func FuzzCollectSorted(f *testing.F) {
+	f.Add([]byte{})
+	// The names TestPropertyReportSortIsKeyStringOrder entangles: proper
+	// prefixes of one another continued by bytes below, at and above ','.
+	names := []string{"r", "r ", "r!", "r+x", "r,", "r,1", "r-", "r0", "r1", "rule", "rule#2", "rule_2", "", "é"}
+	rng := rand.New(rand.NewSource(1))
+	for lo := 0; lo < len(names); lo += 4 {
+		f.Add(collectSeed(rng, 1+lo%4, names[lo:min(lo+8, len(names))], 60))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lanes, emitted := collectInput(data)
+		var want []string
+		var res Result
+		sink, finish := orCollect(nil, lanes, &res)
+		union := NewCollectSink(lanes)
+		for lane, vs := range emitted {
+			for _, v := range vs {
+				want = append(want, v.Key())
+				sink.Emit(lane, v)
+				union.Emit(lane, v)
+			}
+		}
+		sort.Strings(want)
+		finish()
+		sorted := res.Violations
+		if got := inOrder(sorted); !slices.Equal(got, want) {
+			t.Fatalf("sorted union\n%q\nsort.Strings over Key()\n%q", got, want)
+		}
+		resorted := union.Report()
+		resorted.Sort()
+		if got := inOrder(resorted); !slices.Equal(got, want) {
+			t.Fatalf("Report then Report.Sort\n%q\nsort.Strings over Key()\n%q", got, want)
+		}
+		for _, r := range []Report{sorted, union.Report()} {
+			before := inOrder(r)
+			for _, v := range r {
+				_ = append(v.Match, -1)
+			}
+			if after := inOrder(r); !slices.Equal(after, before) {
+				t.Fatalf("appending to a match changed another:\n%q\nwas\n%q", after, before)
+			}
+		}
+	})
+}
+
+// TestCollectEmptyReportNonNil: a run with no violations collects a
+// non-nil empty report, sorted or not.
+func TestCollectEmptyReportNonNil(t *testing.T) {
+	var res Result
+	_, finish := orCollect(nil, 2, &res)
+	finish()
+	if res.Violations == nil || len(res.Violations) != 0 {
+		t.Fatalf("sorted report %#v, want a non-nil empty one", res.Violations)
+	}
+	if r := NewCollectSink(2).Report(); r == nil || len(r) != 0 {
+		t.Fatalf("Report() = %#v, want a non-nil empty one", r)
+	}
+}

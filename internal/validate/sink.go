@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gfd/internal/core"
+	"gfd/internal/graph"
 )
 
 // Sink is the single violation-consumption abstraction every engine emits
@@ -13,8 +16,8 @@ import (
 // engine materializes a per-unit match set first. The three execution
 // modes of the session API are three sinks over one engine code path:
 //
-//   - CollectSink — Detect: per-worker shards appended lock-free, merged
-//     and sorted into the Report after the run;
+//   - CollectSink — Detect: per-worker flat lanes appended lock-free; the
+//     sorted Report is built from them once, after the run;
 //   - CallbackSink — emissions serialized onto one user function under a
 //     mutex;
 //   - PipeSink — the pull-based iterator (Prepared.Violations): each
@@ -31,11 +34,24 @@ type Sink interface {
 	Emit(worker int, v Violation) bool
 }
 
-// CollectSink accumulates violations into per-worker shards so parallel
-// engines append without synchronization; Report merges the shards in
-// worker order. Emit never refuses.
+// CollectSink accumulates violations into per-worker lanes so parallel
+// engines append without synchronization. A lane is flat and pointer-free
+// but for its few rule names: per violation a head index (rule name and
+// whether the match is empty) and an offset into one ID arena the match is
+// copied into. Report unions the lanes in worker order; the collect mode
+// builds its sorted Report straight from them (orCollect). Emit never
+// refuses.
 type CollectSink struct {
-	shards []Report
+	lanes []lane
+}
+
+type lane struct {
+	heads headTable
+	head  []uint32       // per violation: its index in heads
+	off   []uint32       // per violation: where its match starts in ids
+	ids   []graph.NodeID // the matches, end to end
+	maxID uint32         // the largest ID, as uint32 (a negative one is large)
+	_     [64]byte       // workers append to neighbouring lanes: no shared cache line
 }
 
 // NewCollectSink returns a collect sink with capacity for workers lanes
@@ -44,47 +60,101 @@ func NewCollectSink(workers int) *CollectSink {
 	if workers < 1 {
 		workers = 1
 	}
-	return &CollectSink{shards: make([]Report, workers)}
+	return &CollectSink{lanes: make([]lane, workers)}
 }
 
-// Emit appends v to the worker's shard. Workers own their shard for the
-// duration of a run; cross-round ownership transfer is sequenced by the
-// scheduler's superstep barrier.
+// Emit appends v to the worker's lane, copying its match. Workers own
+// their lane for the duration of a run; cross-round ownership transfer is
+// sequenced by the scheduler's superstep barrier.
 func (s *CollectSink) Emit(worker int, v Violation) bool {
-	if worker < 0 || worker >= len(s.shards) {
+	if worker < 0 || worker >= len(s.lanes) {
 		worker = 0
 	}
-	s.shards[worker] = append(s.shards[worker], v)
+	l := &s.lanes[worker]
+	l.head = append(l.head, uint32(l.heads.of(v)))
+	l.off = append(l.off, uint32(len(l.ids)))
+	l.ids = append(l.ids, v.Match...)
+	for _, id := range v.Match {
+		l.maxID = max(l.maxID, uint32(id))
+	}
 	return true
 }
 
-// Report returns the union of the shards in worker order (unsorted; the
+// Report returns the union of the lanes in worker order (unsorted; the
 // engines sort canonically once at the end of a run).
 func (s *CollectSink) Report() Report {
-	var total int
-	for _, sh := range s.shards {
-		total += len(sh)
+	ks, _, _ := s.keyed()
+	return s.write(ks)
+}
+
+// sorted returns the union of the lanes in Key() order.
+func (s *CollectSink) sorted() Report {
+	ks, heads, maxID := s.keyed()
+	sortKeyed(ks, heads, maxID, s.at)
+	return s.write(ks)
+}
+
+// keyed lists the lanes' violations in worker order, each keyed by its
+// index in heads, every lane's table end to end.
+func (s *CollectSink) keyed() (ks []keyed, heads []head, maxID uint32) {
+	n := 0
+	for li := range s.lanes {
+		n += len(s.lanes[li].head)
 	}
-	out := make(Report, 0, total)
-	for _, sh := range s.shards {
-		out = append(out, sh...)
+	ks = make([]keyed, 0, n)
+	for li := range s.lanes {
+		l := &s.lanes[li]
+		for i, h := range l.head {
+			ks = append(ks, keyed{key: uint64(len(heads)) + uint64(h), src: uint32(li), i: uint32(i)})
+		}
+		heads, maxID = append(heads, l.heads.heads...), max(maxID, l.maxID)
+	}
+	return ks, heads, maxID
+}
+
+// at is the violation k names (src is its lane), its match borrowed from
+// the lane's arena.
+func (s *CollectSink) at(k keyed) Violation {
+	l := &s.lanes[k.src]
+	end := len(l.ids)
+	if int(k.i)+1 < len(l.off) {
+		end = int(l.off[k.i+1])
+	}
+	return Violation{Rule: l.heads.heads[l.head[k.i]].rule, Match: l.ids[l.off[k.i]:end]}
+}
+
+// write materializes the violations ks names, in that order, with every
+// match in one fresh arena, capped so that appending to one cannot reach
+// the next.
+func (s *CollectSink) write(ks []keyed) Report {
+	total := 0
+	for li := range s.lanes {
+		total += len(s.lanes[li].ids)
+	}
+	out := make(Report, len(ks))
+	arena := make(core.Match, total)
+	for p, k := range ks {
+		v := s.at(k)
+		n := copy(arena, v.Match)
+		v.Match = nil
+		if n > 0 {
+			v.Match, arena = arena[:n:n], arena[n:]
+		}
+		out[p] = v
 	}
 	return out
 }
 
 // orCollect resolves the sink an engine emits into: the caller's, or — for
 // a nil sink, the collect mode — a CollectSink with one lane per worker,
-// with finish merging and canonically sorting it into res.Violations after
-// the run. The modes of every engine differ only in the sink.
+// with finish building the canonically sorted res.Violations from its
+// lanes after the run. The modes of every engine differ only in the sink.
 func orCollect(sink Sink, lanes int, res *Result) (_ Sink, finish func()) {
 	if sink != nil {
 		return sink, func() {}
 	}
 	collect := NewCollectSink(lanes)
-	return collect, func() {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
-	}
+	return collect, func() { res.Violations = collect.sorted() }
 }
 
 // Single wraps the engines that do not plan work units (sequential and the

@@ -9,9 +9,12 @@ package validate
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
@@ -56,25 +59,158 @@ func (v Violation) Nodes() []graph.NodeID {
 // Report is a set of violations.
 type Report []Violation
 
-// Sort orders the report canonically: ascending Key() string order. Every
-// key is rendered once, into one shared buffer, and the comparisons run
-// over those bytes.
+// Sort orders the report canonically: ascending Key() string order, by one
+// sort on integer prefix keys (keyer).
 func (r Report) Sort() {
-	type keyed struct {
-		lo, hi int // the violation's key is keys[lo:hi]
-		v      Violation
-	}
-	keys := make([]byte, 0, 24*len(r)) // a short rule name and two or three IDs
-	byKey := make([]keyed, len(r))
+	var heads headTable
+	var maxID uint32
+	ks := make([]keyed, len(r))
 	for i, v := range r {
-		lo := len(keys)
-		keys = v.appendKey(keys)
-		byKey[i] = keyed{lo, len(keys), v}
+		ks[i] = keyed{key: uint64(heads.of(v)), i: uint32(i)}
+		for _, id := range v.Match {
+			maxID = max(maxID, uint32(id))
+		}
 	}
-	slices.SortFunc(byKey, func(a, b keyed) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
-	for i := range byKey {
-		r[i] = byKey[i].v
+	sortKeyed(ks, heads.heads, maxID, func(k keyed) Violation { return r[k.i] })
+	sorted := make(Report, len(r))
+	for p, k := range ks {
+		sorted[p] = r[k.i]
 	}
+	copy(r, sorted)
+}
+
+// head is what a violation's key starts with: the rule name, then "," when
+// the match is non-empty.
+type head struct {
+	rule string
+	args bool
+}
+
+// headTable interns the heads of a run of violations. Emitters mostly
+// repeat the last head, so that is checked before the index.
+type headTable struct {
+	heads []head
+	last  int
+	index map[head]int
+}
+
+func (t *headTable) of(v Violation) int {
+	h := head{v.Rule, len(v.Match) > 0}
+	if t.last < len(t.heads) && t.heads[t.last] == h {
+		return t.last
+	}
+	i, ok := t.index[h]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[head]int)
+		}
+		i, t.index[h], t.heads = len(t.heads), len(t.heads), append(t.heads, h)
+	}
+	t.last = i
+	return i
+}
+
+// keyed is one violation in a sort: its key, and where it lives (src and i
+// are read by the caller's lookup).
+type keyed struct {
+	key    uint64
+	src, i uint32
+}
+
+// keyer builds, per violation, a uint64 prefix key that is monotone in
+// Key() order: key(a) < key(b) implies a.Key() < b.Key(). The key is the
+// rank of the violation's head followed, in mixed radix, by as many match
+// IDs as fit. An ID is coded as its decimal digits left-aligned to the
+// width D of the largest ID, then its digit count: "1" < "10" < "12" < "2"
+// as text, and so as codes; 0 ends the match, so a shorter match sorts
+// first. Heads that are prefixes of one another ("r" beside "r!,", "r,"
+// beside "r,1,") share a rank with no IDs in it, since their order depends
+// on what follows them; sortKeyed breaks those ties on the rendered keys.
+type keyer struct {
+	rank   []uint64 // per head: its rank, scaled past the ID slots
+	ids    []bool   // per head: it alone holds its rank, so IDs follow
+	digits uint64   // D
+	place  []uint64 // per ID slot: its place value
+}
+
+var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+func newKeyer(heads []head, maxID uint32) *keyer {
+	k := &keyer{rank: make([]uint64, len(heads)), ids: make([]bool, len(heads))}
+	strs := make([]string, len(heads))
+	order := make([]int, len(heads))
+	for i, h := range heads {
+		strs[i], order[i] = h.rule, i
+		if h.args {
+			strs[i] += ","
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strs[a], strs[b]) })
+	var ranks uint64
+	for lo := 0; lo < len(order); ranks++ {
+		root, one, hi := strs[order[lo]], true, lo+1
+		for ; hi < len(order) && strings.HasPrefix(strs[order[hi]], root); hi++ {
+			one = one && strs[order[hi]] == root
+		}
+		for _, h := range order[lo:hi] {
+			k.rank[h], k.ids[h] = ranks, one
+		}
+		lo = hi
+	}
+	scale := uint64(1)
+	if ranks > 0 && maxID <= math.MaxInt32 { // a negative ID renders with a '-': key on heads alone
+		k.digits = uint64(digits(uint64(maxID)))
+		radix := pow10[k.digits]*k.digits + 1 // codes per slot
+		for ; scale <= math.MaxUint64/ranks/radix; scale *= radix {
+			k.place = append(k.place, scale)
+		}
+		slices.Reverse(k.place)
+	}
+	for h := range k.rank {
+		k.rank[h] *= scale
+	}
+	return k
+}
+
+// digits is the decimal digit count of x.
+func digits(x uint64) int {
+	n := 1
+	for n < len(pow10)-1 && x >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// key is the prefix key of a violation with head h and match m.
+func (k *keyer) key(h int, m core.Match) uint64 {
+	key := k.rank[h]
+	if k.ids[h] {
+		for s := 0; s < len(m) && s < len(k.place); s++ {
+			id := uint64(m[s])
+			n := uint64(digits(id))
+			key += (id*pow10[k.digits-n]*k.digits + n) * k.place[s]
+		}
+	}
+	return key
+}
+
+// sortKeyed sorts ks, whose keys hold indices into heads on entry, into
+// Key() order: it replaces each by its prefix key, sorts by those, and
+// orders equal keys by their violations' rendered keys. at looks a
+// violation up; maxID is the largest of their IDs, as uint32.
+func sortKeyed(ks []keyed, heads []head, maxID uint32, at func(keyed) Violation) {
+	kr := newKeyer(heads, maxID)
+	for i := range ks {
+		ks[i].key = kr.key(int(ks[i].key), at(ks[i]).Match)
+	}
+	var ba, bb []byte
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		ba, bb = at(a).appendKey(ba[:0]), at(b).appendKey(bb[:0])
+		return bytes.Compare(ba, bb)
+	})
 }
 
 // Keys returns the sorted canonical keys.
@@ -88,18 +224,7 @@ func (r Report) Keys() []string {
 }
 
 // Equal reports whether two reports describe the same violation set.
-func (r Report) Equal(other Report) bool {
-	a, b := r.Keys(), other.Keys()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (r Report) Equal(other Report) bool { return slices.Equal(r.Keys(), other.Keys()) }
 
 // ViolatingNodes returns the distinct inconsistent entities across the
 // report, the quantity precision/recall are computed over in Exp-5.
