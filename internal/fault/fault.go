@@ -62,8 +62,6 @@ const (
 	Literal
 	// Ship is crossed once per simulated data shipment (cluster.Ship).
 	Ship
-	// FreezeShard is crossed once per parallel-freeze shard task.
-	FreezeShard
 	// ProcUnit is crossed by a worker *process* starting an assigned unit
 	// (internal/dist). Unlike UnitStart it never panics: the query API
 	// (Injector.ProcKill) reports whether the process should exit, so the
@@ -88,8 +86,6 @@ func (s Site) String() string {
 		return "literal"
 	case Ship:
 		return "ship"
-	case FreezeShard:
-		return "freeze-shard"
 	case ProcUnit:
 		return "proc-unit"
 	case PipeFrame:

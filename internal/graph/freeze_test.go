@@ -11,7 +11,7 @@ import (
 )
 
 // randomFreezeGraph builds a random labeled/attributed graph exercising
-// everything the freeze pipeline shards: skewed degrees, nodes without
+// everything the snapshot build orders: skewed degrees, nodes without
 // attributes, and attribute values colliding with node and edge labels in
 // the shared symbol namespace (the ordering-sensitive case for
 // deterministic interning).
@@ -76,24 +76,93 @@ func requireSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 	}
 }
 
-// TestParallelFreezeEquivalence pins the parallel builder's differential
-// guarantee: for random graphs and any worker count, buildSnapshotParallel
-// emits a snapshot byte-identical to the serial builder's, whose adjacency
-// is in (label, neighbour label, neighbour) order — so the parallel
-// builder's shards sort by node labels it has already filled. Run with
-// -cpu 1,4 in CI so the GOMAXPROCS==1 environment exercises it too.
+// TestParallelFreezeEquivalence pins the builder's differential
+// guarantee: for any worker count, BuildSnapshot emits a snapshot
+// byte-identical to the one-worker build, whose adjacency is in (label,
+// neighbour label, neighbour) order. Besides random graphs the inputs are
+// the ones that stress the parallel sort: a graph rebuilt from its
+// persisted image (rows arrive sorted, the input Freeze sees after a
+// store round trip), a hub outweighing a whole node range, enough
+// distinct values to rehash the symbol table many times while it is
+// filled without the lock, and a graph without edges. Run with -cpu 1,4
+// in CI so the GOMAXPROCS==1 environment exercises it too.
 func TestParallelFreezeEquivalence(t *testing.T) {
+	type input struct {
+		name string
+		g    *Graph
+	}
+	var inputs []input
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, n := range []int{1, 7, 100, 500} {
-			g := randomFreezeGraph(seed, n)
-			want := g.BuildSnapshot(1)
-			requireCSROrder(t, want)
-			for _, w := range []int{2, 3, 4, 7, 16} {
-				got := g.BuildSnapshot(w)
-				requireSnapshotsEqual(t, want, got)
-			}
+			inputs = append(inputs, input{fmt.Sprintf("seed=%d/n=%d", seed, n), randomFreezeGraph(seed, n)})
 		}
 	}
+	inputs = append(inputs,
+		input{"roundtrip", roundTripGraph(t, randomFreezeGraph(9, 2000))},
+		input{"hub", hubGraph(2000)},
+		input{"rehash", manyValuesGraph(3000)},
+		input{"edgeless", edgelessGraph(300)},
+	)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want := in.g.BuildSnapshot(1)
+			requireCSROrder(t, want)
+			for _, w := range []int{2, 3, 4, 7, 16} {
+				got := in.g.BuildSnapshot(w)
+				requireSnapshotsEqual(t, want, got)
+			}
+		})
+	}
+}
+
+// roundTripGraph returns g rebuilt from its persisted image: Flat, then
+// AdoptFlat, then Clone, which thaws the maps from sorted rows.
+func roundTripGraph(t *testing.T, g *Graph) *Graph {
+	t.Helper()
+	f, err := g.Freeze().Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := AdoptFlat(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Graph().Clone()
+}
+
+// hubGraph is a sparse random graph whose node 3 has an edge to and from
+// every other node, so it alone outweighs any one range of a split.
+func hubGraph(n int) *Graph {
+	g := randomFreezeGraph(11, n)
+	for v := 0; v < n; v++ {
+		if v != 3 {
+			g.MustAddEdge(3, NodeID(v), "knows")
+			g.MustAddEdge(NodeID(v), 3, "likes")
+		}
+	}
+	return g
+}
+
+// manyValuesGraph gives every node distinct values, one of them also an
+// edge label, so the table grows from 16 slots through many rehashes.
+func manyValuesGraph(n int) *Graph {
+	g := New(n, n)
+	for v := 0; v < n; v++ {
+		g.AddNode(fmt.Sprintf("l%d", v%5), Attrs{"a": fmt.Sprintf("u%d", v), "b": fmt.Sprintf("w%d", n-v), "c": fmt.Sprintf("e%d", v%7)})
+	}
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(NodeID(v), NodeID((v*7)%n), fmt.Sprintf("e%d", v%7))
+	}
+	return g
+}
+
+// edgelessGraph has attributed nodes and no edges.
+func edgelessGraph(n int) *Graph {
+	g := New(n, 0)
+	for v := 0; v < n; v++ {
+		g.AddNode([]string{"a", "b", "c"}[v%3], Attrs{"k": fmt.Sprintf("%d", v%11)})
+	}
+	return g
 }
 
 // FuzzFreezeParallel fuzzes the same differential guarantee over the
@@ -164,9 +233,10 @@ func TestSetFreezeWorkersOverride(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildSnapshot prices the freeze pipeline serial vs parallel on
-// one mid-sized graph (TestFreezeSpeedupMultiCore gates the 4-worker
-// speedup; the benchmark's graph.freeze_s times the freeze end to end).
+// BenchmarkBuildSnapshot prices the snapshot build at 1, 2 and 4 workers
+// on one mid-sized random graph (BenchmarkBuildSnapshotShapes covers the
+// benchmark workloads' shapes; the benchmark's graph.freeze_s times the
+// freeze end to end).
 func BenchmarkBuildSnapshot(b *testing.B) {
 	g := randomFreezeGraph(1, 20000)
 	for _, w := range []int{1, 2, 4} {
@@ -184,8 +254,8 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 // eighth of its size in mixed updates through an overlay, then "flatten"
 // copies the patched view into flat arrays (what Freeze does to a graph an
 // overlay wrote) and "freeze" builds the snapshot from the same graph's
-// thawed maps with the builder Freeze runs on an unpatched graph,
-// buildSnapshotAuto (what compaction cost when overlays wrote through).
+// thawed maps with the worker count Freeze uses on an unpatched graph
+// (what compaction cost when overlays wrote through).
 func BenchmarkCompact(b *testing.B) {
 	g := randomFreezeGraph(1, 20000)
 	ov := NewOverlay(g)
@@ -212,7 +282,7 @@ func BenchmarkCompact(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buildSnapshotAuto(g)
+			buildSnapshot(g, workersFor(g.Size()))
 		}
 	})
 }

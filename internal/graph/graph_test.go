@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -291,8 +292,84 @@ func TestGraphIOQuotedAttrs(t *testing.T) {
 	}
 }
 
+// TestGraphIORoundTripsAnyText: Write quotes every label, attribute name
+// and value Read would otherwise split, strip or mangle, and Read inverts
+// the quoting exactly.
+func TestGraphIORoundTripsAnyText(t *testing.T) {
+	g := New(0, 0)
+	a := g.AddNode("two words", Attrs{"path": `x\y z`, "quote": `q"r`, "k=v": "=", "": "", "tab": "a\tb\nc"})
+	b := g.AddNode("", Attrs{"bad": "\xff\xfe", "nbsp": "a\u00a0b", "plain": `back\slash`})
+	g.MustAddEdge(a, b, `say "hi"`)
+	g.MustAddEdge(b, a, "")
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("Read(Write(g)): %v", err)
+	}
+	requireSameGraph(t, g, g2)
+}
+
+// requireSameGraph asserts equal labels, attribute tuples and edges by ID.
+func requireSameGraph(t *testing.T, want, got *Graph) {
+	t.Helper()
+	if want.NumNodes() != got.NumNodes() {
+		t.Fatalf("|V| = %d, want %d", got.NumNodes(), want.NumNodes())
+	}
+	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
+		if want.Label(v) != got.Label(v) {
+			t.Fatalf("node %d label = %q, want %q", v, got.Label(v), want.Label(v))
+		}
+		wa, ga := want.NodeAttrs(v), got.NodeAttrs(v)
+		if len(wa) != len(ga) {
+			t.Fatalf("node %d attrs = %q, want %q", v, ga, wa)
+		}
+		for k, x := range wa {
+			if y, ok := ga[k]; !ok || x != y {
+				t.Fatalf("node %d attrs = %q, want %q", v, ga, wa)
+			}
+		}
+	}
+	var we, ge []Edge
+	want.Edges(func(e Edge) bool { we = append(we, e); return true })
+	got.Edges(func(e Edge) bool { ge = append(ge, e); return true })
+	if !slices.Equal(we, ge) {
+		t.Fatalf("edges = %q, want %q", ge, we)
+	}
+}
+
+// FuzzReadGraph: Read never panics, and any graph it accepts survives a
+// Write / Read round trip unchanged.
+func FuzzReadGraph(f *testing.F) {
+	f.Add("node a x\nnode b y k=v\nedge a e b\n")
+	f.Add(`""`)
+	f.Add(`node a x k="v w"`)
+	f.Add("node \"a b\" \"l m\" \"k=1\"=2 x=\"\\\\\"\nedge \"a b\" \"e f\" \"a b\"")
+	f.Add("node a x k=\"unterminated")
+	f.Fuzz(func(t *testing.T, in string) {
+		g, _, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, _, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read(Write(g)) of %q: %v\n%s", in, err, buf.String())
+		}
+		requireSameGraph(t, g, g2)
+	})
+}
+
 func TestReadErrors(t *testing.T) {
 	cases := []string{
+		`""`,                         // a lone empty token
+		"node a x k=\"v",             // unterminated quote
+		"node a \"x\\q\"",            // malformed escape
 		"node a",                     // missing label
 		"node a x\nnode a y",         // duplicate
 		"edge a e b",                 // unknown nodes
@@ -302,8 +379,8 @@ func TestReadErrors(t *testing.T) {
 		"node a x\nnode b y\nedge a", // malformed
 	}
 	for _, c := range cases {
-		if _, _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("Read(%q) should fail", c)
+		if _, _, err := Read(strings.NewReader(c)); err == nil || !strings.HasPrefix(err.Error(), "graph: line ") {
+			t.Errorf("Read(%q) = %v, want a line-numbered error", c, err)
 		}
 	}
 	// Comments and blank lines are fine.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The text format is line-oriented:
@@ -14,15 +16,17 @@ import (
 //	node <name> <label> [attr=value ...]
 //	edge <from> <label> <to>
 //
-// Node names are arbitrary tokens (no whitespace); they are mapped to dense
-// NodeIDs in order of first appearance. Attribute values may be quoted with
-// double quotes if they contain spaces; '=' splits on the first occurrence.
+// Tokens are separated by spaces or tabs. Any part of a token may be
+// double-quoted with Go's escapes (strconv.Quote), so a name, label,
+// attribute name or value can hold any bytes; Write quotes exactly the
+// tokens that need it. Node names are mapped to dense NodeIDs in order of
+// first appearance. An attribute splits at its first '=' outside quotes.
 
 // Write serializes g to w in the text format. Node names are n<ID>.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	for id := 0; id < g.NumNodes(); id++ {
-		fmt.Fprintf(bw, "node n%d %s", id, g.Label(NodeID(id)))
+		fmt.Fprintf(bw, "node n%d %s", id, quoteToken(g.Label(NodeID(id)), false))
 		attrs := g.NodeAttrs(NodeID(id))
 		keys := make([]string, 0, len(attrs))
 		for k := range attrs {
@@ -30,24 +34,43 @@ func Write(w io.Writer, g *Graph) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			v := attrs[k]
-			if strings.ContainsAny(v, " \t") {
-				fmt.Fprintf(bw, " %s=%q", k, v)
-			} else {
-				fmt.Fprintf(bw, " %s=%s", k, v)
-			}
+			fmt.Fprintf(bw, " %s=%s", quoteToken(k, true), quoteToken(attrs[k], false))
 		}
 		fmt.Fprintln(bw)
 	}
 	var err error
 	g.Edges(func(e Edge) bool {
-		_, err = fmt.Fprintf(bw, "edge n%d %s n%d\n", e.From, e.Label, e.To)
+		_, err = fmt.Fprintf(bw, "edge n%d %s n%d\n", e.From, quoteToken(e.Label, false), e.To)
 		return err == nil
 	})
 	if err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// quoteToken returns s as Read reads it back: as is, or quoted when it is
+// empty or holds a quote, a backslash, whitespace, a byte that is not
+// printable UTF-8, or (for an attribute name) an '='.
+func quoteToken(s string, key bool) string {
+	plain := s != ""
+	for _, r := range s {
+		if r == '"' || r == '\\' || r == ' ' || r == utf8.RuneError || !strconv.IsPrint(r) || key && r == '=' {
+			plain = false
+			break
+		}
+	}
+	if plain {
+		return s
+	}
+	return strconv.Quote(s)
+}
+
+// token is one field of a line: its text with quotes resolved, and the
+// index in it of the first '=' outside quotes (-1 if none).
+type token struct {
+	s  string
+	eq int
 }
 
 // Read parses the text format from r and returns the graph plus the mapping
@@ -64,7 +87,14 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := splitQuoted(line)
+		toks, err := splitQuoted(line)
+		if err != nil {
+			return nil, nil, fmt.Errorf("graph: line %d: %v", lineno, err)
+		}
+		fields := make([]string, len(toks))
+		for i, t := range toks {
+			fields[i] = t.s
+		}
 		switch fields[0] {
 		case "node":
 			if len(fields) < 3 {
@@ -77,12 +107,11 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 			var attrs Attrs
 			if len(fields) > 3 {
 				attrs = make(Attrs, len(fields)-3)
-				for _, kv := range fields[3:] {
-					k, v, ok := strings.Cut(kv, "=")
-					if !ok {
-						return nil, nil, fmt.Errorf("graph: line %d: bad attribute %q", lineno, kv)
+				for _, kv := range toks[3:] {
+					if kv.eq < 0 {
+						return nil, nil, fmt.Errorf("graph: line %d: bad attribute %q", lineno, kv.s)
 					}
-					attrs[k] = v
+					attrs[kv.s[:kv.eq]] = kv.s[kv.eq+1:]
 				}
 			}
 			names[name] = g.AddNode(label, attrs)
@@ -111,29 +140,44 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 	return g, names, nil
 }
 
-// splitQuoted splits on whitespace but keeps key="quoted value" tokens
-// together (the quotes are stripped).
-func splitQuoted(line string) []string {
-	var out []string
+// splitQuoted splits a line on spaces and tabs outside quotes and resolves
+// each quoted part (`key="a value"`, `"a key"=v`) with Go's escapes. A
+// quoted empty string is a token of its own, so a line that is not blank
+// yields at least one token. It fails on an unterminated or malformed
+// quote.
+func splitQuoted(line string) ([]token, error) {
+	var out []token
 	var cur strings.Builder
-	inQuote := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
+	started, eq := false, -1
+	for i := 0; i < len(line); {
+		switch c := line[i]; {
 		case c == '"':
-			inQuote = !inQuote
-		case (c == ' ' || c == '\t') && !inQuote:
-			flush()
+			q, err := strconv.QuotedPrefix(line[i:])
+			if err != nil {
+				return nil, fmt.Errorf("unterminated or malformed quote at column %d", i+1)
+			}
+			u, _ := strconv.Unquote(q) // a valid prefix unquotes
+			cur.WriteString(u)
+			started = true
+			i += len(q)
+		case c == ' ' || c == '\t':
+			if started {
+				out = append(out, token{cur.String(), eq})
+				cur.Reset()
+				started, eq = false, -1
+			}
+			i++
 		default:
+			if c == '=' && eq < 0 {
+				eq = cur.Len()
+			}
 			cur.WriteByte(c)
+			started = true
+			i++
 		}
 	}
-	flush()
-	return out
+	if started {
+		out = append(out, token{cur.String(), eq})
+	}
+	return out, nil
 }

@@ -116,15 +116,6 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 	return s, nil
 }
 
-// validateShardMin is the least |V|+|E| per validation worker: below it a
-// goroutine costs more than the scan it would take over.
-const validateShardMin = 1 << 12
-
-// validateTasksPerWorker is how many node ranges and label-class ranges
-// each validation worker gets on average: enough that a worker
-// descheduled mid-pass holds up one short task, not a share of the image.
-const validateTasksPerWorker = 4
-
 // validate runs the beside tasks, checks every invariant the engines'
 // unchecked indexing relies on, and builds the symbol table. Error
 // messages name the failing section; package store wraps them into its
@@ -132,7 +123,7 @@ const validateTasksPerWorker = 4
 //
 // The table-shape checks (counts, offsets, arena sizes) run first and
 // serially. The rest is one pass (see drain) on the caller and
-// FreezeWorkers()-1 helpers, fewer for small images: the caller indexes
+// workersFor(|V|+|E|)-1 helpers, as in a snapshot build: the caller indexes
 // the symbol table, one task whose slot writes no other worker shares,
 // while the helpers take short tasks from a shared counter —
 // degree-balanced node ranges (labels, then out and in adjacency, then
@@ -142,8 +133,7 @@ const validateTasksPerWorker = 4
 // — the earliest check kind failing anywhere, in its lowest node or class
 // range, then the symbol table's — so it never depends on the worker
 // count or on scheduling. A node range that passes also collects its
-// heavy nodes (see Snapshot.Heavy) off the offsets it just read. The pass
-// does not cross the freeze fault injector.
+// heavy nodes (see Snapshot.Heavy) off the offsets it just read.
 func (f Flat) validate(beside []func() error) (*Symbols, []NodeID, error) {
 	besideErrs := make([]error, len(beside))
 	runBeside := func(i int) { besideErrs[i] = beside[i]() }
@@ -161,8 +151,8 @@ func (f Flat) validate(beside []func() error) (*Symbols, []NodeID, error) {
 		}
 		return nil, nil, first(err)
 	}
-	workers := max(1, min(FreezeWorkers(), (len(f.Labels)+len(f.Out))/validateShardMin))
-	split := workers * validateTasksPerWorker
+	workers := workersFor(len(f.Labels) + len(f.Out))
+	split := workers * tasksPerWorker
 	nodes := shardByOffsets(split, f.OutOff, f.InOff, f.AttrOff)
 	classes := shardByOffsets(split, f.ClassOff)
 	// errs holds each node range's first failure, then each class range's.

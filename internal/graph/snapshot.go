@@ -3,7 +3,6 @@ package graph
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -83,9 +82,9 @@ type patch struct {
 
 // Freeze returns the CSR snapshot of g, building it on first use and
 // whenever the graph has been mutated since the last call; otherwise the
-// cached snapshot is returned. O(|V| + |E| log d) to build (sharded across
-// FreezeWorkers goroutines for large graphs, serial under GOMAXPROCS==1 or
-// below the size floor), O(1) when cached. A graph that an Overlay has
+// cached snapshot is returned. O(|V| + |E| log d) to build (buildSnapshot:
+// the sort shared by FreezeWorkers goroutines, at most one per
+// minSizePerWorker of |V|+|E|), O(1) when cached. A graph that an Overlay has
 // written is hollow over the overlay's patched view, and Freeze compacts
 // it instead: the view is flattened into fresh arrays in O(|V| + |E|),
 // with no sort and no re-interning (flatten), and becomes the graph's
@@ -142,49 +141,65 @@ func (g *Graph) Freeze() *Snapshot {
 		s.recordHeavy()
 		g.hollow.CompareAndSwap(v, s)
 	} else {
-		s = buildSnapshotAuto(g)
+		s = buildSnapshot(g, workersFor(g.Size()))
 		s.recordHeavy()
 	}
 	return s
 }
 
-func buildSnapshot(g *Graph) *Snapshot {
+// BuildSnapshot builds a fresh snapshot with exactly `workers` workers
+// (at least one), bypassing Freeze's cache and its size-based worker
+// count. The differential tests and the freeze benchmarks drive it;
+// regular callers should use Freeze.
+func (g *Graph) BuildSnapshot(workers int) *Snapshot {
+	g.ensureThawed()
+	return buildSnapshot(g, max(workers, 1))
+}
+
+// buildSnapshot compiles g's maps into a frozen snapshot in three steps,
+// the last two shared by `workers` goroutines.
+//
+// Interning and filling run serially, in one pass over the maps. Names
+// are interned in a fixed order — node labels by ID, out-edge labels by
+// (source, position), attribute names sorted, values by (node, sorted
+// name) — so the codes depend on the graph alone, and the codes go
+// straight into the out arena and the tuple arena. The table is private
+// until the build returns, so it interns without the lock.
+//
+// Sorting is one drain pass over degree-balanced node ranges. Each range
+// fills its in rows through the finished table (AddEdge writes both
+// halves of an edge, so every in-edge label is already interned), sorts
+// its out and in rows by (Label, Label(To), To) — node labels are
+// interned above, before the sort reads them — and sorts its tuples by
+// name code. Last, labelClasses groups the nodes by label. The output
+// does not depend on the worker count (TestParallelFreezeEquivalence).
+func buildSnapshot(g *Graph, workers int) *Snapshot {
 	n := g.NumNodes()
+	syms := NewSymbols()
 	s := &Snapshot{
-		g:      g,
-		syms:   NewSymbols(),
-		labels: make([]Sym, n),
-		outOff: make([]int32, n+1),
-		inOff:  make([]int32, n+1),
-		out:    make([]CSREdge, 0, g.edges),
-		in:     make([]CSREdge, 0, g.edges),
+		g:       g,
+		syms:    syms,
+		labels:  make([]Sym, n),
+		attrOff: make([]int32, n+1),
+		outOff:  make([]int32, n+1),
+		out:     make([]CSREdge, 0, g.edges),
+		inOff:   make([]int32, n+1),
 	}
-	// Intern node labels in NodeID order so codes are deterministic.
 	for v := 0; v < n; v++ {
-		s.labels[v] = s.syms.Intern(g.labels[v])
+		s.labels[v] = syms.intern(g.labels[v])
 	}
-	// Flatten adjacency; edge labels interned in (source, position) order.
 	for v := 0; v < n; v++ {
 		s.outOff[v] = int32(len(s.out))
 		for _, he := range g.out[v] {
-			s.out = append(s.out, CSREdge{To: he.To, Label: s.syms.Intern(he.Label)})
+			s.out = append(s.out, CSREdge{To: he.To, Label: syms.intern(he.Label)})
 		}
+		s.inOff[v+1] = s.inOff[v] + int32(len(g.in[v]))
 	}
 	s.outOff[n] = int32(len(s.out))
-	for v := 0; v < n; v++ {
-		s.inOff[v] = int32(len(s.in))
-		for _, he := range g.in[v] {
-			s.in = append(s.in, CSREdge{To: he.To, Label: s.syms.Intern(he.Label)})
-		}
-	}
-	s.inOff[n] = int32(len(s.in))
-	// Intern attribute names and values and flatten every node's tuple
-	// into one contiguous (Name, Val) arena. Names are interned from one
-	// sorted pass over the distinct set so their codes are deterministic;
-	// values are interned in (node, sorted attribute name) order. Copying
-	// the tuples here (instead of sharing the graph's maps by reference)
-	// is what lets literal evaluation run without string hashing — and it
-	// means a frozen view can never observe a later map mutation.
+	// Copying the tuples into a (Name, Val) arena (instead of sharing the
+	// graph's maps by reference) is what lets literal evaluation run
+	// without string hashing, and a frozen view never observes a later
+	// map mutation.
 	distinct := make(map[string]struct{}, 8)
 	total := 0
 	for _, a := range g.attrs {
@@ -197,41 +212,44 @@ func buildSnapshot(g *Graph) *Snapshot {
 	for k := range distinct {
 		attrNames = append(attrNames, k)
 	}
-	sort.Strings(attrNames)
+	slices.Sort(attrNames)
 	for _, k := range attrNames {
-		s.syms.Intern(k)
+		syms.intern(k)
 	}
-	s.attrOff = make([]int32, n+1)
 	s.attrPairs = make([]AttrPair, 0, total)
-	var keyScratch []string
+	var keys []string
 	for v := 0; v < n; v++ {
 		s.attrOff[v] = int32(len(s.attrPairs))
 		a := g.attrs[v]
-		if len(a) == 0 {
-			continue
-		}
-		keyScratch = keyScratch[:0]
+		keys = keys[:0]
 		for k := range a {
-			keyScratch = append(keyScratch, k)
+			keys = append(keys, k)
 		}
-		sort.Strings(keyScratch)
-		for _, k := range keyScratch {
-			s.attrPairs = append(s.attrPairs, AttrPair{Name: s.syms.Lookup(k), Val: s.syms.Intern(a[k])})
+		slices.Sort(keys)
+		for _, k := range keys {
+			s.attrPairs = append(s.attrPairs, AttrPair{Name: syms.intern(k), Val: syms.intern(a[k])})
 		}
-		// The shared namespace can assign an attribute name a code out of
-		// lexicographic order (when it collides with an earlier-interned
-		// label), so re-sort the tuple by Name code for binary search.
-		sortAttrPairs(s.attrPairs[s.attrOff[v]:])
 	}
 	s.attrOff[n] = int32(len(s.attrPairs))
-	// Sort each node's adjacency by (Label, Label(To), To): an (edge label,
-	// neighbour label) run becomes a contiguous subrange, HasEdge a binary
-	// search. Node labels are interned above, before the sort reads them.
-	for v := 0; v < n; v++ {
-		sortCSR(s.out[s.outOff[v]:s.outOff[v+1]], s.labels)
-		sortCSR(s.in[s.inOff[v]:s.inOff[v+1]], s.labels)
-	}
-	s.classOff, s.classes = labelClasses(s.labels, s.syms.Len())
+
+	codes := syms.view()
+	s.in = make([]CSREdge, s.inOff[n])
+	ranges := shardByOffsets(workers*tasksPerWorker, s.outOff, s.inOff, s.attrOff)
+	drain(workers, len(ranges), func(i int) {
+		for v := ranges[i].lo; v < ranges[i].hi; v++ {
+			in := s.in[s.inOff[v]:s.inOff[v+1]]
+			for j, he := range g.in[v] {
+				in[j] = CSREdge{To: he.To, Label: codes.code(he.Label)}
+			}
+			sortCSR(in, s.labels)
+			sortCSR(s.out[s.outOff[v]:s.outOff[v+1]], s.labels)
+			// The shared namespace can give an attribute name a code out
+			// of lexicographic order (when it collides with an earlier
+			// label), so the tuple is re-sorted by Name code.
+			sortAttrPairs(s.attrPairs[s.attrOff[v]:s.attrOff[v+1]])
+		}
+	})
+	s.classOff, s.classes = labelClasses(s.labels, syms.Len())
 	return s
 }
 

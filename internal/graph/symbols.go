@@ -49,7 +49,8 @@ const (
 // never scans the slots, and adopting a persisted table (the per-open cost
 // of a .gfds file) sizes the slots once and probes each name once — a
 // step that runs beside the parallel structural validation in AdoptFlat.
-// Freeze-time bulk interning takes the same lock and probes the same way.
+// Freeze-time bulk interning probes the same way, without the lock: the
+// table is private to the build until it returns.
 type Symbols struct {
 	mu    sync.RWMutex
 	names []string
@@ -78,8 +79,8 @@ func slotsFor(n int) []Sym {
 	return make([]Sym, size)
 }
 
-// symView is a table's index read without the lock: the parallel freeze
-// fills use it once the table is complete (see Symbols.view).
+// symView is a table's index read without the lock: the freeze's parallel
+// fill reads it once the table is complete (see Symbols.view).
 type symView struct {
 	names []string
 	slots []Sym
@@ -122,6 +123,12 @@ func indexNames(names []string) ([]Sym, error) {
 func (s *Symbols) Intern(name string) Sym {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.intern(name)
+}
+
+// intern is Intern without the lock, for a table no other goroutine can
+// reach yet: the one a snapshot build fills before it returns.
+func (s *Symbols) intern(name string) Sym {
 	i := s.view().probe(name)
 	if c := s.slots[i]; c != 0 {
 		return c - 1
@@ -183,6 +190,6 @@ func adoptSymbols(names []string) (*Symbols, error) {
 }
 
 // view returns the table's index for lock-free reads. Only for phases with
-// no concurrent Intern — the parallel freeze fills read it after the table
-// is fully built and before the snapshot is published.
+// no concurrent Intern — the freeze's parallel fill reads it after the
+// table is fully built and before the snapshot is published.
 func (s *Symbols) view() symView { return symView{s.names, s.slots} }

@@ -17,8 +17,8 @@ import (
 // rename (plus a directory fsync) publishes the file — a crash mid-save
 // leaves either the old file or none, never a torn one. The array
 // sections are written straight from the snapshot's backing storage (no
-// staging copy); output is deterministic for a given snapshot, so a
-// serial and a parallel freeze of the same graph save byte-identical
+// staging copy); output is deterministic for a given snapshot, so
+// freezes of the same graph at any worker count save byte-identical
 // files. Cancellation is checked between sections; a canceled save
 // removes its temp file and returns ctx.Err(). An Overlay's patched view
 // is refused with graph.ErrPatchedView before anything is written.

@@ -71,9 +71,8 @@ func flatEqual(t *testing.T, gotSnap, wantSnap *graph.Snapshot) {
 }
 
 // TestRoundTrip is the differential core: Open(Save(Freeze(g))) must
-// reproduce the fresh freeze exactly, across graph shapes and both
-// freeze paths, and the serial and parallel freezes must save
-// byte-identical files.
+// reproduce the fresh freeze exactly, across graph shapes, and freezes
+// at one and at four workers must save byte-identical files.
 func TestRoundTrip(t *testing.T) {
 	cases := []struct {
 		name         string
