@@ -98,9 +98,9 @@ type (
 	// candidate ranges. Matching and validation hot paths run against it;
 	// mutate the Graph, then Freeze again for a fresh view.
 	Snapshot = graph.Snapshot
-	// Topology is the compiled execution view the engines run against.
-	// Every read goes through one *Snapshot: a frozen one, or an
-	// *Overlay's patched view.
+	// Topology is what resolves to the compiled view the engines run
+	// against (View): a *Snapshot, or an *Overlay through its patched
+	// view. Every read goes through that one *Snapshot.
 	Topology = graph.Topology
 	// Overlay applies AddNode/AddEdge/SetAttr updates to a base Snapshot
 	// and serves reads through its embedded patched view, so small

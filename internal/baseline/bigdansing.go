@@ -23,11 +23,11 @@ type Relational struct {
 	allNodes     []graph.NodeID
 }
 
-// Encode builds the relational encoding of a topology — a frozen or
-// store-adopted snapshot, or an overlay's view — reading its compiled
-// arrays, so encoding a hollow graph never materializes its string maps.
-// Edges come in (source, adjacency) order.
-func Encode(t graph.Topology) *Relational {
+// Encode builds the relational encoding of a view — a frozen or
+// store-adopted snapshot, or an overlay's patched view — reading its
+// compiled arrays, so encoding a hollow graph never materializes its
+// string maps. Edges come in (source, adjacency) order.
+func Encode(t *graph.Snapshot) *Relational {
 	r := &Relational{
 		nodesByLabel: make(map[string][]graph.NodeID),
 		edgesByLabel: make(map[string][]graph.Edge),
@@ -88,16 +88,18 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 	}
 	// Even a relational engine gets the interned-dependency check: the
 	// final X → Y filter runs each rule's compiled literal program against
-	// the frozen attribute arena (the join pipeline itself — the part the
-	// comparison measures — stays relational).
-	snap := b.Topo()
+	// the view's interned attributes, and the node-label selections read
+	// the same view the relational encoding was cut from (the join
+	// pipeline itself — the part the comparison measures — stays
+	// relational).
+	view := b.Topo()
 	ls := newLaneSink(sink)
 	var failures []validate.UnitFailure
 	for _, f := range b.Set().Rules() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cont, errs := detectOneJoin(ctx, b.Graph(), snap, rel, f, b.Program(f), n, ls)
+		cont, errs := detectOneJoin(ctx, view, rel, f, b.Program(f), n, ls)
 		for _, werr := range errs {
 			failures = append(failures, validate.UnitFailure{Unit: -1, Group: -1, Attempts: 1, Err: werr})
 		}
@@ -117,7 +119,7 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 // detectOneJoin runs one rule's join pipeline; it returns false when the
 // sink stopped the detection, plus one *cluster.WorkerError per worker
 // that died (recovered panics — the surviving workers drained regardless).
-func detectOneJoin(ctx context.Context, g *graph.Graph, snap core.AttrSource, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *laneSink) (bool, []error) {
+func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *laneSink) (bool, []error) {
 	q := f.Q
 	nNodes := q.NumNodes()
 	if nNodes == 0 {
@@ -156,10 +158,10 @@ func detectOneJoin(ctx context.Context, g *graph.Graph, snap core.AttrSource, re
 				if !applyStep(q, plan[0], firstTuples[ti], b) {
 					continue
 				}
-				if !labelsOK(g, q, plan[0], b) {
+				if !labelsOK(view, q, plan[0], b) {
 					continue
 				}
-				if !joinRest(g, snap, rel, f, prog, plan, 1, b, ls, w) {
+				if !joinRest(view, rel, f, prog, plan, 1, b, ls, w) {
 					return
 				}
 			}
@@ -257,9 +259,9 @@ func bindNode(q *pattern.Pattern, b binding, pv int, g graph.NodeID) bool {
 
 // joinRest extends the binding through the remaining plan steps; it
 // returns false when worker w's emission stopped the detection.
-func joinRest(g *graph.Graph, snap core.AttrSource, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, ls *laneSink, w int) bool {
+func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, ls *laneSink, w int) bool {
 	if depth == len(plan) {
-		return finishBinding(snap, f, prog, b, ls, w)
+		return finishBinding(view, f, prog, b, ls, w)
 	}
 	s := plan[depth]
 	for _, t := range stepTuples(rel, f.Q, s) {
@@ -267,10 +269,10 @@ func joinRest(g *graph.Graph, snap core.AttrSource, rel *Relational, f *core.GFD
 		if !applyStep(f.Q, s, t, nb) {
 			continue
 		}
-		if !labelsOK(g, f.Q, s, nb) {
+		if !labelsOK(view, f.Q, s, nb) {
 			continue
 		}
-		if !joinRest(g, snap, rel, f, prog, plan, depth+1, nb, ls, w) {
+		if !joinRest(view, rel, f, prog, plan, depth+1, nb, ls, w) {
 			return false
 		}
 	}
@@ -280,9 +282,9 @@ func joinRest(g *graph.Graph, snap core.AttrSource, rel *Relational, f *core.GFD
 // labelsOK applies the node-label selection predicates for the nodes the
 // step just bound (edge tables carry no node labels, so a relational plan
 // must re-check them).
-func labelsOK(g *graph.Graph, q *pattern.Pattern, s planStep, b binding) bool {
+func labelsOK(view *graph.Snapshot, q *pattern.Pattern, s planStep, b binding) bool {
 	check := func(pv int) bool {
-		return pattern.LabelMatches(q.Nodes[pv].Label, g.Label(b[pv]))
+		return pattern.LabelMatches(q.Nodes[pv].Label, view.LabelName(b[pv]))
 	}
 	if s.isEdge {
 		e := q.Edges[s.edge]
@@ -294,7 +296,7 @@ func labelsOK(g *graph.Graph, q *pattern.Pattern, s planStep, b binding) bool {
 // finishBinding applies the hand-coded isomorphism filter (pairwise
 // distinctness) and the compiled dependency check; it returns false when
 // worker w's emission stopped the detection.
-func finishBinding(snap core.AttrSource, f *core.GFD, prog *core.LiteralProgram, b binding, ls *laneSink, w int) bool {
+func finishBinding(view *graph.Snapshot, f *core.GFD, prog *core.LiteralProgram, b binding, ls *laneSink, w int) bool {
 	for i := 0; i < len(b); i++ {
 		if b[i] == graph.Invalid {
 			return true
@@ -306,7 +308,7 @@ func finishBinding(snap core.AttrSource, f *core.GFD, prog *core.LiteralProgram,
 		}
 	}
 	m := core.Match(b)
-	if prog.IsViolation(snap, m) {
+	if prog.IsViolation(view, m) {
 		return ls.Emit(w, validate.Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
 	}
 	return true

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"gfd/internal/pattern"
 )
@@ -22,8 +23,13 @@ import (
 //	}
 //
 // A literal is either  x.A = y.B  (variable literal, y must be a declared
-// variable) or  x.A = "c" / x.A = c  (constant literal). `when` may be
+// variable) or  x.A = "c" / x.A = c  (constant literal; a quoted constant
+// takes Go escapes, so `\"` stands for a quote inside it). `when` may be
 // omitted (X = ∅). Multiple `when`/`then` lines accumulate.
+//
+// Names, variables, labels and attributes are never empty and hold no
+// whitespace; a name holds no '"', a variable none of `".,=` and an
+// attribute none of `",=`, which the format reads as structure there.
 
 // ParseRules reads a rule file and returns the rule set.
 func ParseRules(r io.Reader) (*Set, error) {
@@ -48,7 +54,7 @@ func ParseRules(r io.Reader) (*Set, error) {
 			if cur != nil {
 				return nil, fmt.Errorf("rules: line %d: nested gfd block", lineno)
 			}
-			if len(fields) < 3 || fields[len(fields)-1] != "{" {
+			if len(fields) != 3 || fields[2] != "{" {
 				return nil, fmt.Errorf("rules: line %d: want `gfd <name> {`", lineno)
 			}
 			name = strings.Trim(fields[1], `"`)
@@ -58,6 +64,9 @@ func ParseRules(r io.Reader) (*Set, error) {
 				return nil, fmt.Errorf("rules: line %d: stray '}'", lineno)
 			}
 			f, err := New(name, cur.q, cur.x, cur.y)
+			if err == nil {
+				err = writable(f)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("rules: line %d: %v", lineno, err)
 			}
@@ -71,7 +80,11 @@ func ParseRules(r io.Reader) (*Set, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("rules: line %d: want `node <var> <label>`", lineno)
 			}
-			cur.q.AddNode(pattern.Var(fields[1]), fields[2])
+			v := pattern.Var(fields[1])
+			if _, dup := cur.q.VarIndex(v); dup {
+				return nil, fmt.Errorf("rules: line %d: duplicate variable %q", lineno, v)
+			}
+			cur.q.AddNode(v, fields[2])
 		case fields[0] == "edge":
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("rules: line %d: want `edge <from> <label> <to>`", lineno)
@@ -130,21 +143,14 @@ func parseLiterals(s string, q *pattern.Pattern) ([]Literal, error) {
 // splitLiterals splits on commas that are outside double quotes.
 func splitLiterals(s string) []string {
 	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
+	for {
+		part, rest, ok := cutOutsideQuotes(s, ',')
+		out = append(out, part)
+		if !ok {
+			return out
 		}
+		s = rest
 	}
-	out = append(out, s[start:])
-	return out
 }
 
 func parseLiteral(s string, q *pattern.Pattern) (Literal, error) {
@@ -174,23 +180,67 @@ func parseLiteral(s string, q *pattern.Pattern) (Literal, error) {
 	return Const(x, xa, rhs), nil
 }
 
+// cutOutsideQuotes cuts s around the first sep outside double quotes.
+// Inside quotes a backslash escapes the byte after it, as in the Go-quoted
+// constants WriteRules writes.
 func cutOutsideQuotes(s string, sep byte) (string, string, bool) {
 	inQuote := false
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
+		switch c := s[i]; {
+		case inQuote && c == '\\':
+			i++
+		case c == '"':
 			inQuote = !inQuote
-		case sep:
-			if !inQuote {
-				return s[:i], s[i+1:], true
-			}
+		case c == sep && !inQuote:
+			return s[:i], s[i+1:], true
 		}
 	}
 	return s, "", false
 }
 
-// WriteRules serializes the rule set in the ParseRules format.
+// writable reports why f cannot be written in a form ParseRules reads back
+// as f, or nil: a name, variable, label or attribute that is empty, holds
+// whitespace or holds a character the format reads as structure there
+// (see above). ParseRules holds every rule it reads to it too, so what one
+// accepts the other inverts.
+func writable(f *GFD) error {
+	if err := f.Check(); err != nil {
+		return err
+	}
+	var err error
+	token := func(kind, s, reserved string) {
+		if err == nil && (s == "" || strings.ContainsFunc(s, unicode.IsSpace) || strings.ContainsAny(s, reserved)) {
+			err = fmt.Errorf("gfd %q: %s %q cannot stand in a rule file", f.Name, kind, s)
+		}
+	}
+	token("name", f.Name, `"`)
+	for _, n := range f.Q.Nodes {
+		token("variable", string(n.Var), `".,=`)
+		token("label", n.Label, "")
+	}
+	for _, e := range f.Q.Edges {
+		token("label", e.Label, "")
+	}
+	for _, side := range [2][]Literal{f.X, f.Y} {
+		for _, l := range side {
+			token("attribute", l.A, `",=`)
+			if l.Kind == Variable {
+				token("attribute", l.B, `",=`)
+			}
+		}
+	}
+	return err
+}
+
+// WriteRules serializes the rule set in the ParseRules format. It writes
+// nothing and fails when some rule has a name, variable, label or
+// attribute the format cannot carry (see the format above).
 func WriteRules(w io.Writer, s *Set) error {
+	for _, f := range s.Rules() {
+		if err := writable(f); err != nil {
+			return fmt.Errorf("rules: %v", err)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	for _, f := range s.Rules() {
 		fmt.Fprintf(bw, "gfd %s {\n", f.Name)

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"gfd/internal/pattern"
 )
 
 const sampleRules = `
@@ -110,6 +114,10 @@ func TestParseRulesErrors(t *testing.T) {
 		"gfd a {\n  node x l\n  when q.attr = 3\n}",     // undeclared lhs var
 		"gfd a {\n  node x l\n  frobnicate\n}",          // unknown directive
 		"gfd a {\n  node x l\n}\ngfd a {\n node y l\n}", // duplicate names
+		"gfd my rule {\n  node x l\n}",                  // extra header token
+		"gfd \"\" {\n  node x l\n}",                     // empty name
+		"gfd a {\n  node x l\n  node x m\n}",            // duplicate variable
+		"gfd a {\n  node x.y l\n}",                      // dotted variable
 	}
 	for _, c := range cases {
 		if _, err := ParseRules(strings.NewReader(c)); err == nil {
@@ -175,4 +183,105 @@ func TestRoundTripQuotedConstant(t *testing.T) {
 	if got := set2.Get("g").X[0].C; got != "free prize, draw" {
 		t.Errorf("roundtripped constant = %q", got)
 	}
+}
+
+// sameRules reports the first difference between two rule sets in names,
+// patterns or literals, or "".
+func sameRules(a, b *Set) string {
+	if a.Len() != b.Len() {
+		return fmt.Sprintf("%d rules, then %d", a.Len(), b.Len())
+	}
+	for i, f := range a.Rules() {
+		g := b.Rules()[i]
+		switch {
+		case f.Name != g.Name:
+			return fmt.Sprintf("rule %d: name %q, then %q", i, f.Name, g.Name)
+		case !slices.Equal(f.Q.Nodes, g.Q.Nodes) || !slices.Equal(f.Q.Edges, g.Q.Edges):
+			return fmt.Sprintf("%s: pattern %v, then %v", f.Name, f.Q, g.Q)
+		case !slices.Equal(f.X, g.X) || !slices.Equal(f.Y, g.Y):
+			return fmt.Sprintf("%s: literals %q → %q, then %q → %q", f.Name, f.X, f.Y, g.X, g.Y)
+		}
+	}
+	return ""
+}
+
+// roundTrip writes set and reads it back.
+func roundTrip(set *Set) (*Set, string, error) {
+	var buf bytes.Buffer
+	if err := WriteRules(&buf, set); err != nil {
+		return nil, "", err
+	}
+	text := buf.String()
+	back, err := ParseRules(&buf)
+	return back, text, err
+}
+
+// TestWriteRulesRoundTripsConstants writes constants holding the quote,
+// backslash, comma and '=' the literal scanner cuts on, each followed by
+// a second literal, and reads back the same literals.
+func TestWriteRulesRoundTripsConstants(t *testing.T) {
+	for _, c := range []string{`a"=b`, `a\`, `"`, `\"`, "x, y.B = z", "tab\there", "\xff"} {
+		q := pattern.New()
+		q.AddNode("x", "l")
+		set := MustNewSet(MustNew("r", q, []Literal{Const("x", "A", c), Const("x", "B", "d")}, []Literal{Const("x", "A", c), Const("x", "B", "c")}))
+		back, text, err := roundTrip(set)
+		if err != nil {
+			t.Fatalf("constant %q: %v\n%s", c, err, text)
+		}
+		if diff := sameRules(set, back); diff != "" {
+			t.Fatalf("constant %q: %s\n%s", c, diff, text)
+		}
+	}
+}
+
+// TestWriteRulesRejectsUnwritable: a rule whose name, variable, label or
+// attribute the format cannot carry is refused, and nothing is written.
+func TestWriteRulesRejectsUnwritable(t *testing.T) {
+	rule := func(name string, v pattern.Var, label, edge, attr string) *GFD {
+		q := pattern.New()
+		q.AddNode(v, label)
+		q.AddNode("y", "l")
+		q.AddEdgeVars(v, "y", edge)
+		return MustNew(name, q, nil, []Literal{Const(v, attr, "c")})
+	}
+	for _, f := range []*GFD{
+		rule("my rule", "x", "l", "e", "A"),
+		rule(`"r"`, "x", "l", "e", "A"),
+		rule("r", "x.z", "l", "e", "A"),
+		rule("r", "x=z", "l", "e", "A"),
+		rule("r", "x", "New York", "e", "A"),
+		rule("r", "x", "l", "has\tchild", "A"),
+		rule("r", "x", "", "e", "A"),
+		rule("r", "x", "l", "e", "a b"),
+		rule("r", "x", "l", "e", "a=b"),
+		rule("r", "x", "l", "e", `a"b`),
+	} {
+		var buf bytes.Buffer
+		if err := WriteRules(&buf, MustNewSet(MustNew("ok", pattern.New(), nil, nil), f)); err == nil || buf.Len() != 0 {
+			t.Errorf("rule %q %v %q: WriteRules wrote %q, error %v; want an error and nothing written", f.Name, f.Q, f.Y, buf.String(), err)
+		}
+	}
+}
+
+// FuzzParseRules: ParseRules never panics, and any rule set it accepts
+// survives WriteRules → ParseRules with the same names, patterns and
+// literals.
+func FuzzParseRules(f *testing.F) {
+	f.Add(sampleRules)
+	f.Add("gfd my rule {\n}\n")
+	f.Add("gfd r {\n  node x l\n  then x.A = \"a\\\"=b\", x.B = \"c\"\n}\n")
+	f.Add("gfd \"r\" {\n  node x New York\n  node y _\n  edge x _ y\n  when x.a.b = y.c, x.d = y.e\n}\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		set, err := ParseRules(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		back, text, err := roundTrip(set)
+		if err != nil {
+			t.Fatalf("accepted set does not round-trip: %v\n%s", err, text)
+		}
+		if diff := sameRules(set, back); diff != "" {
+			t.Fatalf("round trip changed the set: %s\n%s", diff, text)
+		}
+	})
 }

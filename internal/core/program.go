@@ -7,14 +7,6 @@ import (
 	"gfd/internal/pattern"
 )
 
-// AttrSource is the interned attribute view a LiteralProgram evaluates
-// against: Snapshot's frozen arena on the batch path, AttrIndex's mutable
-// pairs on the incremental path. Both answer "what is the interned value
-// of attribute `name` on node v" with a binary search over int32 pairs.
-type AttrSource interface {
-	AttrSym(v graph.NodeID, name graph.Sym) (graph.Sym, bool)
-}
-
 // litInst is one lowered literal: variables resolved to pattern node
 // indices (done once per rule by bind) and attribute names / constant
 // values resolved to symbol codes of one table (done once per (rule,
@@ -29,9 +21,9 @@ type litInst struct {
 
 // LiteralProgram is a GFD's X → Y condition compiled onto a symbol table —
 // the attribute-side analogue of pattern.Compiled. A program is tied to
-// the table it was lowered on: evaluate it only against an AttrSource
-// backed by that table (the Snapshot it was compiled for, or the detector's
-// AttrIndex). The GFD keeps no program: its holder (a validate.Bundle, an
+// the table it was lowered on: evaluate it only against a view backed by
+// that table (the frozen Snapshot it was compiled for, or an overlay view
+// whose table grows with updates). The GFD keeps no program: its holder (a validate.Bundle, an
 // incremental.Detector) compiles one per table it runs on and keeps it.
 type LiteralProgram struct {
 	x, y []litInst
@@ -43,7 +35,8 @@ type LiteralProgram struct {
 	// it; a missing constant means no node value equals it), so the whole
 	// side short-circuits with zero per-match work. NOTE: only sound for
 	// tables that intern every rule constant up front or never grow
-	// (Snapshot tables are frozen; AttrIndex callers use InternLiterals).
+	// (Snapshot tables are frozen; an overlay view's growing table has the
+	// rule's literals interned first, InternLiterals).
 	neverX, neverY bool
 
 	// guard is X lowered for evaluation inside the search (see Guard),
@@ -94,9 +87,10 @@ func lowerLiterals(ls []boundLiteral, syms *graph.Symbols) ([]litInst, bool) {
 
 // InternLiterals interns every attribute name and constant of ϕ's literals
 // into syms, so a later CompileLiterals against the same table resolves
-// them all. Required before compiling against a growing table (AttrIndex):
-// a constant lowered to NoSym must mean "this value can never occur", which
-// only holds if the table is the sole authority on the value universe.
+// them all. Required before compiling against an overlay view's growing
+// table: a constant lowered to NoSym must mean "this value can never
+// occur", which only holds if the table is the sole authority on the value
+// universe.
 func (f *GFD) InternLiterals(syms *graph.Symbols) {
 	for _, side := range [2][]Literal{f.X, f.Y} {
 		for _, l := range side {
@@ -112,7 +106,7 @@ func (f *GFD) InternLiterals(syms *graph.Symbols) {
 
 // holds evaluates one instruction on a match: true iff the referenced
 // attributes exist and the equality holds (the compiled evalLiteral).
-func (l *litInst) holds(src AttrSource, h Match) bool {
+func (l *litInst) holds(src *graph.Snapshot, h Match) bool {
 	xv, ok := src.AttrSym(h[l.xi], l.a)
 	if !ok {
 		return false
@@ -126,7 +120,7 @@ func (l *litInst) holds(src AttrSource, h Match) bool {
 
 // SatisfiesX reports h(x̄) |= X under the paper's semantics: a missing
 // attribute leaves X unsatisfied (and the GFD trivially satisfied).
-func (p *LiteralProgram) SatisfiesX(src AttrSource, h Match) bool {
+func (p *LiteralProgram) SatisfiesX(src *graph.Snapshot, h Match) bool {
 	if p.neverX {
 		return false
 	}
@@ -139,7 +133,7 @@ func (p *LiteralProgram) SatisfiesX(src AttrSource, h Match) bool {
 }
 
 // SatisfiesY reports h(x̄) |= Y; in Y a missing attribute is a violation.
-func (p *LiteralProgram) SatisfiesY(src AttrSource, h Match) bool {
+func (p *LiteralProgram) SatisfiesY(src *graph.Snapshot, h Match) bool {
 	if p.neverY {
 		return false
 	}
@@ -152,7 +146,7 @@ func (p *LiteralProgram) SatisfiesY(src AttrSource, h Match) bool {
 }
 
 // Holds reports h(x̄) |= X → Y.
-func (p *LiteralProgram) Holds(src AttrSource, h Match) bool {
+func (p *LiteralProgram) Holds(src *graph.Snapshot, h Match) bool {
 	if !p.SatisfiesX(src, h) {
 		return true
 	}
@@ -160,7 +154,7 @@ func (p *LiteralProgram) Holds(src AttrSource, h Match) bool {
 }
 
 // IsViolation reports whether h(x̄) violates ϕ: h |= X but h ̸|= Y.
-func (p *LiteralProgram) IsViolation(src AttrSource, h Match) bool {
+func (p *LiteralProgram) IsViolation(src *graph.Snapshot, h Match) bool {
 	return p.SatisfiesX(src, h) && !p.SatisfiesY(src, h)
 }
 
@@ -262,7 +256,7 @@ func (gi *GuardInst) Bit() uint64 { return gi.bit }
 
 // Holds evaluates the instruction on a partial match whose operands are
 // bound.
-func (gi *GuardInst) Holds(src AttrSource, h Match) bool { return gi.lit.holds(src, h) }
+func (gi *GuardInst) Holds(src *graph.Snapshot, h Match) bool { return gi.lit.holds(src, h) }
 
 // Format renders the instruction as a literal over q's variables (q is the
 // enumerated pattern, whose node indices the instruction reads).

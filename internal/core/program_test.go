@@ -1,8 +1,8 @@
 package core_test
 
 // Differential tests pinning the compiled literal path (LiteralProgram
-// over a Snapshot's interned attribute arena, or an AttrIndex's mutable
-// pairs) to the legacy map-based evaluation on GFD, which is retained as
+// over a frozen Snapshot's interned attribute arena, or an overlay view's
+// mutable pairs) to the legacy map-based evaluation on GFD, which is retained as
 // the oracle. Topology is irrelevant to literal semantics, so matches are
 // arbitrary node vectors, not isomorphic embeddings — that exercises the
 // evaluation lattice (missing attributes, unknown constants, tautologies)
@@ -116,7 +116,7 @@ func TestLiteralProgramMatchesOracle(t *testing.T) {
 // guardLive evaluates every instruction of a guard on a full match and
 // returns the members left alive — what the matcher has left after the
 // last depth.
-func guardLive(g *core.Guard, src core.AttrSource, h core.Match) uint64 {
+func guardLive(g *core.Guard, src *graph.Snapshot, h core.Match) uint64 {
 	live := g.Live()
 	for _, gi := range g.Insts() {
 		if !gi.Holds(src, h) {
@@ -207,7 +207,7 @@ func TestLiteralProgramAttrIndex(t *testing.T) {
 			for i, f := range rules {
 				for mi := 0; mi < 20; mi++ {
 					h := randomMatch(rng, k, n)
-					if got, want := progs[i].IsViolation(ix, h), f.IsViolation(twin, h); got != want {
+					if got, want := progs[i].IsViolation(ix.Snapshot, h), f.IsViolation(twin, h); got != want {
 						t.Fatalf("%s %s: IsViolation(%v) index=%v oracle=%v", stage, f, h, got, want)
 					}
 				}

@@ -71,9 +71,10 @@ const (
 // when every process is lost (or none could be started) before anything
 // was delivered, the same plan runs on in-process goroutine slots instead.
 //
-// The bundle's topology must be the frozen, unmutated snapshot the shards
-// were written from (NodeIDs, symbol codes, and block shapes must agree);
-// a session with pending overlay mutations must re-shard first.
+// The bundle's view must be the frozen, unmutated snapshot the shards
+// were written from (NodeIDs, symbol codes, and block shapes must agree),
+// never an overlay's patched view (Patched); a session with pending
+// overlay mutations must re-shard first.
 func DetectB(ctx context.Context, b *validate.Bundle, opt validate.Options, sink validate.Sink) (*validate.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return &validate.Result{}, err
@@ -82,8 +83,8 @@ func DetectB(ctx context.Context, b *validate.Bundle, opt validate.Options, sink
 	if err != nil {
 		return &validate.Result{}, err
 	}
-	snap, ok := b.Topo().(*graph.Snapshot)
-	if !ok {
+	snap := b.Topo()
+	if snap.Patched() {
 		return &validate.Result{}, errors.New("dist: bundle topology is not a frozen snapshot; re-shard after mutations")
 	}
 	if snap.NumNodes() != m.NumNodes {

@@ -16,7 +16,6 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
-	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
 
@@ -119,7 +118,7 @@ func TestWorkerRejectsBadChunk(t *testing.T) {
 	opt.N = m.Workers
 	var once sync.Once
 	res, err := validate.DetectOver(context.Background(), f.b, opt, nil, func(p *validate.DistPlan, cl *cluster.Cluster) (validate.Executor, error) {
-		fl, err := newFleet(context.Background(), f.b.Topo().(*graph.Snapshot), m, p, opt, cl)
+		fl, err := newFleet(context.Background(), f.b.Topo(), m, p, opt, cl)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ func detectSpied(ctx context.Context, b *validate.Bundle, opt validate.Options, 
 	opt.N = m.Workers
 	var s *spy
 	res, err := validate.DetectOver(ctx, b, opt, sink, func(plan *validate.DistPlan, cl *cluster.Cluster) (validate.Executor, error) {
-		f, err := newFleet(ctx, b.Topo().(*graph.Snapshot), m, plan, opt, cl)
+		f, err := newFleet(ctx, b.Topo(), m, plan, opt, cl)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +213,7 @@ func TestWindowNeverDeadlocks(t *testing.T) {
 	}
 	for w := 0; w < m.Workers; w++ {
 		foreign := 0
-		for _, v := range b.Topo().(*graph.Snapshot).Graph().NodesWithLabel("bigleaf") {
+		for _, v := range b.Topo().Graph().NodesWithLabel("bigleaf") {
 			if m.Owner(v) != w {
 				foreign++
 			}

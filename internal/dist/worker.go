@@ -121,7 +121,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	// so halo interning never mints new codes and enumeration order stays
 	// identical across workers — the retry dedupe depends on it.
 	ov := graph.NewOverlay(snap.Graph())
-	b := validate.NewBundleOver(snap.Graph(), ov, set, nil)
+	b := validate.NewBundleOver(ov.Snapshot, set, nil)
 	// The coordinator shipped the post-reduction set and its grouping
 	// flags; NoReduce keeps the worker from reducing again, and the flags
 	// reproduce the exact group indices the unit descriptors reference.

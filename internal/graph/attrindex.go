@@ -2,25 +2,26 @@ package graph
 
 import "sort"
 
-// AttrIndex is the mutable counterpart of the Snapshot's interned
+// attrIndex is the mutable counterpart of the Snapshot's interned
 // attribute arena: per-node (Name, Val) pairs sorted by Name, maintained
 // incrementally as the graph mutates. An Overlay's patch holds one
 // (borrowing the base snapshot's arena copy-on-write, see
-// newAttrIndexOver) so literal evaluation (core.LiteralProgram) runs on
-// integer compares on the incremental path too, without re-freezing the
-// whole graph per update batch.
+// newAttrIndexOver) and its view reads the pairs (Snapshot.AttrPairs), so
+// literal evaluation (core.LiteralProgram) runs on integer compares on the
+// incremental path too, without re-freezing the whole graph per update
+// batch.
 //
-// Unlike a Snapshot's table, an AttrIndex's Symbols table keeps growing:
-// updates intern new values on the fly. Interned codes are stable, so
+// Unlike a frozen Snapshot's table, an attrIndex's Symbols table keeps
+// growing: updates intern new values on the fly. Interned codes are stable, so
 // literal programs compiled against the table stay valid as it grows —
 // with one caveat: a constant absent at compile time would lower to NoSym
 // and wrongly stay "never matches" after the value later appears. Callers
 // therefore intern every rule constant up front (GFD.InternLiterals)
 // before compiling.
 //
-// AttrIndex is not safe for concurrent mutation; the incremental detector
+// attrIndex is not safe for concurrent mutation; the incremental detector
 // serializes updates by construction.
-type AttrIndex struct {
+type attrIndex struct {
 	syms  *Symbols
 	pairs [][]AttrPair // indexed by NodeID, each sorted by Name
 
@@ -36,9 +37,9 @@ type AttrIndex struct {
 // written (SetAttr), and the snapshot's own symbol table is adopted — the
 // Overlay's one-namespace requirement. O(|V|) slice headers, no tuple
 // copying.
-func newAttrIndexOver(s *Snapshot) *AttrIndex {
+func newAttrIndexOver(s *Snapshot) *attrIndex {
 	n := s.NumNodes()
-	ix := &AttrIndex{
+	ix := &attrIndex{
 		syms:     s.syms,
 		pairs:    make([][]AttrPair, n),
 		borrowed: make([]bool, n),
@@ -54,7 +55,7 @@ func newAttrIndexOver(s *Snapshot) *AttrIndex {
 	return ix
 }
 
-func (ix *AttrIndex) internTuple(a Attrs) []AttrPair {
+func (ix *attrIndex) internTuple(a Attrs) []AttrPair {
 	if len(a) == 0 {
 		return nil
 	}
@@ -71,25 +72,16 @@ func (ix *AttrIndex) internTuple(a Attrs) []AttrPair {
 	return ps
 }
 
-// Syms returns the index's growing symbol table.
-func (ix *AttrIndex) Syms() *Symbols { return ix.syms }
-
-// AttrSym returns the interned value of attribute name on node v — the
-// same contract as Snapshot.AttrSym, over the mutable pairs.
-func (ix *AttrIndex) AttrSym(v NodeID, name Sym) (Sym, bool) {
-	return lookupAttr(ix.pairs[v], name)
-}
-
 // AddNode appends the tuple of a freshly inserted node (call in the same
 // order nodes are added to the graph; a nil attrs is allowed).
-func (ix *AttrIndex) AddNode(attrs Attrs) {
+func (ix *attrIndex) AddNode(attrs Attrs) {
 	ix.pairs = append(ix.pairs, ix.internTuple(attrs))
 }
 
 // SetAttr upserts attribute name = val on node v, interning both. A
 // borrowed tuple is copied before the write (copy-on-write over the
 // snapshot arena).
-func (ix *AttrIndex) SetAttr(v NodeID, name, val string) {
+func (ix *attrIndex) SetAttr(v NodeID, name, val string) {
 	n, vl := ix.syms.Intern(name), ix.syms.Intern(val)
 	if int(v) < len(ix.borrowed) && ix.borrowed[v] {
 		ix.pairs[v] = append([]AttrPair(nil), ix.pairs[v]...)

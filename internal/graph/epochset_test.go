@@ -89,7 +89,7 @@ func TestEpochSetBasics(t *testing.T) {
 	}
 }
 
-// TestAttrIndexMatchesGraph pins AttrIndex lookups (and their evolution
+// TestAttrIndexMatchesGraph pins attrIndex lookups (and their evolution
 // under SetAttr/AddNode, copy-on-write over the borrowed arena) to
 // Graph.Attr, via string round-trips through the snapshot's table.
 func TestAttrIndexMatchesGraph(t *testing.T) {
@@ -103,12 +103,12 @@ func TestAttrIndexMatchesGraph(t *testing.T) {
 			for v := 0; v < g.NumNodes(); v++ {
 				for _, a := range names {
 					want, wantOK := g.Attr(NodeID(v), a)
-					sym, symOK := ix.AttrSym(NodeID(v), ix.Syms().Lookup(a))
+					sym, symOK := lookupAttr(ix.pairs[v], ix.syms.Lookup(a))
 					if symOK != wantOK {
 						t.Fatalf("%s: node %d attr %q presence index=%v graph=%v", stage, v, a, symOK, wantOK)
 					}
-					if wantOK && ix.Syms().Name(sym) != want {
-						t.Fatalf("%s: node %d attr %q = %q, want %q", stage, v, a, ix.Syms().Name(sym), want)
+					if wantOK && ix.syms.Name(sym) != want {
+						t.Fatalf("%s: node %d attr %q = %q, want %q", stage, v, a, ix.syms.Name(sym), want)
 					}
 				}
 			}

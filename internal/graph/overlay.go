@@ -10,8 +10,8 @@ import (
 // AddNode / AddEdge / SetAttr updates to a frozen base Snapshot without an
 // O(|V|+|E|) re-freeze per update batch, and serves every read through its
 // embedded view — a *Snapshot that shares the base's arrays and carries the
-// overlay's patch. The view is what implements Topology, so the engines
-// and the matcher run on an overlay exactly as on a fresh freeze.
+// overlay's patch (Patched). Engines read that view, so they run on an
+// overlay exactly as on a fresh freeze.
 //
 // The overlay owns its delta: a write patches the view and bumps the
 // graph's version, and calls no *Graph mutator. The view becomes the
@@ -26,8 +26,9 @@ import (
 // base arrays.
 // Nodes inserted after the freeze get label and class-range fixups
 // (per-label candidate classes grown incrementally, kept ascending because
-// new IDs are always larger than frozen ones). Attributes ride on an
-// AttrIndex that borrows the base snapshot's interned arena copy-on-write.
+// new IDs are always larger than frozen ones). Attributes ride on an index
+// of per-node pairs that borrows the base snapshot's interned arena
+// copy-on-write.
 //
 // The overlay interns new labels and attribute values into the base
 // snapshot's own symbol table. Codes only ever grow, so artifacts compiled

@@ -67,7 +67,7 @@ type Snapshot struct {
 
 	heavy []NodeID // the heavy-node list, ascending (see Heavy)
 
-	scratch sync.Pool // *bfsScratch, reused across Neighborhood traversals
+	scratch sync.Pool // *EpochSet, reused across Neighborhood traversals
 }
 
 // patch is an Overlay's delta over the base arrays its view shares.
@@ -75,7 +75,7 @@ type patch struct {
 	out, in map[NodeID][]CSREdge // copy-on-write adjacency, (Label, Label(To), To)-sorted
 	labels  []Sym                // labels of nodes inserted after the freeze
 	classes map[Sym][]NodeID     // merged candidate classes for labels that gained nodes
-	attrs   *AttrIndex           // attribute tuples, borrowing the base arena
+	attrs   *attrIndex           // attribute tuples, borrowing the base arena
 	edges   int                  // edges inserted after the freeze
 	version uint64               // graph version the patch reflects
 }
@@ -349,8 +349,13 @@ func (s *Snapshot) Graph() *Graph { return s.g }
 
 // View returns s: a Snapshot is its own read view. An Overlay inherits
 // View from its embedded patched view, so every Topology reads through
-// one concrete type (the matcher's inner loop calls it directly).
+// one concrete type.
 func (s *Snapshot) View() *Snapshot { return s }
+
+// Patched reports whether s is an Overlay's patched view rather than a
+// frozen snapshot: its symbol table grows with updates, and it must not
+// be persisted or shipped as if it were frozen.
+func (s *Snapshot) Patched() bool { return s.patch != nil }
 
 // Version returns the graph version a view's patch reflects; it advances
 // with every update applied through the Overlay, so holders of
@@ -410,8 +415,7 @@ func (s *Snapshot) AttrSym(v NodeID, name Sym) (Sym, bool) {
 	return lookupAttr(s.AttrPairs(v), name)
 }
 
-// lookupAttr is the lower-bound binary search over a name-sorted tuple
-// shared by Snapshot.AttrSym and AttrIndex.AttrSym.
+// lookupAttr is the lower-bound binary search over a name-sorted tuple.
 func lookupAttr(ps []AttrPair, name Sym) (Sym, bool) {
 	lo, hi := 0, len(ps)
 	for lo < hi {
@@ -618,86 +622,33 @@ func (s *Snapshot) NodesWithLabel(label string) []NodeID {
 // ClassSize returns the number of nodes carrying label code l.
 func (s *Snapshot) ClassSize(l Sym) int { return len(s.NodesWith(l)) }
 
-// bfsScratch is reusable traversal state: an epoch-stamped visited array
-// (one clear per 2³²−1 traversals instead of an O(|V|) allocation per
-// call — disVal's ship costs run one traversal per pivot candidate) plus
-// the frontier and discovery buffers. Pooled on the Snapshot so concurrent
-// workers each grab their own.
-type bfsScratch struct {
-	stamp    []uint32
-	epoch    uint32
-	frontier []NodeID
-	next     []NodeID
-	nodes    []NodeID
-}
-
-func (sc *bfsScratch) visited(v NodeID) bool { return sc.stamp[v] == sc.epoch }
-func (sc *bfsScratch) visit(v NodeID)        { sc.stamp[v] = sc.epoch }
-
-func (s *Snapshot) getScratch() *bfsScratch {
-	sc, _ := s.scratch.Get().(*bfsScratch)
-	if sc == nil {
-		sc = &bfsScratch{}
-	}
-	if n := s.NumNodes(); len(sc.stamp) < n { // first use, or a view gained nodes
-		grown := make([]uint32, n)
-		copy(grown, sc.stamp)
-		sc.stamp = grown
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could collide, clear them
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
-	return sc
-}
-
-// bfs collects the nodes within c undirected hops of start (in discovery
-// order, start first) into the returned scratch, whose stamp array is the
-// visited mask. The caller must Put the scratch back into s.scratch when
-// done. Returns nil for an out-of-range start.
-func (s *Snapshot) bfs(start NodeID, c int) *bfsScratch {
+// ball fills a set from s.scratch with the nodes within c undirected hops
+// of start (BlockInto); the caller puts it back when done. A pooled set
+// keeps a traversal allocation-free — one stamp bump, not an O(|V|) mask —
+// and concurrent readers each grab their own. Returns nil for an
+// out-of-range start.
+func (s *Snapshot) ball(start NodeID, c int) *EpochSet {
 	if int(start) < 0 || int(start) >= s.NumNodes() {
 		return nil
 	}
-	sc := s.getScratch()
-	sc.visit(start)
-	frontier := append(sc.frontier[:0], start)
-	next := sc.next[:0]
-	nodes := append(sc.nodes[:0], start)
-	for hop := 0; hop < c && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			for _, e := range s.Out(v) {
-				if !sc.visited(e.To) {
-					sc.visit(e.To)
-					next = append(next, e.To)
-					nodes = append(nodes, e.To)
-				}
-			}
-			for _, e := range s.In(v) {
-				if !sc.visited(e.To) {
-					sc.visit(e.To)
-					next = append(next, e.To)
-					nodes = append(nodes, e.To)
-				}
-			}
-		}
-		frontier, next = next, frontier
+	set, _ := s.scratch.Get().(*EpochSet)
+	if set == nil {
+		set = NewEpochSet(s.NumNodes())
 	}
-	sc.frontier, sc.next, sc.nodes = frontier, next, nodes
-	return sc
+	set.Reset()
+	s.BlockInto(set, start, c)
+	return set
 }
 
 // Neighborhood returns the nodes within c undirected hops of start,
 // including start, sorted ascending — Graph.Neighborhood over the CSR view.
 func (s *Snapshot) Neighborhood(start NodeID, c int) []NodeID {
-	sc := s.bfs(start, c)
-	if sc == nil {
+	set := s.ball(start, c)
+	if set == nil {
 		return nil
 	}
-	out := append([]NodeID(nil), sc.nodes...)
-	s.scratch.Put(sc)
+	out := slices.Clone(set.Members())
+	s.scratch.Put(set)
 	sortNodeIDs(out)
 	return out
 }
@@ -706,18 +657,18 @@ func (s *Snapshot) Neighborhood(start NodeID, c int) []NodeID {
 // neighborhood of start — the |G_z̄| block-size measure — without
 // materializing the subgraph.
 func (s *Snapshot) NeighborhoodSize(start NodeID, c int) int {
-	sc := s.bfs(start, c)
-	if sc == nil {
+	set := s.ball(start, c)
+	if set == nil {
 		return 0
 	}
-	size := len(sc.nodes)
-	for _, v := range sc.nodes {
+	size := set.Len()
+	for _, v := range set.Members() {
 		for _, e := range s.Out(v) {
-			if sc.visited(e.To) {
+			if set.Contains(e.To) {
 				size++
 			}
 		}
 	}
-	s.scratch.Put(sc)
+	s.scratch.Put(set)
 	return size
 }

@@ -244,7 +244,7 @@ func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
 	if len(touched) > 0 {
 		for ri, vs := range d.vio {
 			for k, h := range vs {
-				if slices.ContainsFunc(h, touched.Contains) && !d.progs[ri].IsViolation(d.ov, h) {
+				if slices.ContainsFunc(h, touched.Contains) && !d.progs[ri].IsViolation(d.ov.Snapshot, h) {
 					delete(vs, k)
 				}
 			}
@@ -295,7 +295,7 @@ func (d *Detector) enumerate(ri int) {
 	prog, vs := d.progs[ri], d.vio[ri]
 	d.m.Enumerate(d.rules[ri].Q, match.Options{Pin: d.pin, Guard: prog.Guard()}, func(h core.Match) bool {
 		d.enumerated++
-		if prog.IsViolation(d.ov, h) {
+		if prog.IsViolation(d.ov.Snapshot, h) {
 			d.key = d.key[:0]
 			for _, id := range h {
 				d.key = binary.LittleEndian.AppendUint32(d.key, uint32(id))

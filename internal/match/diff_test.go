@@ -180,7 +180,7 @@ func TestWildcardEdgeParallelLabels(t *testing.T) {
 		for name, n := range map[string]int{
 			"legacy":  len(match.All(g, q, opts)),
 			"frozen":  match.CountSnapshot(g.Freeze(), q, opts),
-			"overlay": match.CountSnapshot(ov, q, opts),
+			"overlay": match.CountSnapshot(ov.Snapshot, q, opts),
 		} {
 			if n != want {
 				t.Errorf("pin %v: %s yielded %d matches, want %d", pin, name, n, want)
@@ -228,7 +228,7 @@ func TestWildcardEdgeRecurringNeighbours(t *testing.T) {
 			if n := match.CountSnapshot(g.Freeze(), q, match.Options{}); n != want {
 				t.Errorf("%s: frozen yielded %d matches, want %d", ctx, n, want)
 			}
-			if n := match.CountSnapshot(ov, q, match.Options{}); n != want+1 {
+			if n := match.CountSnapshot(ov.Snapshot, q, match.Options{}); n != want+1 {
 				t.Errorf("%s: overlay yielded %d matches, want %d", ctx, n, want+1)
 			}
 		}

@@ -131,7 +131,7 @@ func TestGuardedEnumerationDifferential(t *testing.T) {
 			}
 			want := xFiltered(g, f, opts)
 			checked += len(want)
-			var topo graph.Topology = ov
+			topo := ov.Snapshot
 			if trial < 6 {
 				topo = g.Freeze()
 			}

@@ -16,8 +16,8 @@
 //   - Enumerate/Count/Has/All walk the mutable *graph.Graph directly. This
 //     is the portable reference path, kept as the differential-test oracle
 //     and for ad-hoc callers (targeted noise injection).
-//   - Matcher (matcher.go) runs against a graph.Topology through its one
-//     read view, a *graph.Snapshot (interned labels, CSR adjacency, zero
+//   - Matcher (matcher.go) runs against one read view, a
+//     *graph.Snapshot (interned labels, CSR adjacency, zero
 //     steady-state allocations): frozen for the batch engines, an
 //     overlay's patched view for the incremental detector and post-update
 //     sessions — the same search body either way. Build graphs, g.Freeze()

@@ -12,10 +12,10 @@ import (
 )
 
 // Matcher is the compiled-representation enumerator: it runs the same
-// backtracking search as Enumerate, but against a graph.Topology's read
-// view (Topology.View) — a frozen *graph.Snapshot on the batch path, an
-// Overlay's patched view on the incremental path, one search body calling
-// the concrete *graph.Snapshot accessors on both. Interned integer labels,
+// backtracking search as Enumerate, but against one *graph.Snapshot read
+// view — a frozen snapshot on the batch path, an Overlay's patched view on
+// the incremental path, one search body calling the concrete accessors on
+// both. Interned integer labels,
 // CSR adjacency sorted by (edge label, neighbor label, neighbor), a flat
 // []bool used-set, and contiguous per-label candidate ranges. After
 // warm-up (first call per pattern shape) an enumeration performs zero
@@ -24,7 +24,7 @@ import (
 //
 // A Matcher is NOT safe for concurrent use — it owns reusable search
 // buffers. Engines create one Matcher per worker; all of them share one
-// Topology, which is read-only during matching.
+// view, which is read-only during matching.
 //
 // Candidate generation reads the adjacency runs keyed by (edge label,
 // the pattern node's own label), so neighbours of the wrong label are
@@ -48,9 +48,9 @@ import (
 // nodes whose placement closes a guard, so guards close early. Count, Has
 // and Limit then count only matches that pass the guard. Y never prunes.
 type Matcher struct {
-	// snap is the topology's read view. The search calls its accessors
-	// directly — never through graph.Topology — so the per-candidate reads
-	// (label, degrees, adjacency ranges) stay inlinable calls on every path.
+	// snap is the read view. The search calls its accessors directly, so
+	// the per-candidate reads (label, degrees, adjacency ranges) stay
+	// inlinable calls on every path.
 	snap *graph.Snapshot
 
 	// Reusable search state.
@@ -124,14 +124,15 @@ type planKey struct {
 // fires for a long-lived matcher over a heavily mutating overlay.
 const maxPlanCache = 64
 
-// NewMatcher returns a matcher over t's read view.
+// NewMatcher returns a matcher over t's read view: a *graph.Snapshot, or an
+// *graph.Overlay's patched view.
 func NewMatcher(t graph.Topology) *Matcher {
 	s := t.View()
 	return &Matcher{snap: s, used: make([]bool, s.NumNodes())}
 }
 
 // Topo returns the read view this matcher runs against.
-func (m *Matcher) Topo() graph.Topology { return m.snap }
+func (m *Matcher) Topo() *graph.Snapshot { return m.snap }
 
 // Enumerate calls yield for every match of q in the topology under opts,
 // in a deterministic order (ascending within each candidate range). The
@@ -730,18 +731,18 @@ func (m *Matcher) feasible(u int, v graph.NodeID, proved uint64) bool {
 	return true
 }
 
-// EnumerateSnapshot is Enumerate over a compiled topology with a throwaway
+// EnumerateSnapshot is Enumerate over a compiled view with a throwaway
 // Matcher; callers with repeated enumerations should hold a Matcher.
-func EnumerateSnapshot(t graph.Topology, q *pattern.Pattern, opts Options, yield func(core.Match) bool) {
+func EnumerateSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options, yield func(core.Match) bool) {
 	NewMatcher(t).Enumerate(q, opts, yield)
 }
 
-// CountSnapshot counts matches over a compiled topology.
-func CountSnapshot(t graph.Topology, q *pattern.Pattern, opts Options) int {
+// CountSnapshot counts matches over a compiled view.
+func CountSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options) int {
 	return NewMatcher(t).Count(q, opts)
 }
 
-// AllSnapshot returns every match (copied) over a compiled topology.
-func AllSnapshot(t graph.Topology, q *pattern.Pattern, opts Options) []core.Match {
+// AllSnapshot returns every match (copied) over a compiled view.
+func AllSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options) []core.Match {
 	return NewMatcher(t).All(q, opts)
 }

@@ -412,8 +412,8 @@ gfd seeded_new {
 		{incremental.SetAttr{Node: countries[2], Attr: "val", Value: "country_new"}, 2}, // never interned by the base
 	} {
 		sess.Apply(tc.up)
-		if _, ok := prep.Bundle().Topo().(*graph.Overlay); !ok {
-			t.Fatalf("step %d: the bundle runs on %T, want the session overlay", step, prep.Bundle().Topo())
+		if !prep.Bundle().Topo().Patched() {
+			t.Fatalf("step %d: the bundle runs on a frozen snapshot, want the session overlay", step)
 		}
 		want := detect(validate.EngineSequential)
 		if len(want) != tc.vios {
@@ -476,8 +476,8 @@ gfd mayor_party {
 		t.Fatalf("no mayor is affiliated, yet repVal reports %v", got)
 	}
 	sess.Apply(incremental.AddEdge{From: mayors[7], To: parties[3], Label: "affiliated_to"})
-	if _, ok := prep.Bundle().Topo().(*graph.Overlay); !ok {
-		t.Fatalf("the bundle runs on %T, want the session overlay", prep.Bundle().Topo())
+	if !prep.Bundle().Topo().Patched() {
+		t.Fatal("the bundle runs on a frozen snapshot, want the session overlay")
 	}
 	want := detect(validate.EngineSequential)
 	if len(want) != 1 {

@@ -54,15 +54,11 @@ import (
 	"gfd/internal/validate"
 )
 
-// Session wraps a graph with the caches keyed by its mutation version:
-// fragmentations for the fragmented engine. Prepared rule sets hang off it
-// via Prepare and run on the graph's live overlay after small mutations.
+// Session wraps a graph. It keeps no cache of its own: prepared rule sets
+// hang off it via Prepare, each owning its compiled bundle per graph
+// version, and run on the graph's live overlay after small mutations.
 type Session struct {
 	g *graph.Graph
-
-	mu           sync.Mutex
-	frags        map[int]*fragment.Fragmentation // keyed by fragment count
-	fragsVersion uint64
 }
 
 // ErrNilGraph is returned by New when opened on a nil graph — a typed
@@ -105,28 +101,6 @@ func (s *Session) Prepare(set *core.Set) (*Prepared, error) {
 	return p, nil
 }
 
-// Fragmentation returns the n-way hash fragmentation of the session's
-// graph, cached per (graph version, n) so repeated fragmented-engine
-// rounds stop re-partitioning. It cuts the view prepared bundles run
-// against — the live overlay after Apply — so it never re-freezes.
-func (s *Session) Fragmentation(n int) *fragment.Fragmentation {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v := s.g.Version(); s.frags == nil || s.fragsVersion != v {
-		s.frags = make(map[int]*fragment.Fragmentation, 2)
-		s.fragsVersion = v
-	}
-	if f := s.frags[n]; f != nil {
-		return f
-	}
-	f := fragment.PartitionSnapshot(s.topology().View(), n, fragment.Hash)
-	s.frags[n] = f
-	return f
-}
-
 // Incremental builds an incremental detector maintaining Vio(Σ, G) over
 // the session's graph. It is incremental.New: the detector writes through
 // the graph's live overlay, which the session's Apply and every other
@@ -155,11 +129,11 @@ func (s *Session) Apply(ups ...incremental.Update) []graph.NodeID {
 }
 
 // topology resolves the compiled view prepared bundles should run
-// against: the graph's live overlay while it is synced, else the frozen
-// snapshot (cached per version).
-func (s *Session) topology() graph.Topology {
+// against: the graph's live overlay view while it is synced, else the
+// frozen snapshot (cached per version).
+func (s *Session) topology() *graph.Snapshot {
 	if ov := s.g.LiveOverlay(); ov != nil {
-		return ov
+		return ov.Snapshot
 	}
 	return s.g.Freeze()
 }
@@ -204,7 +178,7 @@ func (p *Prepared) refresh() *validate.Bundle {
 		// mutations bypassed the overlay or the delta was compacted.
 		// The superseded bundle donates its graph-independent caches
 		// (reduction, grouping variants).
-		p.bundle = validate.NewBundleOver(p.sess.g, p.sess.topology(), p.set, p.bundle)
+		p.bundle = validate.NewBundleOver(p.sess.topology(), p.set, p.bundle)
 		p.version = v
 		p.rel = nil // the relational encoding snapshots the old version
 	}
@@ -299,12 +273,12 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 }
 
 // frag resolves the fragmentation EngineFragmented runs over: the caller's,
-// or the session's cached hash partition into Options.N fragments.
-func (p *Prepared) frag(opt validate.Options) *fragment.Fragmentation {
+// or b's cached hash partition into Options.N fragments.
+func (p *Prepared) frag(b *validate.Bundle, opt validate.Options) *fragment.Fragmentation {
 	if opt.Frag != nil {
 		return opt.Frag
 	}
-	return p.sess.Fragmentation(opt.Normalized().N)
+	return b.Fragmentation(opt.Normalized().N)
 }
 
 // slots is how many worker slots a run of opt emits on — the lane count of
@@ -314,7 +288,7 @@ func (p *Prepared) frag(opt validate.Options) *fragment.Fragmentation {
 func (p *Prepared) slots(opt validate.Options) (int, error) {
 	switch opt.Engine.Resolve() {
 	case validate.EngineFragmented:
-		return validate.Slots(opt, p.frag(opt)), nil
+		return validate.Slots(opt, p.frag(p.refresh(), opt)), nil
 	case validate.EngineDistributed:
 		return dist.Slots(opt)
 	}
@@ -331,7 +305,7 @@ func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.
 	case validate.EngineReplicated:
 		return validate.RepValB(ctx, b, opt, sink)
 	case validate.EngineFragmented:
-		return validate.DisValB(ctx, b, p.frag(opt), opt, sink)
+		return validate.DisValB(ctx, b, p.frag(b, opt), opt, sink)
 	case validate.EngineGCFD:
 		rules, _ := p.GCFDRules()
 		n := opt.Normalized().N
@@ -362,7 +336,7 @@ func (p *Prepared) WarmEngine(opt validate.Options) {
 		b.Warm(opt)
 	case validate.EngineFragmented:
 		b.Warm(opt)
-		p.frag(opt)
+		p.frag(b, opt)
 	case validate.EngineGCFD:
 		p.GCFDRules()
 	case validate.EngineBigDansing:

@@ -90,15 +90,15 @@ const commCostWeight = 1.0 / 32
 // copy carrying the ship costs; the superstep's span joins p.span.
 func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragment.Fragmentation) error {
 	p.units = slices.Clone(p.units)
-	n, view := cl.N(), b.topo.View()
+	n, view := cl.N(), b.topo
 	busy, err := cl.RunMeasured(func(w int) {
 		var block *graph.EpochSet
 		for ui := w; ui < len(p.units); ui += n {
 			if block == nil {
-				block = graph.NewEpochSet(b.topo.NumNodes())
+				block = graph.NewEpochSet(view.NumNodes())
 			}
 			u := &p.units[ui]
-			fillBlock(block, b.topo, u.Pivot, b.candidatesOf(p.chunks, ui))
+			fillBlock(block, view, u.Pivot, b.candidatesOf(p.chunks, ui))
 			u.shipBytes = make([]int64, frag.N)
 			var total int64
 			perOwner := make([]int64, frag.N)
@@ -123,15 +123,15 @@ func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragme
 	return nil
 }
 
-// fillBlock resets set to a unit's data block G_z̄ on topo: the union of
+// fillBlock resets set to a unit's data block G_z̄ on view: the union of
 // the c_i-hop neighborhoods of its pivot candidates cands, with zero
 // steady-state allocation, for the halo selection of internal/dist and
 // disVal's ship costs; unit enumeration needs no block (see detect).
-func fillBlock(set *graph.EpochSet, topo graph.Topology, pv *workload.Pivot, cands [][]graph.NodeID) {
+func fillBlock(set *graph.EpochSet, view *graph.Snapshot, pv *workload.Pivot, cands [][]graph.NodeID) {
 	set.Reset()
 	for i, vs := range cands {
 		for _, v := range vs {
-			topo.BlockInto(set, v, pv.Radii[i])
+			view.BlockInto(set, v, pv.Radii[i])
 		}
 	}
 }
@@ -179,8 +179,8 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // prefetching, keeping the strategy selector itself cheap — the paper's
 // dlocalVio likewise estimates before exchanging.
 func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
-	view := b.topo.View()
-	block := u.BlockIn(b.topo, cands)
+	view := b.topo
+	block := u.BlockIn(view, cands)
 	cq := b.pats[grp.q]
 	var upper int64
 	for v := range block {

@@ -205,11 +205,12 @@ type workUnit struct {
 	shipBytes []int64 // disVal: bytes to ship if assigned to worker i
 }
 
-// unitDetector is one worker's detection state: a topology-backed Matcher
+// unitDetector is one worker's detection state: a view-backed Matcher
 // plus reusable pin map, match scratch, and cancellation probe, so the
 // per-unit loop stays off the allocator. Workers each own one; the
-// underlying Topology (snapshot or overlay) is shared and serves both
-// enumeration (CSR topology) and literal evaluation (interned attributes).
+// underlying view (frozen snapshot or overlay view) is shared and serves
+// both enumeration (CSR adjacency) and literal evaluation (interned
+// attributes).
 type unitDetector struct {
 	m       *match.Matcher
 	pin     map[int]graph.NodeID
@@ -232,9 +233,9 @@ type unitDetector struct {
 	unit   int
 }
 
-func newUnitDetector(topo graph.Topology, cancel *cancelCheck, inj *fault.Injector, worker int) *unitDetector {
+func newUnitDetector(view *graph.Snapshot, cancel *cancelCheck, inj *fault.Injector, worker int) *unitDetector {
 	d := &unitDetector{
-		m:      match.NewMatcher(topo),
+		m:      match.NewMatcher(view),
 		pin:    make(map[int]graph.NodeID, 2),
 		cancel: cancel,
 		// Bind the method value once so the per-unit loop hands the matcher

@@ -210,9 +210,9 @@ func identityPerm(n int) []int {
 // rule's own node order). The remapped match is staged in *scratch so the
 // per-match hot path allocates only when a violation is actually recorded.
 // Literal checking runs each rule's compiled program against the shared
-// topology's interned attributes. Returns false when emit refused a
+// view's interned attributes. Returns false when emit refused a
 // violation and the enumeration must stop.
-func (grp *ruleGroup) checkMatch(topo graph.Topology, m core.Match, scratch *core.Match, emit func(Violation) bool) bool {
+func (grp *ruleGroup) checkMatch(view *graph.Snapshot, m core.Match, scratch *core.Match, emit func(Violation) bool) bool {
 	for _, d := range grp.deps {
 		rm := *scratch
 		if cap(rm) < len(d.perm) {
@@ -223,7 +223,7 @@ func (grp *ruleGroup) checkMatch(topo graph.Topology, m core.Match, scratch *cor
 		for i, gi := range d.perm {
 			rm[i] = m[gi]
 		}
-		if d.prog.IsViolation(topo, rm) {
+		if d.prog.IsViolation(view, rm) {
 			if !emit(Violation{Rule: d.rule.Name, Match: append(core.Match(nil), rm...)}) {
 				return false
 			}

@@ -197,7 +197,7 @@ gfd r {
 
 	ov := graph.NewOverlay(g)
 	ov.SetAttr(chain[0], "val", "zzz")
-	b2 := NewBundleOver(g, ov, set, b)
+	b2 := NewBundleOver(ov.Snapshot, set, b)
 	p2 := b2.Program(f)
 	if p2 == p || p2.Guard().Dead() {
 		t.Fatal("the overlay interned the constant: the program must be recompiled and live")

@@ -41,7 +41,7 @@ func TestPinnedEnumerationStaysInBlock(t *testing.T) {
 				ov.SetAttr(v, "q", "v1")
 			}
 		}
-		checkLocality(t, fmt.Sprintf("seed %d overlay", seed), g, ov, set, units)
+		checkLocality(t, fmt.Sprintf("seed %d overlay", seed), g, ov.Snapshot, set, units)
 	}
 	t.Logf("units with matches, by pivot arity: %v", units)
 	if units[1] == 0 || units[2] == 0 {
@@ -49,7 +49,7 @@ func TestPinnedEnumerationStaysInBlock(t *testing.T) {
 	}
 }
 
-func checkLocality(t *testing.T, name string, g *graph.Graph, topo graph.Topology, set *core.Set, units map[int]int) {
+func checkLocality(t *testing.T, name string, g *graph.Graph, topo *graph.Snapshot, set *core.Set, units map[int]int) {
 	t.Helper()
 	m := match.NewMatcher(topo)
 	block := graph.NewEpochSet(topo.NumNodes())

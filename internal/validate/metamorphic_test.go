@@ -1,10 +1,11 @@
 // The metamorphic harness: Vio(Σ, G) is a set with one right answer, so
 // every way of computing it must produce the same bytes — at every chunk
 // granularity, for N = 1…4, from the sequential, replicated, fragmented
-// and multi-process engines, over a heap snapshot, a session overlay after
-// Apply, a store-adopted mapping and per-fragment shards. Each case is a
-// row of one table, run like the scheduler conformance suite's shapes, and
-// compared against the string-and-map oracle.
+// and multi-process engines and the BigDansing baseline, over a heap
+// snapshot, a session overlay after Apply, a store-adopted mapping and
+// per-fragment shards. Each case is a row of one table, run like the
+// scheduler conformance suite's shapes, and compared against the
+// string-and-map oracle.
 package validate_test
 
 import (
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"gfd/internal/baseline"
 	"gfd/internal/core"
 	"gfd/internal/dist"
 	"gfd/internal/fragment"
@@ -107,7 +109,15 @@ var metamorphicEngines = []metamorphicEngine{
 		return res.Violations, err
 	}},
 	{"disVal", func(ctx context.Context, b *validate.Bundle, n int, _ func(int) string) (validate.Report, error) {
-		res, err := validate.DisValB(ctx, b, fragment.PartitionSnapshot(b.Topo().View(), n, fragment.Hash), validate.Options{N: n, NoReduce: true}, nil)
+		res, err := validate.DisValB(ctx, b, fragment.PartitionSnapshot(b.Topo(), n, fragment.Hash), validate.Options{N: n, NoReduce: true}, nil)
+		return res.Violations, err
+	}},
+	// The relational baseline, sorted as the session sorts it: its joins
+	// and label selections read the bundle's view alone.
+	{"bigDansing", func(ctx context.Context, b *validate.Bundle, n int, _ func(int) string) (validate.Report, error) {
+		res, err := validate.Single(b.Set().Len(), n, nil, func(s validate.Sink) error {
+			return baseline.DetectJoinsB(ctx, b, baseline.Encode(b.Topo()), n, s)
+		})
 		return res.Violations, err
 	}},
 	{"dist", func(ctx context.Context, b *validate.Bundle, n int, shard func(int) string) (validate.Report, error) {
@@ -180,15 +190,15 @@ func TestMetamorphicVio(t *testing.T) {
 			t.Fatal(err)
 		}
 		ov := prep.Bundle().Topo()
-		if _, ok := ov.(*graph.Overlay); !ok {
-			t.Fatalf("seed %d: the session runs on %T, want an overlay", seed, ov)
+		if !ov.Patched() {
+			t.Fatalf("seed %d: the session runs on a frozen snapshot, want an overlay view", seed)
 		}
 		wantMutated := canonical(validate.OracleVio(mg, set))
 
 		kinds := []topologyKind{
 			{"heap", false, func() *validate.Bundle { return validate.NewBundle(g, set) }},
-			{"mmap", false, func() *validate.Bundle { return validate.NewBundleOver(snap.Graph(), snap, set, nil) }},
-			{"overlay", true, func() *validate.Bundle { return validate.NewBundleOver(mg, ov, set, nil) }},
+			{"mmap", false, func() *validate.Bundle { return validate.NewBundleOver(snap, set, nil) }},
+			{"overlay", true, func() *validate.Bundle { return validate.NewBundleOver(ov, set, nil) }},
 		}
 		for _, gr := range granularities {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, gr.name), func(t *testing.T) {
@@ -231,7 +241,7 @@ func TestMetamorphicVio(t *testing.T) {
 	if compared["violations"] == 0 {
 		t.Fatal("no workload has a violation; the harness compares empty sets")
 	}
-	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap"} {
+	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay"} {
 		if compared[k] == 0 {
 			t.Fatalf("%s was never compared", k)
 		}

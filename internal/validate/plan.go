@@ -232,7 +232,7 @@ func (b *Bundle) chunksFor(key chunkKey, groups []*ruleGroup, opt Options) *chun
 	b.mu.Unlock()
 	start := time.Now()
 	cs := &chunkSet{}
-	cs.units, cs.split = cutChunks(b.topo.View(), groups, opt)
+	cs.units, cs.split = cutChunks(b.topo, groups, opt)
 	cs.cands = make([]atomic.Pointer[[][]graph.NodeID], len(cs.units))
 	cs.span = time.Since(start)
 	b.mu.Lock()
@@ -254,18 +254,18 @@ func (b *Bundle) candidatesOf(cs *chunkSet, ui int) [][]graph.NodeID {
 	return c
 }
 
-// unitCandidates runs a unit's star test on topo: per component, the
+// unitCandidates runs a unit's star test on view: per component, the
 // members of its range that the pivot's Candidates keeps. The two
 // components of a symmetric group share a star, so a diagonal unit tests
 // its range once.
-func unitCandidates(topo graph.Topology, u *workUnit) [][]graph.NodeID {
+func unitCandidates(view *graph.Snapshot, u *workUnit) [][]graph.NodeID {
 	out := make([][]graph.NodeID, len(u.Ranges))
 	for i, r := range u.Ranges {
 		if i == 1 && u.Pivot.Symmetric() && r == u.Ranges[0] {
 			out[1] = out[0]
 			continue
 		}
-		out[i] = u.Pivot.Candidates(topo, i, r)
+		out[i] = u.Pivot.Candidates(view, i, r)
 	}
 	return out
 }

@@ -264,8 +264,8 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 				incremental.AddEdge{From: graph.NodeID(rng.Intn(g.NumNodes())), To: countries[rng.Intn(len(countries))], Label: "located_in"},
 			)
 			b = prep.Bundle()
-			if _, ok := b.Topo().(*graph.Overlay); !ok {
-				t.Fatalf("round %d: bundle runs on %T, want the session overlay", round, b.Topo())
+			if !b.Topo().Patched() {
+				t.Fatalf("round %d: bundle runs on a frozen snapshot, want the session overlay", round)
 			}
 			split += checkPlan(t, fmt.Sprintf("overlay%d", round), g, b)
 			units := 0

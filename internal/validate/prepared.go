@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gfd/internal/core"
+	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
 	"gfd/internal/reason"
@@ -71,15 +72,15 @@ func (e Engine) Resolve() Engine {
 }
 
 // Bundle is the compiled execution state every engine runs from: the
-// compiled topology view of the graph (a frozen snapshot, or a delta
-// overlay after small mutations) plus the rule set with its lowered
+// compiled view of the graph (a frozen snapshot, or a delta overlay's
+// patched view after small mutations) plus the rule set with its lowered
 // artifacts. Building one pays, exactly once per (graph version, rule
 // set):
 //
-//   - the topology — Graph.Freeze on the cold path, or the graph's live
+//   - the view — Graph.Freeze on the cold path, or the graph's live
 //     graph.Overlay after an update batch (no re-freeze);
 //   - pattern.Compile per rule — pattern labels lowered onto the
-//     topology's symbol table, for the estimates that read them;
+//     view's symbol table, for the estimates that read them;
 //   - GFD literal lowering — X → Y literals as integer instructions.
 //
 // The bundle is the one owner of those lowerings; the rules keep none.
@@ -90,13 +91,13 @@ func (e Engine) Resolve() Engine {
 // they depend on Options variants — but each variant is computed once and
 // cached, so repeated Detect calls re-derive nothing; both are functions
 // of the rule set alone, so NewBundleOver inherits them from the
-// predecessor bundle across graph versions. A Bundle is immutable with
-// respect to the graph: it is valid for the graph version it was built
-// at, and safe for concurrent readers. The session layer rebuilds bundles
-// when the graph mutates.
+// predecessor bundle across graph versions. The plans and the hash
+// fragmentations disVal runs over are cached per variant too. A Bundle is
+// immutable with respect to the graph: it is valid for the graph version
+// it was built at, and safe for concurrent readers. The session layer
+// rebuilds bundles when the graph mutates.
 type Bundle struct {
-	g    *graph.Graph
-	topo graph.Topology
+	topo *graph.Snapshot
 	set  *core.Set
 
 	mu      sync.Mutex
@@ -112,6 +113,8 @@ type Bundle struct {
 	// est is the planning cache (see plan.go): chunk layouts with their
 	// survivor memos and plans per option variant, probe counters.
 	est estState
+	// frags holds the n-way hash fragmentations of topo, keyed by n.
+	frags map[int]*fragment.Fragmentation
 }
 
 // groupKey identifies one cached grouping variant.
@@ -124,31 +127,30 @@ type groupKey struct {
 // NewBundle freezes g and eagerly lowers every rule of set onto the
 // snapshot's symbol table.
 func NewBundle(g *graph.Graph, set *core.Set) *Bundle {
-	return NewBundleOver(g, g.Freeze(), set, nil)
+	return NewBundleOver(g.Freeze(), set, nil)
 }
 
-// NewBundleOver builds a bundle over an externally supplied topology —
-// the session layer passes the graph's live overlay after update batches
+// NewBundleOver builds a bundle over an externally supplied view — the
+// session layer passes the graph's live overlay view after update batches
 // instead of re-freezing — and compiles every rule's pattern and literal
-// program onto its symbol table. An overlay's table grows with updates, so
-// there every rule's labels and literal constants are interned first
-// (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym must
-// mean "never occurs". When prev (the bundle this one supersedes) is given
-// and shares the rule set, the rule-side caches that do not depend on the
-// graph are inherited: the reduced set always, the grouping variants when
-// the symbol table is unchanged (the overlay case), rebound to this
-// bundle's programs.
-func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bundle) *Bundle {
+// program onto its symbol table. A patched view's table grows with
+// updates, so there every rule's labels and literal constants are interned
+// first (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym
+// must mean "never occurs". When prev (the bundle this one supersedes) is
+// given and shares the rule set, the rule-side caches that do not depend
+// on the graph are inherited: the reduced set always, the grouping
+// variants when the symbol table is unchanged (the overlay case), rebound
+// to this bundle's programs.
+func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
 	b := &Bundle{
-		g:      g,
-		topo:   topo,
+		topo:   view,
 		set:    set,
 		groups: make(map[groupKey][]*ruleGroup, 2),
 		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
 		pats:   make(map[*pattern.Pattern]*pattern.Compiled, set.Len()),
 	}
-	syms := topo.Syms()
-	_, growing := topo.(*graph.Overlay)
+	syms := view.Syms()
+	growing := view.Patched()
 	for _, f := range set.Rules() {
 		if growing {
 			pattern.InternInto(f.Q, syms)
@@ -199,7 +201,7 @@ func (b *Bundle) Program(f *core.GFD) *core.LiteralProgram {
 	if p, ok := b.progs[f]; ok {
 		return p
 	}
-	if _, growing := b.topo.(*graph.Overlay); growing {
+	if b.topo.Patched() {
 		f.InternLiterals(b.topo.Syms())
 	}
 	p := f.CompileLiterals(b.topo.Syms())
@@ -207,12 +209,25 @@ func (b *Bundle) Program(f *core.GFD) *core.LiteralProgram {
 	return p
 }
 
-// Graph returns the source graph the bundle was compiled from.
-func (b *Bundle) Graph() *graph.Graph { return b.g }
+// Topo returns the compiled view the engines run against: a frozen
+// snapshot, or the graph's live overlay view after an update batch. Its
+// Graph is the source graph the bundle was compiled from.
+func (b *Bundle) Topo() *graph.Snapshot { return b.topo }
 
-// Topo returns the compiled topology view the engines run against: a
-// frozen snapshot, or the session's delta overlay after an update batch.
-func (b *Bundle) Topo() graph.Topology { return b.topo }
+// Fragmentation returns the n-way hash fragmentation of the bundle's view,
+// cut on first use and kept per n, bounded like the plans
+// (maxPlanEntries), so repeated fragmented-engine rounds stop
+// re-partitioning. It cuts the view the engines run on — the live overlay
+// after an update batch — so it never re-freezes.
+func (b *Bundle) Fragmentation(n int) *fragment.Fragmentation {
+	n = max(n, 1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if f := b.frags[n]; f != nil {
+		return f
+	}
+	return publish(&b.frags, n, maxPlanEntries, fragment.PartitionSnapshot(b.topo, n, fragment.Hash))
+}
 
 // Set returns the full (unreduced) rule set.
 func (b *Bundle) Set() *core.Set { return b.set }

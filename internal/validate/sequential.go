@@ -27,8 +27,8 @@ import (
 // survives.
 func DetVioB(ctx context.Context, b *Bundle, sink Sink) (err error) {
 	defer engineRecover(&err)
-	topo := b.topo
-	m := match.NewMatcher(topo)
+	view := b.topo
+	m := match.NewMatcher(view)
 	cancel := &cancelCheck{ctx: ctx}
 	opts := match.Options{Halt: cancel.canceled}
 	for _, f := range b.set.Rules() {
@@ -39,7 +39,7 @@ func DetVioB(ctx context.Context, b *Bundle, sink Sink) (err error) {
 			if cancel.canceled() {
 				break
 			}
-			if p.IsViolation(topo, h) {
+			if p.IsViolation(view, h) {
 				if sink != nil && !sink.Emit(0, Violation{Rule: f.Name, Match: append(core.Match(nil), h...)}) {
 					stopped = true
 					break

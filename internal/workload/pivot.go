@@ -143,15 +143,15 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 }
 
 // ClassIn returns the candidate class pivot component i draws from on a
-// compiled topology: the pivot label's interned code, WildcardSym for a
+// compiled view: the pivot label's interned code, WildcardSym for a
 // wildcard pivot (all nodes). CandidatesIn keeps a subset of it.
-func (p *Pivot) ClassIn(t graph.Topology, i int) graph.Sym {
+func (p *Pivot) ClassIn(t *graph.Snapshot, i int) graph.Sym {
 	return pattern.LowerLabel(p.Q.Nodes[p.Vars[i]].Label, t.Syms())
 }
 
 // Class returns component i's class on t in ascending node order, and nil
 // for a wildcard pivot, whose class is every node: position k is node k.
-func (p *Pivot) Class(t graph.Topology, i int) []graph.NodeID {
+func (p *Pivot) Class(t *graph.Snapshot, i int) []graph.NodeID {
 	if c := p.ClassIn(t, i); c != graph.WildcardSym {
 		return t.NodesWith(c)
 	}
@@ -159,7 +159,7 @@ func (p *Pivot) Class(t graph.Topology, i int) []graph.NodeID {
 }
 
 // ClassLen returns the size of component i's class on t.
-func (p *Pivot) ClassLen(t graph.Topology, i int) int {
+func (p *Pivot) ClassLen(t *graph.Snapshot, i int) int {
 	if c := p.ClassIn(t, i); c != graph.WildcardSym {
 		return t.ClassSize(c)
 	}
@@ -168,23 +168,23 @@ func (p *Pivot) ClassLen(t graph.Topology, i int) int {
 
 // CandidatesIn returns the candidates of pivot component i over its whole
 // class: Candidates over [0, ClassLen).
-func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
+func (p *Pivot) CandidatesIn(t *graph.Snapshot, i int) []graph.NodeID {
 	return p.Candidates(t, i, Range{0, p.ClassLen(t, i)})
 }
 
 // Candidates returns, for pivot component i, the candidate nodes of the
 // pivot variable among the class members at positions r on a compiled
-// topology (frozen snapshot or overlay), in class order: the members that
+// view (frozen snapshot or overlay view), in class order: the members that
 // pass the component's filter when it is seeded and at which every pattern
 // neighbour q of the pivot can bind — the star test. For each q, every run
 // of the member's adjacency along a pivot–q pattern edge, keyed by q's
 // label, is non-empty, and the runs with a concrete edge and q label — the
 // To-sorted ones — share a neighbour. Injectivity is ignored, so the test
 // is weaker than a match and never drops one. One pass over the range runs
-// both tests on the topology's own view, so an overlay's updates count; a
-// label or constant its symbol table never interned holds on no node. With
-// nothing to test, the result may alias the topology's class.
-func (p *Pivot) Candidates(t graph.Topology, i int, r Range) []graph.NodeID {
+// both tests on the view itself, so an overlay's updates count; a label or
+// constant its symbol table never interned holds on no node. With nothing
+// to test, the result may alias the view's class.
+func (p *Pivot) Candidates(t *graph.Snapshot, i int, r Range) []graph.NodeID {
 	class := p.Class(t, i)
 	if class != nil {
 		class = class[r.Lo:r.Hi]
@@ -203,7 +203,6 @@ func (p *Pivot) Candidates(t graph.Topology, i int, r Range) []graph.NodeID {
 		}
 		return class
 	}
-	view := t.View()
 	var out, common []graph.NodeID
 	var runs [graph.MaxIntersectArity][]graph.CSREdge
 next:
@@ -213,7 +212,7 @@ next:
 			v = class[j]
 		}
 		if attr != graph.NoSym {
-			if a, ok := view.AttrSym(v, attr); !ok || !slices.Contains(vals, a) {
+			if a, ok := t.AttrSym(v, attr); !ok || !slices.Contains(vals, a) {
 				continue
 			}
 		}
@@ -222,9 +221,9 @@ next:
 			for _, run := range nbr {
 				var es []graph.CSREdge
 				if run.in {
-					es = view.InWithNbr(v, run.label, run.nbr)
+					es = t.InWithNbr(v, run.label, run.nbr)
 				} else {
-					es = view.OutWithNbr(v, run.label, run.nbr)
+					es = t.OutWithNbr(v, run.label, run.nbr)
 				}
 				if len(es) == 0 {
 					continue next
@@ -272,7 +271,7 @@ type starRun struct {
 // the pivot (itself, for a self-loop), the runs along the edges joining
 // them. It looks up the star's labels alone, not the whole pattern, once
 // per call — a range of class members, never a member.
-func (p *Pivot) starIn(t graph.Topology, i int) [][]starRun {
+func (p *Pivot) starIn(t *graph.Snapshot, i int) [][]starRun {
 	syms := t.Syms()
 	z := p.Vars[i]
 	var nbrs []int

@@ -32,7 +32,7 @@ func (u Unit) Weight() int { return u.Load }
 // BlockIn materializes the unit's data block G_z̄ as a node set: the union
 // of the c_i-hop neighborhoods of its pivot candidates cands, one list per
 // component (the survivors of its star test).
-func (u Unit) BlockIn(t graph.Topology, cands [][]graph.NodeID) graph.NodeSet {
+func (u Unit) BlockIn(t *graph.Snapshot, cands [][]graph.NodeID) graph.NodeSet {
 	set := make(graph.NodeSet)
 	for i, vs := range cands {
 		for _, v := range vs {
