@@ -106,8 +106,9 @@ type (
 	// and serves reads through its embedded patched view, so small
 	// mutations stop costing a full re-freeze. A graph has one live
 	// overlay, which Session.Apply and every incremental detector of the
-	// graph write through. It owns the delta: the graph reads through the
-	// view and is never written or thawed.
+	// graph write through. It owns the delta: its first write seals the
+	// graph, which then reads through the view, and a direct write to a
+	// sealed graph goes through the overlay too.
 	Overlay = graph.Overlay
 
 	// Pattern is a graph pattern Q[x̄].
@@ -290,11 +291,12 @@ func SaveSnapshot(ctx context.Context, g *Graph, path string) error {
 
 // OpenSnapshot maps a saved snapshot read-only and opens a Session over
 // it. The cold path is Open → Prepare → Detect with zero snapshot builds:
-// the session's graph is a lazy view over the mapping, so no rebuild and
-// no copy of the CSR arrays happens until the graph is actually mutated —
-// at which point it migrates to the heap transparently and the mapping
-// can be closed. The returned LoadedSnapshot owns the mapping; close it
-// when the session is done (or after the first mutation).
+// the session's graph is sealed over the mapping, so it is never rebuilt
+// and its CSR arrays are never copied. Writes, through Session.Apply or
+// directly, patch the graph's live overlay over the mapped arrays, and
+// the compaction that retires that overlay flattens it onto the heap.
+// The returned LoadedSnapshot owns the mapping; close it when the session
+// and the graph are done (Graph.Clone makes a heap copy that outlives it).
 func OpenSnapshot(ctx context.Context, path string) (*Session, *LoadedSnapshot, error) {
 	l, err := store.Open(ctx, path)
 	if err != nil {

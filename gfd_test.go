@@ -3,6 +3,9 @@ package gfd_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,6 +291,71 @@ func TestPublicIO(t *testing.T) {
 	if !got.Equal(want) {
 		t.Error("reparsed rules disagree")
 	}
+}
+
+// TestWriteOpenedSnapshot: the text form of a graph opened from a .gfds
+// file, read back and frozen, equals the opened snapshot by names, and
+// writing it leaves the opened graph sealed.
+func TestWriteOpenedSnapshot(t *testing.T) {
+	ctx := context.Background()
+	g := fig7Graph(t)
+	odd := g.AddNode("city", gfd.Attrs{"val": "São Paulo", "note": `say "hi"`, "k=v": ""})
+	g.MustAddEdge(odd, 0, "named after")
+	path := filepath.Join(t.TempDir(), "g.gfds")
+	if err := gfd.SaveSnapshot(ctx, g, path); err != nil {
+		t.Fatal(err)
+	}
+	_, l, err := gfd.OpenSnapshot(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	opened := l.Snapshot()
+	var buf bytes.Buffer
+	if err := gfd.WriteGraph(&buf, opened.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := gfd.ReadGraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := byNames(back.Freeze()), byNames(opened); got != want {
+		t.Fatalf("read back:\n%s\nopened:\n%s", got, want)
+	}
+	if !opened.Graph().Sealed() {
+		t.Error("writing the opened graph unsealed it")
+	}
+}
+
+// byNames renders a snapshot with every code resolved to its name: per
+// node its label, its attribute pairs and its adjacency in both
+// directions, each sorted, so snapshots over different symbol tables
+// compare as text.
+func byNames(s *gfd.Snapshot) string {
+	syms := s.Syms()
+	var b strings.Builder
+	adjacency := func(v gfd.NodeID, in bool) []string {
+		es := s.Out(v)
+		if in {
+			es = s.In(v)
+		}
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = fmt.Sprintf("%s>%d", syms.Name(e.Label), e.To)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for v := 0; v < s.NumNodes(); v++ {
+		id := gfd.NodeID(v)
+		var attrs []string
+		for _, p := range s.AttrPairs(id) {
+			attrs = append(attrs, syms.Name(p.Name)+"="+syms.Name(p.Val))
+		}
+		slices.Sort(attrs)
+		fmt.Fprintf(&b, "%d %s %q out=%v in=%v\n", v, s.LabelName(id), attrs, adjacency(id, false), adjacency(id, true))
+	}
+	return b.String()
 }
 
 func TestParseRulesFromSource(t *testing.T) {

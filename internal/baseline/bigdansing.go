@@ -25,8 +25,8 @@ type Relational struct {
 
 // Encode builds the relational encoding of a view — a frozen or
 // store-adopted snapshot, or an overlay's patched view — reading its
-// compiled arrays, so encoding a hollow graph never materializes its
-// string maps. Edges come in (source, adjacency) order.
+// compiled arrays, so encoding a sealed graph never builds a string form
+// of it. Edges come in (source, adjacency) order.
 func Encode(t *graph.Snapshot) *Relational {
 	r := &Relational{
 		nodesByLabel: make(map[string][]graph.NodeID),

@@ -122,7 +122,7 @@ func distOpt(f *fixture, plan *fault.Plan) validate.Options {
 // TestDistFaultFree: the multi-process run over mmap'd shards reproduces
 // the in-process fault-free violation set exactly, with a complete census
 // and zero snapshot builds in the coordinator (the cold-start guarantee:
-// plans and halos come from the already-frozen snapshot; nothing thaws).
+// plans and halos come from the already-frozen snapshot).
 func TestDistFaultFree(t *testing.T) {
 	f := setup(t)
 	before := f.g.SnapshotBuilds()

@@ -13,7 +13,7 @@ import (
 
 // TestApplyHaloKeepsShardHollow: a worker patches each unit's halo into
 // the overlay over its mapped shard, and the cost must be the halo's.
-// Thawing the shard onto the heap allocates per node, so applyHalo over
+// Copying the shard onto the heap allocates per node, so applyHalo over
 // an n-node adopted shard must stay far below n allocations, and the
 // graph must read the patched halo back (the overlay is its read source).
 // Re-shipping the same halo is idempotent.
@@ -57,7 +57,7 @@ func TestApplyHaloKeepsShardHollow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(32*len(halo)) {
-		t.Errorf("applyHalo of %d halo nodes over a %d-node shard allocated %d times: it thawed the shard", len(halo), n, allocs)
+		t.Errorf("applyHalo of %d halo nodes over a %d-node shard allocated %d times: it copied the shard", len(halo), n, allocs)
 	}
 	// One existing edge per halo node was skipped; the other two landed.
 	if got, want := shard.NumEdges(), edges+2*len(halo); got != want {

@@ -115,8 +115,8 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail("parsing shipped rules: %v", err)
 	}
 	// The overlay receives halo patches; the shard snapshot beneath it is
-	// the mmap'd file. The overlay owns the patches — the shard's graph
-	// reads through them and is never thawed onto the heap — so a unit's
+	// the mmap'd file. The overlay owns the patches — the shard's graph is
+	// sealed and reads through them, never copied onto the heap — so a unit's
 	// halo costs O(|halo|). Every shard carries the full (global) symbol table,
 	// so halo interning never mints new codes and enumeration order stays
 	// identical across workers — the retry dedupe depends on it.
@@ -258,7 +258,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 // applyHalo patches the shipped non-owned block nodes into the worker's
 // overlay: attribute tuples, then full adjacency in both directions. Its
 // cost is the halo's, not the shard's: the writes land in the overlay's
-// patch and never thaw the mapped shard.
+// patch and never copy the mapped shard onto the heap.
 // Edges already present — because the other endpoint is owned, or because
 // an earlier unit's halo introduced them — are skipped via HasEdge, so
 // re-shipment after respawn stays idempotent.

@@ -93,8 +93,8 @@ type Fragment struct {
 }
 
 // Partition splits g into n fragments using the given strategy. It reads
-// g through its snapshot (Freeze), so a store-adopted graph stays hollow:
-// the string/map form is never built.
+// g through its snapshot (Freeze), so a store-adopted graph is read from
+// its flat arrays and no string form of it is built.
 func Partition(g *graph.Graph, n int, s Strategy) *Fragmentation {
 	return PartitionSnapshot(g.Freeze(), n, s)
 }

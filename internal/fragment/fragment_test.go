@@ -127,7 +127,7 @@ func TestHashPartitionRoughBalance(t *testing.T) {
 }
 
 // TestPartitionKeepsAdoptedGraphHollow: partitioning a store-adopted graph
-// reads its flat snapshot and never thaws it onto the heap (thawing
+// reads its flat snapshot and never copies it onto the heap (copying
 // allocates per node, so the allocation count across one Partition stays
 // below |V|), and every value it computes equals the heap graph's.
 func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
@@ -154,7 +154,7 @@ func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
 	got := Partition(adopted, 4, Hash)
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs >= n {
-		t.Errorf("Partition of an adopted %d-node graph allocated %d times: it thawed the graph", n, allocs)
+		t.Errorf("Partition of an adopted %d-node graph allocated %d times: it copied the graph", n, allocs)
 	}
 
 	want := Partition(heap, 4, Hash)

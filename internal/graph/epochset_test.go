@@ -172,34 +172,6 @@ func TestSnapshotAttrArena(t *testing.T) {
 	}
 }
 
-// TestInducedSubgraphAttrIsolation is the snapshot-version audit
-// regression: InducedSubgraph must copy attribute tuples, so a SetAttr on
-// the subgraph bumps only the subgraph's version and can never mutate the
-// parent behind its cached snapshot.
-func TestInducedSubgraphAttrIsolation(t *testing.T) {
-	g := New(2, 1)
-	g.AddNode("person", Attrs{"val": "old"})
-	g.AddNode("person", Attrs{"val": "x"})
-	g.MustAddEdge(0, 1, "knows")
-	snap := g.Freeze()
-
-	sub, remap := g.InducedSubgraph([]NodeID{0, 1})
-	sub.SetAttr(remap[0], "val", "mutated")
-
-	if v, _ := g.Attr(0, "val"); v != "old" {
-		t.Fatalf("parent attr mutated through subgraph: %q", v)
-	}
-	if g.Freeze() != snap {
-		t.Fatal("parent snapshot invalidated by subgraph mutation")
-	}
-	if v, _ := snap.Attr(0, "val"); v != "old" {
-		t.Fatalf("frozen arena changed: %q", v)
-	}
-	if v, _ := sub.Attr(remap[0], "val"); v != "mutated" {
-		t.Fatalf("subgraph SetAttr lost: %q", v)
-	}
-}
-
 // TestCloneSnapshotIsolation: same audit for Clone.
 func TestCloneSnapshotIsolation(t *testing.T) {
 	g := New(1, 0)

@@ -116,7 +116,8 @@ func TestParallelFreezeEquivalence(t *testing.T) {
 }
 
 // roundTripGraph returns g rebuilt from its persisted image: Flat, then
-// AdoptFlat, then Clone, which thaws the maps from sorted rows.
+// AdoptFlat, then Clone, which reads the sorted rows into a building
+// graph.
 func roundTripGraph(t *testing.T, g *Graph) *Graph {
 	t.Helper()
 	f, err := g.Freeze().Flat()
@@ -185,51 +186,54 @@ func FuzzFreezeParallel(f *testing.F) {
 	})
 }
 
-// TestConcurrentFreezeSharesOneBuild is the -race target for the
-// build-once guard: many concurrent Freeze callers during mutation-free
-// reads must share a single construction (one snapshot pointer, one
-// build), with readers of the published snapshot racing freely alongside.
+// TestConcurrentFreezeSharesOneBuild is the -race target for Freeze's
+// lock: many concurrent Freeze callers during mutation-free reads must
+// share a single construction (one snapshot pointer, one build), with
+// readers of the published snapshot and of the graph racing freely
+// alongside — on a building graph, and on one an overlay sealed, where
+// the build is the compaction that replaces the graph's read source.
 func TestConcurrentFreezeSharesOneBuild(t *testing.T) {
-	g := randomFreezeGraph(3, 400)
-	const callers = 16
-	snaps := make([]*Snapshot, callers)
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	for i := 0; i < callers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s := g.Freeze()
-			snaps[i] = s
-			// Mutation-free reads concurrent with other Freeze callers.
-			for v := 0; v < s.NumNodes(); v += 37 {
-				_ = s.Out(NodeID(v))
-				_, _ = s.AttrSym(NodeID(v), 1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if snaps[i] != snaps[0] {
-			t.Fatalf("caller %d got a different snapshot", i)
+	for _, sealed := range []bool{false, true} {
+		g := randomFreezeGraph(3, 400)
+		if sealed {
+			ov := NewOverlay(g)
+			ov.SetAttr(5, "val", "rewritten")
+			ov.MustAddEdge(ov.AddNode("person", nil), 5, "knows")
 		}
-	}
-	if builds := g.SnapshotBuilds(); builds != 1 {
-		t.Fatalf("SnapshotBuilds = %d, want 1 (build-once guard)", builds)
-	}
-}
-
-// TestSetFreezeWorkersOverride pins the knob precedence: an explicit
-// override wins over the GOMAXPROCS default, and resetting it restores the
-// default.
-func TestSetFreezeWorkersOverride(t *testing.T) {
-	defer SetFreezeWorkers(0)
-	SetFreezeWorkers(3)
-	if got := FreezeWorkers(); got != 3 {
-		t.Fatalf("FreezeWorkers after SetFreezeWorkers(3) = %d", got)
-	}
-	SetFreezeWorkers(0)
-	if got, want := FreezeWorkers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("default FreezeWorkers = %d, want GOMAXPROCS = %d", got, want)
+		builds := g.SnapshotBuilds()
+		const callers = 16
+		snaps := make([]*Snapshot, callers)
+		var wg sync.WaitGroup
+		wg.Add(callers)
+		for i := 0; i < callers; i++ {
+			go func(i int) {
+				defer wg.Done()
+				if i%2 == 1 {
+					// Graph reads concurrent with the build.
+					if got, _ := g.Attr(5, "val"); sealed && got != "rewritten" {
+						t.Errorf("Attr(5, val) = %q during a compaction, want rewritten", got)
+					}
+					_ = g.NodeAttrs(5)
+					_ = g.Out(5)
+				}
+				s := g.Freeze()
+				snaps[i] = s
+				// Mutation-free reads concurrent with other Freeze callers.
+				for v := 0; v < s.NumNodes(); v += 37 {
+					_ = s.Out(NodeID(v))
+					_, _ = s.AttrSym(NodeID(v), 1)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i := 1; i < callers; i++ {
+			if snaps[i] != snaps[0] {
+				t.Fatalf("sealed=%v: caller %d got a different snapshot", sealed, i)
+			}
+		}
+		if got := g.SnapshotBuilds() - builds; got != 1 {
+			t.Fatalf("sealed=%v: %d builds, want 1 (one lock around the build)", sealed, got)
+		}
 	}
 }
 
@@ -253,8 +257,8 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 // same mutated graph: the graph from BenchmarkBuildSnapshot takes an
 // eighth of its size in mixed updates through an overlay, then "flatten"
 // copies the patched view into flat arrays (what Freeze does to a graph an
-// overlay wrote) and "freeze" builds the snapshot from the same graph's
-// thawed maps with the worker count Freeze uses on an unpatched graph
+// overlay wrote) and "freeze" builds the snapshot from a building clone
+// of the same graph with the worker count Freeze uses on a building graph
 // (what compaction cost when overlays wrote through).
 func BenchmarkCompact(b *testing.B) {
 	g := randomFreezeGraph(1, 20000)
@@ -278,11 +282,11 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	})
 	b.Run("freeze", func(b *testing.B) {
-		g.ensureThawed()
+		c := g.Clone()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buildSnapshot(g, workersFor(g.Size()))
+			buildSnapshot(c, workersFor(c.Size()))
 		}
 	})
 }

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,6 +55,16 @@ type Edge struct {
 
 // Graph is a directed property graph with labeled nodes and edges and
 // per-node attribute tuples. The zero value is an empty graph ready to use.
+//
+// A graph is in one of two states, and moves between them one way only.
+// It is building while its maps below hold the truth: generators and the
+// text reader fill it, and every mutator writes the maps. It is sealed
+// once a snapshot is its read source: from birth when it is adopted
+// (AdoptFlat), or from the first write of an Overlay over it. A sealed
+// graph has no maps; every read answers from the read source, and AddNode,
+// AddEdge and SetAttr become writes through the graph's live overlay
+// (NewOverlay), which patch the view without building a snapshot. Clone
+// turns either state into a fresh building graph.
 type Graph struct {
 	labels  []string // node labels, indexed by NodeID
 	attrs   []Attrs  // attribute tuples, indexed by NodeID (may be nil)
@@ -63,35 +74,22 @@ type Graph struct {
 	edges   int
 	degHint int // initial adjacency capacity derived from New's edge hint
 
-	version      uint64     // bumped on every mutation; invalidates the snapshot
-	snapMu       sync.Mutex // guards the snapshot cache fields below
-	snap         *Snapshot
-	snapVersion  uint64
-	snapBuilds   uint64     // snapshots actually built (cache misses), for reuse probes
-	snapBuilding *snapBuild // in-flight build, so construction runs outside snapMu
+	version     uint64     // bumped on every mutation; invalidates the snapshot
+	snapMu      sync.Mutex // held across a build; guards snap and snapVersion
+	snap        *Snapshot
+	snapVersion uint64
+	snapBuilds  atomic.Uint64 // snapshots actually built (cache misses), for reuse probes
 
-	// hollow, when set, is the graph's read source and the maps above
-	// are absent: the snapshot a graph was adopted from (AdoptFlat), an
-	// Overlay's patched view once the overlay has written, or the flat
-	// snapshot Freeze compacted that view into. Reads the snapshot can
-	// answer stay on it; a direct mutation, or a read that needs the maps,
-	// materializes them from it (ensureThawed in persist.go), and the next
-	// overlay write makes the graph hollow again.
-	hollow atomic.Pointer[Snapshot]
-	thawMu sync.Mutex // serializes concurrent thawing reads
+	// sealed is the read source of a sealed graph, nil while it is
+	// building: the snapshot it was adopted from, the patched view of the
+	// overlay that last wrote it, or the flat snapshot Freeze compacted
+	// that view into.
+	sealed atomic.Pointer[Snapshot]
 
 	// live is the graph's one writer-side overlay (see NewOverlay); liveMu
 	// serializes starting and compacting it.
 	live   atomic.Pointer[Overlay]
 	liveMu sync.Mutex
-}
-
-// snapBuild tracks one in-flight snapshot construction: concurrent Freeze
-// callers for the same version wait on done instead of holding snapMu for
-// the whole O(|V|+|E|) build.
-type snapBuild struct {
-	version uint64
-	done    chan struct{}
 }
 
 // Version returns the graph's mutation counter. Every mutating call
@@ -105,10 +103,31 @@ func (g *Graph) Version() uint64 { return g.version }
 // view included. It is the freeze-count probe the session-reuse tests
 // assert on: one build per graph version, no matter how many engines and
 // sweep rounds share the graph.
-func (g *Graph) SnapshotBuilds() int {
-	g.snapMu.Lock()
-	defer g.snapMu.Unlock()
-	return int(g.snapBuilds)
+func (g *Graph) SnapshotBuilds() int { return int(g.snapBuilds.Load()) }
+
+// Sealed reports whether g is sealed: a snapshot is its read source and
+// its writes go through its live overlay (see Graph).
+func (g *Graph) Sealed() bool { return g.sealed.Load() != nil }
+
+// readThrough seals g over view and bumps the version: the Overlay's
+// write hook, in place of mutating the graph. The first write drops a
+// building graph's maps, so nothing keeps a second copy of the data in
+// step with the view.
+func (g *Graph) readThrough(view *Snapshot) uint64 {
+	if g.sealed.Load() != view {
+		g.labels, g.attrs, g.out, g.in, g.byLabel = nil, nil, nil, nil, nil
+		g.sealed.Store(view)
+	}
+	g.version++
+	return g.version
+}
+
+// mustBuild panics on a sealed graph: op needs the maps only a building
+// graph has.
+func (g *Graph) mustBuild(op string) {
+	if g.Sealed() {
+		panic("graph: " + op + " on a sealed graph")
+	}
 }
 
 // New returns an empty graph with capacity hints for nodes and edges. The
@@ -129,10 +148,12 @@ func New(nodeHint, edgeHint int) *Graph {
 }
 
 // AddNode appends a node with the given label and attributes and returns its
-// ID. The attrs map is stored by reference; callers must not mutate it after
-// the call unless they own the graph. A nil attrs is allowed.
+// ID. A building graph stores attrs by reference; callers must not mutate
+// it after the call unless they own the graph. A nil attrs is allowed.
 func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
-	g.ensureThawed()
+	if g.Sealed() {
+		return NewOverlay(g).AddNode(label, attrs)
+	}
 	id := NodeID(len(g.labels))
 	g.labels = append(g.labels, label)
 	g.attrs = append(g.attrs, attrs)
@@ -150,7 +171,9 @@ func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
 // distinct labels are allowed; duplicate (from, to, label) triples are not
 // deduplicated (the generators never produce them).
 func (g *Graph) AddEdge(from, to NodeID, label string) error {
-	g.ensureThawed()
+	if g.Sealed() {
+		return NewOverlay(g).AddEdge(from, to, label)
+	}
 	if !g.Has(from) || !g.Has(to) {
 		return fmt.Errorf("graph: edge (%d)-[%s]->(%d) references missing node", from, label, to)
 	}
@@ -178,16 +201,11 @@ func (g *Graph) MustAddEdge(from, to NodeID, label string) {
 }
 
 // Has reports whether id is a node of g.
-func (g *Graph) Has(id NodeID) bool {
-	if s := g.pending(); s != nil {
-		return id >= 0 && int(id) < s.NumNodes()
-	}
-	return id >= 0 && int(id) < len(g.labels)
-}
+func (g *Graph) Has(id NodeID) bool { return id >= 0 && int(id) < g.NumNodes() }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.NumNodes()
 	}
 	return len(g.labels)
@@ -195,7 +213,7 @@ func (g *Graph) NumNodes() int {
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.NumEdges()
 	}
 	return g.edges
@@ -207,17 +225,29 @@ func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 
 // Label returns L(v).
 func (g *Graph) Label(id NodeID) string {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.LabelName(id)
 	}
 	return g.labels[id]
 }
 
-// NodeAttrs returns the attribute tuple F_A(v). The returned map is shared
-// with the graph; treat it as read-only.
+// NodeAttrs returns the attribute tuple F_A(v), nil when v has none. A
+// building graph returns its own map and a sealed one a fresh copy; treat
+// it as read-only.
 func (g *Graph) NodeAttrs(id NodeID) Attrs {
-	g.ensureThawed()
-	return g.attrs[id]
+	s := g.sealed.Load()
+	if s == nil {
+		return g.attrs[id]
+	}
+	ps := s.AttrPairs(id)
+	if len(ps) == 0 {
+		return nil
+	}
+	m := make(Attrs, len(ps))
+	for _, p := range ps {
+		m[s.syms.Name(p.Name)] = s.syms.Name(p.Val)
+	}
+	return m
 }
 
 // Attr returns the value of attribute a on node id, and whether the node
@@ -225,21 +255,20 @@ func (g *Graph) NodeAttrs(id NodeID) Attrs {
 // semantics (a literal x.A = c in X is trivially unsatisfied when h(x) has
 // no attribute A).
 func (g *Graph) Attr(id NodeID, a string) (string, bool) {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.Attr(id, a)
 	}
-	m := g.attrs[id]
-	if m == nil {
-		return "", false
-	}
-	v, ok := m[a]
+	v, ok := g.attrs[id][a]
 	return v, ok
 }
 
 // SetAttr sets attribute a of node id to value v, creating the tuple if the
 // node had none. Used by noise injection and repair experiments.
 func (g *Graph) SetAttr(id NodeID, a, v string) {
-	g.ensureThawed()
+	if g.Sealed() {
+		NewOverlay(g).SetAttr(id, a, v)
+		return
+	}
 	if g.attrs[id] == nil {
 		g.attrs[id] = make(Attrs, 1)
 	}
@@ -248,9 +277,10 @@ func (g *Graph) SetAttr(id NodeID, a, v string) {
 }
 
 // Relabel changes the label of node id, maintaining the label index. Used
-// by type-inconsistency noise injection (Exp-5). It is O(label class size).
+// by type-inconsistency noise injection (Exp-5). It is O(label class size)
+// and panics on a sealed graph: an overlay has no relabel write.
 func (g *Graph) Relabel(id NodeID, label string) {
-	g.ensureThawed()
+	g.mustBuild("Relabel")
 	old := g.labels[id]
 	if old == label {
 		return
@@ -280,21 +310,39 @@ func insertSorted(ids []NodeID, id NodeID) []NodeID {
 	return ids
 }
 
-// Out returns the out-adjacency of id. Shared slice; read-only.
+// Out returns the out-adjacency of id: a building graph's own slice in
+// insertion order, a sealed graph's in snapshot order, freshly built.
+// Read-only.
 func (g *Graph) Out(id NodeID) []HalfEdge {
-	g.ensureThawed()
+	if s := g.sealed.Load(); s != nil {
+		return halfEdges(s, s.Out(id))
+	}
 	return g.out[id]
 }
 
-// In returns the in-adjacency of id. Shared slice; read-only.
+// In returns the in-adjacency of id, like Out.
 func (g *Graph) In(id NodeID) []HalfEdge {
-	g.ensureThawed()
+	if s := g.sealed.Load(); s != nil {
+		return halfEdges(s, s.In(id))
+	}
 	return g.in[id]
+}
+
+// halfEdges names the labels of one adjacency range of s.
+func halfEdges(s *Snapshot, es []CSREdge) []HalfEdge {
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]HalfEdge, len(es))
+	for i, e := range es {
+		out[i] = HalfEdge{To: e.To, Label: s.syms.Name(e.Label)}
+	}
+	return out
 }
 
 // OutDegree returns the number of out-edges of id.
 func (g *Graph) OutDegree(id NodeID) int {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.OutDegree(id)
 	}
 	return len(g.out[id])
@@ -302,7 +350,7 @@ func (g *Graph) OutDegree(id NodeID) int {
 
 // InDegree returns the number of in-edges of id.
 func (g *Graph) InDegree(id NodeID) int {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.InDegree(id)
 	}
 	return len(g.in[id])
@@ -311,39 +359,48 @@ func (g *Graph) InDegree(id NodeID) int {
 // Degree returns total degree (in + out).
 func (g *Graph) Degree(id NodeID) int { return g.OutDegree(id) + g.InDegree(id) }
 
-// NodesWithLabel returns the IDs of all nodes labeled l, in insertion order.
-// This is the candidate set C(u) for a pattern node u labeled l. The slice
-// is shared; read-only.
+// NodesWithLabel returns the IDs of all nodes labeled l, ascending. This is
+// the candidate set C(u) for a pattern node u labeled l. The slice is
+// shared; read-only.
 func (g *Graph) NodesWithLabel(l string) []NodeID {
-	g.ensureThawed()
+	if s := g.sealed.Load(); s != nil {
+		return s.NodesWithLabel(l)
+	}
 	return g.byLabel[l]
 }
 
 // Labels returns the distinct node labels of g in sorted order.
 func (g *Graph) Labels() []string {
-	g.ensureThawed()
-	out := make([]string, 0, len(g.byLabel))
-	for l := range g.byLabel {
-		out = append(out, l)
+	out := []string{}
+	if s := g.sealed.Load(); s != nil {
+		for l, n := Sym(0), Sym(s.syms.Len()); l < n; l++ {
+			if len(s.NodesWith(l)) > 0 {
+				out = append(out, s.syms.Name(l))
+			}
+		}
+	} else {
+		for l := range g.byLabel {
+			out = append(out, l)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
 // LabelCount returns the number of nodes carrying label l.
-func (g *Graph) LabelCount(l string) int {
-	g.ensureThawed()
-	return len(g.byLabel[l])
-}
+func (g *Graph) LabelCount(l string) int { return len(g.NodesWithLabel(l)) }
 
 // HasEdge reports whether a from -[label]-> to edge exists. A wildcard match
 // on the label is not performed here; see package match for pattern
 // semantics.
 func (g *Graph) HasEdge(from, to NodeID, label string) bool {
-	// Thaw rather than answer from a pending snapshot: the snapshot's
-	// HasEdge takes interned codes, and a label the table never saw would
-	// intern-miss to NoSym semantics this string API doesn't share.
-	g.ensureThawed()
+	if s := g.sealed.Load(); s != nil {
+		// A scan, not Snapshot.HasEdge: "_" interns to WildcardSym, which
+		// the snapshot reads as any label, and here it is a label of its
+		// own. A label the table never interned labels no edge.
+		l := s.syms.Lookup(label)
+		return l != NoSym && slices.ContainsFunc(s.Out(from), func(e CSREdge) bool { return e.To == to && e.Label == l })
+	}
 	// Scan the smaller adjacency list of the two endpoints.
 	if len(g.out[from]) <= len(g.in[to]) {
 		for _, he := range g.out[from] {
@@ -364,7 +421,9 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 // HasEdgeAnyLabel reports whether any from -> to edge exists regardless of
 // its label (wildcard edge label in a pattern).
 func (g *Graph) HasEdgeAnyLabel(from, to NodeID) bool {
-	g.ensureThawed()
+	if s := g.sealed.Load(); s != nil {
+		return s.HasEdge(from, to, WildcardSym)
+	}
 	if len(g.out[from]) <= len(g.in[to]) {
 		for _, he := range g.out[from] {
 			if he.To == to {
@@ -384,65 +443,30 @@ func (g *Graph) HasEdgeAnyLabel(from, to NodeID) bool {
 // Edges calls fn for every edge of g in deterministic (source, position)
 // order. Iteration stops early if fn returns false.
 func (g *Graph) Edges(fn func(Edge) bool) {
-	g.ensureThawed()
-	for from := range g.out {
-		for _, he := range g.out[from] {
-			if !fn(Edge{From: NodeID(from), To: he.To, Label: he.Label}) {
+	for from := NodeID(0); int(from) < g.NumNodes(); from++ {
+		for _, he := range g.Out(from) {
+			if !fn(Edge{From: from, To: he.To, Label: he.Label}) {
 				return
 			}
 		}
 	}
 }
 
-// Clone returns a deep copy of g. Attribute maps are copied.
+// Clone returns a deep copy of g as a building graph, whichever state g is
+// in; g itself does not change (a sealed graph stays sealed). The copy
+// keeps node IDs, labels, attribute tuples and each node's out-adjacency
+// order.
 func (g *Graph) Clone() *Graph {
-	g.ensureThawed()
-	c := &Graph{
-		labels:  append([]string(nil), g.labels...),
-		attrs:   make([]Attrs, len(g.attrs)),
-		out:     make([][]HalfEdge, len(g.out)),
-		in:      make([][]HalfEdge, len(g.in)),
-		byLabel: make(map[string][]NodeID, len(g.byLabel)),
-		edges:   g.edges,
-		degHint: g.degHint,
+	n := g.NumNodes()
+	c := New(n, g.NumEdges())
+	for v := NodeID(0); int(v) < n; v++ {
+		c.AddNode(g.Label(v), g.NodeAttrs(v).Clone())
 	}
-	for i, a := range g.attrs {
-		c.attrs[i] = a.Clone()
-	}
-	for i := range g.out {
-		c.out[i] = append([]HalfEdge(nil), g.out[i]...)
-		c.in[i] = append([]HalfEdge(nil), g.in[i]...)
-	}
-	for l, ids := range g.byLabel {
-		c.byLabel[l] = append([]NodeID(nil), ids...)
-	}
+	g.Edges(func(e Edge) bool {
+		c.MustAddEdge(e.From, e.To, e.Label)
+		return true
+	})
 	return c
-}
-
-// InducedSubgraph returns the subgraph induced by the node set keep: it
-// contains exactly the nodes of keep and all edges of g whose endpoints are
-// both in keep. Node IDs are remapped densely; the second return value maps
-// original IDs to new IDs. Attribute tuples are copied: a SetAttr on the
-// subgraph must bump only the subgraph's version, never mutate the parent
-// behind its cached snapshot.
-func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, map[NodeID]NodeID) {
-	g.ensureThawed()
-	remap := make(map[NodeID]NodeID, len(keep))
-	sub := New(len(keep), 0)
-	for _, id := range keep {
-		if _, dup := remap[id]; dup {
-			continue
-		}
-		remap[id] = sub.AddNode(g.labels[id], g.attrs[id].Clone())
-	}
-	for old, nw := range remap {
-		for _, he := range g.out[old] {
-			if to, ok := remap[he.To]; ok {
-				sub.MustAddEdge(nw, to, he.Label)
-			}
-		}
-	}
-	return sub, remap
 }
 
 // String returns a short description of the graph, e.g. "graph(|V|=9, |E|=14)".

@@ -194,28 +194,6 @@ func TestNeighborhoodSize(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := buildSample(t)
-	sub, remap := g.InducedSubgraph([]NodeID{0, 2})
-	if sub.NumNodes() != 2 {
-		t.Fatalf("sub nodes = %d", sub.NumNodes())
-	}
-	if sub.NumEdges() != 1 {
-		t.Fatalf("sub edges = %d, want only 0->2 lives_in", sub.NumEdges())
-	}
-	if !sub.HasEdge(remap[0], remap[2], "lives_in") {
-		t.Error("induced edge missing")
-	}
-	if v, _ := sub.Attr(remap[2], "val"); v != "edi" {
-		t.Error("attributes must carry over")
-	}
-	// Duplicates in keep are tolerated.
-	sub2, _ := g.InducedSubgraph([]NodeID{1, 1})
-	if sub2.NumNodes() != 1 {
-		t.Errorf("duplicate keep created %d nodes", sub2.NumNodes())
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := buildSample(t)
 	c := g.Clone()
@@ -376,6 +354,8 @@ func TestReadErrors(t *testing.T) {
 		"node a x\nedge a e",         // short edge
 		"frob a b",                   // unknown directive
 		"node a x k",                 // attribute without '='
+		"node a city val=1 val=2",    // attribute named twice
+		"node a x \"k\"=1 k=2",       // named twice, once quoted
 		"node a x\nnode b y\nedge a", // malformed
 	}
 	for _, c := range cases {

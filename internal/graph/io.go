@@ -20,7 +20,8 @@ import (
 // double-quoted with Go's escapes (strconv.Quote), so a name, label,
 // attribute name or value can hold any bytes; Write quotes exactly the
 // tokens that need it. Node names are mapped to dense NodeIDs in order of
-// first appearance. An attribute splits at its first '=' outside quotes.
+// first appearance. An attribute splits at its first '=' outside quotes;
+// a node line names each attribute at most once.
 
 // Write serializes g to w in the text format. Node names are n<ID>.
 func Write(w io.Writer, g *Graph) error {
@@ -111,7 +112,11 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 					if kv.eq < 0 {
 						return nil, nil, fmt.Errorf("graph: line %d: bad attribute %q", lineno, kv.s)
 					}
-					attrs[kv.s[:kv.eq]] = kv.s[kv.eq+1:]
+					k := kv.s[:kv.eq]
+					if _, dup := attrs[k]; dup {
+						return nil, nil, fmt.Errorf("graph: line %d: duplicate attribute %q", lineno, k)
+					}
+					attrs[k] = kv.s[kv.eq+1:]
 				}
 			}
 			names[name] = g.AddNode(label, attrs)

@@ -10,7 +10,7 @@ import "slices"
 //
 // c == 0 returns just {start}.
 func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.Neighborhood(start, c)
 	}
 	if !g.Has(start) {
@@ -48,7 +48,7 @@ func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
 // neighborhood of start, without materializing it. This is the |G_z̄| block
 // size the workload model weighs work units by.
 func (g *Graph) NeighborhoodSize(start NodeID, c int) int {
-	if s := g.pending(); s != nil {
+	if s := g.sealed.Load(); s != nil {
 		return s.NeighborhoodSize(start, c)
 	}
 	nodes := g.Neighborhood(start, c)

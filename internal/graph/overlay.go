@@ -14,10 +14,12 @@ import (
 // overlay exactly as on a fresh freeze.
 //
 // The overlay owns its delta: a write patches the view and bumps the
-// graph's version, and calls no *Graph mutator. The view becomes the
-// graph's read source (the graph is hollow over it, see AdoptFlat), so an
-// adopted graph never thaws and a heap-built graph drops its maps on the
-// first write. Update cost is bounded by the delta, never by the graph.
+// graph's version, and calls no *Graph mutator. The first write seals the
+// graph over the view (see Graph): a heap-built graph drops its maps, an
+// adopted graph was sealed from the start. From then on a direct AddNode,
+// AddEdge or SetAttr on the graph is a write through its live overlay,
+// so the overlay stays synced and no write rebuilds the graph. Update cost
+// is bounded by the delta, never by the graph.
 //
 // Representation: adjacency of a touched node is copied out of the base
 // CSR on first touch and maintained (label, neighbor label, neighbor)-sorted
@@ -56,7 +58,8 @@ type Overlay struct {
 // NewOverlay returns g's live overlay, the graph's one writer. It starts
 // one — an empty overlay over g's snapshot, Freeze cached per version, so
 // this builds nothing on an already-frozen graph — only when none is live
-// or the graph moved on without it (a direct mutation). Every holder of g
+// or the graph moved on without it (a direct write to a building graph,
+// which retires an overlay that has not written yet). Every holder of g
 // (sessions, incremental detectors, dist workers) gets the same overlay, so
 // each one's writes are the others' reads.
 func NewOverlay(g *Graph) *Overlay {
@@ -70,8 +73,8 @@ func NewOverlay(g *Graph) *Overlay {
 
 // LiveOverlay returns g's live overlay while it is synced, nil otherwise.
 // Unlike NewOverlay it starts none, so concurrent readers may call it. An
-// overlay a direct mutation retired is dropped here, so the graph stops
-// holding its base snapshot and patch.
+// overlay a direct write to a building graph retired is dropped here, so
+// the graph stops holding its base snapshot and patch.
 func (g *Graph) LiveOverlay() *Overlay {
 	o := g.live.Load()
 	if o == nil {
@@ -85,7 +88,7 @@ func (g *Graph) LiveOverlay() *Overlay {
 }
 
 // startOverlay makes an empty overlay over g's current snapshot the live
-// one, retiring the previous. A graph hollow over the previous overlay's
+// one, retiring the previous. A graph sealed over the previous overlay's
 // view is flattened by the Freeze. Callers hold g.liveMu.
 func (g *Graph) startOverlay() *Overlay {
 	base := g.Freeze()
@@ -131,16 +134,16 @@ func (o *Overlay) Settle() {
 func (o *Overlay) Base() *Snapshot { return o.base }
 
 // Synced reports whether o is the graph's live overlay at the graph's
-// current version — true until a direct graph mutation or a compaction
-// (Settle) retires it. Writing through an overlay that is not synced fails
+// current version — true until a compaction (Settle) retires it, or, on a
+// graph it has not written yet, a direct graph mutation. Writing through an overlay that is not synced fails
 // with ErrStaleOverlay; its holders adopt the live one through NewOverlay.
 func (o *Overlay) Synced() bool {
 	return o.g.live.Load() == o && o.patch.version == o.g.Version()
 }
 
 // ErrStaleOverlay reports a write through an overlay that is no longer its
-// graph's live writer: the graph moved on through a direct mutation, or a
-// compaction retired the overlay, so a patch on this view would be lost.
+// graph's live writer: a compaction retired the overlay, or a building
+// graph moved on through a direct mutation, so a patch on this view would be lost.
 var ErrStaleOverlay = errors.New("graph: write through a desynchronized overlay")
 
 // Delta returns the patch size: nodes inserted + edges inserted +

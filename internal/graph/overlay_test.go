@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -274,7 +275,7 @@ func assertCompaction(t *testing.T, w twinStream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.validate(nil); err != nil {
+	if _, _, err := f.validate(1, nil); err != nil {
 		t.Fatalf("compacted image invalid: %v", err)
 	}
 	assertViewMatchesFreeze(t, NewOverlay(g).Snapshot, w.twin)
@@ -310,9 +311,9 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 				t.Fatal("overlay must stay synced through its own mutators")
 			}
 			assertViewMatchesFreeze(t, ov.Snapshot, w.twin)
-			// The graph reads through the view without thawing.
-			if g.pending() != ov.Snapshot {
-				t.Fatal("an overlay write must make the graph hollow over its view")
+			// The graph is sealed over the view.
+			if g.sealed.Load() != ov.Snapshot {
+				t.Fatal("an overlay write must seal the graph over its view")
 			}
 			if g.NumNodes() != w.twin.NumNodes() || g.NumEdges() != w.twin.NumEdges() {
 				t.Fatalf("graph reads |V|=%d |E|=%d, twin %d %d", g.NumNodes(), g.NumEdges(), w.twin.NumNodes(), w.twin.NumEdges())
@@ -325,68 +326,187 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 				t.Errorf("delta fraction = %v, want > 0", frac)
 			}
 
-			// A mutation bypassing the overlay thaws the graph from the view
-			// and desynchronizes the overlay, whose writes then fail.
+			// A direct mutation of the sealed graph is a write through its
+			// live overlay: the overlay stays synced and the read source,
+			// the version moves, and no snapshot is built.
+			builds, version := g.SnapshotBuilds(), g.Version()
 			g.SetAttr(0, "val", "behind-the-back")
 			w.twin.SetAttr(0, "val", "behind-the-back")
-			if ov.Synced() {
-				t.Error("direct graph mutation must desynchronize the overlay")
+			late := g.AddNode("city", Attrs{"val": "direct"})
+			if tid := w.twin.AddNode("city", Attrs{"val": "direct"}); tid != late {
+				t.Fatalf("direct AddNode assigned %d, twin %d", late, tid)
 			}
-			if g.pending() != nil {
-				t.Error("a direct mutation must thaw the graph")
+			g.MustAddEdge(late, 0, "visits")
+			w.twin.MustAddEdge(late, 0, "visits")
+			if err := g.AddEdge(0, late+1, "visits"); err == nil {
+				t.Error("direct AddEdge to a node past the view succeeded")
 			}
-			assertViewMatchesFreeze(t, g.Freeze(), w.twin)
-			if err := ov.AddEdge(0, 1, "visits"); !errors.Is(err, ErrStaleOverlay) {
-				t.Errorf("AddEdge through a stale overlay: %v, want ErrStaleOverlay", err)
+			if !ov.Synced() || g.LiveOverlay() != ov || g.sealed.Load() != ov.Snapshot {
+				t.Fatal("a direct mutation of a sealed graph must write through its live overlay")
 			}
-			for name, write := range map[string]func(){
-				"AddNode": func() { ov.AddNode("city", nil) },
-				"SetAttr": func() { ov.SetAttr(0, "val", "lost") },
-			} {
-				func() {
-					defer func() {
-						if r := recover(); r != ErrStaleOverlay {
-							t.Errorf("%s through a stale overlay recovered %v, want ErrStaleOverlay", name, r)
-						}
-					}()
-					write()
-				}()
+			if g.Version() != version+3 || g.SnapshotBuilds() != builds {
+				t.Fatalf("three direct writes moved the version by %d and built %d snapshots, want 3 and 0",
+					g.Version()-version, g.SnapshotBuilds()-builds)
 			}
+			assertViewMatchesFreeze(t, ov.Snapshot, w.twin)
 			assertViewMatchesFreeze(t, g.Freeze(), w.twin)
 		})
 	}
 }
 
-// TestHollowGraphReadsMatchTwin: the graph reads that have no snapshot
-// fast path of their own (Neighborhood, NeighborhoodSize) answer like the
-// twin on a graph hollow over an overlay's view, heap-built or adopted.
+// TestHollowGraphReadsMatchTwin: every *Graph read of a sealed graph
+// answers from its read source like the building twin, on a graph sealed
+// by adoption, and on a heap-built or adopted graph sealed by an overlay
+// write; no read moves the read source. Clone of a sealed graph is a
+// building graph equal to the twin, and leaves the original sealed.
 func TestHollowGraphReadsMatchTwin(t *testing.T) {
 	for _, adopted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
 			w := newTwinStream(t, adopted)
 			g := w.ov.Graph()
+			if g.Sealed() != adopted {
+				t.Fatalf("Sealed() = %v before any write, want %v: adoption alone seals", g.Sealed(), adopted)
+			}
+			if adopted {
+				requireReadsMatch(t, g, w.twin)
+			}
 			id := w.addNode("country", Attrs{"val": "AU"})
 			w.addEdge(1, id, "in_country")
 			w.addEdge(id, 4, "contains")
+			w.addEdge(0, 1, "visits")
 			w.setAttr(2, "val", "rewritten")
-			if g.pending() != w.ov.Snapshot {
-				t.Fatal("an overlay write must make the graph hollow over its view")
+			w.setAttr(id, "pop", "26m")
+			if g.sealed.Load() != w.ov.Snapshot {
+				t.Fatal("an overlay write must seal the graph over its view")
 			}
-			for v := 0; v < w.twin.NumNodes(); v++ {
-				for c := 0; c <= 2; c++ {
-					id := NodeID(v)
-					if got, want := g.Neighborhood(id, c), w.twin.Neighborhood(id, c); !slices.Equal(got, want) {
-						t.Fatalf("Neighborhood(%d, %d) = %v, twin %v", v, c, got, want)
-					}
-					if got, want := g.NeighborhoodSize(id, c), w.twin.NeighborhoodSize(id, c); got != want {
-						t.Fatalf("NeighborhoodSize(%d, %d) = %d, twin %d", v, c, got, want)
-					}
-				}
+			requireReadsMatch(t, g, w.twin)
+			if g.sealed.Load() != w.ov.Snapshot || !w.ov.Synced() {
+				t.Fatal("reads must leave the read source and the overlay as they were")
 			}
-			if g.pending() != w.ov.Snapshot {
-				t.Fatal("neighbourhood reads must not thaw the graph")
+
+			c := g.Clone()
+			if c.Sealed() || g.sealed.Load() != w.ov.Snapshot {
+				t.Fatal("Clone must return a building graph and leave the original sealed")
+			}
+			requireReadsMatch(t, c, w.twin)
+			assertViewMatchesFreeze(t, c.Freeze(), w.twin)
+			c.SetAttr(0, "val", "clone-only")
+			c.AddNode("city", nil)
+			if got, _ := g.Attr(0, "val"); got == "clone-only" || g.NumNodes() != w.twin.NumNodes() {
+				t.Fatal("a write to the clone reached the original")
+			}
+			for name, op := range map[string]func(){
+				"Relabel":       func() { g.Relabel(0, "city") },
+				"BuildSnapshot": func() { g.BuildSnapshot(1) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s on a sealed graph did not panic", name)
+						}
+					}()
+					op()
+				}()
 			}
 		})
+	}
+}
+
+// sortedHalfEdges renders an adjacency list as a sorted multiset: a
+// sealed graph lists it in snapshot order, a building one in insertion
+// order.
+func sortedHalfEdges(es []HalfEdge) string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("%s>%d", e.Label, e.To)
+	}
+	sort.Strings(out)
+	return fmt.Sprint(out)
+}
+
+// requireReadsMatch compares every *Graph read of g with the building
+// twin's.
+func requireReadsMatch(t *testing.T, g, twin *Graph) {
+	t.Helper()
+	n := twin.NumNodes()
+	if g.NumNodes() != n || g.NumEdges() != twin.NumEdges() || g.Size() != twin.Size() || g.String() != twin.String() {
+		t.Fatalf("graph %v (size %d), twin %v (size %d)", g, g.Size(), twin, twin.Size())
+	}
+	if g.Has(NodeID(n)) || !g.Has(NodeID(n-1)) || g.Has(-1) {
+		t.Fatal("Has disagrees with NumNodes")
+	}
+	labels := append(twin.Labels(), "never-interned")
+	if got, want := g.Labels(), twin.Labels(); !slices.Equal(got, want) {
+		t.Fatalf("Labels() = %v, twin %v", got, want)
+	}
+	for _, l := range labels {
+		if got, want := g.NodesWithLabel(l), twin.NodesWithLabel(l); !slices.Equal(got, want) || g.LabelCount(l) != twin.LabelCount(l) {
+			t.Fatalf("NodesWithLabel(%s) = %v (count %d), twin %v (count %d)", l, got, g.LabelCount(l), want, twin.LabelCount(l))
+		}
+	}
+	edgeLabels := []string{"never-interned", "_"}
+	seen := map[string]bool{}
+	var edges, twinEdges []string
+	twin.Edges(func(e Edge) bool {
+		if !seen[e.Label] {
+			seen[e.Label] = true
+			edgeLabels = append(edgeLabels, e.Label)
+		}
+		twinEdges = append(twinEdges, fmt.Sprint(e))
+		return true
+	})
+	g.Edges(func(e Edge) bool {
+		edges = append(edges, fmt.Sprint(e))
+		return true
+	})
+	sort.Strings(edges)
+	sort.Strings(twinEdges)
+	if !slices.Equal(edges, twinEdges) {
+		t.Fatalf("Edges = %v, twin %v", edges, twinEdges)
+	}
+	for v := 0; v < n; v++ {
+		id := NodeID(v)
+		if g.Label(id) != twin.Label(id) {
+			t.Fatalf("Label(%d) = %q, twin %q", v, g.Label(id), twin.Label(id))
+		}
+		if got, want := g.NodeAttrs(id), twin.NodeAttrs(id); !maps.Equal(got, want) {
+			t.Fatalf("NodeAttrs(%d) = %v, twin %v", v, got, want)
+		}
+		for _, a := range []string{"val", "pop", "never-interned"} {
+			gv, gok := g.Attr(id, a)
+			tv, tok := twin.Attr(id, a)
+			if gv != tv || gok != tok {
+				t.Fatalf("Attr(%d, %s) = %q %v, twin %q %v", v, a, gv, gok, tv, tok)
+			}
+		}
+		if got, want := sortedHalfEdges(g.Out(id)), sortedHalfEdges(twin.Out(id)); got != want {
+			t.Fatalf("Out(%d) = %s, twin %s", v, got, want)
+		}
+		if got, want := sortedHalfEdges(g.In(id)), sortedHalfEdges(twin.In(id)); got != want {
+			t.Fatalf("In(%d) = %s, twin %s", v, got, want)
+		}
+		if g.OutDegree(id) != twin.OutDegree(id) || g.InDegree(id) != twin.InDegree(id) || g.Degree(id) != twin.Degree(id) {
+			t.Fatalf("degrees of %d differ from the twin's", v)
+		}
+		for u := 0; u < n; u++ {
+			to := NodeID(u)
+			if g.HasEdgeAnyLabel(id, to) != twin.HasEdgeAnyLabel(id, to) {
+				t.Fatalf("HasEdgeAnyLabel(%d, %d) = %v, twin %v", v, u, g.HasEdgeAnyLabel(id, to), twin.HasEdgeAnyLabel(id, to))
+			}
+			for _, l := range edgeLabels {
+				if g.HasEdge(id, to, l) != twin.HasEdge(id, to, l) {
+					t.Fatalf("HasEdge(%d, %d, %s) = %v, twin %v", v, u, l, g.HasEdge(id, to, l), twin.HasEdge(id, to, l))
+				}
+			}
+		}
+		for c := 0; c <= 2; c++ {
+			if got, want := g.Neighborhood(id, c), twin.Neighborhood(id, c); !slices.Equal(got, want) {
+				t.Fatalf("Neighborhood(%d, %d) = %v, twin %v", v, c, got, want)
+			}
+			if got, want := g.NeighborhoodSize(id, c), twin.NeighborhoodSize(id, c); got != want {
+				t.Fatalf("NeighborhoodSize(%d, %d) = %d, twin %d", v, c, got, want)
+			}
+		}
 	}
 }
 
@@ -395,7 +515,9 @@ func TestHollowGraphReadsMatchTwin(t *testing.T) {
 // CompactFraction; past the fraction Settle flattens the view once, retires
 // the overlay (its writes fail with ErrStaleOverlay although no version
 // moved) and makes a fresh overlay over the flat snapshot the live one. A
-// direct mutation retires the live overlay too, and the graph drops it.
+// direct mutation of the sealed graph writes through the live overlay; on
+// a building graph it retires an overlay that has not written, and the
+// graph drops it.
 func TestSettleRetiresOverlay(t *testing.T) {
 	for _, adopted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("adopted=%v", adopted), func(t *testing.T) {
@@ -425,11 +547,24 @@ func TestSettleRetiresOverlay(t *testing.T) {
 			if err := w.ov.AddEdge(0, 1, "visits"); !errors.Is(err, ErrStaleOverlay) {
 				t.Fatalf("AddEdge through a retired overlay: %v, want ErrStaleOverlay", err)
 			}
+			for name, write := range map[string]func(){
+				"AddNode": func() { w.ov.AddNode("city", nil) },
+				"SetAttr": func() { w.ov.SetAttr(0, "val", "lost") },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != ErrStaleOverlay {
+							t.Errorf("%s through a retired overlay recovered %v, want ErrStaleOverlay", name, r)
+						}
+					}()
+					write()
+				}()
+			}
 			live := NewOverlay(g)
 			if live == w.ov || g.LiveOverlay() != live || live.Delta() != 0 {
 				t.Fatal("compaction must start a fresh live overlay")
 			}
-			if live.Base() != g.Freeze() || g.pending() != live.Base() || g.SnapshotBuilds() != builds+1 {
+			if live.Base() != g.Freeze() || g.sealed.Load() != live.Base() || g.SnapshotBuilds() != builds+1 {
 				t.Fatal("the fresh overlay must patch the flattened snapshot, built once")
 			}
 			next := twinStream{ov: live, twin: w.twin}
@@ -438,16 +573,21 @@ func TestSettleRetiresOverlay(t *testing.T) {
 
 			g.SetAttr(0, "val", "direct")
 			w.twin.SetAttr(0, "val", "direct")
-			if live.Synced() || g.LiveOverlay() != nil {
-				t.Fatal("a direct mutation must retire the live overlay")
+			if !live.Synced() || g.LiveOverlay() != live || live.Delta() != 2 {
+				t.Fatal("a direct mutation of a sealed graph must write through the live overlay")
 			}
-			if g.live.Load() != nil {
-				t.Fatal("the graph must drop the overlay a direct mutation retired")
-			}
-			if fresh := NewOverlay(g); fresh == live || !fresh.Synced() {
-				t.Fatal("NewOverlay after a direct mutation must start a synced overlay")
-			}
+			assertViewMatchesFreeze(t, live.Snapshot, w.twin)
 		})
+	}
+
+	g := overlayBaseGraph()
+	ov := NewOverlay(g)
+	g.SetAttr(0, "val", "direct")
+	if ov.Synced() || g.LiveOverlay() != nil || g.live.Load() != nil || g.Sealed() {
+		t.Fatal("a direct mutation of a building graph must retire its unwritten overlay, and the graph drop it")
+	}
+	if fresh := NewOverlay(g); fresh == ov || !fresh.Synced() {
+		t.Fatal("NewOverlay after a direct mutation must start a synced overlay")
 	}
 }
 
@@ -497,30 +637,6 @@ func TestOverlayRejectsMissingNodes(t *testing.T) {
 		}
 	}()
 	ov.SetAttr(id+1, "val", "x")
-}
-
-// TestThawedReadKeepsOverlaySynced: a read that needs the graph's maps
-// thaws them from the view but changes nothing, so the overlay stays the
-// writer and its next write makes the graph hollow again.
-func TestThawedReadKeepsOverlaySynced(t *testing.T) {
-	w := newTwinStream(t, true)
-	g := w.ov.Graph()
-	id := w.addNode("city", Attrs{"val": "late"})
-	w.addEdge(0, id, "lives_in")
-	if got := g.NodeAttrs(id)["val"]; got != "late" {
-		t.Fatalf("thawed NodeAttrs(%d) = %q, want late", id, got)
-	}
-	if g.pending() != nil || !w.ov.Synced() {
-		t.Fatal("a thawing read must materialize the maps and leave the overlay synced")
-	}
-	w.setAttr(id, "val", "later")
-	if g.pending() != w.ov.Snapshot {
-		t.Fatal("the next overlay write must make the graph hollow again")
-	}
-	if got, _ := g.Attr(id, "val"); got != "later" {
-		t.Fatalf("graph reads %q after the write, want later", got)
-	}
-	assertCompaction(t, w)
 }
 
 // TestOverlayRunsOnInsertedNodes covers edges at nodes created after the
@@ -644,55 +760,4 @@ func FuzzOverlayPatch(f *testing.F) {
 			assertCompaction(t, w)
 		}
 	})
-}
-
-// TestConcurrentThawAndCompaction is the -race target for the hollow
-// state: on a graph an overlay wrote, readers that thaw the maps, readers
-// served by the view, and Freeze callers compacting the view run at once.
-// Every reader must see the twin's values, and every Freeze the one
-// compaction.
-func TestConcurrentThawAndCompaction(t *testing.T) {
-	w := newTwinStream(t, true)
-	id := w.addNode("city", Attrs{"val": "late"})
-	w.addEdge(0, id, "lives_in")
-	w.setAttr(2, "val", "rewritten")
-	g := w.ov.Graph()
-	builds := g.SnapshotBuilds()
-	var wg sync.WaitGroup
-	snaps := make([]*Snapshot, 4)
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			switch i % 3 {
-			case 0:
-				if got := g.NodeAttrs(2)["val"]; got != "rewritten" {
-					t.Errorf("thawed NodeAttrs(2) = %q, want rewritten", got)
-				}
-				if len(g.Out(0)) != w.twin.OutDegree(0) {
-					t.Errorf("thawed Out(0) has %d edges, twin %d", len(g.Out(0)), w.twin.OutDegree(0))
-				}
-			case 1:
-				if got, _ := g.Attr(id, "val"); got != "late" || g.NumEdges() != w.twin.NumEdges() {
-					t.Errorf("graph reads val=%q |E|=%d, want late and %d", got, g.NumEdges(), w.twin.NumEdges())
-				}
-			default:
-				snaps[i/3] = g.Freeze()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, s := range snaps[1:] {
-		if s != snaps[0] {
-			t.Fatal("concurrent Freeze callers got different compactions")
-		}
-	}
-	if got := g.SnapshotBuilds(); got != builds+1 {
-		t.Fatalf("concurrent compaction counted %d builds, want 1", got-builds)
-	}
-	assertViewMatchesFreeze(t, snaps[0], w.twin)
-	w.setAttr(id, "val", "after")
-	if got, _ := g.Attr(id, "val"); got != "after" {
-		t.Fatalf("graph reads %q after the next write, want after", got)
-	}
 }

@@ -13,26 +13,6 @@ import (
 // into degree-balanced ranges (shardByOffsets) and run them as short
 // tasks from a shared counter (drain).
 
-var freezeWorkersOverride atomic.Int32
-
-// SetFreezeWorkers overrides the number of workers Freeze builds snapshots
-// with; n <= 0 restores the default, GOMAXPROCS. It applies process-wide to subsequent builds.
-func SetFreezeWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	freezeWorkersOverride.Store(int32(n))
-}
-
-// FreezeWorkers resolves the effective freeze worker count:
-// SetFreezeWorkers override, else GOMAXPROCS.
-func FreezeWorkers() int {
-	if n := freezeWorkersOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // minSizePerWorker is the least |V|+|E| per worker of a parallel pass:
 // below it a goroutine costs more than the share it would take over.
 const minSizePerWorker = 1 << 12
@@ -43,9 +23,9 @@ const minSizePerWorker = 1 << 12
 const tasksPerWorker = 4
 
 // workersFor is the worker count of a parallel pass over a graph of
-// |V|+|E| = size: FreezeWorkers, at most one per minSizePerWorker.
+// |V|+|E| = size: GOMAXPROCS, at most one per minSizePerWorker.
 func workersFor(size int) int {
-	return max(1, min(FreezeWorkers(), size/minSizePerWorker))
+	return max(1, min(runtime.GOMAXPROCS(0), size/minSizePerWorker))
 }
 
 // shard is one task's contiguous node range [lo, hi).

@@ -75,16 +75,15 @@ func (s *Snapshot) Flat() (Flat, error) {
 // a freeze, and one parallel pass (see Flat.validate); the symbol table
 // retains f.Names.
 //
-// The snapshot's source graph (Snapshot.Graph) is a hollow *Graph that
-// reads through the snapshot: reads that the snapshot can answer
-// (NumNodes, NumEdges, Label, Attr, degrees) stay on the flat arrays. The
-// graph's snapshot cache is pre-seeded, so Freeze returns this snapshot
-// without building anything (SnapshotBuilds stays 0). Updates through an
-// Overlay over it patch the overlay's view and never thaw the graph: the
-// view becomes the graph's read source, and the next Freeze flattens it
-// into fresh arrays. Only a direct mutation, or a read needing the
-// slice-of-maps representation (Clone, NodeAttrs, Out), thaws the graph
-// onto the heap. Nothing ever writes through the adopted arrays.
+// The snapshot's source graph (Snapshot.Graph) is born sealed (see Graph):
+// it has no maps, and every read answers from the flat arrays. The graph's
+// snapshot cache is pre-seeded, so Freeze returns this snapshot without
+// building anything (SnapshotBuilds stays 0). Every write to it, through
+// an Overlay or a direct AddNode, AddEdge or SetAttr, patches the live
+// overlay's view, which becomes the graph's read source; the next Freeze
+// flattens that view into fresh arrays. The graph never moves back onto
+// the heap (Clone makes a heap copy), and nothing ever writes through the
+// adopted arrays.
 func AdoptFlat(f Flat) (*Snapshot, error) { return AdoptFlatBeside(f, nil) }
 
 // AdoptFlatBeside is AdoptFlat with more checks run in the same parallel
@@ -92,7 +91,7 @@ func AdoptFlat(f Flat) (*Snapshot, error) { return AdoptFlatBeside(f, nil) }
 // failing beside task outranks any validation error: the first in slice
 // order is returned as it is.
 func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
-	syms, heavy, err := f.validate(beside)
+	syms, heavy, err := f.validate(workersFor(len(f.Labels)+len(f.Out)), beside)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +108,8 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 		classOff:  f.ClassOff,
 		classes:   f.Classes,
 	}
-	g := &Graph{edges: len(f.Out)}
-	g.snap, g.snapVersion = s, 0
-	g.hollow.Store(s)
+	g := &Graph{snap: s}
+	g.sealed.Store(s)
 	s.g = g
 	return s, nil
 }
@@ -122,10 +120,11 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 // typed corruption error.
 //
 // The table-shape checks (counts, offsets, arena sizes) run first and
-// serially. The rest is one pass (see drain) on the caller and
-// workersFor(|V|+|E|)-1 helpers, as in a snapshot build: the caller indexes
-// the symbol table, one task whose slot writes no other worker shares,
-// while the helpers take short tasks from a shared counter —
+// serially. The rest is one pass (see drain) on the caller and workers-1
+// helpers (AdoptFlat passes workersFor(|V|+|E|), as a snapshot build
+// does): the caller indexes the symbol table, one task whose slot writes
+// no other worker shares, while the helpers take short tasks from a
+// shared counter —
 // degree-balanced node ranges (labels, then out and in adjacency, then
 // attribute tuples), ranges of label classes, and the beside tasks — and
 // the caller joins them when its index is built. The error reported is
@@ -134,7 +133,7 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 // range, then the symbol table's — so it never depends on the worker
 // count or on scheduling. A node range that passes also collects its
 // heavy nodes (see Snapshot.Heavy) off the offsets it just read.
-func (f Flat) validate(beside []func() error) (*Symbols, []NodeID, error) {
+func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, error) {
 	besideErrs := make([]error, len(beside))
 	runBeside := func(i int) { besideErrs[i] = beside[i]() }
 	first := func(err error) error {
@@ -151,7 +150,6 @@ func (f Flat) validate(beside []func() error) (*Symbols, []NodeID, error) {
 		}
 		return nil, nil, first(err)
 	}
-	workers := workersFor(len(f.Labels) + len(f.Out))
 	split := workers * tasksPerWorker
 	nodes := shardByOffsets(split, f.OutOff, f.InOff, f.AttrOff)
 	classes := shardByOffsets(split, f.ClassOff)
@@ -339,89 +337,4 @@ func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms,
 		}
 	}
 	return nil
-}
-
-// ---- hollow graphs --------------------------------------------------------
-
-// pending returns the graph's read source while it is hollow, nil once
-// its maps are materialized — the guard of every read fast path that can
-// answer from a snapshot without paying the thaw.
-func (g *Graph) pending() *Snapshot { return g.hollow.Load() }
-
-// ensureThawed materializes the maps of a hollow graph from its current
-// read source. Ordinary graphs return immediately. Safe for concurrent
-// readers (two concurrent thaw-needing reads share one build); mutation
-// concurrent with anything is as unsafe as it always was. A thaw changes
-// no content and no version: an overlay over the graph stays synced, and
-// its next write drops the maps again.
-func (g *Graph) ensureThawed() {
-	if g.hollow.Load() == nil {
-		return
-	}
-	g.thawMu.Lock()
-	defer g.thawMu.Unlock()
-	if s := g.hollow.Load(); s != nil {
-		g.thawFromSnapshot(s)
-		g.hollow.Store(nil)
-	}
-}
-
-// readThrough makes view the graph's read source and bumps the version:
-// the Overlay's write hook, in place of mutating the graph. The first
-// write of an overlay drops the graph's maps (a heap graph's builder form;
-// an adopted graph has none), so nothing keeps a second copy of the data
-// in step with the view.
-func (g *Graph) readThrough(view *Snapshot) uint64 {
-	if g.hollow.Load() != view {
-		g.labels, g.attrs, g.out, g.in, g.byLabel = nil, nil, nil, nil, nil
-		g.hollow.Store(view)
-	}
-	g.version++
-	return g.version
-}
-
-// thawFromSnapshot rebuilds the slice-of-maps representation from the
-// graph's read source (an adopted or flattened snapshot, or an overlay's
-// patched view). It does not bump the version: thawing is a pure
-// materialization, so prepared sessions over the snapshot stay valid and
-// no re-freeze is triggered until an actual mutation follows. Adjacency
-// comes back in CSR (label, neighbor label, neighbor) order rather than
-// original insertion order — equivalent under the engines, which sort at
-// freeze time anyway.
-func (g *Graph) thawFromSnapshot(s *Snapshot) {
-	syms := s.Syms()
-	n := s.NumNodes()
-	g.labels = make([]string, n)
-	g.attrs = make([]Attrs, n)
-	g.out = make([][]HalfEdge, n)
-	g.in = make([][]HalfEdge, n)
-	g.byLabel = make(map[string][]NodeID)
-	for v := 0; v < n; v++ {
-		id := NodeID(v)
-		label := syms.Name(s.Label(id))
-		g.labels[v] = label
-		g.byLabel[label] = append(g.byLabel[label], id)
-		if ps := s.AttrPairs(id); len(ps) > 0 {
-			m := make(Attrs, len(ps))
-			for _, p := range ps {
-				m[syms.Name(p.Name)] = syms.Name(p.Val)
-			}
-			g.attrs[v] = m
-		}
-		if es := s.Out(id); len(es) > 0 {
-			out := make([]HalfEdge, len(es))
-			for i, e := range es {
-				out[i] = HalfEdge{To: e.To, Label: syms.Name(e.Label)}
-			}
-			g.out[v] = out
-		}
-		if es := s.In(id); len(es) > 0 {
-			in := make([]HalfEdge, len(es))
-			for i, e := range es {
-				in[i] = HalfEdge{To: e.To, Label: syms.Name(e.Label)}
-			}
-			g.in[v] = in
-		}
-	}
-	g.edges = s.NumEdges()
 }

@@ -83,76 +83,41 @@ type patch struct {
 // Freeze returns the CSR snapshot of g, building it on first use and
 // whenever the graph has been mutated since the last call; otherwise the
 // cached snapshot is returned. O(|V| + |E| log d) to build (buildSnapshot:
-// the sort shared by FreezeWorkers goroutines, at most one per
-// minSizePerWorker of |V|+|E|), O(1) when cached. A graph that an Overlay has
-// written is hollow over the overlay's patched view, and Freeze compacts
-// it instead: the view is flattened into fresh arrays in O(|V| + |E|),
-// with no sort and no re-interning (flatten), and becomes the graph's
-// read source. Concurrent Freeze calls on an unmutated graph are safe and
-// share one snapshot: the first caller builds while later callers wait on
-// the build, not on the cache mutex, so a long freeze never blocks
-// unrelated lock holders (SnapshotBuilds, a racing version check). Freeze
-// concurrent with mutation is not safe, just as matching during mutation
-// never was. The returned Snapshot itself is safe to share across
-// goroutines.
+// the sort shared by up to GOMAXPROCS goroutines, at most one per
+// minSizePerWorker of |V|+|E|), O(1) when cached. A sealed graph is
+// compacted instead: its read source (an overlay's patched view) is
+// flattened into fresh arrays in O(|V| + |E|), with no sort and no
+// re-interning (flatten), and becomes the read source. One mutex is held
+// across the build, so concurrent Freeze calls on an unmutated graph
+// share one snapshot and one build. Freeze concurrent with mutation is not
+// safe, just as matching during mutation never was. The returned Snapshot
+// itself is safe to share across goroutines.
 func (g *Graph) Freeze() *Snapshot {
 	g.snapMu.Lock()
-	for {
-		v := g.version
-		if g.snap != nil && g.snapVersion == v {
-			s := g.snap
-			g.snapMu.Unlock()
-			return s
-		}
-		b := g.snapBuilding
-		if b == nil || b.version != v {
-			break
-		}
-		// Another caller is building this version: wait outside the lock
-		// and re-check (the build-once guard — exactly one construction
-		// per version no matter how many concurrent callers).
-		g.snapMu.Unlock()
-		<-b.done
-		g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	if g.snap != nil && g.snapVersion == g.version {
+		return g.snap
 	}
-	b := &snapBuild{version: g.version, done: make(chan struct{})}
-	g.snapBuilding = b
-	g.snapMu.Unlock()
-
-	// The O(|V|+|E|) construction runs outside the mutex. Publish and
-	// cleanup run deferred so a panicking build (mutation racing the
-	// freeze) still clears the in-flight marker and releases waiters —
-	// they re-check the cache and retry instead of blocking forever.
 	var s *Snapshot
-	defer func() {
-		g.snapMu.Lock()
-		if s != nil {
-			g.snap, g.snapVersion = s, b.version
-			g.snapBuilds++
-		}
-		if g.snapBuilding == b {
-			g.snapBuilding = nil
-		}
-		g.snapMu.Unlock()
-		close(b.done)
-	}()
-	if v := g.hollow.Load(); v != nil {
+	if v := g.sealed.Load(); v != nil {
 		s = flatten(v)
-		s.recordHeavy()
-		g.hollow.CompareAndSwap(v, s)
+		g.sealed.Store(s)
 	} else {
 		s = buildSnapshot(g, workersFor(g.Size()))
-		s.recordHeavy()
 	}
+	s.recordHeavy()
+	g.snap, g.snapVersion = s, g.version
+	g.snapBuilds.Add(1)
 	return s
 }
 
-// BuildSnapshot builds a fresh snapshot with exactly `workers` workers
-// (at least one), bypassing Freeze's cache and its size-based worker
-// count. The differential tests and the freeze benchmarks drive it;
-// regular callers should use Freeze.
+// BuildSnapshot builds a fresh snapshot of a building graph with exactly
+// `workers` workers (at least one), bypassing Freeze's cache and its
+// size-based worker count; it panics on a sealed graph. The differential
+// tests and the freeze benchmarks drive it; regular callers should use
+// Freeze.
 func (g *Graph) BuildSnapshot(workers int) *Snapshot {
-	g.ensureThawed()
+	g.mustBuild("BuildSnapshot")
 	return buildSnapshot(g, max(workers, 1))
 }
 

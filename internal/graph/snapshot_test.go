@@ -182,9 +182,8 @@ func requireLabelledRuns(t *testing.T, s *Snapshot) {
 // (label, neighbour) alone — store format 1's order — is not adoptable,
 // because the matcher would intersect runs that are not To-sorted. The
 // large image validates on several shards, and the error must read the
-// same with one freeze worker and with four.
+// same with one validation worker and with four.
 func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
-	defer SetFreezeWorkers(0)
 	for _, size := range [][2]int{{60, 220}, {4000, 14000}} {
 		s := randomGraph(t, 7, size[0], size[1]).Freeze()
 		f, err := s.Flat()
@@ -207,12 +206,14 @@ func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
 			t.Fatal("no node has a run the two orders disagree on; the test is vacuous")
 		}
 		f.Out = out
+		if _, err := AdoptFlat(f); err == nil {
+			t.Fatalf("AdoptFlat accepted (label, neighbour)-ordered adjacency (|V| = %d)", size[0])
+		}
 		var errs []string
 		for _, w := range []int{1, 4} {
-			SetFreezeWorkers(w)
-			_, err := AdoptFlat(f)
+			_, _, err := f.validate(w, nil)
 			if err == nil {
-				t.Fatalf("AdoptFlat accepted (label, neighbour)-ordered adjacency (|V| = %d, %d workers)", size[0], w)
+				t.Fatalf("validation accepted (label, neighbour)-ordered adjacency (|V| = %d, %d workers)", size[0], w)
 			}
 			errs = append(errs, err.Error())
 		}

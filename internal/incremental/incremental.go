@@ -95,8 +95,8 @@ type Detector struct {
 	// Per-rule artifacts compiled against the overlay's symbol table,
 	// rebuilt whenever the detector adopts a new overlay. A compaction
 	// keeps the table (the flattened view shares it), but the overlay
-	// started after a direct mutation freezes the thawed graph, and that
-	// freeze owns a fresh one.
+	// started after a direct mutation of a building graph freezes it, and
+	// that freeze owns a fresh one.
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 

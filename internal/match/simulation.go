@@ -12,7 +12,7 @@ import (
 // the set of graph nodes v that simulate u, i.e. v's label matches u's and
 // every pattern edge incident to u can be followed from v into the
 // simulation sets of u's neighbors. Labels are compared as interned codes,
-// so a store-adopted graph is read without being thawed.
+// so a store-adopted graph is read from its flat arrays.
 //
 // Simulation over-approximates subgraph isomorphism (every node that
 // participates in an isomorphic match simulates its pattern node) and is

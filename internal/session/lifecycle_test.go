@@ -1,13 +1,12 @@
 // Tests for the overlay-owned update lifecycle: Session.Apply patches the
-// maintained overlay only, so the session's graph reads through the
-// patched view (a store-adopted graph is never thawed), every read of the
-// graph agrees with a twin that took the same updates directly, and the
-// overlay is the graph's one writer.
+// maintained overlay only, so the session's graph is sealed over the
+// patched view (a store-adopted graph is sealed from the start), every
+// read of the graph agrees with a twin that took the same updates
+// directly, and the overlay is the graph's one writer.
 package session_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -159,9 +158,9 @@ func capitalBase(countries int) *graph.Graph {
 
 // TestApplyLifecycleMatchesTwin pins the lifecycle on a heap-built and a
 // store-adopted graph: after each Apply the session's graph reads like a
-// twin that took the same updates directly; a direct mutation thaws the
-// graph from the view and desyncs the overlay, whose writes then fail,
-// while the next Detect and the detector's recovery still equal the
+// twin that took the same updates directly; a direct mutation of the
+// sealed graph writes through the shared overlay without building a
+// snapshot, and the next Detect and the detector's sweep still equal the
 // oracle; and a session Apply that compacts while a detector shares the
 // old overlay leaves both sides correct.
 func TestApplyLifecycleMatchesTwin(t *testing.T) {
@@ -206,21 +205,23 @@ func TestApplyLifecycleMatchesTwin(t *testing.T) {
 				t.Fatalf("detector reports %d violations, oracle %d", len(got), len(oracleReport(twin, set)))
 			}
 
-			// A direct mutation thaws the graph from the view and desyncs
-			// the shared overlay; a write through it fails.
-			ov := det.Overlay()
+			// A direct mutation of the sealed graph is a write through the
+			// shared overlay: the overlay stays synced and builds nothing,
+			// and only the detector, which did not make the write, is
+			// desynced.
+			ov, before := det.Overlay(), g.SnapshotBuilds()
 			g.SetAttr(0, "val", "direct")
 			twin.SetAttr(0, "val", "direct")
-			if ov.Synced() {
-				t.Fatal("a direct mutation must desync the overlay")
+			if !g.Sealed() || !ov.Synced() || graph.NewOverlay(g) != ov {
+				t.Fatal("a direct mutation of a sealed graph must write through its live overlay")
 			}
-			if err := ov.AddEdge(0, 1, "capital"); !errors.Is(err, graph.ErrStaleOverlay) {
-				t.Fatalf("AddEdge through the stale overlay: %v, want ErrStaleOverlay", err)
+			if det.Synced() || g.SnapshotBuilds() != before {
+				t.Fatalf("after a direct mutation: detector synced %v, %d snapshots built; want false and 0", det.Synced(), g.SnapshotBuilds()-before)
 			}
 			requireGraphsAgree(t, g, twin)
 			detect("after a direct mutation")
-			// Both recovery paths re-couple: the detector rebuilds its view,
-			// the session adopts it.
+			// The detector folds the write in by a sweep on its next Apply,
+			// and the session keeps writing through the same overlay.
 			ups := randomBatch(rng, 6, g.NumNodes(), labels, "d")
 			mirror(t, twin, ups, det.Apply(ups...))
 			if got := det.Report(); !got.Equal(oracleReport(twin, set)) {
@@ -259,10 +260,24 @@ func mallocs(fn func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
+// requireSealed fails unless g is still sealed and a map-shaped read of
+// it allocates in proportion to its answer, not to |V|: it is answered
+// from the read source, not from maps built for it.
+func requireSealed(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if !g.Sealed() {
+		t.Fatal("the graph is no longer sealed")
+	}
+	answer := len(g.NodeAttrs(0)) + len(g.Out(0))
+	if allocs := mallocs(func() { g.NodeAttrs(0); g.Out(0) }); allocs > uint64(4+2*answer) {
+		t.Errorf("NodeAttrs(0) and Out(0), %d entries in all, allocated %d times over a %d-node graph", answer, allocs, g.NumNodes())
+	}
+}
+
 // TestApplyKeepsAdoptedGraphHollow: Session.Apply over a store-adopted
-// graph allocates in proportion to the batch, not the graph — thawing
-// the graph onto the heap allocates per node — and leaves the graph
-// hollow, which the first map-needing read then shows by paying the thaw.
+// graph allocates in proportion to the batch, not the graph — copying the
+// graph onto the heap would allocate per node — and leaves the graph
+// sealed.
 func TestApplyKeepsAdoptedGraphHollow(t *testing.T) {
 	ctx := context.Background()
 	_, set, _ := capitalWorkload()
@@ -280,9 +295,7 @@ func TestApplyKeepsAdoptedGraphHollow(t *testing.T) {
 	if allocs := mallocs(func() { sess.Apply(ups...) }); allocs > uint64(32*len(ups)) {
 		t.Errorf("Apply of %d updates over a %d-node adopted graph allocated %d times: it thawed the graph", len(ups), n, allocs)
 	}
-	if allocs := mallocs(func() { g.NodeAttrs(0) }); allocs < uint64(n) {
-		t.Errorf("the first map-needing read allocated %d times, want a thaw (>= |V| = %d): Apply left the graph thawed", allocs, n)
-	}
+	requireSealed(t, g)
 	if g.SnapshotBuilds() != 0 {
 		t.Errorf("Apply below the compaction fraction built %d snapshots", g.SnapshotBuilds())
 	}
@@ -290,8 +303,7 @@ func TestApplyKeepsAdoptedGraphHollow(t *testing.T) {
 
 // TestBigDansingKeepsAdoptedGraphHollow: EngineBigDansing encodes its
 // relational tables from the bundle's topology, so a Detect over a
-// store-adopted graph never thaws it onto the heap — the first map-needing
-// read afterwards still pays the thaw — and reports what the sequential
+// store-adopted graph leaves it sealed and reports what the sequential
 // engine reports.
 func TestBigDansingKeepsAdoptedGraphHollow(t *testing.T) {
 	ctx := context.Background()
@@ -312,7 +324,5 @@ func TestBigDansingKeepsAdoptedGraphHollow(t *testing.T) {
 	if len(want.Violations) == 0 || !got.Violations.Equal(want.Violations) {
 		t.Fatalf("EngineBigDansing reports %d violations, sequential %d", len(got.Violations), len(want.Violations))
 	}
-	if n := g.NumNodes(); mallocs(func() { g.NodeAttrs(0) }) < uint64(n) {
-		t.Errorf("the first map-needing read after a BigDansing Detect did not thaw (>= |V| = %d allocations): Detect thawed the graph", n)
-	}
+	requireSealed(t, g)
 }

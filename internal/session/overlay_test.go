@@ -90,13 +90,27 @@ func TestApplySweepNeverRefreezes(t *testing.T) {
 		t.Fatalf("update sweep built %d snapshots, want 1 (zero rebuilds after the initial freeze)", got)
 	}
 
-	// A mutation bypassing the session still forces exactly one re-freeze.
+	// A mutation bypassing the session writes through the same overlay,
+	// since Apply sealed the graph: the next Detect runs on the patched
+	// view, builds nothing, and agrees with a cold re-freeze of a clone.
 	g.SetAttr(0, "val", "direct")
-	if _, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential}); err != nil {
+	res, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.SnapshotBuilds(); got != 2 {
-		t.Fatalf("direct mutation should re-freeze once, builds = %d, want 2", got)
+	refPrep, err := mustOpen(t, g.Clone()).Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refPrep.Detect(ctx, validate.Options{Engine: validate.EngineSequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Violations.Equal(ref.Violations) {
+		t.Fatalf("after a direct mutation: overlay path found %d violations, re-freeze %d", len(res.Violations), len(ref.Violations))
+	}
+	if got := g.SnapshotBuilds(); got != 1 {
+		t.Fatalf("a direct mutation of the sealed graph built %d snapshots, want 1 in all", got)
 	}
 }
 

@@ -27,9 +27,8 @@
 // view, paying only for the touched region. The graph owns that overlay
 // (graph.NewOverlay), so the session, its detectors and any other holder
 // of the graph share one view and one compaction. The overlay owns the
-// delta: the graph itself is not written, only made to read through the
-// view, so an Apply over a store-adopted graph costs O(|batch|) and never
-// thaws it. Once the accumulated delta exceeds a fraction of the base
+// delta: the graph itself is not written, only sealed over the view, so an
+// Apply over a store-adopted graph costs O(|batch|). Once the accumulated delta exceeds a fraction of the base
 // size, the batch that crossed it compacts (graph.Overlay.Settle): the
 // patched view is flattened into fresh flat arrays (no sort, same symbol
 // table), amortizing O(|V|+|E|) over Ω(|G|) updates.
@@ -115,8 +114,8 @@ func (s *Session) Incremental(set *core.Set) *incremental.Detector {
 // graph mutation — which invalidates every prepared bundle into a full
 // re-freeze — updates applied here keep the compiled path warm: the next
 // Detect runs against the patched overlay, paying only for the touched
-// region. The updates patch the overlay only: the graph reads through the
-// patched view and is never thawed. The batch that carries the
+// region. The updates patch the overlay only: the graph is sealed over the
+// patched view. The batch that carries the
 // accumulated delta past graph.CompactFraction compacts before returning
 // (graph.Overlay.Settle) — one amortized O(|V|+|E|) flatten per Ω(|G|)
 // updates. Like any mutation, Apply must not run concurrently with another

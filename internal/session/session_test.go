@@ -359,15 +359,19 @@ func TestIncrementalIntegration(t *testing.T) {
 	if det2.Overlay() != det.Overlay() {
 		t.Error("synced session detector must reuse the maintained overlay")
 	}
-	// A direct graph mutation desynchronizes it; the next detector gets a
-	// fresh view and still agrees with the batch path.
+	// A direct mutation of the sealed graph writes through the same
+	// overlay: a new detector shares it, an older one is desynced until
+	// its next Apply sweeps, and both agree with the batch path.
 	g.SetAttr(melbourne, "val", "Melbourne")
 	det3 := sess.Incremental(set)
-	if det3.Overlay() == det2.Overlay() {
-		t.Error("desynced session detector must rebuild its view")
+	if det3.Overlay() != det2.Overlay() || det2.Synced() {
+		t.Error("a direct mutation must write through the shared overlay and desync the detectors that did not make it")
 	}
 	if det3.Len() != 2 {
-		t.Errorf("rebuilt detector violations = %d, want 2", det3.Len())
+		t.Errorf("new detector violations = %d, want 2", det3.Len())
+	}
+	if det2.Apply(); det2.Len() != 2 || !det2.Synced() {
+		t.Errorf("swept detector violations = %d (synced %v), want 2", det2.Len(), det2.Synced())
 	}
 	res, err = prep.Detect(ctx, validate.Options{})
 	if err != nil {

@@ -166,7 +166,7 @@ func sectionEntryAt(table []byte, i int) (id uint32, off, ln uint64, crc uint32)
 //
 // The header, table and length checks run serially; then the body
 // checksums are tasks of graph.AdoptFlatBeside's parallel pass, beside its
-// validation ranges and symbol index ranges, on graph.FreezeWorkers()
+// validation ranges and symbol index ranges, on up to GOMAXPROCS
 // goroutines. The error returned does not depend on that: a checksum
 // mismatch outranks a structural error, which outranks a symbol-table
 // error.
@@ -284,10 +284,11 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		return fail(err)
 	}
 	// Symbol names are the one deep copy: one string allocation for the
-	// whole blob, sliced per name. Thawed graphs and compacted overlays
-	// hold interned strings long after the caller may have closed the
-	// mapping, so names must never alias it; the O(|V|+|E|) arrays, which
-	// only the snapshot itself holds, stay zero-copy.
+	// whole blob, sliced per name. Clones, map-shaped graph reads and
+	// compacted overlays hold interned strings long after the caller may
+	// have closed the mapping, so names must never alias it; the
+	// O(|V|+|E|) arrays, which only the snapshot itself holds, stay
+	// zero-copy.
 	symOff := viewOf[uint32](symOffB, numSyms+1)
 	blob := secs[secSymBlob]
 	if symOff[0] != 0 {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -154,9 +155,10 @@ func TestRoundTripEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestLoadedGraphMutation checks the migration contract: mutating the
-// graph behind a loaded snapshot thaws a private heap copy, and the next
-// freeze builds fresh instead of writing anywhere near the mapping.
+// TestLoadedGraphMutation checks the migration contract: a direct write to
+// the sealed graph behind a loaded snapshot patches its live overlay, and
+// the next freeze flattens the patched view into fresh arrays instead of
+// writing anywhere near the mapping.
 func TestLoadedGraphMutation(t *testing.T) {
 	g := randomGraph(11, 50, 150)
 	path := saveTo(t, g.Freeze())
@@ -212,15 +214,14 @@ func mustDecodeErr(t *testing.T, data []byte, want error, opts ...store.Option) 
 	return err
 }
 
-// decodeEach decodes data with one and with four freeze workers and fails
-// unless both return the same error text: which error a corrupt file
-// yields must not depend on how the validation is sharded.
+// decodeEach decodes data at GOMAXPROCS 1 and 4 (the validation's worker
+// count) and fails unless both return the same error text: which error a
+// corrupt file yields must not depend on how the validation is sharded.
 func decodeEach(t *testing.T, data []byte, opts ...store.Option) (*graph.Snapshot, error) {
 	t.Helper()
-	defer graph.SetFreezeWorkers(0)
-	graph.SetFreezeWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want, wantErr := store.Decode(data, opts...)
-	graph.SetFreezeWorkers(4)
+	runtime.GOMAXPROCS(4)
 	_, err := store.Decode(data, opts...)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("error depends on the worker count:\n 1 worker:  %v\n 4 workers: %v", wantErr, err)
