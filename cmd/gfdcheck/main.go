@@ -99,7 +99,7 @@ func main() {
 		var err error
 		sess, loaded, err = gfd.OpenSnapshot(context.Background(), *graphPath)
 		if err != nil {
-			fatal(err)
+			fatal(snapshotErr(*graphPath, err))
 		}
 		g = loaded.Snapshot().Graph() // mapping lives for the process; exit unmaps
 	} else {
@@ -295,6 +295,16 @@ func readRules(path string) (*gfd.Set, error) {
 	}
 	defer f.Close()
 	return gfd.ParseRules(f)
+}
+
+// snapshotErr adds the remedy to a snapshot file this build cannot read:
+// a file written in another format version (or on a machine of the other
+// endianness) is regenerated from its source, not repaired.
+func snapshotErr(path string, err error) error {
+	if errors.Is(err, gfd.ErrSnapshotVersion) {
+		return fmt.Errorf("%w; regenerate %s with gfdgen -snapshot", err, path)
+	}
+	return err
 }
 
 func fatal(err error) {

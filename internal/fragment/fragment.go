@@ -238,8 +238,10 @@ func (f *Fragmentation) String() string {
 //
 // Shards are built by filtering the frozen snapshot's flat image and
 // re-adopting it — no per-shard graph rebuild, no snapshot builds beyond
-// the source freeze. A fragmentation cut from a patched view returns
-// graph.ErrPatchedView.
+// the source freeze. The symbol directory is built (if the source table
+// lacks one) once, by the source's Flat; every shard adopts it with the
+// table and saves it unchanged. A fragmentation cut from a patched view
+// returns graph.ErrPatchedView.
 func (f *Fragmentation) SaveShards(ctx context.Context, dir, prefix string) ([]string, error) {
 	return SaveShards(ctx, f.snap, f.Owner, f.N, dir, prefix)
 }
@@ -264,7 +266,9 @@ func SaveShards(ctx context.Context, snap *graph.Snapshot, owner []int, n int, d
 			return nil, err
 		}
 		ff := graph.Flat{
-			Names:    full.Names,
+			SymBlob:  full.SymBlob,
+			SymOff:   full.SymOff,
+			SymDir:   full.SymDir,
 			Labels:   full.Labels,
 			ClassOff: full.ClassOff,
 			Classes:  full.Classes,

@@ -56,8 +56,8 @@ func randomFreezeGraph(seed int64, n int) *Graph {
 // CSR arrays (both halves), attribute arena, class ranges.
 func requireSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 	t.Helper()
-	if !slices.Equal(want.syms.names, got.syms.names) {
-		t.Fatalf("symbol tables differ:\nserial   %v\nparallel %v", want.syms.names, got.syms.names)
+	if !slices.Equal(want.syms.blob, got.syms.blob) || !slices.Equal(want.syms.off, got.syms.off) {
+		t.Fatalf("symbol tables differ:\nserial   %q %v\nparallel %q %v", want.syms.blob, want.syms.off, got.syms.blob, got.syms.off)
 	}
 	if !slices.Equal(want.labels, got.labels) {
 		t.Fatalf("label arrays differ")

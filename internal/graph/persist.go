@@ -4,16 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // Flat is the serializable image of a Snapshot: every backing array exposed
-// as-is, plus the symbol table in code order. It exists for package store —
-// the arrays are already flat and offset-based, so persisting a snapshot is
-// a section-per-field dump and loading one is AdoptFlat over (possibly
-// memory-mapped) views. The slices are shared with the snapshot; treat
+// as-is, plus the symbol table's three arrays (see Symbols). It exists for
+// package store — the arrays are already flat and offset-based, so
+// persisting a snapshot is a section-per-field dump and loading one is
+// AdoptFlat over (possibly memory-mapped) views. The slices are shared with the snapshot; treat
 // them as read-only.
 type Flat struct {
-	Names     []string // symbol table, index == Sym code (Names[0] is the wildcard)
+	SymBlob   []byte   // symbol names' bytes, in code order
+	SymOff    []uint32 // len s+1: code c names SymBlob[SymOff[c]:SymOff[c+1]]; code 0 is the wildcard
+	SymDir    []Sym    // len s: every code, in bytewise order of the names
 	Labels    []Sym    // node label codes, indexed by NodeID; len |V|
 	AttrOff   []int32  // len |V|+1, offsets into AttrPairs
 	AttrPairs []AttrPair
@@ -21,9 +24,12 @@ type Flat struct {
 	Out       []CSREdge
 	InOff     []int32 // len |V|+1, offsets into In
 	In        []CSREdge
-	ClassOff  []int32  // len len(Names)+1, offsets into Classes
+	ClassOff  []int32  // len s+1, offsets into Classes
 	Classes   []NodeID // nodes grouped by label code, ascending within a class
 }
+
+// NumSyms returns the number of symbols the image's table holds.
+func (f Flat) NumSyms() int { return len(f.SymOff) - 1 }
 
 // ErrPatchedView reports an attempt to persist an Overlay's patched view:
 // its arrays are the base's, so writing them would silently drop every
@@ -32,25 +38,29 @@ type Flat struct {
 var ErrPatchedView = errors.New("graph: cannot persist a patched overlay view")
 
 // Flat returns the snapshot's flat-array image for serialization. The
-// arrays are the snapshot's own backing storage (no copies) — the Names
-// slice is the only allocation, plus a padded copy of the class offsets
-// when the table has grown since the freeze (an overlay or a compaction
-// shares the live table, and names interned later own empty classes). A
-// patched view has no such image and returns ErrPatchedView.
+// arrays are the snapshot's and its symbol table's own backing storage
+// (no copies), except for a padded copy of the class offsets when the
+// table has grown since the freeze (an overlay or a compaction shares the
+// live table, and names interned later own empty classes). The table's
+// directory is built here if it lags the table (see Symbols.image) and
+// kept for the next call. A patched view has no such image and returns
+// ErrPatchedView.
 func (s *Snapshot) Flat() (Flat, error) {
 	if s.patch != nil {
 		return Flat{}, ErrPatchedView
 	}
-	names := s.syms.Names()
+	blob, off, dir := s.syms.image()
 	classOff := s.classOff
-	if n := len(names) + 1; len(classOff) < n {
+	if n := len(off); len(classOff) < n {
 		classOff = slices.Clone(classOff)
 		for len(classOff) < n {
 			classOff = append(classOff, classOff[len(classOff)-1])
 		}
 	}
 	return Flat{
-		Names:     names,
+		SymBlob:   blob,
+		SymOff:    off,
+		SymDir:    dir,
 		Labels:    s.labels,
 		AttrOff:   s.attrOff,
 		AttrPairs: s.attrPairs,
@@ -68,12 +78,14 @@ func (s *Snapshot) Flat() (Flat, error) {
 // caller mapping them from a read-only file gets a zero-copy view. The
 // image is validated first — offsets monotone and bounded, codes in range,
 // per-node sort invariants, classes consistent with labels, a symbol table
-// that starts with the wildcard and holds no duplicate — because every
-// violated invariant is a latent panic (or silent mismatch) in the match
-// engine's unchecked indexing. Images from untrusted bytes must never be
-// adopted unvalidated. The checks are O(|V|+|E|) integer scans, far below
-// a freeze, and one parallel pass (see Flat.validate); the symbol table
-// retains f.Names.
+// that starts with the wildcard and whose directory lists its names in
+// strictly increasing order — because every violated invariant is a
+// latent panic (or silent mismatch) in the match engine's unchecked
+// indexing. Images from untrusted bytes must never be adopted
+// unvalidated. The checks are O(|V|+|E|+s) sequential scans with no
+// hashing, far below a freeze, and one parallel pass (see Flat.validate).
+// The symbol table is the one copy: it owns copies of f's three symbol
+// arrays (see Symbols).
 //
 // The snapshot's source graph (Snapshot.Graph) is born sealed (see Graph):
 // it has no maps, and every read answers from the flat arrays. The graph's
@@ -119,20 +131,21 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 // messages name the failing section; package store wraps them into its
 // typed corruption error.
 //
-// The table-shape checks (counts, offsets, arena sizes) run first and
-// serially. The rest is one pass (see drain) on the caller and workers-1
-// helpers (AdoptFlat passes workersFor(|V|+|E|), as a snapshot build
-// does): the caller indexes the symbol table, one task whose slot writes
-// no other worker shares, while the helpers take short tasks from a
-// shared counter —
-// degree-balanced node ranges (labels, then out and in adjacency, then
-// attribute tuples), ranges of label classes, and the beside tasks — and
-// the caller joins them when its index is built. The error reported is
-// the first beside task's, else the one the serial order would find first
-// — the earliest check kind failing anywhere, in its lowest node or class
-// range, then the symbol table's — so it never depends on the worker
-// count or on scheduling. A node range that passes also collects its
-// heavy nodes (see Snapshot.Heavy) off the offsets it just read.
+// The shape checks (see checkShape) run first and serially. The rest is
+// one pass (see drain) on the caller and workers-1 helpers (AdoptFlat
+// passes workersFor(|V|+|E|), as a snapshot build does): the caller
+// copies the symbol table's arrays, one task, while the helpers take
+// short tasks from a shared counter — degree-balanced node ranges (their
+// offsets, labels, then out and in adjacency, then attribute tuples),
+// ranges of label classes, ranges of the symbol directory, and the beside
+// tasks — and the caller joins them when its copy is made. The error
+// reported is the first beside task's, else the one the serial order
+// would find first — the earliest check kind failing anywhere, in its
+// lowest node or class range, then the symbol table's, the wildcard
+// before the directory's lowest failing range — so it never depends on
+// the worker count or on scheduling. A node range that passes also
+// collects its heavy nodes (see Snapshot.Heavy) off the offsets it just
+// read.
 func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, error) {
 	besideErrs := make([]error, len(beside))
 	runBeside := func(i int) { besideErrs[i] = beside[i]() }
@@ -153,29 +166,36 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 	split := workers * tasksPerWorker
 	nodes := shardByOffsets(split, f.OutOff, f.InOff, f.AttrOff)
 	classes := shardByOffsets(split, f.ClassOff)
-	// errs holds each node range's first failure, then each class range's.
-	errs := make([]checkErr, len(nodes)+len(classes))
+	dir := evenShards(split, len(f.SymDir))
+	// errs holds each node range's first failure, then each class range's,
+	// then each directory range's.
+	errs := make([]checkErr, len(nodes)+len(classes)+len(dir))
 	heavy := make([]heavyTop, len(nodes))
 	var syms *Symbols
-	var symErr error
 	drain(workers, 1+len(errs)+len(beside), func(task int) {
 		switch i := task - 1; {
 		case task == 0:
-			syms, symErr = adoptSymbols(f.Names)
+			syms = adoptSymbols(f.SymBlob, f.SymOff, f.SymDir)
 		case i < len(nodes):
 			if errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi); errs[i].err == nil {
 				heavy[i].scan(f.OutOff, f.InOff, nodes[i].lo, nodes[i].hi)
 			}
+		case i < len(nodes)+len(classes):
+			errs[i] = f.checkClasses(classes[i-len(nodes)].lo, classes[i-len(nodes)].hi)
 		case i < len(errs):
-			lo, hi := classes[i-len(nodes)].lo, classes[i-len(nodes)].hi
-			errs[i] = checkErr{kindClasses, f.checkClasses(lo, hi)}
+			r := dir[i-len(nodes)-len(classes)]
+			errs[i] = checkErr{kindSymbols, f.checkDir(r.lo, r.hi)}
 		default:
 			runBeside(i - len(errs))
 		}
 	})
+	if nameAt(f.SymBlob, f.SymOff, WildcardSym) != "_" {
+		// Codes are dense and the wildcard is interned at construction.
+		errs = append(errs, checkErr{kindWildcard, fmt.Errorf("graph: symbol table must start with the wildcard %q", "_")})
+	}
 	var firstErr checkErr
 	for _, e := range errs {
-		if e.err != nil && (firstErr.err == nil || e.kind < firstErr.kind) {
+		if e.err != nil && e.err != errRiseElsewhere && (firstErr.err == nil || e.kind < firstErr.kind) {
 			firstErr = e
 		}
 	}
@@ -188,27 +208,65 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 			top.offer(h.v, h.deg)
 		}
 	}
-	return syms, top.nodes(), symErr
+	return syms, top.nodes(), nil
 }
 
-// checkShape validates the sizes and offset arrays every per-node check
-// indexes through.
+// evenShards splits [0, n) into at most parts equal contiguous ranges.
+func evenShards(parts, n int) []shard {
+	parts = max(1, min(parts, n))
+	out := make([]shard, 0, parts)
+	for k := 0; k < parts && n > 0; k++ {
+		out = append(out, shard{n * k / parts, n * (k + 1) / parts})
+	}
+	return out
+}
+
+// checkShape validates the symbol table's offsets and directory length,
+// then the sizes every range check indexes by: each offset array's
+// length, start and end, and the arenas'. The offset arrays' other
+// invariant, monotonicity, is checked by the range tasks over their own
+// offsets (see checkRise), unless a size is wrong: then the serial scan
+// of every offset array, in order, finds the error to report, as a
+// decrease ranks before a wrong end.
 func (f Flat) checkShape() error {
-	n := len(f.Labels)
-	nsyms := len(f.Names)
-	if nsyms == 0 {
+	nsyms := f.NumSyms()
+	if nsyms <= 0 {
 		return fmt.Errorf("graph: empty symbol table")
 	}
-	if err := checkOffsets("attr", f.AttrOff, n, len(f.AttrPairs)); err != nil {
+	if f.SymOff[0] != 0 {
+		return fmt.Errorf("graph: symbol offsets start at %d", f.SymOff[0])
+	}
+	for i := 1; i <= nsyms; i++ {
+		if f.SymOff[i] < f.SymOff[i-1] {
+			return fmt.Errorf("graph: symbol offsets decrease at %d", i)
+		}
+	}
+	if int(f.SymOff[nsyms]) != len(f.SymBlob) {
+		return fmt.Errorf("graph: symbol offsets end at %d, blob holds %d bytes", f.SymOff[nsyms], len(f.SymBlob))
+	}
+	if len(f.SymDir) != nsyms {
+		return fmt.Errorf("graph: symbol directory holds %d codes, table has %d symbols", len(f.SymDir), nsyms)
+	}
+	if f.checkOffsetArrays(false) != nil {
+		return f.checkOffsetArrays(true)
+	}
+	return nil
+}
+
+// checkOffsetArrays checks the offset arrays in the serial order, each
+// scanned for a decrease if scan is set, and the arena sizes.
+func (f Flat) checkOffsetArrays(scan bool) error {
+	n := len(f.Labels)
+	if err := checkOffsets("attr", f.AttrOff, n, len(f.AttrPairs), scan); err != nil {
 		return err
 	}
-	if err := checkOffsets("out", f.OutOff, n, len(f.Out)); err != nil {
+	if err := checkOffsets("out", f.OutOff, n, len(f.Out), scan); err != nil {
 		return err
 	}
-	if err := checkOffsets("in", f.InOff, n, len(f.In)); err != nil {
+	if err := checkOffsets("in", f.InOff, n, len(f.In), scan); err != nil {
 		return err
 	}
-	if err := checkOffsets("class", f.ClassOff, nsyms, len(f.Classes)); err != nil {
+	if err := checkOffsets("class", f.ClassOff, f.NumSyms(), len(f.Classes), scan); err != nil {
 		return err
 	}
 	if len(f.Out) != len(f.In) {
@@ -228,18 +286,55 @@ type checkErr struct {
 }
 
 const (
-	kindLabels = iota
+	kindAttrOff = iota
+	kindOutOff
+	kindInOff
+	kindClassOff
+	kindLabels
 	kindOut
 	kindIn
 	kindAttrs
 	kindClasses
+	kindWildcard
+	kindSymbols
 )
+
+// errRiseElsewhere marks a range whose own offsets rise but leave the
+// arena: a decrease outside the range caused it, and the range holding
+// that decrease reports it, so this marker is never the error returned.
+var errRiseElsewhere = errors.New("graph: offsets decrease outside the range")
+
+// checkRise validates off over [lo, hi] — one range task's share of an
+// offset array whose start and end checkShape checked: non-decreasing, so
+// the range's slice of the arena lies inside it. Ranges meet at their
+// ends, so together they check every step of the array once.
+func checkRise(name string, off []int32, lo, hi, arena int) error {
+	for v := lo + 1; v <= hi; v++ {
+		if off[v] < off[v-1] {
+			return fmt.Errorf("graph: %s offsets decrease at %d (%d -> %d)", name, v, off[v-1], off[v])
+		}
+	}
+	if off[lo] < 0 || int(off[hi]) > arena {
+		return errRiseElsewhere
+	}
+	return nil
+}
 
 // checkNodes runs the per-node checks over nodes [lo, hi), stopping at the
 // first failure: a later kind of check in this range can never be the one
-// reported.
+// reported. The range's offsets come first: every later check indexes by
+// them.
 func (f Flat) checkNodes(lo, hi int) checkErr {
-	nsyms := len(f.Names)
+	if err := checkRise("attr", f.AttrOff, lo, hi, len(f.AttrPairs)); err != nil {
+		return checkErr{kindAttrOff, err}
+	}
+	if err := checkRise("out", f.OutOff, lo, hi, len(f.Out)); err != nil {
+		return checkErr{kindOutOff, err}
+	}
+	if err := checkRise("in", f.InOff, lo, hi, len(f.In)); err != nil {
+		return checkErr{kindInOff, err}
+	}
+	nsyms := f.NumSyms()
 	for v := lo; v < hi; v++ {
 		if l := f.Labels[v]; l < 0 || int(l) >= nsyms {
 			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d out of range [0,%d)", v, l, nsyms)}
@@ -254,56 +349,91 @@ func (f Flat) checkNodes(lo, hi int) checkErr {
 	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, nsyms, lo, hi); err != nil {
 		return checkErr{kindIn, err}
 	}
-	// Attribute tuples: codes in range, names strictly increasing per node
-	// (a tuple is a map image — duplicates would make AttrSym ambiguous).
-	for v := lo; v < hi; v++ {
-		ps := f.AttrPairs[f.AttrOff[v]:f.AttrOff[v+1]]
-		for i, p := range ps {
-			if p.Name < 0 || int(p.Name) >= nsyms || p.Val < 0 || int(p.Val) >= nsyms {
-				return checkErr{kindAttrs, fmt.Errorf("graph: node %d attr pair %d codes (%d,%d) out of range [0,%d)", v, i, p.Name, p.Val, nsyms)}
+	if err := checkTuples(f.AttrOff, f.AttrPairs, nsyms, lo, hi); err != nil {
+		return checkErr{kindAttrs, err}
+	}
+	return checkErr{}
+}
+
+// checkClasses validates label classes [lo, hi): their offsets (see
+// checkRise), then each class ascending and containing exactly the nodes
+// carrying its label. Together with the offset total == |V| this forces
+// every node into exactly its own class. Like checkAdjacency it is one
+// loop over the classes' arena slice.
+func (f Flat) checkClasses(lo, hi int) checkErr {
+	if err := checkRise("class", f.ClassOff, lo, hi, len(f.Classes)); err != nil {
+		return checkErr{kindClassOff, err}
+	}
+	n := len(f.Labels)
+	base := int(f.ClassOff[lo])
+	run := f.Classes[base:f.ClassOff[hi]]
+	l, end := lo-1, 0 // as in checkAdjacency: class l owns run[:end]
+	for i, v := range run {
+		head := i == end
+		if head {
+			for l++; int(f.ClassOff[l+1])-base == i; l++ {
 			}
-			if i > 0 && ps[i-1].Name >= p.Name {
-				return checkErr{kindAttrs, fmt.Errorf("graph: node %d attr tuple not strictly sorted by name at %d", v, i)}
-			}
+			end = int(f.ClassOff[l+1]) - base
+		}
+		if v < 0 || int(v) >= n {
+			return checkErr{kindClasses, fmt.Errorf("graph: class %d member %d node id %d out of range [0,%d)", l, i-(int(f.ClassOff[l])-base), v, n)}
+		}
+		if f.Labels[v] != Sym(l) {
+			return checkErr{kindClasses, fmt.Errorf("graph: class %d holds node %d labeled %d", l, v, f.Labels[v])}
+		}
+		if !head && run[i-1] >= v {
+			return checkErr{kindClasses, fmt.Errorf("graph: class %d not strictly ascending at %d", l, i-(int(f.ClassOff[l])-base))}
 		}
 	}
 	return checkErr{}
 }
 
-// checkClasses validates label classes [lo, hi): each class ascending and
-// containing exactly the nodes carrying its label. Together with the
-// offset total == |V| this forces every node into exactly its own class.
-func (f Flat) checkClasses(lo, hi int) error {
-	n := len(f.Labels)
-	for l := lo; l < hi; l++ {
-		class := f.Classes[f.ClassOff[l]:f.ClassOff[l+1]]
-		for i, v := range class {
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("graph: class %d member %d node id %d out of range [0,%d)", l, i, v, n)
+// checkDir validates directory entries [lo, hi): each a code in range
+// whose name is strictly greater, bytewise, than the previous entry's.
+// Over the whole directory (of length s, checkShape) that makes it a
+// permutation of [0, s) — a repeated code would repeat a name — and
+// proves the names distinct, which interning's bijection needs.
+func (f Flat) checkDir(lo, hi int) error {
+	nsyms := f.NumSyms()
+	dir := f.SymDir
+	for i := lo; i < hi; i++ {
+		c := dir[i]
+		if c < 0 || int(c) >= nsyms {
+			return fmt.Errorf("graph: symbol directory entry %d code %d out of range [0,%d)", i, c, nsyms)
+		}
+		if i == 0 {
+			continue
+		}
+		p := dir[i-1]
+		if p < 0 || int(p) >= nsyms {
+			continue // the range holding entry i-1 reports it, first
+		}
+		switch prev, name := nameAt(f.SymBlob, f.SymOff, p), nameAt(f.SymBlob, f.SymOff, c); strings.Compare(prev, name) {
+		case 0:
+			if p == c {
+				return fmt.Errorf("graph: symbol directory repeats code %d at %d", c, i)
 			}
-			if f.Labels[v] != Sym(l) {
-				return fmt.Errorf("graph: class %d holds node %d labeled %d", l, v, f.Labels[v])
-			}
-			if i > 0 && class[i-1] >= v {
-				return fmt.Errorf("graph: class %d not strictly ascending at %d", l, i)
-			}
+			return fmt.Errorf("graph: duplicate symbol %q (codes %d and %d)", name, p, c)
+		case 1:
+			return fmt.Errorf("graph: symbol directory not in name order at %d", i)
 		}
 	}
 	return nil
 }
 
 // checkOffsets validates one CSR offset array: length count+1, starting at
-// 0, monotone non-decreasing, ending exactly at the arena length.
-func checkOffsets(name string, off []int32, count, arena int) error {
+// 0, ending exactly at the arena length, and, if scan is set, monotone
+// non-decreasing — a decrease ranks before a wrong end.
+func checkOffsets(name string, off []int32, count, arena int, scan bool) error {
 	if len(off) != count+1 {
 		return fmt.Errorf("graph: %s offsets length %d, want %d", name, len(off), count+1)
 	}
 	if count >= 0 && len(off) > 0 && off[0] != 0 {
 		return fmt.Errorf("graph: %s offsets start at %d, want 0", name, off[0])
 	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
-			return fmt.Errorf("graph: %s offsets decrease at %d (%d -> %d)", name, i, off[i-1], off[i])
+	if scan {
+		if err := checkRise(name, off, 0, count, arena); err != nil && err != errRiseElsewhere {
+			return err
 		}
 	}
 	if int(off[len(off)-1]) != arena {
@@ -317,23 +447,64 @@ func checkOffsets(name string, off []int32, count, arena int) error {
 // duplicate triples mirror the mutable graph's multi-edge behavior). The
 // order compares neighbour label codes as values, so it needs no range
 // check of labels outside [lo, hi).
+//
+// It walks the nodes' arena slice as one loop — most nodes hold one or two
+// edges, so a loop per node would cost more than its checks — keeping the
+// node that owns the current entry off the offsets, for the order check
+// (which starts over at each node) and for the error messages.
 func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms, lo, hi int) error {
 	n := len(labels)
-	for v := lo; v < hi; v++ {
-		var prev CSREdge
-		var prevNbr Sym
-		for i, e := range es[off[v]:off[v+1]] {
-			if e.To < 0 || int(e.To) >= n {
-				return fmt.Errorf("graph: %s edge of node %d targets %d, out of range [0,%d)", name, v, e.To, n)
+	base := int(off[lo])
+	run := es[base:off[hi]]
+	v, end := lo-1, 0 // node v owns run[:end] from its first entry on
+	var prev CSREdge
+	for i, e := range run {
+		head := i == end
+		if head {
+			for v++; int(off[v+1])-base == i; v++ {
 			}
-			if e.Label < 0 || int(e.Label) >= nsyms {
-				return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
+			end = int(off[v+1]) - base
+		}
+		if e.To < 0 || int(e.To) >= n {
+			return fmt.Errorf("graph: %s edge of node %d targets %d, out of range [0,%d)", name, v, e.To, n)
+		}
+		if e.Label < 0 || int(e.Label) >= nsyms {
+			return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
+		}
+		// compareCSR(prev, e) > 0, reading the neighbours' labels (a
+		// random load each) only when the edge labels tie: most entries
+		// head their node, or differ from the previous one in label.
+		if !head && e.Label <= prev.Label {
+			pn, en := labels[prev.To], labels[e.To]
+			if e.Label < prev.Label || en < pn || en == pn && e.To < prev.To {
+				return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i-(int(off[v])-base))
 			}
-			nbr := labels[e.To]
-			if i > 0 && compareCSR(prev, prevNbr, e, nbr) > 0 {
-				return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i)
+		}
+		prev = e
+	}
+	return nil
+}
+
+// checkTuples validates the attribute tuples of nodes [lo, hi): codes in
+// range, names strictly increasing per node (a tuple is a map image —
+// duplicates would make AttrSym ambiguous). Like checkAdjacency it is one
+// loop over the nodes' arena slice.
+func checkTuples(off []int32, ps []AttrPair, nsyms, lo, hi int) error {
+	base := int(off[lo])
+	run := ps[base:off[hi]]
+	v, end := lo-1, 0
+	for i, p := range run {
+		head := i == end
+		if head {
+			for v++; int(off[v+1])-base == i; v++ {
 			}
-			prev, prevNbr = e, nbr
+			end = int(off[v+1]) - base
+		}
+		if p.Name < 0 || int(p.Name) >= nsyms || p.Val < 0 || int(p.Val) >= nsyms {
+			return fmt.Errorf("graph: node %d attr pair %d codes (%d,%d) out of range [0,%d)", v, i-(int(off[v])-base), p.Name, p.Val, nsyms)
+		}
+		if !head && run[i-1].Name >= p.Name {
+			return fmt.Errorf("graph: node %d attr tuple not strictly sorted by name at %d", v, i-(int(off[v])-base))
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,17 +69,26 @@ func FuzzDecode(f *testing.F) {
 	f.Add(zn)
 	for _, mut := range []func([]byte){
 		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 1) },         // past version
-		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 3) },         // future version
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 2) },         // the version before the symbol directory
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 4) },         // future version
 		func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], 64) },      // count high
 		func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<60) },     // huge offset
 		func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<60) },     // huge length
 		func(b []byte) { b[len(b)-1] ^= 0xff },                              // tail flip
 		func(b []byte) { binary.LittleEndian.PutUint64(b[16+32+16:], 1e9) }, // lying section len
+		func(b []byte) { swapDirEntries(b) },                                // mis-sorted symbol directory
 	} {
 		c := append([]byte(nil), good...)
 		mut(c)
 		f.Add(c)
 	}
+
+	// The same mis-sorted directory with every checksum re-signed, so the
+	// fuzzer starts past the checksums at the directory check itself.
+	misSorted := append([]byte(nil), good...)
+	swapDirEntries(misSorted)
+	resign(misSorted)
+	f.Add(misSorted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := store.Decode(data)
@@ -115,4 +125,35 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// swapDirEntries swaps the first two entries of a well-formed file's
+// symbol directory.
+func swapDirEntries(b []byte) {
+	count := int(binary.LittleEndian.Uint32(b[12:16]))
+	for i := 0; i < count; i++ {
+		e := b[16+i*32:]
+		if binary.LittleEndian.Uint32(e[0:4]) == secSymDir {
+			d := int(binary.LittleEndian.Uint64(e[8:16]))
+			var tmp [4]byte
+			copy(tmp[:], b[d:d+4])
+			copy(b[d:d+4], b[d+4:d+8])
+			copy(b[d+4:d+8], tmp[:])
+		}
+	}
+}
+
+// resign recomputes every section's body checksum and the header
+// checksum of a file whose section table is well-formed.
+func resign(b []byte) {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	count := int(binary.LittleEndian.Uint32(b[12:16]))
+	for i := 0; i < count; i++ {
+		e := b[16+i*32:]
+		off := binary.LittleEndian.Uint64(e[8:16])
+		ln := binary.LittleEndian.Uint64(e[16:24])
+		binary.LittleEndian.PutUint32(e[24:28], crc32.Checksum(b[off:off+ln], table))
+	}
+	end := 16 + count*32
+	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[:end], table))
 }

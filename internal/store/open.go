@@ -41,8 +41,8 @@ func (l *Loaded) Close() error {
 // Open maps the file at path read-only and decodes it (see Decode for the
 // validation contract). On unix the snapshot's arrays are zero-copy views
 // over a PROT_READ mapping — open cost is page-table setup plus one
-// parallel pass of validation, symbol indexing and checksums over the
-// file, independent of how much of the graph is ever touched;
+// parallel pass of validation, symbol directory checks and checksums over
+// the file, independent of how much of the graph is ever touched;
 // elsewhere the file is read into memory. The returned Loaded owns the
 // mapping; see its contract for lifetime. Cancellation is honored at the
 // syscall boundaries.

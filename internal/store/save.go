@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -21,7 +22,8 @@ import (
 // freezes of the same graph at any worker count save byte-identical
 // files. Cancellation is checked between sections; a canceled save
 // removes its temp file and returns ctx.Err(). An Overlay's patched view
-// is refused with graph.ErrPatchedView before anything is written.
+// is refused with graph.ErrPatchedView before anything is written, and so
+// is a snapshot the format cannot hold (see packMeta).
 func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 	if s == nil {
 		return fmt.Errorf("store: cannot save nil snapshot")
@@ -34,28 +36,18 @@ func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 		return fmt.Errorf("store: save %s: %w", path, err)
 	}
 
-	// Symbol table sections are the only assembled payloads; everything
-	// else dumps an existing array.
-	symOff := make([]uint32, len(f.Names)+1)
-	total := 0
-	for i, n := range f.Names {
-		total += len(n)
-		symOff[i+1] = uint32(total)
+	// Every payload dumps an existing array; the symbol table's three are
+	// the table's own (Flat builds its directory if a freeze or interning
+	// since adoption left it behind).
+	meta, err := packMeta(len(f.Labels), len(f.Out), f.NumSyms(), len(f.AttrPairs), len(f.SymBlob))
+	if err != nil {
+		return fmt.Errorf("store: save %s: %w", path, err)
 	}
-	blob := make([]byte, 0, total)
-	for _, n := range f.Names {
-		blob = append(blob, n...)
-	}
-	var meta [32]byte
-	binary.LittleEndian.PutUint64(meta[0:], uint64(len(f.Labels)))
-	binary.LittleEndian.PutUint64(meta[8:], uint64(len(f.Out)))
-	binary.LittleEndian.PutUint64(meta[16:], uint64(len(f.Names)))
-	binary.LittleEndian.PutUint64(meta[24:], uint64(len(f.AttrPairs)))
 
 	payloads := [numSections][]byte{
 		secMeta - 1:      meta[:],
-		secSymBlob - 1:   blob,
-		secSymOff - 1:    bytesOf(symOff),
+		secSymBlob - 1:   f.SymBlob,
+		secSymOff - 1:    bytesOf(f.SymOff),
 		secLabels - 1:    bytesOf(f.Labels),
 		secAttrOff - 1:   bytesOf(f.AttrOff),
 		secAttrPairs - 1: bytesOf(f.AttrPairs),
@@ -65,6 +57,7 @@ func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 		secIn - 1:        bytesOf(f.In),
 		secClassOff - 1:  bytesOf(f.ClassOff),
 		secClasses - 1:   bytesOf(f.Classes),
+		secSymDir - 1:    bytesOf(f.SymDir),
 	}
 
 	// Lay out sections and build the header + table in memory (a few KB),
@@ -142,4 +135,22 @@ func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 		d.Close()
 	}
 	return nil
+}
+
+// packMeta packs the meta section's counts: nodes, edges, symbols and
+// attribute pairs. It refuses what Decode would reject — a count past
+// int32, or more name bytes than the symbol offsets' uint32 reach — so
+// Save never publishes a file it cannot read back.
+func packMeta(nodes, edges, syms, pairs, nameBytes int) ([32]byte, error) {
+	var meta [32]byte
+	for i, c := range [4]int{nodes, edges, syms, pairs} {
+		if c < 0 || c > math.MaxInt32 {
+			return meta, fmt.Errorf("meta count %d = %d exceeds int32", i, c)
+		}
+		binary.LittleEndian.PutUint64(meta[8*i:], uint64(c))
+	}
+	if nameBytes < 0 || uint64(nameBytes) > math.MaxUint32 {
+		return meta, fmt.Errorf("symbol names hold %d bytes, past the format's uint32 offsets", nameBytes)
+	}
+	return meta, nil
 }

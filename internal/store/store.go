@@ -3,12 +3,14 @@
 // memory mapping. A Snapshot's backing storage is already flat and
 // offset-based — CSR adjacency, interned symbol table, attribute tuple
 // arena — so saving is a section-per-array dump and opening is page-table
-// setup plus one parallel O(|V|+|E|) pass, never a rebuild: the integer
-// validation scan runs on degree-balanced node ranges while the symbol
-// table's slot index is built and the body checksums are verified (see
-// Decode).
+// setup plus one parallel O(|V|+|E|+s) pass of sequential checks, never a
+// rebuild: the integer validation scan runs on degree-balanced node
+// ranges, the symbol directory Save wrote is checked on ranges of its own
+// and the body checksums are verified beside them, while the opening
+// goroutine copies the symbol table's three arrays (see Decode). No name
+// is hashed on open.
 //
-// File layout (format version 2, all header/table scalars little-endian):
+// File layout (format version 3, all header/table scalars little-endian):
 //
 //	[0:4)   magic "GFDS"
 //	[4:8)   format version (u32)
@@ -23,20 +25,24 @@
 //	then    the sections, each starting at an 8-byte-aligned offset
 //
 // Per-section CRCs are Castagnoli CRC-32; the header+table CRC is always
-// verified on open, body CRCs can be skipped (SkipChecksums) for fast
-// opens of very large trusted files. Unknown section ids are ignored so
-// later minor revisions can add sections without a version bump; removing
-// or reshaping a section is a version bump. Version 2 reordered each
-// node's adjacency in the out/in sections from (edge label, neighbour) to
-// (edge label, neighbour's node label, neighbour); a version-1 file fails
-// as ErrVersion, and re-saving its graph rewrites it.
+// verified on open, body CRCs can be skipped (SkipChecksums) for trusted
+// files. Unknown section ids are ignored so later minor revisions can add
+// sections without a version bump; removing or reshaping a section, or
+// adding one every reader needs, is a version bump. Version 2 reordered
+// each node's adjacency in the out/in sections from (edge label,
+// neighbour) to (edge label, neighbour's node label, neighbour); version
+// 3 added the symbol directory (section 13: every symbol code, in
+// bytewise order of the names), which open checks instead of hashing
+// every name into an index. Every other section's bytes are version 2's.
+// A file of an older version fails as ErrVersion, and re-saving its graph
+// rewrites it (gfdgen -snapshot).
 //
 // The mapping is PROT_READ: nothing may ever write through a loaded
 // snapshot's arrays. The graph packages uphold this by construction —
 // Overlay borrows snapshot arenas strictly copy-on-write, and a mutation
-// of the snapshot's source graph materializes a private heap copy first
-// (see graph.AdoptFlat) — so a write through the mapping would be a bug,
-// and on unix it faults loudly instead of corrupting the file.
+// of the snapshot's source graph goes through its live overlay (see
+// graph.AdoptFlat) — so a write through the mapping would be a bug, and
+// on unix it faults loudly instead of corrupting the file.
 package store
 
 import (
@@ -64,7 +70,7 @@ var (
 
 const (
 	magic         = "GFDS"
-	formatVersion = 2
+	formatVersion = 3
 	byteOrderMark = 0x01020304
 
 	headerSize   = 16
@@ -75,7 +81,7 @@ const (
 	maxSections = 64
 )
 
-// Section ids of format version 2. All are required.
+// Section ids of format version 3. All are required.
 const (
 	secMeta      = 1  // 4 × u64: numNodes, numEdges, numSyms, numAttrPairs
 	secSymBlob   = 2  // concatenated symbol name bytes
@@ -89,8 +95,17 @@ const (
 	secIn        = 10 // []graph.CSREdge, numEdges; ordered as secOut
 	secClassOff  = 11 // []i32, numSyms+1
 	secClasses   = 12 // []graph.NodeID (i32), numNodes
-	numSections  = 12
+	secSymDir    = 13 // []graph.Sym (i32), numSyms: every code, in bytewise name order
+	numSections  = 13
 )
+
+// secNames names each section in error messages.
+var secNames = [numSections + 1]string{
+	secMeta: "meta", secSymBlob: "symbol blob", secSymOff: "symbol offsets",
+	secLabels: "labels", secAttrOff: "attr offsets", secAttrPairs: "attr pairs",
+	secOutOff: "out offsets", secOut: "out", secInOff: "in offsets", secIn: "in",
+	secClassOff: "class offsets", secClasses: "classes", secSymDir: "symbol directory",
+}
 
 // The raw-dump sections rely on these layouts exactly; a field added to
 // either type must bump formatVersion. The index expressions compile only
@@ -113,11 +128,13 @@ type options struct {
 // Option configures Open and Decode.
 type Option func(*options)
 
-// SkipChecksums disables per-section body checksum verification on open.
-// The header and section-table checksum is still verified, and the full
-// structural validation still runs — this trades detection of bit rot
-// inside array payloads for not touching every page of a very large
-// mapping up front. Default is to verify everything.
+// SkipChecksums disables per-section body checksum verification on open:
+// it skips the CRC pass over the body bytes, and nothing else. The header
+// and section-table checksum is still verified, and the full structural
+// validation still runs, which reads every section anyway — so it trades
+// detection of bit rot that leaves the image valid (a flipped attribute
+// value, say) for the CRC's share of the open, not for untouched pages.
+// Default is to verify everything.
 func SkipChecksums() Option { return func(o *options) { o.skipBodyCRC = true } }
 
 // corruptf wraps a decode failure detail into ErrCorrupt.
@@ -166,10 +183,11 @@ func sectionEntryAt(table []byte, i int) (id uint32, off, ln uint64, crc uint32)
 //
 // The header, table and length checks run serially; then the body
 // checksums are tasks of graph.AdoptFlatBeside's parallel pass, beside its
-// validation ranges and symbol index ranges, on up to GOMAXPROCS
+// validation ranges and symbol directory ranges, on up to GOMAXPROCS
 // goroutines. The error returned does not depend on that: a checksum
 // mismatch outranks a structural error, which outranks a symbol-table
-// error.
+// error. The symbol table is the one copy (see graph.AdoptFlat): names
+// never alias data.
 func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	var o options
 	for _, f := range opts {
@@ -250,7 +268,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	for id := 1; id <= numSections; id++ {
 		if !seen[id] {
-			return fail(corruptf("missing section %d", id))
+			return fail(corruptf("missing section %d (%s)", id, secNames[id]))
 		}
 	}
 
@@ -274,7 +292,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	checkLen := func(id int, elems, elemSize int) ([]byte, error) {
 		if want := uint64(elems) * uint64(elemSize); uint64(len(secs[id])) != want {
-			return nil, corruptf("section %d is %d bytes, meta implies %d", id, len(secs[id]), want)
+			return nil, corruptf("section %d (%s) is %d bytes, meta implies %d", id, secNames[id], len(secs[id]), want)
 		}
 		return secs[id], nil
 	}
@@ -283,12 +301,9 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Symbol names are the one deep copy: one string allocation for the
-	// whole blob, sliced per name. Clones, map-shaped graph reads and
-	// compacted overlays hold interned strings long after the caller may
-	// have closed the mapping, so names must never alias it; the
-	// O(|V|+|E|) arrays, which only the snapshot itself holds, stay
-	// zero-copy.
+	// The symbol offsets are checked here, before the other sections'
+	// lengths, as they always were (graph.AdoptFlat checks them again):
+	// a file with several faults keeps reporting the same one.
 	symOff := viewOf[uint32](symOffB, numSyms+1)
 	blob := secs[secSymBlob]
 	if symOff[0] != 0 {
@@ -301,11 +316,6 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	if int(symOff[numSyms]) != len(blob) {
 		return fail(corruptf("symbol offsets end at %d, blob holds %d bytes", symOff[numSyms], len(blob)))
-	}
-	blobStr := string(blob)
-	names := make([]string, numSyms)
-	for i := range names {
-		names[i] = blobStr[symOff[i]:symOff[i+1]]
 	}
 
 	sections := []struct {
@@ -320,6 +330,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		{secIn, numEdges, 8},
 		{secClassOff, numSyms + 1, 4},
 		{secClasses, numNodes, 4},
+		{secSymDir, numSyms, 4},
 	}
 	for _, s := range sections {
 		if _, err := checkLen(s.id, s.elems, s.elemSize); err != nil {
@@ -328,7 +339,9 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 
 	f := graph.Flat{
-		Names:     names,
+		SymBlob:   blob,
+		SymOff:    symOff,
+		SymDir:    viewOf[graph.Sym](secs[secSymDir], numSyms),
 		Labels:    viewOf[graph.Sym](secs[secLabels], numNodes),
 		AttrOff:   viewOf[int32](secs[secAttrOff], numNodes+1),
 		AttrPairs: viewOf[graph.AttrPair](secs[secAttrPairs], numPairs),
@@ -359,7 +372,7 @@ type body struct {
 // check verifies the section's checksum.
 func (s body) check() error {
 	if got := crc32.Checksum(s.b, castagnoli); got != s.crc {
-		return corruptf("section %d checksum mismatch (%#x != %#x)", s.id, got, s.crc)
+		return corruptf("section %d (%s) checksum mismatch (%#x != %#x)", s.id, secNames[s.id], got, s.crc)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -251,6 +252,7 @@ const (
 	secLabels  = 4
 	secOutOff  = 7
 	secOut     = 8
+	secSymDir  = 13
 )
 
 // TestDecodeCorruption walks the corruption taxonomy: every class must
@@ -289,10 +291,11 @@ func TestDecodeCorruption(t *testing.T) {
 		})
 	})
 	t.Run("version skew", func(t *testing.T) {
-		// Format 1 sorted adjacency by (label, neighbour) alone: its files
-		// are a version this build does not read, not corrupt ones.
+		// Format 1 sorted adjacency by (label, neighbour) alone and format
+		// 2 had no symbol directory: their files are a version this build
+		// does not read, not corrupt ones.
 		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
-			for _, v := range []uint32{1, 99} {
+			for _, v := range []uint32{1, 2, 99} {
 				c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], v) })
 				mustDecodeErr(t, c, store.ErrVersion)
 			}
@@ -360,7 +363,7 @@ func TestDecodeCorruption(t *testing.T) {
 		// padding and the decode result must equal the pristine one.
 		each(t, func(t *testing.T, g *graph.Graph, good []byte) {
 			want := g.Freeze()
-			start := 16 + 12*32 + 4
+			start := 16 + 13*32 + 4
 			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
 				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
 				s, err := decodeEach(t, c)
@@ -390,7 +393,7 @@ func TestDecodeCorruption(t *testing.T) {
 			// Sampled flips across the body: the structural check alone
 			// decides, so its error (or acceptance) is what decodeEach
 			// compares across worker counts.
-			start := 16 + 12*32 + 4
+			start := 16 + 13*32 + 4
 			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
 				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
 				if _, err := decodeEach(t, c, store.SkipChecksums()); err != nil && !errors.Is(err, store.ErrCorrupt) {
@@ -431,32 +434,59 @@ func TestDecodeCorruption(t *testing.T) {
 		})
 	})
 	// The symbol table must stay a bijection from names to dense codes
-	// with the wildcard at code 0. With SkipChecksums the structural check
+	// with the wildcard at code 0, and its directory must list the codes
+	// in bytewise name order. With SkipChecksums the structural check
 	// alone must catch a table that breaks either; with checksums on, the
 	// section checksum is reported first.
-	symbolCase := func(t *testing.T, good []byte, mutate func(names [][]byte), want string) {
-		c := corrupt(good, func(b []byte) {
-			blob, _ := section(t, b, secSymBlob)
-			offs, ln := section(t, b, secSymOff)
-			names := make([][]byte, ln/4-1)
-			for i := range names {
-				lo := binary.LittleEndian.Uint32(b[offs+4*i:])
-				hi := binary.LittleEndian.Uint32(b[offs+4*i+4:])
-				names[i] = b[blob+int(lo) : blob+int(hi)]
-			}
-			mutate(names)
-		})
+	symbolCase := func(t *testing.T, c []byte, want string) {
 		err := mustDecodeErr(t, c, store.ErrCorrupt, store.SkipChecksums())
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q, want the symbol check's %q", err, want)
 		}
-		if err := mustDecodeErr(t, c, store.ErrCorrupt); !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("error %q, want the section checksum's", err)
+		if err := mustDecodeErr(t, c, store.ErrCorrupt); !strings.Contains(err.Error(), "checksum mismatch") || !strings.Contains(err.Error(), "symbol") {
+			t.Fatalf("error %q, want a symbol section's checksum's", err)
 		}
+	}
+	// names edits the names in place, then rewrites the directory as a
+	// writer would for the edited names: their codes, stably sorted.
+	names := func(t *testing.T, good []byte, mutate func(names [][]byte)) []byte {
+		return corrupt(good, func(b []byte) {
+			blob, _ := section(t, b, secSymBlob)
+			offs, ln := section(t, b, secSymOff)
+			ns := make([][]byte, ln/4-1)
+			for i := range ns {
+				lo := binary.LittleEndian.Uint32(b[offs+4*i:])
+				hi := binary.LittleEndian.Uint32(b[offs+4*i+4:])
+				ns[i] = b[blob+int(lo) : blob+int(hi)]
+			}
+			mutate(ns)
+			dir := make([]int, len(ns))
+			for i := range dir {
+				dir[i] = i
+			}
+			slices.SortStableFunc(dir, func(x, y int) int { return bytes.Compare(ns[x], ns[y]) })
+			d, _ := section(t, b, secSymDir)
+			for i, c := range dir {
+				binary.LittleEndian.PutUint32(b[d+4*i:], uint32(c))
+			}
+		})
+	}
+	// dir edits the directory alone; entries are i32 codes.
+	dir := func(t *testing.T, good []byte, mutate func(dir []int32) []int32) []byte {
+		return corrupt(good, func(b []byte) {
+			d, ln := section(t, b, secSymDir)
+			codes := make([]int32, ln/4)
+			for i := range codes {
+				codes[i] = int32(binary.LittleEndian.Uint32(b[d+4*i:]))
+			}
+			for i, c := range mutate(codes) {
+				binary.LittleEndian.PutUint32(b[d+4*i:], uint32(c))
+			}
+		})
 	}
 	t.Run("duplicate symbol", func(t *testing.T) {
 		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
-			symbolCase(t, good, func(names [][]byte) {
+			c := names(t, good, func(names [][]byte) {
 				// Overwrite the last name with an earlier one of its length.
 				last := names[len(names)-1]
 				for _, n := range names[1 : len(names)-1] {
@@ -466,12 +496,57 @@ func TestDecodeCorruption(t *testing.T) {
 					}
 				}
 				t.Fatal("no two names of equal length")
-			}, "duplicate symbol")
+			})
+			symbolCase(t, c, "duplicate symbol")
 		})
 	})
 	t.Run("wildcard not first", func(t *testing.T) {
 		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
-			symbolCase(t, good, func(names [][]byte) { names[0][0] = '*' }, "wildcard")
+			symbolCase(t, names(t, good, func(names [][]byte) { names[0][0] = '*' }), "wildcard")
+		})
+	})
+	t.Run("symbol directory mis-sorted", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := dir(t, good, func(d []int32) []int32 { d[3], d[4] = d[4], d[3]; return d })
+			symbolCase(t, c, "symbol directory not in name order at 4")
+		})
+	})
+	t.Run("symbol directory repeats a code", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := dir(t, good, func(d []int32) []int32 { d[len(d)-1] = d[len(d)-2]; return d })
+			symbolCase(t, c, "symbol directory repeats code")
+		})
+	})
+	t.Run("symbol directory code out of range", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for _, code := range []int32{-1, int32(len(good)), 1 << 30} {
+				c := dir(t, good, func(d []int32) []int32 { d[len(d)/2] = code; return d })
+				symbolCase(t, c, "symbol directory entry")
+			}
+		})
+	})
+	t.Run("symbol directory of the wrong length", func(t *testing.T) {
+		// The section table claims one code fewer (or more: the following
+		// padding or end of file) than meta's symbol count; the header is
+		// re-signed so the length check, not the header checksum, decides.
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for _, delta := range []int{-4, 4} {
+				c := corrupt(good, func(b []byte) {
+					count := int(binary.LittleEndian.Uint32(b[12:16]))
+					for i := 0; i < count; i++ {
+						e := b[16+i*32:]
+						if binary.LittleEndian.Uint32(e[0:4]) == secSymDir {
+							binary.LittleEndian.PutUint64(e[16:24], uint64(int(binary.LittleEndian.Uint64(e[16:24]))+delta))
+						}
+					}
+					end := 16 + count*32
+					binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[:end], crc32.MakeTable(crc32.Castagnoli)))
+				})
+				if delta > 0 {
+					c = append(c, 0, 0, 0, 0) // the longer section must stay inside the file
+				}
+				symbolCase(t, c, "section 13 (symbol directory) is")
+			}
 		})
 	})
 }
@@ -738,5 +813,28 @@ func TestCompactedOverlayRoundTrip(t *testing.T) {
 			}
 			sameByNames(t, back, want)
 		})
+	}
+}
+
+// TestDecodeFormat2Fixture: a file written by a format-2 build (no symbol
+// directory; testdata/v2.gfds, a three-node graph) is a version this build
+// does not read, not a corrupt file, through Decode and Open alike.
+func TestDecodeFormat2Fixture(t *testing.T) {
+	path := filepath.Join("testdata", "v2.gfds")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != 2 {
+		t.Fatalf("fixture is format %d, want 2", v)
+	}
+	for _, opts := range [][]store.Option{nil, {store.SkipChecksums()}} {
+		_, err := store.Decode(data, opts...)
+		if !errors.Is(err, store.ErrVersion) || errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("Decode(format 2) = %v, want ErrVersion and not ErrCorrupt", err)
+		}
+	}
+	if _, err := store.Open(context.Background(), path); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("Open(format 2) = %v, want ErrVersion", err)
 	}
 }
