@@ -181,8 +181,8 @@ func TestGuardMatchesSatisfiesX(t *testing.T) {
 	}
 }
 
-// TestLiteralProgramAttrIndex pins the mutable-index path (an overlay's
-// attribute index, what the incremental detector evaluates against) to the
+// TestLiteralProgramAttrIndex pins the patched-tuple path (an overlay's
+// view, what the incremental detector evaluates against) to the
 // oracle on a directly mutated twin, across attribute mutations that introduce previously-unseen values — including a rule
 // constant that only starts occurring after compilation, the case
 // InternLiterals exists for.

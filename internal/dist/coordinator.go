@@ -347,6 +347,9 @@ func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(valid
 		switch typ {
 		case fVio:
 			m, err := decodeVio(payload)
+			if err == nil {
+				err = f.checkMatches(m.vios)
+			}
 			if err != nil || m.unit != ui {
 				return f.lost(p, ui, fmt.Errorf("violations out of protocol (unit %d, head of window %d): %v", m.unit, ui, err))
 			}
@@ -438,6 +441,19 @@ func (f *fleet) read(p *proc, limit time.Time) (byte, []byte, error) {
 	}
 	p.stdout.SetReadDeadline(limit)
 	return p.fr.read()
+}
+
+// checkMatches rejects a violation whose match names a node at or past
+// the graph's node count: no worker of a well-formed run reports one.
+func (f *fleet) checkMatches(vios []validate.Violation) error {
+	for _, v := range vios {
+		for _, id := range v.Match {
+			if !inShard(id, f.manifest.NumNodes) {
+				return fmt.Errorf("rule %s matches node %d of a %d-node graph", v.Rule, id, f.manifest.NumNodes)
+			}
+		}
+	}
+	return nil
 }
 
 // lost reaps p's process and converts its end into the slot-death error the

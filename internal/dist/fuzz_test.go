@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
 	"gfd/internal/core"
+	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
 
@@ -34,6 +36,12 @@ func FuzzWireDecode(f *testing.F) {
 	// bound past what an int32 class position can hold.
 	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 1}}))
 	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 2, Ranges: []validate.Range{{Lo: 0, Hi: 1 << 40}}}}))
+	// Node IDs past what a NodeID holds: a negative ID travels as a u64
+	// above MaxInt32, in a halo node, a halo edge and a match.
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: -1}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: 8, out: []haloEdge{{to: -1 << 31, label: "e"}}}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: 8, in: []haloEdge{{to: 9, label: "e"}, {to: -7, label: "f"}}}}}))
+	f.Add(encodeVio(nil, vioMsg{unit: 3, vios: []validate.Violation{{Rule: "r", Match: core.Match{1, -1, 3}}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, elems int, err error) {
@@ -48,16 +56,27 @@ func FuzzWireDecode(f *testing.F) {
 		check("hello", len(h.shardPath)+len(h.rules), err)
 		_, err = decodeReady(data)
 		check("ready", 0, err)
+		// A decoded node ID is never negative: past MaxInt32 is an error.
+		checkIDs := func(what string, err error, ids ...graph.NodeID) {
+			if err == nil && slices.ContainsFunc(ids, func(id graph.NodeID) bool { return id < 0 }) {
+				t.Fatalf("%s: decoded a negative node ID from %x", what, data)
+			}
+		}
 		a, err := decodeAssign(data)
 		elems := len(a.unit.Ranges) + len(a.halo)
 		for _, hn := range a.halo {
 			elems += len(hn.attrs) + len(hn.out) + len(hn.in)
+			checkIDs("assign", err, hn.id)
+			for _, e := range append(hn.out, hn.in...) {
+				checkIDs("assign", err, e.to)
+			}
 		}
 		check("assign", elems, err)
 		v, err := decodeVio(data)
 		elems = len(v.vios)
 		for _, vio := range v.vios {
 			elems += len(vio.Match)
+			checkIDs("vio", err, vio.Match...)
 		}
 		check("vio", elems, err)
 		_, err = decodeDone(data)

@@ -16,6 +16,7 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
+	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
 
@@ -140,5 +141,57 @@ func TestWorkerRejectsBadChunk(t *testing.T) {
 	}
 	if c := res.Completeness; c.WorkerDeaths != 1 || !c.Complete() {
 		t.Fatalf("malformed chunk: census %+v, want one death and a complete run", c)
+	}
+}
+
+// TestWorkerRejectsBadHalo: an ASSIGN whose halo names a node outside the
+// worker's shard — past its node count, or past what a NodeID holds — ends
+// the worker with exitProtocol and a message after its READY, not with a
+// panic in the overlay.
+func TestWorkerRejectsBadHalo(t *testing.T) {
+	f := setup(t)
+	plan := fixturePlan(t, f)
+	unit := plan.Unit(busyQueue(0)[0])
+	h := helloFor(t, f, plan, protoVersion)
+	n := graph.NodeID(h.numNodes)
+	for name, c := range map[string]struct {
+		halo []haloNode
+		want string
+	}{
+		"node past the shard":    {[]haloNode{{id: n, attrs: [][2]string{{"val", "x"}}}}, "outside the shard"},
+		"edge past the shard":    {[]haloNode{{id: 0, out: []haloEdge{{to: n + 5, label: "e"}}}}, "outside the shard"},
+		"in-edge past the shard": {[]haloNode{{id: 0, in: []haloEdge{{to: n, label: "e"}}}}, "outside the shard"},
+		"negative node":          {[]haloNode{{id: -1}}, "node ID out of range"},
+	} {
+		stdin := frames(t,
+			func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) },
+			func(fw *frameWriter) error {
+				return fw.write(fAssign, encodeAssign(nil, assignMsg{unit: unit, halo: c.halo}))
+			})
+		var stdout, stderr bytes.Buffer
+		if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
+			t.Fatalf("%s: worker exited %d, want %d (%s)", name, code, exitProtocol, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Fatalf("%s: stderr %q does not say %q", name, stderr.String(), c.want)
+		}
+		fr := &frameReader{r: bufio.NewReader(&stdout)}
+		if typ, _, err := fr.read(); err != nil || typ != fReady {
+			t.Fatalf("%s: worker wrote frame %d (%v) first, want READY", name, typ, err)
+		}
+	}
+}
+
+// TestCoordinatorRejectsMatchPastGraph: a VIO whose match names a node at
+// or past the graph's node count is out of protocol.
+func TestCoordinatorRejectsMatchPastGraph(t *testing.T) {
+	fl := &fleet{manifest: &Manifest{NumNodes: 10}}
+	if err := fl.checkMatches([]validate.Violation{{Rule: "r", Match: core.Match{0, 9}}}); err != nil {
+		t.Fatalf("a match inside the graph: %v", err)
+	}
+	for _, id := range []graph.NodeID{10, 11, -1} {
+		if err := fl.checkMatches([]validate.Violation{{Rule: "r", Match: core.Match{0, id}}}); err == nil {
+			t.Errorf("a match naming node %d of a 10-node graph passed", id)
+		}
 	}
 }

@@ -78,6 +78,14 @@ func (r *rbuf) fail(what string) {
 	}
 }
 
+// outOfRange records a field that parsed but holds no value its type
+// allows.
+func (r *rbuf) outOfRange(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s out of range at offset %d", errMalformed, what, r.off)
+	}
+}
+
 func (r *rbuf) u8() byte {
 	if r.err != nil || r.off+1 > len(r.b) {
 		r.fail("u8")
@@ -109,6 +117,21 @@ func (r *rbuf) u64() uint64 {
 }
 
 func (r *rbuf) i64() int64 { return int64(r.u64()) }
+
+// node reads a node ID: a u64 past what a graph.NodeID holds is a decode
+// error, never a truncated ID. Whether the ID names a node of the shard is
+// the reader's check.
+func (r *rbuf) node() graph.NodeID {
+	v := r.u64()
+	if v > math.MaxInt32 {
+		r.outOfRange("node ID")
+		return 0
+	}
+	return graph.NodeID(v)
+}
+
+// inShard reports whether v names one of a graph's n nodes.
+func inShard(v graph.NodeID, n int) bool { return uint(v) < uint(n) }
 
 func (r *rbuf) str() string {
 	n := int(r.u32())
@@ -383,9 +406,10 @@ func encodeAssign(dst []byte, m assignMsg) []byte {
 	return w.b
 }
 
-// decodeAssign parses an ASSIGN. Range bounds arrive as u64 and are kept
-// only when they fit an int; whether they fit the class is the worker's
-// check (validate.UnitRunner.Run), against its own shard.
+// decodeAssign parses an ASSIGN. Range bounds and node IDs arrive as u64
+// and are kept only when they fit an int32; whether they fit the class or
+// the shard is the worker's check (validate.UnitRunner.Run, applyHalo),
+// against its own shard.
 func decodeAssign(b []byte) (assignMsg, error) {
 	r := rbuf{b: b}
 	var m assignMsg
@@ -399,7 +423,7 @@ func decodeAssign(b []byte) (assignMsg, error) {
 	for i := range m.unit.Ranges {
 		lo, hi := r.u64(), r.u64()
 		if lo > math.MaxInt32 || hi > math.MaxInt32 {
-			r.fail("range")
+			r.outOfRange("range bound")
 		}
 		m.unit.Ranges[i] = validate.Range{Lo: int(lo), Hi: int(hi)}
 	}
@@ -407,7 +431,7 @@ func decodeAssign(b []byte) (assignMsg, error) {
 	m.halo = make([]haloNode, 0, nh)
 	for i := 0; i < nh && r.err == nil; i++ {
 		var h haloNode
-		h.id = graph.NodeID(r.u64())
+		h.id = r.node()
 		na := r.count(8)
 		h.attrs = make([][2]string, na)
 		for j := range h.attrs {
@@ -417,12 +441,12 @@ func decodeAssign(b []byte) (assignMsg, error) {
 		no := r.count(12)
 		h.out = make([]haloEdge, no)
 		for j := range h.out {
-			h.out[j] = haloEdge{to: graph.NodeID(r.u64()), label: r.str()}
+			h.out[j] = haloEdge{to: r.node(), label: r.str()}
 		}
 		ni := r.count(12)
 		h.in = make([]haloEdge, ni)
 		for j := range h.in {
-			h.in[j] = haloEdge{to: graph.NodeID(r.u64()), label: r.str()}
+			h.in[j] = haloEdge{to: r.node(), label: r.str()}
 		}
 		m.halo = append(m.halo, h)
 	}
@@ -448,6 +472,9 @@ func encodeVio(dst []byte, m vioMsg) []byte {
 	return w.b
 }
 
+// decodeVio parses a VIO. Match IDs are decoded as decodeAssign decodes
+// node IDs; whether they name nodes of the graph is the coordinator's
+// check.
 func decodeVio(b []byte) (vioMsg, error) {
 	r := rbuf{b: b}
 	var m vioMsg
@@ -460,7 +487,7 @@ func decodeVio(b []byte) (vioMsg, error) {
 		nm := r.count(8)
 		v.Match = make(core.Match, nm)
 		for j := range v.Match {
-			v.Match[j] = graph.NodeID(r.u64())
+			v.Match[j] = r.node()
 		}
 		m.vios = append(m.vios, v)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -261,8 +262,16 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 // patch and never copy the mapped shard onto the heap.
 // Edges already present — because the other endpoint is owned, or because
 // an earlier unit's halo introduced them — are skipped via HasEdge, so
-// re-shipment after respawn stays idempotent.
+// re-shipment after respawn stays idempotent. A halo that names a node
+// outside the shard is out of protocol: it fails before any write.
 func applyHalo(ov *graph.Overlay, halo []haloNode) error {
+	n := ov.NumNodes()
+	outside := func(e haloEdge) bool { return !inShard(e.to, n) }
+	for _, h := range halo {
+		if !inShard(h.id, n) || slices.ContainsFunc(h.out, outside) || slices.ContainsFunc(h.in, outside) {
+			return fmt.Errorf("halo node %d names a node outside the shard's %d", h.id, n)
+		}
+	}
 	syms := ov.Syms()
 	for _, h := range halo {
 		for _, kv := range h.attrs {

@@ -89,48 +89,6 @@ func TestEpochSetBasics(t *testing.T) {
 	}
 }
 
-// TestAttrIndexMatchesGraph pins attrIndex lookups (and their evolution
-// under SetAttr/AddNode, copy-on-write over the borrowed arena) to
-// Graph.Attr, via string round-trips through the snapshot's table.
-func TestAttrIndexMatchesGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	names := []string{"val", "x", "y", "zz"}
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(12)
-		g := randomTestGraph(rng, n, n)
-		ix := newAttrIndexOver(g.Freeze())
-		check := func(stage string) {
-			for v := 0; v < g.NumNodes(); v++ {
-				for _, a := range names {
-					want, wantOK := g.Attr(NodeID(v), a)
-					sym, symOK := lookupAttr(ix.pairs[v], ix.syms.Lookup(a))
-					if symOK != wantOK {
-						t.Fatalf("%s: node %d attr %q presence index=%v graph=%v", stage, v, a, symOK, wantOK)
-					}
-					if wantOK && ix.syms.Name(sym) != want {
-						t.Fatalf("%s: node %d attr %q = %q, want %q", stage, v, a, ix.syms.Name(sym), want)
-					}
-				}
-			}
-		}
-		check("initial")
-		for u := 0; u < 15; u++ {
-			if rng.Intn(4) == 0 {
-				attrs := Attrs{names[rng.Intn(len(names))]: fmt.Sprintf("new%d", rng.Intn(3))}
-				g.AddNode("a", attrs)
-				ix.AddNode(attrs)
-			} else {
-				v := NodeID(rng.Intn(g.NumNodes()))
-				a := names[rng.Intn(len(names))]
-				val := fmt.Sprintf("v%d", rng.Intn(6))
-				g.SetAttr(v, a, val)
-				ix.SetAttr(v, a, val)
-			}
-		}
-		check("after-mutation")
-	}
-}
-
 // TestSnapshotAttrArena exercises the interned arena directly, including
 // an attribute name that collides with a node label (its Sym code is out
 // of lexicographic order relative to other attribute names, so the

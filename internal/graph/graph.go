@@ -390,10 +390,13 @@ func (g *Graph) Labels() []string {
 // LabelCount returns the number of nodes carrying label l.
 func (g *Graph) LabelCount(l string) int { return len(g.NodesWithLabel(l)) }
 
-// HasEdge reports whether a from -[label]-> to edge exists. A wildcard match
-// on the label is not performed here; see package match for pattern
-// semantics.
+// HasEdge reports whether a from -[label]-> to edge exists; an endpoint
+// outside the graph has none. A wildcard match on the label is not
+// performed here; see package match for pattern semantics.
 func (g *Graph) HasEdge(from, to NodeID, label string) bool {
+	if n := uint(g.NumNodes()); uint(from) >= n || uint(to) >= n {
+		return false
+	}
 	if s := g.sealed.Load(); s != nil {
 		// A scan, not Snapshot.HasEdge: "_" interns to WildcardSym, which
 		// the snapshot reads as any label, and here it is a label of its
@@ -419,8 +422,12 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 }
 
 // HasEdgeAnyLabel reports whether any from -> to edge exists regardless of
-// its label (wildcard edge label in a pattern).
+// its label (wildcard edge label in a pattern); an endpoint outside the
+// graph has none.
 func (g *Graph) HasEdgeAnyLabel(from, to NodeID) bool {
+	if n := uint(g.NumNodes()); uint(from) >= n || uint(to) >= n {
+		return false
+	}
 	if s := g.sealed.Load(); s != nil {
 		return s.HasEdge(from, to, WildcardSym)
 	}

@@ -28,13 +28,8 @@ func (s *Snapshot) Heavy() []NodeID {
 	for _, v := range s.heavy {
 		top.offer(v, s.OutDegree(v)+s.InDegree(v))
 	}
-	for v := range s.patch.out {
+	for _, v := range s.patch.touched {
 		if !slices.Contains(s.heavy, v) {
-			top.offer(v, s.OutDegree(v)+s.InDegree(v))
-		}
-	}
-	for v := range s.patch.in {
-		if _, seen := s.patch.out[v]; !seen && !slices.Contains(s.heavy, v) {
 			top.offer(v, s.OutDegree(v)+s.InDegree(v))
 		}
 	}

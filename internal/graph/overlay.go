@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -21,16 +22,20 @@ import (
 // so the overlay stays synced and no write rebuilds the graph. Update cost
 // is bounded by the delta, never by the graph.
 //
-// Representation: adjacency of a touched node is copied out of the base
-// CSR on first touch and maintained (label, neighbor label, neighbor)-sorted
-// in place, so OutWithNbr/InWithNbr runs and HasEdge binary searches work
-// exactly as on a frozen snapshot; untouched nodes read straight from the
-// base arrays.
-// Nodes inserted after the freeze get label and class-range fixups
-// (per-label candidate classes grown incrementally, kept ascending because
-// new IDs are always larger than frozen ones). Attributes ride on an index
-// of per-node pairs that borrows the base snapshot's interned arena
-// copy-on-write.
+// Representation: the patch gives every node three dense int32 slots,
+// indexed by NodeID — out, in and attribute tuple. Slot 0 reads the base
+// arrays (nothing, for a node inserted after the freeze); slot k reads the
+// k-th list the patch copied. A node's adjacency in one direction is
+// copied out of the base CSR on its first touch and kept (label, neighbor
+// label, neighbor)-sorted in place, so OutWithNbr/InWithNbr runs and
+// HasEdge binary searches work exactly as on a frozen snapshot; its tuple
+// is copied out of the base arena on its first attribute write. A read of
+// a node no update touched — most of them — is one slot load beside the
+// base read, with no hash. The slots cost 12 bytes per node, allocated
+// when the overlay starts; the patch also lists the nodes it touched, which
+// Heavy re-ranks. Nodes inserted after the freeze get label and
+// class-range fixups (per-label candidate classes grown incrementally,
+// kept ascending because new IDs are always larger than frozen ones).
 //
 // The overlay interns new labels and attribute values into the base
 // snapshot's own symbol table. Codes only ever grow, so artifacts compiled
@@ -98,13 +103,7 @@ func (g *Graph) startOverlay() *Overlay {
 		outOff: base.outOff, out: base.out, inOff: base.inOff, in: base.in,
 		classOff: base.classOff, classes: base.classes,
 		heavy: base.heavy,
-		patch: &patch{
-			out:     make(map[NodeID][]CSREdge),
-			in:      make(map[NodeID][]CSREdge),
-			classes: make(map[Sym][]NodeID),
-			attrs:   newAttrIndexOver(base),
-			version: g.Version(),
-		},
+		patch: newPatch(base, g.Version()),
 	}
 	o := &Overlay{Snapshot: view, base: base}
 	g.live.Store(o)
@@ -174,7 +173,13 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	}
 	id := NodeID(o.NumNodes())
 	p := o.patch
-	p.attrs.AddNode(attrs)
+	var slot int32
+	if len(attrs) > 0 {
+		p.tuples = append(p.tuples, o.internTuple(attrs))
+		slot = int32(len(p.tuples) - 1)
+	}
+	p.outSlot, p.inSlot = append(p.outSlot, 0), append(p.inSlot, 0)
+	p.attrSlot = append(p.attrSlot, slot)
 	l := o.syms.Intern(label)
 	p.labels = append(p.labels, l)
 	// Extend the merged candidate class; seeded from the base range on the
@@ -202,8 +207,8 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 	}
 	l := o.syms.Intern(label)
 	p := o.patch
-	p.out[from] = o.insertSorted(o.adjacency(p.out, from, o.outOff, o.out), CSREdge{To: to, Label: l})
-	p.in[to] = o.insertSorted(o.adjacency(p.in, to, o.inOff, o.in), CSREdge{To: from, Label: l})
+	o.insertSorted(o.touch(p.outSlot, from, o.outOff, o.out), CSREdge{To: to, Label: l})
+	o.insertSorted(o.touch(p.inSlot, to, o.inOff, o.in), CSREdge{To: from, Label: l})
 	p.edges++
 	// One unit per edge, matching the |V|+|E| denominator of
 	// deltaFraction — counting both half-edge patches would silently
@@ -220,9 +225,9 @@ func (o *Overlay) MustAddEdge(from, to NodeID, label string) {
 	}
 }
 
-// SetAttr upserts attribute a = val on node v in the attribute index. It
-// panics on a node outside the view and with ErrStaleOverlay on a
-// desynchronized overlay.
+// SetAttr upserts attribute a = val on node v, interning both; v's tuple
+// is copied out of the base arena on its first write. It panics on a node
+// outside the view and with ErrStaleOverlay on a desynchronized overlay.
 func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	if !o.Synced() {
 		panic(ErrStaleOverlay)
@@ -230,38 +235,74 @@ func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	if v < 0 || int(v) >= o.NumNodes() {
 		panic(fmt.Sprintf("graph: SetAttr on missing node %d", v))
 	}
-	o.patch.attrs.SetAttr(v, a, val)
+	p := o.patch
+	name, sym := o.syms.Intern(a), o.syms.Intern(val)
+	k := p.attrSlot[v]
+	if k == 0 {
+		p.tuples = append(p.tuples, slices.Clone(o.AttrPairs(v)))
+		k = int32(len(p.tuples) - 1)
+		p.attrSlot[v] = k
+	}
+	ps := p.tuples[k]
+	pos := sort.Search(len(ps), func(i int) bool { return ps[i].Name >= name })
+	if pos < len(ps) && ps[pos].Name == name {
+		ps[pos].Val = sym
+	} else {
+		p.tuples[k] = slices.Insert(ps, pos, AttrPair{Name: name, Val: sym})
+	}
 	o.delta++
-	o.patch.version = o.g.readThrough(o.Snapshot)
+	p.version = o.g.readThrough(o.Snapshot)
 }
 
-// adjacency returns the mutable adjacency slice of v for one direction:
-// the existing patch, or a fresh copy of the base range on first touch.
-func (o *Overlay) adjacency(p map[NodeID][]CSREdge, v NodeID, off []int32, arena []CSREdge) []CSREdge {
-	if es, ok := p[v]; ok {
-		return es
+// internTuple interns an inserted node's attributes, names in string
+// order so the codes minted do not depend on map order, and returns them
+// as a tuple sorted by name code.
+func (o *Overlay) internTuple(a Attrs) []AttrPair {
+	keys := make([]string, 0, len(a))
+	for k := range a {
+		keys = append(keys, k)
 	}
-	if int(v) < o.base.NumNodes() {
+	slices.Sort(keys)
+	ps := make([]AttrPair, 0, len(keys))
+	for _, k := range keys {
+		ps = append(ps, AttrPair{Name: o.syms.Intern(k), Val: o.syms.Intern(a[k])})
+	}
+	sortAttrPairs(ps)
+	return ps
+}
+
+// touch returns the slot of v's copied adjacency in one direction, copying
+// its base range into a fresh list on first touch (an inserted node starts
+// from an empty one) and recording v as touched.
+func (o *Overlay) touch(slots []int32, v NodeID, off []int32, arena []CSREdge) int32 {
+	if k := slots[v]; k != 0 {
+		return k
+	}
+	p := o.patch
+	if p.outSlot[v] == 0 && p.inSlot[v] == 0 {
+		p.touched = append(p.touched, v)
+	}
+	var es []CSREdge
+	if int(v) < len(o.labels) {
 		base := arena[off[v]:off[v+1]]
-		es := make([]CSREdge, len(base), len(base)+4)
-		copy(es, base)
-		return es
+		es = append(make([]CSREdge, 0, len(base)+4), base...)
 	}
-	return nil
+	p.lists = append(p.lists, es)
+	k := int32(len(p.lists) - 1)
+	slots[v] = k
+	return k
 }
 
-// insertSorted inserts e into its (Label, Label(To), To) position, reading
-// neighbour labels through the view, which also knows the nodes inserted
-// after the freeze. Duplicate triples are kept adjacent, mirroring the
-// graph's multi-edge behavior; the matcher collapses them like it does on a
-// frozen snapshot.
-func (o *Overlay) insertSorted(es []CSREdge, e CSREdge) []CSREdge {
+// insertSorted inserts e into its (Label, Label(To), To) position in list
+// k, reading neighbour labels through the view, which also knows the nodes
+// inserted after the freeze. Duplicate triples are kept adjacent, mirroring
+// the graph's multi-edge behavior; the matcher collapses them like it does
+// on a frozen snapshot.
+func (o *Overlay) insertSorted(k int32, e CSREdge) {
+	es := o.patch.lists[k]
 	nl := o.Label(e.To)
 	pos := sort.Search(len(es), func(i int) bool {
 		return compareCSR(es[i], o.Label(es[i].To), e, nl) >= 0
 	})
-	es = append(es, CSREdge{})
-	copy(es[pos+1:], es[pos:])
-	es[pos] = e
-	return es
+	o.patch.lists[k] = slices.Insert(es, pos, e)
 }

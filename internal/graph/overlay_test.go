@@ -192,6 +192,12 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 			}
 		}
 	}
+	// The heavy-node list: a view re-ranks its base list with the nodes it
+	// touched, which must give the list a fresh freeze records.
+	snap.recordHeavy()
+	if got, want := v.Heavy(), snap.Heavy(); !slices.Equal(got, want) {
+		t.Fatalf("Heavy: view %v, freeze %v", got, want)
+	}
 	// Candidate classes: same node sets, ascending, sizes consistent.
 	for _, label := range twin.Labels() {
 		ol, sl := osyms.Lookup(label), ssyms.Lookup(label)
@@ -307,6 +313,32 @@ func TestOverlayMirrorsUpdates(t *testing.T) {
 			// A late node of a label the first check already read: the view must
 			// not serve a class cached before it.
 			w.addNode("city", Attrs{"val": "late"})
+			// An inserted node with no edges and no attributes reads empty
+			// through its zero slots; nodes 2 and 5 are touched by SetAttr
+			// alone, node 0 in its out direction only, node 4 in its in
+			// direction only.
+			bare := w.addNode("person", nil)
+			w.setAttr(5, "pop", "1")
+			p := ov.patch
+			for _, c := range []struct {
+				v             NodeID
+				out, in, attr bool
+			}{
+				{bare, false, false, false},
+				{5, false, false, true},
+				{2, false, false, true},
+				{0, true, false, false},
+				{4, false, true, false},
+				{1, true, true, false},
+				{id, true, true, true},
+			} {
+				if got := [3]bool{p.outSlot[c.v] != 0, p.inSlot[c.v] != 0, p.attrSlot[c.v] != 0}; got != [3]bool{c.out, c.in, c.attr} {
+					t.Fatalf("node %d holds (out, in, attr) slots %v, want %v", c.v, got, [3]bool{c.out, c.in, c.attr})
+				}
+			}
+			if want := []NodeID{1, id, 4, 0}; !slices.Equal(p.touched, want) {
+				t.Fatalf("touched nodes %v, want %v", p.touched, want)
+			}
 			if !ov.Synced() {
 				t.Fatal("overlay must stay synced through its own mutators")
 			}
@@ -760,4 +792,173 @@ func FuzzOverlayPatch(f *testing.F) {
 			assertCompaction(t, w)
 		}
 	})
+}
+
+// TestOverlayAttrsMatchGraph pins a view's tuple reads (and their
+// evolution under SetAttr and AddNode, each tuple copied out of the base
+// arena on its first write) to Graph.Attr of a twin that took the same
+// writes, via string round-trips through the view's table.
+func TestOverlayAttrsMatchGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"val", "x", "y", "zz"}
+	for trial := 0; trial < 25; trial++ {
+		n := 4 + rng.Intn(12)
+		seed := rng.Int63()
+		g := randomTestGraph(rand.New(rand.NewSource(seed)), n, n)
+		twin := randomTestGraph(rand.New(rand.NewSource(seed)), n, n)
+		ov := NewOverlay(g)
+		check := func(stage string) {
+			for v := 0; v < twin.NumNodes(); v++ {
+				for _, a := range names {
+					want, wantOK := twin.Attr(NodeID(v), a)
+					sym, symOK := ov.AttrSym(NodeID(v), ov.Syms().Lookup(a))
+					if symOK != wantOK {
+						t.Fatalf("%s: node %d attr %q presence view=%v graph=%v", stage, v, a, symOK, wantOK)
+					}
+					if wantOK && ov.Syms().Name(sym) != want {
+						t.Fatalf("%s: node %d attr %q = %q, want %q", stage, v, a, ov.Syms().Name(sym), want)
+					}
+				}
+			}
+		}
+		check("initial")
+		for u := 0; u < 15; u++ {
+			switch rng.Intn(5) {
+			case 0:
+				attrs := Attrs{names[rng.Intn(len(names))]: fmt.Sprintf("new%d", rng.Intn(3))}
+				ov.AddNode("a", attrs.Clone())
+				twin.AddNode("a", attrs)
+			case 1:
+				ov.AddNode("b", nil)
+				twin.AddNode("b", nil)
+			default:
+				v := NodeID(rng.Intn(twin.NumNodes()))
+				a := names[rng.Intn(len(names))]
+				val := fmt.Sprintf("v%d", rng.Intn(6))
+				ov.SetAttr(v, a, val)
+				twin.SetAttr(v, a, val)
+			}
+		}
+		check("after-mutation")
+	}
+}
+
+// TestOverlayHeavyMatchesFreeze: a view's heavy-node list, re-ranked from
+// its base list and the nodes it touched, equals the list a fresh freeze
+// records, on a base with more nodes of degree at least heavyMin than the
+// list holds, under edges that lift frozen and inserted nodes into it.
+func TestOverlayHeavyMatchesFreeze(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		g := randomTestGraph(rand.New(rand.NewSource(seed)), 150, 900)
+		twin := randomTestGraph(rand.New(rand.NewSource(seed)), 150, 900)
+		w := twinStream{ov: NewOverlay(g), twin: twin}
+		if len(w.ov.Heavy()) != heavyListLen {
+			t.Fatalf("seed %d: base list holds %d nodes, want a full list of %d", seed, len(w.ov.Heavy()), heavyListLen)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		hub := w.addNode("a", nil)
+		for i := 0; i < 400; i++ {
+			n := w.ov.NumNodes()
+			from, to := NodeID(rng.Intn(n)), NodeID(rng.Intn(40))
+			if i%4 == 0 {
+				from = hub
+			}
+			w.addEdge(from, to, "b")
+		}
+		assertViewMatchesFreeze(t, w.ov.Snapshot, w.twin)
+		if !slices.Contains(w.ov.Heavy(), hub) {
+			t.Fatalf("seed %d: inserted hub of degree %d missing from %v", seed, w.ov.OutDegree(hub), w.ov.Heavy())
+		}
+	}
+}
+
+// TestHasEdgeOutsideView: an endpoint outside the graph, negative or past
+// the last node, has no edges, on a frozen snapshot, an overlay's patched
+// view and a sealed graph, for a concrete and the wildcard label.
+func TestHasEdgeOutsideView(t *testing.T) {
+	g := overlayBaseGraph()
+	frozen := g.Freeze()
+	ov := NewOverlay(overlayBaseGraph())
+	late := ov.AddNode("city", nil)
+	ov.MustAddEdge(0, late, "lives_in")
+	sealed := ov.Graph()
+	views := map[string]*Snapshot{"frozen": frozen, "patched": ov.Snapshot}
+	for name, s := range views {
+		l := s.Syms().Lookup("lives_in")
+		n := NodeID(s.NumNodes())
+		for _, c := range []struct{ from, to NodeID }{
+			{99, 1}, {1, 99}, {-1, 1}, {0, -1}, {n, 0}, {0, n}, {-1 << 31, 0},
+		} {
+			for _, label := range []Sym{l, WildcardSym} {
+				if s.HasEdge(c.from, c.to, label) {
+					t.Errorf("%s: HasEdge(%d, %d, %d) = true for an endpoint outside the view", name, c.from, c.to, label)
+				}
+			}
+		}
+		if !s.HasEdge(0, 1, l) || !s.HasEdge(0, 1, WildcardSym) {
+			t.Errorf("%s: HasEdge(0, 1) = false for an edge of the view", name)
+		}
+	}
+	for name, g := range map[string]*Graph{"building": g, "sealed": sealed} {
+		n := NodeID(g.NumNodes())
+		for _, c := range []struct{ from, to NodeID }{{-1, 1}, {1, -1}, {n, 0}, {0, n}, {99, 1}} {
+			if g.HasEdge(c.from, c.to, "lives_in") || g.HasEdgeAnyLabel(c.from, c.to) {
+				t.Errorf("%s graph: an edge (%d, %d) with an endpoint outside the graph", name, c.from, c.to)
+			}
+		}
+		if !g.HasEdge(0, 1, "lives_in") || !g.HasEdgeAnyLabel(0, 1) {
+			t.Errorf("%s graph: HasEdge(0, 1) = false for an edge of the graph", name)
+		}
+	}
+	if !sealed.Sealed() || !sealed.HasEdge(0, late, "lives_in") {
+		t.Fatal("the overlay's graph must be sealed and read its inserted edge")
+	}
+}
+
+// BenchmarkOverlayReads prices one Out, In or AttrPairs read, in ns per
+// read over every node in turn, on a frozen snapshot and on an overlay's
+// patched view of it whose updates touched a few thousand nodes (edges in
+// both directions, attribute writes, inserted nodes). It prints, it gates
+// nothing.
+func BenchmarkOverlayReads(b *testing.B) {
+	g := randomFreezeGraph(1, 20000)
+	base := g.Freeze()
+	ov := NewOverlay(g)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 3000; i++ {
+		n := ov.NumNodes()
+		switch i % 3 {
+		case 0:
+			ov.AddNode("person", Attrs{"val": fmt.Sprintf("u%d", i)})
+		case 1:
+			ov.MustAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), "knows")
+		default:
+			ov.SetAttr(NodeID(rng.Intn(n)), "val", fmt.Sprintf("s%d", i))
+		}
+	}
+	reads := map[string]func(s *Snapshot, v NodeID) int{
+		"out":   func(s *Snapshot, v NodeID) int { return len(s.Out(v)) },
+		"in":    func(s *Snapshot, v NodeID) int { return len(s.In(v)) },
+		"attrs": func(s *Snapshot, v NodeID) int { return len(s.AttrPairs(v)) },
+	}
+	for _, view := range []struct {
+		name string
+		s    *Snapshot
+	}{{"frozen", base}, {"view", ov.Snapshot}} {
+		for _, what := range []string{"out", "in", "attrs"} {
+			b.Run(view.name+"/"+what, func(b *testing.B) {
+				read, s, n := reads[what], view.s, view.s.NumNodes()
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					for v := 0; v < n; v++ {
+						sum += read(s, NodeID(v))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/read")
+				if sum < 0 {
+					b.Fatal("negative length")
+				}
+			})
+		}
+	}
 }

@@ -70,14 +70,36 @@ type Snapshot struct {
 	scratch sync.Pool // *EpochSet, reused across Neighborhood traversals
 }
 
-// patch is an Overlay's delta over the base arrays its view shares.
+// patch is an Overlay's delta over the base arrays its view shares. Each
+// node has one slot per direction and one for its tuple, indexed by
+// NodeID: 0 reads the base arrays (nothing, for a node inserted after the
+// freeze), k > 0 reads the k-th copied list. So a read of a node no update
+// touched costs one slot load beside the base read, never a hash.
 type patch struct {
-	out, in map[NodeID][]CSREdge // copy-on-write adjacency, (Label, Label(To), To)-sorted
-	labels  []Sym                // labels of nodes inserted after the freeze
-	classes map[Sym][]NodeID     // merged candidate classes for labels that gained nodes
-	attrs   *attrIndex           // attribute tuples, borrowing the base arena
-	edges   int                  // edges inserted after the freeze
-	version uint64               // graph version the patch reflects
+	outSlot, inSlot []int32          // per node: 0, or an index into lists
+	lists           [][]CSREdge      // copied adjacency, (Label, Label(To), To)-sorted; lists[0] is unused
+	attrSlot        []int32          // per node: 0, or an index into tuples
+	tuples          [][]AttrPair     // copied tuples, sorted by Name; tuples[0] is unused
+	touched         []NodeID         // nodes holding an out or in slot, in first-touch order
+	labels          []Sym            // labels of nodes inserted after the freeze
+	classes         map[Sym][]NodeID // merged candidate classes for labels that gained nodes
+	edges           int              // edges inserted after the freeze
+	version         uint64           // graph version the patch reflects
+}
+
+// newPatch returns the empty patch of a view over base at graph version
+// version: three zeroed slot arrays, no list copied.
+func newPatch(base *Snapshot, version uint64) *patch {
+	n := base.NumNodes()
+	return &patch{
+		outSlot:  make([]int32, n),
+		inSlot:   make([]int32, n),
+		attrSlot: make([]int32, n),
+		lists:    make([][]CSREdge, 1),
+		tuples:   make([][]AttrPair, 1),
+		classes:  make(map[Sym][]NodeID),
+		version:  version,
+	}
 }
 
 // Freeze returns the CSR snapshot of g, building it on first use and
@@ -401,16 +423,29 @@ func lookupAttr(ps []AttrPair, name Sym) (Sym, bool) {
 // Shared; read-only.
 func (s *Snapshot) AttrPairs(v NodeID) []AttrPair {
 	if s.patch != nil {
-		return s.patch.attrs.pairs[v]
+		return s.patchedAttrs(v)
 	}
 	return s.attrPairs[s.attrOff[v]:s.attrOff[v+1]]
+}
+
+// patchedAttrs is a view's tuple read: v's copied tuple when an update
+// wrote it, its base range otherwise, nothing for an inserted node that
+// carries no attribute.
+func (s *Snapshot) patchedAttrs(v NodeID) []AttrPair {
+	if k := s.patch.attrSlot[v]; k != 0 {
+		return s.patch.tuples[k]
+	}
+	if int(v) < len(s.labels) {
+		return s.attrPairs[s.attrOff[v]:s.attrOff[v+1]]
+	}
+	return nil
 }
 
 // Out returns v's out-adjacency range, sorted by (Label, Label(To), To).
 // Shared; read-only.
 func (s *Snapshot) Out(v NodeID) []CSREdge {
 	if s.patch != nil {
-		return s.patched(s.patch.out, v, s.outOff, s.out)
+		return s.patched(s.patch.outSlot, v, s.outOff, s.out)
 	}
 	return s.out[s.outOff[v]:s.outOff[v+1]]
 }
@@ -419,17 +454,17 @@ func (s *Snapshot) Out(v NodeID) []CSREdge {
 // sorted by (Label, Label(To), To). Shared; read-only.
 func (s *Snapshot) In(v NodeID) []CSREdge {
 	if s.patch != nil {
-		return s.patched(s.patch.in, v, s.inOff, s.in)
+		return s.patched(s.patch.inSlot, v, s.inOff, s.in)
 	}
 	return s.in[s.inOff[v]:s.inOff[v+1]]
 }
 
-// patched is a view's adjacency read for one direction: v's patch when an
-// update touched it, its base range otherwise, nothing for an inserted
-// node no edge reached yet.
-func (s *Snapshot) patched(p map[NodeID][]CSREdge, v NodeID, off []int32, arena []CSREdge) []CSREdge {
-	if es, ok := p[v]; ok {
-		return es
+// patched is a view's adjacency read for one direction: v's copied list
+// when an update touched it, its base range otherwise, nothing for an
+// inserted node no edge reached yet.
+func (s *Snapshot) patched(slots []int32, v NodeID, off []int32, arena []CSREdge) []CSREdge {
+	if k := slots[v]; k != 0 {
+		return s.patch.lists[k]
 	}
 	if int(v) < len(s.labels) {
 		return arena[off[v]:off[v+1]]
@@ -440,7 +475,7 @@ func (s *Snapshot) patched(p map[NodeID][]CSREdge, v NodeID, off []int32, arena 
 // OutDegree returns the number of out-edges of v.
 func (s *Snapshot) OutDegree(v NodeID) int {
 	if s.patch != nil {
-		return len(s.patched(s.patch.out, v, s.outOff, s.out))
+		return len(s.patched(s.patch.outSlot, v, s.outOff, s.out))
 	}
 	return int(s.outOff[v+1] - s.outOff[v])
 }
@@ -448,7 +483,7 @@ func (s *Snapshot) OutDegree(v NodeID) int {
 // InDegree returns the number of in-edges of v.
 func (s *Snapshot) InDegree(v NodeID) int {
 	if s.patch != nil {
-		return len(s.patched(s.patch.in, v, s.inOff, s.in))
+		return len(s.patched(s.patch.inSlot, v, s.inOff, s.in))
 	}
 	return int(s.inOff[v+1] - s.inOff[v])
 }
@@ -536,9 +571,10 @@ func (s *Snapshot) seekNbr(es []CSREdge, nl Sym, v NodeID) int {
 // matches any label. For a concrete label it bisects from's l group for
 // (Label(to), to); for the wildcard it scans the smaller endpoint range
 // (label groups make the neighbor column non-monotonic across the whole
-// range). A to outside the view has no edges.
+// range). An endpoint outside the view, negative IDs included, has no
+// edges.
 func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
-	if uint(to) >= uint(s.NumNodes()) {
+	if n := uint(s.NumNodes()); uint(from) >= n || uint(to) >= n {
 		return false
 	}
 	if l == WildcardSym {

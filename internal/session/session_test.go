@@ -322,7 +322,7 @@ func TestEmptySet(t *testing.T) {
 }
 
 // TestIncrementalIntegration: detectors built through the session share
-// one attribute index while mutations flow through Apply, updates
+// one live overlay while mutations flow through Apply, updates
 // invalidate the session's prepared sets, and both paths agree.
 func TestIncrementalIntegration(t *testing.T) {
 	ctx := context.Background()
