@@ -77,6 +77,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *workers < 1 {
+		fatal(fmt.Errorf("-n %d: the parallel engines need at least one worker", *workers))
+	}
 	engine, ok := engines[*mode]
 	if !ok {
 		fatal(fmt.Errorf("unknown mode %q", *mode))

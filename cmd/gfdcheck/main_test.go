@@ -3,11 +3,49 @@ package main
 import (
 	"context"
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"gfd"
 )
+
+// TestMain runs the command instead of the tests when runMain re-executes
+// the test binary with GFD_CLI_MAIN set, so a case goes through the real
+// flag parsing and exit path.
+func TestMain(m *testing.M) {
+	if os.Getenv("GFD_CLI_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs gfdcheck with args and returns its combined output and exit
+// status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GFD_CLI_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if _, exited := err.(*exec.ExitError); err != nil && !exited {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestRejectsWorkersBelowOne: the engines would run -n 0 or -n -1 with
+// their default worker count while gfdcheck reports the flag's value, so
+// the flag is refused as an input error (exit 2) before any file is read.
+func TestRejectsWorkersBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		out, code := runMain(t, "-graph", "missing.graph", "-rules", "missing.gfd", "-n", n)
+		if code != 2 || !strings.Contains(out, "-n "+n+":") {
+			t.Errorf("gfdcheck -n %s: exit %d, output %q; want exit 2 naming the flag", n, code, out)
+		}
+	}
+}
 
 // TestSnapshotVersionHint: a snapshot file of an older format fails to
 // open as gfd.ErrSnapshotVersion, and gfdcheck's message says how to

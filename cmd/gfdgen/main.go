@@ -51,6 +51,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *scale < 1 {
+		fatal(fmt.Errorf("-scale %d: a dataset needs at least one entity", *scale))
+	}
+	if *frags < 0 {
+		fatal(fmt.Errorf("-fragments %d: give a shard count, or 0 for none", *frags))
+	}
 	if *frags > 0 && *snap == "" {
 		fatal(fmt.Errorf("-fragments requires -snapshot (shards live next to the snapshot file)"))
 	}

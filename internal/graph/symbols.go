@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -58,16 +57,15 @@ const (
 // Names are found in one of two indexes. A table adopted from a persisted
 // image (AdoptFlat) carries a directory: its codes in bytewise name order,
 // checked at adoption and searched by binary search, so adopting a table
-// — every cold open — indexes no name. A rule set resolves the same few
-// labels and constants once per work unit, so such a table also remembers
-// the code each Lookup found, in a small fixed array slotted by the
-// query's hash and confirmed by comparing names. The first Intern that
-// grows the table indexes all of it once into a slot array: open
-// addressing with linear probing, hashed with hash/maphash under one
-// per-process seed, rehashed when it passes load ½, which the garbage
-// collector never scans. A table built by a freeze is hashed from the
-// start. Saving needs the directory of every code; it is rebuilt on
-// demand when it lags the table (see image).
+// — every cold open — indexes no name. Such a table answers each Lookup by
+// that search alone; lookups are few, since a rule set's names are lowered
+// once per graph version (rules, group patterns and pivots) or per matcher
+// plan, never per work unit. The first Intern that grows the table indexes
+// all of it once into a slot array: open addressing with linear probing,
+// hashed with hash/maphash under one per-process seed, rehashed when it
+// passes load ½, which the garbage collector never scans. A table built by
+// a freeze is hashed from the start. Saving needs the directory of every
+// code; it is rebuilt on demand when it lags the table (see image).
 type Symbols struct {
 	mu   sync.RWMutex
 	blob []byte
@@ -80,16 +78,7 @@ type Symbols struct {
 	// its length is a power of two at least 2·Len(). It is nil while the
 	// table is an unchanged adopted image, whose dir covers every code.
 	slots []Sym
-	// recent serves that image's Lookups of the few names a rule set
-	// resolves over and over (once per work unit): code+1 of the name a
-	// search last found at the query's slot, confirmed by comparing the
-	// name at that code before it is trusted.
-	recent [recentSlots]atomic.Int32
 }
-
-// recentSlots is the size of Symbols.recent: a power of two, a few times
-// the labels and constants of a rule set.
-const recentSlots = 128
 
 // symSeed hashes every table in the process: one seed keeps a name's slot
 // a pure function of the name and the slot count.
@@ -222,15 +211,7 @@ func (s *Symbols) Lookup(name string) Sym {
 	if s.slots != nil {
 		return s.view().code(name)
 	}
-	r := &s.recent[maphash.String(symSeed, name)&(recentSlots-1)]
-	if c := Sym(r.Load()) - 1; c >= 0 && nameAt(s.blob, s.off, c) == name {
-		return c
-	}
-	c := s.search(name)
-	if c != NoSym {
-		r.Store(int32(c) + 1)
-	}
-	return c
+	return s.search(name)
 }
 
 // Name returns the string a code was interned from.

@@ -11,10 +11,9 @@ import (
 // BenchmarkSymbolsLookup prices one Lookup on the symbol table of the
 // DBpedia-like scale-6000 graph (kb_cold_rep's) adopted from its flat
 // image, as a cold open adopts it: a hit on the unchanged table (every
-// name in turn, so each is a directory search), a hit among 32 names
-// looked up over and over (a rule set's labels and constants, answered
-// from the recent-answer slots), a hit on a name interned after adoption
-// (the table has grown and is hashed), and a miss on the unchanged table.
+// name in turn, each a directory search), a hit on a name interned after
+// adoption (the table has grown and is hashed), and a miss on the
+// unchanged table.
 // It prints, it gates nothing.
 func BenchmarkSymbolsLookup(b *testing.B) {
 	f, err := gen.DBpediaLike(gen.DatasetConfig{Scale: 6000, Seed: 1}).Freeze().Flat()
@@ -49,7 +48,6 @@ func BenchmarkSymbolsLookup(b *testing.B) {
 		hit   bool
 	}{
 		{"adopted-hit", adopt(), names, true},
-		{"adopted-recent-hit", adopt(), names[:32], true},
 		{"grown-tail-hit", grownSyms, grown, true},
 		{"miss", adopt(), absent, false},
 	} {

@@ -344,48 +344,3 @@ func TestSortByNameMatchesStringOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestAdoptedLookupRecent: an adopted, unchanged table answers Lookup
-// from its recent-answer slots. Names far outnumbering the slots, looked
-// up again and again from several goroutines (meaningful under -race),
-// with misses between them, must always get their own code: a slot
-// another name overwrote, or holds for a colliding name, is never
-// trusted without comparing the names.
-func TestAdoptedLookupRecent(t *testing.T) {
-	names := []string{"_"}
-	for i := 0; i < 8*recentSlots; i++ {
-		names = append(names, fmt.Sprintf("n%d", i))
-	}
-	syms := adoptSymbols(symImage(names))
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for op := 0; op < 20000; op++ {
-				i := rng.Intn(len(names))
-				if rng.Intn(4) == 0 {
-					i %= 16 // a hot set, as a rule set's labels are
-				}
-				if got := syms.Lookup(names[i]); got != Sym(i) {
-					errs <- fmt.Errorf("Lookup(%q) = %d, want %d", names[i], got, i)
-					return
-				}
-				if miss := fmt.Sprintf("m%d", i); syms.Lookup(miss) != NoSym {
-					errs <- fmt.Errorf("Lookup(%q) found an absent name", miss)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if syms.slots != nil {
-		t.Fatal("lookups hashed the adopted table's names")
-	}
-}

@@ -443,11 +443,15 @@ gfd seeded_new {
 
 // TestPivotStarsReadTheOverlay: a pivot candidate must have its whole
 // pattern star, so the star test must read the overlay's patched view, not
-// the frozen base. No person of the base is both a mayor and affiliated to
-// a party, so the rule has no candidate; one Apply adds the edge that
-// completes a mayor's star, under an edge label the base never interned,
-// and repVal and disVal over the overlay must report the new violation
-// without a re-freeze.
+// the frozen base, through a pivot lowered onto the table as it stands
+// after the update. No person of the base is both a mayor and affiliated
+// to a party, and the base has no governor, so neither rule has a
+// candidate. One Apply adds the edge that completes a mayor's star, under
+// an edge label the base never interned, and a governor whose party is
+// the seeded rule's constant: both the pivot's label and its filter
+// constant are new to the table. repVal and disVal over the overlay must
+// report both violations, as the sequential engine does, without a
+// re-freeze.
 func TestPivotStarsReadTheOverlay(t *testing.T) {
 	ctx := context.Background()
 	set, err := core.ParseRules(strings.NewReader(`
@@ -459,17 +463,25 @@ gfd mayor_party {
   edge p affiliated_to a
   then c.val = "nowhere"
 }
+
+gfd green_governor {
+  node x governor
+  node c city
+  edge x mayor_of c
+  when x.party = "green"
+  then c.val = "nowhere"
+}
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.New(0, 0)
-	var mayors, parties []graph.NodeID
+	var mayors, cities, parties []graph.NodeID
 	for i := 0; i < 30; i++ {
 		p := g.AddNode("person", graph.Attrs{"val": fmt.Sprintf("person_%d", i)})
 		c := g.AddNode("city", graph.Attrs{"val": fmt.Sprintf("city_%d", i)})
 		g.MustAddEdge(p, c, "mayor_of")
-		mayors = append(mayors, p)
+		mayors, cities = append(mayors, p), append(cities, c)
 		parties = append(parties, g.AddNode("party", graph.Attrs{"val": fmt.Sprintf("party_%d", i)}))
 	}
 	sess := mustOpen(t, g)
@@ -487,15 +499,20 @@ gfd mayor_party {
 		return res.Violations
 	}
 	if got := detect(validate.EngineReplicated); len(got) != 0 {
-		t.Fatalf("no mayor is affiliated, yet repVal reports %v", got)
+		t.Fatalf("no mayor is affiliated and no governor exists, yet repVal reports %v", got)
 	}
-	sess.Apply(incremental.AddEdge{From: mayors[7], To: parties[3], Label: "affiliated_to"})
+	gov := graph.NodeID(g.NumNodes())
+	sess.Apply(
+		incremental.AddEdge{From: mayors[7], To: parties[3], Label: "affiliated_to"},
+		incremental.AddNode{Label: "governor", Attrs: graph.Attrs{"party": "green"}},
+		incremental.AddEdge{From: gov, To: cities[4], Label: "mayor_of"},
+	)
 	if !prep.Bundle().Topo().Patched() {
 		t.Fatal("the bundle runs on a frozen snapshot, want the session overlay")
 	}
 	want := detect(validate.EngineSequential)
-	if len(want) != 1 {
-		t.Fatalf("sequential engine reports %v, want the one completed star", want)
+	if len(want) != 2 || want[0].Rule != "green_governor" || want[1].Rule != "mayor_party" {
+		t.Fatalf("sequential engine reports %v, want the completed star and the green governor", want)
 	}
 	for _, engine := range []validate.Engine{validate.EngineReplicated, validate.EngineFragmented} {
 		if got := detect(engine); !got.Equal(want) {

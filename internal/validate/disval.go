@@ -171,7 +171,7 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // to the unit's block over-approximates the partial matches that would be
 // exchanged; each pair costs a fixed descriptor. Only pairs on nodes not
 // owned by worker w need shipping. Both estimates read the group
-// pattern's lowering that b compiled, so no unit lowers it again.
+// pattern's lowering that b bound to grp, so no unit lowers it again.
 //
 // The simulation fixpoint is only worth computing when it could win: a
 // label-compatibility count (an upper bound on the simulation size, O(1)
@@ -181,7 +181,7 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
 	view := b.topo
 	block := u.BlockIn(view, cands)
-	cq := b.pats[grp.q]
+	cq := grp.cq
 	var upper int64
 	for v := range block {
 		if frag.OwnerOf(v) == w {

@@ -25,7 +25,7 @@ type Options struct {
 	// session hash-partitions the graph into N fragments (cached per
 	// graph version). Ignored by the other engines.
 	Frag *fragment.Fragmentation
-	// N is the number of workers (processors).
+	// N is the number of workers (processors); values below 1 mean 4.
 	N int
 	// RandomAssign replaces the LPT / bi-criteria assignment with uniform
 	// random placement: the repran / disran variants.

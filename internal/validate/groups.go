@@ -25,13 +25,14 @@ type depSpec struct {
 // against every member dependency.
 type ruleGroup struct {
 	q      *pattern.Pattern
-	pivot  *workload.Pivot
+	pivot  *workload.Pivot // lowered onto the bundle's table by bind
 	deps   []depSpec
 	stripe int // stripeNode; -1 when the group cannot split
 	// guard is every member's X pushed into the group's enumeration (one
-	// member per dep, operands remapped through the perms); set with the
-	// programs by bind.
+	// member per dep, operands remapped through the perms) and cq is q
+	// lowered onto the bundle's table; both set by bind.
 	guard *core.Guard
+	cq    *pattern.Compiled
 }
 
 // stripeNode picks the pattern node a group's stripes filter on: the
@@ -56,8 +57,9 @@ func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
 
 // bind attaches each dependency's bundle-held program and compiles the
 // group guard from them, so the per-match hot path (checkMatch) reads a
-// program pointer and never locks.
-func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram) {
+// program pointer and never locks, and lowers the group pattern and pivot
+// onto syms once per bundle, so no unit looks up a name.
+func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram, syms *graph.Symbols) {
 	ps := make([]*core.LiteralProgram, len(grp.deps))
 	perms := make([][]int, len(grp.deps))
 	for i := range grp.deps {
@@ -65,6 +67,8 @@ func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram) {
 		ps[i], perms[i] = grp.deps[i].prog, grp.deps[i].perm
 	}
 	grp.guard = core.GroupGuard(ps, perms)
+	grp.cq = pattern.Compile(grp.q, syms)
+	grp.pivot = grp.pivot.Lower(syms)
 }
 
 // buildGroups partitions rules into groups. With combine=false (the *nop

@@ -79,13 +79,14 @@ func (e Engine) Resolve() Engine {
 //
 //   - the view — Graph.Freeze on the cold path, or the graph's live
 //     graph.Overlay after an update batch (no re-freeze);
-//   - pattern.Compile per rule — pattern labels lowered onto the
-//     view's symbol table, for the estimates that read them;
-//   - GFD literal lowering — X → Y literals as integer instructions.
+//   - GFD literal lowering — X → Y literals as integer instructions;
+//   - per rule group, on its variant's first use: the group pattern
+//     (pattern.Compile, for disVal's estimates) and pivot
+//     (workload.Pivot.Lower), whose codes every unit's star test reads.
 //
-// The bundle is the one owner of those lowerings; the rules keep none.
-// Each worker's match.Matcher lowers a pattern again on its own plan-cache
-// miss.
+// The bundle is the one owner of those lowerings; the rules and pivots
+// keep none. Each worker's match.Matcher lowers a pattern again on its own
+// plan-cache miss.
 //
 // Workload reduction (reason.Reduce) and multi-query grouping are lazy —
 // they depend on Options variants — but each variant is computed once and
@@ -103,12 +104,10 @@ type Bundle struct {
 	mu      sync.Mutex
 	reduced *core.Set
 	groups  map[groupKey][]*ruleGroup
-	// progs holds each rule's literal program and pats each rule
-	// pattern's lowering, both compiled onto topo's table by NewBundleOver.
-	// pats is read-only after construction; progs also takes the programs
-	// Program compiles for rules outside the set, under mu.
+	// progs holds each rule's literal program, compiled onto topo's table
+	// by NewBundleOver, and the programs Program compiles for rules outside
+	// the set, under mu.
 	progs map[*core.GFD]*core.LiteralProgram
-	pats  map[*pattern.Pattern]*pattern.Compiled
 
 	// est is the planning cache (see plan.go): chunk layouts with their
 	// survivor memos and plans per option variant, probe counters.
@@ -132,22 +131,21 @@ func NewBundle(g *graph.Graph, set *core.Set) *Bundle {
 
 // NewBundleOver builds a bundle over an externally supplied view — the
 // session layer passes the graph's live overlay view after update batches
-// instead of re-freezing — and compiles every rule's pattern and literal
-// program onto its symbol table. A patched view's table grows with
-// updates, so there every rule's labels and literal constants are interned
-// first (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym
-// must mean "never occurs". When prev (the bundle this one supersedes) is
-// given and shares the rule set, the rule-side caches that do not depend
-// on the graph are inherited: the reduced set always, the grouping
-// variants when the symbol table is unchanged (the overlay case), rebound
-// to this bundle's programs.
+// instead of re-freezing — and compiles every rule's literal program onto
+// its symbol table. A patched view's table grows with updates, so there
+// every rule's labels and literal constants are interned first
+// (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym must
+// mean "never occurs". When prev (the bundle this one supersedes) is given
+// and shares the rule set, the rule-side caches that do not depend on the
+// graph are inherited: the reduced set always, the grouping variants when
+// the symbol table is unchanged (the overlay case), rebound to this
+// bundle's programs and lowered again onto its table.
 func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
 	b := &Bundle{
 		topo:   view,
 		set:    set,
 		groups: make(map[groupKey][]*ruleGroup, 2),
 		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
-		pats:   make(map[*pattern.Pattern]*pattern.Compiled, set.Len()),
 	}
 	syms := view.Syms()
 	growing := view.Patched()
@@ -156,7 +154,6 @@ func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
 			pattern.InternInto(f.Q, syms)
 			f.InternLiterals(syms)
 		}
-		b.pats[f.Q] = pattern.Compile(f.Q, syms)
 		b.progs[f] = f.CompileLiterals(syms)
 	}
 	if prev != nil && prev.set == set {
@@ -169,8 +166,9 @@ func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
 // implication-reduced set, the planning-cache counters (never its plans or
 // their survivors, which belong to prev's view), and — when the symbol
 // table carried over — every grouping variant, with each dependency and
-// guard rebound to this bundle's programs (groups are never shared between
-// bundles, so a still-running Detect on prev is unaffected).
+// guard rebound to this bundle's programs and each pattern and pivot
+// lowered again onto the table, which may have grown (groups are never
+// shared, so a still-running Detect on prev is unaffected).
 func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
@@ -185,7 +183,7 @@ func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
 		for i, grp := range gs {
 			ng := *grp
 			ng.deps = append([]depSpec(nil), grp.deps...)
-			ng.bind(b.progs)
+			ng.bind(b.progs, syms)
 			ngs[i] = &ng
 		}
 		b.groups[key] = ngs
@@ -263,9 +261,9 @@ func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey
 		return set, gs, key
 	}
 	gs := buildGroups(set.Rules(), key.combine, key.arbitraryPivot)
-	// Every grouped rule was lowered at NewBundle.
+	// Every grouped rule's program was compiled at NewBundle.
 	for _, grp := range gs {
-		grp.bind(b.progs)
+		grp.bind(b.progs, b.topo.Syms())
 	}
 	b.groups[key] = gs
 	return set, gs, key

@@ -86,7 +86,7 @@ func TestSeededPivotUnits(t *testing.T) {
 			t.Fatalf("never-interned constant admits %d candidates", n)
 		}
 		want += n
-		classSized += len(b.topo.NodesWith(pv.ClassIn(b.topo, 0)))
+		classSized += pv.ClassLen(b.topo, 0)
 	}
 	got := planUnits(t, b, opt)
 	t.Logf("%d groups: %d seeded units, %d class-sized", len(groups), got, classSized)

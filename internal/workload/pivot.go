@@ -27,11 +27,24 @@ import (
 // enumerates only where the pivot's star is present.
 type Pivot struct {
 	Q          *pattern.Pattern
-	Components [][]int  // node indices per connected component
-	Vars       []int    // pivot node index z_i per component
-	Radii      []int    // component radius c^i_Q at the pivot
-	Filters    []Filter // seed filter per component; zero = none
-	symmetric  bool     // the two components are isomorphic (k == 2 only)
+	Components [][]int   // node indices per connected component
+	Vars       []int     // pivot node index z_i per component
+	Radii      []int     // component radius c^i_Q at the pivot
+	Filters    []Filter  // seed filter per component; zero = none
+	symmetric  bool      // the two components are isomorphic (k == 2 only)
+	low        []lowered // per component, set on the copy Lower returns
+}
+
+// lowered is one pivot component lowered onto a symbol table: the codes
+// Class, ClassLen and Candidates read, never the members or adjacency.
+type lowered struct {
+	class graph.Sym   // the pivot label's code; WildcardSym for all nodes
+	attr  graph.Sym   // the filter attribute's code; NoSym for no filter
+	vals  []graph.Sym // the filter constants the table holds
+	none  bool        // the filter is active, yet no node can pass it
+	// star holds, per pattern neighbour of the pivot (itself, for a
+	// self-loop), the runs along the edges joining them.
+	star [][]starRun
 }
 
 // Filter restricts a seeded pivot's candidates to the class members whose
@@ -142,17 +155,53 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 	return sub
 }
 
-// ClassIn returns the candidate class pivot component i draws from on a
-// compiled view: the pivot label's interned code, WildcardSym for a
-// wildcard pivot (all nodes). CandidatesIn keeps a subset of it.
-func (p *Pivot) ClassIn(t *graph.Snapshot, i int) graph.Sym {
-	return pattern.LowerLabel(p.Q.Nodes[p.Vars[i]].Label, t.Syms())
+// Lower returns a copy of p with each component's class label, filter and
+// star lowered onto syms, which Class, ClassLen and Candidates read: call
+// them on such a copy. p is never changed, since a table grows with its
+// overlay's updates and a pivot shared across views is lowered for each.
+func (p *Pivot) Lower(syms *graph.Symbols) *Pivot {
+	lp := *p
+	lp.low = make([]lowered, len(p.Vars))
+	for i, z := range p.Vars {
+		l := &lp.low[i]
+		l.class, l.attr = pattern.LowerLabel(p.Q.Nodes[z].Label, syms), graph.NoSym
+		if f := p.Filters[i]; f.Active() {
+			l.attr = syms.Lookup(f.Attr)
+			for _, c := range f.Values {
+				if s := syms.Lookup(c); s != graph.NoSym {
+					l.vals = append(l.vals, s)
+				}
+			}
+			l.none = l.attr == graph.NoSym || len(l.vals) == 0
+		}
+		var nbrs []int
+		add := func(q int, label string, in bool) {
+			j := slices.Index(nbrs, q)
+			if j < 0 {
+				j = len(nbrs)
+				nbrs = append(nbrs, q)
+				l.star = append(l.star, nil)
+			}
+			l.star[j] = append(l.star[j], starRun{
+				label: pattern.LowerLabel(label, syms),
+				nbr:   pattern.LowerLabel(p.Q.Nodes[q].Label, syms),
+				in:    in,
+			})
+		}
+		for _, ei := range p.Q.OutEdges(z) {
+			add(p.Q.Edges[ei].To, p.Q.Edges[ei].Label, false)
+		}
+		for _, ei := range p.Q.InEdges(z) {
+			add(p.Q.Edges[ei].From, p.Q.Edges[ei].Label, true)
+		}
+	}
+	return &lp
 }
 
 // Class returns component i's class on t in ascending node order, and nil
 // for a wildcard pivot, whose class is every node: position k is node k.
 func (p *Pivot) Class(t *graph.Snapshot, i int) []graph.NodeID {
-	if c := p.ClassIn(t, i); c != graph.WildcardSym {
+	if c := p.low[i].class; c != graph.WildcardSym {
 		return t.NodesWith(c)
 	}
 	return nil
@@ -160,16 +209,17 @@ func (p *Pivot) Class(t *graph.Snapshot, i int) []graph.NodeID {
 
 // ClassLen returns the size of component i's class on t.
 func (p *Pivot) ClassLen(t *graph.Snapshot, i int) int {
-	if c := p.ClassIn(t, i); c != graph.WildcardSym {
+	if c := p.low[i].class; c != graph.WildcardSym {
 		return t.ClassSize(c)
 	}
 	return t.NumNodes()
 }
 
-// CandidatesIn returns the candidates of pivot component i over its whole
-// class: Candidates over [0, ClassLen).
+// CandidatesIn lowers p onto t's table and returns the candidates of
+// component i over its whole class: Candidates over [0, ClassLen).
 func (p *Pivot) CandidatesIn(t *graph.Snapshot, i int) []graph.NodeID {
-	return p.Candidates(t, i, Range{0, p.ClassLen(t, i)})
+	lp := p.Lower(t.Syms())
+	return lp.Candidates(t, i, Range{0, lp.ClassLen(t, i)})
 }
 
 // Candidates returns, for pivot component i, the candidate nodes of the
@@ -182,19 +232,18 @@ func (p *Pivot) CandidatesIn(t *graph.Snapshot, i int) []graph.NodeID {
 // To-sorted ones — share a neighbour. Injectivity is ignored, so the test
 // is weaker than a match and never drops one. One pass over the range runs
 // both tests on the view itself, so an overlay's updates count; a label or
-// constant its symbol table never interned holds on no node. With nothing
-// to test, the result may alias the view's class.
+// constant the table p was lowered onto never interned holds on no node.
+// With nothing to test, the result may alias the view's class.
 func (p *Pivot) Candidates(t *graph.Snapshot, i int, r Range) []graph.NodeID {
+	l := &p.low[i]
+	if l.none {
+		return nil
+	}
 	class := p.Class(t, i)
 	if class != nil {
 		class = class[r.Lo:r.Hi]
 	}
-	attr, vals, ok := p.Filters[i].lower(t.Syms())
-	if !ok {
-		return nil
-	}
-	s := p.starIn(t, i)
-	if attr == graph.NoSym && len(s) == 0 {
+	if l.attr == graph.NoSym && len(l.star) == 0 {
 		if class == nil {
 			class = make([]graph.NodeID, r.Len())
 			for k := range class {
@@ -211,12 +260,12 @@ next:
 		if class != nil {
 			v = class[j]
 		}
-		if attr != graph.NoSym {
-			if a, ok := t.AttrSym(v, attr); !ok || !slices.Contains(vals, a) {
+		if l.attr != graph.NoSym {
+			if a, ok := t.AttrSym(v, l.attr); !ok || !slices.Contains(l.vals, a) {
 				continue
 			}
 		}
-		for _, nbr := range s {
+		for _, nbr := range l.star {
 			k := 0
 			for _, run := range nbr {
 				var es []graph.CSREdge
@@ -244,56 +293,9 @@ next:
 	return out
 }
 
-// lower resolves f on syms: the attribute's code (NoSym for the zero
-// Filter) and the constants' codes. ok is false when f is active yet no
-// node can pass it.
-func (f Filter) lower(syms *graph.Symbols) (attr graph.Sym, vals []graph.Sym, ok bool) {
-	if !f.Active() {
-		return graph.NoSym, nil, true
-	}
-	attr = syms.Lookup(f.Attr)
-	for _, c := range f.Values {
-		if s := syms.Lookup(c); s != graph.NoSym {
-			vals = append(vals, s)
-		}
-	}
-	return attr, vals, attr != graph.NoSym && len(vals) > 0
-}
-
 // starRun is one pattern edge at a pivot lowered onto a symbol table: its
 // label, the label of the neighbour at its other end, and its direction.
 type starRun struct {
 	label, nbr graph.Sym
 	in         bool
-}
-
-// starIn lowers pivot component i's star onto t: per pattern neighbour of
-// the pivot (itself, for a self-loop), the runs along the edges joining
-// them. It looks up the star's labels alone, not the whole pattern, once
-// per call — a range of class members, never a member.
-func (p *Pivot) starIn(t *graph.Snapshot, i int) [][]starRun {
-	syms := t.Syms()
-	z := p.Vars[i]
-	var nbrs []int
-	var star [][]starRun
-	add := func(q int, label string, in bool) {
-		j := slices.Index(nbrs, q)
-		if j < 0 {
-			j = len(nbrs)
-			nbrs = append(nbrs, q)
-			star = append(star, nil)
-		}
-		star[j] = append(star[j], starRun{
-			label: pattern.LowerLabel(label, syms),
-			nbr:   pattern.LowerLabel(p.Q.Nodes[q].Label, syms),
-			in:    in,
-		})
-	}
-	for _, ei := range p.Q.OutEdges(z) {
-		add(p.Q.Edges[ei].To, p.Q.Edges[ei].Label, false)
-	}
-	for _, ei := range p.Q.InEdges(z) {
-		add(p.Q.Edges[ei].From, p.Q.Edges[ei].Label, true)
-	}
-	return star
 }

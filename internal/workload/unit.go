@@ -3,7 +3,7 @@ package workload
 import "gfd/internal/graph"
 
 // Range is a half-open range [Lo, Hi) of positions in a pivot component's
-// class (Pivot.ClassIn, ascending node IDs; all nodes for a wildcard).
+// class (Pivot.Class, ascending node IDs; all nodes for a wildcard).
 type Range struct {
 	Lo, Hi int
 }

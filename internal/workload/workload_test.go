@@ -262,8 +262,8 @@ func TestEachVectorStopsEarly(t *testing.T) {
 
 func TestUnitBlock(t *testing.T) {
 	g := flightGraph(2)
-	pv := ComputePivot(numberedFlight())
 	snap := g.Freeze()
+	pv := ComputePivot(numberedFlight()).Lower(snap.Syms())
 	// A one-member range at the first candidate's class position.
 	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
 	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
