@@ -341,7 +341,7 @@ func byNames(s *gfd.Snapshot) string {
 		}
 		out := make([]string, len(es))
 		for i, e := range es {
-			out[i] = fmt.Sprintf("%s>%d", syms.Name(e.Label), e.To)
+			out[i] = fmt.Sprintf("%s>%d", syms.Name(s.EdgeLabel(e.Label)), e.To)
 		}
 		slices.Sort(out)
 		return out

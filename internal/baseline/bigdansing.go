@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"gfd/internal/cluster"
@@ -15,11 +16,11 @@ import (
 // BigDansing-style rule engine operates on: nodes(id, label),
 // edges(src, label, dst) and attrs(id, attr, val) tables, with the hash
 // indexes a generic relational engine would build (edges by label, nodes
-// by label).
+// by label), and the distinct (src, dst) pairs a wildcard edge selects.
 type Relational struct {
 	nodesByLabel map[string][]graph.NodeID
 	edgesByLabel map[string][]graph.Edge
-	allEdges     []graph.Edge
+	pairs        []graph.Edge
 	allNodes     []graph.NodeID
 }
 
@@ -39,11 +40,17 @@ func Encode(t *graph.Snapshot) *Relational {
 		r.allNodes = append(r.allNodes, id)
 		r.nodesByLabel[l] = append(r.nodesByLabel[l], id)
 	}
+	var tos []graph.NodeID
 	for v := 0; v < t.NumNodes(); v++ {
+		tos = tos[:0]
 		for _, he := range t.Out(graph.NodeID(v)) {
-			e := graph.Edge{From: graph.NodeID(v), To: he.To, Label: syms.Name(he.Label)}
-			r.allEdges = append(r.allEdges, e)
+			e := graph.Edge{From: graph.NodeID(v), To: he.To, Label: syms.Name(t.EdgeLabel(he.Label))}
 			r.edgesByLabel[e.Label] = append(r.edgesByLabel[e.Label], e)
+			tos = append(tos, he.To)
+		}
+		slices.Sort(tos)
+		for _, to := range slices.Compact(tos) {
+			r.pairs = append(r.pairs, graph.Edge{From: graph.NodeID(v), To: to})
 		}
 	}
 	return r
@@ -215,7 +222,7 @@ func stepTuples(rel *Relational, q *pattern.Pattern, s planStep) []tuple {
 		e := q.Edges[s.edge]
 		var rows []graph.Edge
 		if e.Label == pattern.Wildcard {
-			rows = rel.allEdges
+			rows = rel.pairs
 		} else {
 			rows = rel.edgesByLabel[e.Label]
 		}

@@ -512,10 +512,10 @@ func (f *fleet) haloFor(p *proc, ui int) []haloNode {
 			h.attrs = append(h.attrs, [2]string{syms.Name(pr.Name), syms.Name(pr.Val)})
 		}
 		for _, e := range f.snap.Out(v) {
-			h.out = append(h.out, haloEdge{to: e.To, label: syms.Name(e.Label)})
+			h.out = append(h.out, haloEdge{to: e.To, label: syms.Name(f.snap.EdgeLabel(e.Label))})
 		}
 		for _, e := range f.snap.In(v) {
-			h.in = append(h.in, haloEdge{to: e.To, label: syms.Name(e.Label)})
+			h.in = append(h.in, haloEdge{to: e.To, label: syms.Name(f.snap.EdgeLabel(e.Label))})
 		}
 		halo = append(halo, h)
 	}

@@ -75,3 +75,38 @@ func TestApplyHaloKeepsShardHollow(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyHaloKeepsUnderscoreEdge: "_" is the pattern wildcard, but on a
+// graph's edge it is a label of its own. A halo u -x-> a, u -_-> a must
+// leave both edges in the worker's view, as in the full graph; testing
+// presence under "any label" would skip the "_" edge once the "x" one
+// landed, and a degree bound would then prune matches the other engines
+// report. Re-shipping the halo adds neither edge again.
+func TestApplyHaloKeepsUnderscoreEdge(t *testing.T) {
+	g := graph.New(3, 0)
+	u, a := g.AddNode("p", nil), g.AddNode("q", nil)
+	g.AddNode("q", nil)
+	path := filepath.Join(t.TempDir(), "shard.gfds")
+	if err := store.Save(context.Background(), g.Freeze(), path); err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Open(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	shard := l.Snapshot().Graph()
+	ov := graph.NewOverlay(shard)
+	halo := []haloNode{{id: u, out: []haloEdge{{to: a, label: "x"}, {to: a, label: "_"}}}}
+	for round := 0; round < 2; round++ {
+		if err := applyHalo(ov, halo); err != nil {
+			t.Fatal(err)
+		}
+		if got := ov.OutDegree(u); got != 2 {
+			t.Fatalf("round %d: worker view has out-degree %d at the halo node, the full graph 2", round, got)
+		}
+		if !shard.HasEdge(u, a, "_") || !shard.HasEdge(u, a, "x") {
+			t.Fatalf("round %d: the view lost a halo edge", round)
+		}
+	}
+}

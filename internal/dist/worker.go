@@ -261,8 +261,9 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 // cost is the halo's, not the shard's: the writes land in the overlay's
 // patch and never copy the mapped shard onto the heap.
 // Edges already present — because the other endpoint is owned, or because
-// an earlier unit's halo introduced them — are skipped via HasEdge, so
-// re-shipment after respawn stays idempotent. A halo that names a node
+// an earlier unit's halo introduced them — are skipped, so re-shipment
+// after respawn stays idempotent. The test is for the edge's own label
+// (Graph.HasEdge): an edge labelled "_" is not any edge. A halo that names a node
 // outside the shard is out of protocol: it fails before any write.
 func applyHalo(ov *graph.Overlay, halo []haloNode) error {
 	n := ov.NumNodes()
@@ -272,13 +273,13 @@ func applyHalo(ov *graph.Overlay, halo []haloNode) error {
 			return fmt.Errorf("halo node %d names a node outside the shard's %d", h.id, n)
 		}
 	}
-	syms := ov.Syms()
+	g := ov.Graph()
 	for _, h := range halo {
 		for _, kv := range h.attrs {
 			ov.SetAttr(h.id, kv[0], kv[1])
 		}
 		for _, e := range h.out {
-			if l := syms.Lookup(e.label); l != graph.NoSym && ov.HasEdge(h.id, e.to, l) {
+			if g.HasEdge(h.id, e.to, e.label) {
 				continue
 			}
 			if err := ov.AddEdge(h.id, e.to, e.label); err != nil {
@@ -286,7 +287,7 @@ func applyHalo(ov *graph.Overlay, halo []haloNode) error {
 			}
 		}
 		for _, e := range h.in {
-			if l := syms.Lookup(e.label); l != graph.NoSym && ov.HasEdge(e.to, h.id, l) {
+			if g.HasEdge(e.to, h.id, e.label) {
 				continue
 			}
 			if err := ov.AddEdge(e.to, h.id, e.label); err != nil {

@@ -266,15 +266,18 @@ func SaveShards(ctx context.Context, snap *graph.Snapshot, owner []int, n int, d
 			return nil, err
 		}
 		ff := graph.Flat{
-			SymBlob:  full.SymBlob,
-			SymOff:   full.SymOff,
-			SymDir:   full.SymDir,
-			Labels:   full.Labels,
-			ClassOff: full.ClassOff,
-			Classes:  full.Classes,
-			AttrOff:  make([]int32, numNodes+1),
-			OutOff:   make([]int32, numNodes+1),
-			InOff:    make([]int32, numNodes+1),
+			SymBlob: full.SymBlob,
+			SymOff:  full.SymOff,
+			SymDir:  full.SymDir,
+			// The full graph's ranks, as its symbols: shards order alike.
+			EdgeLabels: full.EdgeLabels,
+			NodeLabels: full.NodeLabels,
+			Labels:     full.Labels,
+			ClassOff:   full.ClassOff,
+			Classes:    full.Classes,
+			AttrOff:    make([]int32, numNodes+1),
+			OutOff:     make([]int32, numNodes+1),
+			InOff:      make([]int32, numNodes+1),
 		}
 		for v := 0; v < numNodes; v++ {
 			owned := owner[v] == i

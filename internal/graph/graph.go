@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,6 +70,7 @@ type Graph struct {
 	out     [][]HalfEdge
 	in      [][]HalfEdge
 	byLabel map[string][]NodeID
+	edgeLab map[string]struct{} // the distinct edge labels, at most MaxEdgeLabels
 	edges   int
 	degHint int // initial adjacency capacity derived from New's edge hint
 
@@ -115,7 +115,7 @@ func (g *Graph) Sealed() bool { return g.sealed.Load() != nil }
 // step with the view.
 func (g *Graph) readThrough(view *Snapshot) uint64 {
 	if g.sealed.Load() != view {
-		g.labels, g.attrs, g.out, g.in, g.byLabel = nil, nil, nil, nil, nil
+		g.labels, g.attrs, g.out, g.in, g.byLabel, g.edgeLab = nil, nil, nil, nil, nil, nil
 		g.sealed.Store(view)
 	}
 	g.version++
@@ -140,6 +140,7 @@ func New(nodeHint, edgeHint int) *Graph {
 		out:     make([][]HalfEdge, 0, nodeHint),
 		in:      make([][]HalfEdge, 0, nodeHint),
 		byLabel: make(map[string][]NodeID),
+		edgeLab: make(map[string]struct{}),
 	}
 	if nodeHint > 0 && edgeHint > nodeHint {
 		g.degHint = min(edgeHint/nodeHint, 16)
@@ -160,7 +161,7 @@ func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	if g.byLabel == nil {
-		g.byLabel = make(map[string][]NodeID)
+		g.byLabel, g.edgeLab = make(map[string][]NodeID), make(map[string]struct{})
 	}
 	g.byLabel[label] = append(g.byLabel[label], id)
 	g.version++
@@ -169,13 +170,20 @@ func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
 
 // AddEdge inserts a directed labeled edge from -> to. Multi-edges with
 // distinct labels are allowed; duplicate (from, to, label) triples are not
-// deduplicated (the generators never produce them).
+// deduplicated (the generators never produce them). A label past the
+// MaxEdgeLabels-th distinct one fails with ErrLabelSpace.
 func (g *Graph) AddEdge(from, to NodeID, label string) error {
 	if g.Sealed() {
 		return NewOverlay(g).AddEdge(from, to, label)
 	}
 	if !g.Has(from) || !g.Has(to) {
 		return fmt.Errorf("graph: edge (%d)-[%s]->(%d) references missing node", from, label, to)
+	}
+	if _, ok := g.edgeLab[label]; !ok {
+		if len(g.edgeLab) == MaxEdgeLabels {
+			return ErrLabelSpace
+		}
+		g.edgeLab[label] = struct{}{}
 	}
 	if g.degHint > 0 {
 		if g.out[from] == nil {
@@ -335,7 +343,7 @@ func halfEdges(s *Snapshot, es []CSREdge) []HalfEdge {
 	}
 	out := make([]HalfEdge, len(es))
 	for i, e := range es {
-		out[i] = HalfEdge{To: e.To, Label: s.syms.Name(e.Label)}
+		out[i] = HalfEdge{To: e.To, Label: s.syms.Name(s.EdgeLabel(e.Label))}
 	}
 	return out
 }
@@ -398,11 +406,8 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 		return false
 	}
 	if s := g.sealed.Load(); s != nil {
-		// A scan, not Snapshot.HasEdge: "_" interns to WildcardSym, which
-		// the snapshot reads as any label, and here it is a label of its
-		// own. A label the table never interned labels no edge.
-		l := s.syms.Lookup(label)
-		return l != NoSym && slices.ContainsFunc(s.Out(from), func(e CSREdge) bool { return e.To == to && e.Label == l })
+		// Not HasEdge: "_", WildcardSym there, is a label of its own here.
+		return s.hasLabeled(from, to, s.syms.Lookup(label))
 	}
 	// Scan the smaller adjacency list of the two endpoints.
 	if len(g.out[from]) <= len(g.in[to]) {

@@ -2,8 +2,8 @@ package graph
 
 // Sorted-range intersection primitives for the worst-case-optimal join step
 // of the matcher (Leapfrog Triejoin style). Frozen and patched snapshots
-// alike keep every node's adjacency sorted by (Label, Label(To), To), so a
-// run with a concrete edge label and a concrete neighbour label
+// alike keep every node's adjacency in compareCSR order (key, then To), so
+// a run with a concrete edge label and a concrete neighbour label
 // (OutWithNbr/InWithNbr with l, nl != WildcardSym) is sorted ascending by
 // To — exactly the shape a multiway sorted intersection wants. A run with
 // either label a wildcard spans neighbour-label or edge-label groups and is

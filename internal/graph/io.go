@@ -133,7 +133,7 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 				return nil, nil, fmt.Errorf("graph: line %d: unknown node %q", lineno, fields[3])
 			}
 			if err := g.AddEdge(from, to, fields[2]); err != nil {
-				return nil, nil, fmt.Errorf("graph: line %d: %v", lineno, err)
+				return nil, nil, fmt.Errorf("graph: line %d: %w", lineno, err)
 			}
 		default:
 			return nil, nil, fmt.Errorf("graph: line %d: unknown directive %q", lineno, fields[0])

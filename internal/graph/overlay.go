@@ -26,9 +26,9 @@ import (
 // indexed by NodeID — out, in and attribute tuple. Slot 0 reads the base
 // arrays (nothing, for a node inserted after the freeze); slot k reads the
 // k-th list the patch copied. A node's adjacency in one direction is
-// copied out of the base CSR on its first touch and kept (label, neighbor
-// label, neighbor)-sorted in place, so OutWithNbr/InWithNbr runs and
-// HasEdge binary searches work exactly as on a frozen snapshot; its tuple
+// copied out of the base CSR on its first touch and kept in key order
+// (compareCSR) in place, so OutWithNbr/InWithNbr runs and HasEdge
+// bisections work exactly as on a frozen snapshot; its tuple
 // is copied out of the base arena on its first attribute write. A read of
 // a node no update touched — most of them — is one slot load beside the
 // base read, with no hash. The slots cost 12 bytes per node, allocated
@@ -38,7 +38,8 @@ import (
 // kept ascending because new IDs are always larger than frozen ones).
 //
 // The overlay interns new labels and attribute values into the base
-// snapshot's own symbol table. Codes only ever grow, so artifacts compiled
+// snapshot's own symbol table, and ranks a new label last in the view's
+// copy of the base's ranks. Codes and ranks only grow, so artifacts compiled
 // against the table stay valid — with the usual growing-table caveat:
 // names a pattern or rule mentions must be interned before compiling
 // (pattern.InternInto, GFD.InternLiterals), or an absent name would be
@@ -103,6 +104,7 @@ func (g *Graph) startOverlay() *Overlay {
 		outOff: base.outOff, out: base.out, inOff: base.inOff, in: base.in,
 		classOff: base.classOff, classes: base.classes,
 		heavy: base.heavy,
+		ranks: ranks{slices.Clone(base.edgeLabels), slices.Clone(base.nodeLabels), slices.Clone(base.rankOf)},
 		patch: newPatch(base, g.Version()),
 	}
 	o := &Overlay{Snapshot: view, base: base}
@@ -181,6 +183,9 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	p.outSlot, p.inSlot = append(p.outSlot, 0), append(p.inSlot, 0)
 	p.attrSlot = append(p.attrSlot, slot)
 	l := o.syms.Intern(label)
+	if o.rank(l).nbr < 0 {
+		o.add(l, false)
+	}
 	p.labels = append(p.labels, l)
 	// Extend the merged candidate class; seeded from the base range on the
 	// label's first insertion. New IDs exceed every frozen ID, so the class
@@ -206,9 +211,15 @@ func (o *Overlay) AddEdge(from, to NodeID, label string) error {
 		return fmt.Errorf("graph: edge (%d)-[%s]->(%d) references missing node", from, label, to)
 	}
 	l := o.syms.Intern(label)
+	if o.rank(l).edge < 0 {
+		if len(o.edgeLabels) == MaxEdgeLabels {
+			return ErrLabelSpace
+		}
+		o.add(l, true)
+	}
 	p := o.patch
-	o.insertSorted(o.touch(p.outSlot, from, o.outOff, o.out), CSREdge{To: to, Label: l})
-	o.insertSorted(o.touch(p.inSlot, to, o.inOff, o.in), CSREdge{To: from, Label: l})
+	o.insertSorted(o.touch(p.outSlot, from, o.outOff, o.out), CSREdge{To: to, Label: o.key(l, o.Label(to))})
+	o.insertSorted(o.touch(p.inSlot, to, o.inOff, o.in), CSREdge{To: from, Label: o.key(l, o.Label(from))})
 	p.edges++
 	// One unit per edge, matching the |V|+|E| denominator of
 	// deltaFraction — counting both half-edge patches would silently
@@ -293,16 +304,13 @@ func (o *Overlay) touch(slots []int32, v NodeID, off []int32, arena []CSREdge) i
 	return k
 }
 
-// insertSorted inserts e into its (Label, Label(To), To) position in list
-// k, reading neighbour labels through the view, which also knows the nodes
-// inserted after the freeze. Duplicate triples are kept adjacent, mirroring
-// the graph's multi-edge behavior; the matcher collapses them like it does
-// on a frozen snapshot.
+// insertSorted inserts e into its compareCSR position in list k, reading
+// neighbour labels (inside the overflow rank only) through the view, which
+// also knows the nodes inserted after the freeze. Duplicate entries are
+// kept adjacent, mirroring the graph's multi-edge behavior; the matcher
+// collapses them like it does on a frozen snapshot.
 func (o *Overlay) insertSorted(k int32, e CSREdge) {
 	es := o.patch.lists[k]
-	nl := o.Label(e.To)
-	pos := sort.Search(len(es), func(i int) bool {
-		return compareCSR(es[i], o.Label(es[i].To), e, nl) >= 0
-	})
+	pos := sort.Search(len(es), func(i int) bool { return compareCSR(es[i], e, o.Label) >= 0 })
 	o.patch.lists[k] = slices.Insert(es, pos, e)
 }

@@ -14,18 +14,20 @@ import (
 // AdoptFlat over (possibly memory-mapped) views. The slices are shared with the snapshot; treat
 // them as read-only.
 type Flat struct {
-	SymBlob   []byte   // symbol names' bytes, in code order
-	SymOff    []uint32 // len s+1: code c names SymBlob[SymOff[c]:SymOff[c+1]]; code 0 is the wildcard
-	SymDir    []Sym    // len s: every code, in bytewise order of the names
-	Labels    []Sym    // node label codes, indexed by NodeID; len |V|
-	AttrOff   []int32  // len |V|+1, offsets into AttrPairs
-	AttrPairs []AttrPair
-	OutOff    []int32 // len |V|+1, offsets into Out
-	Out       []CSREdge
-	InOff     []int32 // len |V|+1, offsets into In
-	In        []CSREdge
-	ClassOff  []int32  // len s+1, offsets into Classes
-	Classes   []NodeID // nodes grouped by label code, ascending within a class
+	SymBlob    []byte   // symbol names' bytes, in code order
+	SymOff     []uint32 // len s+1: code c names SymBlob[SymOff[c]:SymOff[c+1]]; code 0 is the wildcard
+	SymDir     []Sym    // len s: every code, in bytewise order of the names
+	EdgeLabels []Sym    // edge label codes in rank order, at most MaxEdgeLabels (see LabelKey)
+	NodeLabels []Sym    // node label codes in rank order
+	Labels     []Sym    // node label codes, indexed by NodeID; len |V|
+	AttrOff    []int32  // len |V|+1, offsets into AttrPairs
+	AttrPairs  []AttrPair
+	OutOff     []int32 // len |V|+1, offsets into Out
+	Out        []CSREdge
+	InOff      []int32 // len |V|+1, offsets into In
+	In         []CSREdge
+	ClassOff   []int32  // len s+1, offsets into Classes
+	Classes    []NodeID // nodes grouped by label code, ascending within a class
 }
 
 // NumSyms returns the number of symbols the image's table holds.
@@ -58,18 +60,20 @@ func (s *Snapshot) Flat() (Flat, error) {
 		}
 	}
 	return Flat{
-		SymBlob:   blob,
-		SymOff:    off,
-		SymDir:    dir,
-		Labels:    s.labels,
-		AttrOff:   s.attrOff,
-		AttrPairs: s.attrPairs,
-		OutOff:    s.outOff,
-		Out:       s.out,
-		InOff:     s.inOff,
-		In:        s.in,
-		ClassOff:  classOff,
-		Classes:   s.classes,
+		SymBlob:    blob,
+		SymOff:     off,
+		SymDir:     dir,
+		EdgeLabels: s.edgeLabels,
+		NodeLabels: s.nodeLabels,
+		Labels:     s.labels,
+		AttrOff:    s.attrOff,
+		AttrPairs:  s.attrPairs,
+		OutOff:     s.outOff,
+		Out:        s.out,
+		InOff:      s.inOff,
+		In:         s.in,
+		ClassOff:   classOff,
+		Classes:    s.classes,
 	}, nil
 }
 
@@ -77,7 +81,8 @@ func (s *Snapshot) Flat() (Flat, error) {
 // arrays: the returned snapshot's backing storage IS the given slices, so a
 // caller mapping them from a read-only file gets a zero-copy view. The
 // image is validated first — offsets monotone and bounded, codes in range,
-// per-node sort invariants, classes consistent with labels, a symbol table
+// rank tables, keys that rank their labels, per-node sort invariants,
+// classes consistent with labels, a symbol table
 // that starts with the wildcard and whose directory lists its names in
 // strictly increasing order — because every violated invariant is a
 // latent panic (or silent mismatch) in the match engine's unchecked
@@ -103,11 +108,12 @@ func AdoptFlat(f Flat) (*Snapshot, error) { return AdoptFlatBeside(f, nil) }
 // failing beside task outranks any validation error: the first in slice
 // order is returned as it is.
 func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
-	syms, heavy, err := f.validate(workersFor(len(f.Labels)+len(f.Out)), beside)
+	syms, heavy, rk, err := f.validate(workersFor(len(f.Labels)+len(f.Out)), beside)
 	if err != nil {
 		return nil, err
 	}
 	s := &Snapshot{
+		ranks:     rk,
 		heavy:     heavy,
 		syms:      syms,
 		labels:    f.Labels,
@@ -127,26 +133,25 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 }
 
 // validate runs the beside tasks, checks every invariant the engines'
-// unchecked indexing relies on, and builds the symbol table. Error
+// unchecked indexing relies on, and builds the symbol table and ranks. Error
 // messages name the failing section; package store wraps them into its
 // typed corruption error.
 //
-// The shape checks (see checkShape) run first and serially. The rest is
-// one pass (see drain) on the caller and workers-1 helpers (AdoptFlat
-// passes workersFor(|V|+|E|), as a snapshot build does): the caller
-// copies the symbol table's arrays, one task, while the helpers take
-// short tasks from a shared counter — degree-balanced node ranges (their
-// offsets, labels, then out and in adjacency, then attribute tuples),
-// ranges of label classes, ranges of the symbol directory, and the beside
-// tasks — and the caller joins them when its copy is made. The error
-// reported is the first beside task's, else the one the serial order
+// The shape checks (checkShape) and ranks (rankTable) run first and
+// serially. The rest is one pass (see drain) on the caller and workers-1
+// helpers (AdoptFlat passes workersFor(|V|+|E|), as a snapshot build
+// does): the caller copies the symbol table's arrays, one task, while the
+// helpers take short tasks from a shared counter — degree-balanced node
+// ranges (their offsets, labels, then out and in adjacency, then attribute
+// tuples), ranges of label classes, ranges of the symbol directory, and
+// the beside tasks — and the caller joins them when its copy is made. The
+// error reported is the first beside task's, else the one the serial order
 // would find first — the earliest check kind failing anywhere, in its
-// lowest node or class range, then the symbol table's, the wildcard
-// before the directory's lowest failing range — so it never depends on
-// the worker count or on scheduling. A node range that passes also
-// collects its heavy nodes (see Snapshot.Heavy) off the offsets it just
-// read.
-func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, error) {
+// lowest node or class range, then the symbol table's, the wildcard before
+// the directory's lowest failing range — so it never depends on the worker
+// count or on scheduling. A node range that passes also collects its heavy
+// nodes (see Snapshot.Heavy) off the offsets it just read.
+func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, ranks, error) {
 	besideErrs := make([]error, len(beside))
 	runBeside := func(i int) { besideErrs[i] = beside[i]() }
 	first := func(err error) error {
@@ -157,11 +162,16 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 		}
 		return err
 	}
-	if err := f.checkShape(); err != nil {
+	var rk ranks
+	err := f.checkShape()
+	if err == nil {
+		rk, err = f.rankTable()
+	}
+	if err != nil {
 		for i := range beside {
 			runBeside(i)
 		}
-		return nil, nil, first(err)
+		return nil, nil, rk, first(err)
 	}
 	split := workers * tasksPerWorker
 	nodes := shardByOffsets(split, f.OutOff, f.InOff, f.AttrOff)
@@ -177,7 +187,7 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 		case task == 0:
 			syms = adoptSymbols(f.SymBlob, f.SymOff, f.SymDir)
 		case i < len(nodes):
-			if errs[i] = f.checkNodes(nodes[i].lo, nodes[i].hi); errs[i].err == nil {
+			if errs[i] = f.checkNodes(&rk, nodes[i].lo, nodes[i].hi); errs[i].err == nil {
 				heavy[i].scan(f.OutOff, f.InOff, nodes[i].lo, nodes[i].hi)
 			}
 		case i < len(nodes)+len(classes):
@@ -200,7 +210,7 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 		}
 	}
 	if err := first(firstErr.err); err != nil {
-		return nil, nil, err
+		return nil, nil, rk, err
 	}
 	var top heavyTop
 	for _, part := range heavy {
@@ -208,7 +218,29 @@ func (f Flat) validate(workers int, beside []func() error) (*Symbols, []NodeID, 
 			top.offer(h.v, h.deg)
 		}
 	}
-	return syms, top.nodes(), nil
+	return syms, top.nodes(), rk, nil
+}
+
+// rankTable ranks the image's labels in the order of its rank tables,
+// which must list at most MaxEdgeLabels edge labels (else ErrLabelSpace)
+// and each kind's codes in range and once.
+func (f Flat) rankTable() (ranks, error) {
+	rk := ranks{make([]Sym, 0, len(f.EdgeLabels)), make([]Sym, 0, len(f.NodeLabels)), nil}
+	if len(f.EdgeLabels) > MaxEdgeLabels {
+		return rk, fmt.Errorf("%w: the image ranks %d", ErrLabelSpace, len(f.EdgeLabels))
+	}
+	for i, table := range [][]Sym{f.EdgeLabels, f.NodeLabels} {
+		for _, c := range table {
+			if c < 0 || int(c) >= f.NumSyms() {
+				return rk, fmt.Errorf("graph: rank table code %d out of range [0,%d)", c, f.NumSyms())
+			}
+			if r := rk.rank(c); i == 0 && r.edge >= 0 || i == 1 && r.nbr >= 0 {
+				return rk, fmt.Errorf("graph: rank table repeats code %d", c)
+			}
+			rk.add(c, i == 0)
+		}
+	}
+	return rk, nil
 }
 
 // evenShards splits [0, n) into at most parts equal contiguous ranges.
@@ -324,7 +356,7 @@ func checkRise(name string, off []int32, lo, hi, arena int) error {
 // first failure: a later kind of check in this range can never be the one
 // reported. The range's offsets come first: every later check indexes by
 // them.
-func (f Flat) checkNodes(lo, hi int) checkErr {
+func (f Flat) checkNodes(rk *ranks, lo, hi int) checkErr {
 	if err := checkRise("attr", f.AttrOff, lo, hi, len(f.AttrPairs)); err != nil {
 		return checkErr{kindAttrOff, err}
 	}
@@ -338,15 +370,17 @@ func (f Flat) checkNodes(lo, hi int) checkErr {
 	for v := lo; v < hi; v++ {
 		if l := f.Labels[v]; l < 0 || int(l) >= nsyms {
 			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d out of range [0,%d)", v, l, nsyms)}
+		} else if rk.rank(l).nbr < 0 {
+			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d has no node rank", v, l)}
 		}
 	}
-	// Adjacency: endpoints and labels in range, each node's range
-	// (Label, Label(To), To)-sorted — the binary searches (OutWithNbr,
-	// HasEdge) and the matcher's sorted-range intersection assume it.
-	if err := checkAdjacency("out", f.OutOff, f.Out, f.Labels, nsyms, lo, hi); err != nil {
+	// Adjacency: each key the one its labels give, each node's range in
+	// compareCSR order — the bisections and the matcher's sorted-range
+	// intersection assume it.
+	if err := checkAdjacency("out", f.OutOff, f.Out, f.Labels, rk, len(f.EdgeLabels), lo, hi); err != nil {
 		return checkErr{kindOut, err}
 	}
-	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, nsyms, lo, hi); err != nil {
+	if err := checkAdjacency("in", f.InOff, f.In, f.Labels, rk, len(f.EdgeLabels), lo, hi); err != nil {
 		return checkErr{kindIn, err}
 	}
 	if err := checkTuples(f.AttrOff, f.AttrPairs, nsyms, lo, hi); err != nil {
@@ -443,17 +477,19 @@ func checkOffsets(name string, off []int32, count, arena int, scan bool) error {
 }
 
 // checkAdjacency validates one direction's arena over nodes [lo, hi):
-// codes in range and each node's range in compareCSR order (non-strict:
-// duplicate triples mirror the mutable graph's multi-edge behavior). The
-// order compares neighbour label codes as values, so it needs no range
-// check of labels outside [lo, hi).
+// neighbours and edge ranks (below nedge) in range, each key's neighbour
+// rank its neighbour's label's, and each node's range in compareCSR order
+// (non-strict: duplicate entries mirror the mutable graph's multi-edge
+// behavior). A bad label outside [lo, hi) fails its own range's label
+// check, which outranks this one.
 //
 // It walks the nodes' arena slice as one loop — most nodes hold one or two
 // edges, so a loop per node would cost more than its checks — keeping the
 // node that owns the current entry off the offsets, for the order check
 // (which starts over at each node) and for the error messages.
-func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms, lo, hi int) error {
+func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, rk *ranks, nedge, lo, hi int) error {
 	n := len(labels)
+	label := func(v NodeID) Sym { return labels[v] }
 	base := int(off[lo])
 	run := es[base:off[hi]]
 	v, end := lo-1, 0 // node v owns run[:end] from its first entry on
@@ -468,17 +504,14 @@ func checkAdjacency(name string, off []int32, es []CSREdge, labels []Sym, nsyms,
 		if e.To < 0 || int(e.To) >= n {
 			return fmt.Errorf("graph: %s edge of node %d targets %d, out of range [0,%d)", name, v, e.To, n)
 		}
-		if e.Label < 0 || int(e.Label) >= nsyms {
-			return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
+		if r := int(e.Label >> nbrBits); r >= nedge {
+			return fmt.Errorf("graph: %s edge of node %d edge rank %d out of range [0,%d)", name, v, r, nedge)
 		}
-		// compareCSR(prev, e) > 0, reading the neighbours' labels (a
-		// random load each) only when the edge labels tie: most entries
-		// head their node, or differ from the previous one in label.
-		if !head && e.Label <= prev.Label {
-			pn, en := labels[prev.To], labels[e.To]
-			if e.Label < prev.Label || en < pn || en == pn && e.To < prev.To {
-				return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i-(int(off[v])-base))
-			}
+		if got, want := int32(e.Label&nbrMask), rk.rank(labels[e.To]).nbr; got != want {
+			return fmt.Errorf("graph: %s edge of node %d to %d has neighbour rank %d, its label's is %d", name, v, e.To, got, want)
+		}
+		if !head && e.Label <= prev.Label && compareCSR(prev, e, label) > 0 {
+			return fmt.Errorf("graph: %s adjacency of node %d not in (key, to) order at %d", name, v, i-(int(off[v])-base))
 		}
 		prev = e
 	}

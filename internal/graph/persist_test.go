@@ -10,30 +10,34 @@ import (
 // refCheckNodes and refCheckClasses are the per-node (per-class) loops
 // the flat validation loops replaced, kept as the reference their errors
 // must equal: message and precedence.
-func refCheckNodes(f Flat, lo, hi int) checkErr {
+func refCheckNodes(f Flat, rk *ranks, lo, hi int) checkErr {
 	nsyms := f.NumSyms()
 	for v := lo; v < hi; v++ {
 		if l := f.Labels[v]; l < 0 || int(l) >= nsyms {
 			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d out of range [0,%d)", v, l, nsyms)}
+		} else if rk.rank(l).nbr < 0 {
+			return checkErr{kindLabels, fmt.Errorf("graph: node %d label code %d has no node rank", v, l)}
 		}
 	}
+	label := func(v NodeID) Sym { return f.Labels[v] }
 	adjacency := func(name string, off []int32, es []CSREdge) error {
 		n := len(f.Labels)
 		for v := lo; v < hi; v++ {
 			var prev CSREdge
-			var prevNbr Sym
 			for i, e := range es[off[v]:off[v+1]] {
 				if e.To < 0 || int(e.To) >= n {
 					return fmt.Errorf("graph: %s edge of node %d targets %d, out of range [0,%d)", name, v, e.To, n)
 				}
-				if e.Label < 0 || int(e.Label) >= nsyms {
-					return fmt.Errorf("graph: %s edge of node %d label code %d out of range [0,%d)", name, v, e.Label, nsyms)
+				if r := int(e.Label >> nbrBits); r >= len(f.EdgeLabels) {
+					return fmt.Errorf("graph: %s edge of node %d edge rank %d out of range [0,%d)", name, v, r, len(f.EdgeLabels))
 				}
-				nbr := f.Labels[e.To]
-				if i > 0 && compareCSR(prev, prevNbr, e, nbr) > 0 {
-					return fmt.Errorf("graph: %s adjacency of node %d not (label, neighbour label, to)-sorted at %d", name, v, i)
+				if got, want := int32(e.Label&nbrMask), rk.rank(f.Labels[e.To]).nbr; got != want {
+					return fmt.Errorf("graph: %s edge of node %d to %d has neighbour rank %d, its label's is %d", name, v, e.To, got, want)
 				}
-				prev, prevNbr = e, nbr
+				if i > 0 && compareCSR(prev, e, label) > 0 {
+					return fmt.Errorf("graph: %s adjacency of node %d not in (key, to) order at %d", name, v, i)
+				}
+				prev = e
 			}
 		}
 		return nil
@@ -90,6 +94,10 @@ func TestFlatChecksMatchPerNodeLoops(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := cloneFlat(src)
+		rk, err := f.rankTable()
+		if err != nil {
+			t.Fatal(err)
+		}
 		n, s := len(f.Labels), f.NumSyms()
 		wild := func(limit int) int32 { return int32(rng.Intn(limit+6) - 3) }
 		for k := rng.Intn(4); k > 0; k-- {
@@ -106,7 +114,12 @@ func TestFlatChecksMatchPerNodeLoops(t *testing.T) {
 				case 0:
 					es[i].To = NodeID(wild(n))
 				case 1:
-					es[i].Label = Sym(wild(s))
+					// An edge rank or a neighbour rank out of place.
+					if rng.Intn(2) == 0 {
+						es[i].Label = LabelKey(wild(len(f.EdgeLabels)))<<nbrBits | es[i].Label&nbrMask
+					} else {
+						es[i].Label = es[i].Label&^nbrMask | LabelKey(wild(len(f.NodeLabels)))&nbrMask
+					}
 				default:
 					if i+1 < len(es) {
 						es[i], es[i+1] = es[i+1], es[i]
@@ -142,7 +155,7 @@ func TestFlatChecksMatchPerNodeLoops(t *testing.T) {
 				lo = rng.Intn(n + 1)
 				hi = lo + rng.Intn(n-lo+1)
 			}
-			got, want := f.checkNodes(lo, hi), refCheckNodes(f, lo, hi)
+			got, want := f.checkNodes(&rk, lo, hi), refCheckNodes(f, &rk, lo, hi)
 			if got.kind != want.kind && want.err != nil || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
 				t.Fatalf("round %d nodes [%d,%d): %d %v, per-node loops %d %v", round, lo, hi, got.kind, got.err, want.kind, want.err)
 			}
@@ -162,6 +175,7 @@ func TestFlatChecksMatchPerNodeLoops(t *testing.T) {
 func cloneFlat(f Flat) Flat {
 	return Flat{
 		SymBlob: slices.Clone(f.SymBlob), SymOff: slices.Clone(f.SymOff), SymDir: slices.Clone(f.SymDir),
+		EdgeLabels: slices.Clone(f.EdgeLabels), NodeLabels: slices.Clone(f.NodeLabels),
 		Labels: slices.Clone(f.Labels), AttrOff: slices.Clone(f.AttrOff), AttrPairs: slices.Clone(f.AttrPairs),
 		OutOff: slices.Clone(f.OutOff), Out: slices.Clone(f.Out), InOff: slices.Clone(f.InOff), In: slices.Clone(f.In),
 		ClassOff: slices.Clone(f.ClassOff), Classes: slices.Clone(f.Classes),
@@ -178,7 +192,11 @@ func TestValidateMatchesSerialOrder(t *testing.T) {
 		if err := f.checkOffsetArrays(true); err != nil {
 			return err
 		}
-		if e := refCheckNodes(f, 0, len(f.Labels)); e.err != nil {
+		rk, err := f.rankTable()
+		if err != nil {
+			return err
+		}
+		if e := refCheckNodes(f, &rk, 0, len(f.Labels)); e.err != nil {
 			return e.err
 		}
 		if err := refCheckClasses(f, 0, f.NumSyms()); err != nil {
@@ -220,7 +238,7 @@ func TestValidateMatchesSerialOrder(t *testing.T) {
 			failures++
 		}
 		for _, workers := range []int{1, 4} {
-			if _, _, got := f.validate(workers, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			if _, _, _, got := f.validate(workers, nil); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("round %d, %d workers: %v, serial scan %v", round, workers, got, want)
 			}
 		}

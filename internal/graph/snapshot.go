@@ -2,19 +2,74 @@ package graph
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"sync"
 )
 
 // CSREdge is one adjacency entry of a Snapshot: the other endpoint and the
-// interned edge label. Within a node's range entries are sorted by
-// (Label, Label(To), To): edge label, then the neighbour's node label, then
-// the neighbour. So the neighbours under one edge label that carry one node
-// label form a contiguous, To-sorted run (OutWithNbr/InWithNbr), and
-// edge-existence tests are one binary search.
+// entry's key. Within a node's range entries are sorted by (Label, To)
+// (compareCSR), so the neighbours under one edge label that carry one node
+// label form a contiguous, To-sorted run (OutWithNbr/InWithNbr) that two
+// bisections of the key column find.
 type CSREdge struct {
 	To    NodeID
-	Label Sym
+	Label LabelKey
+}
+
+// LabelKey is an adjacency entry's sort key: the rank of its edge label in
+// the high 16 bits, the rank of its neighbour's node label in the low 16.
+// Ranks are per snapshot and dense: a freeze ranks each kind in code order,
+// an Overlay ranks a label first used after it last. Node labels past the
+// 65 535th share the overflow rank, ordered inside by label code.
+type LabelKey uint32
+
+const (
+	nbrBits       = 16
+	nbrMask       = 1<<nbrBits - 1
+	overflowRank  = nbrMask   // the neighbour rank shared by node labels past the 65 535th
+	MaxEdgeLabels = 1<<16 - 1 // the distinct edge labels a graph can hold
+)
+
+// ErrLabelSpace reports an edge label past the MaxEdgeLabels-th distinct one.
+var ErrLabelSpace = errors.New("graph: more than 65535 distinct edge labels")
+
+// ranks are the label ranks a snapshot's keys pack: each kind's codes in
+// rank order, and per code up to the largest ranked one its edge rank and
+// neighbour rank (capped at overflowRank), -1 where it has none.
+type ranks struct {
+	edgeLabels, nodeLabels []Sym
+	rankOf                 []labelRank
+}
+
+type labelRank struct{ edge, nbr int32 }
+
+// rank returns code c's ranks, both -1 for a code ranked as no label.
+func (r *ranks) rank(c Sym) labelRank {
+	if uint(c) < uint(len(r.rankOf)) {
+		return r.rankOf[c]
+	}
+	return labelRank{-1, -1}
+}
+
+// add ranks code c after every edge label, or every node label.
+func (r *ranks) add(c Sym, edge bool) {
+	for len(r.rankOf) <= int(c) {
+		r.rankOf = append(r.rankOf, labelRank{-1, -1})
+	}
+	if edge {
+		r.rankOf[c].edge = int32(len(r.edgeLabels))
+		r.edgeLabels = append(r.edgeLabels, c)
+	} else {
+		r.rankOf[c].nbr = min(int32(len(r.nodeLabels)), overflowRank)
+		r.nodeLabels = append(r.nodeLabels, c)
+	}
+}
+
+// key returns the key of an entry with edge label l whose neighbour
+// carries node label nl; both must be ranked.
+func (r *ranks) key(l, nl Sym) LabelKey {
+	return LabelKey(r.rankOf[l].edge)<<nbrBits | LabelKey(r.rankOf[nl].nbr)
 }
 
 // AttrPair is one interned attribute of a node's tuple: attribute name and
@@ -67,6 +122,8 @@ type Snapshot struct {
 
 	heavy []NodeID // the heavy-node list, ascending (see Heavy)
 
+	ranks // the label ranks the keys pack
+
 	scratch sync.Pool // *EpochSet, reused across Neighborhood traversals
 }
 
@@ -77,7 +134,7 @@ type Snapshot struct {
 // touched costs one slot load beside the base read, never a hash.
 type patch struct {
 	outSlot, inSlot []int32          // per node: 0, or an index into lists
-	lists           [][]CSREdge      // copied adjacency, (Label, Label(To), To)-sorted; lists[0] is unused
+	lists           [][]CSREdge      // copied adjacency in compareCSR order; lists[0] is unused
 	attrSlot        []int32          // per node: 0, or an index into tuples
 	tuples          [][]AttrPair     // copied tuples, sorted by Name; tuples[0] is unused
 	touched         []NodeID         // nodes holding an out or in slot, in first-touch order
@@ -150,16 +207,16 @@ func (g *Graph) BuildSnapshot(workers int) *Snapshot {
 // are interned in a fixed order — node labels by ID, out-edge labels by
 // (source, position), attribute names sorted, values by (node, sorted
 // name) — so the codes depend on the graph alone, and the codes go
-// straight into the out arena and the tuple arena. The table is private
-// until the build returns, so it interns without the lock.
+// straight into the out arena (until the sort pass keys it) and the tuple
+// arena; the labels are ranked in code order. The table is private until
+// the build returns, so it interns without the lock.
 //
 // Sorting is one drain pass over degree-balanced node ranges. Each range
-// fills its in rows through the finished table (AddEdge writes both
-// halves of an edge, so every in-edge label is already interned), sorts
-// its out and in rows by (Label, Label(To), To) — node labels are
-// interned above, before the sort reads them — and sorts its tuples by
-// name code. Last, labelClasses groups the nodes by label. The output
-// does not depend on the worker count (TestParallelFreezeEquivalence).
+// keys its out rows and fills its in rows through the finished table
+// (AddEdge writes both halves of an edge, so every in-edge label is
+// already interned), sorts both (compareCSR) and sorts its tuples by name
+// code. Last, labelClasses groups the nodes by label. The output does not
+// depend on the worker count (TestParallelFreezeEquivalence).
 func buildSnapshot(g *Graph, workers int) *Snapshot {
 	n := g.NumNodes()
 	syms := NewSymbols()
@@ -178,11 +235,12 @@ func buildSnapshot(g *Graph, workers int) *Snapshot {
 	for v := 0; v < n; v++ {
 		s.outOff[v] = int32(len(s.out))
 		for _, he := range g.out[v] {
-			s.out = append(s.out, CSREdge{To: he.To, Label: syms.intern(he.Label)})
+			s.out = append(s.out, CSREdge{To: he.To, Label: LabelKey(syms.intern(he.Label))})
 		}
 		s.inOff[v+1] = s.inOff[v] + int32(len(g.in[v]))
 	}
 	s.outOff[n] = int32(len(s.out))
+	s.rankLabels(syms.Len())
 	// Copying the tuples into a (Name, Val) arena (instead of sharing the
 	// graph's maps by reference) is what lets literal evaluation run
 	// without string hashing, and a frozen view never observes a later
@@ -226,10 +284,14 @@ func buildSnapshot(g *Graph, workers int) *Snapshot {
 		for v := ranges[i].lo; v < ranges[i].hi; v++ {
 			in := s.in[s.inOff[v]:s.inOff[v+1]]
 			for j, he := range g.in[v] {
-				in[j] = CSREdge{To: he.To, Label: codes.code(he.Label)}
+				in[j] = CSREdge{To: he.To, Label: s.key(codes.code(he.Label), s.labels[he.To])}
 			}
-			sortCSR(in, s.labels)
-			sortCSR(s.out[s.outOff[v]:s.outOff[v+1]], s.labels)
+			out := s.out[s.outOff[v]:s.outOff[v+1]]
+			for j, e := range out {
+				out[j].Label = s.key(Sym(e.Label), s.labels[e.To])
+			}
+			sortCSR(in, s.Label)
+			sortCSR(out, s.Label)
 			// The shared namespace can give an attribute name a code out
 			// of lexicographic order (when it collides with an earlier
 			// label), so the tuple is re-sorted by Name code.
@@ -238,6 +300,28 @@ func buildSnapshot(g *Graph, workers int) *Snapshot {
 	})
 	s.classOff, s.classes = labelClasses(s.labels, syms.Len())
 	return s
+}
+
+// rankLabels ranks each kind of label in ascending code order, reading a
+// build's out arena while it holds edge label codes (at most MaxEdgeLabels:
+// Graph.AddEdge refuses more). Every label code is below n: labels are
+// interned first.
+func (s *Snapshot) rankLabels(n int) {
+	node, edge := make([]bool, n), make([]bool, n)
+	for _, l := range s.labels {
+		node[l] = true
+	}
+	for _, e := range s.out {
+		edge[e.Label] = true
+	}
+	for c := range n {
+		if node[c] {
+			s.add(Sym(c), false)
+		}
+		if edge[c] {
+			s.add(Sym(c), true)
+		}
+	}
 }
 
 // labelClasses groups the nodes by label code, nsyms codes in all: a
@@ -263,10 +347,11 @@ func labelClasses(labels []Sym, nsyms int) ([]int32, []NodeID) {
 
 // flatten copies a view (an Overlay's patched view, or any snapshot) into
 // a fresh frozen snapshot through the view's own accessors. Each adjacency
-// range is already (label, neighbour label, neighbour)-sorted and each
-// tuple name-sorted under the view's symbol table, which the flat snapshot
-// shares, so compaction is a sequential copy: no sort, no re-intern. The
-// result equals a fresh freeze of the same graph by names, not by codes.
+// range is already in key order under the view's ranks and each tuple
+// name-sorted under the view's symbol table, both of which the flat
+// snapshot shares, so compaction is a sequential copy: no sort, no
+// re-intern, no re-rank. The result equals a fresh freeze of the same
+// graph by names, not by codes or ranks.
 func flatten(v *Snapshot) *Snapshot {
 	n, m := v.NumNodes(), v.NumEdges()
 	s := &Snapshot{
@@ -279,6 +364,7 @@ func flatten(v *Snapshot) *Snapshot {
 		out:       make([]CSREdge, 0, m),
 		inOff:     make([]int32, n+1),
 		in:        make([]CSREdge, 0, m),
+		ranks:     v.ranks,
 	}
 	for u := 0; u < n; u++ {
 		id := NodeID(u)
@@ -297,22 +383,27 @@ func flatten(v *Snapshot) *Snapshot {
 	return s
 }
 
-// sortCSR orders one node's adjacency by (Label, Label(To), To), reading
-// neighbour labels from labels.
-func sortCSR(es []CSREdge, labels []Sym) {
-	slices.SortFunc(es, func(a, b CSREdge) int {
-		return compareCSR(a, labels[a.To], b, labels[b.To])
-	})
+// EdgeLabel returns the code of the edge label a key ranks.
+func (s *Snapshot) EdgeLabel(k LabelKey) Sym { return s.edgeLabels[k>>nbrBits] }
+
+// sortCSR orders one node's adjacency by compareCSR, reading neighbour
+// labels through label.
+func sortCSR(es []CSREdge, label func(NodeID) Sym) {
+	slices.SortFunc(es, func(a, b CSREdge) int { return compareCSR(a, b, label) })
 }
 
-// compareCSR is the adjacency order: edge label, then the neighbour's node
-// label (na, nb), then the neighbour.
-func compareCSR(a CSREdge, na Sym, b CSREdge, nb Sym) int {
+// compareCSR is the adjacency order: key, then neighbour, with the
+// neighbour's label code (read through label) first inside the overflow
+// neighbour rank, so each node label's run is contiguous and To-sorted
+// there too.
+func compareCSR(a, b CSREdge, label func(NodeID) Sym) int {
 	if a.Label != b.Label {
 		return cmp.Compare(a.Label, b.Label)
 	}
-	if na != nb {
-		return cmp.Compare(na, nb)
+	if a.Label&nbrMask == overflowRank {
+		if c := cmp.Compare(label(a.To), label(b.To)); c != 0 {
+			return c
+		}
 	}
 	return cmp.Compare(a.To, b.To)
 }
@@ -441,7 +532,7 @@ func (s *Snapshot) patchedAttrs(v NodeID) []AttrPair {
 	return nil
 }
 
-// Out returns v's out-adjacency range, sorted by (Label, Label(To), To).
+// Out returns v's out-adjacency range, in compareCSR order.
 // Shared; read-only.
 func (s *Snapshot) Out(v NodeID) []CSREdge {
 	if s.patch != nil {
@@ -451,7 +542,7 @@ func (s *Snapshot) Out(v NodeID) []CSREdge {
 }
 
 // In returns v's in-adjacency range (CSREdge.To is the edge source),
-// sorted by (Label, Label(To), To). Shared; read-only.
+// in compareCSR order. Shared; read-only.
 func (s *Snapshot) In(v NodeID) []CSREdge {
 	if s.patch != nil {
 		return s.patched(s.patch.inSlot, v, s.inOff, s.in)
@@ -488,31 +579,34 @@ func (s *Snapshot) InDegree(v NodeID) int {
 	return int(s.inOff[v+1] - s.inOff[v])
 }
 
-// OutWith returns the contiguous subrange of v's out-adjacency carrying
-// edge label l, the whole range for WildcardSym: OutWithNbr with no
-// neighbour label. The subrange is To-sorted only within each neighbour
-// label's run.
-func (s *Snapshot) OutWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, WildcardSym, false) }
+// OutWith returns the subrange of v's out-adjacency under the edge label k
+// ranks (k = e.Label of an entry e of s): OutWithNbr with that label and
+// no neighbour label, To-sorted only within each neighbour label's run.
+func (s *Snapshot) OutWith(v NodeID, k LabelKey) []CSREdge {
+	return s.labelRange(v, s.EdgeLabel(k), WildcardSym, false)
+}
 
 // InWith is OutWith over the in-adjacency.
-func (s *Snapshot) InWith(v NodeID, l Sym) []CSREdge { return s.labelRange(v, l, WildcardSym, true) }
+func (s *Snapshot) InWith(v NodeID, k LabelKey) []CSREdge {
+	return s.labelRange(v, s.EdgeLabel(k), WildcardSym, true)
+}
 
 // OutWithNbr returns the run of v's out-adjacency with edge label l whose
 // neighbours carry node label nl. For a concrete l and nl the run is
 // contiguous and To-sorted, the shape IntersectAdjacency wants. nl ==
-// WildcardSym drops the neighbour filter (OutWith); l == WildcardSym
-// returns the whole range, whatever nl is, because the runs of one node
-// label under different edge labels are not adjacent. O(log d).
+// WildcardSym drops the neighbour filter (the edge-label group); l ==
+// WildcardSym returns the whole range, whatever nl is, because the runs of
+// one node label under different edge labels are not adjacent. Two
+// bisections of the key column, O(log d).
 func (s *Snapshot) OutWithNbr(v NodeID, l, nl Sym) []CSREdge { return s.labelRange(v, l, nl, false) }
 
 // InWithNbr is OutWithNbr over the in-adjacency: the sources of v's
 // l-labelled in-edges that carry node label nl.
 func (s *Snapshot) InWithNbr(v NodeID, l, nl Sym) []CSREdge { return s.labelRange(v, l, nl, true) }
 
-// labelRange resolves v's adjacency and bisects both ends of its (l, nl)
-// run in one body, so the four accessors inline to a single call in the
-// matcher. It narrows in two steps: the edge-label group by bisecting the
-// label column alone, then the neighbour-label run inside the group.
+// labelRange resolves v's adjacency and the run's key bounds in one body,
+// so the accessors inline to a single call in the matcher. An unranked
+// label (NoSym included) has an empty run.
 func (s *Snapshot) labelRange(v NodeID, l, nl Sym, in bool) []CSREdge {
 	var es []CSREdge
 	if in {
@@ -523,21 +617,34 @@ func (s *Snapshot) labelRange(v NodeID, l, nl Sym, in bool) []CSREdge {
 	if l == WildcardSym {
 		return es
 	}
-	lo := labelStart(es, l)
-	es = es[lo : lo+labelStart(es[lo:], l+1)]
-	if nl == WildcardSym {
-		return es
+	e, n := s.rank(l).edge, s.rank(nl).nbr
+	if e < 0 || n < 0 && nl != WildcardSym {
+		return nil
 	}
-	lo = s.seekNbr(es, nl, 0)
-	return es[lo : lo+s.seekNbr(es[lo:], nl+1, 0)]
+	lo := LabelKey(e) << nbrBits
+	if nl == WildcardSym {
+		return keyRange(es, lo, lo+nbrMask+1)
+	}
+	lo |= LabelKey(n)
+	if es = keyRange(es, lo, lo+1); n == overflowRank {
+		i := s.seekCode(es, nl, 0)
+		return es[i : i+s.seekCode(es[i:], nl+1, 0)]
+	}
+	return es
 }
 
-// labelStart bisects es for its first entry with edge label at least l.
-func labelStart(es []CSREdge, l Sym) int {
+// keyRange bisects es for its entries with keys in [lo, hi).
+func keyRange(es []CSREdge, lo, hi LabelKey) []CSREdge {
+	i := keyStart(es, lo)
+	return es[i : i+keyStart(es[i:], hi)]
+}
+
+// keyStart bisects es for its first entry with key at least k.
+func keyStart(es []CSREdge, k LabelKey) int {
 	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if es[mid].Label < l {
+		if es[mid].Label < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -546,15 +653,30 @@ func labelStart(es []CSREdge, l Sym) int {
 	return lo
 }
 
-// SeekNbr returns the index in es, one edge-label group of a node's
-// adjacency, of v if v is a neighbour there, otherwise of the first entry
-// ordered after (Label(v), v). O(log d).
-func (s *Snapshot) SeekNbr(es []CSREdge, v NodeID) int { return s.seekNbr(es, s.Label(v), v) }
+// seek returns the index in es, a slice of one node's adjacency, of the
+// first entry at or after (k, v): v's own entry under k if there is one.
+// One bisection on (key, To), or inside the overflow rank, on label codes.
+func (s *Snapshot) seek(es []CSREdge, k LabelKey, v NodeID) int {
+	if k&nbrMask == overflowRank {
+		i := keyStart(es, k)
+		return i + s.seekCode(es[i:i+keyStart(es[i:], k+1)], s.Label(v), v)
+	}
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e := es[mid]; e.Label < k || e.Label == k && e.To < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
-// seekNbr bisects one edge-label group for its first entry at or after
-// (nl, v) in (neighbour label, neighbour) order; v = 0 finds the start of
-// nl's run.
-func (s *Snapshot) seekNbr(es []CSREdge, nl Sym, v NodeID) int {
+// seekCode bisects an overflow-rank run for its first entry at or after
+// (nl, v) in (label code, neighbour) order; v = 0 finds nl's run. It is
+// the one search that loads neighbours' labels.
+func (s *Snapshot) seekCode(es []CSREdge, nl Sym, v NodeID) int {
 	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -567,12 +689,28 @@ func (s *Snapshot) seekNbr(es []CSREdge, nl Sym, v NodeID) int {
 	return lo
 }
 
+// SeenEarlier reports whether es[i].To is the neighbour of an entry before
+// es[i] in es, a whole adjacency range of s: per edge-label group, one
+// bisection for its entry and one to the next group.
+func (s *Snapshot) SeenEarlier(es []CSREdge, i int) bool {
+	v := es[i].To
+	nbr := LabelKey(s.rank(s.Label(v)).nbr)
+	for lo := 0; lo < i; {
+		k := es[lo].Label&^nbrMask | nbr
+		j := lo + s.seek(es[lo:i], k, v)
+		if j < i && es[j] == (CSREdge{To: v, Label: k}) {
+			return true
+		}
+		lo = j + keyStart(es[j:i], k|nbrMask+1)
+	}
+	return false
+}
+
 // HasEdge reports whether a from -[l]-> to edge exists; l == WildcardSym
-// matches any label. For a concrete label it bisects from's l group for
-// (Label(to), to); for the wildcard it scans the smaller endpoint range
-// (label groups make the neighbor column non-monotonic across the whole
-// range). An endpoint outside the view, negative IDs included, has no
-// edges.
+// matches any label. For a concrete label it is one bisection of from's
+// range; for the wildcard it scans the smaller endpoint range (no column
+// is sorted across label groups). An endpoint outside the view, negative
+// IDs included, has no edges.
 func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
 	if n := uint(s.NumNodes()); uint(from) >= n || uint(to) >= n {
 		return false
@@ -594,9 +732,19 @@ func (s *Snapshot) HasEdge(from, to NodeID, l Sym) bool {
 		}
 		return false
 	}
-	es := s.OutWith(from, l)
-	i := s.seekNbr(es, s.Label(to), to)
-	return i < len(es) && es[i].To == to
+	return s.hasLabeled(from, to, l)
+}
+
+// hasLabeled is HasEdge for exactly label l, the wildcard's code included:
+// on a graph's edge "_" is a label of its own. Both endpoints are in view.
+func (s *Snapshot) hasLabeled(from, to NodeID, l Sym) bool {
+	if s.rank(l).edge < 0 {
+		return false
+	}
+	k := s.key(l, s.Label(to))
+	es := s.Out(from)
+	i := s.seek(es, k, to)
+	return i < len(es) && es[i] == CSREdge{To: to, Label: k}
 }
 
 // NodesWith returns the candidate class of label code l: all nodes carrying

@@ -46,7 +46,7 @@ func TestSnapshotMirrorsGraph(t *testing.T) {
 		}
 	}
 	// Every graph edge must be findable in the snapshot, concrete and
-	// wildcard, and the CSR ranges must be (Label, Label(To), To)-sorted.
+	// wildcard, and the CSR ranges must be in key order.
 	g.Edges(func(e Edge) bool {
 		l := s.Syms().Lookup(e.Label)
 		if !s.HasEdge(e.From, e.To, l) {
@@ -98,14 +98,23 @@ func TestSnapshotMirrorsGraph(t *testing.T) {
 	}
 }
 
-// csrOrderBreak returns the first index of es that breaks the adjacency
-// order (edge label, neighbour's node label in s, neighbour), or -1.
+// csrOrderBreak returns the first index of es whose key does not rank its
+// neighbour's label in s, or that breaks the adjacency order (key, then
+// neighbour, with the neighbour's label code first inside the overflow
+// neighbour rank), or -1.
 func csrOrderBreak(s *Snapshot, es []CSREdge) int {
-	for i := 1; i < len(es); i++ {
-		p, c := es[i-1], es[i]
-		pk := []int{int(p.Label), int(s.Label(p.To)), int(p.To)}
-		ck := []int{int(c.Label), int(s.Label(c.To)), int(c.To)}
-		if slices.Compare(pk, ck) > 0 {
+	tuple := func(e CSREdge) []int {
+		code := 0
+		if e.Label&nbrMask == overflowRank {
+			code = int(s.Label(e.To))
+		}
+		return []int{int(e.Label), code, int(e.To)}
+	}
+	for i, e := range es {
+		if e.Label&nbrMask != LabelKey(s.rank(s.Label(e.To)).nbr) {
+			return i
+		}
+		if i > 0 && slices.Compare(tuple(es[i-1]), tuple(e)) > 0 {
 			return i
 		}
 	}
@@ -118,19 +127,19 @@ func requireCSROrder(t *testing.T, s *Snapshot) {
 	t.Helper()
 	for v := 0; v < s.NumNodes(); v++ {
 		if i := csrOrderBreak(s, s.Out(NodeID(v))); i >= 0 {
-			t.Fatalf("out adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", v, i)
+			t.Fatalf("out adjacency of %d not in key order at %d", v, i)
 		}
 		if i := csrOrderBreak(s, s.In(NodeID(v))); i >= 0 {
-			t.Fatalf("in adjacency of %d not (label, neighbour label, neighbour)-sorted at %d", v, i)
+			t.Fatalf("in adjacency of %d not in key order at %d", v, i)
 		}
 	}
 }
 
-// requireLabelledRuns checks OutWithNbr/InWithNbr (and the two-argument
-// OutWith/InWith, their wildcard case) against a filter of the whole
-// range, for every edge label and node label of s including the wildcard:
-// the run holds exactly the matching entries, in range order, and a run
-// with both labels concrete is To-sorted.
+// requireLabelledRuns checks OutWithNbr/InWithNbr against a filter of the
+// whole range, for every edge label and node label of s including the
+// wildcard: the run holds exactly the matching entries, in range order,
+// and a run with both labels concrete is To-sorted. OutWith/InWith, keyed
+// by an entry, must return its edge-label group.
 func requireLabelledRuns(t *testing.T, s *Snapshot) {
 	t.Helper()
 	codes := []Sym{WildcardSym, NoSym}
@@ -140,7 +149,7 @@ func requireLabelledRuns(t *testing.T, s *Snapshot) {
 	filter := func(es []CSREdge, l, nl Sym) []CSREdge {
 		var out []CSREdge
 		for _, e := range es {
-			if (l == WildcardSym || e.Label == l) && (l == WildcardSym || nl == WildcardSym || s.Label(e.To) == nl) {
+			if (l == WildcardSym || s.EdgeLabel(e.Label) == l) && (l == WildcardSym || nl == WildcardSym || s.Label(e.To) == nl) {
 				out = append(out, e)
 			}
 		}
@@ -148,13 +157,17 @@ func requireLabelledRuns(t *testing.T, s *Snapshot) {
 	}
 	for v := 0; v < s.NumNodes(); v++ {
 		id := NodeID(v)
+		for _, e := range s.Out(id) {
+			if got, want := s.OutWith(id, e.Label), filter(s.Out(id), s.EdgeLabel(e.Label), WildcardSym); !slices.Equal(got, want) {
+				t.Fatalf("OutWith(%d, %#x) = %v, want %v", v, e.Label, got, want)
+			}
+		}
+		for _, e := range s.In(id) {
+			if got, want := s.InWith(id, e.Label), filter(s.In(id), s.EdgeLabel(e.Label), WildcardSym); !slices.Equal(got, want) {
+				t.Fatalf("InWith(%d, %#x) = %v, want %v", v, e.Label, got, want)
+			}
+		}
 		for _, l := range codes {
-			if got, want := s.OutWith(id, l), filter(s.Out(id), l, WildcardSym); !slices.Equal(got, want) {
-				t.Fatalf("OutWith(%d, %d) = %v, want %v", v, l, got, want)
-			}
-			if got, want := s.InWith(id, l), filter(s.In(id), l, WildcardSym); !slices.Equal(got, want) {
-				t.Fatalf("InWith(%d, %d) = %v, want %v", v, l, got, want)
-			}
 			for _, nl := range codes {
 				out, in := s.OutWithNbr(id, l, nl), s.InWithNbr(id, l, nl)
 				if want := filter(s.Out(id), l, nl); !slices.Equal(out, want) {
@@ -179,8 +192,9 @@ func requireLabelledRuns(t *testing.T, s *Snapshot) {
 }
 
 // TestAdoptFlatRejectsLabelToOrder: an image whose adjacency is sorted by
-// (label, neighbour) alone — store format 1's order — is not adoptable,
-// because the matcher would intersect runs that are not To-sorted. The
+// (edge rank, neighbour) alone — store format 1's order — is not
+// adoptable, because the matcher would intersect runs that are not
+// To-sorted. The
 // large image validates on several shards, and the error must read the
 // same with one validation worker and with four.
 func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
@@ -196,8 +210,8 @@ func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
 		out := slices.Clone(f.Out)
 		for v := 0; v+1 < len(f.OutOff); v++ {
 			slices.SortFunc(out[f.OutOff[v]:f.OutOff[v+1]], func(a, b CSREdge) int {
-				if a.Label != b.Label {
-					return int(a.Label - b.Label)
+				if ea, eb := a.Label>>nbrBits, b.Label>>nbrBits; ea != eb {
+					return int(ea) - int(eb)
 				}
 				return int(a.To - b.To)
 			})
@@ -211,7 +225,7 @@ func TestAdoptFlatRejectsLabelToOrder(t *testing.T) {
 		}
 		var errs []string
 		for _, w := range []int{1, 4} {
-			_, _, err := f.validate(w, nil)
+			_, _, _, err := f.validate(w, nil)
 			if err == nil {
 				t.Fatalf("validation accepted (label, neighbour)-ordered adjacency (|V| = %d, %d workers)", size[0], w)
 			}

@@ -3,7 +3,6 @@ package match
 import (
 	"iter"
 	"math"
-	"sort"
 	"strings"
 
 	"gfd/internal/core"
@@ -579,7 +578,7 @@ func (m *Matcher) extend(depth int) {
 		cands := graph.IntersectAdjacency(m.cands[depth][:0], m.ranges[:nr])
 		m.cands[depth] = cands
 		for _, v := range cands {
-			m.try(depth, u, v, inter)
+			m.try(depth, u, v, inter|labelBit)
 			if m.halt {
 				return
 			}
@@ -590,7 +589,7 @@ func (m *Matcher) extend(depth int) {
 		// A wildcard range spans label groups, so a neighbour linked under
 		// several labels recurs there; only its first occurrence is tried.
 		for i := range best {
-			if !seenEarlier(m.snap, best, i) {
+			if !m.snap.SeenEarlier(best, i) {
 				m.try(depth, u, best[i].To, bestBit)
 				if m.halt {
 					return
@@ -601,7 +600,7 @@ func (m *Matcher) extend(depth int) {
 	}
 	if bestLen >= 0 {
 		for i := range best {
-			// Within one edge label the run is (Label(To), To)-sorted, so
+			// Within one edge label the run is in (key, To) order, so
 			// duplicate (from, to, label) edges — which the graph type
 			// documents as never produced, but does not reject — sit
 			// adjacent; skipping them keeps the match set a set where the
@@ -609,7 +608,7 @@ func (m *Matcher) extend(depth int) {
 			if i > 0 && best[i] == best[i-1] {
 				continue
 			}
-			m.try(depth, u, best[i].To, bestBit)
+			m.try(depth, u, best[i].To, bestBit|labelBit)
 			if m.halt {
 				return
 			}
@@ -619,7 +618,7 @@ func (m *Matcher) extend(depth int) {
 	// Fresh component: label class range, or all nodes for a wildcard.
 	if nl != graph.WildcardSym {
 		for _, v := range m.snap.NodesWith(nl) {
-			m.try(depth, u, v, 0)
+			m.try(depth, u, v, labelBit)
 			if m.halt {
 				return
 			}
@@ -635,24 +634,12 @@ func (m *Matcher) extend(depth int) {
 }
 
 // edgeBit is pattern edge ei's bit in a proved-edge mask; edges past the
-// 64th get none, so feasible() always checks them.
-func edgeBit(ei int) uint64 { return uint64(1) << uint(ei) }
+// 63rd get none, so feasible() always checks them.
+func edgeBit(ei int) uint64 { return uint64(1) << uint(ei) &^ labelBit }
 
-// seenEarlier reports whether es[i].To is the neighbour of an edge before
-// es[i]. es is a whole adjacency range, so each edge-label group before
-// es[i] is searched for the neighbour in one bisection (SeekNbr).
-func seenEarlier(s *graph.Snapshot, es []graph.CSREdge, i int) bool {
-	v := es[i].To
-	for lo := 0; lo < i; {
-		l := es[lo].Label
-		hi := lo + sort.Search(i-lo, func(k int) bool { return es[lo+k].Label != l })
-		if j := lo + s.SeekNbr(es[lo:hi], v); j < hi && es[j].To == v {
-			return true
-		}
-		lo = hi
-	}
-	return false
-}
+// labelBit marks, in a proved mask, a candidate whose source — a run keyed
+// by u's node label, an intersection of such runs, its class — proves it.
+const labelBit = uint64(1) << 63
 
 // try extends the partial assignment with u -> v if injective and feasible.
 // proved holds the bits (edgeBit) of the pattern edges v's candidate source
@@ -690,7 +677,7 @@ func (m *Matcher) feasible(u int, v graph.NodeID, proved uint64) bool {
 	if m.opts.StripeMod > 0 && u == m.opts.StripeNode && int(v)%m.opts.StripeMod != m.opts.StripeRem {
 		return false
 	}
-	if !pattern.LabelMatchesSym(m.cq.NodeSyms[u], m.snap.Label(v)) {
+	if proved&labelBit == 0 && !pattern.LabelMatchesSym(m.cq.NodeSyms[u], m.snap.Label(v)) {
 		return false
 	}
 	if len(m.q.OutEdges(u)) > m.snap.OutDegree(v) || len(m.q.InEdges(u)) > m.snap.InDegree(v) {

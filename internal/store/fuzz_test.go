@@ -27,8 +27,10 @@ func FuzzDecode(f *testing.F) {
 	a := g.AddNode("person", graph.Attrs{"name": "ann"})
 	b := g.AddNode("person", graph.Attrs{"name": "bob"})
 	c := g.AddNode("city", nil)
+	d := g.AddNode("city", nil)
 	g.MustAddEdge(a, b, "knows")
 	g.MustAddEdge(a, c, "in")
+	g.MustAddEdge(a, d, "in")
 	g.MustAddEdge(b, c, "in")
 	path := filepath.Join(f.TempDir(), "seed.gfds")
 	if err := store.Save(context.Background(), g.Freeze(), path); err != nil {
@@ -70,7 +72,8 @@ func FuzzDecode(f *testing.F) {
 	for _, mut := range []func([]byte){
 		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 1) },         // past version
 		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 2) },         // the version before the symbol directory
-		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 4) },         // future version
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 3) },         // the version before keys
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 5) },         // future version
 		func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], 64) },      // count high
 		func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<60) },     // huge offset
 		func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<60) },     // huge length
@@ -84,11 +87,28 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	// The same mis-sorted directory with every checksum re-signed, so the
-	// fuzzer starts past the checksums at the directory check itself.
-	misSorted := append([]byte(nil), good...)
-	swapDirEntries(misSorted)
-	resign(misSorted)
-	f.Add(misSorted)
+	// fuzzer starts past the checksums at the directory check itself; and
+	// so re-signed, format 4's key breaks: a key naming the wrong neighbour
+	// rank, an edge rank out of range, a rank table repeating a code, and
+	// two entries under one key out of neighbour order.
+	for _, mut := range []func([]byte){
+		swapDirEntries,
+		func(b []byte) { b[sectionAt(b, secOut)+4] ^= 1 },
+		func(b []byte) { b[sectionAt(b, secOut)+7] = 0x7f },
+		func(b []byte) { copy(b[sectionAt(b, secNodeRk)+4:], b[sectionAt(b, secNodeRk):][:4]) },
+		func(b []byte) { // a -in-> c and a -in-> d share a key
+			o := sectionAt(b, secOut)
+			var e [8]byte
+			copy(e[:], b[o+8:o+16])
+			copy(b[o+8:o+16], b[o+16:o+24])
+			copy(b[o+16:o+24], e[:])
+		},
+	} {
+		c := append([]byte(nil), good...)
+		mut(c)
+		resign(c)
+		f.Add(c)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := store.Decode(data)
@@ -106,7 +126,7 @@ func FuzzDecode(f *testing.F) {
 			id := graph.NodeID(v)
 			_ = syms.Name(s.Label(id))
 			for _, e := range s.Out(id) {
-				_ = syms.Name(e.Label)
+				_ = syms.Name(s.EdgeLabel(e.Label))
 				_ = s.Label(e.To)
 			}
 			for _, e := range s.In(id) {
@@ -130,17 +150,22 @@ func FuzzDecode(f *testing.F) {
 // swapDirEntries swaps the first two entries of a well-formed file's
 // symbol directory.
 func swapDirEntries(b []byte) {
+	d := sectionAt(b, secSymDir)
+	var tmp [4]byte
+	copy(tmp[:], b[d:d+4])
+	copy(b[d:d+4], b[d+4:d+8])
+	copy(b[d+4:d+8], tmp[:])
+}
+
+// sectionAt returns the file offset of section id of a well-formed file.
+func sectionAt(b []byte, id uint32) int {
 	count := int(binary.LittleEndian.Uint32(b[12:16]))
 	for i := 0; i < count; i++ {
-		e := b[16+i*32:]
-		if binary.LittleEndian.Uint32(e[0:4]) == secSymDir {
-			d := int(binary.LittleEndian.Uint64(e[8:16]))
-			var tmp [4]byte
-			copy(tmp[:], b[d:d+4])
-			copy(b[d:d+4], b[d+4:d+8])
-			copy(b[d+4:d+8], tmp[:])
+		if e := b[16+i*32:]; binary.LittleEndian.Uint32(e[0:4]) == id {
+			return int(binary.LittleEndian.Uint64(e[8:16]))
 		}
 	}
+	panic("no such section")
 }
 
 // resign recomputes every section's body checksum and the header

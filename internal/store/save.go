@@ -58,6 +58,8 @@ func Save(ctx context.Context, s *graph.Snapshot, path string) (err error) {
 		secClassOff - 1:  bytesOf(f.ClassOff),
 		secClasses - 1:   bytesOf(f.Classes),
 		secSymDir - 1:    bytesOf(f.SymDir),
+		secEdgeRanks - 1: bytesOf(f.EdgeLabels),
+		secNodeRanks - 1: bytesOf(f.NodeLabels),
 	}
 
 	// Lay out sections and build the header + table in memory (a few KB),

@@ -10,7 +10,7 @@
 // goroutine copies the symbol table's three arrays (see Decode). No name
 // is hashed on open.
 //
-// File layout (format version 3, all header/table scalars little-endian):
+// File layout (format version 4, all header/table scalars little-endian):
 //
 //	[0:4)   magic "GFDS"
 //	[4:8)   format version (u32)
@@ -28,14 +28,10 @@
 // verified on open, body CRCs can be skipped (SkipChecksums) for trusted
 // files. Unknown section ids are ignored so later minor revisions can add
 // sections without a version bump; removing or reshaping a section, or
-// adding one every reader needs, is a version bump. Version 2 reordered
-// each node's adjacency in the out/in sections from (edge label,
-// neighbour) to (edge label, neighbour's node label, neighbour); version
-// 3 added the symbol directory (section 13: every symbol code, in
-// bytewise order of the names), which open checks instead of hashing
-// every name into an index. Every other section's bytes are version 2's.
-// A file of an older version fails as ErrVersion, and re-saving its graph
-// rewrites it (gfdgen -snapshot).
+// adding one every reader needs, is a version bump; docs/SNAPSHOT_FORMAT.md
+// records each. Version 4 keys each adjacency entry (graph.LabelKey) over
+// the rank tables of sections 14 and 15. A file of an older version fails
+// as ErrVersion, and re-saving its graph rewrites it (gfdgen -snapshot).
 //
 // The mapping is PROT_READ: nothing may ever write through a loaded
 // snapshot's arrays. The graph packages uphold this by construction —
@@ -70,7 +66,7 @@ var (
 
 const (
 	magic         = "GFDS"
-	formatVersion = 3
+	formatVersion = 4
 	byteOrderMark = 0x01020304
 
 	headerSize   = 16
@@ -81,7 +77,7 @@ const (
 	maxSections = 64
 )
 
-// Section ids of format version 3. All are required.
+// Section ids of format version 4. All are required.
 const (
 	secMeta      = 1  // 4 × u64: numNodes, numEdges, numSyms, numAttrPairs
 	secSymBlob   = 2  // concatenated symbol name bytes
@@ -90,13 +86,15 @@ const (
 	secAttrOff   = 5  // []i32, numNodes+1
 	secAttrPairs = 6  // []graph.AttrPair, numAttrPairs
 	secOutOff    = 7  // []i32, numNodes+1
-	secOut       = 8  // []graph.CSREdge, numEdges; per node (Label, Label(To), To)-sorted
+	secOut       = 8  // []graph.CSREdge, numEdges; per node in (key, To) order
 	secInOff     = 9  // []i32, numNodes+1
 	secIn        = 10 // []graph.CSREdge, numEdges; ordered as secOut
 	secClassOff  = 11 // []i32, numSyms+1
 	secClasses   = 12 // []graph.NodeID (i32), numNodes
 	secSymDir    = 13 // []graph.Sym (i32), numSyms: every code, in bytewise name order
-	numSections  = 13
+	secEdgeRanks = 14 // []graph.Sym (i32): the edge label codes, in rank order
+	secNodeRanks = 15 // []graph.Sym (i32): the node label codes, in rank order
+	numSections  = 15
 )
 
 // secNames names each section in error messages.
@@ -105,6 +103,7 @@ var secNames = [numSections + 1]string{
 	secLabels: "labels", secAttrOff: "attr offsets", secAttrPairs: "attr pairs",
 	secOutOff: "out offsets", secOut: "out", secInOff: "in offsets", secIn: "in",
 	secClassOff: "class offsets", secClasses: "classes", secSymDir: "symbol directory",
+	secEdgeRanks: "edge ranks", secNodeRanks: "node ranks",
 }
 
 // The raw-dump sections rely on these layouts exactly; a field added to
@@ -292,7 +291,7 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 	checkLen := func(id int, elems, elemSize int) ([]byte, error) {
 		if want := uint64(elems) * uint64(elemSize); uint64(len(secs[id])) != want {
-			return nil, corruptf("section %d (%s) is %d bytes, meta implies %d", id, secNames[id], len(secs[id]), want)
+			return nil, corruptf("section %d (%s) is %d bytes, want %d", id, secNames[id], len(secs[id]), want)
 		}
 		return secs[id], nil
 	}
@@ -318,6 +317,8 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		return fail(corruptf("symbol offsets end at %d, blob holds %d bytes", symOff[numSyms], len(blob)))
 	}
 
+	// A rank table's length is its own: any whole number of codes.
+	numEdgeRanks, numNodeRanks := len(secs[secEdgeRanks])/4, len(secs[secNodeRanks])/4
 	sections := []struct {
 		id, elems, elemSize int
 	}{
@@ -331,6 +332,8 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 		{secClassOff, numSyms + 1, 4},
 		{secClasses, numNodes, 4},
 		{secSymDir, numSyms, 4},
+		{secEdgeRanks, numEdgeRanks, 4},
+		{secNodeRanks, numNodeRanks, 4},
 	}
 	for _, s := range sections {
 		if _, err := checkLen(s.id, s.elems, s.elemSize); err != nil {
@@ -339,25 +342,28 @@ func Decode(data []byte, opts ...Option) (*graph.Snapshot, error) {
 	}
 
 	f := graph.Flat{
-		SymBlob:   blob,
-		SymOff:    symOff,
-		SymDir:    viewOf[graph.Sym](secs[secSymDir], numSyms),
-		Labels:    viewOf[graph.Sym](secs[secLabels], numNodes),
-		AttrOff:   viewOf[int32](secs[secAttrOff], numNodes+1),
-		AttrPairs: viewOf[graph.AttrPair](secs[secAttrPairs], numPairs),
-		OutOff:    viewOf[int32](secs[secOutOff], numNodes+1),
-		Out:       viewOf[graph.CSREdge](secs[secOut], numEdges),
-		InOff:     viewOf[int32](secs[secInOff], numNodes+1),
-		In:        viewOf[graph.CSREdge](secs[secIn], numEdges),
-		ClassOff:  viewOf[int32](secs[secClassOff], numSyms+1),
-		Classes:   viewOf[graph.NodeID](secs[secClasses], numNodes),
+		SymBlob:    blob,
+		SymOff:     symOff,
+		SymDir:     viewOf[graph.Sym](secs[secSymDir], numSyms),
+		EdgeLabels: viewOf[graph.Sym](secs[secEdgeRanks], numEdgeRanks),
+		NodeLabels: viewOf[graph.Sym](secs[secNodeRanks], numNodeRanks),
+		Labels:     viewOf[graph.Sym](secs[secLabels], numNodes),
+		AttrOff:    viewOf[int32](secs[secAttrOff], numNodes+1),
+		AttrPairs:  viewOf[graph.AttrPair](secs[secAttrPairs], numPairs),
+		OutOff:     viewOf[int32](secs[secOutOff], numNodes+1),
+		Out:        viewOf[graph.CSREdge](secs[secOut], numEdges),
+		InOff:      viewOf[int32](secs[secInOff], numNodes+1),
+		In:         viewOf[graph.CSREdge](secs[secIn], numEdges),
+		ClassOff:   viewOf[int32](secs[secClassOff], numSyms+1),
+		Classes:    viewOf[graph.NodeID](secs[secClasses], numNodes),
 	}
 	snap, err := graph.AdoptFlatBeside(f, crcs)
 	if errors.Is(err, ErrCorrupt) {
 		return nil, err // a checksum mismatch
 	}
 	if err != nil {
-		return nil, corruptf("invalid snapshot image: %v", err)
+		// %w twice: a label-space overflow is ErrLabelSpace as well.
+		return nil, fmt.Errorf("%w: invalid snapshot image: %w", ErrCorrupt, err)
 	}
 	return snap, nil
 }

@@ -253,6 +253,8 @@ const (
 	secOutOff  = 7
 	secOut     = 8
 	secSymDir  = 13
+	secEdgeRk  = 14
+	secNodeRk  = 15
 )
 
 // TestDecodeCorruption walks the corruption taxonomy: every class must
@@ -291,11 +293,12 @@ func TestDecodeCorruption(t *testing.T) {
 		})
 	})
 	t.Run("version skew", func(t *testing.T) {
-		// Format 1 sorted adjacency by (label, neighbour) alone and format
-		// 2 had no symbol directory: their files are a version this build
-		// does not read, not corrupt ones.
+		// Format 1 sorted adjacency by (label, neighbour) alone, format 2
+		// had no symbol directory and format 3 stored label codes, not
+		// keys: their files are a version this build does not read, not
+		// corrupt ones.
 		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
-			for _, v := range []uint32{1, 2, 99} {
+			for _, v := range []uint32{1, 2, 3, 99} {
 				c := corrupt(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], v) })
 				mustDecodeErr(t, c, store.ErrVersion)
 			}
@@ -363,7 +366,7 @@ func TestDecodeCorruption(t *testing.T) {
 		// padding and the decode result must equal the pristine one.
 		each(t, func(t *testing.T, g *graph.Graph, good []byte) {
 			want := g.Freeze()
-			start := 16 + 13*32 + 4
+			start := 16 + 15*32 + 4
 			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
 				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
 				s, err := decodeEach(t, c)
@@ -393,7 +396,7 @@ func TestDecodeCorruption(t *testing.T) {
 			// Sampled flips across the body: the structural check alone
 			// decides, so its error (or acceptance) is what decodeEach
 			// compares across worker counts.
-			start := 16 + 13*32 + 4
+			start := 16 + 15*32 + 4
 			for pos := start; pos < len(good); pos += max(7, len(good)/1000) {
 				c := corrupt(good, func(b []byte) { b[pos] ^= 0x10 })
 				if _, err := decodeEach(t, c, store.SkipChecksums()); err != nil && !errors.Is(err, store.ErrCorrupt) {
@@ -549,6 +552,138 @@ func TestDecodeCorruption(t *testing.T) {
 			}
 		})
 	})
+	// Format 4's keys: each packs its edge label's rank and its
+	// neighbour's node-label rank, per the two rank tables, and each node's
+	// range is in (key, to) order. With SkipChecksums the structural check
+	// alone must name the break; with checksums on, the out section's or
+	// rank section's checksum is reported first.
+	keyCase := func(t *testing.T, c []byte, want, section string) {
+		err := mustDecodeErr(t, c, store.ErrCorrupt, store.SkipChecksums())
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q, want the key check's %q", err, want)
+		}
+		if err := mustDecodeErr(t, c, store.ErrCorrupt); !strings.Contains(err.Error(), "("+section+") checksum mismatch") {
+			t.Fatalf("error %q, want the %s section's checksum's", err, section)
+		}
+	}
+	// entry returns the offset of the i-th out entry's key word, and the
+	// rank tables' lengths.
+	entry := func(t *testing.T, b []byte, i int) (key, edges, nodes int) {
+		out, _ := section(t, b, secOut)
+		_, el := section(t, b, secEdgeRk)
+		_, nl := section(t, b, secNodeRk)
+		return out + 8*i + 4, el / 4, nl / 4
+	}
+	t.Run("key names the wrong neighbour rank", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				k, _, nodes := entry(t, b, 0)
+				w := binary.LittleEndian.Uint32(b[k:])
+				binary.LittleEndian.PutUint32(b[k:], w&^0xffff|(w&0xffff+1)%uint32(nodes))
+			})
+			keyCase(t, c, "has neighbour rank", "out")
+		})
+	})
+	t.Run("key's edge rank out of range", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				k, edges, _ := entry(t, b, 0)
+				w := binary.LittleEndian.Uint32(b[k:])
+				binary.LittleEndian.PutUint32(b[k:], uint32(edges)<<16|w&0xffff)
+			})
+			keyCase(t, c, "edge rank 3 out of range [0,3)", "out")
+		})
+	})
+	t.Run("rank table repeats a code", func(t *testing.T) {
+		each(t, func(t *testing.T, _ *graph.Graph, good []byte) {
+			for _, sec := range []struct {
+				id   uint32
+				name string
+			}{{secEdgeRk, "edge"}, {secNodeRk, "node"}} {
+				c := corrupt(good, func(b []byte) {
+					off, _ := section(t, b, sec.id)
+					copy(b[off+4:off+8], b[off:off+4])
+				})
+				keyCase(t, c, "repeats code", sec.name+" ranks")
+			}
+		})
+	})
+	t.Run("order break inside one key", func(t *testing.T) {
+		// Two entries of one node under one key (same edge label, same
+		// neighbour label) swapped: only the neighbour column is out of
+		// order.
+		each(t, func(t *testing.T, g *graph.Graph, good []byte) {
+			c := corrupt(good, func(b []byte) {
+				oo, _ := section(t, b, secOutOff)
+				out, _ := section(t, b, secOut)
+				for v := 0; v < g.NumNodes(); v++ {
+					lo := int(binary.LittleEndian.Uint32(b[oo+4*v:]))
+					hi := int(binary.LittleEndian.Uint32(b[oo+4*v+4:]))
+					for i := lo; i+1 < hi; i++ {
+						e := b[out+8*i : out+8*i+16]
+						if bytes.Equal(e[4:8], e[12:16]) && !bytes.Equal(e[0:4], e[8:12]) {
+							var tmp [8]byte
+							copy(tmp[:], e[0:8])
+							copy(e[0:8], e[8:16])
+							copy(e[8:16], tmp[:])
+							return
+						}
+					}
+				}
+				t.Fatal("no node has two neighbours under one key")
+			})
+			keyCase(t, c, "not in (key, to) order", "out")
+		})
+	})
+}
+
+// replaceSection returns a copy of a well-formed file whose section id
+// holds payload instead, appended at the end of the file, with every
+// checksum re-signed: a crafted image a writer of this format could have
+// produced, whose sections only the graph checks judge.
+func replaceSection(b []byte, id uint32, payload []byte) []byte {
+	c := append([]byte(nil), b...)
+	for len(c)%8 != 0 {
+		c = append(c, 0)
+	}
+	off := len(c)
+	c = append(c, payload...)
+	count := int(binary.LittleEndian.Uint32(c[12:16]))
+	for i := 0; i < count; i++ {
+		e := c[16+i*32:]
+		if binary.LittleEndian.Uint32(e[0:4]) == id {
+			binary.LittleEndian.PutUint64(e[8:16], uint64(off))
+			binary.LittleEndian.PutUint64(e[16:24], uint64(len(payload)))
+		}
+	}
+	resign(c)
+	return c
+}
+
+// TestDecodeEdgeLabelSpace: an image whose edge rank table lists more
+// than graph.MaxEdgeLabels codes — each in range and distinct, so only the
+// label space is at fault — fails as graph.ErrLabelSpace, and as
+// ErrCorrupt, since no writer of this format produces it.
+func TestDecodeEdgeLabelSpace(t *testing.T) {
+	g := graph.New(2, graph.MaxEdgeLabels)
+	a, b := g.AddNode("n", nil), g.AddNode("n", nil)
+	for i := 0; i < graph.MaxEdgeLabels; i++ {
+		g.MustAddEdge(a, b, fmt.Sprintf("e%d", i))
+	}
+	good, err := os.ReadFile(saveTo(t, g.Freeze()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Decode(good); err != nil {
+		t.Fatalf("an image of %d edge labels rejected: %v", graph.MaxEdgeLabels, err)
+	}
+	off, ln := section(t, good, secEdgeRk)
+	ranks := append([]byte(nil), good[off:off+ln]...)
+	ranks = binary.LittleEndian.AppendUint32(ranks, uint32(g.Freeze().Syms().Lookup("n")))
+	_, err = store.Decode(replaceSection(good, secEdgeRk, ranks))
+	if !errors.Is(err, graph.ErrLabelSpace) || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Decode of an image ranking %d edge labels = %v, want ErrLabelSpace and ErrCorrupt", graph.MaxEdgeLabels+1, err)
+	}
 }
 
 // TestSaveOpenCancellation: a canceled context aborts both directions
@@ -724,10 +859,10 @@ func sameByNames(t *testing.T, got, want *graph.Snapshot) {
 		t.Fatalf("|V|=%d |E|=%d, want %d %d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
 	gs, ws := got.Syms(), want.Syms()
-	render := func(syms *graph.Symbols, es []graph.CSREdge) []string {
+	render := func(s *graph.Snapshot, es []graph.CSREdge) []string {
 		out := make([]string, len(es))
 		for i, e := range es {
-			out[i] = fmt.Sprintf("%s>%d", syms.Name(e.Label), e.To)
+			out[i] = fmt.Sprintf("%s>%d", s.Syms().Name(s.EdgeLabel(e.Label)), e.To)
 		}
 		slices.Sort(out)
 		return out
@@ -747,7 +882,7 @@ func sameByNames(t *testing.T, got, want *graph.Snapshot) {
 		if !reflect.DeepEqual(pairs(gs, got.AttrPairs(id)), pairs(ws, want.AttrPairs(id))) {
 			t.Fatalf("attributes of %d differ", v)
 		}
-		if !slices.Equal(render(gs, got.Out(id)), render(ws, want.Out(id))) || !slices.Equal(render(gs, got.In(id)), render(ws, want.In(id))) {
+		if !slices.Equal(render(got, got.Out(id)), render(want, want.Out(id))) || !slices.Equal(render(got, got.In(id)), render(want, want.In(id))) {
 			t.Fatalf("adjacency of %d differs", v)
 		}
 		l := want.LabelName(id)
@@ -819,22 +954,31 @@ func TestCompactedOverlayRoundTrip(t *testing.T) {
 // TestDecodeFormat2Fixture: a file written by a format-2 build (no symbol
 // directory; testdata/v2.gfds, a three-node graph) is a version this build
 // does not read, not a corrupt file, through Decode and Open alike.
-func TestDecodeFormat2Fixture(t *testing.T) {
-	path := filepath.Join("testdata", "v2.gfds")
+func TestDecodeFormat2Fixture(t *testing.T) { requireOldFormat(t, 2) }
+
+// TestDecodeFormat3Fixture: so is a file written by a format-3 build
+// (label codes in the adjacency, no rank tables; testdata/v3.gfds, a
+// three-node graph).
+func TestDecodeFormat3Fixture(t *testing.T) { requireOldFormat(t, 3) }
+
+// requireOldFormat checks that testdata/v<version>.gfds, written by a build
+// of that format, fails as ErrVersion and not as ErrCorrupt.
+func requireOldFormat(t *testing.T, version uint32) {
+	path := filepath.Join("testdata", fmt.Sprintf("v%d.gfds", version))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != 2 {
-		t.Fatalf("fixture is format %d, want 2", v)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
+		t.Fatalf("fixture is format %d, want %d", v, version)
 	}
 	for _, opts := range [][]store.Option{nil, {store.SkipChecksums()}} {
 		_, err := store.Decode(data, opts...)
 		if !errors.Is(err, store.ErrVersion) || errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("Decode(format 2) = %v, want ErrVersion and not ErrCorrupt", err)
+			t.Fatalf("Decode(format %d) = %v, want ErrVersion and not ErrCorrupt", version, err)
 		}
 	}
 	if _, err := store.Open(context.Background(), path); !errors.Is(err, store.ErrVersion) {
-		t.Fatalf("Open(format 2) = %v, want ErrVersion", err)
+		t.Fatalf("Open(format %d) = %v, want ErrVersion", version, err)
 	}
 }

@@ -3,7 +3,9 @@
 // granularity, for N = 1…4, from the sequential, replicated, fragmented
 // and multi-process engines and the BigDansing baseline, over a heap
 // snapshot, a session overlay after Apply, a store-adopted mapping and
-// per-fragment shards. Each case is a row of one table, run like the
+// per-fragment shards — and again over a graph whose labels were first
+// used after its freeze, so its adjacency ranks them out of code order
+// (lateLabels). Each case is a row of one table, run like the
 // scheduler conformance suite's shapes, and compared against the
 // string-and-map oracle.
 package validate_test
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,12 +84,72 @@ func canonical(oracle validate.Report) string {
 }
 
 // topologyKind builds a fresh bundle (so that nothing planned at another
-// granularity is reused) over one kind of topology, and names the graph
-// state whose oracle it must reproduce.
+// granularity is reused) over one kind of topology, holds the oracle's
+// report it must reproduce, and cuts the manifest of n per-fragment shards
+// of its snapshot for the multi-process engine (nil: not a frozen one).
 type topologyKind struct {
-	name    string
-	mutated bool
-	bundle  func() *validate.Bundle
+	name   string
+	expect string
+	bundle func() *validate.Bundle
+	shards func(n int) string
+}
+
+// openShards saves s under dir and opens it, and returns the mapping with
+// a function cutting the manifest of its n per-fragment shards once per n.
+func openShards(t *testing.T, s *graph.Snapshot, dir string) (*graph.Snapshot, func(n int) string) {
+	ctx := context.Background()
+	path := filepath.Join(dir, "g.gfds")
+	if err := store.Save(ctx, s, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := store.Open(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	snap := loaded.Snapshot()
+	manifests := map[int]string{}
+	return snap, func(n int) string {
+		if manifests[n] == "" {
+			m, err := dist.WriteShards(snap, n, fragment.Hash, dir, fmt.Sprintf("s%d", n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifests[n] = m
+		}
+		return manifests[n]
+	}
+}
+
+// lateLabels writes, through g's overlay, nodes and edges whose labels g
+// never used before: first a fresh node label and a fresh edge label, then
+// a node label and an edge label that were attribute values, whose codes
+// are below the fresh ones'. Both kinds' ranks then differ from their
+// codes' order, in the overlay's view and in every snapshot flattened or
+// persisted from it. It returns the rules over those labels, beside a
+// wildcard-edge rule whose ranges span the late edge labels' groups.
+func lateLabels(g *graph.Graph) []*core.GFD {
+	ov := graph.NewOverlay(g)
+	z := ov.AddNode("z", graph.Attrs{"p": "v1", "q": "v0"})
+	w := ov.AddNode("v1", graph.Attrs{"p": "v1", "q": "v2"})
+	z2 := ov.AddNode("z", graph.Attrs{"p": "v2", "q": "v2"})
+	for _, e := range []struct {
+		from, to graph.NodeID
+		label    string
+	}{{z, w, "g"}, {z, w, "v2"}, {z2, w, "g"}, {w, 0, "v2"}, {0, z, "g"}, {1, w, "e"}, {z, 1, "f"}, {z2, 2, "v2"}, {w, z2, "e"}} {
+		ov.MustAddEdge(e.from, e.to, e.label)
+	}
+	zw := pattern.New()
+	zw.AddEdge(zw.AddNode("x", "z"), zw.AddNode("y", "v1"), "g")
+	toLate := pattern.New()
+	toLate.AddEdge(toLate.AddNode("x", pattern.Wildcard), toLate.AddNode("y", "v1"), pattern.Wildcard)
+	fromLate := pattern.New()
+	fromLate.AddEdge(fromLate.AddNode("x", "z"), fromLate.AddNode("y", pattern.Wildcard), "v2")
+	return []*core.GFD{
+		core.MustNew("late_zw", zw, []core.Literal{core.VarEq("x", "p", "y", "p")}, []core.Literal{core.VarEq("x", "q", "y", "q")}),
+		core.MustNew("late_to", toLate, nil, []core.Literal{core.VarEq("x", "q", "y", "q")}),
+		core.MustNew("late_from", fromLate, nil, []core.Literal{core.VarEq("x", "p", "y", "p")}),
+	}
 }
 
 // metamorphicEngine runs one engine with n slots on a bundle in its collect
@@ -149,28 +212,7 @@ func TestMetamorphicVio(t *testing.T) {
 
 		// The unmutated graph: heap snapshot, its persisted mapping, and
 		// the mapping's per-fragment shards.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "g.gfds")
-		if err := store.Save(ctx, g.Freeze(), path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := store.Open(ctx, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { loaded.Close() })
-		snap := loaded.Snapshot()
-		manifests := map[int]string{}
-		shard := func(n int) string {
-			if manifests[n] == "" {
-				m, err := dist.WriteShards(snap, n, fragment.Hash, dir, fmt.Sprintf("s%d", n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				manifests[n] = m
-			}
-			return manifests[n]
-		}
+		snap, shard := openShards(t, g.Freeze(), t.TempDir())
 
 		// The same graph after two update batches through a session: the
 		// overlay's view, against the oracle of the mutated graph.
@@ -195,10 +237,39 @@ func TestMetamorphicVio(t *testing.T) {
 		}
 		wantMutated := canonical(validate.OracleVio(mg, set))
 
+		// The same graph with labels first used after its freeze: the
+		// overlay's view, the snapshot a compaction flattens it into, that
+		// snapshot persisted and mapped, and the mapping's shards.
+		lg, _ := validate.RandomWorkload(seed)
+		lg.Freeze()
+		lset := core.MustNewSet(append(set.Rules(), lateLabels(lg)...)...)
+		wantLate := canonical(validate.OracleVio(lg.Clone(), lset))
+		lateView := graph.NewOverlay(lg).Snapshot
+		lateFlat := lg.Freeze()
+		lateSnap, lateShard := openShards(t, lateFlat, t.TempDir())
+		for _, line := range strings.Split(wantLate, "\n") {
+			if strings.HasPrefix(line, "late_") {
+				compared["late-label violations"]++
+			}
+		}
+		// The axis needs ranks out of code order: the first late node's
+		// edges to the second sit "g" first, in the mapping too, though
+		// "v2" has the smaller code.
+		var order []string
+		for _, e := range lateSnap.Out(graph.NodeID(g.NumNodes())) {
+			order = append(order, lateSnap.Syms().Name(lateSnap.EdgeLabel(e.Label)))
+		}
+		if syms := lateSnap.Syms(); syms.Lookup("v2") > syms.Lookup("g") || slices.Index(order, "g") > slices.Index(order, "v2") {
+			t.Fatalf("seed %d: the late edge labels keep code order (%v): the axis is vacuous", seed, order)
+		}
+
 		kinds := []topologyKind{
-			{"heap", false, func() *validate.Bundle { return validate.NewBundle(g, set) }},
-			{"mmap", false, func() *validate.Bundle { return validate.NewBundleOver(snap, set, nil) }},
-			{"overlay", true, func() *validate.Bundle { return validate.NewBundleOver(ov, set, nil) }},
+			{"heap", want, func() *validate.Bundle { return validate.NewBundle(g, set) }, nil},
+			{"mmap", want, func() *validate.Bundle { return validate.NewBundleOver(snap, set, nil) }, shard},
+			{"overlay", wantMutated, func() *validate.Bundle { return validate.NewBundleOver(ov, set, nil) }, nil},
+			{"late-label overlay", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateView, lset, nil) }, nil},
+			{"late-label compacted", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateFlat, lset, nil) }, nil},
+			{"late-label mmap", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateSnap, lset, nil) }, lateShard},
 		}
 		for _, gr := range granularities {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, gr.name), func(t *testing.T) {
@@ -206,17 +277,10 @@ func TestMetamorphicVio(t *testing.T) {
 					validate.SetGranularity(t, gr.perSlot, gr.members)
 				}
 				for _, k := range kinds {
-					expect := want
-					if k.mutated {
-						expect = wantMutated
-					}
+					expect := k.expect
 					for _, e := range metamorphicEngines {
-						var shards func(int) string
-						if k.name == "mmap" {
-							shards = shard
-						}
 						for n := 1; n <= 4; n++ {
-							got, err := e.run(ctx, k.bundle(), n, shards)
+							got, err := e.run(ctx, k.bundle(), n, k.shards)
 							if err != nil {
 								t.Fatalf("%s on %s, n=%d: %v", e.name, k.name, n, err)
 							}
@@ -241,7 +305,10 @@ func TestMetamorphicVio(t *testing.T) {
 	if compared["violations"] == 0 {
 		t.Fatal("no workload has a violation; the harness compares empty sets")
 	}
-	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay"} {
+	if compared["late-label violations"] == 0 {
+		t.Fatal("no late-label rule is violated; the axis compares empty sets")
+	}
+	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay", "dist/late-label mmap", "repVal/late-label overlay"} {
 		if compared[k] == 0 {
 			t.Fatalf("%s was never compared", k)
 		}
