@@ -38,7 +38,7 @@ func benchConfig(dataset string) exp.Config {
 func reportResult(b *testing.B, res *validate.Result) {
 	b.ReportMetric(float64(len(res.Violations)), "violations/op")
 	b.ReportMetric(float64(res.Units), "units/op")
-	b.ReportMetric(res.Comm.Seconds()*1000, "comm-ms/op")
+	b.ReportMetric(res.ModeledComm().Seconds()*1000, "comm-ms/op")
 }
 
 // BenchmarkFig5VaryProcessors regenerates Fig. 5(a–c): all six algorithms
@@ -114,7 +114,7 @@ func BenchmarkFig5Communication(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						res = exp.RunAlgorithm(alg, w, n, 42)
 					}
-					b.ReportMetric(res.Comm.Seconds()*1000, "comm-ms/op")
+					b.ReportMetric(res.ModeledComm().Seconds()*1000, "comm-ms/op")
 					b.ReportMetric(float64(res.BytesShipped), "bytes-shipped/op")
 				})
 			}

@@ -218,12 +218,12 @@ func main() {
 		case gfd.EngineReplicated:
 			fmt.Printf("repVal: %d units over %d workers, wall %v\n", res.Units, *workers, res.Wall.Round(0))
 		case gfd.EngineFragmented:
-			fmt.Printf("disVal: %d units, shipped %d bytes, comm %v, total %v\n",
-				res.Units, res.BytesShipped, res.Comm.Round(0), res.TotalTime().Round(0))
+			fmt.Printf("disVal: %d units, shipped %d bytes in %d rounds, wall %v\n",
+				res.Units, res.BytesShipped, res.Rounds, res.Wall.Round(0))
 		case gfd.EngineDistributed:
 			// The worker-process count comes from the manifest, not -n.
-			fmt.Printf("dist: %d units, shipped %d bytes in %d frames, wall %v (modeled %v)\n",
-				res.Units, res.BytesShipped, res.Messages, res.Wall.Round(0), res.ModeledTime().Round(0))
+			fmt.Printf("dist: %d units, shipped %d bytes in %d frames, wall %v\n",
+				res.Units, res.BytesShipped, res.Messages, res.Wall.Round(0))
 		case gfd.EngineGCFD:
 			fmt.Printf("gcfd: %d of %d rules expressible, wall %v\n", res.Rules, set.Len(), res.Wall.Round(0))
 		}

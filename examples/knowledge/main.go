@@ -115,8 +115,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("disVal: %d violations, shipped %d bytes, comm %v, total %v\n",
-		len(dis.Violations), dis.BytesShipped, dis.Comm.Round(0), dis.TotalTime().Round(0))
+	fmt.Printf("disVal: %d violations, shipped %d bytes in %d rounds, wall %v\n",
+		len(dis.Violations), dis.BytesShipped, dis.Rounds, dis.Wall.Round(0))
 
 	// Report the inconsistent entities per rule.
 	byRule := make(map[string]int)

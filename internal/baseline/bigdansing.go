@@ -3,7 +3,6 @@ package baseline
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
@@ -101,36 +100,30 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 	// relational).
 	view := b.Topo()
 	ls := newLaneSink(sink)
-	var failures []validate.UnitFailure
+	var deaths []*cluster.WorkerError
 	for _, f := range b.Set().Rules() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cont, errs := detectOneJoin(ctx, view, rel, f, b.Program(f), n, ls)
-		for _, werr := range errs {
-			failures = append(failures, validate.UnitFailure{Unit: -1, Group: -1, Attempts: 1, Err: werr})
-		}
-		if !cont {
+		deaths = append(deaths, detectOneJoin(ctx, view, rel, f, b.Program(f), n, ls)...)
+		if ls.stopped() {
 			break
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(failures) > 0 {
-		return &validate.PartialError{Failures: failures}
-	}
-	return nil
+	return partial(deaths)
 }
 
-// detectOneJoin runs one rule's join pipeline; it returns false when the
-// sink stopped the detection, plus one *cluster.WorkerError per worker
-// that died (recovered panics — the surviving workers drained regardless).
-func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *laneSink) (bool, []error) {
+// detectOneJoin runs one rule's join pipeline and returns one
+// *cluster.WorkerError per worker that died (recovered panics — the
+// surviving workers drained regardless).
+func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *laneSink) []*cluster.WorkerError {
 	q := f.Q
 	nNodes := q.NumNodes()
 	if nNodes == 0 {
-		return true, nil
+		return nil
 	}
 	plan := joinPlan(q)
 
@@ -139,49 +132,31 @@ func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f
 	// expiry seen by any of them halts the rest at their next outer tuple.
 	firstTuples := stepTuples(rel, q, plan[0])
 	chunks := splitChunks(len(firstTuples), n)
-	deaths := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					deaths[w] = cluster.Recovered(w, -1, r)
-				}
-			}()
-			for i, ti := range chunks[w] {
-				if ls.stopped() {
-					return
-				}
-				if i%64 == 0 && ctx.Err() != nil {
-					ls.stop.Store(true)
-					return
-				}
-				b := make(binding, nNodes)
-				for i := range b {
-					b[i] = graph.Invalid
-				}
-				if !applyStep(q, plan[0], firstTuples[ti], b) {
-					continue
-				}
-				if !labelsOK(view, q, plan[0], b) {
-					continue
-				}
-				if !joinRest(view, rel, f, prog, plan, 1, b, ls, w) {
-					return
-				}
+	_, deaths := cluster.Fan(n, 0, func(w int) {
+		for i, ti := range chunks[w] {
+			if ls.stopped() {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	var errs []error
-	for _, e := range deaths {
-		if e != nil {
-			errs = append(errs, e)
+			if i%64 == 0 && ctx.Err() != nil {
+				ls.stop.Store(true)
+				return
+			}
+			b := make(binding, nNodes)
+			for i := range b {
+				b[i] = graph.Invalid
+			}
+			if !applyStep(q, plan[0], firstTuples[ti], b) {
+				continue
+			}
+			if !labelsOK(view, q, plan[0], b) {
+				continue
+			}
+			if !joinRest(view, rel, f, prog, plan, 1, b, ls, w) {
+				return
+			}
 		}
-	}
-	return !ls.stopped(), errs
+	})
+	return deaths
 }
 
 // planStep is one join step: either a pattern edge or an isolated node

@@ -183,57 +183,36 @@ func DetectB(ctx context.Context, b *validate.Bundle, rules []*GCFD, n int, sink
 	snap := b.Topo()
 	ls := newLaneSink(sink)
 	var aborted atomic.Bool
-	deaths := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					deaths[w] = cluster.Recovered(w, -1, r)
-				}
-			}()
-			m := match.NewMatcher(snap)
-			checked := 0
-			opts := match.Options{Halt: func() bool {
-				if ls.stopped() {
-					return true
-				}
-				if checked++; checked%64 == 0 && ctx.Err() != nil {
-					aborted.Store(true)
-					return true
-				}
-				return false
-			}}
-			for ri := w; ri < len(rules); ri += n {
-				if ls.stopped() || aborted.Load() {
-					return
-				}
-				c := rules[ri]
-				p := b.Program(c.compiled())
-				for h := range m.Matches(c.Path, opts) {
-					if p.IsViolation(snap, h) {
-						if !ls.Emit(w, validate.Violation{Rule: c.Name, Match: append(core.Match(nil), h...)}) {
-							return
-						}
+	_, deaths := cluster.Fan(n, 0, func(w int) {
+		m := match.NewMatcher(snap)
+		checked := 0
+		opts := match.Options{Halt: func() bool {
+			if ls.stopped() {
+				return true
+			}
+			if checked++; checked%64 == 0 && ctx.Err() != nil {
+				aborted.Store(true)
+				return true
+			}
+			return false
+		}}
+		for ri := w; ri < len(rules); ri += n {
+			if ls.stopped() || aborted.Load() {
+				return
+			}
+			c := rules[ri]
+			p := b.Program(c.compiled())
+			for h := range m.Matches(c.Path, opts) {
+				if p.IsViolation(snap, h) {
+					if !ls.Emit(w, validate.Violation{Rule: c.Name, Match: append(core.Match(nil), h...)}) {
+						return
 					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	if aborted.Load() {
 		return ctx.Err()
 	}
-	var failures []validate.UnitFailure
-	for _, e := range deaths {
-		if e != nil {
-			failures = append(failures, validate.UnitFailure{Unit: -1, Group: -1, Attempts: 1, Err: e})
-		}
-	}
-	if len(failures) > 0 {
-		return &validate.PartialError{Failures: failures}
-	}
-	return nil
+	return partial(deaths)
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"sync/atomic"
 
+	"gfd/internal/cluster"
 	"gfd/internal/validate"
 )
 
@@ -35,4 +36,19 @@ func (ls *laneSink) Emit(w int, v validate.Violation) bool {
 		return false
 	}
 	return true
+}
+
+// partial converts the worker deaths of a baseline run into the error it
+// returns: nil when no worker died, else a *validate.PartialError with one
+// failure per death (Unit -1 — the baselines have no retryable unit
+// granularity, so a dead worker's remaining work is not retried).
+func partial(deaths []*cluster.WorkerError) error {
+	if len(deaths) == 0 {
+		return nil
+	}
+	failures := make([]validate.UnitFailure, len(deaths))
+	for i, d := range deaths {
+		failures[i] = validate.UnitFailure{Unit: -1, Group: -1, Attempts: 1, Err: d}
+	}
+	return &validate.PartialError{Failures: failures}
 }

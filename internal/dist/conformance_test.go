@@ -384,7 +384,7 @@ func childProcesses(t *testing.T) []int {
 // workers themselves reported, not the waiting goroutine's wall.
 func TestProcessSlotsAllRunAtOnce(t *testing.T) {
 	n := 2*runtime.NumCPU() + 2
-	f := &fleet{cl: cluster.New(n, cluster.DefaultCostModel()), procs: make([]proc, n)}
+	f := &fleet{cl: cluster.New(n), procs: make([]proc, n)}
 	var arrived sync.WaitGroup
 	arrived.Add(n)
 	all := make(chan struct{})

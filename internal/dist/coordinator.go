@@ -533,7 +533,7 @@ func (f *fleet) Superstep(task func(w int)) []time.Duration {
 		busy[w] = f.procs[w].busy
 	}
 	// Slot tasks recover their own panics in the scheduler.
-	_ = f.cl.Run(task)
+	cluster.Fan(len(f.procs), 0, task)
 	for w := range f.procs {
 		busy[w] = f.procs[w].busy - busy[w]
 	}

@@ -7,9 +7,9 @@
 //
 // Scales are reduced relative to the paper (in-process simulated cluster
 // instead of 20 EC2 machines; see the README's opening paragraph and
-// package cluster): the *shapes* — who wins,
-// by what factor, where the curves bend — are the reproduction target, not
-// absolute seconds. The README's "Reproducing the evaluation" section
+// validate.Result.ModeledComm): the *shapes* — who wins, by what factor,
+// where the curves bend — are the reproduction target, not absolute
+// seconds. The README's "Reproducing the evaluation" section
 // records paper-vs-measured per figure.
 package exp
 
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"unicode/utf8"
 
 	"gfd/internal/core"
 	"gfd/internal/gen"
@@ -76,8 +77,7 @@ func (c Config) Defaults() Config {
 // Graph materializes the configured dataset with noise injected.
 func (c Config) Graph() *graph.Graph {
 	g := c.cleanGraph()
-	gen.Inject(g, gen.NoiseConfig{Rate: c.NoiseRate, Seed: c.Seed + 1,
-		Kinds: []gen.NoiseKind{gen.AttributeNoise, gen.RepresentationalNoise}})
+	c.inject(g)
 	return g
 }
 
@@ -166,26 +166,35 @@ func Prepare(c Config) Workload {
 		} else {
 			g = c.cleanGraph()
 		}
-		var set *core.Set
-		if c.RulesPath != "" {
-			f, err := os.Open(c.RulesPath)
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			if set, err = core.ParseRules(f); err != nil {
-				panic(err)
-			}
-		} else {
-			set = c.Mine(g)
-		}
-		return NewWorkload(g, set)
+		return NewWorkload(g, c.sigma(g))
 	}
 	clean := c.cleanGraph()
 	set := c.Mine(clean)
-	gen.Inject(clean, gen.NoiseConfig{Rate: c.NoiseRate, Seed: c.Seed + 1,
-		Kinds: []gen.NoiseKind{gen.AttributeNoise, gen.RepresentationalNoise}})
+	c.inject(clean)
 	return NewWorkload(clean, set)
+}
+
+// sigma is Σ: parsed from RulesPath when set, else mined on g.
+func (c Config) sigma(g *graph.Graph) *core.Set {
+	if c.RulesPath == "" {
+		return c.Mine(g)
+	}
+	f, err := os.Open(c.RulesPath)
+	if err != nil {
+		panic(err)
+	}
+	defer f.Close()
+	set, err := core.ParseRules(f)
+	if err != nil {
+		panic(err)
+	}
+	return set
+}
+
+// inject adds the configured attribute and representational noise to g.
+func (c Config) inject(g *graph.Graph) {
+	gen.Inject(g, gen.NoiseConfig{Rate: c.NoiseRate, Seed: c.Seed + 1,
+		Kinds: []gen.NoiseKind{gen.AttributeNoise, gen.RepresentationalNoise}})
 }
 
 // LoadGraph reads an experiment graph from disk: the line-oriented text
@@ -232,13 +241,17 @@ type Row struct {
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%-12s", t.XLabel)
+	xw := 12 // the x column fits its longest label
+	for _, r := range t.Rows {
+		xw = max(xw, utf8.RuneCountInString(r.X)+2)
+	}
+	fmt.Fprintf(&b, "%-*s", xw, t.XLabel)
 	for _, s := range t.Series {
 		fmt.Fprintf(&b, "%18s", s)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-12s", r.X)
+		fmt.Fprintf(&b, "%-*s", xw, r.X)
 		for _, s := range t.Series {
 			cell := "-"
 			if v, ok := r.Cells[s]; ok {
@@ -297,7 +310,7 @@ func RunAlgorithm(alg string, w Workload, n int, seed int64) *validate.Result {
 // Wall-clock time would be bounded below by total-work / physical-cores on
 // this host regardless of n, so it cannot show n-scaling; the modeled span
 // can, and it is what the simulated-cluster substitution reports (see
-// validate.Result.ModeledTime and package cluster).
+// validate.Result.ModeledTime).
 func seconds(r *validate.Result) float64 { return r.ModeledTime().Seconds() }
 
 // spanNote captions every table whose cells are seconds(): the modeled
@@ -393,7 +406,7 @@ func Fig5Comm(c Config, ns []int) Table {
 		XLabel: "n",
 		Series: series,
 	}
-	comm := func(r *validate.Result) float64 { return r.Comm.Seconds() }
+	comm := func(r *validate.Result) float64 { return r.ModeledComm().Seconds() }
 	for _, n := range ns {
 		t.Rows = append(t.Rows, sweepRow(fmt.Sprintf("%d", n), w, n, c.Seed, series, comm))
 	}
@@ -401,8 +414,10 @@ func Fig5Comm(c Config, ns []int) Table {
 }
 
 // Fig6ScaleG reproduces Fig. 6: disVal and variants on growing synthetic
-// graphs, n = 16. The paper grows (10M,20M) → (50M,100M); the sweep here
-// multiplies the configured base scale 1×..5×.
+// graphs, n = 16. The paper grows (10M,20M) → (50M,100M) with Σ fixed; the
+// sweep here multiplies the configured base scale 1×..5× and validates
+// every graph against one Σ, mined on the base-scale clean graph (or
+// parsed from RulesPath) — mining per graph would change Σ along with |G|.
 func Fig6ScaleG(c Config, multipliers []int) Table {
 	c = c.Defaults()
 	c.Dataset = "synthetic"
@@ -415,11 +430,16 @@ func Fig6ScaleG(c Config, multipliers []int) Table {
 		XLabel: "|G| (x base)",
 		Series: series,
 	}
+	set := c.sigma(c.cleanGraph())
 	for _, m := range multipliers {
 		cc := c
 		cc.Scale = c.Scale * m
-		w := Prepare(cc)
-		x := fmt.Sprintf("%dx(%dV,%dE)", m, w.G.NumNodes(), w.G.NumEdges())
+		g := cc.cleanGraph()
+		if c.RulesPath == "" {
+			cc.inject(g) // as Prepare: a rule file's graph is taken clean
+		}
+		w := NewWorkload(g, set)
+		x := fmt.Sprintf("%dx(%dV,%dE,‖Σ‖=%d)", m, g.NumNodes(), g.NumEdges(), set.Len())
 		t.Rows = append(t.Rows, sweepRow(x, w, 16, c.Seed, series, seconds))
 	}
 	return t

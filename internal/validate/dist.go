@@ -109,7 +109,7 @@ func (p *DistPlan) FillBlock(set *graph.EpochSet, i int) {
 }
 
 // DetectOver is the engine body with the caller's slots: start receives the
-// plan and the run's cost-model cluster and returns the Executor the
+// plan and the run's shipment counters and returns the Executor the
 // scheduler drives (internal/dist returns its process fleet). The plan is
 // cut on the bundle's replicated topology with opt.N slots —
 // ownership lives with the executor (a shard manifest), not in an

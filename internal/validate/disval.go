@@ -2,6 +2,8 @@ package validate
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"slices"
 
 	"gfd/internal/cluster"
@@ -91,7 +93,7 @@ const commCostWeight = 1.0 / 32
 func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragment.Fragmentation) error {
 	p.units = slices.Clone(p.units)
 	n, view := cl.N(), b.topo
-	busy, err := cl.RunMeasured(func(w int) {
+	busy, deaths := cluster.Fan(n, runtime.NumCPU(), func(w int) {
 		var block *graph.EpochSet
 		for ui := w; ui < len(p.units); ui += n {
 			if block == nil {
@@ -112,8 +114,12 @@ func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragme
 			}
 		}
 	})
-	if err != nil {
-		return err
+	if len(deaths) > 0 {
+		errs := make([]error, len(deaths))
+		for i, d := range deaths {
+			errs[i] = d
+		}
+		return errors.Join(errs...)
 	}
 	p.span += cluster.MaxSpan(busy)
 	chargeCandidateMessages(func(from, to int, bytes int64) {

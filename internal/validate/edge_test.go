@@ -164,7 +164,7 @@ func TestResultModeledTimeComposition(t *testing.T) {
 		g.AddNode("acct", graph.Attrs{"is_fake": "true"})
 	}
 	res := repVal(g, singleNodeRule(), Options{N: 4})
-	if res.ModeledTime() != res.EstimateSpan+res.DetectSpan+res.Comm {
+	if res.ModeledTime() != res.EstimateSpan+res.DetectSpan+res.ModeledComm() {
 		t.Error("ModeledTime must compose from spans and comm")
 	}
 	if res.ModeledTime() <= 0 {

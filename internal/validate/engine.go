@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"gfd/internal/cluster"
 	"gfd/internal/core"
 	"gfd/internal/fault"
 	"gfd/internal/fragment"
@@ -51,8 +50,6 @@ type Options struct {
 	ArbitraryPivot bool
 	// Seed drives the random assignment variant.
 	Seed int64
-	// Cost prices simulated communication.
-	Cost cluster.CostModel
 
 	// Retry is the per-unit retry budget the parallel engines apply when a
 	// worker dies or a unit misses its deadline. The zero value normalizes
@@ -107,14 +104,11 @@ const (
 const DefaultStreamBuffer = 64
 
 // Normalized fills unset fields with their defaults: the replicated
-// engine, 4 workers, the default cost model, the default retry policy.
+// engine, 4 workers, the default retry policy.
 func (o Options) Normalized() Options {
 	o.Engine = o.Engine.Resolve()
 	if o.N < 1 {
 		o.N = 4
-	}
-	if o.Cost == (cluster.CostModel{}) {
-		o.Cost = cluster.DefaultCostModel()
 	}
 	if o.Retry.Max == 0 {
 		o.Retry.Max = DefaultRetryMax
@@ -133,7 +127,9 @@ func (o Options) Normalized() Options {
 }
 
 // Result carries the violation set plus the instrumentation the
-// experiments report.
+// experiments report: measured walls and busy spans, and exact shipment
+// counters. Nothing on it is modelled; ModeledTime and ModeledComm price
+// the counters the way the paper's figures do.
 type Result struct {
 	Violations Report
 
@@ -144,11 +140,12 @@ type Result struct {
 	Wall         time.Duration // end-to-end wall-clock time on this host
 	EstimateWall time.Duration // planning phase (wall)
 	DetectWall   time.Duration // local detection phase, star tests included (wall)
-	EstimateSpan time.Duration // modeled planning span: the cut and the balance (disVal: plus its ship-cost superstep)
-	DetectSpan   time.Duration // modeled detection span: max worker busy time
-	Comm         time.Duration // modeled communication time
-	BytesShipped int64         // total simulated data shipment
-	Messages     int64
+	EstimateSpan time.Duration // planning span: the cut and the balance (disVal: plus its ship-cost superstep's max busy time)
+	DetectSpan   time.Duration // detection span: max slot busy time, summed over supersteps
+	BytesShipped int64         // bytes shipped between slots and the coordinator
+	Messages     int64         // shipments (a process fleet: frames)
+	Rounds       int64         // communication rounds (BSP exchange barriers)
+	MaxReceived  int64         // bytes into the busiest receiver, coordinator included
 
 	Makespan    int64 // heaviest worker load (weight units)
 	TotalWeight int64 // Σ unit weights ≈ sequential cost t(|Σ|,|G|)
@@ -183,17 +180,33 @@ type Completeness struct {
 // run is not complete (unreached units are neither succeeded nor failed).
 func (c Completeness) Complete() bool { return c.Succeeded == c.Units }
 
-// TotalTime is wall time plus modeled communication time.
-func (r *Result) TotalTime() time.Duration { return r.Wall + r.Comm }
-
 // ModeledTime is the simulated n-worker parallel time the paper's figures
 // plot: the maximum per-worker busy time of each phase (workers are
 // logical; compute is measured per worker and phases overlap only within
-// a worker) plus the modeled communication time. On a host with fewer
-// cores than n this is the faithful scaling metric — wall time cannot
-// drop below (total work / physical cores) regardless of n.
+// a worker) plus ModeledComm. On a host with fewer cores than n this is
+// the faithful scaling metric — wall time cannot drop below (total work /
+// physical cores) regardless of n.
 func (r *Result) ModeledTime() time.Duration {
-	return r.EstimateSpan + r.DetectSpan + r.Comm
+	return r.EstimateSpan + r.DetectSpan + r.ModeledComm()
+}
+
+// The network the communication model prices, the gigabit-datacenter
+// setting of the paper's EC2 cluster: each communication round (a BSP
+// exchange barrier) costs one latency, and each receiver's occupancy is
+// its received bytes over the link bandwidth.
+const (
+	roundLatency       = 500 * time.Microsecond
+	linkBytesPerSecond = 125_000_000 // 1 Gbit/s
+)
+
+// ModeledComm is the paper's communication time (CC(w) = c_s·|M|, plotted
+// in Fig. 5(j–l)) priced from the run's counters: one roundLatency per
+// round plus the busiest receiver's bytes over linkBytesPerSecond.
+// Shipments to different receivers within a round overlap — they are not
+// serialized — which is how the paper's algorithms batch their exchanges.
+func (r *Result) ModeledComm() time.Duration {
+	return time.Duration(r.Rounds)*roundLatency +
+		time.Duration(float64(r.MaxReceived)/float64(linkBytesPerSecond)*float64(time.Second))
 }
 
 // workUnit is a work unit bound to its rule group and optional stripe.

@@ -56,7 +56,7 @@ type PlanImage struct {
 func (b *Bundle) coldPlan(opt Options) (*planEntry, error) {
 	opt = opt.Normalized()
 	_, groups, gk := b.ruleGroupsKeyed(opt)
-	return b.planFor(cluster.New(opt.N, opt.Cost), groups, gk, opt, nil)
+	return b.planFor(cluster.New(opt.N), groups, gk, opt, nil)
 }
 
 // ColdPlan plans opt's variant and returns the plan's unit count.

@@ -25,7 +25,7 @@ import (
 // The Bundle memoizes plans per option variant, so:
 //
 //   - warm rounds (same bundle, same options) plan nothing: the chunks, the
-//     assignment, the modeled planning span and its comm charges come from
+//     assignment, the planning span and its shipments come from
 //     the cache, and each chunk's star-test survivors, stored on the plan
 //     by the chunk's first run, are reused (EstimationStats is the probe);
 //   - Session.Apply builds a new bundle, which starts with no plan, so no
@@ -57,7 +57,7 @@ func SetChunkGranularity(perSlot, minMembers int) (restore func()) {
 }
 
 // shipRec is one recorded planning-phase shipment, replayed into the
-// per-call cluster on warm rounds so comm accounting stays identical.
+// per-call cluster on warm rounds so the shipment counters stay identical.
 type shipRec struct {
 	from, to int
 	bytes    int64
@@ -94,8 +94,8 @@ type planKey struct {
 
 // planEntry is one memoized plan: the units (the layout's, or disVal's
 // copy carrying ship costs) with their balanced assignment, the derived
-// accounting the engines report, and the planning phase's modeled span
-// and comm charges. Shared read-only across rounds.
+// accounting the engines report, and the planning phase's span and
+// shipments. Shared read-only across rounds.
 type planEntry struct {
 	chunks      *chunkSet
 	units       []workUnit
@@ -166,7 +166,7 @@ func publish[K comparable, V any](cache *map[K]*V, key K, limit int, v *V) *V {
 const maxPlanEntries = 64
 
 // planFor returns the plan for the options' variant, memoized per variant.
-// A warm round replays the planning phase's comm charges and nothing else.
+// A warm round replays the planning phase's shipments and nothing else.
 // Cutting is serial and reads class sizes and the heavy-node list only;
 // disVal adds one superstep in which every worker runs its share of the
 // star tests and traverses the survivors' blocks for the ship costs.

@@ -71,7 +71,11 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	opt = opt.Normalized()
 	opt.N = Slots(opt, e.frag)
 	start := time.Now()
-	cl := cluster.New(opt.N, opt.Cost)
+	cl := cluster.New(opt.N)
+	defer func() {
+		c := cl.Counters()
+		res.BytesShipped, res.Messages, res.Rounds, res.MaxReceived = c.Bytes, c.Messages, c.Rounds, c.MaxReceived
+	}()
 	var inj *fault.Injector
 	if e.start == nil {
 		// Out-of-process slots arm the plan themselves, inside each worker;
@@ -86,7 +90,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 
 	// ---- bPar / disPar: the chunk plan (with ship costs under a
 	// fragmentation) and its balanced n-partition, memoized per variant
-	// (plan.go); warm rounds replay the plan and its comm charges --------
+	// (plan.go); warm rounds replay the plan and its shipments -----------
 	estStart := time.Now()
 	plan, err := b.planFor(cl, groups, gk, opt, e.frag)
 	if err != nil {
@@ -107,7 +111,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
 	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
-	local := func() { run.exec, run.modeled = newGoroutines(ctx, cl, b, opt, inj, plan), true }
+	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, inj, plan), true }
 	if e.start == nil {
 		local()
 	} else {
@@ -147,10 +151,6 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 
 	// ---- union at the coordinator -------------------------------------
 	union()
-	st := cl.Stats()
-	res.BytesShipped = st.TotalBytes
-	res.Messages = st.TotalMsgs
-	res.Comm = cl.CommTime()
 	res.Wall = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return res, err

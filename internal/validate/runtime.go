@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,10 @@ import (
 //     goroutine slot cooperatively (it survives), a process slot by being
 //     killed — and retried under the per-unit budget Options.Retry.Max,
 //     with capped exponential backoff between recovery rounds;
-//   - every reassignment re-ships the unit (the descriptor through the BSP
-//     cost model and, for disVal, the block via the per-attempt prep hook;
-//     an ASSIGN frame with its halo for a process slot), so DetectSpan and
-//     the comm figures stay honest under faults;
+//   - every reassignment re-ships the unit (the descriptor through the
+//     shipment counters and, for disVal, the block via the per-attempt prep
+//     hook; an ASSIGN frame with its halo for a process slot), so DetectSpan
+//     and the shipment counters stay honest under faults;
 //   - retried units never double-report: per-unit enumeration is
 //     deterministic — a unit enumerates its star-test survivors in class
 //     order, each in the matcher's order — so a retry skips exactly the
@@ -126,8 +127,8 @@ type Executor interface {
 	// unit's skip count is exact.
 	Run(w int, queue []int, skip func(ui int) int64, emit func(Violation) bool) error
 	// Superstep runs task(w) for every slot concurrently, waits for all of
-	// them and returns each slot's busy time; the round's modeled span is
-	// the maximum. How many tasks may occupy the host at once, and whose
+	// them and returns each slot's busy time; the round's span is the
+	// maximum. How many tasks may occupy the host at once, and whose
 	// clock measures busy, is the executor's knowledge: goroutine slots
 	// compute on this host's cores, process slots wait on pipes.
 	Superstep(task func(w int)) []time.Duration
@@ -140,7 +141,6 @@ type Executor interface {
 // bundle's shared topology.
 type goroutines struct {
 	ctx     context.Context
-	cl      *cluster.Cluster
 	b       *Bundle
 	opt     Options
 	inj     *fault.Injector
@@ -149,8 +149,8 @@ type goroutines struct {
 	runners []*UnitRunner
 }
 
-func newGoroutines(ctx context.Context, cl *cluster.Cluster, b *Bundle, opt Options, inj *fault.Injector, plan *planEntry) *goroutines {
-	return &goroutines{ctx: ctx, cl: cl, b: b, opt: opt, inj: inj, plan: plan,
+func newGoroutines(ctx context.Context, b *Bundle, opt Options, inj *fault.Injector, plan *planEntry) *goroutines {
+	return &goroutines{ctx: ctx, b: b, opt: opt, inj: inj, plan: plan,
 		started: make([]bool, opt.N), runners: make([]*UnitRunner, opt.N)}
 }
 
@@ -182,11 +182,11 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 }
 
 // Superstep caps OS-level concurrency at the core count and times each
-// slot's goroutine, so busy times measure compute (cluster.RunMeasured).
-// Slots recover their own panics in the scheduler, with unit context, so
-// the cluster-level net stays unused here.
+// slot's goroutine, so busy times measure compute (cluster.Fan). Slots
+// recover their own panics in the scheduler, with unit context, so the
+// fan-out's net stays unused here.
 func (e *goroutines) Superstep(task func(w int)) []time.Duration {
-	busy, _ := e.cl.RunMeasured(task)
+	busy, _ := cluster.Fan(e.opt.N, runtime.NumCPU(), task)
 	return busy
 }
 
@@ -212,10 +212,10 @@ type detectRun struct {
 	units []workUnit
 	opt   Options // normalized
 	sink  Sink    // always non-nil: collect, callback, or pipe
-	// modeled is set when the slots are simulated workers: the scheduler
-	// then charges the cost model what a wire would carry (unit descriptors
-	// out, violations back). Process slots charge their real frames.
-	modeled bool
+	// simulated is set when the slots are goroutines: the scheduler then
+	// counts what a wire would carry (unit descriptors out, violations
+	// back). Process slots count their real frames.
+	simulated bool
 	// prep runs at the start of every attempt on the executing slot —
 	// disVal charges the unit's block shipment (prefetch or partial-match)
 	// here, so a reassigned or retried unit re-ships to its new worker.
@@ -233,7 +233,7 @@ type detectRun struct {
 }
 
 // run executes the detection phase from the given initial assignment and
-// returns the modeled span (summed across recovery supersteps), the
+// returns the detection span (summed across recovery supersteps), the
 // completeness census, and the partial-failure error (nil when every unit
 // succeeded or the run was cancelled/stopped first).
 func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness, *PartialError) {
@@ -252,7 +252,7 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 	var failures []UnitFailure
 	round := 0
 	for {
-		if r.modeled {
+		if r.simulated {
 			// Shipping W_i(Σ, G) to each worker: one compact descriptor
 			// per unit, re-shipped for every unit a recovery round moves.
 			for w, us := range todo {
@@ -290,7 +290,7 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 		}
 		todo = r.reassign(pending, liveIdx, n)
 	}
-	if r.modeled {
+	if r.simulated {
 		// Violations return to the coordinator whichever sink consumed
 		// them; the shipment is charged off the per-slot delivery counts.
 		for w, cnt := range r.counts {
