@@ -53,6 +53,23 @@ func main() {
 	)
 	flag.Parse()
 
+	// exp.Config would replace a count below 1 with its default and run,
+	// and a fraction outside [0, 1] names no share of the rules.
+	for _, c := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*scale >= 1, fmt.Sprintf("-scale %d: a dataset needs at least one entity", *scale)},
+		{*rules >= 1, fmt.Sprintf("-rules %d: Σ needs at least one rule", *rules)},
+		{*qsize >= 1, fmt.Sprintf("-q %d: a pattern needs at least one node", *qsize)},
+		{*twoFrac >= 0 && *twoFrac <= 1, fmt.Sprintf("-two-comp %v: a fraction lies in [0, 1]", *twoFrac)},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "gfdbench: %s\n", c.msg)
+			os.Exit(2)
+		}
+	}
+
 	// Resolve and check every requested experiment before running any.
 	names := []string{strings.ToLower(*which)}
 	if names[0] == "all" {

@@ -239,9 +239,9 @@ func WriteShards(g *Graph, n int, strategy, dir, prefix string) (string, error) 
 // only — production leaves Options.Inject nil and pays nothing.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
 
-// FaultPlanFromSeed derives a pseudo-random recoverable fault plan — the
-// chaos suite sweeps seeds and logs only the failing seed, which replays
-// the exact plan.
+// FaultPlanFromSeed derives a pseudo-random recoverable fault plan, at
+// most workers−1 of whose faults end an attempt — the chaos suite sweeps
+// seeds and logs only the failing seed, which replays the exact plan.
 func FaultPlanFromSeed(seed int64, workers, units int) *FaultPlan {
 	return fault.FromSeed(seed, workers, units)
 }

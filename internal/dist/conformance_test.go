@@ -58,6 +58,11 @@ type shape struct {
 	sentinel  error
 	// deaths reports whether at least one slot must have died.
 	deaths func(k executorKind) bool
+	// census, if set, must also hold of the run's census and the number
+	// of violations delivered.
+	census func(k executorKind, c validate.Completeness, delivered int) bool
+	// processesOnly marks a shape goroutine slots cannot take.
+	processesOnly bool
 }
 
 func always(o outcome) func(executorKind) outcome { return func(executorKind) outcome { return o } }
@@ -99,9 +104,12 @@ var shapes = []shape{
 		},
 		want:   always(complete),
 		deaths: func(k executorKind) bool { return k == processSlots },
+		census: func(_ executorKind, c validate.Completeness, _ int) bool { return c.Retries >= 1 },
 	},
 	{
-		// Only the process fleet has somewhere to degrade to.
+		// Only the process fleet has somewhere to degrade to. Goroutine
+		// slots end with nothing done: no unit succeeded, nothing was
+		// delivered, and every slot died.
 		name: "every slot dead before progress",
 		plan: func(k executorKind) *fault.Plan {
 			p := fault.NewPlan(4)
@@ -119,8 +127,13 @@ var shapes = []shape{
 		},
 		workerErr: yes,
 		deaths:    func(k executorKind) bool { return k == goroutineSlots }, // the degraded rerun's census is clean
+		census: func(k executorKind, c validate.Completeness, delivered int) bool {
+			return k == processSlots || c.Succeeded == 0 && delivered == 0 && c.WorkerDeaths == fxWorkers
+		},
 	},
 	{
+		// Exactly the dead slot's unit fails, on its one attempt; the
+		// units queued behind it still run on the survivors.
 		name: "retries disabled, one death",
 		plan: func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(5), 1, 0) },
 		tune: func(_ executorKind, opt *validate.Options) {
@@ -130,6 +143,9 @@ var shapes = []shape{
 		want:      always(partial),
 		workerErr: yes,
 		deaths:    yes,
+		census: func(_ executorKind, c validate.Completeness, _ int) bool {
+			return c.Failed == 1 && c.WorkerDeaths == 1 && c.Retries == 0
+		},
 	},
 	{
 		name: "retries disabled, one straggler",
@@ -201,7 +217,40 @@ var shapes = []shape{
 		want:   always(complete),
 		deaths: func(k executorKind) bool { return k == processSlots },
 	},
+	{
+		// Slots die after delivering: a goroutine slot at a match panic in
+		// a unit that has emitted violations (the fixture makes about 70
+		// match crossings), a process in the middle of its fourth frame,
+		// after the frames before it arrived whole. A retry must skip
+		// exactly what its first attempt delivered.
+		name: "death after partial delivery",
+		plan: func(k executorKind) *fault.Plan {
+			if k == processSlots {
+				return fault.NewPlan(11).TruncateMessage(2, 3)
+			}
+			return fault.NewPlan(11).KillWorker(1, 1).PanicAt(fault.Match, 50)
+		},
+		want:   always(complete),
+		deaths: yes,
+		census: func(_ executorKind, c validate.Completeness, _ int) bool { return c.Retries >= 1 },
+	},
+	{
+		// The fleet degrades to the in-process engine over the same
+		// partition.
+		name: "no worker process can start",
+		tune: func(_ executorKind, opt *validate.Options) {
+			opt.Dist.Command = []string{"/nonexistent/gfd-dist-worker"}
+		},
+		want:          always(complete),
+		deaths:        func(executorKind) bool { return false }, // the degraded run's census is clean
+		processesOnly: true,
+	},
 	{name: "sink refuses the first violation", want: always(stopped)},
+	{
+		name: "sink refuses the first violation, slot 0 dead on its first unit",
+		plan: func(k executorKind) *fault.Plan { return kill(k, fault.NewPlan(12), 0, 0) },
+		want: always(stopped),
+	},
 	{name: "context cancelled mid-run", want: always(cancelled)},
 }
 
@@ -209,6 +258,9 @@ func TestSchedulerConformance(t *testing.T) {
 	f := setup(t)
 	for _, sh := range shapes {
 		for _, k := range []executorKind{goroutineSlots, processSlots} {
+			if sh.processesOnly && k == goroutineSlots {
+				continue
+			}
 			t.Run(fmt.Sprintf("%s/%v", sh.name, k), func(t *testing.T) {
 				goroutinesBefore := runtime.NumGoroutine()
 				opt := distOpt(f, nil)
@@ -324,6 +376,9 @@ func TestSchedulerConformance(t *testing.T) {
 					if !sh.deaths(k) && c.WorkerDeaths != 0 {
 						t.Fatalf("%v: a slot died where none should: %+v", opt.Inject, c)
 					}
+				}
+				if sh.census != nil && !sh.census(k, c, len(got)) {
+					t.Fatalf("%v: census %+v after %d deliveries breaks the shape", opt.Inject, c, len(got))
 				}
 				if c.WorkerDeaths > 0 && want == complete && c.RecoveryRounds == 0 {
 					t.Fatalf("%v: a slot died yet no recovery round ran: %+v", opt.Inject, c)

@@ -1,25 +1,24 @@
 package dist
 
-// The dist chaos differential suite. The test binary doubles as the worker
-// executable: TestMain calls MaybeWorker first, so when the coordinator
-// re-executes this binary with the worker environment set, it becomes a
-// shard worker instead of running the tests. Every recoverable process
-// fault plan must leave the violation set byte-identical to the in-process
-// fault-free run over the same partition; unrecoverable plans must return
-// ErrPartial with an honest census, and never hang or leak processes.
+// The multi-process runtime's own tests. The test binary doubles as the
+// worker executable: TestMain calls MaybeWorker first, so when the
+// coordinator re-executes this binary with the worker environment set, it
+// becomes a shard worker instead of running the tests. How a faulted run
+// ends — outcome, census, exactly-once delivery, no leaked goroutine or
+// process — is TestSchedulerConformance's table; that seeded process fault
+// plans reproduce the oracle's violation set over hash and range shards is
+// validate.TestMetamorphicVioUnderFaults'.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"gfd/internal/cluster"
 	"gfd/internal/core"
 	"gfd/internal/fault"
 	"gfd/internal/fragment"
@@ -248,120 +247,6 @@ func TestDistStripesAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestDistChaosDifferential sweeps seed-derived recoverable process fault
-// plans — SIGKILLed workers, stalled pipes starving heartbeats, frames
-// torn mid-write — and requires every run to recover to exactly the
-// fault-free violation set with a complete census.
-func TestDistChaosDifferential(t *testing.T) {
-	f := setup(t)
-	ctx := context.Background()
-	activity := 0
-	for seed := int64(1); seed <= 6; seed++ {
-		plan := fault.FromSeedProc(seed, fxWorkers, 64)
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res, err := DetectB(ctx, f.b, distOpt(f, plan), nil)
-			if err != nil {
-				t.Fatalf("%v: %v", plan, err)
-			}
-			if !res.Violations.Equal(f.base) {
-				t.Fatalf("%v: violation set diverged from fault-free run (%d vs %d)",
-					plan, len(res.Violations), len(f.base))
-			}
-			c := res.Completeness
-			if !c.Complete() || c.Failed != 0 {
-				t.Fatalf("%v: census not complete: %+v", plan, c)
-			}
-			if plan.Fatal() > 0 && c.Retries+c.WorkerDeaths == 0 {
-				t.Fatalf("%v: no process fault fired: %+v", plan, c)
-			}
-			activity += c.Retries + c.WorkerDeaths
-		})
-	}
-	if activity == 0 {
-		t.Error("no process fault fired across the whole sweep — every differential was vacuous")
-	}
-}
-
-// TestDistTruncatedFrameExactlyOnce pins the retry dedupe across a torn
-// frame: a worker that dies mid-write of its 4th outbound frame (likely a
-// violation batch) loses that frame, and the retried unit must re-deliver
-// exactly the missing violations — no duplicates, no gaps.
-func TestDistTruncatedFrameExactlyOnce(t *testing.T) {
-	f := setup(t)
-	plan := fault.NewPlan(11).TruncateMessage(2, 3)
-	res, err := DetectB(context.Background(), f.b, distOpt(f, plan), nil)
-	if err != nil {
-		t.Fatalf("%v: %v", plan, err)
-	}
-	if !res.Violations.Equal(f.base) {
-		t.Fatalf("%v: set diverged after torn frame (%d vs %d) — duplicate or lost emissions",
-			plan, len(res.Violations), len(f.base))
-	}
-	if res.Completeness.WorkerDeaths == 0 {
-		t.Fatalf("%v: truncation never killed the worker: %+v", plan, res.Completeness)
-	}
-}
-
-// TestDistUnrecoverablePartial: a process kill with retries and respawn
-// both disabled abandons exactly the in-flight unit — the run returns
-// ErrPartial wrapping a *cluster.WorkerError, the census says one failed
-// unit and one death, and every reported violation is real (a subset of
-// the fault-free set).
-func TestDistUnrecoverablePartial(t *testing.T) {
-	f := setup(t)
-	plan := fault.NewPlan(7).KillProcess(1, 0)
-	opt := distOpt(f, plan)
-	opt.Retry = validate.Retry{Max: -1}
-	opt.Dist.MaxRespawns = -1
-	res, err := DetectB(context.Background(), f.b, opt, nil)
-	if !errors.Is(err, validate.ErrPartial) {
-		t.Fatalf("%v: err = %v, want ErrPartial", plan, err)
-	}
-	var pe *validate.PartialError
-	if !errors.As(err, &pe) || len(pe.Failures) != 1 {
-		t.Fatalf("%v: err = %v, want *PartialError with exactly 1 failure", plan, err)
-	}
-	if pe.Failures[0].Attempts != 1 {
-		t.Fatalf("%v: failed unit consumed %d attempts with retries disabled", plan, pe.Failures[0].Attempts)
-	}
-	var we *cluster.WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("%v: failure does not unwrap to a *cluster.WorkerError: %v", plan, err)
-	}
-	c := res.Completeness
-	if c.WorkerDeaths != 1 || c.Failed != 1 || c.Succeeded != c.Units-1 {
-		t.Fatalf("%v: census wrong for one dead process: %+v", plan, c)
-	}
-	seen := make(map[string]bool, len(f.base))
-	for _, v := range f.base {
-		seen[fmt.Sprint(v.Rule, v.Match)] = true
-	}
-	for _, v := range res.Violations {
-		if !seen[fmt.Sprint(v.Rule, v.Match)] {
-			t.Fatalf("%v: partial run reported a violation absent from the fault-free set: %v", plan, v)
-		}
-	}
-}
-
-// TestDistDegradeSpawnFailure: when no worker process can be started at
-// all, the engine degrades to the in-process fragmented engine over the
-// same partition and still produces the full violation set.
-func TestDistDegradeSpawnFailure(t *testing.T) {
-	f := setup(t)
-	opt := distOpt(f, nil)
-	opt.Dist.Command = []string{"/nonexistent/gfd-dist-worker"}
-	res, err := DetectB(context.Background(), f.b, opt, nil)
-	if err != nil {
-		t.Fatalf("degraded run failed: %v", err)
-	}
-	if !res.Violations.Equal(f.base) {
-		t.Fatalf("degraded run diverged (%d vs %d)", len(res.Violations), len(f.base))
-	}
-	if !res.Completeness.Complete() {
-		t.Fatalf("degraded census not complete: %+v", res.Completeness)
-	}
-}
-
 // TestDistDegradeAllDeadNoProgress: every worker killed on its first unit
 // before anything was delivered, with respawn disabled — nothing useful
 // happened, so instead of reporting total failure the engine falls back
@@ -390,54 +275,6 @@ func TestDistDegradeAllDeadNoProgress(t *testing.T) {
 	}
 	if !res.Violations.Equal(f.base) {
 		t.Fatalf("%v: degraded run diverged (%d vs %d)", plan, len(res.Violations), len(f.base))
-	}
-}
-
-// TestDistStreamStop: a sink refusing the first violation stops the run
-// promptly and cleanly — no error, no hung coordinator, and the worker
-// fleet is torn down without stranding goroutines.
-func TestDistStreamStop(t *testing.T) {
-	f := setup(t)
-	before := runtime.NumGoroutine()
-	n := 0
-	_, err := DetectB(context.Background(), f.b, distOpt(f, nil),
-		validate.Callback(func(validate.Violation) bool {
-			n++
-			return false
-		}))
-	if err != nil {
-		t.Fatalf("stopped run returned %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("sink called %d times after refusing", n)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			m := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:m])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestDistCancellation: a context cancelled mid-run surfaces its error
-// and reaps the fleet instead of hanging.
-func TestDistCancellation(t *testing.T) {
-	f := setup(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := DetectB(ctx, f.b, distOpt(f, nil), nil)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("cancelled run took %v to return", time.Since(start))
 	}
 }
 

@@ -349,9 +349,11 @@ func DecodePlan(s string) (*Plan, error) {
 
 // FromSeed derives a pseudo-random recoverable plan for a run with the
 // given worker and unit counts: one or two faults drawn from worker kills,
-// unit delays, and match/literal-crossing panics. The same seed always
-// yields the same plan — the chaos suite sweeps seeds and logs only the
-// seed on failure.
+// unit delays, and match/literal-crossing panics. A goroutine slot that
+// panicked is never revived, so at most workers−1 faults are fatal: a
+// fatal draw past that becomes a delay, and one worker gets delays only.
+// The same seed always yields the same plan — the chaos suite sweeps seeds
+// and logs only the seed on failure.
 func FromSeed(seed int64, workers, units int) *Plan {
 	if workers < 1 {
 		workers = 1
@@ -363,7 +365,11 @@ func FromSeed(seed int64, workers, units int) *Plan {
 	p := NewPlan(seed)
 	n := 1 + rng.Intn(2)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(4) {
+		kind := rng.Intn(4)
+		if kind != 1 && p.Fatal() == workers-1 {
+			kind = 1
+		}
+		switch kind {
 		case 0:
 			p.KillWorker(rng.Intn(workers), rng.Intn(3))
 		case 1:

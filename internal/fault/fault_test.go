@@ -119,6 +119,34 @@ func TestFromSeedIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFromSeedLeavesASurvivor: a goroutine slot that panicked is never
+// revived, so a recoverable plan ends at most workers−1 attempts — at one
+// worker it holds delays only — and the cap leaves every plan for three or
+// more workers as it was drawn before it existed.
+func TestFromSeedLeavesASurvivor(t *testing.T) {
+	for workers := 1; workers <= 4; workers++ {
+		for seed := int64(1); seed <= 200; seed++ {
+			if p := FromSeed(seed, workers, 100); p.Fatal() > workers-1 {
+				t.Fatalf("FromSeed(%d, %d): %v ends %d attempts", seed, workers, p, p.Fatal())
+			}
+		}
+	}
+	for i, want := range []string{
+		"fault.Plan{seed=1, panic(literal#8), panic(literal#2)}",
+		"fault.Plan{seed=2, panic(match#29)}",
+		"fault.Plan{seed=3, delay(u96,3ms)}",
+		"fault.Plan{seed=4, kill(w1@unit#2), delay(u97,1ms)}",
+		"fault.Plan{seed=5, kill(w1@unit#1)}",
+		"fault.Plan{seed=6, panic(literal#9)}",
+		"fault.Plan{seed=7, panic(match#46)}",
+		"fault.Plan{seed=8, kill(w1@unit#1)}",
+	} {
+		if got := FromSeed(int64(i+1), 4, 100).String(); got != want {
+			t.Errorf("FromSeed(%d, 4, 100) = %s, want %s", i+1, got, want)
+		}
+	}
+}
+
 func TestConcurrentCrossingsFireExactlyOnce(t *testing.T) {
 	in := NewPlan(1).PanicAt(Ship, 500).Arm(8)
 	var fired atomic32

@@ -101,7 +101,7 @@ func Partition(g *graph.Graph, n int, s Strategy) *Fragmentation {
 
 // PartitionSnapshot is the snapshot-level form of Partition: it cuts snap,
 // frozen or an overlay's patched view, and keeps it for the fragmentation's
-// later reads (CutEdges, BlockShipBytes, SaveShards), so partitioning a
+// later reads (CutEdges, SaveShards), so partitioning a
 // patched view never freezes the graph behind it.
 func PartitionSnapshot(snap *graph.Snapshot, n int, s Strategy) *Fragmentation {
 	if n < 1 {
@@ -205,19 +205,6 @@ func NodeBytes(s *graph.Snapshot, v graph.NodeID) int64 {
 	}
 	size += int64(s.OutDegree(v)+s.InDegree(v)) * 12 // edge endpoints + label tag
 	return size
-}
-
-// BlockShipBytes returns the bytes that must be shipped to worker dst to
-// assemble the data block nodes: the total serialized size of block nodes
-// not owned by dst.
-func (f *Fragmentation) BlockShipBytes(block []graph.NodeID, dst int) int64 {
-	var total int64
-	for _, v := range block {
-		if f.Owner[v] != dst {
-			total += NodeBytes(f.snap, v)
-		}
-	}
-	return total
 }
 
 func (f *Fragmentation) String() string {

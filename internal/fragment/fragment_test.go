@@ -100,21 +100,6 @@ func TestNodeBytesGrowsWithContent(t *testing.T) {
 	}
 }
 
-func TestBlockShipBytes(t *testing.T) {
-	g := chainGraph(10)
-	f := Partition(g, 2, Range)
-	block := []graph.NodeID{0, 1, 5, 6}
-	toW0 := f.BlockShipBytes(block, 0) // nodes 5,6 are remote
-	toW1 := f.BlockShipBytes(block, 1) // nodes 0,1 are remote
-	if toW0 <= 0 || toW1 <= 0 {
-		t.Fatal("cross-fragment blocks must cost bytes")
-	}
-	// All-local block costs nothing.
-	if f.BlockShipBytes([]graph.NodeID{0, 1}, 0) != 0 {
-		t.Error("local block must ship zero bytes")
-	}
-}
-
 func TestHashPartitionRoughBalance(t *testing.T) {
 	g := gen.Synthetic(gen.SyntheticConfig{Nodes: 2000, Edges: 4000, Seed: 7})
 	f := Partition(g, 4, Hash)
@@ -170,10 +155,6 @@ func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
 	if got.CutEdges() != want.CutEdges() {
 		t.Errorf("cut edges %d, heap graph %d", got.CutEdges(), want.CutEdges())
 	}
-	block := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if got.BlockShipBytes(block, 0) != want.BlockShipBytes(block, 0) {
-		t.Error("ship bytes differ between the adopted and the heap graph")
-	}
 }
 
 // TestPartitionSnapshotOverlayView: cutting an overlay's patched view sees
@@ -195,9 +176,6 @@ func TestPartitionSnapshotOverlayView(t *testing.T) {
 	want := PartitionSnapshot(g.Clone().Freeze(), 2, Range)
 	if !slices.Equal(got.Owner, want.Owner) || got.CutEdges() != want.CutEdges() {
 		t.Errorf("view partition: owners %v cut %d, fresh freeze %v cut %d", got.Owner, got.CutEdges(), want.Owner, want.CutEdges())
-	}
-	if b, w := got.BlockShipBytes([]graph.NodeID{0, v}, 1), want.BlockShipBytes([]graph.NodeID{0, v}, 1); b != w {
-		t.Errorf("ship bytes: view %d, fresh freeze %d", b, w)
 	}
 	if _, err := got.SaveShards(context.Background(), t.TempDir(), "p"); !errors.Is(err, graph.ErrPatchedView) {
 		t.Errorf("SaveShards of a patched view: err = %v, want ErrPatchedView", err)

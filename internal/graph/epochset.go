@@ -88,7 +88,7 @@ func (set *EpochSet) beginFill(n int) {
 // BlockInto adds to set every node within c undirected hops of start
 // (including start) — the one snapshot traversal: it assembles
 // multi-pivot data blocks without per-block allocation, and Neighborhood
-// and NeighborhoodSize run it on a pooled set. The
+// runs it on a pooled set. The
 // set owns its visited mask and frontier buffers, so repeated fills reuse
 // them. Out-of-range starts are ignored.
 func (s *Snapshot) BlockInto(set *EpochSet, start NodeID, c int) {

@@ -183,17 +183,6 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodSize(t *testing.T) {
-	g := buildSample(t)
-	// 1-hop of node 0: nodes {0,1,2}, induced edges all 3 -> size 6.
-	if got := g.NeighborhoodSize(0, 1); got != 6 {
-		t.Errorf("NeighborhoodSize(0,1) = %d, want 6", got)
-	}
-	if got := g.NeighborhoodSize(0, 0); got != 1 {
-		t.Errorf("NeighborhoodSize(0,0) = %d, want 1", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := buildSample(t)
 	c := g.Clone()

@@ -44,29 +44,6 @@ func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
 	return out
 }
 
-// NeighborhoodSize returns |V'| + |E'| of the subgraph induced by the c-hop
-// neighborhood of start, without materializing it. This is the |G_z̄| block
-// size the workload model weighs work units by.
-func (g *Graph) NeighborhoodSize(start NodeID, c int) int {
-	if s := g.sealed.Load(); s != nil {
-		return s.NeighborhoodSize(start, c)
-	}
-	nodes := g.Neighborhood(start, c)
-	in := make(map[NodeID]struct{}, len(nodes))
-	for _, v := range nodes {
-		in[v] = struct{}{}
-	}
-	size := len(nodes)
-	for _, v := range nodes {
-		for _, he := range g.out[v] {
-			if _, ok := in[he.To]; ok {
-				size++
-			}
-		}
-	}
-	return size
-}
-
 // NodeSet is a set of node IDs with O(1) membership: a data block for
 // simulation, a set of violating entities.
 type NodeSet map[NodeID]struct{}

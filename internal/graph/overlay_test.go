@@ -236,9 +236,6 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 			if got, want := fmt.Sprint(v.Neighborhood(NodeID(a), c)), fmt.Sprint(snap.Neighborhood(NodeID(a), c)); got != want {
 				t.Fatalf("Neighborhood(%d, %d): view %s, freeze %s", a, c, got, want)
 			}
-			if got, want := v.NeighborhoodSize(NodeID(a), c), snap.NeighborhoodSize(NodeID(a), c); got != want {
-				t.Fatalf("NeighborhoodSize(%d, %d): view %d, freeze %d", a, c, got, want)
-			}
 			oset, sset := NewEpochSet(v.NumNodes()), NewEpochSet(snap.NumNodes())
 			v.BlockInto(oset, NodeID(a), c)
 			snap.BlockInto(sset, NodeID(a), c)
@@ -534,9 +531,6 @@ func requireReadsMatch(t *testing.T, g, twin *Graph) {
 		for c := 0; c <= 2; c++ {
 			if got, want := g.Neighborhood(id, c), twin.Neighborhood(id, c); !slices.Equal(got, want) {
 				t.Fatalf("Neighborhood(%d, %d) = %v, twin %v", v, c, got, want)
-			}
-			if got, want := g.NeighborhoodSize(id, c), twin.NeighborhoodSize(id, c); got != want {
-				t.Fatalf("NeighborhoodSize(%d, %d) = %d, twin %d", v, c, got, want)
 			}
 		}
 	}

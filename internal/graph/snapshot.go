@@ -771,12 +771,12 @@ func (s *Snapshot) NodesWithLabel(label string) []NodeID {
 // ClassSize returns the number of nodes carrying label code l.
 func (s *Snapshot) ClassSize(l Sym) int { return len(s.NodesWith(l)) }
 
-// ball fills a set from s.scratch with the nodes within c undirected hops
-// of start (BlockInto); the caller puts it back when done. A pooled set
-// keeps a traversal allocation-free — one stamp bump, not an O(|V|) mask —
-// and concurrent readers each grab their own. Returns nil for an
-// out-of-range start.
-func (s *Snapshot) ball(start NodeID, c int) *EpochSet {
+// Neighborhood returns the nodes within c undirected hops of start,
+// including start, sorted ascending — Graph.Neighborhood over the CSR view.
+// It fills a set from s.scratch (BlockInto): a pooled set keeps the
+// traversal allocation-free — one stamp bump, not an O(|V|) mask — and
+// concurrent readers each grab their own. An out-of-range start has none.
+func (s *Snapshot) Neighborhood(start NodeID, c int) []NodeID {
 	if int(start) < 0 || int(start) >= s.NumNodes() {
 		return nil
 	}
@@ -786,38 +786,8 @@ func (s *Snapshot) ball(start NodeID, c int) *EpochSet {
 	}
 	set.Reset()
 	s.BlockInto(set, start, c)
-	return set
-}
-
-// Neighborhood returns the nodes within c undirected hops of start,
-// including start, sorted ascending — Graph.Neighborhood over the CSR view.
-func (s *Snapshot) Neighborhood(start NodeID, c int) []NodeID {
-	set := s.ball(start, c)
-	if set == nil {
-		return nil
-	}
 	out := slices.Clone(set.Members())
 	s.scratch.Put(set)
 	sortNodeIDs(out)
 	return out
-}
-
-// NeighborhoodSize returns |V'| + |E'| of the subgraph induced by the c-hop
-// neighborhood of start — the |G_z̄| block-size measure — without
-// materializing the subgraph.
-func (s *Snapshot) NeighborhoodSize(start NodeID, c int) int {
-	set := s.ball(start, c)
-	if set == nil {
-		return 0
-	}
-	size := set.Len()
-	for _, v := range set.Members() {
-		for _, e := range s.Out(v) {
-			if set.Contains(e.To) {
-				size++
-			}
-		}
-	}
-	s.scratch.Put(set)
-	return size
 }

@@ -87,14 +87,3 @@ func hasSimSuccessor(adj []graph.CSREdge, target graph.NodeSet, block graph.Node
 	}
 	return false
 }
-
-// SimulationSize returns the total number of (pattern node, graph node)
-// pairs in the simulation relation; disVal's shipping-strategy selector
-// compares this estimate against the data-block size.
-func SimulationSize(sim []graph.NodeSet) int {
-	total := 0
-	for _, s := range sim {
-		total += s.Len()
-	}
-	return total
-}

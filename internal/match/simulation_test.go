@@ -141,13 +141,3 @@ func TestSimulateCyclicPattern(t *testing.T) {
 		}
 	}
 }
-
-func TestSimulationSize(t *testing.T) {
-	q := pattern.New()
-	q.AddNode("x", "flight")
-	for name, s := range simViews(buildG1()) {
-		if n := SimulationSize(Simulate(s, pattern.Compile(q, s.Syms()), nil)); n != 2 {
-			t.Errorf("%s: SimulationSize = %d, want 2", name, n)
-		}
-	}
-}

@@ -14,8 +14,37 @@ import (
 	"time"
 
 	"gfd/internal/fault"
+	"gfd/internal/gen"
+	"gfd/internal/session"
 	"gfd/internal/validate"
 )
+
+// chaosWorkload prepares a noisy mined workload dense enough that faults
+// land mid-detection, plus its fault-free reference report.
+func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
+	t.Helper()
+	// Fine chunks, so that every worker's queue is long enough for the
+	// fault plans' unit ordinals.
+	t.Cleanup(validate.SetChunkGranularity(64, 16))
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 300, Seed: 9})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
+	if set.Len() == 0 {
+		t.Fatal("no rules mined")
+	}
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.3, Seed: 11})
+	prep, err := mustOpen(t, g).Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := prep.Detect(context.Background(), validate.Options{Engine: validate.EngineReplicated, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Violations) == 0 {
+		t.Fatal("workload produced no violations; chaos assertions would be vacuous")
+	}
+	return prep, base
+}
 
 // waitGoroutines polls until the goroutine count returns to the baseline,
 // failing the test if a pipeline goroutine (worker, forwarder, or engine)
@@ -97,7 +126,20 @@ func TestViolationsUnderFaults(t *testing.T) {
 			{validate.EngineReplicated, base.Violations, fault.FromSeed(seed, 4, base.Units)},
 			{validate.EngineFragmented, disBase.Violations, fault.FromSeed(seed+1000, 4, disBase.Units)},
 		} {
-			got := streamFaulted(t, prep, validate.Options{Engine: c.engine, N: 4, Inject: c.plan})
+			// A plan with a fatal fault must show a retry or a death in the
+			// census, or the comparison proved nothing.
+			var res validate.Result
+			var got validate.Report
+			for v, err := range prep.ViolationsResult(ctx, validate.Options{Engine: c.engine, N: 4, Inject: c.plan}, &res) {
+				if err != nil {
+					t.Fatalf("%v %v: iterator error: %v", c.engine, c.plan, err)
+				}
+				got = append(got, v)
+			}
+			if r := res.Completeness; c.plan.Fatal() > 0 && r.Retries+r.WorkerDeaths == 0 {
+				t.Fatalf("%v %v: no fault fired: %+v", c.engine, c.plan, r)
+			}
+			got.Sort()
 			if !got.Equal(c.want) {
 				t.Fatalf("%v %v: streamed set diverged from fault-free Detect (%d vs %d)",
 					c.engine, c.plan, len(got), len(c.want))
@@ -205,7 +247,8 @@ func TestViolationsCancelWhileBlocked(t *testing.T) {
 // through the iterator as a trailing ErrPartial — after every violation
 // the surviving workers delivered — and ViolationsResult's out parameter
 // carries the census, so a streaming consumer gets the same honest
-// failure semantics as Detect.
+// failure semantics as Detect, which must not flatten the typed failure
+// either.
 func TestViolationsPartialError(t *testing.T) {
 	g, set := minedWorkload(t, 7)
 	prep, err := mustOpen(t, g).Prepare(set)
@@ -213,10 +256,22 @@ func TestViolationsPartialError(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(9).KillWorker(0, 0).KillWorker(1, 0)
+	opt := validate.Options{Engine: validate.EngineReplicated, N: 2, Inject: plan}
+	detected, err := prep.Detect(context.Background(), opt)
+	if !errors.Is(err, validate.ErrPartial) {
+		t.Fatalf("Detect: err = %v, want ErrPartial", err)
+	}
+	var pe *validate.PartialError
+	if !errors.As(err, &pe) || len(pe.Failures) == 0 {
+		t.Fatalf("Detect: err = %v, want *PartialError with failures", err)
+	}
+	if c := detected.Completeness; c.Complete() || c.WorkerDeaths != 2 || c.Failed != len(pe.Failures) {
+		t.Fatalf("Detect: census inconsistent with failure list: %+v vs %d failures", c, len(pe.Failures))
+	}
+
 	var res validate.Result
 	var finalErr error
-	for _, err := range prep.ViolationsResult(context.Background(),
-		validate.Options{Engine: validate.EngineReplicated, N: 2, Inject: plan}, &res) {
+	for _, err := range prep.ViolationsResult(context.Background(), opt, &res) {
 		if err != nil {
 			if finalErr != nil {
 				t.Fatalf("error yielded twice: %v then %v", finalErr, err)

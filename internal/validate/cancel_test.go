@@ -15,8 +15,8 @@ import (
 // heavy noise, so detection emits many violations across many units.
 func cancelWorkload(t *testing.T) (*graph.Graph, *Bundle) {
 	t.Helper()
-	// Fine chunks, so that every worker's queue is long enough for the
-	// chaos plans' unit ordinals.
+	// Fine chunks, so that every worker's queue holds many units for a
+	// cancellation to land between.
 	SetGranularity(t, 64, 16)
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 1200, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})

@@ -18,10 +18,19 @@ import (
 // oracle read through the mutable graph's strings.
 
 // RandomWorkload and OracleVio serve the incremental detector's property
-// test, which lives outside the package because the detector imports it.
+// test and the metamorphic harness, which live outside the package because
+// they import the detector, the session and the multi-process engine; the
+// harness also runs the paper's G1 with φ1, the seeded KB workload and
+// every engine variant, and ends by waiting for the goroutine count to
+// settle.
 var (
 	RandomWorkload = randomWorkload
 	OracleVio      = oracleVio
+	PaperG1        = paperG1
+	Phi1           = phi1
+	SeededKB       = seededKB
+	AllVariants    = allVariants
+	WaitGoroutines = waitGoroutines
 )
 
 // SetGranularity sets the chunk-granularity constants to perSlot chunks

@@ -5,24 +5,33 @@
 // snapshot, a session overlay after Apply, a store-adopted mapping and
 // per-fragment shards — and again over a graph whose labels were first
 // used after its freeze, so its adjacency ranks them out of code order
-// (lateLabels). Each case is a row of one table, run like the
-// scheduler conformance suite's shapes, and compared against the
-// string-and-map oracle.
+// (lateLabels). The other axes are the engine variants, the partition
+// strategy disVal and the shards are cut by, the sink a run delivers
+// into (sinkMode) and, in TestMetamorphicVioUnderFaults, a seeded fault
+// plan. Each case is a row of one table, run like the scheduler
+// conformance suite's shapes, and compared against the string-and-map
+// oracle. How a faulted run ends — outcome, census, exactly-once
+// delivery, leaks — is the conformance suite's (internal/dist).
 package validate_test
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gfd/internal/baseline"
 	"gfd/internal/core"
 	"gfd/internal/dist"
+	"gfd/internal/fault"
 	"gfd/internal/fragment"
+	"gfd/internal/gen"
 	"gfd/internal/graph"
 	"gfd/internal/incremental"
 	"gfd/internal/pattern"
@@ -86,17 +95,19 @@ func canonical(oracle validate.Report) string {
 // topologyKind builds a fresh bundle (so that nothing planned at another
 // granularity is reused) over one kind of topology, holds the oracle's
 // report it must reproduce, and cuts the manifest of n per-fragment shards
-// of its snapshot for the multi-process engine (nil: not a frozen one).
+// of its snapshot by a strategy for the multi-process engine (nil: not a
+// frozen one).
 type topologyKind struct {
 	name   string
 	expect string
 	bundle func() *validate.Bundle
-	shards func(n int) string
+	shards func(n int, s fragment.Strategy) string
 }
 
 // openShards saves s under dir and opens it, and returns the mapping with
-// a function cutting the manifest of its n per-fragment shards once per n.
-func openShards(t *testing.T, s *graph.Snapshot, dir string) (*graph.Snapshot, func(n int) string) {
+// a function cutting the manifest of its n per-fragment shards once per n
+// and strategy.
+func openShards(t *testing.T, s *graph.Snapshot, dir string) (*graph.Snapshot, func(n int, s fragment.Strategy) string) {
 	ctx := context.Background()
 	path := filepath.Join(dir, "g.gfds")
 	if err := store.Save(ctx, s, path); err != nil {
@@ -108,16 +119,17 @@ func openShards(t *testing.T, s *graph.Snapshot, dir string) (*graph.Snapshot, f
 	}
 	t.Cleanup(func() { loaded.Close() })
 	snap := loaded.Snapshot()
-	manifests := map[int]string{}
-	return snap, func(n int) string {
-		if manifests[n] == "" {
-			m, err := dist.WriteShards(snap, n, fragment.Hash, dir, fmt.Sprintf("s%d", n))
+	manifests := map[string]string{}
+	return snap, func(n int, s fragment.Strategy) string {
+		key := fmt.Sprintf("%v%d", s, n)
+		if manifests[key] == "" {
+			m, err := dist.WriteShards(snap, n, s, dir, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			manifests[n] = m
+			manifests[key] = m
 		}
-		return manifests[n]
+		return manifests[key]
 	}
 }
 
@@ -152,48 +164,292 @@ func lateLabels(g *graph.Graph) []*core.GFD {
 	}
 }
 
-// metamorphicEngine runs one engine with n slots on a bundle in its collect
-// mode and returns the report in the order the engine built it; shard names
-// the manifest of n per-fragment shards for the multi-process engine. The
-// parallel engines keep implied rules (NoReduce): reduction preserves the
-// violating entities, not the rule names a byte comparison reads.
+// randomKinds builds RandomWorkload(seed) with the pivot shapes over every
+// topology kind: heap, mmap (with shards), overlay, and the three
+// late-label kinds. It counts the oracle's violations into compared.
+func randomKinds(t *testing.T, seed int64, compared map[string]int) []topologyKind {
+	g, set := validate.RandomWorkload(seed)
+	set = withShapes(set)
+	want := canonical(validate.OracleVio(g, set))
+	compared["violations"] += strings.Count(want, "\n")
+
+	// The unmutated graph: heap snapshot, its persisted mapping, and
+	// the mapping's per-fragment shards.
+	snap, shard := openShards(t, g.Freeze(), t.TempDir())
+
+	// The same graph after two update batches through a session: the
+	// overlay's view, against the oracle of the mutated graph.
+	mg, _ := validate.RandomWorkload(seed)
+	sess, err := session.New(mg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sess.Apply(incremental.AddNode{Label: "a", Attrs: graph.Attrs{"p": "v1", "q": "v2"}})[0]
+	sess.Apply(
+		incremental.AddEdge{From: id, To: 0, Label: "e"},
+		incremental.AddEdge{From: 1, To: id, Label: "f"},
+		incremental.SetAttr{Node: 2, Attr: "p", Value: "v1"},
+	)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov := prep.Bundle().Topo()
+	if !ov.Patched() {
+		t.Fatalf("seed %d: the session runs on a frozen snapshot, want an overlay view", seed)
+	}
+	wantMutated := canonical(validate.OracleVio(mg, set))
+
+	// The same graph with labels first used after its freeze: the
+	// overlay's view, the snapshot a compaction flattens it into, that
+	// snapshot persisted and mapped, and the mapping's shards.
+	lg, _ := validate.RandomWorkload(seed)
+	lg.Freeze()
+	lset := core.MustNewSet(append(set.Rules(), lateLabels(lg)...)...)
+	wantLate := canonical(validate.OracleVio(lg.Clone(), lset))
+	lateView := graph.NewOverlay(lg).Snapshot
+	lateFlat := lg.Freeze()
+	lateSnap, lateShard := openShards(t, lateFlat, t.TempDir())
+	for _, line := range strings.Split(wantLate, "\n") {
+		if strings.HasPrefix(line, "late_") {
+			compared["late-label violations"]++
+		}
+	}
+	// The axis needs ranks out of code order: the first late node's
+	// edges to the second sit "g" first, in the mapping too, though
+	// "v2" has the smaller code.
+	var order []string
+	for _, e := range lateSnap.Out(graph.NodeID(g.NumNodes())) {
+		order = append(order, lateSnap.Syms().Name(lateSnap.EdgeLabel(e.Label)))
+	}
+	if syms := lateSnap.Syms(); syms.Lookup("v2") > syms.Lookup("g") || slices.Index(order, "g") > slices.Index(order, "v2") {
+		t.Fatalf("seed %d: the late edge labels keep code order (%v): the axis is vacuous", seed, order)
+	}
+
+	return []topologyKind{
+		{"heap", want, func() *validate.Bundle { return validate.NewBundle(g, set) }, nil},
+		{"mmap", want, func() *validate.Bundle { return validate.NewBundleOver(snap, set, nil) }, shard},
+		{"overlay", wantMutated, func() *validate.Bundle { return validate.NewBundleOver(ov, set, nil) }, nil},
+		{"late-label overlay", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateView, lset, nil) }, nil},
+		{"late-label compacted", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateFlat, lset, nil) }, nil},
+		{"late-label mmap", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateSnap, lset, nil) }, lateShard},
+	}
+}
+
+// heapKind is a fixture workload on the heap kind alone.
+func heapKind(t *testing.T, name string, g *graph.Graph, set *core.Set) topologyKind {
+	if set.Len() == 0 {
+		t.Fatalf("%s: no rules mined", name)
+	}
+	return topologyKind{name, canonical(validate.OracleVio(g, set)), func() *validate.Bundle { return validate.NewBundle(g, set) }, nil}
+}
+
+// fixtureKinds are the paper's G1 with φ1, the YAGO2- and Pokec-like
+// generators with their noise and the rules mined after it, which hold
+// almost everywhere, and the seeded KB workload, whose violations the
+// pivot seeds must not lose.
+func fixtureKinds(t *testing.T) []topologyKind {
+	yago := gen.YAGO2Like(gen.DatasetConfig{Scale: 160, Seed: 11})
+	gen.Inject(yago, gen.NoiseConfig{Rate: 0.05, Seed: 12})
+	pokec := gen.PokecLike(gen.DatasetConfig{Scale: 120, Seed: 21})
+	gen.Inject(pokec, gen.NoiseConfig{Rate: 0.03, Seed: 22})
+	sg, sset := validate.SeededKB(t)
+	seeded := heapKind(t, "seeded heap", sg, sset)
+	if seeded.expect == "" {
+		t.Fatal("the seeded KB workload has no violation")
+	}
+	return []topologyKind{
+		heapKind(t, "paper G1", validate.PaperG1(), core.MustNewSet(validate.Phi1())),
+		heapKind(t, "mined heap", yago, gen.MineGFDs(yago, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})),
+		heapKind(t, "social heap", pokec, gen.MineGFDs(pokec, gen.MineConfig{NumRules: 6, PatternSize: 5, TwoCompFrac: 0.2, Seed: 23})),
+		seeded,
+	}
+}
+
+// faultKinds are two fixtures whose units deliver violations before a
+// fault ends them: the YAGO2-like graph with its rules mined before heavy
+// noise, and RandomWorkload(0)'s graph, mapped and sharded, under a rule
+// nearly every edge violates, so a process that dies mid-answer has sent
+// some of them already.
+func faultKinds(t *testing.T) []topologyKind {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 160, Seed: 11})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.3, Seed: 12})
+	dg, _ := validate.RandomWorkload(0)
+	q := pattern.New()
+	q.AddEdge(q.AddNode("x", pattern.Wildcard), q.AddNode("y", pattern.Wildcard), pattern.Wildcard)
+	dirty := core.MustNewSet(core.MustNew("dirty", q, nil, []core.Literal{core.VarEq("x", "p", "y", "q")}))
+	snap, shards := openShards(t, dg.Freeze(), t.TempDir())
+	kinds := []topologyKind{
+		heapKind(t, "noisy mined heap", g, set),
+		{"dirty mmap", canonical(validate.OracleVio(dg, dirty)), func() *validate.Bundle { return validate.NewBundleOver(snap, dirty, nil) }, shards},
+	}
+	for _, k := range kinds {
+		if k.expect == "" {
+			t.Fatalf("the %s fixture has no violation", k.name)
+		}
+	}
+	return kinds
+}
+
+// sinkMode is how a run's violations reach the harness: the engine's own
+// collect sink, whose returned order is compared too; a callback; or a
+// pipe of one-slot lanes drained on another goroutine. The last two are
+// sorted after the run, so a duplicate delivery renders as an extra line.
+type sinkMode int
+
+const (
+	collect sinkMode = iota
+	callback
+	pipe
+)
+
+var sinkModes = []sinkMode{collect, callback, pipe}
+
+func (m sinkMode) String() string { return [...]string{"collect", "callback", "pipe"}[m] }
+
+// drive runs an engine with lanes slots into m's sink.
+func (m sinkMode) drive(ctx context.Context, lanes int, run func(validate.Sink) (*validate.Result, error)) (validate.Report, *validate.Result, error) {
+	var got validate.Report
+	var res *validate.Result
+	var err error
+	switch m {
+	case collect:
+		if res, err = run(nil); res != nil {
+			got = res.Violations
+		}
+		return got, res, err
+	case callback:
+		res, err = run(validate.Callback(func(v validate.Violation) bool {
+			got = append(got, v)
+			return true
+		}))
+	case pipe:
+		p := validate.NewPipeSink(ctx, lanes, 1)
+		drained := make(chan struct{})
+		go func() {
+			for v := range p.Out() {
+				got = append(got, v)
+			}
+			close(drained)
+		}()
+		res, err = run(p)
+		p.Close()
+		<-drained
+	}
+	got.Sort()
+	return got, res, err
+}
+
+// runSpec is one run of an engine: its options (N, the named variant, the
+// fault plan), the sink mode, and the strategy disVal's fragmentation and
+// the shards are cut by.
+type runSpec struct {
+	variant  string
+	opt      validate.Options
+	mode     sinkMode
+	strategy fragment.Strategy
+}
+
+func (r runSpec) String() string {
+	s := fmt.Sprintf("n=%d/%v/%v", r.opt.N, r.mode, r.strategy)
+	if r.variant != "" {
+		s = r.variant + "/" + s
+	}
+	if r.opt.Inject != nil {
+		s += " " + r.opt.Inject.String()
+	}
+	return s
+}
+
+var strategies = []fragment.Strategy{fragment.Hash, fragment.Range}
+
+// metamorphicEngine runs one engine on a bundle into a sink; shards cuts
+// the manifest of the multi-process engine's per-fragment shards. The
+// paper's three algorithms (detVio, repVal, disVal) are the ones the
+// fixture and breadth rows run, and its two parallel ones run the engine
+// variants; plan draws a fault plan for a run with n slots and units
+// units, nil for an engine without slots to fault. The parallel engines
+// keep implied rules (NoReduce): reduction preserves the violating
+// entities, not the rule names a byte comparison reads.
 type metamorphicEngine struct {
-	name string
-	run  func(ctx context.Context, b *validate.Bundle, n int, shard func(n int) string) (validate.Report, error)
+	name     string
+	paper    bool
+	variants bool
+	shards   bool // runs only where the kind cuts shards
+	plan     func(seed int64, n, units int) *fault.Plan
+	run      func(ctx context.Context, b *validate.Bundle, shards func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error)
 }
 
 var metamorphicEngines = []metamorphicEngine{
-	{"sequential", func(ctx context.Context, b *validate.Bundle, _ int, _ func(int) string) (validate.Report, error) {
-		res, err := validate.Single(0, 1, nil, func(s validate.Sink) error { return validate.DetVioB(ctx, b, s) })
-		return res.Violations, err
+	{name: "sequential", paper: true, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, _ runSpec, sink validate.Sink) (*validate.Result, error) {
+		return validate.Single(0, 1, sink, func(s validate.Sink) error { return validate.DetVioB(ctx, b, s) })
 	}},
-	{"repVal", func(ctx context.Context, b *validate.Bundle, n int, _ func(int) string) (validate.Report, error) {
-		res, err := validate.RepValB(ctx, b, validate.Options{N: n, NoReduce: true}, nil)
-		return res.Violations, err
+	{name: "repVal", paper: true, variants: true, plan: fault.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+		return validate.RepValB(ctx, b, r.opt, sink)
 	}},
-	{"disVal", func(ctx context.Context, b *validate.Bundle, n int, _ func(int) string) (validate.Report, error) {
-		res, err := validate.DisValB(ctx, b, fragment.PartitionSnapshot(b.Topo(), n, fragment.Hash), validate.Options{N: n, NoReduce: true}, nil)
-		return res.Violations, err
+	{name: "disVal", paper: true, variants: true, plan: fault.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+		return validate.DisValB(ctx, b, fragment.PartitionSnapshot(b.Topo(), r.opt.N, r.strategy), r.opt, sink)
 	}},
 	// The relational baseline, sorted as the session sorts it: its joins
 	// and label selections read the bundle's view alone.
-	{"bigDansing", func(ctx context.Context, b *validate.Bundle, n int, _ func(int) string) (validate.Report, error) {
-		res, err := validate.Single(b.Set().Len(), n, nil, func(s validate.Sink) error {
-			return baseline.DetectJoinsB(ctx, b, baseline.Encode(b.Topo()), n, s)
+	{name: "bigDansing", run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+		return validate.Single(b.Set().Len(), r.opt.N, sink, func(s validate.Sink) error {
+			return baseline.DetectJoinsB(ctx, b, baseline.Encode(b.Topo()), r.opt.N, s)
 		})
-		return res.Violations, err
 	}},
-	{"dist", func(ctx context.Context, b *validate.Bundle, n int, shard func(int) string) (validate.Report, error) {
-		if shard == nil {
-			return nil, nil // shards are cut from a frozen snapshot only
-		}
-		res, err := dist.DetectB(ctx, b, validate.Options{NoReduce: true, Dist: &validate.DistOptions{ManifestPath: shard(n)}}, nil)
-		return res.Violations, err
+	// Tight supervision: an injected 30 s pipe stall ends at heartbeat
+	// starvation, not when the sleep does.
+	{name: "dist", shards: true, plan: fault.FromSeedProc, run: func(ctx context.Context, b *validate.Bundle, shards func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+		opt := r.opt
+		opt.Dist = &validate.DistOptions{ManifestPath: shards(opt.N, r.strategy), HeartbeatInterval: 50 * time.Millisecond, HandshakeTimeout: 2 * time.Second}
+		return dist.DetectB(ctx, b, opt, sink)
 	}},
 }
 
-func TestMetamorphicVio(t *testing.T) {
+// check runs e on a fresh bundle of k under r and fails unless its report
+// renders as the oracle's. It returns the run's result.
+func check(t *testing.T, e metamorphicEngine, k topologyKind, r runSpec) *validate.Result {
+	t.Helper()
 	ctx := context.Background()
+	b := k.bundle()
+	got, res, err := r.mode.drive(ctx, r.opt.N, func(s validate.Sink) (*validate.Result, error) { return e.run(ctx, b, k.shards, r, s) })
+	if err != nil {
+		t.Fatalf("%s on %s, %v: %v", e.name, k.name, r, err)
+	}
+	if g := render(got); g != k.expect {
+		t.Fatalf("%s on %s, %v: %d violations, the oracle %d:\n%s\nwant\n%s",
+			e.name, k.name, r, len(got), strings.Count(k.expect, "\n"), g, k.expect)
+	}
+	return res
+}
+
+// checkAll runs every engine (or the paper's three) on k for N = 1…4 (one
+// slot for the sequential engine), the partition strategy alternating
+// with N, and then, if asked, every variant of the paper's parallel ones.
+func checkAll(t *testing.T, k topologyKind, paperOnly, variants bool, compared map[string]int) {
+	t.Helper()
+	for _, e := range metamorphicEngines {
+		if paperOnly && !e.paper || e.shards && k.shards == nil {
+			continue
+		}
+		for n := 1; n <= 4; n++ {
+			check(t, e, k, runSpec{opt: validate.Options{N: n, NoReduce: true}, strategy: strategies[n%2]})
+			compared[e.name+"/"+k.name]++
+			if e.name == "sequential" {
+				break // one slot whatever n says
+			}
+		}
+		if variants && e.variants {
+			for name, opt := range validate.AllVariants() {
+				check(t, e, k, runSpec{variant: name, opt: opt, strategy: strategies[opt.N%2]})
+				compared[e.name+" variants/"+k.name]++
+			}
+		}
+	}
+}
+
+func TestMetamorphicVio(t *testing.T) {
 	granularities := []struct {
 		name             string
 		perSlot, members int
@@ -205,112 +461,126 @@ func TestMetamorphicVio(t *testing.T) {
 	}
 	compared := map[string]int{}
 	for seed := int64(0); seed < 8; seed++ {
-		g, set := validate.RandomWorkload(seed)
-		set = withShapes(set)
-		want := canonical(validate.OracleVio(g, set))
-		compared["violations"] += strings.Count(want, "\n")
-
-		// The unmutated graph: heap snapshot, its persisted mapping, and
-		// the mapping's per-fragment shards.
-		snap, shard := openShards(t, g.Freeze(), t.TempDir())
-
-		// The same graph after two update batches through a session: the
-		// overlay's view, against the oracle of the mutated graph.
-		mg, _ := validate.RandomWorkload(seed)
-		sess, err := session.New(mg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := sess.Apply(incremental.AddNode{Label: "a", Attrs: graph.Attrs{"p": "v1", "q": "v2"}})[0]
-		sess.Apply(
-			incremental.AddEdge{From: id, To: 0, Label: "e"},
-			incremental.AddEdge{From: 1, To: id, Label: "f"},
-			incremental.SetAttr{Node: 2, Attr: "p", Value: "v1"},
-		)
-		prep, err := sess.Prepare(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := prep.Bundle().Topo()
-		if !ov.Patched() {
-			t.Fatalf("seed %d: the session runs on a frozen snapshot, want an overlay view", seed)
-		}
-		wantMutated := canonical(validate.OracleVio(mg, set))
-
-		// The same graph with labels first used after its freeze: the
-		// overlay's view, the snapshot a compaction flattens it into, that
-		// snapshot persisted and mapped, and the mapping's shards.
-		lg, _ := validate.RandomWorkload(seed)
-		lg.Freeze()
-		lset := core.MustNewSet(append(set.Rules(), lateLabels(lg)...)...)
-		wantLate := canonical(validate.OracleVio(lg.Clone(), lset))
-		lateView := graph.NewOverlay(lg).Snapshot
-		lateFlat := lg.Freeze()
-		lateSnap, lateShard := openShards(t, lateFlat, t.TempDir())
-		for _, line := range strings.Split(wantLate, "\n") {
-			if strings.HasPrefix(line, "late_") {
-				compared["late-label violations"]++
-			}
-		}
-		// The axis needs ranks out of code order: the first late node's
-		// edges to the second sit "g" first, in the mapping too, though
-		// "v2" has the smaller code.
-		var order []string
-		for _, e := range lateSnap.Out(graph.NodeID(g.NumNodes())) {
-			order = append(order, lateSnap.Syms().Name(lateSnap.EdgeLabel(e.Label)))
-		}
-		if syms := lateSnap.Syms(); syms.Lookup("v2") > syms.Lookup("g") || slices.Index(order, "g") > slices.Index(order, "v2") {
-			t.Fatalf("seed %d: the late edge labels keep code order (%v): the axis is vacuous", seed, order)
-		}
-
-		kinds := []topologyKind{
-			{"heap", want, func() *validate.Bundle { return validate.NewBundle(g, set) }, nil},
-			{"mmap", want, func() *validate.Bundle { return validate.NewBundleOver(snap, set, nil) }, shard},
-			{"overlay", wantMutated, func() *validate.Bundle { return validate.NewBundleOver(ov, set, nil) }, nil},
-			{"late-label overlay", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateView, lset, nil) }, nil},
-			{"late-label compacted", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateFlat, lset, nil) }, nil},
-			{"late-label mmap", wantLate, func() *validate.Bundle { return validate.NewBundleOver(lateSnap, lset, nil) }, lateShard},
-		}
+		kinds := randomKinds(t, seed, compared)
 		for _, gr := range granularities {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, gr.name), func(t *testing.T) {
 				if gr.perSlot > 0 {
 					validate.SetGranularity(t, gr.perSlot, gr.members)
 				}
-				for _, k := range kinds {
-					expect := k.expect
-					for _, e := range metamorphicEngines {
-						for n := 1; n <= 4; n++ {
-							got, err := e.run(ctx, k.bundle(), n, k.shards)
-							if err != nil {
-								t.Fatalf("%s on %s, n=%d: %v", e.name, k.name, n, err)
-							}
-							if got == nil && e.name == "dist" {
-								continue
-							}
-							if r := render(got); r != expect {
-								t.Fatalf("%s on %s, n=%d: %d violations, the oracle %d:\n%s\nwant\n%s",
-									e.name, k.name, n, len(got), strings.Count(expect, "\n"), r, expect)
-							}
-							compared[e.name+"/"+k.name]++
-							if e.name == "sequential" {
-								break // one slot whatever n says
-							}
-						}
-					}
+				for i, k := range kinds {
+					// Variants at the default granularity, on heap, mmap and overlay.
+					checkAll(t, k, false, gr.perSlot == 0 && i < 3, compared)
 				}
 			})
 		}
 	}
+
+	// The fixtures, and breadth: further random workloads, drawn afresh
+	// every run as quick.Check draws them, for the paper's three
+	// algorithms and their variants.
+	for _, k := range fixtureKinds(t) {
+		t.Run(k.name, func(t *testing.T) { checkAll(t, k, true, true, compared) })
+		compared["fixture violations"] += strings.Count(k.expect, "\n")
+	}
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	for i := range 40 {
+		seed := int64(rng.Uint32())
+		t.Run(fmt.Sprintf("breadth %d", i), func(t *testing.T) {
+			t.Logf("RandomWorkload seed %d", seed) // printed if the subtest fails
+			g, set := validate.RandomWorkload(seed)
+			set = withShapes(set)
+			k := topologyKind{"breadth heap", canonical(validate.OracleVio(g, set)), func() *validate.Bundle { return validate.NewBundle(g, set) }, nil}
+			checkAll(t, k, true, true, compared)
+		})
+	}
+
 	t.Logf("comparisons: %v", compared)
-	if compared["violations"] == 0 {
+	if compared["violations"] == 0 || compared["fixture violations"] == 0 {
 		t.Fatal("no workload has a violation; the harness compares empty sets")
 	}
 	if compared["late-label violations"] == 0 {
 		t.Fatal("no late-label rule is violated; the axis compares empty sets")
 	}
-	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay", "dist/late-label mmap", "repVal/late-label overlay"} {
+	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay", "dist/late-label mmap", "repVal/late-label overlay", "disVal variants/mmap", "repVal variants/paper G1"} {
 		if compared[k] == 0 {
 			t.Fatalf("%s was never compared", k)
 		}
 	}
+}
+
+// TestMetamorphicVioUnderFaults runs the parallel engines under seeded
+// fault plans — goroutine-slot kills, delays and match/literal panics for
+// repVal and disVal (fault.FromSeed), process kills, pipe stalls and torn
+// frames for dist (fault.FromSeedProc) — at one class member a chunk, on
+// every kind each engine runs on and on two fixtures whose units deliver
+// violations before a fault ends them. The sink mode and the partition
+// strategy rotate over the rows. Each row runs fault-free first (which
+// sizes the plan), then under the plan: the faulted report must render as
+// the oracle's, with a complete census. A run whose fatal fault never
+// fired is not a comparison, and every (engine, kind) cell must count a
+// fired run.
+func TestMetamorphicVioUnderFaults(t *testing.T) {
+	before := runtime.NumGoroutine()
+	validate.SetGranularity(t, 64, 1)
+	compared, fired := map[string]int{}, map[string]int{}
+	ran := map[string]int{} // engine, sink mode and strategy of the comparisons
+	var kinds []topologyKind
+	for seed := int64(0); seed < 8; seed++ {
+		kinds = append(kinds, randomKinds(t, seed, map[string]int{})...)
+	}
+	fixtures := faultKinds(t)
+	kinds = append(kinds, fixtures...)
+	row := int64(0)
+	for ki, k := range kinds {
+		plans := 1 // the eight random workloads give each cell eight plans an N
+		if ki >= len(kinds)-len(fixtures) {
+			plans = 4
+		}
+		for _, e := range metamorphicEngines {
+			if e.plan == nil || e.shards && k.shards == nil {
+				continue
+			}
+			// A faulted fleet costs processes and, when the plan stalls a
+			// handshake, the 2 s handshake timeout: dist runs at N = 4 only.
+			ns := []int{2, 4}
+			if e.shards {
+				ns = ns[1:]
+			}
+			for i := range plans * len(ns) {
+				row++
+				r := runSpec{opt: validate.Options{N: ns[i%len(ns)], NoReduce: true}, mode: sinkModes[row%3], strategy: strategies[row/3%2]}
+				t.Run(fmt.Sprintf("row=%d/%s/%s/%v", row, k.name, e.name, r), func(t *testing.T) {
+					res := check(t, e, k, r)
+					r.opt.Inject = e.plan(row, r.opt.N, res.Units)
+					c := check(t, e, k, r).Completeness
+					if !c.Complete() || c.Failed != 0 {
+						t.Fatalf("%s on %s, %v: census not complete: %+v", e.name, k.name, r, c)
+					}
+					cell := e.name + "/" + k.name
+					switch {
+					case c.Retries+c.WorkerDeaths > 0:
+						fired[cell]++
+					case r.opt.Inject.Fatal() > 0:
+						return // the workload was too small for the plan's ordinals
+					}
+					compared[cell]++
+					ran[fmt.Sprintf("%s/%v/%v", e.name, r.mode, r.strategy)]++
+				})
+			}
+		}
+	}
+	t.Logf("faulted comparisons: %v", compared)
+	t.Logf("of which a fault fired: %v", fired)
+	for cell := range compared {
+		if fired[cell] == 0 {
+			t.Errorf("%s: no fault fired in %d comparisons", cell, compared[cell])
+		}
+	}
+	if len(compared) != 2*8+3 {
+		t.Errorf("%d (engine, kind) cells compared, want repVal and disVal on eight kinds and dist on three", len(compared))
+	}
+	if len(ran) != 3*len(sinkModes)*len(strategies) {
+		t.Errorf("%d (engine, sink mode, strategy) combinations compared, want every one: %v", len(ran), ran)
+	}
+	validate.WaitGoroutines(t, before)
 }

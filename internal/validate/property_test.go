@@ -9,15 +9,14 @@ import (
 	"testing/quick"
 
 	"gfd/internal/core"
-	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
 
 // randomWorkload builds a small random graph plus a random rule set, both
-// derived deterministically from a seed — the generator for the
-// end-to-end equivalence properties. X carries up to three literals of
+// derived deterministically from a seed — the generator of the
+// metamorphic harness's random workloads. X carries up to three literals of
 // every kind the guards compile: constants, cross-node and same-node
 // (x.A = x.B) equalities, an attribute name no node carries and a
 // constant no node holds (never interned on a frozen table). A third of
@@ -137,45 +136,6 @@ func oracleVio(g *graph.Graph, set *core.Set) Report {
 	return out
 }
 
-// TestPropertyEnginesEquivalent is the central end-to-end property: on
-// arbitrary graphs and rule sets, detVio, repVal
-// and disVal (all variants) compute exactly the oracle's violation set.
-// Every engine pushes X into its search, so none of them can serve as the
-// reference. TestPropertyIncrementalEquivalent holds the incremental
-// detector to the same oracle.
-func TestPropertyEnginesEquivalent(t *testing.T) {
-	f := func(seedRaw uint32) bool {
-		seed := int64(seedRaw)
-		g, set := randomWorkload(seed)
-		want := oracleVio(g, set)
-		if got := detVio(g, set); !got.Equal(want) {
-			t.Logf("seed %d: detVio found %d violations, oracle %d", seed, len(got), len(want))
-			return false
-		}
-		for _, opt := range []Options{
-			{N: 1, NoReduce: true},
-			{N: 3, NoReduce: true},
-			{N: 3, RandomAssign: true, Seed: seed, NoReduce: true},
-			{N: 3, NoOptimize: true},
-			{N: 3, SplitThreshold: 4, NoReduce: true},
-		} {
-			if !repVal(g, set, opt).Violations.Equal(want) {
-				t.Logf("seed %d: repVal(%+v) diverged", seed, opt)
-				return false
-			}
-			frag := fragment.Partition(g, opt.N, fragment.Hash)
-			if !disVal(g, frag, set, opt).Violations.Equal(want) {
-				t.Logf("seed %d: disVal(%+v) diverged", seed, opt)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyNormalizePreservesSemantics: a match violates ϕ iff it
 // violates some rule of ϕ's normal form.
 func TestPropertyNormalizePreservesSemantics(t *testing.T) {
@@ -215,20 +175,6 @@ func TestPropertySatisfiesIffNoViolations(t *testing.T) {
 		return satisfies(g, set) == (len(detVio(g, set)) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyFragmentationInvariant: the violation set is independent of
-// how the graph is fragmented.
-func TestPropertyFragmentationInvariant(t *testing.T) {
-	f := func(seedRaw uint32) bool {
-		g, set := randomWorkload(int64(seedRaw))
-		a := disVal(g, fragment.Partition(g, 2, fragment.Hash), set, Options{N: 2, NoReduce: true})
-		b := disVal(g, fragment.Partition(g, 5, fragment.Range), set, Options{N: 5, NoReduce: true})
-		return a.Violations.Equal(b.Violations)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
