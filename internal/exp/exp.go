@@ -229,25 +229,31 @@ type Table struct {
 }
 
 // Row is one x-axis point: the plotted cell per series and, for the
-// sweeps that plot a modeled time, the measured wall beside it.
+// sweeps that plot a modeled time, the measured wall and the work
+// (TotalWeight, busy span) beside it.
 type Row struct {
 	X     string
 	Cells map[string]float64
 	Wall  map[string]float64
+	Work  map[string]string
 }
 
 // String renders the table in a paper-style fixed-width layout; a cell
-// with a measured wall prints it in parentheses after the plotted value.
+// with a measured wall prints it in parentheses after the plotted value,
+// and its work in brackets after that.
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
-	xw := 12 // the x column fits its longest label
+	xw, cw := 12, 18 // the x column fits its longest label; work widens cells
 	for _, r := range t.Rows {
 		xw = max(xw, utf8.RuneCountInString(r.X)+2)
+		if r.Work != nil {
+			cw = 40
+		}
 	}
 	fmt.Fprintf(&b, "%-*s", xw, t.XLabel)
 	for _, s := range t.Series {
-		fmt.Fprintf(&b, "%18s", s)
+		fmt.Fprintf(&b, "%*s", cw, s)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
@@ -259,8 +265,11 @@ func (t Table) String() string {
 				if w, ok := r.Wall[s]; ok {
 					cell += fmt.Sprintf(" (%.4f)", w)
 				}
+				if w, ok := r.Work[s]; ok {
+					cell += " [" + w + "]"
+				}
 			}
-			fmt.Fprintf(&b, "%18s", cell)
+			fmt.Fprintf(&b, "%*s", cw, cell)
 		}
 		b.WriteByte('\n')
 	}
@@ -315,17 +324,20 @@ func seconds(r *validate.Result) float64 { return r.ModeledTime().Seconds() }
 
 // spanNote captions every table whose cells are seconds(): the modeled
 // span is the plotted value, the measured wall keeps the substitution
-// visible (on a host with fewer cores than n the two diverge).
-const spanNote = "cells: modeled n-worker span s (measured wall s)"
+// visible (on a host with fewer cores than n the two diverge), and the
+// work shows whether a flat row did flat work.
+const spanNote = "cells: modeled n-worker span s (measured wall s) [TotalWeight, busy span s]"
 
 // sweepRow runs each series algorithm on w with n workers and returns
-// the row: metric(res) as the plotted cell, Result.Wall beside it.
+// the row: metric(res) as the plotted cell, Result.Wall and the work
+// beside it.
 func sweepRow(x string, w Workload, n int, seed int64, series []string, metric func(*validate.Result) float64) Row {
-	row := Row{X: x, Cells: map[string]float64{}, Wall: map[string]float64{}}
+	row := Row{X: x, Cells: map[string]float64{}, Wall: map[string]float64{}, Work: map[string]string{}}
 	for _, alg := range series {
 		res := RunAlgorithm(alg, w, n, seed)
 		row.Cells[alg] = metric(res)
 		row.Wall[alg] = res.Wall.Seconds()
+		row.Work[alg] = fmt.Sprintf("w=%d busy=%.4f", res.TotalWeight, (res.EstimateSpan + res.DetectSpan).Seconds())
 	}
 	return row
 }
@@ -416,11 +428,11 @@ func Fig5Comm(c Config, ns []int) Table {
 // Fig6ScaleG reproduces Fig. 6: disVal and variants on growing synthetic
 // graphs, n = 16. The paper grows (10M,20M) → (50M,100M) with Σ fixed; the
 // sweep here multiplies the configured base scale 1×..5× and validates
-// every graph against one Σ, mined on the base-scale clean graph (or
-// parsed from RulesPath) — mining per graph would change Σ along with |G|.
+// every graph against one Σ, mined on the base-scale clean graph and made
+// scale-free (or parsed from RulesPath) — mining per graph would change Σ
+// along with |G|.
 func Fig6ScaleG(c Config, multipliers []int) Table {
 	c = c.Defaults()
-	c.Dataset = "synthetic"
 	if len(multipliers) == 0 {
 		multipliers = []int{1, 2, 3, 4, 5}
 	}
@@ -430,11 +442,17 @@ func Fig6ScaleG(c Config, multipliers []int) Table {
 		XLabel: "|G| (x base)",
 		Series: series,
 	}
-	set := c.sigma(c.cleanGraph())
+	graphAt := func(scale int) *graph.Graph {
+		return gen.Synthetic(gen.SyntheticConfig{Nodes: scale * 10, Edges: scale * 20, Labels: fig6Labels, Skew: 0.5, Seed: c.Seed})
+	}
+	set := c.sigma(graphAt(c.Scale))
+	if c.RulesPath == "" {
+		set = scaleFree(set)
+	}
 	for _, m := range multipliers {
 		cc := c
 		cc.Scale = c.Scale * m
-		g := cc.cleanGraph()
+		g := graphAt(cc.Scale)
 		if c.RulesPath == "" {
 			cc.inject(g) // as Prepare: a rule file's graph is taken clean
 		}
@@ -443,6 +461,27 @@ func Fig6ScaleG(c Config, multipliers []int) Table {
 		t.Rows = append(t.Rows, sweepRow(x, w, 16, c.Seed, series, seconds))
 	}
 	return t
+}
+
+// fig6Labels is the node and edge label count of Fig. 6's graphs: with
+// gen.Synthetic's default 30, a mined path pattern matches in the graph it
+// was mined on and almost nowhere else, so its work would not grow with |G|.
+const fig6Labels = 3
+
+// scaleFree returns set with each rule that tests a constant replaced by
+// u.val = v.val → u.a0 = v.a0 over its pattern's first edge (u, v): a mined
+// constant selects nodes the base graph has by construction and a graph of
+// another scale may lack.
+func scaleFree(set *core.Set) *core.Set {
+	var rules []*core.GFD
+	for _, f := range set.Rules() {
+		if !f.IsVariable() {
+			u, v := f.Q.Nodes[f.Q.Edges[0].From].Var, f.Q.Nodes[f.Q.Edges[0].To].Var
+			f = core.MustNew(f.Name, f.Q, []core.Literal{core.VarEq(u, "val", v, "val")}, []core.Literal{core.VarEq(u, "a0", v, "a0")})
+		}
+		rules = append(rules, f)
+	}
+	return core.MustNewSet(rules...)
 }
 
 // Fig8Skew reproduces the Appendix skew experiment: disVal and variants on

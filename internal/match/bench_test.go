@@ -193,3 +193,44 @@ func BenchmarkEnumerateMixedLabels(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEnumerateHubRebound binds a hub at depth 1 under 2 000 pivots,
+// each with one sibling: the closing node's fixed run is the hub's
+// 5 000-entry run, rebound per pivot and joined against one short run. The
+// semi-join must not write it per binding (it leapfrogs until the
+// siblings' runs add up to its length). Fails when the match count
+// differs from NoIntersect's.
+func BenchmarkEnumerateHubRebound(b *testing.B) {
+	g := graph.New(0, 0)
+	hub := g.AddNode("B", nil)
+	var ds []graph.NodeID
+	for i := 0; i < 5000; i++ {
+		ds = append(ds, g.AddNode("D", nil))
+		g.MustAddEdge(hub, ds[i], "bd")
+	}
+	for i := 0; i < 2000; i++ {
+		a, c := g.AddNode("A", nil), g.AddNode("C", nil)
+		g.MustAddEdge(a, hub, "ab")
+		g.MustAddEdge(a, c, "ac")
+		g.MustAddEdge(c, ds[i], "cd")
+	}
+	q := pattern.New()
+	x, y, z, w := q.AddNode("a", "A"), q.AddNode("b", "B"), q.AddNode("c", "C"), q.AddNode("d", "D")
+	q.AddEdge(x, y, "ab")
+	q.AddEdge(x, z, "ac")
+	q.AddEdge(y, w, "bd")
+	q.AddEdge(z, w, "cd")
+	snap := g.Freeze()
+	opts := match.Options{Candidates: snap.NodesWith(snap.Syms().Lookup("A")), CandidateNode: 0}
+	m := match.NewMatcher(snap)
+	probe := opts
+	probe.NoIntersect = true
+	if n, want := m.Count(q, opts), match.CountSnapshot(snap, q, probe); n != want || n == 0 {
+		b.Fatalf("%d matches, NoIntersect %d", n, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Count(q, opts)
+	}
+}

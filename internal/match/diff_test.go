@@ -338,7 +338,9 @@ func TestDifferentialMinedRules(t *testing.T) {
 // TestMatcherZeroAllocSteadyState proves the acceptance criterion: after
 // warm-up, a snapshot-backed enumeration performs zero allocations — and
 // so does a guarded one, on the snapshot, on an empty overlay and on one
-// patched by updates, once the guarded plan is cached.
+// patched by updates, once the guarded plan is cached, and so do a
+// triangle and the cyc4 diamond, whose closing joins take the semi-join
+// route.
 func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 80, Seed: 1})
 	q := pattern.New()
@@ -351,7 +353,7 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	snap := g.Freeze()
 	count := 0
 	yield := func(core.Match) bool { count++; return true }
-	steady := func(name string, m *match.Matcher, opts match.Options) {
+	steadyQ := func(name string, m *match.Matcher, q *pattern.Pattern, opts match.Options) {
 		t.Helper()
 		count = 0
 		m.Enumerate(q, opts, yield) // warm-up: compile, plan cache, buffers
@@ -365,7 +367,26 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 			t.Fatalf("%s: steady-state Enumerate allocated %.1f times per run, want 0", name, allocs)
 		}
 	}
+	steady := func(name string, m *match.Matcher, opts match.Options) {
+		t.Helper()
+		steadyQ(name, m, q, opts)
+	}
 	steady("snapshot", match.NewMatcher(snap), match.Options{})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		q    *pattern.Pattern
+	}{
+		{"semi-join triangle", hubGraph(1, 20, 300, 400, 3, 4, 2), triPattern()},
+		{"semi-join diamond", threeLabelGraph(1, 500, 8000), cyc4Diamond()},
+	} {
+		s := c.g.Freeze()
+		m := match.NewMatcher(s)
+		steadyQ(c.name, m, c.q, pivoted(s, c.q))
+		if !m.SemiJoined() {
+			t.Fatalf("%s: no join took the semi-join route", c.name)
+		}
+	}
 
 	// A guard that admits some flights: the value of the first city any
 	// flight leaves from.

@@ -3,3 +3,7 @@ package match
 // Tries reports the candidate tries the matcher has made while an
 // Options.Halt probe was armed: the counter that strides the probe.
 func (m *Matcher) Tries() uint32 { return m.tick }
+
+// SemiJoined reports whether m's last enumeration held a fixed run in the
+// semi-join bitset: the owner outlives the call until the next one starts.
+func (m *Matcher) SemiJoined() bool { return m.setEdge >= 0 }

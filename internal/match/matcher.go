@@ -10,36 +10,35 @@ import (
 	"gfd/internal/pattern"
 )
 
-// Matcher is the compiled-representation enumerator: it runs the same
-// backtracking search as Enumerate, but against one *graph.Snapshot read
-// view — a frozen snapshot on the batch path, an Overlay's patched view on
-// the incremental path, one search body calling the concrete accessors on
-// both. Interned integer labels,
-// CSR adjacency sorted by (edge label, neighbor label, neighbor), a flat
-// []bool used-set, and contiguous per-label candidate ranges. After
-// warm-up (first call per pattern shape) an enumeration performs zero
-// steady-state allocations: candidates are iterated directly off topology
-// ranges, never materialized.
+// Matcher is the compiled-representation enumerator: Enumerate's
+// backtracking search over one *graph.Snapshot read view (a frozen
+// snapshot, or an Overlay's patched view), with interned labels, CSR
+// adjacency sorted by (edge label, neighbor label, neighbor) and a flat
+// used-set. After warm-up (first call per pattern shape) an enumeration
+// allocates nothing. A Matcher is NOT safe for concurrent use: engines
+// create one per worker, all sharing one read-only view.
 //
-// A Matcher is NOT safe for concurrent use — it owns reusable search
-// buffers. Engines create one Matcher per worker; all of them share one
-// view, which is read-only during matching.
-//
-// Candidate generation reads the adjacency runs keyed by (edge label,
-// the pattern node's own label), so neighbours of the wrong label are
-// never tried. A labelled pattern node with two or more already-matched
-// neighbors over concrete edge labels takes the worst-case-optimal route —
-// a Leapfrog-style multiway intersection of their To-sorted runs
-// (graph.IntersectAdjacency), so only common neighbors are ever tried.
-// Otherwise it iterates the smallest run (remaining constraints checked by
-// binary search), falling back to the pattern node's label class; a
-// striped node's residue is a feasibility check on every candidate. The
-// edges a candidate's source proves are not searched again. Plans (Plan:
-// the pattern lowered onto the view's symbol table, the matching order and
-// the guard instructions due at each depth) are cached per (pattern, pin
-// set, stripe node, topology version, guard), so a pattern is lowered only
-// on a plan-cache miss; Options.NoIntersect forces the backtracking path
-// for differential testing.
+// Candidates come from the adjacency runs keyed by (edge label, the
+// pattern node's own label), and the search keeps join state across
+// bindings, as Generic Join and Leapfrog Triejoin keep per-level
+// iterators: a run depends only on the view node it is read from, so each
+// pattern edge's run is looked up once per node its source binds to (a
+// memo per pattern edge). A labelled node with two or more matched
+// neighbours over concrete edge labels tries only the nodes in all their
+// To-sorted runs (the worst-case-optimal route). If the earliest bound of
+// those neighbours sits two or more depths up, its run does not change
+// across the sibling loop between: it is written once into a bitset, and
+// each sibling leapfrogs (or scans) only its own runs, keeping the nodes
+// whose bit is set — a semi-join in place of graph.IntersectAdjacency over
+// every run. Either way candidates come ascending and de-duplicated, so
+// the route never changes the match order.
+// Any other node iterates its smallest run (the rest checked by binary
+// search) or its label class; a striped node's residue is checked per
+// candidate, and the edges a candidate's source proves are not searched
+// again. Plans (Plan: the pattern lowered onto the view's symbol table,
+// the order and the guard instructions due at each depth) are cached per
+// (pattern, pin set, stripe node, topology version, guard);
+// Options.NoIntersect forces the probing path for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
@@ -53,7 +52,7 @@ type Matcher struct {
 	snap *graph.Snapshot
 
 	// Reusable search state.
-	used   []bool     // graph-node used-set, sized |V|
+	used   []uint64   // graph-node used-set, a bitset over |V|
 	assign core.Match // pattern node -> graph node
 	order  []int      // the plan's matching order (plan.Order), read per depth
 	placed []bool     // planOrder scratch
@@ -70,6 +69,16 @@ type Matcher struct {
 	// depths must not share.
 	ranges [graph.MaxIntersectArity][]graph.CSREdge
 	cands  [][]graph.NodeID
+
+	// Join state of one call. memo[ei] is pattern edge ei's run out of (or
+	// into) the view node its source is bound to: a run depends on nothing
+	// else. bits, |V| bits sized with used and zero between calls, holds
+	// set: pattern edge setEdge's run from node setAt.
+	memo    []runMemo
+	bits    []uint64
+	set     []graph.CSREdge
+	setEdge int
+	setAt   graph.NodeID
 
 	// plans caches computed plans, each with its lowered pattern, per
 	// (pattern, pin set, stripe node, topology version, guard), so
@@ -127,7 +136,7 @@ const maxPlanCache = 64
 // *graph.Overlay's patched view.
 func NewMatcher(t graph.Topology) *Matcher {
 	s := t.View()
-	return &Matcher{snap: s, used: make([]bool, s.NumNodes())}
+	return &Matcher{snap: s}
 }
 
 // Topo returns the read view this matcher runs against.
@@ -149,6 +158,7 @@ func (m *Matcher) Enumerate(q *pattern.Pattern, opts Options, yield func(core.Ma
 	m.yield = yield
 	m.extend(0)
 	m.yield = nil
+	m.fill(nil, m.setEdge, m.setAt) // while set's view is current
 }
 
 // Plan returns the plan Enumerate(q, opts) runs: the matching order and
@@ -169,6 +179,13 @@ func (m *Matcher) prepare(q *pattern.Pattern, opts *Options) {
 	m.ensure(n)
 	m.plan = m.planFor()
 	m.cq, m.order = m.plan.cq, m.plan.Order
+	if len(m.memo) < len(m.cq.Edges) {
+		m.memo = make([]runMemo, len(m.cq.Edges))
+	}
+	for i := range m.memo { // a run read in another call may be stale
+		m.memo[i].at = graph.Invalid
+	}
+	m.setEdge = -1
 	if opts.Guard != nil {
 		m.live[0] = opts.Guard.Live()
 	}
@@ -218,11 +235,11 @@ func (m *Matcher) All(q *pattern.Pattern, opts Options) []core.Match {
 }
 
 // ensure sizes the reusable buffers for an n-node pattern, growing the
-// used-set when the view gained nodes since the last call (an Overlay
-// between update batches).
+// used-set and the semi-join bitset when the view gained nodes since the
+// last call (an Overlay between update batches).
 func (m *Matcher) ensure(n int) {
-	if v := m.snap.NumNodes(); len(m.used) < v {
-		m.used = make([]bool, v)
+	if w := (m.snap.NumNodes() + 63) >> 6; len(m.used) < w {
+		m.used, m.bits, m.set = make([]uint64, w), make([]uint64, w), nil
 	}
 	if cap(m.assign) < n {
 		m.assign = make(core.Match, n)
@@ -249,6 +266,9 @@ func (m *Matcher) ensure(n int) {
 // interprets; String prints it.
 type Plan struct {
 	Order []int
+	pos   []int            // pos[u] is the depth pattern node u binds at
+	joins [][]join         // joins[d]: the edges from order[d] to nodes bound before it
+	fix   []int            // fix[d] indexes joins[d]'s fixed run, or is -1 (see index)
 	pins  uint64           // pinned pattern nodes, for String
 	insts []core.GuardInst // guard instructions in due-depth order
 	at    []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
@@ -283,20 +303,51 @@ func (p Plan) String() string {
 	return b.String()
 }
 
+// join is a pattern edge whose run a depth reads, and the endpoint bound
+// before that depth, which the run is read from.
+type join struct{ ei, src int }
+
+// index records each node's depth and, per depth, the edges to nodes bound
+// before it, in-edges first. The fixed run is the first concrete-label one
+// whose source binds earliest, if that is two or more depths up: it does
+// not change while the loop between runs.
+func (p *Plan) index(q *pattern.Pattern) {
+	n := len(p.Order)
+	p.pos, p.joins, p.fix = make([]int, n), make([][]join, n), make([]int, n)
+	for d, u := range p.Order {
+		p.pos[u] = d
+	}
+	for d, u := range p.Order {
+		p.fix[d] = -1
+		for _, eis := range [2][]int{q.InEdges(u), q.OutEdges(u)} {
+			for _, ei := range eis {
+				e := p.cq.Edges[ei]
+				src := int(e.From)
+				if src == u {
+					src = int(e.To)
+				}
+				if p.pos[src] >= d {
+					continue // bound later, or a self-loop
+				}
+				if e.Label != graph.WildcardSym && p.pos[src] < d-1 && (p.fix[d] < 0 || p.pos[src] < p.pos[p.joins[d][p.fix[d]].src]) {
+					p.fix[d] = len(p.joins[d])
+				}
+				p.joins[d] = append(p.joins[d], join{ei, src})
+			}
+		}
+	}
+}
+
 // schedule files every instruction of g under the depth at which its
 // last operand binds.
 func (p *Plan) schedule(g *core.Guard) {
 	n := len(p.Order)
-	pos := make([]int, n)
-	for d, u := range p.Order {
-		pos[u] = d
-	}
 	insts := g.Insts()
 	due := make([]int, len(insts))
 	p.at = make([]int32, n+1)
 	for i := range insts {
 		x, y := insts[i].Operands()
-		due[i] = max(pos[x], pos[y])
+		due[i] = max(p.pos[x], p.pos[y])
 		p.at[due[i]+1]++
 	}
 	for d := 0; d < n; d++ {
@@ -338,6 +389,7 @@ func (m *Matcher) planFor() *Plan {
 	m.cq = pattern.Compile(m.q, m.snap.Syms())
 	p := &Plan{Order: make([]int, n), pins: pins, cq: m.cq}
 	m.planOrder(p.Order, stripe)
+	p.index(m.q)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)
 	}
@@ -536,46 +588,51 @@ func (m *Matcher) extend(depth int) {
 	// the intersection; feasible() still checks its edge per candidate.
 	// Each candidate source proves its own edges — every intersected one,
 	// or the iterated one — so try() passes them to feasible() as a mask of
-	// pattern-edge bits, which skips re-searching them.
+	// pattern-edge bits, which skips re-searching them. The plan's fixed
+	// run, if it joins, goes to m.ranges[0] for the semi-join (hold).
 	nl := m.cq.NodeSyms[u]
 	var best []graph.CSREdge
 	var bestBit, inter uint64
 	bestLen, bestWild := -1, false
 	wco := !m.opts.NoIntersect && nl != graph.WildcardSym
-	nr := 0
-	for _, ei := range m.q.InEdges(u) {
-		e := m.cq.Edges[ei]
-		if from := m.assign[e.From]; from != graph.Invalid {
-			r := m.snap.OutWithNbr(from, e.Label, nl)
-			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen, bestWild, bestBit = r, len(r), e.Label == graph.WildcardSym, edgeBit(ei)
+	nr, fixAt, fix := 0, -1, m.plan.fix[depth]
+	for k, j := range m.plan.joins[depth] {
+		e := m.cq.Edges[j.ei]
+		c := &m.memo[j.ei] // looked up once per node the source binds to
+		if v := m.assign[j.src]; c.at != v {
+			if int(e.From) == j.src {
+				c.run = m.snap.OutWithNbr(v, e.Label, nl)
+			} else {
+				c.run = m.snap.InWithNbr(v, e.Label, nl)
 			}
-			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
-				m.ranges[nr] = r
-				nr++
-				inter |= edgeBit(ei)
-			}
+			c.at, c.spent = v, 0
 		}
-	}
-	for _, ei := range m.q.OutEdges(u) {
-		e := m.cq.Edges[ei]
-		if to := m.assign[e.To]; to != graph.Invalid {
-			r := m.snap.InWithNbr(to, e.Label, nl)
-			if bestLen < 0 || len(r) < bestLen {
-				best, bestLen, bestWild, bestBit = r, len(r), e.Label == graph.WildcardSym, edgeBit(ei)
+		r := c.run
+		if bestLen < 0 || len(r) < bestLen {
+			best, bestLen, bestWild, bestBit = r, len(r), e.Label == graph.WildcardSym, edgeBit(j.ei)
+		}
+		if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
+			if k == fix {
+				fixAt = nr
 			}
-			if wco && e.Label != graph.WildcardSym && nr < graph.MaxIntersectArity {
-				m.ranges[nr] = r
-				nr++
-				inter |= edgeBit(ei)
-			}
+			m.ranges[nr] = r
+			nr++
+			inter |= edgeBit(j.ei)
 		}
 	}
 	if nr >= 2 {
 		// m.ranges is free for deeper depths once the intersection has
 		// materialized into this depth's candidate buffer; the buffer
 		// itself is per-depth because it is live across the recursion.
-		cands := graph.IntersectAdjacency(m.cands[depth][:0], m.ranges[:nr])
+		cands := m.cands[depth][:0]
+		if fixAt > 0 {
+			m.ranges[0], m.ranges[fixAt] = m.ranges[fixAt], m.ranges[0]
+		}
+		if fixAt >= 0 && bestLen > 0 && m.hold(m.plan.joins[depth][fix].ei, m.ranges[1:nr]) {
+			cands = m.semiJoin(cands, m.ranges[1:nr])
+		} else {
+			cands = graph.IntersectAdjacency(cands, m.ranges[:nr])
+		}
 		m.cands[depth] = cands
 		for _, v := range cands {
 			m.try(depth, u, v, inter|labelBit)
@@ -641,6 +698,65 @@ func edgeBit(ei int) uint64 { return uint64(1) << uint(ei) &^ labelBit }
 // by u's node label, an intersection of such runs, its class — proves it.
 const labelBit = uint64(1) << 63
 
+// runMemo is a pattern edge's run from view node at, and the lengths of
+// the sibling runs leapfrogged against it since.
+type runMemo struct {
+	at    graph.NodeID
+	run   []graph.CSREdge
+	spent int
+}
+
+// hold reports whether the bitset holds pattern edge ei's memoized run,
+// writing it there once the sibling runs leapfrogged against it sum to its
+// length: a hub's run costs at most twice the cheaper route.
+func (m *Matcher) hold(ei int, rest [][]graph.CSREdge) bool {
+	c := &m.memo[ei]
+	if m.setEdge == ei && m.setAt == c.at {
+		return true
+	}
+	for _, r := range rest {
+		c.spent += len(r)
+	}
+	if c.spent < len(c.run) {
+		return false
+	}
+	m.fill(c.run, ei, c.at)
+	return true
+}
+
+// fill clears the bits of the run the bitset holds and sets run's, the
+// run of pattern edge ei from node at.
+func (m *Matcher) fill(run []graph.CSREdge, ei int, at graph.NodeID) {
+	for _, e := range m.set {
+		m.bits[e.To>>6] &^= 1 << (e.To & 63)
+	}
+	for _, e := range run {
+		m.bits[e.To>>6] |= 1 << (e.To & 63)
+	}
+	m.set, m.setEdge, m.setAt = run, ei, at
+}
+
+// semiJoin appends to dst the nodes of every run in rest whose bit is set,
+// ascending and de-duplicated: one run is scanned, several leapfrogged.
+func (m *Matcher) semiJoin(dst []graph.NodeID, rest [][]graph.CSREdge) []graph.NodeID {
+	if len(rest) > 1 {
+		out, k := graph.IntersectAdjacency(dst, rest), len(dst)
+		for _, v := range out[k:] {
+			if m.bits[v>>6]&(1<<(v&63)) != 0 {
+				out[k] = v
+				k++
+			}
+		}
+		return out[:k]
+	}
+	for i, e := range rest[0] {
+		if m.bits[e.To>>6]&(1<<(e.To&63)) != 0 && (i == 0 || e.To != rest[0][i-1].To) {
+			dst = append(dst, e.To)
+		}
+	}
+	return dst
+}
+
 // try extends the partial assignment with u -> v if injective and feasible.
 // proved holds the bits (edgeBit) of the pattern edges v's candidate source
 // already established.
@@ -652,18 +768,18 @@ func (m *Matcher) try(depth, u int, v graph.NodeID, proved uint64) {
 			return
 		}
 	}
-	if m.used[v] {
+	if m.used[v>>6]&(1<<(v&63)) != 0 {
 		return
 	}
 	if !m.feasible(u, v, proved) {
 		return
 	}
 	m.assign[u] = v
-	m.used[v] = true
+	m.used[v>>6] |= 1 << (v & 63)
 	if m.opts.Guard == nil || m.admits(depth) {
 		m.extend(depth + 1)
 	}
-	m.used[v] = false
+	m.used[v>>6] &^= 1 << (v & 63)
 	m.assign[u] = graph.Invalid
 }
 
