@@ -91,8 +91,6 @@ type (
 	Attrs = graph.Attrs
 	// Edge is a directed labeled edge.
 	Edge = graph.Edge
-	// NodeSet is a set of nodes (data blocks, violation entities).
-	NodeSet = graph.NodeSet
 	// Snapshot is the compiled, immutable CSR view of a Graph produced by
 	// Graph.Freeze: interned labels, flat sorted adjacency, per-label
 	// candidate ranges. Matching and validation hot paths run against it;

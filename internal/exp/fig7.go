@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"slices"
 
 	"gfd/internal/core"
 	"gfd/internal/gen"
@@ -80,18 +81,17 @@ func Fig7RealLife(scale int, perKind int, seed int64) []Fig7Finding {
 	}
 
 	caughtBy := func(rule string, injected []graph.NodeID) (count, caught int) {
-		flagged := make(graph.NodeSet)
+		var flagged []graph.NodeID
 		for _, v := range res.Violations {
 			if v.Rule != rule {
 				continue
 			}
 			count++
-			for _, n := range v.Nodes() {
-				flagged.Add(n)
-			}
+			flagged = append(flagged, v.Nodes()...)
 		}
+		slices.Sort(flagged)
 		for _, e := range injected {
-			if _, ok := flagged[e]; ok {
+			if _, ok := slices.BinarySearch(flagged, e); ok {
 				caught++
 			}
 		}

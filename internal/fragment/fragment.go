@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"slices"
 
 	"gfd/internal/graph"
 	"gfd/internal/store"
@@ -133,38 +134,21 @@ func hashNode(v graph.NodeID) int {
 }
 
 func (f *Fragmentation) computeBorders(snap *graph.Snapshot) {
-	inSeen := make([]map[graph.NodeID]struct{}, f.N)
-	outSeen := make([]map[graph.NodeID]struct{}, f.N)
-	for i := range inSeen {
-		inSeen[i] = make(map[graph.NodeID]struct{})
-		outSeen[i] = make(map[graph.NodeID]struct{})
-	}
+	in, out := make([][]graph.NodeID, f.N), make([][]graph.NodeID, f.N)
 	f.eachCut(snap, func(from, to graph.NodeID) {
 		fo, ft := f.Owner[from], f.Owner[to]
 		// to is an in-node of its fragment and an out-node of from's
 		// fragment, and symmetrically for from.
-		inSeen[ft][to] = struct{}{}
-		outSeen[fo][to] = struct{}{}
-		inSeen[fo][from] = struct{}{} // reachable via reverse traversal
-		outSeen[ft][from] = struct{}{}
+		in[ft] = append(in[ft], to)
+		out[fo] = append(out[fo], to)
+		in[fo] = append(in[fo], from) // reachable via reverse traversal
+		out[ft] = append(out[ft], from)
 	})
 	for i, fr := range f.frags {
-		fr.InNodes = setToSorted(inSeen[i])
-		fr.OutNodes = setToSorted(outSeen[i])
+		slices.Sort(in[i])
+		slices.Sort(out[i])
+		fr.InNodes, fr.OutNodes = slices.Compact(in[i]), slices.Compact(out[i])
 	}
-}
-
-func setToSorted(m map[graph.NodeID]struct{}) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
 
 // Frag returns fragment i.

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -172,9 +173,12 @@ func TestMineGFDsCleanGraphMostlyConsistent(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules")
 	}
-	vio := detVio(g, set)
-	flagged := vio.ViolatingNodes().Len()
-	if flagged > g.NumNodes()/10 {
+	var nodes []graph.NodeID
+	for _, v := range detVio(g, set) {
+		nodes = append(nodes, v.Match...)
+	}
+	slices.Sort(nodes)
+	if flagged := len(slices.Compact(nodes)); flagged > g.NumNodes()/10 {
 		t.Errorf("clean graph heavily flagged: %d of %d nodes", flagged, g.NumNodes())
 	}
 }
@@ -224,8 +228,13 @@ func TestInjectNoise(t *testing.T) {
 		}
 	}
 	truth := GroundTruth(errs)
-	if truth.Len() == 0 || truth.Len() > len(errs) {
-		t.Errorf("ground truth size %d vs %d errors", truth.Len(), len(errs))
+	if len(truth) == 0 || len(truth) > len(errs) {
+		t.Errorf("ground truth size %d vs %d errors", len(truth), len(errs))
+	}
+	for i := 1; i < len(truth); i++ {
+		if truth[i-1] >= truth[i] {
+			t.Fatalf("ground truth not ascending and distinct: %v", truth[i-1:i+1])
+		}
 	}
 }
 
@@ -237,8 +246,8 @@ func TestNoiseKindString(t *testing.T) {
 }
 
 func TestPrecisionRecall(t *testing.T) {
-	truth := graph.NewNodeSet([]graph.NodeID{1, 2, 3, 4})
-	detected := graph.NewNodeSet([]graph.NodeID{2, 3, 9})
+	truth := []graph.NodeID{1, 2, 3, 4}
+	detected := []graph.NodeID{2, 3, 9}
 	p, r := PrecisionRecall(truth, detected)
 	if p != 2.0/3.0 {
 		t.Errorf("precision = %v", p)
@@ -246,12 +255,18 @@ func TestPrecisionRecall(t *testing.T) {
 	if r != 0.5 {
 		t.Errorf("recall = %v", r)
 	}
+	if p, r := PrecisionRecall(truth, []graph.NodeID{0, 5, 6}); p != 0 || r != 0 {
+		t.Errorf("disjoint sets: p=%v r=%v", p, r)
+	}
 	// Degenerate cases.
-	if p, r := PrecisionRecall(truth, graph.NewNodeSet(nil)); p != 1 || r != 0 {
+	if p, r := PrecisionRecall(truth, nil); p != 1 || r != 0 {
 		t.Errorf("empty detection: p=%v r=%v", p, r)
 	}
-	if p, r := PrecisionRecall(graph.NewNodeSet(nil), graph.NewNodeSet(nil)); p != 1 || r != 1 {
+	if p, r := PrecisionRecall(nil, nil); p != 1 || r != 1 {
 		t.Errorf("both empty: p=%v r=%v", p, r)
+	}
+	if p, r := PrecisionRecall(nil, detected); p != 0 || r != 1 {
+		t.Errorf("empty truth: p=%v r=%v", p, r)
 	}
 }
 

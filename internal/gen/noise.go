@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gfd/internal/graph"
 )
@@ -101,36 +102,37 @@ func corrupt(old string, rng *rand.Rand) string {
 	return fmt.Sprintf("%s~err%d", old, rng.Intn(1000))
 }
 
-// GroundTruth returns the set of corrupted entities.
-func GroundTruth(errs []InjectedError) graph.NodeSet {
-	set := make(graph.NodeSet, len(errs))
-	for _, e := range errs {
-		set.Add(e.Node)
+// GroundTruth returns the corrupted entities, ascending and distinct.
+func GroundTruth(errs []InjectedError) []graph.NodeID {
+	set := make([]graph.NodeID, len(errs))
+	for i, e := range errs {
+		set[i] = e.Node
 	}
-	return set
+	slices.Sort(set)
+	return slices.Compact(set)
 }
 
 // PrecisionRecall compares a detected entity set against ground truth,
 // the accuracy measures of Exp-5: precision = |Vio ∩ Vio(A)| / |Vio(A)|,
-// recall = |Vio ∩ Vio(A)| / |Vio|.
-func PrecisionRecall(truth, detected graph.NodeSet) (precision, recall float64) {
-	if detected.Len() == 0 {
-		if truth.Len() == 0 {
+// recall = |Vio ∩ Vio(A)| / |Vio|. Both sets are ascending and distinct.
+func PrecisionRecall(truth, detected []graph.NodeID) (precision, recall float64) {
+	if len(detected) == 0 {
+		if len(truth) == 0 {
 			return 1, 1
 		}
 		return 1, 0
 	}
 	hit := 0
-	for v := range detected {
-		if _, ok := truth[v]; ok {
+	for _, v := range detected {
+		if _, ok := slices.BinarySearch(truth, v); ok {
 			hit++
 		}
 	}
-	precision = float64(hit) / float64(detected.Len())
-	if truth.Len() == 0 {
+	precision = float64(hit) / float64(len(detected))
+	if len(truth) == 0 {
 		recall = 1
 	} else {
-		recall = float64(hit) / float64(truth.Len())
+		recall = float64(hit) / float64(len(truth))
 	}
 	return precision, recall
 }

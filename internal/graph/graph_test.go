@@ -358,25 +358,6 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-func TestNodeSet(t *testing.T) {
-	s := NewNodeSet([]NodeID{3, 1, 2})
-	if !s.Contains(1) || s.Contains(9) {
-		t.Error("Contains broken")
-	}
-	var nilSet NodeSet
-	if !nilSet.Contains(42) {
-		t.Error("nil NodeSet must contain everything (whole-graph block)")
-	}
-	got := s.Sorted()
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Sorted = %v", got)
-	}
-	s.Add(10)
-	if s.Len() != 4 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
 // Property: the c-hop neighborhood is monotone in c and always contains
 // the start node.
 func TestNeighborhoodMonotoneProperty(t *testing.T) {

@@ -40,54 +40,6 @@ func (g *Graph) Neighborhood(start NodeID, c int) []NodeID {
 	for v := range visited {
 		out = append(out, v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
-
-// NodeSet is a set of node IDs with O(1) membership: a data block for
-// simulation, a set of violating entities.
-type NodeSet map[NodeID]struct{}
-
-// NewNodeSet builds a NodeSet from ids.
-func NewNodeSet(ids []NodeID) NodeSet {
-	s := make(NodeSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-// Contains reports set membership. A nil NodeSet contains everything, so a
-// nil block means "match anywhere in G".
-func (s NodeSet) Contains(id NodeID) bool {
-	if s == nil {
-		return true
-	}
-	_, ok := s[id]
-	return ok
-}
-
-// Add inserts id.
-func (s NodeSet) Add(id NodeID) { s[id] = struct{}{} }
-
-// AddAll inserts every id of ids.
-func (s NodeSet) AddAll(ids []NodeID) {
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-}
-
-// Len returns the number of members; 0 for nil.
-func (s NodeSet) Len() int { return len(s) }
-
-// Sorted returns the members in ascending order.
-func (s NodeSet) Sorted() []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sortNodeIDs(out)
-	return out
-}
-
-func sortNodeIDs(ids []NodeID) { slices.Sort(ids) }

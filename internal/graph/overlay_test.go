@@ -241,8 +241,8 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 			snap.BlockInto(sset, NodeID(a), c)
 			om := append([]NodeID(nil), oset.Members()...)
 			sm := append([]NodeID(nil), sset.Members()...)
-			sortNodeIDs(om)
-			sortNodeIDs(sm)
+			slices.Sort(om)
+			slices.Sort(sm)
 			if fmt.Sprint(om) != fmt.Sprint(sm) {
 				t.Fatalf("BlockInto(%d, %d): view %v, freeze %v", a, c, om, sm)
 			}

@@ -788,6 +788,6 @@ func (s *Snapshot) Neighborhood(start NodeID, c int) []NodeID {
 	s.BlockInto(set, start, c)
 	out := slices.Clone(set.Members())
 	s.scratch.Put(set)
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }

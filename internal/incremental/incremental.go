@@ -100,11 +100,12 @@ type Detector struct {
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
-	// Reusable matching state: the compiled matcher, the pin map and the
-	// match key scratch.
-	m   *match.Matcher
-	pin map[int]graph.NodeID
-	key []byte
+	// Reusable matching state: the compiled matcher, the pin map, the
+	// match key scratch and a batch's touched nodes (ascending).
+	m       *match.Matcher
+	pin     map[int]graph.NodeID
+	key     []byte
+	touched []graph.NodeID
 
 	// vio[ri] holds rule ri's violating matches keyed by their node IDs,
 	// four bytes each, so rules never share a key whatever their names.
@@ -235,25 +236,31 @@ func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 // match through such an edge contains both endpoints, so a touched
 // endpoint's enumeration already covers it.
 func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
-	touched := make(graph.NodeSet, len(ups))
+	// An inserted node is in no maintained violation, so the violations
+	// through touched nodes are those through attribute-touched ones.
+	touched := append(d.touched[:0], inserted...)
 	for _, up := range ups {
 		if u, ok := up.(SetAttr); ok {
-			touched.Add(u.Node)
+			touched = append(touched, u.Node)
 		}
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	d.touched = touched
+	isTouched := func(v graph.NodeID) bool {
+		_, ok := slices.BinarySearch(touched, v)
+		return ok
 	}
 	if len(touched) > 0 {
 		for ri, vs := range d.vio {
 			for k, h := range vs {
-				if slices.ContainsFunc(h, touched.Contains) && !d.progs[ri].IsViolation(d.ov.Snapshot, h) {
+				if slices.ContainsFunc(h, isTouched) && !d.progs[ri].IsViolation(d.ov.Snapshot, h) {
 					delete(vs, k)
 				}
 			}
 		}
 	}
-	for _, v := range inserted {
-		touched.Add(v)
-	}
-	for v := range touched {
+	for _, v := range touched {
 		for ri := range d.rules {
 			for a, sym := range d.cqs[ri].NodeSyms {
 				if pattern.LabelMatchesSym(sym, d.ov.Label(v)) {
@@ -266,7 +273,7 @@ func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
 	}
 	for _, up := range ups {
 		u, ok := up.(AddEdge)
-		if !ok || touched.Contains(u.From) || touched.Contains(u.To) {
+		if !ok || isTouched(u.From) || isTouched(u.To) {
 			continue
 		}
 		for ri, f := range d.rules {

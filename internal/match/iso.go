@@ -106,7 +106,6 @@ func Enumerate(g *graph.Graph, q *pattern.Pattern, opts Options, yield func(core
 	for i := range s.assign {
 		s.assign[i] = graph.Invalid
 	}
-	s.used = make(map[graph.NodeID]struct{}, q.NumNodes())
 	s.extend(0)
 }
 
@@ -148,7 +147,6 @@ type searcher struct {
 
 	order  []int
 	assign core.Match
-	used   map[graph.NodeID]struct{}
 	found  int
 	halt   bool
 }
@@ -229,16 +227,14 @@ func (s *searcher) extend(depth int) {
 	}
 	u := s.order[depth]
 	for _, v := range s.candidates(u) {
-		if _, taken := s.used[v]; taken {
-			continue
+		if slices.Contains(s.assign, v) {
+			continue // taken: matches are injective
 		}
 		if !s.feasible(u, v) {
 			continue
 		}
 		s.assign[u] = v
-		s.used[v] = struct{}{}
 		s.extend(depth + 1)
-		delete(s.used, v)
 		s.assign[u] = graph.Invalid
 		if s.halt {
 			return

@@ -16,10 +16,16 @@
 //
 // Suggestions are evidence, not automatic fixes: Apply exists for
 // experimentation and replays suggestions above a confidence threshold.
+//
+// Culprits answers the coarser question Exp-5 scores (Fig. 9): which
+// entities a report implicates. It votes per (rule, literal) and per node
+// rather than per cell, and names nodes without proposing values. Both
+// read the report through one walk over its failed consequent literals.
 package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gfd/internal/core"
@@ -64,38 +70,22 @@ func Suggest(g *graph.Graph, set *core.Set, vio validate.Report) []Suggestion {
 		m[c][val] = append(m[c][val], rule)
 	}
 
-	for _, v := range vio {
-		f := set.Get(v.Rule)
-		if f == nil {
-			continue
+	eachFailure(g, set, vio, func(f failure) {
+		cx := cell{f.x, f.lit.A}
+		if f.lit.Kind == core.Constant {
+			record(constWant, cx, f.lit.C, f.rule)
+			return
 		}
-		for _, l := range f.Y {
-			xi, _ := f.Q.VarIndex(l.X)
-			xNode := v.Match[xi]
-			xVal, xOK := g.Attr(xNode, l.A)
-			if l.Kind == core.Constant {
-				if !xOK || xVal != l.C {
-					record(constWant, cell{xNode, l.A}, l.C, v.Rule)
-				}
-				continue
-			}
-			yi, _ := f.Q.VarIndex(l.Y)
-			yNode := v.Match[yi]
-			yVal, yOK := g.Attr(yNode, l.B)
-			if xOK && yOK && xVal == yVal {
-				continue // this literal holds; another one failed
-			}
-			cx, cy := cell{xNode, l.A}, cell{yNode, l.B}
-			if yOK {
-				record(varSeen, cx, yVal, v.Rule)
-			}
-			if xOK {
-				record(varSeen, cy, xVal, v.Rule)
-			}
-			markDisagree(disagree, cx, yNode)
-			markDisagree(disagree, cy, xNode)
+		cy := cell{f.y, f.lit.B}
+		if f.yOK {
+			record(varSeen, cx, f.yVal, f.rule)
 		}
-	}
+		if f.xOK {
+			record(varSeen, cy, f.xVal, f.rule)
+		}
+		markDisagree(disagree, cx, f.y)
+		markDisagree(disagree, cy, f.x)
+	})
 
 	var out []Suggestion
 	for c, want := range constWant {
@@ -136,6 +126,91 @@ func Suggest(g *graph.Graph, set *core.Set, vio validate.Report) []Suggestion {
 	return out
 }
 
+// Culprits returns the entities a violation report implicates, ascending
+// and distinct: the detected set Vio(A) that Exp-5 scores against the
+// injected errors. A failed constant literal blames its endpoint and a
+// missing attribute its owner. A failed variable literal x.A = y.B between
+// two present values is resolved by blame voting across all failures of
+// the same literal of the same rule: the endpoint disagreeing with more
+// distinct partners is blamed (a corrupted value disagrees with everyone;
+// an innocent partner only with corrupted ones), and a tie blames both —
+// from data alone a 1-vs-1 disagreement is symmetric. Violations of rules
+// not in set are skipped.
+func Culprits(g *graph.Graph, set *core.Set, vio validate.Report) []graph.NodeID {
+	type end struct {
+		rule string
+		li   int
+		node graph.NodeID
+	}
+	partners := make(map[end]map[graph.NodeID]struct{})
+	var out []graph.NodeID
+	var voted []failure
+	eachFailure(g, set, vio, func(f failure) {
+		switch {
+		case f.lit.Kind == core.Constant || !f.xOK:
+			out = append(out, f.x)
+		case !f.yOK:
+			out = append(out, f.y)
+		default:
+			markDisagree(partners, end{f.rule, f.li, f.x}, f.y)
+			markDisagree(partners, end{f.rule, f.li, f.y}, f.x)
+			voted = append(voted, f)
+		}
+	})
+	for _, f := range voted {
+		cx, cy := len(partners[end{f.rule, f.li, f.x}]), len(partners[end{f.rule, f.li, f.y}])
+		if cx >= cy {
+			out = append(out, f.x)
+		}
+		if cy >= cx {
+			out = append(out, f.y)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// failure is one failed consequent literal of one violation: the rule, the
+// literal and its index in the rule's Y, and both endpoints with their
+// values (a constant literal has no y endpoint).
+type failure struct {
+	rule       string
+	li         int
+	lit        core.Literal
+	x, y       graph.NodeID
+	xVal, yVal string
+	xOK, yOK   bool
+}
+
+// eachFailure calls fn for every failed Y literal of every violation in vio
+// whose rule is in set, reading each endpoint's value once.
+func eachFailure(g *graph.Graph, set *core.Set, vio validate.Report, fn func(failure)) {
+	for _, v := range vio {
+		f := set.Get(v.Rule)
+		if f == nil {
+			continue
+		}
+		for li, l := range f.Y {
+			xi, _ := f.Q.VarIndex(l.X)
+			fl := failure{rule: v.Rule, li: li, lit: l, x: v.Match[xi]}
+			fl.xVal, fl.xOK = g.Attr(fl.x, l.A)
+			if l.Kind == core.Constant {
+				if fl.xOK && fl.xVal == l.C {
+					continue
+				}
+			} else {
+				yi, _ := f.Q.VarIndex(l.Y)
+				fl.y = v.Match[yi]
+				fl.yVal, fl.yOK = g.Attr(fl.y, l.B)
+				if fl.xOK && fl.yOK && fl.xVal == fl.yVal {
+					continue // this literal holds; another one failed
+				}
+			}
+			fn(fl)
+		}
+	}
+}
+
 // Apply replays every suggestion with confidence ≥ threshold onto the
 // graph and returns how many were applied. Suggestions proposing the
 // current value are skipped.
@@ -154,11 +229,11 @@ func Apply(g *graph.Graph, suggestions []Suggestion, threshold float64) int {
 	return applied
 }
 
-func markDisagree(m map[cell]map[graph.NodeID]struct{}, c cell, other graph.NodeID) {
-	if m[c] == nil {
-		m[c] = make(map[graph.NodeID]struct{})
+func markDisagree[K comparable](m map[K]map[graph.NodeID]struct{}, k K, other graph.NodeID) {
+	if m[k] == nil {
+		m[k] = make(map[graph.NodeID]struct{})
 	}
-	m[c][other] = struct{}{}
+	m[k][other] = struct{}{}
 }
 
 // majority returns the value with the most supporting rules (ties broken
@@ -187,14 +262,7 @@ func total(m map[string][]string) int {
 }
 
 func dedupe(xs []string) []string {
-	seen := make(map[string]struct{}, len(xs))
-	var out []string
-	for _, x := range xs {
-		if _, dup := seen[x]; !dup {
-			seen[x] = struct{}{}
-			out = append(out, x)
-		}
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

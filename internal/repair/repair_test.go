@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,6 +155,74 @@ func TestSuggestMissingAttribute(t *testing.T) {
 	sugg := Suggest(g, set, detVio(g, set))
 	if len(sugg) != 1 || sugg[0].Node != bad || sugg[0].Current != "" || sugg[0].Proposed != "Edi" {
 		t.Errorf("suggestions = %+v", sugg)
+	}
+}
+
+// residentRule is p.country = c.country over a person born in a city.
+func residentRule() *core.Set {
+	q := pattern.New()
+	p := q.AddNode("p", "person")
+	c := q.AddNode("c", "city")
+	q.AddEdge(p, c, "born_in")
+	return core.MustNewSet(core.MustNew("cc", q, nil,
+		[]core.Literal{core.VarEq("p", "country", "c", "country")}))
+}
+
+func TestCulprits(t *testing.T) {
+	resident := func(g *graph.Graph, person graph.Attrs, city graph.NodeID) graph.NodeID {
+		p := g.AddNode("person", person)
+		g.MustAddEdge(p, city, "born_in")
+		return p
+	}
+	fr := graph.Attrs{"country": "FR"}
+	cases := []struct {
+		name  string
+		build func(g *graph.Graph) (*core.Set, []graph.NodeID)
+	}{
+		{"failed constant literal blames its endpoint", func(g *graph.Graph) (*core.Set, []graph.NodeID) {
+			bad := g.AddNode("R", graph.Attrs{"area_code": "131", "city": "Gla"})
+			g.AddNode("R", graph.Attrs{"area_code": "131", "city": "Edi"})
+			return constantRule(), []graph.NodeID{bad}
+		}},
+		{"missing x attribute blames its owner", func(g *graph.Graph) (*core.Set, []graph.NodeID) {
+			city := g.AddNode("city", graph.Attrs{"country": "DE"})
+			return residentRule(), []graph.NodeID{resident(g, nil, city)}
+		}},
+		{"missing y attribute blames its owner", func(g *graph.Graph) (*core.Set, []graph.NodeID) {
+			city := g.AddNode("city", nil)
+			resident(g, fr, city)
+			return residentRule(), []graph.NodeID{city}
+		}},
+		{"1-vs-1 disagreement blames both", func(g *graph.Graph) (*core.Set, []graph.NodeID) {
+			city := g.AddNode("city", graph.Attrs{"country": "DE"})
+			return residentRule(), []graph.NodeID{city, resident(g, fr, city)}
+		}},
+		{"corrupted node against three partners is the only culprit", func(g *graph.Graph) (*core.Set, []graph.NodeID) {
+			hub := g.AddNode("city", graph.Attrs{"country": "WRONG"})
+			for i := 0; i < 3; i++ {
+				resident(g, fr, hub)
+			}
+			return residentRule(), []graph.NodeID{hub}
+		}},
+	}
+	for _, c := range cases {
+		g := graph.New(0, 0)
+		set, want := c.build(g)
+		vio := detVio(g, set)
+		if len(vio) == 0 {
+			t.Fatalf("%s: the fixture has no violation", c.name)
+		}
+		if got := Culprits(g, set, vio); !slices.Equal(got, want) {
+			t.Errorf("%s: culprits %v, want %v", c.name, got, want)
+		}
+		// A violation of a rule absent from set is skipped.
+		ghost := append(slices.Clone(vio), validate.Violation{Rule: "ghost", Match: core.Match{0, 1}})
+		if got := Culprits(g, set, ghost); !slices.Equal(got, want) {
+			t.Errorf("%s: with a ghost rule's violation, culprits %v, want %v", c.name, got, want)
+		}
+		if got := Culprits(g, core.MustNewSet(), vio); len(got) != 0 {
+			t.Errorf("%s: against an empty set, culprits %v", c.name, got)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 	// Per-worker tallies; worker w is the only writer of its entries.
 	nPrefetch := make([]int, opt.N)
 	nPartial := make([]int, opt.N)
+	blocks := make([]*graph.EpochSet, opt.N)
 	prep = func(w, ui int) {
 		u := &plan.units[ui]
 		cands := b.candidatesOf(plan.chunks, ui)
@@ -52,7 +53,10 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 		// of the block; it is only worth considering when the prefetch is
 		// substantial.
 		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(b, frag, groups[u.group], u, cands, w, shipped); pb < shipped {
+			if blocks[w] == nil {
+				blocks[w] = graph.NewEpochSet(b.topo.NumNodes())
+			}
+			if pb := partialMatchBytes(b, frag, groups[u.group], u, cands, blocks[w], w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}
@@ -132,7 +136,8 @@ func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragme
 // fillBlock resets set to a unit's data block G_z̄ on view: the union of
 // the c_i-hop neighborhoods of its pivot candidates cands, with zero
 // steady-state allocation, for the halo selection of internal/dist and
-// disVal's ship costs; unit enumeration needs no block (see detect).
+// disVal's ship costs and partial-match estimate; unit enumeration needs no
+// block (see detect).
 func fillBlock(set *graph.EpochSet, view *graph.Snapshot, pv *workload.Pivot, cands [][]graph.NodeID) {
 	set.Reset()
 	for i, vs := range cands {
@@ -183,13 +188,14 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // label-compatibility count (an upper bound on the simulation size, O(1)
 // per block node) prefilters units whose partial matches could not beat
 // prefetching, keeping the strategy selector itself cheap — the paper's
-// dlocalVio likewise estimates before exchanging.
-func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, w int, prefetchBytes int64) int64 {
+// dlocalVio likewise estimates before exchanging. block is worker w's
+// pooled set; the unit's block is filled into it.
+func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, block *graph.EpochSet, w int, prefetchBytes int64) int64 {
 	view := b.topo
-	block := u.BlockIn(view, cands)
+	fillBlock(block, view, u.Pivot, cands)
 	cq := grp.cq
 	var upper int64
-	for v := range block {
+	for _, v := range block.Members() {
 		if frag.OwnerOf(v) == w {
 			continue
 		}
@@ -206,7 +212,7 @@ func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, 
 	sim := match.Simulate(view, cq, block)
 	var pairs int64
 	for _, s := range sim {
-		for v := range s {
+		for _, v := range s {
 			if frag.OwnerOf(v) != w {
 				pairs++
 			}

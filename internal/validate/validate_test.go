@@ -129,14 +129,14 @@ func TestReducePreservesEntities(t *testing.T) {
 	if set.Len() == 0 {
 		t.Skip("no rules mined")
 	}
-	want := detVio(g, set).ViolatingNodes()
+	want := violatingNodes(detVio(g, set))
 	res := repVal(g, set, Options{N: 4}) // reduction on
-	got := res.Violations.ViolatingNodes()
-	if got.Len() != want.Len() {
-		t.Fatalf("reduction changed flagged entities: %d vs %d", got.Len(), want.Len())
+	got := violatingNodes(res.Violations)
+	if len(got) != len(want) {
+		t.Fatalf("reduction changed flagged entities: %d vs %d", len(got), len(want))
 	}
-	for v := range want {
-		if !got.Contains(v) {
+	for _, v := range want {
+		if _, ok := slices.BinarySearch(got, v); !ok {
 			t.Fatalf("entity %d lost after reduction", v)
 		}
 	}
@@ -371,6 +371,27 @@ func TestDisValKeepsAdoptedGraphHollow(t *testing.T) {
 	}
 }
 
+// TestDisValHeavyHubStrategyGolden pins disVal's absolute strategy choice
+// on heavyHubGraph at n = 4: every unit ships partial matches, and the
+// partial-match bytes are the simulation's pair count off each worker's
+// fragment, so a change to the simulation moves the byte counter here even
+// where adopted and heap graphs would move together. The values were
+// recorded at commit c129f12fd5a6.
+func TestDisValHeavyHubStrategyGolden(t *testing.T) {
+	g, set := heavyHubGraph()
+	res := disVal(g, fragment.Partition(g, 4, fragment.Hash), set, Options{N: 4, NoReduce: true})
+	if res.PrefetchUnits != 0 || res.PartialUnits != 120 {
+		t.Errorf("prefetch/partial units = %d/%d, want 0/120", res.PrefetchUnits, res.PartialUnits)
+	}
+	want := shipCounters{bytes: 123840, messages: 132, rounds: 4, maxReceived: 28080}
+	if got := counters(res); got != want {
+		t.Errorf("shipment counters = %+v, want %+v", got, want)
+	}
+	if len(res.Violations) != 215 {
+		t.Errorf("violations = %d, want 215", len(res.Violations))
+	}
+}
+
 func TestSplitThresholdProducesStripes(t *testing.T) {
 	g := gen.Synthetic(gen.SyntheticConfig{Nodes: 400, Edges: 1600, Skew: 0.8, Seed: 51})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 3, PatternSize: 4, Seed: 52})
@@ -406,7 +427,7 @@ func TestWorkloadReductionPreservesViolationsModuloRuleNames(t *testing.T) {
 	}
 	// Rule attribution may name either duplicate; the violating entities
 	// are what must coincide.
-	if res.Violations.ViolatingNodes().Len() != full.ViolatingNodes().Len() {
+	if len(violatingNodes(res.Violations)) != len(violatingNodes(full)) {
 		t.Error("reduced set must flag the same entities as one copy")
 	}
 	// NoReduce keeps both.
@@ -437,9 +458,8 @@ func TestViolationReportHelpers(t *testing.T) {
 	if r.Equal(Report{{Rule: "a", Match: core.Match{0, 1}}}) {
 		t.Error("different sizes must differ")
 	}
-	nodes := r.ViolatingNodes()
-	if nodes.Len() != 3 {
-		t.Errorf("violating entities = %d, want 3", nodes.Len())
+	if nodes := violatingNodes(r); !slices.Equal(nodes, []graph.NodeID{0, 1, 2}) {
+		t.Errorf("violating entities = %v, want [0 1 2]", nodes)
 	}
 }
 

@@ -45,11 +45,9 @@ func (v Violation) appendKey(buf []byte) []byte {
 // Nodes returns the distinct graph nodes involved in the violation — the
 // "inconsistent entities" reported to users.
 func (v Violation) Nodes() []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{}, len(v.Match))
 	out := make([]graph.NodeID, 0, len(v.Match))
 	for _, id := range v.Match {
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
+		if !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
@@ -225,15 +223,3 @@ func (r Report) Keys() []string {
 
 // Equal reports whether two reports describe the same violation set.
 func (r Report) Equal(other Report) bool { return slices.Equal(r.Keys(), other.Keys()) }
-
-// ViolatingNodes returns the distinct inconsistent entities across the
-// report, the quantity precision/recall are computed over in Exp-5.
-func (r Report) ViolatingNodes() graph.NodeSet {
-	set := make(graph.NodeSet)
-	for _, v := range r {
-		for _, id := range v.Nodes() {
-			set.Add(id)
-		}
-	}
-	return set
-}

@@ -29,19 +29,6 @@ type Unit struct {
 // planner has without reading a member.
 func (u Unit) Weight() int { return u.Load }
 
-// BlockIn materializes the unit's data block G_z̄ as a node set: the union
-// of the c_i-hop neighborhoods of its pivot candidates cands, one list per
-// component (the survivors of its star test).
-func (u Unit) BlockIn(t *graph.Snapshot, cands [][]graph.NodeID) graph.NodeSet {
-	set := make(graph.NodeSet)
-	for i, vs := range cands {
-		for _, v := range vs {
-			set.AddAll(t.Neighborhood(v, u.Pivot.Radii[i]))
-		}
-	}
-	return set
-}
-
 // crossProduct enumerates candidate vectors with pairwise-distinct entries
 // (pivots are images of distinct pattern nodes under an injective match).
 // When symmetric is set (two isomorphic components), only ordered pairs

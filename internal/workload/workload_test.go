@@ -268,8 +268,8 @@ func TestUnitBlock(t *testing.T) {
 	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
 	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
 	cands := [][]graph.NodeID{pv.Candidates(snap, 0, u.Ranges[0])}
-	if block := u.BlockIn(snap, cands); block.Len() != 2 {
-		t.Errorf("block nodes = %d, want flight + id", block.Len())
+	if block := snap.Neighborhood(cands[0][0], pv.Radii[0]); len(cands[0]) != 1 || len(block) != 2 {
+		t.Errorf("block of %v = %v, want flight + id", cands[0], block)
 	}
 	if u.Weight() != u.Load {
 		t.Errorf("weight = %d", u.Weight())
