@@ -27,14 +27,15 @@
 // detVio (EngineSequential), repVal (EngineReplicated, Theorem 10),
 // disVal (EngineFragmented, Theorem 11) — or the Exp-5 baselines
 // (EngineGCFD, EngineBigDansing), all running from the same prepared
-// artifacts. Freeze, workload reduction, grouping and rule lowering are
-// paid once per (graph version, rule set) across every round; mutating
-// the graph directly re-prepares automatically, exactly once per new
-// version. Small mutations routed through Session.Apply (or an
-// incremental detector) skip even that: they fold into the graph's one
-// live delta Overlay, which the next Detect runs against, and the batch
-// whose accumulated delta outgrows the base flattens the overlay's view
-// into a fresh snapshot (compaction) and starts the next live overlay.
+// artifacts. Freeze is paid once per graph version, and workload
+// reduction, grouping and rule lowering once per (rule set, symbol table),
+// across every round; mutating the graph directly re-prepares
+// automatically, exactly once per new version. Small mutations routed
+// through Session.Apply (or an incremental detector) skip even that: they
+// fold into the graph's one live delta Overlay, which the next Detect runs
+// against, and the batch whose accumulated delta outgrows the base
+// flattens the overlay's view into a fresh snapshot (compaction) and
+// starts the next live overlay.
 // Violations runs the same engines as one fused, pull-based pipeline —
 // match enumeration → compiled literal check → emission, with per-worker
 // bounded lanes (Options.StreamBuffer) applying backpressure instead of

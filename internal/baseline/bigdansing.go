@@ -99,27 +99,27 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 	// pipeline itself — the part the comparison measures — stays
 	// relational).
 	view := b.Topo()
-	ls := newLaneSink(sink)
+	ls := validate.NewLaneSink(sink)
 	var deaths []*cluster.WorkerError
 	for _, f := range b.Set().Rules() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		deaths = append(deaths, detectOneJoin(ctx, view, rel, f, b.Program(f), n, ls)...)
-		if ls.stopped() {
+		if ls.Stopped() {
 			break
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return partial(deaths)
+	return validate.Partial(deaths)
 }
 
 // detectOneJoin runs one rule's join pipeline and returns one
 // *cluster.WorkerError per worker that died (recovered panics — the
 // surviving workers drained regardless).
-func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *laneSink) []*cluster.WorkerError {
+func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *validate.LaneSink) []*cluster.WorkerError {
 	q := f.Q
 	nNodes := q.NumNodes()
 	if nNodes == 0 {
@@ -128,17 +128,13 @@ func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f
 	plan := joinPlan(q)
 
 	// Outer scan: the first plan step's tuples, split across n workers.
-	// Workers share the lane sink's stop flag: an emit refusal or context
-	// expiry seen by any of them halts the rest at their next outer tuple.
+	// Workers share the lane sink's stop flag, so an emit refusal halts
+	// them all at their next outer tuple; each probes the context itself.
 	firstTuples := stepTuples(rel, q, plan[0])
 	chunks := splitChunks(len(firstTuples), n)
 	_, deaths := cluster.Fan(n, 0, func(w int) {
 		for i, ti := range chunks[w] {
-			if ls.stopped() {
-				return
-			}
-			if i%64 == 0 && ctx.Err() != nil {
-				ls.stop.Store(true)
+			if ls.Stopped() || i%64 == 0 && ctx.Err() != nil {
 				return
 			}
 			b := make(binding, nNodes)
@@ -241,7 +237,7 @@ func bindNode(q *pattern.Pattern, b binding, pv int, g graph.NodeID) bool {
 
 // joinRest extends the binding through the remaining plan steps; it
 // returns false when worker w's emission stopped the detection.
-func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, ls *laneSink, w int) bool {
+func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, ls *validate.LaneSink, w int) bool {
 	if depth == len(plan) {
 		return finishBinding(view, f, prog, b, ls, w)
 	}
@@ -278,7 +274,7 @@ func labelsOK(view *graph.Snapshot, q *pattern.Pattern, s planStep, b binding) b
 // finishBinding applies the hand-coded isomorphism filter (pairwise
 // distinctness) and the compiled dependency check; it returns false when
 // worker w's emission stopped the detection.
-func finishBinding(view *graph.Snapshot, f *core.GFD, prog *core.LiteralProgram, b binding, ls *laneSink, w int) bool {
+func finishBinding(view *graph.Snapshot, f *core.GFD, prog *core.LiteralProgram, b binding, ls *validate.LaneSink, w int) bool {
 	for i := 0; i < len(b); i++ {
 		if b[i] == graph.Invalid {
 			return true

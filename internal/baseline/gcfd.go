@@ -16,12 +16,9 @@ package baseline
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
-	"gfd/internal/cluster"
 	"gfd/internal/core"
 	"gfd/internal/graph"
-	"gfd/internal/match"
 	"gfd/internal/pattern"
 	"gfd/internal/validate"
 )
@@ -160,59 +157,18 @@ func Detect(g *graph.Graph, rules []*GCFD) validate.Report {
 }
 
 // DetectB is Detect over a prepared bundle with cooperative cancellation
-// and streaming delivery: n workers take rules round-robin, each with its
-// own matcher, and emit violations on their own sink lane as they are
-// found (unsorted). A sink refusal stops every worker at its next probe,
-// and a cancelled context aborts with its error (checked strided inside
-// candidate enumeration, so a stop lands mid-class even on matchless
-// stretches). The session layer runs EngineGCFD through it so a prepared
-// rule conversion is validated without re-freezing or re-encoding
-// anything.
-//
-// A panicking worker is recovered into a *cluster.WorkerError while the
-// survivors finish their rules; the run then returns a
-// *validate.PartialError (Unit -1 — a dead worker's remaining rules are
-// not retried) listing every death.
+// and streaming delivery: validate.ScanRules over each GCFD's GFD encoding,
+// so n workers take rules round-robin, each rule's X is pushed into the
+// search, violations stream onto each worker's sink lane (unsorted), a sink
+// refusal stops every worker and a cancelled context aborts with its error.
+// A panicking worker makes the run return a *validate.PartialError (Unit
+// -1) listing every death. The session layer runs EngineGCFD through it, so
+// a prepared rule conversion is validated without re-freezing or
+// re-encoding anything.
 func DetectB(ctx context.Context, b *validate.Bundle, rules []*GCFD, n int, sink validate.Sink) error {
-	if n < 1 {
-		n = 1
+	gfds := make([]*core.GFD, len(rules))
+	for i, c := range rules {
+		gfds[i] = c.compiled()
 	}
-	if n > len(rules) {
-		n = max(len(rules), 1)
-	}
-	snap := b.Topo()
-	ls := newLaneSink(sink)
-	var aborted atomic.Bool
-	_, deaths := cluster.Fan(n, 0, func(w int) {
-		m := match.NewMatcher(snap)
-		checked := 0
-		opts := match.Options{Halt: func() bool {
-			if ls.stopped() {
-				return true
-			}
-			if checked++; checked%64 == 0 && ctx.Err() != nil {
-				aborted.Store(true)
-				return true
-			}
-			return false
-		}}
-		for ri := w; ri < len(rules); ri += n {
-			if ls.stopped() || aborted.Load() {
-				return
-			}
-			c := rules[ri]
-			p := b.Program(c.compiled())
-			for h := range m.Matches(c.Path, opts) {
-				if p.IsViolation(snap, h) {
-					if !ls.Emit(w, validate.Violation{Rule: c.Name, Match: append(core.Match(nil), h...)}) {
-						return
-					}
-				}
-			}
-		}
-	})
-	if aborted.Load() {
-		return ctx.Err()
-	}
-	return partial(deaths)
+	return validate.ScanRules(ctx, b, gfds, n, sink)
 }

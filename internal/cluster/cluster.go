@@ -135,9 +135,10 @@ func (c *Cluster) Counters() Counters {
 	return out
 }
 
-// Fan runs task(w) for every slot w in [0, n), each on its own goroutine,
-// at most limit of them at once (limit < 1, or ≥ n, runs all n at once),
-// and waits for all of them — one BSP superstep. It returns each slot's
+// Fan runs task(w) for every slot w in [0, n), slot n-1 on the calling
+// goroutine and each other slot on its own, at most limit of them at once
+// (limit < 1, or ≥ n, runs all n at once), and waits for all of them — one
+// BSP superstep; a one-slot run spawns no goroutine. It returns each slot's
 // busy time, measured from when the slot got its turn, so a cap at the
 // core count makes busy times measure compute rather than scheduler
 // contention (the caller takes the superstep's span as the maximum, see
@@ -154,20 +155,24 @@ func Fan(n, limit int, task func(w int)) (busy []time.Duration, deaths []*Worker
 	died := make([]*WorkerError, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			defer func() {
-				busy[w] = time.Since(start)
-				if r := recover(); r != nil {
-					died[w] = Recovered(w, -1, r)
-				}
-			}()
-			task(w)
-		}(w)
+	slot := func(w int) {
+		defer wg.Done()
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		start := time.Now()
+		defer func() {
+			busy[w] = time.Since(start)
+			if r := recover(); r != nil {
+				died[w] = Recovered(w, -1, r)
+			}
+		}()
+		task(w)
+	}
+	for w := 0; w < n-1; w++ {
+		go slot(w)
+	}
+	if n > 0 {
+		slot(n - 1)
 	}
 	wg.Wait()
 	for _, d := range died {

@@ -14,14 +14,16 @@
 // not by its c-hop ball (Berkholz, Keppeler & Schweikardt).
 //
 // The detector enumerates with the batch engines' match.Matcher and
-// core.LiteralProgram over the graph's live graph.Overlay: a frozen
+// core.LiteralProgram, lowered by a validate.Bundle over the overlay (it
+// lowers nothing itself), over the graph's live graph.Overlay: a frozen
 // snapshot plus the patches of every Apply, which the overlay owns (the
 // graph reads through them and is never written). The graph owns that
 // overlay, so detectors, sessions and direct callers of the same graph all
 // write through one view. After a batch the overlay settles: past a
 // fraction of the base it compacts into a fresh snapshot over the same
-// symbol table, and the detector adopts the new live overlay; node IDs
-// survive, so the maintained set carries over.
+// symbol table, and the detector adopts the new live overlay, whose bundle
+// shares the previous one's lowering; node IDs survive, so the maintained
+// set carries over.
 package incremental
 
 import (
@@ -86,17 +88,20 @@ func ApplyTo(ov *graph.Overlay, ups ...Update) []graph.NodeID {
 // another way (Session.Apply, another detector, a direct mutation) are
 // folded in by a full sweep on the next Apply.
 type Detector struct {
-	g     *graph.Graph
-	ov    *graph.Overlay
-	rules []*core.GFD
+	g   *graph.Graph
+	ov  *graph.Overlay
+	set *core.Set
 
 	version uint64 // graph version the detector's report reflects
 
-	// Per-rule artifacts compiled against the overlay's symbol table,
-	// rebuilt whenever the detector adopts a new overlay. A compaction
-	// keeps the table (the flattened view shares it), but the overlay
-	// started after a direct mutation of a building graph freezes it, and
-	// that freeze owns a fresh one.
+	// b is the bundle over the adopted overlay, which owns every rule's
+	// lowering onto the overlay's symbol table; progs and cqs hold its
+	// programs and compiled patterns in rule order, read once per adopted
+	// overlay. A compaction keeps the table, so the next bundle shares the
+	// lowering; the overlay started after a direct mutation of a building
+	// graph freezes a fresh table, which gets a fresh one.
+	b     *validate.Bundle
+	rules []*core.GFD
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
@@ -121,6 +126,7 @@ type Detector struct {
 func New(g *graph.Graph, set *core.Set) *Detector {
 	d := &Detector{
 		g:       g,
+		set:     set,
 		rules:   set.Rules(),
 		version: g.Version(),
 		pin:     make(map[int]graph.NodeID, 2),
@@ -132,12 +138,22 @@ func New(g *graph.Graph, set *core.Set) *Detector {
 
 // adopt moves the detector onto the graph's live overlay — the one it last
 // wrote through, or the fresh one a compaction or a direct mutation
-// started — and recompiles when that is a different overlay.
+// started — and, when that is a different overlay, takes the rules'
+// programs and compiled patterns from a bundle over it and rebinds the
+// matcher.
 func (d *Detector) adopt() {
-	if ov := graph.NewOverlay(d.g); ov != d.ov {
-		d.ov = ov
-		d.compile()
+	ov := graph.NewOverlay(d.g)
+	if ov == d.ov {
+		return
 	}
+	d.ov = ov
+	d.b = validate.NewBundleOver(ov.Snapshot, d.set, d.b)
+	d.progs, d.cqs = d.progs[:0], d.cqs[:0]
+	for _, f := range d.rules {
+		d.progs = append(d.progs, d.b.Program(f))
+		d.cqs = append(d.cqs, d.b.Pattern(f))
+	}
+	d.m = match.NewMatcher(ov)
 }
 
 // fullValidate rebuilds the violation set with one guarded, unpinned
@@ -150,26 +166,6 @@ func (d *Detector) fullValidate() {
 		d.vio[ri] = make(map[string]core.Match)
 		d.enumerate(ri)
 	}
-}
-
-// compile (re)builds every symbol-table-bound artifact against the
-// current overlay: rule labels and literal constants are interned first
-// (the growing-table contract — an absent name must mean "can never
-// occur"), then patterns and X → Y programs are lowered and the matcher
-// is rebound.
-func (d *Detector) compile() {
-	syms := d.ov.Syms()
-	for _, f := range d.rules {
-		pattern.InternInto(f.Q, syms)
-		f.InternLiterals(syms)
-	}
-	d.progs = d.progs[:0]
-	d.cqs = d.cqs[:0]
-	for _, f := range d.rules {
-		d.cqs = append(d.cqs, pattern.Compile(f.Q, syms))
-		d.progs = append(d.progs, f.CompileLiterals(syms))
-	}
-	d.m = match.NewMatcher(d.ov)
 }
 
 // Overlay returns the overlay the detector last enumerated over: the
@@ -212,7 +208,7 @@ func (d *Detector) Len() int {
 // since its last Apply recovers with a full sweep instead. The batch then
 // settles the overlay: when the accumulated delta crosses
 // graph.CompactFraction of the base, the view is flattened into a fresh
-// snapshot and the detector recompiles against the new live overlay.
+// snapshot and the detector adopts the new live overlay.
 func (d *Detector) Apply(ups ...Update) []graph.NodeID {
 	d.adopt()
 	stale := d.version != d.g.Version()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -140,8 +141,9 @@ func TestOverlayIncrementalDifferentialSweep(t *testing.T) {
 }
 
 // TestDetectorCompaction pushes the delta past the compaction threshold
-// and checks the detector re-freezes exactly once, keeps answering
-// correctly, and continues incrementally afterwards.
+// and checks the detector re-freezes exactly once, lowers no rule again (a
+// compaction keeps the symbol table, so the bundles share one rule side),
+// keeps answering correctly, and continues incrementally afterwards.
 func TestDetectorCompaction(t *testing.T) {
 	g := graph.New(0, 0)
 	au := g.AddNode("country", graph.Attrs{"val": "AU"})
@@ -149,6 +151,7 @@ func TestDetectorCompaction(t *testing.T) {
 	set := core.MustNewSet(capitalRule())
 	d := incremental.New(g, set)
 	builds := g.SnapshotBuilds()
+	progs := slices.Clone(d.Programs())
 
 	// Each batch adds a disconnected node; on a tiny base the delta
 	// fraction crosses 0.25 almost immediately, forcing compactions.
@@ -157,6 +160,9 @@ func TestDetectorCompaction(t *testing.T) {
 	}
 	if g.SnapshotBuilds() == builds {
 		t.Fatal("delta far past the threshold never compacted")
+	}
+	if !slices.Equal(d.Programs(), progs) {
+		t.Fatal("a compaction keeps the table: the detector must keep its programs")
 	}
 	// Post-compaction the detector still answers and maintains.
 	ids := d.Apply(incremental.AddNode{Label: "city", Attrs: graph.Attrs{"val": "Melbourne"}})

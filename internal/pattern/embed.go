@@ -5,33 +5,17 @@ package pattern
 // Map[i] is the host node index that sub node i maps to.
 //
 // Labels are handled so that an embedded GFD remains enforceable on every
-// match of the host:
-//   - a wildcard sub label maps onto any host label (the sub GFD applies to
-//     arbitrary entities, hence to every instantiation of the host node);
-//   - a concrete sub label maps onto an equal host label;
-//   - a concrete sub label may also map onto a *wildcard* host label, in
-//     which case the host node must be refined to that label for the
-//     embedding to be valid on all matches. Refine records such
-//     refinements (host node index -> required label). Two embeddings can
-//     be combined only if their refinements agree.
+// match of the host: a wildcard sub label maps onto any host label (the sub
+// GFD applies to arbitrary entities, hence to every instantiation of the
+// host node), and a concrete sub label maps only onto an equal host label —
+// never onto a wildcard host label, which some matches would not carry.
 type Embedding struct {
-	Map    []int
-	Refine map[int]string
+	Map []int
 }
 
-// Embeddings returns all exact embeddings of sub into host: no host
-// refinement is permitted (Refine is always empty). This is the common case
-// for GFD reasoning over wildcard-free rule sets.
+// Embeddings returns all exact embeddings of sub into host.
 func Embeddings(sub, host *Pattern) []Embedding {
-	return findEmbeddings(sub, host, false)
-}
-
-// EmbeddingsUnify returns all embeddings of sub into host, additionally
-// allowing concrete sub labels to refine wildcard host labels. The caller is
-// responsible for checking that refinements from different embeddings are
-// mutually consistent.
-func EmbeddingsUnify(sub, host *Pattern) []Embedding {
-	return findEmbeddings(sub, host, true)
+	return findEmbeddings(sub, host, -1)
 }
 
 // EmbeddableExact reports whether at least one exact embedding exists.
@@ -43,41 +27,36 @@ func EmbeddableExact(sub, host *Pattern) bool {
 // FirstEmbedding returns the first exact embedding of sub into host that
 // the search finds, if any.
 func FirstEmbedding(sub, host *Pattern) (Embedding, bool) {
-	found := findEmbeddingsLimited(sub, host, false, 1)
+	found := findEmbeddings(sub, host, 1)
 	if len(found) == 0 {
 		return Embedding{}, false
 	}
 	return found[0], true
 }
 
-func findEmbeddings(sub, host *Pattern, unify bool) []Embedding {
-	return findEmbeddingsLimited(sub, host, unify, -1)
-}
-
-func findEmbeddingsLimited(sub, host *Pattern, unify bool, limit int) []Embedding {
+// findEmbeddings returns the embeddings of sub into host, at most limit of
+// them (limit < 0: all).
+func findEmbeddings(sub, host *Pattern, limit int) []Embedding {
 	if sub.NumNodes() > host.NumNodes() || sub.NumEdges() > host.NumEdges() {
 		return nil
 	}
-	e := &embedder{sub: sub, host: host, unify: unify, limit: limit}
+	e := &embedder{sub: sub, host: host, limit: limit}
 	e.order = connectivityOrder(sub)
 	e.assign = make([]int, sub.NumNodes())
 	for i := range e.assign {
 		e.assign[i] = -1
 	}
 	e.usedHost = make([]bool, host.NumNodes())
-	e.refine = make(map[int]string)
 	e.search(0)
 	return e.found
 }
 
 type embedder struct {
 	sub, host *Pattern
-	unify     bool
 	limit     int
 	order     []int
 	assign    []int // sub node -> host node or -1
 	usedHost  []bool
-	refine    map[int]string
 	found     []Embedding
 }
 
@@ -86,39 +65,18 @@ func (e *embedder) search(depth int) bool {
 		return true
 	}
 	if depth == len(e.order) {
-		m := append([]int(nil), e.assign...)
-		var r map[int]string
-		if len(e.refine) > 0 {
-			r = make(map[int]string, len(e.refine))
-			for k, v := range e.refine {
-				r[k] = v
-			}
-		}
-		e.found = append(e.found, Embedding{Map: m, Refine: r})
+		e.found = append(e.found, Embedding{Map: append([]int(nil), e.assign...)})
 		return e.limit >= 0 && len(e.found) >= e.limit
 	}
 	u := e.order[depth]
 	for h := 0; h < e.host.NumNodes(); h++ {
-		if e.usedHost[h] {
-			continue
-		}
-		refined, ok := e.nodeCompatible(u, h)
-		if !ok {
-			continue
-		}
-		if !e.edgesCompatible(u, h) {
+		if e.usedHost[h] || !e.nodeCompatible(u, h) || !e.edgesCompatible(u, h) {
 			continue
 		}
 		e.assign[u] = h
 		e.usedHost[h] = true
-		if refined {
-			e.refine[h] = e.sub.Nodes[u].Label
-		}
 		if e.search(depth + 1) {
 			return true
-		}
-		if refined {
-			delete(e.refine, h)
 		}
 		e.usedHost[h] = false
 		e.assign[u] = -1
@@ -126,23 +84,10 @@ func (e *embedder) search(depth int) bool {
 	return false
 }
 
-// nodeCompatible reports whether sub node u can map to host node h, and
-// whether doing so refines a wildcard host label.
-func (e *embedder) nodeCompatible(u, h int) (refined, ok bool) {
-	sl, hl := e.sub.Nodes[u].Label, e.host.Nodes[h].Label
-	switch {
-	case sl == Wildcard:
-		return false, true
-	case sl == hl:
-		return false, true
-	case hl == Wildcard && e.unify:
-		if prev, already := e.refine[h]; already {
-			return false, prev == sl
-		}
-		return true, true
-	default:
-		return false, false
-	}
+// nodeCompatible reports whether sub node u can map to host node h.
+func (e *embedder) nodeCompatible(u, h int) bool {
+	sl := e.sub.Nodes[u].Label
+	return sl == Wildcard || sl == e.host.Nodes[h].Label
 }
 
 // edgesCompatible verifies all sub edges between u and already-assigned

@@ -33,8 +33,7 @@ type embeddedGFD struct {
 
 // embedAll derives the set Σ_Q of GFDs embedded in host from every rule of
 // rules, taking all isomorphic embeddings. Exact embeddings only: a
-// concrete sub label never maps onto a wildcard host node (callers handle
-// wildcard refinement by refining the host pattern first).
+// concrete sub label never maps onto a wildcard host node.
 func embedAll(rules []*core.GFD, host *pattern.Pattern) []embeddedGFD {
 	var out []embeddedGFD
 	for _, f := range rules {

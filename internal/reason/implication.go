@@ -50,20 +50,6 @@ func Implies(s *core.Set, f *core.GFD) bool {
 	return true
 }
 
-// ImpliedBy reports, for each rule in Σ, whether it is implied by the other
-// rules. Used by workload reduction.
-func ImpliedBy(s *core.Set) []bool {
-	rules := s.Rules()
-	out := make([]bool, len(rules))
-	for i, f := range rules {
-		rest := make([]*core.GFD, 0, len(rules)-1)
-		rest = append(rest, rules[:i]...)
-		rest = append(rest, rules[i+1:]...)
-		out[i] = Implies(core.MustNewSet(rest...), f)
-	}
-	return out
-}
-
 // Reduce returns a cover of Σ with implied rules removed (the Appendix's
 // workload-reduction optimization): validating the cover yields the same
 // violation set on every graph. Removal is greedy in rule order, re-testing

@@ -337,22 +337,3 @@ func TestReduceMutualDuplicatesKeepOne(t *testing.T) {
 		t.Errorf("duplicates must reduce to one, got %d", red.Len())
 	}
 }
-
-func TestImpliedBy(t *testing.T) {
-	dup1 := core.MustNew("dup1", q7(),
-		[]core.Literal{core.Const("x", "A", "1")},
-		[]core.Literal{core.Const("x", "B", "2")})
-	dup2 := core.MustNew("dup2", q7(),
-		[]core.Literal{core.Const("x", "A", "1")},
-		[]core.Literal{core.Const("x", "B", "2")})
-	solo := core.MustNew("solo", q7(),
-		[]core.Literal{core.Const("x", "C", "1")},
-		[]core.Literal{core.Const("x", "D", "2")})
-	flags := ImpliedBy(core.MustNewSet(dup1, dup2, solo))
-	if !flags[0] || !flags[1] {
-		t.Error("mutual duplicates are each implied by the rest")
-	}
-	if flags[2] {
-		t.Error("solo is not implied")
-	}
-}

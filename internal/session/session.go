@@ -12,13 +12,15 @@
 //	res, _ := prep.Detect(ctx, validate.Options{Engine: validate.EngineReplicated, N: 16})
 //	... // more Detect / Violations calls: no freeze, no re-lowering
 //
-// Freeze, implication-based workload reduction, multi-query grouping,
-// pattern compilation and literal-program lowering are all paid once per
-// (graph version, rule set), no matter how many Detect rounds, engines,
-// and option variants run — the prerequisite for serving heavy validation
-// traffic without an O(|V|+|E|) prefix per request. Mutating the graph
-// directly invalidates the prepared state; the next Detect re-freezes and
-// re-lowers automatically (and exactly once per new version).
+// Freeze is paid once per graph version, and implication-based workload
+// reduction, multi-query grouping, pattern compilation and literal-program
+// lowering once per (rule set, symbol table) — an update stream over one
+// overlay, compactions included, keeps its table and pays them once — no
+// matter how many Detect rounds, engines, and option variants run: the
+// prerequisite for serving heavy validation traffic without an
+// O(|V|+|E|) prefix per request. Mutating the graph directly invalidates
+// the prepared state; the next Detect re-freezes and re-lowers
+// automatically (and exactly once per new version).
 //
 // Small mutations need not re-freeze at all: updates routed through
 // Session.Apply (or an incremental detector from Session.Incremental) are
@@ -172,11 +174,11 @@ func (p *Prepared) refresh() *validate.Bundle {
 	defer p.mu.Unlock()
 	if v := p.sess.g.Version(); p.bundle == nil || p.version != v {
 		// The graph's live overlay carries small mutations (Session.Apply /
-		// detector Apply), so re-preparing costs only the rule-side
-		// rebinding — no freeze; a full snapshot is built only when
-		// mutations bypassed the overlay or the delta was compacted.
-		// The superseded bundle donates its graph-independent caches
-		// (reduction, grouping variants).
+		// detector Apply), so re-preparing costs no freeze; a full
+		// snapshot is built only when mutations bypassed the overlay or
+		// the delta was compacted. Over the same symbol table the new
+		// bundle shares the superseded one's rule side (lowerings,
+		// reduction, grouping variants).
 		p.bundle = validate.NewBundleOver(p.sess.topology(), p.set, p.bundle)
 		p.version = v
 		p.rel = nil // the relational encoding snapshots the old version

@@ -55,20 +55,22 @@ func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
 	return -1
 }
 
-// bind attaches each dependency's bundle-held program and compiles the
-// group guard from them, so the per-match hot path (checkMatch) reads a
-// program pointer and never locks, and lowers the group pattern and pivot
-// onto syms once per bundle, so no unit looks up a name.
-func (grp *ruleGroup) bind(progs map[*core.GFD]*core.LiteralProgram, syms *graph.Symbols) {
+// bind attaches each dependency's program from the rule side and compiles
+// the group guard from them, so the per-match hot path (checkMatch) reads
+// a program pointer and never locks, takes the group pattern's lowering
+// from its first member (the group pattern is that rule's Q) and lowers
+// the pivot onto the side's table once, so no unit looks up a name. Call
+// under rs.mu.
+func (grp *ruleGroup) bind(rs *ruleSide) {
 	ps := make([]*core.LiteralProgram, len(grp.deps))
 	perms := make([][]int, len(grp.deps))
 	for i := range grp.deps {
-		grp.deps[i].prog = progs[grp.deps[i].rule]
+		grp.deps[i].prog = rs.progs[grp.deps[i].rule]
 		ps[i], perms[i] = grp.deps[i].prog, grp.deps[i].perm
 	}
 	grp.guard = core.GroupGuard(ps, perms)
-	grp.cq = pattern.Compile(grp.q, syms)
-	grp.pivot = grp.pivot.Lower(syms)
+	grp.cq = rs.cqs[grp.deps[0].rule]
+	grp.pivot = grp.pivot.Lower(rs.syms)
 }
 
 // buildGroups partitions rules into groups. With combine=false (the *nop
@@ -171,8 +173,8 @@ func isoMap(a, b *pattern.Pattern, accept func(perm []int) bool) ([]int, bool) {
 	}
 next:
 	for _, emb := range pattern.Embeddings(a, b) {
-		// Verify the reverse direction to rule out wildcard refinements: the
-		// mapping must preserve labels exactly in both directions.
+		// Verify the reverse direction to rule out a wildcard mapped onto a
+		// concrete label: the mapping must preserve labels exactly.
 		m := emb.Map
 		for i, hi := range m {
 			if a.Nodes[i].Label != b.Nodes[hi].Label {

@@ -366,9 +366,9 @@ var strategies = []fragment.Strategy{fragment.Hash, fragment.Range}
 
 // metamorphicEngine runs one engine on a bundle into a sink; shards cuts
 // the manifest of the multi-process engine's per-fragment shards. The
-// paper's three algorithms (detVio, repVal, disVal) are the ones the
-// fixture and breadth rows run, and its two parallel ones run the engine
-// variants; plan draws a fault plan for a run with n slots and units
+// paper's three algorithms (detVio, repVal, disVal) and the rule scan
+// detVio runs on are the ones the fixture and breadth rows run, and its
+// two parallel ones run the engine variants; plan draws a fault plan for a run with n slots and units
 // units, nil for an engine without slots to fault. The parallel engines
 // keep implied rules (NoReduce): reduction preserves the violating
 // entities, not the rule names a byte comparison reads.
@@ -384,6 +384,12 @@ type metamorphicEngine struct {
 var metamorphicEngines = []metamorphicEngine{
 	{name: "sequential", paper: true, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, _ runSpec, sink validate.Sink) (*validate.Result, error) {
 		return validate.Single(0, 1, sink, func(s validate.Sink) error { return validate.DetVioB(ctx, b, s) })
+	}},
+	// The rule scan detVio and the GCFD baseline share, at N workers.
+	{name: "scan", paper: true, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+		return validate.Single(b.Set().Len(), r.opt.N, sink, func(s validate.Sink) error {
+			return validate.ScanRules(ctx, b, b.Set().Rules(), r.opt.N, s)
+		})
 	}},
 	{name: "repVal", paper: true, variants: true, plan: fault.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
 		return validate.RepValB(ctx, b, r.opt, sink)
@@ -501,7 +507,7 @@ func TestMetamorphicVio(t *testing.T) {
 	if compared["late-label violations"] == 0 {
 		t.Fatal("no late-label rule is violated; the axis compares empty sets")
 	}
-	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay", "dist/late-label mmap", "repVal/late-label overlay", "disVal variants/mmap", "repVal variants/paper G1"} {
+	for _, k := range []string{"dist/mmap", "disVal/overlay", "repVal/heap", "bigDansing/overlay", "dist/late-label mmap", "repVal/late-label overlay", "disVal variants/mmap", "repVal variants/paper G1", "scan/paper G1"} {
 		if compared[k] == 0 {
 			t.Fatalf("%s was never compared", k)
 		}

@@ -73,47 +73,59 @@ func (e Engine) Resolve() Engine {
 
 // Bundle is the compiled execution state every engine runs from: the
 // compiled view of the graph (a frozen snapshot, or a delta overlay's
-// patched view after small mutations) plus the rule set with its lowered
-// artifacts. Building one pays, exactly once per (graph version, rule
-// set):
+// patched view after small mutations) plus the rule side — the rule set
+// lowered onto the view's symbol table. The rule side is paid once per
+// (rule set, symbol table), and successive bundles over one table share it
+// by pointer, so an update stream over one overlay pays it once:
 //
-//   - the view — Graph.Freeze on the cold path, or the graph's live
-//     graph.Overlay after an update batch (no re-freeze);
-//   - GFD literal lowering — X → Y literals as integer instructions;
-//   - per rule group, on its variant's first use: the group pattern
-//     (pattern.Compile, for disVal's estimates) and pivot
-//     (workload.Pivot.Lower), whose codes every unit's star test reads.
+//   - GFD literal lowering — X → Y literals as integer instructions — and
+//     each rule's pattern (pattern.Compile), for disVal's estimates and
+//     the incremental detector's pins;
+//   - workload reduction (reason.Reduce) and multi-query grouping, lazily
+//     per Options variant, each group's pivot lowered once
+//     (workload.Pivot.Lower) so no unit looks up a name.
 //
-// The bundle is the one owner of those lowerings; the rules and pivots
+// The rule side is the one owner of those lowerings; the rules and pivots
 // keep none. Each worker's match.Matcher lowers a pattern again on its own
 // plan-cache miss.
 //
-// Workload reduction (reason.Reduce) and multi-query grouping are lazy —
-// they depend on Options variants — but each variant is computed once and
-// cached, so repeated Detect calls re-derive nothing; both are functions
-// of the rule set alone, so NewBundleOver inherits them from the
-// predecessor bundle across graph versions. The plans and the hash
-// fragmentations disVal runs over are cached per variant too. A Bundle is
-// immutable with respect to the graph: it is valid for the graph version
-// it was built at, and safe for concurrent readers. The session layer
-// rebuilds bundles when the graph mutates.
+// The plans, their survivor memos and the hash fragmentations disVal runs
+// over depend on the view, so they are cached per bundle and variant. A
+// Bundle is valid for the graph version it was built at, and safe for
+// concurrent readers. The session layer rebuilds bundles when the graph
+// mutates.
 type Bundle struct {
-	topo *graph.Snapshot
-	set  *core.Set
+	topo  *graph.Snapshot
+	rules *ruleSide
 
-	mu      sync.Mutex
-	reduced *core.Set
-	groups  map[groupKey][]*ruleGroup
-	// progs holds each rule's literal program, compiled onto topo's table
-	// by NewBundleOver, and the programs Program compiles for rules outside
-	// the set, under mu.
-	progs map[*core.GFD]*core.LiteralProgram
-
+	mu sync.Mutex
 	// est is the planning cache (see plan.go): chunk layouts with their
 	// survivor memos and plans per option variant, probe counters.
 	est estState
 	// frags holds the n-way hash fragmentations of topo, keyed by n.
 	frags map[int]*fragment.Fragmentation
+}
+
+// ruleSide is a rule set lowered onto one symbol table: every rule's
+// literal program and compiled pattern, compiled by NewBundleOver, plus the
+// reduction and grouping variants derived from them on first use. Bundles
+// over the same table share it.
+type ruleSide struct {
+	set  *core.Set
+	syms *graph.Symbols
+	// interned: every rule name was interned before lowering, so the
+	// lowering stays valid as a patched view's table grows.
+	interned bool
+
+	// cqs holds each rule's compiled pattern; NewBundleOver alone writes it.
+	cqs map[*core.GFD]*pattern.Compiled
+
+	mu      sync.Mutex
+	reduced *core.Set
+	groups  map[groupKey][]*ruleGroup
+	// progs holds each rule's literal program and the programs Program
+	// compiles for rules outside the set.
+	progs map[*core.GFD]*core.LiteralProgram
 }
 
 // groupKey identifies one cached grouping variant.
@@ -131,81 +143,75 @@ func NewBundle(g *graph.Graph, set *core.Set) *Bundle {
 
 // NewBundleOver builds a bundle over an externally supplied view — the
 // session layer passes the graph's live overlay view after update batches
-// instead of re-freezing — and compiles every rule's literal program onto
-// its symbol table. A patched view's table grows with updates, so there
-// every rule's labels and literal constants are interned first
-// (pattern.InternInto / GFD.InternLiterals): a name lowered to NoSym must
-// mean "never occurs". When prev (the bundle this one supersedes) is given
-// and shares the rule set, the rule-side caches that do not depend on the
-// graph are inherited: the reduced set always, the grouping variants when
-// the symbol table is unchanged (the overlay case), rebound to this
-// bundle's programs and lowered again onto its table.
+// instead of re-freezing. When prev (the bundle this one supersedes) holds
+// the same rule set lowered onto the same symbol table, its rule side is
+// shared, provided the names were interned before lowering or the view is
+// frozen. Otherwise every rule is lowered anew: on a patched view, whose
+// table grows with updates, every rule's labels and literal constants are
+// interned first (pattern.InternInto / GFD.InternLiterals), since a name
+// lowered to NoSym must mean "never occurs". A side lowered on a frozen
+// table may hold such a dead name that a later update interns. A prev with
+// the same rule set also donates its reduction and its planning-cache
+// counters.
 func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
-	b := &Bundle{
-		topo:   view,
-		set:    set,
-		groups: make(map[groupKey][]*ruleGroup, 2),
-		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
-	}
+	b := &Bundle{topo: view}
 	syms := view.Syms()
-	growing := view.Patched()
+	var reduced *core.Set
+	if prev != nil && prev.rules.set == set {
+		prev.mu.Lock()
+		b.est.builds, b.est.reuses = prev.est.builds, prev.est.reuses
+		prev.mu.Unlock()
+		b.est.measured.Store(prev.est.measured.Load())
+		prs := prev.rules
+		if prs.syms == syms && (prs.interned || !view.Patched()) {
+			b.rules = prs
+			return b
+		}
+		prs.mu.Lock()
+		reduced = prs.reduced
+		prs.mu.Unlock()
+	}
+	b.rules = &ruleSide{
+		set:      set,
+		syms:     syms,
+		interned: view.Patched(),
+		reduced:  reduced,
+		groups:   make(map[groupKey][]*ruleGroup, 2),
+		progs:    make(map[*core.GFD]*core.LiteralProgram, set.Len()),
+		cqs:      make(map[*core.GFD]*pattern.Compiled, set.Len()),
+	}
 	for _, f := range set.Rules() {
-		if growing {
+		if view.Patched() {
 			pattern.InternInto(f.Q, syms)
 			f.InternLiterals(syms)
 		}
-		b.progs[f] = f.CompileLiterals(syms)
-	}
-	if prev != nil && prev.set == set {
-		b.inherit(prev, syms)
+		b.rules.progs[f] = f.CompileLiterals(syms)
+		b.rules.cqs[f] = pattern.Compile(f.Q, syms)
 	}
 	return b
-}
-
-// inherit copies what the superseded bundle can donate: the
-// implication-reduced set, the planning-cache counters (never its plans or
-// their survivors, which belong to prev's view), and — when the symbol
-// table carried over — every grouping variant, with each dependency and
-// guard rebound to this bundle's programs and each pattern and pivot
-// lowered again onto the table, which may have grown (groups are never
-// shared, so a still-running Detect on prev is unaffected).
-func (b *Bundle) inherit(prev *Bundle, syms *graph.Symbols) {
-	prev.mu.Lock()
-	defer prev.mu.Unlock()
-	b.reduced = prev.reduced
-	b.est.builds, b.est.reuses = prev.est.builds, prev.est.reuses
-	b.est.measured.Store(prev.est.measured.Load())
-	if prev.topo.Syms() != syms {
-		return
-	}
-	for key, gs := range prev.groups {
-		ngs := make([]*ruleGroup, len(gs))
-		for i, grp := range gs {
-			ng := *grp
-			ng.deps = append([]depSpec(nil), grp.deps...)
-			ng.bind(b.progs, syms)
-			ngs[i] = &ng
-		}
-		b.groups[key] = ngs
-	}
 }
 
 // Program returns f's literal program lowered onto the bundle's symbol
 // table: the one NewBundleOver compiled for prepared rules, a compile-and-
 // keep for rules outside the set (e.g. the GCFD baseline's encodings).
 func (b *Bundle) Program(f *core.GFD) *core.LiteralProgram {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p, ok := b.progs[f]; ok {
+	rs := b.rules
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if p, ok := rs.progs[f]; ok {
 		return p
 	}
-	if b.topo.Patched() {
-		f.InternLiterals(b.topo.Syms())
+	if rs.interned {
+		f.InternLiterals(rs.syms)
 	}
-	p := f.CompileLiterals(b.topo.Syms())
-	b.progs[f] = p
+	p := f.CompileLiterals(rs.syms)
+	rs.progs[f] = p
 	return p
 }
+
+// Pattern returns the pattern of f, a rule of the set, lowered onto the
+// bundle's symbol table.
+func (b *Bundle) Pattern(f *core.GFD) *pattern.Compiled { return b.rules.cqs[f] }
 
 // Topo returns the compiled view the engines run against: a frozen
 // snapshot, or the graph's live overlay view after an update batch. Its
@@ -228,44 +234,45 @@ func (b *Bundle) Fragmentation(n int) *fragment.Fragmentation {
 }
 
 // Set returns the full (unreduced) rule set.
-func (b *Bundle) Set() *core.Set { return b.set }
+func (b *Bundle) Set() *core.Set { return b.rules.set }
 
 // ruleSet resolves the effective rule set under opt, caching the
 // implication-based reduction so a prepared session pays it once, not
 // once per Detect round.
 func (b *Bundle) ruleSet(opt Options) *core.Set {
-	if opt.NoOptimize || opt.NoReduce || b.set.Len() <= 1 {
-		return b.set
+	rs := b.rules
+	if opt.NoOptimize || opt.NoReduce || rs.set.Len() <= 1 {
+		return rs.set
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.reduced == nil {
-		b.reduced = reason.Reduce(b.set)
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.reduced == nil {
+		rs.reduced = reason.Reduce(rs.set)
 	}
-	return b.reduced
+	return rs.reduced
 }
 
 // ruleGroupsKeyed resolves the effective rule set and its multi-query
-// groups under opt, cached per variant, plus the variant key — the
-// planning cache keys off it.
+// groups under opt, cached per variant on the rule side, plus the variant
+// key — the planning cache keys off it.
 func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey) {
 	set := b.ruleSet(opt)
 	key := groupKey{
 		combine:        !opt.NoOptimize,
 		arbitraryPivot: opt.ArbitraryPivot,
-		reduced:        set != b.set,
+		reduced:        set != b.rules.set,
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if gs, ok := b.groups[key]; ok {
+	rs := b.rules
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if gs, ok := rs.groups[key]; ok {
 		return set, gs, key
 	}
 	gs := buildGroups(set.Rules(), key.combine, key.arbitraryPivot)
-	// Every grouped rule's program was compiled at NewBundle.
 	for _, grp := range gs {
-		grp.bind(b.progs, b.topo.Syms())
+		grp.bind(rs)
 	}
-	b.groups[key] = gs
+	rs.groups[key] = gs
 	return set, gs, key
 }
 
