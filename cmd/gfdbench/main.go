@@ -178,9 +178,9 @@ func main() {
 			c.Rules = max(*rules, 12)
 			c.NoiseRate = 0.05
 			fmt.Println("Fig 9 — accuracy and time vs baselines (YAGO2 stand-in)")
-			fmt.Printf("%-12s%8s%8s%8s%12s\n", "model", "recall", "prec.", "rules", "time")
+			fmt.Printf("%-12s%8s%8s%8s%12s\n", "model", "recall", "prec.", "rules", "time (ms)")
 			for _, r := range exp.Fig9Accuracy(c) {
-				fmt.Printf("%-12s%8.2f%8.2f%8d%12v\n", r.Model, r.Recall, r.Precision, r.Rules, r.Time.Round(0))
+				fmt.Println(fig9Row(r))
 			}
 			fmt.Println()
 		},
@@ -201,4 +201,11 @@ func main() {
 	for _, name := range names {
 		run[name]()
 	}
+}
+
+// fig9Row formats one Fig. 9 row under its header: the time in
+// milliseconds in a fixed-width numeric column, so no duration's width
+// runs it into the rules column.
+func fig9Row(r exp.AccuracyRow) string {
+	return fmt.Sprintf("%-12s%8.2f%8.2f%8d%12.1f", r.Model, r.Recall, r.Precision, r.Rules, r.Time.Seconds()*1e3)
 }

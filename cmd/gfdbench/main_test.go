@@ -5,6 +5,9 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
+
+	"gfd/internal/exp"
 )
 
 // TestMain runs the command instead of the tests when runMain re-executes
@@ -51,5 +54,15 @@ func TestRejectsBadCounts(t *testing.T) {
 		if code != 2 || !strings.Contains(out, tc.flag+":") {
 			t.Errorf("gfdbench %s: exit %d, output %q; want exit 2 naming the flag", strings.Join(tc.args, " "), code, out)
 		}
+	}
+}
+
+// TestFig9RowFields: a row with 12 rules and 314.8 ms printed its time as
+// "12314.800603ms" (`%12v` of the duration fused the two columns); the
+// millisecond column keeps five whitespace-separated fields.
+func TestFig9RowFields(t *testing.T) {
+	row := fig9Row(exp.AccuracyRow{Model: "BigDansing", Recall: 0.68, Precision: 1, Rules: 12, Time: 314800603 * time.Nanosecond})
+	if f := strings.Fields(row); len(f) != 5 || f[3] != "12" || f[4] != "314.8" {
+		t.Fatalf("row %q splits into %q, want 5 fields ending in 12 and 314.8", row, f)
 	}
 }

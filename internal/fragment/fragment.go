@@ -1,13 +1,12 @@
 // Package fragment implements graph fragmentation for the distributed
 // setting of Section 6.2: a fragmentation (F_1, ..., F_n) of G assigns
-// every node to exactly one fragment, each fragment knowing its border —
-// in-nodes (local nodes with an incoming edge from another fragment) and
-// out-nodes (remote nodes reachable by an edge from a local node).
+// every node to exactly one fragment (its owner).
 //
 // Fragments are views over a shared in-memory snapshot; the cluster runtime
 // charges communication cost whenever a worker touches data outside its
 // own fragment, which is how the simulation reproduces the paper's data
-// shipment measurements without a physical network.
+// shipment measurements without a physical network, and SaveShards writes
+// one store file per fragment for the multi-process runtime.
 package fragment
 
 import (
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"slices"
 
 	"gfd/internal/graph"
 	"gfd/internal/store"
@@ -81,16 +79,6 @@ type Fragmentation struct {
 	snap  *graph.Snapshot // the view the partition was cut from
 	N     int
 	Owner []int // node ID -> fragment index
-	frags []*Fragment
-}
-
-// Fragment is one fragment F_i: the set of locally-owned nodes plus its
-// border bookkeeping.
-type Fragment struct {
-	ID       int
-	Nodes    []graph.NodeID // owned nodes, ascending
-	InNodes  []graph.NodeID // F_i.I: owned nodes with an edge from outside
-	OutNodes []graph.NodeID // F_i.O: remote nodes with an edge from inside
 }
 
 // Partition splits g into n fragments using the given strategy. It reads
@@ -109,16 +97,9 @@ func PartitionSnapshot(snap *graph.Snapshot, n int, s Strategy) *Fragmentation {
 		n = 1
 	}
 	f := &Fragmentation{snap: snap, N: n, Owner: make([]int, snap.NumNodes())}
-	for i := 0; i < n; i++ {
-		f.frags = append(f.frags, &Fragment{ID: i})
+	for v := range f.Owner {
+		f.Owner[v] = Owner(s, graph.NodeID(v), len(f.Owner), n)
 	}
-	for v := 0; v < snap.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		owner := Owner(s, id, snap.NumNodes(), n)
-		f.Owner[v] = owner
-		f.frags[owner].Nodes = append(f.frags[owner].Nodes, id)
-	}
-	f.computeBorders(snap)
 	return f
 }
 
@@ -133,47 +114,19 @@ func hashNode(v graph.NodeID) int {
 	return int(h.Sum32() & 0x7fffffff)
 }
 
-func (f *Fragmentation) computeBorders(snap *graph.Snapshot) {
-	in, out := make([][]graph.NodeID, f.N), make([][]graph.NodeID, f.N)
-	f.eachCut(snap, func(from, to graph.NodeID) {
-		fo, ft := f.Owner[from], f.Owner[to]
-		// to is an in-node of its fragment and an out-node of from's
-		// fragment, and symmetrically for from.
-		in[ft] = append(in[ft], to)
-		out[fo] = append(out[fo], to)
-		in[fo] = append(in[fo], from) // reachable via reverse traversal
-		out[ft] = append(out[ft], from)
-	})
-	for i, fr := range f.frags {
-		slices.Sort(in[i])
-		slices.Sort(out[i])
-		fr.InNodes, fr.OutNodes = slices.Compact(in[i]), slices.Compact(out[i])
-	}
-}
-
-// Frag returns fragment i.
-func (f *Fragmentation) Frag(i int) *Fragment { return f.frags[i] }
-
 // OwnerOf returns the fragment index owning node v.
 func (f *Fragmentation) OwnerOf(v graph.NodeID) int { return f.Owner[v] }
-
-// eachCut calls fn for every edge of snap whose endpoints lie in
-// different fragments.
-func (f *Fragmentation) eachCut(snap *graph.Snapshot, fn func(from, to graph.NodeID)) {
-	for v := 0; v < snap.NumNodes(); v++ {
-		from := graph.NodeID(v)
-		for _, e := range snap.Out(from) {
-			if f.Owner[from] != f.Owner[e.To] {
-				fn(from, e.To)
-			}
-		}
-	}
-}
 
 // CutEdges counts edges crossing fragments, a partition-quality metric.
 func (f *Fragmentation) CutEdges() int {
 	cut := 0
-	f.eachCut(f.snap, func(graph.NodeID, graph.NodeID) { cut++ })
+	for v := range f.Owner {
+		for _, e := range f.snap.Out(graph.NodeID(v)) {
+			if f.Owner[v] != f.Owner[e.To] {
+				cut++
+			}
+		}
+	}
 	return cut
 }
 

@@ -23,28 +23,30 @@ func chainGraph(n int) *graph.Graph {
 	return g
 }
 
+// TestPartitionCoversAllNodes: every node has one owner, the one the pure
+// Owner formula gives, and every fragment owns some node. A range split of
+// a chain cuts one edge per fragment boundary.
 func TestPartitionCoversAllNodes(t *testing.T) {
 	g := chainGraph(100)
 	for _, strat := range []Strategy{Hash, Range} {
 		f := Partition(g, 4, strat)
-		total := 0
-		seen := make(map[graph.NodeID]bool)
-		for i := 0; i < 4; i++ {
-			fr := f.Frag(i)
-			total += len(fr.Nodes)
-			for _, v := range fr.Nodes {
-				if seen[v] {
-					t.Fatalf("node %d in two fragments", v)
-				}
-				seen[v] = true
-				if f.OwnerOf(v) != i {
-					t.Fatalf("owner mismatch for %d", v)
-				}
+		if len(f.Owner) != 100 {
+			t.Fatalf("strategy %v: partition covers %d of 100 nodes", strat, len(f.Owner))
+		}
+		sizes := make([]int, 4)
+		for v := range graph.NodeID(100) {
+			o := f.OwnerOf(v)
+			if o != Owner(strat, v, 100, 4) || o != f.Owner[v] {
+				t.Fatalf("strategy %v: node %d owned by %d, Owner says %d", strat, v, o, Owner(strat, v, 100, 4))
 			}
+			sizes[o]++
 		}
-		if total != 100 {
-			t.Fatalf("strategy %d: partition covers %d of 100 nodes", strat, total)
+		if slices.Contains(sizes, 0) {
+			t.Errorf("strategy %v: fragment sizes %v", strat, sizes)
 		}
+	}
+	if cut := Partition(g, 4, Range).CutEdges(); cut != 3 {
+		t.Errorf("range split of a chain cuts %d edges, want 3", cut)
 	}
 }
 
@@ -54,39 +56,9 @@ func TestPartitionSingleFragment(t *testing.T) {
 	if f.CutEdges() != 0 {
 		t.Error("single fragment has no cut edges")
 	}
-	if len(f.Frag(0).InNodes) != 0 || len(f.Frag(0).OutNodes) != 0 {
-		t.Error("single fragment has no border")
-	}
 	// n < 1 clamps to 1.
 	if Partition(g, 0, Hash).N != 1 {
 		t.Error("n must clamp to 1")
-	}
-}
-
-func TestRangePartitionChainBorders(t *testing.T) {
-	g := chainGraph(10)
-	f := Partition(g, 2, Range)
-	// Range split: nodes 0..4 and 5..9, one cut edge 4->5.
-	if f.CutEdges() != 1 {
-		t.Fatalf("cut edges = %d, want 1", f.CutEdges())
-	}
-	f0, f1 := f.Frag(0), f.Frag(1)
-	// Node 5 is an in-node of fragment 1 (edge arrives from fragment 0);
-	// node 4 is on fragment 0's border too (reachable backwards).
-	if len(f1.InNodes) == 0 {
-		t.Error("fragment 1 must have in-nodes")
-	}
-	if len(f0.OutNodes) == 0 {
-		t.Error("fragment 0 must have out-nodes")
-	}
-	found := false
-	for _, v := range f0.OutNodes {
-		if v == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("node 5 must be an out-node of fragment 0")
 	}
 }
 
@@ -103,8 +75,11 @@ func TestNodeBytesGrowsWithContent(t *testing.T) {
 func TestHashPartitionRoughBalance(t *testing.T) {
 	g := gen.Synthetic(gen.SyntheticConfig{Nodes: 2000, Edges: 4000, Seed: 7})
 	f := Partition(g, 4, Hash)
-	for i := 0; i < 4; i++ {
-		n := len(f.Frag(i).Nodes)
+	sizes := make([]int, 4)
+	for _, o := range f.Owner {
+		sizes[o]++
+	}
+	for i, n := range sizes {
 		if n < 300 || n > 700 {
 			t.Errorf("fragment %d owns %d nodes; hash balance off", i, n)
 		}
@@ -145,12 +120,6 @@ func TestPartitionKeepsAdoptedGraphHollow(t *testing.T) {
 	want := Partition(heap, 4, Hash)
 	if !slices.Equal(got.Owner, want.Owner) {
 		t.Error("owners differ between the adopted and the heap graph")
-	}
-	for i := 0; i < 4; i++ {
-		g, w := got.Frag(i), want.Frag(i)
-		if !slices.Equal(g.InNodes, w.InNodes) || !slices.Equal(g.OutNodes, w.OutNodes) {
-			t.Errorf("fragment %d: borders differ", i)
-		}
 	}
 	if got.CutEdges() != want.CutEdges() {
 		t.Errorf("cut edges %d, heap graph %d", got.CutEdges(), want.CutEdges())

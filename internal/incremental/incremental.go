@@ -105,10 +105,15 @@ type Detector struct {
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
-	// Reusable matching state: the compiled matcher, the pin map, the
-	// match key scratch and a batch's touched nodes (ascending).
+	// Reusable matching state: the compiled matcher, the pins (each To is
+	// one element of at), the rule being enumerated and the callback bound
+	// to it once, so pinning and enumerating allocate nothing; the match
+	// key scratch and a batch's touched nodes (ascending).
 	m       *match.Matcher
-	pin     map[int]graph.NodeID
+	pins    [2]match.Pin
+	at      [2]graph.NodeID
+	ri      int
+	visit   func(core.Match) bool
 	key     []byte
 	touched []graph.NodeID
 
@@ -129,8 +134,9 @@ func New(g *graph.Graph, set *core.Set) *Detector {
 		set:     set,
 		rules:   set.Rules(),
 		version: g.Version(),
-		pin:     make(map[int]graph.NodeID, 2),
 	}
+	d.pins = [2]match.Pin{{To: d.at[:1]}, {To: d.at[1:]}}
+	d.visit = d.onMatch
 	d.adopt()
 	d.fullValidate()
 	return d
@@ -160,11 +166,10 @@ func (d *Detector) adopt() {
 // enumeration per rule. Used at construction and as the recovery path when
 // mutations reached the graph outside this detector's Apply.
 func (d *Detector) fullValidate() {
-	clear(d.pin)
 	d.vio = make([]map[string]core.Match, len(d.rules))
 	for ri := range d.rules {
 		d.vio[ri] = make(map[string]core.Match)
-		d.enumerate(ri)
+		d.enumerate(ri, 0)
 	}
 }
 
@@ -260,9 +265,8 @@ func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
 		for ri := range d.rules {
 			for a, sym := range d.cqs[ri].NodeSyms {
 				if pattern.LabelMatchesSym(sym, d.ov.Label(v)) {
-					clear(d.pin)
-					d.pin[a] = v
-					d.enumerate(ri)
+					d.pins[0].Node, d.at[0] = a, v
+					d.enumerate(ri, 1)
 				}
 			}
 		}
@@ -282,31 +286,38 @@ func (d *Detector) refresh(ups []Update, inserted []graph.NodeID) {
 					!pattern.LabelMatchesSym(syms[e.To], d.ov.Label(u.To)) {
 					continue
 				}
-				clear(d.pin)
-				d.pin[e.From], d.pin[e.To] = u.From, u.To
-				d.enumerate(ri)
+				d.pins[0].Node, d.at[0] = e.From, u.From
+				d.pins[1].Node, d.at[1] = e.To, u.To
+				if e.From == e.To {
+					d.enumerate(ri, 1) // one pattern node binds both ends
+				} else {
+					d.enumerate(ri, 2)
+				}
 			}
 		}
 	}
 }
 
 // enumerate adds to the maintained set every violation of rule ri among
-// the matches through the current pins, with X pushed into the search as
-// the rule's guard and X → Y decided by its literal program over the
-// overlay's interned attributes.
-func (d *Detector) enumerate(ri int) {
-	prog, vs := d.progs[ri], d.vio[ri]
-	d.m.Enumerate(d.rules[ri].Q, match.Options{Pin: d.pin, Guard: prog.Guard()}, func(h core.Match) bool {
-		d.enumerated++
-		if prog.IsViolation(d.ov.Snapshot, h) {
-			d.key = d.key[:0]
-			for _, id := range h {
-				d.key = binary.LittleEndian.AppendUint32(d.key, uint32(id))
-			}
-			if _, ok := vs[string(d.key)]; !ok {
-				vs[string(d.key)] = slices.Clone(h)
-			}
+// the matches through the pins d.pins[:pinned], with X pushed
+// into the search as the rule's guard and X → Y decided by its literal
+// program over the overlay's interned attributes.
+func (d *Detector) enumerate(ri, pinned int) {
+	d.ri = ri
+	d.m.Enumerate(d.rules[ri].Q, match.Options{Pins: d.pins[:pinned], Guard: d.progs[ri].Guard()}, d.visit)
+}
+
+// onMatch records one match of the rule being enumerated if it violates.
+func (d *Detector) onMatch(h core.Match) bool {
+	d.enumerated++
+	if d.progs[d.ri].IsViolation(d.ov.Snapshot, h) {
+		d.key = d.key[:0]
+		for _, id := range h {
+			d.key = binary.LittleEndian.AppendUint32(d.key, uint32(id))
 		}
-		return true
-	})
+		if _, ok := d.vio[d.ri][string(d.key)]; !ok {
+			d.vio[d.ri][string(d.key)] = slices.Clone(h)
+		}
+	}
+	return true
 }

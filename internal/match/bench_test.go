@@ -221,7 +221,7 @@ func BenchmarkEnumerateHubRebound(b *testing.B) {
 	q.AddEdge(y, w, "bd")
 	q.AddEdge(z, w, "cd")
 	snap := g.Freeze()
-	opts := match.Options{Candidates: snap.NodesWith(snap.Syms().Lookup("A")), CandidateNode: 0}
+	opts := match.Options{Pins: []match.Pin{{Node: 0, To: snap.NodesWith(snap.Syms().Lookup("A"))}}}
 	m := match.NewMatcher(snap)
 	probe := opts
 	probe.NoIntersect = true

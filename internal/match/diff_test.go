@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,6 +82,11 @@ func randomPattern(g *graph.Graph, rng *rand.Rand, nodes int, wildcards bool) *p
 	return q
 }
 
+// pinTo pins pattern node u to graph node v alone.
+func pinTo(u int, v graph.NodeID) []match.Pin {
+	return []match.Pin{{Node: u, To: []graph.NodeID{v}}}
+}
+
 func diffGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"synthetic": gen.Synthetic(gen.SyntheticConfig{Nodes: 250, Edges: 700, Skew: 0.6, Seed: 11}),
@@ -144,7 +150,7 @@ func TestDuplicateEdgeSetSemantics(t *testing.T) {
 	vc := q.AddNode("vc", "z")
 	q.AddEdge(va, vc, "e")
 	q.AddEdge(vb, vc, "e")
-	opts := match.Options{Pin: map[int]graph.NodeID{va: a, vb: b}}
+	opts := match.Options{Pins: append(pinTo(va, a), pinTo(vb, b)...)}
 	if got := match.CountSnapshot(g.Freeze(), q, opts); got != 1 {
 		t.Fatalf("snapshot yielded the duplicated match %d times, want 1", got)
 	}
@@ -170,10 +176,10 @@ func TestWildcardEdgeParallelLabels(t *testing.T) {
 	x := q.AddNode("x", "a")
 	y := q.AddNode("y", pattern.Wildcard)
 	q.AddEdge(x, y, pattern.Wildcard)
-	for _, pin := range []map[int]graph.NodeID{nil, {x: a}, {y: b}} {
-		opts := match.Options{Pin: pin}
+	for i, pin := range [][]match.Pin{nil, pinTo(x, a), pinTo(y, b)} {
+		opts := match.Options{Pins: pin}
 		want := 2
-		if pin[y] == b {
+		if i == 2 {
 			want = 1
 		}
 		assertSameMatches(t, g, q, opts, fmt.Sprint("pin ", pin))
@@ -279,8 +285,8 @@ func TestDifferentialPinned(t *testing.T) {
 				cands = []graph.NodeID{0}
 			}
 			for i := 0; i < 3 && i < len(cands); i++ {
-				pin := map[int]graph.NodeID{0: cands[(i*7)%len(cands)]}
-				assertSameMatches(t, g, q, match.Options{Pin: pin},
+				pin := pinTo(0, cands[(i*7)%len(cands)])
+				assertSameMatches(t, g, q, match.Options{Pins: pin},
 					fmt.Sprintf("%s trial %d pin=%v", name, trial, pin))
 			}
 		}
@@ -410,63 +416,141 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	pov.MustAddEdge(nf, c, "from")
 	pov.SetAttr(c, "val", city)
 	pg := rule.CompileLiterals(pov.Syms()).Guard()
-	if n := match.NewMatcher(pov).Count(q, match.Options{Pin: map[int]graph.NodeID{f: nf}, Guard: pg}); n != 1 {
+	if n := match.NewMatcher(pov).Count(q, match.Options{Pins: pinTo(f, nf), Guard: pg}); n != 1 {
 		t.Fatalf("patched overlay: inserted flight has %d guarded matches, want 1", n)
 	}
 	steady("guarded patched overlay", match.NewMatcher(pov), match.Options{Guard: pg})
 }
 
-// TestCandidatesListBindsLikePins: binding a pattern node to a list
-// (Options.Candidates) yields, in list order, exactly the matches of
-// pinning it to each listed node in turn — with another node pinned, under
-// a stripe, and for the empty list, which yields nothing.
-func TestCandidatesListBindsLikePins(t *testing.T) {
-	total := 0
+// nodeRun is a run of up to k node IDs from a random start, some of the
+// wrong label, in ascending order as a chunk binds its pivot.
+func nodeRun(g *graph.Graph, rng *rand.Rand, k int) []graph.NodeID {
+	lo := rng.Intn(g.NumNodes())
+	run := make([]graph.NodeID, 0, k)
+	for v := lo; v < min(g.NumNodes(), lo+k); v++ {
+		run = append(run, graph.NodeID(v))
+	}
+	return run
+}
+
+// TestPinListBindsLikeSinglePins: pinning a pattern node to a list yields,
+// in list order, exactly the matches of pinning it to each listed node in
+// turn — alone, ahead of another pin and under a stripe; two list pins
+// yield their cross product, the first pin outermost; the legacy searcher
+// yields the same matches on every trial; an empty list yields nothing and
+// a repeated entry yields its matches twice.
+func TestPinListBindsLikeSinglePins(t *testing.T) {
+	total, crossed, doubled := 0, 0, 0
 	for name, g := range diffGraphs() {
 		m := match.NewMatcher(g.Freeze())
 		rng := rand.New(rand.NewSource(41))
 		for trial := 0; trial < 20; trial++ {
 			q := randomPattern(g, rng, 2+rng.Intn(2), true)
 			z := rng.Intn(q.NumNodes())
-			// A run of node IDs, some of the wrong label, in ascending
-			// order as a chunk binds its pivot.
-			lo := rng.Intn(g.NumNodes())
-			list := make([]graph.NodeID, 0, 128)
-			for v := lo; v < min(g.NumNodes(), lo+128); v++ {
-				list = append(list, graph.NodeID(v))
-			}
+			other := (z + 1) % q.NumNodes()
+			list := nodeRun(g, rng, 128)
 			base := match.Options{}
-			if trial%3 == 1 {
-				base = match.Options{StripeNode: (z + 1) % q.NumNodes(), StripeMod: 2, StripeRem: trial % 2}
-			}
-			if other := (z + 1) % q.NumNodes(); trial%3 == 2 && other != z {
+			var rest []match.Pin // a single pin bound after the list
+			switch trial % 3 {
+			case 1:
+				base = match.Options{StripeNode: other, StripeMod: 2, StripeRem: trial % 2}
+			case 2:
 				if oc := g.NodesWithLabel(q.Nodes[other].Label); len(oc) > 0 {
-					base.Pin = map[int]graph.NodeID{other: oc[rng.Intn(len(oc))]}
+					rest = pinTo(other, oc[rng.Intn(len(oc))])
 				}
 			}
+			ctx := fmt.Sprintf("%s trial %d, node %d bound to %v beside %v", name, trial, z, list, rest)
+			bind := func(pins ...match.Pin) []core.Match {
+				opts := base
+				opts.Pins = pins
+				got := m.All(q, opts)
+				if legacy := match.All(g, q, opts); !slices.Equal(matchKeys(got), matchKeys(legacy)) {
+					t.Fatalf("%s, pins %v: %d matches, the legacy searcher %d", ctx, pins, len(got), len(legacy))
+				}
+				return got
+			}
+
 			var want []core.Match
 			for _, v := range list {
-				pin := map[int]graph.NodeID{z: v}
-				for k, w := range base.Pin {
-					pin[k] = w
-				}
-				opts := base
-				opts.Pin = pin
-				want = append(want, m.All(q, opts)...)
+				want = append(want, bind(append(pinTo(z, v), rest...)...)...)
 			}
-			opts := base
-			opts.Candidates, opts.CandidateNode = list, z
-			if got := m.All(q, opts); !slices.EqualFunc(got, want, slices.Equal) {
-				t.Fatalf("%s trial %d: list binding of node %d to %v yields %d matches, pins %d", name, trial, z, list, len(got), len(want))
+			if got := bind(append([]match.Pin{{Node: z, To: list}}, rest...)...); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s: the list yields %d matches, one pin per node %d", ctx, len(got), len(want))
 			}
 			total += len(want)
-			opts.Candidates = []graph.NodeID{}
-			if n := m.Count(q, opts); n != 0 {
-				t.Fatalf("%s trial %d: an empty list yields %d matches", name, trial, n)
+
+			// Two lists: the nodes the list's matches bind at z and at other,
+			// each beside its successor, which may not match.
+			var heads, tails []graph.NodeID
+			for _, h := range want {
+				heads = append(heads, h[z], min(h[z]+1, graph.NodeID(g.NumNodes()-1)))
+				tails = append(tails, h[other], min(h[other]+1, graph.NodeID(g.NumNodes()-1)))
+			}
+			slices.Sort(heads)
+			slices.Sort(tails)
+			heads, tails = slices.Compact(heads), slices.Compact(tails)
+			heads, tails = heads[:min(len(heads), 8)], tails[:min(len(tails), 8)]
+			want = nil
+			for _, v := range heads {
+				for _, w := range tails {
+					want = append(want, bind(match.Pin{Node: z, To: []graph.NodeID{v}}, match.Pin{Node: other, To: []graph.NodeID{w}})...)
+				}
+			}
+			if got := bind(match.Pin{Node: z, To: heads}, match.Pin{Node: other, To: tails}); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s: lists %v × %v yield %d matches, their cross product %d", ctx, heads, tails, len(got), len(want))
+			}
+			crossed += len(want)
+
+			if n := len(bind(match.Pin{Node: z, To: []graph.NodeID{}})); n != 0 {
+				t.Fatalf("%s: an empty list yields %d matches", ctx, n)
+			}
+			if n := len(bind(match.Pin{Node: z, To: list}, match.Pin{Node: other, To: nil})); n != 0 {
+				t.Fatalf("%s: an empty second list yields %d matches", ctx, n)
+			}
+			for _, v := range list {
+				once := bind(pinTo(z, v)...)
+				if len(once) == 0 {
+					continue
+				}
+				if twice := bind(match.Pin{Node: z, To: []graph.NodeID{v, v}}); !slices.EqualFunc(twice, append(once, once...), slices.Equal) {
+					t.Fatalf("%s: node %d listed twice yields %d matches, once %d", ctx, v, len(twice), len(once))
+				}
+				doubled++
+				break
 			}
 		}
 	}
-	if total == 0 {
-		t.Fatal("no trial had a match; the comparison is vacuous")
+	if total == 0 || crossed == 0 || doubled == 0 {
+		t.Fatalf("lists %d, cross products %d, doubled entries %d matches: a comparison is vacuous", total, crossed, doubled)
+	}
+}
+
+// TestPinsRejectBadNodes: a pattern node pinned twice, or a pin outside the
+// pattern, panics in both searchers with a message that names the node.
+func TestPinsRejectBadNodes(t *testing.T) {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 20, Seed: 3})
+	q := starPattern()
+	one := []graph.NodeID{0}
+	for _, c := range []struct {
+		pins []match.Pin
+		node string
+	}{
+		{[]match.Pin{{Node: 1, To: one}, {Node: 0, To: one}, {Node: 1, To: nil}}, "node 1"},
+		{[]match.Pin{{Node: q.NumNodes(), To: one}}, fmt.Sprintf("node %d", q.NumNodes())},
+		{[]match.Pin{{Node: 0, To: one}, {Node: -1, To: one}}, "node -1"},
+	} {
+		for searcher, run := range map[string]func(){
+			"matcher": func() { match.CountSnapshot(g.Freeze(), q, match.Options{Pins: c.pins}) },
+			"legacy":  func() { match.Count(g, q, match.Options{Pins: c.pins}) },
+		} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.node+" ") {
+						t.Errorf("%s, pins %v: panic %q does not name %s", searcher, c.pins, msg, c.node)
+					}
+				}()
+				run()
+			}()
+		}
 	}
 }

@@ -119,14 +119,14 @@ func TestGuardedEnumerationDifferential(t *testing.T) {
 			switch trial % 3 {
 			case 1:
 				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
-					opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
+					opts.Pins = pinTo(0, cands[rng.Intn(len(cands))])
 				}
 			case 2: // the unit path: node 0 pinned, its neighbour 1 striped
 				v := graph.NodeID(rng.Intn(ov.NumNodes()))
 				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
 					v = cands[rng.Intn(len(cands))]
 				}
-				opts.Pin = map[int]graph.NodeID{0: v}
+				opts.Pins = pinTo(0, v)
 				opts.StripeNode, opts.StripeMod, opts.StripeRem = 1, 2, rng.Intn(2)
 			}
 			want := xFiltered(g, f, opts)
@@ -202,7 +202,7 @@ func TestGuardPrunesPinnedPivotAtDepthZero(t *testing.T) {
 	m := match.NewMatcher(snap)
 	var pass, fail graph.NodeID = graph.Invalid, graph.Invalid
 	for _, v := range g.NodesWithLabel("L0") {
-		if m.Count(q, match.Options{Pin: map[int]graph.NodeID{x: v}}) == 0 {
+		if m.Count(q, match.Options{Pins: pinTo(x, v)}) == 0 {
 			continue
 		}
 		if val, _ := g.Attr(v, "p"); val == "v0" {
@@ -214,17 +214,17 @@ func TestGuardPrunesPinnedPivotAtDepthZero(t *testing.T) {
 	if pass == graph.Invalid || fail == graph.Invalid {
 		t.Fatal("graph lacks a passing or a failing pivot")
 	}
-	pin := map[int]graph.NodeID{x: fail}
-	if p := m.Plan(q, match.Options{Pin: pin, Guard: guard}).String(); p != `x*[x.p = "v0"] y` {
+	pin := pinTo(x, fail)
+	if p := m.Plan(q, match.Options{Pins: pin, Guard: guard}).String(); p != `x*[x.p = "v0"] y` {
 		t.Fatalf("plan %q: the constant guard is not due at the pinned depth", p)
 	}
 	// Tries counts only while a Halt probe is armed.
-	opts := match.Options{Pin: pin, Guard: guard, Halt: func() bool { return false }}
+	opts := match.Options{Pins: pin, Guard: guard, Halt: func() bool { return false }}
 	before := m.Tries()
 	if n, tries := m.Count(q, opts), m.Tries()-before; n != 0 || tries != 1 {
 		t.Fatalf("failing pivot: %d matches after %d candidate checks, want 0 after 1", n, tries)
 	}
-	pin[x] = pass
+	pin[0].To[0] = pass
 	before = m.Tries()
 	if n, tries := m.Count(q, opts), m.Tries()-before; n == 0 || tries < 2 {
 		t.Fatalf("passing pivot: %d matches after %d candidate checks; the guard over-pruned", n, tries)

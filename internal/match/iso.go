@@ -7,9 +7,9 @@
 //
 // The enumerator is a backtracking search with label/degree candidate
 // filtering and connectivity-driven variable ordering. It supports pinning
-// pattern nodes to designated graph nodes (pivot candidates of work units),
-// which by the locality of subgraph isomorphism (Section 5.2) keeps a
-// unit's matches inside its data block without testing membership.
+// pattern nodes to lists of graph nodes (Options.Pins: a work unit's pivot
+// candidates), which by the locality of subgraph isomorphism (Section 5.2)
+// keeps a unit's matches inside its data block without testing membership.
 //
 // Two execution paths produce the same match set:
 //
@@ -25,6 +25,7 @@
 package match
 
 import (
+	"fmt"
 	"slices"
 
 	"gfd/internal/core"
@@ -32,21 +33,26 @@ import (
 	"gfd/internal/pattern"
 )
 
+// Pin binds pattern node Node to each node of To in turn, in list order: a
+// single-node pin is a one-element list.
+type Pin struct {
+	Node int
+	To   []graph.NodeID
+}
+
 // Options configures an enumeration.
 type Options struct {
-	// Pin forces pattern node index k to match exactly Pin[k]. Used to
-	// enumerate only matches that include a pivot candidate; by locality
-	// those lie in the candidate's data block, so no block option exists.
-	Pin map[int]graph.NodeID
-	// Candidates, when non-nil, binds pattern node CandidateNode to each of
-	// its nodes in turn, in list order: a pin over a list. The Matcher
-	// places the node with the pins, ahead of every other node, and checks
-	// each listed node as it would any candidate (label, degrees, edges to
-	// the pins), so a list that holds a node twice yields its matches twice.
-	// An empty non-nil list yields nothing. Enumerate over a *graph.Graph
-	// ignores it.
-	Candidates    []graph.NodeID
-	CandidateNode int
+	// Pins are bound first, in slice order, ahead of every other pattern
+	// node: the search binds Pins[0].Node to each node of Pins[0].To in
+	// turn, under each of them Pins[1].Node to each of Pins[1].To, and so
+	// on, so the first pin is the outermost loop. Each listed node is
+	// tested as any candidate is (label, degrees, edges to the nodes bound
+	// before it, injectivity): a list that holds a node twice yields its
+	// matches twice, and an empty list yields nothing. Pinning a pivot to
+	// its candidates enumerates only the matches through them; by locality
+	// those lie in the candidates' data blocks, so no block option exists.
+	// Naming a pattern node twice, or a node outside the pattern, panics.
+	Pins []Pin
 	// Limit stops the enumeration after this many matches; 0 means
 	// unlimited.
 	Limit int
@@ -56,7 +62,7 @@ type Options struct {
 	// StripeRem. StripeMod == 0 disables striping. Enumerating all
 	// residues yields exactly the unstriped match set, since every match
 	// assigns StripeNode exactly one graph node. The Matcher binds
-	// StripeNode right after the pinned nodes.
+	// StripeNode right after the pins.
 	StripeNode int
 	StripeMod  int
 	StripeRem  int
@@ -100,6 +106,7 @@ func Enumerate(g *graph.Graph, q *pattern.Pattern, opts Options, yield func(core
 	if q.NumNodes() == 0 {
 		return
 	}
+	checkPins(opts.Pins, q.NumNodes())
 	s := &searcher{g: g, q: q, opts: opts, yield: yield}
 	s.order = s.planOrder()
 	s.assign = make(core.Match, q.NumNodes())
@@ -151,19 +158,31 @@ type searcher struct {
 	halt   bool
 }
 
-// planOrder produces a matching order: pinned nodes first, then remaining
-// nodes of each component in BFS order from already-placed nodes, seeding
-// new components by the node with the smallest candidate estimate.
+// checkPins panics unless every pin names a distinct node of an n-node
+// pattern.
+func checkPins(pins []Pin, n int) {
+	for i, p := range pins {
+		if p.Node < 0 || p.Node >= n {
+			panic(fmt.Sprintf("match: pin %d names node %d of a %d-node pattern", i, p.Node, n))
+		}
+		for _, o := range pins[:i] {
+			if o.Node == p.Node {
+				panic(fmt.Sprintf("match: pattern node %d is pinned twice", p.Node))
+			}
+		}
+	}
+}
+
+// planOrder produces a matching order: the pins first, in pin order, then
+// remaining nodes of each component in BFS order from already-placed nodes,
+// seeding new components by the node with the smallest candidate estimate.
 func (s *searcher) planOrder() []int {
 	n := s.q.NumNodes()
 	placed := make([]bool, n)
 	order := make([]int, 0, n)
-	// Pinned nodes first (cheapest to verify, maximum pruning).
-	for i := 0; i < n; i++ {
-		if _, ok := s.opts.Pin[i]; ok {
-			placed[i] = true
-			order = append(order, i)
-		}
+	for _, p := range s.opts.Pins {
+		placed[p.Node] = true
+		order = append(order, p.Node)
 	}
 	adjacent := func(v int) []int {
 		var out []int
@@ -226,7 +245,7 @@ func (s *searcher) extend(depth int) {
 		return
 	}
 	u := s.order[depth]
-	for _, v := range s.candidates(u) {
+	for _, v := range s.candidates(depth, u) {
 		if slices.Contains(s.assign, v) {
 			continue // taken: matches are injective
 		}
@@ -242,12 +261,13 @@ func (s *searcher) extend(depth int) {
 	}
 }
 
-// candidates produces the candidate graph nodes for pattern node u given
-// the current partial assignment: the pinned node, or the neighbors of an
-// already-matched adjacent pattern node, or the label index.
-func (s *searcher) candidates(u int) []graph.NodeID {
-	if v, ok := s.opts.Pin[u]; ok {
-		return []graph.NodeID{v}
+// candidates produces the candidate graph nodes for pattern node u, bound
+// at depth, given the current partial assignment: the pin's list, or the
+// neighbors of an already-matched adjacent pattern node, or the label
+// index.
+func (s *searcher) candidates(depth, u int) []graph.NodeID {
+	if depth < len(s.opts.Pins) {
+		return s.opts.Pins[depth].To
 	}
 	// Prefer expanding along a matched neighbor: candidates are then the
 	// adjacency of the matched node, already label-filtered by feasible().

@@ -128,13 +128,13 @@ func TestPinRestrictsMatches(t *testing.T) {
 	flightComponent(q, "x")
 	xi, _ := q.VarIndex("x")
 	flights := g.NodesWithLabel("flight")
-	ms := All(g, q, Options{Pin: map[int]graph.NodeID{xi: flights[0]}})
+	ms := All(g, q, Options{Pins: []Pin{{Node: xi, To: []graph.NodeID{flights[0]}}}})
 	if len(ms) != 1 || ms[0][xi] != flights[0] {
 		t.Fatalf("pinned matches = %v", ms)
 	}
 	// Pin to an incompatible node: no matches.
 	cities := g.NodesWithLabel("city")
-	if Has(g, q, Options{Pin: map[int]graph.NodeID{xi: cities[0]}}) {
+	if Has(g, q, Options{Pins: []Pin{{Node: xi, To: []graph.NodeID{cities[0]}}}}) {
 		t.Error("pin to wrong-label node must not match")
 	}
 }

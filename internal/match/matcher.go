@@ -37,7 +37,7 @@ import (
 // candidate, and the edges a candidate's source proves are not searched
 // again. Plans (Plan: the pattern lowered onto the view's symbol table,
 // the order and the guard instructions due at each depth) are cached per
-// (pattern, pin set, stripe node, topology version, guard);
+// (pattern, pinned nodes in order, stripe node, topology version, guard);
 // Options.NoIntersect forces the probing path for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
@@ -81,13 +81,13 @@ type Matcher struct {
 	setAt   graph.NodeID
 
 	// plans caches computed plans, each with its lowered pattern, per
-	// (pattern, pin set, stripe node, topology version, guard), so
-	// repeated Enumerate calls — one per work unit on the engine paths —
-	// neither re-lower the pattern nor re-derive the same order from the
-	// same class sizes. Frozen snapshots are immutable (version 0
-	// forever); a patched view keys by its graph version, so every update
-	// — a label interned by an inserted node included — re-lowers and
-	// re-plans.
+	// (pattern, pinned nodes in order, stripe node, topology version,
+	// guard), so repeated Enumerate calls — one per work unit on the
+	// engine paths — neither re-lower the pattern nor re-derive the same
+	// order from the same class sizes. Frozen snapshots are immutable
+	// (version 0 forever); a patched view keys by its graph version, so
+	// every update — a label interned by an inserted node included —
+	// re-lowers and re-plans.
 	plans map[planKey]*Plan
 
 	// Per-call state.
@@ -113,8 +113,8 @@ type Matcher struct {
 // while keeping the per-try cost to a counter increment.
 const haltStride = 64
 
-// planKey identifies one cached plan: the pattern, the set of pinned
-// pattern nodes as a bitmask (pin *values* never affect the order), the
+// planKey identifies one cached plan: the pattern, the pinned pattern
+// nodes in pin order (pinKey; the pinned lists never affect the order), the
 // striped node (-1 unstriped), the topology version the lowering and the
 // class-size estimates were read at, and the guard scheduled into it (the
 // key holds the pointers, so a cached pattern's or guard's address is
@@ -265,14 +265,14 @@ func (m *Matcher) ensure(n int) {
 // first at which all their operands are bound. It is what Enumerate
 // interprets; String prints it.
 type Plan struct {
-	Order []int
-	pos   []int            // pos[u] is the depth pattern node u binds at
-	joins [][]join         // joins[d]: the edges from order[d] to nodes bound before it
-	fix   []int            // fix[d] indexes joins[d]'s fixed run, or is -1 (see index)
-	pins  uint64           // pinned pattern nodes, for String
-	insts []core.GuardInst // guard instructions in due-depth order
-	at    []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
-	cq    *pattern.Compiled
+	Order  []int
+	pos    []int            // pos[u] is the depth pattern node u binds at
+	joins  [][]join         // joins[d]: the edges from order[d] to nodes bound before it
+	fix    []int            // fix[d] indexes joins[d]'s fixed run, or is -1 (see index)
+	pinned int              // Order[:pinned] are the pinned nodes, for String
+	insts  []core.GuardInst // guard instructions in due-depth order
+	at     []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
+	cq     *pattern.Compiled
 }
 
 // String renders the plan as its variables in matching order, pinned ones
@@ -285,7 +285,7 @@ func (p Plan) String() string {
 			b.WriteByte(' ')
 		}
 		b.WriteString(string(p.cq.Q.Nodes[u].Var))
-		if u < 64 && p.pins&(1<<uint(u)) != 0 {
+		if d < p.pinned {
 			b.WriteByte('*')
 		}
 		if p.at == nil || p.at[d] == p.at[d+1] {
@@ -361,33 +361,30 @@ func (p *Plan) schedule(g *core.Guard) {
 	}
 }
 
-// planFor returns the plan for the bound call: cached per (pattern, pin
-// set, stripe node, topology version, guard) — patterns small enough for a
-// pin bitmask (all of them, in practice) resolve repeated enumerations, one
-// per work unit on the engine paths, to a map hit, skipping the lowering,
-// the class-size reads and the O(|Q|²) selection. A miss lowers the
-// pattern onto the view's table first, since planOrder reads the codes.
+// planFor returns the plan for the bound call: cached per (pattern, pinned
+// nodes in order, stripe node, topology version, guard) — patterns of at
+// most 64 nodes under at most eight pins (all of them, in practice) resolve
+// repeated enumerations, one per work unit on the engine paths, to a map
+// hit, skipping the lowering, the class-size reads and the O(|Q|²)
+// selection. A miss checks the pins and lowers the pattern onto the view's
+// table first, since planOrder reads the codes.
 func (m *Matcher) planFor() *Plan {
 	n := m.n
-	var pins uint64
-	for i := 0; i < n && i < 64; i++ {
-		if m.bound(i) {
-			pins |= 1 << uint(i)
-		}
-	}
 	stripe := -1
 	if m.opts.StripeMod > 0 {
 		stripe = m.opts.StripeNode
 	}
-	cacheable := n <= 64
+	pins, cacheable := pinKey(m.opts.Pins, n)
+	cacheable = cacheable && n <= 64
 	key := planKey{q: m.q, pins: pins, stripe: stripe, ver: m.snap.Version(), guard: m.opts.Guard}
 	if cacheable {
 		if p, ok := m.plans[key]; ok {
 			return p
 		}
 	}
+	checkPins(m.opts.Pins, n)
 	m.cq = pattern.Compile(m.q, m.snap.Syms())
-	p := &Plan{Order: make([]int, n), pins: pins, cq: m.cq}
+	p := &Plan{Order: make([]int, n), pinned: len(m.opts.Pins), cq: m.cq}
 	m.planOrder(p.Order, stripe)
 	p.index(m.q)
 	if m.opts.Guard != nil {
@@ -410,8 +407,24 @@ func (m *Matcher) planFor() *Plan {
 // nothing the snapshot does not already know.
 const guardDiscount = 8
 
-// planOrder mirrors the legacy searcher's matching order — pinned nodes
-// (and the Candidates node) first, then BFS growth from placed nodes preferring small candidate
+// pinKey packs the pinned pattern nodes in pin order, one byte each
+// (node+1), into a plan-cache key; ok is false for more than eight pins or
+// a node outside the n-node pattern, which go uncached.
+func pinKey(pins []Pin, n int) (key uint64, ok bool) {
+	if len(pins) > 8 {
+		return 0, false
+	}
+	for i, p := range pins {
+		if p.Node < 0 || p.Node >= n {
+			return 0, false
+		}
+		key |= uint64(p.Node+1) << (8 * i)
+	}
+	return key, true
+}
+
+// planOrder mirrors the legacy searcher's matching order — the pins first,
+// in pin order, then BFS growth from placed nodes preferring small candidate
 // estimates, new components seeded by the most selective node — using
 // topology class sizes as estimates, each discounted for the guard
 // instructions its placement would close (see score). The striped node
@@ -428,14 +441,11 @@ func (m *Matcher) planOrder(order []int, stripe int) {
 			m.est[v] = m.snap.ClassSize(sym)
 		}
 	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if m.bound(i) {
-			m.placed[i] = true
-			order[k] = i
-			k++
-		}
+	for k, p := range m.opts.Pins {
+		m.placed[p.Node] = true
+		order[k] = p.Node
 	}
+	k := len(m.opts.Pins)
 	if stripe >= 0 && stripe < n && !m.placed[stripe] {
 		m.placed[stripe] = true
 		order[k] = stripe
@@ -473,16 +483,6 @@ func (m *Matcher) planOrder(order []int, stripe int) {
 		order[k] = next
 		k++
 	}
-}
-
-// bound reports whether pattern node i is pinned, to one node or to the
-// Candidates list: either way the plan places it first, and a cached plan
-// serves both.
-func (m *Matcher) bound(i int) bool {
-	if _, ok := m.opts.Pin[i]; ok {
-		return true
-	}
-	return m.opts.Candidates != nil && i == m.opts.CandidateNode
 }
 
 // score is planOrder's greedy key for binding w next: its class-size
@@ -562,12 +562,8 @@ func (m *Matcher) extend(depth int) {
 		return
 	}
 	u := m.order[depth]
-	if v, ok := m.opts.Pin[u]; ok {
-		m.try(depth, u, v, 0)
-		return
-	}
-	if m.opts.Candidates != nil && u == m.opts.CandidateNode {
-		for _, v := range m.opts.Candidates {
+	if depth < len(m.opts.Pins) { // the plan binds Pins[depth].Node here
+		for _, v := range m.opts.Pins[depth].To {
 			m.try(depth, u, v, 0)
 			if m.halt {
 				return

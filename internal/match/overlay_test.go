@@ -50,11 +50,11 @@ func TestDifferentialOverlayMatcher(t *testing.T) {
 				switch trial % 4 {
 				case 1: // pin node 0 to a candidate, if any
 					if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
-						opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
+						opts.Pins = pinTo(0, cands[rng.Intn(len(cands))])
 					}
 				case 2: // the unit path: node 0 pinned, its neighbour 1 striped
 					if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
-						opts.Pin = map[int]graph.NodeID{0: cands[rng.Intn(len(cands))]}
+						opts.Pins = pinTo(0, cands[rng.Intn(len(cands))])
 					}
 					opts.StripeNode, opts.StripeMod, opts.StripeRem = 1, 2, rng.Intn(2)
 				case 3: // stripe a random node
@@ -184,13 +184,13 @@ func TestMatcherZeroAllocStriped(t *testing.T) {
 	first, _ := g.Attr(flights[0], "val")
 	rule := core.MustNew("r", q, []core.Literal{core.VarEq("f", "val", "f", "val"), core.Const("f", "val", first)}, nil)
 	unit := match.Options{
-		Pin:        map[int]graph.NodeID{f: 0},
+		Pins:       pinTo(f, 0),
 		StripeNode: id, StripeMod: 2,
 		Guard: rule.CompileLiterals(snap.Syms()).Guard(),
 	}
 	run := func() {
 		for _, v := range flights {
-			unit.Pin[f] = v
+			unit.Pins[0].To[0] = v
 			m.Enumerate(q, unit, yield)
 		}
 	}

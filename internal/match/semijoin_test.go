@@ -91,10 +91,10 @@ func assertSemiJoin(t *testing.T, m *match.Matcher, g *graph.Graph, q *pattern.P
 	}
 }
 
-// pivoted binds pattern node 0 to its whole class as one Candidates list,
-// as an engine unit binds its pivot, so the plan starts there.
+// pivoted pins pattern node 0 to its whole class as one list, as an engine
+// unit binds its pivot, so the plan starts there.
 func pivoted(snap *graph.Snapshot, q *pattern.Pattern) match.Options {
-	return match.Options{Candidates: snap.NodesWith(snap.Syms().Lookup(q.Nodes[0].Label)), CandidateNode: 0}
+	return match.Options{Pins: []match.Pin{{Node: 0, To: snap.NodesWith(snap.Syms().Lookup(q.Nodes[0].Label))}}}
 }
 
 // TestSemiJoinHubShapes: the triangle bound from its a, b second and c
@@ -121,7 +121,7 @@ func TestSemiJoinHubShapes(t *testing.T) {
 				t.Fatalf("%s: plan %v, want a b c", ctx, order)
 			}
 			assertSemiJoin(t, m, g, q, pivoted(snap, q), ctx)
-			assertSemiJoin(t, m, g, q, match.Options{Pin: map[int]graph.NodeID{0: 0}}, ctx+" hub pinned")
+			assertSemiJoin(t, m, g, q, match.Options{Pins: pinTo(0, 0)}, ctx+" hub pinned")
 			if !m.SemiJoined() {
 				t.Fatalf("%s: no join took the semi-join route", ctx)
 			}
@@ -195,7 +195,7 @@ func TestSemiJoinOverlayGrows(t *testing.T) {
 	ov := graph.NewOverlay(g)
 	m := match.NewMatcher(ov)
 	q := triPattern()
-	hub := match.Options{Pin: map[int]graph.NodeID{0: 0}}
+	hub := match.Options{Pins: pinTo(0, 0)}
 	assertSemiJoin(t, m, g, q, hub, "before")
 	if !m.SemiJoined() {
 		t.Fatal("before: no join took the semi-join route")
@@ -211,7 +211,7 @@ func TestSemiJoinOverlayGrows(t *testing.T) {
 		}
 	}
 	assertSemiJoin(t, m, g, q, hub, "after growth")
-	assertSemiJoin(t, m, g, q, match.Options{Pin: map[int]graph.NodeID{0: 1}}, "after growth, another pin")
+	assertSemiJoin(t, m, g, q, match.Options{Pins: pinTo(0, 1)}, "after growth, another pin")
 	assertSemiJoin(t, m, g, q, hub, "after growth, hub again")
 }
 
@@ -235,12 +235,12 @@ func TestSemiJoinOverlayPatchedRun(t *testing.T) {
 	c1 := ov.AddNode("C", nil)
 	ov.MustAddEdge(0, c1, "ac")
 	ov.MustAddEdge(b, c1, "bc")
-	assertSemiJoin(t, m, g, q, match.Options{Pin: map[int]graph.NodeID{0: 0}}, "hub")
+	assertSemiJoin(t, m, g, q, match.Options{Pins: pinTo(0, 0)}, "hub")
 	if !m.SemiJoined() {
 		t.Fatal("hub: no join took the semi-join route")
 	}
 	ov.MustAddEdge(0, ov.AddNode("B", nil), "ab")
-	assertSemiJoin(t, m, g, q, match.Options{Pin: map[int]graph.NodeID{0: 1}}, "a1 after the insert")
+	assertSemiJoin(t, m, g, q, match.Options{Pins: pinTo(0, 1)}, "a1 after the insert")
 }
 
 // TestSemiJoinParallelSiblingEdges: a graph that breaks the no-duplicate

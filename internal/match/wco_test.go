@@ -9,6 +9,7 @@ package match_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -185,19 +186,19 @@ func TestWCOEquivalenceOptionDimensions(t *testing.T) {
 		// them — on the triangle by intersecting both pins' ranges. Residues
 		// must agree pairwise AND partition the whole set.
 		a := g.NodesWithLabel("A")[rng.Intn(60)]
-		pins := []map[int]graph.NodeID{nil}
+		pins := [][]match.Pin{nil}
 		for _, he := range g.Out(a) {
 			if he.Label == "ab" {
-				pins = append(pins, map[int]graph.NodeID{0: a, 1: he.To})
+				pins = append(pins, append(pinTo(0, a), pinTo(1, he.To)...))
 				break
 			}
 		}
 		for _, pin := range pins {
-			all := match.CountSnapshot(snap, q, match.Options{Pin: pin})
+			all := match.CountSnapshot(snap, q, match.Options{Pins: pin})
 			for _, mod := range []int{2, 3} {
 				total := 0
 				for rem := 0; rem < mod; rem++ {
-					opts := match.Options{Pin: pin, StripeNode: 2, StripeMod: mod, StripeRem: rem}
+					opts := match.Options{Pins: pin, StripeNode: 2, StripeMod: mod, StripeRem: rem}
 					assertWCOEqualsProbe(t, snap, g, q, opts, fmt.Sprintf("%s pins %v stripe %d/%d", name, pin, rem, mod))
 					total += match.CountSnapshot(snap, q, opts)
 				}
@@ -208,8 +209,8 @@ func TestWCOEquivalenceOptionDimensions(t *testing.T) {
 		}
 		// Pin: force node 0 onto each of a few candidates.
 		for i := 0; i < 5; i++ {
-			pin := map[int]graph.NodeID{0: g.NodesWithLabel("A")[rng.Intn(60)]}
-			assertWCOEqualsProbe(t, snap, g, q, match.Options{Pin: pin}, name+" pin")
+			pin := pinTo(0, g.NodesWithLabel("A")[rng.Intn(60)])
+			assertWCOEqualsProbe(t, snap, g, q, match.Options{Pins: pin}, name+" pin")
 		}
 	}
 }
@@ -231,19 +232,19 @@ func TestStripeNodeBoundRightAfterPins(t *testing.T) {
 	for name, q := range shapes {
 		n := q.NumNodes()
 		for set := 1; set < 1<<n-1; set++ {
-			pin := map[int]graph.NodeID{}
+			var pin []match.Pin
 			for i := 0; i < n; i++ {
 				if set&(1<<i) != 0 {
-					pin[i] = graph.NodeID(i)
+					pin = append(pin, pinTo(i, graph.NodeID(i))...)
 				}
 			}
-			plain := match.Options{Pin: pin}
+			plain := match.Options{Pins: pin}
 			want := fmt.Sprint(match.NewMatcher(snap).Plan(q, plain).Order)
 			for s := 0; s < n; s++ {
-				if _, pinned := pin[s]; pinned || !adjacentToPin(q, s, pin) {
+				if pinned(pin, s) || !adjacentToPin(q, s, pin) {
 					continue
 				}
-				opts := match.Options{Pin: pin, StripeNode: s, StripeMod: 3}
+				opts := match.Options{Pins: pin, StripeNode: s, StripeMod: 3}
 				if order := m.Plan(q, opts).Order; order[len(pin)] != s {
 					t.Fatalf("%s pins %v: striped plan %v binds %d after the pins, want stripe node %d", name, pin, order, order[len(pin)], s)
 				}
@@ -259,16 +260,21 @@ func TestStripeNodeBoundRightAfterPins(t *testing.T) {
 	}
 }
 
+// pinned reports whether pins bind pattern node u.
+func pinned(pins []match.Pin, u int) bool {
+	return slices.ContainsFunc(pins, func(p match.Pin) bool { return p.Node == u })
+}
+
 // adjacentToPin reports a pattern edge, either direction, between s and a
 // pinned node.
-func adjacentToPin(q *pattern.Pattern, s int, pin map[int]graph.NodeID) bool {
+func adjacentToPin(q *pattern.Pattern, s int, pin []match.Pin) bool {
 	for _, ei := range q.OutEdges(s) {
-		if _, ok := pin[q.Edges[ei].To]; ok {
+		if pinned(pin, q.Edges[ei].To) {
 			return true
 		}
 	}
 	for _, ei := range q.InEdges(s) {
-		if _, ok := pin[q.Edges[ei].From]; ok {
+		if pinned(pin, q.Edges[ei].From) {
 			return true
 		}
 	}

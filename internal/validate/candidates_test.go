@@ -74,7 +74,7 @@ func TestCandidatesDropNoMatch(t *testing.T) {
 						continue
 					}
 					rejected[name]++
-					if m.Has(pv.Q, match.Options{Pin: map[int]graph.NodeID{z: v}}) {
+					if m.Has(pv.Q, match.Options{Pins: []match.Pin{{Node: z, To: []graph.NodeID{v}}}}) {
 						t.Fatalf("seed %d, %s: node %d has a match with pivot %d pinned there, yet CandidatesIn rejects it", seed, name, v, z)
 					}
 				}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
 	"gfd/internal/fault"
 	"gfd/internal/graph"
+	"gfd/internal/match"
 	"gfd/internal/workload"
 )
 
@@ -122,27 +124,45 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 }
 
 // UnitRunner executes units on one slot: the star test at the head of
-// each unit, the unitDetector's striped and symmetric dedup enumeration of
-// its survivors, the exactly-once skip count, the cooperative per-attempt
+// each unit, one striped enumeration of its survivors with every pivot
+// pinned to its list (two for a deduped symmetric pair), the literal check
+// of each match, the exactly-once skip count, the cooperative per-attempt
 // deadline and the unit-start fault crossing. Goroutine slots and worker
 // processes both run it — over the bundle's shared topology, or a worker's
 // shard-backed one — so those exist once. It is single-threaded, like a
-// slot's unit loop (a slot runs its units one at a time, in queue order).
+// slot's unit loop (a slot runs its units one at a time, in queue order),
+// and reuses its matcher, pins and match scratch across units, so the
+// per-unit path stays off the allocator.
 type UnitRunner struct {
 	groups   []*ruleGroup
-	det      *unitDetector
+	m        *match.Matcher
+	pins     []match.Pin
+	scratch  core.Match
 	cancel   *cancelCheck
+	halt     func() bool // cancel.canceled bound once; threaded into enumeration
 	noOpt    bool
 	deadline time.Duration
 	// candsOf, when set, serves a unit's candidates from its plan's survivor
 	// memo (goroutine slots); nil runs the star test on the runner's view.
 	candsOf func(ui int) [][]graph.NodeID
 
-	// Per-attempt emission state, read by deliver (bound once as out so
-	// the per-unit path allocates no closure).
+	// Fault-injection context: nil inj in production (crossings are
+	// nil-check no-ops); worker and unit identify the current execution
+	// for the injected-panic payloads.
+	inj    *fault.Injector
+	worker int
+	unit   int
+
+	// Per-attempt state, read by onMatch and deliver (bound once as visit
+	// and out, so the per-unit path allocates no closure): the unit's
+	// group, the skip count, the violations found, the caller's emit, and
+	// ok, false once the slot must stop.
+	grp         *ruleGroup
 	skip, found int64
 	emit        func(Violation) bool
 	out         func(Violation) bool
+	ok          bool
+	visit       func(core.Match) bool
 }
 
 // NewUnitRunner prepares a runner over a bundle for slot worker. In a
@@ -158,12 +178,16 @@ func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injec
 	cancel := &cancelCheck{ctx: ctx}
 	r := &UnitRunner{
 		groups:   groups,
-		det:      newUnitDetector(b.topo, cancel, inj, worker),
+		m:        match.NewMatcher(b.topo),
 		cancel:   cancel,
+		halt:     cancel.canceled,
 		noOpt:    opt.NoOptimize,
 		deadline: opt.UnitDeadline,
+		inj:      inj,
+		worker:   worker,
+		unit:     -1,
 	}
-	r.out = r.deliver
+	r.out, r.visit = r.deliver, r.onMatch
 	return r
 }
 
@@ -199,7 +223,7 @@ func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (fou
 		return 0, fmt.Errorf("%w: unit %d carries %d ranges, group %d pivots %d",
 			ErrBadUnit, u.ID, len(u.Ranges), u.Group, grp.pivot.Arity())
 	}
-	topo := r.det.m.Topo()
+	topo := r.m.Topo()
 	for i, rg := range u.Ranges {
 		if n := grp.pivot.ClassLen(topo, i); rg.Lo < 0 || rg.Lo > rg.Hi || rg.Hi > n {
 			return 0, fmt.Errorf("%w: unit %d range %d is [%d, %d) of a class of %d", ErrBadUnit, u.ID, i, rg.Lo, rg.Hi, n)
@@ -221,7 +245,7 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 	if r.cancel.canceled() {
 		return 0, r.cancel.ctx.Err()
 	}
-	r.det.unit = id
+	r.unit = id
 	r.skip, r.found, r.emit = skip, 0, emit
 	// The deadline covers the whole attempt, including the UnitStart
 	// crossing and the star test: an injected straggler delay burns
@@ -232,17 +256,17 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 	}
 	// DelayUnit straggler rules fire here, and a KillWorker rule panics —
 	// which in a worker process is just another way to die.
-	if r.det.inj != nil {
-		r.det.inj.Cross(fault.UnitStart, r.det.worker, id)
+	if r.inj != nil {
+		r.inj.Cross(fault.UnitStart, r.worker, id)
 	}
 	if !r.cancel.expiredNow() {
 		var cands [][]graph.NodeID
 		if r.candsOf != nil {
 			cands = r.candsOf(id)
 		} else {
-			cands = unitCandidates(r.det.m.Topo(), u)
+			cands = unitCandidates(r.m.Topo(), u)
 		}
-		r.det.detect(grp, u, cands, !r.noOpt, r.out)
+		r.detect(grp, u, cands)
 	}
 	expired := r.cancel.deadlineHit
 	r.cancel.disarm()
@@ -253,6 +277,59 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 		return r.found, r.cancel.ctx.Err()
 	}
 	return r.found, nil
+}
+
+// detect enumerates the matches of the unit's group pattern with each
+// pivot pinned to its candidates cands, in one call, and checks every
+// group dependency on each match, delivering violations through the skip
+// count. The data block is implicit: a match lies within its components'
+// radii of the pivots, and on a dist shard the block's nodes carry full
+// adjacency (owned or halo). A symmetric two-component group whose units
+// hold only the range pairs i ≤ j (deduped) enumerates an off-diagonal
+// unit a second time with the two lists swapped; a diagonal unit's
+// ordered pairs are both orders already.
+func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID) {
+	if slices.ContainsFunc(cands, func(c []graph.NodeID) bool { return len(c) == 0 }) {
+		return // some pivot has no candidate
+	}
+	r.grp, r.ok = grp, true
+	r.pins = r.pins[:0]
+	for i, z := range grp.pivot.Vars {
+		r.pins = append(r.pins, match.Pin{Node: z, To: cands[i]})
+	}
+	opts := match.Options{
+		Pins:       r.pins,
+		StripeMod:  u.stripeMod,
+		StripeRem:  u.stripeRem,
+		StripeNode: grp.stripe,
+		// Prunes a prefix once every member has a failed X literal.
+		Guard: grp.guard,
+		// Early termination must reach candidate enumeration itself:
+		// without the halt probe a cancelled (or consumer-stopped) run
+		// only notices between matches, which on a matchless stretch of
+		// a huge class is never.
+		Halt: r.halt,
+	}
+	r.m.Enumerate(grp.q, opts, r.visit)
+	if r.ok && !r.noOpt && grp.pivot.Symmetric() && u.Ranges[0] != u.Ranges[1] {
+		r.pins[0].To, r.pins[1].To = cands[1], cands[0]
+		r.m.Enumerate(grp.q, opts, r.visit)
+	}
+}
+
+// onMatch checks the current unit's group dependencies on one match.
+func (r *UnitRunner) onMatch(m core.Match) bool {
+	if r.inj != nil {
+		// Two crossings per delivered match: the match itself and
+		// the literal evaluation about to run on it.
+		r.inj.Cross(fault.Match, r.worker, r.unit)
+		r.inj.Cross(fault.Literal, r.worker, r.unit)
+	}
+	if r.cancel.canceled() || !r.grp.checkMatch(r.m.Topo(), m, &r.scratch, r.out) {
+		r.ok = false
+		return false
+	}
+	return true
 }
 
 // deliver is the skip-count wrapper above the caller's emit.

@@ -1,14 +1,10 @@
 package validate
 
 import (
-	"slices"
 	"time"
 
-	"gfd/internal/core"
 	"gfd/internal/fault"
 	"gfd/internal/fragment"
-	"gfd/internal/graph"
-	"gfd/internal/match"
 	"gfd/internal/workload"
 )
 
@@ -216,129 +212,4 @@ type workUnit struct {
 	stripeMod int // 0 = unstriped
 	stripeRem int
 	shipBytes []int64 // disVal: bytes to ship if assigned to worker i
-}
-
-// unitDetector is one worker's detection state: a view-backed Matcher
-// plus reusable pin map, match scratch, and cancellation probe, so the
-// per-unit loop stays off the allocator. Workers each own one; the
-// underlying view (frozen snapshot or overlay view) is shared and serves
-// both enumeration (CSR adjacency) and literal evaluation (interned
-// attributes).
-type unitDetector struct {
-	m       *match.Matcher
-	pin     map[int]graph.NodeID
-	scratch core.Match
-	cancel  *cancelCheck // per-worker; consulted between matches
-	halt    func() bool  // cancel.canceled bound once; threaded into enumeration
-
-	// The unit being enumerated, read by onMatch — bound once as visit, so a
-	// unit hands the matcher its callback without allocating a closure.
-	grp   *ruleGroup
-	emit  func(Violation) bool
-	ok    bool
-	visit func(core.Match) bool
-
-	// Fault-injection context: nil inj in production (crossings are
-	// nil-check no-ops); worker/unit identify the current execution for
-	// the injected-panic payloads.
-	inj    *fault.Injector
-	worker int
-	unit   int
-}
-
-func newUnitDetector(view *graph.Snapshot, cancel *cancelCheck, inj *fault.Injector, worker int) *unitDetector {
-	d := &unitDetector{
-		m:      match.NewMatcher(view),
-		pin:    make(map[int]graph.NodeID, 2),
-		cancel: cancel,
-		// Bind the method value once so the per-unit loop hands the matcher
-		// a halt probe without allocating a closure per unit.
-		halt:   cancel.canceled,
-		inj:    inj,
-		worker: worker,
-		unit:   -1,
-	}
-	d.visit = d.onMatch
-	return d
-}
-
-// detect enumerates the matches of the unit's group pattern with the
-// pivots bound to the unit's candidates cands — in class order, the last
-// component as the matcher's Candidates list and the others pinned — and
-// checks every group dependency on each match, delivering violations to
-// emit. The data block is implicit: a match lies within its components'
-// radii of the pivots, and on a dist shard the block's nodes carry full
-// adjacency (owned or halo). A symmetric two-component group whose units
-// hold only the range pairs i ≤ j (deduped) enumerates both pivot orders
-// of an off-diagonal unit; a diagonal unit's ordered pairs are both orders
-// already. It returns false when the worker must stop: the context was
-// cancelled or emit refused a violation.
-func (d *unitDetector) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, deduped bool, emit func(Violation) bool) bool {
-	vars := grp.pivot.Vars
-	last := len(vars) - 1
-	if grp.guard.Dead() || slices.ContainsFunc(cands, func(c []graph.NodeID) bool { return len(c) == 0 }) {
-		return true // no member's X can hold, or some pivot has no candidate
-	}
-	d.grp, d.emit, d.ok = grp, emit, true
-	clear(d.pin)
-	opts := match.Options{
-		Pin:           d.pin,
-		Candidates:    cands[last],
-		CandidateNode: vars[last],
-		StripeMod:     u.stripeMod,
-		StripeRem:     u.stripeRem,
-		StripeNode:    grp.stripe,
-		// Prunes a prefix once every member has a failed X literal.
-		Guard: grp.guard,
-		// Early termination must reach candidate enumeration itself:
-		// without the halt probe a cancelled (or consumer-stopped) run
-		// only notices between matches, which on a matchless stretch of
-		// a huge class is never.
-		Halt: d.halt,
-	}
-	switch last {
-	case 0:
-		d.m.Enumerate(grp.q, opts, d.visit)
-	case 1:
-		d.pinEach(grp, &opts, cands[0])
-		if deduped && grp.pivot.Symmetric() && u.Ranges[0] != u.Ranges[1] {
-			opts.Candidates = cands[0]
-			d.pinEach(grp, &opts, cands[1])
-		}
-	default:
-		workload.EachVector(cands[:last], false, func(vec []graph.NodeID) bool {
-			for i, v := range vec {
-				d.pin[vars[i]] = v
-			}
-			d.m.Enumerate(grp.q, opts, d.visit)
-			return d.ok
-		})
-	}
-	return d.ok
-}
-
-// pinEach enumerates with the first pivot pinned to each of heads in turn.
-func (d *unitDetector) pinEach(grp *ruleGroup, opts *match.Options, heads []graph.NodeID) {
-	for _, v := range heads {
-		if !d.ok {
-			return
-		}
-		d.pin[grp.pivot.Vars[0]] = v
-		d.m.Enumerate(grp.q, *opts, d.visit)
-	}
-}
-
-// onMatch checks the current unit's group dependencies on one match.
-func (d *unitDetector) onMatch(m core.Match) bool {
-	if d.inj != nil {
-		// Two crossings per delivered match: the match itself and
-		// the literal evaluation about to run on it.
-		d.inj.Cross(fault.Match, d.worker, d.unit)
-		d.inj.Cross(fault.Literal, d.worker, d.unit)
-	}
-	if d.cancel.canceled() || !d.grp.checkMatch(d.m.Topo(), m, &d.scratch, d.emit) {
-		d.ok = false
-		return false
-	}
-	return true
 }

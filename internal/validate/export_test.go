@@ -122,9 +122,43 @@ func (b *Bundle) PlanVectors(opt Options) (int, error) {
 		}
 		cands := b.candidatesOf(p.chunks, i)
 		sym := !opt.NoOptimize && u.Pivot.Symmetric()
-		n += workload.CountVectors(cands, sym && u.Ranges[0] == u.Ranges[1])
+		if len(cands) == 1 {
+			n += len(cands[0])
+			continue
+		}
+		eachVector(cands, sym && u.Ranges[0] == u.Ranges[1], func([]graph.NodeID) bool { n++; return true })
 	}
 	return n, nil
+}
+
+// eachVector enumerates candidate vectors with pairwise-distinct entries
+// (pivots are images of distinct pattern nodes under an injective match)
+// over per-component candidate lists, in cross-product order; symmetric
+// keeps only the ordered pairs v[0] < v[1] of a two-component pattern. It
+// stops when fn returns false; the vector passed to fn is reused. A unit
+// binds every pivot to its list in one enumeration instead
+// (match.Options.Pins); the tests count and walk vectors with it.
+func eachVector(cands [][]graph.NodeID, symmetric bool, fn func([]graph.NodeID) bool) {
+	vec := make([]graph.NodeID, len(cands))
+	var walk func(depth int) bool
+	walk = func(depth int) bool {
+		if depth == len(cands) {
+			return fn(vec)
+		}
+		for _, v := range cands[depth] {
+			if symmetric && depth == 1 && v <= vec[0] || slices.Contains(vec[:depth], v) {
+				continue
+			}
+			vec[depth] = v
+			if !walk(depth + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if len(cands) > 0 {
+		walk(0)
+	}
 }
 
 // GroupShape is one rule group's pattern, pivot variables, their candidate

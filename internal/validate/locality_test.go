@@ -8,7 +8,6 @@ import (
 	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/match"
-	"gfd/internal/workload"
 )
 
 // TestPinnedEnumerationStaysInBlock is the locality argument that lets a
@@ -60,18 +59,18 @@ func checkLocality(t *testing.T, name string, g *graph.Graph, topo *graph.Snapsh
 		for i := range cands {
 			cands[i] = pv.CandidatesIn(topo, i)
 		}
-		workload.EachVector(cands, false, func(vec []graph.NodeID) bool {
+		eachVector(cands, false, func(vec []graph.NodeID) bool {
 			one := make([][]graph.NodeID, len(vec))
 			for i, v := range vec {
 				one[i] = []graph.NodeID{v}
 			}
 			fillBlock(block, topo, pv, one)
-			pin := make(map[int]graph.NodeID, len(vec))
+			pins := make([]match.Pin, len(vec))
 			for i, z := range pv.Vars {
-				pin[z] = vec[i]
+				pins[i] = match.Pin{Node: z, To: one[i]}
 			}
 			var got, want Report
-			for _, h := range m.All(grp.q, match.Options{Pin: pin}) {
+			for _, h := range m.All(grp.q, match.Options{Pins: pins}) {
 				for u, v := range h {
 					if !block.Contains(v) {
 						t.Fatalf("%s group %d unit %v: match %v puts node %d at %d, outside the block", name, gi, vec, h, u, v)

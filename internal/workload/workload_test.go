@@ -202,8 +202,49 @@ func TestSymmetricPivotsCorrespond(t *testing.T) {
 	}
 }
 
-// vectorsOf collects what EachVector enumerates over the pivot's candidate
-// classes on g's snapshot, checking CountVectors against it.
+// eachVector enumerates candidate vectors with pairwise-distinct entries
+// (pivots are images of distinct pattern nodes under an injective match)
+// over per-component candidate lists, in cross-product order; symmetric
+// keeps only the ordered pairs v[0] < v[1] of a two-component pattern. It
+// stops when fn returns false; the vector passed to fn is reused. The
+// engines bind every pivot to its list in one enumeration instead
+// (match.Options.Pins); the tests count vectors with it.
+func eachVector(cands [][]graph.NodeID, symmetric bool, fn func([]graph.NodeID) bool) {
+	vec := make([]graph.NodeID, len(cands))
+	var walk func(depth int) bool
+	walk = func(depth int) bool {
+		if depth == len(cands) {
+			return fn(vec)
+		}
+		for _, v := range cands[depth] {
+			if symmetric && depth == 1 && v <= vec[0] || slices.Contains(vec[:depth], v) {
+				continue
+			}
+			vec[depth] = v
+			if !walk(depth + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if len(cands) > 0 {
+		walk(0)
+	}
+}
+
+// countVectors returns how many vectors eachVector enumerates. Candidate
+// lists hold distinct nodes, so a single component needs no enumeration.
+func countVectors(cands [][]graph.NodeID, symmetric bool) int {
+	if len(cands) == 1 {
+		return len(cands[0])
+	}
+	n := 0
+	eachVector(cands, symmetric, func([]graph.NodeID) bool { n++; return true })
+	return n
+}
+
+// vectorsOf collects what eachVector enumerates over the pivot's candidate
+// classes on g's snapshot, checking countVectors against it.
 func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]graph.NodeID {
 	t.Helper()
 	snap := g.Freeze()
@@ -212,12 +253,12 @@ func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]grap
 		cands[i] = pv.CandidatesIn(snap, i)
 	}
 	var out [][]graph.NodeID
-	EachVector(cands, symmetric, func(vec []graph.NodeID) bool {
+	eachVector(cands, symmetric, func(vec []graph.NodeID) bool {
 		out = append(out, slices.Clone(vec))
 		return true
 	})
-	if n := CountVectors(cands, symmetric); n != len(out) {
-		t.Fatalf("CountVectors = %d, EachVector enumerated %d", n, len(out))
+	if n := countVectors(cands, symmetric); n != len(out) {
+		t.Fatalf("countVectors = %d, eachVector enumerated %d", n, len(out))
 	}
 	return out
 }
@@ -251,7 +292,7 @@ func TestEachVectorStopsEarly(t *testing.T) {
 	seen := 0
 	snap := g.Freeze()
 	pv := ComputePivot(twoFlightStars())
-	EachVector([][]graph.NodeID{pv.CandidatesIn(snap, 0), pv.CandidatesIn(snap, 1)}, false, func([]graph.NodeID) bool {
+	eachVector([][]graph.NodeID{pv.CandidatesIn(snap, 0), pv.CandidatesIn(snap, 1)}, false, func([]graph.NodeID) bool {
 		seen++
 		return seen < 7
 	})
