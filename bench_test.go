@@ -290,26 +290,6 @@ func BenchmarkAblationShipping(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPivot compares min-radius pivot selection against
-// arbitrary pivots (larger radii mean larger data blocks).
-func BenchmarkAblationPivot(b *testing.B) {
-	w := exp.Prepare(benchConfig("yago2"))
-	b.Run("min-radius", func(b *testing.B) {
-		var res *validate.Result
-		for i := 0; i < b.N; i++ {
-			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8})
-		}
-		b.ReportMetric(float64(res.TotalWeight), "workload/op")
-	})
-	b.Run("arbitrary", func(b *testing.B) {
-		var res *validate.Result
-		for i := 0; i < b.N; i++ {
-			res = coldRound(b, w.G, w.Set, nil, validate.Options{N: 8, ArbitraryPivot: true})
-		}
-		b.ReportMetric(float64(res.TotalWeight), "workload/op")
-	})
-}
-
 // BenchmarkAblationSplitThreshold sweeps the replicate-and-split θ on a
 // skewed graph.
 func BenchmarkAblationSplitThreshold(b *testing.B) {

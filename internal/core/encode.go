@@ -138,14 +138,3 @@ func (s *Set) Size() int {
 	}
 	return total
 }
-
-// MaxPatternSize returns max_ϕ |Q_ϕ|, used to bound reasoning searches.
-func (s *Set) MaxPatternSize() int {
-	max := 0
-	for _, r := range s.rules {
-		if sz := r.Q.Size(); sz > max {
-			max = sz
-		}
-	}
-	return max
-}

@@ -96,11 +96,7 @@ func TestSetOperations(t *testing.T) {
 	if err := s.Add(FromFD("a", "R", nil, nil)); err == nil {
 		t.Error("duplicate name must be rejected")
 	}
-	if s.Size() <= 0 || s.MaxPatternSize() != f1.Q.Size() {
-		t.Errorf("Size=%d MaxPatternSize=%d", s.Size(), s.MaxPatternSize())
-	}
-	names := s.SortedNames()
-	if len(names) != 2 || names[0] != "a" {
-		t.Errorf("SortedNames = %v", names)
+	if s.Size() <= 0 {
+		t.Errorf("Size=%d", s.Size())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -271,14 +270,4 @@ func formatLiterals(ls []Literal) string {
 		}
 	}
 	return strings.Join(parts, ", ")
-}
-
-// SortedNames returns rule names in sorted order (stable test output).
-func (s *Set) SortedNames() []string {
-	names := make([]string, 0, s.Len())
-	for _, r := range s.rules {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -239,9 +239,8 @@ func TestWriteRulesRoundTripsConstants(t *testing.T) {
 func TestWriteRulesRejectsUnwritable(t *testing.T) {
 	rule := func(name string, v pattern.Var, label, edge, attr string) *GFD {
 		q := pattern.New()
-		q.AddNode(v, label)
-		q.AddNode("y", "l")
-		q.AddEdgeVars(v, "y", edge)
+		x := q.AddNode(v, label)
+		q.AddEdge(x, q.AddNode("y", "l"), edge)
 		return MustNew(name, q, nil, []Literal{Const(v, attr, "c")})
 	}
 	for _, f := range []*GFD{

@@ -34,9 +34,6 @@ const (
 	// heartbeatMisses is how many silent heartbeat periods a read on a
 	// worker's pipe tolerates before the worker is killed.
 	heartbeatMisses = 3
-	// shutdownGrace bounds the drain phase: SHUTDOWN → CENSUS → exit per
-	// worker; slower workers are killed, never leaked.
-	shutdownGrace = 3 * time.Second
 )
 
 // The dispatch window: how much unanswered work one worker's pipe may carry.
@@ -117,9 +114,8 @@ func manifestFor(opt validate.Options) (*Manifest, error) {
 
 // fleet is the process-backed validate.Executor: slot w is a worker process
 // over shard w. It holds only what is about processes — spawn and
-// handshake, halo selection, frame I/O, liveness by read deadline,
-// bounded-grace shutdown and reaping; everything about units belongs to
-// the scheduler driving it.
+// handshake, halo selection, frame I/O, liveness by read deadline and
+// reaping; everything about units belongs to the scheduler driving it.
 type fleet struct {
 	ctx      context.Context
 	snap     *graph.Snapshot
@@ -163,7 +159,7 @@ type proc struct {
 
 	// window holds the slot's unanswered ASSIGNs, in the order written —
 	// the order the worker answers in. While it is non-empty the process is
-	// mid-unit: not drainable, only killable.
+	// mid-unit.
 	window     []inFlight
 	unanswered int       // Σ window sizes, held under windowBytes
 	headSince  time.Time // when window[0] got the worker to itself: its deadline clock
@@ -267,7 +263,6 @@ func (f *fleet) Start(w int) error {
 		numNodes:  f.manifest.NumNodes,
 		heartbeat: f.heartbeat,
 		combine:   f.plan.Combine,
-		arbPivot:  f.plan.ArbitraryPivot,
 		shardPath: f.manifest.Shards[w],
 		rules:     f.rules,
 		groups:    f.plan.Groups,
@@ -540,40 +535,16 @@ func (f *fleet) Superstep(task func(w int)) []time.Duration {
 	return busy
 }
 
-// Close drains the fleet: SHUTDOWN to every idle worker, wait for each
-// census (bounded), then kill and reap everything — a worker still
-// mid-unit (the run was stopped or cancelled) or ignoring the grace period
-// included. The fleet never leaks processes. Idempotent.
+// Close reaps every worker process — idle, mid-unit (the run was stopped
+// or cancelled) or never ready alike: a worker ends one way, by reap.
+// Close follows the last answer the scheduler waits for, so nothing a
+// worker could still send is read. The fleet never leaks processes.
+// Idempotent.
 func (f *fleet) Close() {
 	if f.closed {
 		return
 	}
 	f.closed = true
-	deadline := time.Now().Add(shutdownGrace)
-	var draining []*proc
-	for w := range f.procs {
-		p := &f.procs[w]
-		if p.cmd == nil || !p.ready || len(p.window) > 0 {
-			continue
-		}
-		if p.fw.write(fShutdown, nil) == nil {
-			f.cl.Ship(cluster.Coordinator, w, frameOverhead)
-			draining = append(draining, p)
-		}
-	}
-	for _, p := range draining {
-		p.stdout.SetReadDeadline(deadline)
-		for {
-			typ, payload, err := p.fr.read()
-			if err != nil {
-				break
-			}
-			if typ == fCensus {
-				f.cl.Ship(p.id, cluster.Coordinator, frameOverhead+int64(len(payload)))
-				break
-			}
-		}
-	}
 	for w := range f.procs {
 		f.procs[w].reap()
 	}

@@ -323,7 +323,7 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	h := helloMsg{
 		proto: protoVersion, worker: 3, workers: 7, numNodes: 1 << 20,
-		heartbeat: 125 * time.Millisecond, combine: true, arbPivot: false,
+		heartbeat: 125 * time.Millisecond, combine: true,
 		shardPath: "/tmp/δ shard.0.gfds", rules: "rule text\nwith lines", groups: 5,
 	}
 	h2, err := decodeHello(encodeHello(h))
@@ -361,13 +361,9 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("vio round-trip mangled: %+v (%v)", v2, err)
 	}
 
-	d := doneMsg{unit: 8, found: 100, delivered: 60, wall: 42 * time.Millisecond}
+	d := doneMsg{unit: 8, wall: 42 * time.Millisecond}
 	if d2, err := decodeDone(encodeDone(nil, d)); err != nil || d2 != d {
 		t.Fatalf("done round-trip: %+v (%v)", d2, err)
-	}
-	c := censusMsg{unitsRun: 17, delivered: 230}
-	if c2, err := decodeCensus(encodeCensus(c)); err != nil || c2 != c {
-		t.Fatalf("census round-trip: %+v (%v)", c2, err)
 	}
 
 	// Corrupt truncations must error, never panic or over-allocate.

@@ -3,8 +3,8 @@
 // process and one worker *process* per fragment, each worker mmapping its
 // own persisted .gfds shard (internal/store) and running the compiled
 // engines over it, speaking a small length-prefixed binary protocol over
-// stdin/stdout pipes — unit assignment with halo data, violation batches,
-// heartbeats, and a completeness census.
+// stdin/stdout pipes — unit assignment with halo data, violation batches
+// and heartbeats.
 //
 // The coordinator layers process-level fault tolerance over the PR 6
 // scheduler semantics: heartbeat/deadline liveness detection, dead-process

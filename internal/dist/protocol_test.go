@@ -1,6 +1,6 @@
 package dist
 
-// Tests of the v2 protocol's edges: a worker refuses a HELLO of another
+// Tests of the protocol's edges: a worker refuses a HELLO of another
 // version, and a malformed ASSIGN — a range outside the worker's class, or
 // a range count other than the group's pivot count — ends the worker with
 // a protocol error that the run survives.
@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -56,23 +57,27 @@ func helloFor(t *testing.T, f *fixture, plan *validate.DistPlan, proto uint32) h
 		t.Fatal(err)
 	}
 	return helloMsg{proto: proto, worker: 0, workers: m.Workers, numNodes: m.NumNodes,
-		heartbeat: time.Second, combine: plan.Combine, arbPivot: plan.ArbitraryPivot,
+		heartbeat: time.Second, combine: plan.Combine,
 		shardPath: m.Shards[0], rules: rules.String(), groups: plan.Groups}
 }
 
-// TestWorkerRefusesV1Hello: a HELLO of protocol version 1 — whose ASSIGN
-// carried pivot candidates, not class ranges — ends the worker with
-// exitProtocol before it opens its shard.
+// TestWorkerRefusesV1Hello: a HELLO of any protocol version but 3 ends the
+// worker with exitProtocol before it opens its shard — version 1, whose
+// ASSIGN carried pivot candidates, not class ranges, and version 2, whose
+// DONE carried two counts more and whose coordinator waited for a CENSUS.
 func TestWorkerRefusesV1Hello(t *testing.T) {
 	f := setup(t)
-	h := helloFor(t, f, fixturePlan(t, f), 1)
-	stdin := frames(t, func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) })
-	var stdout, stderr bytes.Buffer
-	if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
-		t.Fatalf("v1 HELLO: worker exited %d, want %d (%s)", code, exitProtocol, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "protocol version 1, want 2") || stdout.Len() != 0 {
-		t.Fatalf("v1 HELLO: stderr %q, %d bytes of stdout; want a version refusal and no READY", stderr.String(), stdout.Len())
+	plan := fixturePlan(t, f)
+	for _, v := range []uint32{1, 2, 4} {
+		h := helloFor(t, f, plan, v)
+		stdin := frames(t, func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) })
+		var stdout, stderr bytes.Buffer
+		if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
+			t.Fatalf("v%d HELLO: worker exited %d, want %d (%s)", v, code, exitProtocol, stderr.String())
+		}
+		if want := fmt.Sprintf("protocol version %d, want 3", v); !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
+			t.Fatalf("v%d HELLO: stderr %q, %d bytes of stdout; want %q and no READY", v, stderr.String(), stdout.Len(), want)
+		}
 	}
 }
 

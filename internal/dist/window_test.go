@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os/exec"
 	"runtime"
 	"slices"
 	"strings"
@@ -116,7 +117,7 @@ func learnQueues() {
 
 // TestWindowAmortizesFlushes is the mechanism's own regression guard: a
 // fault-free run must cost the coordinator at most one flush per eight
-// units, HELLO and SHUTDOWN included.
+// units, HELLO included.
 func TestWindowAmortizesFlushes(t *testing.T) {
 	f := setup(t)
 	res, s, err := detectSpied(context.Background(), f.b, distOpt(f, nil), nil, nil)
@@ -246,8 +247,7 @@ func TestWindowNeverDeadlocks(t *testing.T) {
 
 // TestStreamStopMidWindow: when the sink refuses a violation, or the context
 // is cancelled, slots still have whole windows in flight. Close must kill
-// those processes — a worker with unanswered units cannot be drained, and
-// SHUTDOWN behind a window would wait for all of it — and leak none.
+// those processes without writing to them, and leak none.
 func TestStreamStopMidWindow(t *testing.T) {
 	f := setup(t)
 	t.Run("sink refuses", func(t *testing.T) {
@@ -271,7 +271,7 @@ func TestStreamStopMidWindow(t *testing.T) {
 		}
 		for w, before := range flushed {
 			if got := s.fleet.procs[w].fw.flushes; got != before {
-				t.Fatalf("slot %d was mid-window at Close and still got a frame (SHUTDOWN): it must be killed, not drained", w)
+				t.Fatalf("slot %d was mid-window at Close and still got a frame: it must be killed, not drained", w)
 			}
 		}
 		requireSettled(t, goroutinesBefore)
@@ -287,4 +287,62 @@ func TestStreamStopMidWindow(t *testing.T) {
 		}
 		requireSettled(t, goroutinesBefore)
 	})
+}
+
+// TestCloseLeavesNoChild: Close reaps every worker process, whatever state
+// it is in — ready and idle, mid-window with unanswered ASSIGNs, or never
+// ready at all — and leaves no child process behind.
+func TestCloseLeavesNoChild(t *testing.T) {
+	f := setup(t)
+	sleep, err := exec.LookPath("sleep")
+	if err != nil {
+		t.Skip("no sleep command to stand in for a worker that never answers")
+	}
+	plan := fixturePlan(t, f)
+	m, err := LoadManifest(f.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutinesBefore := runtime.NumGoroutine()
+	fl, err := newFleet(context.Background(), f.b.Topo(), m, plan, distOpt(f, nil), cluster.New(m.Workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(int) int64 { return 0 }
+	all := func(validate.Violation) bool { return true }
+	// Slot 0 answers one unit and is left ready and idle.
+	if err := fl.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Run(0, busyQueue(0)[:1], none, all); err != nil {
+		t.Fatal(err)
+	}
+	// Slot 1 answers the head of a full window; the rest stays in flight.
+	if err := fl.Start(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Run(1, busyQueue(1), none, all); err != nil {
+		t.Fatal(err)
+	}
+	// Slot 2 runs a process that reads no HELLO and sends no READY.
+	fl.command = []string{sleep, "60"}
+	if err := fl.Start(2); err != nil {
+		t.Fatal(err)
+	}
+	if p := &fl.procs[0]; !p.ready || len(p.window) != 0 {
+		t.Fatalf("slot 0: ready %v, %d units in flight; want ready and idle", p.ready, len(p.window))
+	}
+	if p := &fl.procs[1]; !p.ready || len(p.window) == 0 {
+		t.Fatalf("slot 1: ready %v, %d units in flight; want ready with a window", p.ready, len(p.window))
+	}
+	if p := &fl.procs[2]; p.ready || p.cmd == nil {
+		t.Fatal("slot 2 must be running and not ready")
+	}
+	fl.Close()
+	for w := range fl.procs {
+		if fl.procs[w].cmd != nil {
+			t.Fatalf("slot %d still holds its process after Close", w)
+		}
+	}
+	requireSettled(t, goroutinesBefore)
 }

@@ -25,7 +25,7 @@ import (
 // event), never a giant allocation or a misread.
 
 const (
-	protoVersion = 2 // 2: ASSIGN carries class ranges, not pivot candidates
+	protoVersion = 3 // 3: no SHUTDOWN/CENSUS, DONE is (unit, wall), HELLO has no pivot flag
 	// maxFrame bounds one frame's payload. Halo sections dominate frame
 	// size; a frame above this is protocol corruption, not data.
 	maxFrame = 64 << 20
@@ -42,8 +42,6 @@ const (
 	fVio                       // worker -> coordinator: violation batch
 	fDone                      // worker -> coordinator: unit finished
 	fHeartbeat                 // worker -> coordinator: liveness
-	fShutdown                  // coordinator -> worker: drain and report census
-	fCensus                    // worker -> coordinator: final tallies
 )
 
 // ---- encoding -------------------------------------------------------------
@@ -289,7 +287,6 @@ type helloMsg struct {
 	numNodes  int
 	heartbeat time.Duration
 	combine   bool
-	arbPivot  bool
 	shardPath string
 	rules     string // core.WriteRules serialization of the effective set
 	groups    int    // coordinator's group count, sanity-checked worker-side
@@ -306,9 +303,6 @@ func encodeHello(h helloMsg) []byte {
 	if h.combine {
 		flags |= 1
 	}
-	if h.arbPivot {
-		flags |= 2
-	}
 	w.u8(flags)
 	w.str(h.shardPath)
 	w.str(h.rules)
@@ -323,9 +317,7 @@ func decodeHello(b []byte) (helloMsg, error) {
 	h.workers = int(r.u32())
 	h.numNodes = int(r.u64())
 	h.heartbeat = time.Duration(r.i64())
-	flags := r.u8()
-	h.combine = flags&1 != 0
-	h.arbPivot = flags&2 != 0
+	h.combine = r.u8()&1 != 0
 	h.shardPath = r.str()
 	h.rules = r.str()
 	h.groups = int(r.u32())
@@ -495,41 +487,19 @@ func decodeVio(b []byte) (vioMsg, error) {
 }
 
 type doneMsg struct {
-	unit      int
-	found     int64 // violations enumerated, including skipped ones
-	delivered int64 // violations emitted this attempt (after skip)
-	wall      time.Duration
+	unit int
+	wall time.Duration // the unit's measured wall on the worker
 }
 
 func encodeDone(dst []byte, m doneMsg) []byte {
 	w := wbuf{b: dst[:0]}
 	w.u32(uint32(m.unit))
-	w.i64(m.found)
-	w.i64(m.delivered)
 	w.i64(int64(m.wall))
 	return w.b
 }
 
 func decodeDone(b []byte) (doneMsg, error) {
 	r := rbuf{b: b}
-	m := doneMsg{unit: int(r.u32()), found: r.i64(), delivered: r.i64(), wall: time.Duration(r.i64())}
-	return m, r.err
-}
-
-type censusMsg struct {
-	unitsRun  int64
-	delivered int64
-}
-
-func encodeCensus(m censusMsg) []byte {
-	var w wbuf
-	w.i64(m.unitsRun)
-	w.i64(m.delivered)
-	return w.b
-}
-
-func decodeCensus(b []byte) (censusMsg, error) {
-	r := rbuf{b: b}
-	m := censusMsg{unitsRun: r.i64(), delivered: r.i64()}
+	m := doneMsg{unit: int(r.u32()), wall: time.Duration(r.i64())}
 	return m, r.err
 }

@@ -63,7 +63,8 @@ func MaybeWorker() {
 }
 
 // workerMain is the worker protocol loop: HELLO → open shard → READY →
-// (ASSIGN → VIO* → DONE)* → SHUTDOWN → CENSUS. It deliberately recovers
+// (ASSIGN → VIO* → DONE)* until the coordinator closes the pipe or kills
+// the process. It deliberately recovers
 // nothing: a panic — injected or genuine — crashes the process with a
 // stack on stderr, which is exactly the failure mode the coordinator is
 // built to detect and survive.
@@ -124,13 +125,9 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	ov := graph.NewOverlay(snap.Graph())
 	b := validate.NewBundleOver(ov.Snapshot, set, nil)
 	// The coordinator shipped the post-reduction set and its grouping
-	// flags; NoReduce keeps the worker from reducing again, and the flags
-	// reproduce the exact group indices the unit descriptors reference.
-	opt := validate.Options{
-		NoOptimize:     !h.combine,
-		NoReduce:       true,
-		ArbitraryPivot: h.arbPivot,
-	}
+	// flag; NoReduce keeps the worker from reducing again, and the flag
+	// reproduces the exact group indices the unit descriptors reference.
+	opt := validate.Options{NoOptimize: !h.combine, NoReduce: true}
 	runner := validate.NewUnitRunner(ctx, b, opt, inj, h.worker)
 	if h.groups != runner.Groups() {
 		return fail("rebuilt %d rule groups, coordinator has %d", runner.Groups(), h.groups)
@@ -176,11 +173,9 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	// Per-unit state lives outside the loop — batch, encode scratch and the
 	// two closures are reused — so a unit allocates nothing here.
 	var (
-		census    censusMsg
-		unit      int
-		delivered int64
-		enc       []byte
-		batch     = make([]validate.Violation, 0, vioBatch)
+		unit  int
+		enc   []byte
+		batch = make([]validate.Violation, 0, vioBatch)
 	)
 	sendBatch := func() bool {
 		if len(batch) == 0 {
@@ -190,7 +185,6 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		if fw.queue(fVio, enc) != nil {
 			return false
 		}
-		delivered += int64(len(batch))
 		batch = batch[:0]
 		return true
 	}
@@ -224,20 +218,17 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 				return fail("patching halo for unit %d: %v", m.unit.ID, err)
 			}
 			start := time.Now()
-			unit, delivered = m.unit.ID, 0
-			found, err := runner.Run(m.unit, m.skip, emit)
-			if err != nil {
+			unit = m.unit.ID
+			if err := runner.Run(m.unit, m.skip, emit); err != nil {
 				return fail("running unit %d: %v", unit, err)
 			}
 			if !sendBatch() {
 				return fail("writing violations for unit %d", unit)
 			}
-			enc = encodeDone(enc, doneMsg{unit: unit, found: found, delivered: delivered, wall: time.Since(start)})
+			enc = encodeDone(enc, doneMsg{unit: unit, wall: time.Since(start)})
 			if err := fw.queue(fDone, enc); err != nil {
 				return fail("writing done for unit %d: %v", unit, err)
 			}
-			census.unitsRun++
-			census.delivered += delivered
 			if !fr.ready() {
 				if err := fw.flush(); err != nil {
 					return fail("writing done for unit %d: %v", unit, err)
@@ -245,11 +236,6 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			} else if lateArmed.CompareAndSwap(false, true) {
 				late.Reset(answerDelay)
 			}
-		case fShutdown:
-			if err := fw.write(fCensus, encodeCensus(census)); err != nil {
-				return fail("writing census: %v", err)
-			}
-			return 0
 		default:
 			return fail("unexpected frame type %d", typ)
 		}

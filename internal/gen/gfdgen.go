@@ -223,7 +223,7 @@ func growPattern(seed feature, adj map[string][]feature, size int, twoComp bool,
 // x_j.val = y_j.val; for single-component rules a constant rule
 // x_i.A = c → x_j.B = d from observed values.
 func composeDependency(g *graph.Graph, q *pattern.Pattern, idx int, twoComp bool, rng *rand.Rand) *core.GFD {
-	ms := match.AllSnapshot(g.Freeze(), q, match.Options{Limit: 1})
+	ms := match.NewMatcher(g.Freeze()).All(q, match.Options{Limit: 1})
 	if len(ms) == 0 {
 		return nil // pattern has no support in the graph
 	}
@@ -299,7 +299,7 @@ func componentTuples(g *graph.Graph, q *pattern.Pattern, half int) []componentTu
 	}
 	const maxTuples = 50000
 	var tuples []componentTuple
-	match.EnumerateSnapshot(g.Freeze(), comp, match.Options{}, func(m core.Match) bool {
+	match.NewMatcher(g.Freeze()).Enumerate(comp, match.Options{}, func(m core.Match) bool {
 		t := componentTuple{nodes: append([]graph.NodeID(nil), m...), vals: make([]string, half)}
 		for i := 0; i < half; i++ {
 			t.vals[i], _ = g.Attr(m[i], "val")
@@ -385,7 +385,7 @@ func holdsOnSample(g *graph.Graph, f *core.GFD) bool {
 	seen, support := 0, 0
 	snap := g.Freeze()
 	p := f.CompileLiterals(snap.Syms())
-	match.EnumerateSnapshot(snap, f.Q, match.Options{}, func(m core.Match) bool {
+	match.NewMatcher(snap).Enumerate(f.Q, match.Options{}, func(m core.Match) bool {
 		seen++
 		if p.SatisfiesX(snap, m) {
 			support++

@@ -162,8 +162,8 @@ func BenchmarkEnumerateMixedLabels(b *testing.B) {
 	}
 	matches := 0
 	for i, q := range tris {
-		wco := matchKeys(match.AllSnapshot(snap, q, match.Options{}))
-		probe := matchKeys(match.AllSnapshot(snap, q, match.Options{NoIntersect: true}))
+		wco := matchKeys(match.NewMatcher(snap).All(q, match.Options{}))
+		probe := matchKeys(match.NewMatcher(snap).All(q, match.Options{NoIntersect: true}))
 		if !slices.Equal(wco, probe) {
 			b.Fatalf("tri%d: intersection found %d matches, NoIntersect %d", i, len(wco), len(probe))
 		}
@@ -225,7 +225,7 @@ func BenchmarkEnumerateHubRebound(b *testing.B) {
 	m := match.NewMatcher(snap)
 	probe := opts
 	probe.NoIntersect = true
-	if n, want := m.Count(q, opts), match.CountSnapshot(snap, q, probe); n != want || n == 0 {
+	if n, want := m.Count(q, opts), match.NewMatcher(snap).Count(q, probe); n != want || n == 0 {
 		b.Fatalf("%d matches, NoIntersect %d", n, want)
 	}
 	b.ReportAllocs()

@@ -33,7 +33,7 @@ func matchKeys(ms []core.Match) []string {
 func assertSameMatches(t *testing.T, g *graph.Graph, q *pattern.Pattern, opts match.Options, ctx string) {
 	t.Helper()
 	legacy := matchKeys(match.All(g, q, opts))
-	snap := matchKeys(match.AllSnapshot(g.Freeze(), q, opts))
+	snap := matchKeys(match.NewMatcher(g.Freeze()).All(q, opts))
 	if len(legacy) != len(snap) {
 		t.Fatalf("%s: legacy found %d matches, snapshot %d", ctx, len(legacy), len(snap))
 	}
@@ -151,7 +151,7 @@ func TestDuplicateEdgeSetSemantics(t *testing.T) {
 	q.AddEdge(va, vc, "e")
 	q.AddEdge(vb, vc, "e")
 	opts := match.Options{Pins: append(pinTo(va, a), pinTo(vb, b)...)}
-	if got := match.CountSnapshot(g.Freeze(), q, opts); got != 1 {
+	if got := match.NewMatcher(g.Freeze()).Count(q, opts); got != 1 {
 		t.Fatalf("snapshot yielded the duplicated match %d times, want 1", got)
 	}
 }
@@ -185,8 +185,8 @@ func TestWildcardEdgeParallelLabels(t *testing.T) {
 		assertSameMatches(t, g, q, opts, fmt.Sprint("pin ", pin))
 		for name, n := range map[string]int{
 			"legacy":  len(match.All(g, q, opts)),
-			"frozen":  match.CountSnapshot(g.Freeze(), q, opts),
-			"overlay": match.CountSnapshot(ov.Snapshot, q, opts),
+			"frozen":  match.NewMatcher(g.Freeze()).Count(q, opts),
+			"overlay": match.NewMatcher(ov.Snapshot).Count(q, opts),
 		} {
 			if n != want {
 				t.Errorf("pin %v: %s yielded %d matches, want %d", pin, name, n, want)
@@ -231,10 +231,10 @@ func TestWildcardEdgeRecurringNeighbours(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("target %s out %v", target, out)
 			assertSameMatches(t, g, q, match.Options{}, ctx)
-			if n := match.CountSnapshot(g.Freeze(), q, match.Options{}); n != want {
+			if n := match.NewMatcher(g.Freeze()).Count(q, match.Options{}); n != want {
 				t.Errorf("%s: frozen yielded %d matches, want %d", ctx, n, want)
 			}
-			if n := match.CountSnapshot(ov.Snapshot, q, match.Options{}); n != want+1 {
+			if n := match.NewMatcher(ov.Snapshot).Count(q, match.Options{}); n != want+1 {
 				t.Errorf("%s: overlay yielded %d matches, want %d", ctx, n, want+1)
 			}
 		}
@@ -247,13 +247,13 @@ func TestWildcardEdgeRecurringNeighbours(t *testing.T) {
 func TestConcurrentFreeze(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: 3})
 	q := starPattern()
-	want := match.CountSnapshot(g.Freeze(), q, match.Options{})
+	want := match.NewMatcher(g.Freeze()).Count(q, match.Options{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := match.CountSnapshot(g.Freeze(), q, match.Options{}); got != want {
+			if got := match.NewMatcher(g.Freeze()).Count(q, match.Options{}); got != want {
 				t.Errorf("concurrent count %d, want %d", got, want)
 			}
 		}()
@@ -305,10 +305,10 @@ func TestDifferentialStriped(t *testing.T) {
 				opts := match.Options{StripeNode: node, StripeMod: mod, StripeRem: rem}
 				assertSameMatches(t, g, q, opts,
 					fmt.Sprintf("%s trial %d stripe %d/%d", name, trial, rem, mod))
-				total += match.CountSnapshot(g.Freeze(), q, opts)
+				total += match.NewMatcher(g.Freeze()).Count(q, opts)
 			}
 			// Residues must partition the unstriped match set.
-			if all := match.CountSnapshot(g.Freeze(), q, match.Options{}); total != all {
+			if all := match.NewMatcher(g.Freeze()).Count(q, match.Options{}); total != all {
 				t.Fatalf("%s trial %d: stripes sum to %d, unstriped %d", name, trial, total, all)
 			}
 		}
@@ -323,7 +323,7 @@ func TestDifferentialLimit(t *testing.T) {
 		all := match.Count(g, q, match.Options{})
 		for _, limit := range []int{1, 2, 5} {
 			want := min(limit, all)
-			if got := match.CountSnapshot(g.Freeze(), q, match.Options{Limit: limit}); got != want {
+			if got := match.NewMatcher(g.Freeze()).Count(q, match.Options{Limit: limit}); got != want {
 				t.Fatalf("trial %d limit %d: snapshot count %d, want %d", trial, limit, got, want)
 			}
 		}
@@ -540,7 +540,7 @@ func TestPinsRejectBadNodes(t *testing.T) {
 		{[]match.Pin{{Node: 0, To: one}, {Node: -1, To: one}}, "node -1"},
 	} {
 		for searcher, run := range map[string]func(){
-			"matcher": func() { match.CountSnapshot(g.Freeze(), q, match.Options{Pins: c.pins}) },
+			"matcher": func() { match.NewMatcher(g.Freeze()).Count(q, match.Options{Pins: c.pins}) },
 			"legacy":  func() { match.Count(g, q, match.Options{Pins: c.pins}) },
 		} {
 			func() {

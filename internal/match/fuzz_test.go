@@ -86,7 +86,7 @@ func FuzzPinnedEnumerate(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 3, 0, 1, 1, 1, 0, 0, 0, 0, 1, 0, 2, 0, 1, 3, 0, 1, 0, 1, 0, 1, 1, 2, 1, 1, 2, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, q, opts := pinnedInstance(data)
-		got := match.AllSnapshot(g.Freeze(), q, opts)
+		got := match.NewMatcher(g.Freeze()).All(q, opts)
 		legacy := match.All(g, q, opts)
 		if !slices.Equal(matchKeys(got), matchKeys(legacy)) {
 			t.Fatalf("pattern %s, options %+v: the Matcher yields %v, the legacy searcher %v", q, opts, got, legacy)

@@ -40,7 +40,7 @@ func TestHaltStopsEnumerationMidClass(t *testing.T) {
 			Enumerate(g, q, opts, yield)
 		},
 		"snapshot": func(opts Options, yield func(core.Match) bool) {
-			EnumerateSnapshot(g.Freeze(), q, opts, yield)
+			NewMatcher(g.Freeze()).Enumerate(q, opts, yield)
 		},
 	}
 	for name, run := range paths {

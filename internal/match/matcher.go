@@ -829,19 +829,3 @@ func (m *Matcher) feasible(u int, v graph.NodeID, proved uint64) bool {
 	}
 	return true
 }
-
-// EnumerateSnapshot is Enumerate over a compiled view with a throwaway
-// Matcher; callers with repeated enumerations should hold a Matcher.
-func EnumerateSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options, yield func(core.Match) bool) {
-	NewMatcher(t).Enumerate(q, opts, yield)
-}
-
-// CountSnapshot counts matches over a compiled view.
-func CountSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options) int {
-	return NewMatcher(t).Count(q, opts)
-}
-
-// AllSnapshot returns every match (copied) over a compiled view.
-func AllSnapshot(t *graph.Snapshot, q *pattern.Pattern, opts Options) []core.Match {
-	return NewMatcher(t).All(q, opts)
-}

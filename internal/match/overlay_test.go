@@ -133,14 +133,14 @@ func TestStripedClassFastPath(t *testing.T) {
 	q := pattern.New()
 	q.AddNode("c", "city") // single striped node: candidates come from the class
 	snap := g.Freeze()
-	all := match.CountSnapshot(snap, q, match.Options{})
+	all := match.NewMatcher(snap).Count(q, match.Options{})
 	if all == 0 {
 		t.Fatal("no city nodes; test is vacuous")
 	}
 	for _, mod := range []int{2, 3, 5} {
 		total := 0
 		for rem := 0; rem < mod; rem++ {
-			total += match.CountSnapshot(snap, q, match.Options{StripeNode: 0, StripeMod: mod, StripeRem: rem})
+			total += match.NewMatcher(snap).Count(q, match.Options{StripeNode: 0, StripeMod: mod, StripeRem: rem})
 		}
 		if total != all {
 			t.Fatalf("mod %d: stripes sum to %d, unstriped %d", mod, total, all)

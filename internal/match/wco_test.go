@@ -194,13 +194,13 @@ func TestWCOEquivalenceOptionDimensions(t *testing.T) {
 			}
 		}
 		for _, pin := range pins {
-			all := match.CountSnapshot(snap, q, match.Options{Pins: pin})
+			all := match.NewMatcher(snap).Count(q, match.Options{Pins: pin})
 			for _, mod := range []int{2, 3} {
 				total := 0
 				for rem := 0; rem < mod; rem++ {
 					opts := match.Options{Pins: pin, StripeNode: 2, StripeMod: mod, StripeRem: rem}
 					assertWCOEqualsProbe(t, snap, g, q, opts, fmt.Sprintf("%s pins %v stripe %d/%d", name, pin, rem, mod))
-					total += match.CountSnapshot(snap, q, opts)
+					total += match.NewMatcher(snap).Count(q, opts)
 				}
 				if total != all {
 					t.Fatalf("%s pins %v mod %d: stripes sum to %d, unstriped %d", name, pin, mod, total, all)
@@ -290,21 +290,21 @@ func TestWCOLimitAndHalt(t *testing.T) {
 	g := layeredCyclicGraph(rng, 60, 4)
 	snap := g.Freeze()
 	for name, q := range cyclicShapes() {
-		full := match.CountSnapshot(snap, q, match.Options{})
+		full := match.NewMatcher(snap).Count(q, match.Options{})
 		if full == 0 {
 			t.Fatalf("%s: no matches; limit test is vacuous", name)
 		}
 		for _, limit := range []int{1, 3, full + 10} {
 			want := min(limit, full)
 			for _, noInt := range []bool{false, true} {
-				got := match.CountSnapshot(snap, q, match.Options{Limit: limit, NoIntersect: noInt})
+				got := match.NewMatcher(snap).Count(q, match.Options{Limit: limit, NoIntersect: noInt})
 				if got != want {
 					t.Fatalf("%s limit %d noIntersect=%v: count %d, want %d", name, limit, noInt, got, want)
 				}
 			}
 		}
 		fullSet := make(map[string]bool)
-		for _, k := range matchKeys(match.AllSnapshot(snap, q, match.Options{})) {
+		for _, k := range matchKeys(match.NewMatcher(snap).All(q, match.Options{})) {
 			fullSet[k] = true
 		}
 		for _, noInt := range []bool{false, true} {
@@ -399,8 +399,8 @@ func windowClusteredGraph(n int, seed int64) *graph.Graph {
 func TestWCOEquivalenceWindowClustered(t *testing.T) {
 	snap := windowClusteredGraph(200, 7).Freeze()
 	for name, q := range cyclicShapes() {
-		wco := match.CountSnapshot(snap, q, match.Options{})
-		probe := match.CountSnapshot(snap, q, match.Options{NoIntersect: true})
+		wco := match.NewMatcher(snap).Count(q, match.Options{})
+		probe := match.NewMatcher(snap).Count(q, match.Options{NoIntersect: true})
 		if wco == 0 || wco != probe {
 			t.Fatalf("%s: WCO found %d matches, probe %d", name, wco, probe)
 		}
@@ -423,7 +423,7 @@ func BenchmarkEnumerateWindowClustered(b *testing.B) {
 			q := cyclicShapes()[shape]
 			b.Run(route.name+"/"+shape, func(b *testing.B) {
 				if _, ok := want[shape]; !ok {
-					want[shape] = match.CountSnapshot(snap, q, match.Options{NoIntersect: true})
+					want[shape] = match.NewMatcher(snap).Count(q, match.Options{NoIntersect: true})
 				}
 				m := match.NewMatcher(snap)
 				opts := match.Options{NoIntersect: route.noIntersect}
@@ -492,7 +492,7 @@ func TestWildcardNodeClosedByTwoRuns(t *testing.T) {
 			if order := match.NewMatcher(snap).Plan(q, match.Options{}).Order; order[2] != w {
 				t.Fatalf("%s: plan %v does not close on the wildcard node", ctx, order)
 			}
-			if match.CountSnapshot(snap, q, match.Options{}) == 0 {
+			if match.NewMatcher(snap).Count(q, match.Options{}) == 0 {
 				t.Fatalf("%s: no matches; the test is vacuous", ctx)
 			}
 			assertWCOEqualsProbe(t, snap, g, q, match.Options{}, ctx)

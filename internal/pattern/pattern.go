@@ -78,19 +78,6 @@ func (p *Pattern) AddEdge(from, to int, label string) {
 	p.in[to] = append(p.in[to], ei)
 }
 
-// AddEdgeVars is AddEdge addressing endpoints by variable name.
-func (p *Pattern) AddEdgeVars(from, to Var, label string) {
-	fi, ok := p.varIdx[from]
-	if !ok {
-		panic(fmt.Sprintf("pattern: unknown variable %q", from))
-	}
-	ti, ok := p.varIdx[to]
-	if !ok {
-		panic(fmt.Sprintf("pattern: unknown variable %q", to))
-	}
-	p.AddEdge(fi, ti, label)
-}
-
 // VarIndex returns the node index of variable v and whether it exists.
 func (p *Pattern) VarIndex(v Var) (int, bool) {
 	i, ok := p.varIdx[v]

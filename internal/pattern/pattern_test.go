@@ -114,57 +114,6 @@ func TestCenterStarPattern(t *testing.T) {
 	}
 }
 
-func TestIsTree(t *testing.T) {
-	tree := q1Flight("x")
-	if !tree.IsTree() {
-		t.Error("star should be a tree")
-	}
-	// Add a cycle.
-	cyc := q1Flight("x")
-	i1, _ := cyc.VarIndex("x1")
-	i2, _ := cyc.VarIndex("x2")
-	cyc.AddEdge(i1, i2, "link")
-	if cyc.IsTree() {
-		t.Error("cycle should not be a tree")
-	}
-	// 2-cycle (a->b, b->a) is an undirected multi-edge: not a tree.
-	two := New()
-	a := two.AddNode("a", "n")
-	b := two.AddNode("b", "n")
-	two.AddEdge(a, b, "e")
-	two.AddEdge(b, a, "e")
-	if two.IsTree() {
-		t.Error("2-cycle should not be a tree")
-	}
-	// Self-loop.
-	self := New()
-	s := self.AddNode("a", "n")
-	self.AddEdge(s, s, "e")
-	if self.IsTree() {
-		t.Error("self-loop should not be a tree")
-	}
-	// Forest of two trees is a "tree pattern" per component.
-	forest := New()
-	forest.AddNode("a", "n")
-	forest.AddNode("b", "n")
-	if !forest.IsTree() {
-		t.Error("two isolated nodes form a forest of trees")
-	}
-}
-
-func TestIsDAG(t *testing.T) {
-	p := q1Flight("x")
-	if !p.IsDAG() {
-		t.Error("star is a DAG")
-	}
-	i1, _ := p.VarIndex("x1")
-	x, _ := p.VarIndex("x")
-	p.AddEdge(i1, x, "back")
-	if p.IsDAG() {
-		t.Error("back edge creates a directed cycle")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	p := q1Flight("x")
 	c := p.Clone()

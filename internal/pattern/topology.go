@@ -88,76 +88,6 @@ func (p *Pattern) Center(members []int) (node, radius int) {
 	return node, radius
 }
 
-// IsTree reports whether every connected component of p is a tree when
-// edges are treated as undirected (|E_c| = |V_c| - 1 for each component and
-// no multi-edges between the same unordered node pair). Tree patterns admit
-// PTIME satisfiability and implication analyses (Corollaries 4 and 8).
-func (p *Pattern) IsTree() bool {
-	comps := p.Components()
-	edgeCount := make([]int, len(comps))
-	compOf := make([]int, len(p.Nodes))
-	for ci, members := range comps {
-		for _, v := range members {
-			compOf[v] = ci
-		}
-	}
-	type pair struct{ a, b int }
-	seen := make(map[pair]struct{}, len(p.Edges))
-	for _, e := range p.Edges {
-		a, b := e.From, e.To
-		if a > b {
-			a, b = b, a
-		}
-		if _, dup := seen[pair{a, b}]; dup {
-			return false // multi-edge or 2-cycle creates an undirected cycle
-		}
-		seen[pair{a, b}] = struct{}{}
-		if a == b {
-			return false // self-loop
-		}
-		edgeCount[compOf[e.From]]++
-	}
-	for ci, members := range comps {
-		if edgeCount[ci] != len(members)-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsDAG reports whether p has no directed cycle.
-func (p *Pattern) IsDAG() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(p.Nodes))
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		color[v] = gray
-		for _, ei := range p.out[v] {
-			w := p.Edges[ei].To
-			switch color[w] {
-			case gray:
-				return false
-			case white:
-				if !visit(w) {
-					return false
-				}
-			}
-		}
-		color[v] = black
-		return true
-	}
-	for v := range p.Nodes {
-		if color[v] == white && !visit(v) {
-			return false
-		}
-	}
-	return true
-}
-
 func contains(m map[int]int, k int) bool { _, ok := m[k]; return ok }
 
 func sortInts(xs []int) {

@@ -92,13 +92,12 @@ func TestDetectMatchesFreeFunctions(t *testing.T) {
 		}
 
 		variants := map[string]validate.Options{
-			"default":   {N: 3},
-			"random":    {N: 3, RandomAssign: true, Seed: seed},
-			"nop":       {N: 3, NoOptimize: true},
-			"noreduce":  {N: 3, NoReduce: true},
-			"arbitrary": {N: 3, ArbitraryPivot: true},
-			"split":     {N: 3, SplitThreshold: 8, NoReduce: true},
-			"nosplit":   {N: 2, SplitThreshold: -1},
+			"default":  {N: 3},
+			"random":   {N: 3, RandomAssign: true, Seed: seed},
+			"nop":      {N: 3, NoOptimize: true},
+			"noreduce": {N: 3, NoReduce: true},
+			"split":    {N: 3, SplitThreshold: 8, NoReduce: true},
+			"nosplit":  {N: 2, SplitThreshold: -1},
 		}
 		for name, opt := range variants {
 			repOpt := opt

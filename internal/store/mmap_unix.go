@@ -12,26 +12,26 @@ import (
 // MAP_PRIVATE view — any write through them faults — and stay valid until
 // the returned release function runs. An empty file maps to an empty
 // slice (Decode rejects it as truncated).
-func mapFile(path string) (data []byte, release func() error, mapped bool, err error) {
+func mapFile(path string) (data []byte, release func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	size := st.Size()
 	if size == 0 {
-		return nil, func() error { return nil }, false, nil
+		return nil, func() error { return nil }, nil
 	}
 	if size != int64(int(size)) {
-		return nil, nil, false, fmt.Errorf("store: %s: file size %d exceeds address space", path, size)
+		return nil, nil, fmt.Errorf("store: %s: file size %d exceeds address space", path, size)
 	}
 	data, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: mmap %s: %w", path, err)
+		return nil, nil, fmt.Errorf("store: mmap %s: %w", path, err)
 	}
-	return data, func() error { return syscall.Munmap(data) }, true, nil
+	return data, func() error { return syscall.Munmap(data) }, nil
 }

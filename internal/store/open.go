@@ -14,19 +14,14 @@ import (
 // snapshot — unless the graph has migrated off the mapping first (any
 // mutation does; see graph.AdoptFlat).
 type Loaded struct {
-	snap   *graph.Snapshot
-	unmap  func() error
-	mapped bool
-	once   sync.Once
-	err    error
+	snap  *graph.Snapshot
+	unmap func() error
+	once  sync.Once
+	err   error
 }
 
 // Snapshot returns the loaded snapshot.
 func (l *Loaded) Snapshot() *graph.Snapshot { return l.snap }
-
-// Mapped reports whether the arrays are zero-copy views over a memory
-// mapping (true on unix) or a heap buffer fallback.
-func (l *Loaded) Mapped() bool { return l.mapped }
 
 // Close releases the mapping. Idempotent; returns the first error.
 func (l *Loaded) Close() error {
@@ -50,7 +45,7 @@ func Open(ctx context.Context, path string, opts ...Option) (*Loaded, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, unmap, mapped, err := mapFile(path)
+	data, unmap, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -63,5 +58,5 @@ func Open(ctx context.Context, path string, opts ...Option) (*Loaded, error) {
 		unmap()
 		return nil, err
 	}
-	return &Loaded{snap: snap, unmap: unmap, mapped: mapped}, nil
+	return &Loaded{snap: snap, unmap: unmap}, nil
 }

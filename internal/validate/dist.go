@@ -68,14 +68,13 @@ type DistUnit struct {
 
 // DistPlan is what the engine body hands an out-of-process Executor about
 // the plan it is about to schedule: the effective rule set (post-reduction
-// — workers must not reduce again), the grouping flags workers need to
+// — workers must not reduce again), the grouping flag workers need to
 // rebuild identical group indices, and the unit descriptors. Assignment,
 // attempts and accounting stay with the scheduler.
 type DistPlan struct {
-	Set            *core.Set // effective rule set; ship via core.WriteRules
-	Combine        bool      // multi-query grouping was applied
-	ArbitraryPivot bool
-	Groups         int
+	Set     *core.Set // effective rule set; ship via core.WriteRules
+	Combine bool      // multi-query grouping was applied
+	Groups  int
 
 	b    *Bundle
 	plan *planEntry
@@ -166,9 +165,9 @@ type UnitRunner struct {
 }
 
 // NewUnitRunner prepares a runner over a bundle for slot worker. In a
-// worker process opt must carry the grouping flags the coordinator shipped
-// (NoOptimize=!Combine, ArbitraryPivot) with NoReduce=true, so the worker's
-// group indices match the coordinator's plan. opt.UnitDeadline arms the
+// worker process opt must carry the grouping flag the coordinator shipped
+// (NoOptimize=!Combine) with NoReduce=true, so the worker's group indices
+// match the coordinator's plan. opt.UnitDeadline arms the
 // cooperative per-attempt deadline (a worker process leaves it zero: its
 // coordinator enforces the deadline by killing it). inj is the slot's armed
 // fault injector (nil in production).
@@ -203,9 +202,9 @@ var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 
 // Run executes one unit from its wire descriptor, after checking it
 // against the runner's groups and each range against its class on the
-// runner's own view. found counts every violation the unit enumerates;
-// the first skip of them are suppressed without emission — the
-// exactly-once retry dedupe: enumeration order is deterministic for a
+// runner's own view. Of the violations the unit enumerates, the first
+// skip are suppressed without emission — the exactly-once retry dedupe:
+// enumeration order is deterministic for a
 // given shard + halo, so a retried unit resumes past what a previous
 // incarnation already delivered. emit returning false stops enumeration
 // early (the caller knows why). A non-nil error reports a malformed
@@ -214,23 +213,23 @@ var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 // process a panic must crash the process so the coordinator sees a death,
 // not a silently shortened unit, and a goroutine slot's scheduler recovers
 // it with unit context.
-func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (found int64, err error) {
+func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) error {
 	if u.Group < 0 || u.Group >= len(r.groups) {
-		return 0, fmt.Errorf("%w: unit %d names group %d of %d", ErrBadUnit, u.ID, u.Group, len(r.groups))
+		return fmt.Errorf("%w: unit %d names group %d of %d", ErrBadUnit, u.ID, u.Group, len(r.groups))
 	}
 	grp := r.groups[u.Group]
 	if len(u.Ranges) != grp.pivot.Arity() {
-		return 0, fmt.Errorf("%w: unit %d carries %d ranges, group %d pivots %d",
+		return fmt.Errorf("%w: unit %d carries %d ranges, group %d pivots %d",
 			ErrBadUnit, u.ID, len(u.Ranges), u.Group, grp.pivot.Arity())
 	}
 	topo := r.m.Topo()
 	for i, rg := range u.Ranges {
 		if n := grp.pivot.ClassLen(topo, i); rg.Lo < 0 || rg.Lo > rg.Hi || rg.Hi > n {
-			return 0, fmt.Errorf("%w: unit %d range %d is [%d, %d) of a class of %d", ErrBadUnit, u.ID, i, rg.Lo, rg.Hi, n)
+			return fmt.Errorf("%w: unit %d range %d is [%d, %d) of a class of %d", ErrBadUnit, u.ID, i, rg.Lo, rg.Hi, n)
 		}
 	}
 	if u.StripeMod < 0 || u.StripeMod > 0 && (u.StripeRem < 0 || u.StripeRem >= u.StripeMod) {
-		return 0, fmt.Errorf("%w: unit %d stripe %d mod %d", ErrBadUnit, u.ID, u.StripeRem, u.StripeMod)
+		return fmt.Errorf("%w: unit %d stripe %d mod %d", ErrBadUnit, u.ID, u.StripeRem, u.StripeMod)
 	}
 	wu := workUnit{
 		Unit:      workload.Unit{Pivot: grp.pivot, Ranges: u.Ranges},
@@ -241,9 +240,9 @@ func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) (fou
 	return r.run(grp, u.ID, &wu, skip, emit)
 }
 
-func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation) bool) (int64, error) {
+func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation) bool) error {
 	if r.cancel.canceled() {
-		return 0, r.cancel.ctx.Err()
+		return r.cancel.ctx.Err()
 	}
 	r.unit = id
 	r.skip, r.found, r.emit = skip, 0, emit
@@ -272,11 +271,11 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 	r.cancel.disarm()
 	switch {
 	case expired:
-		return r.found, context.DeadlineExceeded
+		return context.DeadlineExceeded
 	case r.cancel.hit:
-		return r.found, r.cancel.ctx.Err()
+		return r.cancel.ctx.Err()
 	}
-	return r.found, nil
+	return nil
 }
 
 // detect enumerates the matches of the unit's group pattern with each

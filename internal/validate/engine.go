@@ -40,10 +40,6 @@ type Options struct {
 	// from the graph (8× the mean degree, at least 32); negative disables
 	// splitting.
 	SplitThreshold int
-	// ArbitraryPivot replaces min-radius pivot selection with the first
-	// variable of each component, and seeds no pivot from constant X
-	// (ablation).
-	ArbitraryPivot bool
 	// Seed drives the random assignment variant.
 	Seed int64
 

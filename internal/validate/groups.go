@@ -75,28 +75,23 @@ func (grp *ruleGroup) bind(rs *ruleSide) {
 
 // buildGroups partitions rules into groups. With combine=false (the *nop
 // variants), every rule forms its own group and no enumeration sharing
-// happens. arbitraryPivot selects the ablation pivot rule.
+// happens.
 //
 // Pivots are seeded from constant X: a rule's seed is its X literal x.A = c
 // on the node of least eccentricity, the first in X order on a tie
 // (seedOf). Isomorphic rules share a group only if their seeds land on the
 // same group node and attribute, or neither has one; a seeded group pivots
 // its seed node's component there, filtered to the union of its members'
-// constants (workload.Pivot.Seed). Symmetric two-component patterns and
-// the ablation are never seeded. The choice reads the rules alone, so a
-// worker process rebuilding groups from the shipped rule set gets the
-// coordinator's.
-func buildGroups(rules []*core.GFD, combine, arbitraryPivot bool) []*ruleGroup {
+// constants (workload.Pivot.Seed). Symmetric two-component patterns are
+// never seeded. The choice reads the rules alone, so a worker process
+// rebuilding groups from the shipped rule set gets the coordinator's.
+func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 	var groups []*ruleGroup
 	var seeds []seed // per group, in group node indices
-	computePivot := workload.ComputePivot
-	if arbitraryPivot {
-		computePivot = workload.ArbitraryPivot
-	}
 	for _, f := range rules {
-		pv := computePivot(f.Q)
+		pv := workload.ComputePivot(f.Q)
 		sd := seed{node: -1}
-		if !arbitraryPivot && !pv.Symmetric() {
+		if !pv.Symmetric() {
 			sd = seedOf(f)
 		}
 		placed := false

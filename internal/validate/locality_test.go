@@ -52,7 +52,7 @@ func checkLocality(t *testing.T, name string, g *graph.Graph, topo *graph.Snapsh
 	t.Helper()
 	m := match.NewMatcher(topo)
 	block := graph.NewEpochSet(topo.NumNodes())
-	for gi, grp := range buildGroups(set.Rules(), true, false) {
+	for gi, grp := range buildGroups(set.Rules(), true) {
 		all := match.All(g, grp.q, match.Options{})
 		pv := grp.pivot
 		cands := make([][]graph.NodeID, pv.Arity())

@@ -130,9 +130,8 @@ type ruleSide struct {
 
 // groupKey identifies one cached grouping variant.
 type groupKey struct {
-	combine        bool // multi-query grouping on (not *nop)
-	arbitraryPivot bool
-	reduced        bool // built over the reduced set
+	combine bool // multi-query grouping on (not *nop)
+	reduced bool // built over the reduced set
 }
 
 // NewBundle freezes g and eagerly lowers every rule of set onto the
@@ -258,9 +257,8 @@ func (b *Bundle) ruleSet(opt Options) *core.Set {
 func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey) {
 	set := b.ruleSet(opt)
 	key := groupKey{
-		combine:        !opt.NoOptimize,
-		arbitraryPivot: opt.ArbitraryPivot,
-		reduced:        set != b.rules.set,
+		combine: !opt.NoOptimize,
+		reduced: set != b.rules.set,
 	}
 	rs := b.rules
 	rs.mu.Lock()
@@ -268,7 +266,7 @@ func (b *Bundle) ruleGroupsKeyed(opt Options) (*core.Set, []*ruleGroup, groupKey
 	if gs, ok := rs.groups[key]; ok {
 		return set, gs, key
 	}
-	gs := buildGroups(set.Rules(), key.combine, key.arbitraryPivot)
+	gs := buildGroups(set.Rules(), key.combine)
 	for _, grp := range gs {
 		grp.bind(rs)
 	}

@@ -115,7 +115,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	if e.start == nil {
 		local()
 	} else {
-		view := &DistPlan{Set: set, Combine: gk.combine, ArbitraryPivot: gk.arbitraryPivot, Groups: len(groups), b: b, plan: plan}
+		view := &DistPlan{Set: set, Combine: gk.combine, Groups: len(groups), b: b, plan: plan}
 		if run.exec, err = e.start(view, cl); err != nil {
 			return res, err
 		}

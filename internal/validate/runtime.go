@@ -177,8 +177,7 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 		e.runners[w] = r
 	}
 	u := &e.plan.units[ui]
-	_, err := r.run(r.groups[u.group], ui, u, skip(ui), emit)
-	return err
+	return r.run(r.groups[u.group], ui, u, skip(ui), emit)
 }
 
 // Superstep caps OS-level concurrency at the core count and times each

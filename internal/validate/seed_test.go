@@ -53,8 +53,7 @@ func planUnits(t *testing.T, b *Bundle, opt Options) int {
 // that carry one of the constants and have the pivot's star — on a KB set,
 // Σ of the filtered candidate lists, far below the class-sized set. A
 // constant no node holds seeds no unit and loses no violation; symmetric
-// two-component patterns and the ArbitraryPivot ablation keep unseeded
-// candidates. TestMetamorphicVio runs every engine on the workload.
+// two-component patterns keep unseeded candidates. TestMetamorphicVio runs every engine on the workload.
 func TestSeededPivotUnits(t *testing.T) {
 	g, set := seededKB(t)
 	b := NewBundle(g, set)
@@ -92,27 +91,5 @@ func TestSeededPivotUnits(t *testing.T) {
 	}
 	if 4*got > classSized {
 		t.Fatalf("seeding kept %d of %d class-sized units", got, classSized)
-	}
-
-	// The ablation pivots every component on its first node, unseeded.
-	arb := Options{N: 2, NoReduce: true, ArbitraryPivot: true}.Normalized()
-	_, arbGroups, _ := b.ruleGroupsKeyed(arb)
-	wantArb := 0
-	for _, grp := range arbGroups {
-		pv := grp.pivot
-		for i := range pv.Filters {
-			if pv.Filters[i].Active() {
-				t.Fatalf("ArbitraryPivot group %s was seeded", grp.q)
-			}
-		}
-		n := len(oracleCandidates(g, pv, 0))
-		if pv.Symmetric() {
-			wantArb += n * (n - 1) / 2
-		} else {
-			wantArb += n
-		}
-	}
-	if got := planUnits(t, b, arb); got != wantArb {
-		t.Fatalf("ArbitraryPivot: %d units, want the unseeded %d", got, wantArb)
 	}
 }

@@ -50,7 +50,9 @@ func fuzzInstance(data []byte) (*graph.Graph, *pattern.Pattern) {
 
 // FuzzPivotCandidates: on a small graph and pattern built from the input,
 // every node with a match pinned at a component's pivot survives
-// CandidatesIn, for both pivot rules.
+// CandidatesIn, for the min-radius pivot and for a pivot at each pattern
+// node (Seed with no filter, as a seeded group pivots where its constant
+// sits).
 func FuzzPivotCandidates(f *testing.F) {
 	f.Add([]byte{})
 	// Two parallel x0→x1 edges (Fig. 7 GFD 1) over a graph that has them.
@@ -63,7 +65,13 @@ func FuzzPivotCandidates(f *testing.F) {
 		g, q := fuzzInstance(data)
 		snap := g.Freeze()
 		m := match.NewMatcher(snap)
-		for _, pv := range []*Pivot{ComputePivot(q), ArbitraryPivot(q)} {
+		pivots := []*Pivot{ComputePivot(q)}
+		for z := range q.NumNodes() {
+			pv := ComputePivot(q)
+			pv.Seed(z, Filter{})
+			pivots = append(pivots, pv)
+		}
+		for _, pv := range pivots {
 			for i, z := range pv.Vars {
 				kept := pv.CandidatesIn(snap, i)
 				for v := range graph.NodeID(snap.NumNodes()) {

@@ -62,22 +62,10 @@ func (f Filter) Active() bool { return f.Attr != "" }
 // minimum radius, preferring a labelled node over a wildcard of the same
 // radius (pattern.Center), so a wildcard never turns every graph node into
 // a pivot candidate when a label class would do. No component is seeded.
-// It runs in O(|Q|²) time.
-func ComputePivot(q *pattern.Pattern) *Pivot { return newPivot(q, q.Center) }
-
-// ArbitraryPivot derives a pivot vector that ignores the min-radius rule
-// and picks the first variable of each component instead (the second of
-// two isomorphic components takes the image of the first's); the
-// pivot-choice ablation benchmark compares it against ComputePivot.
-func ArbitraryPivot(q *pattern.Pattern) *Pivot {
-	return newPivot(q, func(members []int) (int, int) { return members[0], q.Eccentricity(members[0]) })
-}
-
-// newPivot pivots each component on the member pick chooses. The second of
-// two isomorphic components pivots on the image of the first's pivot, so
-// both pivots have one star and one candidate list, which the symmetric
-// unit deduplication needs.
-func newPivot(q *pattern.Pattern, pick func(members []int) (node, radius int)) *Pivot {
+// The second of two isomorphic components pivots on the image of the
+// first's pivot, so both pivots have one star and one candidate list, which
+// the symmetric unit deduplication needs. It runs in O(|Q|²) time.
+func ComputePivot(q *pattern.Pattern) *Pivot {
 	comps := q.Components()
 	p := &Pivot{
 		Q:          q,
@@ -87,7 +75,7 @@ func newPivot(q *pattern.Pattern, pick func(members []int) (node, radius int)) *
 		Filters:    make([]Filter, len(comps)),
 	}
 	for i, members := range comps {
-		p.Vars[i], p.Radii[i] = pick(members)
+		p.Vars[i], p.Radii[i] = q.Center(members)
 	}
 	if len(comps) == 2 {
 		if z := mirror(q, comps[0], comps[1], p.Vars[0]); z >= 0 {

@@ -86,26 +86,9 @@ func TestComputePivotAsymmetricComponents(t *testing.T) {
 	}
 }
 
-func TestArbitraryPivot(t *testing.T) {
-	// Path a -> b -> c: min-radius pivot is b (r=1); arbitrary picks a (r=2).
-	p := pattern.New()
-	a := p.AddNode("a", "n")
-	b := p.AddNode("b", "n")
-	c := p.AddNode("c", "n")
-	p.AddEdge(a, b, "e")
-	p.AddEdge(b, c, "e")
-	if pv := ComputePivot(p); pv.Vars[0] != b || pv.Radii[0] != 1 {
-		t.Errorf("min-radius pivot = %d r=%d", pv.Vars[0], pv.Radii[0])
-	}
-	if pv := ArbitraryPivot(p); pv.Vars[0] != a || pv.Radii[0] != 2 {
-		t.Errorf("arbitrary pivot = %d r=%d", pv.Vars[0], pv.Radii[0])
-	}
-}
-
 // TestComputePivotPrefersLabelledOverWildcard: in Fig. 7's GFD 2 the
 // wildcard entity e and the class c both have radius 1. The pivot is c —
-// a label class, not every node of the graph — while ArbitraryPivot still
-// takes e, the first variable.
+// a label class, not every node of the graph — though e comes first.
 func TestComputePivotPrefersLabelledOverWildcard(t *testing.T) {
 	p := pattern.New()
 	e := p.AddNode("e", pattern.Wildcard)
@@ -116,9 +99,6 @@ func TestComputePivotPrefersLabelledOverWildcard(t *testing.T) {
 	p.AddEdge(c, cp, "disjoint_with")
 	if pv := ComputePivot(p); pv.Vars[0] != c || pv.Radii[0] != 1 {
 		t.Errorf("min-radius pivot = %d r=%d, want the labelled %d r=1", pv.Vars[0], pv.Radii[0], c)
-	}
-	if pv := ArbitraryPivot(p); pv.Vars[0] != e || pv.Radii[0] != 1 {
-		t.Errorf("arbitrary pivot = %d r=%d, want the wildcard %d r=1", pv.Vars[0], pv.Radii[0], e)
 	}
 }
 
@@ -131,14 +111,20 @@ func numberedFlight() *pattern.Pattern {
 }
 
 // TestCandidates: a pivot's candidates are the members of its class at
-// which its star is present — every flight for a flight with its id, none
-// for a flight with an edge no flight has — and a lone wildcard pivot
-// admits every node.
+// which its star is present — every flight for a flight with its id, on
+// either component of two such stars, none for a flight with an edge no
+// flight has — and a lone wildcard pivot admits every node.
 func TestCandidates(t *testing.T) {
 	g := flightGraph(3)
 	snap := g.Freeze()
 	if got := ComputePivot(numberedFlight()).CandidatesIn(snap, 0); len(got) != 3 {
 		t.Errorf("flight candidates = %v, want all 3", got)
+	}
+	two := ComputePivot(twoFlightStars())
+	for i := range two.Arity() {
+		if got := two.CandidatesIn(snap, i); len(got) != 3 {
+			t.Errorf("component %d of two flight stars: candidates %v, want all 3", i, got)
+		}
 	}
 	if got := ComputePivot(starPattern(1)).CandidatesIn(snap, 0); len(got) != 0 {
 		t.Errorf("flights with an e edge to a sat: %v, want none", got)
@@ -195,109 +181,8 @@ func TestSymmetricPivotsCorrespond(t *testing.T) {
 	q.AddEdge(x, q.AddNode("x1", "id"), "number")
 	y1 := q.AddNode("y1", "id")
 	q.AddEdge(q.AddNode("y", "flight"), y1, "number")
-	for _, pv := range []*Pivot{ComputePivot(q), ArbitraryPivot(q)} {
-		if !pv.Symmetric() || pv.Vars[0] != x || pv.Vars[1] != 3 || pv.Radii[0] != pv.Radii[1] {
-			t.Fatalf("pivots %v radii %v symmetric %v; want the two flights", pv.Vars, pv.Radii, pv.Symmetric())
-		}
-	}
-}
-
-// eachVector enumerates candidate vectors with pairwise-distinct entries
-// (pivots are images of distinct pattern nodes under an injective match)
-// over per-component candidate lists, in cross-product order; symmetric
-// keeps only the ordered pairs v[0] < v[1] of a two-component pattern. It
-// stops when fn returns false; the vector passed to fn is reused. The
-// engines bind every pivot to its list in one enumeration instead
-// (match.Options.Pins); the tests count vectors with it.
-func eachVector(cands [][]graph.NodeID, symmetric bool, fn func([]graph.NodeID) bool) {
-	vec := make([]graph.NodeID, len(cands))
-	var walk func(depth int) bool
-	walk = func(depth int) bool {
-		if depth == len(cands) {
-			return fn(vec)
-		}
-		for _, v := range cands[depth] {
-			if symmetric && depth == 1 && v <= vec[0] || slices.Contains(vec[:depth], v) {
-				continue
-			}
-			vec[depth] = v
-			if !walk(depth + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	if len(cands) > 0 {
-		walk(0)
-	}
-}
-
-// countVectors returns how many vectors eachVector enumerates. Candidate
-// lists hold distinct nodes, so a single component needs no enumeration.
-func countVectors(cands [][]graph.NodeID, symmetric bool) int {
-	if len(cands) == 1 {
-		return len(cands[0])
-	}
-	n := 0
-	eachVector(cands, symmetric, func([]graph.NodeID) bool { n++; return true })
-	return n
-}
-
-// vectorsOf collects what eachVector enumerates over the pivot's candidate
-// classes on g's snapshot, checking countVectors against it.
-func vectorsOf(t *testing.T, g *graph.Graph, pv *Pivot, symmetric bool) [][]graph.NodeID {
-	t.Helper()
-	snap := g.Freeze()
-	cands := make([][]graph.NodeID, pv.Arity())
-	for i := range cands {
-		cands[i] = pv.CandidatesIn(snap, i)
-	}
-	var out [][]graph.NodeID
-	eachVector(cands, symmetric, func(vec []graph.NodeID) bool {
-		out = append(out, slices.Clone(vec))
-		return true
-	})
-	if n := countVectors(cands, symmetric); n != len(out) {
-		t.Fatalf("countVectors = %d, eachVector enumerated %d", n, len(out))
-	}
-	return out
-}
-
-func TestVectorsSingleComponent(t *testing.T) {
-	g := flightGraph(4)
-	if vecs := vectorsOf(t, g, ComputePivot(numberedFlight()), false); len(vecs) != 4 {
-		t.Fatalf("vectors = %d, want 4 (one per flight)", len(vecs))
-	}
-}
-
-func TestVectorsTwoComponentsDedup(t *testing.T) {
-	g := flightGraph(4)
-	pv := ComputePivot(twoFlightStars())
-	if all := vectorsOf(t, g, pv, false); len(all) != 12 { // 4*3 ordered distinct pairs
-		t.Fatalf("undeduped vectors = %d, want 12", len(all))
-	}
-	dedup := vectorsOf(t, g, pv, pv.Symmetric())
-	if len(dedup) != 6 { // unordered pairs
-		t.Fatalf("deduped vectors = %d, want 6", len(dedup))
-	}
-	for _, vec := range dedup {
-		if vec[0] >= vec[1] {
-			t.Errorf("dedup order violated: %v", vec)
-		}
-	}
-}
-
-func TestEachVectorStopsEarly(t *testing.T) {
-	g := flightGraph(10)
-	seen := 0
-	snap := g.Freeze()
-	pv := ComputePivot(twoFlightStars())
-	eachVector([][]graph.NodeID{pv.CandidatesIn(snap, 0), pv.CandidatesIn(snap, 1)}, false, func([]graph.NodeID) bool {
-		seen++
-		return seen < 7
-	})
-	if seen != 7 {
-		t.Errorf("enumeration ran to %d vectors after fn returned false at 7", seen)
+	if pv := ComputePivot(q); !pv.Symmetric() || pv.Vars[0] != x || pv.Vars[1] != 3 || pv.Radii[0] != pv.Radii[1] {
+		t.Fatalf("pivots %v radii %v symmetric %v; want the two flights", pv.Vars, pv.Radii, pv.Symmetric())
 	}
 }
 
