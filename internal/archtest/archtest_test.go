@@ -1,5 +1,8 @@
 // Package archtest holds the repository's architecture rules as tests. It
-// has no non-test code; everything here runs under `go test ./...`.
+// has no non-test code; everything here runs under `go test ./...`. Each
+// rule has a companion test that runs it over a small module written to a
+// temporary directory, holding one violation of it, and checks that the
+// rule names exactly that violation.
 //
 // TestExportedNamesHaveCallers keeps the internal API to what a caller
 // reads: every exported top-level function and method declared in a
@@ -17,12 +20,14 @@
 package archtest
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -37,6 +42,7 @@ var keep = map[string]string{
 	"graph.Overlay.Delta":            "tests read an overlay's pending delta to check compaction",
 	"graph.Graph.BuildSnapshot":      "freeze differential tests and benchmarks build at a fixed worker count",
 	"fault.FromSeedProc":             "the dist chaos suite draws process fault plans from seeds",
+	"match.Plans.Misses":             "tests count a rule side's plan-cache misses: none on a warm op",
 	"fault.Injector.Fired":           "chaos tests log and assert how many faults fired",
 	"baseline.DetectJoins":           "tests compare the BigDansing join baseline on a plain graph",
 	"core.GFD.IsConstant":            "a paper notion; tests assert the CFD encodings with it",
@@ -116,14 +122,11 @@ func main() { _ = pattern.New().Size() }
 	}
 }
 
-// scan parses every non-test .go file under root, skipping hidden
-// directories and testdata, and returns the exported functions and methods
-// declared under root/internal and, sorted, the keys of those that no
-// identifier of any scanned file names.
-func scan(t *testing.T, root string) (decls []decl, unused []string) {
+// walkGo calls fn with the path, and the slash-separated path relative to
+// root, of every non-test .go file under root, skipping hidden directories
+// and testdata.
+func walkGo(t *testing.T, root string, fn func(path, rel string) error) {
 	t.Helper()
-	fset := token.NewFileSet()
-	refs := map[string]int{} // name -> identifiers of that name, declarations excluded
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -137,12 +140,30 @@ func scan(t *testing.T, root string) (decls []decl, unused []string) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		return fn(path, filepath.ToSlash(rel))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scan parses every non-test .go file under root and returns the exported
+// functions and methods declared under root/internal and, sorted, the keys
+// of those that no identifier of any scanned file names.
+func scan(t *testing.T, root string) (decls []decl, unused []string) {
+	t.Helper()
+	fset := token.NewFileSet()
+	refs := map[string]int{} // name -> identifiers of that name, declarations excluded
+	walkGo(t, root, func(path, rel string) error {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(root, path)
-		internal := strings.HasPrefix(rel, "internal"+string(filepath.Separator))
+		internal := strings.HasPrefix(rel, "internal/")
 		declared := map[*ast.Ident]bool{}
 		for _, n := range f.Decls {
 			fn, ok := n.(*ast.FuncDecl)
@@ -167,9 +188,6 @@ func scan(t *testing.T, root string) (decls []decl, unused []string) {
 		})
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) == 0 {
 		t.Fatalf("no exported function or method found under %s", filepath.Join(root, "internal"))
 	}
@@ -196,4 +214,90 @@ func recvType(e ast.Expr) string {
 		return x.Name
 	}
 	return "?"
+}
+
+// Rules lower where they run. A rule's pattern and literals are lowered
+// onto a symbol table by two owners. validate's rule side lowers once per
+// (rule set, symbol table), shared by every bundle over that table:
+// NewBundleOver lowers each rule's literals and pattern, Program and the
+// side's pattern lowering any other rule or pattern an engine runs,
+// ruleGroup.bind each group's pivot, and every plan of every slot matcher
+// reads the side's lowering. A match.Matcher lowers onto its view's table
+// only for callers without a rule side, on a miss of its own plan cache.
+// The incremental detector, the baselines and the session read their
+// lowerings from a bundle. A memo on the pattern or the rule would bring
+// back a staleness rule of its own beside those owners.
+var (
+	lowerMemo  = regexp.MustCompile(`(CompileFor|ProgramFor)\(`)
+	lowerAny   = regexp.MustCompile(`(CompileLiterals|InternLiterals|InternInto)\(|pattern\.Compile\(`)
+	lowerPlan  = regexp.MustCompile(`pattern\.Compile\(`)
+	readerPkgs = []string{"internal/incremental/", "internal/baseline/", "internal/session/"}
+	// planOwners are the only files under internal/ that lower a pattern.
+	planOwners = []string{"internal/validate/prepared.go", "internal/match/matcher.go"}
+)
+
+// lowerViolations returns, sorted, "file:line" of every line of a non-test
+// .go file under root that breaks the lowering rule: a lowering memo
+// anywhere, a lowering in a package that reads its lowerings from a
+// bundle, or a pattern lowered under internal/ outside its two owners.
+func lowerViolations(t *testing.T, root string) []string {
+	t.Helper()
+	var bad []string
+	walkGo(t, root, func(path, rel string) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		reader := slices.ContainsFunc(readerPkgs, func(p string) bool { return strings.HasPrefix(rel, p) })
+		owner := !strings.HasPrefix(rel, "internal/") || slices.Contains(planOwners, rel)
+		for i, line := range strings.Split(string(src), "\n") {
+			if lowerMemo.MatchString(line) || reader && lowerAny.MatchString(line) || !owner && lowerPlan.MatchString(line) {
+				bad = append(bad, fmt.Sprintf("%s:%d", rel, i+1))
+			}
+		}
+		return nil
+	})
+	slices.Sort(bad)
+	return bad
+}
+
+func TestRulesLowerWhereTheyRun(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range lowerViolations(t, root) {
+		t.Errorf("%s lowers a rule outside its owners: read it from a validate.Bundle (Program, Pattern, Plans) or a matcher's plan", at)
+	}
+}
+
+// TestRulesLowerGuardFires runs the lowering rule over a module that breaks
+// each of its three clauses once, beside the owners, a file outside
+// internal/ and a test file that lower as they may: it must name the three
+// lines and only them.
+func TestRulesLowerGuardFires(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                           "module m\n",
+		"internal/validate/prepared.go":    "package validate\n\nvar _ = pattern.Compile(q, syms)\n",
+		"internal/match/matcher.go":        "package match\n\nvar _ = pattern.Compile(q, syms)\n",
+		"probes.go":                        "package main\n\nvar _ = pattern.Compile(q, syms)\n",
+		"internal/core/memo.go":            "package core\n\nfunc (f *GFD) ProgramFor(s *Symbols) {}\n",
+		"internal/session/session.go":      "package session\n\nfunc f() {\n\tg.InternLiterals(syms)\n}\n",
+		"internal/workload/pivot.go":       "package workload\n\nvar _ = pattern.Compile(q, syms)\n",
+		"internal/session/session_test.go": "package session\n\nvar _ = pattern.Compile(q, syms)\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"internal/core/memo.go:3", "internal/session/session.go:4", "internal/workload/pivot.go:3"}
+	if got := lowerViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the lowering rule reports %v, want %v", got, want)
+	}
 }

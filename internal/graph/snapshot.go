@@ -437,8 +437,8 @@ func (s *Snapshot) Patched() bool { return s.patch != nil }
 
 // Version returns the graph version a view's patch reflects; it advances
 // with every update applied through the Overlay, so holders of
-// topology-derived caches (the matcher's plan cache) key on it. A frozen
-// snapshot never changes and reports 0.
+// topology-derived caches (a match.Matcher's own plan cache) key on it. A
+// frozen snapshot never changes and reports 0.
 func (s *Snapshot) Version() uint64 {
 	if s.patch != nil {
 		return s.patch.version

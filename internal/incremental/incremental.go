@@ -14,16 +14,16 @@
 // not by its c-hop ball (Berkholz, Keppeler & Schweikardt).
 //
 // The detector enumerates with the batch engines' match.Matcher and
-// core.LiteralProgram, lowered by a validate.Bundle over the overlay (it
-// lowers nothing itself), over the graph's live graph.Overlay: a frozen
-// snapshot plus the patches of every Apply, which the overlay owns (the
-// graph reads through them and is never written). The graph owns that
-// overlay, so detectors, sessions and direct callers of the same graph all
-// write through one view. After a batch the overlay settles: past a
-// fraction of the base it compacts into a fresh snapshot over the same
-// symbol table, and the detector adopts the new live overlay, whose bundle
-// shares the previous one's lowering; node IDs survive, so the maintained
-// set carries over.
+// core.LiteralProgram, lowered and planned by a validate.Bundle over the
+// overlay (it lowers nothing itself), over the graph's live
+// graph.Overlay: a frozen snapshot plus the patches of every Apply, which
+// the overlay owns (the graph reads through them and is never written).
+// The graph owns that overlay, so detectors, sessions and direct callers
+// of the same graph all write through one view. After a batch the overlay
+// settles: past a fraction of the base it compacts into a fresh snapshot
+// over the same symbol table, and the detector adopts the new live
+// overlay, whose bundle shares the previous one's lowering and plans; node
+// IDs survive, so the maintained set carries over.
 package incremental
 
 import (
@@ -95,20 +95,20 @@ type Detector struct {
 	version uint64 // graph version the detector's report reflects
 
 	// b is the bundle over the adopted overlay, which owns every rule's
-	// lowering onto the overlay's symbol table; progs and cqs hold its
-	// programs and compiled patterns in rule order, read once per adopted
-	// overlay. A compaction keeps the table, so the next bundle shares the
-	// lowering; the overlay started after a direct mutation of a building
-	// graph freezes a fresh table, which gets a fresh one.
+	// lowering and plans; progs and cqs hold its programs and compiled
+	// patterns in rule order, read once per adopted overlay. A compaction
+	// keeps the symbol table, so the next bundle shares them; the overlay
+	// started after a direct mutation of a building graph freezes a fresh
+	// table, which gets fresh ones.
 	b     *validate.Bundle
 	rules []*core.GFD
 	progs []*core.LiteralProgram
 	cqs   []*pattern.Compiled
 
-	// Reusable matching state: the compiled matcher, the pins (each To is
-	// one element of at), the rule being enumerated and the callback bound
-	// to it once, so pinning and enumerating allocate nothing; the match
-	// key scratch and a batch's touched nodes (ascending).
+	// Reusable matching state: a matcher reading b's plans, the pins (each
+	// To is one element of at), the rule being enumerated and the callback
+	// bound to it once, so pinning and enumerating allocate nothing; the
+	// match key scratch and a batch's touched nodes (ascending).
 	m       *match.Matcher
 	pins    [2]match.Pin
 	at      [2]graph.NodeID
@@ -145,8 +145,8 @@ func New(g *graph.Graph, set *core.Set) *Detector {
 // adopt moves the detector onto the graph's live overlay — the one it last
 // wrote through, or the fresh one a compaction or a direct mutation
 // started — and, when that is a different overlay, takes the rules'
-// programs and compiled patterns from a bundle over it and rebinds the
-// matcher.
+// programs and compiled patterns from a bundle over it and a matcher that
+// reads the bundle's rule-side plans, so no update re-plans a rule.
 func (d *Detector) adopt() {
 	ov := graph.NewOverlay(d.g)
 	if ov == d.ov {
@@ -159,7 +159,7 @@ func (d *Detector) adopt() {
 		d.progs = append(d.progs, d.b.Program(f))
 		d.cqs = append(d.cqs, d.b.Pattern(f))
 	}
-	d.m = match.NewMatcher(ov)
+	d.m = d.b.Plans().Get(ov.Snapshot)
 }
 
 // fullValidate rebuilds the violation set with one guarded, unpinned

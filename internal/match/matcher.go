@@ -2,8 +2,11 @@ package match
 
 import (
 	"iter"
+	"maps"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
@@ -35,10 +38,10 @@ import (
 // Any other node iterates its smallest run (the rest checked by binary
 // search) or its label class; a striped node's residue is checked per
 // candidate, and the edges a candidate's source proves are not searched
-// again. Plans (Plan: the pattern lowered onto the view's symbol table,
-// the order and the guard instructions due at each depth) are cached per
-// (pattern, pinned nodes in order, stripe node, topology version, guard);
-// Options.NoIntersect forces the probing path for differential testing.
+// again. Plans (Plan: the lowered pattern, the order and the guard
+// instructions due at each depth) are cached in a Plans, the matcher's own
+// or a validate rule side's; Options.NoIntersect forces the probing path
+// for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
@@ -80,15 +83,7 @@ type Matcher struct {
 	setEdge int
 	setAt   graph.NodeID
 
-	// plans caches computed plans, each with its lowered pattern, per
-	// (pattern, pinned nodes in order, stripe node, topology version,
-	// guard), so repeated Enumerate calls — one per work unit on the
-	// engine paths — neither re-lower the pattern nor re-derive the same
-	// order from the same class sizes. Frozen snapshots are immutable
-	// (version 0 forever); a patched view keys by its graph version, so
-	// every update — a label interned by an inserted node included —
-	// re-lowers and re-plans.
-	plans map[planKey]*Plan
+	plans *Plans
 
 	// Per-call state.
 	q     *pattern.Pattern
@@ -115,10 +110,10 @@ const haltStride = 64
 
 // planKey identifies one cached plan: the pattern, the pinned pattern
 // nodes in pin order (pinKey; the pinned lists never affect the order), the
-// striped node (-1 unstriped), the topology version the lowering and the
-// class-size estimates were read at, and the guard scheduled into it (the
-// key holds the pointers, so a cached pattern's or guard's address is
-// never reused by another).
+// striped node (-1 unstriped), in a matcher's own cache the topology
+// version the lowering and the class-size estimates were read at, and the
+// guard scheduled into it (the key holds the pointers, so a cached
+// pattern's or guard's address is never reused by another).
 type planKey struct {
 	q      *pattern.Pattern
 	pins   uint64
@@ -127,17 +122,58 @@ type planKey struct {
 	guard  *core.Guard
 }
 
-// maxPlanCache bounds the plan cache; beyond it the cache resets. Engines
-// cycle through a handful of rule patterns per matcher, so eviction only
-// fires for a long-lived matcher over a heavily mutating overlay.
+// maxPlanCache bounds a matcher's own plan cache; beyond it the cache
+// resets, which only a long-lived matcher over a mutating overlay reaches.
 const maxPlanCache = 64
 
-// NewMatcher returns a matcher over t's read view: a *graph.Snapshot, or an
-// *graph.Overlay's patched view.
-func NewMatcher(t graph.Topology) *Matcher {
-	s := t.View()
-	return &Matcher{snap: s}
+// Plans caches plans per (pattern, pinned nodes in order, stripe node,
+// guard) and pools the matchers that read it (Get, Put). NewMatcher's own
+// cache lowers onto the view's table and keys by its version too: a name
+// an update interns later leaves a lowering stale. A NewPlans cache is
+// shared at every version, as its owner lowers the patterns, and never
+// evicts, so a retried unit on another slot runs the same plan. Readers
+// never lock: the map is copied on write.
+type Plans struct {
+	lower  func(*pattern.Pattern) *pattern.Compiled // nil: a matcher's own cache
+	mu     sync.Mutex                               // serializes the writers
+	m      atomic.Pointer[map[planKey]*Plan]
+	misses atomic.Int64
+	free   sync.Pool
 }
+
+// NewPlans returns a shared plan cache whose patterns lower through lower.
+func NewPlans(lower func(*pattern.Pattern) *pattern.Compiled) *Plans {
+	ps := &Plans{lower: lower}
+	ps.m.Store(&map[planKey]*Plan{})
+	return ps
+}
+
+// Misses returns how many plans ps has made.
+func (ps *Plans) Misses() int { return int(ps.misses.Load()) }
+
+// Get returns a matcher over the read view s that reads ps: one handed
+// back by Put, keeping its scratch, or a new one.
+func (ps *Plans) Get(s *graph.Snapshot) *Matcher {
+	m, _ := ps.free.Get().(*Matcher)
+	if m == nil {
+		m = &Matcher{plans: ps}
+	}
+	m.snap = s
+	return m
+}
+
+// Put hands m back for a later Get once a call returned normally. A
+// matcher that unwound by panic holds a dirty used-set: drop it instead.
+func (ps *Plans) Put(m *Matcher) {
+	m.snap, m.q, m.cq, m.plan, m.order, m.opts = nil, nil, nil, nil, nil, Options{}
+	m.ranges = [graph.MaxIntersectArity][]graph.CSREdge{}
+	clear(m.memo) // drop every reference into the old view
+	ps.free.Put(m)
+}
+
+// NewMatcher returns a matcher over t's read view, a *graph.Snapshot or an
+// *graph.Overlay's patched view, with a plan cache of its own.
+func NewMatcher(t graph.Topology) *Matcher { return NewPlans(nil).Get(t.View()) }
 
 // Topo returns the read view this matcher runs against.
 func (m *Matcher) Topo() *graph.Snapshot { return m.snap }
@@ -159,14 +195,6 @@ func (m *Matcher) Enumerate(q *pattern.Pattern, opts Options, yield func(core.Ma
 	m.extend(0)
 	m.yield = nil
 	m.fill(nil, m.setEdge, m.setAt) // while set's view is current
-}
-
-// Plan returns the plan Enumerate(q, opts) runs: the matching order and
-// the guard instructions due at each depth. It is the cached value, shared
-// read-only with the matcher.
-func (m *Matcher) Plan(q *pattern.Pattern, opts Options) Plan {
-	m.prepare(q, &opts)
-	return *m.plan
 }
 
 // prepare binds the per-call state for a non-empty pattern and resolves
@@ -234,11 +262,12 @@ func (m *Matcher) All(q *pattern.Pattern, opts Options) []core.Match {
 	return out
 }
 
-// ensure sizes the reusable buffers for an n-node pattern, growing the
-// used-set and the semi-join bitset when the view gained nodes since the
-// last call (an Overlay between update batches).
+// ensure sizes the reusable buffers for an n-node pattern. The used-set and
+// the semi-join bitset grow, by an eighth more than needed, when the view
+// gained nodes (an Overlay between batches): O(log |V|) times, not per 64.
 func (m *Matcher) ensure(n int) {
 	if w := (m.snap.NumNodes() + 63) >> 6; len(m.used) < w {
+		w += w/8 + 1
 		m.used, m.bits, m.set = make([]uint64, w), make([]uint64, w), nil
 	}
 	if cap(m.assign) < n {
@@ -361,42 +390,52 @@ func (p *Plan) schedule(g *core.Guard) {
 	}
 }
 
-// planFor returns the plan for the bound call: cached per (pattern, pinned
-// nodes in order, stripe node, topology version, guard) — patterns of at
-// most 64 nodes under at most eight pins (all of them, in practice) resolve
-// repeated enumerations, one per work unit on the engine paths, to a map
-// hit, skipping the lowering, the class-size reads and the O(|Q|²)
-// selection. A miss checks the pins and lowers the pattern onto the view's
-// table first, since planOrder reads the codes.
+// planFor returns the plan for the bound call from the matcher's plan
+// cache: patterns of at most 64 nodes under at most eight pins (all of
+// them, in practice) resolve repeated enumerations, one per work unit on
+// the engine paths, to a map hit, skipping the lowering, the class-size
+// reads and the O(|Q|²) selection. A miss checks the pins, lowers the
+// pattern (by the owner, or onto the view's table) and plans under a lock.
 func (m *Matcher) planFor() *Plan {
-	n := m.n
 	stripe := -1
 	if m.opts.StripeMod > 0 {
 		stripe = m.opts.StripeNode
 	}
-	pins, cacheable := pinKey(m.opts.Pins, n)
-	cacheable = cacheable && n <= 64
-	key := planKey{q: m.q, pins: pins, stripe: stripe, ver: m.snap.Version(), guard: m.opts.Guard}
-	if cacheable {
-		if p, ok := m.plans[key]; ok {
-			return p
-		}
+	ps := m.plans
+	pins, cacheable := pinKey(m.opts.Pins, m.n)
+	cacheable = cacheable && m.n <= 64
+	key := planKey{q: m.q, pins: pins, stripe: stripe, guard: m.opts.Guard}
+	if ps.lower == nil {
+		key.ver = m.snap.Version()
 	}
-	checkPins(m.opts.Pins, n)
-	m.cq = pattern.Compile(m.q, m.snap.Syms())
-	p := &Plan{Order: make([]int, n), pinned: len(m.opts.Pins), cq: m.cq}
+	if p := (*ps.m.Load())[key]; cacheable && p != nil {
+		return p
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	old := *ps.m.Load()
+	if p := old[key]; cacheable && p != nil { // another matcher made it meanwhile
+		return p
+	}
+	checkPins(m.opts.Pins, m.n)
+	if ps.lower != nil {
+		m.cq = ps.lower(m.q)
+	} else {
+		m.cq = pattern.Compile(m.q, m.snap.Syms())
+	}
+	p := &Plan{Order: make([]int, m.n), pinned: len(m.opts.Pins), cq: m.cq}
 	m.planOrder(p.Order, stripe)
 	p.index(m.q)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)
 	}
 	if cacheable {
-		if m.plans == nil {
-			m.plans = make(map[planKey]*Plan)
-		} else if len(m.plans) >= maxPlanCache {
-			clear(m.plans)
+		next := map[planKey]*Plan{key: p}
+		if ps.lower != nil || len(old) < maxPlanCache {
+			maps.Copy(next, old)
 		}
-		m.plans[key] = p
+		ps.m.Store(&next)
+		ps.misses.Add(1)
 	}
 	return p
 }

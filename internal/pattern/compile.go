@@ -18,9 +18,9 @@ type CompiledEdge struct {
 //
 // A Compiled is tied to the Symbols table it was compiled against and to
 // the names that table held at the time: a label interned later still
-// lowers to NoSym here. Its holders own its lifetime — a validate.Bundle
-// for one graph version, an incremental.Detector per overlay it adopts,
-// and match.Matcher per cached plan, which is keyed by the view's version.
+// lowers to NoSym here. Its holders own its lifetime: a validate.Bundle's
+// rule side per (rule set, symbol table), for every plan it makes too, and
+// a match.Matcher's own plan cache, keyed by the view's version.
 type Compiled struct {
 	Q        *Pattern
 	NodeSyms []graph.Sym

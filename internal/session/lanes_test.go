@@ -102,3 +102,40 @@ func TestLanesFollowTheManifest(t *testing.T) {
 		t.Fatalf("distributed stream over %d lanes diverged: %d vs %d violations", lanes, len(got), len(want.Violations))
 	}
 }
+
+// TestSequentialStreamOneLane: detVio emits on lane 0 only, so its pull
+// pipeline opens one lane whatever Options.N says, as its collect mode
+// already does; the stream still yields Detect's set.
+func TestSequentialStreamOneLane(t *testing.T) {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 400, Seed: 9})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
+	gen.Inject(g, gen.NoiseConfig{Rate: 0.4, Seed: 11})
+	sess, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := validate.Options{Engine: validate.EngineSequential, N: 4}
+	if lanes, err := prep.slots(opt); err != nil || lanes != 1 {
+		t.Fatalf("slots = %d, %v; detVio emits on one lane", lanes, err)
+	}
+	want, err := prep.Detect(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got validate.Report
+	var res validate.Result
+	for v, err := range prep.ViolationsResult(context.Background(), opt, &res) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	got.Sort()
+	if len(want.Violations) == 0 || !got.Equal(want.Violations) {
+		t.Fatalf("one-lane stream: %d violations, Detect %d", len(got), len(want.Violations))
+	}
+}

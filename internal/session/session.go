@@ -285,9 +285,11 @@ func (p *Prepared) frag(b *validate.Bundle, opt validate.Options) *fragment.Frag
 // slots is how many worker slots a run of opt emits on — the lane count of
 // the pull pipeline. It asks the functions the engines themselves resolve
 // their worker count with: a fragmentation or a shard manifest fixes it,
-// whatever Options.N says.
+// whatever Options.N says, and detVio runs one worker.
 func (p *Prepared) slots(opt validate.Options) (int, error) {
 	switch opt.Engine.Resolve() {
+	case validate.EngineSequential:
+		return 1, nil
 	case validate.EngineFragmented:
 		return validate.Slots(opt, p.frag(p.refresh(), opt)), nil
 	case validate.EngineDistributed:

@@ -177,7 +177,7 @@ func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injec
 	cancel := &cancelCheck{ctx: ctx}
 	r := &UnitRunner{
 		groups:   groups,
-		m:        match.NewMatcher(b.topo),
+		m:        b.rules.plans.Get(b.topo),
 		cancel:   cancel,
 		halt:     cancel.canceled,
 		noOpt:    opt.NoOptimize,

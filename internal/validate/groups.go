@@ -69,7 +69,7 @@ func (grp *ruleGroup) bind(rs *ruleSide) {
 		ps[i], perms[i] = grp.deps[i].prog, grp.deps[i].perm
 	}
 	grp.guard = core.GroupGuard(ps, perms)
-	grp.cq = rs.cqs[grp.deps[0].rule]
+	grp.cq = rs.cqs[grp.q]
 	grp.pivot = grp.pivot.Lower(rs.syms)
 }
 

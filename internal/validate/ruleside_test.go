@@ -9,6 +9,7 @@ import (
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
+	"gfd/internal/match"
 )
 
 // sideOf returns b's literal programs in rule order and its default
@@ -92,19 +93,47 @@ func TestRuleSideSharedAcrossVersions(t *testing.T) {
 	}
 }
 
+// scanWith is detVio on one slot matcher m of b's rule side.
+func scanWith(b *Bundle, m *match.Matcher) Report {
+	var out Report
+	for _, f := range b.Set().Rules() {
+		p := b.Program(f)
+		for h := range m.Matches(f.Q, match.Options{Guard: p.Guard()}) {
+			if p.IsViolation(b.Topo(), h) {
+				out = append(out, Violation{Rule: f.Name, Match: slices.Clone(h)})
+			}
+		}
+	}
+	out.Sort()
+	return out
+}
+
 // TestRuleSideSharedUnderRace runs repVal on a superseded bundle while the
 // bundle that shares its rule side runs the same grouping variant and
-// builds another; under -race it checks the shared side's locking.
+// builds another, and a slot matcher that scanned the overlay's first
+// version scans the current one; under -race it checks the shared side's
+// locking and its plan cache.
 func TestRuleSideSharedUnderRace(t *testing.T) {
 	g, set := randomWorkload(3)
 	ov := graph.NewOverlay(g)
 	old := NewBundleOver(ov.Snapshot, set, nil)
+	reused := old.Plans().Get(old.Topo())
+	if got, want := scanWith(old, reused), oracleVio(g, set); !got.Equal(want) {
+		t.Fatalf("the slot matcher at the first version: %d violations, the oracle %d", len(got), len(want))
+	}
 	ov.SetAttr(1, "q", "v0")
 	cur := NewBundleOver(ov.Snapshot, set, old)
 	want := oracleVio(g, set)
 	opts := []Options{{N: 2, NoReduce: true}, {N: 2, NoReduce: true}, {N: 3, NoOptimize: true}}
 	var wg sync.WaitGroup
-	errs := make([]error, len(opts))
+	errs := make([]error, len(opts)+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if !scanWith(cur, reused).Equal(want) { // the same view, one version on
+			errs[len(opts)] = errors.New("the reused slot matcher's scan differs from the oracle")
+		}
+	}()
 	for i, opt := range opts {
 		b := cur
 		if i == 0 {
@@ -122,8 +151,10 @@ func TestRuleSideSharedUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err != nil {
+		if err != nil && i < len(opts) {
 			t.Fatalf("%+v: %v", opts[i], err)
+		} else if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if !sharesSide(t, old, cur) {

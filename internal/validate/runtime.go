@@ -174,10 +174,13 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 		// handed work: the matcher's used-set is O(|V|).
 		r = NewUnitRunner(e.ctx, e.b, e.opt, e.inj, w)
 		r.candsOf = func(ui int) [][]graph.NodeID { return e.b.candidatesOf(e.plan.chunks, ui) }
-		e.runners[w] = r
 	}
+	// A panic below drops the runner, so Close never pools a dirty matcher.
+	e.runners[w] = nil
 	u := &e.plan.units[ui]
-	return r.run(r.groups[u.group], ui, u, skip(ui), emit)
+	err := r.run(r.groups[u.group], ui, u, skip(ui), emit)
+	e.runners[w] = r
+	return err
 }
 
 // Superstep caps OS-level concurrency at the core count and times each
@@ -189,7 +192,15 @@ func (e *goroutines) Superstep(task func(w int)) []time.Duration {
 	return busy
 }
 
-func (e *goroutines) Close() {}
+// Close releases the matcher of every slot that did not die.
+func (e *goroutines) Close() {
+	for w, r := range e.runners {
+		if r != nil {
+			e.b.rules.plans.Put(r.m)
+			e.runners[w] = nil
+		}
+	}
+}
 
 // unitState tracks one unit across attempts and recovery rounds. It is
 // written by the slot currently owning the unit (ownership moves only

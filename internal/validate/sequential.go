@@ -20,7 +20,7 @@ func DetVioB(ctx context.Context, b *Bundle, sink Sink) error {
 
 // ScanRules is the one rule-at-a-time scan, which detVio (DetVioB) and the
 // GCFD baseline (baseline.DetectB) run: n workers (clamped to [1,
-// len(rules)]) take rules round-robin, each with its own match.Matcher.
+// len(rules)]) take rules round-robin, each with a matcher from Bundle.Plans.
 // A worker pulls a rule's matches lazily, with the rule's X pushed into the
 // search as its guard, decides each with the rule's literal program
 // (Bundle.Program) and emits a violation on its own sink lane w as soon as
@@ -37,17 +37,19 @@ func ScanRules(ctx context.Context, b *Bundle, rules []*core.GFD, n int, sink Si
 	view := b.topo
 	ls := NewLaneSink(sink)
 	_, deaths := cluster.Fan(n, 0, func(w int) {
-		m := match.NewMatcher(view)
+		m := b.rules.plans.Get(view)
 		cancel := &cancelCheck{ctx: ctx}
 		halt := func() bool { return ls.Stopped() || cancel.canceled() }
+	scan:
 		for ri := w; ri < len(rules) && !halt(); ri += n {
 			f, p := rules[ri], b.Program(rules[ri])
 			for h := range m.Matches(f.Q, match.Options{Halt: halt, Guard: p.Guard()}) {
 				if p.IsViolation(view, h) && !ls.Emit(w, Violation{Rule: f.Name, Match: append(core.Match(nil), h...)}) {
-					return
+					break scan
 				}
 			}
 		}
+		b.rules.plans.Put(m) // not deferred: a panicking worker's matcher is dropped
 	})
 	if err := ctx.Err(); err != nil {
 		return err
