@@ -346,7 +346,7 @@ func BenchmarkSubgraphIsoStar(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			match.Count(g, q, match.Options{})
+			match.Enumerate(g, q, match.Options{}, func(gfd.Match) bool { return true })
 		}
 	})
 	b.Run("snapshot", func(b *testing.B) {
@@ -354,7 +354,7 @@ func BenchmarkSubgraphIsoStar(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Count(q, match.Options{})
+			m.Enumerate(q, match.Options{}, func(gfd.Match) bool { return true })
 		}
 	})
 }

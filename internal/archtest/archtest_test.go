@@ -7,27 +7,33 @@
 // TestExportedNamesHaveCallers keeps the internal API to what a caller
 // reads: every exported top-level function and method declared in a
 // non-test file under internal/ must be referenced by some non-test file of
-// the module or of the benchmark module (benchmark/, which the walk from
-// the module root covers), apart from its own declaration. Test-only
-// helpers belong in _test.go files (export_test.go when another package's
-// tests need them); the few exported names kept for tests on purpose are
-// listed in keep, each with its reason.
-//
-// Known limit: matching is by name, not by type. A reference is any
-// identifier with the declared name anywhere in the scanned files, so a dead
-// method that shares its name with a live function or method (String,
-// Close, Len, …) passes.
+// the module or of the benchmark module (benchmark/). References are
+// resolved by type (go/types over the files `go list` names), so a dead
+// method that shares its name with a live one fails. A method counts as
+// called when a reference resolves to it, when its type is one the root
+// package re-exports (the public API), or when its type satisfies an
+// interface the code uses or the standard library calls through a value
+// of type any (fmt's Stringer, errors' Unwrap, Is and As) and the method is
+// one of that interface's. Test-only helpers belong in _test.go files
+// (export_test.go when another package's tests need them); the few
+// exported names kept for tests on purpose are listed in keep, each with
+// its reason.
 package archtest
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -45,22 +51,34 @@ var keep = map[string]string{
 	"match.Plans.Misses":             "tests count a rule side's plan-cache misses: none on a warm op",
 	"fault.Injector.Fired":           "chaos tests log and assert how many faults fired",
 	"baseline.DetectJoins":           "tests compare the BigDansing join baseline on a plain graph",
+	"baseline.Detect":                "tests compare the GCFD baseline on a plain graph",
 	"core.GFD.IsConstant":            "a paper notion; tests assert the CFD encodings with it",
 	"core.Literal.IsTautology":       "a paper notion; tests assert the CFD encodings with it",
 }
 
-// implicit lists method names the standard library calls through an
-// interface no file of the module names (errors.Is and errors.As unwrap).
-var implicit = map[string]bool{"Unwrap": true, "Is": true, "As": true}
+// implicitSrc declares the interfaces the standard library calls through a
+// value of type any, which no file of the module names: fmt prints a
+// Stringer, errors.Is and errors.As unwrap and compare an error.
+const implicitSrc = `package implicit
+
+type (
+	stringer  interface{ String() string }
+	wrapper   interface{ Unwrap() error }
+	wrappers  interface{ Unwrap() []error }
+	isError   interface{ Is(error) bool }
+	asError   interface{ As(any) bool }
+)
+`
 
 // decl is one exported function or method declared under internal/.
 type decl struct {
-	key    string // pkg.Func or pkg.Type.Method
-	name   string
-	method bool
+	key string // pkg.Func or pkg.Type.Method
+	fn  *types.Func
 }
 
-func TestExportedNamesHaveCallers(t *testing.T) {
+// repoRoot returns the module root two directories above the test.
+func repoRoot(t *testing.T) string {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +86,11 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found above the test: %v", err)
 	}
-	decls, unused := scan(t, root)
+	return root
+}
+
+func TestExportedNamesHaveCallers(t *testing.T) {
+	decls, unused := scan(t, repoRoot(t))
 	for _, key := range unused {
 		if _, ok := keep[key]; !ok {
 			t.Errorf("exported %s has no caller outside tests: delete it, unexport it or move it into a _test.go file", key)
@@ -81,12 +103,14 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 }
 
-// TestExportedNamesGuardFires runs the scan over a small module whose one
-// exported method only a test calls: the scan must name it, and only it.
+// TestExportedNamesGuardFires runs the scan over a small module with two
+// dead methods: one only a test calls, and one that shares its name with a
+// live method of another type, which a scan by name would pass. The scan
+// must name both, and only them: a method the root package re-exports, one
+// the code uses as an io.Writer and a String method count as called.
 func TestExportedNamesGuardFires(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module m\n",
+	root := writeModule(t, map[string]string{
+		"go.mod": "module m\n\ngo 1.24\n",
 		"internal/pattern/pattern.go": `package pattern
 
 type Pattern struct{}
@@ -96,20 +120,58 @@ func New() *Pattern { return &Pattern{} }
 func (p *Pattern) Size() int { return 0 }
 
 func (p *Pattern) Unused() {}
+
+func (p *Pattern) String() string { return "p" }
+
+type Dead struct{}
+
+func (Dead) Size() int { return 1 }
+
+type Buf struct{}
+
+func (*Buf) Write(b []byte) (int, error) { return len(b), nil }
+
+type API struct{}
+
+func (API) Get() int { return 2 }
 `,
 		"internal/pattern/pattern_test.go": `package pattern
 
 func use() { New().Unused() }
 `,
-		"main.go": `package main
+		"m.go": `package m
 
 import "m/internal/pattern"
 
-func main() { _ = pattern.New().Size() }
+type API = pattern.API
 `,
+		"cmd/tool/main.go": `package main
+
+import (
+	"fmt"
+
+	"m/internal/pattern"
+)
+
+func main() {
+	_ = pattern.Dead{}
+	fmt.Fprint(&pattern.Buf{}, pattern.New().Size())
+}
+`,
+	})
+	want := []string{"pattern.Dead.Size", "pattern.Pattern.Unused"}
+	if _, unused := scan(t, root); !slices.Equal(unused, want) {
+		t.Fatalf("scan reports %v unused, want %v", unused, want)
 	}
+}
+
+// writeModule writes files (slash-separated paths to bodies) under a fresh
+// temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
 	for name, body := range files {
-		path := filepath.Join(root, name)
+		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -117,9 +179,7 @@ func main() { _ = pattern.New().Size() }
 			t.Fatal(err)
 		}
 	}
-	if _, unused := scan(t, root); !slices.Equal(unused, []string{"pattern.Pattern.Unused"}) {
-		t.Fatalf("scan reports %v unused, want [pattern.Pattern.Unused]", unused)
-	}
+	return root
 }
 
 // walkGo calls fn with the path, and the slash-separated path relative to
@@ -151,48 +211,224 @@ func walkGo(t *testing.T, root string, fn func(path, rel string) error) {
 	}
 }
 
-// scan parses every non-test .go file under root and returns the exported
-// functions and methods declared under root/internal and, sorted, the keys
-// of those that no identifier of any scanned file names.
-func scan(t *testing.T, root string) (decls []decl, unused []string) {
+// listed is one package as `go list -json` prints it.
+type listed struct {
+	Dir, ImportPath string
+	GoFiles         []string
+}
+
+// checked is one type-checked package of the scanned modules.
+type checked struct {
+	dir   string
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// loader type-checks the listed packages from source, each once, serving
+// them to one another as imports; the standard library comes from the
+// source importer.
+type loader struct {
+	fset   *token.FileSet
+	std    types.ImporterFrom
+	listed map[string]*listed
+	done   map[string]*checked
+}
+
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
+
+func (l *loader) ImportFrom(path, _ string, mode types.ImportMode) (*types.Package, error) {
+	if lp := l.listed[path]; lp != nil {
+		c, err := l.check(lp)
+		if err != nil {
+			return nil, err
+		}
+		return c.pkg, nil
+	}
+	return l.std.ImportFrom(path, "", mode)
+}
+
+func (l *loader) check(lp *listed) (*checked, error) {
+	if c := l.done[lp.ImportPath]; c != nil {
+		return c, nil
+	}
+	c := &checked{dir: lp.Dir, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		c.files = append(c.files, f)
+	}
+	pkg, err := (&types.Config{Importer: l}).Check(lp.ImportPath, l.fset, c.files, c.info)
+	if err != nil {
+		return nil, err
+	}
+	c.pkg = pkg
+	l.done[lp.ImportPath] = c
+	return c, nil
+}
+
+// goList lists the packages of the module in dir.
+func goList(t *testing.T, dir string) []*listed {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-json", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		lp := new(listed)
+		if err := dec.Decode(lp); errors.Is(err, io.EOF) {
+			return pkgs
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, lp)
+	}
+}
+
+// load type-checks every package of the module at root and, if present,
+// of the benchmark module under it, plus implicitSrc's interfaces, and
+// returns the module's root package apart too, if it has one.
+func load(t *testing.T, root string) (rootPkg *checked, pkgs []*checked) {
 	t.Helper()
 	fset := token.NewFileSet()
-	refs := map[string]int{} // name -> identifiers of that name, declarations excluded
-	walkGo(t, root, func(path, rel string) error {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	if !ok {
+		t.Fatal("the source importer does not implement types.ImporterFrom")
+	}
+	l := &loader{fset: fset, std: std, listed: map[string]*listed{}, done: map[string]*checked{}}
+	var all []*listed
+	for _, dir := range []string{root, filepath.Join(root, "benchmark")} {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+			continue
+		}
+		for _, lp := range goList(t, dir) {
+			l.listed[lp.ImportPath] = lp
+			all = append(all, lp)
+		}
+	}
+	for _, lp := range all {
+		c, err := l.check(lp)
 		if err != nil {
-			return err
+			t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
 		}
-		internal := strings.HasPrefix(rel, "internal/")
-		declared := map[*ast.Ident]bool{}
-		for _, n := range f.Decls {
-			fn, ok := n.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if !internal || !fn.Name.IsExported() {
-				continue
-			}
-			d := decl{key: f.Name.Name + "." + fn.Name.Name, name: fn.Name.Name, method: fn.Recv != nil}
-			if d.method {
-				d.key = f.Name.Name + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			decls = append(decls, d)
+		if lp.Dir == root {
+			rootPkg = c
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				refs[id.Name]++
+		pkgs = append(pkgs, c)
+	}
+	f, err := parser.ParseFile(fset, "implicit.go", implicitSrc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	implicit := &checked{files: []*ast.File{f}, info: &types.Info{Defs: map[*ast.Ident]types.Object{}}}
+	if implicit.pkg, err = (&types.Config{Importer: l}).Check("implicit", fset, implicit.files, implicit.info); err != nil {
+		t.Fatal(err)
+	}
+	return rootPkg, append(pkgs, implicit)
+}
+
+// scan type-checks the module at root and returns the exported functions
+// and methods declared in non-test files under root/internal and, sorted,
+// the keys of those that nothing calls (see the package doc).
+func scan(t *testing.T, root string) (decls []decl, unused []string) {
+	t.Helper()
+	rootPkg, pkgs := load(t, root)
+	called := map[*types.Func]bool{}
+	ifaces := map[string][]*types.Interface{} // method name -> the used interfaces that have it
+	seen := map[types.Type]bool{}
+	var use func(types.Type)
+	use = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch x := typ.(type) {
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{x.Params(), x.Results()} {
+				for i := range tup.Len() {
+					use(tup.At(i).Type())
+				}
 			}
-			return true
-		})
-		return nil
-	})
+		case *types.Pointer:
+			use(x.Elem())
+		case *types.Slice:
+			use(x.Elem())
+		case *types.Array:
+			use(x.Elem())
+		case *types.Chan:
+			use(x.Elem())
+		case *types.Map:
+			use(x.Key())
+			use(x.Elem())
+		}
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				name := it.Method(i).Name()
+				ifaces[name] = append(ifaces[name], it)
+			}
+		}
+	}
+	for _, c := range pkgs {
+		for _, obj := range c.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				called[fn.Origin()] = true
+			}
+			use(obj.Type())
+		}
+		for _, obj := range c.info.Defs {
+			if obj != nil {
+				use(obj.Type())
+			}
+		}
+		for _, tv := range c.info.Types {
+			use(tv.Type)
+		}
+		if !strings.HasPrefix(c.dir, filepath.Join(root, "internal")+string(filepath.Separator)) {
+			continue
+		}
+		for _, f := range c.files {
+			for _, n := range f.Decls {
+				fd, ok := n.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := c.info.Defs[fd.Name].(*types.Func)
+				d := decl{key: c.pkg.Name() + "." + fn.Name(), fn: fn}
+				if recv := fn.Signature().Recv(); recv != nil {
+					d.key = c.pkg.Name() + "." + recvNamed(recv.Type()).Obj().Name() + "." + fn.Name()
+				}
+				decls = append(decls, d)
+			}
+		}
+	}
 	if len(decls) == 0 {
 		t.Fatalf("no exported function or method found under %s", filepath.Join(root, "internal"))
 	}
+	if rootPkg != nil { // the public API: methods of the types the root package re-exports
+		scope := rootPkg.pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					for i := range named.NumMethods() {
+						called[named.Method(i)] = true
+					}
+				}
+			}
+		}
+	}
 	for _, d := range decls {
-		if refs[d.name] == 0 && !(d.method && implicit[d.name]) {
+		if !called[d.fn] && !satisfies(d.fn, ifaces[d.fn.Name()]) {
 			unused = append(unused, d.key)
 		}
 	}
@@ -200,104 +436,26 @@ func scan(t *testing.T, root string) (decls []decl, unused []string) {
 	return decls, unused
 }
 
-// recvType names a method's receiver type without its pointer or type
-// parameters.
-func recvType(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvType(x.X)
-	case *ast.IndexExpr:
-		return recvType(x.X)
-	case *ast.IndexListExpr:
-		return recvType(x.X)
-	case *ast.Ident:
-		return x.Name
+// satisfies reports whether fn is a method whose receiver type, or a
+// pointer to it, implements one of ifaces (each has a method of fn's name).
+func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
 	}
-	return "?"
-}
-
-// Rules lower where they run. A rule's pattern and literals are lowered
-// onto a symbol table by two owners. validate's rule side lowers once per
-// (rule set, symbol table), shared by every bundle over that table:
-// NewBundleOver lowers each rule's literals and pattern, Program and the
-// side's pattern lowering any other rule or pattern an engine runs,
-// ruleGroup.bind each group's pivot, and every plan of every slot matcher
-// reads the side's lowering. A match.Matcher lowers onto its view's table
-// only for callers without a rule side, on a miss of its own plan cache.
-// The incremental detector, the baselines and the session read their
-// lowerings from a bundle. A memo on the pattern or the rule would bring
-// back a staleness rule of its own beside those owners.
-var (
-	lowerMemo  = regexp.MustCompile(`(CompileFor|ProgramFor)\(`)
-	lowerAny   = regexp.MustCompile(`(CompileLiterals|InternLiterals|InternInto)\(|pattern\.Compile\(`)
-	lowerPlan  = regexp.MustCompile(`pattern\.Compile\(`)
-	readerPkgs = []string{"internal/incremental/", "internal/baseline/", "internal/session/"}
-	// planOwners are the only files under internal/ that lower a pattern.
-	planOwners = []string{"internal/validate/prepared.go", "internal/match/matcher.go"}
-)
-
-// lowerViolations returns, sorted, "file:line" of every line of a non-test
-// .go file under root that breaks the lowering rule: a lowering memo
-// anywhere, a lowering in a package that reads its lowerings from a
-// bundle, or a pattern lowered under internal/ outside its two owners.
-func lowerViolations(t *testing.T, root string) []string {
-	t.Helper()
-	var bad []string
-	walkGo(t, root, func(path, rel string) error {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		reader := slices.ContainsFunc(readerPkgs, func(p string) bool { return strings.HasPrefix(rel, p) })
-		owner := !strings.HasPrefix(rel, "internal/") || slices.Contains(planOwners, rel)
-		for i, line := range strings.Split(string(src), "\n") {
-			if lowerMemo.MatchString(line) || reader && lowerAny.MatchString(line) || !owner && lowerPlan.MatchString(line) {
-				bad = append(bad, fmt.Sprintf("%s:%d", rel, i+1))
-			}
-		}
-		return nil
+	named := recvNamed(recv.Type())
+	if named.TypeParams().Len() > 0 {
+		return false
+	}
+	return slices.ContainsFunc(ifaces, func(it *types.Interface) bool {
+		return types.Implements(named, it) || types.Implements(types.NewPointer(named), it)
 	})
-	slices.Sort(bad)
-	return bad
 }
 
-func TestRulesLowerWhereTheyRun(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+// recvNamed returns a method receiver's named type, without its pointer.
+func recvNamed(typ types.Type) *types.Named {
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
 	}
-	for _, at := range lowerViolations(t, root) {
-		t.Errorf("%s lowers a rule outside its owners: read it from a validate.Bundle (Program, Pattern, Plans) or a matcher's plan", at)
-	}
-}
-
-// TestRulesLowerGuardFires runs the lowering rule over a module that breaks
-// each of its three clauses once, beside the owners, a file outside
-// internal/ and a test file that lower as they may: it must name the three
-// lines and only them.
-func TestRulesLowerGuardFires(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod":                           "module m\n",
-		"internal/validate/prepared.go":    "package validate\n\nvar _ = pattern.Compile(q, syms)\n",
-		"internal/match/matcher.go":        "package match\n\nvar _ = pattern.Compile(q, syms)\n",
-		"probes.go":                        "package main\n\nvar _ = pattern.Compile(q, syms)\n",
-		"internal/core/memo.go":            "package core\n\nfunc (f *GFD) ProgramFor(s *Symbols) {}\n",
-		"internal/session/session.go":      "package session\n\nfunc f() {\n\tg.InternLiterals(syms)\n}\n",
-		"internal/workload/pivot.go":       "package workload\n\nvar _ = pattern.Compile(q, syms)\n",
-		"internal/session/session_test.go": "package session\n\nvar _ = pattern.Compile(q, syms)\n",
-	}
-	for name, body := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{"internal/core/memo.go:3", "internal/session/session.go:4", "internal/workload/pivot.go:3"}
-	if got := lowerViolations(t, root); !slices.Equal(got, want) {
-		t.Fatalf("the lowering rule reports %v, want %v", got, want)
-	}
+	return types.Unalias(typ).(*types.Named)
 }

@@ -145,14 +145,6 @@ func (p *LiteralProgram) SatisfiesY(src *graph.Snapshot, h Match) bool {
 	return true
 }
 
-// Holds reports h(x̄) |= X → Y.
-func (p *LiteralProgram) Holds(src *graph.Snapshot, h Match) bool {
-	if !p.SatisfiesX(src, h) {
-		return true
-	}
-	return p.SatisfiesY(src, h)
-}
-
 // IsViolation reports whether h(x̄) violates ϕ: h |= X but h ̸|= Y.
 func (p *LiteralProgram) IsViolation(src *graph.Snapshot, h Match) bool {
 	return p.SatisfiesX(src, h) && !p.SatisfiesY(src, h)

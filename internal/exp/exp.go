@@ -74,13 +74,6 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Graph materializes the configured dataset with noise injected.
-func (c Config) Graph() *graph.Graph {
-	g := c.cleanGraph()
-	c.inject(g)
-	return g
-}
-
 func (c Config) cleanGraph() *graph.Graph {
 	switch c.Dataset {
 	case "dbpedia":
@@ -274,17 +267,6 @@ func (t Table) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Get returns a cell value.
-func (t Table) Get(x, series string) (float64, bool) {
-	for _, r := range t.Rows {
-		if r.X == x {
-			v, ok := r.Cells[series]
-			return v, ok
-		}
-	}
-	return 0, false
 }
 
 // SixAlgorithms is the series order of Fig. 5.

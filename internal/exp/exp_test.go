@@ -203,3 +203,14 @@ func TestPrepareDeterministic(t *testing.T) {
 		t.Error("Prepare must be deterministic")
 	}
 }
+
+// Get returns a cell value.
+func (t Table) Get(x, series string) (float64, bool) {
+	for _, r := range t.Rows {
+		if r.X == x {
+			v, ok := r.Cells[series]
+			return v, ok
+		}
+	}
+	return 0, false
+}

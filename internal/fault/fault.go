@@ -425,7 +425,6 @@ type armedRule struct {
 // nil *Injector is a valid no-op (Cross nil-checks), which is what an
 // unarmed production run carries.
 type Injector struct {
-	plan       *Plan
 	rules      []*armedRule
 	siteCounts [numSites]atomic.Int64
 	workerUnit []atomic.Int64 // UnitStart crossings per worker
@@ -444,7 +443,6 @@ func (p *Plan) Arm(workers int) *Injector {
 		workers = 1
 	}
 	in := &Injector{
-		plan:       p,
 		workerUnit: make([]atomic.Int64, workers),
 		procUnit:   make([]atomic.Int64, workers),
 		pipeFrames: make([]atomic.Int64, workers),
@@ -454,14 +452,6 @@ func (p *Plan) Arm(workers int) *Injector {
 		in.rules[i] = &armedRule{rule: p.rules[i]}
 	}
 	return in
-}
-
-// Plan returns the armed plan.
-func (in *Injector) Plan() *Plan {
-	if in == nil {
-		return nil
-	}
-	return in.plan
 }
 
 // Cross is the injection point: the runtime calls it with the site being

@@ -159,7 +159,7 @@ func TestMineGFDs(t *testing.T) {
 			t.Errorf("%s: empty consequent", f.Name)
 		}
 		// Every mined pattern must have support in the graph.
-		if !match.Has(g, f.Q, match.Options{}) {
+		if len(match.NewMatcher(g.Freeze()).All(f.Q, match.Options{Limit: 1})) == 0 {
 			t.Errorf("%s: pattern has no match in its source graph", f.Name)
 		}
 	}

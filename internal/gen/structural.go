@@ -15,11 +15,6 @@ type StructuralErrors struct {
 	MayorMismatch     []graph.NodeID // mayors whose city and party countries differ
 }
 
-// Count returns the total number of injected structural errors.
-func (s StructuralErrors) Count() int {
-	return len(s.ChildParentCycles) + len(s.DisjointTyped) + len(s.MayorMismatch)
-}
-
 // InjectStructural adds perKind instances of each Fig. 7 error motif to a
 // knowledge graph built by YAGO2Like/DBpediaLike. Unlike attribute noise,
 // these are *topological* inconsistencies: impossible family cycles,

@@ -57,9 +57,6 @@ func (s *EpochSet) Contains(id NodeID) bool {
 	return int(id) < len(s.stamp) && s.stamp[id] == s.epoch
 }
 
-// Len returns the number of members.
-func (s *EpochSet) Len() int { return len(s.members) }
-
 // Members returns the current members in insertion order. The slice is
 // invalidated by the next Reset; callers that retain it must copy.
 func (s *EpochSet) Members() []NodeID { return s.members }

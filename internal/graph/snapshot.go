@@ -435,17 +435,6 @@ func (s *Snapshot) View() *Snapshot { return s }
 // be persisted or shipped as if it were frozen.
 func (s *Snapshot) Patched() bool { return s.patch != nil }
 
-// Version returns the graph version a view's patch reflects; it advances
-// with every update applied through the Overlay, so holders of
-// topology-derived caches (a match.Matcher's own plan cache) key on it. A
-// frozen snapshot never changes and reports 0.
-func (s *Snapshot) Version() uint64 {
-	if s.patch != nil {
-		return s.patch.version
-	}
-	return 0
-}
-
 // NumNodes returns |V|: at freeze time, plus a view's inserted nodes.
 func (s *Snapshot) NumNodes() int {
 	if s.patch != nil {

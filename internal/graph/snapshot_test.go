@@ -243,7 +243,7 @@ func TestSnapshotNeighborhood(t *testing.T) {
 	s := g.Freeze()
 	for v := 0; v < g.NumNodes(); v += 7 {
 		for c := 0; c <= 3; c++ {
-			want := g.Neighborhood(NodeID(v), c)
+			want := mapNeighborhood(g, NodeID(v), c)
 			got := s.Neighborhood(NodeID(v), c)
 			if len(want) != len(got) {
 				t.Fatalf("node %d c=%d: %d vs %d nodes", v, c, len(got), len(want))
@@ -255,6 +255,33 @@ func TestSnapshotNeighborhood(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapNeighborhood is the reference for TestSnapshotNeighborhood: a
+// breadth-first search over a building graph's adjacency maps, sorted.
+func mapNeighborhood(g *Graph, start NodeID, c int) []NodeID {
+	visited := map[NodeID]struct{}{start: {}}
+	frontier := []NodeID{start}
+	for hop := 0; hop < c && len(frontier) > 0; hop++ {
+		var next []NodeID
+		for _, v := range frontier {
+			for _, hes := range [2][]HalfEdge{g.out[v], g.in[v]} {
+				for _, he := range hes {
+					if _, seen := visited[he.To]; !seen {
+						visited[he.To] = struct{}{}
+						next = append(next, he.To)
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	out := make([]NodeID, 0, len(visited))
+	for v := range visited {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestFreezeCache verifies snapshots are cached until the next mutation.

@@ -157,7 +157,7 @@ func (d *Detector) adopt() {
 	d.progs, d.cqs = d.progs[:0], d.cqs[:0]
 	for _, f := range d.rules {
 		d.progs = append(d.progs, d.b.Program(f))
-		d.cqs = append(d.cqs, d.b.Pattern(f))
+		d.cqs = append(d.cqs, d.b.Plans().Compiled(f.Q))
 	}
 	d.m = d.b.Plans().Get(ov.Snapshot)
 }

@@ -1,6 +1,10 @@
 package match
 
-import "gfd/internal/pattern"
+import (
+	"gfd/internal/core"
+	"gfd/internal/graph"
+	"gfd/internal/pattern"
+)
 
 // Tries reports the candidate tries the matcher has made while an
 // Options.Halt probe was armed: the counter that strides the probe.
@@ -16,4 +20,54 @@ func (m *Matcher) SemiJoined() bool { return m.setEdge >= 0 }
 func (m *Matcher) Plan(q *pattern.Pattern, opts Options) Plan {
 	m.prepare(q, &opts)
 	return *m.plan
+}
+
+// Count returns the number of matches of q under opts.
+func (m *Matcher) Count(q *pattern.Pattern, opts Options) int {
+	n := 0
+	m.Enumerate(q, opts, func(core.Match) bool {
+		n++
+		return opts.Limit == 0 || n < opts.Limit
+	})
+	return n
+}
+
+// Has reports whether q has at least one match under opts.
+func (m *Matcher) Has(q *pattern.Pattern, opts Options) bool {
+	found := false
+	m.Enumerate(q, opts, func(core.Match) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// Count returns the number of matches of q in g under opts.
+func Count(g *graph.Graph, q *pattern.Pattern, opts Options) int {
+	n := 0
+	Enumerate(g, q, opts, func(core.Match) bool {
+		n++
+		return opts.Limit == 0 || n < opts.Limit
+	})
+	return n
+}
+
+// Has reports whether q has at least one match in g under opts.
+func Has(g *graph.Graph, q *pattern.Pattern, opts Options) bool {
+	found := false
+	Enumerate(g, q, opts, func(core.Match) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// All returns every match (copied) of q in g under opts.
+func All(g *graph.Graph, q *pattern.Pattern, opts Options) []core.Match {
+	var out []core.Match
+	Enumerate(g, q, opts, func(m core.Match) bool {
+		out = append(out, append(core.Match(nil), m...))
+		return true
+	})
+	return out
 }

@@ -13,7 +13,7 @@
 //
 // Two execution paths produce the same match set:
 //
-//   - Enumerate/Count/Has/All walk the mutable *graph.Graph directly. This
+//   - Enumerate walks the mutable *graph.Graph directly. This
 //     is the portable reference path, kept as the differential-test oracle
 //     and for ad-hoc callers (targeted noise injection).
 //   - Matcher (matcher.go) runs against one read view, a
@@ -88,10 +88,10 @@ type Options struct {
 	// its last operand, and a prefix on which every guard member has a
 	// failed X literal is abandoned there. The plan orders variables so
 	// guards close early. Under a guard the Matcher yields only matches
-	// some member's X holds on — Count, Has and Limit count exactly those
-	// — and a dead guard (no member's X can ever hold) yields nothing
-	// without searching. Y never prunes: callers still run IsViolation on
-	// every yielded match. nil searches unguarded. The Matcher evaluates
+	// some member's X holds on — Limit counts exactly those — and a dead
+	// guard (no member's X can ever hold) yields nothing without
+	// searching. Y never prunes: callers still run IsViolation on every
+	// yielded match. nil searches unguarded. The Matcher evaluates
 	// guards against its read view, so an overlay's attribute writes are
 	// seen; Enumerate over a *graph.Graph ignores it (it evaluates no
 	// compiled literals).
@@ -114,36 +114,6 @@ func Enumerate(g *graph.Graph, q *pattern.Pattern, opts Options, yield func(core
 		s.assign[i] = graph.Invalid
 	}
 	s.extend(0)
-}
-
-// Count returns the number of matches of q in g under opts.
-func Count(g *graph.Graph, q *pattern.Pattern, opts Options) int {
-	n := 0
-	Enumerate(g, q, opts, func(core.Match) bool {
-		n++
-		return opts.Limit == 0 || n < opts.Limit
-	})
-	return n
-}
-
-// Has reports whether q has at least one match in g under opts.
-func Has(g *graph.Graph, q *pattern.Pattern, opts Options) bool {
-	found := false
-	Enumerate(g, q, opts, func(core.Match) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// All returns every match (copied) of q in g under opts.
-func All(g *graph.Graph, q *pattern.Pattern, opts Options) []core.Match {
-	var out []core.Match
-	Enumerate(g, q, opts, func(m core.Match) bool {
-		out = append(out, append(core.Match(nil), m...))
-		return true
-	})
-	return out
 }
 
 type searcher struct {

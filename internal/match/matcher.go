@@ -2,7 +2,6 @@ package match
 
 import (
 	"iter"
-	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -39,15 +38,16 @@ import (
 // search) or its label class; a striped node's residue is checked per
 // candidate, and the edges a candidate's source proves are not searched
 // again. Plans (Plan: the lowered pattern, the order and the guard
-// instructions due at each depth) are cached in a Plans, the matcher's own
-// or a validate rule side's; Options.NoIntersect forces the probing path
-// for differential testing.
+// instructions due at each depth) are read from the matcher's Plans, the
+// one owner of lowerings and plans over the view's table: a validate rule
+// side's, or NewMatcher's private one. Options.NoIntersect forces the
+// probing path for differential testing.
 //
 // Literal pushdown: under Options.Guard a rule's X literals run inside the
 // search, each at the earliest depth where its operands are bound, so a
 // prefix X already rejects is never extended; the planner discounts the
-// nodes whose placement closes a guard, so guards close early. Count, Has
-// and Limit then count only matches that pass the guard. Y never prunes.
+// nodes whose placement closes a guard, so guards close early. Limit then
+// counts only matches that pass the guard. Y never prunes.
 type Matcher struct {
 	// snap is the read view. The search calls its accessors directly, so
 	// the per-candidate reads (label, degrees, adjacency ranges) stay
@@ -110,42 +110,57 @@ const haltStride = 64
 
 // planKey identifies one cached plan: the pattern, the pinned pattern
 // nodes in pin order (pinKey; the pinned lists never affect the order), the
-// striped node (-1 unstriped), in a matcher's own cache the topology
-// version the lowering and the class-size estimates were read at, and the
-// guard scheduled into it (the key holds the pointers, so a cached
-// pattern's or guard's address is never reused by another).
+// striped node (-1 unstriped) and the guard scheduled into it (the key holds
+// the pointers, so a cached pattern's or guard's address is never reused by
+// another). It carries no view version: a plan stays valid at every version
+// of its table (see Plans).
 type planKey struct {
 	q      *pattern.Pattern
 	pins   uint64
 	stripe int
-	ver    uint64
 	guard  *core.Guard
 }
 
-// maxPlanCache bounds a matcher's own plan cache; beyond it the cache
-// resets, which only a long-lived matcher over a mutating overlay reaches.
-const maxPlanCache = 64
-
-// Plans caches plans per (pattern, pinned nodes in order, stripe node,
-// guard) and pools the matchers that read it (Get, Put). NewMatcher's own
-// cache lowers onto the view's table and keys by its version too: a name
-// an update interns later leaves a lowering stale. A NewPlans cache is
-// shared at every version, as its owner lowers the patterns, and never
-// evicts, so a retried unit on another slot runs the same plan. Readers
-// never lock: the map is copied on write.
+// Plans owns the lowering and the plans of every pattern run over one
+// symbol table, and pools the matchers that read them (Get, Put). Compiled
+// lowers a pattern once; a plan is made once per (pattern, pinned nodes in
+// order, stripe node, guard) and kept for every view of the table, at any
+// version, and never evicted, so a retried unit on another slot runs the
+// same plan. When intern is set (a patched view's growing table), a
+// pattern's labels are interned before it is lowered, so a label an update
+// adds later already has its code. Readers take no lock: a hit is one
+// sync.Map load.
 type Plans struct {
-	lower  func(*pattern.Pattern) *pattern.Compiled // nil: a matcher's own cache
-	mu     sync.Mutex                               // serializes the writers
-	m      atomic.Pointer[map[planKey]*Plan]
+	syms   *graph.Symbols
+	intern bool
+
+	mu  sync.Mutex // guards cqs and the interning
+	cqs map[*pattern.Pattern]*pattern.Compiled
+
+	plans  sync.Map // planKey -> *Plan
 	misses atomic.Int64
 	free   sync.Pool
 }
 
-// NewPlans returns a shared plan cache whose patterns lower through lower.
-func NewPlans(lower func(*pattern.Pattern) *pattern.Compiled) *Plans {
-	ps := &Plans{lower: lower}
-	ps.m.Store(&map[planKey]*Plan{})
-	return ps
+// NewPlans returns the plan cache of patterns lowered onto syms, each
+// interned first when intern is set.
+func NewPlans(syms *graph.Symbols, intern bool) *Plans {
+	return &Plans{syms: syms, intern: intern, cqs: map[*pattern.Pattern]*pattern.Compiled{}}
+}
+
+// Compiled returns q lowered onto ps's table, lowering it on first use.
+func (ps *Plans) Compiled(q *pattern.Pattern) *pattern.Compiled {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	cq := ps.cqs[q]
+	if cq == nil {
+		if ps.intern {
+			pattern.InternInto(q, ps.syms)
+		}
+		cq = pattern.Compile(q, ps.syms)
+		ps.cqs[q] = cq
+	}
+	return cq
 }
 
 // Misses returns how many plans ps has made.
@@ -172,8 +187,12 @@ func (ps *Plans) Put(m *Matcher) {
 }
 
 // NewMatcher returns a matcher over t's read view, a *graph.Snapshot or an
-// *graph.Overlay's patched view, with a plan cache of its own.
-func NewMatcher(t graph.Topology) *Matcher { return NewPlans(nil).Get(t.View()) }
+// *graph.Overlay's patched view, with a plan cache of its own over the
+// view's table.
+func NewMatcher(t graph.Topology) *Matcher {
+	v := t.View()
+	return NewPlans(v.Syms(), v.Patched()).Get(v)
+}
 
 // Topo returns the read view this matcher runs against.
 func (m *Matcher) Topo() *graph.Snapshot { return m.snap }
@@ -230,26 +249,6 @@ func (m *Matcher) Matches(q *pattern.Pattern, opts Options) iter.Seq[core.Match]
 	return func(yield func(core.Match) bool) {
 		m.Enumerate(q, opts, yield)
 	}
-}
-
-// Count returns the number of matches of q under opts.
-func (m *Matcher) Count(q *pattern.Pattern, opts Options) int {
-	n := 0
-	m.Enumerate(q, opts, func(core.Match) bool {
-		n++
-		return opts.Limit == 0 || n < opts.Limit
-	})
-	return n
-}
-
-// Has reports whether q has at least one match under opts.
-func (m *Matcher) Has(q *pattern.Pattern, opts Options) bool {
-	found := false
-	m.Enumerate(q, opts, func(core.Match) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // All returns every match (copied) of q under opts.
@@ -394,8 +393,8 @@ func (p *Plan) schedule(g *core.Guard) {
 // cache: patterns of at most 64 nodes under at most eight pins (all of
 // them, in practice) resolve repeated enumerations, one per work unit on
 // the engine paths, to a map hit, skipping the lowering, the class-size
-// reads and the O(|Q|²) selection. A miss checks the pins, lowers the
-// pattern (by the owner, or onto the view's table) and plans under a lock.
+// reads and the O(|Q|²) selection. A miss checks the pins and plans; when
+// two matchers miss on one key at once, both return the plan stored first.
 func (m *Matcher) planFor() *Plan {
 	stripe := -1
 	if m.opts.StripeMod > 0 {
@@ -405,38 +404,24 @@ func (m *Matcher) planFor() *Plan {
 	pins, cacheable := pinKey(m.opts.Pins, m.n)
 	cacheable = cacheable && m.n <= 64
 	key := planKey{q: m.q, pins: pins, stripe: stripe, guard: m.opts.Guard}
-	if ps.lower == nil {
-		key.ver = m.snap.Version()
-	}
-	if p := (*ps.m.Load())[key]; cacheable && p != nil {
-		return p
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	old := *ps.m.Load()
-	if p := old[key]; cacheable && p != nil { // another matcher made it meanwhile
-		return p
+	if p, ok := ps.plans.Load(key); cacheable && ok {
+		return p.(*Plan)
 	}
 	checkPins(m.opts.Pins, m.n)
-	if ps.lower != nil {
-		m.cq = ps.lower(m.q)
-	} else {
-		m.cq = pattern.Compile(m.q, m.snap.Syms())
-	}
+	m.cq = ps.Compiled(m.q)
 	p := &Plan{Order: make([]int, m.n), pinned: len(m.opts.Pins), cq: m.cq}
 	m.planOrder(p.Order, stripe)
 	p.index(m.q)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)
 	}
-	if cacheable {
-		next := map[planKey]*Plan{key: p}
-		if ps.lower != nil || len(old) < maxPlanCache {
-			maps.Copy(next, old)
-		}
-		ps.m.Store(&next)
-		ps.misses.Add(1)
+	if !cacheable {
+		return p
 	}
+	if old, loaded := ps.plans.LoadOrStore(key, p); loaded {
+		return old.(*Plan)
+	}
+	ps.misses.Add(1)
 	return p
 }
 

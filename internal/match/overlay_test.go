@@ -87,8 +87,9 @@ func TestDifferentialOverlayMatcher(t *testing.T) {
 // TestOverlayMatcherSeesNewLabel: one Matcher kept over the live overlay
 // enumerates a pattern whose labels the symbol table has never interned —
 // they lower to NoSym and match nothing — and, after updates insert a node
-// and an edge carrying those labels, finds them. The plan cache is keyed
-// by the view's version, so the update re-lowers the pattern.
+// and an edge carrying those labels, finds them. The matcher's Plans
+// interns a pattern's labels before lowering it on a patched view, so the
+// lowering made before the updates already holds their codes.
 func TestOverlayMatcherSeesNewLabel(t *testing.T) {
 	g := graph.New(0, 0)
 	owner := g.AddNode("person", nil)

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"runtime"
 	"testing"
 
 	"gfd/internal/core"
@@ -24,11 +25,7 @@ func TestBitsetsGrowGeometrically(t *testing.T) {
 		}
 	}
 	ov := graph.NewOverlay(g)
-	syms := ov.Syms()
-	ps := NewPlans(func(q *pattern.Pattern) *pattern.Compiled {
-		pattern.InternInto(q, syms)
-		return pattern.Compile(q, syms)
-	})
+	ps := NewPlans(ov.Syms(), true)
 	q := pattern.New()
 	q.AddEdge(q.AddNode("x", "a"), q.AddNode("y", "a"), "e")
 	m := ps.Get(ov.Snapshot)
@@ -55,5 +52,49 @@ func TestBitsetsGrowGeometrically(t *testing.T) {
 	}
 	if ps.Misses() != 1 {
 		t.Fatalf("the shared cache missed %d times, want once: no batch re-plans", ps.Misses())
+	}
+}
+
+// TestPlanMissesCostFlat: a plan miss costs the same heap bytes however
+// many plans the cache already holds. It makes 2K distinct plans on one
+// fresh Plans and compares the bytes the second K misses allocate with the
+// first K's. A cache that copies its map on every miss pays O(plans) per
+// miss, about three times as much in the second half.
+func TestPlanMissesCostFlat(t *testing.T) {
+	const k = 512
+	g := graph.New(4, 0)
+	for i := range 4 {
+		g.AddNode("a", nil)
+		if i > 0 {
+			g.MustAddEdge(graph.NodeID(i-1), graph.NodeID(i), "e")
+		}
+	}
+	snap := g.Freeze()
+	ps := NewPlans(snap.Syms(), false)
+	qs := make([]*pattern.Pattern, 2*k+1)
+	for i := range qs {
+		q := pattern.New()
+		q.AddEdge(q.AddNode("x", "a"), q.AddNode("y", "a"), "e")
+		qs[i] = q
+	}
+	m := ps.Get(snap)
+	yield := func(core.Match) bool { return true }
+	m.Enumerate(qs[2*k], Options{}, yield) // sizes the matcher's scratch
+	var ms runtime.MemStats
+	half := func(qs []*pattern.Pattern) uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for _, q := range qs {
+			m.Enumerate(q, Options{}, yield)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	first, second := half(qs[:k]), half(qs[k:2*k])
+	if ps.Misses() != 2*k+1 {
+		t.Fatalf("%d misses, want %d", ps.Misses(), 2*k+1)
+	}
+	if float64(second) > 1.5*float64(first) {
+		t.Fatalf("misses %d–%d allocated %d B, misses 1–%d %d B (%.2f×): a miss must not pay for the plans already made", k+1, 2*k, second, k, first, float64(second)/float64(first))
 	}
 }

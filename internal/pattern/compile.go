@@ -18,9 +18,9 @@ type CompiledEdge struct {
 //
 // A Compiled is tied to the Symbols table it was compiled against and to
 // the names that table held at the time: a label interned later still
-// lowers to NoSym here. Its holders own its lifetime: a validate.Bundle's
-// rule side per (rule set, symbol table), for every plan it makes too, and
-// a match.Matcher's own plan cache, keyed by the view's version.
+// lowers to NoSym here. Its one holder is a match.Plans, one per symbol
+// table (a validate.Bundle's rule side, or a match.NewMatcher's own), which
+// interns a growing table's labels before it lowers.
 type Compiled struct {
 	Q        *Pattern
 	NodeSyms []graph.Sym

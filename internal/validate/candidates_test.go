@@ -74,7 +74,7 @@ func TestCandidatesDropNoMatch(t *testing.T) {
 						continue
 					}
 					rejected[name]++
-					if m.Has(pv.Q, match.Options{Pins: []match.Pin{{Node: z, To: []graph.NodeID{v}}}}) {
+					if len(m.All(pv.Q, match.Options{Limit: 1, Pins: []match.Pin{{Node: z, To: []graph.NodeID{v}}}})) > 0 {
 						t.Fatalf("seed %d, %s: node %d has a match with pivot %d pinned there, yet CandidatesIn rejects it", seed, name, v, z)
 					}
 				}

@@ -57,10 +57,10 @@ func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
 
 // bind attaches each dependency's program from the rule side and compiles
 // the group guard from them, so the per-match hot path (checkMatch) reads
-// a program pointer and never locks, takes the group pattern's lowering
-// from its first member (the group pattern is that rule's Q) and lowers
-// the pivot onto the side's table once, so no unit looks up a name. Call
-// under rs.mu.
+// a program pointer and never locks, reads the group pattern's lowering
+// from the side's plans (the group pattern is its first member's Q) and
+// lowers the pivot onto the side's table once, so no unit looks up a name.
+// Call under rs.mu.
 func (grp *ruleGroup) bind(rs *ruleSide) {
 	ps := make([]*core.LiteralProgram, len(grp.deps))
 	perms := make([][]int, len(grp.deps))
@@ -69,7 +69,7 @@ func (grp *ruleGroup) bind(rs *ruleSide) {
 		ps[i], perms[i] = grp.deps[i].prog, grp.deps[i].perm
 	}
 	grp.guard = core.GroupGuard(ps, perms)
-	grp.cq = rs.cqs[grp.q]
+	grp.cq = rs.plans.Compiled(grp.q)
 	grp.pivot = grp.pivot.Lower(rs.syms)
 }
 

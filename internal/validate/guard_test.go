@@ -135,7 +135,7 @@ func TestGroupGuardKeepsSingleMemberMatches(t *testing.T) {
 				}
 				// The group's enumeration itself keeps both single-member
 				// matches and drops the chain no member's X holds on.
-				if n := match.NewMatcher(b.Topo()).Count(grp.q, match.Options{Guard: grp.guard}); n != 2 {
+				if n := len(match.NewMatcher(b.Topo()).All(grp.q, match.Options{Guard: grp.guard})); n != 2 {
 					t.Fatalf("group guard admits %d matches, want 2", n)
 				}
 			}
@@ -185,7 +185,7 @@ gfd r {
 		t.Fatal(`X names the uninterned "zzz": the guard must be dead`)
 	}
 	m := match.NewMatcher(b.Topo())
-	if m.Count(f.Q, match.Options{}) == 0 || m.Count(f.Q, match.Options{Guard: p.Guard()}) != 0 {
+	if len(m.All(f.Q, match.Options{})) == 0 || len(m.All(f.Q, match.Options{Guard: p.Guard()})) != 0 {
 		t.Fatal("the dead guard must skip a pattern that has matches")
 	}
 	if got := detVio(g, set); len(got) != 0 {

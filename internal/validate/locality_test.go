@@ -3,6 +3,7 @@ package validate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -53,7 +54,11 @@ func checkLocality(t *testing.T, name string, g *graph.Graph, topo *graph.Snapsh
 	m := match.NewMatcher(topo)
 	block := graph.NewEpochSet(topo.NumNodes())
 	for gi, grp := range buildGroups(set.Rules(), true) {
-		all := match.All(g, grp.q, match.Options{})
+		var all []core.Match
+		match.Enumerate(g, grp.q, match.Options{}, func(h core.Match) bool {
+			all = append(all, slices.Clone(h))
+			return true
+		})
 		pv := grp.pivot
 		cands := make([][]graph.NodeID, pv.Arity())
 		for i := range cands {

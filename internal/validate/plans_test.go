@@ -62,9 +62,9 @@ func TestWarmOpsMakeNoPlans(t *testing.T) {
 // TestSharedPlanOneOrderAcrossVersions: two slot matchers of one rule side
 // enumerate a pinned, striped unit in one order at two versions of an
 // overlay, although the version in between flips the class sizes the plan
-// was chosen from. A matcher that plans afresh at the later version (its
-// own cache) orders the same matches differently, which shows that the
-// fixture tells the two apart.
+// was chosen from. A matcher that plans afresh at the later version (a
+// fresh NewMatcher) orders the same matches differently, which shows that
+// the fixture tells the two apart.
 func TestSharedPlanOneOrderAcrossVersions(t *testing.T) {
 	g := graph.New(0, 0)
 	var ps, ss []graph.NodeID

@@ -9,7 +9,6 @@ import (
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/match"
-	"gfd/internal/pattern"
 	"gfd/internal/reason"
 )
 
@@ -79,14 +78,14 @@ func (e Engine) Resolve() Engine {
 // (rule set, symbol table), and successive bundles over one table share it
 // by pointer, so an update stream over one overlay pays it once:
 //
-//   - GFD literal lowering — X → Y literals as integer instructions — and
-//     each rule's pattern (pattern.Compile), for disVal's estimates, the
-//     incremental detector's pins and every plan;
+//   - GFD literal lowering — X → Y literals as integer instructions;
 //   - workload reduction (reason.Reduce) and multi-query grouping, lazily
 //     per Options variant, each group's pivot lowered once
 //     (workload.Pivot.Lower) so no unit looks up a name;
-//   - the match plans at every version and the slot matchers that read
-//     them, pooled between calls (Plans).
+//   - a match.Plans over the table (Plans): each rule's pattern lowered
+//     once (Plans.Compiled), for disVal's estimates, the incremental
+//     detector's pins and every plan; the match plans at every version;
+//     and the slot matchers that read them, pooled between calls.
 //
 // The rule side is the one owner of those lowerings; the rules, pivots and
 // matchers keep none.
@@ -109,24 +108,24 @@ type Bundle struct {
 }
 
 // ruleSide is a rule set lowered onto one symbol table: every rule's
-// literal program and compiled pattern, compiled by NewBundleOver, plus the
-// reduction and grouping variants, plans and slot matchers derived from
-// them on first use. Bundles over the same table share it.
+// literal program, and its pattern in plans, lowered by NewBundleOver, plus
+// the reduction and grouping variants derived from them on first use.
+// plans also holds the match plans and slot matchers. Bundles over the
+// same table share it.
 type ruleSide struct {
 	set  *core.Set
 	syms *graph.Symbols
 	// interned: every rule name was interned before lowering, so the
 	// lowering stays valid as a patched view's table grows.
 	interned bool
-	plans    *match.Plans // lowers through pattern
+	plans    *match.Plans
 
 	mu      sync.Mutex
 	reduced *core.Set
 	groups  map[groupKey][]*ruleGroup
 	// progs holds each rule's literal program and the programs Program
-	// compiles for rules outside the set; cqs the same for patterns.
+	// compiles for rules outside the set.
 	progs map[*core.GFD]*core.LiteralProgram
-	cqs   map[*pattern.Pattern]*pattern.Compiled
 }
 
 // groupKey identifies one cached grouping variant.
@@ -177,17 +176,15 @@ func NewBundleOver(view *graph.Snapshot, set *core.Set, prev *Bundle) *Bundle {
 		interned: view.Patched(),
 		reduced:  reduced,
 		groups:   make(map[groupKey][]*ruleGroup, 2),
+		plans:    match.NewPlans(syms, view.Patched()),
 		progs:    make(map[*core.GFD]*core.LiteralProgram, set.Len()),
-		cqs:      make(map[*pattern.Pattern]*pattern.Compiled, set.Len()),
 	}
-	b.rules.plans = match.NewPlans(b.rules.pattern)
 	for _, f := range set.Rules() {
+		b.rules.plans.Compiled(f.Q)
 		if view.Patched() {
-			pattern.InternInto(f.Q, syms)
 			f.InternLiterals(syms)
 		}
 		b.rules.progs[f] = f.CompileLiterals(syms)
-		b.rules.cqs[f.Q] = pattern.Compile(f.Q, syms)
 	}
 	return b
 }
@@ -210,26 +207,8 @@ func (b *Bundle) Program(f *core.GFD) *core.LiteralProgram {
 	return p
 }
 
-// Pattern returns the pattern of f lowered onto the bundle's symbol table.
-func (b *Bundle) Pattern(f *core.GFD) *pattern.Compiled { return b.rules.pattern(f.Q) }
-
-// pattern lowers q onto the side's table, as Program does literals: every
-// plan lowers here.
-func (rs *ruleSide) pattern(q *pattern.Pattern) *pattern.Compiled {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if cq, ok := rs.cqs[q]; ok {
-		return cq
-	}
-	if rs.interned {
-		pattern.InternInto(q, rs.syms)
-	}
-	cq := pattern.Compile(q, rs.syms)
-	rs.cqs[q] = cq
-	return cq
-}
-
-// Plans returns the plan cache of the rule side, shared by its bundles.
+// Plans returns the rule side's lowering of every pattern and its plan
+// cache, shared by its bundles.
 func (b *Bundle) Plans() *match.Plans { return b.rules.plans }
 
 // Topo returns the compiled view the engines run against: a frozen
