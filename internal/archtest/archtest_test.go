@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -211,10 +212,11 @@ func walkGo(t *testing.T, root string, fn func(path, rel string) error) {
 	}
 }
 
-// listed is one package as `go list -json` prints it.
+// listed is one package as `go list -deps -export -json` prints it.
 type listed struct {
-	Dir, ImportPath string
-	GoFiles         []string
+	Dir, ImportPath, Export string
+	GoFiles                 []string
+	Standard, DepOnly       bool
 }
 
 // checked is one type-checked package of the scanned modules.
@@ -226,8 +228,8 @@ type checked struct {
 }
 
 // loader type-checks the listed packages from source, each once, serving
-// them to one another as imports; the standard library comes from the
-// source importer.
+// them to one another as imports; the standard library comes from its
+// compiled export data, the files `go list -export` names.
 type loader struct {
 	fset   *token.FileSet
 	std    types.ImporterFrom
@@ -273,10 +275,11 @@ func (l *loader) check(lp *listed) (*checked, error) {
 	return c, nil
 }
 
-// goList lists the packages of the module in dir.
+// goList lists the packages of the module in dir and every package they
+// import, each with its export data file.
 func goList(t *testing.T, dir string) []*listed {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-json", "./...")
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -302,9 +305,15 @@ func goList(t *testing.T, dir string) []*listed {
 func load(t *testing.T, root string) (rootPkg *checked, pkgs []*checked) {
 	t.Helper()
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	export := map[string]string{}
+	std, ok := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	}).(types.ImporterFrom)
 	if !ok {
-		t.Fatal("the source importer does not implement types.ImporterFrom")
+		t.Fatal("the gc importer does not implement types.ImporterFrom")
 	}
 	l := &loader{fset: fset, std: std, listed: map[string]*listed{}, done: map[string]*checked{}}
 	var all []*listed
@@ -313,8 +322,13 @@ func load(t *testing.T, root string) (rootPkg *checked, pkgs []*checked) {
 			continue
 		}
 		for _, lp := range goList(t, dir) {
-			l.listed[lp.ImportPath] = lp
-			all = append(all, lp)
+			switch {
+			case lp.Standard:
+				export[lp.ImportPath] = lp.Export
+			case !lp.DepOnly:
+				l.listed[lp.ImportPath] = lp
+				all = append(all, lp)
+			}
 		}
 	}
 	for _, lp := range all {

@@ -2,6 +2,7 @@ package archtest
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -166,5 +167,169 @@ func TestImportBansGuardFires(t *testing.T) {
 	}
 	if got := importViolations(t, root); !slices.Equal(got, want) {
 		t.Fatalf("the import rule reports %v, want %v", got, want)
+	}
+}
+
+// fieldBan is a struct type whose fields must not mention a type, and why.
+type fieldBan struct {
+	file, typ string
+	bad       func(ast.Node) bool
+	why       string
+}
+
+var (
+	// Open builds no symbol index: opening a .gfds file checks the symbol
+	// directory Save wrote (one sequential pass of adjacent compares, no
+	// hashing) and copies the table's blob, offsets and directory; a table
+	// hashes its names only when an Intern first grows it. A []string of
+	// names in graph.Flat, the image a file holds, or a call of the
+	// slot-index builder on the open path (openFiles) brings back the
+	// per-open rebuild the directory replaced.
+	flatBan   = fieldBan{"internal/graph/persist.go", "Flat", isSliceOf("string"), "the symbol table's image is its blob, offsets and directory"}
+	openFiles = []string{"internal/store/", "internal/graph/persist.go"}
+	// Overlay reads hash nothing: a view reads a node's patched adjacency
+	// and tuple through dense per-node slots (0: the base arrays, k: the
+	// k-th copied list), so the nodes no update touched, most of them, cost
+	// one slot load and no hash. A map keyed by node in the patch brings
+	// the hash back onto every read; the label-keyed class map stays.
+	patchBan = fieldBan{"internal/graph/snapshot.go", "patch", isMapKeyedBy("NodeID"), "overlay reads go through per-node slots"}
+)
+
+// isSliceOf matches a slice type of the named element type.
+func isSliceOf(elem string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		a, ok := n.(*ast.ArrayType)
+		return ok && a.Len == nil && isName(a.Elt, elem)
+	}
+}
+
+// isMapKeyedBy matches a map type whose key type is named key.
+func isMapKeyedBy(key string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		m, ok := n.(*ast.MapType)
+		return ok && isName(m.Key, key)
+	}
+}
+
+// isName reports whether e is name, qualified or not.
+func isName(e ast.Expr, name string) bool {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name == name
+	case *ast.SelectorExpr:
+		return x.Sel.Name == name
+	}
+	return false
+}
+
+// fieldViolations returns "file:line: why" for every field of ban's struct
+// under root that mentions its banned type, at any depth, or one line if
+// the file declares no such struct.
+func fieldViolations(t *testing.T, root string, ban fieldBan) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join(root, filepath.FromSlash(ban.file)), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st *ast.StructType
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == ban.typ {
+			st, _ = ts.Type.(*ast.StructType)
+		}
+		return st == nil
+	})
+	if st == nil {
+		return []string{fmt.Sprintf("%s: declares no struct %s", ban.file, ban.typ)}
+	}
+	var bad []string
+	for _, field := range st.Fields.List {
+		ast.Inspect(field.Type, func(n ast.Node) bool {
+			if n != nil && ban.bad(n) {
+				bad = append(bad, fmt.Sprintf("%s:%d: a field of %s: %s", ban.file, fset.Position(field.Pos()).Line, ban.typ, ban.why))
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// openViolations returns, sorted, the open rule's violations under root:
+// flatBan's, and "file:line" of every call of indexNames in a non-test
+// file of openFiles.
+func openViolations(t *testing.T, root string) []string {
+	t.Helper()
+	bad := fieldViolations(t, root, flatBan)
+	fset := token.NewFileSet()
+	walkGo(t, root, func(path, rel string) error {
+		if !slices.ContainsFunc(openFiles, func(p string) bool { return strings.HasPrefix(rel, p) }) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isName(call.Fun, "indexNames") {
+				bad = append(bad, fmt.Sprintf("%s:%d: calls indexNames", rel, fset.Position(call.Pos()).Line))
+			}
+			return true
+		})
+		return nil
+	})
+	slices.Sort(bad)
+	return bad
+}
+
+func TestOpenBuildsNoSymbolIndex(t *testing.T) {
+	for _, v := range openViolations(t, repoRoot(t)) {
+		t.Errorf("%s: open checks the symbol directory and builds no index", v)
+	}
+}
+
+// TestOpenBuildsNoSymbolIndexGuardFires runs the open rule over a module
+// with a []string field in Flat, and a call of indexNames on the open path
+// in a store file and, as a method, in persist.go, beside a test file on
+// the open path and the symbol table's own call, which may: it must name
+// the three lines and only them.
+func TestOpenBuildsNoSymbolIndexGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                      "module m\n",
+		"internal/graph/persist.go":   "package graph\n\ntype Flat struct {\n\tSymOff []uint32\n\tNames  []string\n}\n\nfunc open(t *table) { t.indexNames() }\n",
+		"internal/graph/symbols.go":   "package graph\n\nfunc grow() { _ = indexNames(v) }\n",
+		"internal/store/open.go":      "package store\n\nfunc open() {\n\t_ = indexNames(v)\n}\n",
+		"internal/store/open_test.go": "package store\n\nfunc check() { _ = indexNames(v) }\n",
+	})
+	want := []string{
+		"internal/graph/persist.go:5: a field of Flat: the symbol table's image is its blob, offsets and directory",
+		"internal/graph/persist.go:8: calls indexNames",
+		"internal/store/open.go:4: calls indexNames",
+	}
+	if got := openViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the open rule reports\n%q\nwant\n%q", got, want)
+	}
+}
+
+func TestOverlayReadsHashNothing(t *testing.T) {
+	for _, v := range fieldViolations(t, repoRoot(t), patchBan) {
+		t.Error(v)
+	}
+}
+
+// TestOverlayReadsHashNothingGuardFires runs the overlay rule over a patch
+// with a map keyed by node nested in a field, beside the label-keyed class
+// map, which may stay: it must name that field only, and a file without
+// the patch struct must fail too.
+func TestOverlayReadsHashNothingGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/graph/snapshot.go": "package graph\n\ntype patch struct {\n\tslots   []int32\n\tclasses map[Sym][]NodeID\n\tbyNode  []map[NodeID]int32\n}\n",
+	})
+	want := []string{"internal/graph/snapshot.go:6: a field of patch: overlay reads go through per-node slots"}
+	if got := fieldViolations(t, root, patchBan); !slices.Equal(got, want) {
+		t.Fatalf("the overlay rule reports %q, want %q", got, want)
+	}
+	root = writeModule(t, map[string]string{"internal/graph/snapshot.go": "package graph\n\ntype view struct{}\n"})
+	if got := fieldViolations(t, root, patchBan); len(got) != 1 {
+		t.Fatalf("the overlay rule reports %q over a file without the patch struct, want one line", got)
 	}
 }

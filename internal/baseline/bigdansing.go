@@ -70,11 +70,11 @@ func DetectJoins(g *graph.Graph, rel *Relational, set *core.Set, n int) validate
 	if n < 1 {
 		n = 1
 	}
-	sink := validate.NewCollectSink(n)
-	_ = DetectJoinsB(context.Background(), validate.NewBundle(g, set), rel, n, sink)
-	out := sink.Report()
-	out.Sort()
-	return out
+	b := validate.NewBundle(g, set)
+	res, _ := validate.Single(set.Len(), n, nil, func(s validate.Sink) error {
+		return DetectJoinsB(context.Background(), b, rel, n, s)
+	})
+	return res.Violations
 }
 
 // DetectJoinsB is DetectJoins over a prepared bundle with cooperative

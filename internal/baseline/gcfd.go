@@ -149,11 +149,11 @@ func isSimplePath(q *pattern.Pattern) bool {
 // the GFD engine does. Violations are reported in the same format so
 // accuracy is directly comparable.
 func Detect(g *graph.Graph, rules []*GCFD) validate.Report {
-	sink := validate.NewCollectSink(1)
-	_ = DetectB(context.Background(), validate.NewBundle(g, core.MustNewSet()), rules, 1, sink)
-	out := sink.Report()
-	out.Sort()
-	return out
+	b := validate.NewBundle(g, core.MustNewSet())
+	res, _ := validate.Single(len(rules), 1, nil, func(s validate.Sink) error {
+		return DetectB(context.Background(), b, rules, 1, s)
+	})
+	return res.Violations
 }
 
 // DetectB is Detect over a prepared bundle with cooperative cancellation

@@ -89,6 +89,10 @@ func FuzzCollectSorted(f *testing.F) {
 	for lo := 0; lo < len(names); lo += 4 {
 		f.Add(collectSeed(rng, 1+lo%4, names[lo:min(lo+8, len(names))], 60))
 	}
+	// Long enough that a lane fills its first two chunks (firstChunk and
+	// twice that many words) and starts a third.
+	f.Add(collectSeed(rng, 1, names[:6], 400))
+	f.Add(collectSeed(rng, 2, names[4:], 800))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lanes, emitted := collectInput(data)
 		var want []string
@@ -136,5 +140,61 @@ func TestCollectEmptyReportNonNil(t *testing.T) {
 	}
 	if r := NewCollectSink(2).Report(); r == nil || len(r) != 0 {
 		t.Fatalf("Report() = %#v, want a non-nil empty one", r)
+	}
+}
+
+// TestCollectAcrossChunks: violations over three lanes, each crossing
+// several chunk boundaries, with arities 0–4, rule names that are prefixes
+// of one another ("r" beside "r,", "r,1" and "r1") and IDs up to ten
+// digits, so that the prefix key holds at most the first ID and many keys
+// tie within and across lanes. The sorted report reads as sort.Strings over
+// Key(), the unsorted one as the lanes in worker order, and appending to
+// any returned match leaves every other one unchanged.
+func TestCollectAcrossChunks(t *testing.T) {
+	const lanes = 3
+	names := []string{"a", "r", "r,", "r,1", "r1", "rule", "s"}
+	firsts := []graph.NodeID{1, 10, 12, 2, 2000000000}
+	rng := rand.New(rand.NewSource(7))
+	var res Result
+	sink, finish := orCollect(nil, lanes, &res)
+	union := NewCollectSink(lanes)
+	var want []string
+	perLane := make([][]string, lanes)
+	for i := range 3000 {
+		var m core.Match
+		for s := range i % 5 {
+			id := firsts[rng.Intn(len(firsts))]
+			if s > 0 {
+				id = graph.NodeID(rng.Int31())
+			}
+			m = append(m, id)
+		}
+		v, lane := Violation{Rule: names[rng.Intn(len(names))], Match: m}, rng.Intn(lanes)
+		sink.Emit(lane, v)
+		union.Emit(lane, v)
+		want, perLane[lane] = append(want, v.Key()), append(perLane[lane], v.Key())
+	}
+	for li := range union.lanes {
+		if c := len(union.lanes[li].chunks); c < 5 {
+			t.Fatalf("lane %d filled %d chunks, want several", li, c)
+		}
+	}
+	finish()
+	sort.Strings(want)
+	if got := inOrder(res.Violations); !slices.Equal(got, want) {
+		t.Fatalf("sorted report is not sort.Strings over Key()")
+	}
+	unsorted := union.Report()
+	if got := inOrder(unsorted); !slices.Equal(got, slices.Concat(perLane...)) {
+		t.Fatalf("unsorted report is not the lanes in worker order")
+	}
+	for _, r := range []Report{res.Violations, unsorted} {
+		before := inOrder(r)
+		for _, v := range r {
+			_ = append(v.Match, -1)
+		}
+		if after := inOrder(r); !slices.Equal(after, before) {
+			t.Fatalf("appending to a match changed another")
+		}
 	}
 }

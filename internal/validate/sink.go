@@ -2,11 +2,12 @@ package validate
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gfd/internal/core"
+	"gfd/internal/cluster"
 	"gfd/internal/graph"
 )
 
@@ -16,8 +17,10 @@ import (
 // engine materializes a per-unit match set first. The three execution
 // modes of the session API are three sinks over one engine code path:
 //
-//   - CollectSink — Detect: per-worker flat lanes appended lock-free; the
-//     sorted Report is built from them once, after the run;
+//   - CollectSink — Detect: per-worker lanes appended lock-free, in
+//     chunks that never regrow; after the run each lane sorts its own
+//     violations in parallel, and one merge writes the sorted Report,
+//     whose matches borrow the lanes' chunks;
 //   - CallbackSink — emissions serialized onto one user function under a
 //     mutex;
 //   - PipeSink — the pull-based iterator (Prepared.Violations): each
@@ -35,23 +38,33 @@ type Sink interface {
 }
 
 // CollectSink accumulates violations into per-worker lanes so parallel
-// engines append without synchronization. A lane is flat and pointer-free
-// but for its few rule names: per violation a head index (rule name and
-// whether the match is empty) and an offset into one ID arena the match is
-// copied into. Report unions the lanes in worker order; the collect mode
-// builds its sorted Report straight from them (orCollect). Emit never
-// refuses.
+// engines append without synchronization. Each violation is written once,
+// into its lane's last chunk, and never moves: a head index (rule name and
+// whether the match is empty), its match's length, then the match. A full
+// chunk is never copied; the next one is twice its size, up to maxChunk
+// words. Report and the collect mode's sorted Report (orCollect) borrow
+// every match from the chunks, capped so that appending to one cannot
+// reach another. Emit never refuses.
 type CollectSink struct {
 	lanes []lane
 }
 
+// Chunk sizes of a lane, in words: the first holds firstChunk, each next
+// one twice its predecessor, up to maxChunk (or one match's words, if
+// more). A lane that collects little allocates little.
+const (
+	firstChunk = 64
+	maxChunk   = 4096
+)
+
+// lane is one worker's violations, in emission order, in chunks that are
+// never regrown; a violation never straddles two.
 type lane struct {
-	heads headTable
-	head  []uint32       // per violation: its index in heads
-	off   []uint32       // per violation: where its match starts in ids
-	ids   []graph.NodeID // the matches, end to end
-	maxID uint32         // the largest ID, as uint32 (a negative one is large)
-	_     [64]byte       // workers append to neighbouring lanes: no shared cache line
+	heads  headTable
+	chunks [][]graph.NodeID // in order; the last is being filled
+	n      int              // violations
+	maxID  uint32           // the largest ID, as uint32 (a negative one is large)
+	_      [64]byte         // workers append to neighbouring lanes: no shared cache line
 }
 
 // NewCollectSink returns a collect sink with capacity for workers lanes
@@ -71,76 +84,111 @@ func (s *CollectSink) Emit(worker int, v Violation) bool {
 		worker = 0
 	}
 	l := &s.lanes[worker]
-	l.head = append(l.head, uint32(l.heads.of(v)))
-	l.off = append(l.off, uint32(len(l.ids)))
-	l.ids = append(l.ids, v.Match...)
+	last := len(l.chunks) - 1
+	if need := 2 + len(v.Match); last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < need {
+		l.grow(need)
+		last++
+	}
+	ch := append(l.chunks[last], graph.NodeID(l.heads.of(v)), graph.NodeID(len(v.Match)))
+	l.chunks[last] = append(ch, v.Match...)
+	l.n++
 	for _, id := range v.Match {
 		l.maxID = max(l.maxID, uint32(id))
 	}
 	return true
 }
 
+// grow starts a chunk with room for need words.
+func (l *lane) grow(need int) {
+	size := firstChunk
+	if k := len(l.chunks); k > 0 {
+		size = min(2*cap(l.chunks[k-1]), maxChunk)
+	}
+	l.chunks = append(l.chunks, make([]graph.NodeID, 0, max(size, need)))
+}
+
+// walk calls fn with where each of the lane's violations lives (its chunk
+// c and offset i), in emission order.
+func (l *lane) walk(fn func(keyed)) {
+	for c, ch := range l.chunks {
+		for i := 0; i < len(ch); i += 2 + int(ch[i+1]) {
+			fn(keyed{c: uint32(c), i: uint32(i)})
+		}
+	}
+}
+
+// at is the violation k names, its match borrowed from the chunk.
+func (l *lane) at(k keyed) Violation {
+	ch := l.chunks[k.c]
+	v := Violation{Rule: l.heads.heads[ch[k.i]].rule}
+	if n := ch[k.i+1]; n > 0 {
+		lo, hi := k.i+2, k.i+2+uint32(n)
+		v.Match = ch[lo:hi:hi]
+	}
+	return v
+}
+
 // Report returns the union of the lanes in worker order (unsorted; the
 // engines sort canonically once at the end of a run).
 func (s *CollectSink) Report() Report {
-	ks, _, _ := s.keyed()
-	return s.write(ks)
-}
-
-// sorted returns the union of the lanes in Key() order.
-func (s *CollectSink) sorted() Report {
-	ks, heads, maxID := s.keyed()
-	sortKeyed(ks, heads, maxID, s.at)
-	return s.write(ks)
-}
-
-// keyed lists the lanes' violations in worker order, each keyed by its
-// index in heads, every lane's table end to end.
-func (s *CollectSink) keyed() (ks []keyed, heads []head, maxID uint32) {
 	n := 0
 	for li := range s.lanes {
-		n += len(s.lanes[li].head)
+		n += s.lanes[li].n
 	}
-	ks = make([]keyed, 0, n)
+	out := make(Report, 0, n)
 	for li := range s.lanes {
 		l := &s.lanes[li]
-		for i, h := range l.head {
-			ks = append(ks, keyed{key: uint64(len(heads)) + uint64(h), src: uint32(li), i: uint32(i)})
-		}
+		l.walk(func(k keyed) { out = append(out, l.at(k)) })
+	}
+	return out
+}
+
+// sorted returns the union of the lanes in Key() order: one keyer over
+// every lane's heads, then each lane keys and sorts its own violations on
+// its own slot, and one merge of the sorted lanes writes the Report.
+func (s *CollectSink) sorted() Report {
+	var heads []head
+	var maxID uint32
+	base, runs := make([]int, len(s.lanes)), make([][]keyed, len(s.lanes))
+	n := 0
+	for li := range s.lanes {
+		l := &s.lanes[li]
+		base[li], n = len(heads), n+l.n
 		heads, maxID = append(heads, l.heads.heads...), max(maxID, l.maxID)
 	}
-	return ks, heads, maxID
-}
-
-// at is the violation k names (src is its lane), its match borrowed from
-// the lane's arena.
-func (s *CollectSink) at(k keyed) Violation {
-	l := &s.lanes[k.src]
-	end := len(l.ids)
-	if int(k.i)+1 < len(l.off) {
-		end = int(l.off[k.i+1])
-	}
-	return Violation{Rule: l.heads.heads[l.head[k.i]].rule, Match: l.ids[l.off[k.i]:end]}
-}
-
-// write materializes the violations ks names, in that order, with every
-// match in one fresh arena, capped so that appending to one cannot reach
-// the next.
-func (s *CollectSink) write(ks []keyed) Report {
-	total := 0
+	kr, ks := newKeyer(heads, maxID), make([]keyed, n)
 	for li := range s.lanes {
-		total += len(s.lanes[li].ids)
+		runs[li], ks = ks[:s.lanes[li].n:s.lanes[li].n], ks[s.lanes[li].n:]
 	}
-	out := make(Report, len(ks))
-	arena := make(core.Match, total)
-	for p, k := range ks {
-		v := s.at(k)
-		n := copy(arena, v.Match)
-		v.Match = nil
-		if n > 0 {
-			v.Match, arena = arena[:n:n], arena[n:]
+	_, deaths := cluster.Fan(len(s.lanes), runtime.GOMAXPROCS(0), func(li int) {
+		l, run := &s.lanes[li], runs[li][:0]
+		l.walk(func(k keyed) {
+			ch := l.chunks[k.c]
+			k.key = kr.key(base[li]+int(ch[k.i]), ch[k.i+2:k.i+2+uint32(ch[k.i+1])])
+			run = append(run, k)
+		})
+		sortKeyed(run, l.at)
+	})
+	if len(deaths) > 0 { // a sort that panics is a bug: raise it here
+		panic(deaths[0])
+	}
+	out := make(Report, n)
+	var o keyOrder
+	for p := range out {
+		best := -1
+		for li, run := range runs {
+			if len(run) == 0 {
+				continue
+			}
+			if best >= 0 {
+				if a, b := run[0], runs[best][0]; a.key > b.key || a.key == b.key && o.tie(s.lanes[li].at(a), s.lanes[best].at(b)) >= 0 {
+					continue
+				}
+			}
+			best = li
 		}
-		out[p] = v
+		out[p] = s.lanes[best].at(runs[best][0])
+		runs[best] = runs[best][1:]
 	}
 	return out
 }
@@ -148,7 +196,8 @@ func (s *CollectSink) write(ks []keyed) Report {
 // orCollect resolves the sink an engine emits into: the caller's, or — for
 // a nil sink, the collect mode — a CollectSink with one lane per worker,
 // with finish building the canonically sorted res.Violations from its
-// lanes after the run. The modes of every engine differ only in the sink.
+// lanes after the run (per-lane sorts, one merge, the matches borrowed).
+// The modes of every engine differ only in the sink.
 func orCollect(sink Sink, lanes int, res *Result) (_ Sink, finish func()) {
 	if sink != nil {
 		return sink, func() {}

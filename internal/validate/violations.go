@@ -69,7 +69,11 @@ func (r Report) Sort() {
 			maxID = max(maxID, uint32(id))
 		}
 	}
-	sortKeyed(ks, heads.heads, maxID, func(k keyed) Violation { return r[k.i] })
+	kr := newKeyer(heads.heads, maxID)
+	for i := range ks {
+		ks[i].key = kr.key(int(ks[i].key), r[ks[i].i].Match)
+	}
+	sortKeyed(ks, func(k keyed) Violation { return r[k.i] })
 	sorted := make(Report, len(r))
 	for p, k := range ks {
 		sorted[p] = r[k.i]
@@ -108,11 +112,11 @@ func (t *headTable) of(v Violation) int {
 	return i
 }
 
-// keyed is one violation in a sort: its key, and where it lives (src and i
-// are read by the caller's lookup).
+// keyed is one violation in a sort: its key, and where it lives (a
+// lane's chunk c and offset i, or a report's index i).
 type keyed struct {
-	key    uint64
-	src, i uint32
+	key  uint64
+	c, i uint32
 }
 
 // keyer builds, per violation, a uint64 prefix key that is monotone in
@@ -123,7 +127,7 @@ type keyed struct {
 // as text, and so as codes; 0 ends the match, so a shorter match sorts
 // first. Heads that are prefixes of one another ("r" beside "r!,", "r,"
 // beside "r,1,") share a rank with no IDs in it, since their order depends
-// on what follows them; sortKeyed breaks those ties on the rendered keys.
+// on what follows them; keyOrder breaks those ties on the rendered keys.
 type keyer struct {
 	rank   []uint64 // per head: its rank, scaled past the ID slots
 	ids    []bool   // per head: it alone holds its rank, so IDs follow
@@ -192,23 +196,25 @@ func (k *keyer) key(h int, m core.Match) uint64 {
 	return key
 }
 
-// sortKeyed sorts ks, whose keys hold indices into heads on entry, into
-// Key() order: it replaces each by its prefix key, sorts by those, and
-// orders equal keys by their violations' rendered keys. at looks a
-// violation up; maxID is the largest of their IDs, as uint32.
-func sortKeyed(ks []keyed, heads []head, maxID uint32, at func(keyed) Violation) {
-	kr := newKeyer(heads, maxID)
-	for i := range ks {
-		ks[i].key = kr.key(int(ks[i].key), at(ks[i]).Match)
-	}
-	var ba, bb []byte
+// sortKeyed sorts ks, keyed by prefix key, into Key() order; at looks a
+// violation up.
+func sortKeyed(ks []keyed, at func(keyed) Violation) {
+	var o keyOrder
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
 		}
-		ba, bb = at(a).appendKey(ba[:0]), at(b).appendKey(bb[:0])
-		return bytes.Compare(ba, bb)
+		return o.tie(at(a), at(b))
 	})
+}
+
+// keyOrder breaks ties between equal prefix keys on the rendered keys,
+// into two scratch buffers.
+type keyOrder struct{ a, b []byte }
+
+func (o *keyOrder) tie(a, b Violation) int {
+	o.a, o.b = a.appendKey(o.a[:0]), b.appendKey(o.b[:0])
+	return bytes.Compare(o.a, o.b)
 }
 
 // Keys returns the sorted canonical keys.
