@@ -37,11 +37,11 @@
 // flattens the overlay's view into a fresh snapshot (compaction) and
 // starts the next live overlay.
 // Violations runs the same engines as one fused, pull-based pipeline —
-// match enumeration → compiled literal check → emission, with per-worker
-// bounded lanes (Options.StreamBuffer) applying backpressure instead of
-// a global emission lock — so the first violation surfaces long before
-// the run finishes and memory stays bounded by the buffer, not the match
-// set. Breaking out of the range (or cancelling ctx) stops candidate
+// match enumeration → compiled literal check → emission into one bounded
+// channel (Options.StreamBuffer per slot), whose full buffer blocks the
+// producers instead of a global emission lock — so the first violation
+// surfaces long before the run finishes and memory stays bounded by the
+// buffer, not the match set. Breaking out of the range (or cancelling ctx) stops candidate
 // enumeration mid-class. Detect is a thin wrapper over the same pipeline,
 // and every engine honors context cancellation.
 //

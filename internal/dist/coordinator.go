@@ -94,17 +94,6 @@ func DetectB(ctx context.Context, b *validate.Bundle, opt validate.Options, sink
 	})
 }
 
-// Slots is the number of worker slots a distributed run of opt schedules
-// onto — the manifest's shard count, whatever Options.N says. Streaming
-// callers size their per-worker lanes off it.
-func Slots(opt validate.Options) (int, error) {
-	m, err := manifestFor(opt)
-	if err != nil {
-		return 0, err
-	}
-	return m.Workers, nil
-}
-
 func manifestFor(opt validate.Options) (*Manifest, error) {
 	if opt.Dist == nil || opt.Dist.ManifestPath == "" {
 		return nil, errors.New("dist: EngineDistributed requires Options.Dist.ManifestPath")

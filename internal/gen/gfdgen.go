@@ -22,11 +22,13 @@ type MineConfig struct {
 	NumRules    int
 	PatternSize int     // target |Q| = |V_Q| + |E_Q|; 0 -> 5
 	TwoCompFrac float64 // fraction of rules with two (isomorphic) components
-	Seeds       int     // top-k seed features; 0 -> 5
-	SampleNodes int     // nodes sampled for path mining; 0 -> 2000
-	MaxCandFreq int     // skip pivot labels more frequent than this for 2-component rules; 0 -> 1500
 	Seed        int64
 }
+
+const (
+	seedFeatures = 5    // top-k seed features
+	maxCandFreq  = 1500 // 2-component rules skip pivot labels more frequent than this
+)
 
 func (c MineConfig) normalize() MineConfig {
 	if c.NumRules <= 0 {
@@ -34,15 +36,6 @@ func (c MineConfig) normalize() MineConfig {
 	}
 	if c.PatternSize <= 0 {
 		c.PatternSize = 5
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 5
-	}
-	if c.SampleNodes <= 0 {
-		c.SampleNodes = 2000
-	}
-	if c.MaxCandFreq <= 0 {
-		c.MaxCandFreq = 1500
 	}
 	return c
 }
@@ -69,8 +62,8 @@ func MineGFDs(g *graph.Graph, cfg MineConfig) *core.Set {
 	for set.Len() < cfg.NumRules && attempt < cfg.NumRules*20 {
 		attempt++
 		twoComp := rng.Float64() < cfg.TwoCompFrac
-		seed := feats[attempt%min(cfg.Seeds*3, len(feats))]
-		if twoComp && g.LabelCount(seed.src) > cfg.MaxCandFreq {
+		seed := feats[attempt%min(seedFeatures*3, len(feats))]
+		if twoComp && g.LabelCount(seed.src) > maxCandFreq {
 			twoComp = false
 		}
 		q, ok := growPattern(seed, adj, cfg.PatternSize, twoComp, rng)

@@ -47,8 +47,8 @@ func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 }
 
 // waitGoroutines polls until the goroutine count returns to the baseline,
-// failing the test if a pipeline goroutine (worker, forwarder, or engine)
-// outlives its iterator.
+// failing the test if a pipeline goroutine (worker or engine) outlives its
+// iterator.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -150,8 +150,8 @@ func TestViolationsUnderFaults(t *testing.T) {
 
 // TestViolationsBreakAtFirst: breaking out of the range after the first
 // element stops detection for every engine — yield is never re-entered,
-// no error materializes, and the workers, forwarders, and engine
-// goroutine all unwind. Single-slot lanes make the abandonment maximally
+// no error materializes, and the workers and the engine goroutine unwind.
+// A one-violation buffer per slot makes the abandonment maximally
 // hostile: producers are likely mid-send when the break lands.
 func TestViolationsBreakAtFirst(t *testing.T) {
 	ctx := context.Background()
@@ -292,8 +292,8 @@ func TestViolationsPartialError(t *testing.T) {
 // failing before anything is emitted — here a manifest that does not
 // exist, the same shape as a spawn refusal or a fleet that never
 // handshakes — must surface through the iterator as exactly one yielded
-// error, after which the pipeline (engine goroutine, lanes, forwarders)
-// is fully unwound. This is the PipeSink early-shutdown path the dist
+// error, after which the pipeline (engine goroutine and channel) is fully
+// unwound. This is the PipeSink early-shutdown path the dist
 // violation-return route reuses.
 func TestViolationsDistErrorBeforeFirstEmission(t *testing.T) {
 	g, set := minedWorkload(t, 5)

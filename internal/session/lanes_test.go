@@ -32,10 +32,9 @@ func (r *laneRecorder) Emit(worker int, _ validate.Violation) bool {
 }
 
 // TestLanesFollowTheManifest: the shard manifest fixes the distributed
-// engine's worker count, whatever Options.N says, and the pull pipeline
-// must size its lanes off that count: with 8 shards and the default N = 4,
-// slots 4–7 used to collapse into lane 0 through PipeSink's out-of-range
-// guard, and per-worker backpressure with them.
+// engine's worker count, whatever Options.N says: with 8 shards and the
+// default N = 4, slots 4–7 emit too, and the stream, whose one channel is
+// sized off Options.N, still yields Detect's set.
 func TestLanesFollowTheManifest(t *testing.T) {
 	const shards = 8
 	// Fine chunks, so that the small graph's plan reaches every slot.
@@ -63,10 +62,6 @@ func TestLanesFollowTheManifest(t *testing.T) {
 		t.Fatalf("default N = %d does not undercut %d shards; the test is vacuous", n, shards)
 	}
 
-	lanes, err := prep.slots(opt)
-	if err != nil || lanes != shards {
-		t.Fatalf("slots = %d, %v; want the manifest's %d", lanes, err, shards)
-	}
 	rec := &laneRecorder{lanes: make(map[int]int)}
 	res, err := prep.run(context.Background(), opt, rec)
 	if err != nil {
@@ -74,8 +69,8 @@ func TestLanesFollowTheManifest(t *testing.T) {
 	}
 	high := 0
 	for lane, n := range rec.lanes {
-		if lane < 0 || lane >= lanes {
-			t.Fatalf("%d violations emitted on lane %d, outside the %d lanes the iterator opens", n, lane, lanes)
+		if lane < 0 || lane >= shards {
+			t.Fatalf("%d violations emitted on lane %d, outside the %d shards", n, lane, shards)
 		}
 		if lane >= opt.Normalized().N {
 			high++
@@ -99,13 +94,13 @@ func TestLanesFollowTheManifest(t *testing.T) {
 	}
 	got.Sort()
 	if !got.Equal(want.Violations) || res.Completeness.Units == 0 {
-		t.Fatalf("distributed stream over %d lanes diverged: %d vs %d violations", lanes, len(got), len(want.Violations))
+		t.Fatalf("distributed stream over %d shards diverged: %d vs %d violations", shards, len(got), len(want.Violations))
 	}
 }
 
 // TestSequentialStreamOneLane: detVio emits on lane 0 only, so its pull
-// pipeline opens one lane whatever Options.N says, as its collect mode
-// already does; the stream still yields Detect's set.
+// pipeline sizes its channel for one slot whatever Options.N says, as its
+// collect mode opens one lane; the stream still yields Detect's set.
 func TestSequentialStreamOneLane(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 400, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
@@ -119,8 +114,8 @@ func TestSequentialStreamOneLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := validate.Options{Engine: validate.EngineSequential, N: 4}
-	if lanes, err := prep.slots(opt); err != nil || lanes != 1 {
-		t.Fatalf("slots = %d, %v; detVio emits on one lane", lanes, err)
+	if lanes := prep.slots(opt); lanes != 1 {
+		t.Fatalf("slots = %d; detVio emits on one lane", lanes)
 	}
 	want, err := prep.Detect(context.Background(), opt)
 	if err != nil {

@@ -201,20 +201,20 @@ func (p *Prepared) Detect(ctx context.Context, opt validate.Options) (*validate.
 // yields each violation as the engine finds it, in delivery order
 // (unsorted — sort order is a property of the collected report, not the
 // stream). The pipeline is fused end to end: match enumeration → compiled
-// literal check → emission, with per-worker bounded lanes
-// (Options.StreamBuffer) applying backpressure to producers instead of
-// serializing them behind a mutex.
+// literal check → emission into one bounded channel (Options.StreamBuffer
+// per slot), whose full buffer blocks the producers instead of
+// serializing them behind a mutex. The range starts one goroutine, the
+// engine's; the engine's slots are its own.
 //
 // Breaking out of the range stops detection: the break cancels the run's
 // context, which reaches every worker's candidate enumeration at its next
 // strided checkpoint — mid-class, not at the next unit boundary — and the
-// workers, forwarders, and the engine goroutine all unwind before the
-// iterator returns; abandoning early never leaks goroutines or wedges a
-// worker on a full lane. A non-nil error is yielded at most once, as the
-// final element: the caller's context expiring, or a partial run
-// (errors.Is validate.ErrPartial) whose failed units may have withheld
-// violations. An early break discards any error the teardown itself
-// produced.
+// workers and the engine goroutine unwind before the iterator returns;
+// abandoning early never leaks goroutines or wedges a worker on a full
+// channel. A non-nil error is yielded at most once, as the final element:
+// the caller's context expiring, or a partial run (errors.Is
+// validate.ErrPartial) whose failed units may have withheld violations. An
+// early break discards any error the teardown itself produced.
 //
 // Violations observed before a break are exactly a prefix-closed subset
 // of the full run's set for the same options: retried units never
@@ -234,12 +234,7 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 	return func(yield func(validate.Violation, error) bool) {
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		lanes, err := p.slots(opt)
-		if err != nil {
-			yield(validate.Violation{}, err)
-			return
-		}
-		pipe := validate.NewPipeSink(runCtx, lanes, opt.StreamBuffer)
+		pipe := validate.NewPipeSink(runCtx, p.slots(opt), opt.StreamBuffer)
 		type outcome struct {
 			res *validate.Result
 			err error
@@ -250,7 +245,7 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 			pipe.Close()
 			done <- outcome{res, err}
 		}()
-		// Drain the merged stream to completion even after the consumer
+		// Drain the stream to completion even after the consumer
 		// breaks: the engine goroutine must finish (it owns the Result) and
 		// yield must never be called again once it returned false.
 		stopped := false
@@ -282,20 +277,15 @@ func (p *Prepared) frag(b *validate.Bundle, opt validate.Options) *fragment.Frag
 	return b.Fragmentation(opt.Normalized().N)
 }
 
-// slots is how many worker slots a run of opt emits on — the lane count of
-// the pull pipeline. It asks the functions the engines themselves resolve
-// their worker count with: a fragmentation or a shard manifest fixes it,
-// whatever Options.N says, and detVio runs one worker.
-func (p *Prepared) slots(opt validate.Options) (int, error) {
-	switch opt.Engine.Resolve() {
-	case validate.EngineSequential:
-		return 1, nil
-	case validate.EngineFragmented:
-		return validate.Slots(opt, p.frag(p.refresh(), opt)), nil
-	case validate.EngineDistributed:
-		return dist.Slots(opt)
+// slots is how many slots the pull pipeline's channel is sized for: one
+// for detVio, Options.N for every other engine. A fragmentation or a shard
+// manifest may run another count; that moves the channel's bound, not
+// what it delivers.
+func (p *Prepared) slots(opt validate.Options) int {
+	if opt.Engine.Resolve() == validate.EngineSequential {
+		return 1
 	}
-	return validate.Slots(opt, nil), nil
+	return opt.Normalized().N
 }
 
 func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.Sink) (*validate.Result, error) {

@@ -58,10 +58,11 @@ type Options struct {
 	// point a nil-check no-op.
 	Inject *fault.Plan
 
-	// StreamBuffer bounds the per-worker violation lanes of the pull-based
-	// pipeline (Prepared.Violations): each worker may run at most this many
-	// violations ahead of the consumer before blocking. 0 normalizes to
-	// DefaultStreamBuffer; the collect and callback sinks ignore it.
+	// StreamBuffer bounds the one channel of the pull-based pipeline
+	// (Prepared.Violations): it holds this many violations per slot, plus
+	// this many for the consumer, before an emitting worker blocks. 0
+	// normalizes to DefaultStreamBuffer; the collect and callback sinks
+	// ignore it.
 	StreamBuffer int
 
 	// Dist configures EngineDistributed (internal/dist): where the shard
@@ -89,10 +90,10 @@ const (
 	maxBackoffFactor    = 8
 )
 
-// DefaultStreamBuffer is the per-worker lane capacity of the pull-based
-// violation pipeline when Options.StreamBuffer is unset: deep enough to
+// DefaultStreamBuffer is the per-slot capacity of the pull-based violation
+// pipeline's channel when Options.StreamBuffer is unset: deep enough to
 // absorb bursts, small enough that an abandoned iterator bounds buffered
-// work to a few KB per worker.
+// work to a few KB per slot.
 const DefaultStreamBuffer = 64
 
 // Normalized fills unset fields with their defaults: the replicated

@@ -48,11 +48,10 @@ type engine struct {
 	start func(*DistPlan, *cluster.Cluster) (Executor, error)
 }
 
-// Slots is the number of worker slots a run over frag (nil unless the
+// slots is the number of worker slots a run over frag (nil unless the
 // engine is fragmented) schedules onto: the fragmentation fixes it —
-// workers beyond frag.N would own no data. Streaming callers size their
-// per-worker lanes off the same number.
-func Slots(opt Options, frag *fragment.Fragmentation) int {
+// workers beyond frag.N would own no data.
+func slots(opt Options, frag *fragment.Fragmentation) int {
 	if frag != nil {
 		return frag.N
 	}
@@ -69,7 +68,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	}
 	defer engineRecover(&err)
 	opt = opt.Normalized()
-	opt.N = Slots(opt, e.frag)
+	opt.N = slots(opt, e.frag)
 	start := time.Now()
 	cl := cluster.New(opt.N)
 	defer func() {
@@ -110,7 +109,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	// fault-tolerant scheduler (runtime.go), which also ships each round's
 	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
-	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
+	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: NewLaneSink(sink)}
 	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, inj, plan), true }
 	if e.start == nil {
 		local()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gfd/internal/cluster"
@@ -221,7 +220,9 @@ type detectRun struct {
 	exec  Executor
 	units []workUnit
 	opt   Options // normalized
-	sink  Sink    // always non-nil: collect, callback, or pipe
+	// sink wraps the collect, callback or pipe sink and latches its first
+	// refusal: every slot then stops at its next unit or emission.
+	sink *LaneSink
 	// simulated is set when the slots are goroutines: the scheduler then
 	// counts what a wire would carry (unit descriptors out, violations
 	// back). Process slots count their real frames.
@@ -237,9 +238,8 @@ type detectRun struct {
 	// counts[w] is the number of violations slot w delivered through the
 	// sink. Slot w is the only writer of counts[w] (ownership moves only
 	// between rounds), so no lock is needed.
-	counts  []int64
-	deaths  int
-	stopped atomic.Bool // the sink refused a violation; the whole run stops
+	counts []int64
+	deaths int
 }
 
 // run executes the detection phase from the given initial assignment and
@@ -274,7 +274,7 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 		}
 		busy := r.exec.Superstep(func(w int) { r.worker(w, todo[w]) })
 		span += cluster.MaxSpan(busy)
-		if r.ctx.Err() != nil || r.stopped.Load() {
+		if r.ctx.Err() != nil || r.sink.Stopped() {
 			// Cancelled or stream-stopped: unreached units are neither
 			// succeeded nor failed; the caller reports ctx.Err() / nil.
 			break
@@ -354,7 +354,7 @@ func (r *detectRun) worker(w int, mine []int) {
 	if len(mine) == 0 || !r.live[w] {
 		return // units queued on a slot that never came up stay pending
 	}
-	cur := -1           // unit in flight, for the recover path
+	cur := -1           // unit in flight, for the recover path; a refusal clears it
 	var delivered int64 // violations delivered by the in-flight attempt
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -365,14 +365,13 @@ func (r *detectRun) worker(w int, mine []int) {
 		}
 	}()
 
-	refused := false
 	out := func(v Violation) bool {
 		// A violation counts as delivered the moment the sink accepts it,
-		// whether that was an append, a callback, or a buffered lane the
+		// whether that was an append, a callback, or a buffered channel the
 		// consumer has not drained yet — so the skip count a retry resumes
 		// from holds for asynchronous emission too.
 		if !r.sink.Emit(w, v) {
-			refused = true
+			cur = -1 // the refusal ends the attempt short of its end
 			return false
 		}
 		delivered++
@@ -384,7 +383,7 @@ func (r *detectRun) worker(w int, mine []int) {
 	skip := func(ui int) int64 { return r.states[ui].emitted }
 
 	for i, ui := range mine {
-		if r.stopped.Load() {
+		if r.sink.Stopped() {
 			return
 		}
 		st := &r.states[ui]
@@ -395,13 +394,14 @@ func (r *detectRun) worker(w int, mine []int) {
 		}
 		err := r.exec.Run(w, mine[i:], skip, out)
 		st.emitted += delivered
+		if cur < 0 {
+			// The sink refused one of the attempt's violations, so the
+			// unit is not done. An attempt that ran to its end counts
+			// below, even if another slot latched the stop meanwhile.
+			return
+		}
 		cur = -1
 		switch {
-		case refused:
-			// A streaming yield returned false; every slot stops at its
-			// next unit (or sooner, through the shared sink).
-			r.stopped.Store(true)
-			return
 		case err == nil:
 			st.done = true
 			st.lastErr = nil

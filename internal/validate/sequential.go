@@ -59,9 +59,10 @@ func ScanRules(ctx context.Context, b *Bundle, rules []*core.GFD, n int, sink Si
 
 // LaneSink routes worker emissions onto per-worker sink lanes with one
 // shared stop flag: the first refused emission latches stop, which every
-// worker sees at its next Emit or Stopped probe. Each worker owns lane w,
-// so lane-aware sinks (CollectSink shards, PipeSink bounded lanes) see the
-// layout the planned engines give them. A nil sink accepts everything.
+// worker sees at its next Emit or Stopped probe. ScanRules, the unit
+// scheduler and the BigDansing baseline emit through it. Each worker owns
+// lane w, so the collect sink's lanes see one writer each. A nil sink
+// accepts everything.
 type LaneSink struct {
 	sink Sink
 	stop atomic.Bool

@@ -23,9 +23,9 @@ import (
 //     whose matches borrow the lanes' chunks;
 //   - CallbackSink — emissions serialized onto one user function under a
 //     mutex;
-//   - PipeSink — the pull-based iterator (Prepared.Violations): each
-//     worker owns a bounded lane, a fan-in merger feeds the consumer, and
-//     a full lane applies backpressure to that worker alone.
+//   - PipeSink — the pull-based iterator (Prepared.Violations): every
+//     worker sends into one bounded channel the consumer ranges over, and
+//     a full channel blocks the senders.
 //
 // Emit may be called from concurrent workers; worker identifies the
 // calling lane (single-threaded engines pass 0). Returning false tells
@@ -253,96 +253,49 @@ func (s *CallbackSink) Emit(_ int, v Violation) bool {
 }
 
 // PipeSink is the asynchronous half of the pull-based violation pipeline:
-// every worker emits into its own bounded lane (backpressure is per
-// worker — a slow consumer stalls only the workers that outran it, and
-// never serializes emissions behind a global mutex), per-lane forwarders
-// fan in to one merged channel, and the consumer ranges over Out. The
-// sink is bound to the run's context: once it is cancelled — the consumer
-// broke out of the loop, or the caller's context died — every blocked
-// Emit unwinds immediately and returns false, so no worker can wedge on a
-// full lane.
+// one bounded channel that every worker sends into and the consumer ranges
+// over (Out). A full channel blocks the senders — the backpressure that
+// bounds the pipeline's memory — and never serializes emissions behind a
+// mutex. The sink is bound to the run's context: once it is cancelled —
+// the consumer broke out of the loop, or the caller's context died — every
+// blocked Emit unwinds immediately and returns false, so no worker can
+// wedge on a full channel.
 //
-// Lifecycle: NewPipeSink starts the forwarders; the engine owner calls
-// Close after the engine returns (closing the lanes); Out closes once
-// every lane has drained. Consumers must drain Out to completion (the
-// iterator in the session layer does) — after cancellation the remaining
-// buffered violations are discarded by the forwarders themselves, so the
-// drain is prompt.
+// Lifecycle: the engine owner calls Close after the engine returns; a range
+// over Out then ends once it has taken what is buffered. The sink starts no
+// goroutine.
 type PipeSink struct {
-	ctx   context.Context
-	lanes []chan Violation
-	out   chan Violation
-	wg    sync.WaitGroup
-	once  sync.Once
+	ctx  context.Context
+	out  chan Violation
+	once sync.Once
 }
 
-// NewPipeSink builds a pipe sink with one lane per worker, each buffering
-// up to buffer violations (DefaultStreamBuffer when <= 0).
+// NewPipeSink builds a pipe sink for workers emitting slots. Its channel
+// holds (workers + 1) × buffer violations (buffer is DefaultStreamBuffer
+// when <= 0): room for buffer violations per emitting slot, and for one
+// more buffer that absorbs a burst while the consumer catches up.
 func NewPipeSink(ctx context.Context, workers, buffer int) *PipeSink {
-	if workers < 1 {
-		workers = 1
-	}
 	if buffer <= 0 {
 		buffer = DefaultStreamBuffer
 	}
-	p := &PipeSink{
-		ctx:   ctx,
-		lanes: make([]chan Violation, workers),
-		out:   make(chan Violation, buffer),
-	}
-	for i := range p.lanes {
-		p.lanes[i] = make(chan Violation, buffer)
-		p.wg.Add(1)
-		go p.forward(p.lanes[i])
-	}
-	go func() {
-		p.wg.Wait()
-		close(p.out)
-	}()
-	return p
+	return &PipeSink{ctx: ctx, out: make(chan Violation, (max(workers, 1)+1)*buffer)}
 }
 
-// forward drains one lane into the merged output until the lane closes.
-// On context cancellation it keeps consuming (and discarding) the lane so
-// Close's lane close is never blocked on a dead consumer.
-func (p *PipeSink) forward(lane <-chan Violation) {
-	defer p.wg.Done()
-	for v := range lane {
-		select {
-		case p.out <- v:
-		case <-p.ctx.Done():
-			for range lane { // discard the rest; Emit stops refilling
-			}
-			return
-		}
-	}
-}
-
-// Emit queues v on the worker's lane, blocking while the lane is full —
-// the backpressure that bounds the pipeline's memory — and failing once
-// the run's context is cancelled.
-func (p *PipeSink) Emit(worker int, v Violation) bool {
-	if worker < 0 || worker >= len(p.lanes) {
-		worker = 0
-	}
+// Emit queues v, blocking while the channel is full, and fails once the
+// run's context is cancelled.
+func (p *PipeSink) Emit(_ int, v Violation) bool {
 	select {
-	case p.lanes[worker] <- v:
+	case p.out <- v:
 		return true
 	case <-p.ctx.Done():
 		return false
 	}
 }
 
-// Close closes the lanes; call exactly once, after the producing engine
-// has returned. Out closes once the forwarders drain.
-func (p *PipeSink) Close() {
-	p.once.Do(func() {
-		for _, lane := range p.lanes {
-			close(lane)
-		}
-	})
-}
+// Close closes Out; call it after the producing engine has returned.
+// Idempotent.
+func (p *PipeSink) Close() { p.once.Do(func() { close(p.out) }) }
 
-// Out is the merged violation stream. It closes after Close once every
-// buffered violation has been delivered (or discarded post-cancel).
+// Out is the violation stream. It ends after Close once every buffered
+// violation has been taken.
 func (p *PipeSink) Out() <-chan Violation { return p.out }

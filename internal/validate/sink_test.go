@@ -9,9 +9,9 @@ import (
 )
 
 // waitGoroutines polls until the goroutine count returns to at most base,
-// dumping stacks on timeout. Forwarder shutdown is asynchronous (the
-// merger goroutine closes Out after the lanes drain), so the check must
-// tolerate a scheduling delay without tolerating a leak.
+// dumping stacks on timeout. The goroutines a test starts beside the sink
+// exit asynchronously, so the check must tolerate a scheduling delay
+// without tolerating a leak.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -25,13 +25,12 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestPipeSinkProducerErrorBeforeFirstEmission pins the forwarder
-// shutdown path the distributed violation-return route relies on: an
-// engine that fails before emitting anything (a bad manifest, a spawn
-// refusal, a worker fleet that never handshakes) closes the sink with
-// every lane still empty. Out must still close — the consumer's range
-// loop must terminate so the error can be yielded — and every forwarder
-// goroutine must exit.
+// TestPipeSinkProducerErrorBeforeFirstEmission pins the shutdown path the
+// distributed violation-return route relies on: an engine that fails
+// before emitting anything (a bad manifest, a spawn refusal, a worker
+// fleet that never handshakes) closes the sink with its channel still
+// empty. Out must still close — the consumer's range loop must terminate
+// so the error can be yielded — and no goroutine may outlive it.
 func TestPipeSinkProducerErrorBeforeFirstEmission(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -64,10 +63,9 @@ func TestPipeSinkProducerErrorBeforeFirstEmission(t *testing.T) {
 // TestPipeSinkProducerErrorAfterCancel is the same shutdown under a dead
 // run context — the coordinator path when every worker process dies
 // pre-assignment. Emit's contract after cancellation is that it cannot
-// wedge: a single Emit may still win the select race against a lane with
+// wedge: an Emit may still win the select race against a channel with
 // buffer space, but repeated emissions must refuse promptly instead of
-// blocking forever, and Close must still release the forwarders and
-// close Out.
+// blocking forever, and Close must still close Out.
 func TestPipeSinkProducerErrorAfterCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -83,17 +81,16 @@ func TestPipeSinkProducerErrorAfterCancel(t *testing.T) {
 	}
 	pipe.Close()
 	for range pipe.Out() {
-		// Post-cancel leftovers that beat the forwarders' discard are
-		// permitted; the drain just has to terminate.
+		// Post-cancel leftovers that won the select race are permitted;
+		// the drain just has to terminate.
 	}
 	waitGoroutines(t, before)
 }
 
 // TestPipeSinkAbandonedConsumerAfterError: the consumer saw the engine
 // fail and never ranges Out at all (the iterator yields the error and
-// returns). With buffered lanes below capacity, Close alone must unwind
-// the forwarders — shutdown must not require a drain when everything
-// buffered fits in the merged channel.
+// returns). Close alone must leave nothing running: shutdown must not
+// require a drain of what is still buffered.
 func TestPipeSinkAbandonedConsumerAfterError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,4 +103,59 @@ func TestPipeSinkAbandonedConsumerAfterError(t *testing.T) {
 	cancel() // consumer abandons: run context dies, Out is never ranged
 	pipe.Close()
 	waitGoroutines(t, before)
+}
+
+// TestPipeSinkStartsNoGoroutine: the sink is one channel; building it
+// starts nothing that Close would have to stop.
+func TestPipeSinkStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pipe := NewPipeSink(context.Background(), 4, 8)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("NewPipeSink started %d goroutines", after-before)
+	}
+	pipe.Close()
+}
+
+// TestPipeSinkHolds: with no consumer, one worker fills the whole channel,
+// (workers + 1) × buffer violations, and its next Emit blocks until the
+// run's context is cancelled, then refuses.
+func TestPipeSinkHolds(t *testing.T) {
+	const workers, buffer = 3, 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pipe := NewPipeSink(ctx, workers, buffer)
+	filled := make(chan int, 1)
+	go func() {
+		n := 0
+		for n < (workers+1)*buffer && pipe.Emit(0, Violation{}) {
+			n++
+		}
+		filled <- n
+	}()
+	select {
+	case n := <-filled:
+		if n != (workers+1)*buffer {
+			t.Fatalf("%d emissions accepted, want %d", n, (workers+1)*buffer)
+		}
+	case <-time.After(5 * time.Second):
+		cancel()
+		t.Fatalf("an Emit blocked before %d violations were held", (workers+1)*buffer)
+	}
+	next := make(chan bool, 1)
+	go func() { next <- pipe.Emit(0, Violation{}) }()
+	select {
+	case ok := <-next:
+		t.Fatalf("Emit past the bound returned %v without blocking", ok)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	select {
+	case ok := <-next:
+		if ok {
+			t.Fatal("Emit past the bound succeeded after the cancel")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a blocked Emit did not unwind on cancel")
+	}
+	pipe.Close()
 }
