@@ -396,9 +396,11 @@ func BenchmarkImplicationReduce(b *testing.B) {
 
 func BenchmarkBigDansingJoins(b *testing.B) {
 	w := exp.Prepare(exp.Config{Dataset: "yago2", Scale: 150, Rules: 5, PatternSize: 4, Seed: 42})
-	rel := baseline.Encode(w.G.Freeze())
+	rel, bundle := baseline.Encode(w.G.Freeze()), validate.NewBundle(w.G, w.Set)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.DetectJoins(w.G, rel, w.Set, 8)
+		_, _ = validate.Single(w.Set.Len(), 8, nil, func(s validate.Sink) error {
+			return baseline.DetectJoinsB(context.Background(), bundle, rel, 8, s)
+		})
 	}
 }

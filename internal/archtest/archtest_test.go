@@ -18,6 +18,14 @@
 // (export_test.go when another package's tests need them); the few
 // exported names kept for tests on purpose are listed in keep, each with
 // its reason.
+//
+// The same test keeps the exported fields of exported structs under
+// internal/ to what a caller sets: each must be set by some non-test file
+// of the module or of the benchmark module, by a composite-literal key (or
+// positionally) or by an assignment resolved to the field by type. An
+// assignment inside a method of the field's own struct type does not
+// count, so a knob that only its defaults write fails. A field that only
+// tests set is either a constant in waiting or listed in keep.
 package archtest
 
 import (
@@ -40,8 +48,9 @@ import (
 	"testing"
 )
 
-// keep lists the exported names that only tests call, on purpose. Keys are
-// "pkg.Func" or "pkg.Type.Method".
+// keep lists the exported names that only tests call, and the exported
+// fields that only tests set, on purpose. Keys are "pkg.Func",
+// "pkg.Type.Method" or "pkg.Type.Field".
 var keep = map[string]string{
 	"validate.SetChunkGranularity":   "tests plan one class member per unit to get long slot queues",
 	"validate.Callback":              "tests drive the callback sink mode of the differential harnesses",
@@ -51,10 +60,22 @@ var keep = map[string]string{
 	"fault.FromSeedProc":             "the dist chaos suite draws process fault plans from seeds",
 	"match.Plans.Misses":             "tests count a rule side's plan-cache misses: none on a warm op",
 	"fault.Injector.Fired":           "chaos tests log and assert how many faults fired",
-	"baseline.DetectJoins":           "tests compare the BigDansing join baseline on a plain graph",
-	"baseline.Detect":                "tests compare the GCFD baseline on a plain graph",
 	"core.GFD.IsConstant":            "a paper notion; tests assert the CFD encodings with it",
 	"core.Literal.IsTautology":       "a paper notion; tests assert the CFD encodings with it",
+
+	"validate.Options.StreamBuffer":          "tests bound the stream's channel to force backpressure",
+	"validate.Options.SplitThreshold":        "tests force or forbid the split of heavy units",
+	"validate.Options.Retry":                 "the fault suites set retry budgets and backoff",
+	"validate.Options.UnitDeadline":          "the fault suites cut stragglers at a deadline",
+	"validate.Options.Inject":                "the chaos suites arm their fault plans through it",
+	"validate.DistOptions.Command":           "tests run a fleet that cannot start",
+	"validate.DistOptions.HeartbeatInterval": "tests tighten the fleet's supervision",
+	"validate.DistOptions.HandshakeTimeout":  "tests tighten the fleet's supervision",
+	"validate.DistOptions.MaxRespawns":       "tests disable or bound respawn",
+	"gen.SyntheticConfig.Attrs":              "validate's benchmarks build a graph with one attribute a node",
+	"gen.SyntheticConfig.Domain":             "validate's benchmarks draw attribute values from a domain of 16",
+	"pattern.Pattern.Nodes":                  "read by every package; AddNode builds it",
+	"pattern.Pattern.Edges":                  "read by every package; AddEdge builds it",
 }
 
 // implicitSrc declares the interfaces the standard library calls through a
@@ -91,14 +112,19 @@ func repoRoot(t *testing.T) string {
 }
 
 func TestExportedNamesHaveCallers(t *testing.T) {
-	decls, unused := scan(t, repoRoot(t))
+	decls, unused, fields, unset := scan(t, repoRoot(t))
 	for _, key := range unused {
 		if _, ok := keep[key]; !ok {
 			t.Errorf("exported %s has no caller outside tests: delete it, unexport it or move it into a _test.go file", key)
 		}
 	}
+	for _, key := range unset {
+		if _, ok := keep[key]; !ok {
+			t.Errorf("exported field %s is set by no file outside tests: set it, delete it or make it a constant", key)
+		}
+	}
 	for key := range keep {
-		if !slices.ContainsFunc(decls, func(d decl) bool { return d.key == key }) {
+		if !slices.ContainsFunc(decls, func(d decl) bool { return d.key == key }) && !slices.Contains(fields, key) {
 			t.Errorf("keep lists %s, which is not declared under internal/ any more", key)
 		}
 	}
@@ -161,8 +187,63 @@ func main() {
 `,
 	})
 	want := []string{"pattern.Dead.Size", "pattern.Pattern.Unused"}
-	if _, unused := scan(t, root); !slices.Equal(unused, want) {
+	if _, unused, _, _ := scan(t, root); !slices.Equal(unused, want) {
 		t.Fatalf("scan reports %v unused, want %v", unused, want)
+	}
+}
+
+// TestUnsetFieldsGuardFires runs the field rule over a small module: a
+// struct whose fields are set by a composite-literal key, an assignment,
+// an increment and, in another struct, positionally through an elided
+// pointer literal, beside three that no non-test file sets: one set only
+// in a method of its own type, one only in a test, and one whose name a
+// field of another type shares and is set by. The scan must name those
+// three, and only them; unexported fields and structs are not its concern.
+func TestUnsetFieldsGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module m\n\ngo 1.24\n",
+		"internal/conf/conf.go": `package conf
+
+type Config struct {
+	Keyed, Assigned, Bumped int
+	OwnOnly, TestOnly       int
+	Shadowed                int
+	hidden                  int
+}
+
+func New() *Config { return &Config{} }
+
+func (c *Config) Normalize() { c.OwnOnly, c.hidden = 1, 2 }
+
+type Other struct{ Shadowed int }
+
+type Pair struct{ A, B int }
+
+type private struct{ X int }
+`,
+		"internal/conf/conf_test.go": `package conf
+
+var _ = Config{TestOnly: 1}
+`,
+		"cmd/tool/main.go": `package main
+
+import "m/internal/conf"
+
+func main() {
+	c := conf.Config{Keyed: 1}
+	c.Assigned = 2
+	c.Bumped++
+	c.Normalize()
+	o := conf.Other{}
+	o.Shadowed = 3
+	_ = []*conf.Pair{{3, 4}}
+	_ = conf.New()
+}
+`,
+	})
+	want := []string{"conf.Config.OwnOnly", "conf.Config.Shadowed", "conf.Config.TestOnly"}
+	if _, _, _, unset := scan(t, root); !slices.Equal(unset, want) {
+		t.Fatalf("scan reports %v unset, want %v", unset, want)
 	}
 }
 
@@ -354,10 +435,52 @@ func load(t *testing.T, root string) (rootPkg *checked, pkgs []*checked) {
 
 // scan type-checks the module at root and returns the exported functions
 // and methods declared in non-test files under root/internal and, sorted,
-// the keys of those that nothing calls (see the package doc).
-func scan(t *testing.T, root string) (decls []decl, unused []string) {
+// the keys of those that nothing calls (see the package doc); and the
+// exported fields of the exported structs declared there and, sorted, the
+// keys of those that nothing sets (setters).
+func scan(t *testing.T, root string) (decls []decl, unused []string, fields []string, unset []string) {
 	t.Helper()
 	rootPkg, pkgs := load(t, root)
+	owner := map[*types.Var]*types.Named{} // exported field -> its struct type
+	fieldKey := map[*types.Var]string{}
+	for _, c := range pkgs {
+		if !strings.HasPrefix(c.dir, filepath.Join(root, "internal")+string(filepath.Separator)) {
+			continue
+		}
+		for _, f := range c.files {
+			for _, n := range f.Decls {
+				gd, ok := n.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					tn := c.info.Defs[ts.Name].(*types.TypeName)
+					if !ts.Name.IsExported() || tn.IsAlias() {
+						continue
+					}
+					named := tn.Type().(*types.Named)
+					st, ok := named.Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					for i := range st.NumFields() {
+						if v := st.Field(i); v.Exported() && !v.Embedded() {
+							owner[v], fieldKey[v] = named, c.pkg.Name()+"."+tn.Name()+"."+v.Name()
+							fields = append(fields, fieldKey[v])
+						}
+					}
+				}
+			}
+		}
+	}
+	set := setters(pkgs, owner)
+	for v, key := range fieldKey {
+		if !set[v] {
+			unset = append(unset, key)
+		}
+	}
+	slices.Sort(unset)
 	called := map[*types.Func]bool{}
 	ifaces := map[string][]*types.Interface{} // method name -> the used interfaces that have it
 	seen := map[types.Type]bool{}
@@ -447,7 +570,68 @@ func scan(t *testing.T, root string) (decls []decl, unused []string) {
 		}
 	}
 	slices.Sort(unused)
-	return decls, unused
+	return decls, unused, fields, unset
+}
+
+// setters returns the fields of owner that some file of pkgs sets: names
+// as a key of a composite literal (or fills positionally), or assigns to
+// (=, op=, ++ or --) through a selector resolved to the field by type,
+// outside the methods of the field's own struct type.
+func setters(pkgs []*checked, owner map[*types.Var]*types.Named) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	field := func(c *checked, e ast.Expr) *types.Var {
+		if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := c.info.Uses[se.Sel].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+		}
+		return nil
+	}
+	for _, c := range pkgs {
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				var recv *types.Named
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv = recvNamed(c.info.Defs[fd.Name].(*types.Func).Signature().Recv().Type())
+				}
+				assigned := func(v *types.Var) {
+					if v != nil && owner[v] != nil && (recv == nil || owner[v].Origin() != recv.Origin()) {
+						set[v] = true
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							assigned(field(c, lhs))
+						}
+					case *ast.IncDecStmt:
+						assigned(field(c, n.X))
+					case *ast.CompositeLit:
+						typ := c.info.Types[n].Type
+						if p, ok := typ.(*types.Pointer); ok {
+							typ = p.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									set[v.Origin()] = true
+								}
+							} else {
+								set[st.Field(i).Origin()] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return set
 }
 
 // satisfies reports whether fn is a method whose receiver type, or a

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -98,6 +99,9 @@ var importBans = []struct{ pkg, banned, why string }{
 	// the delta (pinned touched nodes and inserted edges); work units,
 	// pivots and their radius balls belong to the batch engines.
 	{"internal/incremental", "internal/workload", "units belong to the batch engines"},
+	// Planning traverses no blocks (with blockViolations): a chunk plan
+	// is cut from class sizes and the heavy-node list.
+	{"internal/validate", "internal/stats", "planning needs no statistics pass"},
 }
 
 // importViolations returns, sorted, "file: imports path" for every
@@ -151,7 +155,7 @@ func TestImportBans(t *testing.T) {
 // TestImportBansGuardFires runs the import rule over a module where each
 // banned-from package imports its banned package once, in one of its
 // files, beside a clean file, a test file that may import it and a package
-// outside the bans that does: it must name the two files and only them.
+// outside the bans that does: it must name the three files and only them.
 func TestImportBansGuardFires(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod":                              "module m\n",
@@ -160,10 +164,12 @@ func TestImportBansGuardFires(t *testing.T) {
 		"internal/dist/dist_test.go":          "package dist\n\nimport \"m/internal/workload\"\n",
 		"internal/incremental/incremental.go": "package incremental\n\nimport \"m/internal/workload\"\n",
 		"internal/validate/plan.go":           "package validate\n\nimport \"m/internal/workload\"\n",
+		"internal/validate/estimate.go":       "package validate\n\nimport \"m/internal/stats\"\n",
 	})
 	want := []string{
 		"internal/dist/coord.go: imports m/internal/workload (scheduling policy belongs to internal/validate)",
 		"internal/incremental/incremental.go: imports m/internal/workload (units belong to the batch engines)",
+		"internal/validate/estimate.go: imports m/internal/stats (planning needs no statistics pass)",
 	}
 	if got := importViolations(t, root); !slices.Equal(got, want) {
 		t.Fatalf("the import rule reports %v, want %v", got, want)
@@ -331,5 +337,237 @@ func TestOverlayReadsHashNothingGuardFires(t *testing.T) {
 	root = writeModule(t, map[string]string{"internal/graph/snapshot.go": "package graph\n\ntype view struct{}\n"})
 	if got := fieldViolations(t, root, patchBan); len(got) != 1 {
 		t.Fatalf("the overlay rule reports %q over a file without the patch struct, want one line", got)
+	}
+}
+
+// Planning traverses no blocks: a chunk plan is cut from class sizes and
+// the heavy-node list, and each unit's star test runs on the slot that
+// runs it. A block is traversed by Snapshot.BlockInto,
+// Snapshot/Graph.Neighborhood or validate's fillBlock. In internal/validate
+// the callers left are disVal's (disval.go: the ship costs and the
+// partial-match branch) and the dist halo selection, whose
+// DistPlan.FillBlock in dist.go calls fillBlock once.
+var (
+	blockCall = regexp.MustCompile(`(\.(BlockInto|Neighborhood)|\bfillBlock)\(`)
+	haloCall  = regexp.MustCompile(`^\s+fillBlock\(set, p\.b\.topo, `)
+)
+
+const (
+	planDir  = "internal/validate"
+	disValGo = "disval.go"
+	haloGo   = "dist.go"
+)
+
+// blockViolations returns, sorted, "file:line" of every line of a non-test
+// .go file of planDir, outside disValGo and haloGo, that traverses a
+// block, and one line if haloGo has other than one such line or no halo
+// selection's fillBlock.
+func blockViolations(t *testing.T, root string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(root, filepath.FromSlash(planDir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []string
+	halo, haloLines := false, 0
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == disValGo {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(planDir), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			switch {
+			case !blockCall.MatchString(line):
+			case name == haloGo:
+				haloLines++
+				halo = halo || haloCall.MatchString(line)
+			default:
+				bad = append(bad, fmt.Sprintf("%s/%s:%d", planDir, name, i+1))
+			}
+		}
+	}
+	if haloLines != 1 || !halo {
+		bad = append(bad, fmt.Sprintf("%s/%s: %d lines traverse blocks, want the halo selection's one fillBlock(set, p.b.topo, …)", planDir, haloGo, haloLines))
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+func TestPlanningTraversesNoBlocks(t *testing.T) {
+	for _, v := range blockViolations(t, repoRoot(t)) {
+		t.Errorf("%s: planning traverses no blocks; disVal and the dist halo selection do", v)
+	}
+}
+
+// TestPlanningTraversesNoBlocksGuardFires runs the block rule over a plan
+// that calls Neighborhood and fillBlock, beside disVal and a test, which
+// may, and a halo selection with a second traversal: it must name the two
+// plan lines and the halo file. A halo file whose one fillBlock is not the
+// halo selection's fails too.
+func TestPlanningTraversesNoBlocksGuardFires(t *testing.T) {
+	halo := "package validate\n\nfunc (p *DistPlan) FillBlock() {\n\tfillBlock(set, p.b.topo, seeds)\n}\n"
+	root := writeModule(t, map[string]string{
+		"internal/validate/plan.go":      "package validate\n\nfunc plan() {\n\t_ = topo.Neighborhood(v, r)\n\tfillBlock(set, topo, v)\n}\n",
+		"internal/validate/disval.go":    "package validate\n\nfunc ship() { topo.BlockInto(set, v, r) }\n",
+		"internal/validate/plan_test.go": "package validate\n\nvar _ = g.Neighborhood(v, r)\n",
+		"internal/validate/dist.go":      halo + "\nfunc more() { topo.BlockInto(set, v, r) }\n",
+	})
+	want := []string{
+		"internal/validate/dist.go: 2 lines traverse blocks, want the halo selection's one fillBlock(set, p.b.topo, …)",
+		"internal/validate/plan.go:4",
+		"internal/validate/plan.go:5",
+	}
+	if got := blockViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the block rule reports\n%q\nwant\n%q", got, want)
+	}
+	root = writeModule(t, map[string]string{
+		"internal/validate/dist.go": "package validate\n\nfunc f() { fillBlock(set, topo, seeds) }\n",
+	})
+	if got := blockViolations(t, root); len(got) != 1 {
+		t.Fatalf("the block rule reports %q over a halo file without the halo selection, want one line", got)
+	}
+}
+
+// Pivots lower where they run: a pivot's class label, seed filter and
+// star are lowered once per rule group on a bundle's rule side
+// (workload.Pivot.Lower); the functions that read a view (Class, ClassLen,
+// Candidates) read those codes. A lookup inside one of them runs once per
+// work unit again, and the answer cache that absorbed it (recentSlots)
+// stays deleted.
+var (
+	// viewFunc captures a func line's name and parameters up to the first
+	// ')' after the receiver.
+	viewFunc      = regexp.MustCompile(`^func (\([^)]*\) )?([^)]*)`)
+	nameLookup    = regexp.MustCompile(`(LowerLabel|\.Lookup)\(`)
+	recentSlotBan = lineBan{regexp.MustCompile(`\brecentSlots\b`), nil, "names recentSlots: Symbols answers a Lookup by its index alone"}
+)
+
+// pivotViolations returns, sorted, recentSlotBan's violations under root
+// and "file:line" of every line of a function of a non-test file of
+// internal/workload that takes a *graph.Snapshot, from its func line to
+// its closing brace, that looks up a name.
+func pivotViolations(t *testing.T, root string) []string {
+	t.Helper()
+	bad := lineViolations(t, root, recentSlotBan)
+	walkGo(t, root, func(path, rel string) error {
+		if !strings.HasPrefix(rel, "internal/workload/") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		view := false
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := viewFunc.FindStringSubmatch(line); m != nil {
+				view = strings.Contains(m[2], "*graph.Snapshot")
+			}
+			if view && nameLookup.MatchString(line) {
+				bad = append(bad, fmt.Sprintf("%s:%d", rel, i+1))
+			}
+			if strings.HasPrefix(line, "}") {
+				view = false
+			}
+		}
+		return nil
+	})
+	slices.Sort(bad)
+	return bad
+}
+
+func TestPivotsLowerWhereTheyRun(t *testing.T) {
+	for _, v := range pivotViolations(t, repoRoot(t)) {
+		t.Errorf("%s: a function that reads a view looks up a name, or recentSlots is back: lower the pivot once (Pivot.Lower) and read its codes", v)
+	}
+}
+
+// TestPivotsLowerWhereTheyRunGuardFires runs the pivot rule over a
+// workload package whose view method and view function look a name up,
+// beside Lower, which may, a lookup after a view function's closing brace
+// and a test that may: it must name the two lines and a recentSlots
+// elsewhere, and only them.
+func TestPivotsLowerWhereTheyRunGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/workload/pivot.go": `package workload
+
+func (p *Pivot) Lower(syms *graph.Symbols) { p.code = syms.Lookup(p.label) }
+
+func (p *Pivot) Class(t *graph.Snapshot, i int) []graph.NodeID {
+	return t.NodesWith(t.Syms().Lookup(p.label))
+}
+
+func count(t *graph.Snapshot) int {
+	return len(t.LowerLabel(x))
+}
+
+var c = syms.Lookup(y)
+`,
+		"internal/workload/pivot_test.go": "package workload\n\nfunc f(t *graph.Snapshot) { t.Syms().Lookup(x) }\n",
+		"internal/graph/symbols.go":       "package graph\n\nvar recentSlots [4]int\n",
+	})
+	want := []string{"internal/graph/symbols.go:3: " + recentSlotBan.why, "internal/workload/pivot.go:10", "internal/workload/pivot.go:6"}
+	if got := pivotViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the pivot rule reports\n%q\nwant\n%q", got, want)
+	}
+}
+
+// Inlined snapshot reads: the matcher keeps one search body for frozen
+// snapshots and overlay views because these accessors of *graph.Snapshot,
+// the patch check included, still inline into it; an accessor change that
+// breaks that fails here rather than in the benchmark.
+var inlinedReads = []string{"Out", "In", "Label", "OutDegree", "InDegree", "NodesWith", "OutWith", "InWith", "OutWithNbr", "InWithNbr", "AttrPairs"}
+
+// inlineViolations builds root's internal/graph with the compiler's
+// optimization report (go build -gcflags=-m) and returns, in
+// inlinedReads order, those of the accessors it does not report
+// inlinable.
+func inlineViolations(t *testing.T, root string) []string {
+	t.Helper()
+	cmd := exec.Command("go", "build", "-gcflags=-m", "./internal/graph")
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m ./internal/graph in %s: %v\n%s", root, err, out)
+	}
+	var bad []string
+	for _, f := range inlinedReads {
+		if !regexp.MustCompile(`(?m)can inline \(\*Snapshot\)\.` + f + `( |$)`).Match(out) {
+			bad = append(bad, f)
+		}
+	}
+	return bad
+}
+
+func TestInlinedSnapshotReads(t *testing.T) {
+	for _, f := range inlineViolations(t, repoRoot(t)) {
+		t.Errorf("(*graph.Snapshot).%s is no longer inlinable", f)
+	}
+}
+
+// TestInlinedSnapshotReadsGuardFires builds a graph package whose
+// accessors all inline but In, marked go:noinline, and Label, which is
+// missing: the inline rule must name those two only.
+func TestInlinedSnapshotReadsGuardFires(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("package graph\n\ntype Snapshot struct{ n []int }\n")
+	for _, f := range inlinedReads {
+		switch f {
+		case "In":
+			src.WriteString("\n//go:noinline\n")
+		case "Label":
+			continue
+		}
+		fmt.Fprintf(&src, "\nfunc (s *Snapshot) %s(v int) int { return s.n[v] }\n", f)
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":                     "module m\n\ngo 1.24\n",
+		"internal/graph/snapshot.go": src.String(),
+	})
+	if got, want := inlineViolations(t, root), []string{"In", "Label"}; !slices.Equal(got, want) {
+		t.Fatalf("the inline rule reports %v, want %v", got, want)
 	}
 }

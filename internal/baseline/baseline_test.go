@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestGCFDDetectMatchesGFDOnPaths(t *testing.T) {
 	set := core.MustNewSet(rule)
 	want := detVio(g, set)
 	gcfds, _ := ConvertSet(set)
-	got := Detect(g, gcfds)
+	got := gcfdVio(g, gcfds)
 	if !got.Equal(want) {
 		t.Errorf("GCFD found %d violations, GFD engine %d", len(got), len(want))
 	}
@@ -138,7 +139,7 @@ func TestGCFDMissesCyclicViolations(t *testing.T) {
 		t.Fatal("the GFD engine must flag the parent/child cycle")
 	}
 	gcfds, dropped := ConvertSet(set)
-	if dropped != 1 || len(Detect(g, gcfds)) != 0 {
+	if dropped != 1 || len(gcfdVio(g, gcfds)) != 0 {
 		t.Error("GCFD must drop the cyclic rule and find nothing")
 	}
 }
@@ -152,7 +153,7 @@ func TestBigDansingMatchesGFDEngine(t *testing.T) {
 	}
 	want := detVio(g, set)
 	rel := Encode(g.Freeze())
-	got := DetectJoins(g, rel, set, 4)
+	got := joinVio(g, rel, set, 4)
 	if !got.Equal(want) {
 		t.Fatalf("join engine found %d violations, GFD engine %d", len(got), len(want))
 	}
@@ -170,7 +171,7 @@ func TestBigDansingIsolatedNodesAndInjectivity(t *testing.T) {
 	if len(want) != 2 {
 		t.Fatalf("expected both orders to violate, got %d", len(want))
 	}
-	got := DetectJoins(g, Encode(g.Freeze()), set, 2)
+	got := joinVio(g, Encode(g.Freeze()), set, 2)
 	if !got.Equal(want) {
 		t.Errorf("join engine: %v, want %v", got, want)
 	}
@@ -193,7 +194,7 @@ func TestBigDansingWildcardLabels(t *testing.T) {
 	if len(want) != 1 {
 		t.Fatalf("penguin inconsistency not found by reference: %d", len(want))
 	}
-	got := DetectJoins(g, Encode(g.Freeze()), set, 1)
+	got := joinVio(g, Encode(g.Freeze()), set, 1)
 	if !got.Equal(want) {
 		t.Error("join engine misses the wildcard is_a violation")
 	}
@@ -210,7 +211,7 @@ func TestBigDansingSlowerThanPivotEngine(t *testing.T) {
 		t.Skip("no rules")
 	}
 	rel := Encode(g.Freeze())
-	if got, want := DetectJoins(g, rel, set, 2), detVio(g, set); !got.Equal(want) {
+	if got, want := joinVio(g, rel, set, 2), detVio(g, set); !got.Equal(want) {
 		t.Error("join engine result mismatch")
 	}
 }
@@ -266,23 +267,49 @@ func TestGCFDDetectBSinkStopAndCancel(t *testing.T) {
 	rules := []*GCFD{c}
 	b := validate.NewBundle(g, core.MustNewSet())
 	var n atomic.Int32
-	err := DetectB(context.Background(), b, rules, 2, validate.Callback(func(validate.Violation) bool {
-		n.Add(1)
-		return false
-	}))
-	if err != nil {
-		t.Fatalf("sink stop must not error: %v", err)
-	}
-	if got := n.Load(); got < 1 || got > 2 {
-		// With 2 workers at most one in-flight emit per worker can land
-		// before the stop flag latches.
-		t.Fatalf("sink saw %d violations after refusing the first", got)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := DetectB(ctx, b, rules, 2, validate.Callback(func(validate.Violation) {
+		n.Add(1)
+		cancel()
+	}))
+	// The run ends with the context's error however far its last probe
+	// stride reached; validate's TestScanRulesStopsEveryWorker, on a
+	// workload many strides long, checks how promptly ScanRules stops.
+	if !errors.Is(err, context.Canceled) || n.Load() < 1 {
+		t.Fatalf("a cancel from inside an emission: err %v after %d violations, want context.Canceled", err, n.Load())
+	}
+	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
 	if err := DetectB(ctx, b, rules, 2, validate.NewCollectSink(2)); err == nil {
 		t.Skip("enumeration finished before the first cancellation probe")
 	}
+}
+
+// gcfdVio is one collected GCFD baseline run over a fresh bundle,
+// canonically sorted.
+func gcfdVio(g *graph.Graph, rules []*GCFD) validate.Report {
+	b := validate.NewBundle(g, core.MustNewSet())
+	res, err := validate.Single(len(rules), 1, nil, func(s validate.Sink) error {
+		return DetectB(context.Background(), b, rules, 1, s)
+	})
+	if err != nil {
+		panic(err)
+	}
+	return res.Violations
+}
+
+// joinVio is one collected BigDansing run with n workers over a fresh
+// bundle, canonically sorted.
+func joinVio(g *graph.Graph, rel *Relational, set *core.Set, n int) validate.Report {
+	b := validate.NewBundle(g, set)
+	res, err := validate.Single(set.Len(), n, nil, func(s validate.Sink) error {
+		return DetectJoinsB(context.Background(), b, rel, n, s)
+	})
+	if err != nil {
+		panic(err)
+	}
+	return res.Violations
 }
 
 // detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.

@@ -59,35 +59,23 @@ func Encode(t *graph.Snapshot) *Relational {
 // of the join pipeline. Index -1 marks unbound.
 type binding []graph.NodeID
 
-// DetectJoins evaluates every rule as a left-deep join over the edge
-// relation — one join per pattern edge, node-table scans for isolated
-// pattern nodes — followed by the isomorphism (pairwise-distinctness)
-// filter that BigDansing users must hand-code, and finally the X → Y
-// check. Parallelism degree n splits the outermost scan. The results
-// coincide with the GFD engine's; only the evaluation strategy (and its
-// intermediate sizes) differs.
-func DetectJoins(g *graph.Graph, rel *Relational, set *core.Set, n int) validate.Report {
-	if n < 1 {
-		n = 1
-	}
-	b := validate.NewBundle(g, set)
-	res, _ := validate.Single(set.Len(), n, nil, func(s validate.Sink) error {
-		return DetectJoinsB(context.Background(), b, rel, n, s)
-	})
-	return res.Violations
-}
-
-// DetectJoinsB is DetectJoins over a prepared bundle with cooperative
-// cancellation and streaming delivery: the sink receives violations as
-// the join pipelines find them, each worker emitting on its own lane, a
-// sink refusal stops every worker, and a cancelled context aborts with
-// its error. The session layer runs EngineBigDansing through it.
+// DetectJoinsB evaluates every rule of a prepared bundle as a left-deep
+// join over the edge relation — one join per pattern edge, node-table
+// scans for isolated pattern nodes — followed by the isomorphism
+// (pairwise-distinctness) filter that BigDansing users must hand-code, and
+// finally the X → Y check. Parallelism degree n splits the outermost scan.
+// The results coincide with the GFD engine's; only the evaluation strategy
+// (and its intermediate sizes) differs. The session layer runs
+// EngineBigDansing through it.
 //
-// A panicking join worker is recovered into a *cluster.WorkerError while
-// the surviving workers drain their chunks; the run then continues into
-// the remaining rules and returns a *validate.PartialError (errors.Is
-// validate.ErrPartial, Unit -1 — the join pipeline has no retryable unit
-// granularity) listing every death.
+// The sink receives violations as the join pipelines find them, each
+// worker emitting on its own lane; a cancelled context stops every worker
+// at its next probe and aborts with its error. A panicking join worker is
+// recovered into a *cluster.WorkerError while the surviving workers drain
+// their chunks; the run then continues into the remaining rules and
+// returns a *validate.PartialError (errors.Is validate.ErrPartial, Unit -1
+// — the join pipeline has no retryable unit granularity) listing every
+// death.
 func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n int, sink validate.Sink) error {
 	if n < 1 {
 		n = 1
@@ -99,16 +87,12 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 	// pipeline itself — the part the comparison measures — stays
 	// relational).
 	view := b.Topo()
-	ls := validate.NewLaneSink(sink)
 	var deaths []*cluster.WorkerError
 	for _, f := range b.Set().Rules() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		deaths = append(deaths, detectOneJoin(ctx, view, rel, f, b.Program(f), n, ls)...)
-		if ls.Stopped() {
-			break
-		}
+		deaths = append(deaths, detectOneJoin(ctx, view, rel, f, b.Program(f), n, sink)...)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -119,7 +103,7 @@ func DetectJoinsB(ctx context.Context, b *validate.Bundle, rel *Relational, n in
 // detectOneJoin runs one rule's join pipeline and returns one
 // *cluster.WorkerError per worker that died (recovered panics — the
 // surviving workers drained regardless).
-func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, ls *validate.LaneSink) []*cluster.WorkerError {
+func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, n int, sink validate.Sink) []*cluster.WorkerError {
 	q := f.Q
 	nNodes := q.NumNodes()
 	if nNodes == 0 {
@@ -127,14 +111,13 @@ func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f
 	}
 	plan := joinPlan(q)
 
-	// Outer scan: the first plan step's tuples, split across n workers.
-	// Workers share the lane sink's stop flag, so an emit refusal halts
-	// them all at their next outer tuple; each probes the context itself.
+	// Outer scan: the first plan step's tuples, split across n workers,
+	// each probing the context every 64 outer tuples.
 	firstTuples := stepTuples(rel, q, plan[0])
 	chunks := splitChunks(len(firstTuples), n)
 	_, deaths := cluster.Fan(n, 0, func(w int) {
 		for i, ti := range chunks[w] {
-			if ls.Stopped() || i%64 == 0 && ctx.Err() != nil {
+			if i%64 == 0 && ctx.Err() != nil {
 				return
 			}
 			b := make(binding, nNodes)
@@ -147,9 +130,7 @@ func detectOneJoin(ctx context.Context, view *graph.Snapshot, rel *Relational, f
 			if !labelsOK(view, q, plan[0], b) {
 				continue
 			}
-			if !joinRest(view, rel, f, prog, plan, 1, b, ls, w) {
-				return
-			}
+			joinRest(view, rel, f, prog, plan, 1, b, sink, w)
 		}
 	})
 	return deaths
@@ -235,11 +216,12 @@ func bindNode(q *pattern.Pattern, b binding, pv int, g graph.NodeID) bool {
 	return true
 }
 
-// joinRest extends the binding through the remaining plan steps; it
-// returns false when worker w's emission stopped the detection.
-func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, ls *validate.LaneSink, w int) bool {
+// joinRest extends the binding through the remaining plan steps, emitting
+// on worker w's lane.
+func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.LiteralProgram, plan []planStep, depth int, b binding, sink validate.Sink, w int) {
 	if depth == len(plan) {
-		return finishBinding(view, f, prog, b, ls, w)
+		finishBinding(view, f, prog, b, sink, w)
+		return
 	}
 	s := plan[depth]
 	for _, t := range stepTuples(rel, f.Q, s) {
@@ -250,11 +232,8 @@ func joinRest(view *graph.Snapshot, rel *Relational, f *core.GFD, prog *core.Lit
 		if !labelsOK(view, f.Q, s, nb) {
 			continue
 		}
-		if !joinRest(view, rel, f, prog, plan, depth+1, nb, ls, w) {
-			return false
-		}
+		joinRest(view, rel, f, prog, plan, depth+1, nb, sink, w)
 	}
-	return true
 }
 
 // labelsOK applies the node-label selection predicates for the nodes the
@@ -272,24 +251,22 @@ func labelsOK(view *graph.Snapshot, q *pattern.Pattern, s planStep, b binding) b
 }
 
 // finishBinding applies the hand-coded isomorphism filter (pairwise
-// distinctness) and the compiled dependency check; it returns false when
-// worker w's emission stopped the detection.
-func finishBinding(view *graph.Snapshot, f *core.GFD, prog *core.LiteralProgram, b binding, ls *validate.LaneSink, w int) bool {
+// distinctness) and the compiled dependency check, emitting a violation
+// on worker w's lane.
+func finishBinding(view *graph.Snapshot, f *core.GFD, prog *core.LiteralProgram, b binding, sink validate.Sink, w int) {
 	for i := 0; i < len(b); i++ {
 		if b[i] == graph.Invalid {
-			return true
+			return
 		}
 		for j := i + 1; j < len(b); j++ {
 			if b[i] == b[j] {
-				return true
+				return
 			}
 		}
 	}
-	m := core.Match(b)
-	if prog.IsViolation(view, m) {
-		return ls.Emit(w, validate.Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
+	if m := core.Match(b); prog.IsViolation(view, m) {
+		sink.Emit(w, validate.Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
 	}
-	return true
 }
 
 func splitChunks(total, n int) [][]int {

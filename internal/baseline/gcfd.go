@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"gfd/internal/core"
-	"gfd/internal/graph"
 	"gfd/internal/pattern"
 	"gfd/internal/validate"
 )
@@ -143,28 +142,18 @@ func isSimplePath(q *pattern.Pattern) bool {
 	return true
 }
 
-// Detect runs GCFD validation: path matches are enumerated (path patterns
-// are a special case the shared matcher handles in linear time per match)
-// and checked against X → Y via the compiled literal program, exactly as
-// the GFD engine does. Violations are reported in the same format so
-// accuracy is directly comparable.
-func Detect(g *graph.Graph, rules []*GCFD) validate.Report {
-	b := validate.NewBundle(g, core.MustNewSet())
-	res, _ := validate.Single(len(rules), 1, nil, func(s validate.Sink) error {
-		return DetectB(context.Background(), b, rules, 1, s)
-	})
-	return res.Violations
-}
-
-// DetectB is Detect over a prepared bundle with cooperative cancellation
-// and streaming delivery: validate.ScanRules over each GCFD's GFD encoding,
-// so n workers take rules round-robin, each rule's X is pushed into the
-// search, violations stream onto each worker's sink lane (unsorted), a sink
-// refusal stops every worker and a cancelled context aborts with its error.
-// A panicking worker makes the run return a *validate.PartialError (Unit
-// -1) listing every death. The session layer runs EngineGCFD through it, so
-// a prepared rule conversion is validated without re-freezing or
-// re-encoding anything.
+// DetectB runs GCFD validation over a prepared bundle: path matches are
+// enumerated (path patterns are a special case the shared matcher handles
+// in linear time per match) and checked against X → Y via the compiled
+// literal program, exactly as the GFD engine does, and violations are
+// reported in the same format, so accuracy is directly comparable. It is
+// validate.ScanRules over each GCFD's GFD encoding: n workers take rules
+// round-robin, each rule's X is pushed into the search, violations stream
+// onto each worker's sink lane (unsorted), and a cancelled context aborts
+// with its error. A panicking worker makes the run return a
+// *validate.PartialError (Unit -1) listing every death. The session layer
+// runs EngineGCFD through it, so a prepared rule conversion is validated
+// without re-freezing or re-encoding anything.
 func DetectB(ctx context.Context, b *validate.Bundle, rules []*GCFD, n int, sink validate.Sink) error {
 	gfds := make([]*core.GFD, len(rules))
 	for i, c := range rules {

@@ -273,7 +273,7 @@ func (f *fleet) Start(w int) error {
 // of the window was never started as far as the scheduler knows, stays
 // pending, and is shipped again wherever it runs next. Every way of losing
 // the process ends in lost().
-func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(validate.Violation) bool) error {
+func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(validate.Violation)) error {
 	p := &f.procs[w]
 	ui := queue[0]
 	if f.plan.Idle(ui) {
@@ -338,9 +338,10 @@ func (f *fleet) Run(w int, queue []int, skip func(ui int) int64, emit func(valid
 				return f.lost(p, ui, fmt.Errorf("violations out of protocol (unit %d, head of window %d): %v", m.unit, ui, err))
 			}
 			for _, v := range m.vios {
-				if !emit(v) {
-					return nil // the run is stopping; Close kills the mid-unit process
-				}
+				emit(v)
+			}
+			if f.ctx.Err() != nil {
+				return nil // the run is stopping; Close kills the mid-unit process
 			}
 		case fDone:
 			m, err := decodeDone(payload)

@@ -33,7 +33,7 @@ type spy struct {
 	onClose func(f *fleet) // called before the fleet's own Close
 }
 
-func (s *spy) Run(w int, queue []int, skip func(int) int64, emit func(validate.Violation) bool) error {
+func (s *spy) Run(w int, queue []int, skip func(int) int64, emit func(validate.Violation)) error {
 	s.mu.Lock()
 	if s.queues[w] == nil {
 		s.queues[w] = slices.Clone(queue)
@@ -245,16 +245,18 @@ func TestWindowNeverDeadlocks(t *testing.T) {
 	requireSettled(t, goroutinesBefore)
 }
 
-// TestStreamStopMidWindow: when the sink refuses a violation, or the context
-// is cancelled, slots still have whole windows in flight. Close must kill
+// TestStreamStopMidWindow: when the context is cancelled at the first
+// violation, slots still have whole windows in flight. Close must kill
 // those processes without writing to them, and leak none.
 func TestStreamStopMidWindow(t *testing.T) {
 	f := setup(t)
-	t.Run("sink refuses", func(t *testing.T) {
+	t.Run("context cancelled", func(t *testing.T) {
 		goroutinesBefore := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		flushed := map[int]int{} // slots mid-window at Close -> their flush count then
-		_, s, err := detectSpied(context.Background(), f.b, distOpt(f, nil),
-			validate.Callback(func(validate.Violation) bool { return false }),
+		_, s, err := detectSpied(ctx, f.b, distOpt(f, nil),
+			validate.Callback(func(validate.Violation) { cancel() }),
 			func(fl *fleet) {
 				for w := range fl.procs {
 					p := &fl.procs[w]
@@ -263,8 +265,8 @@ func TestStreamStopMidWindow(t *testing.T) {
 					}
 				}
 			})
-		if err != nil {
-			t.Fatalf("stopped run returned %v", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v", err)
 		}
 		if len(flushed) == 0 {
 			t.Fatal("no slot was mid-window when the run stopped")
@@ -273,17 +275,6 @@ func TestStreamStopMidWindow(t *testing.T) {
 			if got := s.fleet.procs[w].fw.flushes; got != before {
 				t.Fatalf("slot %d was mid-window at Close and still got a frame: it must be killed, not drained", w)
 			}
-		}
-		requireSettled(t, goroutinesBefore)
-	})
-	t.Run("context cancelled", func(t *testing.T) {
-		goroutinesBefore := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		_, _, err := detectSpied(ctx, f.b, distOpt(f, nil),
-			validate.Callback(func(validate.Violation) bool { cancel(); return true }), nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v", err)
 		}
 		requireSettled(t, goroutinesBefore)
 	})
@@ -309,7 +300,7 @@ func TestCloseLeavesNoChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	none := func(int) int64 { return 0 }
-	all := func(validate.Violation) bool { return true }
+	all := func(validate.Violation) {}
 	// Slot 0 answers one unit and is left ready and idle.
 	if err := fl.Start(0); err != nil {
 		t.Fatal(err)

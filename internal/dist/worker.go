@@ -102,7 +102,10 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		},
 	}
 
-	ctx := context.Background()
+	// The worker's run ends with its pipe: a failed violation write
+	// cancels ctx, which stops the unit at the runner's next probe.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	loaded, err := store.Open(ctx, h.shardPath)
 	if err != nil {
 		return fail("opening shard %s: %v", h.shardPath, err)
@@ -188,12 +191,11 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		batch = batch[:0]
 		return true
 	}
-	emit := func(v validate.Violation) bool {
+	emit := func(v validate.Violation) {
 		batch = append(batch, v)
-		if len(batch) < vioBatch {
-			return true
+		if len(batch) >= vioBatch && (!sendBatch() || fw.flush() != nil) {
+			cancel()
 		}
-		return sendBatch() && fw.flush() == nil
 	}
 	for {
 		typ, payload, err := fr.read()
@@ -219,11 +221,12 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 			start := time.Now()
 			unit = m.unit.ID
-			if err := runner.Run(m.unit, m.skip, emit); err != nil {
-				return fail("running unit %d: %v", unit, err)
-			}
-			if !sendBatch() {
+			err = runner.Run(m.unit, m.skip, emit)
+			if ctx.Err() != nil || !sendBatch() {
 				return fail("writing violations for unit %d", unit)
+			}
+			if err != nil {
+				return fail("running unit %d: %v", unit, err)
 			}
 			enc = encodeDone(enc, doneMsg{unit: unit, wall: time.Since(start)})
 			if err := fw.queue(fDone, enc); err != nil {

@@ -156,26 +156,38 @@ func TestBaselineEnginesMatchBaselinePackage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The baselines' own entry points, over a bundle of their own.
+	b := validate.NewBundle(g, set)
 	rules, dropped := baseline.ConvertSet(set)
-	wantG := baseline.Detect(g, rules)
+	wantG, err := validate.Single(len(rules), 1, nil, func(s validate.Sink) error {
+		return baseline.DetectB(ctx, b, rules, 1, s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotG, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineGCFD})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotG.Violations.Equal(wantG) {
-		t.Error("EngineGCFD diverged from baseline.Detect")
+	if !gotG.Violations.Equal(wantG.Violations) {
+		t.Error("EngineGCFD diverged from baseline.DetectB")
 	}
 	if gotG.Rules != set.Len()-dropped {
 		t.Errorf("EngineGCFD rules = %d, want %d expressible", gotG.Rules, set.Len()-dropped)
 	}
 
-	wantB := baseline.DetectJoins(g, baseline.Encode(g.Freeze()), set, 4)
+	wantB, err := validate.Single(set.Len(), 4, nil, func(s validate.Sink) error {
+		return baseline.DetectJoinsB(ctx, b, baseline.Encode(g.Freeze()), 4, s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotB, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineBigDansing, N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotB.Violations.Equal(wantB) {
-		t.Error("EngineBigDansing diverged from baseline.DetectJoins")
+	if !gotB.Violations.Equal(wantB.Violations) {
+		t.Error("EngineBigDansing diverged from baseline.DetectJoinsB")
 	}
 }
 

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -61,12 +62,11 @@ func TestRepValCancelMidRunAbortsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, err = RepValB(ctx, b, Options{N: 4}, Callback(func(Violation) bool {
+	_, err = RepValB(ctx, b, Options{N: 4}, Callback(func(Violation) {
 		emitted++
 		if emitted == 3 {
 			cancel()
 		}
-		return true
 	}))
 	if err == nil {
 		t.Fatal("mid-run cancellation returned no error")
@@ -94,12 +94,11 @@ func TestDisValCancelMidRunAbortsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, err = DisValB(ctx, b, frag, Options{N: 4}, Callback(func(Violation) bool {
+	_, err = DisValB(ctx, b, frag, Options{N: 4}, Callback(func(Violation) {
 		emitted++
 		if emitted == 3 {
 			cancel()
 		}
-		return true
 	}))
 	if err == nil {
 		t.Fatal("mid-run cancellation returned no error")
@@ -137,41 +136,35 @@ func TestRepValDeadlineAborts(t *testing.T) {
 	}
 }
 
-// TestSequentialStreamCancel covers DetVioB's cancellation the same way,
-// and its stop on a sink that refuses: no error, nothing past the refusal.
+// TestSequentialStreamCancel covers DetVioB's cancellation the same way:
+// a cancel from inside the first emission ends the run with the context's
+// error within one probe stride of the one worker, far short of the set.
 func TestSequentialStreamCancel(t *testing.T) {
 	_, b := cancelWorkload(t)
 	var all Report
-	if err := DetVioB(context.Background(), b, Callback(func(v Violation) bool {
+	if err := DetVioB(context.Background(), b, Callback(func(v Violation) {
 		all = append(all, v)
-		return true
 	})); err != nil {
 		t.Fatal(err)
 	}
 	if len(all) < 50 {
 		t.Fatalf("workload too small: %d violations", len(all))
 	}
-	seen := 0
-	if err := DetVioB(context.Background(), b, Callback(func(Violation) bool {
-		seen++
-		return false
-	})); err != nil || seen != 1 {
-		t.Fatalf("refusing sink: err %v after %d violations, want nil after 1", err, seen)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	emitted := 0
-	err := DetVioB(ctx, b, Callback(func(Violation) bool {
-		emitted++
-		if emitted == 3 {
-			cancel()
+	for _, at := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		emitted := 0
+		err := DetVioB(ctx, b, Callback(func(Violation) {
+			emitted++
+			if emitted == at {
+				cancel()
+			}
+		}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at emission %d: err %v, want context.Canceled", at, err)
 		}
-		return true
-	}))
-	if err == nil {
-		t.Fatal("cancelled sequential run returned no error")
-	}
-	if emitted >= len(all)/2 {
-		t.Errorf("cancelled run emitted %d of %d violations", emitted, len(all))
+		if emitted-at > probeStride || emitted >= len(all)/2 {
+			t.Errorf("cancel at emission %d: %d of %d violations emitted", at, emitted, len(all))
+		}
 	}
 }

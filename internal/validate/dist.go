@@ -154,13 +154,11 @@ type UnitRunner struct {
 
 	// Per-attempt state, read by onMatch and deliver (bound once as visit
 	// and out, so the per-unit path allocates no closure): the unit's
-	// group, the skip count, the violations found, the caller's emit, and
-	// ok, false once the slot must stop.
+	// group, the skip count, the violations found and the caller's emit.
 	grp         *ruleGroup
 	skip, found int64
-	emit        func(Violation) bool
-	out         func(Violation) bool
-	ok          bool
+	emit        func(Violation)
+	out         func(Violation)
 	visit       func(core.Match) bool
 }
 
@@ -206,14 +204,13 @@ var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 // skip are suppressed without emission — the exactly-once retry dedupe:
 // enumeration order is deterministic for a
 // given shard + halo, so a retried unit resumes past what a previous
-// incarnation already delivered. emit returning false stops enumeration
-// early (the caller knows why). A non-nil error reports a malformed
+// incarnation already delivered. A non-nil error reports a malformed
 // descriptor (ErrBadUnit), cancellation, or a missed deadline; panics
 // (injected or genuine) are deliberately NOT recovered — in a worker
 // process a panic must crash the process so the coordinator sees a death,
 // not a silently shortened unit, and a goroutine slot's scheduler recovers
 // it with unit context.
-func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) error {
+func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation)) error {
 	if u.Group < 0 || u.Group >= len(r.groups) {
 		return fmt.Errorf("%w: unit %d names group %d of %d", ErrBadUnit, u.ID, u.Group, len(r.groups))
 	}
@@ -240,7 +237,7 @@ func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation) bool) erro
 	return r.run(grp, u.ID, &wu, skip, emit)
 }
 
-func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation) bool) error {
+func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation)) error {
 	if r.cancel.canceled() {
 		return r.cancel.ctx.Err()
 	}
@@ -291,7 +288,7 @@ func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID)
 	if slices.ContainsFunc(cands, func(c []graph.NodeID) bool { return len(c) == 0 }) {
 		return // some pivot has no candidate
 	}
-	r.grp, r.ok = grp, true
+	r.grp = grp
 	r.pins = r.pins[:0]
 	for i, z := range grp.pivot.Vars {
 		r.pins = append(r.pins, match.Pin{Node: z, To: cands[i]})
@@ -304,13 +301,12 @@ func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID)
 		// Prunes a prefix once every member has a failed X literal.
 		Guard: grp.guard,
 		// Early termination must reach candidate enumeration itself:
-		// without the halt probe a cancelled (or consumer-stopped) run
-		// only notices between matches, which on a matchless stretch of
-		// a huge class is never.
+		// without the halt probe a cancelled run only notices between
+		// matches, which on a matchless stretch of a huge class is never.
 		Halt: r.halt,
 	}
 	r.m.Enumerate(grp.q, opts, r.visit)
-	if r.ok && !r.noOpt && grp.pivot.Symmetric() && u.Ranges[0] != u.Ranges[1] {
+	if !r.noOpt && grp.pivot.Symmetric() && u.Ranges[0] != u.Ranges[1] && !r.cancel.canceled() {
 		r.pins[0].To, r.pins[1].To = cands[1], cands[0]
 		r.m.Enumerate(grp.q, opts, r.visit)
 	}
@@ -324,18 +320,16 @@ func (r *UnitRunner) onMatch(m core.Match) bool {
 		r.inj.Cross(fault.Match, r.worker, r.unit)
 		r.inj.Cross(fault.Literal, r.worker, r.unit)
 	}
-	if r.cancel.canceled() || !r.grp.checkMatch(r.m.Topo(), m, &r.scratch, r.out) {
-		r.ok = false
+	if r.cancel.canceled() {
 		return false
 	}
+	r.grp.checkMatch(r.m.Topo(), m, &r.scratch, r.out)
 	return true
 }
 
 // deliver is the skip-count wrapper above the caller's emit.
-func (r *UnitRunner) deliver(v Violation) bool {
-	r.found++
-	if r.found <= r.skip {
-		return true
+func (r *UnitRunner) deliver(v Violation) {
+	if r.found++; r.found > r.skip {
+		r.emit(v)
 	}
-	return r.emit(v)
 }

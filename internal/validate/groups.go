@@ -211,9 +211,8 @@ func identityPerm(n int) []int {
 // rule's own node order). The remapped match is staged in *scratch so the
 // per-match hot path allocates only when a violation is actually recorded.
 // Literal checking runs each rule's compiled program against the shared
-// view's interned attributes. Returns false when emit refused a
-// violation and the enumeration must stop.
-func (grp *ruleGroup) checkMatch(view *graph.Snapshot, m core.Match, scratch *core.Match, emit func(Violation) bool) bool {
+// view's interned attributes.
+func (grp *ruleGroup) checkMatch(view *graph.Snapshot, m core.Match, scratch *core.Match, emit func(Violation)) {
 	for _, d := range grp.deps {
 		rm := *scratch
 		if cap(rm) < len(d.perm) {
@@ -225,10 +224,7 @@ func (grp *ruleGroup) checkMatch(view *graph.Snapshot, m core.Match, scratch *co
 			rm[i] = m[gi]
 		}
 		if d.prog.IsViolation(view, rm) {
-			if !emit(Violation{Rule: d.rule.Name, Match: append(core.Match(nil), rm...)}) {
-				return false
-			}
+			emit(Violation{Rule: d.rule.Name, Match: append(core.Match(nil), rm...)})
 		}
 	}
-	return true
 }

@@ -320,9 +320,8 @@ func (m sinkMode) drive(ctx context.Context, lanes int, run func(validate.Sink) 
 		}
 		return got, res, err
 	case callback:
-		res, err = run(validate.Callback(func(v validate.Violation) bool {
+		res, err = run(validate.Callback(func(v validate.Violation) {
 			got = append(got, v)
-			return true
 		}))
 	case pipe:
 		p := validate.NewPipeSink(ctx, lanes, 1)

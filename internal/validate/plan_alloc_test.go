@@ -60,7 +60,7 @@ func TestWarmRoundAllocationsIndependentOfUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := validate.Callback(func(validate.Violation) bool { return true })
+	sink := validate.Callback(func(validate.Violation) {})
 	round := func() {
 		if _, err := validate.RepValB(context.Background(), b, opt, sink); err != nil {
 			t.Fatal(err)

@@ -22,9 +22,9 @@ import (
 // and (strided) inside match enumeration, so a cancelled run aborts
 // promptly and returns the context's error with partial instrumentation.
 // When sink is non-nil, violations are delivered to it as they are found
-// (each worker emitting on its own lane, stopping the engine when the sink
-// refuses) and Result.Violations stays empty; a nil sink collects per
-// worker, unions and sorts into Result.Violations.
+// (each worker emitting on its own lane) and Result.Violations stays
+// empty; a nil sink collects per worker, unions and sorts into
+// Result.Violations.
 //
 // Detection runs under the fault-tolerant scheduler (runtime.go): worker
 // panics are isolated, failed units are retried under Options.Retry, and
@@ -109,7 +109,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	// fault-tolerant scheduler (runtime.go), which also ships each round's
 	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
-	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: NewLaneSink(sink)}
+	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
 	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, inj, plan), true }
 	if e.start == nil {
 		local()

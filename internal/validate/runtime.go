@@ -110,21 +110,22 @@ type Executor interface {
 	Start(w int) error
 	// Run executes one attempt of unit queue[0] on slot w: the first
 	// skip(queue[0]) violations of the unit's (deterministic) enumeration
-	// are suppressed, the rest go to emit, and emit returning false stops
-	// the attempt. queue[1:] is what follows on this slot if nothing fails —
-	// the scheduler will call Run with queue[1:] next — so an executor whose
-	// slots sit behind a transport may start shipping those units early;
-	// skip is exact for them too (a unit's count only moves while it runs).
-	// Only queue[0] is this call's to answer for: attempts, skip counts and
-	// failure causes stay per unit in the scheduler. A nil error means the
-	// enumeration ran to its end or emit stopped it (the scheduler knows
-	// which). A *cluster.WorkerError anywhere in the chain means the slot
-	// died — exactly what a panic escaping Run is recovered into; any other
-	// error (a cooperative deadline miss, cancellation) leaves the slot able
-	// to take its next unit. Every violation the slot produced for queue[0]
-	// before dying must have reached emit by the time Run returns, so the
-	// unit's skip count is exact.
-	Run(w int, queue []int, skip func(ui int) int64, emit func(Violation) bool) error
+	// are suppressed and the rest go to emit. queue[1:] is what follows on
+	// this slot if nothing fails — the scheduler will call Run with
+	// queue[1:] next — so an executor whose slots sit behind a transport
+	// may start shipping those units early; skip is exact for them too (a
+	// unit's count only moves while it runs). Only queue[0] is this call's
+	// to answer for: attempts, skip counts and failure causes stay per unit
+	// in the scheduler. A nil error means the enumeration ran to its end,
+	// or stopped short because the run's context is done, which the
+	// scheduler checks after every attempt. A *cluster.WorkerError
+	// anywhere in the chain means the slot died — exactly what a panic
+	// escaping Run is recovered into; any other error (a cooperative
+	// deadline miss, cancellation) leaves the slot able to take its next
+	// unit. Every violation the slot produced for queue[0] before dying
+	// must have reached emit by the time Run returns, so the unit's skip
+	// count is exact.
+	Run(w int, queue []int, skip func(ui int) int64, emit func(Violation)) error
 	// Superstep runs task(w) for every slot concurrently, waits for all of
 	// them and returns each slot's busy time; the round's span is the
 	// maximum. How many tasks may occupy the host at once, and whose
@@ -165,7 +166,7 @@ func (e *goroutines) Start(w int) error {
 }
 
 // Run ignores the look-ahead: a goroutine slot has no transport to prime.
-func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(Violation) bool) error {
+func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(Violation)) error {
 	ui := queue[0]
 	r := e.runners[w]
 	if r == nil {
@@ -220,9 +221,7 @@ type detectRun struct {
 	exec  Executor
 	units []workUnit
 	opt   Options // normalized
-	// sink wraps the collect, callback or pipe sink and latches its first
-	// refusal: every slot then stops at its next unit or emission.
-	sink *LaneSink
+	sink  Sink    // the collect, callback or pipe sink
 	// simulated is set when the slots are goroutines: the scheduler then
 	// counts what a wire would carry (unit descriptors out, violations
 	// back). Process slots count their real frames.
@@ -245,7 +244,7 @@ type detectRun struct {
 // run executes the detection phase from the given initial assignment and
 // returns the detection span (summed across recovery supersteps), the
 // completeness census, and the partial-failure error (nil when every unit
-// succeeded or the run was cancelled/stopped first).
+// succeeded or the run was cancelled first).
 func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness, *PartialError) {
 	n := r.opt.N
 	r.states = make([]unitState, len(r.units))
@@ -274,9 +273,9 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 		}
 		busy := r.exec.Superstep(func(w int) { r.worker(w, todo[w]) })
 		span += cluster.MaxSpan(busy)
-		if r.ctx.Err() != nil || r.sink.Stopped() {
-			// Cancelled or stream-stopped: unreached units are neither
-			// succeeded nor failed; the caller reports ctx.Err() / nil.
+		if r.ctx.Err() != nil {
+			// Cancelled: unreached units are neither succeeded nor failed;
+			// the caller reports ctx.Err().
 			break
 		}
 		pending := r.collect(maxAttempts, &failures)
@@ -338,7 +337,7 @@ func (r *detectRun) revive() {
 	}
 }
 
-// delivered is how many violations the sink has accepted so far.
+// delivered is how many violations the sink has taken so far.
 func (r *detectRun) delivered() (n int64) {
 	for _, c := range r.counts {
 		n += c
@@ -354,7 +353,7 @@ func (r *detectRun) worker(w int, mine []int) {
 	if len(mine) == 0 || !r.live[w] {
 		return // units queued on a slot that never came up stay pending
 	}
-	cur := -1           // unit in flight, for the recover path; a refusal clears it
+	cur := -1           // unit in flight, for the recover path
 	var delivered int64 // violations delivered by the in-flight attempt
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -365,27 +364,20 @@ func (r *detectRun) worker(w int, mine []int) {
 		}
 	}()
 
-	out := func(v Violation) bool {
-		// A violation counts as delivered the moment the sink accepts it,
+	out := func(v Violation) {
+		// A violation counts as delivered the moment the sink takes it,
 		// whether that was an append, a callback, or a buffered channel the
 		// consumer has not drained yet — so the skip count a retry resumes
 		// from holds for asynchronous emission too.
-		if !r.sink.Emit(w, v) {
-			cur = -1 // the refusal ends the attempt short of its end
-			return false
-		}
+		r.sink.Emit(w, v)
 		delivered++
 		r.counts[w]++
-		return true
 	}
 	// Bound here, once per slot and round, like out: the per-unit path
 	// allocates no closure.
 	skip := func(ui int) int64 { return r.states[ui].emitted }
 
 	for i, ui := range mine {
-		if r.sink.Stopped() {
-			return
-		}
 		st := &r.states[ui]
 		cur, delivered = ui, 0
 		st.attempts++
@@ -394,19 +386,15 @@ func (r *detectRun) worker(w int, mine []int) {
 		}
 		err := r.exec.Run(w, mine[i:], skip, out)
 		st.emitted += delivered
-		if cur < 0 {
-			// The sink refused one of the attempt's violations, so the
-			// unit is not done. An attempt that ran to its end counts
-			// below, even if another slot latched the stop meanwhile.
-			return
-		}
 		cur = -1
 		switch {
+		case r.ctx.Err() != nil:
+			// The run is over: like the units it never reached, the
+			// attempt counts as neither succeeded nor failed.
+			return
 		case err == nil:
 			st.done = true
 			st.lastErr = nil
-		case r.ctx.Err() != nil:
-			return // context cancelled: the run is over
 		case slotDied(err):
 			r.die(w, ui, err)
 			return

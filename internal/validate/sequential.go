@@ -2,7 +2,6 @@ package validate
 
 import (
 	"context"
-	"sync/atomic"
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
@@ -24,28 +23,25 @@ func DetVioB(ctx context.Context, b *Bundle, sink Sink) error {
 // A worker pulls a rule's matches lazily, with the rule's X pushed into the
 // search as its guard, decides each with the rule's literal program
 // (Bundle.Program) and emits a violation on its own sink lane w as soon as
-// it is found (unsorted). A nil sink collects nothing.
+// it is found (unsorted), so the collect sink's lanes see one writer each.
 //
-// One refused emission stops every worker, and so does a cancelled
-// context, whose error is returned; both reach into candidate enumeration
-// through the matcher's halt probe, so a stop lands mid-class even on
-// matchless stretches. A panicking worker is recovered into a
-// *cluster.WorkerError while the others finish their rules; the run then
-// returns a *PartialError (Partial) listing every death.
+// A cancelled context stops every worker and its error is returned; it
+// reaches into candidate enumeration through the matcher's halt probe, so
+// a stop lands mid-class even on matchless stretches. A panicking worker is
+// recovered into a *cluster.WorkerError while the others finish their
+// rules; the run then returns a *PartialError (Partial) listing every
+// death.
 func ScanRules(ctx context.Context, b *Bundle, rules []*core.GFD, n int, sink Sink) error {
 	n = min(max(n, 1), max(len(rules), 1))
 	view := b.topo
-	ls := NewLaneSink(sink)
 	_, deaths := cluster.Fan(n, 0, func(w int) {
 		m := b.rules.plans.Get(view)
 		cancel := &cancelCheck{ctx: ctx}
-		halt := func() bool { return ls.Stopped() || cancel.canceled() }
-	scan:
-		for ri := w; ri < len(rules) && !halt(); ri += n {
+		for ri := w; ri < len(rules) && !cancel.canceled(); ri += n {
 			f, p := rules[ri], b.Program(rules[ri])
-			for h := range m.Matches(f.Q, match.Options{Halt: halt, Guard: p.Guard()}) {
-				if p.IsViolation(view, h) && !ls.Emit(w, Violation{Rule: f.Name, Match: append(core.Match(nil), h...)}) {
-					break scan
+			for h := range m.Matches(f.Q, match.Options{Halt: cancel.canceled, Guard: p.Guard()}) {
+				if p.IsViolation(view, h) {
+					sink.Emit(w, Violation{Rule: f.Name, Match: append(core.Match(nil), h...)})
 				}
 			}
 		}
@@ -55,35 +51,6 @@ func ScanRules(ctx context.Context, b *Bundle, rules []*core.GFD, n int, sink Si
 		return err
 	}
 	return Partial(deaths)
-}
-
-// LaneSink routes worker emissions onto per-worker sink lanes with one
-// shared stop flag: the first refused emission latches stop, which every
-// worker sees at its next Emit or Stopped probe. ScanRules, the unit
-// scheduler and the BigDansing baseline emit through it. Each worker owns
-// lane w, so the collect sink's lanes see one writer each. A nil sink
-// accepts everything.
-type LaneSink struct {
-	sink Sink
-	stop atomic.Bool
-}
-
-// NewLaneSink wraps sink.
-func NewLaneSink(sink Sink) *LaneSink { return &LaneSink{sink: sink} }
-
-// Stopped reports whether an emission was refused.
-func (ls *LaneSink) Stopped() bool { return ls.stop.Load() }
-
-// Emit delivers v on worker w's lane; false once the run should stop.
-func (ls *LaneSink) Emit(w int, v Violation) bool {
-	if ls.stop.Load() {
-		return false
-	}
-	if ls.sink != nil && !ls.sink.Emit(w, v) {
-		ls.stop.Store(true)
-		return false
-	}
-	return true
 }
 
 // Partial converts the worker deaths of a run without work units

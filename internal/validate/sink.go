@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gfd/internal/cluster"
@@ -28,13 +27,13 @@ import (
 //     a full channel blocks the senders.
 //
 // Emit may be called from concurrent workers; worker identifies the
-// calling lane (single-threaded engines pass 0). Returning false tells
-// the engine to stop: the refusal propagates through the per-worker
-// cancel probes into match enumeration itself (match.Options.Halt), so a
-// consumer that has seen enough stops the search mid-class, not at the
-// next unit boundary.
+// calling lane (single-threaded engines pass 0). Emit never refuses: the
+// one stop signal is the run's context. The engines probe it at strided
+// checkpoints down into match enumeration itself (match.Options.Halt), so
+// a consumer that has seen enough cancels the context and the search stops
+// mid-class, not at the next unit boundary.
 type Sink interface {
-	Emit(worker int, v Violation) bool
+	Emit(worker int, v Violation)
 }
 
 // CollectSink accumulates violations into per-worker lanes so parallel
@@ -44,7 +43,7 @@ type Sink interface {
 // chunk is never copied; the next one is twice its size, up to maxChunk
 // words. Report and the collect mode's sorted Report (orCollect) borrow
 // every match from the chunks, capped so that appending to one cannot
-// reach another. Emit never refuses.
+// reach another.
 type CollectSink struct {
 	lanes []lane
 }
@@ -79,7 +78,7 @@ func NewCollectSink(workers int) *CollectSink {
 // Emit appends v to the worker's lane, copying its match. Workers own
 // their lane for the duration of a run; cross-round ownership transfer is
 // sequenced by the scheduler's superstep barrier.
-func (s *CollectSink) Emit(worker int, v Violation) bool {
+func (s *CollectSink) Emit(worker int, v Violation) {
 	if worker < 0 || worker >= len(s.lanes) {
 		worker = 0
 	}
@@ -95,7 +94,6 @@ func (s *CollectSink) Emit(worker int, v Violation) bool {
 	for _, id := range v.Match {
 		l.maxID = max(l.maxID, uint32(id))
 	}
-	return true
 }
 
 // grow starts a chunk with room for need words.
@@ -222,34 +220,22 @@ func Single(rules, lanes int, sink Sink, run func(Sink) error) (*Result, error) 
 }
 
 // CallbackSink serializes violation emissions from concurrent workers
-// onto one user callback. Once the callback returns false every worker's
-// next Emit fails, stopping the engines.
+// onto one user callback, under a mutex.
 type CallbackSink struct {
-	mu      sync.Mutex
-	yield   func(Violation) bool
-	stopped atomic.Bool
+	mu    sync.Mutex
+	yield func(Violation)
 }
 
-// Callback wraps a yield function as a Sink.
-func Callback(yield func(Violation) bool) *CallbackSink {
+// Callback wraps a function as a Sink.
+func Callback(yield func(Violation)) *CallbackSink {
 	return &CallbackSink{yield: yield}
 }
 
 // Emit delivers v to the callback under the sink's mutex.
-func (s *CallbackSink) Emit(_ int, v Violation) bool {
-	if s.stopped.Load() {
-		return false
-	}
+func (s *CallbackSink) Emit(_ int, v Violation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped.Load() {
-		return false
-	}
-	if !s.yield(v) {
-		s.stopped.Store(true)
-		return false
-	}
-	return true
+	s.yield(v)
 }
 
 // PipeSink is the asynchronous half of the pull-based violation pipeline:
@@ -258,8 +244,8 @@ func (s *CallbackSink) Emit(_ int, v Violation) bool {
 // bounds the pipeline's memory — and never serializes emissions behind a
 // mutex. The sink is bound to the run's context: once it is cancelled —
 // the consumer broke out of the loop, or the caller's context died — every
-// blocked Emit unwinds immediately and returns false, so no worker can
-// wedge on a full channel.
+// blocked Emit unwinds immediately and drops its violation, so no worker
+// can wedge on a full channel.
 //
 // Lifecycle: the engine owner calls Close after the engine returns; a range
 // over Out then ends once it has taken what is buffered. The sink starts no
@@ -281,14 +267,12 @@ func NewPipeSink(ctx context.Context, workers, buffer int) *PipeSink {
 	return &PipeSink{ctx: ctx, out: make(chan Violation, (max(workers, 1)+1)*buffer)}
 }
 
-// Emit queues v, blocking while the channel is full, and fails once the
-// run's context is cancelled.
-func (p *PipeSink) Emit(_ int, v Violation) bool {
+// Emit queues v, blocking while the channel is full; once the run's
+// context is cancelled it drops v instead.
+func (p *PipeSink) Emit(_ int, v Violation) {
 	select {
 	case p.out <- v:
-		return true
 	case <-p.ctx.Done():
-		return false
 	}
 }
 

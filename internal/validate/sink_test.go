@@ -64,25 +64,36 @@ func TestPipeSinkProducerErrorBeforeFirstEmission(t *testing.T) {
 // run context — the coordinator path when every worker process dies
 // pre-assignment. Emit's contract after cancellation is that it cannot
 // wedge: an Emit may still win the select race against a channel with
-// buffer space, but repeated emissions must refuse promptly instead of
-// blocking forever, and Close must still close Out.
+// buffer space, but emissions past the channel's bound must return
+// promptly, dropping their violations, and Close must still close Out.
 func TestPipeSinkProducerErrorAfterCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 
-	pipe := NewPipeSink(ctx, 4, 1)
+	const workers, buffer = 4, 1
+	pipe := NewPipeSink(ctx, workers, buffer)
 	cancel()
-	refused := false
-	for i := 0; i < 256 && !refused; i++ {
-		refused = !pipe.Emit(0, Violation{})
-	}
-	if !refused {
-		t.Fatal("Emit never refused on a cancelled sink")
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < 256; i++ {
+			pipe.Emit(0, Violation{})
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Emit blocked on a cancelled sink")
 	}
 	pipe.Close()
+	held := 0
 	for range pipe.Out() {
 		// Post-cancel leftovers that won the select race are permitted;
 		// the drain just has to terminate.
+		held++
+	}
+	if held > (workers+1)*buffer {
+		t.Fatalf("%d violations held, past the bound %d", held, (workers+1)*buffer)
 	}
 	waitGoroutines(t, before)
 }
@@ -97,9 +108,7 @@ func TestPipeSinkAbandonedConsumerAfterError(t *testing.T) {
 	defer cancel()
 
 	pipe := NewPipeSink(ctx, 2, 8)
-	if !pipe.Emit(0, Violation{Rule: "r"}) {
-		t.Fatal("Emit refused on a live sink")
-	}
+	pipe.Emit(0, Violation{Rule: "r"})
 	cancel() // consumer abandons: run context dies, Out is never ranged
 	pipe.Close()
 	waitGoroutines(t, before)
@@ -118,44 +127,47 @@ func TestPipeSinkStartsNoGoroutine(t *testing.T) {
 
 // TestPipeSinkHolds: with no consumer, one worker fills the whole channel,
 // (workers + 1) × buffer violations, and its next Emit blocks until the
-// run's context is cancelled, then refuses.
+// run's context is cancelled, then returns without queueing.
 func TestPipeSinkHolds(t *testing.T) {
 	const workers, buffer = 3, 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pipe := NewPipeSink(ctx, workers, buffer)
-	filled := make(chan int, 1)
+	filled := make(chan struct{})
 	go func() {
-		n := 0
-		for n < (workers+1)*buffer && pipe.Emit(0, Violation{}) {
-			n++
+		for range (workers + 1) * buffer {
+			pipe.Emit(0, Violation{Rule: "held"})
 		}
-		filled <- n
+		close(filled)
 	}()
 	select {
-	case n := <-filled:
-		if n != (workers+1)*buffer {
-			t.Fatalf("%d emissions accepted, want %d", n, (workers+1)*buffer)
-		}
+	case <-filled:
 	case <-time.After(5 * time.Second):
 		cancel()
 		t.Fatalf("an Emit blocked before %d violations were held", (workers+1)*buffer)
 	}
-	next := make(chan bool, 1)
-	go func() { next <- pipe.Emit(0, Violation{}) }()
+	next := make(chan struct{})
+	go func() { pipe.Emit(0, Violation{Rule: "past"}); close(next) }()
 	select {
-	case ok := <-next:
-		t.Fatalf("Emit past the bound returned %v without blocking", ok)
+	case <-next:
+		t.Fatal("Emit past the bound returned without blocking")
 	case <-time.After(50 * time.Millisecond):
 	}
 	cancel()
 	select {
-	case ok := <-next:
-		if ok {
-			t.Fatal("Emit past the bound succeeded after the cancel")
-		}
+	case <-next:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a blocked Emit did not unwind on cancel")
 	}
 	pipe.Close()
+	held := 0
+	for v := range pipe.Out() {
+		if v.Rule != "held" {
+			t.Fatal("Emit past the bound queued its violation after the cancel")
+		}
+		held++
+	}
+	if held != (workers+1)*buffer {
+		t.Fatalf("%d violations held, want %d", held, (workers+1)*buffer)
+	}
 }

@@ -113,10 +113,12 @@ func disVal(g *graph.Graph, frag *fragment.Fragmentation, set *core.Set, opt Opt
 
 // satisfies reports G |= Σ, stopping at the first violation.
 func satisfies(g *graph.Graph, set *core.Set) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	violated := false
-	_ = DetVioB(context.Background(), NewBundle(g, set), Callback(func(Violation) bool {
+	_ = DetVioB(ctx, NewBundle(g, set), Callback(func(Violation) {
 		violated = true
-		return false
+		cancel()
 	}))
 	return !violated
 }
