@@ -41,6 +41,7 @@ type outcome int
 const (
 	complete  outcome = iota // nil error, violation set ≡ fault-free, every unit succeeded
 	partial                  // ErrPartial, violations ⊆ fault-free, honest census
+	stopped                  // pull consumer stopped after one: context.Canceled, no more than the pipe holds
 	cancelled                // ctx cancelled at the first emission: context.Canceled
 )
 
@@ -244,6 +245,14 @@ var shapes = []shape{
 		deaths:        func(executorKind) bool { return false }, // the degraded run's census is clean
 		processesOnly: true,
 	},
+	{
+		// A sink no longer refuses: the consumer of the pull pipeline
+		// takes the first violation and cancels the run, draining nothing
+		// until the engine returns, so every slot still emitting blocks on
+		// the full pipe until the cancel unwinds it.
+		name: "sink refuses the first violation",
+		want: always(stopped),
+	},
 	{name: "context cancelled mid-run", want: always(cancelled)},
 	{
 		name: "context cancelled mid-run, slot 0 dead on its first unit",
@@ -286,12 +295,21 @@ func TestSchedulerConformance(t *testing.T) {
 					}
 				})
 
+				var runSink validate.Sink = sink
+				var taken func() validate.Report
+				if want == stopped {
+					ctx, runSink, taken = stopAfterFirst(ctx, opt.N)
+				}
+
 				var res *validate.Result
 				var err error
 				if k == processSlots {
-					res, err = DetectB(ctx, f.b, opt, sink)
+					res, err = DetectB(ctx, f.b, opt, runSink)
 				} else {
-					res, err = validate.RepValB(ctx, f.b, opt, sink)
+					res, err = validate.RepValB(ctx, f.b, opt, runSink)
+				}
+				if taken != nil {
+					got = taken()
 				}
 
 				seen := make(map[string]bool, len(got))
@@ -354,6 +372,14 @@ func TestSchedulerConformance(t *testing.T) {
 					if sh.sentinel != nil && !errors.Is(err, sh.sentinel) {
 						t.Fatalf("%v: %v does not unwrap to %v", opt.Inject, err, sh.sentinel)
 					}
+				case stopped:
+					if !errors.Is(err, context.Canceled) || len(got) == 0 || len(got) > 1+pipeHolds(opt.N) {
+						t.Fatalf("stopped run returned %v after %d deliveries, want context.Canceled after 1 to %d",
+							err, len(got), 1+pipeHolds(opt.N))
+					}
+					if c.Complete() || c.Failed != 0 {
+						t.Fatalf("stopped run claims completeness or failures: %+v", c)
+					}
 				case cancelled:
 					if !errors.Is(err, context.Canceled) || len(got) == 0 {
 						t.Fatalf("cancelled run returned %v after %d emissions", err, len(got))
@@ -384,6 +410,39 @@ func TestSchedulerConformance(t *testing.T) {
 		}
 	}
 }
+
+// stopAfterFirst is a pull consumer that has seen enough: a pipe sink of
+// one-violation buffers for workers slots, whose consumer takes the first
+// violation and cancels the returned context. Nothing else is drained
+// until taken, called after the engine returns, closes the pipe and
+// returns the first violation and what the pipe still held.
+func stopAfterFirst(parent context.Context, workers int) (context.Context, validate.Sink, func() validate.Report) {
+	ctx, cancel := context.WithCancel(parent)
+	pipe := validate.NewPipeSink(ctx, workers, 1)
+	first := make(chan validate.Violation, 1)
+	go func() {
+		defer cancel()
+		defer close(first)
+		if v, ok := <-pipe.Out(); ok {
+			first <- v
+		}
+	}()
+	return ctx, pipe, func() validate.Report {
+		pipe.Close()
+		var got validate.Report
+		for v := range first {
+			got = append(got, v)
+		}
+		for v := range pipe.Out() {
+			got = append(got, v)
+		}
+		return got
+	}
+}
+
+// pipeHolds is how many violations stopAfterFirst's pipe buffers for
+// workers slots (NewPipeSink's (workers + 1) × buffer, buffer 1).
+func pipeHolds(workers int) int { return workers + 1 }
 
 // requireSettled fails unless the goroutine count returns to its pre-run
 // level and this process has no child left — running or zombie.

@@ -245,19 +245,40 @@ func TestWindowNeverDeadlocks(t *testing.T) {
 	requireSettled(t, goroutinesBefore)
 }
 
-// TestStreamStopMidWindow: when the context is cancelled at the first
-// violation, slots still have whole windows in flight. Close must kill
-// those processes without writing to them, and leak none.
+// TestStreamStopMidWindow: when the run stops at the first violation —
+// its pull consumer has seen enough, or its context is cancelled — slots
+// still have whole windows in flight. Close must kill those processes
+// without writing to them, and leak none.
 func TestStreamStopMidWindow(t *testing.T) {
 	f := setup(t)
-	t.Run("context cancelled", func(t *testing.T) {
-		goroutinesBefore := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		flushed := map[int]int{} // slots mid-window at Close -> their flush count then
-		_, s, err := detectSpied(ctx, f.b, distOpt(f, nil),
-			validate.Callback(func(validate.Violation) { cancel() }),
-			func(fl *fleet) {
+	for _, tc := range []struct {
+		name string
+		// stop derives the run's context and sink from ctx, and returns
+		// what to call once the run has returned.
+		stop func(ctx context.Context, cancel context.CancelFunc) (context.Context, validate.Sink, func())
+	}{
+		{"sink refuses", func(ctx context.Context, _ context.CancelFunc) (context.Context, validate.Sink, func()) {
+			ctx, pipe, taken := stopAfterFirst(ctx, fxWorkers)
+			// The emitting slot waits for the consumer's cancel, so the
+			// stop lands while the window that carried the first
+			// violation is still in flight.
+			sink := validate.Callback(func(v validate.Violation) {
+				pipe.Emit(0, v)
+				<-ctx.Done()
+			})
+			return ctx, sink, func() { taken() }
+		}},
+		{"context cancelled", func(ctx context.Context, cancel context.CancelFunc) (context.Context, validate.Sink, func()) {
+			return ctx, validate.Callback(func(validate.Violation) { cancel() }), func() {}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			goroutinesBefore := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx, sink, after := tc.stop(ctx, cancel)
+			flushed := map[int]int{} // slots mid-window at Close -> their flush count then
+			_, s, err := detectSpied(ctx, f.b, distOpt(f, nil), sink, func(fl *fleet) {
 				for w := range fl.procs {
 					p := &fl.procs[w]
 					if p.cmd != nil && len(p.window) > 0 {
@@ -265,19 +286,21 @@ func TestStreamStopMidWindow(t *testing.T) {
 					}
 				}
 			})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v", err)
-		}
-		if len(flushed) == 0 {
-			t.Fatal("no slot was mid-window when the run stopped")
-		}
-		for w, before := range flushed {
-			if got := s.fleet.procs[w].fw.flushes; got != before {
-				t.Fatalf("slot %d was mid-window at Close and still got a frame: it must be killed, not drained", w)
+			after()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("stopped run returned %v", err)
 			}
-		}
-		requireSettled(t, goroutinesBefore)
-	})
+			if len(flushed) == 0 {
+				t.Fatal("no slot was mid-window when the run stopped")
+			}
+			for w, before := range flushed {
+				if got := s.fleet.procs[w].fw.flushes; got != before {
+					t.Fatalf("slot %d was mid-window at Close and still got a frame: it must be killed, not drained", w)
+				}
+			}
+			requireSettled(t, goroutinesBefore)
+		})
+	}
 }
 
 // TestCloseLeavesNoChild: Close reaps every worker process, whatever state
