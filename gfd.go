@@ -56,7 +56,11 @@
 //     generating rules from frequent graph features, and the generators
 //     and noise injection used by the reproduction benchmarks;
 //   - maintenance extensions: incremental detection (Session.Incremental
-//     / NewIncremental) and repair suggestions (SuggestRepairs).
+//     / NewIncremental) and repair suggestions (SuggestRepairs);
+//   - failure semantics: the parallel engines retry, reassign and report
+//     partial results (ErrPartial, Result.Completeness) when a worker dies
+//     or a unit misses its deadline. The package injects no faults: its
+//     chaos suites fault the slots from outside.
 //
 // See README.md for a quickstart and its "Layout" section for the system
 // inventory.
@@ -69,7 +73,6 @@ import (
 	"gfd/internal/cluster"
 	"gfd/internal/core"
 	"gfd/internal/dist"
-	"gfd/internal/fault"
 	"gfd/internal/fragment"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
@@ -155,12 +158,6 @@ type (
 	// WorkerError is a recovered worker panic: worker id, unit id, panic
 	// value, and the goroutine stack at recovery.
 	WorkerError = cluster.WorkerError
-	// FaultPlan is a deterministic fault-injection plan for Options.Inject
-	// — testing only; nil (the default) makes every injection point a
-	// no-op. Build one with NewFaultPlan or FaultPlanFromSeed.
-	FaultPlan = fault.Plan
-	// FaultSite names one instrumented injection point of a FaultPlan.
-	FaultSite = fault.Site
 
 	// Session owns a graph and its compiled execution caches; open one
 	// with NewSession, then Prepare rule sets against it.
@@ -207,14 +204,6 @@ var (
 	ErrNilGraph = session.ErrNilGraph
 )
 
-// FaultPlan injection sites, for FaultPlan.PanicAt.
-const (
-	FaultUnitStart = fault.UnitStart
-	FaultMatch     = fault.Match
-	FaultLiteral   = fault.Literal
-	FaultShip      = fault.Ship
-)
-
 // MaybeWorker turns the current process into an EngineDistributed worker
 // when it was spawned as one (recognized by environment, not flags), never
 // returning in that case. Call it first thing in main of any binary that
@@ -231,18 +220,6 @@ func WriteShards(g *Graph, n int, strategy, dir, prefix string) (string, error) 
 		return "", err
 	}
 	return dist.WriteShards(g.Freeze(), n, s, dir, prefix)
-}
-
-// NewFaultPlan returns an empty fault plan tagged with a seed; chain
-// KillWorker / DelayUnit / PanicAt and set it as Options.Inject. Testing
-// only — production leaves Options.Inject nil and pays nothing.
-func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
-
-// FaultPlanFromSeed derives a pseudo-random recoverable fault plan, at
-// most workers−1 of whose faults end an attempt — the chaos suite sweeps
-// seeds and logs only the failing seed, which replays the exact plan.
-func FaultPlanFromSeed(seed int64, workers, units int) *FaultPlan {
-	return fault.FromSeed(seed, workers, units)
 }
 
 // NewSession opens a prepared session on g — the entry point of the

@@ -17,7 +17,9 @@
 // one of that interface's. Test-only helpers belong in _test.go files
 // (export_test.go when another package's tests need them); the few
 // exported names kept for tests on purpose are listed in keep, each with
-// its reason.
+// its reason. Helpers that the tests of several packages share live in
+// internal/testutil, whose callers are all tests: the rule leaves that one
+// package out, and TestTestutilStaysInTests holds it instead.
 //
 // The same test keeps the exported fields of exported structs under
 // internal/ to what a caller sets: each must be set by some non-test file
@@ -57,9 +59,7 @@ var keep = map[string]string{
 	"validate.Completeness.Complete": "tests assert a run's census is whole",
 	"graph.Overlay.Delta":            "tests read an overlay's pending delta to check compaction",
 	"graph.Graph.BuildSnapshot":      "freeze differential tests and benchmarks build at a fixed worker count",
-	"fault.FromSeedProc":             "the dist chaos suite draws process fault plans from seeds",
 	"match.Plans.Misses":             "tests count a rule side's plan-cache misses: none on a warm op",
-	"fault.Injector.Fired":           "chaos tests log and assert how many faults fired",
 	"core.GFD.IsConstant":            "a paper notion; tests assert the CFD encodings with it",
 	"core.Literal.IsTautology":       "a paper notion; tests assert the CFD encodings with it",
 
@@ -67,8 +67,7 @@ var keep = map[string]string{
 	"validate.Options.SplitThreshold":        "tests force or forbid the split of heavy units",
 	"validate.Options.Retry":                 "the fault suites set retry budgets and backoff",
 	"validate.Options.UnitDeadline":          "the fault suites cut stragglers at a deadline",
-	"validate.Options.Inject":                "the chaos suites arm their fault plans through it",
-	"validate.DistOptions.Command":           "tests run a fleet that cannot start",
+	"validate.DistOptions.Command":           "tests run a fleet that cannot start, and the chaos suites pass a worker's fault plan on its command line",
 	"validate.DistOptions.HeartbeatInterval": "tests tighten the fleet's supervision",
 	"validate.DistOptions.HandshakeTimeout":  "tests tighten the fleet's supervision",
 	"validate.DistOptions.MaxRespawns":       "tests disable or bound respawn",
@@ -134,7 +133,8 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 // dead methods: one only a test calls, and one that shares its name with a
 // live method of another type, which a scan by name would pass. The scan
 // must name both, and only them: a method the root package re-exports, one
-// the code uses as an io.Writer and a String method count as called.
+// the code uses as an io.Writer and a String method count as called, and
+// testutil, which only a test calls, is not the scan's.
 func TestExportedNamesGuardFires(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module m\n\ngo 1.24\n",
@@ -165,6 +165,16 @@ func (API) Get() int { return 2 }
 		"internal/pattern/pattern_test.go": `package pattern
 
 func use() { New().Unused() }
+`,
+		"internal/testutil/testutil.go": `package testutil
+
+func Shared() {}
+`,
+		"internal/pattern/shared_test.go": `package pattern_test
+
+import "m/internal/testutil"
+
+func use() { testutil.Shared() }
 `,
 		"m.go": `package m
 
@@ -433,6 +443,13 @@ func load(t *testing.T, root string) (rootPkg *checked, pkgs []*checked) {
 	return rootPkg, append(pkgs, implicit)
 }
 
+// ruled reports whether the exported-name rule covers the package in dir:
+// every package under root/internal but testutilPkg.
+func ruled(root, dir string) bool {
+	return strings.HasPrefix(dir, filepath.Join(root, "internal")+string(filepath.Separator)) &&
+		dir != filepath.Join(root, filepath.FromSlash(testutilPkg))
+}
+
 // scan type-checks the module at root and returns the exported functions
 // and methods declared in non-test files under root/internal and, sorted,
 // the keys of those that nothing calls (see the package doc); and the
@@ -444,7 +461,7 @@ func scan(t *testing.T, root string) (decls []decl, unused []string, fields []st
 	owner := map[*types.Var]*types.Named{} // exported field -> its struct type
 	fieldKey := map[*types.Var]string{}
 	for _, c := range pkgs {
-		if !strings.HasPrefix(c.dir, filepath.Join(root, "internal")+string(filepath.Separator)) {
+		if !ruled(root, c.dir) {
 			continue
 		}
 		for _, f := range c.files {
@@ -531,7 +548,7 @@ func scan(t *testing.T, root string) (decls []decl, unused []string, fields []st
 		for _, tv := range c.info.Types {
 			use(tv.Type)
 		}
-		if !strings.HasPrefix(c.dir, filepath.Join(root, "internal")+string(filepath.Separator)) {
+		if !ruled(root, c.dir) {
 			continue
 		}
 		for _, f := range c.files {

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -109,15 +110,7 @@ var importBans = []struct{ pkg, banned, why string }{
 // banned package, resolved against the module path in root's go.mod.
 func importViolations(t *testing.T, root string) []string {
 	t.Helper()
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, _, _ := strings.Cut(string(mod), "\n")
-	modPath, ok := strings.CutPrefix(line, "module ")
-	if !ok {
-		t.Fatalf("%s/go.mod does not begin with its module line", root)
-	}
+	modPath := modulePath(t, root)
 	fset := token.NewFileSet()
 	var bad []string
 	for _, ban := range importBans {
@@ -144,6 +137,21 @@ func importViolations(t *testing.T, root string) []string {
 	}
 	slices.Sort(bad)
 	return bad
+}
+
+// modulePath returns the module path root's go.mod declares.
+func modulePath(t *testing.T, root string) string {
+	t.Helper()
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(string(mod), "\n")
+	modPath, ok := strings.CutPrefix(line, "module ")
+	if !ok {
+		t.Fatalf("%s/go.mod does not begin with its module line", root)
+	}
+	return modPath
 }
 
 func TestImportBans(t *testing.T) {
@@ -569,5 +577,200 @@ func TestInlinedSnapshotReadsGuardFires(t *testing.T) {
 	})
 	if got, want := inlineViolations(t, root), []string{"In", "Label"}; !slices.Equal(got, want) {
 		t.Fatalf("the inline rule reports %v, want %v", got, want)
+	}
+}
+
+// Faults come from outside. The engines carry no injector: the chaos
+// suites fault a goroutine slot through validate's one seam, wrapSlots,
+// which only test files set, and a worker process from the test binary
+// the fleet re-executes, which interposes on the worker's pipes. So no
+// non-test file assigns the seam, and the one environment variable dist
+// reads is EnvWorker: a second is how a fault plan once reached every
+// binary that can serve as a worker.
+const slotSeam = "wrapSlots"
+
+// faultViolations returns, sorted, "file:line: what" for every assignment
+// to validate's slot seam in a non-test .go file under root, and every
+// os.Getenv or os.LookupEnv in a non-test file under internal/dist of a
+// name other than EnvWorker.
+func faultViolations(t *testing.T, root string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var bad []string
+	walkGo(t, root, func(path, rel string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		report := func(n ast.Node, what string) {
+			bad = append(bad, fmt.Sprintf("%s:%d: %s", rel, fset.Position(n.Pos()).Line, what))
+		}
+		dist := strings.HasPrefix(rel, "internal/dist/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if slices.ContainsFunc(n.Lhs, func(e ast.Expr) bool { return isName(e, slotSeam) }) {
+					report(n, "assigns "+slotSeam)
+				}
+			case *ast.ValueSpec:
+				if len(n.Values) > 0 && slices.ContainsFunc(n.Names, func(id *ast.Ident) bool { return id.Name == slotSeam }) {
+					report(n, "initializes "+slotSeam)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if dist && ok && isName(sel.X, "os") && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") &&
+					(len(n.Args) != 1 || !isName(n.Args[0], "EnvWorker")) {
+					report(n, "reads an environment variable other than EnvWorker")
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	slices.Sort(bad)
+	return bad
+}
+
+func TestFaultsComeFromOutside(t *testing.T) {
+	for _, v := range faultViolations(t, repoRoot(t)) {
+		t.Errorf("%s: faults come from outside — only tests arm the slot seam, and a worker reads no fault plan from its environment", v)
+	}
+}
+
+// TestFaultsComeFromOutsideGuardFires runs the rule over a module that
+// assigns the seam in a non-test file, initializes it in another and reads
+// two environment variables under internal/dist other than EnvWorker,
+// beside the seam's declaration and use, a test file that sets it, a dist
+// test and a command that read what they like: it must name the four
+// lines and only them.
+func TestFaultsComeFromOutsideGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                           "module m\n",
+		"internal/validate/repval.go":      "package validate\n\nvar wrapSlots func(Executor) Executor\n\nfunc run() {\n\tif wrapSlots != nil {\n\t\texec = wrapSlots(exec)\n\t}\n}\n",
+		"internal/validate/chaos.go":       "package validate\n\nfunc init() {\n\twrapSlots = faulty\n}\n",
+		"internal/validate/seam.go":        "package validate\n\nvar wrapSlots = faulty\n",
+		"internal/validate/export_test.go": "package validate\n\nfunc arm() { wrapSlots = faulty }\n",
+		"internal/dist/worker.go":          "package dist\n\nimport \"os\"\n\nfunc f() {\n\t_ = os.Getenv(EnvWorker)\n\t_ = os.Getenv(EnvFault)\n\t_, _ = os.LookupEnv(\"GFD_DIST_FAULT\")\n}\n",
+		"internal/dist/dist_test.go":       "package dist\n\nimport \"os\"\n\nvar _ = os.Getenv(\"HOME\")\n",
+		"cmd/tool/main.go":                 "package main\n\nimport \"os\"\n\nvar home = os.Getenv(\"HOME\")\n",
+	})
+	want := []string{
+		"internal/dist/worker.go:7: reads an environment variable other than EnvWorker",
+		"internal/dist/worker.go:8: reads an environment variable other than EnvWorker",
+		"internal/validate/chaos.go:4: assigns wrapSlots",
+		"internal/validate/seam.go:3: initializes wrapSlots",
+	}
+	if got := faultViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the fault rule reports %v, want %v", got, want)
+	}
+}
+
+// Shared test helpers stay in tests. The helpers that the tests of several
+// packages share live in one package, testutil, which the exported-name
+// rule leaves out, because only tests call it. This rule holds it instead:
+// no non-test file imports it, so no binary links it, and each of its
+// exported functions is called by some test file.
+const testutilPkg = "internal/testutil"
+
+// testutilViolations returns, sorted, "file: imports testutil" for every
+// non-test .go file under root outside testutilPkg that imports it, and
+// "file:line: Name is called by no test" for every exported function
+// testutilPkg declares that no _test.go file under root calls.
+func testutilViolations(t *testing.T, root string) []string {
+	t.Helper()
+	path := modulePath(t, root) + "/" + testutilPkg
+	fset := token.NewFileSet()
+	var bad []string
+	declared := map[string]string{} // exported function -> "file:line"
+	called := map[string]bool{}
+	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && file != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(file, ".go"):
+			return nil
+		}
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		test := strings.HasSuffix(rel, "_test.go")
+		if !test && strings.HasPrefix(rel, testutilPkg+"/") {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+					declared[fd.Name.Name] = fmt.Sprintf("%s:%d", rel, fset.Position(fd.Pos()).Line)
+				}
+			}
+			return nil
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p != path {
+				continue
+			}
+			if !test {
+				bad = append(bad, rel+": imports "+testutilPkg)
+				continue
+			}
+			name := "testutil"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == name {
+						called[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, at := range declared {
+		if !called[name] {
+			bad = append(bad, at+": "+name+" is called by no test")
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+func TestTestutilStaysInTests(t *testing.T) {
+	for _, v := range testutilViolations(t, repoRoot(t)) {
+		t.Errorf("%s: shared test helpers stay in tests — no binary links testutil, and each helper has a test that calls it", v)
+	}
+}
+
+// TestTestutilStaysInTestsGuardFires runs the rule over a module where a
+// package and a command import testutil from non-test files and testutil
+// declares a helper no test calls, beside one a test calls by the package
+// name, one a test calls through an import alias, and an unexported one:
+// it must name the two imports and the dead helper, and only them.
+func TestTestutilStaysInTestsGuardFires(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                        "module m\n",
+		"internal/testutil/testutil.go": "package testutil\n\nfunc Settled() {}\n\nfunc Aliased() {}\n\nfunc Dead() {}\n\nfunc helper() {}\n",
+		"internal/dist/dist.go":         "package dist\n\nimport \"m/internal/testutil\"\n\nvar _ = testutil.Dead\n",
+		"internal/dist/dist_test.go":    "package dist\n\nimport \"m/internal/testutil\"\n\nfunc f() { testutil.Settled() }\n",
+		"internal/validate/v_test.go":   "package validate_test\n\nimport tu \"m/internal/testutil\"\n\nfunc f() { tu.Aliased() }\n",
+		"cmd/tool/main.go":              "package main\n\nimport _ \"m/internal/testutil\"\n",
+	})
+	want := []string{
+		"cmd/tool/main.go: imports internal/testutil",
+		"internal/dist/dist.go: imports internal/testutil",
+		"internal/testutil/testutil.go:7: Dead is called by no test",
+	}
+	if got := testutilViolations(t, root); !slices.Equal(got, want) {
+		t.Fatalf("the testutil rule reports %v, want %v", got, want)
 	}
 }

@@ -14,15 +14,12 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"gfd/internal/fault"
 )
 
 // Cluster counts the shipments of a coordinator and n workers. The zero
 // value is unusable; use New.
 type Cluster struct {
-	n   int
-	inj *fault.Injector // armed fault plan; nil in production (no-op crossings)
+	n int
 
 	mu        sync.Mutex
 	recvBytes []int64  // bytes received per worker (coordinator = index n)
@@ -73,11 +70,6 @@ func Recovered(worker, unit int, r any) *WorkerError {
 	return &WorkerError{Worker: worker, Unit: unit, Panic: r, Stack: debug.Stack()}
 }
 
-// Arm threads an armed fault injector through the cluster: Ship crossings
-// consult it. A nil injector (the production state) keeps every crossing a
-// nil check.
-func (c *Cluster) Arm(inj *fault.Injector) { c.inj = inj }
-
 // Coordinator is the pseudo-worker index used for shipments to/from the
 // coordinator S_c.
 const Coordinator = -1
@@ -106,7 +98,6 @@ func (c *Cluster) Ship(from, to int, bytes int64) {
 	if from == to {
 		return // local access is free
 	}
-	c.inj.Cross(fault.Ship, to, -1)
 	c.mu.Lock()
 	c.recvBytes[c.slot(to)] += bytes
 	c.counters.Bytes += bytes

@@ -44,7 +44,7 @@ func BenchmarkDistDetect(b *testing.B) {
 		{"xdropped", xb, ref.Report(), 10000},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			opt := distOpt(&f, nil)
+			opt := distOpt(&f)
 			var units, flushes int
 			b.ReportAllocs()
 			b.ResetTimer()

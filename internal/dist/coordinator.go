@@ -112,7 +112,6 @@ type fleet struct {
 	plan     *validate.DistPlan
 	cl       *cluster.Cluster
 	rules    string
-	faultEnv string
 
 	heartbeat    time.Duration
 	handshake    time.Duration
@@ -140,7 +139,7 @@ type proc struct {
 	fr     *frameReader
 	tail   *tailBuffer
 
-	spawns  int // incarnations started; the first carries the fault plan
+	spawns  int // incarnations started
 	spawned time.Time
 	ready   bool          // READY consumed: the handshake completed
 	shipped []bool        // halo nodes already shipped to this incarnation
@@ -172,7 +171,6 @@ func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *vali
 	f := &fleet{
 		ctx: ctx, snap: snap, manifest: m, plan: plan, cl: cl,
 		rules:        rules.String(),
-		faultEnv:     opt.Inject.Encode(),
 		heartbeat:    opt.Dist.HeartbeatInterval,
 		handshake:    opt.Dist.HandshakeTimeout,
 		unitDeadline: opt.UnitDeadline,
@@ -209,23 +207,12 @@ func newFleet(ctx context.Context, snap *graph.Snapshot, m *Manifest, plan *vali
 // shard opens overlap.
 func (f *fleet) Start(w int) error {
 	p := &f.procs[w]
-	faultEnv := f.faultEnv
-	if p.spawns > 0 {
-		if p.spawns > f.maxRespawns {
-			return fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted", w, max(f.maxRespawns, 0))
-		}
-		// Replacement processes never re-arm the fault plan: a real
-		// machine does not re-crash on the injected schedule either, and
-		// a deterministic re-kill would make every recoverable plan
-		// unrecoverable.
-		faultEnv = ""
+	if budget := max(f.maxRespawns, 0); p.spawns > budget {
+		return fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted", w, budget)
 	}
 	p.spawns++
 	cmd := exec.CommandContext(f.ctx, f.command[0], f.command[1:]...)
 	cmd.Env = append(os.Environ(), EnvWorker+"=1")
-	if faultEnv != "" {
-		cmd.Env = append(cmd.Env, EnvFault+"="+faultEnv)
-	}
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return err
@@ -248,7 +235,6 @@ func (f *fleet) Start(w int) error {
 	hello := encodeHello(helloMsg{
 		proto:     protoVersion,
 		worker:    w,
-		workers:   len(f.procs),
 		numNodes:  f.manifest.NumNodes,
 		heartbeat: f.heartbeat,
 		combine:   f.plan.Combine,

@@ -3,11 +3,13 @@ package dist
 // The multi-process runtime's own tests. The test binary doubles as the
 // worker executable: TestMain calls MaybeWorker first, so when the
 // coordinator re-executes this binary with the worker environment set, it
-// becomes a shard worker instead of running the tests. How a faulted run
-// ends — outcome, census, exactly-once delivery, no leaked goroutine or
-// process — is TestSchedulerConformance's table; that seeded process fault
+// becomes a shard worker instead of running the tests. These tests inject
+// no faults: how a faulted run ends — outcome, census, exactly-once
+// delivery, no leaked goroutine or process — is
+// validate.TestSchedulerConformance's table, and that seeded process fault
 // plans reproduce the oracle's violation set over hash and range shards is
-// validate.TestMetamorphicVioUnderFaults'.
+// validate.TestMetamorphicVioUnderFaults'. Both run in internal/validate's
+// test binary, which faults a worker's pipes from outside.
 
 import (
 	"context"
@@ -20,7 +22,6 @@ import (
 	"time"
 
 	"gfd/internal/core"
-	"gfd/internal/fault"
 	"gfd/internal/fragment"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
@@ -33,8 +34,8 @@ var fxDir string
 func TestMain(m *testing.M) {
 	MaybeWorker()
 	// The suite's fixtures are small graphs: chunks of one class member
-	// give their plans the long slot queues that the fault plans' unit
-	// ordinals and the dispatch window's bounds are written against.
+	// give their plans the long slot queues that the dispatch window's
+	// bounds are written against.
 	restore := validate.SetChunkGranularity(1024, 1)
 	code := m.Run()
 	restore()
@@ -105,13 +106,10 @@ func buildFixture(scale int, dir string) fixture {
 	return fixture{g: g, set: set, b: b, manifest: mp, base: ref.Violations}
 }
 
-func distOpt(f *fixture, plan *fault.Plan) validate.Options {
+func distOpt(f *fixture) validate.Options {
 	return validate.Options{
-		Inject: plan,
 		Dist: &validate.DistOptions{
-			ManifestPath: f.manifest,
-			// Tight supervision keeps injected 30s pipe stalls (killed via
-			// heartbeat starvation) from dominating the suite's runtime.
+			ManifestPath:      f.manifest,
 			HeartbeatInterval: 50 * time.Millisecond,
 			HandshakeTimeout:  2 * time.Second,
 		},
@@ -125,7 +123,7 @@ func distOpt(f *fixture, plan *fault.Plan) validate.Options {
 func TestDistFaultFree(t *testing.T) {
 	f := setup(t)
 	before := f.g.SnapshotBuilds()
-	res, err := DetectB(context.Background(), f.b, distOpt(f, nil), nil)
+	res, err := DetectB(context.Background(), f.b, distOpt(f), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestDistFaultFree(t *testing.T) {
 	}
 	defer l.Close()
 	cold := l.Snapshot().Graph()
-	res, err = DetectB(context.Background(), validate.NewBundle(cold, f.set), distOpt(f, nil), nil)
+	res, err = DetectB(context.Background(), validate.NewBundle(cold, f.set), distOpt(f), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +199,7 @@ func TestDistStripesAcrossProcesses(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := seq.Report()
-			opt := distOpt(f, nil)
+			opt := distOpt(f)
 			opt.SplitThreshold = 4
 			ready := 0
 			res, s, err := detectSpied(ctx, b, opt, nil, func(fl *fleet) {
@@ -244,37 +242,6 @@ func TestDistStripesAcrossProcesses(t *testing.T) {
 				t.Fatalf("%d stripes, %d units with stripes in more than one process: the test is vacuous", res.SplitUnits, spread)
 			}
 		})
-	}
-}
-
-// TestDistDegradeAllDeadNoProgress: every worker killed on its first unit
-// before anything was delivered, with respawn disabled — nothing useful
-// happened, so instead of reporting total failure the engine falls back
-// in-process and completes.
-func TestDistDegradeAllDeadNoProgress(t *testing.T) {
-	f := setup(t)
-	plan := fault.NewPlan(3)
-	for w := 0; w < fxWorkers; w++ {
-		plan.KillProcess(w, 0)
-	}
-	opt := distOpt(f, plan)
-	opt.Dist.MaxRespawns = -1
-	dead := 0
-	res, _, err := detectSpied(context.Background(), f.b, opt, nil, func(fl *fleet) {
-		for w := range fl.procs {
-			if fl.procs[w].cmd == nil {
-				dead++
-			}
-		}
-	})
-	if err != nil {
-		t.Fatalf("%v: total-loss run did not degrade: %v", plan, err)
-	}
-	if dead != fxWorkers {
-		t.Fatalf("%v: %d of %d processes died before the fallback", plan, dead, fxWorkers)
-	}
-	if !res.Violations.Equal(f.base) {
-		t.Fatalf("%v: degraded run diverged (%d vs %d)", plan, len(res.Violations), len(f.base))
 	}
 }
 
@@ -322,7 +289,7 @@ func TestManifestRoundTrip(t *testing.T) {
 // matches — everything must survive encode → decode unchanged.
 func TestWireRoundTrip(t *testing.T) {
 	h := helloMsg{
-		proto: protoVersion, worker: 3, workers: 7, numNodes: 1 << 20,
+		proto: protoVersion, worker: 3, numNodes: 1 << 20,
 		heartbeat: 125 * time.Millisecond, combine: true,
 		shardPath: "/tmp/δ shard.0.gfds", rules: "rule text\nwith lines", groups: 5,
 	}
@@ -373,34 +340,6 @@ func TestWireRoundTrip(t *testing.T) {
 			decodeAssign(enc[:cut])
 			decodeVio(enc[:cut])
 			decodeDone(enc[:cut])
-		}
-	}
-}
-
-// TestFaultPlanEncodeRoundTrip: the env-var encoding that ships a plan
-// into worker processes reproduces every rule, including the process
-// sites, and rejects garbage.
-func TestFaultPlanEncodeRoundTrip(t *testing.T) {
-	p := fault.NewPlan(99).
-		KillProcess(1, 2).
-		StallPipe(0, 4, 30*time.Second).
-		TruncateMessage(3, 1).
-		DelayUnit(7, 2*time.Millisecond).
-		KillWorker(2, 0)
-	enc := p.Encode()
-	q, err := fault.DecodePlan(enc)
-	if err != nil {
-		t.Fatalf("decoding %q: %v", enc, err)
-	}
-	if q.Encode() != enc {
-		t.Fatalf("re-encode diverged:\n%q\n%q", enc, q.Encode())
-	}
-	if got, err := fault.DecodePlan(""); got != nil || err != nil {
-		t.Fatalf("empty encoding: %v, %v", got, err)
-	}
-	for _, bad := range []string{"v2;seed=1", "v1;seed=x", "v1;seed=1;bogus,1", "v1;seed=1;kill,1"} {
-		if _, err := fault.DecodePlan(bad); err == nil {
-			t.Fatalf("decoding %q succeeded", bad)
 		}
 	}
 }

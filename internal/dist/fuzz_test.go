@@ -21,7 +21,7 @@ import (
 // wrapping errMalformed, never panic, and never build more elements than
 // the payload has bytes (a lying count must not drive an allocation).
 func FuzzWireDecode(f *testing.F) {
-	f.Add(encodeHello(helloMsg{proto: protoVersion, worker: 1, workers: 4, numNodes: 99,
+	f.Add(encodeHello(helloMsg{proto: protoVersion, worker: 1, numNodes: 99,
 		heartbeat: time.Second, combine: true, shardPath: "s.0.gfds", rules: "gfd r {\n}", groups: 2}))
 	f.Add(encodeReady(readyMsg{numNodes: 99, groups: 2}))
 	f.Add(encodeAssign(nil, assignMsg{

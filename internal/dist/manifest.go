@@ -12,10 +12,10 @@
 // backoff, capped worker respawn, typed *cluster.WorkerError causes,
 // *validate.PartialError + Result.Completeness when budgets exhaust, and
 // graceful degradation to the in-process fragmented engine when no worker
-// process can be had at all. Process faults (kills, pipe stalls, truncated
-// frames) are injected deterministically via internal/fault plans armed in
-// the child through an environment variable, so the chaos differential
-// suite replays seeds across process boundaries.
+// process can be had at all. The package injects no faults: the chaos
+// suites in internal/validate kill, stall and tear a worker from outside,
+// in the test binary the coordinator re-executes, which interposes on the
+// worker's stdin and stdout.
 package dist
 
 import (

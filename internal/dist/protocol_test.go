@@ -38,7 +38,7 @@ func frames(t *testing.T, fs ...func(fw *frameWriter) error) *bytes.Buffer {
 // it to the fleet.
 func fixturePlan(t *testing.T, f *fixture) *validate.DistPlan {
 	t.Helper()
-	_, s, err := detectSpied(context.Background(), f.b, distOpt(f, nil), nil, nil)
+	_, s, err := detectSpied(context.Background(), f.b, distOpt(f), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,26 +56,27 @@ func helloFor(t *testing.T, f *fixture, plan *validate.DistPlan, proto uint32) h
 	if err := core.WriteRules(&rules, plan.Set); err != nil {
 		t.Fatal(err)
 	}
-	return helloMsg{proto: proto, worker: 0, workers: m.Workers, numNodes: m.NumNodes,
+	return helloMsg{proto: proto, worker: 0, numNodes: m.NumNodes,
 		heartbeat: time.Second, combine: plan.Combine,
 		shardPath: m.Shards[0], rules: rules.String(), groups: plan.Groups}
 }
 
-// TestWorkerRefusesV1Hello: a HELLO of any protocol version but 3 ends the
+// TestWorkerRefusesV1Hello: a HELLO of any protocol version but 4 ends the
 // worker with exitProtocol before it opens its shard — version 1, whose
-// ASSIGN carried pivot candidates, not class ranges, and version 2, whose
-// DONE carried two counts more and whose coordinator waited for a CENSUS.
+// ASSIGN carried pivot candidates, not class ranges, version 2, whose DONE
+// carried two counts more and whose coordinator waited for a CENSUS, and
+// version 3, whose HELLO carried the fleet size.
 func TestWorkerRefusesV1Hello(t *testing.T) {
 	f := setup(t)
 	plan := fixturePlan(t, f)
-	for _, v := range []uint32{1, 2, 4} {
+	for _, v := range []uint32{1, 2, 3, 5} {
 		h := helloFor(t, f, plan, v)
 		stdin := frames(t, func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) })
 		var stdout, stderr bytes.Buffer
 		if code := workerMain(stdin, &stdout, &stderr); code != exitProtocol {
 			t.Fatalf("v%d HELLO: worker exited %d, want %d (%s)", v, code, exitProtocol, stderr.String())
 		}
-		if want := fmt.Sprintf("protocol version %d, want 3", v); !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
+		if want := fmt.Sprintf("protocol version %d, want 4", v); !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
 			t.Fatalf("v%d HELLO: stderr %q, %d bytes of stdout; want %q and no READY", v, stderr.String(), stdout.Len(), want)
 		}
 	}
@@ -120,7 +121,7 @@ func TestWorkerRejectsBadChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := distOpt(f, nil)
+	opt := distOpt(f)
 	opt.N = m.Workers
 	var once sync.Once
 	res, err := validate.DetectOver(context.Background(), f.b, opt, nil, func(p *validate.DistPlan, cl *cluster.Cluster) (validate.Executor, error) {

@@ -21,6 +21,7 @@ import (
 	"gfd/internal/core"
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
+	"gfd/internal/testutil"
 	"gfd/internal/validate"
 )
 
@@ -96,7 +97,7 @@ func busyQueue(w int) []int {
 
 func learnQueues() {
 	fxQueueOnce.Do(func() {
-		_, s, err := detectSpied(context.Background(), fx.b, distOpt(&fx, nil), nil, nil)
+		_, s, err := detectSpied(context.Background(), fx.b, distOpt(&fx), nil, nil)
 		if err != nil {
 			fxQueuesErr = err
 			return
@@ -120,7 +121,7 @@ func learnQueues() {
 // units, HELLO included.
 func TestWindowAmortizesFlushes(t *testing.T) {
 	f := setup(t)
-	res, s, err := detectSpied(context.Background(), f.b, distOpt(f, nil), nil, nil)
+	res, s, err := detectSpied(context.Background(), f.b, distOpt(f), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestWindowNeverDeadlocks(t *testing.T) {
 			t.Fatalf("slot %d was handed %d units, too few to put a full window behind the flood", w, len(q))
 		}
 	}
-	requireSettled(t, goroutinesBefore)
+	testutil.RequireSettled(t, goroutinesBefore)
 }
 
 // TestStreamStopMidWindow: when the run stops at the first violation —
@@ -258,7 +259,7 @@ func TestStreamStopMidWindow(t *testing.T) {
 		stop func(ctx context.Context, cancel context.CancelFunc) (context.Context, validate.Sink, func())
 	}{
 		{"sink refuses", func(ctx context.Context, _ context.CancelFunc) (context.Context, validate.Sink, func()) {
-			ctx, pipe, taken := stopAfterFirst(ctx, fxWorkers)
+			ctx, pipe, taken := testutil.StopAfterFirst(ctx, fxWorkers)
 			// The emitting slot waits for the consumer's cancel, so the
 			// stop lands while the window that carried the first
 			// violation is still in flight.
@@ -278,7 +279,7 @@ func TestStreamStopMidWindow(t *testing.T) {
 			defer cancel()
 			ctx, sink, after := tc.stop(ctx, cancel)
 			flushed := map[int]int{} // slots mid-window at Close -> their flush count then
-			_, s, err := detectSpied(ctx, f.b, distOpt(f, nil), sink, func(fl *fleet) {
+			_, s, err := detectSpied(ctx, f.b, distOpt(f), sink, func(fl *fleet) {
 				for w := range fl.procs {
 					p := &fl.procs[w]
 					if p.cmd != nil && len(p.window) > 0 {
@@ -298,7 +299,7 @@ func TestStreamStopMidWindow(t *testing.T) {
 					t.Fatalf("slot %d was mid-window at Close and still got a frame: it must be killed, not drained", w)
 				}
 			}
-			requireSettled(t, goroutinesBefore)
+			testutil.RequireSettled(t, goroutinesBefore)
 		})
 	}
 }
@@ -318,7 +319,7 @@ func TestCloseLeavesNoChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	goroutinesBefore := runtime.NumGoroutine()
-	fl, err := newFleet(context.Background(), f.b.Topo(), m, plan, distOpt(f, nil), cluster.New(m.Workers))
+	fl, err := newFleet(context.Background(), f.b.Topo(), m, plan, distOpt(f), cluster.New(m.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,5 +359,37 @@ func TestCloseLeavesNoChild(t *testing.T) {
 			t.Fatalf("slot %d still holds its process after Close", w)
 		}
 	}
-	requireSettled(t, goroutinesBefore)
+	testutil.RequireSettled(t, goroutinesBefore)
+}
+
+// TestProcessSlotsAllRunAtOnce: the simulation caps goroutine slots at
+// NumCPU so busy times measure compute; process slots wait on pipes and
+// must not inherit that cap — every slot's task has to be running before
+// any of them may finish — and the fleet reports as busy time what the
+// workers themselves reported, not the waiting goroutine's wall.
+func TestProcessSlotsAllRunAtOnce(t *testing.T) {
+	n := 2*runtime.NumCPU() + 2
+	f := &fleet{cl: cluster.New(n), procs: make([]proc, n)}
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	all := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(all)
+	}()
+	var stuck sync.Once
+	busy := f.Superstep(func(w int) {
+		arrived.Done()
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			stuck.Do(func() { t.Errorf("fewer than %d slot tasks were admitted at once", n) })
+		}
+		f.procs[w].busy += time.Duration(w+1) * time.Millisecond // what DONE frames would add
+	})
+	for w, b := range busy {
+		if b != time.Duration(w+1)*time.Millisecond {
+			t.Fatalf("slot %d busy = %v, want the %v its worker reported", w, b, time.Duration(w+1)*time.Millisecond)
+		}
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gfd/internal/core"
-	"gfd/internal/fault"
 	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
@@ -25,7 +24,7 @@ import (
 // event), never a giant allocation or a misread.
 
 const (
-	protoVersion = 3 // 3: no SHUTDOWN/CENSUS, DONE is (unit, wall), HELLO has no pivot flag
+	protoVersion = 4 // 4: HELLO has no fleet size; 3: no SHUTDOWN/CENSUS, DONE is (unit, wall)
 	// maxFrame bounds one frame's payload. Halo sections dominate frame
 	// size; a frame above this is protocol corruption, not data.
 	maxFrame = 64 << 20
@@ -163,18 +162,11 @@ func (r *rbuf) count(min int) int {
 // ---- frame I/O ------------------------------------------------------------
 
 // frameWriter serializes frames onto one pipe. The mutex makes it safe
-// for the worker's heartbeat goroutine and unit loop to interleave; the
-// injector hook is the worker-side PipeFrame fault site — a stall sleeps
-// while *holding* the writer (starving heartbeats, which is the point),
-// and a truncation writes a prefix and hands control to onTruncate (the
-// worker exits there, mid-frame, like a real crash during a write).
+// for the worker's heartbeat goroutine and unit loop to interleave.
 type frameWriter struct {
-	mu         sync.Mutex
-	w          *bufio.Writer
-	inj        *fault.Injector
-	worker     int
-	onTruncate func()
-	flushes    int // flushes that had bytes to move; read by tests only
+	mu      sync.Mutex
+	w       *bufio.Writer
+	flushes int // flushes that had bytes to move; read by tests only
 }
 
 // write sends one frame now.
@@ -193,18 +185,6 @@ func (fw *frameWriter) queue(typ byte, payload []byte) error {
 	var hdr [frameOverhead]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = typ
-	if fw.inj != nil {
-		stall, trunc := fw.inj.CrossPipe(fw.worker)
-		if stall > 0 {
-			time.Sleep(stall)
-		}
-		if trunc && fw.onTruncate != nil {
-			fw.w.Write(hdr[:])
-			fw.w.Write(payload[:len(payload)/2])
-			fw.w.Flush()
-			fw.onTruncate() // does not return
-		}
-	}
 	if _, err := fw.w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -283,7 +263,6 @@ func (fr *frameReader) read() (byte, []byte, error) {
 type helloMsg struct {
 	proto     uint32
 	worker    int
-	workers   int
 	numNodes  int
 	heartbeat time.Duration
 	combine   bool
@@ -296,7 +275,6 @@ func encodeHello(h helloMsg) []byte {
 	var w wbuf
 	w.u32(h.proto)
 	w.u32(uint32(h.worker))
-	w.u32(uint32(h.workers))
 	w.u64(uint64(h.numNodes))
 	w.i64(int64(h.heartbeat))
 	var flags byte
@@ -314,7 +292,6 @@ func decodeHello(b []byte) (helloMsg, error) {
 	r := rbuf{b: b}
 	h := helloMsg{proto: r.u32()}
 	h.worker = int(r.u32())
-	h.workers = int(r.u32())
 	h.numNodes = int(r.u64())
 	h.heartbeat = time.Duration(r.i64())
 	h.combine = r.u8()&1 != 0

@@ -12,33 +12,20 @@ import (
 	"time"
 
 	"gfd/internal/core"
-	"gfd/internal/fault"
 	"gfd/internal/graph"
 	"gfd/internal/store"
 	"gfd/internal/validate"
 )
 
-// Environment contract between coordinator and worker child.
-const (
-	// EnvWorker marks a process as a dist worker: any binary that calls
-	// MaybeWorker early in main becomes spawnable as a worker with no
-	// flags of its own.
-	EnvWorker = "GFD_DIST_WORKER"
-	// EnvFault carries an encoded fault.Plan (Plan.Encode) so seeded
-	// process faults replay deterministically in the child. Respawned
-	// workers are started without it — a replacement process must not
-	// re-die on the same injected fault.
-	EnvFault = "GFD_DIST_FAULT"
-)
+// EnvWorker marks a process as a dist worker: any binary that calls
+// MaybeWorker early in main becomes spawnable as a worker with no flags of
+// its own. It is the one environment variable the coordinator and its
+// workers share.
+const EnvWorker = "GFD_DIST_WORKER"
 
-// Worker exit codes the coordinator maps back to failure causes. Anything
-// nonzero is a death; these make injected faults recognizable in
-// WorkerError text and tests.
-const (
-	exitProtocol  = 1  // protocol/internal error
-	exitKilled    = 42 // injected KillProcess fired
-	exitTruncated = 43 // injected TruncateMessage fired (exit mid-frame)
-)
+// exitProtocol is a worker's exit status on a protocol or internal error;
+// the coordinator reads any nonzero exit as a death.
+const exitProtocol = 1
 
 // vioBatch is how many violations a worker coalesces per fVio frame.
 const vioBatch = 64
@@ -64,10 +51,9 @@ func MaybeWorker() {
 
 // workerMain is the worker protocol loop: HELLO → open shard → READY →
 // (ASSIGN → VIO* → DONE)* until the coordinator closes the pipe or kills
-// the process. It deliberately recovers
-// nothing: a panic — injected or genuine — crashes the process with a
-// stack on stderr, which is exactly the failure mode the coordinator is
-// built to detect and survive.
+// the process. It deliberately recovers nothing: a panic crashes the
+// process with a stack on stderr, which is exactly the failure mode the
+// coordinator is built to detect and survive.
 func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "gfd-dist-worker: "+format+"\n", args...)
@@ -88,19 +74,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	if h.proto != protoVersion {
 		return fail("protocol version %d, want %d", h.proto, protoVersion)
 	}
-	plan, err := fault.DecodePlan(os.Getenv(EnvFault))
-	if err != nil {
-		return fail("decoding fault plan: %v", err)
-	}
-	inj := plan.Arm(h.workers)
-	fw := &frameWriter{
-		w:      bufio.NewWriterSize(stdout, 1<<16),
-		inj:    inj,
-		worker: h.worker,
-		onTruncate: func() {
-			os.Exit(exitTruncated)
-		},
-	}
+	fw := &frameWriter{w: bufio.NewWriterSize(stdout, 1<<16)}
 
 	// The worker's run ends with its pipe: a failed violation write
 	// cancels ctx, which stops the unit at the runner's next probe.
@@ -131,7 +105,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	// flag; NoReduce keeps the worker from reducing again, and the flag
 	// reproduces the exact group indices the unit descriptors reference.
 	opt := validate.Options{NoOptimize: !h.combine, NoReduce: true}
-	runner := validate.NewUnitRunner(ctx, b, opt, inj, h.worker)
+	runner := validate.NewUnitRunner(ctx, b, opt)
 	if h.groups != runner.Groups() {
 		return fail("rebuilt %d rule groups, coordinator has %d", runner.Groups(), h.groups)
 	}
@@ -210,11 +184,6 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			m, err := decodeAssign(payload)
 			if err != nil {
 				return fail("decoding assign: %v", err)
-			}
-			// Process-kill faults fire at unit start, before any work —
-			// the moment a real OOM-kill or node loss is most likely.
-			if inj.ProcKill(h.worker, m.unit.ID) {
-				os.Exit(exitKilled)
 			}
 			if err := applyHalo(ov, m.halo); err != nil {
 				return fail("patching halo for unit %d: %v", m.unit.ID, err)

@@ -1,9 +1,11 @@
 // Iterator-API coverage of the fused streaming pipeline: ranging
-// Prepared.Violations must deliver exactly Detect's set (per engine, and
-// under seeded fault plans), and abandoning the range — break at the
-// first element, break mid-stream, or cancelling the context while
-// producers are blocked on full lanes — must unwind the whole pipeline
-// without leaking a goroutine or calling yield again.
+// Prepared.Violations must deliver exactly Detect's set per engine, and
+// abandoning the range — break at the first element, break mid-stream, or
+// cancelling the context while producers are blocked on full lanes — must
+// unwind the whole pipeline without leaking a goroutine or calling yield
+// again. The same pipeline under seeded fault plans is
+// validate.TestViolationsUnderFaults and TestViolationsPartialError, in
+// the test binary that faults the slots.
 package session_test
 
 import (
@@ -13,18 +15,16 @@ import (
 	"testing"
 	"time"
 
-	"gfd/internal/fault"
 	"gfd/internal/gen"
 	"gfd/internal/session"
 	"gfd/internal/validate"
 )
 
-// chaosWorkload prepares a noisy mined workload dense enough that faults
-// land mid-detection, plus its fault-free reference report.
+// chaosWorkload prepares a noisy mined workload dense enough that a stop
+// lands mid-detection, plus its reference report.
 func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 	t.Helper()
-	// Fine chunks, so that every worker's queue is long enough for the
-	// fault plans' unit ordinals.
+	// Fine chunks, so that every worker's queue is long.
 	t.Cleanup(validate.SetChunkGranularity(64, 16))
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 300, Seed: 9})
 	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})
@@ -101,48 +101,6 @@ func TestViolationsMatchesDetect(t *testing.T) {
 					t.Errorf("seed %d %v buf %d: iterator delivered %d violations, Detect %d",
 						seed, engine, buffer, len(got), len(want.Violations))
 				}
-			}
-		}
-	}
-}
-
-// TestViolationsUnderFaults: the streamed set under seed-derived
-// recoverable fault plans still equals the fault-free report — retried
-// and reassigned units never double-report into the lanes — for both
-// parallel engines, under the race detector via the chaos CI job.
-func TestViolationsUnderFaults(t *testing.T) {
-	ctx := context.Background()
-	prep, base := chaosWorkload(t)
-	disBase, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineFragmented, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, c := range []struct {
-			engine validate.Engine
-			want   validate.Report
-			plan   *fault.Plan
-		}{
-			{validate.EngineReplicated, base.Violations, fault.FromSeed(seed, 4, base.Units)},
-			{validate.EngineFragmented, disBase.Violations, fault.FromSeed(seed+1000, 4, disBase.Units)},
-		} {
-			// A plan with a fatal fault must show a retry or a death in the
-			// census, or the comparison proved nothing.
-			var res validate.Result
-			var got validate.Report
-			for v, err := range prep.ViolationsResult(ctx, validate.Options{Engine: c.engine, N: 4, Inject: c.plan}, &res) {
-				if err != nil {
-					t.Fatalf("%v %v: iterator error: %v", c.engine, c.plan, err)
-				}
-				got = append(got, v)
-			}
-			if r := res.Completeness; c.plan.Fatal() > 0 && r.Retries+r.WorkerDeaths == 0 {
-				t.Fatalf("%v %v: no fault fired: %+v", c.engine, c.plan, r)
-			}
-			got.Sort()
-			if !got.Equal(c.want) {
-				t.Fatalf("%v %v: streamed set diverged from fault-free Detect (%d vs %d)",
-					c.engine, c.plan, len(got), len(c.want))
 			}
 		}
 	}
@@ -241,51 +199,6 @@ func TestViolationsCancelWhileBlocked(t *testing.T) {
 		t.Fatalf("final error = %v, want context.Canceled", finalErr)
 	}
 	waitGoroutines(t, before)
-}
-
-// TestViolationsPartialError: an unrecoverable fault plan surfaces
-// through the iterator as a trailing ErrPartial — after every violation
-// the surviving workers delivered — and ViolationsResult's out parameter
-// carries the census, so a streaming consumer gets the same honest
-// failure semantics as Detect, which must not flatten the typed failure
-// either.
-func TestViolationsPartialError(t *testing.T) {
-	g, set := minedWorkload(t, 7)
-	prep, err := mustOpen(t, g).Prepare(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := fault.NewPlan(9).KillWorker(0, 0).KillWorker(1, 0)
-	opt := validate.Options{Engine: validate.EngineReplicated, N: 2, Inject: plan}
-	detected, err := prep.Detect(context.Background(), opt)
-	if !errors.Is(err, validate.ErrPartial) {
-		t.Fatalf("Detect: err = %v, want ErrPartial", err)
-	}
-	var pe *validate.PartialError
-	if !errors.As(err, &pe) || len(pe.Failures) == 0 {
-		t.Fatalf("Detect: err = %v, want *PartialError with failures", err)
-	}
-	if c := detected.Completeness; c.Complete() || c.WorkerDeaths != 2 || c.Failed != len(pe.Failures) {
-		t.Fatalf("Detect: census inconsistent with failure list: %+v vs %d failures", c, len(pe.Failures))
-	}
-
-	var res validate.Result
-	var finalErr error
-	for _, err := range prep.ViolationsResult(context.Background(), opt, &res) {
-		if err != nil {
-			if finalErr != nil {
-				t.Fatalf("error yielded twice: %v then %v", finalErr, err)
-			}
-			finalErr = err
-		}
-	}
-	if !errors.Is(finalErr, validate.ErrPartial) {
-		t.Fatalf("final error = %v, want ErrPartial", finalErr)
-	}
-	c := res.Completeness
-	if c.Complete() || c.WorkerDeaths != 2 {
-		t.Fatalf("census inconsistent with two worker deaths: %+v", c)
-	}
 }
 
 // TestViolationsDistErrorBeforeFirstEmission: the distributed engine

@@ -9,7 +9,6 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
-	"gfd/internal/fault"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/workload"
@@ -44,9 +43,8 @@ type DistOptions struct {
 	// dist.DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
 	// MaxRespawns caps how many replacement processes the coordinator
-	// starts per worker slot after a death. Respawned processes never
-	// re-arm fault plans (a real crash would not either). Negative
-	// disables respawn; 0 defaults to 1.
+	// starts per worker slot after a death. Negative disables respawn; 0
+	// defaults to 1.
 	MaxRespawns int
 }
 
@@ -125,10 +123,10 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 // UnitRunner executes units on one slot: the star test at the head of
 // each unit, one striped enumeration of its survivors with every pivot
 // pinned to its list (two for a deduped symmetric pair), the literal check
-// of each match, the exactly-once skip count, the cooperative per-attempt
-// deadline and the unit-start fault crossing. Goroutine slots and worker
-// processes both run it — over the bundle's shared topology, or a worker's
-// shard-backed one — so those exist once. It is single-threaded, like a
+// of each match, the exactly-once skip count and the cooperative
+// per-attempt deadline. Goroutine slots and worker processes both run it —
+// over the bundle's shared topology, or a worker's shard-backed one — so
+// those exist once. It is single-threaded, like a
 // slot's unit loop (a slot runs its units one at a time, in queue order),
 // and reuses its matcher, pins and match scratch across units, so the
 // per-unit path stays off the allocator.
@@ -145,13 +143,6 @@ type UnitRunner struct {
 	// memo (goroutine slots); nil runs the star test on the runner's view.
 	candsOf func(ui int) [][]graph.NodeID
 
-	// Fault-injection context: nil inj in production (crossings are
-	// nil-check no-ops); worker and unit identify the current execution
-	// for the injected-panic payloads.
-	inj    *fault.Injector
-	worker int
-	unit   int
-
 	// Per-attempt state, read by onMatch and deliver (bound once as visit
 	// and out, so the per-unit path allocates no closure): the unit's
 	// group, the skip count, the violations found and the caller's emit.
@@ -162,14 +153,13 @@ type UnitRunner struct {
 	visit       func(core.Match) bool
 }
 
-// NewUnitRunner prepares a runner over a bundle for slot worker. In a
+// NewUnitRunner prepares a runner over a bundle for one slot. In a
 // worker process opt must carry the grouping flag the coordinator shipped
 // (NoOptimize=!Combine) with NoReduce=true, so the worker's group indices
 // match the coordinator's plan. opt.UnitDeadline arms the
 // cooperative per-attempt deadline (a worker process leaves it zero: its
-// coordinator enforces the deadline by killing it). inj is the slot's armed
-// fault injector (nil in production).
-func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injector, worker int) *UnitRunner {
+// coordinator enforces the deadline by killing it).
+func NewUnitRunner(ctx context.Context, b *Bundle, opt Options) *UnitRunner {
 	opt = opt.Normalized()
 	_, groups, _ := b.ruleGroupsKeyed(opt)
 	cancel := &cancelCheck{ctx: ctx}
@@ -180,9 +170,6 @@ func NewUnitRunner(ctx context.Context, b *Bundle, opt Options, inj *fault.Injec
 		halt:     cancel.canceled,
 		noOpt:    opt.NoOptimize,
 		deadline: opt.UnitDeadline,
-		inj:      inj,
-		worker:   worker,
-		unit:     -1,
 	}
 	r.out, r.visit = r.deliver, r.onMatch
 	return r
@@ -206,7 +193,7 @@ var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 // given shard + halo, so a retried unit resumes past what a previous
 // incarnation already delivered. A non-nil error reports a malformed
 // descriptor (ErrBadUnit), cancellation, or a missed deadline; panics
-// (injected or genuine) are deliberately NOT recovered — in a worker
+// are deliberately NOT recovered — in a worker
 // process a panic must crash the process so the coordinator sees a death,
 // not a silently shortened unit, and a goroutine slot's scheduler recovers
 // it with unit context.
@@ -241,29 +228,17 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 	if r.cancel.canceled() {
 		return r.cancel.ctx.Err()
 	}
-	r.unit = id
 	r.skip, r.found, r.emit = skip, 0, emit
-	// The deadline covers the whole attempt, including the UnitStart
-	// crossing and the star test: an injected straggler delay burns
-	// attempt time exactly like a real stall would, so DelayUnit(d) +
-	// UnitDeadline < d deterministically expires the first attempt.
 	if r.deadline > 0 {
 		r.cancel.arm(time.Now().Add(r.deadline))
 	}
-	// DelayUnit straggler rules fire here, and a KillWorker rule panics —
-	// which in a worker process is just another way to die.
-	if r.inj != nil {
-		r.inj.Cross(fault.UnitStart, r.worker, id)
+	var cands [][]graph.NodeID
+	if r.candsOf != nil {
+		cands = r.candsOf(id)
+	} else {
+		cands = unitCandidates(r.m.Topo(), u)
 	}
-	if !r.cancel.expiredNow() {
-		var cands [][]graph.NodeID
-		if r.candsOf != nil {
-			cands = r.candsOf(id)
-		} else {
-			cands = unitCandidates(r.m.Topo(), u)
-		}
-		r.detect(grp, u, cands)
-	}
+	r.detect(grp, u, cands)
 	expired := r.cancel.deadlineHit
 	r.cancel.disarm()
 	switch {
@@ -314,12 +289,6 @@ func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID)
 
 // onMatch checks the current unit's group dependencies on one match.
 func (r *UnitRunner) onMatch(m core.Match) bool {
-	if r.inj != nil {
-		// Two crossings per delivered match: the match itself and
-		// the literal evaluation about to run on it.
-		r.inj.Cross(fault.Match, r.worker, r.unit)
-		r.inj.Cross(fault.Literal, r.worker, r.unit)
-	}
 	if r.cancel.canceled() {
 		return false
 	}

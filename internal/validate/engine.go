@@ -3,7 +3,6 @@ package validate
 import (
 	"time"
 
-	"gfd/internal/fault"
 	"gfd/internal/fragment"
 	"gfd/internal/workload"
 )
@@ -53,10 +52,6 @@ type Options struct {
 	// as cancellation) and the unit is retried under the Retry budget.
 	// 0 means no per-unit deadline.
 	UnitDeadline time.Duration
-	// Inject arms a deterministic fault plan for this run (see
-	// internal/fault). nil — the production state — makes every injection
-	// point a nil-check no-op.
-	Inject *fault.Plan
 
 	// StreamBuffer bounds the one channel of the pull-based pipeline
 	// (Prepared.Violations): it holds this many violations per slot, plus

@@ -42,6 +42,16 @@ func SetGranularity(t testing.TB, perSlot, minMembers int) {
 	t.Cleanup(SetChunkGranularity(perSlot, minMembers))
 }
 
+// InjectSlots arms p on the goroutine slots of every engine run for the
+// rest of t, through the wrapSlots seam, each run with counters of its own;
+// a later call replaces the plan. Tests that call it must not run in
+// parallel with other engine runs.
+func InjectSlots(t testing.TB, p *FaultPlan) {
+	old := wrapSlots
+	wrapSlots = func(e Executor) Executor { return p.arm(e, e.(*goroutines).opt.UnitDeadline) }
+	t.Cleanup(func() { wrapSlots = old })
+}
+
 // PlanUnit is one planned work unit as plain values.
 type PlanUnit struct {
 	Group     int

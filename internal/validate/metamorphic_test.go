@@ -29,7 +29,6 @@ import (
 	"gfd/internal/baseline"
 	"gfd/internal/core"
 	"gfd/internal/dist"
-	"gfd/internal/fault"
 	"gfd/internal/fragment"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
@@ -40,10 +39,17 @@ import (
 	"gfd/internal/validate"
 )
 
-// The test binary doubles as the distributed engine's worker executable.
+// The test binary doubles as the distributed engine's worker executable,
+// and a worker whose command line carries a fault plan (FaultCommand) runs
+// behind the interposer that faults its pipes.
 func TestMain(m *testing.M) {
+	validate.InterposeFaults()
 	dist.MaybeWorker()
-	os.Exit(m.Run())
+	code := m.Run()
+	if fxDir != "" {
+		os.RemoveAll(fxDir)
+	}
+	os.Exit(code)
 }
 
 // withShapes adds, to a random workload's rules, the pivot shapes its
@@ -340,14 +346,17 @@ func (m sinkMode) drive(ctx context.Context, lanes int, run func(validate.Sink) 
 	return got, res, err
 }
 
-// runSpec is one run of an engine: its options (N, the named variant, the
-// fault plan), the sink mode, and the strategy disVal's fragmentation and
-// the shards are cut by.
+// runSpec is one run of an engine: its options (N, the named variant), the
+// sink mode, the strategy disVal's fragmentation and the shards are cut by,
+// and the fault plan, which the goroutine slots take through InjectSlots
+// and the worker processes on their command line.
 type runSpec struct {
 	variant  string
 	opt      validate.Options
 	mode     sinkMode
 	strategy fragment.Strategy
+	plan     *validate.FaultPlan
+	command  []string // the dist workers' command line; nil runs the default
 }
 
 func (r runSpec) String() string {
@@ -355,8 +364,8 @@ func (r runSpec) String() string {
 	if r.variant != "" {
 		s = r.variant + "/" + s
 	}
-	if r.opt.Inject != nil {
-		s += " " + r.opt.Inject.String()
+	if r.plan != nil {
+		s += " " + r.plan.String()
 	}
 	return s
 }
@@ -367,8 +376,9 @@ var strategies = []fragment.Strategy{fragment.Hash, fragment.Range}
 // the manifest of the multi-process engine's per-fragment shards. The
 // paper's three algorithms (detVio, repVal, disVal) and the rule scan
 // detVio runs on are the ones the fixture and breadth rows run, and its
-// two parallel ones run the engine variants; plan draws a fault plan for a run with n slots and units
-// units, nil for an engine without slots to fault. The parallel engines
+// two parallel ones run the engine variants; plan draws a fault plan for a
+// run with n slots and units units that delivers violations violations,
+// nil for an engine without slots to fault. The parallel engines
 // keep implied rules (NoReduce): reduction preserves the violating
 // entities, not the rule names a byte comparison reads.
 type metamorphicEngine struct {
@@ -376,7 +386,7 @@ type metamorphicEngine struct {
 	paper    bool
 	variants bool
 	shards   bool // runs only where the kind cuts shards
-	plan     func(seed int64, n, units int) *fault.Plan
+	plan     func(seed int64, n, units, violations int) *validate.FaultPlan
 	run      func(ctx context.Context, b *validate.Bundle, shards func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error)
 }
 
@@ -390,10 +400,10 @@ var metamorphicEngines = []metamorphicEngine{
 			return validate.ScanRules(ctx, b, b.Set().Rules(), r.opt.N, s)
 		})
 	}},
-	{name: "repVal", paper: true, variants: true, plan: fault.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+	{name: "repVal", paper: true, variants: true, plan: validate.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
 		return validate.RepValB(ctx, b, r.opt, sink)
 	}},
-	{name: "disVal", paper: true, variants: true, plan: fault.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+	{name: "disVal", paper: true, variants: true, plan: validate.FromSeed, run: func(ctx context.Context, b *validate.Bundle, _ func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
 		return validate.DisValB(ctx, b, fragment.PartitionSnapshot(b.Topo(), r.opt.N, r.strategy), r.opt, sink)
 	}},
 	// The relational baseline, sorted as the session sorts it: its joins
@@ -405,9 +415,9 @@ var metamorphicEngines = []metamorphicEngine{
 	}},
 	// Tight supervision: an injected 30 s pipe stall ends at heartbeat
 	// starvation, not when the sleep does.
-	{name: "dist", shards: true, plan: fault.FromSeedProc, run: func(ctx context.Context, b *validate.Bundle, shards func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
+	{name: "dist", shards: true, plan: func(seed int64, n, units, _ int) *validate.FaultPlan { return validate.FromSeedProc(seed, n, units) }, run: func(ctx context.Context, b *validate.Bundle, shards func(int, fragment.Strategy) string, r runSpec, sink validate.Sink) (*validate.Result, error) {
 		opt := r.opt
-		opt.Dist = &validate.DistOptions{ManifestPath: shards(opt.N, r.strategy), HeartbeatInterval: 50 * time.Millisecond, HandshakeTimeout: 2 * time.Second}
+		opt.Dist = &validate.DistOptions{ManifestPath: shards(opt.N, r.strategy), Command: r.command, HeartbeatInterval: 50 * time.Millisecond, HandshakeTimeout: 2 * time.Second}
 		return dist.DetectB(ctx, b, opt, sink)
 	}},
 }
@@ -514,11 +524,12 @@ func TestMetamorphicVio(t *testing.T) {
 }
 
 // TestMetamorphicVioUnderFaults runs the parallel engines under seeded
-// fault plans — goroutine-slot kills, delays and match/literal panics for
-// repVal and disVal (fault.FromSeed), process kills, pipe stalls and torn
-// frames for dist (fault.FromSeedProc) — at one class member a chunk, on
-// every kind each engine runs on and on two fixtures whose units deliver
-// violations before a fault ends them. The sink mode and the partition
+// fault plans — goroutine-slot kills, delays and emission panics for
+// repVal and disVal (validate.FromSeed, through InjectSlots), process
+// kills, pipe stalls and torn frames for dist (validate.FromSeedProc, on
+// the workers' command line) — at one class member a chunk, on every kind
+// each engine runs on and on two fixtures whose units deliver violations
+// before a fault ends them. The sink mode and the partition
 // strategy rotate over the rows. Each row runs fault-free first (which
 // sizes the plan), then under the plan: the faulted report must render as
 // the oracle's, with a complete census. A run whose fatal fault never
@@ -555,8 +566,13 @@ func TestMetamorphicVioUnderFaults(t *testing.T) {
 				row++
 				r := runSpec{opt: validate.Options{N: ns[i%len(ns)], NoReduce: true}, mode: sinkModes[row%3], strategy: strategies[row/3%2]}
 				t.Run(fmt.Sprintf("row=%d/%s/%s/%v", row, k.name, e.name, r), func(t *testing.T) {
-					res := check(t, e, k, r)
-					r.opt.Inject = e.plan(row, r.opt.N, res.Units)
+					res := check(t, e, k, r) // its listing is the oracle's, so it delivered that many
+					r.plan = e.plan(row, r.opt.N, res.Units, strings.Count(k.expect, "\n"))
+					if e.shards {
+						r.command = validate.FaultCommand(t, r.plan)
+					} else {
+						validate.InjectSlots(t, r.plan)
+					}
 					c := check(t, e, k, r).Completeness
 					if !c.Complete() || c.Failed != 0 {
 						t.Fatalf("%s on %s, %v: census not complete: %+v", e.name, k.name, r, c)
@@ -565,7 +581,7 @@ func TestMetamorphicVioUnderFaults(t *testing.T) {
 					switch {
 					case c.Retries+c.WorkerDeaths > 0:
 						fired[cell]++
-					case r.opt.Inject.Fatal() > 0:
+					case r.plan.Fatal() > 0:
 						return // the workload was too small for the plan's ordinals
 					}
 					compared[cell]++

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gfd/internal/core"
-	"gfd/internal/fault"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
@@ -130,10 +129,11 @@ func TestSharedPlanOneOrderAcrossVersions(t *testing.T) {
 }
 
 // TestPanickedMatcherNeverReused: a repVal run whose slots die — one at a
-// unit's start, one mid-enumeration with a match bound — leaves the rule
-// side's matcher pool clean, so a fault-free run on the same bundle
-// reports the oracle's set. A matcher that unwound by panic holds the
-// bound match's nodes in its used-set; reused, it would skip them.
+// unit's start, one mid-enumeration with a match bound (an emission panics
+// inside the matcher's yield) — leaves the rule side's matcher pool clean,
+// so a fault-free run on the same bundle reports the oracle's set. A
+// matcher that unwound by panic holds the bound match's nodes in its
+// used-set; reused, it would skip them.
 func TestPanickedMatcherNeverReused(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 2; seed++ {
@@ -141,10 +141,16 @@ func TestPanickedMatcherNeverReused(t *testing.T) {
 			g, set := build()
 			want := oracleVio(g, set)
 			b := NewBundle(g, set)
-			plan := fault.NewPlan(seed).KillWorker(0, 0).PanicAt(fault.Match, 3)
-			if _, err := RepValB(ctx, b, Options{N: 3, Inject: plan}, nil); err != nil && !errors.Is(err, ErrPartial) {
+			plan := NewFaultPlan(seed).KillWorker(0, 0).PanicAt(3)
+			InjectSlots(t, plan)
+			res, err := RepValB(ctx, b, Options{N: 3}, nil)
+			if err != nil && !errors.Is(err, ErrPartial) {
 				t.Fatalf("%s seed %d: faulty run: %v", name, seed, err)
 			}
+			if res.Completeness.WorkerDeaths != 2 {
+				t.Fatalf("%s seed %d: %v killed %d slots, want 2", name, seed, plan, res.Completeness.WorkerDeaths)
+			}
+			InjectSlots(t, nil) // the clean runs: an empty plan
 			for op := range 2 {
 				res, err := RepValB(ctx, b, Options{N: 3}, nil)
 				if err != nil {

@@ -301,18 +301,6 @@ func (c *cancelCheck) arm(deadline time.Time) {
 	c.deadlineHit = false
 }
 
-// expiredNow checks the armed deadline directly, without the stride — the
-// runtime calls it at attempt boundaries, where a stall before enumeration
-// (an injected straggler, a slow block shipment) may have consumed the
-// whole budget for a unit too small to ever reach a strided checkpoint.
-func (c *cancelCheck) expiredNow() bool {
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		c.deadlineHit = true
-		return true
-	}
-	return false
-}
-
 // disarm clears the per-attempt deadline (and its expiry flag) so the
 // worker's between-unit checks see only the context.
 func (c *cancelCheck) disarm() {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gfd/internal/cluster"
-	"gfd/internal/fault"
 	"gfd/internal/fragment"
 )
 
@@ -58,6 +57,11 @@ func slots(opt Options, frag *fragment.Fragmentation) int {
 	return opt.Normalized().N
 }
 
+// wrapSlots, when set, wraps the goroutine slots runEngine schedules on:
+// the seam through which the test suites fault a slot from outside. It is
+// nil in production, and only _test.go files set it.
+var wrapSlots func(Executor) Executor
+
 // runEngine is the one engine body: plan → ship descriptors → schedule →
 // union → Result.
 func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine) (res *Result, err error) {
@@ -75,13 +79,6 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 		c := cl.Counters()
 		res.BytesShipped, res.Messages, res.Rounds, res.MaxReceived = c.Bytes, c.Messages, c.Rounds, c.MaxReceived
 	}()
-	var inj *fault.Injector
-	if e.start == nil {
-		// Out-of-process slots arm the plan themselves, inside each worker;
-		// the coordinator's own path stays fault-free.
-		inj = opt.Inject.Arm(opt.N)
-		cl.Arm(inj)
-	}
 
 	set, groups, gk := b.ruleGroupsKeyed(opt)
 	res.Rules = set.Len()
@@ -110,9 +107,12 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
 	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
-	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, inj, plan), true }
+	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, plan), true }
 	if e.start == nil {
 		local()
+		if wrapSlots != nil {
+			run.exec = wrapSlots(run.exec)
+		}
 	} else {
 		view := &DistPlan{Set: set, Combine: gk.combine, Groups: len(groups), b: b, plan: plan}
 		if run.exec, err = e.start(view, cl); err != nil {
@@ -133,8 +133,8 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 		// start would duplicate — no violation delivered (units that
 		// completed without one, idle units answered by the coordinator
 		// among them, just run again): run the same plan on goroutine slots
-		// rather than report total failure. Like a replacement process, the
-		// fallback does not re-arm the fault plan.
+		// rather than report total failure. The fallback's slots are not
+		// wrapped (wrapSlots): faults a test put on the run stay behind.
 		run.exec.Close()
 		local()
 		span, comp, perr = run.run(plan.assign)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gfd/internal/cluster"
-	"gfd/internal/fault"
 	"gfd/internal/graph"
 	"gfd/internal/workload"
 )
@@ -52,6 +51,10 @@ import (
 // and a few state writes on shared memory (an 80 000-unit cold run spends
 // ≈0.4µs of wall per unit — no channel hop fits in that), and no recovery
 // round, no backoff, and no extra shipment happens unless a failure did.
+//
+// Nothing here injects a fault. The chaos suites strike from outside: they
+// wrap the goroutine slots (wrapSlots), and they interpose on a worker
+// process's pipes in the test binary it re-executes.
 
 // ErrPartial marks a detection result whose violation set may be
 // incomplete: some work units were abandoned after exhausting their retry
@@ -143,20 +146,19 @@ type goroutines struct {
 	ctx     context.Context
 	b       *Bundle
 	opt     Options
-	inj     *fault.Injector
 	plan    *planEntry
 	started []bool
 	runners []*UnitRunner
 }
 
-func newGoroutines(ctx context.Context, b *Bundle, opt Options, inj *fault.Injector, plan *planEntry) *goroutines {
-	return &goroutines{ctx: ctx, b: b, opt: opt, inj: inj, plan: plan,
+func newGoroutines(ctx context.Context, b *Bundle, opt Options, plan *planEntry) *goroutines {
+	return &goroutines{ctx: ctx, b: b, opt: opt, plan: plan,
 		started: make([]bool, opt.N), runners: make([]*UnitRunner, opt.N)}
 }
 
 // Start admits a slot once. A goroutine slot that panicked is never
-// revived: its matcher died mid-enumeration, and an injected kill that
-// fires once would make every total-loss plan recoverable.
+// revived: its matcher died mid-enumeration, and a fault that struck once
+// would otherwise make every total loss recoverable.
 func (e *goroutines) Start(w int) error {
 	if e.started[w] {
 		return fmt.Errorf("validate: worker %d is gone", w)
@@ -172,7 +174,7 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 	if r == nil {
 		// Built on the slot's own goroutine, and only for slots that were
 		// handed work: the matcher's used-set is O(|V|).
-		r = NewUnitRunner(e.ctx, e.b, e.opt, e.inj, w)
+		r = NewUnitRunner(e.ctx, e.b, e.opt)
 		r.candsOf = func(ui int) [][]graph.NodeID { return e.b.candidatesOf(e.plan.chunks, ui) }
 	}
 	// A panic below drops the runner, so Close never pools a dirty matcher.
@@ -347,8 +349,8 @@ func (r *detectRun) delivered() (n int64) {
 
 // worker drains one slot's unit list for the current round. A slot dies
 // one way: a *cluster.WorkerError, either returned by the executor (a lost
-// process) or recovered here from a panic — injected or genuine — with the
-// in-flight unit as context.
+// process) or recovered here from a panic, with the in-flight unit as
+// context.
 func (r *detectRun) worker(w int, mine []int) {
 	if len(mine) == 0 || !r.live[w] {
 		return // units queued on a slot that never came up stay pending
