@@ -256,8 +256,8 @@ func main() {
 // cause terminates: deadline expiry (exit 3), user interruption (exit
 // 130), engine failure (exit 2).
 func reportDetectError(err error, timeout time.Duration, c gfd.Completeness) bool {
-	fmt.Fprintf(os.Stderr, "gfdcheck: completeness: %d/%d units succeeded, %d retries, %d worker deaths, %d recovery rounds\n",
-		c.Succeeded, c.Units, c.Retries, c.WorkerDeaths, c.RecoveryRounds)
+	fmt.Fprintf(os.Stderr, "gfdcheck: completeness: %d/%d units succeeded, %d retries, %d worker deaths\n",
+		c.Succeeded, c.Units, c.Retries, c.WorkerDeaths)
 	switch {
 	case errors.Is(err, gfd.ErrPartial):
 		var pe *gfd.PartialError

@@ -57,10 +57,11 @@
 //     and noise injection used by the reproduction benchmarks;
 //   - maintenance extensions: incremental detection (Session.Incremental
 //     / NewIncremental) and repair suggestions (SuggestRepairs);
-//   - failure semantics: the parallel engines retry, reassign and report
-//     partial results (ErrPartial, Result.Completeness) when a worker dies
-//     or a unit misses its deadline. The package injects no faults: its
-//     chaos suites fault the slots from outside.
+//   - failure semantics: when a worker dies or a unit misses its deadline,
+//     the parallel engines retry the unit on the next free slot (one retry
+//     queue, per-unit backoff) and report partial results (ErrPartial,
+//     Result.Completeness) once its budget is spent. The package injects
+//     no faults: its chaos suites fault the slots from outside.
 //
 // See README.md for a quickstart and its "Layout" section for the system
 // inventory.
@@ -139,7 +140,8 @@ type (
 	// Engine selects the detection algorithm Prepared.Detect runs.
 	Engine = validate.Engine
 	// Retry is the per-unit retry budget (Options.Retry) the parallel
-	// engines apply when a worker dies or a unit misses its deadline.
+	// engines apply when a worker dies or a unit misses its deadline; the
+	// backoff before each retry is fixed and per unit.
 	Retry = validate.Retry
 	// Completeness is the execution census of a detection run under the
 	// fault-tolerant scheduler (Result.Completeness): units attempted,

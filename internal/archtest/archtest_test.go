@@ -65,7 +65,7 @@ var keep = map[string]string{
 
 	"validate.Options.StreamBuffer":          "tests bound the stream's channel to force backpressure",
 	"validate.Options.SplitThreshold":        "tests force or forbid the split of heavy units",
-	"validate.Options.Retry":                 "the fault suites set retry budgets and backoff",
+	"validate.Options.Retry":                 "the fault suites set retry budgets",
 	"validate.Options.UnitDeadline":          "the fault suites cut stragglers at a deadline",
 	"validate.DistOptions.Command":           "tests run a fleet that cannot start, and the chaos suites pass a worker's fault plan on its command line",
 	"validate.DistOptions.HeartbeatInterval": "tests tighten the fleet's supervision",

@@ -91,8 +91,8 @@ func TestRulesLowerGuardFires(t *testing.T) {
 // importBans lists the packages (directories under the module root) whose
 // non-test files must not import a package, and why.
 var importBans = []struct{ pkg, banned, why string }{
-	// One scheduler: balancing policy (LPT reassignment, backoff, retry
-	// budgets) lives in the unit scheduler of internal/validate;
+	// One scheduler: balancing policy (LPT assignment, the retry queue,
+	// backoff, retry budgets) lives in the unit scheduler of internal/validate;
 	// internal/dist is an executor under it. Importing the workload
 	// package there again is the first step of growing a second scheduler.
 	{"internal/dist", "internal/workload", "scheduling policy belongs to internal/validate"},

@@ -60,10 +60,12 @@ const (
 // slot w" into an ASSIGN frame with the unit's halo and the VIO*/DONE
 // frames coming back, and reports a lost process (exit, torn frame,
 // handshake or heartbeat silence, blown unit deadline) the way a goroutine
-// slot reports a panic. Retry budgets, reassignment, backoff, the
+// slot reports a panic. Retry budgets, the retry queue, backoff, the
 // exactly-once skip counts and the census are the scheduler's, shared with
-// repVal and disVal; dead slots are respawned at superstep barriers under
-// DistOptions.MaxRespawns. Exhausted budgets surface as
+// repVal and disVal. A dead slot is respawned under DistOptions.MaxRespawns
+// from its own task while units are queued, concurrently with the other
+// slots: fleet.Start touches only procs[w] and the cluster's locked
+// counters. Exhausted budgets surface as
 // *validate.PartialError with Result.Completeness carrying the census;
 // when every process is lost (or none could be started) before anything
 // was delivered, the same plan runs on in-process goroutine slots instead.

@@ -6,10 +6,11 @@
 // stdin/stdout pipes — unit assignment with halo data, violation batches
 // and heartbeats.
 //
-// The coordinator layers process-level fault tolerance over the PR 6
-// scheduler semantics: heartbeat/deadline liveness detection, dead-process
-// unit reassignment to survivors under the same retry budgets and capped
-// backoff, capped worker respawn, typed *cluster.WorkerError causes,
+// The coordinator layers process-level fault tolerance over the unit
+// scheduler's semantics: heartbeat/deadline liveness detection, a dead
+// process's units queued for the surviving slots under the same retry
+// budgets and per-unit backoff, capped worker respawn from the dead slot's
+// own task, typed *cluster.WorkerError causes,
 // *validate.PartialError + Result.Completeness when budgets exhaust, and
 // graceful degradation to the in-process fragmented engine when no worker
 // process can be had at all. The package injects no faults: the chaos

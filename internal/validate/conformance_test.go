@@ -517,8 +517,8 @@ func TestSchedulerConformance(t *testing.T) {
 				if sh.census != nil && !sh.census(k, c, len(got)) {
 					t.Fatalf("%v: census %+v after %d deliveries breaks the shape", plan, c, len(got))
 				}
-				if c.WorkerDeaths > 0 && want == complete && c.RecoveryRounds == 0 {
-					t.Fatalf("%v: a slot died yet no recovery round ran: %+v", plan, c)
+				if c.WorkerDeaths > 0 && want == complete && c.Retries == 0 {
+					t.Fatalf("%v: a slot died in a complete run yet no unit was retried: %+v", plan, c)
 				}
 
 				testutil.RequireSettled(t, goroutinesBefore)

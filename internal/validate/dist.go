@@ -39,8 +39,8 @@ type DistOptions struct {
 	// intervals. 0 defaults to dist.DefaultHeartbeat.
 	HeartbeatInterval time.Duration
 	// HandshakeTimeout bounds spawn-to-READY; a worker that cannot open
-	// its shard in time is killed and its units reassigned. 0 defaults to
-	// dist.DefaultHandshakeTimeout.
+	// its shard in time is killed and its units go to the retry queue,
+	// where live slots take them. 0 defaults to dist.DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
 	// MaxRespawns caps how many replacement processes the coordinator
 	// starts per worker slot after a death. Negative disables respawn; 0

@@ -28,16 +28,17 @@ import (
 //
 // Cancellation, streaming and the fault-tolerant detection scheduler follow
 // RepValB's contract — both are the one engine body (runEngine); a retried
-// or reassigned unit re-runs its prefetch / partial-match exchange on the
-// new worker, so recovery pays its shipping like the paper's model demands.
+// unit re-runs its prefetch / partial-match exchange on whichever worker
+// takes it from the retry queue, so recovery pays its shipping like the
+// paper's model demands.
 func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (*Result, error) {
 	return runEngine(ctx, b, opt, sink, engine{frag: frag})
 }
 
 // blockExchange is dlocalVio's prefetch / partial-match choice, run in the
-// scheduler's per-attempt prep hook: a unit reassigned after a worker death
-// (or retried after a deadline miss) re-ships its block to the worker that
-// actually runs it — recovery is charged, not free. totals reports how many
+// scheduler's per-attempt prep hook: a unit retried after a worker death
+// or a deadline miss re-ships its block to the worker that takes it —
+// recovery is charged, not free. totals reports how many
 // attempts took each strategy.
 func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, groups []*ruleGroup, plan *planEntry, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
 	// Per-worker tallies; worker w is the only writer of its entries.

@@ -44,8 +44,8 @@ type Options struct {
 
 	// Retry is the per-unit retry budget the parallel engines apply when a
 	// worker dies or a unit misses its deadline. The zero value normalizes
-	// to the defaults (DefaultRetryMax attempts beyond the first,
-	// DefaultRetryBackoff base backoff); Max < 0 disables retries.
+	// to DefaultRetryMax attempts beyond the first; Max < 0 disables
+	// retries.
 	Retry Retry
 	// UnitDeadline bounds one attempt of one work unit: an attempt running
 	// longer is abandoned (cooperatively, at the same strided checkpoints
@@ -67,23 +67,17 @@ type Options struct {
 }
 
 // Retry configures the parallel engines' unit retry policy: a unit may be
-// re-attempted up to Max times beyond its first attempt, and each recovery
-// round backs off exponentially from Backoff (doubled per round, capped at
-// maxBackoffFactor times the base) before reassigning failed units to live
-// workers.
+// re-attempted up to Max times beyond its first attempt. A failed unit goes
+// to the scheduler's queue, and the slot that takes it backs off per unit
+// (1ms, doubled per failed attempt, capped at 8ms) before the retry.
 type Retry struct {
-	Max     int           // retries per unit after the first attempt; < 0 disables
-	Backoff time.Duration // base recovery-round backoff; < 0 disables
+	Max int // retries per unit after the first attempt; < 0 disables
 }
 
-// Default retry policy: two retries with a 1ms base backoff. Backoff only
-// costs anything after a failure, so the defaults are safe for fault-free
-// runs.
-const (
-	DefaultRetryMax     = 2
-	DefaultRetryBackoff = time.Millisecond
-	maxBackoffFactor    = 8
-)
+// DefaultRetryMax is the retry budget of a unit when Retry.Max is unset.
+// Retries and their backoff only cost anything after a failure, so the
+// default is safe for fault-free runs.
+const DefaultRetryMax = 2
 
 // DefaultStreamBuffer is the per-slot capacity of the pull-based violation
 // pipeline's channel when Options.StreamBuffer is unset: deep enough to
@@ -102,11 +96,6 @@ func (o Options) Normalized() Options {
 		o.Retry.Max = DefaultRetryMax
 	} else if o.Retry.Max < 0 {
 		o.Retry.Max = 0
-	}
-	if o.Retry.Backoff == 0 {
-		o.Retry.Backoff = DefaultRetryBackoff
-	} else if o.Retry.Backoff < 0 {
-		o.Retry.Backoff = 0
 	}
 	if o.StreamBuffer <= 0 {
 		o.StreamBuffer = DefaultStreamBuffer
@@ -129,7 +118,7 @@ type Result struct {
 	EstimateWall time.Duration // planning phase (wall)
 	DetectWall   time.Duration // local detection phase, star tests included (wall)
 	EstimateSpan time.Duration // planning span: the cut and the balance (disVal: plus its ship-cost superstep's max busy time)
-	DetectSpan   time.Duration // detection span: max slot busy time, summed over supersteps
+	DetectSpan   time.Duration // detection span: max slot busy time per superstep, summed (one superstep unless a unit was queued after every slot returned)
 	BytesShipped int64         // bytes shipped between slots and the coordinator
 	Messages     int64         // shipments (a process fleet: frames)
 	Rounds       int64         // communication rounds (BSP exchange barriers)
@@ -155,13 +144,12 @@ type Result struct {
 // Completeness is the execution census of one detection run under the
 // fault-tolerant scheduler.
 type Completeness struct {
-	Units          int // work units scheduled
-	Attempted      int // units started at least once
-	Succeeded      int // units that completed
-	Failed         int // units abandoned: retry budget exhausted or no live workers left
-	Retries        int // re-attempts beyond each unit's first
-	WorkerDeaths   int // worker slots lost: recovered panics, dead worker processes
-	RecoveryRounds int // extra supersteps spent reassigning failed units
+	Units        int // work units scheduled
+	Attempted    int // units started at least once
+	Succeeded    int // units that completed
+	Failed       int // units abandoned: retry budget exhausted or no live workers left
+	Retries      int // re-attempts beyond each unit's first
+	WorkerDeaths int // worker slots lost: recovered panics, dead worker processes
 }
 
 // Complete reports whether every scheduled unit succeeded. A cancelled

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
@@ -128,7 +129,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	}
 	detStart := time.Now()
 	span, comp, perr := run.run(plan.assign)
-	if e.start != nil && perr != nil && len(run.liveWorkers()) == 0 && run.delivered() == 0 && ctx.Err() == nil {
+	if e.start != nil && perr != nil && !slices.Contains(run.live, true) && run.delivered() == 0 && ctx.Err() == nil {
 		// Every supplied slot is gone with nothing achieved that a fresh
 		// start would duplicate — no violation delivered (units that
 		// completed without one, idle units answered by the coordinator

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,34 +24,36 @@ import (
 //   - a slot death kills only that slot: a panic inside a goroutine slot is
 //     recovered into a typed *cluster.WorkerError (worker id, unit id,
 //     stack) and a lost worker process is reported as one by its executor;
-//     the surviving slots drain their assignments, and at the superstep
-//     barrier the dead slot's remaining units are reassigned to live slots
-//     (after the executor had its chance to bring the slot back);
 //   - a unit attempt exceeding Options.UnitDeadline is abandoned — a
 //     goroutine slot cooperatively (it survives), a process slot by being
-//     killed — and retried under the per-unit budget Options.Retry.Max,
-//     with capped exponential backoff between recovery rounds;
-//   - every reassignment re-ships the unit (the descriptor through the
+//     killed;
+//   - one queue takes every failed attempt inside its Options.Retry.Max
+//     budget and the unstarted rest of a dead slot's list; a slot that
+//     finishes its own list drains it, backing off per unit before a
+//     retry, and a dead slot asks the executor to bring it back while
+//     units are queued — so a retry never waits for a barrier;
+//   - a unit taken from the queue ships again (its descriptor through the
 //     shipment counters and, for disVal, the block via the per-attempt prep
 //     hook; an ASSIGN frame with its halo for a process slot), so DetectSpan
 //     and the shipment counters stay honest under faults;
 //   - retried units never double-report: per-unit enumeration is
 //     deterministic — a unit enumerates its star-test survivors in class
 //     order, each in the matcher's order — so a retry skips exactly the
-//     violations its earlier
-//     attempts already delivered (unitState.emitted) before emitting the
-//     rest — the violation set of a recovered run is byte-identical to the
+//     violations its earlier attempts already delivered (unitState.emitted);
+//     the violation set of a recovered run is byte-identical to the
 //     fault-free run's (the chaos differential suites pin this);
 //   - when budgets exhaust (or every slot is dead) the run returns a
 //     *PartialError (errors.Is ErrPartial) listing the failed units, and
 //     Result.Completeness carries the census — partial results announce
 //     themselves instead of masquerading as clean reports.
 //
-// The fault-free fast path is one static superstep: round 0 runs the LPT /
-// bi-criteria assignment unchanged, bookkeeping per unit is a direct call
+// The fault-free fast path is one static superstep: every slot runs its
+// LPT / bi-criteria list unchanged, bookkeeping per unit is a direct call
 // and a few state writes on shared memory (an 80 000-unit cold run spends
-// ≈0.4µs of wall per unit — no channel hop fits in that), and no recovery
-// round, no backoff, and no extra shipment happens unless a failure did.
+// ≈0.4µs of wall per unit — no channel hop fits in that). No slot waits for
+// another: Superstep may run the slots one at a time, so a slot blocked on
+// the queue could starve one not yet started. Units queued after every slot
+// returned run in one more superstep, the only barrier recovery keeps.
 //
 // Nothing here injects a fault. The chaos suites strike from outside: they
 // wrap the goroutine slots (wrapSlots), and they interpose on a worker
@@ -101,15 +104,16 @@ func (e *PartialError) Unwrap() []error {
 }
 
 // Executor is the scheduler's one seam: where a slot's units actually run.
-// The scheduler owns everything else — attempts, skip counts, reassignment,
-// backoff, the census — so a new kind of slot brings no second state
+// The scheduler owns everything else — attempts, skip counts, the retry
+// queue, backoff, the census — so a new kind of slot brings no second state
 // machine with it. Two implementations exist: goroutine slots over the
 // bundle's topology (goroutines, below) and worker processes over persisted
 // shards (internal/dist).
 type Executor interface {
 	// Start brings slot w up. The scheduler calls it once per slot before
-	// the first superstep and again, at a superstep barrier, for a slot
-	// that died while work is still pending; an error leaves the slot dead.
+	// the first superstep, and again from slot w's own task when the slot
+	// is down while units are queued, concurrently with the other slots'
+	// tasks; an error leaves the slot dead.
 	Start(w int) error
 	// Run executes one attempt of unit queue[0] on slot w: the first
 	// skip(queue[0]) violations of the unit's (deterministic) enumeration
@@ -117,9 +121,10 @@ type Executor interface {
 	// this slot if nothing fails — the scheduler will call Run with
 	// queue[1:] next — so an executor whose slots sit behind a transport
 	// may start shipping those units early; skip is exact for them too (a
-	// unit's count only moves while it runs). Only queue[0] is this call's
-	// to answer for: attempts, skip counts and failure causes stay per unit
-	// in the scheduler. A nil error means the enumeration ran to its end,
+	// unit's count only moves while it runs). A unit taken from the retry
+	// queue comes alone. Only queue[0] is this call's to answer for:
+	// attempts, skip counts and failure causes stay per unit in the
+	// scheduler. A nil error means the enumeration ran to its end,
 	// or stopped short because the run's context is done, which the
 	// scheduler checks after every attempt. A *cluster.WorkerError
 	// anywhere in the chain means the slot died — exactly what a panic
@@ -130,8 +135,9 @@ type Executor interface {
 	// count is exact.
 	Run(w int, queue []int, skip func(ui int) int64, emit func(Violation)) error
 	// Superstep runs task(w) for every slot concurrently, waits for all of
-	// them and returns each slot's busy time; the round's span is the
-	// maximum. How many tasks may occupy the host at once, and whose
+	// them and returns each slot's busy time; the superstep's span is the
+	// maximum. The tasks may run one at a time (the goroutine executor caps
+	// them at NumCPU), so none of them waits for another. How many tasks may occupy the host at once, and whose
 	// clock measures busy, is the executor's knowledge: goroutine slots
 	// compute on this host's cores, process slots wait on pipes.
 	Superstep(task func(w int)) []time.Duration
@@ -204,19 +210,19 @@ func (e *goroutines) Close() {
 	}
 }
 
-// unitState tracks one unit across attempts and recovery rounds. It is
-// written by the slot currently owning the unit (ownership moves only
-// between rounds) and read by the coordinator after each superstep.
+// unitState tracks one unit across its attempts. It is written by the slot
+// that owns the unit — the slot whose list holds it, then whichever slot
+// takes it from the queue, under the queue's mutex — and read after the
+// last superstep.
 type unitState struct {
 	attempts int
 	emitted  int64 // violations already delivered by earlier attempts; retries skip these
 	done     bool
-	failed   bool // already recorded in the failure list; later rounds skip it
 	lastErr  error
 }
 
 // detectRun is one fault-tolerant detection phase: the shared inputs plus
-// the cross-round scheduler state.
+// the scheduler state of the run.
 type detectRun struct {
 	ctx   context.Context
 	cl    *cluster.Cluster
@@ -230,76 +236,75 @@ type detectRun struct {
 	simulated bool
 	// prep runs at the start of every attempt on the executing slot —
 	// disVal charges the unit's block shipment (prefetch or partial-match)
-	// here, so a reassigned or retried unit re-ships to its new worker.
+	// here, so a retried unit re-ships to whichever slot takes it.
 	prep func(w, ui int)
 
-	mu     sync.Mutex // guards live/deaths and dead-slot state writes
-	states []unitState
+	mu sync.Mutex // guards queue, failures, deaths and a slot's death
+	// queue holds the units any live slot may take: failed attempts still
+	// inside their budget and the unstarted rest of a dead slot's list.
+	queue    []int
+	failures []UnitFailure // units abandoned, in the order they gave up
+	states   []unitState
+	// live[w] and counts[w] (the violations slot w delivered) are written
+	// only by slot w's task, and read between supersteps.
 	live   []bool
-	// counts[w] is the number of violations slot w delivered through the
-	// sink. Slot w is the only writer of counts[w] (ownership moves only
-	// between rounds), so no lock is needed.
 	counts []int64
 	deaths int
 }
 
+// A unit's retry waits retryBackoff × 2^(attempts−1), capped at
+// maxBackoffFactor × retryBackoff.
+const (
+	retryBackoff     = time.Millisecond
+	maxBackoffFactor = 8
+)
+
 // run executes the detection phase from the given initial assignment and
-// returns the detection span (summed across recovery supersteps), the
-// completeness census, and the partial-failure error (nil when every unit
-// succeeded or the run was cancelled first).
+// returns the detection span (summed across supersteps), the completeness
+// census, and the partial-failure error (nil when every unit succeeded or
+// the run was cancelled first).
 func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness, *PartialError) {
 	n := r.opt.N
 	r.states = make([]unitState, len(r.units))
 	r.live = make([]bool, n)
 	r.counts = make([]int64, n)
-	r.deaths = 0
-	r.revive()
-
-	maxAttempts := 1 + r.opt.Retry.Max
-	todo := make([][]int, n)
-	copy(todo, assign)
+	r.queue, r.failures, r.deaths = nil, nil, 0
+	for w := range r.live {
+		r.live[w] = r.exec.Start(w) == nil
+	}
+	if r.simulated {
+		// Shipping W_i(Σ, G) to each worker: one compact descriptor per
+		// unit; a unit taken from the queue ships its own.
+		for w, us := range assign {
+			if len(us) > 0 {
+				r.cl.Ship(cluster.Coordinator, w, int64(len(us))*unitDescriptorBytes)
+			}
+		}
+		r.cl.EndRound()
+	}
 
 	var span time.Duration
-	var failures []UnitFailure
-	round := 0
+	lists := assign
 	for {
-		if r.simulated {
-			// Shipping W_i(Σ, G) to each worker: one compact descriptor
-			// per unit, re-shipped for every unit a recovery round moves.
-			for w, us := range todo {
-				if len(us) > 0 {
-					r.cl.Ship(cluster.Coordinator, w, int64(len(us))*unitDescriptorBytes)
-				}
+		busy := r.exec.Superstep(func(w int) { r.worker(w, lists[w]) })
+		span += cluster.MaxSpan(busy)
+		if r.ctx.Err() != nil || len(r.queue) == 0 {
+			// Cancelled, unreached units are neither succeeded nor failed
+			// (the caller reports ctx.Err()); otherwise nothing is left.
+			break
+		}
+		if !slices.Contains(r.live, true) {
+			// Nothing left to run on. Everything queued is abandoned.
+			for _, ui := range r.queue {
+				r.failures = append(r.failures, r.failure(ui))
 			}
+			break
+		}
+		// Every list is drained: the next superstep drains the queue.
+		lists = make([][]int, n)
+		if r.simulated {
 			r.cl.EndRound()
 		}
-		busy := r.exec.Superstep(func(w int) { r.worker(w, todo[w]) })
-		span += cluster.MaxSpan(busy)
-		if r.ctx.Err() != nil {
-			// Cancelled: unreached units are neither succeeded nor failed;
-			// the caller reports ctx.Err().
-			break
-		}
-		pending := r.collect(maxAttempts, &failures)
-		if len(pending) == 0 {
-			break
-		}
-		// Recovery is round-synchronous: dead slots get their chance to
-		// come back here, at the barrier, and only while work is pending.
-		r.revive()
-		liveIdx := r.liveWorkers()
-		if len(liveIdx) == 0 {
-			// Nothing left to run on. Everything pending is abandoned.
-			for _, ui := range pending {
-				failures = append(failures, r.failure(ui))
-			}
-			break
-		}
-		round++
-		if !r.backoff(round) {
-			break // context died during backoff
-		}
-		todo = r.reassign(pending, liveIdx, n)
 	}
 	if r.simulated {
 		// Violations return to the coordinator whichever sink consumed
@@ -310,7 +315,7 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 		r.cl.EndRound()
 	}
 
-	comp := Completeness{Units: len(r.units), WorkerDeaths: r.deaths, RecoveryRounds: round}
+	comp := Completeness{Units: len(r.units), WorkerDeaths: r.deaths, Failed: len(r.failures)}
 	for i := range r.states {
 		st := &r.states[i]
 		if st.attempts > 0 {
@@ -323,20 +328,11 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 			comp.Succeeded++
 		}
 	}
-	comp.Failed = len(failures)
-	if len(failures) == 0 {
+	if len(r.failures) == 0 {
 		return span, comp, nil
 	}
-	return span, comp, &PartialError{Failures: failures}
-}
-
-// revive offers every dead slot to the executor.
-func (r *detectRun) revive() {
-	for w, ok := range r.live {
-		if !ok {
-			r.live[w] = r.exec.Start(w) == nil
-		}
-	}
+	slices.SortFunc(r.failures, func(a, b UnitFailure) int { return a.Unit - b.Unit })
+	return span, comp, &PartialError{Failures: r.failures}
 }
 
 // delivered is how many violations the sink has taken so far.
@@ -347,14 +343,37 @@ func (r *detectRun) delivered() (n int64) {
 	return n
 }
 
-// worker drains one slot's unit list for the current round. A slot dies
-// one way: a *cluster.WorkerError, either returned by the executor (a lost
-// process) or recovered here from a panic, with the in-flight unit as
-// context.
+// worker is slot w's task for one superstep: its own list, then units from
+// the queue until the queue is empty. It never waits for another slot. A
+// slot that is down — it died, or never came up — hands its unstarted
+// units to the queue and, while units are queued, asks the executor to
+// bring it back; if it comes back, it keeps draining.
 func (r *detectRun) worker(w int, mine []int) {
-	if len(mine) == 0 || !r.live[w] {
-		return // units queued on a slot that never came up stay pending
+	for {
+		if !r.live[w] {
+			r.mu.Lock()
+			r.queue = append(r.queue, mine...)
+			queued := len(r.queue) > 0
+			r.mu.Unlock()
+			if !queued || r.exec.Start(w) != nil {
+				return
+			}
+			r.live[w], mine = true, nil
+		}
+		mine = r.drain(w, mine)
+		if r.live[w] {
+			return
+		}
 	}
+}
+
+// drain runs slot w's list, then units from the queue, until both are empty
+// or the slot dies; on a death it returns the list's unstarted rest. A slot
+// dies one way: a *cluster.WorkerError, either returned by the executor (a
+// lost process) or recovered here from a panic, with the in-flight unit as
+// context.
+func (r *detectRun) drain(w int, mine []int) (rest []int) {
+	next := 0           // the first unstarted position of mine
 	cur := -1           // unit in flight, for the recover path
 	var delivered int64 // violations delivered by the in-flight attempt
 	defer func() {
@@ -363,6 +382,7 @@ func (r *detectRun) worker(w int, mine []int) {
 				r.states[cur].emitted += delivered
 			}
 			r.die(w, cur, cluster.Recovered(w, cur, rec))
+			rest = mine[next:]
 		}
 	}()
 
@@ -375,37 +395,77 @@ func (r *detectRun) worker(w int, mine []int) {
 		delivered++
 		r.counts[w]++
 	}
-	// Bound here, once per slot and round, like out: the per-unit path
+	// Bound here, once per slot and superstep, like out: the per-unit path
 	// allocates no closure.
 	skip := func(ui int) int64 { return r.states[ui].emitted }
 
-	for i, ui := range mine {
+	for {
+		var ui int
+		var queue []int
+		if next < len(mine) {
+			ui, queue = mine[next], mine[next:]
+			next++
+		} else {
+			var ok bool
+			if ui, ok = r.take(w); !ok {
+				return nil
+			}
+			queue = []int{ui} // a unit from the queue runs alone
+		}
 		st := &r.states[ui]
 		cur, delivered = ui, 0
 		st.attempts++
 		if r.prep != nil {
 			r.prep(w, ui)
 		}
-		err := r.exec.Run(w, mine[i:], skip, out)
+		err := r.exec.Run(w, queue, skip, out)
 		st.emitted += delivered
 		cur = -1
 		switch {
 		case r.ctx.Err() != nil:
 			// The run is over: like the units it never reached, the
 			// attempt counts as neither succeeded nor failed.
-			return
+			return nil
 		case err == nil:
 			st.done = true
 			st.lastErr = nil
 		case slotDied(err):
 			r.die(w, ui, err)
-			return
+			return mine[next:]
 		default:
 			// The attempt was abandoned (it missed its deadline); the slot
 			// survives and the unit goes back for a retry.
+			r.mu.Lock()
 			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, err)
+			r.retry(ui)
+			r.mu.Unlock()
 		}
 	}
+}
+
+// take pops the next queued unit for slot w. A unit that failed before
+// waits its backoff on the slot that took it first; take reports false when
+// the queue is empty or the run's context ended during the wait.
+func (r *detectRun) take(w int) (int, bool) {
+	r.mu.Lock()
+	if len(r.queue) == 0 {
+		r.mu.Unlock()
+		return 0, false
+	}
+	ui := r.queue[0]
+	r.queue = r.queue[1:]
+	r.mu.Unlock()
+	if r.simulated {
+		r.cl.Ship(cluster.Coordinator, w, unitDescriptorBytes)
+	}
+	if a := r.states[ui].attempts; a > 0 {
+		select {
+		case <-r.ctx.Done():
+			return 0, false
+		case <-time.After(retryBackoff * time.Duration(min(1<<(a-1), maxBackoffFactor))):
+		}
+	}
+	return ui, true
 }
 
 // slotDied reports whether an executor error is a slot death. It is its
@@ -416,38 +476,27 @@ func slotDied(err error) bool {
 	return errors.As(err, &death)
 }
 
-// die marks slot w dead with err as the in-flight unit's failure cause.
+// die marks slot w dead with err as the in-flight unit's failure cause,
+// and sends that unit back for a retry.
 func (r *detectRun) die(w, ui int, err error) {
 	r.mu.Lock()
 	r.live[w] = false
 	r.deaths++
 	if ui >= 0 {
 		r.states[ui].lastErr = err
+		r.retry(ui)
 	}
 	r.mu.Unlock()
 }
 
-// collect partitions the incomplete units after a superstep: units still
-// inside their budget are returned for reassignment; exhausted ones are
-// appended to failures.
-func (r *detectRun) collect(maxAttempts int, failures *[]UnitFailure) (pending []int) {
-	for ui := range r.states {
-		st := &r.states[ui]
-		if st.done {
-			continue
-		}
-		if st.attempts >= maxAttempts {
-			// Record the exhausted unit once; collect runs again after
-			// every recovery round and must not re-report it.
-			if !st.failed {
-				st.failed = true
-				*failures = append(*failures, r.failure(ui))
-			}
-			continue
-		}
-		pending = append(pending, ui)
+// retry queues a failed unit while its budget lasts and records it as
+// failed once the budget is spent. The caller holds mu.
+func (r *detectRun) retry(ui int) {
+	if r.states[ui].attempts <= r.opt.Retry.Max {
+		r.queue = append(r.queue, ui)
+		return
 	}
-	return pending
+	r.failures = append(r.failures, r.failure(ui))
 }
 
 func (r *detectRun) failure(ui int) UnitFailure {
@@ -460,56 +509,6 @@ func (r *detectRun) failure(ui int) UnitFailure {
 }
 
 var errAllWorkersDead = errors.New("validate: all workers dead")
-
-func (r *detectRun) liveWorkers() []int {
-	var idx []int
-	for w, ok := range r.live {
-		if ok {
-			idx = append(idx, w)
-		}
-	}
-	return idx
-}
-
-// backoff sleeps the capped exponential recovery delay for the given
-// round, returning false if the context died while waiting.
-func (r *detectRun) backoff(round int) bool {
-	d := r.opt.Retry.Backoff
-	if d <= 0 {
-		return r.ctx.Err() == nil
-	}
-	factor := 1 << (round - 1)
-	if factor > maxBackoffFactor {
-		factor = maxBackoffFactor
-	}
-	d *= time.Duration(factor)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// reassign balances the pending units across the live workers (LPT on the
-// unit weights, like the initial assignment).
-func (r *detectRun) reassign(pending, liveIdx []int, n int) [][]int {
-	weights := make([]int, len(pending))
-	for i, ui := range pending {
-		weights[i] = r.units[ui].Weight()
-	}
-	sub := workload.BalanceLPT(weights, len(liveIdx))
-	todo := make([][]int, n)
-	for li, us := range sub {
-		w := liveIdx[li]
-		for _, pi := range us {
-			todo[w] = append(todo[w], pending[pi])
-		}
-	}
-	return todo
-}
 
 // engineRecover is the last-resort safety net wrapped around every engine
 // body: a panic on the coordinator path (planning, assignment, shipping)

@@ -76,8 +76,9 @@ func NewCollectSink(workers int) *CollectSink {
 }
 
 // Emit appends v to the worker's lane, copying its match. Workers own
-// their lane for the duration of a run; cross-round ownership transfer is
-// sequenced by the scheduler's superstep barrier.
+// their lane for the duration of a run: lane w is written only by slot
+// w's task, whichever unit it runs, and successive supersteps are ordered
+// by the barrier between them.
 func (s *CollectSink) Emit(worker int, v Violation) {
 	if worker < 0 || worker >= len(s.lanes) {
 		worker = 0
