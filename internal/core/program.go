@@ -243,6 +243,12 @@ func (g *Guard) Dead() bool { return g != nil && g.live == 0 }
 // constant literal.
 func (gi *GuardInst) Operands() (x, y int) { return int(gi.lit.xi), int(gi.lit.yi) }
 
+// Constant returns the attribute and value codes a constant literal
+// compares its node's tuple to; ok is false for a variable literal.
+func (gi *GuardInst) Constant() (attr, val graph.Sym, ok bool) {
+	return gi.lit.a, gi.lit.c, gi.lit.kind == Constant
+}
+
 // Bit returns the member bit the instruction clears when it fails.
 func (gi *GuardInst) Bit() uint64 { return gi.bit }
 

@@ -33,7 +33,10 @@ import (
 // a node no update touched — most of them — is one slot load beside the
 // base read, with no hash. The slots cost 12 bytes per node, allocated
 // when the overlay starts; the patch also lists the nodes it touched, which
-// Heavy re-ranks. Nodes inserted after the freeze get label and
+// Heavy re-ranks, and logs the node of every attribute write, which the
+// first holder read (AppendAttrHolders) indexes by label class and
+// attribute and later reads extend, so keeping the index costs per write,
+// never per graph. Nodes inserted after the freeze get label and
 // class-range fixups (per-label candidate classes grown incrementally,
 // kept ascending because new IDs are always larger than frozen ones).
 //
@@ -103,7 +106,7 @@ func (g *Graph) startOverlay() *Overlay {
 		attrOff: base.attrOff, attrPairs: base.attrPairs,
 		outOff: base.outOff, out: base.out, inOff: base.inOff, in: base.in,
 		classOff: base.classOff, classes: base.classes,
-		heavy: base.heavy,
+		heavy: base.heavy, held: base.held,
 		ranks: ranks{slices.Clone(base.edgeLabels), slices.Clone(base.nodeLabels), slices.Clone(base.rankOf)},
 		patch: newPatch(base, g.Version()),
 	}
@@ -179,6 +182,7 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	if len(attrs) > 0 {
 		p.tuples = append(p.tuples, o.internTuple(attrs))
 		slot = int32(len(p.tuples) - 1)
+		p.attrLog = append(p.attrLog, id)
 	}
 	p.outSlot, p.inSlot = append(p.outSlot, 0), append(p.inSlot, 0)
 	p.attrSlot = append(p.attrSlot, slot)
@@ -261,6 +265,7 @@ func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	} else {
 		p.tuples[k] = slices.Insert(ps, pos, AttrPair{Name: name, Val: sym})
 	}
+	p.attrLog = append(p.attrLog, v)
 	o.delta++
 	p.version = o.g.readThrough(o.Snapshot)
 }

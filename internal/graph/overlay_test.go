@@ -192,6 +192,7 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 			}
 		}
 	}
+	assertHolders(t, v, snap, twin)
 	// The heavy-node list: a view re-ranks its base list with the nodes it
 	// touched, which must give the list a fresh freeze records.
 	snap.recordHeavy()
@@ -246,6 +247,51 @@ func assertViewMatchesFreeze(t *testing.T, v *Snapshot, twin *Graph) {
 			if fmt.Sprint(om) != fmt.Sprint(sm) {
 				t.Fatalf("BlockInto(%d, %d): view %v, freeze %v", a, c, om, sm)
 			}
+		}
+	}
+}
+
+// bruteHolders filters NodesWith(l) by AttrSym: the holders by definition.
+func bruteHolders(s *Snapshot, l, a, val Sym) []NodeID {
+	var out []NodeID
+	for _, v := range s.NodesWith(l) {
+		if x, ok := s.AttrSym(v, a); ok && x == val {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// assertHolders checks AppendAttrHolders on view v for every (label,
+// attribute, value) the twin carries, and one value no node holds: it
+// must equal snap's answer (a fresh freeze of the twin) and the
+// brute-force filter of v's class, appended after what dst already held.
+func assertHolders(t *testing.T, v, snap *Snapshot, twin *Graph) {
+	t.Helper()
+	type triple struct{ label, attr, val string }
+	seen := map[triple]bool{}
+	for u := 0; u < twin.NumNodes(); u++ {
+		id := NodeID(u)
+		for a, val := range twin.NodeAttrs(id) {
+			seen[triple{twin.Label(id), a, val}] = true
+			seen[triple{twin.Label(id), a, "held by none"}] = true
+		}
+	}
+	osyms, ssyms := v.Syms(), snap.Syms()
+	prefix := []NodeID{-7}
+	for c := range seen {
+		ol, oa, ov := osyms.Lookup(c.label), osyms.Lookup(c.attr), osyms.Lookup(c.val)
+		got := v.AppendAttrHolders(slices.Clone(prefix), ol, oa, ov)
+		if got[0] != prefix[0] {
+			t.Fatalf("holders of %v overwrote dst", c)
+		}
+		got = got[1:]
+		want := snap.AppendAttrHolders(nil, ssyms.Lookup(c.label), ssyms.Lookup(c.attr), ssyms.Lookup(c.val))
+		if !slices.Equal(got, want) {
+			t.Fatalf("holders of %v: view %v, freeze %v", c, got, want)
+		}
+		if brute := bruteHolders(v, ol, oa, ov); !slices.Equal(got, brute) {
+			t.Fatalf("holders of %v: view %v, its filtered class %v", c, got, brute)
 		}
 	}
 }
@@ -645,6 +691,38 @@ func TestConcurrentNewOverlayStartsOne(t *testing.T) {
 	}
 }
 
+// TestConcurrentHolderReads is the -race target for a view's lazy
+// attribute-write index and its base's holder cache: after each batch of
+// fresh writes, goroutines read the holders of one value at once, so the
+// first of them extends the index while the others wait for it, and all
+// of them must see the filtered class.
+func TestConcurrentHolderReads(t *testing.T) {
+	ov := NewOverlay(overlayBaseGraph())
+	syms := ov.Syms()
+	for batch := 0; batch < 4; batch++ {
+		ov.SetAttr(NodeID(batch), "val", "v2")
+		ov.AddNode("person", Attrs{"val": "v2"})
+		ov.SetAttr(2, "val", []string{"v2", "v5"}[batch%2])
+		l, a, val := syms.Lookup("person"), syms.Lookup("val"), syms.Lookup("v2")
+		want := bruteHolders(ov.Snapshot, l, a, val)
+		got := make([][]NodeID, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = ov.AppendAttrHolders(nil, l, a, val)
+			}(i)
+		}
+		wg.Wait()
+		for i, h := range got {
+			if !slices.Equal(h, want) {
+				t.Fatalf("batch %d, reader %d: holders %v, filtered class %v", batch, i, h, want)
+			}
+		}
+	}
+}
+
 // TestOverlayRejectsMissingNodes: the overlay checks node IDs against its
 // view, since no graph mutator does it any more.
 func TestOverlayRejectsMissingNodes(t *testing.T) {
@@ -753,6 +831,10 @@ func FuzzOverlayPatch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{2, 2, 2, 9, 9, 1, 0, 4, 7, 7})
 	f.Add([]byte("interleaved-updates"))
+	// Node 0's value written (shared with node 2), overwritten, written
+	// back, then attributed nodes inserted.
+	f.Add([]byte{0xF5, 0xF2, 0xF5, 0, 6, 12, 0xF2})
+	f.Add([]byte{2, 0xF5, 5, 0xF5, 0xF2, 0xF2, 0, 0, 1, 0xF5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -764,22 +846,36 @@ func FuzzOverlayPatch(f *testing.F) {
 			w := newTwinStream(t, adopted)
 			rng := rand.New(rand.NewSource(int64(len(ops))))
 			for _, b := range ops {
-				switch b % 3 {
-				case 0:
+				switch {
+				case b%3 == 0:
 					var at Attrs
 					if b%2 == 0 {
 						at = Attrs{attrs[int(b/3)%len(attrs)]: fmt.Sprintf("a%d", b)}
 					}
 					w.addNode(labels[int(b/3)%len(labels)], at)
-				case 1:
+				case b%3 == 1:
 					n := w.ov.NumNodes()
 					w.addEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), edgeLabels[int(b/3)%len(edgeLabels)])
+				case b >= 0xF0:
+					// Node 0 takes person 2's value or its own back.
+					w.setAttr(0, "val", []string{"v0", "v2"}[b%2])
 				default:
 					n := w.ov.NumNodes()
 					w.setAttr(NodeID(rng.Intn(n)), attrs[int(b/3)%len(attrs)], fmt.Sprintf("s%d", b))
 				}
 				if !w.ov.Synced() {
 					t.Fatal("overlay fell out of sync under its own mutators")
+				}
+				// Read the holders after every write, so later reads extend
+				// the view's attribute-write index instead of building it.
+				syms := w.ov.Syms()
+				for _, l := range []string{"person", "city"} {
+					for _, val := range []string{"v0", "v2", "a0", "s2"} {
+						ls, as, vs := syms.Lookup(l), syms.Lookup("val"), syms.Lookup(val)
+						if got, want := w.ov.AppendAttrHolders(nil, ls, as, vs), bruteHolders(w.ov.Snapshot, ls, as, vs); !slices.Equal(got, want) {
+							t.Fatalf("holders of %s.val = %s: %v, filtered class %v", l, val, got, want)
+						}
+					}
 				}
 			}
 			assertViewMatchesFreeze(t, w.ov.Snapshot, w.twin)

@@ -125,6 +125,7 @@ func AdoptFlatBeside(f Flat, beside []func() error) (*Snapshot, error) {
 		in:        f.In,
 		classOff:  f.ClassOff,
 		classes:   f.Classes,
+		held:      new(holders),
 	}
 	g := &Graph{snap: s}
 	g.sealed.Store(s)

@@ -122,6 +122,8 @@ type Snapshot struct {
 
 	heavy []NodeID // the heavy-node list, ascending (see Heavy)
 
+	held *holders // value holders of the frozen arrays, shared with every view over them
+
 	ranks // the label ranks the keys pack
 
 	scratch sync.Pool // *EpochSet, reused across Neighborhood traversals
@@ -142,6 +144,14 @@ type patch struct {
 	classes         map[Sym][]NodeID // merged candidate classes for labels that gained nodes
 	edges           int              // edges inserted after the freeze
 	version         uint64           // graph version the patch reflects
+
+	// attrLog holds the node of each SetAttr and attributed AddNode, in
+	// write order; index files attrLog[:indexed] by label class and
+	// attribute, extended by holder reads under indexMu (writtenTo).
+	attrLog []NodeID
+	indexMu sync.Mutex
+	indexed int
+	index   map[classAttr][]NodeID
 }
 
 // newPatch returns the empty patch of a view over base at graph version
@@ -156,6 +166,7 @@ func newPatch(base *Snapshot, version uint64) *patch {
 		tuples:   make([][]AttrPair, 1),
 		classes:  make(map[Sym][]NodeID),
 		version:  version,
+		index:    make(map[classAttr][]NodeID),
 	}
 }
 
@@ -228,6 +239,7 @@ func buildSnapshot(g *Graph, workers int) *Snapshot {
 		outOff:  make([]int32, n+1),
 		out:     make([]CSREdge, 0, g.edges),
 		inOff:   make([]int32, n+1),
+		held:    new(holders),
 	}
 	for v := 0; v < n; v++ {
 		s.labels[v] = syms.intern(g.labels[v])
@@ -364,6 +376,7 @@ func flatten(v *Snapshot) *Snapshot {
 		out:       make([]CSREdge, 0, m),
 		inOff:     make([]int32, n+1),
 		in:        make([]CSREdge, 0, m),
+		held:      new(holders),
 		ranks:     v.ranks,
 	}
 	for u := 0; u < n; u++ {

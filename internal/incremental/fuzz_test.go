@@ -13,8 +13,9 @@ import (
 
 // fuzzRules covers the delta rule's hard shapes over labels a/b, edge
 // labels e/f and one attribute p: a wildcard node over a wildcard edge, a
-// pattern self-loop, a single-node second component, and two rules whose
-// printed keys can collide ("r,1" over one node, "r" over two).
+// pattern self-loop, a single-node second component, two rules whose
+// printed keys can collide ("r,1" over one node, "r" over two), and a
+// constant X, whose unpinned search starts from the holders of p = "1".
 func fuzzRules() *core.Set {
 	p := func(x, y pattern.Var) core.Literal { return core.VarEq(x, "p", y, "p") }
 	return core.MustNewSet(
@@ -27,6 +28,8 @@ func fuzzRules() *core.Set {
 		named("r,1", rule("r1", []string{"b"}, nil, nil, []core.Literal{core.Const("v0", "p", "0")})),
 		rule("r", []string{"a", "b"}, []pattern.Edge{{From: 0, To: 1, Label: "f"}},
 			nil, []core.Literal{p("v0", "v1")}),
+		rule("const", []string{"a", "b"}, []pattern.Edge{{From: 0, To: 1, Label: "e"}},
+			[]core.Literal{core.Const("v0", "p", "1")}, []core.Literal{p("v0", "v1")}),
 	)
 }
 
@@ -52,7 +55,8 @@ func (b *fuzzBytes) attrs() graph.Attrs {
 
 // FuzzIncrementalMatchesScan decodes a small graph and update batches over
 // fuzzRules' shapes and, after every batch, compares the maintained report
-// with sequential detection on a fresh freeze of a clone.
+// and a sequential scan of the graph's live overlay view with sequential
+// detection on a fresh freeze of a clone.
 func FuzzIncrementalMatchesScan(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 1, 0, 2, 2, 0, 1, 0, 1, 3, 2, 0, 0, 1, 2, 2, 1, 1, 3})
 	f.Add([]byte{1, 0, 0, 0, 2, 4, 0, 0, 0, 1, 3, 0, 0, 2})
@@ -79,6 +83,13 @@ func FuzzIncrementalMatchesScan(f *testing.F) {
 			want := detVio(g.Clone(), set)
 			if got := d.Report(); !got.Equal(want) || d.Len() != len(want) {
 				t.Fatalf("batch %d: maintained %v (Len %d), scan %v", batch, got.Keys(), d.Len(), want.Keys())
+			}
+			ov := g.LiveOverlay()
+			if ov == nil {
+				t.Fatalf("batch %d: the detector's graph has no live overlay", batch)
+			}
+			if got := scan(validate.NewBundleOver(ov.Snapshot, set, nil)); !got.Equal(want) {
+				t.Fatalf("batch %d: scan of the live view %v, of a fresh freeze %v", batch, got.Keys(), want.Keys())
 			}
 		}
 		check(-1)
@@ -111,8 +122,13 @@ func FuzzIncrementalMatchesScan(f *testing.F) {
 
 // detVio is a one-shot sequential run: Vio(Σ, G), canonically sorted.
 func detVio(g *graph.Graph, set *core.Set) validate.Report {
+	return scan(validate.NewBundle(g, set))
+}
+
+// scan is a sequential run over b, canonically sorted.
+func scan(b *validate.Bundle) validate.Report {
 	sink := validate.NewCollectSink(1)
-	if err := validate.DetVioB(context.Background(), validate.NewBundle(g, set), sink); err != nil {
+	if err := validate.DetVioB(context.Background(), b, sink); err != nil {
 		panic(err)
 	}
 	out := sink.Report()

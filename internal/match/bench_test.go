@@ -91,54 +91,83 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerateGuarded prices literal pushdown on a cyc4-style diamond
-// with the benchmark's two-literal X: "unguarded" enumerates every match
-// and runs the literal program on each (the paper's detVio), "guarded"
-// pushes X into the search. Both must find the same violations.
+// BenchmarkEnumerateGuarded prices literal pushdown against enumerating
+// every match and running the literal program on each (the paper's
+// detVio, "unguarded"). "guarded" pushes X into the search: on a
+// cyc4-style diamond with the benchmark's two-literal X, and ("seed/…") on
+// a YAGO-like graph under a one-constant X on a person, whose guarded
+// search starts from the holders of that value instead of the person
+// class. Each pair must find the same violations.
 func BenchmarkEnumerateGuarded(b *testing.B) {
 	g, f := diamondWorkload(3002, 45000, 8, 1)
-	snap := g.Freeze()
-	prog := f.CompileLiterals(snap.Syms())
-	violations := func(m *match.Matcher, opts match.Options) (keys []string) {
-		m.Enumerate(f.Q, opts, func(h core.Match) bool {
-			if prog.IsViolation(snap, h) {
-				keys = append(keys, fmt.Sprint([]graph.NodeID(h)))
-			}
-			return true
-		})
-		return keys
-	}
-	variants := []struct {
-		name string
-		opts match.Options
-	}{
-		{"guarded", match.Options{Guard: prog.Guard()}},
-		{"unguarded", match.Options{}},
-	}
-	want := violations(match.NewMatcher(snap), match.Options{})
-	if len(want) == 0 {
-		b.Fatal("no violations: the equivalence check is vacuous")
-	}
-	sort.Strings(want)
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			m := match.NewMatcher(snap)
-			got := violations(m, v.opts) // warm-up, and the check
-			sort.Strings(got)
-			if !slices.Equal(got, want) {
-				b.Fatalf("%s: %d violations, unguarded reference %d", v.name, len(got), len(want))
-			}
-			yield := func(h core.Match) bool {
-				prog.IsViolation(snap, h)
+	yg, yf := personSeedWorkload()
+	for _, w := range []struct {
+		prefix string
+		snap   *graph.Snapshot
+		f      *core.GFD
+	}{{"", g.Freeze(), f}, {"seed/", yg.Freeze(), yf}} {
+		snap, f := w.snap, w.f
+		prog := f.CompileLiterals(snap.Syms())
+		violations := func(m *match.Matcher, opts match.Options) (keys []string) {
+			m.Enumerate(f.Q, opts, func(h core.Match) bool {
+				if prog.IsViolation(snap, h) {
+					keys = append(keys, fmt.Sprint([]graph.NodeID(h)))
+				}
 				return true
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Enumerate(f.Q, v.opts, yield)
-			}
-		})
+			})
+			return keys
+		}
+		want := violations(match.NewMatcher(snap), match.Options{})
+		if len(want) == 0 {
+			b.Fatalf("%sno violations: the equivalence check is vacuous", w.prefix)
+		}
+		sort.Strings(want)
+		for _, v := range []struct {
+			name string
+			opts match.Options
+		}{
+			{"guarded", match.Options{Guard: prog.Guard()}},
+			{"unguarded", match.Options{}},
+		} {
+			b.Run(w.prefix+v.name, func(b *testing.B) {
+				m := match.NewMatcher(snap)
+				got := violations(m, v.opts) // warm-up, and the check
+				sort.Strings(got)
+				if !slices.Equal(got, want) {
+					b.Fatalf("%s: %d violations, unguarded reference %d", v.name, len(got), len(want))
+				}
+				yield := func(h core.Match) bool {
+					prog.IsViolation(snap, h)
+					return true
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Enumerate(f.Q, v.opts, yield)
+				}
+			})
+		}
 	}
+}
+
+// personSeedWorkload is a YAGO-like graph and a rule shaped like the
+// benchmark's y_first_parent: a person, a parent and two of the parent's
+// children, X one constant on the first person — the value of the first
+// person with a match — and a Y no parent satisfies, so every match X
+// admits is a violation.
+func personSeedWorkload() (*graph.Graph, *core.GFD) {
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 4000, Seed: 1})
+	q := pattern.New()
+	x0, x1, x2, x3 := q.AddNode("x0", "person"), q.AddNode("x1", "person"), q.AddNode("x2", "person"), q.AddNode("x3", "person")
+	q.AddEdge(x0, x1, "has_parent")
+	q.AddEdge(x1, x2, "has_child")
+	q.AddEdge(x1, x3, "has_child")
+	var val string
+	match.NewMatcher(g.Freeze()).Enumerate(q, match.Options{}, func(h core.Match) bool {
+		val, _ = g.Attr(h[x0], "val")
+		return false
+	})
+	return g, core.MustNew("first_parent", q, []core.Literal{core.Const("x0", "val", val)}, []core.Literal{core.Const("x1", "val", "nobody")})
 }
 
 // BenchmarkEnumerateMixedLabels times the three label-rotated triangles of

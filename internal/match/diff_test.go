@@ -420,6 +420,23 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("patched overlay: inserted flight has %d guarded matches, want 1", n)
 	}
 	steady("guarded patched overlay", match.NewMatcher(pov), match.Options{Guard: pg})
+
+	// Constant-only X: the plan opens the search at c and iterates the
+	// holders of the city value, not the city class — on the frozen
+	// snapshot through its holder cache, on the patched view through that
+	// cache and the view's attribute-write index.
+	seeded := core.MustNew("s", q, []core.Literal{core.Const("c", "val", city)}, nil)
+	for _, row := range []struct {
+		name string
+		s    *graph.Snapshot
+	}{{"constant-seeded snapshot", snap}, {"constant-seeded patched overlay", pov.Snapshot}} {
+		m := match.NewMatcher(row.s)
+		opts := match.Options{Guard: seeded.CompileLiterals(row.s.Syms()).Guard()}
+		if p := m.Plan(q, opts); p.Seeds() == nil || p.Seeds()[0] == nil {
+			t.Fatalf("%s: plan %s records no seed at depth 0", row.name, p)
+		}
+		steady(row.name, m, opts)
+	}
 }
 
 // nodeRun is a run of up to k node IDs from a random start, some of the

@@ -22,6 +22,10 @@ func (m *Matcher) Plan(q *pattern.Pattern, opts Options) Plan {
 	return *m.plan
 }
 
+// Seeds returns, per depth, the (attribute, value) pairs whose holders
+// a component opened there iterates instead of its class; nil if none.
+func (p Plan) Seeds() [][]graph.AttrPair { return p.seeds }
+
 // Count returns the number of matches of q under opts.
 func (m *Matcher) Count(q *pattern.Pattern, opts Options) int {
 	n := 0

@@ -280,3 +280,81 @@ func TestDiamondPlanSeedsGuardedPair(t *testing.T) {
 		t.Fatalf("guarded diamond plan %q", p)
 	}
 }
+
+// TestPlanSeedsConstantComponents pins when a depth records seeds: only a
+// depth past the pins that opens a component, and only when every live
+// member of the guard has a constant literal due there; the seeds are the
+// union of those constants. A seeded single-node rule tries exactly the
+// holders and yields the oracle's matches.
+func TestPlanSeedsConstantComponents(t *testing.T) {
+	g := attrGraph(rand.New(rand.NewSource(3)), 90, 300)
+	snap := g.Freeze()
+	m := match.NewMatcher(snap)
+	lone := pattern.New()
+	lone.AddNode("x", "L0")
+	pair := pattern.New()
+	x, y := pair.AddNode("x", "L0"), pair.AddNode("y", "L1")
+	pair.AddNode("z", "L2")
+	pair.AddEdge(x, y, "e0")
+	guard := func(q *pattern.Pattern, xs ...[]core.Literal) *core.Guard {
+		progs := make([]*core.LiteralProgram, len(xs))
+		for i, x := range xs {
+			progs[i] = core.MustNew(fmt.Sprint("r", i), q, x, nil).CompileLiterals(snap.Syms())
+		}
+		return core.GroupGuard(progs, nil)
+	}
+	c := func(v pattern.Var, a, val string) []core.Literal { return []core.Literal{core.Const(v, a, val)} }
+	// seedsOf renders the seeds at the depth each pattern node binds.
+	seedsOf := func(q *pattern.Pattern, opts match.Options) map[pattern.Var]string {
+		p := m.Plan(q, opts)
+		out := map[pattern.Var]string{}
+		for d, u := range p.Order {
+			if p.Seeds() == nil || p.Seeds()[d] == nil {
+				continue
+			}
+			for _, kv := range p.Seeds()[d] {
+				out[q.Nodes[u].Var] += snap.Syms().Name(kv.Name) + "=" + snap.Syms().Name(kv.Val) + ";"
+			}
+		}
+		return out
+	}
+	many := func(n int) [][]core.Literal {
+		xs := make([][]core.Literal, n)
+		for i := range xs {
+			xs[i] = c("x", "p", "v0")
+		}
+		return xs
+	}
+	pin := pinTo(x, g.NodesWithLabel("L0")[0])
+	for _, tc := range []struct {
+		name string
+		q    *pattern.Pattern
+		opts match.Options
+		want string
+	}{
+		{"one constant", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"))}, "map[x:p=v0;]"},
+		{"two constants", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), c("x", "p", "v1"))}, "map[x:p=v0;p=v1;]"},
+		{"shared constant", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), c("x", "p", "v0"))}, "map[x:p=v0;]"},
+		{"a member without one", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), []core.Literal{core.VarEq("x", "p", "x", "q")})}, "map[]"},
+		{"63 members", lone, match.Options{Guard: guard(lone, many(63)...)}, "map[x:p=v0;]"},
+		{"members past bit 63", lone, match.Options{Guard: guard(lone, many(64)...)}, "map[]"},
+		{"variable literals only", pair, match.Options{Guard: guard(pair, []core.Literal{core.VarEq("x", "p", "y", "p"), core.VarEq("z", "p", "z", "q")})}, "map[]"},
+		{"joined depth", pair, match.Options{Guard: guard(pair, []core.Literal{core.Const("x", "p", "v0"), core.Const("y", "q", "v1")})}, "map[y:q=v1;]"},
+		{"pinned depth", pair, match.Options{Pins: pin, Guard: guard(pair, []core.Literal{core.Const("x", "p", "v0"), core.Const("z", "q", "v1")})}, "map[z:q=v1;]"},
+	} {
+		if got := fmt.Sprint(seedsOf(tc.q, tc.opts)); got != tc.want {
+			t.Errorf("%s: seeds %s, want %s (plan %s)", tc.name, got, tc.want, m.Plan(tc.q, tc.opts))
+		}
+	}
+
+	f := core.MustNew("r", lone, c("x", "p", "v0"), nil)
+	want := xFiltered(g, f, match.Options{})
+	if len(want) == 0 || len(want) == len(g.NodesWithLabel("L0")) {
+		t.Fatalf("%d of %d L0 nodes hold p = v0: the seeded scan shows nothing", len(want), len(g.NodesWithLabel("L0")))
+	}
+	opts := match.Options{Guard: f.CompileLiterals(snap.Syms()).Guard(), Halt: func() bool { return false }}
+	before := m.Tries()
+	if got := guardedKeys(m, lone, opts); !sameKeys(got, want) || int(m.Tries()-before) != len(want) {
+		t.Fatalf("seeded scan: %d matches after %d tries, want %d after as many", len(got), m.Tries()-before, len(want))
+	}
+}

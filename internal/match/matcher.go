@@ -3,6 +3,7 @@ package match
 import (
 	"iter"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -294,12 +295,13 @@ func (m *Matcher) ensure(n int) {
 // interprets; String prints it.
 type Plan struct {
 	Order  []int
-	pos    []int            // pos[u] is the depth pattern node u binds at
-	joins  [][]join         // joins[d]: the edges from order[d] to nodes bound before it
-	fix    []int            // fix[d] indexes joins[d]'s fixed run, or is -1 (see index)
-	pinned int              // Order[:pinned] are the pinned nodes, for String
-	insts  []core.GuardInst // guard instructions in due-depth order
-	at     []int32          // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
+	pos    []int              // pos[u] is the depth pattern node u binds at
+	joins  [][]join           // joins[d]: the edges from order[d] to nodes bound before it
+	fix    []int              // fix[d] indexes joins[d]'s fixed run, or is -1 (see index)
+	pinned int                // Order[:pinned] are the pinned nodes, for String
+	insts  []core.GuardInst   // guard instructions in due-depth order
+	at     []int32            // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
+	seeds  [][]graph.AttrPair // seeds[d]: the constants a component opened at d holds (see seed); nil without a guard
 	cq     *pattern.Compiled
 }
 
@@ -389,6 +391,35 @@ func (p *Plan) schedule(g *core.Guard) {
 	}
 }
 
+// seed records, at each depth past the pins that opens a component (no
+// joins) on a labelled node, the (attribute, value) pairs of the constant
+// literals due there, when every live member of g has one: a candidate
+// that holds none of them fails every member's X, so only the holders of
+// some pair (graph.Snapshot.AppendAttrHolders) can pass admits. They are
+// class members in class order, so iterating them in place of the class
+// tries fewer nodes and yields the same matches in the same order.
+func (p *Plan) seed(g *core.Guard) {
+	p.seeds = make([][]graph.AttrPair, len(p.Order))
+	for d := p.pinned; d < len(p.Order); d++ {
+		if len(p.joins[d]) > 0 || p.cq.NodeSyms[p.Order[d]] == graph.WildcardSym {
+			continue
+		}
+		var seeds []graph.AttrPair
+		var have uint64
+		for i := p.at[d]; i < p.at[d+1]; i++ {
+			if a, v, ok := p.insts[i].Constant(); ok {
+				have |= p.insts[i].Bit()
+				if kv := (graph.AttrPair{Name: a, Val: v}); !slices.Contains(seeds, kv) {
+					seeds = append(seeds, kv)
+				}
+			}
+		}
+		if g.Live()&^have == 0 {
+			p.seeds[d] = seeds
+		}
+	}
+}
+
 // planFor returns the plan for the bound call from the matcher's plan
 // cache: patterns of at most 64 nodes under at most eight pins (all of
 // them, in practice) resolve repeated enumerations, one per work unit on
@@ -414,6 +445,7 @@ func (m *Matcher) planFor() *Plan {
 	p.index(m.q)
 	if m.opts.Guard != nil {
 		p.schedule(m.opts.Guard)
+		p.seed(m.opts.Guard)
 	}
 	if !cacheable {
 		return p
@@ -692,9 +724,14 @@ func (m *Matcher) extend(depth int) {
 		}
 		return
 	}
-	// Fresh component: label class range, or all nodes for a wildcard.
+	// Fresh component: the holders of the constants the guard needs here
+	// (Plan.seed), the label class range, or all nodes for a wildcard.
 	if nl != graph.WildcardSym {
-		for _, v := range m.snap.NodesWith(nl) {
+		cands := m.snap.NodesWith(nl)
+		if m.plan.seeds != nil && m.plan.seeds[depth] != nil {
+			cands = m.holders(depth, nl)
+		}
+		for _, v := range cands {
 			m.try(depth, u, v, labelBit)
 			if m.halt {
 				return
@@ -708,6 +745,22 @@ func (m *Matcher) extend(depth int) {
 			return
 		}
 	}
+}
+
+// holders gathers into depth's candidate buffer the union of the holders
+// of the plan's seeds at depth in class nl, ascending.
+func (m *Matcher) holders(depth int, nl graph.Sym) []graph.NodeID {
+	seeds := m.plan.seeds[depth]
+	c := m.cands[depth][:0]
+	for _, kv := range seeds {
+		c = m.snap.AppendAttrHolders(c, nl, kv.Name, kv.Val)
+	}
+	if len(seeds) > 1 {
+		slices.Sort(c)
+		c = slices.Compact(c)
+	}
+	m.cands[depth] = c
+	return c
 }
 
 // edgeBit is pattern edge ei's bit in a proved-edge mask; edges past the

@@ -18,6 +18,7 @@ import (
 	"gfd/internal/graph"
 	"gfd/internal/incremental"
 	"gfd/internal/match"
+	"gfd/internal/pattern"
 	"gfd/internal/store"
 	"gfd/internal/validate"
 )
@@ -325,4 +326,120 @@ func TestBigDansingKeepsAdoptedGraphHollow(t *testing.T) {
 		t.Fatalf("EngineBigDansing reports %d violations, sequential %d", len(got.Violations), len(want.Violations))
 	}
 	requireSealed(t, g)
+}
+
+// TestSeededScanFollowsOverlayWrites runs constant-X rules through every
+// scan that starts a component from the holders of its constant, over the
+// session's overlay as writes move that constant around. Rule seed's
+// constant sits on the node its search opens with, so the scan iterates
+// the holders of p3 instead of the person class; rule far's constant sits
+// on a person joined from a country, so its search opens on the country
+// class, unseeded; rule lone is one seeded node. After each step the
+// sequential stream, sequential Detect and the GCFD baseline must equal
+// the oracle on a fresh copy of the graph: a node newly takes the value,
+// the base holder loses it, gets it back, an inserted node carries it,
+// and a batch compacts the overlay into a new base.
+func TestSeededScanFollowsOverlayWrites(t *testing.T) {
+	ctx := context.Background()
+	g := graph.New(64, 96)
+	var persons, cities, countries []graph.NodeID
+	for i := 0; i < 20; i++ {
+		cities = append(cities, g.AddNode("city", graph.Attrs{"val": fmt.Sprintf("c%d", i)}))
+	}
+	for i := 0; i < 2; i++ {
+		countries = append(countries, g.AddNode("country", graph.Attrs{"val": fmt.Sprintf("k%d", i)}))
+	}
+	for i := 0; i < 40; i++ {
+		p := g.AddNode("person", graph.Attrs{"val": fmt.Sprintf("p%d", i)})
+		g.MustAddEdge(p, cities[i%len(cities)], "born_in")
+		g.MustAddEdge(p, countries[i%2], "lives_in")
+		persons = append(persons, p)
+	}
+	path := func(name, from, label, to string, x, y []core.Literal) *core.GFD {
+		q := pattern.New()
+		q.AddEdge(q.AddNode("x", from), q.AddNode("z", to), label)
+		return core.MustNew(name, q, x, y)
+	}
+	lone := pattern.New()
+	lone.AddNode("x", "person")
+	p3 := core.Const("x", "val", "p3")
+	set := core.MustNewSet(
+		path("seed", "person", "born_in", "city", []core.Literal{p3}, []core.Literal{core.Const("z", "val", "c0")}),
+		path("far", "person", "lives_in", "country", []core.Literal{p3}, []core.Literal{core.Const("z", "val", "k9")}),
+		core.MustNew("lone", lone, []core.Literal{p3}, []core.Literal{core.Const("x", "age", "old")}),
+	)
+	sess := mustOpen(t, g)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dropped := prep.GCFDRules(); dropped != 0 {
+		t.Fatalf("the GCFD baseline drops %d of the path rules", dropped)
+	}
+	seq := validate.Options{Engine: validate.EngineSequential}
+	check := func(step string) {
+		t.Helper()
+		want := oracleReport(g.Clone(), set)
+		if len(want) == 0 {
+			t.Fatalf("%s: the oracle finds no violation; the step shows nothing", step)
+		}
+		var streamed validate.Report
+		for v, err := range prep.Violations(ctx, seq) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, v)
+		}
+		streamed.Sort()
+		if !streamed.Equal(want) {
+			t.Fatalf("%s: sequential Violations %v, oracle %v", step, streamed.Keys(), want.Keys())
+		}
+		for _, opt := range []validate.Options{seq, {Engine: validate.EngineGCFD}} {
+			res, err := prep.Detect(ctx, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Violations.Equal(want) {
+				t.Fatalf("%s: %v Detect %v, oracle %v", step, opt.Engine, res.Violations.Keys(), want.Keys())
+			}
+		}
+		// The matcher re-checks every candidate, so a holder list that
+		// keeps a node which lost the value costs tries, not violations:
+		// check the list the seeded scans read against its definition.
+		view := prep.Bundle().Topo()
+		syms := view.Syms()
+		l, a, c := syms.Lookup("person"), syms.Lookup("val"), syms.Lookup("p3")
+		var holders []graph.NodeID
+		for _, v := range view.NodesWith(l) {
+			if x, ok := view.AttrSym(v, a); ok && x == c {
+				holders = append(holders, v)
+			}
+		}
+		if got := view.AppendAttrHolders(nil, l, a, c); !slices.Equal(got, holders) {
+			t.Fatalf("%s: holders of p3 %v, filtered person class %v", step, got, holders)
+		}
+	}
+	check("base")
+	sess.Apply(incremental.SetAttr{Node: persons[7], Attr: "val", Value: "p3"})
+	check("a person newly holds p3")
+	sess.Apply(incremental.SetAttr{Node: persons[3], Attr: "val", Value: "p30"})
+	check("the base holder loses p3")
+	sess.Apply(incremental.SetAttr{Node: persons[3], Attr: "val", Value: "p3"})
+	check("the base holder gets p3 back")
+	ids := sess.Apply(incremental.AddNode{Label: "person", Attrs: graph.Attrs{"val": "p3", "age": "young"}})
+	sess.Apply(incremental.AddEdge{From: ids[0], To: cities[5], Label: "born_in"}, incremental.AddEdge{From: ids[0], To: countries[0], Label: "lives_in"})
+	check("an inserted person holds p3")
+	builds := g.SnapshotBuilds()
+	var batch []incremental.Update
+	for i := 0; i < 60; i++ {
+		batch = append(batch, incremental.SetAttr{Node: persons[i%len(persons)], Attr: "age", Value: fmt.Sprint(i)})
+	}
+	batch = append(batch, incremental.SetAttr{Node: persons[11], Attr: "val", Value: "p3"}, incremental.SetAttr{Node: persons[7], Attr: "val", Value: "p7"})
+	sess.Apply(batch...)
+	if g.SnapshotBuilds() == builds {
+		t.Fatal("a batch past the compaction fraction did not compact")
+	}
+	check("after a compaction")
+	sess.Apply(incremental.SetAttr{Node: persons[12], Attr: "val", Value: "p3"})
+	check("a write over the compacted base")
 }
