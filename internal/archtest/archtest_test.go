@@ -62,6 +62,7 @@ var keep = map[string]string{
 	"match.Plans.Misses":             "tests count a rule side's plan-cache misses: none on a warm op",
 	"core.GFD.IsConstant":            "a paper notion; tests assert the CFD encodings with it",
 	"core.Literal.IsTautology":       "a paper notion; tests assert the CFD encodings with it",
+	"workload.Pivot.Seeds":           "tests compare a lowered pivot's seeds with oracles built from rule strings",
 
 	"validate.Options.StreamBuffer":          "tests bound the stream's channel to force backpressure",
 	"validate.Options.SplitThreshold":        "tests force or forbid the split of heavy units",

@@ -440,7 +440,7 @@ func TestPlanningTraversesNoBlocksGuardFires(t *testing.T) {
 	}
 }
 
-// Pivots lower where they run: a pivot's class label, seed filter and
+// Pivots lower where they run: a pivot's class label, seeds and
 // star are lowered once per rule group on a bundle's rule side
 // (workload.Pivot.Lower); the functions that read a view (Class, ClassLen,
 // Candidates) read those codes. A lookup inside one of them runs once per

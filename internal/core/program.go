@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 
 	"gfd/internal/graph"
@@ -239,15 +240,38 @@ func (g *Guard) Live() uint64 { return g.live }
 // A nil guard is never dead.
 func (g *Guard) Dead() bool { return g != nil && g.live == 0 }
 
+// SeedsAt returns the seeds of pattern node z: each live member's first
+// constant literal on z, as (attribute, value) codes in member and X order
+// without repeats, when every live member has one, and nil otherwise. Only
+// the holders of some pair can bind z in a match that satisfies some X.
+// With no live member the list is empty, not nil: nothing passes. Members
+// past the 63rd carry no instructions, so a larger group is never seeded;
+// neither is a nil guard (X empty).
+func (g *Guard) SeedsAt(z int) []graph.AttrPair {
+	if g == nil {
+		return nil
+	}
+	seeds := []graph.AttrPair{}
+	var have uint64
+	for i := range g.insts {
+		gi := &g.insts[i]
+		if gi.lit.kind != Constant || int(gi.lit.xi) != z || have&gi.bit != 0 {
+			continue
+		}
+		have |= gi.bit
+		if kv := (graph.AttrPair{Name: gi.lit.a, Val: gi.lit.c}); !slices.Contains(seeds, kv) {
+			seeds = append(seeds, kv)
+		}
+	}
+	if g.live&^have != 0 {
+		return nil
+	}
+	return seeds
+}
+
 // Operands returns the pattern nodes the instruction reads; y == x for a
 // constant literal.
 func (gi *GuardInst) Operands() (x, y int) { return int(gi.lit.xi), int(gi.lit.yi) }
-
-// Constant returns the attribute and value codes a constant literal
-// compares its node's tuple to; ok is false for a variable literal.
-func (gi *GuardInst) Constant() (attr, val graph.Sym, ok bool) {
-	return gi.lit.a, gi.lit.c, gi.lit.kind == Constant
-}
 
 // Bit returns the member bit the instruction clears when it fails.
 func (gi *GuardInst) Bit() uint64 { return gi.bit }

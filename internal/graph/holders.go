@@ -17,17 +17,14 @@ type holders struct {
 	byKV map[holderKey][]NodeID
 }
 
-// classAttr keys a view's attribute-write index: (label class, attribute).
-type classAttr struct{ label, attr Sym }
-
 // AppendAttrHolders appends to dst the holders of attr = val in label
 // class l: exactly the members of NodesWith(l) whose tuple holds that
 // pair, ascending and without duplicates.
 //
 // On frozen arrays the first call makes one pass over the class and
 // caches the list. A view answers with that list minus the nodes whose
-// tuple its patch copied, plus the copied tuples that hold the pair,
-// found through the patch's attribute-write index (patch.writtenTo).
+// tuple its patch holds, plus those of the patch's nodes of label l
+// (patch.tupled) whose tuple holds the pair now.
 func (s *Snapshot) AppendAttrHolders(dst []NodeID, l, attr, val Sym) []NodeID {
 	base := s.frozenHolders(holderKey{l, attr, val})
 	p := s.patch
@@ -41,16 +38,15 @@ func (s *Snapshot) AppendAttrHolders(dst []NodeID, l, attr, val Sym) []NodeID {
 		}
 	}
 	n := len(dst)
-	for _, v := range p.writtenTo(s, classAttr{l, attr}) {
-		if x, ok := s.AttrSym(v, attr); ok && x == val {
+	for _, v := range p.tupled[l] {
+		if x, ok := lookupAttr(p.tuples[p.attrSlot[v]], attr); ok && x == val {
 			dst = append(dst, v)
 		}
 	}
-	if len(dst) == n {
-		return dst
+	if len(dst) > n {
+		slices.Sort(dst[k:])
 	}
-	slices.Sort(dst[k:])
-	return append(dst[:k], slices.Compact(dst[k:])...)
+	return dst
 }
 
 // frozenHolders returns the cached holders of key on the frozen arrays s
@@ -77,25 +73,4 @@ func (s *Snapshot) frozenHolders(key holderKey) []NodeID {
 	h.byKV[key] = list // a racing miss stores an equal list
 	h.mu.Unlock()
 	return list
-}
-
-// writtenTo returns the logged nodes of class key.label whose tuple
-// carries key.attr, in log order, duplicates possible, after indexing the
-// writes logged since the last read under every attribute of the written
-// tuple. Attributes are never removed, so the list stays complete; the
-// values may have changed since, which callers re-check.
-func (p *patch) writtenTo(s *Snapshot, key classAttr) []NodeID {
-	p.indexMu.Lock()
-	defer p.indexMu.Unlock()
-	for _, v := range p.attrLog[p.indexed:] {
-		l := s.Label(v)
-		for _, ap := range s.AttrPairs(v) {
-			k := classAttr{l, ap.Name}
-			if vs := p.index[k]; len(vs) == 0 || vs[len(vs)-1] != v {
-				p.index[k] = append(vs, v)
-			}
-		}
-	}
-	p.indexed = len(p.attrLog)
-	return p.index[key]
 }

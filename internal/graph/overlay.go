@@ -33,12 +33,12 @@ import (
 // a node no update touched — most of them — is one slot load beside the
 // base read, with no hash. The slots cost 12 bytes per node, allocated
 // when the overlay starts; the patch also lists the nodes it touched, which
-// Heavy re-ranks, and logs the node of every attribute write, which the
-// first holder read (AppendAttrHolders) indexes by label class and
-// attribute and later reads extend, so keeping the index costs per write,
-// never per graph. Nodes inserted after the freeze get label and
-// class-range fixups (per-label candidate classes grown incrementally,
-// kept ascending because new IDs are always larger than frozen ones).
+// Heavy re-ranks, and, per label, the nodes whose tuple it holds, which a
+// holder read (AppendAttrHolders) re-checks against those tuples, so the
+// holders of a value cost per write, never per graph. Nodes inserted after
+// the freeze get label and class-range fixups (per-label candidate classes
+// grown incrementally, kept ascending because new IDs are always larger
+// than frozen ones).
 //
 // The overlay interns new labels and attribute values into the base
 // snapshot's own symbol table, and ranks a new label last in the view's
@@ -182,11 +182,13 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 	if len(attrs) > 0 {
 		p.tuples = append(p.tuples, o.internTuple(attrs))
 		slot = int32(len(p.tuples) - 1)
-		p.attrLog = append(p.attrLog, id)
 	}
 	p.outSlot, p.inSlot = append(p.outSlot, 0), append(p.inSlot, 0)
 	p.attrSlot = append(p.attrSlot, slot)
 	l := o.syms.Intern(label)
+	if slot != 0 {
+		p.tupled[l] = append(p.tupled[l], id)
+	}
 	if o.rank(l).nbr < 0 {
 		o.add(l, false)
 	}
@@ -257,6 +259,8 @@ func (o *Overlay) SetAttr(v NodeID, a, val string) {
 		p.tuples = append(p.tuples, slices.Clone(o.AttrPairs(v)))
 		k = int32(len(p.tuples) - 1)
 		p.attrSlot[v] = k
+		l := o.Label(v)
+		p.tupled[l] = append(p.tupled[l], v)
 	}
 	ps := p.tuples[k]
 	pos := sort.Search(len(ps), func(i int) bool { return ps[i].Name >= name })
@@ -265,7 +269,6 @@ func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	} else {
 		p.tuples[k] = slices.Insert(ps, pos, AttrPair{Name: name, Val: sym})
 	}
-	p.attrLog = append(p.attrLog, v)
 	o.delta++
 	p.version = o.g.readThrough(o.Snapshot)
 }

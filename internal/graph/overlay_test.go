@@ -691,33 +691,54 @@ func TestConcurrentNewOverlayStartsOne(t *testing.T) {
 	}
 }
 
-// TestConcurrentHolderReads is the -race target for a view's lazy
-// attribute-write index and its base's holder cache: after each batch of
-// fresh writes, goroutines read the holders of one value at once, so the
-// first of them extends the index while the others wait for it, and all
-// of them must see the filtered class.
+// TestConcurrentHolderReads is the -race target for a view's holder reads
+// and its base's holder cache: after each batch of fresh writes,
+// goroutines read the holders of one value at once, the first of them
+// filling the cache while the others wait for it, and all of them must see
+// the filtered class. Its second row writes what a view must re-check
+// rather than remember: a copied tuple that gains an attribute, an
+// attributed insert overwritten and written back, and a write to a node
+// inserted without attributes.
 func TestConcurrentHolderReads(t *testing.T) {
-	ov := NewOverlay(overlayBaseGraph())
-	syms := ov.Syms()
-	for batch := 0; batch < 4; batch++ {
-		ov.SetAttr(NodeID(batch), "val", "v2")
-		ov.AddNode("person", Attrs{"val": "v2"})
-		ov.SetAttr(2, "val", []string{"v2", "v5"}[batch%2])
-		l, a, val := syms.Lookup("person"), syms.Lookup("val"), syms.Lookup("v2")
-		want := bruteHolders(ov.Snapshot, l, a, val)
-		got := make([][]NodeID, 8)
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got[i] = ov.AppendAttrHolders(nil, l, a, val)
-			}(i)
-		}
-		wg.Wait()
-		for i, h := range got {
-			if !slices.Equal(h, want) {
-				t.Fatalf("batch %d, reader %d: holders %v, filtered class %v", batch, i, h, want)
+	for _, tc := range []struct {
+		name             string
+		write            func(ov *Overlay, batch int)
+		label, attr, val string
+	}{
+		{"values", func(ov *Overlay, batch int) {
+			ov.SetAttr(NodeID(batch), "val", "v2")
+			ov.AddNode("person", Attrs{"val": "v2"})
+			ov.SetAttr(2, "val", []string{"v2", "v5"}[batch%2])
+		}, "person", "val", "v2"},
+		{"rewrites", func(ov *Overlay, batch int) {
+			ov.SetAttr(NodeID(batch), "val", "v9")
+			ov.SetAttr(NodeID(batch), "pop", "p1")
+			id := ov.AddNode("person", Attrs{"pop": "p1"})
+			ov.SetAttr(id, "pop", "p0")
+			ov.SetAttr(id, "pop", "p1")
+			ov.SetAttr(ov.AddNode("person", nil), "pop", "p1")
+		}, "person", "pop", "p1"},
+	} {
+		ov := NewOverlay(overlayBaseGraph())
+		syms := ov.Syms()
+		for batch := 0; batch < 4; batch++ {
+			tc.write(ov, batch)
+			l, a, val := syms.Lookup(tc.label), syms.Lookup(tc.attr), syms.Lookup(tc.val)
+			want := bruteHolders(ov.Snapshot, l, a, val)
+			got := make([][]NodeID, 8)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = ov.AppendAttrHolders(nil, l, a, val)
+				}(i)
+			}
+			wg.Wait()
+			for i, h := range got {
+				if !slices.Equal(h, want) {
+					t.Fatalf("%s, batch %d, reader %d: holders %v, filtered class %v", tc.name, batch, i, h, want)
+				}
 			}
 		}
 	}
@@ -835,6 +856,12 @@ func FuzzOverlayPatch(f *testing.F) {
 	// back, then attributed nodes inserted.
 	f.Add([]byte{0xF5, 0xF2, 0xF5, 0, 6, 12, 0xF2})
 	f.Add([]byte{2, 0xF5, 5, 0xF5, 0xF2, 0xF2, 0, 0, 1, 0xF5})
+	// Node 0's copied tuple gains an attribute (pop) it never had.
+	f.Add([]byte{0xF5, 0xFE, 0xF2})
+	// An attributed person inserted, its value overwritten and written back.
+	f.Add([]byte{0, 0xFB, 0xF8, 0xFB})
+	// A city inserted without attributes, then written.
+	f.Add([]byte{3, 0xFB, 0xF8})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -856,6 +883,11 @@ func FuzzOverlayPatch(f *testing.F) {
 				case b%3 == 1:
 					n := w.ov.NumNodes()
 					w.addEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), edgeLabels[int(b/3)%len(edgeLabels)])
+				case b == 0xFE:
+					w.setAttr(0, "pop", "s5")
+				case b >= 0xF8:
+					// The newest node takes v0 or v2.
+					w.setAttr(NodeID(w.ov.NumNodes()-1), "val", []string{"v0", "v2"}[b%2])
 				case b >= 0xF0:
 					// Node 0 takes person 2's value or its own back.
 					w.setAttr(0, "val", []string{"v0", "v2"}[b%2])
@@ -866,14 +898,16 @@ func FuzzOverlayPatch(f *testing.F) {
 				if !w.ov.Synced() {
 					t.Fatal("overlay fell out of sync under its own mutators")
 				}
-				// Read the holders after every write, so later reads extend
-				// the view's attribute-write index instead of building it.
+				// Read the holders after every write: each read re-checks
+				// the patch's tuples as they are now.
 				syms := w.ov.Syms()
 				for _, l := range []string{"person", "city"} {
-					for _, val := range []string{"v0", "v2", "a0", "s2"} {
-						ls, as, vs := syms.Lookup(l), syms.Lookup("val"), syms.Lookup(val)
-						if got, want := w.ov.AppendAttrHolders(nil, ls, as, vs), bruteHolders(w.ov.Snapshot, ls, as, vs); !slices.Equal(got, want) {
-							t.Fatalf("holders of %s.val = %s: %v, filtered class %v", l, val, got, want)
+					for _, a := range []string{"val", "pop"} {
+						for _, val := range []string{"v0", "v2", "a0", "s2", "s5"} {
+							ls, as, vs := syms.Lookup(l), syms.Lookup(a), syms.Lookup(val)
+							if got, want := w.ov.AppendAttrHolders(nil, ls, as, vs), bruteHolders(w.ov.Snapshot, ls, as, vs); !slices.Equal(got, want) {
+								t.Fatalf("holders of %s.%s = %s: %v, filtered class %v", l, a, val, got, want)
+							}
 						}
 					}
 				}

@@ -139,19 +139,12 @@ type patch struct {
 	lists           [][]CSREdge      // copied adjacency in compareCSR order; lists[0] is unused
 	attrSlot        []int32          // per node: 0, or an index into tuples
 	tuples          [][]AttrPair     // copied tuples, sorted by Name; tuples[0] is unused
+	tupled          map[Sym][]NodeID // per label, the nodes holding a tuple slot, in copy order
 	touched         []NodeID         // nodes holding an out or in slot, in first-touch order
 	labels          []Sym            // labels of nodes inserted after the freeze
 	classes         map[Sym][]NodeID // merged candidate classes for labels that gained nodes
 	edges           int              // edges inserted after the freeze
 	version         uint64           // graph version the patch reflects
-
-	// attrLog holds the node of each SetAttr and attributed AddNode, in
-	// write order; index files attrLog[:indexed] by label class and
-	// attribute, extended by holder reads under indexMu (writtenTo).
-	attrLog []NodeID
-	indexMu sync.Mutex
-	indexed int
-	index   map[classAttr][]NodeID
 }
 
 // newPatch returns the empty patch of a view over base at graph version
@@ -164,9 +157,9 @@ func newPatch(base *Snapshot, version uint64) *patch {
 		attrSlot: make([]int32, n),
 		lists:    make([][]CSREdge, 1),
 		tuples:   make([][]AttrPair, 1),
+		tupled:   make(map[Sym][]NodeID),
 		classes:  make(map[Sym][]NodeID),
 		version:  version,
-		index:    make(map[classAttr][]NodeID),
 	}
 }
 

@@ -424,7 +424,7 @@ func TestMatcherZeroAllocSteadyState(t *testing.T) {
 	// Constant-only X: the plan opens the search at c and iterates the
 	// holders of the city value, not the city class — on the frozen
 	// snapshot through its holder cache, on the patched view through that
-	// cache and the view's attribute-write index.
+	// cache and the tuples the view's patch copied.
 	seeded := core.MustNew("s", q, []core.Literal{core.Const("c", "val", city)}, nil)
 	for _, row := range []struct {
 		name string

@@ -283,8 +283,10 @@ func TestDiamondPlanSeedsGuardedPair(t *testing.T) {
 
 // TestPlanSeedsConstantComponents pins when a depth records seeds: only a
 // depth past the pins that opens a component, and only when every live
-// member of the guard has a constant literal due there; the seeds are the
-// union of those constants. A seeded single-node rule tries exactly the
+// member of the guard has a constant literal due there; the seeds are each
+// live member's first such constant, without repeats (core.Guard.SeedsAt).
+// A member whose X can never hold does not count, and a guard past 63
+// members seeds nothing. A seeded single-node rule tries exactly the
 // holders and yields the oracle's matches.
 func TestPlanSeedsConstantComponents(t *testing.T) {
 	g := attrGraph(rand.New(rand.NewSource(3)), 90, 300)
@@ -335,9 +337,12 @@ func TestPlanSeedsConstantComponents(t *testing.T) {
 		{"one constant", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"))}, "map[x:p=v0;]"},
 		{"two constants", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), c("x", "p", "v1"))}, "map[x:p=v0;p=v1;]"},
 		{"shared constant", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), c("x", "p", "v0"))}, "map[x:p=v0;]"},
+		{"two constants in one member", lone, match.Options{Guard: guard(lone, []core.Literal{core.Const("x", "p", "v1"), core.Const("x", "q", "v0")})}, "map[x:p=v1;]"},
+		{"a dead member", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), []core.Literal{core.VarEq("x", "p", "x", "ghost")})}, "map[x:p=v0;]"},
 		{"a member without one", lone, match.Options{Guard: guard(lone, c("x", "p", "v0"), []core.Literal{core.VarEq("x", "p", "x", "q")})}, "map[]"},
 		{"63 members", lone, match.Options{Guard: guard(lone, many(63)...)}, "map[x:p=v0;]"},
 		{"members past bit 63", lone, match.Options{Guard: guard(lone, many(64)...)}, "map[]"},
+		{"100 members", lone, match.Options{Guard: guard(lone, many(100)...)}, "map[]"},
 		{"variable literals only", pair, match.Options{Guard: guard(pair, []core.Literal{core.VarEq("x", "p", "y", "p"), core.VarEq("z", "p", "z", "q")})}, "map[]"},
 		{"joined depth", pair, match.Options{Guard: guard(pair, []core.Literal{core.Const("x", "p", "v0"), core.Const("y", "q", "v1")})}, "map[y:q=v1;]"},
 		{"pinned depth", pair, match.Options{Pins: pin, Guard: guard(pair, []core.Literal{core.Const("x", "p", "v0"), core.Const("z", "q", "v1")})}, "map[z:q=v1;]"},

@@ -301,7 +301,7 @@ type Plan struct {
 	pinned int                // Order[:pinned] are the pinned nodes, for String
 	insts  []core.GuardInst   // guard instructions in due-depth order
 	at     []int32            // insts[at[d]:at[d+1]] are due at depth d; nil without a guard
-	seeds  [][]graph.AttrPair // seeds[d]: the constants a component opened at d holds (see seed); nil without a guard
+	seeds  [][]graph.AttrPair // seeds[d]: the pairs a component opened at d is seeded with (see seed); nil without a guard
 	cq     *pattern.Compiled
 }
 
@@ -392,30 +392,17 @@ func (p *Plan) schedule(g *core.Guard) {
 }
 
 // seed records, at each depth past the pins that opens a component (no
-// joins) on a labelled node, the (attribute, value) pairs of the constant
-// literals due there, when every live member of g has one: a candidate
-// that holds none of them fails every member's X, so only the holders of
-// some pair (graph.Snapshot.AppendAttrHolders) can pass admits. They are
-// class members in class order, so iterating them in place of the class
-// tries fewer nodes and yields the same matches in the same order.
+// joins) on a labelled node, where g seeds that node (core.Guard.SeedsAt):
+// a candidate that holds none of the pairs fails every live member's X, so
+// only the holders of some pair (graph.Snapshot.AppendAttrHolders) can
+// pass. They are class members in class order, so iterating them in place
+// of the class tries fewer nodes and yields the same matches in the same
+// order.
 func (p *Plan) seed(g *core.Guard) {
 	p.seeds = make([][]graph.AttrPair, len(p.Order))
 	for d := p.pinned; d < len(p.Order); d++ {
-		if len(p.joins[d]) > 0 || p.cq.NodeSyms[p.Order[d]] == graph.WildcardSym {
-			continue
-		}
-		var seeds []graph.AttrPair
-		var have uint64
-		for i := p.at[d]; i < p.at[d+1]; i++ {
-			if a, v, ok := p.insts[i].Constant(); ok {
-				have |= p.insts[i].Bit()
-				if kv := (graph.AttrPair{Name: a, Val: v}); !slices.Contains(seeds, kv) {
-					seeds = append(seeds, kv)
-				}
-			}
-		}
-		if g.Live()&^have == 0 {
-			p.seeds[d] = seeds
+		if len(p.joins[d]) == 0 && p.cq.NodeSyms[p.Order[d]] != graph.WildcardSym {
+			p.seeds[d] = g.SeedsAt(p.Order[d])
 		}
 	}
 }

@@ -43,7 +43,7 @@ func starShapes() map[string]*pattern.Pattern {
 }
 
 // TestCandidatesDropNoMatch: on randomWorkload graphs, a class member that
-// passes its component's seed filter yet fails CandidatesIn has no match
+// holds one of its component's seeds yet fails Candidates has no match
 // with the pivot pinned there (unguarded) — for the random rule patterns,
 // for every star shape of starShapes, and for a seeded pivot.
 func TestCandidatesDropNoMatch(t *testing.T) {
@@ -60,17 +60,21 @@ func TestCandidatesDropNoMatch(t *testing.T) {
 			pivots[name] = workload.ComputePivot(q)
 		}
 		seeded := workload.ComputePivot(starShapes()["parallel"])
-		seeded.Seed(0, workload.Filter{Attr: "p", Values: []string{"v0", "v1"}})
+		seeded.Seed(0)
 		pivots["seeded"] = seeded
+		syms := snap.Syms()
+		p := syms.Lookup("p")
+		seeds := []graph.AttrPair{{Name: p, Val: syms.Lookup("v0")}, {Name: p, Val: syms.Lookup("v1")}}
 		for name, pv := range pivots {
+			lp := pv.Lower(syms, func(int) []graph.AttrPair { return seeds })
 			for i, z := range pv.Vars {
-				kept := pv.CandidatesIn(snap, i)
-				label, f := pv.Q.Nodes[z].Label, pv.Filters[i]
+				kept := lp.Candidates(snap, i, workload.Range{Lo: 0, Hi: lp.ClassLen(snap, i)})
+				label, seeds := pv.Q.Nodes[z].Label, lp.Seeds(i)
 				for v := range graph.NodeID(g.NumNodes()) {
 					if !pattern.LabelMatches(label, g.Label(v)) || slices.Contains(kept, v) {
 						continue
 					}
-					if val, ok := g.Attr(v, f.Attr); f.Active() && (!ok || !slices.Contains(f.Values, val)) {
+					if val, ok := g.Attr(v, "p"); seeds != nil && (!ok || val != "v0" && val != "v1") {
 						continue
 					}
 					rejected[name]++

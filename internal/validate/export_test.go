@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gfd/internal/cluster"
+	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
 	"gfd/internal/workload"
@@ -171,14 +172,15 @@ func eachVector(cands [][]graph.NodeID, symmetric bool, fn func([]graph.NodeID) 
 	}
 }
 
-// GroupShape is one rule group's pattern, pivot variables, their candidate
-// filters and stripe node.
+// GroupShape is one rule group's pattern, member rules, pivot variables,
+// their lowered seeds and stripe node.
 type GroupShape struct {
-	Q       *pattern.Pattern
-	Pivot   *workload.Pivot
-	Pivots  []int
-	Filters []workload.Filter
-	Stripe  int
+	Q      *pattern.Pattern
+	Rules  []*core.GFD
+	Pivot  *workload.Pivot
+	Pivots []int
+	Seeds  [][]graph.AttrPair
+	Stripe int
 }
 
 // GroupShapes returns the shape of every rule group of opt's variant.
@@ -186,37 +188,56 @@ func (b *Bundle) GroupShapes(opt Options) []GroupShape {
 	_, gs, _ := b.ruleGroupsKeyed(opt.Normalized())
 	out := make([]GroupShape, len(gs))
 	for i, grp := range gs {
-		out[i] = GroupShape{grp.q, grp.pivot, grp.pivot.Vars, grp.pivot.Filters, grp.stripe}
+		seeds := make([][]graph.AttrPair, grp.pivot.Arity())
+		for c := range seeds {
+			seeds[c] = grp.pivot.Seeds(c)
+		}
+		rules := make([]*core.GFD, len(grp.deps))
+		for k, d := range grp.deps {
+			rules[k] = d.rule
+		}
+		out[i] = GroupShape{grp.q, rules, grp.pivot, grp.pivot.Vars, seeds, grp.stripe}
 	}
 	return out
 }
 
-// OracleCandidates is the candidate set of a pivot component read through
-// the mutable graph's strings and maps.
-func OracleCandidates(g *graph.Graph, pv *workload.Pivot, i int) []graph.NodeID {
-	return oracleCandidates(g, pv, i)
+// OracleCandidates is the candidate set of a pivot component, lowered onto
+// syms, read through the mutable graph's strings and maps.
+func OracleCandidates(g *graph.Graph, syms *graph.Symbols, pv *workload.Pivot, i int) []graph.NodeID {
+	return oracleCandidates(g, syms, pv, i)
 }
 
 // oracleCandidates is the candidate set read through the mutable graph's
-// strings: every node whose label the pivot's admits, whose filter
-// attribute, for a seeded component, holds one of its constants, and whose
-// star holds (oracleStar).
-func oracleCandidates(g *graph.Graph, pv *workload.Pivot, i int) []graph.NodeID {
-	label, f := pv.Q.Nodes[pv.Vars[i]].Label, pv.Filters[i]
+// strings: every node whose label the pivot's admits, that holds one of
+// the component's seeds (named through syms, the table pv was lowered
+// onto) when it has any, and whose star holds (oracleStar).
+func oracleCandidates(g *graph.Graph, syms *graph.Symbols, pv *workload.Pivot, i int) []graph.NodeID {
+	label, seeds := pv.Q.Nodes[pv.Vars[i]].Label, pv.Seeds(i)
 	var out []graph.NodeID
 	for v := range graph.NodeID(g.NumNodes()) {
 		if !pattern.LabelMatches(label, g.Label(v)) {
 			continue
 		}
-		if f.Active() {
-			if val, ok := g.Attr(v, f.Attr); !ok || !slices.Contains(f.Values, val) {
-				continue
-			}
+		if seeds != nil && !slices.ContainsFunc(seeds, func(kv graph.AttrPair) bool {
+			val, ok := g.Attr(v, syms.Name(kv.Name))
+			return ok && val == syms.Name(kv.Val)
+		}) {
+			continue
 		}
 		if oracleStar(g, pv.Q, pv.Vars[i], v) {
 			out = append(out, v)
 		}
 	}
+	return out
+}
+
+// seedNames renders seeds lowered onto syms as sorted "attr=value" strings.
+func seedNames(syms *graph.Symbols, seeds []graph.AttrPair) []string {
+	out := make([]string, len(seeds))
+	for i, kv := range seeds {
+		out[i] = syms.Name(kv.Name) + "=" + syms.Name(kv.Val)
+	}
+	slices.Sort(out)
 	return out
 }
 

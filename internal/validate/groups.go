@@ -59,7 +59,8 @@ func stripeNode(q *pattern.Pattern, pv *workload.Pivot) int {
 // the group guard from them, so the per-match hot path (checkMatch) reads
 // a program pointer and never locks, reads the group pattern's lowering
 // from the side's plans (the group pattern is its first member's Q) and
-// lowers the pivot onto the side's table once, so no unit looks up a name.
+// lowers the pivot onto the side's table once, seeded where the guard
+// seeds its pivot node (core.Guard.SeedsAt), so no unit looks up a name.
 // Call under rs.mu.
 func (grp *ruleGroup) bind(rs *ruleSide) {
 	ps := make([]*core.LiteralProgram, len(grp.deps))
@@ -70,7 +71,7 @@ func (grp *ruleGroup) bind(rs *ruleSide) {
 	}
 	grp.guard = core.GroupGuard(ps, perms)
 	grp.cq = rs.plans.Compiled(grp.q)
-	grp.pivot = grp.pivot.Lower(rs.syms)
+	grp.pivot = grp.pivot.Lower(rs.syms, grp.guard.SeedsAt)
 }
 
 // buildGroups partitions rules into groups. With combine=false (the *nop
@@ -81,10 +82,11 @@ func (grp *ruleGroup) bind(rs *ruleSide) {
 // on the node of least eccentricity, the first in X order on a tie
 // (seedOf). Isomorphic rules share a group only if their seeds land on the
 // same group node and attribute, or neither has one; a seeded group pivots
-// its seed node's component there, filtered to the union of its members'
-// constants (workload.Pivot.Seed). Symmetric two-component patterns are
-// never seeded. The choice reads the rules alone, so a worker process
-// rebuilding groups from the shipped rule set gets the coordinator's.
+// its seed node's component there (workload.Pivot.Seed), and bind keeps
+// the candidates that hold one of its live members' constants. Symmetric
+// two-component patterns are never seeded. The choice reads the rules
+// alone, so a worker process rebuilding groups from the shipped rule set
+// gets the coordinator's.
 func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 	var groups []*ruleGroup
 	var seeds []seed // per group, in group node indices
@@ -102,14 +104,10 @@ func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 					if sd.node < 0 || gs.node < 0 {
 						return sd.node == gs.node
 					}
-					return perm[sd.node] == gs.node && sd.filter.Attr == gs.filter.Attr
+					return perm[sd.node] == gs.node && sd.attr == gs.attr
 				})
 				if ok {
 					grp.deps = append(grp.deps, depSpec{rule: f, perm: perm})
-					if sd.node >= 0 && !slices.Contains(gs.filter.Values, sd.filter.Values[0]) {
-						gs.filter.Values = append(gs.filter.Values, sd.filter.Values[0])
-						slices.Sort(gs.filter.Values)
-					}
 					placed = true
 					break
 				}
@@ -126,7 +124,7 @@ func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 	}
 	for gi, grp := range groups {
 		if sd := seeds[gi]; sd.node >= 0 {
-			grp.pivot.Seed(sd.node, sd.filter)
+			grp.pivot.Seed(sd.node)
 		}
 		grp.stripe = stripeNode(grp.q, grp.pivot)
 	}
@@ -134,15 +132,16 @@ func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 }
 
 // seed is where a rule (or group) pins its pivot: a pattern node, -1 for
-// none, and the constants its X requires there.
+// none, and the attribute of the constant its X requires there.
 type seed struct {
-	node   int
-	filter workload.Filter
+	node int
+	attr string
 }
 
 // seedOf returns f's seed: the node of its constant X literal of least
-// eccentricity (first in X order on a tie) with that literal's attribute
-// and constant, or node -1 when X has no constant literal.
+// eccentricity (first in X order on a tie) with that literal's attribute,
+// or node -1 when X has no constant literal. The literal is f's first
+// constant on that node, the one the group guard seeds with.
 func seedOf(f *core.GFD) seed {
 	sd, best := seed{node: -1}, 0
 	for _, l := range f.X {
@@ -151,7 +150,7 @@ func seedOf(f *core.GFD) seed {
 		}
 		z, _ := f.Q.VarIndex(l.X)
 		if ecc := f.Q.Eccentricity(z); sd.node < 0 || ecc < best {
-			sd = seed{node: z, filter: workload.Filter{Attr: l.A, Values: []string{l.C}}}
+			sd = seed{node: z, attr: l.A}
 			best = ecc
 		}
 	}

@@ -250,10 +250,33 @@ func heapKind(t *testing.T, name string, g *graph.Graph, set *core.Set) topology
 	return topologyKind{name, canonical(validate.OracleVio(g, set)), func() *validate.Bundle { return validate.NewBundle(g, set) }, nil}
 }
 
+// wideGroup is one pattern, a country's capital city, under 70 rules, each
+// with its own constant on the country's val: one group past the 63
+// members a guard tracks, which therefore pivots unseeded. Every seventh
+// country's capital breaks its rule, the 64th rule's included.
+func wideGroup() (*graph.Graph, *core.Set) {
+	g := graph.New(0, 0)
+	rules := make([]*core.GFD, 70)
+	for k := range rules {
+		country, city := fmt.Sprintf("country_%d", k), fmt.Sprintf("city_%d", k)
+		capital := city
+		if k%7 == 0 {
+			capital = "city_x"
+		}
+		g.MustAddEdge(g.AddNode("country", graph.Attrs{"val": country}), g.AddNode("city", graph.Attrs{"val": capital}), "capital")
+		q := pattern.New()
+		q.AddEdge(q.AddNode("c", "country"), q.AddNode("d", "city"), "capital")
+		rules[k] = core.MustNew("capital_"+fmt.Sprint(k), q, []core.Literal{core.Const("c", "val", country)},
+			[]core.Literal{core.Const("d", "val", city)})
+	}
+	return g, core.MustNewSet(rules...)
+}
+
 // fixtureKinds are the paper's G1 with φ1, the YAGO2- and Pokec-like
 // generators with their noise and the rules mined after it, which hold
-// almost everywhere, and the seeded KB workload, whose violations the
-// pivot seeds must not lose.
+// almost everywhere, the seeded KB workload, whose violations the pivot
+// seeds must not lose, and the wide group, whose members past the 63rd the
+// seeds must not hide.
 func fixtureKinds(t *testing.T) []topologyKind {
 	yago := gen.YAGO2Like(gen.DatasetConfig{Scale: 160, Seed: 11})
 	gen.Inject(yago, gen.NoiseConfig{Rate: 0.05, Seed: 12})
@@ -264,11 +287,16 @@ func fixtureKinds(t *testing.T) []topologyKind {
 	if seeded.expect == "" {
 		t.Fatal("the seeded KB workload has no violation")
 	}
+	wg, wset := wideGroup()
+	if gs := validate.NewBundle(wg, wset).GroupShapes(validate.Options{}); len(gs) != 1 || len(gs[0].Rules) != 70 || gs[0].Seeds[0] != nil {
+		t.Fatal("the wide group's rules no longer form one unseeded group")
+	}
 	return []topologyKind{
 		heapKind(t, "paper G1", validate.PaperG1(), core.MustNewSet(validate.Phi1())),
 		heapKind(t, "mined heap", yago, gen.MineGFDs(yago, gen.MineConfig{NumRules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 13})),
 		heapKind(t, "social heap", pokec, gen.MineGFDs(pokec, gen.MineConfig{NumRules: 6, PatternSize: 5, TwoCompFrac: 0.2, Seed: 23})),
 		seeded,
+		heapKind(t, "wide group heap", wg, wset),
 	}
 }
 

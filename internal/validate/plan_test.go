@@ -167,7 +167,7 @@ func checkPlan(t *testing.T, kind string, g *graph.Graph, b *validate.Bundle) (s
 				if n := gs.Pivot.ClassLen(b.Topo(), i); at != n {
 					t.Fatalf("%s: group %d component %d ranges cover [0, %d) of a class of %d", name, gi, i, at, n)
 				}
-				if want := validate.OracleCandidates(g, gs.Pivot, i); !slices.Equal(survivors, want) {
+				if want := validate.OracleCandidates(g, b.Topo().Syms(), gs.Pivot, i); !slices.Equal(survivors, want) {
 					t.Fatalf("%s: group %d component %d survivors %v, oracle %v", name, gi, i, survivors, want)
 				}
 				if len(gs.Pivots) == 2 && i == 1 {
@@ -196,7 +196,7 @@ func checkPlan(t *testing.T, kind string, g *graph.Graph, b *validate.Bundle) (s
 // mapping, heap snapshot, and the session overlay after two update batches
 // — and every option variant, the chunk plan follows the chunk rules and
 // the star tests its units run keep exactly the candidates an oracle reads
-// through the mutable graph's strings and maps: seed filters and pivot
+// through the mutable graph's strings and maps: seeds and pivot
 // stars, over every class range once. The mapping and the heap snapshot of
 // one graph plan identical chunks, and Apply drops the plan: the overlay's
 // bundle runs every star test again.
@@ -208,7 +208,7 @@ func TestPlanIdenticalToMapBasedOracle(t *testing.T) {
 		gen.Inject(g, gen.NoiseConfig{Rate: 0.1, Seed: seed + 20})
 		addHubs(g, seed)
 		if !slices.ContainsFunc(validate.NewBundle(g, set).GroupShapes(validate.Options{}), func(gs validate.GroupShape) bool {
-			return slices.ContainsFunc(gs.Filters, workload.Filter.Active)
+			return slices.ContainsFunc(gs.Seeds, func(s []graph.AttrPair) bool { return len(s) > 0 })
 		}) {
 			t.Fatal("no group of planRules is seeded; the seeded plans go uncompared")
 		}

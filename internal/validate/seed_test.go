@@ -63,21 +63,22 @@ func TestSeededPivotUnits(t *testing.T) {
 	// Units = Σ candidate list sizes, read through the mutable graph's
 	// strings; the symmetric pair is the list's unordered pairs.
 	want, classSized := 0, 0
+	syms := b.topo.Syms()
 	for _, grp := range groups {
 		pv := grp.pivot
 		if pv.Symmetric() {
-			if pv.Filters[0].Active() || pv.Filters[1].Active() {
+			if pv.Seeds(0) != nil || pv.Seeds(1) != nil {
 				t.Fatalf("symmetric group %s was seeded", grp.q)
 			}
-			n := len(oracleCandidates(g, pv, 0))
+			n := len(oracleCandidates(g, syms, pv, 0))
 			want += n * (n - 1) / 2
 			classSized += n * (n - 1) / 2
 			continue
 		}
-		if pv.Arity() != 1 || !pv.Filters[0].Active() {
-			t.Fatalf("group %s: arity %d, filter %+v; want one seeded component", grp.q, pv.Arity(), pv.Filters[0])
+		if pv.Arity() != 1 || pv.Seeds(0) == nil {
+			t.Fatalf("group %s: arity %d, seeds %v; want one seeded component", grp.q, pv.Arity(), pv.Seeds(0))
 		}
-		n := len(oracleCandidates(g, pv, 0))
+		n := len(oracleCandidates(g, syms, pv, 0))
 		if grp.deps[0].rule.Name == "seed_never" && n != 0 {
 			t.Fatalf("never-interned constant admits %d candidates", n)
 		}

@@ -486,8 +486,8 @@ func TestEmptyRuleSet(t *testing.T) {
 
 // TestMultiQueryGroupingSharesPatterns: rules on isomorphic patterns share
 // a group, and so one enumeration, when their pivots agree. Two rules whose
-// constant X sits on the same node and attribute stay together with the
-// union of their constants as the pivot filter; a third whose constant sits
+// constant X sits on the same node and attribute stay together, the pivot
+// seeded with both constants; a third whose constant sits
 // on the other node seeds a different pivot and splits off. Each reports
 // separately either way.
 func TestMultiQueryGroupingSharesPatterns(t *testing.T) {
@@ -511,19 +511,20 @@ func TestMultiQueryGroupingSharesPatterns(t *testing.T) {
 	for _, tc := range []struct {
 		set            *core.Set
 		groups, units  int
-		filterOfFirst  []string
+		seedsOfFirst   []string
 		violationsWant int
 	}{
-		{core.MustNewSet(f1, f2), 1, 2, []string{"Atlantis", "Oz"}, 2},
-		{core.MustNewSet(f1, f2, f3), 2, 3, []string{"Atlantis", "Oz"}, 3},
+		{core.MustNewSet(f1, f2), 1, 2, []string{"val=Atlantis", "val=Oz"}, 2},
+		{core.MustNewSet(f1, f2, f3), 2, 3, []string{"val=Atlantis", "val=Oz"}, 3},
 	} {
 		res := repVal(g, tc.set, Options{N: 2, NoReduce: true})
 		if units := pivotVectors(t, g, tc.set, Options{N: 2, NoReduce: true}); res.Groups != tc.groups || units != tc.units {
 			t.Errorf("%d rules: %d groups, %d pivot vectors; want %d and %d", tc.set.Len(), res.Groups, units, tc.groups, tc.units)
 		}
-		_, groups, _ := NewBundle(g, tc.set).ruleGroupsKeyed(Options{N: 2, NoReduce: true}.Normalized())
-		if f := groups[0].pivot.Filters[0]; !slices.Equal(f.Values, tc.filterOfFirst) {
-			t.Errorf("%d rules: shared group filter %+v, want %v", tc.set.Len(), f, tc.filterOfFirst)
+		b := NewBundle(g, tc.set)
+		_, groups, _ := b.ruleGroupsKeyed(Options{N: 2, NoReduce: true}.Normalized())
+		if got := seedNames(b.Topo().Syms(), groups[0].pivot.Seeds(0)); !slices.Equal(got, tc.seedsOfFirst) {
+			t.Errorf("%d rules: shared group seeds %v, want %v", tc.set.Len(), got, tc.seedsOfFirst)
 		}
 		want := detVio(g, tc.set)
 		if len(want) != tc.violationsWant || !res.Violations.Equal(want) {

@@ -1,6 +1,7 @@
 // Package workload implements the workload model of Section 5.2: pivot
-// vectors PV(ϕ) and their candidates (the pivot label's class, semi-joined
-// with the pivot's pattern neighbours), work units as ranges of the pivot
+// vectors PV(ϕ) and their candidates (the pivot label's class, kept to the
+// holders of its seeds when a constant X seeds it, semi-joined with the
+// pivot's pattern neighbours), work units as ranges of the pivot
 // classes (chunks, whose candidates are found where they run), the greedy
 // 2-approximation for balanced n-partitions (Proposition 12), and the
 // bi-criteria assignment that additionally minimizes communication cost
@@ -21,16 +22,16 @@ import (
 // the c_i-hop neighborhoods of the pivots' images — for any choice of pivot
 // node, at that node's eccentricity. A component is either centred (the
 // minimum-radius node) or seeded (Seed: a node carrying a constant X
-// literal, whose filter keeps the class members holding one of the
-// constants). Either way its candidates are the class members where every
-// pattern neighbour of the pivot can bind (Candidates), so a unit
-// enumerates only where the pivot's star is present.
+// literal, whose lowered seeds keep the class members holding one of the
+// rules' constants there). Either way its candidates are the class members
+// where every pattern neighbour of the pivot can bind (Candidates), so a
+// unit enumerates only where the pivot's star is present.
 type Pivot struct {
 	Q          *pattern.Pattern
 	Components [][]int   // node indices per connected component
 	Vars       []int     // pivot node index z_i per component
 	Radii      []int     // component radius c^i_Q at the pivot
-	Filters    []Filter  // seed filter per component; zero = none
+	seeded     []bool    // per component: its pivot was placed by Seed
 	symmetric  bool      // the two components are isomorphic (k == 2 only)
 	low        []lowered // per component, set on the copy Lower returns
 }
@@ -38,25 +39,15 @@ type Pivot struct {
 // lowered is one pivot component lowered onto a symbol table: the codes
 // Class, ClassLen and Candidates read, never the members or adjacency.
 type lowered struct {
-	class graph.Sym   // the pivot label's code; WildcardSym for all nodes
-	attr  graph.Sym   // the filter attribute's code; NoSym for no filter
-	vals  []graph.Sym // the filter constants the table holds
-	none  bool        // the filter is active, yet no node can pass it
+	class graph.Sym // the pivot label's code; WildcardSym for all nodes
+	// seeds, on a seeded component, are the (attribute, value) pairs of
+	// which a candidate must hold one; nil restricts nothing, and an empty
+	// list keeps no member.
+	seeds []graph.AttrPair
 	// star holds, per pattern neighbour of the pivot (itself, for a
 	// self-loop), the runs along the edges joining them.
 	star [][]starRun
 }
-
-// Filter restricts a seeded pivot's candidates to the class members whose
-// attribute Attr holds one of Values (sorted, distinct). The zero Filter
-// restricts nothing.
-type Filter struct {
-	Attr   string
-	Values []string
-}
-
-// Active reports whether f restricts anything.
-func (f Filter) Active() bool { return f.Attr != "" }
 
 // ComputePivot derives PV(ϕ) for a pattern: per component the member of
 // minimum radius, preferring a labelled node over a wildcard of the same
@@ -72,7 +63,7 @@ func ComputePivot(q *pattern.Pattern) *Pivot {
 		Components: comps,
 		Vars:       make([]int, len(comps)),
 		Radii:      make([]int, len(comps)),
-		Filters:    make([]Filter, len(comps)),
+		seeded:     make([]bool, len(comps)),
 	}
 	for i, members := range comps {
 		p.Vars[i], p.Radii[i] = q.Center(members)
@@ -86,14 +77,13 @@ func ComputePivot(q *pattern.Pattern) *Pivot {
 }
 
 // Seed makes pattern node z the pivot of its component, at radius
-// eccentricity(z), and restricts the component's candidates by f: when every
-// rule checked on the pattern has X literal z.A = c for one of f's
-// constants, a match can violate only where its image of z carries one, so
-// units exist only at nodes where some X can hold.
-func (p *Pivot) Seed(z int, f Filter) {
+// eccentricity(z), and marks the component seeded: Lower restricts its
+// candidates to the holders of the constants the rules' X requires at z,
+// so units exist only at nodes where some X can hold.
+func (p *Pivot) Seed(z int) {
 	for i, members := range p.Components {
 		if slices.Contains(members, z) {
-			p.Vars[i], p.Radii[i], p.Filters[i] = z, p.Q.Eccentricity(z), f
+			p.Vars[i], p.Radii[i], p.seeded[i] = z, p.Q.Eccentricity(z), true
 			return
 		}
 	}
@@ -143,24 +133,20 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 	return sub
 }
 
-// Lower returns a copy of p with each component's class label, filter and
-// star lowered onto syms, which Class, ClassLen and Candidates read: call
-// them on such a copy. p is never changed, since a table grows with its
+// Lower returns a copy of p with each component's class label and star
+// lowered onto syms, which Class, ClassLen and Candidates read: call them
+// on such a copy. A seeded component with pivot z keeps seedsAt(z) as its
+// seeds (core.Guard.SeedsAt, lowered onto the same table); a nil seedsAt
+// restricts nothing. p is never changed, since a table grows with its
 // overlay's updates and a pivot shared across views is lowered for each.
-func (p *Pivot) Lower(syms *graph.Symbols) *Pivot {
+func (p *Pivot) Lower(syms *graph.Symbols, seedsAt func(z int) []graph.AttrPair) *Pivot {
 	lp := *p
 	lp.low = make([]lowered, len(p.Vars))
 	for i, z := range p.Vars {
 		l := &lp.low[i]
-		l.class, l.attr = pattern.LowerLabel(p.Q.Nodes[z].Label, syms), graph.NoSym
-		if f := p.Filters[i]; f.Active() {
-			l.attr = syms.Lookup(f.Attr)
-			for _, c := range f.Values {
-				if s := syms.Lookup(c); s != graph.NoSym {
-					l.vals = append(l.vals, s)
-				}
-			}
-			l.none = l.attr == graph.NoSym || len(l.vals) == 0
+		l.class = pattern.LowerLabel(p.Q.Nodes[z].Label, syms)
+		if p.seeded[i] && seedsAt != nil {
+			l.seeds = seedsAt(z)
 		}
 		var nbrs []int
 		add := func(q int, label string, in bool) {
@@ -186,6 +172,10 @@ func (p *Pivot) Lower(syms *graph.Symbols) *Pivot {
 	return &lp
 }
 
+// Seeds returns the seeds component i was lowered with: nil when it
+// restricts nothing.
+func (p *Pivot) Seeds(i int) []graph.AttrPair { return p.low[i].seeds }
+
 // Class returns component i's class on t in ascending node order, and nil
 // for a wildcard pivot, whose class is every node: position k is node k.
 func (p *Pivot) Class(t *graph.Snapshot, i int) []graph.NodeID {
@@ -203,35 +193,32 @@ func (p *Pivot) ClassLen(t *graph.Snapshot, i int) int {
 	return t.NumNodes()
 }
 
-// CandidatesIn lowers p onto t's table and returns the candidates of
-// component i over its whole class: Candidates over [0, ClassLen).
+// CandidatesIn lowers p onto t's table unseeded and returns component i's
+// candidates over its whole class: Candidates over [0, ClassLen).
 func (p *Pivot) CandidatesIn(t *graph.Snapshot, i int) []graph.NodeID {
-	lp := p.Lower(t.Syms())
+	lp := p.Lower(t.Syms(), nil)
 	return lp.Candidates(t, i, Range{0, lp.ClassLen(t, i)})
 }
 
 // Candidates returns, for pivot component i, the candidate nodes of the
 // pivot variable among the class members at positions r on a compiled
 // view (frozen snapshot or overlay view), in class order: the members that
-// pass the component's filter when it is seeded and at which every pattern
-// neighbour q of the pivot can bind — the star test. For each q, every run
-// of the member's adjacency along a pivot–q pattern edge, keyed by q's
-// label, is non-empty, and the runs with a concrete edge and q label — the
-// To-sorted ones — share a neighbour. Injectivity is ignored, so the test
+// hold one of the component's seeds when it has any and at which every
+// pattern neighbour q of the pivot can bind — the star test. For each q,
+// every run of the member's adjacency along a pivot–q pattern edge, keyed
+// by q's label, is non-empty, and the runs with a concrete edge and q
+// label — the To-sorted ones — share a neighbour. Injectivity is ignored, so the test
 // is weaker than a match and never drops one. One pass over the range runs
-// both tests on the view itself, so an overlay's updates count; a label or
-// constant the table p was lowered onto never interned holds on no node.
-// With nothing to test, the result may alias the view's class.
+// both tests on the view itself, so an overlay's updates count; a label the
+// table p was lowered onto never interned holds on no node. With nothing
+// to test, the result may alias the view's class.
 func (p *Pivot) Candidates(t *graph.Snapshot, i int, r Range) []graph.NodeID {
 	l := &p.low[i]
-	if l.none {
-		return nil
-	}
 	class := p.Class(t, i)
 	if class != nil {
 		class = class[r.Lo:r.Hi]
 	}
-	if l.attr == graph.NoSym && len(l.star) == 0 {
+	if l.seeds == nil && len(l.star) == 0 {
 		if class == nil {
 			class = make([]graph.NodeID, r.Len())
 			for k := range class {
@@ -248,10 +235,11 @@ next:
 		if class != nil {
 			v = class[j]
 		}
-		if l.attr != graph.NoSym {
-			if a, ok := t.AttrSym(v, l.attr); !ok || !slices.Contains(l.vals, a) {
-				continue
-			}
+		if l.seeds != nil && !slices.ContainsFunc(l.seeds, func(kv graph.AttrPair) bool {
+			a, ok := t.AttrSym(v, kv.Name)
+			return ok && a == kv.Val
+		}) {
+			continue
 		}
 		for _, nbr := range l.star {
 			k := 0

@@ -136,38 +136,57 @@ func TestCandidates(t *testing.T) {
 	}
 }
 
+// seededIn lowers pv onto snap's table, each seeded component keeping the
+// holders of attr = one of vals (a name or value the table never interned
+// seeds nothing, as a dead guard member does), and returns component i's
+// candidates over its whole class.
+func seededIn(snap *graph.Snapshot, pv *Pivot, i int, attr string, vals ...string) []graph.NodeID {
+	syms := snap.Syms()
+	seeds := []graph.AttrPair{}
+	for _, c := range vals {
+		if a, v := syms.Lookup(attr), syms.Lookup(c); a != graph.NoSym && v != graph.NoSym {
+			seeds = append(seeds, graph.AttrPair{Name: a, Val: v})
+		}
+	}
+	lp := pv.Lower(syms, func(int) []graph.AttrPair { return seeds })
+	return lp.Candidates(snap, i, Range{0, lp.ClassLen(snap, i)})
+}
+
 // TestSeedFiltersCandidates: seeding moves the component's pivot to the
 // seeded node at that node's eccentricity and keeps only the class members
-// whose attribute holds a filter constant; constants the symbol table never
-// interned admit nothing, and a seeded wildcard filters every node.
+// whose tuple holds a seed; an empty seed list (every constant absent from
+// the symbol table) admits nothing, an unseeded component ignores the
+// seeds, and a seeded wildcard filters every node.
 func TestSeedFiltersCandidates(t *testing.T) {
 	snap := flightGraph(4).Freeze() // flights "a".."d", each with id "FL"
 	q := twoFlightStars()
 	pv := ComputePivot(q)
-	pv.Seed(1, Filter{Attr: "val", Values: []string{"FL"}}) // x1, the first star's id
-	if pv.Vars[0] != 1 || pv.Radii[0] != 1 || pv.Vars[1] != 2 || pv.Filters[1].Active() {
-		t.Fatalf("seeded x1: pivots %v radii %v filters %+v", pv.Vars, pv.Radii, pv.Filters)
+	pv.Seed(1) // x1, the first star's id
+	if pv.Vars[0] != 1 || pv.Radii[0] != 1 || pv.Vars[1] != 2 {
+		t.Fatalf("seeded x1: pivots %v radii %v", pv.Vars, pv.Radii)
 	}
-	if got := pv.CandidatesIn(snap, 0); len(got) != 4 {
+	if got := seededIn(snap, pv, 0, "val", "FL"); len(got) != 4 {
 		t.Fatalf("ids with val FL: %v", got)
 	}
+	if got, all := seededIn(snap, pv, 1, "val", "never"), pv.CandidatesIn(snap, 1); !slices.Equal(got, all) {
+		t.Fatalf("unseeded component under seeds: %v, want %v", got, all)
+	}
 	star := ComputePivot(numberedFlight())
-	star.Seed(0, Filter{Attr: "val", Values: []string{"b", "d", "never"}})
-	got := star.CandidatesIn(snap, 0)
+	star.Seed(0)
+	got := seededIn(snap, star, 0, "val", "b", "d", "never")
 	if len(got) != 2 || snap.Label(got[0]) != snap.Syms().Lookup("flight") {
 		t.Fatalf("flights with val b or d: %v", got)
 	}
-	for _, f := range []Filter{{Attr: "val", Values: []string{"never"}}, {Attr: "ghost", Values: []string{"b"}}} {
-		star.Filters[0] = f
-		if got := star.CandidatesIn(snap, 0); len(got) != 0 {
-			t.Fatalf("filter %+v admits %v", f, got)
+	for _, kv := range [][2]string{{"val", "never"}, {"ghost", "b"}} {
+		if got := seededIn(snap, star, 0, kv[0], kv[1]); len(got) != 0 {
+			t.Fatalf("seeds %s = %s admit %v", kv[0], kv[1], got)
 		}
 	}
 	wq := pattern.New()
 	wq.AddNode("x", pattern.Wildcard)
 	wild := ComputePivot(wq)
-	wild.Seed(0, Filter{Attr: "val", Values: []string{"FL", "a"}})
-	if got := wild.CandidatesIn(snap, 0); len(got) != 5 {
+	wild.Seed(0)
+	if got := seededIn(snap, wild, 0, "val", "FL", "a"); len(got) != 5 {
 		t.Fatalf("any node with val FL or a: %v", got)
 	}
 }
@@ -189,7 +208,7 @@ func TestSymmetricPivotsCorrespond(t *testing.T) {
 func TestUnitBlock(t *testing.T) {
 	g := flightGraph(2)
 	snap := g.Freeze()
-	pv := ComputePivot(numberedFlight()).Lower(snap.Syms())
+	pv := ComputePivot(numberedFlight()).Lower(snap.Syms(), nil)
 	// A one-member range at the first candidate's class position.
 	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
 	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
