@@ -94,12 +94,13 @@ func hasStar(g *graph.Graph, q *pattern.Pattern, z int, v graph.NodeID) bool {
 }
 
 // FuzzPivotCandidates: on a small graph and pattern built from the input,
-// CandidatesIn keeps every node with a match pinned at a component's
-// pivot, for the min-radius pivot; and a pivot seeded at each pattern node
-// (Seed, as a seeded group pivots where its constant sits), lowered with
-// the input's constants, keeps exactly what it must: every node holding
-// one of them that has a pinned match, and only nodes of the pivot's
-// label that hold one and have the pivot's star (hasStar).
+// CandidatesIn (lowered unseeded) keeps every node with a match pinned at
+// a component's pivot, for the min-radius pivot and for a pivot placed at
+// each pattern node (Seed, as a seeded group pivots where its constant
+// sits). That placed pivot, lowered with the input's constants, keeps
+// exactly what it must: every node holding one of them that has a pinned
+// match, and only nodes of the pivot's label that hold one and have the
+// pivot's star (hasStar).
 func FuzzPivotCandidates(f *testing.F) {
 	f.Add([]byte{})
 	// Two parallel x0→x1 edges (Fig. 7 GFD 1) over a graph that has them.
@@ -119,15 +120,17 @@ func FuzzPivotCandidates(f *testing.F) {
 		pinned := func(z int, v graph.NodeID) bool {
 			return len(m.All(q, match.Options{Limit: 1, Pins: []match.Pin{{Node: z, To: []graph.NodeID{v}}}})) > 0
 		}
-		pv := ComputePivot(q)
-		for i, z := range pv.Vars {
-			kept := pv.CandidatesIn(snap, i)
-			for v := range graph.NodeID(snap.NumNodes()) {
-				if !slices.Contains(kept, v) && pinned(z, v) {
-					t.Fatalf("pattern %s, pivot %d: node %d has a pinned match, yet CandidatesIn keeps %v", q, z, v, kept)
+		unseeded := func(pv *Pivot) {
+			for i, z := range pv.Vars {
+				kept := pv.CandidatesIn(snap, i)
+				for v := range graph.NodeID(snap.NumNodes()) {
+					if !slices.Contains(kept, v) && pinned(z, v) {
+						t.Fatalf("pattern %s, pivot %d: node %d has a pinned match, yet CandidatesIn keeps %v", q, z, v, kept)
+					}
 				}
 			}
 		}
+		unseeded(ComputePivot(q))
 		var seeds []graph.AttrPair
 		for _, c := range vals {
 			seeds = append(seeds, graph.AttrPair{Name: syms.Lookup("val"), Val: syms.Lookup(c)})
@@ -135,6 +138,7 @@ func FuzzPivotCandidates(f *testing.F) {
 		for z := range q.NumNodes() {
 			pv := ComputePivot(q)
 			pv.Seed(z)
+			unseeded(pv)
 			lp := pv.Lower(syms, func(int) []graph.AttrPair { return seeds })
 			i := slices.Index(lp.Vars, z)
 			kept := lp.Candidates(snap, i, Range{0, lp.ClassLen(snap, i)})
