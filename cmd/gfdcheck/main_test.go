@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,5 +67,35 @@ func TestSnapshotVersionHint(t *testing.T) {
 	}
 	if other := errors.New("boom"); snapshotErr(path, other) != other {
 		t.Fatal("snapshotErr changed an error of another kind")
+	}
+}
+
+// TestVerboseListsIDsAsIntegers: -v lists a rule's violations by node ID
+// as an integer, so the one through node 9 comes before the one through
+// node 10 (as text, "10" sorts first), whatever the engine.
+func TestVerboseListsIDsAsIntegers(t *testing.T) {
+	dir := t.TempDir()
+	var graph strings.Builder
+	for id := range 11 {
+		ok := "yes"
+		if id >= 9 {
+			ok = "no"
+		}
+		fmt.Fprintf(&graph, "node n%d a ok=%s\n", id, ok)
+	}
+	rules := "gfd r {\n  node x a\n  then x.ok = yes\n}\n"
+	gp, rp := filepath.Join(dir, "g.graph"), filepath.Join(dir, "r.gfd")
+	if err := os.WriteFile(gp, []byte(graph.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rp, []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"seq", "rep", "dis"} {
+		out, code := runMain(t, "-graph", gp, "-rules", rp, "-mode", mode, "-n", "2", "-v")
+		i9, i10 := strings.Index(out, "r: n9(a)"), strings.Index(out, "r: n10(a)")
+		if code != 1 || i9 < 0 || i10 < 0 || i9 > i10 {
+			t.Errorf("gfdcheck -mode %s -v: exit %d, output\n%s\nwant exit 1 listing n9 before n10", mode, code, out)
+		}
 	}
 }

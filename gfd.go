@@ -42,8 +42,8 @@
 // producers instead of a global emission lock — so the first violation
 // surfaces long before the run finishes and memory stays bounded by the
 // buffer, not the match set. Breaking out of the range (or cancelling ctx) stops candidate
-// enumeration mid-class. Detect is a thin wrapper over the same pipeline,
-// and every engine honors context cancellation.
+// enumeration mid-class. Detect is a thin wrapper over the same pipeline
+// that sorts what it collects, and every engine honors context cancellation.
 //
 // The package also provides:
 //
@@ -130,7 +130,8 @@ type (
 
 	// Violation is one inconsistency: a match violating some rule.
 	Violation = validate.Violation
-	// Report is a violation set Vio(Σ, G).
+	// Report is a violation set Vio(Σ, G). Detect sorts it by rule name,
+	// then by node IDs as integers (node 9 before node 10).
 	Report = validate.Report
 	// Options configures detection: the engine to run (Options.Engine)
 	// and the parallel engines' knobs.

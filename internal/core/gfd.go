@@ -103,9 +103,10 @@ func MustNew(name string, q *pattern.Pattern, x, y []Literal) *GFD {
 }
 
 // Check verifies well-formedness: the name holds no ',' (a violation's
-// key is the name and then ",<id>" per match node, so a comma would let
-// two violations share a key), and each literal references only variables
-// of Q and non-empty attribute names.
+// Key, its set identity, is the name and then ",<id>" per match node, so a
+// comma would let two violations share a key; the report order reads the
+// name and IDs apart and needs no such rule), and each literal references
+// only variables of Q and non-empty attribute names.
 func (f *GFD) Check() error {
 	if strings.Contains(f.Name, ",") {
 		return fmt.Errorf("gfd %q: ',' in the rule name", f.Name)

@@ -6,11 +6,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gfd/internal/core"
+	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/validate"
 )
@@ -132,6 +136,73 @@ func FuzzFrameReader(f *testing.F) {
 				t.Fatalf("frame at offset %d is not the stream's bytes", off)
 			}
 			off = end
+		}
+	})
+}
+
+// manifestRejections are manifests parseManifest refuses, one per check,
+// each with a fragment of its error.
+var manifestRejections = []struct{ name, json, err string }{
+	{"bad JSON", `{"version": 1,`, "unexpected end of JSON input"},
+	{"version", `{"version": 2, "num_nodes": 3, "workers": 1, "strategy": "hash", "shards": ["m.0.gfds"]}`, "version 2, want 1"},
+	{"no workers", `{"version": 1, "num_nodes": 3, "workers": 0, "strategy": "hash", "shards": []}`, "0 workers but 0 shards"},
+	{"shard count", `{"version": 1, "num_nodes": 3, "workers": 2, "strategy": "hash", "shards": ["m.0.gfds"]}`, "2 workers but 1 shards"},
+	{"negative nodes", `{"version": 1, "num_nodes": -1, "workers": 1, "strategy": "hash", "shards": ["m.0.gfds"]}`, "negative node count"},
+	{"strategy", `{"version": 1, "num_nodes": 3, "workers": 1, "strategy": "round", "shards": ["m.0.gfds"]}`, `unknown strategy "round"`},
+}
+
+// TestParseManifestRejects: each malformed manifest fails with its own
+// error.
+func TestParseManifestRejects(t *testing.T) {
+	for _, r := range manifestRejections {
+		if m, err := parseManifest([]byte(r.json), "/shards"); err == nil || !strings.Contains(err.Error(), r.err) {
+			t.Errorf("%s: parseManifest = %+v, %v; want an error holding %q", r.name, m, err, r.err)
+		}
+	}
+}
+
+// FuzzParseManifest feeds arbitrary bytes to the manifest decoder, the
+// one file the multi-process engine reads besides its shards. Each input
+// must fail, or yield as many shards as workers (at least one), a node
+// count of zero or more, a strategy that parses, and absolute shard paths.
+// The corpus starts from a manifest WriteShards wrote and one rejection
+// per check.
+func FuzzParseManifest(f *testing.F) {
+	g := graph.New(3, 2)
+	a, b, c := g.AddNode("a", nil), g.AddNode("b", nil), g.AddNode("a", nil)
+	if g.AddEdge(a, b, "e") != nil || g.AddEdge(c, b, "e") != nil {
+		f.Fatal("building the graph failed")
+	}
+	mp, err := WriteShards(g.Freeze(), 2, fragment.Range, f.TempDir(), "m")
+	if err != nil {
+		f.Fatal(err)
+	}
+	written, err := os.ReadFile(mp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := parseManifest(written, "/shards"); err != nil {
+		f.Fatalf("the written manifest: %v", err)
+	}
+	f.Add(written)
+	for _, r := range manifestRejections {
+		f.Add([]byte(r.json))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data, "/shards")
+		if err != nil {
+			return
+		}
+		if m.Workers < 1 || len(m.Shards) != m.Workers || m.NumNodes < 0 {
+			t.Fatalf("accepted %d workers, %d shards, %d nodes", m.Workers, len(m.Shards), m.NumNodes)
+		}
+		if s, err := fragment.ParseStrategy(m.Strategy); err != nil || s != m.strategy {
+			t.Fatalf("accepted strategy %q as %v (%v)", m.Strategy, m.strategy, err)
+		}
+		for _, p := range m.Shards {
+			if !filepath.IsAbs(p) {
+				t.Fatalf("shard path %q is not absolute", p)
+			}
 		}
 	})
 }

@@ -107,27 +107,36 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("dist: manifest %s: %w", path, err)
-	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("dist: manifest %s: version %d, want %d", path, m.Version, ManifestVersion)
-	}
-	if m.Workers < 1 || len(m.Shards) != m.Workers {
-		return nil, fmt.Errorf("dist: manifest %s: %d workers but %d shards", path, m.Workers, len(m.Shards))
-	}
-	if m.NumNodes < 0 {
-		return nil, fmt.Errorf("dist: manifest %s: negative node count", path)
-	}
-	m.strategy, err = fragment.ParseStrategy(m.Strategy)
+	m, err := parseManifest(data, filepath.Dir(path))
 	if err != nil {
 		return nil, fmt.Errorf("dist: manifest %s: %w", path, err)
 	}
-	base := filepath.Dir(path)
+	return m, nil
+}
+
+// parseManifest decodes and validates a manifest's bytes, resolving
+// relative shard paths against dir.
+func parseManifest(data []byte, dir string) (*Manifest, error) {
+	m := &Manifest{}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, err
+	}
+	if m.Version != ManifestVersion {
+		return nil, fmt.Errorf("version %d, want %d", m.Version, ManifestVersion)
+	}
+	if m.Workers < 1 || len(m.Shards) != m.Workers {
+		return nil, fmt.Errorf("%d workers but %d shards", m.Workers, len(m.Shards))
+	}
+	if m.NumNodes < 0 {
+		return nil, fmt.Errorf("negative node count")
+	}
+	var err error
+	if m.strategy, err = fragment.ParseStrategy(m.Strategy); err != nil {
+		return nil, err
+	}
 	for i, s := range m.Shards {
 		if !filepath.IsAbs(s) {
-			m.Shards[i] = filepath.Join(base, s)
+			m.Shards[i] = filepath.Join(dir, s)
 		}
 	}
 	return m, nil

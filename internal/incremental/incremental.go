@@ -184,7 +184,8 @@ func (d *Detector) Overlay() *graph.Overlay { return d.ov }
 func (d *Detector) Synced() bool { return d.version == d.g.Version() }
 
 // Report returns the maintained violation set in the canonical order of
-// validate.Report.Sort. The matches are shared with the detector; callers
+// validate.Report.Sort (rule name, then node IDs as integers), the order
+// of a batch Detect. The matches are shared with the detector; callers
 // must not modify them.
 func (d *Detector) Report() validate.Report {
 	out := make(validate.Report, 0, d.Len())

@@ -188,7 +188,8 @@ func (p *Prepared) refresh() *validate.Bundle {
 
 // Detect runs the engine selected by opt.Engine (EngineAuto resolves to
 // EngineReplicated) and returns its result with the violation set
-// collected and canonically sorted. Cancellation is honored by every
+// collected and canonically sorted (validate.Report.Sort: rule name, then
+// node IDs as integers). Cancellation is honored by every
 // engine: on context expiry the partial result is returned along with the
 // context's error. It is the collect-mode wrapper over the same fused
 // pipeline Violations exposes — a nil sink makes every engine gather into

@@ -189,7 +189,7 @@ func collectWorkload(n int) Report {
 
 // BenchmarkCollectSorted prices the collect mode's sink: the violations
 // emitted over two lanes, then the sorted Report built from them, in
-// ns/violation (fails if the order is not Key() order):
+// ns/violation (fails if the order is not ruleThenIDs order):
 //
 //	go test ./internal/validate -run xxx -bench BenchmarkCollectSorted -benchmem
 func BenchmarkCollectSorted(b *testing.B) {
@@ -208,9 +208,9 @@ func BenchmarkCollectSorted(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/violation")
-	for i, k := range vs.Keys() {
-		if got[i].Key() != k {
-			b.Fatalf("position %d holds %q, Key() order puts %q there", i, got[i].Key(), k)
+	for i, v := range ordered(vs) {
+		if ruleThenIDs(got[i], v) != 0 {
+			b.Fatalf("position %d holds %q, ruleThenIDs puts %q there", i, got[i].Key(), v.Key())
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestCollectAllocationsPerLane(t *testing.T) {
 
 // TestCollectBytesPerViolation bounds the bytes the collect mode allocates
 // per violation: n three-ID violations over two lanes cost their words in
-// the lanes' chunks (a head index, a length and three IDs: 20 B, plus the
+// the lanes' chunks (a rule-name index, a length and three IDs: 20 B, plus the
 // last chunk's slack), a 16 B sort key and the Report's 40 B header, whose
 // matches borrow the chunks. Lanes that regrow by append, or a second
 // arena the report copies its matches into, pay each byte again.

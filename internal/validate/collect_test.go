@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"gfd/internal/core"
@@ -67,6 +66,34 @@ func collectSeed(rng *rand.Rand, lanes int, names []string, n int) []byte {
 	return data
 }
 
+// tieSeed encodes n violations of four IDs near 2³¹ over two lanes and the
+// names "r" and "r,": their prefix keys hold two IDs, so most tie and the
+// sort decides on the rest.
+func tieSeed(rng *rand.Rand, n int) []byte {
+	data := []byte{1, 1, 1, 'r', 2, 'r', ','}
+	for range n {
+		data = append(data, byte(rng.Intn(2)), byte(rng.Intn(2)), 4)
+		for range 4 {
+			data = binary.LittleEndian.AppendUint32(data, uint32(1<<31-1-rng.Intn(3)))
+			data = append(data, 0)
+		}
+	}
+	return data
+}
+
+// ordered is vs in ruleThenIDs order.
+func ordered(vs []Violation) Report {
+	r := slices.Clone(Report(vs))
+	slices.SortFunc(r, ruleThenIDs)
+	return r
+}
+
+// sameOrder reports whether a and b hold equal violations position by
+// position.
+func sameOrder(a, b Report) bool {
+	return slices.EqualFunc(a, b, func(x, y Violation) bool { return ruleThenIDs(x, y) == 0 })
+}
+
 // inOrder is the keys of r in r's own order.
 func inOrder(r Report) []string {
 	ks := make([]string, len(r))
@@ -77,12 +104,12 @@ func inOrder(r Report) []string {
 }
 
 // FuzzCollectSorted: the collect mode's sorted report of violations
-// emitted over several lanes reads, key by key, as sort.Strings over their
-// Key()s and as the sink's unsorted union after Report.Sort; and appending
-// to one returned match never changes another.
+// emitted over several lanes reads, violation by violation, as the
+// violations ordered by ruleThenIDs and as the sink's unsorted union after
+// Report.Sort; and appending to one returned match never changes another.
 func FuzzCollectSorted(f *testing.F) {
 	f.Add([]byte{})
-	// The names TestPropertyReportSortIsKeyStringOrder entangles: proper
+	// The names TestPropertyReportSortIsRuleThenIDs entangles: proper
 	// prefixes of one another continued by bytes below, at and above ','.
 	names := []string{"r", "r ", "r!", "r+x", "r,", "r,1", "r-", "r0", "r1", "rule", "rule#2", "rule_2", "", "é"}
 	rng := rand.New(rand.NewSource(1))
@@ -93,29 +120,28 @@ func FuzzCollectSorted(f *testing.F) {
 	// twice that many words) and starts a third.
 	f.Add(collectSeed(rng, 1, names[:6], 400))
 	f.Add(collectSeed(rng, 2, names[4:], 800))
+	f.Add(tieSeed(rng, 300))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lanes, emitted := collectInput(data)
-		var want []string
+		want := ordered(slices.Concat(emitted...))
 		var res Result
 		sink, finish := orCollect(nil, lanes, &res)
 		union := NewCollectSink(lanes)
 		for lane, vs := range emitted {
 			for _, v := range vs {
-				want = append(want, v.Key())
 				sink.Emit(lane, v)
 				union.Emit(lane, v)
 			}
 		}
-		sort.Strings(want)
 		finish()
 		sorted := res.Violations
-		if got := inOrder(sorted); !slices.Equal(got, want) {
-			t.Fatalf("sorted union\n%q\nsort.Strings over Key()\n%q", got, want)
+		if !sameOrder(sorted, want) {
+			t.Fatalf("sorted union\n%q\nruleThenIDs order\n%q", inOrder(sorted), inOrder(want))
 		}
 		resorted := union.Report()
 		resorted.Sort()
-		if got := inOrder(resorted); !slices.Equal(got, want) {
-			t.Fatalf("Report then Report.Sort\n%q\nsort.Strings over Key()\n%q", got, want)
+		if !sameOrder(resorted, want) {
+			t.Fatalf("Report then Report.Sort\n%q\nruleThenIDs order\n%q", inOrder(resorted), inOrder(want))
 		}
 		for _, r := range []Report{sorted, union.Report()} {
 			before := inOrder(r)
@@ -146,10 +172,10 @@ func TestCollectEmptyReportNonNil(t *testing.T) {
 // TestCollectAcrossChunks: violations over three lanes, each crossing
 // several chunk boundaries, with arities 0–4, rule names that are prefixes
 // of one another ("r" beside "r,", "r,1" and "r1") and IDs up to ten
-// digits, so that the prefix key holds at most the first ID and many keys
-// tie within and across lanes. The sorted report reads as sort.Strings over
-// Key(), the unsorted one as the lanes in worker order, and appending to
-// any returned match leaves every other one unchanged.
+// digits, so that the prefix key holds at most two IDs and many keys tie
+// within and across lanes. The sorted report reads as the violations
+// ordered by ruleThenIDs, the unsorted one as the lanes in worker order,
+// and appending to any returned match leaves every other one unchanged.
 func TestCollectAcrossChunks(t *testing.T) {
 	const lanes = 3
 	names := []string{"a", "r", "r,", "r,1", "r1", "rule", "s"}
@@ -158,7 +184,7 @@ func TestCollectAcrossChunks(t *testing.T) {
 	var res Result
 	sink, finish := orCollect(nil, lanes, &res)
 	union := NewCollectSink(lanes)
-	var want []string
+	var all []Violation
 	perLane := make([][]string, lanes)
 	for i := range 3000 {
 		var m core.Match
@@ -172,7 +198,7 @@ func TestCollectAcrossChunks(t *testing.T) {
 		v, lane := Violation{Rule: names[rng.Intn(len(names))], Match: m}, rng.Intn(lanes)
 		sink.Emit(lane, v)
 		union.Emit(lane, v)
-		want, perLane[lane] = append(want, v.Key()), append(perLane[lane], v.Key())
+		all, perLane[lane] = append(all, v), append(perLane[lane], v.Key())
 	}
 	for li := range union.lanes {
 		if c := len(union.lanes[li].chunks); c < 5 {
@@ -180,9 +206,8 @@ func TestCollectAcrossChunks(t *testing.T) {
 		}
 	}
 	finish()
-	sort.Strings(want)
-	if got := inOrder(res.Violations); !slices.Equal(got, want) {
-		t.Fatalf("sorted report is not sort.Strings over Key()")
+	if !sameOrder(res.Violations, ordered(all)) {
+		t.Fatalf("sorted report is not in ruleThenIDs order")
 	}
 	unsorted := union.Report()
 	if got := inOrder(unsorted); !slices.Equal(got, slices.Concat(perLane...)) {

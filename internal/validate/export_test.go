@@ -18,6 +18,9 @@ import (
 // values, exposes the chunk-granularity hook, and keeps the candidate
 // oracle read through the mutable graph's strings.
 
+// RuleThenIDs is the canonical order of a report, apart from the keyer.
+var RuleThenIDs = ruleThenIDs
+
 // RandomWorkload and OracleVio serve the incremental detector's property
 // test and the metamorphic harness, which live outside the package because
 // they import the detector, the session and the multi-process engine; the

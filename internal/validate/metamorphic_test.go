@@ -76,9 +76,9 @@ func withShapes(set *core.Set) *core.Set {
 }
 
 // render is a report as bytes: its violation keys in the report's own
-// order, one a line. The engines return Key() order, so an engine's report
-// renders as its oracle's keys do once ordered by sort.Strings (canonical),
-// which shares no code with Report.Sort.
+// order, one a line. The engines return the canonical order, so an
+// engine's report renders as its oracle's does once ordered by
+// RuleThenIDs (canonical), which shares no code with Report.Sort.
 func render(r validate.Report) string {
 	var b strings.Builder
 	for _, v := range r {
@@ -90,12 +90,7 @@ func render(r validate.Report) string {
 
 // canonical is the oracle's report as the engines must render it.
 func canonical(oracle validate.Report) string {
-	var b strings.Builder
-	for _, k := range oracle.Keys() {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return render(slices.SortedFunc(slices.Values(oracle), validate.RuleThenIDs))
 }
 
 // topologyKind builds a fresh bundle (so that nothing planned at another

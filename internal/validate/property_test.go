@@ -1,10 +1,10 @@
 package validate
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,14 +182,22 @@ func TestPropertySatisfiesIffNoViolations(t *testing.T) {
 	}
 }
 
-// TestPropertyReportSortIsKeyStringOrder pins Report.Sort — which renders
-// each key once into a shared buffer — to the order it replaced: ascending
-// order of the "<rule>,<id>,<id>…" strings, compared as strings. The rule
-// names include proper prefixes of one another continued by bytes below,
-// at and above ',', so a comparison that stops at the end of the shorter
-// name, or compares IDs as numbers, orders them differently; the IDs run
-// from one to ten digits for the same reason ("10" < "9", "1,5" < "10").
-func TestPropertyReportSortIsKeyStringOrder(t *testing.T) {
+// ruleThenIDs is the canonical order of a report, written apart from the
+// keyer so that the tests hold Report.Sort and the collect sink to it: the
+// rule name bytewise, then the match's IDs as integers, a match ahead of
+// every match it is a prefix of.
+func ruleThenIDs(a, b Violation) int {
+	return cmp.Or(strings.Compare(a.Rule, b.Rule), slices.Compare(a.Match, b.Match))
+}
+
+// TestPropertyReportSortIsRuleThenIDs pins Report.Sort to ruleThenIDs, and
+// Key() to "<rule>,<id>,<id>…". The rule names include proper prefixes of
+// one another continued by bytes below, at and above ',', so an order over
+// rendered keys interleaves them; the IDs run from one to ten digits, so
+// one compared as text puts 10 before 9. A quarter of the matches have
+// four IDs near 2³¹, more than the prefix key has slots for, so their ties
+// reach the fallback comparison.
+func TestPropertyReportSortIsRuleThenIDs(t *testing.T) {
 	fmtKey := func(v Violation) string {
 		var b strings.Builder
 		b.WriteString(v.Rule)
@@ -207,20 +215,23 @@ func TestPropertyReportSortIsKeyStringOrder(t *testing.T) {
 			for j := range m {
 				m[j] = graph.NodeID(rng.Int63n(1 << uint(1+rng.Intn(31))))
 			}
+			if rng.Intn(4) == 0 {
+				m = make(core.Match, 4)
+				for j := range m {
+					m[j] = 1<<31 - 1 - graph.NodeID(rng.Intn(3))
+				}
+			}
 			report[i] = Violation{Rule: rules[rng.Intn(len(rules))], Match: m}
-		}
-		want := make([]string, len(report))
-		for i, v := range report {
-			want[i] = fmtKey(v)
-			if got := v.Key(); got != want[i] {
-				t.Fatalf("Key() = %q, want %q", got, want[i])
+			if got, want := report[i].Key(), fmtKey(report[i]); got != want {
+				t.Fatalf("Key() = %q, want %q", got, want)
 			}
 		}
-		sort.Strings(want)
+		want := slices.Clone(report)
+		slices.SortFunc(want, ruleThenIDs)
 		report.Sort()
 		for i, v := range report {
-			if got := fmtKey(v); got != want[i] {
-				t.Fatalf("round %d: position %d holds %q, string order puts %q there", round, i, got, want[i])
+			if ruleThenIDs(v, want[i]) != 0 {
+				t.Fatalf("round %d: position %d holds %q, ruleThenIDs puts %q there", round, i, v.Key(), want[i].Key())
 			}
 		}
 	}

@@ -38,8 +38,8 @@ type Sink interface {
 
 // CollectSink accumulates violations into per-worker lanes so parallel
 // engines append without synchronization. Each violation is written once,
-// into its lane's last chunk, and never moves: a head index (rule name and
-// whether the match is empty), its match's length, then the match. A full
+// into its lane's last chunk, and never moves: its rule name's index in
+// the lane's name table, its match's length, then the match. A full
 // chunk is never copied; the next one is twice its size, up to maxChunk
 // words. Report and the collect mode's sorted Report (orCollect) borrow
 // every match from the chunks, capped so that appending to one cannot
@@ -59,7 +59,7 @@ const (
 // lane is one worker's violations, in emission order, in chunks that are
 // never regrown; a violation never straddles two.
 type lane struct {
-	heads  headTable
+	rules  headTable
 	chunks [][]graph.NodeID // in order; the last is being filled
 	n      int              // violations
 	maxID  uint32           // the largest ID, as uint32 (a negative one is large)
@@ -89,7 +89,7 @@ func (s *CollectSink) Emit(worker int, v Violation) {
 		l.grow(need)
 		last++
 	}
-	ch := append(l.chunks[last], graph.NodeID(l.heads.of(v)), graph.NodeID(len(v.Match)))
+	ch := append(l.chunks[last], graph.NodeID(l.rules.of(v.Rule)), graph.NodeID(len(v.Match)))
 	l.chunks[last] = append(ch, v.Match...)
 	l.n++
 	for _, id := range v.Match {
@@ -119,7 +119,7 @@ func (l *lane) walk(fn func(keyed)) {
 // at is the violation k names, its match borrowed from the chunk.
 func (l *lane) at(k keyed) Violation {
 	ch := l.chunks[k.c]
-	v := Violation{Rule: l.heads.heads[ch[k.i]].rule}
+	v := Violation{Rule: l.rules.names[ch[k.i]]}
 	if n := ch[k.i+1]; n > 0 {
 		lo, hi := k.i+2, k.i+2+uint32(n)
 		v.Match = ch[lo:hi:hi]
@@ -142,20 +142,21 @@ func (s *CollectSink) Report() Report {
 	return out
 }
 
-// sorted returns the union of the lanes in Key() order: one keyer over
-// every lane's heads, then each lane keys and sorts its own violations on
-// its own slot, and one merge of the sorted lanes writes the Report.
+// sorted returns the union of the lanes in Report.Sort's order: one keyer
+// over every lane's rule names (one rank per distinct name), then each lane
+// keys and sorts its own violations on its own slot, and one merge of the
+// sorted lanes writes the Report.
 func (s *CollectSink) sorted() Report {
-	var heads []head
+	var names []string
 	var maxID uint32
 	base, runs := make([]int, len(s.lanes)), make([][]keyed, len(s.lanes))
 	n := 0
 	for li := range s.lanes {
 		l := &s.lanes[li]
-		base[li], n = len(heads), n+l.n
-		heads, maxID = append(heads, l.heads.heads...), max(maxID, l.maxID)
+		base[li], n = len(names), n+l.n
+		names, maxID = append(names, l.rules.names...), max(maxID, l.maxID)
 	}
-	kr, ks := newKeyer(heads, maxID), make([]keyed, n)
+	kr, ks := newKeyer(names, maxID), make([]keyed, n)
 	for li := range s.lanes {
 		runs[li], ks = ks[:s.lanes[li].n:s.lanes[li].n], ks[s.lanes[li].n:]
 	}
@@ -172,7 +173,6 @@ func (s *CollectSink) sorted() Report {
 		panic(deaths[0])
 	}
 	out := make(Report, n)
-	var o keyOrder
 	for p := range out {
 		best := -1
 		for li, run := range runs {
@@ -180,7 +180,7 @@ func (s *CollectSink) sorted() Report {
 				continue
 			}
 			if best >= 0 {
-				if a, b := run[0], runs[best][0]; a.key > b.key || a.key == b.key && o.tie(s.lanes[li].at(a), s.lanes[best].at(b)) >= 0 {
+				if a, b := run[0], runs[best][0]; a.key > b.key || a.key == b.key && compareViolations(s.lanes[li].at(a), s.lanes[best].at(b)) >= 0 {
 					continue
 				}
 			}
@@ -194,8 +194,8 @@ func (s *CollectSink) sorted() Report {
 
 // orCollect resolves the sink an engine emits into: the caller's, or — for
 // a nil sink, the collect mode — a CollectSink with one lane per worker,
-// with finish building the canonically sorted res.Violations from its
-// lanes after the run (per-lane sorts, one merge, the matches borrowed).
+// with finish building res.Violations from its lanes after the run, sorted
+// by rule name, then node IDs (per-lane sorts, one merge, matches borrowed).
 // The modes of every engine differ only in the sink.
 func orCollect(sink Sink, lanes int, res *Result) (_ Sink, finish func()) {
 	if sink != nil {

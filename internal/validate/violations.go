@@ -8,7 +8,6 @@
 package validate
 
 import (
-	"bytes"
 	"cmp"
 	"math"
 	"slices"
@@ -28,18 +27,15 @@ type Violation struct {
 	Match core.Match
 }
 
-// Key returns a canonical string identity for set comparisons.
-func (v Violation) Key() string { return string(v.appendKey(nil)) }
-
-// appendKey appends the canonical key — the rule name, then ",<id>" per
-// match node — to buf.
-func (v Violation) appendKey(buf []byte) []byte {
-	buf = append(buf, v.Rule...)
+// Key returns a canonical string identity for set comparisons: the rule
+// name, then ",<id>" per match node.
+func (v Violation) Key() string {
+	buf := []byte(v.Rule)
 	for _, id := range v.Match {
 		buf = append(buf, ',')
 		buf = strconv.AppendInt(buf, int64(id), 10)
 	}
-	return buf
+	return string(buf)
 }
 
 // Nodes returns the distinct graph nodes involved in the violation — the
@@ -57,19 +53,21 @@ func (v Violation) Nodes() []graph.NodeID {
 // Report is a set of violations.
 type Report []Violation
 
-// Sort orders the report canonically: ascending Key() string order, by one
-// sort on integer prefix keys (keyer).
+// Sort orders the report canonically: by rule name (bytewise), then by
+// the match's node IDs compared as integers position by position, a match
+// ahead of every match it is a prefix of. One sort on integer prefix keys
+// (keyer) does it.
 func (r Report) Sort() {
-	var heads headTable
+	var rules headTable
 	var maxID uint32
 	ks := make([]keyed, len(r))
 	for i, v := range r {
-		ks[i] = keyed{key: uint64(heads.of(v)), i: uint32(i)}
+		ks[i] = keyed{key: uint64(rules.of(v.Rule)), i: uint32(i)}
 		for _, id := range v.Match {
 			maxID = max(maxID, uint32(id))
 		}
 	}
-	kr := newKeyer(heads.heads, maxID)
+	kr := newKeyer(rules.names, maxID)
 	for i := range ks {
 		ks[i].key = kr.key(int(ks[i].key), r[ks[i].i].Match)
 	}
@@ -81,32 +79,24 @@ func (r Report) Sort() {
 	copy(r, sorted)
 }
 
-// head is what a violation's key starts with: the rule name, then "," when
-// the match is non-empty.
-type head struct {
-	rule string
-	args bool
-}
-
-// headTable interns the heads of a run of violations. Emitters mostly
-// repeat the last head, so that is checked before the index.
+// headTable interns the rule names of a run of violations. Emitters mostly
+// repeat the last name, so that is checked before the index.
 type headTable struct {
-	heads []head
+	names []string
 	last  int
-	index map[head]int
+	index map[string]int
 }
 
-func (t *headTable) of(v Violation) int {
-	h := head{v.Rule, len(v.Match) > 0}
-	if t.last < len(t.heads) && t.heads[t.last] == h {
+func (t *headTable) of(rule string) int {
+	if t.last < len(t.names) && t.names[t.last] == rule {
 		return t.last
 	}
-	i, ok := t.index[h]
+	i, ok := t.index[rule]
 	if !ok {
 		if t.index == nil {
-			t.index = make(map[head]int)
+			t.index = make(map[string]int)
 		}
-		i, t.index[h], t.heads = len(t.heads), len(t.heads), append(t.heads, h)
+		i, t.index[rule], t.names = len(t.names), len(t.names), append(t.names, rule)
 	}
 	t.last = i
 	return i
@@ -120,104 +110,64 @@ type keyed struct {
 }
 
 // keyer builds, per violation, a uint64 prefix key that is monotone in
-// Key() order: key(a) < key(b) implies a.Key() < b.Key(). The key is the
-// rank of the violation's head followed, in mixed radix, by as many match
-// IDs as fit. An ID is coded as its decimal digits left-aligned to the
-// width D of the largest ID, then its digit count: "1" < "10" < "12" < "2"
-// as text, and so as codes; 0 ends the match, so a shorter match sorts
-// first. Heads that are prefixes of one another ("r" beside "r!,", "r,"
-// beside "r,1,") share a rank with no IDs in it, since their order depends
-// on what follows them; keyOrder breaks those ties on the rendered keys.
+// the canonical order: key(a) < key(b) implies compareViolations(a, b) < 0.
+// The key is the rank of the violation's rule name among the distinct
+// names, followed by as many match IDs as fit, in radix maxID+1. A slot
+// past the end of the match reads 0, as ID 0 does, so a match and its
+// extensions by 0s tie, as do matches that agree on every slot; the sort
+// breaks those ties with compareViolations.
 type keyer struct {
-	rank   []uint64 // per head: its rank, scaled past the ID slots
-	ids    []bool   // per head: it alone holds its rank, so IDs follow
-	digits uint64   // D
-	place  []uint64 // per ID slot: its place value
+	rank  []uint64 // per name: its rank, scaled past the ID slots
+	place []uint64 // per ID slot: its place value
 }
 
-var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
-
-func newKeyer(heads []head, maxID uint32) *keyer {
-	k := &keyer{rank: make([]uint64, len(heads)), ids: make([]bool, len(heads))}
-	strs := make([]string, len(heads))
-	order := make([]int, len(heads))
-	for i, h := range heads {
-		strs[i], order[i] = h.rule, i
-		if h.args {
-			strs[i] += ","
-		}
-	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strs[a], strs[b]) })
-	var ranks uint64
-	for lo := 0; lo < len(order); ranks++ {
-		root, one, hi := strs[order[lo]], true, lo+1
-		for ; hi < len(order) && strings.HasPrefix(strs[order[hi]], root); hi++ {
-			one = one && strs[order[hi]] == root
-		}
-		for _, h := range order[lo:hi] {
-			k.rank[h], k.ids[h] = ranks, one
-		}
-		lo = hi
-	}
-	scale := uint64(1)
-	if ranks > 0 && maxID <= math.MaxInt32 { // a negative ID renders with a '-': key on heads alone
-		k.digits = uint64(digits(uint64(maxID)))
-		radix := pow10[k.digits]*k.digits + 1 // codes per slot
+// newKeyer keys violations whose rule names are among names (one name may
+// appear more than once; every copy gets the same rank) and whose IDs are
+// at most maxID as uint32.
+func newKeyer(names []string, maxID uint32) *keyer {
+	distinct := slices.Compact(slices.Sorted(slices.Values(names)))
+	ranks, radix, scale := uint64(len(distinct)), uint64(maxID)+1, uint64(1)
+	k := &keyer{rank: make([]uint64, len(names))}
+	if ranks > 0 && radix > 1 && maxID <= math.MaxInt32 { // IDs all 0, or a negative one (a large uint32): key on names alone
 		for ; scale <= math.MaxUint64/ranks/radix; scale *= radix {
 			k.place = append(k.place, scale)
 		}
 		slices.Reverse(k.place)
 	}
-	for h := range k.rank {
-		k.rank[h] *= scale
+	for h, name := range names {
+		r, _ := slices.BinarySearch(distinct, name)
+		k.rank[h] = uint64(r) * scale
 	}
 	return k
 }
 
-// digits is the decimal digit count of x.
-func digits(x uint64) int {
-	n := 1
-	for n < len(pow10)-1 && x >= pow10[n] {
-		n++
-	}
-	return n
-}
-
-// key is the prefix key of a violation with head h and match m.
+// key is the prefix key of a violation with rule name h and match m.
 func (k *keyer) key(h int, m core.Match) uint64 {
 	key := k.rank[h]
-	if k.ids[h] {
-		for s := 0; s < len(m) && s < len(k.place); s++ {
-			id := uint64(m[s])
-			n := uint64(digits(id))
-			key += (id*pow10[k.digits-n]*k.digits + n) * k.place[s]
-		}
+	for s := 0; s < len(m) && s < len(k.place); s++ {
+		key += uint64(m[s]) * k.place[s]
 	}
 	return key
 }
 
-// sortKeyed sorts ks, keyed by prefix key, into Key() order; at looks a
-// violation up.
+// compareViolations is the canonical order: rule name, then match IDs.
+func compareViolations(a, b Violation) int {
+	return cmp.Or(strings.Compare(a.Rule, b.Rule), slices.Compare(a.Match, b.Match))
+}
+
+// sortKeyed sorts ks, keyed by prefix key, into the canonical order; at
+// looks a violation up.
 func sortKeyed(ks []keyed, at func(keyed) Violation) {
-	var o keyOrder
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
 		}
-		return o.tie(at(a), at(b))
+		return compareViolations(at(a), at(b))
 	})
 }
 
-// keyOrder breaks ties between equal prefix keys on the rendered keys,
-// into two scratch buffers.
-type keyOrder struct{ a, b []byte }
-
-func (o *keyOrder) tie(a, b Violation) int {
-	o.a, o.b = a.appendKey(o.a[:0]), b.appendKey(o.b[:0])
-	return bytes.Compare(o.a, o.b)
-}
-
-// Keys returns the sorted canonical keys.
+// Keys returns the violations' keys sorted as strings, for set
+// comparison; that is not the report's order (Sort).
 func (r Report) Keys() []string {
 	ks := make([]string, len(r))
 	for i, v := range r {
