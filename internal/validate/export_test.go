@@ -7,6 +7,7 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
+	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
 	"gfd/internal/workload"
@@ -65,26 +66,30 @@ type PlanUnit struct {
 	StripeRem int
 }
 
-// PlanImage is everything the engines take from planFor, flattened.
+// PlanImage is everything the engines take from planFor, flattened. Ship
+// holds disVal's ship costs: per unit, the bytes each worker would need
+// shipped (nil for the replicated engines).
 type PlanImage struct {
 	Units       []PlanUnit
+	Ship        [][]int64
 	Split       int
 	Assign      workload.Assignment
 	TotalWeight int64
 	Makespan    int64
 }
 
-// coldPlan runs the replicated engine's planning prefix: planFor, on a
-// fresh cluster.
-func (b *Bundle) coldPlan(opt Options) (*planEntry, error) {
+// coldPlan runs the planning prefix of the engine over frag (nil for the
+// replicated engine): planFor, on a fresh cluster.
+func (b *Bundle) coldPlan(opt Options, frag *fragment.Fragmentation) (*planEntry, error) {
 	opt = opt.Normalized()
+	opt.N = slots(opt, frag)
 	_, groups, gk := b.ruleGroupsKeyed(opt)
-	return b.planFor(cluster.New(opt.N), groups, gk, opt, nil)
+	return b.planFor(cluster.New(opt.N), groups, gk, opt, frag)
 }
 
 // ColdPlan plans opt's variant and returns the plan's unit count.
 func (b *Bundle) ColdPlan(opt Options) (int, error) {
-	p, err := b.coldPlan(opt)
+	p, err := b.coldPlan(opt, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -92,14 +97,21 @@ func (b *Bundle) ColdPlan(opt Options) (int, error) {
 }
 
 // Plan is ColdPlan returning the whole plan, flattened.
-func (b *Bundle) Plan(opt Options) (PlanImage, error) {
-	p, err := b.coldPlan(opt)
+func (b *Bundle) Plan(opt Options) (PlanImage, error) { return b.PlanOver(opt, nil) }
+
+// PlanOver is Plan for the engine over frag: disVal's plan, with its ship
+// costs, when frag is not nil.
+func (b *Bundle) PlanOver(opt Options, frag *fragment.Fragmentation) (PlanImage, error) {
+	p, err := b.coldPlan(opt, frag)
 	if err != nil {
 		return PlanImage{}, err
 	}
 	img := PlanImage{Units: make([]PlanUnit, len(p.units)), Split: p.split, Assign: p.assign, TotalWeight: p.totalWeight, Makespan: p.makespan}
 	for i, u := range p.units {
 		img.Units[i] = PlanUnit{u.group, u.Ranges, u.Weight(), u.stripeMod, u.stripeRem}
+		if frag != nil {
+			img.Ship = append(img.Ship, u.shipBytes)
+		}
 	}
 	return img, nil
 }
@@ -108,7 +120,7 @@ func (b *Bundle) Plan(opt Options) (PlanImage, error) {
 // candidates, per component, through the plan's survivor memo (running
 // the star tests no round has run yet).
 func (b *Bundle) PlanCandidates(opt Options) ([][][]graph.NodeID, error) {
-	p, err := b.coldPlan(opt)
+	p, err := b.coldPlan(opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +137,7 @@ func (b *Bundle) PlanCandidates(opt Options) ([][][]graph.NodeID, error) {
 // a symmetric group's unordered pairs once where its units are deduped.
 func (b *Bundle) PlanVectors(opt Options) (int, error) {
 	opt = opt.Normalized()
-	p, err := b.coldPlan(opt)
+	p, err := b.coldPlan(opt, nil)
 	if err != nil {
 		return 0, err
 	}
