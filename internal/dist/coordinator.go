@@ -123,9 +123,9 @@ type fleet struct {
 
 	procs  []proc
 	closed bool
-	// describe is what an ASSIGN carries for a unit: the plan's descriptor
-	// (a test may substitute a malformed one).
-	describe func(ui int) validate.DistUnit
+	// describe is what an ASSIGN carries for a unit: the plan's Unit (a
+	// test may substitute a malformed one).
+	describe func(ui int) validate.Unit
 }
 
 // proc is one worker slot across incarnations. During a superstep it is

@@ -299,7 +299,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	a := assignMsg{
-		unit: validate.DistUnit{ID: 9, Group: 2, Ranges: []validate.Range{{Lo: 1, Hi: 99}, {Lo: 0, Hi: 4096}},
+		unit: validate.Unit{ID: 9, Group: 2, Ranges: []validate.Range{{Lo: 1, Hi: 99}, {Lo: 0, Hi: 4096}},
 			StripeMod: 3, StripeRem: 1},
 		skip: 12345,
 		halo: []haloNode{

@@ -29,7 +29,7 @@ func FuzzWireDecode(f *testing.F) {
 		heartbeat: time.Second, combine: true, shardPath: "s.0.gfds", rules: "gfd r {\n}", groups: 2}))
 	f.Add(encodeReady(readyMsg{numNodes: 99, groups: 2}))
 	f.Add(encodeAssign(nil, assignMsg{
-		unit: validate.DistUnit{ID: 3, Group: 1, Ranges: []validate.Range{{Lo: 4, Hi: 5}, {Lo: 0, Hi: 300}}, StripeMod: 2, StripeRem: 1},
+		unit: validate.Unit{ID: 3, Group: 1, Ranges: []validate.Range{{Lo: 4, Hi: 5}, {Lo: 0, Hi: 300}}, StripeMod: 2, StripeRem: 1},
 		skip: 7,
 		halo: []haloNode{{id: 8, attrs: [][2]string{{"val", "x"}}, out: []haloEdge{{to: 9, label: "e"}}, in: []haloEdge{{to: 1, label: "f"}}}},
 	}))
@@ -44,13 +44,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	// v2 ASSIGNs at the edges of the range section: no range at all, and a
 	// bound past what an int32 class position can hold.
-	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 1}}))
-	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 2, Ranges: []validate.Range{{Lo: 0, Hi: 1 << 40}}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 1}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 2, Ranges: []validate.Range{{Lo: 0, Hi: 1 << 40}}}}))
 	// Node IDs past what a NodeID holds: a negative ID travels as a u64
 	// above MaxInt32, in a halo node, a halo edge and a match.
-	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: -1}}}))
-	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: 8, out: []haloEdge{{to: -1 << 31, label: "e"}}}}}))
-	f.Add(encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 4}, halo: []haloNode{{id: 8, in: []haloEdge{{to: 9, label: "e"}, {to: -7, label: "f"}}}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 4}, halo: []haloNode{{id: -1}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 4}, halo: []haloNode{{id: 8, out: []haloEdge{{to: -1 << 31, label: "e"}}}}}))
+	f.Add(encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 4}, halo: []haloNode{{id: 8, in: []haloEdge{{to: 9, label: "e"}, {to: -7, label: "f"}}}}}))
 	f.Add(encodeVio(nil, vioMsg{unit: 3, vios: []validate.Violation{{Rule: "r", Match: core.Match{1, -1, 3}}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,7 +107,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00})
 	done := encodeDone(nil, doneMsg{unit: 3, wall: time.Millisecond})
 	f.Add(append(append([]byte{byte(len(done)), 0, 0, 0, fDone}, done...), 0, 0, 0, 0, fHeartbeat))
-	assign := encodeAssign(nil, assignMsg{unit: validate.DistUnit{ID: 5, Group: 1, Ranges: []validate.Range{{Lo: 0, Hi: 256}}}, skip: 2})
+	assign := encodeAssign(nil, assignMsg{unit: validate.Unit{ID: 5, Group: 1, Ranges: []validate.Range{{Lo: 0, Hi: 256}}}, skip: 2})
 	f.Add(append([]byte{byte(len(assign)), 0, 0, 0, fAssign}, assign...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

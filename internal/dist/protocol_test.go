@@ -97,7 +97,7 @@ func TestWorkerRejectsBadChunk(t *testing.T) {
 	extra := good
 	extra.Ranges = append(append([]validate.Range(nil), good.Ranges...), validate.Range{})
 	h := helloFor(t, f, plan, protoVersion)
-	for name, bad := range map[string]validate.DistUnit{"range past the class": past, "extra range": extra} {
+	for name, bad := range map[string]validate.Unit{"range past the class": past, "extra range": extra} {
 		stdin := frames(t,
 			func(fw *frameWriter) error { return fw.write(fHello, encodeHello(h)) },
 			func(fw *frameWriter) error { return fw.write(fAssign, encodeAssign(nil, assignMsg{unit: bad})) })
@@ -129,7 +129,7 @@ func TestWorkerRejectsBadChunk(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		fl.describe = func(ui int) validate.DistUnit {
+		fl.describe = func(ui int) validate.Unit {
 			u := p.Unit(ui)
 			once.Do(func() {
 				u.Ranges = append([]validate.Range(nil), u.Ranges...)

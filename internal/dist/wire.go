@@ -336,7 +336,7 @@ type haloEdge struct {
 }
 
 type assignMsg struct {
-	unit validate.DistUnit
+	unit validate.Unit
 	skip int64
 	halo []haloNode
 }

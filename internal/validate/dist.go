@@ -19,7 +19,8 @@ import (
 // Executor (DetectOver), the view of the plan that executor ships from
 // (DistPlan), and the per-unit execution body (UnitRunner) that goroutine
 // slots and worker processes both run. What crosses the process boundary
-// is only unit descriptors (class ranges), halo data, and violations.
+// is only units (Unit: a group, class ranges and a stripe), halo data, and
+// violations.
 
 // DistOptions configures EngineDistributed. It is carried on
 // Options.Dist and ignored by every other engine.
@@ -48,15 +49,21 @@ type DistOptions struct {
 	MaxRespawns int
 }
 
-// Range is a unit's range of a pivot class, as DistUnit carries it.
+// Range is a unit's range of a pivot class.
 type Range = workload.Range
 
-// DistUnit is the wire-facing descriptor of one work unit: everything a
-// worker process needs to reconstruct the exact workUnit the in-process
-// engines would run, given that it rebuilds the identical rule groups
-// from the shipped effective rule set. The unit's pivot candidates do not
-// travel: the worker runs the star test over each range of its own class.
-type DistUnit struct {
+// Unit is one work unit of a chunk plan: a rule group, one range of each
+// of its pivot components' classes, and a stripe. The planner cuts it, the
+// scheduler queues it, a slot runs it and the ASSIGN frame carries it, so
+// a worker process that rebuilds the identical rule groups from the shipped
+// effective rule set runs exactly the unit the in-process engines would.
+// Its work is every match with each pivot bound to a candidate of its
+// range (the range members that pass the star test, found by the slot
+// that runs the unit, over its own view); units partition the candidate
+// vectors w = ⟨v̄_z, G_z̄⟩ of the paper's workload model, so validating a
+// GFD reduces to running each unit. The balancers' weights and disVal's
+// ship costs are the plan's, beside its units.
+type Unit struct {
 	ID        int     // index into the plan's units — the unit's global identity
 	Group     int     // rule-group index (group order is deterministic in rule order)
 	Ranges    []Range // per pivot component, a range of its class
@@ -67,7 +74,7 @@ type DistUnit struct {
 // DistPlan is what the engine body hands an out-of-process Executor about
 // the plan it is about to schedule: the effective rule set (post-reduction
 // — workers must not reduce again), the grouping flag workers need to
-// rebuild identical group indices, and the unit descriptors. Assignment,
+// rebuild identical group indices, and the plan's units. Assignment,
 // attempts and accounting stay with the scheduler.
 type DistPlan struct {
 	Set     *core.Set // effective rule set; ship via core.WriteRules
@@ -78,23 +85,14 @@ type DistPlan struct {
 	plan *planEntry
 }
 
-// Unit returns unit i's wire descriptor.
-func (p *DistPlan) Unit(i int) DistUnit {
-	u := &p.plan.units[i]
-	return DistUnit{
-		ID:        i,
-		Group:     u.group,
-		Ranges:    u.Ranges,
-		StripeMod: u.stripeMod,
-		StripeRem: u.stripeRem,
-	}
-}
+// Unit returns the plan's unit i.
+func (p *DistPlan) Unit(i int) Unit { return p.plan.chunks.units[i] }
 
 // Idle reports whether unit i has no pivot candidate on the coordinator's
 // topology — then it has no match on any worker either, and needs no
 // frame. The star test runs once per plan (the survivor memo).
 func (p *DistPlan) Idle(i int) bool {
-	return len(p.b.candidatesOf(p.plan.chunks, i)[len(p.plan.units[i].Ranges)-1]) == 0
+	return len(p.b.candidatesOf(p.plan.chunks, i)[len(p.plan.chunks.units[i].Ranges)-1]) == 0
 }
 
 // FillBlock resets set to unit i's data block — the union of its pivot
@@ -104,7 +102,7 @@ func (p *DistPlan) Idle(i int) bool {
 // and every node of its block, carries its full adjacency on the worker
 // and the unit's enumeration finds every match there.
 func (p *DistPlan) FillBlock(set *graph.EpochSet, i int) {
-	fillBlock(set, p.b.topo, p.plan.units[i].Pivot, p.b.candidatesOf(p.plan.chunks, i))
+	fillBlock(set, p.b.topo, p.plan.chunks.pivot(i), p.b.candidatesOf(p.plan.chunks, i))
 }
 
 // DetectOver is the engine body with the caller's slots: start receives the
@@ -120,16 +118,17 @@ func DetectOver(ctx context.Context, b *Bundle, opt Options, sink Sink, start fu
 	return runEngine(ctx, b, opt, sink, engine{start: start})
 }
 
-// UnitRunner executes units on one slot: the star test at the head of
-// each unit, one striped enumeration of its survivors with every pivot
-// pinned to its list (two for a deduped symmetric pair), the literal check
-// of each match, the exactly-once skip count and the cooperative
-// per-attempt deadline. Goroutine slots and worker processes both run it —
-// over the bundle's shared topology, or a worker's shard-backed one — so
-// those exist once. It is single-threaded, like a
-// slot's unit loop (a slot runs its units one at a time, in queue order),
-// and reuses its matcher, pins and match scratch across units, so the
-// per-unit path stays off the allocator.
+// UnitRunner executes the plan's units on one slot — the Unit values the
+// planner cut, as the scheduler queued them or an ASSIGN frame carried
+// them: the star test at the head of each unit, one striped enumeration of
+// its survivors with every pivot pinned to its list (two for a deduped
+// symmetric pair), the literal check of each match, the exactly-once skip
+// count and the cooperative per-attempt deadline. Goroutine slots and
+// worker processes both run it — over the bundle's shared topology, or a
+// worker's shard-backed one — so those exist once. It is single-threaded,
+// like a slot's unit loop (a slot runs its units one at a time, in queue
+// order), and reuses its matcher, pins and match scratch across units, so
+// the per-unit path stays off the allocator.
 type UnitRunner struct {
 	groups   []*ruleGroup
 	m        *match.Matcher
@@ -185,7 +184,7 @@ func (r *UnitRunner) Groups() int { return len(r.groups) }
 // range. A worker process treats it as a protocol error.
 var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 
-// Run executes one unit from its wire descriptor, after checking it
+// Run executes one unit, after checking it
 // against the runner's groups and each range against its class on the
 // runner's own view. Of the violations the unit enumerates, the first
 // skip are suppressed without emission — the exactly-once retry dedupe:
@@ -197,7 +196,7 @@ var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 // process a panic must crash the process so the coordinator sees a death,
 // not a silently shortened unit, and a goroutine slot's scheduler recovers
 // it with unit context.
-func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation)) error {
+func (r *UnitRunner) Run(u Unit, skip int64, emit func(Violation)) error {
 	if u.Group < 0 || u.Group >= len(r.groups) {
 		return fmt.Errorf("%w: unit %d names group %d of %d", ErrBadUnit, u.ID, u.Group, len(r.groups))
 	}
@@ -215,16 +214,10 @@ func (r *UnitRunner) Run(u DistUnit, skip int64, emit func(Violation)) error {
 	if u.StripeMod < 0 || u.StripeMod > 0 && (u.StripeRem < 0 || u.StripeRem >= u.StripeMod) {
 		return fmt.Errorf("%w: unit %d stripe %d mod %d", ErrBadUnit, u.ID, u.StripeRem, u.StripeMod)
 	}
-	wu := workUnit{
-		Unit:      workload.Unit{Pivot: grp.pivot, Ranges: u.Ranges},
-		group:     u.Group,
-		stripeMod: u.StripeMod,
-		stripeRem: u.StripeRem,
-	}
-	return r.run(grp, u.ID, &wu, skip, emit)
+	return r.run(grp, &u, skip, emit)
 }
 
-func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit func(Violation)) error {
+func (r *UnitRunner) run(grp *ruleGroup, u *Unit, skip int64, emit func(Violation)) error {
 	if r.cancel.canceled() {
 		return r.cancel.ctx.Err()
 	}
@@ -234,9 +227,9 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 	}
 	var cands [][]graph.NodeID
 	if r.candsOf != nil {
-		cands = r.candsOf(id)
+		cands = r.candsOf(u.ID)
 	} else {
-		cands = unitCandidates(r.m.Topo(), u)
+		cands = unitCandidates(r.m.Topo(), grp.pivot, u.Ranges)
 	}
 	r.detect(grp, u, cands)
 	expired := r.cancel.deadlineHit
@@ -259,7 +252,7 @@ func (r *UnitRunner) run(grp *ruleGroup, id int, u *workUnit, skip int64, emit f
 // hold only the range pairs i ≤ j (deduped) enumerates an off-diagonal
 // unit a second time with the two lists swapped; a diagonal unit's
 // ordered pairs are both orders already.
-func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID) {
+func (r *UnitRunner) detect(grp *ruleGroup, u *Unit, cands [][]graph.NodeID) {
 	if slices.ContainsFunc(cands, func(c []graph.NodeID) bool { return len(c) == 0 }) {
 		return // some pivot has no candidate
 	}
@@ -270,8 +263,8 @@ func (r *UnitRunner) detect(grp *ruleGroup, u *workUnit, cands [][]graph.NodeID)
 	}
 	opts := match.Options{
 		Pins:       r.pins,
-		StripeMod:  u.stripeMod,
-		StripeRem:  u.stripeRem,
+		StripeMod:  u.StripeMod,
+		StripeRem:  u.StripeRem,
 		StripeNode: grp.stripe,
 		// Prunes a prefix once every member has a failed X literal.
 		Guard: grp.guard,

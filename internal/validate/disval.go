@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"slices"
 
 	"gfd/internal/cluster"
 	"gfd/internal/fragment"
@@ -46,9 +45,8 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 	nPartial := make([]int, opt.N)
 	blocks := make([]*graph.EpochSet, opt.N)
 	prep = func(w, ui int) {
-		u := &plan.units[ui]
 		cands := b.candidatesOf(plan.chunks, ui)
-		shipped := u.shipBytes[w]
+		shipped := plan.ship[ui][w]
 		partial := false
 		// Weighing partial-match shipping against prefetching costs a scan
 		// of the block; it is only worth considering when the prefetch is
@@ -57,7 +55,7 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 			if blocks[w] == nil {
 				blocks[w] = graph.NewEpochSet(b.topo.NumNodes())
 			}
-			if pb := partialMatchBytes(b, frag, groups[u.group], u, cands, blocks[w], w, shipped); pb < shipped {
+			if pb := partialMatchBytes(b, frag, groups[plan.chunks.units[ui].Group], cands, blocks[w], w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}
@@ -93,20 +91,19 @@ const commCostWeight = 1.0 / 32
 // detection reads) and computes, per unit, the bytes each worker would
 // need shipped to assemble the unit's block — the blocks of its
 // candidates, the only blocks planning traverses. The fragments' candidate
-// reports (M_i) are charged and recorded for replay. p.units becomes a
-// copy carrying the ship costs; the superstep's span joins p.span.
+// reports (M_i) are charged and recorded for replay. The costs go to
+// p.ship; the superstep's span joins p.span.
 func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragment.Fragmentation) error {
-	p.units = slices.Clone(p.units)
-	n, view := cl.N(), b.topo
+	cs, n, view := p.chunks, cl.N(), b.topo
+	p.ship = make([][]int64, len(cs.units))
 	busy, deaths := cluster.Fan(n, runtime.NumCPU(), func(w int) {
 		var block *graph.EpochSet
-		for ui := w; ui < len(p.units); ui += n {
+		for ui := w; ui < len(cs.units); ui += n {
 			if block == nil {
 				block = graph.NewEpochSet(view.NumNodes())
 			}
-			u := &p.units[ui]
-			fillBlock(block, view, u.Pivot, b.candidatesOf(p.chunks, ui))
-			u.shipBytes = make([]int64, frag.N)
+			fillBlock(block, view, cs.pivot(ui), b.candidatesOf(cs, ui))
+			ship := make([]int64, frag.N)
 			var total int64
 			perOwner := make([]int64, frag.N)
 			for _, v := range block.Members() {
@@ -114,9 +111,10 @@ func (b *Bundle) attachShipCosts(cl *cluster.Cluster, p *planEntry, frag *fragme
 				perOwner[frag.OwnerOf(v)] += bytes
 				total += bytes
 			}
-			for o := range u.shipBytes {
-				u.shipBytes[o] = total - perOwner[o]
+			for o := range ship {
+				ship[o] = total - perOwner[o]
 			}
+			p.ship[ui] = ship
 		}
 	})
 	if len(deaths) > 0 {
@@ -191,9 +189,9 @@ func chargeCandidateMessages(ship func(from, to int, bytes int64), frag *fragmen
 // prefetching, keeping the strategy selector itself cheap — the paper's
 // dlocalVio likewise estimates before exchanging. block is worker w's
 // pooled set; the unit's block is filled into it.
-func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, u *workUnit, cands [][]graph.NodeID, block *graph.EpochSet, w int, prefetchBytes int64) int64 {
+func partialMatchBytes(b *Bundle, frag *fragment.Fragmentation, grp *ruleGroup, cands [][]graph.NodeID, block *graph.EpochSet, w int, prefetchBytes int64) int64 {
 	view := b.topo
-	fillBlock(block, view, u.Pivot, cands)
+	fillBlock(block, view, grp.pivot, cands)
 	cq := grp.cq
 	var upper int64
 	for _, v := range block.Members() {

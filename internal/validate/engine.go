@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gfd/internal/fragment"
-	"gfd/internal/workload"
 )
 
 // Options configures the validation engines. The zero value is completed
@@ -183,13 +182,4 @@ const (
 func (r *Result) ModeledComm() time.Duration {
 	return time.Duration(r.Rounds)*roundLatency +
 		time.Duration(float64(r.MaxReceived)/float64(linkBytesPerSecond)*float64(time.Second))
-}
-
-// workUnit is a work unit bound to its rule group and optional stripe.
-type workUnit struct {
-	workload.Unit
-	group     int
-	stripeMod int // 0 = unstriped
-	stripeRem int
-	shipBytes []int64 // disVal: bytes to ship if assigned to worker i
 }

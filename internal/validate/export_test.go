@@ -57,20 +57,12 @@ func InjectSlots(t testing.TB, p *FaultPlan) {
 	t.Cleanup(func() { wrapSlots = old })
 }
 
-// PlanUnit is one planned work unit as plain values.
-type PlanUnit struct {
-	Group     int
-	Ranges    []workload.Range
-	Weight    int
-	StripeMod int
-	StripeRem int
-}
-
-// PlanImage is everything the engines take from planFor, flattened. Ship
-// holds disVal's ship costs: per unit, the bytes each worker would need
-// shipped (nil for the replicated engines).
+// PlanImage is everything the engines take from planFor: the units with
+// their weights and, for disVal, their ship costs (per unit, the bytes each
+// worker would need shipped; nil for the replicated engines).
 type PlanImage struct {
-	Units       []PlanUnit
+	Units       []Unit
+	Weights     []int
 	Ship        [][]int64
 	Split       int
 	Assign      workload.Assignment
@@ -93,7 +85,7 @@ func (b *Bundle) ColdPlan(opt Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(p.units), nil
+	return len(p.chunks.units), nil
 }
 
 // Plan is ColdPlan returning the whole plan, flattened.
@@ -106,14 +98,8 @@ func (b *Bundle) PlanOver(opt Options, frag *fragment.Fragmentation) (PlanImage,
 	if err != nil {
 		return PlanImage{}, err
 	}
-	img := PlanImage{Units: make([]PlanUnit, len(p.units)), Split: p.split, Assign: p.assign, TotalWeight: p.totalWeight, Makespan: p.makespan}
-	for i, u := range p.units {
-		img.Units[i] = PlanUnit{u.group, u.Ranges, u.Weight(), u.stripeMod, u.stripeRem}
-		if frag != nil {
-			img.Ship = append(img.Ship, u.shipBytes)
-		}
-	}
-	return img, nil
+	cs := p.chunks
+	return PlanImage{cs.units, cs.weights, p.ship, cs.split, p.assign, p.totalWeight, p.makespan}, nil
 }
 
 // PlanCandidates plans opt's variant and returns every unit's pivot
@@ -124,8 +110,8 @@ func (b *Bundle) PlanCandidates(opt Options) ([][][]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][][]graph.NodeID, len(p.units))
-	for i := range p.units {
+	out := make([][][]graph.NodeID, len(p.chunks.units))
+	for i := range out {
 		out[i] = b.candidatesOf(p.chunks, i)
 	}
 	return out, nil
@@ -142,12 +128,12 @@ func (b *Bundle) PlanVectors(opt Options) (int, error) {
 		return 0, err
 	}
 	n := 0
-	for i, u := range p.units {
-		if u.stripeRem > 0 {
+	for i, u := range p.chunks.units {
+		if u.StripeRem > 0 {
 			continue
 		}
 		cands := b.candidatesOf(p.chunks, i)
-		sym := !opt.NoOptimize && u.Pivot.Symmetric()
+		sym := !opt.NoOptimize && p.chunks.pivot(i).Symmetric()
 		if len(cands) == 1 {
 			n += len(cands[0])
 			continue

@@ -13,8 +13,8 @@ import (
 
 // This file is the planning layer of a parallel round — the bPar / disPar
 // prefix. A plan is a list of chunks: per rule group, ranges of each pivot
-// component's class (workload.Unit), cut from class sizes alone, weighted
-// by member count and balanced by LPT. Planning reads no member: the star
+// component's class (Unit), cut from class sizes alone, weighted by member
+// count and balanced by LPT. Planning reads no member: the star
 // test that keeps a class member as a pivot candidate runs at the head of
 // each chunk, on the slot that runs it and over that slot's own view
 // (UnitRunner), and its survivors are what the matcher enumerates. Skewed
@@ -71,16 +71,21 @@ type chunkKey struct {
 	threshold int
 }
 
-// chunkSet is one memoized chunk layout with its survivor memo: cands[i]
-// is unit i's candidates on the bundle's topology, stored by the first
-// run of the unit (or by disVal's planning) and shared by every plan over
-// the layout.
+// chunkSet is one memoized chunk layout: the rule groups it was cut from,
+// its units with their weights, and its survivor memo: cands[i] is unit
+// i's candidates on the bundle's topology, stored by the first run of the
+// unit (or by disVal's planning) and shared by every plan over the layout.
 type chunkSet struct {
-	units []workUnit
-	cands []atomic.Pointer[[][]graph.NodeID]
-	split int
-	span  time.Duration // the cut's wall time
+	groups  []*ruleGroup
+	units   []Unit
+	weights []int // the balancers' estimate of each unit's work
+	cands   []atomic.Pointer[[][]graph.NodeID]
+	split   int
+	span    time.Duration // the cut's wall time
 }
+
+// pivot returns unit ui's pivot: its group's, lowered by bind.
+func (cs *chunkSet) pivot(ui int) *workload.Pivot { return cs.groups[cs.units[ui].Group].pivot }
 
 // planKey identifies one memoized detection plan: the chunk layout plus
 // the assignment objective. seed is folded in only for randomized
@@ -92,14 +97,15 @@ type planKey struct {
 	seed   int64
 }
 
-// planEntry is one memoized plan: the units (the layout's, or disVal's
-// copy carrying ship costs) with their balanced assignment, the derived
+// planEntry is one memoized plan: the layout's units with their balanced
+// assignment, disVal's ship costs (ship[i][w]: the bytes unit i needs
+// shipped if worker w runs it; nil for the replicated engine), the derived
 // accounting the engines report, and the planning phase's span and
-// shipments. Shared read-only across rounds.
+// shipments. Shared read-only across rounds. The ship costs live here, not
+// on the layout, which plans of other fragmentations share.
 type planEntry struct {
 	chunks      *chunkSet
-	units       []workUnit
-	split       int
+	ship        [][]int64
 	totalWeight int64
 	makespan    int64
 	assign      workload.Assignment
@@ -190,7 +196,7 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 	b.mu.Unlock()
 
 	cs := b.chunksFor(key.ck, groups, opt)
-	p := &planEntry{chunks: cs, units: cs.units, split: cs.split, span: cs.span}
+	p := &planEntry{chunks: cs, span: cs.span}
 	if frag != nil {
 		if err := b.attachShipCosts(cl, p, frag); err != nil {
 			return nil, err
@@ -199,16 +205,15 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 	cl.EndRound()
 
 	start := time.Now()
-	weights := make([]int, len(p.units))
-	for i := range p.units {
-		weights[i] = p.units[i].Weight()
-		p.totalWeight += int64(weights[i])
+	weights := cs.weights
+	for _, w := range weights {
+		p.totalWeight += int64(w)
 	}
 	switch {
 	case opt.RandomAssign:
 		p.assign = workload.BalanceRandom(weights, opt.N, opt.Seed)
 	case frag != nil:
-		cc := func(unit, worker int) int64 { return p.units[unit].shipBytes[worker] }
+		cc := func(unit, worker int) int64 { return p.ship[unit][worker] }
 		p.assign = workload.BalanceBiCriteria(weights, opt.N, cc, commCostWeight)
 	default:
 		p.assign = workload.BalanceLPT(weights, opt.N)
@@ -231,8 +236,8 @@ func (b *Bundle) chunksFor(key chunkKey, groups []*ruleGroup, opt Options) *chun
 	}
 	b.mu.Unlock()
 	start := time.Now()
-	cs := &chunkSet{}
-	cs.units, cs.split = cutChunks(b.topo, groups, opt)
+	cs := &chunkSet{groups: groups}
+	cs.units, cs.weights, cs.split = cutChunks(b.topo, groups, opt)
 	cs.cands = make([]atomic.Pointer[[][]graph.NodeID], len(cs.units))
 	cs.span = time.Since(start)
 	b.mu.Lock()
@@ -246,7 +251,7 @@ func (b *Bundle) candidatesOf(cs *chunkSet, ui int) [][]graph.NodeID {
 	if c := cs.cands[ui].Load(); c != nil {
 		return *c
 	}
-	c := unitCandidates(b.topo, &cs.units[ui])
+	c := unitCandidates(b.topo, cs.pivot(ui), cs.units[ui].Ranges)
 	if !cs.cands[ui].CompareAndSwap(nil, &c) {
 		return *cs.cands[ui].Load() // a racing run stored the same list first
 	}
@@ -255,17 +260,17 @@ func (b *Bundle) candidatesOf(cs *chunkSet, ui int) [][]graph.NodeID {
 }
 
 // unitCandidates runs a unit's star test on view: per component, the
-// members of its range that the pivot's Candidates keeps. The two
-// components of a symmetric group share a star, so a diagonal unit tests
-// its range once.
-func unitCandidates(view *graph.Snapshot, u *workUnit) [][]graph.NodeID {
-	out := make([][]graph.NodeID, len(u.Ranges))
-	for i, r := range u.Ranges {
-		if i == 1 && u.Pivot.Symmetric() && r == u.Ranges[0] {
+// members of its range rs that the pivot pv (its group's, lowered by bind)
+// keeps. The two components of a symmetric group share a star, so a
+// diagonal unit tests its range once.
+func unitCandidates(view *graph.Snapshot, pv *workload.Pivot, rs []Range) [][]graph.NodeID {
+	out := make([][]graph.NodeID, len(rs))
+	for i, r := range rs {
+		if i == 1 && pv.Symmetric() && r == rs[0] {
 			out[1] = out[0]
 			continue
 		}
-		out[i] = u.Pivot.Candidates(view, i, r)
+		out[i] = pv.Candidates(view, i, r)
 	}
 	return out
 }
@@ -289,9 +294,9 @@ type heavyPivot struct {
 //   - more: one chunk over the full classes.
 //
 // A range chunk weighs its members times the mean degree, a stripe its
-// share of its pivot's degree. It returns the units and how many of them
-// are stripes.
-func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []workUnit, split int) {
+// share of its pivot's degree. It returns the units, their weights and how
+// many of them are stripes.
+func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []Unit, weights []int, split int) {
 	theta := splitThreshold(opt, view)
 	var heavy []graph.NodeID
 	if theta > 0 {
@@ -299,8 +304,10 @@ func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []
 	}
 	meanDeg := meanDegree(view)
 	limit := chunksPerSlot * opt.N
-	add := func(gi int, pv *workload.Pivot, load int, rs ...workload.Range) {
-		units = append(units, workUnit{Unit: workload.Unit{Pivot: pv, Ranges: rs, Load: max(1, load)}, group: gi})
+	add := func(gi int, load int, rs ...Range) *Unit {
+		units = append(units, Unit{ID: len(units), Group: gi, Ranges: rs})
+		weights = append(weights, max(1, load))
+		return &units[len(units)-1]
 	}
 	for gi, grp := range groups {
 		pv := grp.pivot
@@ -318,7 +325,7 @@ func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []
 						cut = hs[0].pos
 					}
 					if cut > r.Lo {
-						add(gi, pv, (cut-r.Lo)*meanDeg, workload.Range{Lo: r.Lo, Hi: cut})
+						add(gi, (cut-r.Lo)*meanDeg, Range{Lo: r.Lo, Hi: cut})
 					}
 					r.Lo = cut
 					if r.Len() == 0 {
@@ -327,9 +334,8 @@ func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []
 					h := hs[0]
 					hs = hs[1:]
 					for rem := 0; rem < h.stripes; rem++ {
-						add(gi, pv, h.degree/h.stripes, workload.Range{Lo: h.pos, Hi: h.pos + 1})
-						u := &units[len(units)-1]
-						u.stripeMod, u.stripeRem = h.stripes, rem
+						u := add(gi, h.degree/h.stripes, Range{Lo: h.pos, Hi: h.pos + 1})
+						u.StripeMod, u.StripeRem = h.stripes, rem
 					}
 					split += h.stripes
 					r.Lo++
@@ -348,22 +354,22 @@ func cutChunks(view *graph.Snapshot, groups []*ruleGroup, opt Options) (units []
 					if symmetric && j < i {
 						continue
 					}
-					add(gi, pv, a.Len()*c.Len()*meanDeg, a, c)
+					add(gi, a.Len()*c.Len()*meanDeg, a, c)
 				}
 			}
 		default:
-			rs := make([]workload.Range, k)
+			rs := make([]Range, k)
 			load := meanDeg
 			for i := range rs {
-				rs[i] = workload.Range{Hi: pv.ClassLen(view, i)}
+				rs[i] = Range{Hi: pv.ClassLen(view, i)}
 				load = min(load*max(1, rs[i].Hi), 1<<30)
 			}
-			if !slices.ContainsFunc(rs, func(r workload.Range) bool { return r.Hi == 0 }) {
-				add(gi, pv, load, rs...)
+			if !slices.ContainsFunc(rs, func(r Range) bool { return r.Hi == 0 }) {
+				add(gi, load, rs...)
 			}
 		}
 	}
-	return units, split
+	return units, weights, split
 }
 
 // evenRanges cuts [0, n) into at most limit ranges of near-equal size,

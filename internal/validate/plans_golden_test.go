@@ -54,7 +54,7 @@ func TestPlansGolden(t *testing.T) {
 				fmt.Fprintf(&buf, "worker %d: %v\n", w, q)
 			}
 			for ui, u := range img.Units {
-				fmt.Fprintf(&buf, "unit %d: group %d ranges %v stripe %d/%d weight %d survivors", ui, u.Group, u.Ranges, u.StripeRem, u.StripeMod, u.Weight)
+				fmt.Fprintf(&buf, "unit %d: group %d ranges %v stripe %d/%d weight %d survivors", ui, u.Group, u.Ranges, u.StripeRem, u.StripeMod, img.Weights[ui])
 				for _, c := range cands[ui] {
 					fmt.Fprintf(&buf, " %d", len(c))
 				}

@@ -94,8 +94,8 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 		return res, err
 	}
 	res.EstimateSpan = plan.span
-	res.SplitUnits = plan.split
-	res.Units = len(plan.units)
+	res.SplitUnits = plan.chunks.split
+	res.Units = len(plan.chunks.units)
 	res.TotalWeight = plan.totalWeight
 	res.Makespan = plan.makespan
 	res.EstimateWall = time.Since(estStart)
@@ -107,7 +107,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	// fault-tolerant scheduler (runtime.go), which also ships each round's
 	// unit descriptors; each unit runs its star test first ---------------
 	sink, union := orCollect(sink, opt.N, res)
-	run := &detectRun{ctx: ctx, cl: cl, units: plan.units, opt: opt, sink: sink}
+	run := &detectRun{ctx: ctx, cl: cl, units: plan.chunks.units, opt: opt, sink: sink}
 	local := func() { run.exec, run.simulated = newGoroutines(ctx, b, opt, plan), true }
 	if e.start == nil {
 		local()

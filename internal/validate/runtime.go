@@ -185,8 +185,8 @@ func (e *goroutines) Run(w int, queue []int, skip func(ui int) int64, emit func(
 	}
 	// A panic below drops the runner, so Close never pools a dirty matcher.
 	e.runners[w] = nil
-	u := &e.plan.units[ui]
-	err := r.run(r.groups[u.group], ui, u, skip(ui), emit)
+	u := &e.plan.chunks.units[ui]
+	err := r.run(r.groups[u.Group], u, skip(ui), emit)
 	e.runners[w] = r
 	return err
 }
@@ -227,7 +227,7 @@ type detectRun struct {
 	ctx   context.Context
 	cl    *cluster.Cluster
 	exec  Executor
-	units []workUnit
+	units []Unit
 	opt   Options // normalized
 	sink  Sink    // the collect, callback or pipe sink
 	// simulated is set when the slots are goroutines: the scheduler then
@@ -505,7 +505,7 @@ func (r *detectRun) failure(ui int) UnitFailure {
 	if err == nil {
 		err = fmt.Errorf("unit %d: never started: %w", ui, errAllWorkersDead)
 	}
-	return UnitFailure{Unit: ui, Group: r.units[ui].group, Attempts: st.attempts, Err: err}
+	return UnitFailure{Unit: ui, Group: r.units[ui].Group, Attempts: st.attempts, Err: err}
 }
 
 var errAllWorkersDead = errors.New("validate: all workers dead")

@@ -106,7 +106,7 @@ func TestSchedulerStopLatches(t *testing.T) {
 	exec.started.Add(2)
 	sink := NewCollectSink(3)
 	run := &detectRun{ctx: ctx, cl: cluster.New(3), exec: exec,
-		units: make([]workUnit, 3), opt: Options{N: 3}.Normalized(), sink: sink}
+		units: make([]Unit, 3), opt: Options{N: 3}.Normalized(), sink: sink}
 	_, comp, perr := run.run([][]int{{0}, {1}, {2}})
 	if perr != nil {
 		t.Fatalf("err %v, want none: a cancelled run reports the context's error", perr)

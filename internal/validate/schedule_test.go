@@ -130,7 +130,7 @@ func runSchedule(exec Executor, slots, units, retryMax int, assign workload.Assi
 	var mu sync.Mutex
 	s.r = &detectRun{
 		ctx: context.Background(), cl: cluster.New(slots), exec: exec,
-		units: make([]workUnit, units), opt: Options{N: slots, Retry: Retry{Max: retryMax}},
+		units: make([]Unit, units), opt: Options{N: slots, Retry: Retry{Max: retryMax}},
 		sink: Callback(func(v Violation) {
 			mu.Lock()
 			s.got = append(s.got, v)

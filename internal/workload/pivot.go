@@ -1,11 +1,12 @@
 // Package workload implements the workload model of Section 5.2: pivot
 // vectors PV(ϕ) and their candidates (the pivot label's class, kept to the
 // holders of its seeds when a constant X seeds it, semi-joined with the
-// pivot's pattern neighbours), work units as ranges of the pivot
-// classes (chunks, whose candidates are found where they run), the greedy
-// 2-approximation for balanced n-partitions (Proposition 12), and the
-// bi-criteria assignment that additionally minimizes communication cost
-// for fragmented graphs (Proposition 13).
+// pivot's pattern neighbours), the class ranges a work unit covers (the
+// unit itself is validate.Unit, whose candidates are found where it runs),
+// the greedy 2-approximation for balanced n-partitions (Proposition 12),
+// and the bi-criteria assignment that additionally minimizes communication
+// cost for fragmented graphs (Proposition 13). The balancers read unit
+// weights only.
 package workload
 
 import (
@@ -35,6 +36,15 @@ type Pivot struct {
 	symmetric  bool      // the two components are isomorphic (k == 2 only)
 	low        []lowered // per component, set on the copy Lower returns
 }
+
+// Range is a half-open range [Lo, Hi) of positions in a pivot component's
+// class (Pivot.Class, ascending node IDs; all nodes for a wildcard).
+type Range struct {
+	Lo, Hi int
+}
+
+// Len returns the number of class members the range covers.
+func (r Range) Len() int { return r.Hi - r.Lo }
 
 // lowered is one pivot component lowered onto a symbol table: the codes
 // Class, ClassLen and Candidates read, never the members or adjacency.
@@ -98,39 +108,15 @@ func (p *Pivot) Arity() int { return len(p.Vars) }
 // (the multi-query duplicate-removal optimization of Example 10).
 func (p *Pivot) Symmetric() bool { return p.symmetric }
 
-// mirror returns the node of component b that an isomorphism between the
-// sub-patterns the two components induce (labels included) maps a's node z
-// onto, or -1 when they are not isomorphic.
+// mirror returns the node of component b that the first label-exact
+// isomorphism between the sub-patterns the two components induce maps a's
+// node z onto, or -1 when they are not isomorphic.
 func mirror(q *pattern.Pattern, a, b []int, z int) int {
-	if len(a) != len(b) {
-		return -1
-	}
-	pa, pb := subPattern(q, a), subPattern(q, b)
-	if pa.NumEdges() != pb.NumEdges() || !pattern.EmbeddableExact(pb, pa) {
-		return -1
-	}
-	emb, ok := pattern.FirstEmbedding(pa, pb)
+	perm, ok := pattern.Isomorphism(pattern.Induced(q, a), pattern.Induced(q, b), nil)
 	if !ok {
 		return -1
 	}
-	return b[emb.Map[slices.Index(a, z)]]
-}
-
-// subPattern extracts the sub-pattern induced by the node indices in keep.
-func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
-	remap := make(map[int]int, len(keep))
-	sub := pattern.New()
-	for _, v := range keep {
-		remap[v] = sub.AddNode(q.Nodes[v].Var, q.Nodes[v].Label)
-	}
-	for _, e := range q.Edges {
-		if fi, ok := remap[e.From]; ok {
-			if ti, ok := remap[e.To]; ok {
-				sub.AddEdge(fi, ti, e.Label)
-			}
-		}
-	}
-	return sub
+	return b[perm[slices.Index(a, z)]]
 }
 
 // Lower returns a copy of p with each component's class label and star

@@ -211,13 +211,9 @@ func TestUnitBlock(t *testing.T) {
 	pv := ComputePivot(numberedFlight()).Lower(snap.Syms(), nil)
 	// A one-member range at the first candidate's class position.
 	first := slices.Index(pv.Class(snap, 0), pv.CandidatesIn(snap, 0)[0])
-	u := Unit{Pivot: pv, Ranges: []Range{{first, first + 1}}, Load: 3}
-	cands := [][]graph.NodeID{pv.Candidates(snap, 0, u.Ranges[0])}
+	cands := [][]graph.NodeID{pv.Candidates(snap, 0, Range{first, first + 1})}
 	if block := snap.Neighborhood(cands[0][0], pv.Radii[0]); len(cands[0]) != 1 || len(block) != 2 {
 		t.Errorf("block of %v = %v, want flight + id", cands[0], block)
-	}
-	if u.Weight() != u.Load {
-		t.Errorf("weight = %d", u.Weight())
 	}
 }
 
