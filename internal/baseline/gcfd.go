@@ -69,7 +69,7 @@ func FromGFD(f *core.GFD) (*GCFD, bool) {
 		if a == nil || b == nil {
 			return nil, false
 		}
-		if !pattern.EmbeddableExact(a, b) || !pattern.EmbeddableExact(b, a) {
+		if _, ok := pattern.Isomorphism(a, b, nil); !ok {
 			return nil, false
 		}
 	default:
@@ -81,25 +81,13 @@ func FromGFD(f *core.GFD) (*GCFD, bool) {
 	return &GCFD{Name: f.Name, Path: f.Q, X: f.X, Y: f.Y, rule: f}, true
 }
 
-// subPathPattern extracts the sub-pattern induced by a component's nodes,
-// returning nil unless it is a simple directed path.
+// subPathPattern returns the sub-pattern induced by a component's nodes,
+// or nil unless it is a simple directed path.
 func subPathPattern(q *pattern.Pattern, members []int) *pattern.Pattern {
-	remap := make(map[int]int, len(members))
-	sub := pattern.New()
-	for _, v := range members {
-		remap[v] = sub.AddNode(q.Nodes[v].Var, q.Nodes[v].Label)
+	if sub := pattern.Induced(q, members); isSimplePath(sub) {
+		return sub
 	}
-	for _, e := range q.Edges {
-		fi, okF := remap[e.From]
-		ti, okT := remap[e.To]
-		if okF && okT {
-			sub.AddEdge(fi, ti, e.Label)
-		}
-	}
-	if !isSimplePath(sub) {
-		return nil
-	}
-	return sub
+	return nil
 }
 
 // ConvertSet converts every expressible rule of a GFD set, returning the

@@ -281,15 +281,11 @@ type componentTuple struct {
 // componentTuples enumerates every match of the first component of a
 // symmetric two-component pattern (nodes 0..half-1 with their edges).
 func componentTuples(g *graph.Graph, q *pattern.Pattern, half int) []componentTuple {
-	comp := pattern.New()
-	for i := 0; i < half; i++ {
-		comp.AddNode(q.Nodes[i].Var, q.Nodes[i].Label)
+	nodes := make([]int, half)
+	for i := range nodes {
+		nodes[i] = i
 	}
-	for _, e := range q.Edges {
-		if e.From < half && e.To < half {
-			comp.AddEdge(e.From, e.To, e.Label)
-		}
-	}
+	comp := pattern.Induced(q, nodes)
 	const maxTuples = 50000
 	var tuples []componentTuple
 	match.NewMatcher(g.Freeze()).Enumerate(comp, match.Options{}, func(m core.Match) bool {

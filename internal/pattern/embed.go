@@ -1,5 +1,7 @@
 package pattern
 
+import "slices"
+
 // Embedding is an isomorphic mapping f from a pattern Q' into a subgraph of
 // a host pattern Q (Section 4.1 of the paper: "Q' is embeddable in Q").
 // Map[i] is the host node index that sub node i maps to.
@@ -15,58 +17,65 @@ type Embedding struct {
 
 // Embeddings returns all exact embeddings of sub into host.
 func Embeddings(sub, host *Pattern) []Embedding {
-	return findEmbeddings(sub, host, -1)
+	var found []Embedding
+	embed(sub, host, false, func(m []int) bool {
+		found = append(found, Embedding{Map: slices.Clone(m)})
+		return false
+	})
+	return found
 }
 
-// EmbeddableExact reports whether at least one exact embedding exists.
-func EmbeddableExact(sub, host *Pattern) bool {
-	_, ok := FirstEmbedding(sub, host)
-	return ok
-}
-
-// FirstEmbedding returns the first exact embedding of sub into host that
-// the search finds, if any.
-func FirstEmbedding(sub, host *Pattern) (Embedding, bool) {
-	found := findEmbeddings(sub, host, 1)
-	if len(found) == 0 {
-		return Embedding{}, false
+// Isomorphism returns the first label-exact isomorphism from a onto b that
+// accept admits (nil admits every one): perm[i] is the node of b that a's
+// node i maps to, and every node and edge of a carries exactly the label
+// of its image. The search is lazy and runs in embedding order — a's nodes
+// in connectivityOrder, b's nodes ascending for each — so it stops at the
+// first admitted isomorphism of that order.
+func Isomorphism(a, b *Pattern, accept func(perm []int) bool) ([]int, bool) {
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+		return nil, false
 	}
-	return found[0], true
+	var perm []int
+	found := embed(a, b, true, func(m []int) bool {
+		if accept == nil || accept(m) {
+			perm = slices.Clone(m)
+			return true
+		}
+		return false
+	})
+	return perm, found
 }
 
-// findEmbeddings returns the embeddings of sub into host, at most limit of
-// them (limit < 0: all).
-func findEmbeddings(sub, host *Pattern, limit int) []Embedding {
+// embed runs the embedding search of sub into host, calling visit on each
+// embedding found (the map is reused) until visit returns true, and reports
+// whether it did. An exact search maps every node and edge onto one of the
+// same label, wildcards included.
+func embed(sub, host *Pattern, exact bool, visit func(m []int) bool) bool {
 	if sub.NumNodes() > host.NumNodes() || sub.NumEdges() > host.NumEdges() {
-		return nil
+		return false
 	}
-	e := &embedder{sub: sub, host: host, limit: limit}
+	e := &embedder{sub: sub, host: host, exact: exact, visit: visit}
 	e.order = connectivityOrder(sub)
 	e.assign = make([]int, sub.NumNodes())
 	for i := range e.assign {
 		e.assign[i] = -1
 	}
 	e.usedHost = make([]bool, host.NumNodes())
-	e.search(0)
-	return e.found
+	return e.search(0)
 }
 
 type embedder struct {
 	sub, host *Pattern
-	limit     int
+	exact     bool
+	visit     func(m []int) bool
 	order     []int
 	assign    []int // sub node -> host node or -1
 	usedHost  []bool
-	found     []Embedding
 }
 
 func (e *embedder) search(depth int) bool {
-	if e.limit >= 0 && len(e.found) >= e.limit {
-		return true
-	}
 	if depth == len(e.order) {
-		e.found = append(e.found, Embedding{Map: append([]int(nil), e.assign...)})
-		return e.limit >= 0 && len(e.found) >= e.limit
+		return e.visit(e.assign)
 	}
 	u := e.order[depth]
 	for h := 0; h < e.host.NumNodes(); h++ {
@@ -86,8 +95,13 @@ func (e *embedder) search(depth int) bool {
 
 // nodeCompatible reports whether sub node u can map to host node h.
 func (e *embedder) nodeCompatible(u, h int) bool {
-	sl := e.sub.Nodes[u].Label
-	return sl == Wildcard || sl == e.host.Nodes[h].Label
+	return e.labelFits(e.sub.Nodes[u].Label, e.host.Nodes[h].Label)
+}
+
+// labelFits reports whether a sub label may map onto a host label: an equal
+// one, or any one for a wildcard unless the search is exact.
+func (e *embedder) labelFits(sub, host string) bool {
+	return sub == host || sub == Wildcard && !e.exact
 }
 
 // edgesCompatible verifies all sub edges between u and already-assigned
@@ -120,7 +134,7 @@ func (e *embedder) hostHasEdge(from, to int, subLabel string) bool {
 		if he.To != to {
 			continue
 		}
-		if subLabel == Wildcard || subLabel == he.Label {
+		if e.labelFits(subLabel, he.Label) {
 			return true
 		}
 	}

@@ -154,16 +154,6 @@ func TestEmbeddingSelfLoop(t *testing.T) {
 	}
 }
 
-func TestEmbeddableExactShortCircuits(t *testing.T) {
-	q8, q9 := buildQ8(), buildQ9()
-	if !EmbeddableExact(q8, q9) {
-		t.Error("EmbeddableExact(Q8, Q9) must hold")
-	}
-	if EmbeddableExact(q9, q8) {
-		t.Error("EmbeddableExact(Q9, Q8) must not hold")
-	}
-}
-
 func TestEmbeddingDisconnectedSub(t *testing.T) {
 	// Two isolated tau nodes embed into any host with >= 2 tau nodes.
 	sub := New()

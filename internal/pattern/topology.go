@@ -97,3 +97,23 @@ func sortInts(xs []int) {
 		}
 	}
 }
+
+// Induced returns the sub-pattern of q induced by nodes: their variables
+// and labels, in the order given, and every edge of q between two of them,
+// in q's order.
+func Induced(q *Pattern, nodes []int) *Pattern {
+	idx := make([]int, q.NumNodes())
+	for i := range idx {
+		idx[i] = -1
+	}
+	sub := New()
+	for _, v := range nodes {
+		idx[v] = sub.AddNode(q.Nodes[v].Var, q.Nodes[v].Label)
+	}
+	for _, e := range q.Edges {
+		if from, to := idx[e.From], idx[e.To]; from >= 0 && to >= 0 {
+			sub.AddEdge(from, to, e.Label)
+		}
+	}
+	return sub
+}

@@ -32,9 +32,10 @@ func (c *Conflict) Error() string {
 // Σ itself: under the paper's size bound (|Q| at most the largest pattern
 // in Σ), a host that embeds the largest participating pattern is
 // isomorphic to it, so rule patterns are the canonical hosts (the same
-// argument validate/groups.go's isoMap rests on). Embeddings are exact — a concrete label never maps onto a
-// wildcard host node — because an embedded GFD must apply to *every* match
-// of the host for a conflict to contradict the required match.
+// argument validate's rule grouping by pattern.Isomorphism rests on).
+// Embeddings are exact — a concrete label never maps onto a wildcard host
+// node — because an embedded GFD must apply to *every* match of the host
+// for a conflict to contradict the required match.
 func Satisfiable(s *core.Set) (bool, *Conflict) {
 	rules := s.Rules()
 	// Tractable shortcuts (Corollary 4): a set of variable GFDs only, or a

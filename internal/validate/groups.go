@@ -100,7 +100,7 @@ func buildGroups(rules []*core.GFD, combine bool) []*ruleGroup {
 		if combine {
 			for gi, grp := range groups {
 				gs := &seeds[gi]
-				perm, ok := isoMap(f.Q, grp.q, func(perm []int) bool {
+				perm, ok := pattern.Isomorphism(f.Q, grp.q, func(perm []int) bool {
 					if sd.node < 0 || gs.node < 0 {
 						return sd.node == gs.node
 					}
@@ -155,46 +155,6 @@ func seedOf(f *core.GFD) seed {
 		}
 	}
 	return sd
-}
-
-// isoMap returns an isomorphism from pattern a onto pattern b that accept
-// admits, if one exists. Since exact embeddings never map a concrete label
-// onto a wildcard, a full-size embedding with equal node and edge counts
-// whose labels agree is a label-preserving isomorphism.
-func isoMap(a, b *pattern.Pattern, accept func(perm []int) bool) ([]int, bool) {
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
-		return nil, false
-	}
-next:
-	for _, emb := range pattern.Embeddings(a, b) {
-		// Verify the reverse direction to rule out a wildcard mapped onto a
-		// concrete label: the mapping must preserve labels exactly.
-		m := emb.Map
-		for i, hi := range m {
-			if a.Nodes[i].Label != b.Nodes[hi].Label {
-				continue next
-			}
-		}
-		for _, e := range a.Edges {
-			if !edgeLabelEqual(b, m[e.From], m[e.To], e.Label) {
-				continue next
-			}
-		}
-		if accept(m) {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
-func edgeLabelEqual(p *pattern.Pattern, from, to int, label string) bool {
-	for _, ei := range p.OutEdges(from) {
-		e := p.Edges[ei]
-		if e.To == to && e.Label == label {
-			return true
-		}
-	}
-	return false
 }
 
 func identityPerm(n int) []int {
