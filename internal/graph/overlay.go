@@ -193,12 +193,14 @@ func (o *Overlay) AddNode(label string, attrs Attrs) NodeID {
 		o.add(l, false)
 	}
 	p.labels = append(p.labels, l)
-	// Extend the merged candidate class; seeded from the base range on the
-	// label's first insertion. New IDs exceed every frozen ID, so the class
-	// stays ascending by construction.
+	// Extend the merged candidate class; seeded from the base range, with
+	// room for more inserts, on the label's first insertion. New IDs exceed
+	// every frozen ID, so the class stays ascending by construction.
 	m, ok := p.classes[l]
 	if !ok {
-		m = append([]NodeID(nil), o.base.NodesWith(l)...)
+		base := o.base.NodesWith(l)
+		m = make([]NodeID, len(base), len(base)+len(base)/8+8)
+		copy(m, base)
 	}
 	p.classes[l] = append(m, id)
 	o.delta += 1 + len(attrs)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -1084,5 +1085,38 @@ func BenchmarkOverlayReads(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestOverlayInsertsAllocateLittle: a fresh overlay's first inserts write
+// into slot arrays made with room for them, and a label's first insert
+// copies its base class once. 100 attribute-less inserts of a small-class
+// label over a 100 000-node base allocate under 100 kB, where regrowing the
+// three slot arrays alone costs 1.2 MB.
+func TestOverlayInsertsAllocateLittle(t *testing.T) {
+	const n = 100_000
+	g := New(n, 0)
+	for i := range n {
+		label := "big"
+		if i%1000 == 0 {
+			label = "small"
+		}
+		g.AddNode(label, nil)
+	}
+	ov := NewOverlay(g)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for range 100 {
+		ov.AddNode("small", nil)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	t.Logf("100 inserts allocated %d B", got)
+	if got >= 100_000 {
+		t.Fatalf("100 inserts allocated %d B, want under 100 kB", got)
+	}
+	if cls := ov.NodesWith(ov.Syms().Intern("small")); len(cls) != n/1000+100 {
+		t.Fatalf("the small class holds %d nodes, want %d", len(cls), n/1000+100)
 	}
 }
