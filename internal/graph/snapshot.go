@@ -149,13 +149,14 @@ type patch struct {
 
 // newPatch returns the empty patch of a view over base at graph version
 // version: three zeroed slot arrays, no list copied. The slot arrays have
-// room for n/8 inserted nodes, so a batch of inserts does not regrow them.
+// room for n/4 inserted nodes (CompactFraction of the base's), so the
+// inserts a view takes before Settle compacts it do not regrow them.
 func newPatch(base *Snapshot, version uint64) *patch {
 	n := base.NumNodes()
 	return &patch{
-		outSlot:  make([]int32, n, n+n/8),
-		inSlot:   make([]int32, n, n+n/8),
-		attrSlot: make([]int32, n, n+n/8),
+		outSlot:  make([]int32, n, n+n/4),
+		inSlot:   make([]int32, n, n+n/4),
+		attrSlot: make([]int32, n, n+n/4),
 		lists:    make([][]CSREdge, 1),
 		tuples:   make([][]AttrPair, 1),
 		tupled:   make(map[Sym][]NodeID),
