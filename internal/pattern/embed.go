@@ -35,47 +35,48 @@ func Isomorphism(a, b *Pattern, accept func(perm []int) bool) ([]int, bool) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return nil, false
 	}
-	var perm []int
-	found := embed(a, b, true, func(m []int) bool {
-		if accept == nil || accept(m) {
-			perm = slices.Clone(m)
-			return true
-		}
-		return false
-	})
-	return perm, found
+	if accept == nil {
+		accept = acceptAll
+	}
+	perm := embed(a, b, true, accept)
+	return perm, perm != nil
 }
 
+func acceptAll([]int) bool { return true }
+
 // embed runs the embedding search of sub into host, calling visit on each
-// embedding found (the map is reused) until visit returns true, and reports
-// whether it did. An exact search maps every node and edge onto one of the
-// same label, wildcards included.
-func embed(sub, host *Pattern, exact bool, visit func(m []int) bool) bool {
+// embedding found until visit returns true, and returns that embedding (nil
+// when visit admits none; the map visit sees is reused until then). A
+// labelExact search maps every node and edge onto one of the same label,
+// wildcards included.
+func embed(sub, host *Pattern, labelExact bool, visit func(m []int) bool) []int {
 	if sub.NumNodes() > host.NumNodes() || sub.NumEdges() > host.NumEdges() {
-		return false
+		return nil
 	}
-	e := &embedder{sub: sub, host: host, exact: exact, visit: visit}
+	e := &embedder{sub: sub, host: host, labelExact: labelExact}
 	e.order = connectivityOrder(sub)
 	e.assign = make([]int, sub.NumNodes())
 	for i := range e.assign {
 		e.assign[i] = -1
 	}
 	e.usedHost = make([]bool, host.NumNodes())
-	return e.search(0)
+	if !e.search(0, visit) {
+		return nil
+	}
+	return e.assign
 }
 
 type embedder struct {
-	sub, host *Pattern
-	exact     bool
-	visit     func(m []int) bool
-	order     []int
-	assign    []int // sub node -> host node or -1
-	usedHost  []bool
+	sub, host  *Pattern
+	labelExact bool
+	order      []int
+	assign     []int // sub node -> host node or -1
+	usedHost   []bool
 }
 
-func (e *embedder) search(depth int) bool {
+func (e *embedder) search(depth int, visit func(m []int) bool) bool {
 	if depth == len(e.order) {
-		return e.visit(e.assign)
+		return visit(e.assign)
 	}
 	u := e.order[depth]
 	for h := 0; h < e.host.NumNodes(); h++ {
@@ -84,7 +85,7 @@ func (e *embedder) search(depth int) bool {
 		}
 		e.assign[u] = h
 		e.usedHost[h] = true
-		if e.search(depth + 1) {
+		if e.search(depth+1, visit) {
 			return true
 		}
 		e.usedHost[h] = false
@@ -99,9 +100,9 @@ func (e *embedder) nodeCompatible(u, h int) bool {
 }
 
 // labelFits reports whether a sub label may map onto a host label: an equal
-// one, or any one for a wildcard unless the search is exact.
+// one, or any one for a wildcard unless the search is labelExact.
 func (e *embedder) labelFits(sub, host string) bool {
-	return sub == host || sub == Wildcard && !e.exact
+	return sub == host || sub == Wildcard && !e.labelExact
 }
 
 // edgesCompatible verifies all sub edges between u and already-assigned

@@ -112,6 +112,9 @@ func (p *Pivot) Symmetric() bool { return p.symmetric }
 // isomorphism between the sub-patterns the two components induce maps a's
 // node z onto, or -1 when they are not isomorphic.
 func mirror(q *pattern.Pattern, a, b []int, z int) int {
+	if len(a) != len(b) {
+		return -1
+	}
 	perm, ok := pattern.Isomorphism(pattern.Induced(q, a), pattern.Induced(q, b), nil)
 	if !ok {
 		return -1
