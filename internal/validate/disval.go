@@ -39,7 +39,7 @@ func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt O
 // or a deadline miss re-ships its block to the worker that takes it —
 // recovery is charged, not free. totals reports how many
 // attempts took each strategy.
-func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, groups []*ruleGroup, plan *planEntry, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
+func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation, plan *planEntry, opt Options) (prep func(w, ui int), totals func() (prefetched, partials int)) {
 	// Per-worker tallies; worker w is the only writer of its entries.
 	nPrefetch := make([]int, opt.N)
 	nPartial := make([]int, opt.N)
@@ -55,7 +55,8 @@ func blockExchange(b *Bundle, cl *cluster.Cluster, frag *fragment.Fragmentation,
 			if blocks[w] == nil {
 				blocks[w] = graph.NewEpochSet(b.topo.NumNodes())
 			}
-			if pb := partialMatchBytes(b, frag, groups[plan.chunks.units[ui].Group], cands, blocks[w], w, shipped); pb < shipped {
+			grp := plan.chunks.groups[plan.chunks.units[ui].Group]
+			if pb := partialMatchBytes(b, frag, grp, cands, blocks[w], w, shipped); pb < shipped {
 				shipped, partial = pb, true
 			}
 		}

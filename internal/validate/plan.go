@@ -14,9 +14,9 @@ import (
 // This file is the planning layer of a parallel round — the bPar / disPar
 // prefix. A plan is a list of chunks: per rule group, ranges of each pivot
 // component's class (Unit), cut from class sizes alone, weighted by member
-// count and balanced by LPT. Planning reads no member: the star
-// test that keeps a class member as a pivot candidate runs at the head of
-// each chunk, on the slot that runs it and over that slot's own view
+// count and balanced by LPT. Planning reads no member: the star test that
+// keeps a class member as a pivot candidate runs at the head of each
+// chunk, on the slot that runs it and over that slot's own view
 // (UnitRunner), and its survivors are what the matcher enumerates. Skewed
 // pivots keep the paper's replicate-and-split: a member of the topology's
 // heavy-node list (graph.Snapshot.Heavy) whose degree exceeds θ gets a

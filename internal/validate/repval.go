@@ -125,7 +125,7 @@ func runEngine(ctx context.Context, b *Bundle, opt Options, sink Sink, e engine)
 	defer func() { run.exec.Close() }()
 	var exchanged func() (prefetched, partials int)
 	if e.frag != nil {
-		run.prep, exchanged = blockExchange(b, cl, e.frag, groups, plan, opt)
+		run.prep, exchanged = blockExchange(b, cl, e.frag, plan, opt)
 	}
 	detStart := time.Now()
 	span, comp, perr := run.run(plan.assign)
