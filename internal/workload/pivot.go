@@ -217,7 +217,7 @@ func (p *Pivot) Candidates(t *graph.Snapshot, i int, r Range) []graph.NodeID {
 		return class
 	}
 	var out, common []graph.NodeID
-	var runs [graph.MaxIntersectArity][]graph.CSREdge
+	var runsArr [graph.MaxIntersectArity][]graph.CSREdge
 next:
 	for j := range r.Len() {
 		v := graph.NodeID(r.Lo + j)
@@ -231,7 +231,7 @@ next:
 			continue
 		}
 		for _, nbr := range l.star {
-			k := 0
+			runs := runsArr[:0]
 			for _, run := range nbr {
 				var es []graph.CSREdge
 				if run.in {
@@ -242,13 +242,12 @@ next:
 				if len(es) == 0 {
 					continue next
 				}
-				if run.label != graph.WildcardSym && run.nbr != graph.WildcardSym && k < len(runs) {
-					runs[k] = es
-					k++
+				if run.label != graph.WildcardSym && run.nbr != graph.WildcardSym {
+					runs = append(runs, es)
 				}
 			}
-			if k >= 2 {
-				if common = graph.IntersectAdjacency(common[:0], runs[:k]); len(common) == 0 {
+			if len(runs) >= 2 {
+				if common = graph.IntersectAdjacency(common[:0], runs); len(common) == 0 {
 					continue next
 				}
 			}
