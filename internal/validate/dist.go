@@ -184,9 +184,9 @@ func (r *UnitRunner) Groups() int { return len(r.groups) }
 // range. A worker process treats it as a protocol error.
 var ErrBadUnit = errors.New("validate: malformed unit descriptor")
 
-// Run executes one unit, after checking it
-// against the runner's groups and each range against its class on the
-// runner's own view. Of the violations the unit enumerates, the first
+// Run executes one unit as the plan or an ASSIGN frame gave it, after
+// checking it against the runner's groups and each range against its class
+// on the runner's own view. Of the violations the unit enumerates, the first
 // skip are suppressed without emission — the exactly-once retry dedupe:
 // enumeration order is deterministic for a
 // given shard + halo, so a retried unit resumes past what a previous
