@@ -55,7 +55,6 @@ import (
 // "pkg.Type.Method" or "pkg.Type.Field".
 var keep = map[string]string{
 	"validate.SetChunkGranularity":   "tests plan one class member per unit to get long slot queues",
-	"validate.Callback":              "tests drive the callback sink mode of the differential harnesses",
 	"validate.Completeness.Complete": "tests assert a run's census is whole",
 	"graph.Overlay.Delta":            "tests read an overlay's pending delta to check compaction",
 	"graph.Graph.BuildSnapshot":      "freeze differential tests and benchmarks build at a fixed worker count",

@@ -10,6 +10,7 @@ import (
 	"gfd/internal/gen"
 	"gfd/internal/graph"
 	"gfd/internal/pattern"
+	"gfd/internal/testutil"
 	"gfd/internal/validate"
 )
 
@@ -269,7 +270,7 @@ func TestGCFDDetectBSinkStopAndCancel(t *testing.T) {
 	var n atomic.Int32
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := DetectB(ctx, b, rules, 2, validate.Callback(func(validate.Violation) {
+	err := DetectB(ctx, b, rules, 2, testutil.Callback(func(validate.Violation) {
 		n.Add(1)
 		cancel()
 	}))

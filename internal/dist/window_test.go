@@ -263,14 +263,14 @@ func TestStreamStopMidWindow(t *testing.T) {
 			// The emitting slot waits for the consumer's cancel, so the
 			// stop lands while the window that carried the first
 			// violation is still in flight.
-			sink := validate.Callback(func(v validate.Violation) {
+			sink := testutil.Callback(func(v validate.Violation) {
 				pipe.Emit(0, v)
 				<-ctx.Done()
 			})
 			return ctx, sink, func() { taken() }
 		}},
 		{"context cancelled", func(ctx context.Context, cancel context.CancelFunc) (context.Context, validate.Sink, func()) {
-			return ctx, validate.Callback(func(validate.Violation) { cancel() }), func() {}
+			return ctx, testutil.Callback(func(validate.Violation) { cancel() }), func() {}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -101,9 +101,7 @@ func (c Config) Mine(clean *graph.Graph) *core.Set {
 // Workload bundles a graph + rule set behind one prepared session, so an
 // entire sweep — every round, every worker count, all six algorithm
 // variants — shares a single freeze, workload reduction, grouping and
-// rule lowering. Construct it with NewWorkload (or Prepare); the zero
-// value and struct literals still work but fall back to a one-shot
-// session per RunAlgorithm call.
+// rule lowering. Construct it with NewWorkload (or Prepare).
 type Workload struct {
 	G    *graph.Graph
 	Set  *core.Set
@@ -130,18 +128,8 @@ func mustSession(g *graph.Graph) *session.Session {
 	return s
 }
 
-// Prepared returns the workload's prepared session, building a one-shot
-// one for workloads assembled as struct literals.
-func (w Workload) Prepared() *session.Prepared {
-	if w.prep != nil {
-		return w.prep
-	}
-	p, err := mustSession(w.G).Prepare(w.Set)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+// Prepared returns the workload's prepared session.
+func (w Workload) Prepared() *session.Prepared { return w.prep }
 
 // Prepare mines rules on the clean graph, injects noise, then prepares
 // the session on the noisy graph. A Config with GraphPath/RulesPath set

@@ -263,3 +263,39 @@ func BenchmarkEnumerateHubRebound(b *testing.B) {
 		m.Count(q, opts)
 	}
 }
+
+// BenchmarkEnumerateWindowClustered times full enumerations of the three
+// cyclic shapes by intersection (wco) and by probe backtracking
+// (Options.NoIntersect): together with match.ns_per_match vs
+// match.nointersect_ns_per_match on the benchmark's Chung–Lu graph it
+// gives the WCO/probe choice a workload on each side.
+func BenchmarkEnumerateWindowClustered(b *testing.B) {
+	snap := windowClusteredGraph(1000, 32, 42).Freeze()
+	want := map[string]int{} // probe count per shape, computed untimed on first use
+	for _, route := range []struct {
+		name        string
+		noIntersect bool
+	}{{"wco", false}, {"probe", true}} {
+		for _, shape := range []string{"triangle", "diamond", "cycle4"} {
+			q := cyclicShapes()[shape]
+			b.Run(route.name+"/"+shape, func(b *testing.B) {
+				if _, ok := want[shape]; !ok {
+					want[shape] = match.NewMatcher(snap).Count(q, match.Options{NoIntersect: true})
+				}
+				m := match.NewMatcher(snap)
+				opts := match.Options{NoIntersect: route.noIntersect}
+				n := 0
+				yield := func(core.Match) bool { n++; return true }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n = 0
+					m.Enumerate(q, opts, yield)
+					if n != want[shape] {
+						b.Fatalf("%s found %d matches, probe reference %d", route.name, n, want[shape])
+					}
+				}
+			})
+		}
+	}
+}

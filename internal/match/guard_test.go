@@ -1,12 +1,12 @@
-// Literal pushdown: guarded enumeration must yield exactly the unguarded
-// match set filtered by the map-based X oracle, on snapshots and overlays
-// and under pins and stripes; the plan must schedule each guard at
-// its earliest bound depth and order variables so guards close early.
+// Plan shapes: each guard literal is due at its earliest bound depth,
+// variables are ordered so guards close early, constant-X components
+// record their seeds, and a striped node is bound right after the pins.
 package match_test
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gfd/internal/core"
@@ -14,142 +14,6 @@ import (
 	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
-
-// attrGraph is a random graph over three node labels and two edge labels
-// whose nodes carry attributes p and q from a three-value domain (each
-// missing a third of the time), so X literals hold often enough to matter
-// and fail often enough to prune.
-func attrGraph(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(n, m)
-	for i := 0; i < n; i++ {
-		am := graph.Attrs{}
-		for _, a := range []string{"p", "q"} {
-			if rng.Intn(3) > 0 {
-				am[a] = fmt.Sprintf("v%d", rng.Intn(3))
-			}
-		}
-		g.AddNode(fmt.Sprintf("L%d", rng.Intn(3)), am)
-	}
-	for e := 0; e < m; e++ {
-		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		label := fmt.Sprintf("e%d", rng.Intn(2))
-		if from != to && !g.HasEdge(from, to, label) {
-			g.MustAddEdge(from, to, label)
-		}
-	}
-	return g
-}
-
-// randomX draws a 1–3 literal antecedent over q's variables: constants,
-// cross-node and same-node equalities, an attribute no node carries and a
-// constant no node holds.
-func randomX(rng *rand.Rand, q *pattern.Pattern) []core.Literal {
-	vars := q.Vars()
-	attr := func() string {
-		if rng.Intn(12) == 0 {
-			return "ghost"
-		}
-		return []string{"p", "q"}[rng.Intn(2)]
-	}
-	x := make([]core.Literal, 1+rng.Intn(3))
-	for i := range x {
-		v := vars[rng.Intn(len(vars))]
-		switch rng.Intn(4) {
-		case 0:
-			c := fmt.Sprintf("v%d", rng.Intn(3))
-			if rng.Intn(10) == 0 {
-				c = "never-interned"
-			}
-			x[i] = core.Const(v, attr(), c)
-		case 1:
-			x[i] = core.VarEq(v, "p", v, "q")
-		default:
-			x[i] = core.VarEq(v, attr(), vars[rng.Intn(len(vars))], attr())
-		}
-	}
-	return x
-}
-
-// xFiltered is the oracle: the legacy path's matches on which the
-// map-based X holds.
-func xFiltered(g *graph.Graph, f *core.GFD, opts match.Options) []string {
-	var out []core.Match
-	for _, h := range match.All(g, f.Q, opts) {
-		if f.SatisfiesX(g, h) {
-			out = append(out, h)
-		}
-	}
-	return matchKeys(out)
-}
-
-func guardedKeys(m *match.Matcher, q *pattern.Pattern, opts match.Options) []string {
-	var out []core.Match
-	m.Enumerate(q, opts, func(h core.Match) bool {
-		out = append(out, append(core.Match(nil), h...))
-		return true
-	})
-	return matchKeys(out)
-}
-
-func sameKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestGuardedEnumerationDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	checked := 0
-	for round := 0; round < 12; round++ {
-		g := attrGraph(rng, 40+rng.Intn(40), 150+rng.Intn(150))
-		ov := graph.NewOverlay(g)
-		for trial := 0; trial < 12; trial++ {
-			if trial == 6 {
-				mutateThroughOverlay(ov, rng, 10)
-			}
-			q := randomPattern(g, rng, 2+rng.Intn(3), trial%3 == 2)
-			f := core.MustNew("r", q, randomX(rng, q), nil)
-			opts := match.Options{}
-			switch trial % 3 {
-			case 1:
-				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
-					opts.Pins = pinTo(0, cands[rng.Intn(len(cands))])
-				}
-			case 2: // the unit path: node 0 pinned, its neighbour 1 striped
-				v := graph.NodeID(rng.Intn(ov.NumNodes()))
-				if cands := g.NodesWithLabel(q.Nodes[0].Label); len(cands) > 0 {
-					v = cands[rng.Intn(len(cands))]
-				}
-				opts.Pins = pinTo(0, v)
-				opts.StripeNode, opts.StripeMod, opts.StripeRem = 1, 2, rng.Intn(2)
-			}
-			want := xFiltered(g, f, opts)
-			checked += len(want)
-			topo := ov.Snapshot
-			if trial < 6 {
-				topo = g.Freeze()
-			}
-			opts.Guard = f.CompileLiterals(topo.Syms()).Guard()
-			m := match.NewMatcher(topo)
-			if got := guardedKeys(m, q, opts); !sameKeys(got, want) {
-				t.Fatalf("round %d trial %d (%s, plan %s): guarded %d matches, oracle %d",
-					round, trial, f, m.Plan(q, opts), len(got), len(want))
-			}
-			if got := m.Count(q, opts); got != len(want) {
-				t.Fatalf("round %d trial %d: guarded Count %d, oracle %d", round, trial, got, len(want))
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no guarded match survived anywhere; the differential is vacuous")
-	}
-}
 
 // TestGuardPlansDistinctPerGuard: two rules over one pattern object share
 // its compiled form, so only the guard in planKey keeps their plans apart.
@@ -171,17 +35,14 @@ func TestGuardPlansDistinctPerGuard(t *testing.T) {
 	if pa == pc {
 		t.Fatalf("both guards planned as %q", pa)
 	}
-	wantA, wantC := xFiltered(g, fa, match.Options{}), xFiltered(g, fc, match.Options{})
-	if sameKeys(wantA, wantC) {
+	wantA, _ := oracle(g, q, match.Options{}, [][]core.Literal{fa.X})
+	wantC, _ := oracle(g, q, match.Options{}, [][]core.Literal{fc.X})
+	if slices.Equal(wantA, wantC) {
 		t.Fatal("the two antecedents select the same matches; the test is vacuous")
 	}
 	for i := 0; i < 3; i++ {
-		if got := guardedKeys(m, q, oa); !sameKeys(got, wantA) {
-			t.Fatalf("pass %d: guard a yields %d matches, want %d", i, len(got), len(wantA))
-		}
-		if got := guardedKeys(m, q, oc); !sameKeys(got, wantC) {
-			t.Fatalf("pass %d: guard c yields %d matches, want %d", i, len(got), len(wantC))
-		}
+		check(t, row{name: fmt.Sprint("guard a, pass ", i), g: g, m: m, q: q, opts: oa, xs: [][]core.Literal{fa.X}})
+		check(t, row{name: fmt.Sprint("guard c, pass ", i), g: g, m: m, q: q, opts: oc, xs: [][]core.Literal{fc.X}})
 	}
 	if p := m.Plan(q, oa).String(); p != pa {
 		t.Fatalf("guard a replanned as %q, first %q", p, pa)
@@ -353,13 +214,79 @@ func TestPlanSeedsConstantComponents(t *testing.T) {
 	}
 
 	f := core.MustNew("r", lone, c("x", "p", "v0"), nil)
-	want := xFiltered(g, f, match.Options{})
+	want, _ := oracle(g, lone, match.Options{}, [][]core.Literal{f.X})
 	if len(want) == 0 || len(want) == len(g.NodesWithLabel("L0")) {
 		t.Fatalf("%d of %d L0 nodes hold p = v0: the seeded scan shows nothing", len(want), len(g.NodesWithLabel("L0")))
 	}
 	opts := match.Options{Guard: f.CompileLiterals(snap.Syms()).Guard(), Halt: func() bool { return false }}
 	before := m.Tries()
-	if got := guardedKeys(m, lone, opts); !sameKeys(got, want) || int(m.Tries()-before) != len(want) {
+	if got := keys(m, lone, opts); !slices.Equal(slices.Sorted(slices.Values(got)), want) || int(m.Tries()-before) != len(want) {
 		t.Fatalf("seeded scan: %d matches after %d tries, want %d after as many", len(got), m.Tries()-before, len(want))
 	}
+}
+
+// TestStripeNodeBoundRightAfterPins: on triangle, diamond and path shapes,
+// for every pin set and every unpinned node adjacent to a pin, the striped
+// plan binds the stripe node right after the pins, and the unstriped plan
+// of the same call — cached beside the striped ones — stays what a fresh
+// matcher plans.
+func TestStripeNodeBoundRightAfterPins(t *testing.T) {
+	snap := layeredCyclicGraph(rand.New(rand.NewSource(3)), 30, 3).Freeze()
+	path := pattern.New()
+	a, b, c := path.AddNode("a", "A"), path.AddNode("b", "B"), path.AddNode("c", "C")
+	path.AddEdge(a, b, "ab")
+	path.AddEdge(b, c, "bc")
+	shapes := map[string]*pattern.Pattern{"triangle": triPattern(), "diamond": cyclicShapes()["diamond"], "path": path}
+	m := match.NewMatcher(snap)
+	checked := 0
+	for name, q := range shapes {
+		n := q.NumNodes()
+		for set := 1; set < 1<<n-1; set++ {
+			var pin []match.Pin
+			for i := 0; i < n; i++ {
+				if set&(1<<i) != 0 {
+					pin = append(pin, pinTo(i, graph.NodeID(i))...)
+				}
+			}
+			plain := match.Options{Pins: pin}
+			want := fmt.Sprint(match.NewMatcher(snap).Plan(q, plain).Order)
+			for s := 0; s < n; s++ {
+				if pinned(pin, s) || !adjacentToPin(q, s, pin) {
+					continue
+				}
+				opts := match.Options{Pins: pin, StripeNode: s, StripeMod: 3}
+				if order := m.Plan(q, opts).Order; order[len(pin)] != s {
+					t.Fatalf("%s pins %v: striped plan %v binds %d after the pins, want stripe node %d", name, pin, order, order[len(pin)], s)
+				}
+				if got := fmt.Sprint(m.Plan(q, plain).Order); got != want {
+					t.Fatalf("%s pins %v: unstriped plan %s after striping %d, fresh %s", name, pin, got, s, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pin set had an unpinned neighbour; the test is vacuous")
+	}
+}
+
+// pinned reports whether pins bind pattern node u.
+func pinned(pins []match.Pin, u int) bool {
+	return slices.ContainsFunc(pins, func(p match.Pin) bool { return p.Node == u })
+}
+
+// adjacentToPin reports a pattern edge, either direction, between s and a
+// pinned node.
+func adjacentToPin(q *pattern.Pattern, s int, pin []match.Pin) bool {
+	for _, ei := range q.OutEdges(s) {
+		if pinned(pin, q.Edges[ei].To) {
+			return true
+		}
+	}
+	for _, ei := range q.InEdges(s) {
+		if pinned(pin, q.Edges[ei].From) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,14 +1,12 @@
-// Differential property tests: enumeration over a frozen Snapshot must
-// yield exactly the same match set as the slice-backed reference path, on
-// randomly generated graphs, across every Options dimension (pinning,
-// striping, wildcards, limits).
+// Match semantics the differential table cannot see: set semantics over
+// duplicate and parallel edges, pin lists against single pins, bad pins,
+// concurrent freezes and labels first seen through an overlay.
 package match_test
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -19,81 +17,6 @@ import (
 	"gfd/internal/match"
 	"gfd/internal/pattern"
 )
-
-// matchKeys canonicalizes a match set for order-insensitive comparison.
-func matchKeys(ms []core.Match) []string {
-	keys := make([]string, len(ms))
-	for i, m := range ms {
-		keys[i] = fmt.Sprint([]graph.NodeID(m))
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func assertSameMatches(t *testing.T, g *graph.Graph, q *pattern.Pattern, opts match.Options, ctx string) {
-	t.Helper()
-	legacy := matchKeys(match.All(g, q, opts))
-	snap := matchKeys(match.NewMatcher(g.Freeze()).All(q, opts))
-	if len(legacy) != len(snap) {
-		t.Fatalf("%s: legacy found %d matches, snapshot %d", ctx, len(legacy), len(snap))
-	}
-	for i := range legacy {
-		if legacy[i] != snap[i] {
-			t.Fatalf("%s: match sets differ at %d: legacy %s vs snapshot %s", ctx, i, legacy[i], snap[i])
-		}
-	}
-}
-
-// randomPattern draws a small connected pattern whose labels come from the
-// graph (plus occasional wildcards), so it has a chance of matching.
-func randomPattern(g *graph.Graph, rng *rand.Rand, nodes int, wildcards bool) *pattern.Pattern {
-	labels := g.Labels()
-	edgeLabels := map[string]bool{}
-	g.Edges(func(e graph.Edge) bool {
-		edgeLabels[e.Label] = true
-		return len(edgeLabels) < 20
-	})
-	var els []string
-	for l := range edgeLabels {
-		els = append(els, l)
-	}
-	sort.Strings(els)
-	pick := func(pool []string) string {
-		if wildcards && rng.Intn(4) == 0 {
-			return pattern.Wildcard
-		}
-		return pool[rng.Intn(len(pool))]
-	}
-	q := pattern.New()
-	for i := 0; i < nodes; i++ {
-		q.AddNode(pattern.Var(fmt.Sprintf("v%d", i)), pick(labels))
-	}
-	// Spanning-tree edges keep it connected; a few extras add constraints.
-	for i := 1; i < nodes; i++ {
-		from, to := rng.Intn(i), i
-		if rng.Intn(2) == 0 {
-			from, to = to, from
-		}
-		q.AddEdge(from, to, pick(els))
-	}
-	if nodes > 2 && rng.Intn(2) == 0 {
-		q.AddEdge(rng.Intn(nodes), rng.Intn(nodes), pick(els))
-	}
-	return q
-}
-
-// pinTo pins pattern node u to graph node v alone.
-func pinTo(u int, v graph.NodeID) []match.Pin {
-	return []match.Pin{{Node: u, To: []graph.NodeID{v}}}
-}
-
-func diffGraphs() map[string]*graph.Graph {
-	return map[string]*graph.Graph{
-		"synthetic": gen.Synthetic(gen.SyntheticConfig{Nodes: 250, Edges: 700, Skew: 0.6, Seed: 11}),
-		"yago2":     gen.YAGO2Like(gen.DatasetConfig{Scale: 60, Seed: 7}),
-		"pokec":     gen.PokecLike(gen.DatasetConfig{Scale: 80, Seed: 19}),
-	}
-}
 
 // TestGeneratorsNoDuplicateEdges enforces the graph type's documented
 // invariant on every dataset generator: no duplicate (from, to, label)
@@ -182,7 +105,7 @@ func TestWildcardEdgeParallelLabels(t *testing.T) {
 		if i == 2 {
 			want = 1
 		}
-		assertSameMatches(t, g, q, opts, fmt.Sprint("pin ", pin))
+		check(t, row{name: fmt.Sprint("pin ", pin), g: g, q: q, opts: opts})
 		for name, n := range map[string]int{
 			"legacy":  len(match.All(g, q, opts)),
 			"frozen":  match.NewMatcher(g.Freeze()).Count(q, opts),
@@ -230,7 +153,7 @@ func TestWildcardEdgeRecurringNeighbours(t *testing.T) {
 				want = 3
 			}
 			ctx := fmt.Sprintf("target %s out %v", target, out)
-			assertSameMatches(t, g, q, match.Options{}, ctx)
+			check(t, row{name: ctx, g: g, q: q})
 			if n := match.NewMatcher(g.Freeze()).Count(q, match.Options{}); n != want {
 				t.Errorf("%s: frozen yielded %d matches, want %d", ctx, n, want)
 			}
@@ -259,184 +182,6 @@ func TestConcurrentFreeze(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestDifferentialRandomPatterns(t *testing.T) {
-	for name, g := range diffGraphs() {
-		rng := rand.New(rand.NewSource(99))
-		for trial := 0; trial < 40; trial++ {
-			n := 2 + rng.Intn(3)
-			q := randomPattern(g, rng, n, trial%2 == 1)
-			assertSameMatches(t, g, q, match.Options{},
-				fmt.Sprintf("%s trial %d q=%s", name, trial, q))
-		}
-	}
-}
-
-func TestDifferentialPinned(t *testing.T) {
-	for name, g := range diffGraphs() {
-		rng := rand.New(rand.NewSource(5))
-		for trial := 0; trial < 20; trial++ {
-			q := randomPattern(g, rng, 2+rng.Intn(2), false)
-			// Pin node 0 to a few of its legacy candidates (and one
-			// hopeless node to exercise the empty case).
-			cands := g.NodesWithLabel(q.Nodes[0].Label)
-			if len(cands) == 0 {
-				cands = []graph.NodeID{0}
-			}
-			for i := 0; i < 3 && i < len(cands); i++ {
-				pin := pinTo(0, cands[(i*7)%len(cands)])
-				assertSameMatches(t, g, q, match.Options{Pins: pin},
-					fmt.Sprintf("%s trial %d pin=%v", name, trial, pin))
-			}
-		}
-	}
-}
-
-func TestDifferentialStriped(t *testing.T) {
-	for name, g := range diffGraphs() {
-		rng := rand.New(rand.NewSource(23))
-		for trial := 0; trial < 12; trial++ {
-			q := randomPattern(g, rng, 2+rng.Intn(2), false)
-			mod := 2 + rng.Intn(3)
-			node := rng.Intn(q.NumNodes())
-			total := 0
-			for rem := 0; rem < mod; rem++ {
-				opts := match.Options{StripeNode: node, StripeMod: mod, StripeRem: rem}
-				assertSameMatches(t, g, q, opts,
-					fmt.Sprintf("%s trial %d stripe %d/%d", name, trial, rem, mod))
-				total += match.NewMatcher(g.Freeze()).Count(q, opts)
-			}
-			// Residues must partition the unstriped match set.
-			if all := match.NewMatcher(g.Freeze()).Count(q, match.Options{}); total != all {
-				t.Fatalf("%s trial %d: stripes sum to %d, unstriped %d", name, trial, total, all)
-			}
-		}
-	}
-}
-
-func TestDifferentialLimit(t *testing.T) {
-	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: 3})
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		q := randomPattern(g, rng, 2+rng.Intn(2), false)
-		all := match.Count(g, q, match.Options{})
-		for _, limit := range []int{1, 2, 5} {
-			want := min(limit, all)
-			if got := match.NewMatcher(g.Freeze()).Count(q, match.Options{Limit: limit}); got != want {
-				t.Fatalf("trial %d limit %d: snapshot count %d, want %d", trial, limit, got, want)
-			}
-		}
-	}
-}
-
-// TestDifferentialMinedRules runs the full mined-rule patterns (the
-// engines' real workload, including two-component symmetric patterns)
-// through both paths.
-func TestDifferentialMinedRules(t *testing.T) {
-	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 50, Seed: 21})
-	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 6, PatternSize: 4, TwoCompFrac: 0.5, Seed: 9})
-	for _, f := range set.Rules() {
-		assertSameMatches(t, g, f.Q, match.Options{}, "rule "+f.Name)
-	}
-}
-
-// TestMatcherZeroAllocSteadyState proves the acceptance criterion: after
-// warm-up, a snapshot-backed enumeration performs zero allocations — and
-// so does a guarded one, on the snapshot, on an empty overlay and on one
-// patched by updates, once the guarded plan is cached, and so do a
-// triangle and the cyc4 diamond, whose closing joins take the semi-join
-// route.
-func TestMatcherZeroAllocSteadyState(t *testing.T) {
-	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 80, Seed: 1})
-	q := pattern.New()
-	f := q.AddNode("f", "flight")
-	id := q.AddNode("i", "id")
-	from := q.AddNode("c", "city")
-	q.AddEdge(f, id, "number")
-	q.AddEdge(f, from, "from")
-
-	snap := g.Freeze()
-	count := 0
-	yield := func(core.Match) bool { count++; return true }
-	steadyQ := func(name string, m *match.Matcher, q *pattern.Pattern, opts match.Options) {
-		t.Helper()
-		count = 0
-		m.Enumerate(q, opts, yield) // warm-up: compile, plan cache, buffers
-		if count == 0 {
-			t.Fatalf("%s: workload has no matches; allocation test is vacuous", name)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			m.Enumerate(q, opts, yield)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: steady-state Enumerate allocated %.1f times per run, want 0", name, allocs)
-		}
-	}
-	steady := func(name string, m *match.Matcher, opts match.Options) {
-		t.Helper()
-		steadyQ(name, m, q, opts)
-	}
-	steady("snapshot", match.NewMatcher(snap), match.Options{})
-	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-		q    *pattern.Pattern
-	}{
-		{"semi-join triangle", hubGraph(1, 20, 300, 400, 3, 4, 2), triPattern()},
-		{"semi-join diamond", threeLabelGraph(1, 500, 8000), cyc4Diamond()},
-	} {
-		s := c.g.Freeze()
-		m := match.NewMatcher(s)
-		steadyQ(c.name, m, c.q, pivoted(s, c.q))
-		if !m.SemiJoined() {
-			t.Fatalf("%s: no join took the semi-join route", c.name)
-		}
-	}
-
-	// A guard that admits some flights: the value of the first city any
-	// flight leaves from.
-	var city string
-	match.NewMatcher(snap).Enumerate(q, match.Options{}, func(h core.Match) bool {
-		city, _ = g.Attr(h[from], "val")
-		return city == ""
-	})
-	rule := core.MustNew("r", q, []core.Literal{core.Const("c", "val", city), core.VarEq("f", "val", "f", "val")}, nil)
-	steady("guarded snapshot", match.NewMatcher(snap), match.Options{Guard: rule.CompileLiterals(snap.Syms()).Guard()})
-	ov := graph.NewOverlay(g)
-	steady("guarded overlay", match.NewMatcher(ov), match.Options{Guard: rule.CompileLiterals(ov.Syms()).Guard()})
-
-	// A patched view: a new flight wired to an id and a city, and a city
-	// rewritten to the guarded value, so the search reads inserted labels,
-	// copy-on-write adjacency, a merged class and a written tuple.
-	pov := graph.NewOverlay(g.Clone())
-	nf := pov.AddNode("flight", graph.Attrs{"val": "patched"})
-	pov.MustAddEdge(nf, g.NodesWithLabel("id")[0], "number")
-	c := g.NodesWithLabel("city")[0]
-	pov.MustAddEdge(nf, c, "from")
-	pov.SetAttr(c, "val", city)
-	pg := rule.CompileLiterals(pov.Syms()).Guard()
-	if n := match.NewMatcher(pov).Count(q, match.Options{Pins: pinTo(f, nf), Guard: pg}); n != 1 {
-		t.Fatalf("patched overlay: inserted flight has %d guarded matches, want 1", n)
-	}
-	steady("guarded patched overlay", match.NewMatcher(pov), match.Options{Guard: pg})
-
-	// Constant-only X: the plan opens the search at c and iterates the
-	// holders of the city value, not the city class — on the frozen
-	// snapshot through its holder cache, on the patched view through that
-	// cache and the tuples the view's patch copied.
-	seeded := core.MustNew("s", q, []core.Literal{core.Const("c", "val", city)}, nil)
-	for _, row := range []struct {
-		name string
-		s    *graph.Snapshot
-	}{{"constant-seeded snapshot", snap}, {"constant-seeded patched overlay", pov.Snapshot}} {
-		m := match.NewMatcher(row.s)
-		opts := match.Options{Guard: seeded.CompileLiterals(row.s.Syms()).Guard()}
-		if p := m.Plan(q, opts); p.Seeds() == nil || p.Seeds()[0] == nil {
-			t.Fatalf("%s: plan %s records no seed at depth 0", row.name, p)
-		}
-		steady(row.name, m, opts)
-	}
 }
 
 // nodeRun is a run of up to k node IDs from a random start, some of the
@@ -569,5 +314,72 @@ func TestPinsRejectBadNodes(t *testing.T) {
 				run()
 			}()
 		}
+	}
+}
+
+// TestSemiJoinParallelSiblingEdges: a graph that breaks the no-duplicate
+// invariant holds parallel bc-edges, adjacent in a sibling's run. The
+// filtered scan yields each node once, as the probing route does.
+func TestSemiJoinParallelSiblingEdges(t *testing.T) {
+	g := hubGraph(3, 10, 60, 80, 5, 2, 0)
+	for _, b := range g.NodesWithLabel("B") {
+		for _, e := range g.Out(b) {
+			if e.Label == "bc" {
+				g.MustAddEdge(b, e.To, "bc")
+			}
+		}
+	}
+	snap := g.Freeze()
+	q := triPattern()
+	m := match.NewMatcher(snap)
+	got := keys(m, q, pivoted(snap, q))
+	probeOpts := pivoted(snap, q)
+	probeOpts.NoIntersect = true
+	if want := keys(match.NewMatcher(snap), q, probeOpts); len(got) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("%d matches, NoIntersect %d, or a different order", len(got), len(want))
+	}
+	if !m.SemiJoined() {
+		t.Fatal("no join took the semi-join route")
+	}
+}
+
+// TestOverlayMatcherSeesNewLabel: one Matcher kept over the live overlay
+// enumerates a pattern whose labels the symbol table has never interned —
+// they lower to NoSym and match nothing — and, after updates insert a node
+// and an edge carrying those labels, finds them. The matcher's Plans
+// interns a pattern's labels before lowering it on a patched view, so the
+// lowering made before the updates already holds their codes.
+func TestOverlayMatcherSeesNewLabel(t *testing.T) {
+	g := graph.New(0, 0)
+	owner := g.AddNode("person", nil)
+	g.AddNode("person", nil)
+	ov := graph.NewOverlay(g)
+	m := match.NewMatcher(ov)
+
+	lone := pattern.New()
+	lone.AddNode("y", "gadget")
+	owns := pattern.New()
+	x := owns.AddNode("x", "person")
+	y := owns.AddNode("y", "gadget")
+	owns.AddEdge(x, y, "owns")
+
+	if ov.Syms().Lookup("gadget") != graph.NoSym || ov.Syms().Lookup("owns") != graph.NoSym {
+		t.Fatal("fixture: the pattern's labels must be absent from the table")
+	}
+	for _, q := range []*pattern.Pattern{lone, owns} {
+		if n := m.Count(q, match.Options{}); n != 0 {
+			t.Fatalf("%v: %d matches before any gadget exists", q, n)
+		}
+	}
+	gadget := ov.AddNode("gadget", nil)
+	if got := m.All(lone, match.Options{}); len(got) != 1 || got[0][0] != gadget {
+		t.Fatalf("after AddNode: lone gadget matches %v, want [[%d]]", got, gadget)
+	}
+	if n := m.Count(owns, match.Options{}); n != 0 {
+		t.Fatalf("%d owns matches before the edge exists", n)
+	}
+	ov.MustAddEdge(owner, gadget, "owns")
+	if got := m.All(owns, match.Options{}); len(got) != 1 || got[0][x] != owner || got[0][y] != gadget {
+		t.Fatalf("after AddEdge: owns matches %v, want [[%d %d]]", got, owner, gadget)
 	}
 }

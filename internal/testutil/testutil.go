@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +47,23 @@ func StopAfterFirst(parent context.Context, workers int) (context.Context, valid
 		}
 		return got
 	}
+}
+
+// Callback is a sink that serializes emissions from concurrent workers
+// onto yield under a mutex.
+func Callback(yield func(validate.Violation)) validate.Sink {
+	return &callback{yield: yield}
+}
+
+type callback struct {
+	mu    sync.Mutex
+	yield func(validate.Violation)
+}
+
+func (s *callback) Emit(_ int, v validate.Violation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.yield(v)
 }
 
 // PipeHolds is how many violations StopAfterFirst's pipe buffers for

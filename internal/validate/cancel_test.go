@@ -63,7 +63,7 @@ func TestRepValCancelMidRunAbortsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, err = RepValB(ctx, b, Options{N: 4}, Callback(func(Violation) {
+	_, err = RepValB(ctx, b, Options{N: 4}, callback(func(Violation) {
 		emitted++
 		if emitted == 3 {
 			cancel()
@@ -95,7 +95,7 @@ func TestDisValCancelMidRunAbortsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, err = DisValB(ctx, b, frag, Options{N: 4}, Callback(func(Violation) {
+	_, err = DisValB(ctx, b, frag, Options{N: 4}, callback(func(Violation) {
 		emitted++
 		if emitted == 3 {
 			cancel()
@@ -116,7 +116,7 @@ func TestDisValCancelMidRunAbortsPromptly(t *testing.T) {
 // burst on the host moves one of them, not the bound.
 func TestRepValDeadlineAborts(t *testing.T) {
 	_, b := cancelWorkload(t)
-	count := func(n *int) Sink { return Callback(func(Violation) { *n++ }) }
+	count := func(n *int) Sink { return callback(func(Violation) { *n++ }) }
 	// Measure the uncancelled run; skip the timing assertion on hosts
 	// where it is too fast to bound reliably.
 	walls := make([]time.Duration, 5)
@@ -157,7 +157,7 @@ func TestRepValDeadlineAborts(t *testing.T) {
 func TestSequentialStreamCancel(t *testing.T) {
 	_, b := cancelWorkload(t)
 	var all Report
-	if err := DetVioB(context.Background(), b, Callback(func(v Violation) {
+	if err := DetVioB(context.Background(), b, callback(func(v Violation) {
 		all = append(all, v)
 	})); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSequentialStreamCancel(t *testing.T) {
 	for _, at := range []int{1, 3} {
 		ctx, cancel := context.WithCancel(context.Background())
 		emitted := 0
-		err := DetVioB(ctx, b, Callback(func(Violation) {
+		err := DetVioB(ctx, b, callback(func(Violation) {
 			emitted++
 			if emitted == at {
 				cancel()

@@ -402,7 +402,7 @@ func TestSchedulerConformance(t *testing.T) {
 				defer cancel()
 				var mu sync.Mutex
 				var got validate.Report
-				sink := validate.Callback(func(v validate.Violation) {
+				sink := testutil.Callback(func(v validate.Violation) {
 					mu.Lock()
 					defer mu.Unlock()
 					got = append(got, v)

@@ -36,6 +36,7 @@ import (
 	"gfd/internal/pattern"
 	"gfd/internal/session"
 	"gfd/internal/store"
+	"gfd/internal/testutil"
 	"gfd/internal/validate"
 )
 
@@ -349,7 +350,7 @@ func (m sinkMode) drive(ctx context.Context, lanes int, run func(validate.Sink) 
 		}
 		return got, res, err
 	case callback:
-		res, err = run(validate.Callback(func(v validate.Violation) {
+		res, err = run(testutil.Callback(func(v validate.Violation) {
 			got = append(got, v)
 		}))
 	case pipe:

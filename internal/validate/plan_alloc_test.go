@@ -8,6 +8,7 @@ import (
 	"context"
 	"testing"
 
+	"gfd/internal/testutil"
 	"gfd/internal/validate"
 )
 
@@ -60,7 +61,7 @@ func TestWarmRoundAllocationsIndependentOfUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := validate.Callback(func(validate.Violation) {})
+	sink := testutil.Callback(func(validate.Violation) {})
 	round := func() {
 		if _, err := validate.RepValB(context.Background(), b, opt, sink); err != nil {
 			t.Fatal(err)

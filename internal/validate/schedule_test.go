@@ -131,7 +131,7 @@ func runSchedule(exec Executor, slots, units, retryMax int, assign workload.Assi
 	s.r = &detectRun{
 		ctx: context.Background(), cl: cluster.New(slots), exec: exec,
 		units: make([]Unit, units), opt: Options{N: slots, Retry: Retry{Max: retryMax}},
-		sink: Callback(func(v Violation) {
+		sink: callback(func(v Violation) {
 			mu.Lock()
 			s.got = append(s.got, v)
 			mu.Unlock()

@@ -13,15 +13,14 @@ import (
 // Sink is the single violation-consumption abstraction every engine emits
 // through: detVio, repVal, disVal and the two baselines all deliver each
 // violation to Emit as it is found, fused with match enumeration — no
-// engine materializes a per-unit match set first. The three execution
-// modes of the session API are three sinks over one engine code path:
+// engine materializes a per-unit match set first. The session API's two
+// execution modes are two sinks over one engine code path, and any caller
+// may implement Sink itself:
 //
 //   - CollectSink — Detect: per-worker lanes appended lock-free, in
 //     chunks that never regrow; after the run each lane sorts its own
 //     violations in parallel, and one merge writes the sorted Report,
 //     whose matches borrow the lanes' chunks;
-//   - CallbackSink — emissions serialized onto one user function under a
-//     mutex;
 //   - PipeSink — the pull-based iterator (Prepared.Violations): every
 //     worker sends into one bounded channel the consumer ranges over, and
 //     a full channel blocks the senders.
@@ -218,25 +217,6 @@ func Single(rules, lanes int, sink Sink, run func(Sink) error) (*Result, error) 
 	res.Wall = time.Since(start)
 	finish()
 	return res, err
-}
-
-// CallbackSink serializes violation emissions from concurrent workers
-// onto one user callback, under a mutex.
-type CallbackSink struct {
-	mu    sync.Mutex
-	yield func(Violation)
-}
-
-// Callback wraps a function as a Sink.
-func Callback(yield func(Violation)) *CallbackSink {
-	return &CallbackSink{yield: yield}
-}
-
-// Emit delivers v to the callback under the sink's mutex.
-func (s *CallbackSink) Emit(_ int, v Violation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.yield(v)
 }
 
 // PipeSink is the asynchronous half of the pull-based violation pipeline:

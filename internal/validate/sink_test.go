@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -170,4 +171,20 @@ func TestPipeSinkHolds(t *testing.T) {
 	if held != (workers+1)*buffer {
 		t.Fatalf("%d violations held, want %d", held, (workers+1)*buffer)
 	}
+}
+
+// callback is a sink that serializes emissions from concurrent workers
+// onto yield under a mutex (testutil.Callback, which this package's own
+// tests cannot import: testutil imports validate).
+func callback(yield func(Violation)) Sink { return &callbackSink{yield: yield} }
+
+type callbackSink struct {
+	mu    sync.Mutex
+	yield func(Violation)
+}
+
+func (s *callbackSink) Emit(_ int, v Violation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.yield(v)
 }

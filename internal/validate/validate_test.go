@@ -116,7 +116,7 @@ func satisfies(g *graph.Graph, set *core.Set) bool {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	violated := false
-	_ = DetVioB(ctx, NewBundle(g, set), Callback(func(Violation) {
+	_ = DetVioB(ctx, NewBundle(g, set), callback(func(Violation) {
 		violated = true
 		cancel()
 	}))
