@@ -322,6 +322,13 @@ func TestGuardedEnumerationDifferential(t *testing.T) {
 			check(t, r)
 		}
 	}
+	// Two members due at different depths: a match whose x fails the first
+	// and whose y fails the second has no live member left.
+	g := attrGraph(rand.New(rand.NewSource(2)), 60, 300)
+	q := pattern.New()
+	q.AddEdge(q.AddNode("x", "L0"), q.AddNode("y", "L1"), "e0")
+	check(t, row{name: "members at two depths", g: g, q: q, nonEmpty: true,
+		xs: [][]core.Literal{{core.Const("x", "p", "v0")}, {core.Const("y", "q", "v1")}}})
 }
 
 // TestWCOEquivalenceCyclicSnapshots: random layered graphs × cyclic
