@@ -4,7 +4,7 @@
 # go test commands that must catch it. run.sh copies the committed tree
 # (git archive HEAD) into a temporary directory, checks that the unpatched
 # copy passes every named command, then applies each patch to a fresh copy
-# and fails unless each of its commands fails there.
+# and fails unless the copy builds and each of its commands fails there.
 #
 #   bash internal/testutil/mutants/run.sh              # every patch
 #   bash internal/testutil/mutants/run.sh 03-*.patch   # some of them
@@ -41,6 +41,12 @@ for p in "${patches[@]}"; do
 	rm -rf "$work/mutant"
 	cp -r "$work/clean" "$work/mutant"
 	(cd "$work/mutant" && patch -s -p1) <"$p"
+	if ! (cd "$work/mutant" && go build ./...) >"$work/log" 2>&1; then
+		echo "FAIL $(basename "$p") does not build"
+		tail -20 "$work/log"
+		status=1
+		continue
+	fi
 	while IFS= read -r cmd; do
 		if (cd "$work/mutant" && eval "$cmd") >"$work/log" 2>&1; then
 			echo "FAIL $(basename "$p") survives: $cmd"
