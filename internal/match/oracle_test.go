@@ -25,7 +25,7 @@ import (
 
 type row struct {
 	name string
-	g    *graph.Graph   // the searcher's graph; one an overlay sealed reads through it
+	g    *graph.Graph   // the searcher's graph; once an overlay seals it, it reads through the overlay
 	view graph.Topology // the Matcher's view; nil freezes g
 	m    *match.Matcher // a Matcher kept across rows; nil makes one over view
 	q    *pattern.Pattern

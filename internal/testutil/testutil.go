@@ -2,7 +2,7 @@
 // packages share: the multi-process runtime's own tests (internal/dist) and
 // the conformance suite in internal/validate's test binary both stop a pull
 // consumer early and check that a run leaves no goroutine or worker process
-// behind. Only test files import it, so no binary links it; the
+// behind, and several drive engines through a callback sink. Only test files import it, so no binary links it; the
 // architecture rules hold it to that.
 package testutil
 
